@@ -1,5 +1,5 @@
 //! Single-core factorization benchmark: naive (scalar reference loops) vs
-//! blocked (panel Cholesky + multi-RHS TRSM + identity-RHS fast path)
+//! blocked (`potrf` + `trtri` + `lauum` on the packed GEMM engine)
 //! `cholesky_inverse` GFLOP/s at K-FAC factor sizes, including the
 //! BERT-Base pair 769 (`d_model + 1`) and 3073 (`d_ff + 1`). Writes
 //! `BENCH_factor.json` at the repo root.
@@ -9,19 +9,24 @@
 //! produce bitwise-identical inverses (enforced by
 //! `crates/tensor/tests/factor_equivalence.rs`).
 //!
-//! The nominal FLOP count is `2n³` for the full inversion (factorization
-//! `n³/3` + triangular solves; the identity fast path does less real work,
-//! which shows up as extra throughput — we keep the naive count for both
-//! columns so the ratio is a wall-clock speedup).
+//! The nominal FLOP count is `2n³` for every column — the count this file
+//! has always used, kept so rows stay comparable across engines (the
+//! inversion really costs `n³`: three `n³/3` steps). [`SIZES`] carries the
+//! blocked column of the engine this one replaced, measured on the same
+//! host, so the speed-up over it has its base in the file.
 
 use pipefisher_tensor::{cholesky_inverse_into, cholesky_inverse_naive_into, kernel, par, Matrix};
 use std::time::Instant;
 
 const REPS: usize = 3;
 
-/// Factor sizes: one inside-a-panel, the BERT-Base K-FAC pair, and a
-/// power-of-two multi-panel size.
-const SIZES: [usize; 4] = [256, 769, 1024, 3073];
+/// Factor sizes — one inside a few panels, the BERT-Base K-FAC pair, and a
+/// power-of-two multi-panel size — each with the blocked GFLOP/s of the
+/// previous engine (solve `L·Lᵀ·X = I` against a dense identity: multi-RHS
+/// TRSM + identity fast path + symmetrize), recorded with this binary at
+/// commit `ec826c2` on the host the committed `BENCH_factor.json` was
+/// recorded on.
+const SIZES: [(usize, f64); 4] = [(256, 9.064), (769, 11.121), (1024, 5.883), (3073, 5.005)];
 
 fn rand_spd(n: usize, seed: u64) -> Matrix {
     let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -75,7 +80,7 @@ fn main() {
     par::set_max_threads(1);
     let simd = kernel::simd_name();
     let mut rows = Vec::new();
-    for &n in &SIZES {
+    for &(n, before) in &SIZES {
         let a = rand_spd(n, n as u64);
         let mut out = Matrix::zeros(n, n);
         let flops = 2.0 * (n as f64).powi(3);
@@ -99,11 +104,20 @@ fn main() {
         rows.push(format!(
             concat!(
                 "    {{\"n\": {}, \"naive_gflops\": {:.3}, ",
-                "\"blocked_gflops\": {:.3}, \"speedup\": {:.3}}}"
+                "\"blocked_gflops\": {:.3}, \"speedup\": {:.3}, ",
+                "\"speedup_vs_before\": {:.3}}}"
             ),
-            n, naive_gflops, blocked_gflops, speedup
+            n,
+            naive_gflops,
+            blocked_gflops,
+            speedup,
+            blocked_gflops / before
         ));
     }
+    let before_rows: Vec<String> = SIZES
+        .iter()
+        .map(|(n, g)| format!("    {{\"n\": {n}, \"blocked_gflops\": {g:.3}}}"))
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
@@ -112,18 +126,22 @@ fn main() {
             "  \"simd\": \"{}\",\n",
             "  \"reps\": {},\n",
             "  \"note\": \"single-core (pool pinned to 1 lane) cholesky_inverse GFLOP/s at a ",
-            "nominal 2n^3 FLOPs for both columns; naive is the scalar reference ",
-            "(cholesky_inverse_naive_into), blocked the panel-Cholesky + TRSM engine under the ",
-            "runtime-dispatched kernel, bitwise-identical by construction; naive at n>=1024 is ",
-            "timed with a single rep; 769/3073 are the BERT-Base K-FAC factor sizes ",
-            "(d_model+1, d_ff+1).\",\n",
-            "  \"results\": [\n{}\n  ]\n",
+            "nominal 2n^3 FLOPs for every column (the inversion itself costs n^3); naive is the ",
+            "scalar reference (cholesky_inverse_naive_into), blocked the potrf + trtri + lauum ",
+            "engine under the runtime-dispatched kernel, bitwise-identical by construction; naive ",
+            "at n>=1024 is timed with a single rep; 769/3073 are the BERT-Base K-FAC factor sizes ",
+            "(d_model+1, d_ff+1); 'before' is the blocked column of the solve-against-identity ",
+            "engine this one replaced (commit ec826c2, same host, same binary), the base of ",
+            "speedup_vs_before.\",\n",
+            "  \"results\": [\n{}\n  ],\n",
+            "  \"before\": [\n{}\n  ]\n",
             "}}\n"
         ),
         host_cores,
         simd,
         REPS,
-        rows.join(",\n")
+        rows.join(",\n"),
+        before_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factor.json");
     std::fs::write(path, &json).expect("write BENCH_factor.json");

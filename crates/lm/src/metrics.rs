@@ -33,6 +33,14 @@ pub struct StepMetrics {
     pub curvature_refreshes: u64,
     /// Cumulative K-FAC factor inversions up to and including this step.
     pub inversions: u64,
+    /// Cumulative factor inversions that failed at the configured damping
+    /// and were retried with the escalated one, over all layers (counted
+    /// since this process created or restored the optimizer; 0 without
+    /// K-FAC, and on a healthy run).
+    pub damping_escalations: u64,
+    /// Cumulative layer refreshes that failed even after escalation and
+    /// kept their stale inverses (same scope as `damping_escalations`).
+    pub inversion_failures: u64,
     /// Heap allocation calls during this step. Always `0` unless the binary
     /// was built with the `alloc-count` feature (which installs the counting
     /// allocator from `pipefisher-trace`).
@@ -59,6 +67,8 @@ impl StepMetrics {
             "curvature_refreshed": self.curvature_refreshed,
             "curvature_refreshes": self.curvature_refreshes,
             "inversions": self.inversions,
+            "damping_escalations": self.damping_escalations,
+            "inversion_failures": self.inversion_failures,
             "allocs": self.allocs,
             "alloc_bytes": self.alloc_bytes,
             "ckpt_write_ms": self.ckpt_write_ms,
@@ -78,7 +88,8 @@ pub fn to_jsonl(rows: &[StepMetrics]) -> String {
 }
 
 /// Accumulates [`StepMetrics`] rows over a run, tracking the cumulative
-/// K-FAC counters.
+/// K-FAC refresh counters (the inversion-health pair is already cumulative
+/// where it is counted, in the optimizer's layer states).
 #[derive(Debug, Default)]
 pub(crate) struct MetricsRecorder {
     rows: Vec<StepMetrics>,
@@ -105,6 +116,7 @@ impl MetricsRecorder {
         timings: PhaseTimings,
         curvature_refreshed: bool,
         inverted: bool,
+        (damping_escalations, inversion_failures): (u64, u64),
         alloc: pipefisher_trace::AllocSnapshot,
         ckpt_write_ms: f64,
     ) {
@@ -121,6 +133,8 @@ impl MetricsRecorder {
             curvature_refreshed,
             curvature_refreshes: self.curvature_refreshes,
             inversions: self.inversions,
+            damping_escalations,
+            inversion_failures,
             allocs: alloc.allocs,
             alloc_bytes: alloc.bytes,
             ckpt_write_ms,
@@ -148,6 +162,8 @@ mod tests {
             curvature_refreshed: step == 0,
             curvature_refreshes: 1,
             inversions: 1,
+            damping_escalations: 0,
+            inversion_failures: 0,
             allocs: 0,
             alloc_bytes: 0,
             ckpt_write_ms: 0.0,
@@ -173,12 +189,15 @@ mod tests {
         let mut rec = MetricsRecorder::default();
         let t = PhaseTimings::default();
         let a = pipefisher_trace::AllocSnapshot::default();
-        rec.record(0, 3.0, 1.0, 1e-3, t, true, true, a, 0.0);
-        rec.record(1, 2.9, 1.0, 1e-3, t, false, false, a, 0.0);
-        rec.record(2, 2.8, 1.0, 1e-3, t, true, false, a, 0.0);
+        rec.record(0, 3.0, 1.0, 1e-3, t, true, true, (0, 0), a, 0.0);
+        rec.record(1, 2.9, 1.0, 1e-3, t, false, false, (1, 0), a, 0.0);
+        rec.record(2, 2.8, 1.0, 1e-3, t, true, false, (1, 1), a, 0.0);
         let rows = rec.into_rows();
         assert_eq!(rows[2].curvature_refreshes, 2);
         assert_eq!(rows[2].inversions, 1);
         assert!(!rows[1].curvature_refreshed);
+        // The health counters arrive cumulative from the optimizer.
+        assert_eq!(rows[1].damping_escalations, 1);
+        assert_eq!(rows[2].inversion_failures, 1);
     }
 }

@@ -904,6 +904,7 @@ impl Trainer {
                 },
                 refresh_curv,
                 refresh_inv,
+                opt.inversion_health(),
                 pipefisher_trace::alloc_snapshot().since(&alloc_before),
                 ckpt_write_ms,
             );
@@ -1238,7 +1239,7 @@ impl Worker {
     /// the capture replicas' statistics, and returns the loans.
     fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
         let tail_t = Instant::now();
-        while self.try_aux_one(cmd) {
+        while self.try_aux_one(cmd).is_some() {
             if self.abort.is_tripped() {
                 return Err(Halt);
             }
@@ -1286,8 +1287,11 @@ impl Worker {
                 self.last_progress = Instant::now();
                 return Ok(m);
             }
-            if cmd.fill_bubbles && self.try_aux_one(cmd) {
-                continue;
+            if cmd.fill_bubbles {
+                if let Some(ms) = self.try_aux_one(cmd) {
+                    self.bubble_aux_ms += ms;
+                    continue;
+                }
             }
             let idle_t = Instant::now();
             match self.data_rx.recv_timeout(Duration::from_millis(5)) {
@@ -1367,19 +1371,20 @@ impl Worker {
     }
 
     /// Runs the first K-FAC unit whose inputs are ready (or, under a chaos
-    /// hook's out-of-order pickup, the second ready one); returns whether
-    /// any work was done. Units for phases the step does not refresh are
-    /// marked done without running (there is nothing to compute).
+    /// hook's out-of-order pickup, the second ready one); returns the
+    /// milliseconds it took, `None` when nothing was runnable — the caller
+    /// books the time as bubble work ([`Worker::wait_for`]) or lets its tail
+    /// timer cover it ([`Worker::finish_step`]). Units for phases the step
+    /// does not refresh are marked done without running (there is nothing
+    /// to compute).
     ///
     /// Reordering among *ready* units is bitwise-safe: ready units touch
     /// disjoint per-layer state, and an inversion only becomes ready once
     /// every fold of its stage is done.
-    fn try_aux_one(&mut self, cmd: &StepCmd) -> bool {
-        let Some(kfac) = cmd.kfac.clone() else {
-            return false;
-        };
+    fn try_aux_one(&mut self, cmd: &StepCmd) -> Option<f64> {
+        let kfac = cmd.kfac.clone()?;
         if !kfac.refresh_curv && !kfac.refresh_inv {
-            return false;
+            return None;
         }
         let plan = Arc::clone(&self.plan);
         let mut first_ready = None;
@@ -1422,9 +1427,7 @@ impl Worker {
                 break;
             }
         }
-        let Some(first) = first_ready else {
-            return false;
-        };
+        let first = first_ready?;
         let skip = self
             .chaos
             .as_ref()
@@ -1439,9 +1442,9 @@ impl Worker {
         let op = plan.aux[chosen];
         let t = Instant::now();
         self.run_aux(cmd.step, op.stage, op.kind, op.chunk, op.chunks, &kfac);
-        self.bubble_aux_ms += t.elapsed().as_secs_f64() * 1e3;
+        let ms = t.elapsed().as_secs_f64() * 1e3;
         self.last_progress = Instant::now();
-        true
+        Some(ms)
     }
 
     /// Executes one fold/invert unit over the chunk's slice of the stage's

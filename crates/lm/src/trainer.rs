@@ -272,6 +272,7 @@ impl Trainer {
                 },
                 refresh,
                 opt.inverts_at(step),
+                opt.inversion_health(),
                 pipefisher_trace::alloc_snapshot().since(&alloc_before),
                 ckpt_write_ms,
             );
@@ -350,6 +351,7 @@ impl Trainer {
                 },
                 false,
                 false,
+                (0, 0),
                 pipefisher_trace::alloc_snapshot().since(&alloc_before),
                 0.0,
             );
@@ -525,6 +527,15 @@ impl AnyOpt {
                 (step as u64).is_multiple_of(config.inversion_interval as u64)
             }
             _ => false,
+        }
+    }
+
+    /// `(damping_escalations, inversion_failures)` so far — see
+    /// [`Kfac::inversion_health`]; `(0, 0)` for the first-order optimizers.
+    pub(crate) fn inversion_health(&self) -> (u64, u64) {
+        match self {
+            AnyOpt::Kfac { opt, .. } => opt.inversion_health(),
+            _ => (0, 0),
         }
     }
 

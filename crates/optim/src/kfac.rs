@@ -120,6 +120,14 @@ pub struct LayerKfacState {
     pub last_curvature_step: u64,
     /// Step at which the inverses were last refreshed.
     pub last_inversion_step: u64,
+    /// How many factor inversions of this layer failed at the configured
+    /// damping and were retried with the escalated one (see
+    /// [`refresh_inverses`]). Runtime-only: counts since this process
+    /// created or restored the state; checkpoints do not carry it.
+    pub damping_escalations: u64,
+    /// How many refreshes of this layer failed even after escalation and
+    /// kept the stale inverses. Runtime-only, like `damping_escalations`.
+    pub inversion_failures: u64,
     /// Reusable working buffers (see [`KfacScratch`]).
     pub scratch: KfacScratch,
 }
@@ -270,6 +278,15 @@ impl<O: Optimizer> Kfac<O> {
     /// Returns a loaned layer state after external fold/inversion work.
     pub fn put_state(&mut self, layer_name: &str, state: LayerKfacState) {
         self.states.insert(layer_name.to_string(), state);
+    }
+
+    /// `(damping_escalations, inversion_failures)` summed over all layers —
+    /// the optimizer's numerical-health counters (see the fields of
+    /// [`LayerKfacState`]). Both stay 0 on a healthy run.
+    pub fn inversion_health(&self) -> (u64, u64) {
+        self.states.values().fold((0, 0), |(e, f), st| {
+            (e + st.damping_escalations, f + st.inversion_failures)
+        })
     }
 
     /// Borrows the fallback optimizer.
@@ -517,7 +534,7 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
                 inv_b: r.opt_matrix()?,
                 last_curvature_step: r.u64()?,
                 last_inversion_step: r.u64()?,
-                scratch: KfacScratch::default(),
+                ..Default::default()
             };
             crate::snapshot::insert_unique(&mut states, "K-FAC layer", name, st)?;
         }
@@ -621,16 +638,25 @@ fn update_curvature(state: &mut LayerKfacState, lin: &mut Linear, ema_decay: f64
 ///
 /// Public as the schedulable *inversion* work unit: the pipeline executor
 /// runs it per layer inside bubbles. The inversion itself runs on the
-/// blocked factorization engine ([`cholesky_inverse_into`]: panel Cholesky
-/// with SYRK/GEMM trailing updates, multi-RHS TRSM, identity-RHS fast
-/// path), which is bitwise identical to the naive reference
-/// ([`pipefisher_tensor::cholesky_inverse_naive_into`]) — so bubble-filled
-/// pipeline runs stay bit-for-bit reproducible against serial execution. Both factors are inverted together
-/// because the π-split couples their damping, and the fresh inverses commit
-/// only if *both* factorizations succeed — splitting `Inversion(A)` from
-/// `Inversion(B)` would break that both-or-nothing semantics. A no-op when
-/// a factor is missing (nothing captured yet), matching [`Kfac::step`]'s
+/// blocked factorization engine ([`cholesky_inverse_into`]: Cholesky
+/// factor, triangular inverse `Y = L⁻¹`, then `YᵀY` — LAPACK's
+/// `potrf` + `potri` — with the off-block work on the packed GEMM
+/// kernels), which is exactly symmetric and bitwise identical to the scalar
+/// reference ([`pipefisher_tensor::cholesky_inverse_naive_into`]) — so
+/// bubble-filled pipeline runs stay bit-for-bit reproducible against serial
+/// execution. Both factors are inverted together because the π-split
+/// couples their damping, and the fresh inverses commit only if *both*
+/// factorizations succeed — splitting `Inversion(A)` from `Inversion(B)`
+/// would break that both-or-nothing semantics. A no-op when a factor is
+/// missing (nothing captured yet), matching [`Kfac::step`]'s
 /// `factor_a.is_some()` guard.
+///
+/// A factor whose inversion fails (not positive definite, or non-finite) is
+/// retried once with `10 × damping` more on its diagonal, counted in
+/// [`LayerKfacState::damping_escalations`]; if the retry fails too, the
+/// refresh keeps the stale inverses and counts one
+/// [`LayerKfacState::inversion_failures`]. Neither is silent:
+/// [`Kfac::inversion_health`] sums the counters for the trainer's metrics.
 pub fn refresh_inverses(
     state: &mut LayerKfacState,
     damping: f64,
@@ -669,14 +695,16 @@ pub fn refresh_inverses(
     db.add_diag(lam_b.max(1e-12));
     // Damped Gram matrices are SPD by construction; escalate damping on the
     // (numerically pathological) failure path rather than crash training.
-    let inv_a = cholesky_inverse_into(da, ia).or_else(|_| {
-        da.add_diag(damping * 10.0);
-        cholesky_inverse_into(da, ia)
-    });
-    let inv_b = cholesky_inverse_into(db, ib).or_else(|_| {
-        db.add_diag(damping * 10.0);
-        cholesky_inverse_into(db, ib)
-    });
+    let escalations = &mut state.damping_escalations;
+    let mut invert = |damped: &mut Matrix, inv: &mut Matrix| {
+        cholesky_inverse_into(damped, inv).or_else(|_| {
+            *escalations += 1;
+            damped.add_diag(damping * 10.0);
+            cholesky_inverse_into(damped, inv)
+        })
+    };
+    let inv_a = invert(da, ia);
+    let inv_b = invert(db, ib);
     if let (Ok(()), Ok(())) = (inv_a, inv_b) {
         match &mut state.inv_a {
             Some(m) => std::mem::swap(m, ia),
@@ -687,6 +715,8 @@ pub fn refresh_inverses(
             None => state.inv_b = Some(std::mem::take(ib)),
         }
         state.last_inversion_step = t;
+    } else {
+        state.inversion_failures += 1;
     }
 }
 
@@ -825,7 +855,61 @@ mod tests {
             for (x, y) in inv.as_slice().iter().zip(expect.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
+            // X = YᵀY is mirrored, not averaged: symmetric to the bit.
+            for i in 0..inv.rows() {
+                for j in 0..i {
+                    assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits());
+                }
+            }
         }
+        assert_eq!(
+            (state.damping_escalations, state.inversion_failures),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn indefinite_factor_escalates_damping_and_is_counted() {
+        // A = diag(1, −0.5) has mean 0.25, as does B, so π = 1 and the first
+        // damped A is diag(1.1, −0.4): not positive definite. The retry adds
+        // 10 × damping and succeeds.
+        let mut state = LayerKfacState {
+            factor_a: Some(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -0.5]])),
+            factor_b: Some(Matrix::eye(2).scale(0.25)),
+            ..Default::default()
+        };
+        refresh_inverses(&mut state, 0.1, None, 3);
+        assert_eq!(
+            (state.damping_escalations, state.inversion_failures),
+            (1, 0)
+        );
+        assert!(state.ready());
+        assert_eq!(state.last_inversion_step, 3);
+        let inv_a = state.inv_a.as_ref().unwrap();
+        assert!((inv_a[(0, 0)] - 1.0 / 2.1).abs() < 1e-12);
+        assert!((inv_a[(1, 1)] - 1.0 / 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_poisoned_factor_keeps_stale_inverse_and_is_counted() {
+        let mut state = LayerKfacState {
+            factor_a: Some(rand_spd(5, 21)),
+            factor_b: Some(rand_spd(4, 22)),
+            ..Default::default()
+        };
+        refresh_inverses(&mut state, 1e-3, None, 1);
+        let (stale_a, stale_b) = (state.inv_a.clone(), state.inv_b.clone());
+        state.factor_a.as_mut().unwrap()[(3, 1)] = f64::NAN;
+        refresh_inverses(&mut state, 1e-3, None, 2);
+        // A fails at both dampings (one escalation, one failure); B still
+        // inverts, but the refresh commits both or neither.
+        assert_eq!(
+            (state.damping_escalations, state.inversion_failures),
+            (1, 1)
+        );
+        assert_eq!(state.last_inversion_step, 1);
+        assert_eq!(state.inv_a, stale_a);
+        assert_eq!(state.inv_b, stale_b);
     }
 
     #[test]

@@ -3,27 +3,44 @@
 //! K-FAC's *inversion* work is exactly this module: each Kronecker factor
 //! `A_l`, `B_l` is a symmetric positive semi-definite Gram matrix, damped to
 //! positive definiteness, factored as `L·Lᵀ`, and inverted. The paper calls
-//! `torch.linalg.cholesky` + `torch.linalg.cholesky_inverse` per factor; the
-//! functions here are the Rust equivalents.
+//! `torch.linalg.cholesky` + `torch.linalg.cholesky_inverse` per factor
+//! (LAPACK `potrf` + `potri`); [`cholesky_inverse_into`] is the same three
+//! steps, in place in the output matrix:
 //!
-//! # Blocked factorization engine
+//! 1. **POTRF** — `L = chol(A)` ([`cholesky_into`]), `n³/3` flops;
+//! 2. **TRTRI** — `Y = L⁻¹`, a row-blocked forward sweep, `n³/3` flops;
+//! 3. **LAUUM** — `X = YᵀY`, one triangle only, then mirrored, `n³/3`
+//!    flops — so `A⁻¹` is *exactly* symmetric by construction.
 //!
-//! [`cholesky_into`] is a left-looking *blocked* factorization: the matrix
-//! is processed in [`NB`]-wide column panels, each panel's trailing update
-//! (`P -= L₁₀·L₁₀ᵀ`) runs as one subtracting GEMM on the packed SIMD
-//! micro-kernels ([`crate::kernel::gemm_chunk_sub`]), and only the thin
-//! in-panel factorization stays scalar. [`solve_with_factor_in_place`]
-//! replaces the scalar substitution with register-tiled multi-RHS sweeps
-//! (8 right-hand-side columns per vector step kernel), parallelized over
-//! aligned column stripes.
+//! `n³` flops in total, against the `5n³/3` of solving `L·Lᵀ·X = I` on a
+//! dense identity.
 //!
-//! Both keep the repo's determinism contract: every output element retains
-//! one ascending-`k` accumulation chain with separately rounded multiply and
-//! add/subtract, so results are **bitwise identical** to the naive loops
-//! ([`cholesky_into_naive`], [`cholesky_inverse_naive_into`]), across kernel
-//! kinds and thread counts, and `NotPositiveDefinite` pivot indices are
-//! preserved across block boundaries. The equivalence is proptest-enforced
-//! in `crates/tensor/tests/factor_equivalence.rs`.
+//! # Blocked engine
+//!
+//! All three steps walk [`NB`]-wide blocks and do their off-block work as
+//! one GEMM per block on the packed SIMD micro-kernels
+//! ([`crate::kernel::gemm_chunk_sub`], [`crate::kernel::gemm_chunk_lower`]):
+//! the Cholesky trailing update `P −= L₁₀·L₁₀ᵀ`, the inversion's
+//! `Y₁₀ = −L₁₁⁻¹·(L₁₀·Y₀₀)`, and the Gram rows `X₁: = Y:₁ᵀ·Y`, the last
+//! two never touching the zero triangle of `Y`. What stays inside a block —
+//! finishing a Cholesky panel below its diagonal block, and the inversion's
+//! `L₁₁⁻¹·` — is one forward substitution, [`crate::kernel::tri_sweep`],
+//! register-tiled across right-hand-side columns.
+//!
+//! # Determinism
+//!
+//! Every output element keeps one accumulation chain in ascending index
+//! order with separately rounded multiply and add/subtract; blocking only
+//! splits a chain at block boundaries, round-tripping the partial sum
+//! through memory (exact for `f64`), and only ever skips terms that are
+//! exact zeros. So the blocked engine is **bitwise identical** to the
+//! scalar loops spelled out in [`cholesky_into_naive`] and
+//! [`cholesky_inverse_naive_into`] — at `Scalar`/`Simd` kernels, any thread
+//! count — and error indices (`NotPositiveDefinite(pivot)`) are preserved
+//! across block boundaries. Under the opt-in `Fma` kernel the GEMM parts
+//! fuse their rounding like every other GEMM; the in-block kernels never
+//! do. The equivalence is enforced in
+//! `crates/tensor/tests/factor_equivalence.rs`.
 
 use crate::kernel::{self, ASrc, BSrc};
 use crate::{par, workspace, Matrix, TensorError};
@@ -31,10 +48,10 @@ use crate::{par, workspace, Matrix, TensorError};
 /// Error alias for Cholesky routines (always a [`TensorError`]).
 pub type CholeskyError = TensorError;
 
-/// Panel width of the blocked factorization — a multiple of
-/// [`kernel::ROW_ALIGN`] small enough that a panel column stays cache-warm
-/// during the in-panel sweep, large enough that trailing updates dominate.
-const NB: usize = 64;
+/// Block width of the factorization engine — a multiple of
+/// [`kernel::ROW_ALIGN`] small enough that a block's rows stay cache-warm
+/// during the in-block sweep, large enough that the GEMMs dominate.
+const NB: usize = kernel::TRI_BLOCK;
 
 /// Computes the lower-triangular Cholesky factor `L` with `L·Lᵀ = a`.
 ///
@@ -67,20 +84,10 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, CholeskyError> {
 }
 
 /// Computes the lower-triangular Cholesky factor into `out`, which is
-/// re-dimensioned to `a.rows() × a.rows()` and fully overwritten. Bitwise
-/// identical to [`cholesky`] and to the naive reference
-/// [`cholesky_into_naive`]. On error, `out`'s contents are unspecified.
-///
-/// Blocked left-looking scheme: for each [`NB`]-wide panel starting at
-/// global column `jb`, the panel is seeded from `a`, the accumulated
-/// trailing update `P -= L[jb.., ..jb] · L[jb..jb+bw, ..jb]ᵀ` runs on the
-/// packed GEMM engine, and the panel is factored scalar. Per element this
-/// is the naive chain `src - Σ_p l·l` split at `p = jb`: the GEMM covers
-/// `p < jb` (ascending, separately rounded, partial sums round-tripped
-/// through memory — exact for `f64`), the in-panel sweep continues
-/// `jb ≤ p < j`. Identical operations in identical order ⇒ identical bits,
-/// and the first failing pivot (checked in the same column order) is
-/// identical too.
+/// re-dimensioned to `a.rows() × a.rows()` and fully overwritten. Only the
+/// lower triangle of `a` is read. Bitwise identical to [`cholesky`] and to
+/// the naive reference [`cholesky_into_naive`]. On error, `out`'s contents
+/// are unspecified.
 ///
 /// # Errors
 ///
@@ -92,42 +99,65 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, CholeskyError> {
 pub fn cholesky_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> {
     assert!(a.is_square(), "cholesky: matrix must be square");
     let n = a.rows();
-    let src = a.as_slice();
     out.reset_shape(n, n);
-    let l = out.as_mut_slice();
+    let mut scratch = workspace::take_raw(NB * n);
+    let res = factor_blocked(a.as_slice(), n, out.as_mut_slice(), &mut scratch);
+    workspace::put(scratch);
+    res
+}
+
+/// Blocked left-looking Cholesky of the `n × n` row-major `src` into `l`
+/// (fully overwritten; strict upper triangle `+0.0`), with `scratch` of at
+/// least `NB·n` elements.
+///
+/// For each [`NB`]-wide panel starting at global column `jb`, the panel is
+/// held *transposed* — `pt[c][r]` is element `(jb + r, jb + c)`, so the
+/// rows of one column are contiguous — seeded from `src`, and updated with
+/// `Pt −= L[jb..jb+bw, ..jb] · L[jb.., ..jb]ᵀ` on the packed GEMM engine.
+/// Then the `bw × bw` diagonal block is factored, and every row below it is
+/// finished by one [`kernel::tri_sweep`] against that block. Per element
+/// this is the naive chain `src − Σ_p l·l` split at `p = jb`: the GEMM
+/// covers `p < jb`, the in-panel steps continue `jb ≤ p < j`. Identical
+/// operations in identical order ⇒ identical bits, and pivots are checked
+/// in the same ascending order, so the first failing one is identical too.
+fn factor_blocked(
+    src: &[f64],
+    n: usize,
+    l: &mut [f64],
+    scratch: &mut [f64],
+) -> Result<(), CholeskyError> {
     l.fill(0.0);
     for jb in (0..n).step_by(NB) {
         let bw = NB.min(n - jb);
         let prows = n - jb;
-        // Row-major prows × bw panel scratch from the arena.
-        let mut panel = workspace::take_raw(prows * bw);
+        let pt = &mut scratch[..bw * prows];
         for r in 0..prows {
-            panel[r * bw..(r + 1) * bw].copy_from_slice(&src[(jb + r) * n + jb..][..bw]);
+            let row = &src[(jb + r) * n + jb..][..bw];
+            for (c, &v) in row.iter().enumerate() {
+                pt[c * prows + r] = v;
+            }
         }
         if jb > 0 {
-            // Trailing update on the packed engine: for panel element
-            // (r, c), subtract Σ_{p<jb} l[jb+r][p] · l[jb+c][p].
+            // For panel element (c, r), subtract Σ_{p<jb} l[jb+c][p] ·
+            // l[jb+r][p]; both operands are read in place from `l`.
             let lread: &[f64] = l;
             par::par_chunks_mut_aligned(
-                &mut panel,
-                prows,
+                pt,
                 bw,
+                prows,
                 kernel::ROW_ALIGN,
-                prows * jb * bw,
+                bw * jb * prows,
                 |start, chunk| {
-                    let rows = chunk.len() / bw;
                     kernel::gemm_chunk_sub(
                         chunk,
-                        rows,
-                        bw,
+                        chunk.len() / prows,
+                        prows,
                         jb,
                         ASrc::RowMajor {
                             data: lread,
                             stride: n,
                             base: jb + start,
                         },
-                        // B(p, c) = l[(jb + c) * n + p]: the transposed view
-                        // of the panel-row block of L, read in place.
                         BSrc::ColMajor {
                             data: &lread[jb * n..],
                             stride: n,
@@ -136,33 +166,36 @@ pub fn cholesky_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> 
                 },
             );
         }
-        let res = factor_panel(&mut panel, prows, bw, jb);
-        if res.is_ok() {
-            // Copy back the lower-triangular part only (the upper stays 0).
-            for r in 0..prows {
-                let w = bw.min(r + 1);
-                l[(jb + r) * n + jb..][..w].copy_from_slice(&panel[r * bw..r * bw + w]);
+        factor_diag_block(pt, prows, bw, jb)?;
+        // The diagonal block goes back first: it is the sweep's coefficient
+        // matrix. Only the lower triangle is copied (the upper stays 0).
+        let copy_back = |l: &mut [f64], pt: &[f64], rows: std::ops::Range<usize>| {
+            for r in rows {
+                let dst = &mut l[(jb + r) * n + jb..][..bw.min(r + 1)];
+                for (c, v) in dst.iter_mut().enumerate() {
+                    *v = pt[c * prows + r];
+                }
             }
-        }
-        workspace::put(panel);
-        res?;
+        };
+        copy_back(l, pt, 0..bw);
+        kernel::tri_sweep(&l[jb * n + jb..], n, &mut pt[bw..], prows, bw, prows - bw);
+        copy_back(l, pt, bw..prows);
     }
     Ok(())
 }
 
-/// Factors a seeded-and-updated `prows × bw` panel in place: column `c`
-/// finishes the naive chains for global column `jb + c` (the `p ≥ jb`
-/// terms), exactly as the naive loop orders them.
-fn factor_panel(
-    panel: &mut [f64],
-    prows: usize,
-    bw: usize,
-    jb: usize,
-) -> Result<(), CholeskyError> {
+/// Factors the `bw × bw` diagonal block of a seeded-and-updated transposed
+/// panel (`pt[c * ld + r]`, `c, r < bw`) in place: column `c` finishes the
+/// naive chains of global column `jb + c` — each element subtracts its
+/// `q < c` terms in ascending order, then divides by the pivot — with the
+/// rows of a column contiguous, so the update loops vectorize.
+fn factor_diag_block(pt: &mut [f64], ld: usize, bw: usize, jb: usize) -> Result<(), CholeskyError> {
     for c in 0..bw {
-        let mut d = panel[c * bw + c];
+        let (done, rest) = pt.split_at_mut(c * ld);
+        let col = &mut rest[..bw];
+        let mut d = col[c];
         for q in 0..c {
-            let v = panel[c * bw + q];
+            let v = done[q * ld + c];
             d -= v * v;
         }
         if !d.is_finite() {
@@ -172,21 +205,24 @@ fn factor_panel(
             return Err(TensorError::NotPositiveDefinite(jb + c));
         }
         let dj = d.sqrt();
-        panel[c * bw + c] = dj;
-        for r in (c + 1)..prows {
-            let mut s = panel[r * bw + c];
-            for q in 0..c {
-                s -= panel[r * bw + q] * panel[c * bw + q];
+        col[c] = dj;
+        let below = &mut col[c + 1..];
+        for q in 0..c {
+            let m = done[q * ld + c];
+            for (s, &v) in below.iter_mut().zip(&done[q * ld + c + 1..][..bw - c - 1]) {
+                *s -= v * m;
             }
-            panel[r * bw + c] = s / dj;
+        }
+        for s in below.iter_mut() {
+            *s /= dj;
         }
     }
     Ok(())
 }
 
-/// The pre-blocking scalar reference implementation of [`cholesky_into`]:
-/// one element-at-a-time triple loop. Kept as the bitwise oracle for the
-/// factor-equivalence proptests and the `bench_factor` baseline column.
+/// The scalar reference implementation of [`cholesky_into`]: one
+/// element-at-a-time triple loop. Kept as the bitwise oracle for the
+/// factor-equivalence tests and the `bench_factor` baseline column.
 ///
 /// # Errors
 ///
@@ -245,10 +281,12 @@ pub fn cholesky_solve(a: &Matrix, b: &Matrix) -> Result<Matrix, CholeskyError> {
 }
 
 /// Computes [`cholesky_solve`] into `out`, which is re-dimensioned to
-/// `b.rows() × b.cols()` and fully overwritten. The internal factor lives
-/// in workspace-recycled scratch (like [`cholesky_inverse_into`]), so
-/// repeated solves are steady-state alloc-free. Bitwise identical to
-/// [`cholesky_solve`]. On error, `out`'s contents are unspecified.
+/// `b.rows() × b.cols()` and fully overwritten: the blocked
+/// [`cholesky_into`] followed by scalar forward and backward substitution
+/// (nothing in the training path solves against a general right-hand side,
+/// so the substitution is the plain reference loop). The internal factor
+/// lives in workspace-recycled scratch, so repeated solves are steady-state
+/// alloc-free. On error, `out`'s contents are unspecified.
 ///
 /// # Errors
 ///
@@ -261,267 +299,15 @@ pub fn cholesky_solve_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(
     let mut l = Matrix::zeros(a.rows(), a.rows());
     cholesky_into(a, &mut l)?;
     out.clone_from(b);
-    solve_with_factor_in_place(&l, out, false);
+    substitute_in_place(&l, out);
     Ok(())
 }
 
-/// Computes the inverse of an SPD matrix via Cholesky.
-///
-/// The result is explicitly symmetrized to remove round-off asymmetry, which
-/// matters for the preconditioning products `B⁻¹ G A⁻¹` in K-FAC.
-///
-/// # Errors
-///
-/// Propagates factorization failures from [`cholesky`].
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-///
-/// # Example
-///
-/// ```
-/// use pipefisher_tensor::{cholesky_inverse, Matrix};
-/// # fn main() -> Result<(), pipefisher_tensor::TensorError> {
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-/// let inv = cholesky_inverse(&a)?;
-/// assert!((inv[(0, 0)] - 0.5).abs() < 1e-12);
-/// assert!((inv[(1, 1)] - 0.25).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cholesky_inverse(a: &Matrix) -> Result<Matrix, CholeskyError> {
-    let mut inv = Matrix::zeros(a.rows(), a.rows());
-    cholesky_inverse_into(a, &mut inv)?;
-    Ok(inv)
-}
-
-/// Computes the inverse of an SPD matrix into `out`, which is
-/// re-dimensioned to `a.rows() × a.rows()` and fully overwritten. Bitwise
-/// identical to [`cholesky_inverse`] and to the naive reference
-/// [`cholesky_inverse_naive_into`]; the Cholesky factor lives in a recycled
-/// scratch matrix so steady-state refreshes allocate nothing. The solve
-/// takes the identity-RHS fast path (structurally-zero leading columns of
-/// the forward substitution are skipped — exact, because subtracting
-/// `l · (+0.0)` with finite `l` is the identity), cutting the forward sweep
-/// from `n³/2` to `n³/6` multiply–subtracts. On error, `out`'s contents are
-/// unspecified.
-///
-/// # Errors
-///
-/// Propagates factorization failures from [`cholesky`].
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn cholesky_inverse_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> {
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    cholesky_into(a, &mut l)?;
-    // Seed `out` with the identity in place, then solve L·Lᵀ·X = I.
-    out.reset_shape(n, n);
-    out.as_mut_slice().fill(0.0);
-    for i in 0..n {
-        out[(i, i)] = 1.0;
-    }
-    solve_with_factor_in_place(&l, out, true);
-    out.symmetrize();
-    Ok(())
-}
-
-/// The scalar reference implementation of [`cholesky_inverse_into`]:
-/// [`cholesky_into_naive`] plus element-at-a-time substitution. Kept as
-/// the bitwise oracle for the factor-equivalence proptests and the
-/// `bench_factor` baseline column.
-///
-/// # Errors
-///
-/// Propagates factorization failures from [`cholesky`].
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn cholesky_inverse_naive_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> {
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    cholesky_into_naive(a, &mut l)?;
-    out.reset_shape(n, n);
-    out.as_mut_slice().fill(0.0);
-    for i in 0..n {
-        out[(i, i)] = 1.0;
-    }
-    solve_with_factor_in_place_naive(&l, out);
-    out.symmetrize();
-    Ok(())
-}
-
-/// Raw pointer to the shared RHS buffer; parallel lanes read and write only
-/// their own disjoint column stripes, so sharing is race-free.
-struct StripePtr(*mut f64);
-// SAFETY: lanes touch disjoint columns; see the struct docs.
-unsafe impl Send for StripePtr {}
-// SAFETY: as above.
-unsafe impl Sync for StripePtr {}
-
-/// Solves `L·Lᵀ·x = b` in place: `x` holds `b` on entry and the solution on
-/// exit. Blocked multi-RHS substitution: right-hand-side columns are split
-/// into [`kernel::ROW_ALIGN`]-aligned stripes (one parallel lane each), and
-/// within a stripe each 8-column tile runs full forward + backward sweeps
-/// through the dispatched [`kernel::TrsmFn`] step kernel, which vectorizes
-/// across RHS columns only. Every element keeps the naive per-column chain
-/// (ascending `p`, separate multiply and subtract, one divide), so the
-/// result is bitwise identical to [`solve_with_factor_in_place_naive`] at
-/// any kernel kind or thread count.
-///
-/// The backward sweep reads `Lᵀ` from a pre-transposed scratch copy so its
-/// inner loop is contiguous — a copy changes values not at all.
-///
-/// With `identity_rhs` set, `x` must be the seeded `n × n` identity; the
-/// forward substitution then starts each tile's rows and terms at the
-/// tile's first column, skipping work on the structurally-zero leading
-/// block of `Y = L⁻¹`. Skipped rows would compute exactly `+0.0` (their
-/// seed value) and skipped terms subtract exactly `l·(+0.0) = ±0.0`
-/// (identity on any finite partial sum), so the shortcut is bitwise-exact —
-/// *provided `L` is all-finite*, since `0·∞` would manufacture a NaN the
-/// dense sweep would have produced too but in different elements. A
-/// non-finite factor therefore falls back to the dense sweep.
-fn solve_with_factor_in_place(l: &Matrix, x: &mut Matrix, identity_rhs: bool) {
+/// Solves `L·Lᵀ·x = b` in place, element at a time: `x` holds `b` on entry
+/// and the solution on exit.
+fn substitute_in_place(l: &Matrix, x: &mut Matrix) {
     let n = l.rows();
-    assert_eq!(x.rows(), n, "solve_with_factor: rhs rows");
-    let m = x.cols();
-    if n == 0 || m == 0 {
-        return;
-    }
-    debug_assert!(!identity_rhs || m == n, "identity RHS must be square");
-    let identity_rhs = identity_rhs && l.all_finite();
-    let lf = l.as_slice();
-    // Lᵀ in scratch: lt[i*n + p] = lf[p*n + i], so the backward sweep's
-    // ascending-p reads are contiguous.
-    let mut lt = workspace::take_raw(n * n);
-    for p in 0..n {
-        let row = &lf[p * n..(p + 1) * n];
-        for (i, &v) in row.iter().enumerate() {
-            lt[i * n + p] = v;
-        }
-    }
-    let step = kernel::select_trsm();
-    let xp = StripePtr(x.as_mut_slice().as_mut_ptr());
-    // Per-column cost: forward (triangular from the column for identity,
-    // full otherwise) + dense backward.
-    let weight = |c: usize| {
-        let fw = if identity_rhs {
-            (n - c) * (n - c) / 2
-        } else {
-            n * n / 2
-        };
-        fw + n * n / 2
-    };
-    let work = if identity_rhs {
-        n * n * n / 6 + n * n * n / 2
-    } else {
-        n * n * m
-    };
-    par::par_row_ranges_aligned(m, kernel::ROW_ALIGN, work, weight, |c0, c1| {
-        // Capture the Send+Sync wrapper, not its raw-pointer field.
-        let xp = &xp;
-        // SAFETY: this lane owns columns [c0, c1) exclusively; solve_stripe
-        // reads and writes only those columns of the shared buffer, and the
-        // factor slices are read-only.
-        unsafe { solve_stripe(lf, &lt, n, xp.0, m, c0, c1, identity_rhs, step) };
-    });
-    workspace::put(lt);
-}
-
-/// Forward + backward substitution over RHS columns `[c0, c1)` of the
-/// shared `n × m` buffer `x`. See [`solve_with_factor_in_place`] for the
-/// contract.
-///
-/// # Safety
-///
-/// The caller must guarantee exclusive access to columns `[c0, c1)` of `x`
-/// (other lanes must not touch them), `x` valid for `n·m` elements, and
-/// `lf`/`lt` of length `n·n`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn solve_stripe(
-    lf: &[f64],
-    lt: &[f64],
-    n: usize,
-    x: *mut f64,
-    m: usize,
-    c0: usize,
-    c1: usize,
-    identity_rhs: bool,
-    step: kernel::TrsmFn,
-) {
-    const W: usize = kernel::TRSM_NR;
-    let mut c = c0;
-    while c + W <= c1 {
-        // Forward substitution: L·y = b for the 8 columns [c, c+W).
-        let first = if identity_rhs { c } else { 0 };
-        for i in first..n {
-            let lii = *lf.get_unchecked(i * n + i);
-            let acc = x.add(i * m + c);
-            // Terms p in [first, i): rows above `first` hold exact zeros in
-            // these columns on the identity path.
-            step(
-                i - first,
-                lf.as_ptr().add(i * n + first),
-                x.add(first * m + c),
-                m,
-                acc,
-            );
-            for j in 0..W {
-                *acc.add(j) /= lii;
-            }
-        }
-        // Backward substitution: Lᵀ·x = y (dense — the inverse is dense).
-        for i in (0..n).rev() {
-            let lii = *lf.get_unchecked(i * n + i);
-            let acc = x.add(i * m + c);
-            let k = n - i - 1;
-            // Guarded: at i = n-1 the term pointer would sit past the end.
-            if k > 0 {
-                step(
-                    k,
-                    lt.as_ptr().add(i * n + i + 1),
-                    x.add((i + 1) * m + c),
-                    m,
-                    acc,
-                );
-            }
-            for j in 0..W {
-                *acc.add(j) /= lii;
-            }
-        }
-        c += W;
-    }
-    // Remainder columns (< 8): identical per-element chains, one at a time.
-    for cc in c..c1 {
-        let first = if identity_rhs { cc } else { 0 };
-        for i in first..n {
-            let lii = *lf.get_unchecked(i * n + i);
-            let mut s = *x.add(i * m + cc);
-            for p in first..i {
-                s -= *lf.get_unchecked(i * n + p) * *x.add(p * m + cc);
-            }
-            *x.add(i * m + cc) = s / lii;
-        }
-        for i in (0..n).rev() {
-            let lii = *lf.get_unchecked(i * n + i);
-            let mut s = *x.add(i * m + cc);
-            for p in (i + 1)..n {
-                s -= *lt.get_unchecked(i * n + p) * *x.add(p * m + cc);
-            }
-            *x.add(i * m + cc) = s / lii;
-        }
-    }
-}
-
-/// The scalar reference substitution (the pre-blocking implementation):
-/// solves `L·Lᵀ·x = b` in place, element at a time.
-fn solve_with_factor_in_place_naive(l: &Matrix, x: &mut Matrix) {
-    let n = l.rows();
-    assert_eq!(x.rows(), n, "solve_with_factor: rhs rows");
+    assert_eq!(x.rows(), n, "cholesky_solve: rhs rows");
     let m = x.cols();
     let lf = l.as_slice();
     let x = x.as_mut_slice();
@@ -547,6 +333,248 @@ fn solve_with_factor_in_place_naive(l: &Matrix, x: &mut Matrix) {
             x[i * m + c] = s / lii;
         }
     }
+}
+
+/// Computes the inverse of an SPD matrix via Cholesky.
+///
+/// The result is exactly symmetric (the upper triangle is a copy of the
+/// lower), which the preconditioning products `B⁻¹ G A⁻¹` in K-FAC rely on.
+///
+/// # Errors
+///
+/// Same contract as [`cholesky_inverse_into`].
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+///
+/// # Example
+///
+/// ```
+/// use pipefisher_tensor::{cholesky_inverse, Matrix};
+/// # fn main() -> Result<(), pipefisher_tensor::TensorError> {
+/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
+/// let inv = cholesky_inverse(&a)?;
+/// assert!((inv[(0, 0)] - 0.5).abs() < 1e-12);
+/// assert!((inv[(1, 1)] - 0.25).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+pub fn cholesky_inverse(a: &Matrix) -> Result<Matrix, CholeskyError> {
+    let mut inv = Matrix::zeros(a.rows(), a.rows());
+    cholesky_inverse_into(a, &mut inv)?;
+    Ok(inv)
+}
+
+/// Computes the inverse of an SPD matrix into `out`, which is
+/// re-dimensioned to `a.rows() × a.rows()` and fully overwritten:
+/// `L = chol(a)`, `Y = L⁻¹`, `X = YᵀY`, each step in place in `out` (see the
+/// module docs), so a refresh needs one `NB × n` scratch panel from the
+/// workspace arena and allocates nothing in steady state. Bitwise identical
+/// to [`cholesky_inverse`] and to the scalar reference
+/// [`cholesky_inverse_naive_into`], and exactly symmetric. On error, `out`'s
+/// contents are unspecified.
+///
+/// # Errors
+///
+/// Propagates factorization failures from [`cholesky`], and returns
+/// [`TensorError::NonFinite`] if the inverse overflows (a diagonal entry
+/// `Σ_k Y[k][i]²` is non-finite exactly when some entry of `Y` is, or the
+/// sum itself overflows).
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub fn cholesky_inverse_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> {
+    assert!(a.is_square(), "cholesky: matrix must be square");
+    let n = a.rows();
+    out.reset_shape(n, n);
+    let x = out.as_mut_slice();
+    let mut scratch = workspace::take_raw(NB * n);
+    let res = factor_blocked(a.as_slice(), n, x, &mut scratch).and_then(|()| {
+        invert_lower_in_place(x, n, &mut scratch);
+        gram_in_place(x, n, &mut scratch);
+        check_inverse_diagonal(x, n)
+    });
+    workspace::put(scratch);
+    res
+}
+
+/// The overflow check shared by the blocked inverse and its reference.
+fn check_inverse_diagonal(x: &[f64], n: usize) -> Result<(), CholeskyError> {
+    if (0..n).all(|i| x[i * n + i].is_finite()) {
+        Ok(())
+    } else {
+        Err(TensorError::NonFinite("cholesky_inverse"))
+    }
+}
+
+/// TRTRI: overwrites the lower-triangular factor in `l` (strict upper
+/// triangle `+0.0`, all entries finite — what a successful
+/// [`factor_blocked`] leaves) with `Y = L⁻¹`, by a row-blocked forward
+/// sweep. The reference chain for `j ≤ i` is
+///
+/// ```text
+/// Y[i][j] = (δᵢⱼ − Σ_{p=j}^{i−1} L[i][p]·Y[p][j]) / L[i][i]     (p ascending)
+/// ```
+///
+/// For the row block starting at `ib`, the terms `p < ib` of all its
+/// off-diagonal elements are one GEMM, `0 − L[I, ..ib]·Y[..ib, ..ib]`, and
+/// the terms `ib ≤ p < i` plus the divide are one [`kernel::tri_sweep`]
+/// against `L[I, I]`; the diagonal block is the same sweep on an identity
+/// seed. The GEMM starts each column tile's chain at the tile's first
+/// column rather than at `j`, and the seeded sweep at `ib`: the extra terms
+/// are `s − L·(+0.0)` with finite `L` and `s ≠ −0.0` (a chain that starts at
+/// `+0.0` or `1.0` and only subtracts can never produce `−0.0`), i.e.
+/// exact no-ops. The block is staged in `scratch` and copied over its rows
+/// of `L` once nothing reads them any more.
+fn invert_lower_in_place(l: &mut [f64], n: usize, scratch: &mut [f64]) {
+    for ib in (0..n).step_by(NB) {
+        let bw = NB.min(n - ib);
+        let (off, diag) = scratch[..bw * (ib + bw)].split_at_mut(bw * ib);
+        if ib > 0 {
+            off.fill(0.0);
+            let lread: &[f64] = l;
+            par::par_chunks_mut_aligned(
+                off,
+                bw,
+                ib,
+                kernel::ROW_ALIGN,
+                bw * ib * ib / 2,
+                |start, chunk| {
+                    kernel::gemm_chunk_lower(
+                        chunk,
+                        chunk.len() / ib,
+                        ib,
+                        ib,
+                        ASrc::RowMajor {
+                            data: lread,
+                            stride: n,
+                            base: ib + start,
+                        },
+                        BSrc::RowMajor {
+                            data: lread,
+                            stride: n,
+                        },
+                        true,
+                    );
+                },
+            );
+            kernel::tri_sweep(&l[ib * n + ib..], n, off, ib, bw, ib);
+        }
+        diag.fill(0.0);
+        for i in 0..bw {
+            diag[i * bw + i] = 1.0;
+        }
+        kernel::tri_sweep(&l[ib * n + ib..], n, diag, bw, bw, bw);
+        for i in 0..bw {
+            let row = &mut l[(ib + i) * n..][..ib + i + 1];
+            row[..ib].copy_from_slice(&off[i * ib..][..ib]);
+            row[ib..].copy_from_slice(&diag[i * bw..][..i + 1]);
+        }
+    }
+}
+
+/// LAUUM: overwrites the lower-triangular `Y` in `y` (strict upper triangle
+/// `+0.0`) with the full symmetric `X = YᵀY`. The reference chain, for
+/// `i ≤ j`, is
+///
+/// ```text
+/// X[i][j] = X[j][i] = Σ_{k=j}^{n−1} Y[k][i]·Y[k][j]     (from +0.0, k ascending)
+/// ```
+///
+/// The row block starting at `ib` computes its part of the *upper*
+/// triangle as one GEMM over `k ≥ ib`, `X[I, ib..] = Y[ib.., I]ᵀ ·
+/// Y[ib.., ib..]`, whose `B` operand is lower-triangular: a column tile
+/// starts its chain at the tile's first column rather than at `j`, and the
+/// extra leading terms multiply the stored zeros `Y[k][j]`, `k < j` — exact
+/// no-ops on the `+0.0` seed as long as `Y` is finite, which
+/// [`check_inverse_diagonal`] verifies afterwards (a diagonal chain only
+/// ever gains `0·0` terms, so that check itself cannot be fooled). Block
+/// rows ascend and block `I` overwrites rows `I` only, which no later block
+/// reads; the lower triangle is then a mirror of the upper.
+fn gram_in_place(y: &mut [f64], n: usize, scratch: &mut [f64]) {
+    for ib in (0..n).step_by(NB) {
+        let bw = NB.min(n - ib);
+        let w = n - ib;
+        let panel = &mut scratch[..bw * w];
+        panel.fill(0.0);
+        let yread: &[f64] = &y[ib * n + ib..];
+        par::par_chunks_mut_aligned(
+            panel,
+            bw,
+            w,
+            kernel::ROW_ALIGN,
+            bw * w * w / 2,
+            |start, chunk| {
+                kernel::gemm_chunk_lower(
+                    chunk,
+                    chunk.len() / w,
+                    w,
+                    w,
+                    // A(i, k) = Y[ib + k][ib + start + i], read in place.
+                    ASrc::ColMajor {
+                        data: yread,
+                        stride: n,
+                        base: start,
+                    },
+                    BSrc::RowMajor {
+                        data: yread,
+                        stride: n,
+                    },
+                    false,
+                );
+            },
+        );
+        for i in 0..bw {
+            y[(ib + i) * n + ib + i..][..w - i].copy_from_slice(&panel[i * w + i..][..w - i]);
+        }
+    }
+    crate::gemm::mirror_lower_from_upper(y, n);
+}
+
+/// The scalar reference implementation of [`cholesky_inverse_into`]:
+/// [`cholesky_into_naive`], then the per-element chains of
+/// [`invert_lower_in_place`] and [`gram_in_place`] written out as
+/// plain loops. Kept as the bitwise oracle for the factor-equivalence tests
+/// and the `bench_factor` baseline column.
+///
+/// # Errors
+///
+/// Same contract as [`cholesky_inverse_into`].
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub fn cholesky_inverse_naive_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    cholesky_into_naive(a, &mut l)?;
+    let l = l.as_slice();
+    let mut y = Matrix::zeros(n, n);
+    let y = y.as_mut_slice();
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = if i == j { 1.0 } else { 0.0 };
+            for p in j..i {
+                s -= l[i * n + p] * y[p * n + j];
+            }
+            y[i * n + j] = s / l[i * n + i];
+        }
+    }
+    out.reset_shape(n, n);
+    let x = out.as_mut_slice();
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = 0.0;
+            for k in i..n {
+                s += y[k * n + i] * y[k * n + j];
+            }
+            x[i * n + j] = s;
+            x[j * n + i] = s;
+        }
+    }
+    check_inverse_diagonal(x, n)
 }
 
 #[cfg(test)]
@@ -644,22 +672,5 @@ mod tests {
         assert!(cholesky(&g).is_err());
         g.add_diag(1e-3);
         assert!(cholesky(&g).is_ok());
-    }
-
-    #[test]
-    fn non_finite_factor_falls_back_to_dense_solve() {
-        // A factor with an infinity must not take the identity fast path
-        // (0·∞ would differ from the dense sweep); the fallback keeps the
-        // two paths consistent. We only check it doesn't panic and returns
-        // the dense sweep's bits.
-        let mut l = Matrix::eye(4);
-        l[(2, 0)] = f64::INFINITY;
-        let mut fast = Matrix::eye(4);
-        solve_with_factor_in_place(&l, &mut fast, true);
-        let mut dense = Matrix::eye(4);
-        solve_with_factor_in_place_naive(&l, &mut dense);
-        for (w, g) in dense.as_slice().iter().zip(fast.as_slice()) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
     }
 }

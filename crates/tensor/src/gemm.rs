@@ -505,7 +505,7 @@ const MIRROR_BLOCK: usize = 64;
 /// both sides of the swap stream through cache, and parallelized over
 /// destination row blocks (row `j` carries `j` elements, so lanes are
 /// weighted like the forward Gram pass, mirrored).
-fn mirror_lower_from_upper(o: &mut [f64], m: usize) {
+pub(crate) fn mirror_lower_from_upper(o: &mut [f64], m: usize) {
     debug_assert_eq!(o.len(), m * m);
     let ptr = MirrorPtr(o.as_mut_ptr());
     // ~2 ops per mirrored element (load + store), m(m-1)/2 elements.

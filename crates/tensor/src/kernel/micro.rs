@@ -44,24 +44,34 @@ pub(crate) type MicroFn = unsafe fn(usize, *const f64, *const f64, *mut f64, usi
 /// elements; SIMD variants additionally require their instruction set.
 pub(crate) type MatvecFn = unsafe fn(usize, *const f64, *const f64, *mut f64);
 
-/// `fn(k, l, x, ldx, acc)` — triangular-substitution step kernel: for each
-/// of [`TRSM_NR`] lanes `j`, `acc[j] -= Σ_p l[p] · x[p*ldx + j]` with `p`
-/// ascending `0..k`, one accumulator per lane, and a **separately rounded**
-/// multiply and subtract — bitwise identical to the scalar substitution
-/// chain `s = s - l·x`. Lanes run across right-hand-side *columns* only, so
-/// every column keeps its own serial chain. There is deliberately no FMA
-/// variant: the factorization path never trades its determinism contract
-/// for fused rounding.
+/// `fn(coef, ldc, x, ldx, rows, width)` — in-block forward substitution,
+/// the one kernel under both the Cholesky panel factorization and the
+/// triangular inversion. For every column `j < width` and row `i < rows`
+/// ascending, in place:
+///
+/// ```text
+/// x[i][j] = (x[i][j] − Σ_{p<i} coef[i][p]·x[p][j]) / coef[i][i]
+/// ```
+///
+/// with `p` ascending, one accumulator per element, and a **separately
+/// rounded** multiply and subtract — the scalar substitution chain
+/// `s = s - l·x`, bit for bit. Lanes run across *columns* of `x` only
+/// ([`tri_sweep_body`] keeps a `W`-wide register tile per row), so the
+/// vector width never touches a chain. There is deliberately no FMA
+/// variant: the in-block factor kernels never trade the determinism
+/// contract for fused rounding.
 ///
 /// # Safety
 ///
-/// `l` must hold `k` elements, `x` must address `k` rows of stride `ldx`
-/// with [`TRSM_NR`] readable columns each, `acc` must hold [`TRSM_NR`]
-/// elements; SIMD variants additionally require their instruction set.
-pub(crate) type TrsmFn = unsafe fn(usize, *const f64, *const f64, usize, *mut f64);
+/// `rows <= TRI_BLOCK`; `coef` must address `rows` rows of stride `ldc`
+/// with `rows` readable columns each, `x` `rows` rows of stride `ldx` with
+/// `width` columns each, and the two must not overlap; SIMD variants
+/// additionally require their instruction set.
+pub(crate) type TriSweepFn = unsafe fn(*const f64, usize, *mut f64, usize, usize, usize);
 
-/// Column-tile width shared by every TRSM step kernel.
-pub(crate) const TRSM_NR: usize = 8;
+/// Most rows a [`TriSweepFn`] call may carry — the factorization block
+/// size. Bounds the ragged-edge stack tile of [`tri_sweep_body`].
+pub(crate) const TRI_BLOCK: usize = 64;
 
 /// Tile height of the scalar / AVX2 / NEON kernels.
 pub(crate) const MR4: usize = 4;
@@ -109,30 +119,6 @@ pub(crate) unsafe fn micro_4x8_scalar(
     }
 }
 
-/// Portable fallback TRSM step kernel (8 independent column accumulators).
-pub(crate) unsafe fn trsm_step_8_scalar(
-    k: usize,
-    l: *const f64,
-    x: *const f64,
-    ldx: usize,
-    acc: *mut f64,
-) {
-    let mut lanes = [0.0f64; TRSM_NR];
-    for (j, v) in lanes.iter_mut().enumerate() {
-        *v = *acc.add(j);
-    }
-    for p in 0..k {
-        let lp = *l.add(p);
-        let xr = x.add(p * ldx);
-        for (j, v) in lanes.iter_mut().enumerate() {
-            *v -= lp * *xr.add(j);
-        }
-    }
-    for (j, v) in lanes.iter().enumerate() {
-        *acc.add(j) = *v;
-    }
-}
-
 /// Portable fallback matvec panel kernel (8 independent row accumulators).
 pub(crate) unsafe fn matvec_8_scalar(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
     let mut lanes = [0.0f64; MV_MR];
@@ -151,34 +137,126 @@ pub(crate) unsafe fn matvec_8_scalar(kc: usize, ap: *const f64, v: *const f64, a
     }
 }
 
+// ------------------------------------------------- triangular sweep
+
+/// One `W`-column register tile of a [`TriSweepFn`] sweep: row `i`'s `W`
+/// accumulators stay in registers across its whole `p` chain.
+#[inline(always)]
+unsafe fn tri_sweep_tile<const W: usize>(
+    coef: *const f64,
+    ldc: usize,
+    x: *mut f64,
+    ldx: usize,
+    rows: usize,
+) {
+    for i in 0..rows {
+        let xi = x.add(i * ldx);
+        let ci = coef.add(i * ldc);
+        let mut acc = [0.0f64; W];
+        for (j, v) in acc.iter_mut().enumerate() {
+            *v = *xi.add(j);
+        }
+        for p in 0..i {
+            let m = *ci.add(p);
+            let xp = x.add(p * ldx);
+            for (j, v) in acc.iter_mut().enumerate() {
+                *v -= m * *xp.add(j);
+            }
+        }
+        let d = *ci.add(i);
+        for (j, v) in acc.iter().enumerate() {
+            *xi.add(j) = *v / d;
+        }
+    }
+}
+
+/// The [`TriSweepFn`] body, generic over the register-tile width. The
+/// fixed-bound lane loops carry no cross-lane reduction, so LLVM vectorizes
+/// them with whatever ISA the *enclosing* function enables — the per-ISA
+/// entry points below are this body inlined under a `target_feature` — and
+/// Rust never contracts `a - b·c` into a fused op, so every instantiation
+/// rounds identically. A ragged last tile runs full-width on a zero-padded
+/// stack copy (padded lanes are computed, never stored), like the GEMM
+/// edge tiles.
+#[inline(always)]
+unsafe fn tri_sweep_body<const W: usize>(
+    coef: *const f64,
+    ldc: usize,
+    x: *mut f64,
+    ldx: usize,
+    rows: usize,
+    width: usize,
+) {
+    debug_assert!(rows <= TRI_BLOCK);
+    let mut j = 0;
+    while j + W <= width {
+        tri_sweep_tile::<W>(coef, ldc, x.add(j), ldx, rows);
+        j += W;
+    }
+    if j < width {
+        let w = width - j;
+        let mut tile = [[0.0f64; W]; TRI_BLOCK];
+        for (i, row) in tile.iter_mut().take(rows).enumerate() {
+            for (c, v) in row.iter_mut().take(w).enumerate() {
+                *v = *x.add(i * ldx + j + c);
+            }
+        }
+        tri_sweep_tile::<W>(coef, ldc, tile.as_mut_ptr().cast(), W, rows);
+        for (i, row) in tile.iter().take(rows).enumerate() {
+            for (c, v) in row.iter().take(w).enumerate() {
+                *x.add(i * ldx + j + c) = *v;
+            }
+        }
+    }
+}
+
+/// Portable [`TriSweepFn`]: 8-wide tiles on the build's baseline ISA (on
+/// aarch64 that baseline already is NEON).
+pub(crate) unsafe fn tri_sweep_scalar(
+    coef: *const f64,
+    ldc: usize,
+    x: *mut f64,
+    ldx: usize,
+    rows: usize,
+    width: usize,
+) {
+    tri_sweep_body::<8>(coef, ldc, x, ldx, rows, width)
+}
+
+/// AVX2 [`TriSweepFn`]: 16-wide tiles (four 4-lane accumulators).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn tri_sweep_avx2(
+    coef: *const f64,
+    ldc: usize,
+    x: *mut f64,
+    ldx: usize,
+    rows: usize,
+    width: usize,
+) {
+    tri_sweep_body::<16>(coef, ldc, x, ldx, rows, width)
+}
+
+/// AVX-512F [`TriSweepFn`]: 32-wide tiles (four 8-lane accumulators).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn tri_sweep_avx512(
+    coef: *const f64,
+    ldc: usize,
+    x: *mut f64,
+    ldx: usize,
+    rows: usize,
+    width: usize,
+) {
+    tri_sweep_body::<32>(coef, ldc, x, ldx, rows, width)
+}
+
 // ----------------------------------------------------------------- AVX2
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{MR4, MV_MR, NR8};
     use core::arch::x86_64::*;
-
-    /// AVX2 TRSM step kernel (two 4-lane accumulators, separate multiply +
-    /// subtract — bitwise == scalar).
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn trsm_step_8(
-        k: usize,
-        l: *const f64,
-        x: *const f64,
-        ldx: usize,
-        acc: *mut f64,
-    ) {
-        let mut a0 = _mm256_loadu_pd(acc);
-        let mut a1 = _mm256_loadu_pd(acc.add(4));
-        for p in 0..k {
-            let lp = _mm256_set1_pd(*l.add(p));
-            let xr = x.add(p * ldx);
-            a0 = _mm256_sub_pd(a0, _mm256_mul_pd(lp, _mm256_loadu_pd(xr)));
-            a1 = _mm256_sub_pd(a1, _mm256_mul_pd(lp, _mm256_loadu_pd(xr.add(4))));
-        }
-        _mm256_storeu_pd(acc, a0);
-        _mm256_storeu_pd(acc.add(4), a1);
-    }
 
     /// 4×8 AVX2 kernel, separate multiply + add (bitwise == scalar).
     #[target_feature(enable = "avx2")]
@@ -274,7 +352,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::{
     matvec_8 as matvec_8_avx2, matvec_8_fma as matvec_8_avx2_fma, micro_4x8 as micro_4x8_avx2,
-    micro_4x8_fma as micro_4x8_avx2_fma, trsm_step_8 as trsm_step_8_avx2,
+    micro_4x8_fma as micro_4x8_avx2_fma,
 };
 
 // --------------------------------------------------------------- AVX-512
@@ -283,24 +361,6 @@ pub(crate) use avx2::{
 mod avx512 {
     use super::{MR8, MV_MR, NR16};
     use core::arch::x86_64::*;
-
-    /// AVX-512F TRSM step kernel (one 8-lane accumulator, separate multiply
-    /// + subtract — bitwise == scalar).
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn trsm_step_8(
-        k: usize,
-        l: *const f64,
-        x: *const f64,
-        ldx: usize,
-        acc: *mut f64,
-    ) {
-        let mut a0 = _mm512_loadu_pd(acc);
-        for p in 0..k {
-            let lp = _mm512_set1_pd(*l.add(p));
-            a0 = _mm512_sub_pd(a0, _mm512_mul_pd(lp, _mm512_loadu_pd(x.add(p * ldx))));
-        }
-        _mm512_storeu_pd(acc, a0);
-    }
 
     /// 8×16 AVX-512F kernel, separate multiply + add (bitwise == scalar).
     /// 16 zmm accumulators + 2 B vectors leave broadcasts to the load ports.
@@ -391,7 +451,6 @@ mod avx512 {
 pub(crate) use avx512::{
     matvec_8 as matvec_8_avx512, matvec_8_fma as matvec_8_avx512_fma,
     micro_8x16 as micro_8x16_avx512, micro_8x16_fma as micro_8x16_avx512_fma,
-    trsm_step_8 as trsm_step_8_avx512,
 };
 
 // ------------------------------------------------------------------ NEON
@@ -400,32 +459,6 @@ pub(crate) use avx512::{
 mod neon {
     use super::{MR4, MV_MR, NR8};
     use core::arch::aarch64::*;
-
-    /// NEON TRSM step kernel (four 2-lane accumulators, separate multiply +
-    /// subtract — bitwise == scalar).
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn trsm_step_8(
-        k: usize,
-        l: *const f64,
-        x: *const f64,
-        ldx: usize,
-        acc: *mut f64,
-    ) {
-        let mut lanes = [vdupq_n_f64(0.0); 4];
-        for (h, a) in lanes.iter_mut().enumerate() {
-            *a = vld1q_f64(acc.add(2 * h));
-        }
-        for p in 0..k {
-            let lp = vdupq_n_f64(*l.add(p));
-            let xr = x.add(p * ldx);
-            for (h, a) in lanes.iter_mut().enumerate() {
-                *a = vsubq_f64(*a, vmulq_f64(lp, vld1q_f64(xr.add(2 * h))));
-            }
-        }
-        for (h, a) in lanes.iter().enumerate() {
-            vst1q_f64(acc.add(2 * h), *a);
-        }
-    }
 
     /// 4×8 NEON kernel, separate multiply + add (bitwise == scalar).
     #[target_feature(enable = "neon")]
@@ -538,5 +571,5 @@ mod neon {
 #[cfg(target_arch = "aarch64")]
 pub(crate) use neon::{
     matvec_8 as matvec_8_neon, matvec_8_fma as matvec_8_neon_fma, micro_4x8 as micro_4x8_neon,
-    micro_4x8_fma as micro_4x8_neon_fma, trsm_step_8 as trsm_step_8_neon,
+    micro_4x8_fma as micro_4x8_neon_fma,
 };

@@ -38,7 +38,7 @@ use crate::workspace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-pub(crate) use micro::{TrsmFn, TRSM_NR};
+pub(crate) use micro::TRI_BLOCK;
 pub(crate) use pack::{ASrc, BSrc};
 
 /// Rows of A packed per cache-block iteration (multiple of every MR).
@@ -304,22 +304,54 @@ fn select_matvec() -> micro::MatvecFn {
     }
 }
 
-/// Picks the TRSM step kernel for the current [`kernel_kind`].
+/// Picks the in-block triangular sweep for the current [`kernel_kind`].
 ///
-/// The factorization path has no fused-rounding variant: `Fma` maps to the
-/// same separately-rounded SIMD kernel as `Simd`, so triangular solves are
-/// bitwise identical to the scalar substitution under every setting.
-pub(crate) fn select_trsm() -> TrsmFn {
+/// The sweep has no fused-rounding variant: `Fma` maps to the same
+/// separately-rounded kernel as `Simd`, so in-block factor work is bitwise
+/// identical to the scalar substitution under every setting. (On aarch64
+/// the portable body already compiles to NEON.)
+fn select_tri_sweep() -> micro::TriSweepFn {
     match (kernel_kind(), isa().0) {
-        (KernelKind::Scalar, _) => micro::trsm_step_8_scalar,
+        (KernelKind::Scalar, _) => micro::tri_sweep_scalar,
         #[cfg(target_arch = "x86_64")]
-        (_, Isa::Avx512) => micro::trsm_step_8_avx512,
+        (_, Isa::Avx512) => micro::tri_sweep_avx512,
         #[cfg(target_arch = "x86_64")]
-        (_, Isa::Avx2) => micro::trsm_step_8_avx2,
-        #[cfg(target_arch = "aarch64")]
-        (_, Isa::Neon) => micro::trsm_step_8_neon,
-        _ => micro::trsm_step_8_scalar,
+        (_, Isa::Avx2) => micro::tri_sweep_avx2,
+        _ => micro::tri_sweep_scalar,
     }
+}
+
+/// In-block forward substitution on `width` right-hand-side columns: for
+/// each row `i < rows` ascending, `x[i][j] = (x[i][j] − Σ_{p<i}
+/// coef[i][p]·x[p][j]) / coef[i][i]` (`coef`, `x` row-major with strides
+/// `ldc`, `ldx`). Every element keeps the scalar chain — ascending `p`,
+/// separately rounded multiply and subtract, one divide — at any kernel
+/// kind; see [`micro::TriSweepFn`].
+///
+/// # Panics
+///
+/// Panics if `rows > TRI_BLOCK` or a slice is too short for its shape.
+pub(crate) fn tri_sweep(
+    coef: &[f64],
+    ldc: usize,
+    x: &mut [f64],
+    ldx: usize,
+    rows: usize,
+    width: usize,
+) {
+    if rows == 0 || width == 0 {
+        return;
+    }
+    assert!(rows <= TRI_BLOCK, "tri_sweep: block too tall");
+    assert!(coef.len() >= (rows - 1) * ldc + rows, "tri_sweep: coef");
+    assert!(
+        width <= ldx && x.len() >= (rows - 1) * ldx + width,
+        "tri_sweep: x"
+    );
+    // SAFETY: the asserts above bound every access the kernel makes;
+    // `coef` and `x` are distinct borrows, so they cannot overlap;
+    // select_tri_sweep only returns ISA kernels the detected CPU supports.
+    unsafe { select_tri_sweep()(coef.as_ptr(), ldc, x.as_mut_ptr(), ldx, rows, width) }
 }
 
 /// Raw shared pointer to a second full-size output the epilogue writes
@@ -418,7 +450,7 @@ fn apply_epilogue(
 /// `rows × n` output (`c` pre-zeroed or mid-accumulation), with cache
 /// blocking, panel packing, and the dispatched micro-kernel.
 pub(crate) fn gemm_chunk(c: &mut [f64], rows: usize, n: usize, k: usize, a: ASrc<'_>, b: BSrc<'_>) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, false, None)
+    gemm_chunk_inner(c, rows, n, k, a, b, None, false, false, None)
 }
 
 /// [`gemm_chunk`] with a *subtracting* accumulation: `c[i][j] -= Σ_p
@@ -435,7 +467,26 @@ pub(crate) fn gemm_chunk_sub(
     a: ASrc<'_>,
     b: BSrc<'_>,
 ) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, true, None)
+    gemm_chunk_inner(c, rows, n, k, a, b, None, true, false, None)
+}
+
+/// [`gemm_chunk`] (or, with `neg`, [`gemm_chunk_sub`]) for a
+/// *lower-triangular* `B` — `B(p, j) = +0.0` for `p < j`, stored: each
+/// column tile starts its `p` chain at the tile's first column instead of
+/// 0. The skipped terms add or subtract `a·(+0.0)` with finite `a`, which
+/// leaves any `c ≠ −0.0` unchanged, so for finite `A` and `c` seeded with
+/// `+0.0` the result is bitwise that of the dense sweep. The triangular
+/// inverse and its Gram product are built on this.
+pub(crate) fn gemm_chunk_lower(
+    c: &mut [f64],
+    rows: usize,
+    n: usize,
+    k: usize,
+    a: ASrc<'_>,
+    b: BSrc<'_>,
+    neg: bool,
+) {
+    gemm_chunk_inner(c, rows, n, k, a, b, None, neg, true, None)
 }
 
 /// [`gemm_chunk`] with a fused store-phase [`Epilogue`]. `base` is the
@@ -453,7 +504,7 @@ pub(crate) fn gemm_chunk_fused(
     base: usize,
     epi: &Epilogue<'_>,
 ) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, false, Some((base, epi)))
+    gemm_chunk_inner(c, rows, n, k, a, b, None, false, false, Some((base, epi)))
 }
 
 /// [`gemm_chunk`] for the Gram kernel: `diag` is the chunk's first global
@@ -468,7 +519,7 @@ pub(crate) fn gram_chunk(
     b: BSrc<'_>,
     diag: usize,
 ) {
-    gemm_chunk_inner(c, rows, n, k, a, b, Some(diag), false, None)
+    gemm_chunk_inner(c, rows, n, k, a, b, Some(diag), false, false, None)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -481,6 +532,7 @@ fn gemm_chunk_inner(
     b: BSrc<'_>,
     diag: Option<usize>,
     neg: bool,
+    b_lower: bool,
     fused: Option<(usize, &Epilogue<'_>)>,
 ) {
     debug_assert_eq!(c.len(), rows * n);
@@ -504,7 +556,7 @@ fn gemm_chunk_inner(
             // A tile's accumulation completes on the last KC block of its
             // column sweep; that is the store the epilogue fuses into.
             let last_kb = kb + kc == k;
-            pack::pack_b(&mut bbuf, &b, kb, kc, jc, nc, nr);
+            pack::pack_b(&mut bbuf, &b, kb, kc, jc, nc, nr, b_lower);
             for ib in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ib);
                 // Row blocks only sink further below the diagonal.
@@ -514,20 +566,33 @@ fn gemm_chunk_inner(
                 pack::pack_a(&mut abuf, &a, ib, mc, kb, kc, mr, neg);
                 for i0 in (0..mc).step_by(mr) {
                     let tm = mr.min(mc - i0);
-                    let ap = abuf[(i0 / mr) * kc * mr..].as_ptr();
+                    let apanel = &abuf[(i0 / mr) * kc * mr..];
                     for j0 in (0..nc).step_by(nr) {
                         let tn = nr.min(nc - j0);
                         if diag.is_some_and(|d| jc + j0 + tn <= d + ib + i0) {
                             continue;
                         }
-                        let bp = bbuf[(j0 / nr) * kc * nr..].as_ptr();
+                        // Lower-triangular B: the steps before this tile's
+                        // first column multiply stored zeros — start past
+                        // them (both panels are step-major).
+                        let skip = if b_lower {
+                            pack::lower_skip(jc + j0, kb, kc)
+                        } else {
+                            0
+                        };
+                        if skip == kc {
+                            continue;
+                        }
+                        let steps = kc - skip;
+                        let ap = apanel[skip * mr..].as_ptr();
+                        let bp = bbuf[(j0 / nr) * kc * nr + skip * nr..].as_ptr();
                         let coff = (ib + i0) * n + jc + j0;
                         if tm == mr && tn == nr {
                             // SAFETY: full tile — `c[coff..]` spans mr rows of
-                            // stride n ≥ nr columns each; panels hold kc steps;
+                            // stride n ≥ nr columns each; panels hold `steps` steps;
                             // select_micro only returns ISA kernels the
                             // detected CPU supports.
-                            unsafe { (mk.run)(kc, ap, bp, c.as_mut_ptr().add(coff), n) };
+                            unsafe { (mk.run)(steps, ap, bp, c.as_mut_ptr().add(coff), n) };
                         } else {
                             // Ragged edge: run the full tile against the
                             // zero-padded panels in a local buffer and copy
@@ -540,7 +605,7 @@ fn gemm_chunk_inner(
                             }
                             // SAFETY: `tile` is MAX_MR×MAX_NR ≥ mr×nr at
                             // stride nr; panel bounds as above.
-                            unsafe { (mk.run)(kc, ap, bp, tile.as_mut_ptr(), nr) };
+                            unsafe { (mk.run)(steps, ap, bp, tile.as_mut_ptr(), nr) };
                             for i in 0..tm {
                                 c[coff + i * n..coff + i * n + tn]
                                     .copy_from_slice(&tile[i * nr..i * nr + tn]);

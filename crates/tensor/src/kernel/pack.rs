@@ -104,6 +104,11 @@ pub(crate) fn pack_a(
 /// Packs steps `[kb, kb+kc)` × columns `[jc, jc+nc)` of `b` into `buf` as
 /// zero-padded NR panels (`buf[q*kc*nr + p*nr + j]`, panel `q` holding
 /// columns `q*nr..`).
+///
+/// With `lower` set, `b` is lower-triangular (`B(p, j) = 0` for `p < j`) and
+/// each panel's steps before its first column ([`lower_skip`]) are left
+/// unpacked: the macro-kernel starts past them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b(
     buf: &mut [f64],
     b: &BSrc<'_>,
@@ -112,16 +117,22 @@ pub(crate) fn pack_b(
     jc: usize,
     nc: usize,
     nr: usize,
+    lower: bool,
 ) {
     let panels = nc.div_ceil(nr);
     for q in 0..panels {
         let j0 = q * nr;
         let tn = nr.min(nc - j0);
+        let p0 = if lower {
+            lower_skip(jc + j0, kb, kc)
+        } else {
+            0
+        };
         let panel = &mut buf[q * kc * nr..(q + 1) * kc * nr];
         match *b {
             BSrc::RowMajor { data, stride } => {
                 let col0 = jc + j0;
-                for p in 0..kc {
+                for p in p0..kc {
                     let src = &data[(kb + p) * stride + col0..][..tn];
                     let dst = &mut panel[p * nr..p * nr + nr];
                     dst[..tn].copy_from_slice(src);
@@ -130,15 +141,21 @@ pub(crate) fn pack_b(
             }
             BSrc::ColMajor { data, stride } => {
                 if tn < nr {
-                    panel.fill(0.0);
+                    panel[p0 * nr..].fill(0.0);
                 }
                 for j in 0..tn {
                     let col = &data[(jc + j0 + j) * stride + kb..][..kc];
-                    for (p, &x) in col.iter().enumerate() {
+                    for (p, &x) in col.iter().enumerate().skip(p0) {
                         panel[p * nr + j] = x;
                     }
                 }
             }
         }
     }
+}
+
+/// Leading steps of the k-block `[kb, kb+kc)` that a lower-triangular `B`
+/// holds as stored zeros for every column from `col` on.
+pub(crate) fn lower_skip(col: usize, kb: usize, kc: usize) -> usize {
+    col.saturating_sub(kb).min(kc)
 }

@@ -391,34 +391,6 @@ where
     run_tasks(tasks);
 }
 
-/// [`par_row_ranges`] with interior boundaries rounded down to multiples of
-/// `align` — for lanes that tile a shared buffer in aligned stripes (the
-/// blocked triangular solve splits right-hand-side columns on
-/// [`crate::kernel::ROW_ALIGN`] seams so every lane's vector tiles start on
-/// the same offsets at any thread count).
-pub fn par_row_ranges_aligned<W, F>(rows: usize, align: usize, work: usize, weight: W, body: F)
-where
-    W: Fn(usize) -> usize,
-    F: Fn(usize, usize) + Sync,
-{
-    if rows == 0 {
-        return;
-    }
-    let lanes = effective_lanes(rows, work);
-    if lanes <= 1 {
-        body(0, rows);
-        return;
-    }
-    let bounds = weighted_bounds(rows, lanes, align, weight);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(bounds.len() - 1);
-    for win in bounds.windows(2) {
-        let (start, end) = (win[0], win[1]);
-        let body = &body;
-        tasks.push(Box::new(move || body(start, end)));
-    }
-    run_tasks(tasks);
-}
-
 /// Lanes a kernel of `rows` output rows and `work` multiply–adds should
 /// use: 1 (serial) below the threshold, else `min(max_threads, rows)`.
 fn effective_lanes(rows: usize, work: usize) -> usize {

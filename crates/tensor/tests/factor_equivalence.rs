@@ -1,12 +1,13 @@
 //! Determinism contract for the blocked factorization engine: the panel
-//! Cholesky (SYRK/GEMM trailing updates on the packed micro-kernels), the
-//! multi-RHS TRSM solve, and the identity-RHS inversion fast path are all
-//! **bitwise** identical to the naive reference loops — across sizes that
-//! straddle the 64-wide panel edge, thread counts, forced kernels, and
-//! poisoned outputs. Non-SPD inputs must report the same failing pivot
-//! index the naive loop reports, across block boundaries. The fused GEMM
-//! epilogues (bias, bias+activation, bias+residual) must match their
-//! separate-pass equivalents bit for bit.
+//! Cholesky, the triangular inverse and its Gram product (all with their
+//! off-block work on the packed GEMM micro-kernels and their in-block work
+//! on the triangular sweep) are **bitwise** identical to the scalar
+//! reference loops — across sizes that straddle the 64-wide block edge,
+//! thread counts, forced kernels, and poisoned outputs — and the inverse is
+//! exactly symmetric. Failing inputs must report the same error, with the
+//! same pivot index, the reference reports, across block boundaries. The
+//! fused GEMM epilogues (bias, bias+activation, bias+residual) must match
+//! their separate-pass equivalents bit for bit.
 //!
 //! Settings are process-wide, so tests hold the shared lock and restore
 //! defaults on drop (same idiom as `kernel_dispatch.rs`).
@@ -118,7 +119,21 @@ fn check_factor_and_inverse(a: &Matrix) {
             assert_eq!(inv, inv_naive, "inverse result @ {kind:?}/{threads}t");
             if inv.is_ok() {
                 assert_bitwise("inverse", kind, threads, &want_inv, &got_inv);
+                assert_exactly_symmetric(&got_inv);
             }
+        }
+    }
+}
+
+fn assert_exactly_symmetric(m: &Matrix) {
+    for i in 0..m.rows() {
+        for j in 0..i {
+            assert!(
+                m[(i, j)].to_bits() == m[(j, i)].to_bits(),
+                "({i},{j}) = {:?} but ({j},{i}) = {:?}",
+                m[(i, j)],
+                m[(j, i)]
+            );
         }
     }
 }
@@ -210,6 +225,84 @@ proptest! {
     }
 }
 
+/// The sizes the K-FAC refresh actually runs at in this repo's workloads
+/// (`d + 1` bias-augmented factors: 65, 97, 129, 385) plus the block-edge
+/// cases, each against the scalar reference under every kernel × thread
+/// setting.
+#[test]
+fn inverse_matches_reference_bitwise_at_block_edges_and_kfac_sizes() {
+    for n in [1usize, 2, 63, 64, 65, 97, 129, 192, 385] {
+        let mut rng = StdRng::seed_from_u64(n as u64 * 31 + 5);
+        let a = random_spd(n, &mut rng);
+        check_factor_and_inverse(&a);
+    }
+}
+
+/// The inverse the engine computed before it became `potrf` + `potri`:
+/// forward and backward substitution against a dense identity, then an
+/// averaging symmetrization. `cholesky_solve_into` still is that
+/// substitution, so the old arithmetic can be replayed as an accuracy base.
+fn solve_against_identity_inverse(a: &Matrix) -> Matrix {
+    let mut inv = Matrix::zeros(1, 1);
+    cholesky_solve_into(a, &Matrix::eye(a.rows()), &mut inv).unwrap();
+    inv.symmetrize();
+    inv
+}
+
+fn residual_max(a: &Matrix, inv: &Matrix) -> f64 {
+    // Plain loops: the check must not depend on the kernels under test.
+    let n = a.rows();
+    let mut worst = 0.0f64;
+    for i in 0..n {
+        for j in 0..n {
+            let mut s = if i == j { -1.0 } else { 0.0 };
+            for k in 0..n {
+                s += a[(i, k)] * inv[(k, j)];
+            }
+            worst = worst.max(s.abs());
+        }
+    }
+    worst
+}
+
+/// `Y = L⁻¹`, `X = YᵀY` rounds differently from solving `L·Lᵀ·X = I`; the
+/// residual `‖A·X − I‖_max` must stay within 4× of what the old arithmetic
+/// achieved on the same input — well-conditioned and damped-Gram alike.
+#[test]
+fn inverse_residual_is_no_worse_than_four_times_the_solve_based_one() {
+    let mut rng = StdRng::seed_from_u64(0xACC);
+    for n in [65usize, 97, 129, 385] {
+        let dominant = random_spd(n, &mut rng);
+        // A rank-deficient Gram matrix rescued by damping: condition
+        // number ~1e5, the shape K-FAC actually inverts.
+        let u = random_matrix(n / 2, n, &mut rng);
+        let mut gram = u.gram();
+        gram.add_diag(1e-2);
+        for (label, a) in [("dominant", dominant), ("damped gram", gram)] {
+            let mut inv = Matrix::zeros(1, 1);
+            cholesky_inverse_into(&a, &mut inv).unwrap();
+            let new = residual_max(&a, &inv);
+            let old = residual_max(&a, &solve_against_identity_inverse(&a));
+            assert!(
+                new <= 4.0 * old,
+                "n={n} {label}: residual {new:e} vs solve-based {old:e}"
+            );
+        }
+    }
+}
+
+/// An inverse that overflows is an error, the same one from both engines,
+/// not a matrix of infinities: `1e-320` factors to `~1e-160`, inverts to
+/// `~1e160`, and squares to `+∞`.
+#[test]
+fn overflowing_inverse_is_reported_as_non_finite() {
+    let a = Matrix::from_rows(&[&[1e-320, 0.0], &[0.0, 1.0]]);
+    let mut out = Matrix::zeros(1, 1);
+    let want = Err(TensorError::NonFinite("cholesky_inverse"));
+    assert_eq!(cholesky_inverse_naive_into(&a, &mut out), want);
+    assert_eq!(cholesky_inverse_into(&a, &mut out), want);
+}
+
 /// The BERT-Base K-FAC factor sizes the paper's Invert work unit runs on:
 /// 769 = d_model + 1 (bias-augmented A-factor). Multi-panel, non-multiple
 /// of NB.
@@ -220,9 +313,9 @@ fn bert_factor_size_769_blocked_matches_naive_bitwise() {
     check_factor_and_inverse(&a);
 }
 
-/// A failing pivot must surface the same `NotPositiveDefinite(index)` the
-/// naive loop reports, wherever it falls relative to the 64-wide panels —
-/// first column, panel edges, interior, and last column.
+/// A failing pivot must surface the same `NotPositiveDefinite(index)` — or
+/// `NonFinite` — the naive loop reports, wherever it falls relative to the
+/// 64-wide panels: first column, panel edges, interior, and last column.
 #[test]
 fn failing_pivot_index_is_preserved_across_blocks() {
     let n = 130;
@@ -235,19 +328,33 @@ fn failing_pivot_index_is_preserved_across_blocks() {
         a[(p, p)] = -1.0;
         let _guard = SettingsGuard::acquire();
         par::set_par_threshold(0);
-        let mut naive_out = Matrix::zeros(1, 1);
-        let want = cholesky_into_naive(&a, &mut naive_out);
-        assert_eq!(want, Err(TensorError::NotPositiveDefinite(p)));
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            kernel::set_kernel(Some(kind));
-            for threads in [1usize, 4] {
-                par::set_max_threads(threads);
-                let mut out = Matrix::zeros(1, 1);
-                assert_eq!(
-                    cholesky_into(&a, &mut out),
-                    want,
-                    "pivot {p} @ {kind:?}/{threads}t"
-                );
+        // A NaN below the diagonal of row `p` poisons pivot `p` and no
+        // earlier one: the error is `NonFinite`, from factor and inverse.
+        let mut poisoned = random_spd(n, &mut rng);
+        poisoned[(p, p / 2)] = f64::NAN;
+        for (a, want) in [
+            (&a, Err(TensorError::NotPositiveDefinite(p))),
+            (&poisoned, Err(TensorError::NonFinite("cholesky"))),
+        ] {
+            let mut naive_out = Matrix::zeros(1, 1);
+            assert_eq!(cholesky_into_naive(a, &mut naive_out), want);
+            assert_eq!(cholesky_inverse_naive_into(a, &mut naive_out), want);
+            for kind in [KernelKind::Scalar, KernelKind::Simd] {
+                kernel::set_kernel(Some(kind));
+                for threads in [1usize, 4] {
+                    par::set_max_threads(threads);
+                    let mut out = Matrix::zeros(1, 1);
+                    assert_eq!(
+                        cholesky_into(a, &mut out),
+                        want,
+                        "pivot {p} @ {kind:?}/{threads}t"
+                    );
+                    assert_eq!(
+                        cholesky_inverse_into(a, &mut out),
+                        want,
+                        "inverse, pivot {p} @ {kind:?}/{threads}t"
+                    );
+                }
             }
         }
     }

@@ -74,8 +74,8 @@ fn kernel_pass(
     a.matvec_into(v, out_vec);
     pipefisher::tensor::cholesky_into(spd, out_chol).expect("spd");
     cholesky_inverse_into(spd, out_inv).expect("spd");
-    // Multi-RHS solve: its internal factor and TRSM scratch come from the
-    // warmed workspace arena.
+    // Multi-RHS solve: its internal factor comes from the warmed
+    // workspace arena.
     pipefisher::tensor::cholesky_solve_into(spd, b, out_solve).expect("spd");
     // Allocating wrappers: pool hit on checkout, checkin on drop.
     let tmp = a.matmul(b);
@@ -108,7 +108,7 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
     let mut out_vec = vec![0.0; n];
 
     // Warm-up: sizes every buffer, fills the pool for the wrappers'
-    // temporaries (including cholesky_inverse_into's internal factor).
+    // temporaries (including the factorization engine's block scratch).
     for _ in 0..2 {
         kernel_pass(
             &a,

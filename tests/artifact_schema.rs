@@ -227,6 +227,8 @@ fn step_metrics_jsonl_rows_carry_checkpoint_write_time() {
         curvature_refreshed: false,
         curvature_refreshes: 0,
         inversions: 0,
+        damping_escalations: 0,
+        inversion_failures: 0,
         allocs: 0,
         alloc_bytes: 0,
         ckpt_write_ms: 1.25,

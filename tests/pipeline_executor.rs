@@ -196,9 +196,30 @@ fn unfilled_bubbles_produce_identical_results() {
     assert_eq!(a.1, b.1, "parameters depend on bubble filling");
 }
 
+/// `bubble_aux_ms` is K-FAC work done *while waiting for pipeline input*;
+/// work drained after the device's last pipeline op is `tail_aux_ms` only.
+/// With filling off every unit is tail work, so the bubble counter must
+/// read exactly zero (it used to count the tail drain a second time).
+#[test]
+fn unfilled_run_books_all_kfac_work_as_tail() {
+    let _gate = par_lock();
+    let (steps, n_micro) = (4, 4);
+    let config = BertConfig::tiny(36, 16);
+    let mut opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, n_micro);
+    opts.fill_bubbles = false;
+    par::set_max_threads(1);
+    let (mut trainer, model) = setup(&config, 7);
+    let outcome = trainer
+        .run_pipelined(model, &kfac_choice(), steps, &opts)
+        .expect("pipelined run");
+    par::set_max_threads(0);
+    assert_eq!(outcome.bubble_aux_ms, 0.0);
+    assert!(outcome.tail_aux_ms > 0.0);
+}
+
 /// Every-step inversion at factor sizes that straddle the blocked
 /// factorization engine's 64-wide panels (d_model = 64 ⇒ bias-augmented
-/// A-factor 65; d_ff = 128 ⇒ A-factor 129): the blocked Cholesky/TRSM
+/// A-factor 65; d_ff = 128 ⇒ A-factor 129): the blocked potrf + potri
 /// inversion running as bubble-filled Invert work inside pipeline steps
 /// must stay bitwise-identical to the serial loop.
 #[test]
