@@ -127,11 +127,12 @@ fn main() {
             "{} steps x {} micro-batches, best of {} reps\",\n",
             "  \"host_cores\": {},\n",
             "  \"note\": \"filled runs K-FAC folds/inversions inside pipeline bubbles; ",
-            "unfilled serializes them after each device's pipeline work. With ",
-            "host_cores < stages the workers time-share cores, a bubble is not an ",
-            "idle core, and speedup ~1x (either side of 1.0) is expected; ",
-            "bubble_occupancy still measures how much idle wait the PipeFisher ",
-            "placements absorbed.\",\n",
+            "unfilled serializes them after each device's pipeline work. ",
+            "bubble_occupancy = bubble K-FAC ms / (bubble K-FAC + bubble idle ms); work ",
+            "drained after a device's last pipeline op is tail and counts in neither. ",
+            "Up to stages = host_cores each stage thread has a core and speedup is a ",
+            "measurement; beyond that workers time-share cores, a bubble is not an idle ",
+            "core, and speedup ~1x (either side of 1.0) is expected.\",\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),

@@ -78,8 +78,8 @@ impl OptimizerKind {
         }
     }
 
-    /// The expected K-FAC cadence of step `step` (mirrors the trainer's
-    /// `refreshes_curvature_at` / `inverts_at`).
+    /// The expected K-FAC cadence of step `step` (the checker's own
+    /// arithmetic, independent of `Kfac::next_step_refreshes_*`).
     pub fn spec_at(&self, step: usize) -> StepSpec {
         match *self {
             OptimizerKind::Lamb => StepSpec {

@@ -54,11 +54,6 @@ impl SyntheticLanguage {
         self.vocab_size
     }
 
-    /// Number of topic clusters.
-    pub fn n_topics(&self) -> usize {
-        self.n_topics
-    }
-
     /// Size of one topic's token cluster.
     pub fn cluster_size(&self) -> usize {
         (self.vocab_size - self.first_regular) / self.n_topics

@@ -50,16 +50,6 @@ impl BatchSampler {
         self
     }
 
-    /// The underlying language.
-    pub fn language(&self) -> &SyntheticLanguage {
-        &self.language
-    }
-
-    /// Sequence length of emitted batches.
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
-
     /// Samples a batch of `batch_size` sequences.
     pub fn sample(&self, batch_size: usize, rng: &mut impl Rng) -> PreTrainingBatch {
         let s = self.seq_len;

@@ -1,4 +1,4 @@
-//! Language-modeling workloads and pretraining loops.
+//! Language-modeling workloads and the pretraining loop.
 //!
 //! The paper pretrains BERT on 14 GB of English Wikipedia; this reproduction
 //! substitutes a **synthetic language** with learnable structure (a
@@ -11,23 +11,22 @@
 //!   next-sentence-prediction learnability,
 //! * [`BatchSampler`] — BERT-style batch maker (`[CLS]`/`[SEP]` framing, 15 %
 //!   masking with the 80/10/10 rule, 50 % random NSP pairs),
-//! * [`Trainer`] / [`TrainRun`] — optimizer-agnostic pretraining loops with
-//!   loss histories, smoothing, and steps-to-target-loss extraction (the
-//!   quantities Figure 6 plots),
+//! * [`Trainer`] / [`TrainRun`] — the optimizer-agnostic pretraining loop:
+//!   one step driver over an inline or a staged-threads
+//!   ([`Trainer::run_pipelined`]) execution engine, with loss histories,
+//!   smoothing, and steps-to-target-loss extraction (the quantities Figure 6
+//!   plots),
 //! * [`StepMetrics`] / [`to_jsonl`] — per-step metrics rows (loss, gradient
 //!   norm, per-phase wall-clock, K-FAC refresh counters) with JSON Lines
 //!   export.
 
-mod causal;
 mod checkpoint;
 mod corpus;
 mod data;
 mod metrics;
-pub mod parallel;
 mod pipeline;
 mod trainer;
 
-pub use causal::{train_causal_lm, CausalSampler};
 pub use checkpoint::{
     resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
 };

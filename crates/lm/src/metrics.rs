@@ -97,48 +97,15 @@ pub(crate) struct MetricsRecorder {
     inversions: u64,
 }
 
-/// Per-phase wall-clock timings of one step, in milliseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PhaseTimings {
-    pub data_ms: f64,
-    pub forward_backward_ms: f64,
-    pub optimizer_ms: f64,
-}
-
 impl MetricsRecorder {
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        step: usize,
-        loss: f64,
-        grad_norm: f64,
-        lr: f64,
-        timings: PhaseTimings,
-        curvature_refreshed: bool,
-        inverted: bool,
-        (damping_escalations, inversion_failures): (u64, u64),
-        alloc: pipefisher_trace::AllocSnapshot,
-        ckpt_write_ms: f64,
-    ) {
-        self.curvature_refreshes += u64::from(curvature_refreshed);
+    /// Appends `row`, filling in its two cumulative refresh counters
+    /// (`inverted`: whether this step refreshed the factor inverses).
+    pub fn record(&mut self, mut row: StepMetrics, inverted: bool) {
+        self.curvature_refreshes += u64::from(row.curvature_refreshed);
         self.inversions += u64::from(inverted);
-        self.rows.push(StepMetrics {
-            step,
-            loss,
-            grad_norm,
-            lr,
-            data_ms: timings.data_ms,
-            forward_backward_ms: timings.forward_backward_ms,
-            optimizer_ms: timings.optimizer_ms,
-            curvature_refreshed,
-            curvature_refreshes: self.curvature_refreshes,
-            inversions: self.inversions,
-            damping_escalations,
-            inversion_failures,
-            allocs: alloc.allocs,
-            alloc_bytes: alloc.bytes,
-            ckpt_write_ms,
-        });
+        row.curvature_refreshes = self.curvature_refreshes;
+        row.inversions = self.inversions;
+        self.rows.push(row);
     }
 
     pub fn into_rows(self) -> Vec<StepMetrics> {
@@ -187,11 +154,16 @@ mod tests {
     #[test]
     fn recorder_accumulates_refresh_counters() {
         let mut rec = MetricsRecorder::default();
-        let t = PhaseTimings::default();
-        let a = pipefisher_trace::AllocSnapshot::default();
-        rec.record(0, 3.0, 1.0, 1e-3, t, true, true, (0, 0), a, 0.0);
-        rec.record(1, 2.9, 1.0, 1e-3, t, false, false, (1, 0), a, 0.0);
-        rec.record(2, 2.8, 1.0, 1e-3, t, true, false, (1, 1), a, 0.0);
+        let step =
+            |step, curvature_refreshed, (damping_escalations, inversion_failures)| StepMetrics {
+                curvature_refreshed,
+                damping_escalations,
+                inversion_failures,
+                ..row(step)
+            };
+        rec.record(step(0, true, (0, 0)), true);
+        rec.record(step(1, false, (1, 0)), false);
+        rec.record(step(2, true, (1, 1)), false);
         let rows = rec.into_rows();
         assert_eq!(rows[2].curvature_refreshes, 2);
         assert_eq!(rows[2].inversions, 1);

@@ -1,6 +1,7 @@
 //! Wall-clock pipeline-parallel executor (the paper's Figure 1/3 made real).
 //!
-//! [`Trainer::run_pipelined`] partitions `BertForPreTraining` into `D`
+//! [`Trainer::run_pipelined`] runs the trainer's one step loop on the
+//! staged engine: it partitions `BertForPreTraining` into `D`
 //! contiguous stages, runs one persistent worker thread per simulated
 //! device, and flows micro-batch activations forward / gradients backward
 //! over bounded channels in the exact per-device order of a lowered
@@ -11,8 +12,8 @@
 //!
 //! # Determinism
 //!
-//! The executor is bitwise-identical to the single-thread [`Trainer`] loop
-//! (at `PIPEFISHER_THREADS=1`) for every stage count and scheme, because
+//! The engine is bitwise-identical to the inline one (at
+//! `PIPEFISHER_THREADS=1`) for every stage count and scheme, because
 //! floating-point work is never re-associated:
 //!
 //! - Each worker computes a micro-batch's gradient contribution on a
@@ -40,17 +41,18 @@
 //! stage (or a coordinator starved of results) trips
 //! [`ExecError::Wedged`]. Neither deadlocks.
 
-use crate::checkpoint::{resolve_resume, CheckpointPolicy, ResumeFrom, TrainCheckpoint};
-use crate::metrics::{MetricsRecorder, PhaseTimings};
-use crate::trainer::AnyOpt;
-use crate::{OptimizerChoice, TrainRun, Trainer};
+use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
+use crate::trainer::{AnyOpt, Engine};
+use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
 use pipefisher_core::{assign, AuxKind, DevicePlan, ExecutablePlan, PipeFisherConfig, PlanOp};
 use pipefisher_core::{AssignError, PipeFisherSchedule};
 use pipefisher_nn::{
     BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert,
 };
-use pipefisher_optim::{fold_curvature_a, fold_curvature_b, refresh_inverses, LayerKfacState};
+use pipefisher_optim::{
+    fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel, LayerKfacState,
+};
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
@@ -471,16 +473,6 @@ pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     ExecutablePlan::lower(&graph, schedule.as_ref(), AUX_GRANULARITY).map_err(ExecError::Plan)
 }
 
-/// Global L2 gradient norm over a staged model (same parameter order as the
-/// monolithic model, so the sum is bitwise the serial one).
-fn staged_grad_norm(staged: &mut StagedBert) -> f64 {
-    let mut sq = 0.0;
-    staged.visit_params(&mut |p| {
-        sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
-    });
-    sq.sqrt()
-}
-
 struct WorkerHandle {
     cmd_tx: SyncSender<Cmd>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -501,20 +493,14 @@ fn shutdown_workers(workers: &mut Vec<WorkerHandle>) {
     }
 }
 
-/// Trips the abort latch with `fallback` (first fault wins), tears the
-/// worker fleet down, and returns the winning fault.
-fn abort_run(workers: &mut Vec<WorkerHandle>, abort: &Abort, fallback: ExecError) -> ExecError {
-    abort.trip(fallback);
-    shutdown_workers(workers);
-    abort.take().expect("abort latch tripped")
-}
-
 impl Trainer {
     /// Trains `model` for `steps` optimizer steps on a `D`-stage pipeline
     /// of worker threads, filling bubbles with K-FAC work per
     /// `opts.fill_bubbles`. Losses, metrics, and the returned model are
     /// bitwise-identical to the single-thread accumulated loop (see module
-    /// docs); on error the model is consumed.
+    /// docs); on error the model is consumed. Resuming a checkpoint that
+    /// had already reached `steps` returns an empty run and the restored
+    /// model without spawning a worker.
     ///
     /// # Panics
     ///
@@ -523,7 +509,7 @@ impl Trainer {
     /// violated (Chimera needs even `D` and even `N`).
     pub fn run_pipelined(
         &mut self,
-        mut model: BertForPreTraining,
+        model: BertForPreTraining,
         choice: &OptimizerChoice,
         steps: usize,
         opts: &PipelineOptions,
@@ -533,39 +519,62 @@ impl Trainer {
             "run_pipelined: n_stages must be positive"
         );
         assert!(opts.n_micro > 0, "run_pipelined: n_micro must be positive");
-        let (d, n_micro) = (opts.n_stages, opts.n_micro);
         let plan = plan_for(opts)?;
-        let n_devices = plan.devices.len();
-
-        // Checkpoint store / resume run before any worker exists, so a
-        // failure here is a clean `Checkpoint` error with 0 completed steps.
-        let ckpt_err0 = |source: CkptError| ExecError::Checkpoint {
-            source,
-            completed_steps: 0,
+        let mut engine = Staged::new(model, &plan, opts);
+        let train_opts = TrainOptions {
+            accumulation_steps: opts.n_micro,
+            grad_delay: 0,
         };
-        let mut opt = AnyOpt::new(choice);
-        let store = match &opts.checkpoint {
-            Some(policy) => Some((policy, policy.open().map_err(ckpt_err0)?)),
-            None => None,
-        };
-        let mut start_step = 0usize;
-        if let Some(resume) = &opts.resume {
-            let path = resolve_resume(resume).map_err(ckpt_err0)?;
-            let tc = TrainCheckpoint::load(&path).map_err(ckpt_err0)?;
-            start_step = self
-                .restore_checkpoint(&tc, &mut opt, |bytes| model.import_params(bytes))
-                .map_err(ckpt_err0)?;
-        }
-        assert!(
-            start_step <= steps,
-            "resume checkpoint is past the requested step count \
-             ({start_step} > {steps})"
+        let run = self.drive(
+            &mut engine,
+            choice,
+            steps,
+            &train_opts,
+            opts.checkpoint.as_ref(),
+            opts.resume.as_ref(),
         );
+        shutdown_workers(&mut engine.workers);
+        Ok(PipelineOutcome {
+            run: run?,
+            model: engine.staged.into_model(),
+            bubble_aux_ms: engine.bubble_aux_ms,
+            bubble_idle_ms: engine.bubble_idle_ms,
+            tail_aux_ms: engine.tail_aux_ms,
+        })
+    }
+}
 
-        let mut staged = StagedBert::from_model(model, d);
-        // K-FAC layer names per stage, in `visit_linears` order — the index
-        // contract for loaned state vectors.
-        let layer_names: Vec<Vec<String>> = (0..d)
+/// The staged-threads engine: the canonical model split into `D` stages
+/// plus one persistent worker thread per device. Each step it dispatches
+/// parameter shuttles and commands, collects losses / gradient sets /
+/// `StepDone` summaries, and merges the gradient contributions into the
+/// canonical stages in serial micro-batch order.
+struct Staged<'a> {
+    staged: StagedBert,
+    plan: &'a ExecutablePlan,
+    opts: &'a PipelineOptions,
+    /// K-FAC layer names per stage, in `visit_linears` order — the index
+    /// contract for loaned state vectors.
+    layer_names: Vec<Vec<String>>,
+    abort: Arc<Abort>,
+    /// The fleet and its results channel: none / disconnected until `start`.
+    workers: Vec<WorkerHandle>,
+    res_rx: Receiver<WorkerMsg>,
+    /// Coordinator-held shuttles and pools, keyed by (device, stage).
+    shuttles: HashMap<(usize, usize), ParamSet>,
+    pools: HashMap<(usize, usize), Vec<GradSet>>,
+    /// Layer states the workers returned this step, awaiting `apply`.
+    returned_states: Vec<(usize, Vec<LayerKfacState>)>,
+    bubble_aux_ms: f64,
+    bubble_idle_ms: f64,
+    tail_aux_ms: f64,
+}
+
+impl<'a> Staged<'a> {
+    /// Partitions `model`; the worker fleet comes later, in `start`.
+    fn new(model: BertForPreTraining, plan: &'a ExecutablePlan, opts: &'a PipelineOptions) -> Self {
+        let mut staged = StagedBert::from_model(model, opts.n_stages);
+        let layer_names: Vec<Vec<String>> = (0..opts.n_stages)
             .map(|s| {
                 let mut names = Vec::new();
                 staged
@@ -574,10 +583,57 @@ impl Trainer {
                 names
             })
             .collect();
+        Staged {
+            staged,
+            plan,
+            opts,
+            layer_names,
+            abort: Arc::new(Abort::default()),
+            workers: Vec::new(),
+            res_rx: mpsc::channel().1,
+            shuttles: HashMap::new(),
+            pools: HashMap::new(),
+            returned_states: Vec::new(),
+            bubble_aux_ms: 0.0,
+            bubble_idle_ms: 0.0,
+            tail_aux_ms: 0.0,
+        }
+    }
 
-        // --- Spawn one persistent worker per device. -------------------
-        let abort = Arc::new(Abort::default());
-        let (res_tx, res_rx) = mpsc::channel::<WorkerMsg>();
+    /// Trips the abort latch with `fallback` (first fault wins), tears the
+    /// worker fleet down, and returns the winning fault stamped with the
+    /// steps completed before `step` faulted.
+    fn abort_step(&mut self, step: usize, fallback: ExecError) -> ExecError {
+        self.abort.trip(fallback);
+        shutdown_workers(&mut self.workers);
+        let fault = self.abort.take().expect("abort latch tripped");
+        fault.with_completed(step)
+    }
+}
+
+impl Engine for Staged<'_> {
+    fn model(&mut self) -> &mut dyn KfacModel {
+        &mut self.staged
+    }
+
+    /// Spawns one persistent worker per device, each with slot replicas
+    /// cloned from the (possibly just restored) canonical stages.
+    fn start(&mut self) {
+        let Staged {
+            staged,
+            plan,
+            opts,
+            abort,
+            workers,
+            res_rx,
+            shuttles,
+            pools,
+            ..
+        } = self;
+        let (d, n_micro) = (opts.n_stages, opts.n_micro);
+        let n_devices = plan.devices.len();
+        let (res_tx, rx) = mpsc::channel::<WorkerMsg>();
+        *res_rx = rx;
         let mut data_txs = Vec::with_capacity(n_devices);
         let mut data_rxs: Vec<Option<Receiver<DataMsg>>> = Vec::with_capacity(n_devices);
         for dev in 0..n_devices {
@@ -586,10 +642,6 @@ impl Trainer {
             data_txs.push(tx);
             data_rxs.push(Some(rx));
         }
-        let mut workers: Vec<WorkerHandle> = Vec::with_capacity(n_devices);
-        // Coordinator-held shuttles and pools, keyed by (device, stage).
-        let mut shuttles: HashMap<(usize, usize), ParamSet> = HashMap::new();
-        let mut pools: HashMap<(usize, usize), Vec<GradSet>> = HashMap::new();
         for (dev, data_rx_slot) in data_rxs.iter_mut().enumerate() {
             let dplan = plan.devices[dev].clone();
             let mut hosts = HashMap::new();
@@ -649,7 +701,7 @@ impl Trainer {
                     .map(|(i, tx)| if i == dev { None } else { Some(tx.clone()) })
                     .collect(),
                 results: res_tx.clone(),
-                abort: Arc::clone(&abort),
+                abort: Arc::clone(abort),
                 watchdog: opts.watchdog,
                 chaos: opts.chaos.clone(),
                 pending: HashMap::new(),
@@ -674,253 +726,181 @@ impl Trainer {
                 join: Some(join),
             });
         }
-        drop(res_tx);
-        drop(data_txs);
+    }
 
-        // --- Step loop (mirrors `run_accumulated` span for span). ------
-        let scale = 1.0 / n_micro as f64;
-        let mut losses = Vec::with_capacity(steps - start_step);
-        let mut recorder = MetricsRecorder::default();
-        let (mut bubble_aux_ms, mut bubble_idle_ms, mut tail_aux_ms) = (0.0, 0.0, 0.0);
-        let total_backwards = d * n_micro;
-        for step in start_step..steps {
-            let _step_span = pipefisher_trace::span("step", "train");
-            let alloc_before = pipefisher_trace::alloc_snapshot();
-            staged.zero_grad();
-            let refresh_curv = opt.refreshes_curvature_at(step);
-            let refresh_inv = opt.inverts_at(step);
-            let t0 = Instant::now();
-            let batches = {
-                let _span = pipefisher_trace::span("sample", "train");
-                Arc::new(self.sample_micro_batches(n_micro, refresh_curv))
-            };
-            let t1 = Instant::now();
-            let mut returned_states: Vec<(usize, Vec<LayerKfacState>)> = Vec::new();
-            let loss = {
-                let _span = pipefisher_trace::span("forward_backward", "train");
-                // Dispatch.
-                let kfac_step = opt.kfac_mut().map(|k| KfacStep {
-                    t: k.step_count() + 1,
-                    ema_decay: k.config().ema_decay,
-                    damping: k.config().damping,
-                    block_size: k.config().factor_block_size,
-                    refresh_curv,
-                    refresh_inv,
+    fn run_micro_batches(
+        &mut self,
+        step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
+        opt: &mut AnyOpt,
+        (refresh_curv, refresh_inv): (bool, bool),
+    ) -> Result<f64, ExecError> {
+        let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
+        let n_devices = self.plan.devices.len();
+        let batches = Arc::new(batches);
+        // Dispatch.
+        let kfac_step = opt.kfac_mut().map(|k| KfacStep {
+            t: k.step_count() + 1,
+            ema_decay: k.config().ema_decay,
+            damping: k.config().damping,
+            block_size: k.config().factor_block_size,
+            refresh_curv,
+            refresh_inv,
+        });
+        let loan = kfac_step.is_some() && (refresh_curv || refresh_inv);
+        for dev in 0..n_devices {
+            let hosted = self.plan.devices[dev].hosted_stages();
+            let mut params = Vec::with_capacity(hosted.len());
+            let mut grad_pool = Vec::with_capacity(hosted.len());
+            let mut kfac_states = Vec::new();
+            for &s in &hosted {
+                let pset = self.shuttles.get_mut(&(dev, s)).expect("shuttle exists");
+                let mut i = 0;
+                self.staged.stage_mut(s).visit_params(&mut |p| {
+                    pset[i].clone_from(&p.value);
+                    i += 1;
                 });
-                let loan = kfac_step.is_some() && (refresh_curv || refresh_inv);
-                for (dev, w) in workers.iter().enumerate() {
-                    let hosted = plan.devices[dev].hosted_stages();
-                    let mut params = Vec::with_capacity(hosted.len());
-                    let mut grad_pool = Vec::with_capacity(hosted.len());
-                    let mut kfac_states = Vec::new();
-                    for &s in &hosted {
-                        let pset = shuttles.get_mut(&(dev, s)).expect("shuttle exists");
-                        let mut i = 0;
-                        staged.stage_mut(s).visit_params(&mut |p| {
-                            pset[i].clone_from(&p.value);
-                            i += 1;
-                        });
-                        params.push((s, shuttles.remove(&(dev, s)).expect("shuttle exists")));
-                        grad_pool
-                            .push((s, std::mem::take(pools.get_mut(&(dev, s)).expect("pool"))));
-                        if loan && plan.capture_host[s] == dev {
-                            let k = opt.kfac_mut().expect("loan implies K-FAC");
-                            let states: Vec<LayerKfacState> = layer_names[s]
-                                .iter()
-                                .map(|name| k.take_state(name))
-                                .collect();
-                            kfac_states.push((s, states));
-                        }
+                params.push((s, self.shuttles.remove(&(dev, s)).expect("shuttle exists")));
+                grad_pool.push((
+                    s,
+                    std::mem::take(self.pools.get_mut(&(dev, s)).expect("pool")),
+                ));
+                if loan && self.plan.capture_host[s] == dev {
+                    let k = opt.kfac_mut().expect("loan implies K-FAC");
+                    let states: Vec<LayerKfacState> = self.layer_names[s]
+                        .iter()
+                        .map(|name| k.take_state(name))
+                        .collect();
+                    kfac_states.push((s, states));
+                }
+            }
+            let cmd = StepCmd {
+                step,
+                batches: Arc::clone(&batches),
+                fill_bubbles: self.opts.fill_bubbles,
+                params,
+                grad_pool,
+                kfac: kfac_step.clone(),
+                kfac_states,
+            };
+            if self.workers[dev]
+                .cmd_tx
+                .send(Cmd::Step(Box::new(cmd)))
+                .is_err()
+            {
+                let fallback = ExecError::StagePanic {
+                    device: dev,
+                    message: "worker exited before the step was dispatched".to_string(),
+                    completed_steps: step,
+                };
+                return Err(self.abort_step(step, fallback));
+            }
+        }
+        // Collect.
+        let mut loss_buf = vec![0.0f64; n_micro];
+        let mut loss_got = vec![false; n_micro];
+        let mut grad_sets: HashMap<(usize, usize), (usize, GradSet)> = HashMap::new();
+        let mut done = 0usize;
+        let mut last_msg = Instant::now();
+        loop {
+            if done == n_devices && grad_sets.len() == d * n_micro && loss_got.iter().all(|&g| g) {
+                break;
+            }
+            match self.res_rx.recv_timeout(Duration::from_millis(20)) {
+                Ok(WorkerMsg::Loss { mb, total_loss }) => {
+                    loss_buf[mb] = total_loss;
+                    loss_got[mb] = true;
+                    last_msg = Instant::now();
+                }
+                Ok(WorkerMsg::Grads {
+                    device,
+                    stage,
+                    mb,
+                    set,
+                }) => {
+                    grad_sets.insert((stage, mb), (device, set));
+                    last_msg = Instant::now();
+                }
+                Ok(WorkerMsg::StepDone {
+                    device,
+                    params,
+                    kfac_states,
+                    bubble_aux_ms: aux,
+                    bubble_idle_ms: idle,
+                    tail_aux_ms: tail,
+                }) => {
+                    for (s, pset) in params {
+                        self.shuttles.insert((device, s), pset);
                     }
-                    let cmd = StepCmd {
-                        step,
-                        batches: Arc::clone(&batches),
-                        fill_bubbles: opts.fill_bubbles,
-                        params,
-                        grad_pool,
-                        kfac: kfac_step.clone(),
-                        kfac_states,
+                    self.returned_states.extend(kfac_states);
+                    self.bubble_aux_ms += aux;
+                    self.bubble_idle_ms += idle;
+                    self.tail_aux_ms += tail;
+                    done += 1;
+                    last_msg = Instant::now();
+                }
+                Ok(WorkerMsg::Fault { device }) => {
+                    let fallback = ExecError::StagePanic {
+                        device,
+                        message: "worker reported a fault".to_string(),
+                        completed_steps: step,
                     };
-                    if w.cmd_tx.send(Cmd::Step(Box::new(cmd))).is_err() {
-                        let fallback = ExecError::StagePanic {
-                            device: dev,
-                            message: "worker exited before the step was dispatched".to_string(),
+                    return Err(self.abort_step(step, fallback));
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.abort.is_tripped() || last_msg.elapsed() > self.opts.watchdog {
+                        let fallback = ExecError::Wedged {
+                            waited: self.opts.watchdog,
+                            detail: format!(
+                                "coordinator starved of step-{step} results \
+                                 ({done}/{n_devices} devices done)"
+                            ),
                             completed_steps: step,
                         };
-                        return Err(abort_run(&mut workers, &abort, fallback).with_completed(step));
+                        return Err(self.abort_step(step, fallback));
                     }
                 }
-                // Collect.
-                let mut loss_buf = vec![0.0f64; n_micro];
-                let mut loss_got = vec![false; n_micro];
-                let mut grad_sets: HashMap<(usize, usize), (usize, GradSet)> = HashMap::new();
-                let mut done = 0usize;
-                let mut last_msg = Instant::now();
-                loop {
-                    if done == n_devices
-                        && grad_sets.len() == total_backwards
-                        && loss_got.iter().all(|&g| g)
-                    {
-                        break;
-                    }
-                    match res_rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(WorkerMsg::Loss { mb, total_loss }) => {
-                            loss_buf[mb] = total_loss;
-                            loss_got[mb] = true;
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::Grads {
-                            device,
-                            stage,
-                            mb,
-                            set,
-                        }) => {
-                            grad_sets.insert((stage, mb), (device, set));
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::StepDone {
-                            device,
-                            params,
-                            kfac_states,
-                            bubble_aux_ms: aux,
-                            bubble_idle_ms: idle,
-                            tail_aux_ms: tail,
-                        }) => {
-                            for (s, pset) in params {
-                                shuttles.insert((device, s), pset);
-                            }
-                            returned_states.extend(kfac_states);
-                            bubble_aux_ms += aux;
-                            bubble_idle_ms += idle;
-                            tail_aux_ms += tail;
-                            done += 1;
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::Fault { device }) => {
-                            let fallback = ExecError::StagePanic {
-                                device,
-                                message: "worker reported a fault".to_string(),
-                                completed_steps: step,
-                            };
-                            return Err(
-                                abort_run(&mut workers, &abort, fallback).with_completed(step)
-                            );
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if abort.is_tripped() || last_msg.elapsed() > opts.watchdog {
-                                let fallback = ExecError::Wedged {
-                                    waited: opts.watchdog,
-                                    detail: format!(
-                                        "coordinator starved of step-{step} results \
-                                         ({done}/{n_devices} devices done)"
-                                    ),
-                                    completed_steps: step,
-                                };
-                                return Err(
-                                    abort_run(&mut workers, &abort, fallback).with_completed(step)
-                                );
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            let fallback = ExecError::Wedged {
-                                waited: opts.watchdog,
-                                detail: "all workers exited mid-step".to_string(),
-                                completed_steps: step,
-                            };
-                            return Err(
-                                abort_run(&mut workers, &abort, fallback).with_completed(step)
-                            );
-                        }
-                    }
-                }
-                // Merge gradient contributions in serial micro-batch order.
-                for mb in 0..n_micro {
-                    for s in 0..d {
-                        let (device, mut set) =
-                            grad_sets.remove(&(s, mb)).expect("backward coverage");
-                        let mut i = 0;
-                        staged.stage_mut(s).visit_params(&mut |p| {
-                            p.grad.axpy(1.0, &set[i]);
-                            i += 1;
-                        });
-                        for m in &mut set {
-                            m.as_mut_slice().fill(0.0);
-                        }
-                        pools.get_mut(&(device, s)).expect("pool").push(set);
-                    }
-                }
-                loss_buf.iter().sum::<f64>() * scale
-            };
-            staged.visit_params(&mut |p| p.grad.scale_inplace(scale));
-            let t2 = Instant::now();
-            losses.push(loss);
-            pipefisher_trace::counter("loss", loss);
-            let grad_norm = staged_grad_norm(&mut staged);
-            let lr = self.schedule.lr_at(step);
-            let t3 = Instant::now();
-            {
-                let _span = pipefisher_trace::span("optimizer_step", "train");
-                if let Some(k) = opt.kfac_mut() {
-                    for (s, states) in returned_states.drain(..) {
-                        for (name, state) in layer_names[s].iter().zip(states) {
-                            k.put_state(name, state);
-                        }
-                    }
-                }
-                opt.apply_preconditioned(&mut staged, lr);
-            }
-            let t4 = Instant::now();
-            // Checkpoint at the step boundary: gradients are merged and the
-            // optimizer applied, so the captured state is exactly what the
-            // serial trainer would capture after the same step.
-            let mut ckpt_write_ms = 0.0;
-            if let Some((policy, dir)) = &store {
-                if policy.due(step + 1, steps) {
-                    let t5 = Instant::now();
-                    let snap = self
-                        .capture_checkpoint((step + 1) as u64, &opt, staged.export_params())
-                        .to_snapshot();
-                    if let Err(source) = dir.save((step + 1) as u64, &snap) {
-                        let fallback = ExecError::Checkpoint {
-                            source,
-                            completed_steps: step + 1,
-                        };
-                        return Err(
-                            abort_run(&mut workers, &abort, fallback).with_completed(step + 1)
-                        );
-                    }
-                    ckpt_write_ms = t5.elapsed().as_secs_f64() * 1e3;
+                Err(RecvTimeoutError::Disconnected) => {
+                    let fallback = ExecError::Wedged {
+                        waited: self.opts.watchdog,
+                        detail: "all workers exited mid-step".to_string(),
+                        completed_steps: step,
+                    };
+                    return Err(self.abort_step(step, fallback));
                 }
             }
-            recorder.record(
-                step,
-                loss,
-                grad_norm,
-                lr,
-                PhaseTimings {
-                    data_ms: (t1 - t0).as_secs_f64() * 1e3,
-                    forward_backward_ms: (t2 - t1).as_secs_f64() * 1e3,
-                    optimizer_ms: (t4 - t3).as_secs_f64() * 1e3,
-                },
-                refresh_curv,
-                refresh_inv,
-                opt.inversion_health(),
-                pipefisher_trace::alloc_snapshot().since(&alloc_before),
-                ckpt_write_ms,
-            );
         }
-        shutdown_workers(&mut workers);
-        Ok(PipelineOutcome {
-            run: TrainRun {
-                losses,
-                label: opt.label().to_string(),
-                metrics: recorder.into_rows(),
-            },
-            model: staged.into_model(),
-            bubble_aux_ms,
-            bubble_idle_ms,
-            tail_aux_ms,
-        })
+        // Merge gradient contributions in serial micro-batch order.
+        for mb in 0..n_micro {
+            for s in 0..d {
+                let (device, mut set) = grad_sets.remove(&(s, mb)).expect("backward coverage");
+                let mut i = 0;
+                self.staged.stage_mut(s).visit_params(&mut |p| {
+                    p.grad.axpy(1.0, &set[i]);
+                    i += 1;
+                });
+                for m in &mut set {
+                    m.as_mut_slice().fill(0.0);
+                }
+                self.pools.get_mut(&(device, s)).expect("pool").push(set);
+            }
+        }
+        Ok(loss_buf.iter().sum())
+    }
+
+    /// With K-FAC, the step's curvature folds and inverse refreshes already
+    /// ran on the workers against loaned layer states: hand those back, then
+    /// precondition and update only.
+    fn apply(&mut self, opt: &mut AnyOpt, lr: f64) {
+        let Some(k) = opt.kfac_mut() else {
+            return opt.apply(&mut self.staged, lr);
+        };
+        for (s, states) in self.returned_states.drain(..) {
+            for (name, state) in self.layer_names[s].iter().zip(states) {
+                k.put_state(name, state);
+            }
+        }
+        k.step_preconditioned(&mut self.staged, lr);
     }
 }
 

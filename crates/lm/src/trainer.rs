@@ -1,17 +1,31 @@
-//! Pretraining loops with loss tracking (the Figure 6 machinery) and
+//! The pretraining loop — one step driver ([`Trainer::drive`]) over an
+//! execution [`Engine`] — with loss tracking (the Figure 6 machinery) and
 //! per-step metrics/trace instrumentation.
+//!
+//! The driver owns what every execution shares: checkpoint resume/save,
+//! sampling, spans and phase timing, mean-scaling, gradient norm, learning
+//! rate, the optional stale-gradient queue, and the metrics row. An
+//! [`Engine`] supplies what differs: how a step's micro-batches run (inline
+//! here; on stage worker threads in [`crate::pipeline`]) and how the update
+//! is applied to the gradients they leave.
 
-use crate::checkpoint::{resolve_resume, CheckpointOptions, TrainCheckpoint};
-use crate::metrics::{MetricsRecorder, PhaseTimings};
+use crate::checkpoint::{
+    resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
+};
+use crate::metrics::MetricsRecorder;
+use crate::pipeline::ExecError;
 use crate::{BatchSampler, StepMetrics};
-use pipefisher_ckpt::{CkptError, SectionReader, SectionWriter};
-use pipefisher_nn::{BertForPreTraining, ForwardCtx, PreTrainingBatch};
+use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
+use pipefisher_nn::{
+    export_params_with, import_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch,
+};
 use pipefisher_optim::{
     Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, Shampoo, ShampooConfig, StateSnapshot,
 };
-use pipefisher_tensor::par;
+use pipefisher_tensor::{par, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Which optimizer a [`Trainer`] runs — the paper's two contenders.
@@ -109,7 +123,7 @@ impl Default for TrainOptions {
 pub struct Trainer {
     sampler: BatchSampler,
     batch_size: usize,
-    pub(crate) schedule: LrSchedule,
+    schedule: LrSchedule,
     data_rng: StdRng,
 }
 
@@ -124,8 +138,20 @@ impl Trainer {
         }
     }
 
+    /// Trains `model` for `steps` steps, returning the loss history.
+    pub fn run(
+        &mut self,
+        model: &mut BertForPreTraining,
+        choice: &OptimizerChoice,
+        steps: usize,
+    ) -> TrainRun {
+        self.run_with_options(model, choice, steps, &TrainOptions::default())
+    }
+
     /// Trains `model` for `steps` steps with gradient accumulation and/or
-    /// stale-gradient application.
+    /// stale-gradient application (they compose: each step queues the mean
+    /// gradient of its `accumulation_steps` micro-batches and applies the
+    /// one from `grad_delay` steps ago).
     ///
     /// # Panics
     ///
@@ -140,241 +166,11 @@ impl Trainer {
         opts: &TrainOptions,
     ) -> TrainRun {
         assert!(
-            opts.accumulation_steps > 0,
-            "accumulation_steps must be positive"
+            opts.grad_delay == 0 || matches!(choice, OptimizerChoice::Lamb { .. }),
+            "grad_delay models asynchronous first-order pipelines; use Lamb"
         );
-        if opts.grad_delay > 0 {
-            assert!(
-                matches!(choice, OptimizerChoice::Lamb { .. }),
-                "grad_delay models asynchronous first-order pipelines; use Lamb"
-            );
-            return self.run_stale_lamb(model, choice, steps, opts);
-        }
-        self.run_accumulated(model, choice, steps, opts.accumulation_steps)
-    }
-
-    /// Samples the step's micro-batches up front (serially, preserving the
-    /// data RNG stream) with the forward context each one should use.
-    pub(crate) fn sample_micro_batches(
-        &mut self,
-        accumulation: usize,
-        capture_last: bool,
-    ) -> Vec<(PreTrainingBatch, ForwardCtx)> {
-        (0..accumulation)
-            .map(|acc| {
-                // Capture curvature statistics on the last micro-batch of a
-                // refresh step (a fresh sample of the same distribution, as
-                // PipeFisher's per-step curvature uses one step's
-                // micro-batches).
-                let ctx = if capture_last && acc == accumulation - 1 {
-                    ForwardCtx::train_with_capture()
-                } else {
-                    ForwardCtx::train()
-                };
-                (
-                    self.sampler.sample(self.batch_size, &mut self.data_rng),
-                    ctx,
-                )
-            })
-            .collect()
-    }
-
-    /// One optimizer-agnostic accumulated-step loop: sample → accumulate
-    /// micro-batch gradients → scale to the mean → update, with trace spans
-    /// and a [`StepMetrics`] row per step. `accumulation == 1` reproduces
-    /// the plain per-step loop bitwise (`scale_inplace(1.0)` is exact).
-    fn run_accumulated(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        accumulation: usize,
-    ) -> TrainRun {
-        self.run_accumulated_ckpt(model, choice, steps, accumulation, None)
+        self.run_checkpointed(model, choice, steps, opts, &CheckpointOptions::default())
             .expect("no checkpointing requested, so no checkpoint errors")
-    }
-
-    /// The accumulated loop with optional checkpoint save/resume. With
-    /// `ckpt == None` (or an empty [`CheckpointOptions`]) the loop body is
-    /// unchanged, so plain runs are bitwise identical to the historical
-    /// ones.
-    fn run_accumulated_ckpt(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        accumulation: usize,
-        ckpt: Option<&CheckpointOptions>,
-    ) -> Result<TrainRun, CkptError> {
-        let scale = 1.0 / accumulation as f64;
-        let mut opt = AnyOpt::new(choice);
-        let mut start_step = 0usize;
-        let store = match ckpt.and_then(|c| c.save.as_ref()) {
-            Some(policy) => Some((policy, policy.open()?)),
-            None => None,
-        };
-        if let Some(resume) = ckpt.and_then(|c| c.resume.as_ref()) {
-            let path = resolve_resume(resume)?;
-            let tc = TrainCheckpoint::load(&path)?;
-            start_step =
-                self.restore_checkpoint(&tc, &mut opt, |bytes| model.import_params(bytes))?;
-        }
-        let mut losses = Vec::with_capacity(steps.saturating_sub(start_step));
-        let mut recorder = MetricsRecorder::default();
-        for step in start_step..steps {
-            let _step_span = pipefisher_trace::span("step", "train");
-            let alloc_before = pipefisher_trace::alloc_snapshot();
-            model.zero_grad();
-            let refresh = opt.refreshes_curvature_at(step);
-            let t0 = Instant::now();
-            let batches = {
-                let _span = pipefisher_trace::span("sample", "train");
-                self.sample_micro_batches(accumulation, refresh)
-            };
-            let t1 = Instant::now();
-            let loss = {
-                let _span = pipefisher_trace::span("forward_backward", "train");
-                let total: f64 = accumulate_micro_batches(model, &batches).iter().sum();
-                total * scale
-            };
-            model.visit_params(&mut |p| p.grad.scale_inplace(scale));
-            let t2 = Instant::now();
-            losses.push(loss);
-            pipefisher_trace::counter("loss", loss);
-            let grad_norm = global_grad_norm(model);
-            let lr = self.schedule.lr_at(step);
-            let t3 = Instant::now();
-            {
-                let _span = pipefisher_trace::span("optimizer_step", "train");
-                opt.apply(model, lr);
-            }
-            let t4 = Instant::now();
-            let mut ckpt_write_ms = 0.0;
-            if let Some((policy, dir)) = &store {
-                if policy.due(step + 1, steps) {
-                    let tw = Instant::now();
-                    let snap = self
-                        .capture_checkpoint((step + 1) as u64, &opt, model.export_params())
-                        .to_snapshot();
-                    dir.save((step + 1) as u64, &snap)?;
-                    ckpt_write_ms = tw.elapsed().as_secs_f64() * 1e3;
-                }
-            }
-            recorder.record(
-                step,
-                loss,
-                grad_norm,
-                lr,
-                PhaseTimings {
-                    data_ms: (t1 - t0).as_secs_f64() * 1e3,
-                    forward_backward_ms: (t2 - t1).as_secs_f64() * 1e3,
-                    optimizer_ms: (t4 - t3).as_secs_f64() * 1e3,
-                },
-                refresh,
-                opt.inverts_at(step),
-                opt.inversion_health(),
-                pipefisher_trace::alloc_snapshot().since(&alloc_before),
-                ckpt_write_ms,
-            );
-        }
-        Ok(TrainRun {
-            losses,
-            label: opt.label().to_string(),
-            metrics: recorder.into_rows(),
-        })
-    }
-
-    fn run_stale_lamb(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        opts: &TrainOptions,
-    ) -> TrainRun {
-        let OptimizerChoice::Lamb { weight_decay } = choice else {
-            unreachable!()
-        };
-        let mut opt = Lamb::new(*weight_decay);
-        let mut losses = Vec::with_capacity(steps);
-        let mut recorder = MetricsRecorder::default();
-        // Queue of delayed gradients: (name → grad) snapshots.
-        let mut queue: std::collections::VecDeque<Vec<pipefisher_tensor::Matrix>> =
-            std::collections::VecDeque::new();
-        for step in 0..steps {
-            let _step_span = pipefisher_trace::span("step", "train");
-            let alloc_before = pipefisher_trace::alloc_snapshot();
-            let t0 = Instant::now();
-            let batch = {
-                let _span = pipefisher_trace::span("sample", "train");
-                self.sampler.sample(self.batch_size, &mut self.data_rng)
-            };
-            let t1 = Instant::now();
-            model.zero_grad();
-            let out = {
-                let _span = pipefisher_trace::span("forward_backward", "train");
-                model.train_step(&batch, &ForwardCtx::train())
-            };
-            let t2 = Instant::now();
-            losses.push(out.total_loss);
-            pipefisher_trace::counter("loss", out.total_loss);
-            // Snapshot the fresh gradient, then apply the one from m steps ago.
-            let mut snapshot = Vec::new();
-            model.visit_params(&mut |p| snapshot.push(p.grad.clone()));
-            queue.push_back(snapshot);
-            let mut lr = 0.0;
-            let t3 = Instant::now();
-            if queue.len() > opts.grad_delay {
-                let _span = pipefisher_trace::span("optimizer_step", "train");
-                let stale = queue.pop_front().expect("queue nonempty");
-                let mut idx = 0;
-                model.visit_params(&mut |p| {
-                    p.grad = stale[idx].clone();
-                    idx += 1;
-                });
-                lr = self.schedule.lr_at(step);
-                opt.begin_step();
-                model.visit_params(&mut |p| opt.step_param(p, lr));
-            }
-            let t4 = Instant::now();
-            // Gradient norm of the gradient the optimizer consumed (the
-            // stale one once the queue is full; the fresh one before).
-            let grad_norm = global_grad_norm(model);
-            recorder.record(
-                step,
-                out.total_loss,
-                grad_norm,
-                lr,
-                PhaseTimings {
-                    data_ms: (t1 - t0).as_secs_f64() * 1e3,
-                    forward_backward_ms: (t2 - t1).as_secs_f64() * 1e3,
-                    optimizer_ms: (t4 - t3).as_secs_f64() * 1e3,
-                },
-                false,
-                false,
-                (0, 0),
-                pipefisher_trace::alloc_snapshot().since(&alloc_before),
-                0.0,
-            );
-        }
-        TrainRun {
-            losses,
-            label: format!("NVLAMB (grad delay {})", opts.grad_delay),
-            metrics: recorder.into_rows(),
-        }
-    }
-
-    /// Trains `model` for `steps` steps, returning the loss history.
-    ///
-    /// Runs the accumulated loop with a single micro-batch per step, which
-    /// is bitwise identical to the historical dedicated per-step loop (the
-    /// mean-scaling multiplies by exactly 1.0).
-    pub fn run(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-    ) -> TrainRun {
-        self.run_accumulated(model, choice, steps, 1)
     }
 
     /// Like [`Trainer::run_with_options`] with crash-safe checkpointing:
@@ -387,7 +183,7 @@ impl Trainer {
     /// parameters, optimizer state (including the K-FAC/Shampoo cadence
     /// counters), and the data-RNG stream. The returned [`TrainRun`] covers
     /// steps `next_step..steps` (its metric rows carry absolute step
-    /// indices).
+    /// indices) and is empty if the checkpoint had already reached `steps`.
     ///
     /// # Errors
     ///
@@ -397,9 +193,9 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `opts.accumulation_steps == 0` or `opts.grad_delay > 0`
-    /// (stale-gradient emulation keeps an in-flight gradient queue that is
-    /// deliberately not checkpointable).
+    /// Panics if `opts.accumulation_steps == 0`, or if `opts.grad_delay > 0`
+    /// while saving or resuming (stale-gradient emulation keeps an in-flight
+    /// gradient queue that is deliberately not checkpointable).
     pub fn run_checkpointed(
         &mut self,
         model: &mut BertForPreTraining,
@@ -413,10 +209,209 @@ impl Trainer {
             "accumulation_steps must be positive"
         );
         assert!(
-            opts.grad_delay == 0,
+            opts.grad_delay == 0 || (ckpt.save.is_none() && ckpt.resume.is_none()),
             "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
         );
-        self.run_accumulated_ckpt(model, choice, steps, opts.accumulation_steps, Some(ckpt))
+        // The inline engine raises no executor faults.
+        self.drive(
+            model,
+            choice,
+            steps,
+            opts,
+            ckpt.save.as_ref(),
+            ckpt.resume.as_ref(),
+        )
+        .map_err(|e| match e {
+            ExecError::Checkpoint { source, .. } => source,
+            other => unreachable!("inline engine fault: {other}"),
+        })
+    }
+
+    /// The run prologue: builds the optimizer, opens the checkpoint store,
+    /// and restores `model`, the optimizer and the data-RNG stream from
+    /// `resume`. Returns them with the first step to run.
+    fn open_run(
+        &mut self,
+        model: &mut dyn KfacModel,
+        choice: &OptimizerChoice,
+        save: Option<&CheckpointPolicy>,
+        resume: Option<&ResumeFrom>,
+    ) -> Result<(AnyOpt, Option<CheckpointDir>, usize), CkptError> {
+        let mut opt = AnyOpt::new(choice);
+        let store = save.map(CheckpointPolicy::open).transpose()?;
+        let Some(resume) = resume else {
+            return Ok((opt, store, 0));
+        };
+        let tc = TrainCheckpoint::load(&resolve_resume(resume)?)?;
+        if tc.optimizer_label != opt.label() {
+            return Err(CkptError::OptimizerMismatch {
+                expected: opt.label().to_string(),
+                found: tc.optimizer_label,
+            });
+        }
+        import_params_with(&tc.model, |f| model.visit_all_params(f))?;
+        opt.import_state(&tc.optim)?;
+        self.set_rng_state(tc.rng);
+        Ok((opt, store, tc.next_step as usize))
+    }
+
+    /// The training loop — the only one. After the checkpoint prologue, each
+    /// step samples `opts.accumulation_steps` micro-batches, has the engine
+    /// run them (summed gradients land in its model), scales to the mean,
+    /// passes the gradient through the `opts.grad_delay` queue, has the
+    /// engine apply the update, checkpoints if due, and records one
+    /// [`StepMetrics`] row. Resuming at or past `steps` is an empty run,
+    /// decided before the engine is started.
+    ///
+    /// Whether a step captures curvature statistics, and what its row
+    /// reports as refreshed, is read from the optimizer's own cadence clock
+    /// before the update advances it.
+    pub(crate) fn drive(
+        &mut self,
+        engine: &mut dyn Engine,
+        choice: &OptimizerChoice,
+        steps: usize,
+        opts: &TrainOptions,
+        save: Option<&CheckpointPolicy>,
+        resume: Option<&ResumeFrom>,
+    ) -> Result<TrainRun, ExecError> {
+        let ckpt_err = |completed_steps| {
+            move |source| ExecError::Checkpoint {
+                source,
+                completed_steps,
+            }
+        };
+        let (mut opt, store, start_step) = self
+            .open_run(engine.model(), choice, save, resume)
+            .map_err(ckpt_err(0))?;
+        if start_step < steps {
+            engine.start();
+        }
+        let (n_micro, grad_delay) = (opts.accumulation_steps, opts.grad_delay);
+        let scale = 1.0 / n_micro as f64;
+        let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+        let mut losses = Vec::with_capacity(steps.saturating_sub(start_step));
+        let mut recorder = MetricsRecorder::default();
+        // Mean gradients computed but not yet applied, oldest first.
+        let mut in_flight: VecDeque<Vec<Matrix>> = VecDeque::new();
+        for step in start_step..steps {
+            let _step_span = pipefisher_trace::span("step", "train");
+            let alloc_before = pipefisher_trace::alloc_snapshot();
+            let model = engine.model();
+            model.visit_all_params(&mut |p| p.grad.scale_inplace(0.0));
+            let (refresh_curv, refresh_inv) = opt.next_step_refreshes();
+            let t0 = Instant::now();
+            // Sampled up front, serially, preserving the data RNG stream.
+            // A refresh step captures curvature statistics on its last
+            // micro-batch (a fresh sample of the same distribution, as
+            // PipeFisher's per-step curvature uses one step's micro-batches).
+            let batches: Vec<_> = {
+                let _span = pipefisher_trace::span("sample", "train");
+                let sample = |mb| {
+                    let ctx = if refresh_curv && mb + 1 == n_micro {
+                        ForwardCtx::train_with_capture()
+                    } else {
+                        ForwardCtx::train()
+                    };
+                    (
+                        self.sampler.sample(self.batch_size, &mut self.data_rng),
+                        ctx,
+                    )
+                };
+                (0..n_micro).map(sample).collect()
+            };
+            let t1 = Instant::now();
+            let loss = {
+                let _span = pipefisher_trace::span("forward_backward", "train");
+                let kfac_work = (refresh_curv, refresh_inv);
+                engine.run_micro_batches(step, batches, &mut opt, kfac_work)? * scale
+            };
+            let model = engine.model();
+            model.visit_all_params(&mut |p| p.grad.scale_inplace(scale));
+            let t2 = Instant::now();
+            losses.push(loss);
+            pipefisher_trace::counter("loss", loss);
+            // Asynchronous-pipeline emulation (App. C.1): queue this step's
+            // gradient and hand the optimizer the one from `grad_delay`
+            // steps ago; no update while the queue fills.
+            let mut update = true;
+            if grad_delay > 0 {
+                let mut fresh = Vec::new();
+                model.visit_all_params(&mut |p| fresh.push(p.grad.clone()));
+                in_flight.push_back(fresh);
+                update = in_flight.len() > grad_delay;
+                if update {
+                    let mut stale = in_flight.pop_front().expect("queue nonempty").into_iter();
+                    model.visit_all_params(&mut |p| p.grad = stale.next().expect("same params"));
+                }
+            }
+            // Global L2 norm of the gradient the optimizer consumes.
+            let mut sq = 0.0;
+            model.visit_all_params(&mut |p| {
+                sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
+            });
+            let grad_norm = sq.sqrt();
+            let lr = if update {
+                self.schedule.lr_at(step)
+            } else {
+                0.0
+            };
+            let t3 = Instant::now();
+            if update {
+                let _span = pipefisher_trace::span("optimizer_step", "train");
+                engine.apply(&mut opt, lr);
+            }
+            let t4 = Instant::now();
+            // Checkpoint at the step boundary: gradients are merged and the
+            // optimizer applied, so every engine captures the same state.
+            let mut ckpt_write_ms = 0.0;
+            if let (Some(policy), Some(dir)) = (save, &store) {
+                if policy.due(step + 1, steps) {
+                    let tc = TrainCheckpoint {
+                        next_step: (step + 1) as u64,
+                        optimizer_label: opt.label().to_string(),
+                        model: export_params_with(|f| engine.model().visit_all_params(f)),
+                        optim: opt.export_state(),
+                        rng: self.rng_state(),
+                    };
+                    dir.save(tc.next_step, &tc.to_snapshot())
+                        .map_err(ckpt_err(step + 1))?;
+                    ckpt_write_ms = ms(t4, Instant::now());
+                }
+            }
+            let (damping_escalations, inversion_failures) = opt.inversion_health();
+            let alloc = pipefisher_trace::alloc_snapshot().since(&alloc_before);
+            recorder.record(
+                StepMetrics {
+                    step,
+                    loss,
+                    grad_norm,
+                    lr,
+                    data_ms: ms(t0, t1),
+                    forward_backward_ms: ms(t1, t2),
+                    optimizer_ms: ms(t3, t4),
+                    curvature_refreshed: refresh_curv,
+                    // The two cumulative counters are the recorder's to set.
+                    curvature_refreshes: 0,
+                    inversions: 0,
+                    damping_escalations,
+                    inversion_failures,
+                    allocs: alloc.allocs,
+                    alloc_bytes: alloc.bytes,
+                    ckpt_write_ms,
+                },
+                refresh_inv,
+            );
+        }
+        let label = match grad_delay {
+            0 => opt.label().to_string(),
+            m => format!("{} (grad delay {m})", opt.label()),
+        };
+        Ok(TrainRun {
+            losses,
+            label,
+            metrics: recorder.into_rows(),
+        })
     }
 
     /// Raw xoshiro state of the data RNG — the complete data-loader cursor,
@@ -429,143 +424,123 @@ impl Trainer {
     pub fn set_rng_state(&mut self, state: [u64; 4]) {
         self.data_rng = StdRng::from_state(state);
     }
+}
 
-    /// Builds the full checkpoint for a loop about to run step `next_step`,
-    /// given the already-exported model section.
-    pub(crate) fn capture_checkpoint(
-        &self,
-        next_step: u64,
-        opt: &AnyOpt,
-        model: Vec<u8>,
-    ) -> TrainCheckpoint {
-        TrainCheckpoint {
-            next_step,
-            optimizer_label: opt.label().to_string(),
-            model,
-            optim: opt.export_state(),
-            rng: self.rng_state(),
-        }
-    }
+/// How a training step executes — the part of the loop [`Trainer::drive`]
+/// does not own.
+pub(crate) trait Engine {
+    /// The canonical model: gradients accumulate into it, updates apply to
+    /// it, checkpoints read it.
+    fn model(&mut self) -> &mut dyn KfacModel;
 
-    /// Restores a loaded checkpoint into this trainer and `opt`, importing
-    /// the model section through `import_model` (monolithic or staged).
-    /// Returns the step index to resume the loop at.
-    pub(crate) fn restore_checkpoint(
+    /// Called once, after any resume has restored [`Engine::model`] and only
+    /// if there are steps to run.
+    fn start(&mut self) {}
+
+    /// Runs the step's micro-batches against the zeroed canonical gradients,
+    /// leaving their micro-batch-order sum there, and returns the
+    /// micro-batch-order sum of the total losses. `kfac_work` is the
+    /// optimizer's `(curvature, inversion)` cadence for this step, for an
+    /// engine that runs that work itself.
+    fn run_micro_batches(
         &mut self,
-        tc: &TrainCheckpoint,
+        step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         opt: &mut AnyOpt,
-        import_model: impl FnOnce(&[u8]) -> Result<(), CkptError>,
-    ) -> Result<usize, CkptError> {
-        if tc.optimizer_label != opt.label() {
-            return Err(CkptError::OptimizerMismatch {
-                expected: opt.label().to_string(),
-                found: tc.optimizer_label.clone(),
-            });
-        }
-        import_model(&tc.model)?;
-        opt.import_state(&tc.optim)?;
-        self.set_rng_state(tc.rng);
-        Ok(tc.next_step as usize)
+        kfac_work: (bool, bool),
+    ) -> Result<f64, ExecError>;
+
+    /// Applies one optimizer update to the canonical model's gradients.
+    fn apply(&mut self, opt: &mut AnyOpt, lr: f64);
+}
+
+/// The inline engine is the caller's model itself: every micro-batch runs
+/// on the calling thread and its kernel worker pool.
+impl Engine for BertForPreTraining {
+    fn model(&mut self) -> &mut dyn KfacModel {
+        self
+    }
+
+    fn run_micro_batches(
+        &mut self,
+        _step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
+        _opt: &mut AnyOpt,
+        _kfac_work: (bool, bool),
+    ) -> Result<f64, ExecError> {
+        Ok(accumulate_micro_batches(self, &batches).iter().sum())
+    }
+
+    fn apply(&mut self, opt: &mut AnyOpt, lr: f64) {
+        opt.apply(self, lr);
     }
 }
 
-/// Global L2 norm over every parameter gradient.
-fn global_grad_norm(model: &mut BertForPreTraining) -> f64 {
-    let mut sq = 0.0;
-    model.visit_params(&mut |p| {
-        sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
-    });
-    sq.sqrt()
-}
-
-/// The trainer's optimizer dispatch: one enum instead of three copies of
-/// the step loop, carrying what the metrics recorder needs (labels and the
-/// K-FAC refresh cadence). Crate-visible so the pipeline executor reuses
-/// the identical dispatch (and K-FAC state plumbing) for its steps.
+/// The driver's optimizer dispatch, carrying what the metrics recorder
+/// needs (labels, the K-FAC refresh cadence and health counters).
+/// Crate-visible so the staged engine loans K-FAC layer states out of it.
 pub(crate) enum AnyOpt {
     Lamb(Lamb),
-    Kfac { opt: Kfac<Lamb>, config: KfacConfig },
+    Kfac(Kfac<Lamb>),
     Shampoo(Shampoo),
 }
 
 impl AnyOpt {
-    pub(crate) fn new(choice: &OptimizerChoice) -> AnyOpt {
+    fn new(choice: &OptimizerChoice) -> AnyOpt {
         match choice {
             OptimizerChoice::Lamb { weight_decay } => AnyOpt::Lamb(Lamb::new(*weight_decay)),
-            OptimizerChoice::Kfac { weight_decay, kfac } => AnyOpt::Kfac {
-                opt: Kfac::new(kfac.clone(), Lamb::new(*weight_decay)),
-                config: kfac.clone(),
-            },
+            OptimizerChoice::Kfac { weight_decay, kfac } => {
+                AnyOpt::Kfac(Kfac::new(kfac.clone(), Lamb::new(*weight_decay)))
+            }
             OptimizerChoice::Shampoo { shampoo } => AnyOpt::Shampoo(Shampoo::new(shampoo.clone())),
         }
     }
 
-    pub(crate) fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             AnyOpt::Lamb(_) => "NVLAMB",
-            AnyOpt::Kfac { .. } => "K-FAC",
+            AnyOpt::Kfac(_) => "K-FAC",
             AnyOpt::Shampoo(_) => "Shampoo",
         }
     }
 
-    /// Whether step `step` captures activations/errors and folds them into
-    /// the Kronecker factors (what PipeFisher's bubble schedule computes).
-    pub(crate) fn refreshes_curvature_at(&self, step: usize) -> bool {
+    /// `(curvature, inversion)`: whether the step about to run folds freshly
+    /// captured statistics into the Kronecker factors (what PipeFisher's
+    /// bubble schedule computes) and whether it recomputes the damped
+    /// inverses — asked of the optimizer's own step counter, so the loop
+    /// keeps no second cadence clock. `(false, false)` without K-FAC.
+    pub(crate) fn next_step_refreshes(&self) -> (bool, bool) {
         match self {
-            AnyOpt::Kfac { config, .. } => {
-                (step as u64).is_multiple_of(config.curvature_interval as u64)
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether step `step` recomputes the damped factor inverses (mirrors
-    /// [`Kfac::step`]'s internal cadence).
-    pub(crate) fn inverts_at(&self, step: usize) -> bool {
-        match self {
-            AnyOpt::Kfac { config, .. } => {
-                (step as u64).is_multiple_of(config.inversion_interval as u64)
-            }
-            _ => false,
+            AnyOpt::Kfac(opt) => (
+                opt.next_step_refreshes_curvature(),
+                opt.next_step_refreshes_inversion(),
+            ),
+            _ => (false, false),
         }
     }
 
     /// `(damping_escalations, inversion_failures)` so far — see
     /// [`Kfac::inversion_health`]; `(0, 0)` for the first-order optimizers.
-    pub(crate) fn inversion_health(&self) -> (u64, u64) {
+    fn inversion_health(&self) -> (u64, u64) {
         match self {
-            AnyOpt::Kfac { opt, .. } => opt.inversion_health(),
+            AnyOpt::Kfac(opt) => opt.inversion_health(),
             _ => (0, 0),
         }
     }
 
-    /// Applies one optimizer update to the accumulated gradients. Takes the
-    /// model through [`KfacModel`] so the pipeline executor can drive the
-    /// same dispatch on a staged model; for `BertForPreTraining` the
-    /// `visit_all_params` traversal is `visit_params`, so the monolithic
-    /// trainer's behaviour is bitwise unchanged.
-    fn apply(&mut self, model: &mut dyn KfacModel, lr: f64) {
+    /// Applies one optimizer update to the accumulated gradients, K-FAC
+    /// curvature folds and inverse refreshes included.
+    pub(crate) fn apply(&mut self, model: &mut dyn KfacModel, lr: f64) {
         match self {
             AnyOpt::Lamb(opt) => {
                 opt.begin_step();
                 model.visit_all_params(&mut |p| opt.step_param(p, lr));
             }
-            AnyOpt::Kfac { opt, .. } => opt.step(model, lr),
+            AnyOpt::Kfac(opt) => opt.step(model, lr),
             AnyOpt::Shampoo(opt) => {
                 opt.begin_step();
                 model.visit_all_params(&mut |p| opt.step_param(p, lr));
             }
-        }
-    }
-
-    /// Like [`AnyOpt::apply`], but assumes the K-FAC curvature folds and
-    /// inverse refreshes for this step already ran externally (in pipeline
-    /// bubbles) against the optimizer's loaned-out layer states. For
-    /// NVLAMB/Shampoo there is no external work, so this is `apply`.
-    pub(crate) fn apply_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        match self {
-            AnyOpt::Kfac { opt, .. } => opt.step_preconditioned(model, lr),
-            _ => self.apply(model, lr),
         }
     }
 
@@ -574,18 +549,18 @@ impl AnyOpt {
     /// step.
     pub(crate) fn kfac_mut(&mut self) -> Option<&mut Kfac<Lamb>> {
         match self {
-            AnyOpt::Kfac { opt, .. } => Some(opt),
+            AnyOpt::Kfac(opt) => Some(opt),
             _ => None,
         }
     }
 
     /// Serializes the wrapped optimizer's mutable state, tagged by kind so
     /// a checkpoint can never be restored into the wrong optimizer.
-    pub(crate) fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         let mut w = SectionWriter::new();
         let (tag, blob) = match self {
             AnyOpt::Lamb(o) => (0u8, o.export_state()),
-            AnyOpt::Kfac { opt, .. } => (1u8, opt.export_state()),
+            AnyOpt::Kfac(opt) => (1u8, opt.export_state()),
             AnyOpt::Shampoo(o) => (2u8, o.export_state()),
         };
         w.u8(tag);
@@ -596,7 +571,7 @@ impl AnyOpt {
 
     /// Restores state captured by [`AnyOpt::export_state`]. A tag for a
     /// different optimizer kind is [`CkptError::OptimizerMismatch`].
-    pub(crate) fn import_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = SectionReader::new("optim", bytes);
         let tag = r.u8()?;
         let found = match tag {
@@ -618,7 +593,7 @@ impl AnyOpt {
         let blob = &bytes[1..];
         match self {
             AnyOpt::Lamb(o) => o.import_state(blob),
-            AnyOpt::Kfac { opt, .. } => opt.import_state(blob),
+            AnyOpt::Kfac(opt) => opt.import_state(blob),
             AnyOpt::Shampoo(o) => o.import_state(blob),
         }
     }
@@ -628,12 +603,11 @@ impl AnyOpt {
 /// returns each micro-batch's total loss in micro-batch index order.
 ///
 /// With a single worker lane (`PIPEFISHER_THREADS=1`, one available core, or
-/// a single micro-batch) this is exactly the serial loop the trainer has
-/// always run, so single-threaded results are bitwise unchanged. With more
-/// lanes the micro-batches split into contiguous blocks, each block runs on
-/// a clone of `model`, and the replica gradients merge back into `model` in
-/// block order via `axpy(1.0, ·)` (a ×1.0 multiply is exact, so the merge
-/// adds no rounding beyond its summation order). Runs are deterministic for
+/// a single micro-batch) this is the plain serial loop. With more lanes the
+/// micro-batches split into contiguous blocks, each block runs on a clone of
+/// `model`, and the replica gradients merge back into `model` in block
+/// order via `axpy(1.0, ·)` (a ×1.0 multiply is exact, so the merge adds no
+/// rounding beyond its summation order). Runs are deterministic for
 /// a fixed thread count, but the block-wise gradient association differs
 /// from the serial order, so multi-thread runs are not bitwise equal to
 /// single-thread runs. Dropout must be inactive (p = 0, as the pretraining
@@ -719,6 +693,19 @@ mod tests {
         (trainer, model)
     }
 
+    /// K-FAC (on NVLAMB) refreshing curvature / inverses at these intervals.
+    fn kfac_choice(curvature_interval: usize, inversion_interval: usize) -> OptimizerChoice {
+        OptimizerChoice::Kfac {
+            weight_decay: 0.01,
+            kfac: KfacConfig {
+                damping: 1e-2,
+                curvature_interval,
+                inversion_interval,
+                ..Default::default()
+            },
+        }
+    }
+
     #[test]
     fn lamb_training_reduces_loss() {
         let (mut trainer, mut model) = quick_setup(1);
@@ -736,15 +723,7 @@ mod tests {
     #[test]
     fn kfac_training_reduces_loss() {
         let (mut trainer, mut model) = quick_setup(2);
-        let choice = OptimizerChoice::Kfac {
-            weight_decay: 0.01,
-            kfac: KfacConfig {
-                damping: 1e-2,
-                curvature_interval: 2,
-                inversion_interval: 2,
-                ..Default::default()
-            },
-        };
+        let choice = kfac_choice(2, 2);
         let run = trainer.run(&mut model, &choice, 30);
         let first = run.smoothed(5)[2];
         let last = run.final_loss(5);
@@ -785,34 +764,41 @@ mod tests {
     #[test]
     fn accumulation_matches_big_batch_direction() {
         // Accumulating 2 batches of 8 behaves like (and learns like) a
-        // batch of 16: losses drop and stay finite.
-        let (mut trainer, mut model) = quick_setup(4);
-        let run = trainer.run_with_options(
-            &mut model,
-            &OptimizerChoice::Lamb { weight_decay: 0.01 },
-            20,
-            &crate::TrainOptions {
-                accumulation_steps: 2,
-                grad_delay: 0,
-            },
-        );
-        assert_eq!(run.losses.len(), 20);
-        assert!(run.losses.iter().all(|l| l.is_finite()));
-        assert!(run.final_loss(5) < run.smoothed(5)[2]);
+        // batch of 16: losses drop and stay finite — also when the mean
+        // gradient is applied two steps late (the options compose).
+        let run_with_delay = |grad_delay: usize| {
+            let (mut trainer, mut model) = quick_setup(4);
+            let run = trainer.run_with_options(
+                &mut model,
+                &OptimizerChoice::Lamb { weight_decay: 0.01 },
+                20,
+                &crate::TrainOptions {
+                    accumulation_steps: 2,
+                    grad_delay,
+                },
+            );
+            assert_eq!(run.losses.len(), 20);
+            assert!(run.losses.iter().all(|l| l.is_finite()));
+            assert!(run.final_loss(5) < run.smoothed(5)[2]);
+            (run, trainer.rng_state())
+        };
+        let (sync, sync_cursor) = run_with_delay(0);
+        let (stale, stale_cursor) = run_with_delay(2);
+        // The delayed run draws the same two batches per step (so its
+        // `data_ms` times two samples): same first mean loss, same final
+        // data-stream position.
+        assert_eq!(stale.losses[0].to_bits(), sync.losses[0].to_bits());
+        assert_eq!(stale_cursor, sync_cursor);
+        assert_eq!(stale.label, "NVLAMB (grad delay 2)");
+        // No update (lr 0) while the queue fills, one per step after.
+        let updated: Vec<bool> = stale.metrics.iter().map(|m| m.lr > 0.0).collect();
+        assert_eq!(updated[..3], [false, false, true]);
     }
 
     #[test]
     fn accumulated_kfac_also_learns() {
         let (mut trainer, mut model) = quick_setup(5);
-        let choice = OptimizerChoice::Kfac {
-            weight_decay: 0.01,
-            kfac: KfacConfig {
-                damping: 1e-2,
-                curvature_interval: 2,
-                inversion_interval: 2,
-                ..Default::default()
-            },
-        };
+        let choice = kfac_choice(2, 2);
         let run = trainer.run_with_options(
             &mut model,
             &choice,
@@ -920,15 +906,7 @@ mod tests {
         // must agree exactly, K-FAC capture included.
         let run_once = || {
             let (mut trainer, mut model) = quick_setup(13);
-            let choice = OptimizerChoice::Kfac {
-                weight_decay: 0.01,
-                kfac: KfacConfig {
-                    damping: 1e-2,
-                    curvature_interval: 2,
-                    inversion_interval: 2,
-                    ..Default::default()
-                },
-            };
+            let choice = kfac_choice(2, 2);
             trainer.run_with_options(
                 &mut model,
                 &choice,
@@ -945,35 +923,6 @@ mod tests {
         par::set_max_threads(0);
         assert_eq!(r1.losses, r2.losses);
         assert!(r1.losses.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
-    fn metrics_rows_track_steps_and_refreshes() {
-        let (mut trainer, mut model) = quick_setup(3);
-        let choice = OptimizerChoice::Kfac {
-            weight_decay: 0.01,
-            kfac: KfacConfig {
-                damping: 1e-2,
-                curvature_interval: 2,
-                inversion_interval: 4,
-                ..Default::default()
-            },
-        };
-        let run = trainer.run(&mut model, &choice, 5);
-        assert_eq!(run.metrics.len(), 5);
-        for (i, m) in run.metrics.iter().enumerate() {
-            assert_eq!(m.step, i);
-            assert_eq!(m.loss, run.losses[i]);
-            assert!(m.loss.is_finite() && m.grad_norm.is_finite());
-            assert!(m.grad_norm >= 0.0 && m.lr > 0.0);
-            assert!(m.data_ms >= 0.0 && m.forward_backward_ms >= 0.0 && m.optimizer_ms >= 0.0);
-            // Curvature every 2 steps, inversion every 4.
-            assert_eq!(m.curvature_refreshed, i % 2 == 0);
-        }
-        assert_eq!(run.metrics[4].curvature_refreshes, 3); // steps 0, 2, 4
-        assert_eq!(run.metrics[4].inversions, 2); // steps 0, 4
-        let jsonl = crate::to_jsonl(&run.metrics);
-        assert_eq!(jsonl.lines().count(), 5);
     }
 
     #[test]

@@ -35,7 +35,6 @@ mod activation;
 mod attention;
 mod bert;
 mod block;
-mod decoder;
 mod dropout;
 mod embedding;
 mod feedforward;
@@ -54,7 +53,6 @@ pub use bert::{
     PreTrainingParts,
 };
 pub use block::TransformerBlock;
-pub use decoder::{CausalLmOutput, DecoderBlock, GptForCausalLm};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feedforward::FeedForward;

@@ -169,16 +169,6 @@ impl KfacModel for pipefisher_nn::BertModel {
     }
 }
 
-impl KfacModel for pipefisher_nn::GptForCausalLm {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        self.visit_linears(f);
-    }
-
-    fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
-        self.visit_params(f);
-    }
-}
-
 impl KfacModel for Linear {
     fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         f(self);
@@ -256,9 +246,10 @@ impl<O: Optimizer> Kfac<O> {
     }
 
     /// Whether the *next* [`Kfac::step`] (or [`Kfac::step_preconditioned`])
-    /// will be a curvature-refresh step. The pipeline executor asks this
-    /// before a step to decide whether to capture statistics and schedule
-    /// fold work units into bubbles.
+    /// will be a curvature-refresh step. The training loop asks this once
+    /// before each step — it is the only cadence clock — to decide whether
+    /// the step captures statistics and, on the pipeline executor, whether
+    /// fold work units go into bubbles.
     pub fn next_step_refreshes_curvature(&self) -> bool {
         self.t.is_multiple_of(self.config.curvature_interval as u64)
     }

@@ -235,6 +235,59 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
     par::set_max_threads(0);
 }
 
+/// A checkpoint at or past the requested step count leaves nothing to run:
+/// both engines return an empty run (the pipelined one used to panic) and
+/// the restored model, untouched.
+#[test]
+fn resume_past_the_end_is_an_empty_run_on_both_engines() {
+    let _gate = par_lock();
+    par::set_max_threads(1);
+    let config = BertConfig::tiny(36, 16);
+    let choice = kfac_choice();
+    let dir = TempCkptDir::new("past-the-end");
+    let (mut trainer, mut trained) = setup(&config, 7);
+    trainer
+        .run_checkpointed(
+            &mut trained,
+            &choice,
+            3,
+            &train_opts(),
+            &opts_save(dir.save_policy(0)),
+        )
+        .expect("checkpointing run");
+    let trained = param_bits(&mut trained);
+    for steps in [2usize, 3] {
+        let (mut trainer, mut model) = setup(&config, 7);
+        let run = trainer
+            .run_checkpointed(
+                &mut model,
+                &choice,
+                steps,
+                &train_opts(),
+                &opts_resume(&dir),
+            )
+            .expect("resumed serial run");
+        assert!(run.losses.is_empty() && run.metrics.is_empty());
+        assert_eq!(run.label, "K-FAC");
+        assert_eq!(param_bits(&mut model), trained, "serial, {steps} steps");
+
+        let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, ACCUM);
+        opts.resume = Some(ResumeFrom::Latest(dir.0.clone()));
+        let (mut trainer, model) = setup(&config, 7);
+        let mut outcome = trainer
+            .run_pipelined(model, &choice, steps, &opts)
+            .expect("resumed pipelined run");
+        assert!(outcome.run.losses.is_empty() && outcome.run.metrics.is_empty());
+        assert_eq!(outcome.run.label, "K-FAC");
+        assert_eq!(
+            param_bits(&mut outcome.model),
+            trained,
+            "pipelined, {steps} steps"
+        );
+    }
+    par::set_max_threads(0);
+}
+
 #[test]
 fn serial_and_pipelined_checkpoints_are_byte_identical() {
     let _gate = par_lock();

@@ -13,8 +13,8 @@ use pipefisher::lm::{
     default_watchdog, BatchSampler, ExecError, OptimizerChoice, PipelineOptions, SyntheticLanguage,
     Trainer,
 };
-use pipefisher::nn::{BertConfig, BertForPreTraining};
-use pipefisher::optim::{KfacConfig, LrSchedule};
+use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
+use pipefisher::optim::{Kfac, KfacConfig, Lamb, LrSchedule, Optimizer};
 use pipefisher::pipeline::PipelineScheme;
 use pipefisher::tensor::par;
 use rand::rngs::StdRng;
@@ -101,12 +101,92 @@ fn pipelined_bits(
     (loss_bits, param_bits(&mut model))
 }
 
+/// The oracle both engines share a driver against: a deliberately naive
+/// loop spelled out from public `nn`/`optim` calls only (sample → zero →
+/// N × `train_step` → scale to the mean → `Kfac::step` or LAMB per
+/// parameter), keeping its own cadence arithmetic. Mirrors `setup`'s seeds,
+/// batch size and learning rate; returns what `serial_reference` returns.
+fn naive_reference_loop(
+    config: &BertConfig,
+    choice: &OptimizerChoice,
+    steps: usize,
+    n_micro: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let lang = SyntheticLanguage::new(config.vocab_size, 2, 4, 11);
+    let sampler = BatchSampler::new(lang, config.max_seq);
+    let mut data_rng = StdRng::seed_from_u64(7);
+    let mut model = BertForPreTraining::new(config.clone(), 0.0, &mut StdRng::seed_from_u64(7));
+    let mut lamb = Lamb::new(0.01);
+    let mut kfac = match choice {
+        OptimizerChoice::Kfac { kfac, .. } => Some(Kfac::new(kfac.clone(), Lamb::new(0.01))),
+        OptimizerChoice::Lamb { .. } => None,
+        other => panic!("no reference for {other:?}"),
+    };
+    let (lr, scale) = (5e-3, 1.0 / n_micro as f64);
+    let mut loss_bits = Vec::new();
+    for step in 0..steps {
+        model.zero_grad();
+        let capture = kfac
+            .as_ref()
+            .is_some_and(|k| step % k.config().curvature_interval == 0);
+        let mut total = 0.0;
+        for mb in 0..n_micro {
+            let batch = sampler.sample(8, &mut data_rng);
+            let ctx = if capture && mb == n_micro - 1 {
+                ForwardCtx::train_with_capture()
+            } else {
+                ForwardCtx::train()
+            };
+            total += model.train_step(&batch, &ctx).total_loss;
+        }
+        loss_bits.push((total * scale).to_bits());
+        model.visit_params(&mut |p| p.grad.scale_inplace(scale));
+        match &mut kfac {
+            Some(kfac) => kfac.step(&mut model, lr),
+            None => {
+                lamb.begin_step();
+                model.visit_params(&mut |p| lamb.step_param(p, lr));
+            }
+        }
+    }
+    (loss_bits, param_bits(&mut model))
+}
+
 fn schemes_for(d: usize) -> Vec<PipelineScheme> {
     let mut schemes = vec![PipelineScheme::GPipe, PipelineScheme::OneFOneB];
     if d.is_multiple_of(2) {
         schemes.push(PipelineScheme::Chimera);
     }
     schemes
+}
+
+/// The inline and the staged engine run under one step driver, so their
+/// agreement alone no longer pins the loop; both must also reproduce the
+/// naive reference bit for bit — LAMB and K-FAC, over 7 steps that cross
+/// curvature (every 2) and inversion (every 3) boundaries.
+#[test]
+fn both_engines_match_the_naive_reference_loop_bitwise() {
+    let _gate = par_lock();
+    let (steps, n_micro) = (7, 4);
+    let config = BertConfig::tiny(36, 16);
+    for choice in [OptimizerChoice::Lamb { weight_decay: 0.01 }, kfac_choice()] {
+        let oracle = naive_reference_loop(&config, &choice, steps, n_micro);
+        let inline = serial_reference(&config, &choice, steps, n_micro);
+        assert_eq!(inline.0, oracle.0, "run_with_options losses: {choice:?}");
+        assert_eq!(
+            inline.1, oracle.1,
+            "run_with_options parameters: {choice:?}"
+        );
+        for d in [1usize, 2] {
+            let opts = PipelineOptions::new(PipelineScheme::OneFOneB, d, n_micro);
+            let staged = pipelined_bits(&config, &choice, steps, &opts, 1);
+            assert_eq!(staged.0, oracle.0, "run_pipelined D={d} losses: {choice:?}");
+            assert_eq!(
+                staged.1, oracle.1,
+                "run_pipelined D={d} parameters: {choice:?}"
+            );
+        }
+    }
 }
 
 #[test]
