@@ -32,12 +32,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .unwrap_or(42);
     let trace_out = args::flag_value(args, "--trace-out");
     let metrics_out = args::flag_value(args, "--metrics-out");
-    match args::flag_value(args, "--workspace") {
-        Some("on") => pipefisher_tensor::workspace::set_enabled(true),
-        Some("off") => pipefisher_tensor::workspace::set_enabled(false),
-        Some(other) => return Err(format!("bad --workspace '{other}' (on | off)")),
-        None => {} // PIPEFISHER_WORKSPACE (default: on) decides
-    }
     if trace_out.is_some() {
         pipefisher_trace::set_enabled(true);
     }

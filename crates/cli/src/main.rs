@@ -5,7 +5,7 @@
 //! pipefisher trace    <scheme> <D> <N_micro> [--t-f T] [--t-b T] [--out FILE]
 //! pipefisher assign   <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W] [--json]
 //! pipefisher model    <arch> <hw> <D> <B_micro> [--json]
-//! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE] [--workspace on|off]
+//! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE]
 //!                     [--pipeline-stages D] [--scheme S] [--micro-batches N] [--no-fill]
 //! pipefisher soak     [N] [--seed S] [--threads T] [--out FILE]
 //! pipefisher sweep    <arch> [--json]
@@ -48,18 +48,17 @@ USAGE:
         Evaluate the closed-form §3.3 step model for all three schemes.
 
     pipefisher train <lamb|kfac> <steps> [--seed N] [--trace-out FILE]
-                     [--metrics-out FILE] [--workspace on|off]
+                     [--metrics-out FILE]
                      [--pipeline-stages D] [--scheme gpipe|1f1b|chimera]
                      [--micro-batches N] [--no-fill]
                      [--checkpoint-dir DIR] [--checkpoint-every N]
                      [--checkpoint-retain R] [--resume latest|PATH]
         Pretrain a tiny BERT on the synthetic language and print the loss
         curve; optionally record wall-clock trace spans and per-step
-        metrics (JSONL). --workspace toggles the buffer-recycling arena
-        (default on; also via PIPEFISHER_WORKSPACE). --pipeline-stages runs
-        the step on D stage worker threads (scheme default gpipe, 4
-        micro-batches), filling pipeline bubbles with K-FAC work; --no-fill
-        serializes that work after the stage's pipeline work instead.
+        metrics (JSONL). --pipeline-stages runs the step on D stage worker
+        threads (scheme default gpipe, 4 micro-batches), filling pipeline
+        bubbles with K-FAC work; --no-fill serializes that work after the
+        stage's pipeline work instead.
         Losses are bitwise identical to the single-thread loop either way.
         --checkpoint-dir writes crash-safe checkpoints every N steps
         (default: final step only; retain R newest, default 3); --resume

@@ -12,8 +12,8 @@
 //!   data-loader cursor: the batch sampler is a pure function of it, so
 //!   restoring the stream resumes the exact batch sequence.
 //!
-//! Together with the optimizer's step counter (which fixes the K-FAC /
-//! Shampoo refresh-cadence phase) this is the complete mutable state of a
+//! Together with the optimizer's step counter (which fixes the K-FAC
+//! refresh-cadence phase) this is the complete mutable state of a
 //! training loop, which is what makes resume bitwise-invisible.
 
 use pipefisher_ckpt::{

@@ -33,7 +33,5 @@ pub use checkpoint::{
 pub use corpus::SyntheticLanguage;
 pub use data::{special_tokens, BatchSampler};
 pub use metrics::{to_jsonl, StepMetrics};
-pub use pipeline::{
-    default_watchdog, plan_for, ChaosHook, ExecError, PipelineOptions, PipelineOutcome, StepFault,
-};
+pub use pipeline::{plan_for, ChaosHook, ExecError, PipelineOptions, PipelineOutcome, StepFault};
 pub use trainer::{OptimizerChoice, TrainOptions, TrainRun, Trainer};

@@ -22,10 +22,11 @@
 //! - The coordinator merges contributions via `axpy(1.0, ·)` in strict
 //!   micro-batch order 0..N−1 — the serial accumulation order — and ×1.0
 //!   is exact.
-//! - K-FAC folds and inversions run on the capture replica with the same
-//!   inputs, in the same per-layer order, as the inline `Kfac::step`; the
-//!   optimizer then applies [`Kfac::step_preconditioned`], which is
-//!   test-proven bitwise-equal to `step` given externally refreshed state.
+//! - K-FAC folds and inversions are the work-unit functions `Kfac::step`
+//!   itself runs (`fold_curvature_a`, `fold_curvature_b`,
+//!   `refresh_inverses`), here on the capture replica's statistics against
+//!   loaned layer states, in the same per-layer order; the optimizer then
+//!   applies `Kfac::step_preconditioned`, which is also how `step` ends.
 //!
 //! The only representational difference is the sign of zeros: the serial
 //! loop accumulates onto `-0.0` slots left by `zero_grad`'s
@@ -123,9 +124,9 @@ pub struct PipelineOptions {
     /// paper's "K-FAC on pipeline" baseline.
     pub fill_bubbles: bool,
     /// No worker (or the coordinator) may go this long without progress
-    /// before the run aborts with [`ExecError::Wedged`]. Defaults to
-    /// `PIPEFISHER_WATCHDOG_MS` (milliseconds) when set, else 30 s; raise
-    /// it for chaos runs whose injected delays exceed the default.
+    /// before the run aborts with [`ExecError::Wedged`]. Defaults to 30 s;
+    /// raise it for chaos runs whose injected delays exceed that, lower it
+    /// to see a wedge sooner.
     pub watchdog: Duration,
     /// Deterministic fault/clock injection (chaos testing); `None` runs
     /// clean.
@@ -154,26 +155,15 @@ impl std::fmt::Debug for PipelineOptions {
     }
 }
 
-/// The default wedge-watchdog timeout: `PIPEFISHER_WATCHDOG_MS` when set to
-/// a positive integer, else 30 seconds.
-pub fn default_watchdog() -> Duration {
-    std::env::var("PIPEFISHER_WATCHDOG_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(30))
-}
-
 impl PipelineOptions {
-    /// Bubble-filling defaults with the [`default_watchdog`] timeout.
+    /// Bubble-filling defaults with a 30 s watchdog.
     pub fn new(scheme: PipelineScheme, n_stages: usize, n_micro: usize) -> Self {
         PipelineOptions {
             scheme,
             n_stages,
             n_micro,
             fill_bubbles: true,
-            watchdog: default_watchdog(),
+            watchdog: Duration::from_secs(30),
             chaos: None,
             checkpoint: None,
             resume: None,

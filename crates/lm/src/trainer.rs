@@ -19,9 +19,7 @@ use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
 use pipefisher_nn::{
     export_params_with, import_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch,
 };
-use pipefisher_optim::{
-    Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, Shampoo, ShampooConfig, StateSnapshot,
-};
+use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, StateSnapshot};
 use pipefisher_tensor::{par, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,12 +43,6 @@ pub enum OptimizerChoice {
         /// for the target pipeline (the whole point of the paper: the bubble
         /// schedule determines how fresh the curvature can be).
         kfac: KfacConfig,
-    },
-    /// Shampoo (paper §5's other bubble-fillable second-order method).
-    Shampoo {
-        /// Shampoo hyperparameters; `root_interval` plays the role of the
-        /// PipeFisher refresh interval.
-        shampoo: ShampooConfig,
     },
 }
 
@@ -86,10 +78,10 @@ impl TrainRun {
         *self.smoothed(window).last().expect("empty run")
     }
 
-    /// First step whose smoothed loss reaches `target` and stays there for
-    /// the rest of the window-smoothed curve's local neighbourhood; `None`
-    /// if never reached. Mirrors the paper's "steps for K-FAC to reach
-    /// NVLAMB's final loss" extraction (ignoring early fluctuations).
+    /// First step whose `window`-smoothed loss is at or below `target`;
+    /// `None` if never reached. The paper's "steps for K-FAC to reach
+    /// NVLAMB's final loss" extraction: smoothing is what discounts early
+    /// fluctuations, a later rise above `target` does not undo the hit.
     pub fn steps_to_reach(&self, target: f64, window: usize) -> Option<usize> {
         let sm = self.smoothed(window);
         sm.iter().position(|&l| l <= target)
@@ -180,8 +172,8 @@ impl Trainer {
     /// A resumed run is *bitwise-invisible*: its per-step losses and final
     /// parameters equal the corresponding tail of an uninterrupted run,
     /// because the checkpoint captures every piece of mutable loop state —
-    /// parameters, optimizer state (including the K-FAC/Shampoo cadence
-    /// counters), and the data-RNG stream. The returned [`TrainRun`] covers
+    /// parameters, optimizer state (including the K-FAC cadence counter),
+    /// and the data-RNG stream. The returned [`TrainRun`] covers
     /// steps `next_step..steps` (its metric rows carry absolute step
     /// indices) and is empty if the checkpoint had already reached `steps`.
     ///
@@ -482,7 +474,6 @@ impl Engine for BertForPreTraining {
 pub(crate) enum AnyOpt {
     Lamb(Lamb),
     Kfac(Kfac<Lamb>),
-    Shampoo(Shampoo),
 }
 
 impl AnyOpt {
@@ -492,7 +483,6 @@ impl AnyOpt {
             OptimizerChoice::Kfac { weight_decay, kfac } => {
                 AnyOpt::Kfac(Kfac::new(kfac.clone(), Lamb::new(*weight_decay)))
             }
-            OptimizerChoice::Shampoo { shampoo } => AnyOpt::Shampoo(Shampoo::new(shampoo.clone())),
         }
     }
 
@@ -500,7 +490,6 @@ impl AnyOpt {
         match self {
             AnyOpt::Lamb(_) => "NVLAMB",
             AnyOpt::Kfac(_) => "K-FAC",
-            AnyOpt::Shampoo(_) => "Shampoo",
         }
     }
 
@@ -537,10 +526,6 @@ impl AnyOpt {
                 model.visit_all_params(&mut |p| opt.step_param(p, lr));
             }
             AnyOpt::Kfac(opt) => opt.step(model, lr),
-            AnyOpt::Shampoo(opt) => {
-                opt.begin_step();
-                model.visit_all_params(&mut |p| opt.step_param(p, lr));
-            }
         }
     }
 
@@ -561,7 +546,6 @@ impl AnyOpt {
         let (tag, blob) = match self {
             AnyOpt::Lamb(o) => (0u8, o.export_state()),
             AnyOpt::Kfac(opt) => (1u8, opt.export_state()),
-            AnyOpt::Shampoo(o) => (2u8, o.export_state()),
         };
         w.u8(tag);
         let mut bytes = w.into_bytes();
@@ -577,7 +561,6 @@ impl AnyOpt {
         let found = match tag {
             0 => "NVLAMB",
             1 => "K-FAC",
-            2 => "Shampoo",
             other => {
                 return Err(CkptError::Malformed {
                     detail: format!("unknown optimizer tag {other} in optim section"),
@@ -594,7 +577,6 @@ impl AnyOpt {
         match self {
             AnyOpt::Lamb(o) => o.import_state(blob),
             AnyOpt::Kfac(opt) => opt.import_state(blob),
-            AnyOpt::Shampoo(o) => o.import_state(blob),
         }
     }
 }
@@ -729,22 +711,6 @@ mod tests {
         let last = run.final_loss(5);
         assert!(last < first, "loss did not drop: {first} -> {last}");
         assert_eq!(run.label, "K-FAC");
-    }
-
-    #[test]
-    fn shampoo_training_reduces_loss() {
-        let (mut trainer, mut model) = quick_setup(9);
-        let choice = OptimizerChoice::Shampoo {
-            shampoo: pipefisher_optim::ShampooConfig {
-                root_interval: 2,
-                ..Default::default()
-            },
-        };
-        let run = trainer.run(&mut model, &choice, 30);
-        assert_eq!(run.label, "Shampoo");
-        let first = run.smoothed(5)[2];
-        let last = run.final_loss(5);
-        assert!(last < first, "loss did not drop: {first} -> {last}");
     }
 
     #[test]

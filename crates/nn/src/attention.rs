@@ -54,7 +54,6 @@ pub struct MultiHeadAttention {
     n_heads: usize,
     d_model: usize,
     d_head: usize,
-    causal: bool,
     attn_dropout: Dropout,
     cache: Option<AttnCache>,
     scratch: AttnScratch,
@@ -86,23 +85,10 @@ impl MultiHeadAttention {
             n_heads,
             d_model,
             d_head: d_model / n_heads,
-            causal: false,
             attn_dropout: Dropout::new(dropout_p, 0xA77E_0001),
             cache: None,
             scratch: AttnScratch::default(),
         }
-    }
-
-    /// Makes the attention causal (decoder-style: position `i` attends only
-    /// to positions `≤ i`), as in OPT's decoder layers (paper Table 3).
-    pub fn causal(mut self) -> Self {
-        self.causal = true;
-        self
-    }
-
-    /// Whether this layer applies a causal mask.
-    pub fn is_causal(&self) -> bool {
-        self.causal
     }
 
     /// Number of attention heads.
@@ -168,18 +154,8 @@ impl MultiHeadAttention {
                 Self::head_block_into(&v_out, b, h, seq, dh, &mut scr.vb);
                 let (qb, kb, vb) = (&scr.qb, &scr.kb, &scr.vb);
                 let mut scores = qb.matmul_nt(kb);
-                if self.causal {
-                    for r in 0..seq {
-                        let row = scores.row_mut(r);
-                        for x in row.iter_mut().skip(r + 1) {
-                            *x = f64::NEG_INFINITY;
-                        }
-                    }
-                }
                 // The 1/√d_k scale is folded into the softmax's max/exp
                 // pass (one fewer sweep over the seq × seq scores).
-                // Masking before scaling is bitwise-neutral: the mask
-                // writes -∞, and scale·(-∞) = -∞ for any positive scale.
                 softmax_scaled_inplace(&mut scores, scale);
                 let scores = self.attn_dropout.forward(&scores, ctx);
                 let ob = scores.matmul(vb);
@@ -400,50 +376,6 @@ mod tests {
             }
         });
         assert_eq!(complete, 4); // q, k, v, o all captured
-    }
-
-    #[test]
-    fn causal_mask_blocks_future_positions() {
-        // Changing a *later* token must not change an earlier position's
-        // output under causal attention.
-        let mut a = attn(4, 2).causal();
-        let x1 = init::normal(4, 4, 1.0, &mut StdRng::seed_from_u64(5));
-        let mut x2 = x1.clone();
-        for c in 0..4 {
-            x2[(3, c)] += 1.0; // perturb the last position only
-        }
-        let ctx = ForwardCtx::eval().with_seq_len(4);
-        let y1 = a.forward(&x1, &ctx);
-        let y2 = a.forward(&x2, &ctx);
-        for r in 0..3 {
-            for c in 0..4 {
-                assert!((y1[(r, c)] - y2[(r, c)]).abs() < 1e-12, "pos {r} leaked");
-            }
-        }
-        // …while the perturbed position itself does change.
-        assert!((0..4).any(|c| (y1[(3, c)] - y2[(3, c)]).abs() > 1e-9));
-    }
-
-    #[test]
-    fn causal_backward_is_finite_and_respects_mask() {
-        let mut a = attn(4, 2).causal();
-        let x = init::normal(4, 4, 1.0, &mut StdRng::seed_from_u64(6));
-        let _ = a.forward(&x, &ForwardCtx::train().with_seq_len(4));
-        // Gradient flowing only into the FIRST position's output must not
-        // touch later inputs except through... actually position 0 attends
-        // only to itself, so dx rows 1..3 get contributions only via the
-        // k/v projections of position 0's attention — which are masked out.
-        let mut dout = Matrix::zeros(4, 4);
-        for c in 0..4 {
-            dout[(0, c)] = 1.0;
-        }
-        let dx = a.backward(&dout);
-        assert!(dx.all_finite());
-        for r in 1..4 {
-            for c in 0..4 {
-                assert!(dx[(r, c)].abs() < 1e-12, "future input {r} got gradient");
-            }
-        }
     }
 
     #[test]

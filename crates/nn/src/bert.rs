@@ -1,10 +1,10 @@
-//! BERT encoder and the pretraining model (MLM + NSP heads).
+//! BERT hyperparameters, the pretraining batch/output types, and the
+//! monolithic pretraining model (the one-stage [`BertStage`]).
 
 use crate::{
-    cross_entropy_backward, cross_entropy_loss, Activation, ActivationKind, Embedding, ForwardCtx,
-    Layer, LayerNorm, Linear, ParamVisitor,
+    BertStage, Embedding, ForwardCtx, Linear, ParamVisitor, PreTrainingHead, StageOutput,
+    TransformerBlock,
 };
-use pipefisher_tensor::Matrix;
 use rand::Rng;
 
 /// Hyperparameters of a BERT encoder.
@@ -87,102 +87,6 @@ impl BertConfig {
     }
 }
 
-/// A stack of transformer encoder blocks over BERT embeddings.
-#[derive(Debug, Clone)]
-pub struct BertModel {
-    config: BertConfig,
-    embedding: Embedding,
-    blocks: Vec<crate::TransformerBlock>,
-}
-
-impl BertModel {
-    /// Builds a randomly initialized encoder.
-    pub fn new(config: BertConfig, dropout_p: f64, rng: &mut impl Rng) -> Self {
-        let embedding = Embedding::new(
-            "bert.emb",
-            config.vocab_size,
-            config.max_seq,
-            config.d_model,
-            dropout_p,
-            rng,
-        );
-        let blocks = (0..config.n_layers)
-            .map(|i| {
-                crate::TransformerBlock::new(
-                    &format!("bert.block{i}"),
-                    config.d_model,
-                    config.d_ff,
-                    config.n_heads,
-                    dropout_p,
-                    rng,
-                )
-            })
-            .collect();
-        BertModel {
-            config,
-            embedding,
-            blocks,
-        }
-    }
-
-    /// Model configuration.
-    pub fn config(&self) -> &BertConfig {
-        &self.config
-    }
-
-    /// Encodes token/segment ids into hidden states (`batch·seq × d_model`).
-    pub fn forward(
-        &mut self,
-        token_ids: &[usize],
-        segment_ids: &[usize],
-        seq: usize,
-        ctx: &ForwardCtx,
-    ) -> Matrix {
-        let ctx = ctx.with_seq_len(seq);
-        let mut h = self.embedding.forward(token_ids, segment_ids, seq, &ctx);
-        for block in &mut self.blocks {
-            h = block.forward(&h, &ctx);
-        }
-        h
-    }
-
-    /// Backpropagates hidden-state gradients through blocks and embeddings.
-    pub fn backward(&mut self, dhidden: &Matrix) {
-        let mut d = dhidden.clone();
-        for block in self.blocks.iter_mut().rev() {
-            d = block.backward(&d);
-        }
-        self.embedding.backward(&d);
-    }
-
-    /// Visits every trainable parameter.
-    pub fn visit_params(&mut self, f: ParamVisitor<'_>) {
-        self.embedding.visit_params(f);
-        for block in &mut self.blocks {
-            block.visit_params(f);
-        }
-    }
-
-    /// Visits every K-FAC-eligible [`Linear`] layer in the encoder.
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        for block in &mut self.blocks {
-            block.visit_linears(f);
-        }
-    }
-
-    /// Zeroes all gradients.
-    pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.grad.scale_inplace(0.0));
-    }
-
-    /// Total trainable scalar parameters.
-    pub fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.len());
-        n
-    }
-}
-
 /// A pretraining mini-batch (token-major flattened sequences).
 #[derive(Debug, Clone)]
 pub struct PreTrainingBatch {
@@ -218,35 +122,14 @@ pub struct PreTrainingOutput {
     pub mlm_count: usize,
 }
 
-/// The constituent layers of a [`BertForPreTraining`], exposed so the
-/// pipeline-stage partitioner ([`crate::StagedBert`]) can split a model
-/// into contiguous stages and reassemble it losslessly.
-#[derive(Debug, Clone)]
-pub struct PreTrainingParts {
-    /// Encoder hyperparameters.
-    pub config: BertConfig,
-    /// Input embedding stack (always stage 0).
-    pub embedding: Embedding,
-    /// Encoder blocks, in depth order.
-    pub blocks: Vec<crate::TransformerBlock>,
-    /// MLM head transform dense layer.
-    pub mlm_transform: Linear,
-    /// MLM head activation (GELU).
-    pub mlm_act: Activation,
-    /// MLM head LayerNorm.
-    pub mlm_ln: LayerNorm,
-    /// MLM vocabulary decoder (K-FAC excluded).
-    pub mlm_decoder: Linear,
-    /// NSP pooler dense layer.
-    pub nsp_pooler: Linear,
-    /// NSP activation (tanh).
-    pub nsp_act: Activation,
-    /// NSP classifier (K-FAC excluded).
-    pub nsp_classifier: Linear,
-}
-
 /// BERT with the two pretraining heads: masked LM and next-sentence
 /// prediction.
+///
+/// This is the single-stage case of the pipeline partition: one
+/// [`BertStage`] holding the embeddings, every encoder block and the
+/// [`PreTrainingHead`]. [`crate::StagedBert`] re-partitions the same layers
+/// over `D` stages, so the stage's forward/backward is the only spelling of
+/// the model body.
 ///
 /// Following the paper (§4): the MLM *transform* dense layer participates in
 /// K-FAC, but the final vocabulary-sized *decoder* is excluded ("the
@@ -254,223 +137,88 @@ pub struct PreTrainingParts {
 /// NSP classifier which sits on a pooled single token.
 #[derive(Debug, Clone)]
 pub struct BertForPreTraining {
-    bert: BertModel,
-    mlm_transform: Linear,
-    mlm_act: Activation,
-    mlm_ln: LayerNorm,
-    mlm_decoder: Linear,
-    nsp_pooler: Linear,
-    nsp_act: Activation,
-    nsp_classifier: Linear,
-    seq: usize,
+    pub(crate) config: BertConfig,
+    pub(crate) stage: BertStage,
 }
 
 impl BertForPreTraining {
-    /// Builds the pretraining model.
+    /// Builds the pretraining model. The RNG draw order — embeddings,
+    /// blocks in depth order, then the heads as [`PreTrainingHead::new`]
+    /// draws them — fixes the initial weights for a seed; checkpoints and
+    /// every recorded loss depend on it.
     pub fn new(config: BertConfig, dropout_p: f64, rng: &mut impl Rng) -> Self {
-        let d = config.d_model;
-        let v = config.vocab_size;
-        let bert = BertModel::new(config, dropout_p, rng);
-        let mut mlm_decoder = Linear::new_bert("head.mlm.decoder", d, v, rng);
-        mlm_decoder.set_kfac_enabled(false);
-        let mut nsp_classifier = Linear::new_bert("head.nsp.classifier", d, 2, rng);
-        nsp_classifier.set_kfac_enabled(false);
+        let embedding = Embedding::new(
+            "bert.emb",
+            config.vocab_size,
+            config.max_seq,
+            config.d_model,
+            dropout_p,
+            rng,
+        );
+        let blocks = (0..config.n_layers)
+            .map(|i| {
+                TransformerBlock::new(
+                    &format!("bert.block{i}"),
+                    config.d_model,
+                    config.d_ff,
+                    config.n_heads,
+                    dropout_p,
+                    rng,
+                )
+            })
+            .collect();
+        let head = PreTrainingHead::new(config.d_model, config.vocab_size, rng);
         BertForPreTraining {
-            bert,
-            mlm_transform: Linear::new_bert("head.mlm.transform", d, d, rng),
-            mlm_act: Activation::new(ActivationKind::Gelu),
-            mlm_ln: LayerNorm::new("head.mlm.ln", d),
-            mlm_decoder,
-            nsp_pooler: Linear::new_bert("head.nsp.pooler", d, d, rng),
-            nsp_act: Activation::new(ActivationKind::Tanh),
-            nsp_classifier,
-            seq: 0,
-        }
-    }
-
-    /// Decomposes the model into its constituent layers for pipeline-stage
-    /// partitioning (see [`crate::StagedBert`]); [`Self::from_parts`] is the
-    /// exact inverse.
-    pub fn into_parts(self) -> PreTrainingParts {
-        let BertForPreTraining {
-            bert,
-            mlm_transform,
-            mlm_act,
-            mlm_ln,
-            mlm_decoder,
-            nsp_pooler,
-            nsp_act,
-            nsp_classifier,
-            seq: _,
-        } = self;
-        let BertModel {
-            config,
-            embedding,
-            blocks,
-        } = bert;
-        PreTrainingParts {
-            config,
-            embedding,
-            blocks,
-            mlm_transform,
-            mlm_act,
-            mlm_ln,
-            mlm_decoder,
-            nsp_pooler,
-            nsp_act,
-            nsp_classifier,
-        }
-    }
-
-    /// Reassembles a model from [`Self::into_parts`] output.
-    pub fn from_parts(parts: PreTrainingParts) -> Self {
-        let PreTrainingParts {
-            config,
-            embedding,
-            blocks,
-            mlm_transform,
-            mlm_act,
-            mlm_ln,
-            mlm_decoder,
-            nsp_pooler,
-            nsp_act,
-            nsp_classifier,
-        } = parts;
-        BertForPreTraining {
-            bert: BertModel {
-                config,
-                embedding,
+            stage: BertStage {
+                embedding: Some(embedding),
                 blocks,
+                head: Some(head),
             },
-            mlm_transform,
-            mlm_act,
-            mlm_ln,
-            mlm_decoder,
-            nsp_pooler,
-            nsp_act,
-            nsp_classifier,
-            seq: 0,
+            config,
         }
     }
 
-    /// Borrows the underlying encoder.
-    pub fn bert(&self) -> &BertModel {
-        &self.bert
-    }
-
-    /// Mutably borrows the underlying encoder.
-    pub fn bert_mut(&mut self) -> &mut BertModel {
-        &mut self.bert
+    /// The stage's forward; it hosts the heads, so the output is the losses.
+    fn forward(&mut self, batch: &PreTrainingBatch, ctx: &ForwardCtx) -> PreTrainingOutput {
+        match self.stage.forward(None, batch, ctx) {
+            StageOutput::Losses(out) => out,
+            StageOutput::Boundary(_) => unreachable!("the single stage hosts the heads"),
+        }
     }
 
     /// Runs forward + backward for one batch, accumulating all gradients,
     /// and returns the losses.
     pub fn train_step(&mut self, batch: &PreTrainingBatch, ctx: &ForwardCtx) -> PreTrainingOutput {
-        self.seq = batch.seq;
-        let ctx = ctx.with_seq_len(batch.seq);
-        let hidden = self
-            .bert
-            .forward(&batch.token_ids, &batch.segment_ids, batch.seq, &ctx);
-        let batch_size = batch.batch_size();
-
-        // MLM head over all tokens.
-        let t = self.mlm_transform.forward(&hidden, &ctx);
-        let t = self.mlm_act.forward(&t, &ctx);
-        let t = self.mlm_ln.forward(&t, &ctx);
-        let mlm_logits = self.mlm_decoder.forward(&t, &ctx);
-        let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
-
-        // NSP head over the first token of each sequence.
-        let mut first_tokens = Matrix::zeros(batch_size, hidden.cols());
-        for b in 0..batch_size {
-            first_tokens
-                .row_mut(b)
-                .copy_from_slice(hidden.row(b * batch.seq));
-        }
-        let p = self.nsp_pooler.forward(&first_tokens, &ctx);
-        let p = self.nsp_act.forward(&p, &ctx);
-        let nsp_logits = self.nsp_classifier.forward(&p, &ctx);
-        let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets);
-
-        // Backward.
-        let dmlm_logits = cross_entropy_backward(&mlm_logits, &batch.mlm_targets);
-        let dt = self.mlm_decoder.backward(&dmlm_logits);
-        let dt = self.mlm_ln.backward(&dt);
-        let dt = self.mlm_act.backward(&dt);
-        let mut dhidden = self.mlm_transform.backward(&dt);
-
-        let dnsp_logits = cross_entropy_backward(&nsp_logits, &batch.nsp_targets);
-        let dp = self.nsp_classifier.backward(&dnsp_logits);
-        let dp = self.nsp_act.backward(&dp);
-        let dfirst = self.nsp_pooler.backward(&dp);
-        for b in 0..batch_size {
-            let dst = dhidden.row_mut(b * batch.seq);
-            for (d, &g) in dst.iter_mut().zip(dfirst.row(b).iter()) {
-                *d += g;
-            }
-        }
-
-        self.bert.backward(&dhidden);
-
-        PreTrainingOutput {
-            total_loss: mlm.loss + nsp.loss,
-            mlm_loss: mlm.loss,
-            nsp_loss: nsp.loss,
-            mlm_count: mlm.count,
-        }
+        let out = self.forward(batch, ctx);
+        let upstream = self.stage.backward(None, batch);
+        debug_assert!(upstream.is_none(), "the embeddings absorb the gradient");
+        out
     }
 
     /// Evaluates losses without touching gradients.
     pub fn eval_loss(&mut self, batch: &PreTrainingBatch) -> PreTrainingOutput {
-        let ctx = ForwardCtx::eval().with_seq_len(batch.seq);
-        let hidden = self
-            .bert
-            .forward(&batch.token_ids, &batch.segment_ids, batch.seq, &ctx);
-        let batch_size = batch.batch_size();
-        let t = self.mlm_transform.forward(&hidden, &ctx);
-        let t = self.mlm_act.forward(&t, &ctx);
-        let t = self.mlm_ln.forward(&t, &ctx);
-        let mlm_logits = self.mlm_decoder.forward(&t, &ctx);
-        let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
-        let mut first_tokens = Matrix::zeros(batch_size, hidden.cols());
-        for b in 0..batch_size {
-            first_tokens
-                .row_mut(b)
-                .copy_from_slice(hidden.row(b * batch.seq));
+        let out = self.forward(batch, &ForwardCtx::eval());
+        // No backward follows: release the logits the heads cached for it.
+        if let Some(head) = &mut self.stage.head {
+            head.cache = None;
         }
-        let p = self.nsp_pooler.forward(&first_tokens, &ctx);
-        let p = self.nsp_act.forward(&p, &ctx);
-        let nsp_logits = self.nsp_classifier.forward(&p, &ctx);
-        let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets);
-        PreTrainingOutput {
-            total_loss: mlm.loss + nsp.loss,
-            mlm_loss: mlm.loss,
-            nsp_loss: nsp.loss,
-            mlm_count: mlm.count,
-        }
+        out
     }
 
     /// Visits every trainable parameter (encoder + heads).
     pub fn visit_params(&mut self, f: ParamVisitor<'_>) {
-        self.bert.visit_params(f);
-        self.mlm_transform.visit_params(f);
-        self.mlm_ln.visit_params(f);
-        self.mlm_decoder.visit_params(f);
-        self.nsp_pooler.visit_params(f);
-        self.nsp_classifier.visit_params(f);
+        self.stage.visit_params(f);
     }
 
     /// Visits every K-FAC-eligible [`Linear`] layer (encoder + MLM transform
     /// + NSP pooler; the vocab decoder and NSP classifier are excluded).
     pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        self.bert.visit_linears(f);
-        f(&mut self.mlm_transform);
-        f(&mut self.nsp_pooler);
+        self.stage.visit_linears(f);
     }
 
     /// Zeroes all gradients.
     pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.grad.scale_inplace(0.0));
+        self.stage.zero_grad();
     }
 
     /// Total trainable scalar parameters.
@@ -549,24 +297,6 @@ mod tests {
         model.visit_linears(&mut |_l| n += 1);
         // 2 blocks × 6 linears + transform + pooler.
         assert_eq!(n, 14);
-    }
-
-    #[test]
-    fn decoder_is_kfac_excluded() {
-        let mut rng = StdRng::seed_from_u64(80);
-        let mut model = BertForPreTraining::new(BertConfig::tiny(20, 8), 0.0, &mut rng);
-        let batch = toy_batch(8, 2, 20);
-        let _ = model.train_step(&batch, &ForwardCtx::train_with_capture());
-        assert!(!model.mlm_decoder.kfac_enabled());
-        assert!(model.mlm_decoder.kfac_stats().activations.is_none());
-        // But eligible layers did capture.
-        let mut captured = 0;
-        model.visit_linears(&mut |l| {
-            if l.kfac_stats().is_complete() {
-                captured += 1;
-            }
-        });
-        assert_eq!(captured, 14);
     }
 
     #[test]

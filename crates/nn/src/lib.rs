@@ -48,10 +48,7 @@ mod stage;
 
 pub use activation::{gelu, Activation, ActivationKind};
 pub use attention::MultiHeadAttention;
-pub use bert::{
-    BertConfig, BertForPreTraining, BertModel, PreTrainingBatch, PreTrainingOutput,
-    PreTrainingParts,
-};
+pub use bert::{BertConfig, BertForPreTraining, PreTrainingBatch, PreTrainingOutput};
 pub use block::TransformerBlock;
 pub use dropout::Dropout;
 pub use embedding::Embedding;

@@ -1,27 +1,30 @@
-//! Pipeline-stage partitioning of [`BertForPreTraining`].
+//! The model body as pipeline stages.
 //!
-//! The pipeline executor (`pipefisher-lm`) splits the pretraining model into
-//! `D` contiguous stages: stage 0 owns the input embeddings, the encoder
-//! blocks are distributed in contiguous depth ranges, and the last stage
-//! owns both pretraining heads. Every layer instance is *moved* between the
-//! monolithic and staged forms ([`StagedBert::from_model`] /
-//! [`StagedBert::into_model`] are exact inverses), and each stage's forward
-//! and backward run the identical layer calls the monolithic
-//! [`BertForPreTraining::train_step`] would, so running the stages in
-//! dependency order reproduces the monolithic pass bitwise.
+//! A [`BertStage`] is a contiguous run of the pretraining model: optionally
+//! the input embeddings, some encoder blocks, optionally the pretraining
+//! heads. Its forward and backward are the only spelling of the layer
+//! sequence: [`BertForPreTraining`] is the stage that holds everything, and
+//! [`StagedBert`] is the same layers re-partitioned over `D` stages for the
+//! pipeline executor (`pipefisher-lm`) — stage 0 owns the embeddings, the
+//! blocks are distributed in contiguous depth ranges, the last stage owns
+//! both heads. Layer instances are *moved* between the two forms
+//! ([`StagedBert::from_model`] / [`StagedBert::into_model`] are exact
+//! inverses), so running the stages in dependency order reproduces the
+//! monolithic pass bitwise.
 
 use crate::{
-    cross_entropy_backward, cross_entropy_loss, Activation, BertConfig, BertForPreTraining,
-    Embedding, ForwardCtx, Layer, LayerNorm, Linear, ParamVisitor, PreTrainingBatch,
-    PreTrainingOutput, PreTrainingParts, TransformerBlock,
+    cross_entropy_backward, cross_entropy_loss, Activation, ActivationKind, BertConfig,
+    BertForPreTraining, Embedding, ForwardCtx, Layer, LayerNorm, Linear, ParamVisitor,
+    PreTrainingBatch, PreTrainingOutput, TransformerBlock,
 };
 use pipefisher_tensor::Matrix;
+use rand::Rng;
 
 /// The MLM + NSP pretraining heads as one unit, hosted by the last stage.
 ///
 /// Forward computes both losses and caches the logits; the deferred
-/// [`PreTrainingHead::backward`] replays the monolithic head backward and
-/// returns the gradient flowing into the encoder's final hidden states.
+/// [`PreTrainingHead::backward`] returns the gradient flowing into the
+/// encoder's final hidden states.
 #[derive(Debug, Clone)]
 pub struct PreTrainingHead {
     mlm_transform: Linear,
@@ -32,13 +35,34 @@ pub struct PreTrainingHead {
     nsp_act: Activation,
     nsp_classifier: Linear,
     /// `(mlm_logits, nsp_logits)` from the pending forward.
-    cache: Option<(Matrix, Matrix)>,
+    pub(crate) cache: Option<(Matrix, Matrix)>,
 }
 
 impl PreTrainingHead {
-    /// Runs both heads over the encoder output, caching logits for the
-    /// deferred backward. The layer call sequence is exactly
-    /// [`BertForPreTraining::train_step`]'s head section.
+    /// Builds both heads over `d_model` features and a `vocab_size`
+    /// vocabulary. The draw order (decoder, classifier, transform, pooler)
+    /// is part of the seed → initial-weights contract: reordering it changes
+    /// every model built from a given seed.
+    pub(crate) fn new(d_model: usize, vocab_size: usize, rng: &mut impl Rng) -> Self {
+        let mut mlm_decoder = Linear::new_bert("head.mlm.decoder", d_model, vocab_size, rng);
+        mlm_decoder.set_kfac_enabled(false);
+        let mut nsp_classifier = Linear::new_bert("head.nsp.classifier", d_model, 2, rng);
+        nsp_classifier.set_kfac_enabled(false);
+        PreTrainingHead {
+            mlm_transform: Linear::new_bert("head.mlm.transform", d_model, d_model, rng),
+            mlm_act: Activation::new(ActivationKind::Gelu),
+            mlm_ln: LayerNorm::new("head.mlm.ln", d_model),
+            mlm_decoder,
+            nsp_pooler: Linear::new_bert("head.nsp.pooler", d_model, d_model, rng),
+            nsp_act: Activation::new(ActivationKind::Tanh),
+            nsp_classifier,
+            cache: None,
+        }
+    }
+
+    /// Runs both heads over the encoder output — the MLM head over all
+    /// tokens, the NSP head over the first token of each sequence —
+    /// caching logits for the deferred backward.
     pub fn forward(
         &mut self,
         hidden: &Matrix,
@@ -102,7 +126,8 @@ impl PreTrainingHead {
         dhidden
     }
 
-    /// Visits head parameters in the monolithic model's order.
+    /// Visits head parameters, in the fixed order whole-model reductions
+    /// (the gradient norm) and the executor's parameter shuttles index by.
     pub fn visit_params(&mut self, f: ParamVisitor<'_>) {
         self.mlm_transform.visit_params(f);
         self.mlm_ln.visit_params(f);
@@ -131,9 +156,9 @@ pub enum StageOutput {
 /// encoder blocks, and optionally the pretraining heads.
 #[derive(Debug, Clone)]
 pub struct BertStage {
-    embedding: Option<Embedding>,
-    blocks: Vec<TransformerBlock>,
-    head: Option<PreTrainingHead>,
+    pub(crate) embedding: Option<Embedding>,
+    pub(crate) blocks: Vec<TransformerBlock>,
+    pub(crate) head: Option<PreTrainingHead>,
 }
 
 impl BertStage {
@@ -209,8 +234,8 @@ impl BertStage {
         }
     }
 
-    /// Visits this stage's parameters, in the monolithic model's order
-    /// restricted to this stage.
+    /// Visits this stage's parameters in depth order (embeddings, blocks,
+    /// heads); stages visited in order give the whole model's order.
     pub fn visit_params(&mut self, f: ParamVisitor<'_>) {
         if let Some(emb) = &mut self.embedding {
             emb.visit_params(f);
@@ -223,8 +248,8 @@ impl BertStage {
         }
     }
 
-    /// Visits this stage's K-FAC-eligible linears, in the monolithic
-    /// model's order restricted to this stage.
+    /// Visits this stage's K-FAC-eligible linears in depth order (blocks,
+    /// then the heads' transform and pooler).
     pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         for block in &mut self.blocks {
             block.visit_linears(f);
@@ -260,21 +285,13 @@ impl StagedBert {
     /// Panics if `n_stages == 0`.
     pub fn from_model(model: BertForPreTraining, n_stages: usize) -> Self {
         assert!(n_stages > 0, "StagedBert: n_stages must be positive");
-        let parts = model.into_parts();
-        let l = parts.blocks.len();
-        let mut blocks = parts.blocks.into_iter();
-        let head = PreTrainingHead {
-            mlm_transform: parts.mlm_transform,
-            mlm_act: parts.mlm_act,
-            mlm_ln: parts.mlm_ln,
-            mlm_decoder: parts.mlm_decoder,
-            nsp_pooler: parts.nsp_pooler,
-            nsp_act: parts.nsp_act,
-            nsp_classifier: parts.nsp_classifier,
-            cache: None,
-        };
-        let mut embedding = Some(parts.embedding);
-        let mut head = Some(head);
+        let BertStage {
+            mut embedding,
+            blocks,
+            mut head,
+        } = model.stage;
+        let l = blocks.len();
+        let mut blocks = blocks.into_iter();
         let stages = (0..n_stages)
             .map(|i| {
                 let (start, end) = (i * l / n_stages, (i + 1) * l / n_stages);
@@ -286,7 +303,7 @@ impl StagedBert {
             })
             .collect();
         StagedBert {
-            config: parts.config,
+            config: model.config,
             stages,
         }
     }
@@ -294,31 +311,17 @@ impl StagedBert {
     /// Reassembles the monolithic model; the exact inverse of
     /// [`StagedBert::from_model`].
     pub fn into_model(self) -> BertForPreTraining {
-        let mut embedding = None;
-        let mut head = None;
-        let mut blocks = Vec::new();
-        for stage in self.stages {
-            if stage.embedding.is_some() {
-                embedding = stage.embedding;
-            }
-            blocks.extend(stage.blocks);
-            if stage.head.is_some() {
-                head = stage.head;
-            }
+        let mut stages = self.stages.into_iter();
+        let mut whole = stages.next().expect("StagedBert has at least one stage");
+        for stage in stages {
+            whole.blocks.extend(stage.blocks);
+            // Only the last stage has one, and it is assigned last.
+            whole.head = stage.head;
         }
-        let head = head.expect("StagedBert: missing head stage");
-        BertForPreTraining::from_parts(PreTrainingParts {
+        BertForPreTraining {
             config: self.config,
-            embedding: embedding.expect("StagedBert: missing embedding stage"),
-            blocks,
-            mlm_transform: head.mlm_transform,
-            mlm_act: head.mlm_act,
-            mlm_ln: head.mlm_ln,
-            mlm_decoder: head.mlm_decoder,
-            nsp_pooler: head.nsp_pooler,
-            nsp_act: head.nsp_act,
-            nsp_classifier: head.nsp_classifier,
-        })
+            stage: whole,
+        }
     }
 
     /// Encoder hyperparameters.
@@ -339,24 +342,6 @@ impl StagedBert {
     /// Mutably borrows stage `s`.
     pub fn stage_mut(&mut self, s: usize) -> &mut BertStage {
         &mut self.stages[s]
-    }
-
-    /// Removes stage `s`, leaving an empty placeholder (used by the
-    /// executor to move stages onto worker threads).
-    pub fn take_stage(&mut self, s: usize) -> BertStage {
-        std::mem::replace(
-            &mut self.stages[s],
-            BertStage {
-                embedding: None,
-                blocks: Vec::new(),
-                head: None,
-            },
-        )
-    }
-
-    /// Puts a stage back into slot `s` (inverse of [`Self::take_stage`]).
-    pub fn put_stage(&mut self, s: usize, stage: BertStage) {
-        self.stages[s] = stage;
     }
 
     /// Visits every parameter in the monolithic model's order.
@@ -380,8 +365,7 @@ impl StagedBert {
 
     /// Runs one forward + backward over all stages in dependency order,
     /// accumulating gradients — the single-thread reference the pipeline
-    /// executor must match bitwise. Mirrors
-    /// [`BertForPreTraining::train_step`].
+    /// executor must match bitwise.
     pub fn train_step(&mut self, batch: &PreTrainingBatch, ctx: &ForwardCtx) -> PreTrainingOutput {
         let mut boundary = None;
         let mut out = None;
@@ -432,6 +416,23 @@ mod tests {
     fn model(seed: u64, config: BertConfig) -> BertForPreTraining {
         let mut rng = StdRng::seed_from_u64(seed);
         BertForPreTraining::new(config, 0.0, &mut rng)
+    }
+
+    #[test]
+    fn decoder_is_kfac_excluded() {
+        let mut mono = model(80, BertConfig::tiny(20, 8));
+        let _ = mono.train_step(&toy_batch(8, 2, 20), &ForwardCtx::train_with_capture());
+        let decoder = &mono.stage.head.as_ref().unwrap().mlm_decoder;
+        assert!(!decoder.kfac_enabled());
+        assert!(decoder.kfac_stats().activations.is_none());
+        // But eligible layers did capture.
+        let mut captured = 0;
+        mono.visit_linears(&mut |l| {
+            if l.kfac_stats().is_complete() {
+                captured += 1;
+            }
+        });
+        assert_eq!(captured, 14);
     }
 
     #[test]

@@ -127,13 +127,10 @@ fn transformer_block_grads() {
     gradcheck_layer(&mut b, x, 3, 3, 1e-3);
 }
 
-#[test]
-fn full_pretraining_model_grads_subsampled() {
-    // End-to-end check through embeddings, blocks, and both heads. Uses a
-    // stride to keep runtime reasonable; the per-layer checks above cover
-    // every code path densely.
+/// A dropout-free tiny model and a two-sequence batch for it.
+fn tiny_model_and_batch() -> (BertForPreTraining, PreTrainingBatch) {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut model = BertForPreTraining::new(BertConfig::tiny(12, 4), 0.0, &mut rng);
+    let model = BertForPreTraining::new(BertConfig::tiny(12, 4), 0.0, &mut rng);
     let batch = PreTrainingBatch {
         token_ids: vec![1, 2, 3, 4, 5, 6, 7, 8],
         segment_ids: vec![0, 0, 1, 1, 0, 0, 1, 1],
@@ -150,6 +147,45 @@ fn full_pretraining_model_grads_subsampled() {
         nsp_targets: vec![0, 1],
         seq: 4,
     };
+    (model, batch)
+}
+
+fn grad_bits(model: &mut BertForPreTraining) -> Vec<u64> {
+    let mut bits = Vec::new();
+    model.visit_params(&mut |p: &mut Parameter| {
+        bits.extend(p.grad.as_slice().iter().map(|g| g.to_bits()));
+    });
+    bits
+}
+
+#[test]
+fn eval_loss_is_train_step_forward_and_leaves_no_trace() {
+    // `eval_loss` and `train_step` share one forward: without dropout they
+    // agree to the bit, and an evaluation in between changes neither the
+    // accumulated gradients nor the next training step's.
+    let (mut model, batch) = tiny_model_and_batch();
+    let mut fresh = model.clone();
+    model.zero_grad();
+    let trained = model.train_step(&batch, &ForwardCtx::train());
+    let grads = grad_bits(&mut model);
+    let evaluated = model.eval_loss(&batch);
+    assert_eq!(evaluated.total_loss.to_bits(), trained.total_loss.to_bits());
+    assert_eq!(evaluated.mlm_count, trained.mlm_count);
+    assert_eq!(grad_bits(&mut model), grads, "eval_loss touched a gradient");
+
+    model.zero_grad();
+    let _ = model.train_step(&batch, &ForwardCtx::train());
+    fresh.zero_grad();
+    let _ = fresh.train_step(&batch, &ForwardCtx::train());
+    assert_eq!(grad_bits(&mut model), grad_bits(&mut fresh));
+}
+
+#[test]
+fn full_pretraining_model_grads_subsampled() {
+    // End-to-end check through embeddings, blocks, and both heads. Uses a
+    // stride to keep runtime reasonable; the per-layer checks above cover
+    // every code path densely.
+    let (mut model, batch) = tiny_model_and_batch();
 
     // Analytic gradients.
     model.zero_grad();

@@ -22,6 +22,7 @@ use crate::Optimizer;
 use pipefisher_nn::{Linear, ParamVisitor, Parameter};
 use pipefisher_tensor::{cholesky_inverse_into, par, Matrix};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// Hyperparameters for [`Kfac`].
 #[derive(Debug, Clone, PartialEq)]
@@ -159,16 +160,6 @@ impl KfacModel for pipefisher_nn::BertForPreTraining {
     }
 }
 
-impl KfacModel for pipefisher_nn::BertModel {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        self.visit_linears(f);
-    }
-
-    fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
-        self.visit_params(f);
-    }
-}
-
 impl KfacModel for Linear {
     fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         f(self);
@@ -192,18 +183,28 @@ impl KfacModel for pipefisher_nn::StagedBert {
 
 /// The K-FAC optimizer, wrapping a fallback first-order optimizer.
 ///
-/// One [`Kfac::step`]:
+/// One optimization step is two parts. The *refresh work units*, run per
+/// layer when the cadence says so:
 ///
-/// 1. **Curvature** (if due): fold each layer's captured `(â_l, e_l)` batch
-///    statistics into `A_l`, `B_l`.
-/// 2. **Inversion** (if due): damped Cholesky inverses of both factors.
-/// 3. **Precondition** (every step): rewrite each K-FAC layer's gradient to
+/// 1. **Curvature** ([`fold_curvature_a`], [`fold_curvature_b`]): fold the
+///    layer's captured `(â_l, e_l)` batch statistics into `A_l`, `B_l`.
+/// 2. **Inversion** ([`refresh_inverses`]): damped Cholesky inverses of both
+///    factors.
+///
+/// Then [`Kfac::step_preconditioned`], every step:
+///
+/// 3. **Precondition**: rewrite each K-FAC layer's gradient to
 ///    `B_l⁻¹ Ḡ_l A_l⁻¹` using the freshest available (possibly stale)
 ///    inverses, then apply optional KL clipping.
 /// 4. Run the fallback optimizer over *all* parameters — K-FAC layers see
 ///    preconditioned gradients, everything else (embeddings, LayerNorms, the
 ///    vocab head) sees raw gradients, matching the paper's "K-FAC for all
 ///    fully-connected layers, NVLAMB for the rest" setup.
+///
+/// [`Kfac::step`] runs the units in place and then part two; a caller that
+/// places the units itself (the pipeline executor, in bubbles) loans the
+/// layer states out with [`Kfac::take_state`] / [`Kfac::put_state`] and calls
+/// part two directly. Either way the same functions run on the same inputs.
 #[derive(Debug, Clone)]
 pub struct Kfac<O: Optimizer> {
     config: KfacConfig,
@@ -233,23 +234,17 @@ impl<O: Optimizer> Kfac<O> {
         self.states.get(layer_name)
     }
 
-    /// Mutably borrows the per-layer state, creating it if absent. Exposed
-    /// so experiments can inject externally computed factors (e.g. the
-    /// pipeline simulator's staleness model).
-    pub fn state_mut(&mut self, layer_name: &str) -> &mut LayerKfacState {
-        self.states.entry(layer_name.to_string()).or_default()
-    }
-
     /// The optimizer's hyperparameters.
     pub fn config(&self) -> &KfacConfig {
         &self.config
     }
 
     /// Whether the *next* [`Kfac::step`] (or [`Kfac::step_preconditioned`])
-    /// will be a curvature-refresh step. The training loop asks this once
-    /// before each step — it is the only cadence clock — to decide whether
-    /// the step captures statistics and, on the pipeline executor, whether
-    /// fold work units go into bubbles.
+    /// will be a curvature-refresh step. This is the only cadence clock:
+    /// `step` asks it for its own refresh pass, and the training loop asks
+    /// it once before each step to decide whether the step captures
+    /// statistics and, on the pipeline executor, whether fold work units go
+    /// into bubbles.
     pub fn next_step_refreshes_curvature(&self) -> bool {
         self.t.is_multiple_of(self.config.curvature_interval as u64)
     }
@@ -259,16 +254,25 @@ impl<O: Optimizer> Kfac<O> {
         self.t.is_multiple_of(self.config.inversion_interval as u64)
     }
 
-    /// Removes and returns a layer's state (creating a default one if
-    /// absent) so the pipeline executor can loan it to a stage worker for
-    /// bubble-filled fold/inversion work. Pair with [`Kfac::put_state`].
+    /// Takes a layer's state out of the optimizer (a default one if the
+    /// layer has none yet), leaving an empty placeholder, so refresh work
+    /// can run on it elsewhere — the pipeline executor loans it to a stage
+    /// worker for bubble-filled fold/inversion work. Pair with
+    /// [`Kfac::put_state`].
     pub fn take_state(&mut self, layer_name: &str) -> LayerKfacState {
-        self.states.remove(layer_name).unwrap_or_default()
+        self.states
+            .get_mut(layer_name)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Returns a loaned layer state after external fold/inversion work.
+    /// Only a layer's first return allocates (its name key).
     pub fn put_state(&mut self, layer_name: &str, state: LayerKfacState) {
-        self.states.insert(layer_name.to_string(), state);
+        match self.states.get_mut(layer_name) {
+            Some(entry) => *entry = state,
+            None => drop(self.states.insert(layer_name.to_string(), state)),
+        }
     }
 
     /// `(damping_escalations, inversion_failures)` summed over all layers —
@@ -285,161 +289,62 @@ impl<O: Optimizer> Kfac<O> {
         &self.fallback
     }
 
-    /// Mutably borrows the fallback optimizer.
-    pub fn fallback_mut(&mut self) -> &mut O {
-        &mut self.fallback
-    }
-
-    /// Runs one optimization step *assuming curvature and inversion refreshes
-    /// already happened externally* (via [`fold_curvature_a`],
-    /// [`fold_curvature_b`], and [`refresh_inverses`] on states loaned out
-    /// with [`Kfac::take_state`]). Performs only phases 3–4 of
-    /// [`Kfac::step`]: preconditioning, KL clipping, and the fallback
-    /// update. Given identical factor states, the result is bitwise
-    /// identical to [`Kfac::step`] — the refresh work units are the very
-    /// same operations `step` would have run in-line.
-    pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        self.t += 1;
-
-        let states = &mut self.states;
+    /// Pairs each K-FAC layer with its state, taken out of the optimizer,
+    /// in visitation order. The raw pointers let the borrow of `model` be
+    /// split across per-layer tasks (the slots keep it borrowed); the
+    /// visitor contract guarantees each layer is visited once, so the
+    /// pointers are disjoint. Pair with [`Kfac::return_slots`].
+    fn loan_slots<'m>(&mut self, model: &'m mut (dyn KfacModel + '_)) -> Vec<LayerSlot<'m>> {
         let mut slots: Vec<LayerSlot> = Vec::new();
         model.visit_kfac_linears(&mut |lin: &mut Linear| {
-            if !states.contains_key(lin.name()) {
-                states.insert(lin.name().to_string(), LayerKfacState::default());
-            }
-            let state = std::mem::take(states.get_mut(lin.name()).expect("state just inserted"));
+            let state = self.take_state(lin.name());
             slots.push(LayerSlot {
-                lin: LinPtr(lin as *mut Linear),
-                state,
-                vdot: 0.0,
-            });
-        });
-
-        // Phase 3 only: stats were consumed (and cleared) by the external
-        // fold work; clearing here keeps parity with `step` for layers that
-        // captured but were never folded.
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .map(|slot| {
-                Box::new(move || {
-                    // SAFETY: each slot points at a distinct layer (the
-                    // visitor contract), and `model` is not touched while
-                    // tasks run.
-                    let lin = unsafe { &mut *slot.lin.0 };
-                    lin.kfac_stats_mut().clear();
-                    if slot.state.ready() {
-                        slot.vdot = precondition(&mut slot.state, lin);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        par::run_tasks(tasks);
-
-        let vsum: f64 = slots.iter().map(|s| s.vdot).fold(0.0, |acc, v| acc + v);
-        if let Some(kappa) = self.config.kl_clip {
-            let denom = lr * lr * vsum;
-            if denom > kappa {
-                let scale = (kappa / denom).sqrt();
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                    .iter_mut()
-                    .filter(|slot| slot.state.ready())
-                    .map(|slot| {
-                        Box::new(move || {
-                            // SAFETY: as above — disjoint layers.
-                            let lin = unsafe { &mut *slot.lin.0 };
-                            let (w, b, _) = lin.kfac_parts_mut();
-                            w.grad.scale_inplace(scale);
-                            b.grad.scale_inplace(scale);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                par::run_tasks(tasks);
-            }
-        }
-
-        for slot in slots {
-            // SAFETY: tasks have joined; this is the only live alias.
-            let lin = unsafe { &*slot.lin.0 };
-            *states.get_mut(lin.name()).expect("state entry exists") = slot.state;
-        }
-
-        self.fallback.begin_step();
-        let fallback = &mut self.fallback;
-        model.visit_all_params(&mut |p: &mut Parameter| fallback.step_param(p, lr));
-    }
-
-    /// Runs one optimization step. See the type-level docs for the phases.
-    ///
-    /// Phases 1–3 are independent across layers (curvature, inversion, and
-    /// preconditioning each touch only one layer's factors and gradients),
-    /// so they run as one task per layer on the shared worker pool
-    /// ([`pipefisher_tensor::par`]). The KL-clip statistic is reduced in
-    /// layer-visitation order afterwards, so results are bitwise identical
-    /// to the serial schedule at any thread count.
-    pub fn step(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        self.t += 1;
-        let t = self.t;
-        let refresh_curv = (t - 1).is_multiple_of(self.config.curvature_interval as u64);
-        let refresh_inv = (t - 1).is_multiple_of(self.config.inversion_interval as u64);
-
-        // Pair each layer with its owned state, in visitation order. The
-        // raw pointers let the borrow of `model` be split across tasks;
-        // the visitor contract guarantees each layer is visited once, so
-        // the pointers are disjoint.
-        let states = &mut self.states;
-        let mut slots: Vec<LayerSlot> = Vec::new();
-        model.visit_kfac_linears(&mut |lin: &mut Linear| {
-            // `take` instead of `remove` so steady-state steps never
-            // re-allocate the name key; the entry is written back below.
-            if !states.contains_key(lin.name()) {
-                states.insert(lin.name().to_string(), LayerKfacState::default());
-            }
-            let state = std::mem::take(states.get_mut(lin.name()).expect("state just inserted"));
-            slots.push(LayerSlot {
-                lin: LinPtr(lin as *mut Linear),
+                lin: LinPtr(lin as *mut Linear, PhantomData),
                 state,
                 vdot: 0.0,
             });
         });
         debug_assert!(
-            {
-                let mut ptrs: Vec<*mut Linear> = slots.iter().map(|s| s.lin.0).collect();
-                ptrs.sort();
-                ptrs.windows(2).all(|w| w[0] != w[1])
-            },
+            (1..slots.len()).all(|i| slots[..i].iter().all(|s| s.lin.0 != slots[i].lin.0)),
             "visit_kfac_linears visited a layer twice"
         );
+        slots
+    }
 
-        // Phases 1–3, one task per layer: fold captured statistics into the
-        // factors (if due), refresh the damped inverses (if due), and
-        // rewrite the gradient to B⁻¹ Ḡ A⁻¹ with the freshest inverses.
-        let config = &self.config;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .map(|slot| {
-                Box::new(move || {
-                    // SAFETY: each slot points at a distinct layer (checked
-                    // above), and `model` is not touched while tasks run.
-                    let lin = unsafe { &mut *slot.lin.0 };
-                    if refresh_curv {
-                        update_curvature(&mut slot.state, lin, config.ema_decay, t);
-                    }
-                    lin.kfac_stats_mut().clear();
-                    if refresh_inv && slot.state.factor_a.is_some() {
-                        refresh_inverses(
-                            &mut slot.state,
-                            config.damping,
-                            config.factor_block_size,
-                            t,
-                        );
-                    }
-                    if slot.state.ready() {
-                        slot.vdot = precondition(&mut slot.state, lin);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        par::run_tasks(tasks);
+    /// Hands the states of [`Kfac::loan_slots`] back.
+    fn return_slots(&mut self, slots: Vec<LayerSlot<'_>>) {
+        for slot in slots {
+            // SAFETY: the per-layer tasks have joined; this is the only
+            // live alias of the layer.
+            let lin = unsafe { &*slot.lin.0 };
+            self.put_state(lin.name(), slot.state);
+        }
+    }
+
+    /// Runs one optimization step *after* any curvature and inversion
+    /// refresh due this step — parts 3–4 of the type-level docs:
+    /// preconditioning, KL clipping, and the fallback update. [`Kfac::step`]
+    /// ends with it; a caller that ran [`fold_curvature_a`],
+    /// [`fold_curvature_b`] and [`refresh_inverses`] itself on states loaned
+    /// out with [`Kfac::take_state`] calls it directly.
+    ///
+    /// Preconditioning touches only one layer's inverses and gradients, so
+    /// it runs as one task per layer on the shared worker pool
+    /// ([`pipefisher_tensor::par`]). The KL-clip statistic is reduced in
+    /// layer-visitation order afterwards, so results are bitwise identical
+    /// to the serial schedule at any thread count.
+    pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
+        self.t += 1;
+        let mut slots = self.loan_slots(model);
+
+        // Captured statistics are spent: the refresh work that wanted them
+        // has run.
+        for_each_layer(&mut slots, |slot, lin| {
+            lin.kfac_stats_mut().clear();
+            if slot.state.ready() {
+                slot.vdot = precondition(&mut slot.state, lin);
+            }
+        });
 
         // KL clipping: Σ ⟨g, g̃⟩ reduced in visitation order (bitwise equal
         // to the serial accumulation), then one rescale pass per layer.
@@ -448,34 +353,47 @@ impl<O: Optimizer> Kfac<O> {
             let denom = lr * lr * vsum;
             if denom > kappa {
                 let scale = (kappa / denom).sqrt();
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                    .iter_mut()
-                    .filter(|slot| slot.state.ready())
-                    .map(|slot| {
-                        Box::new(move || {
-                            // SAFETY: as above — disjoint layers.
-                            let lin = unsafe { &mut *slot.lin.0 };
-                            let (w, b, _) = lin.kfac_parts_mut();
-                            w.grad.scale_inplace(scale);
-                            b.grad.scale_inplace(scale);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                par::run_tasks(tasks);
+                for_each_layer(&mut slots, |slot, lin| {
+                    if slot.state.ready() {
+                        let (w, b, _) = lin.kfac_parts_mut();
+                        w.grad.scale_inplace(scale);
+                        b.grad.scale_inplace(scale);
+                    }
+                });
             }
         }
 
         // Hand the states back before touching `model` again.
-        for slot in slots {
-            // SAFETY: tasks have joined; this is the only live alias.
-            let lin = unsafe { &*slot.lin.0 };
-            *states.get_mut(lin.name()).expect("state entry exists") = slot.state;
-        }
+        self.return_slots(slots);
 
-        // Phase 4: fallback update over all parameters.
         self.fallback.begin_step();
         let fallback = &mut self.fallback;
         model.visit_all_params(&mut |p: &mut Parameter| fallback.step_param(p, lr));
+    }
+
+    /// Runs one optimization step, refresh work included: asks the cadence
+    /// clock what is due, runs the due work units on every layer — fold `A`,
+    /// fold `B`, refresh the inverses, in that order, one pool task per
+    /// layer — and finishes with [`Kfac::step_preconditioned`].
+    pub fn step(&mut self, model: &mut dyn KfacModel, lr: f64) {
+        let refresh_curv = self.next_step_refreshes_curvature();
+        let refresh_inv = self.next_step_refreshes_inversion();
+        if refresh_curv || refresh_inv {
+            let t = self.t + 1;
+            let mut slots = self.loan_slots(model);
+            let config = &self.config;
+            for_each_layer(&mut slots, |slot, lin| {
+                if refresh_curv {
+                    fold_curvature_a(&mut slot.state, lin, config.ema_decay, t);
+                    fold_curvature_b(&mut slot.state, lin, config.ema_decay, t);
+                }
+                if refresh_inv {
+                    refresh_inverses(&mut slot.state, config.damping, config.factor_block_size, t);
+                }
+            });
+            self.return_slots(slots);
+        }
+        self.step_preconditioned(model, lr);
     }
 }
 
@@ -540,19 +458,42 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
 }
 
 /// Raw layer pointer that may cross thread boundaries: every task owns a
-/// distinct layer, so concurrent access is disjoint.
-struct LinPtr(*mut Linear);
+/// distinct layer, so concurrent access is disjoint. `'m` is the mutable
+/// borrow of the model the layer was visited in, so nothing else can reach
+/// the layer while the pointer is live.
+struct LinPtr<'m>(*mut Linear, PhantomData<&'m mut Linear>);
 
 // SAFETY: see [`LinPtr`] — pointees are disjoint per task and `Linear` has
 // no thread affinity.
-unsafe impl Send for LinPtr {}
+unsafe impl Send for LinPtr<'_> {}
 
-/// One layer's share of a [`Kfac::step`]: the layer, its owned state, and
-/// the KL-clip contribution it produced.
-struct LayerSlot {
-    lin: LinPtr,
+/// One layer's share of a step: the layer, its owned state, and the KL-clip
+/// contribution it produced.
+struct LayerSlot<'m> {
+    lin: LinPtr<'m>,
     state: LayerKfacState,
     vdot: f64,
+}
+
+/// Runs `work` on every slot and its layer, one pool task per layer.
+fn for_each_layer(
+    slots: &mut [LayerSlot<'_>],
+    work: impl Fn(&mut LayerSlot<'_>, &mut Linear) + Sync,
+) {
+    let work = &work;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .map(|slot| {
+            Box::new(move || {
+                // SAFETY: each slot points at a distinct layer (checked in
+                // `loan_slots`) of a model that stays mutably borrowed while
+                // the slots live.
+                let lin = unsafe { &mut *slot.lin.0 };
+                work(slot, lin);
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    par::run_tasks(tasks);
 }
 
 /// Folds a fresh batch Gram matrix into a (possibly absent) factor: EMA
@@ -616,19 +557,11 @@ pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
     state.last_curvature_step = t;
 }
 
-/// Folds a layer's captured batch statistics into its Kronecker factors
-/// (both halves, in `A`-then-`B` order — the order the executor's bubble
-/// schedule also preserves).
-fn update_curvature(state: &mut LayerKfacState, lin: &mut Linear, ema_decay: f64, t: u64) {
-    fold_curvature_a(state, lin, ema_decay, t);
-    fold_curvature_b(state, lin, ema_decay, t);
-}
-
 /// Recomputes the damped inverses of both factors (π-split damping),
 /// optionally after the Appendix A.2 block-diagonal masking.
 ///
-/// Public as the schedulable *inversion* work unit: the pipeline executor
-/// runs it per layer inside bubbles. The inversion itself runs on the
+/// The schedulable *inversion* work unit: [`Kfac::step`] runs it per layer
+/// in place, the pipeline executor inside bubbles. The inversion itself runs on the
 /// blocked factorization engine ([`cholesky_inverse_into`]: Cholesky
 /// factor, triangular inverse `Y = L⁻¹`, then `YᵀY` — LAPACK's
 /// `potrf` + `potri` — with the off-block work on the packed GEMM
@@ -639,8 +572,7 @@ fn update_curvature(state: &mut LayerKfacState, lin: &mut Linear, ema_decay: f64
 /// couples their damping, and the fresh inverses commit only if *both*
 /// factorizations succeed — splitting `Inversion(A)` from `Inversion(B)`
 /// would break that both-or-nothing semantics. A no-op when a factor is
-/// missing (nothing captured yet), matching [`Kfac::step`]'s
-/// `factor_a.is_some()` guard.
+/// missing (nothing captured yet).
 ///
 /// A factor whose inversion fails (not positive definite, or non-finite) is
 /// retried once with `10 × damping` more on its diagonal, counted in
@@ -951,7 +883,8 @@ mod tests {
         let _ = lin.backward(&dlogits);
 
         let mut state = LayerKfacState::default();
-        update_curvature(&mut state, &mut lin, 0.0, 1);
+        fold_curvature_a(&mut state, &lin, 0.0, 1);
+        fold_curvature_b(&mut state, &lin, 0.0, 1);
         let a = state.factor_a.unwrap();
         let b = state.factor_b.unwrap();
         // A[i][j] == â_i · â_j with â = [x, 1]

@@ -9,7 +9,11 @@
 //!   bubbles. The implementation follows §2.3 of the paper: per-layer
 //!   Kronecker factors `A_l` (from input activations) and `B_l` (from
 //!   output-gradient errors), damped Cholesky inversion, and the
-//!   preconditioned gradient `B_l⁻¹ G_l A_l⁻¹`.
+//!   preconditioned gradient `B_l⁻¹ G_l A_l⁻¹`. The curvature and inversion
+//!   work units ([`fold_curvature_a`], [`fold_curvature_b`],
+//!   [`refresh_inverses`]) are defined once: [`Kfac::step`] runs them in
+//!   place, the pipeline executor runs the same functions in bubbles, and
+//!   both finish with [`Kfac::step_preconditioned`].
 //!
 //! Learning-rate schedules (linear warmup + polynomial decay, Appendix B.2 /
 //! Figure 7) live in [`schedule`].
@@ -34,7 +38,6 @@ mod kfac;
 mod lamb;
 pub mod schedule;
 mod sgd;
-mod shampoo;
 mod snapshot;
 
 pub use adam::Adam;
@@ -45,7 +48,6 @@ pub use kfac::{
 pub use lamb::Lamb;
 pub use schedule::LrSchedule;
 pub use sgd::Sgd;
-pub use shampoo::{Shampoo, ShampooConfig};
 pub use snapshot::StateSnapshot;
 
 use pipefisher_nn::Parameter;

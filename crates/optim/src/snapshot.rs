@@ -8,8 +8,8 @@
 //! (Adam's direction buffer, K-FAC's working set) are deliberately excluded,
 //! which is safe precisely because they never carry state across steps.
 //!
-//! Refresh cadence is a pure function of the step counter (`(t-1) %
-//! interval == 0`), so restoring `t` restores the K-FAC/Shampoo cadence
+//! Refresh cadence is a pure function of the step counter (`t % interval
+//! == 0` before the step), so restoring `t` restores the K-FAC cadence
 //! phase exactly — a resumed run refreshes curvature and inverses on the
 //! same absolute steps the uninterrupted run does.
 

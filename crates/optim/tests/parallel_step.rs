@@ -1,8 +1,8 @@
-//! `Kfac::step` parallelizes its per-layer work (curvature EMA, inversion,
-//! preconditioning) across the worker pool, but every layer's arithmetic is
-//! independent and the KL-clip statistic is reduced in layer-visitation
-//! order — so a multi-threaded step must be **bitwise** identical to the
-//! single-threaded one.
+//! `Kfac::step` parallelizes its per-layer work (the refresh pass: curvature
+//! EMA and inversion; then preconditioning) across the worker pool, but
+//! every layer's arithmetic is independent and the KL-clip statistic is
+//! reduced in layer-visitation order — so a multi-threaded step must be
+//! **bitwise** identical to the single-threaded one.
 
 use pipefisher_nn::{BertConfig, BertForPreTraining, ForwardCtx, PreTrainingBatch, IGNORE_INDEX};
 use pipefisher_optim::{Kfac, KfacConfig, Lamb};
@@ -46,16 +46,17 @@ fn snapshot(model: &mut BertForPreTraining) -> Vec<(String, Vec<u64>)> {
     out
 }
 
-#[test]
-fn kfac_step_is_bitwise_identical_across_thread_counts() {
+/// Runs `steps` K-FAC steps at these refresh intervals on two identical
+/// models, one stepping on 1 thread and one on 2, comparing after each.
+fn assert_thread_counts_agree(curvature_interval: usize, inversion_interval: usize, steps: usize) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut model = BertForPreTraining::new(BertConfig::tiny(VOCAB, SEQ + 2), 0.0, &mut rng);
     let batch = make_batch(&mut rng);
 
     let cfg = KfacConfig {
         damping: 1e-2,
-        curvature_interval: 1,
-        inversion_interval: 1,
+        curvature_interval,
+        inversion_interval,
         ..Default::default()
     };
     let mut opt_serial = Kfac::new(cfg.clone(), Lamb::new(0.01));
@@ -68,11 +69,9 @@ fn kfac_step_is_bitwise_identical_across_thread_counts() {
     let _ = model.train_step(&batch, &ForwardCtx::train_with_capture());
     let mut twin = model.clone();
 
-    // Two steps: the first builds factors and inverses from scratch, the
-    // second exercises the EMA/refresh paths on existing state. Stats are
-    // recaptured per model between steps; as long as every step so far was
-    // bitwise identical, both models see identical statistics.
-    for _ in 0..2 {
+    // Stats are recaptured per model between steps; as long as every step
+    // so far was bitwise identical, both models see identical statistics.
+    for step in 0..steps {
         par::set_max_threads(1);
         opt_serial.step(&mut model, 1e-3);
         par::set_max_threads(2);
@@ -86,7 +85,7 @@ fn kfac_step_is_bitwise_identical_across_thread_counts() {
             assert_eq!(name_s, name_p);
             assert!(
                 bits_s == bits_p,
-                "parameter {name_s} differs between 1 and 2 threads"
+                "step {step}: parameter {name_s} differs between 1 and 2 threads"
             );
         }
 
@@ -95,4 +94,15 @@ fn kfac_step_is_bitwise_identical_across_thread_counts() {
         twin.zero_grad();
         let _ = twin.train_step(&batch, &ForwardCtx::train_with_capture());
     }
+}
+
+#[test]
+fn kfac_step_is_bitwise_identical_across_thread_counts() {
+    // Refresh everything every step: the first step builds factors and
+    // inverses from scratch, the second exercises the EMA/refresh paths on
+    // existing state.
+    assert_thread_counts_agree(1, 1, 2);
+    // Intervals 2/3 over 7 steps: both-due (0, 6), curvature-only (2, 4),
+    // inversion-only (3) and idle (1, 5) steps, the last on stale inverses.
+    assert_thread_counts_agree(2, 3, 7);
 }

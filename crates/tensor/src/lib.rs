@@ -28,7 +28,6 @@
 //! ```
 
 mod cholesky;
-mod eigen;
 mod error;
 mod gemm;
 pub mod init;
@@ -43,10 +42,8 @@ pub use cholesky::{
     cholesky, cholesky_into, cholesky_into_naive, cholesky_inverse, cholesky_inverse_into,
     cholesky_inverse_naive_into, cholesky_solve, cholesky_solve_into, CholeskyError,
 };
-pub use eigen::{matrix_power_psd, symmetric_eigen, SymmetricEigen};
 pub use error::{ShapeError, TensorError};
 pub use gemm::naive_matmul;
 pub use matrix::Matrix;
 pub use reduce::{argmax_row, col_mean, col_sum, col_sum_into, row_mean, row_sum};
 pub use softmax::{log_softmax, softmax, softmax_inplace, softmax_scaled_inplace};
-pub use workspace::Workspace;

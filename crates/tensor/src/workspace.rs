@@ -22,9 +22,9 @@
 //!
 //! Set `PIPEFISHER_WORKSPACE=off` (or `0` / `false`) to fall back to plain
 //! `Vec` allocation, or call [`set_enabled`] to override at runtime (the
-//! CLI's `--workspace on|off` flag does this). Disabling is the escape
-//! hatch for allocator-level debugging (e.g. under sanitizers that track
-//! buffer provenance).
+//! allocation gate and `bench_alloc` compare the two modes in one process
+//! this way). Disabling is the escape hatch for allocator-level debugging
+//! (e.g. under sanitizers that track buffer provenance).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -166,43 +166,6 @@ pub fn retained_buffers() -> usize {
 /// Drops every idle buffer retained by *this thread's* pool.
 pub fn clear() {
     let _ = POOL.try_with(|pool| pool.borrow_mut().clear());
-}
-
-/// Explicit checkout/checkin facade over the thread-local arena.
-///
-/// Most code never touches this type — `Matrix::zeros` and friends pull
-/// from the arena implicitly and `Drop` recycles. `Workspace` exists for
-/// call sites that want to make buffer reuse explicit (and for tests that
-/// exercise the aliasing contract directly).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Workspace;
-
-impl Workspace {
-    /// Creates a facade over the current thread's arena.
-    pub fn new() -> Self {
-        Workspace
-    }
-
-    /// Checks out a zeroed `rows × cols` matrix backed by a recycled
-    /// buffer when one of the right length is available.
-    pub fn checkout(&self, rows: usize, cols: usize) -> crate::Matrix {
-        crate::Matrix::zeros(rows, cols)
-    }
-
-    /// Returns a matrix's backing buffer to the arena.
-    pub fn checkin(&self, m: crate::Matrix) {
-        drop(m);
-    }
-
-    /// Idle buffers retained by this thread's arena.
-    pub fn retained_buffers(&self) -> usize {
-        retained_buffers()
-    }
-
-    /// Drops all idle buffers retained by this thread's arena.
-    pub fn clear(&self) {
-        clear();
-    }
 }
 
 #[cfg(test)]

@@ -161,18 +161,17 @@ proptest! {
     }
 }
 
-/// The workspace must never hand out a buffer that aliases a live checkout:
-/// two simultaneous checkouts of the same shape are distinct allocations.
+/// The workspace must never hand out a buffer that aliases a live checkout
+/// (`Matrix::zeros` checks out, `drop` checks in): two simultaneous
+/// checkouts of the same shape are distinct allocations.
 #[test]
 fn workspace_checkouts_never_alias() {
     let _guard = SettingsGuard::acquire();
     workspace::set_enabled(true);
-    let ws = workspace::Workspace::new();
     // Warm the pool so at least one buffer of this class is pooled.
-    let warm = ws.checkout(6, 5);
-    ws.checkin(warm);
-    let mut a = ws.checkout(6, 5);
-    let mut b = ws.checkout(6, 5); // same shape while `a` is still live
+    drop(Matrix::zeros(6, 5));
+    let mut a = Matrix::zeros(6, 5);
+    let mut b = Matrix::zeros(6, 5); // same shape while `a` is still live
     let pa = a.as_mut_slice().as_mut_ptr();
     let pb = b.as_mut_slice().as_mut_ptr();
     assert_ne!(pa, pb, "two live checkouts share a backing buffer");
@@ -182,11 +181,11 @@ fn workspace_checkouts_never_alias() {
         a.as_slice().iter().all(|&x| x == 1.0),
         "write-through aliasing"
     );
-    ws.checkin(a);
-    ws.checkin(b);
+    drop(a);
+    drop(b);
     // Round-trip: a fresh checkout may reuse capacity, but only after the
     // previous owner checked it back in.
-    let c = ws.checkout(6, 5);
+    let c = Matrix::zeros(6, 5);
     assert_eq!(c.shape(), (6, 5));
     assert!(
         c.as_slice().iter().all(|&x| x == 0.0),

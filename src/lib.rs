@@ -5,14 +5,17 @@
 //! Language Models Using Pipelining and Fisher Information Matrices").
 //!
 //! * [`tensor`] — dense linear algebra (GEMM, Cholesky, softmax).
-//! * [`nn`] — transformer layers with manual backprop and K-FAC capture.
-//! * [`optim`] — SGD / Adam / LAMB / K-FAC optimizers.
+//! * [`nn`] — transformer layers with manual backprop and K-FAC capture;
+//!   one model body (`BertStage`), monolithic or split into pipeline stages.
+//! * [`optim`] — SGD / Adam / LAMB / K-FAC optimizers; K-FAC's curvature and
+//!   inversion work units are functions every execution shares.
 //! * [`pipeline`] — GPipe, 1F1B, and Chimera schedule builders.
 //! * [`sim`] — discrete-event cluster simulator and timeline profiler.
 //! * [`trace`] — profiling spans and Chrome/Perfetto trace export.
 //! * [`perfmodel`] — the paper's §3.3 analytic performance model.
 //! * [`core`] — PipeFisher's automatic bubble work assignment.
-//! * [`lm`] — synthetic language-modeling workloads and training loops.
+//! * [`lm`] — synthetic language-modeling workloads and the training loop
+//!   (inline, or on pipeline-stage threads with K-FAC work in the bubbles).
 //! * [`ckpt`] — versioned, checksummed training checkpoints with atomic
 //!   persistence and bitwise-deterministic resume.
 //! * [`harness`] — seeded chaos fabric + executor conformance checker.

@@ -204,10 +204,12 @@ fn kfac_steady_state_is_near_allocation_free() {
     let without_pool = kfac_run_allocs(6, 3);
 
     // With the arena on, a steady-state step allocates no f64 buffers at
-    // all — what remains is the K-FAC task-dispatch bookkeeping (one boxed
-    // closure per layer plus two small Vecs per step call). Bound it
-    // tightly so any buffer allocation sneaking back into the hot path
-    // (every matrix here is ≥ 16×16) trips the gate.
+    // all — what remains is the K-FAC task-dispatch bookkeeping: a refresh
+    // step call is two fork/join scopes (the refresh pass, then
+    // preconditioning), each one boxed closure per layer plus two small
+    // Vecs — 6 per call, 4 calls per step here. Bound it tightly so any
+    // buffer allocation sneaking back into the hot path (every matrix here
+    // is ≥ 16×16) trips the gate.
     let steady_steps = 3;
     assert!(
         with_pool <= 24 * steady_steps,
@@ -222,6 +224,32 @@ fn kfac_steady_state_is_near_allocation_free() {
         "workspace on: {with_pool} allocs over {steady_steps} steady steps; \
          off: {without_pool} — expected ≥2× reduction"
     );
+}
+
+/// The executor loans every layer state out and back each refresh step, on
+/// the coordinator, inside the timed phase: once a layer has an entry the
+/// round trip moves the state in place and must not touch the heap.
+#[test]
+fn kfac_state_loan_round_trip_is_allocation_free() {
+    let _gate = Gate::acquire();
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut lin = Linear::new("fc", 16, 16, &mut rng);
+    let x = init::normal(24, 16, 1.0, &mut rng);
+    let targets: Vec<i64> = (0..24).map(|i| (i % 16) as i64).collect();
+    let mut kfac = Kfac::new(KfacConfig::default(), Sgd::new(0.9, 0.0));
+    let y = lin.forward(&x, &ForwardCtx::train_with_capture());
+    let _ = lin.backward(&cross_entropy_backward(&y, &targets));
+    kfac.step(&mut lin, 0.01);
+    assert!(kfac.state("fc").is_some_and(|st| st.ready()));
+
+    let before = alloc_snapshot();
+    for _ in 0..5 {
+        let state = kfac.take_state("fc");
+        kfac.put_state("fc", state);
+    }
+    let delta = alloc_snapshot().since(&before);
+    assert_eq!(delta.allocs, 0, "state loan round trip allocated");
+    assert!(kfac.state("fc").is_some_and(|st| st.ready()));
 }
 
 fn tiny_trainer(seed: u64) -> (Trainer, BertForPreTraining) {

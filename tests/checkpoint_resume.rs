@@ -11,7 +11,7 @@
 use pipefisher::ckpt::CkptError;
 use pipefisher::lm::{
     BatchSampler, CheckpointOptions, CheckpointPolicy, ExecError, OptimizerChoice, PipelineOptions,
-    ResumeFrom, SyntheticLanguage, TrainOptions, Trainer,
+    ResumeFrom, SyntheticLanguage, TrainCheckpoint, TrainOptions, Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining};
 use pipefisher::optim::{KfacConfig, LrSchedule};
@@ -401,6 +401,26 @@ fn corrupted_and_mismatched_checkpoints_are_rejected() {
     assert!(
         matches!(err, CkptError::OptimizerMismatch { .. }),
         "wrong error for optimizer mismatch: {err}"
+    );
+
+    // An optimizer section tagged with a kind this build does not know
+    // (2 was Shampoo's, now retired) is malformed, not a panic.
+    let mut tc = TrainCheckpoint::load(&path).unwrap();
+    tc.optim[0] = 2;
+    std::fs::write(&path, tc.to_snapshot().encode()).unwrap();
+    let (mut trainer, mut model) = setup(&config, 7);
+    let err = trainer
+        .run_checkpointed(
+            &mut model,
+            &config_choice(),
+            4,
+            &train_opts(),
+            &opts_resume(&dir),
+        )
+        .expect_err("unknown optimizer tag accepted");
+    assert!(
+        matches!(err, CkptError::Malformed { .. }),
+        "wrong error for unknown optimizer tag: {err}"
     );
     par::set_max_threads(0);
 }

@@ -10,8 +10,7 @@
 
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
-    default_watchdog, BatchSampler, ExecError, OptimizerChoice, PipelineOptions, SyntheticLanguage,
-    Trainer,
+    BatchSampler, ExecError, OptimizerChoice, PipelineOptions, SyntheticLanguage, Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb, LrSchedule, Optimizer};
@@ -120,7 +119,6 @@ fn naive_reference_loop(
     let mut kfac = match choice {
         OptimizerChoice::Kfac { kfac, .. } => Some(Kfac::new(kfac.clone(), Lamb::new(0.01))),
         OptimizerChoice::Lamb { .. } => None,
-        other => panic!("no reference for {other:?}"),
     };
     let (lr, scale) = (5e-3, 1.0 / n_micro as f64);
     let mut loss_bits = Vec::new();
@@ -424,26 +422,6 @@ fn lowered_watchdog_trips_on_slow_stage_skew() {
         matches!(err, ExecError::Wedged { .. }),
         "expected Wedged, got: {err}"
     );
-}
-
-/// `PIPEFISHER_WATCHDOG_MS` configures the default watchdog; invalid or
-/// absent values fall back to 30 s. Under `par_lock` because the
-/// environment is process-global.
-#[test]
-fn watchdog_default_reads_env() {
-    let _gate = par_lock();
-    std::env::set_var("PIPEFISHER_WATCHDOG_MS", "1234");
-    assert_eq!(default_watchdog(), Duration::from_millis(1234));
-    assert_eq!(
-        PipelineOptions::new(PipelineScheme::GPipe, 2, 4).watchdog,
-        Duration::from_millis(1234)
-    );
-    std::env::set_var("PIPEFISHER_WATCHDOG_MS", "0");
-    assert_eq!(default_watchdog(), Duration::from_secs(30));
-    std::env::set_var("PIPEFISHER_WATCHDOG_MS", "not-a-number");
-    assert_eq!(default_watchdog(), Duration::from_secs(30));
-    std::env::remove_var("PIPEFISHER_WATCHDOG_MS");
-    assert_eq!(default_watchdog(), Duration::from_secs(30));
 }
 
 #[test]
