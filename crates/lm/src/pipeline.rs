@@ -4,7 +4,7 @@
 //! staged engine: it partitions `BertForPreTraining` into `D`
 //! contiguous stages, runs one persistent worker thread per simulated
 //! device, and flows micro-batch activations forward / gradients backward
-//! over bounded channels in the exact per-device order of a lowered
+//! between them in the exact per-device order of a lowered
 //! [`ExecutablePlan`]. While a worker waits for pipeline input (a bubble),
 //! it pops the first *ready* K-FAC work unit — curvature fold or damped
 //! inversion — from its plan's bubble-fill list, which is ordered by the
@@ -30,24 +30,29 @@
 //!
 //! The only representational difference is the sign of zeros: the serial
 //! loop accumulates onto `-0.0` slots left by `zero_grad`'s
-//! `scale_inplace(0.0)`, while replicas accumulate onto `+0.0` pool
+//! `scale_inplace(0.0)`, while replicas accumulate onto `+0.0` loan
 //! buffers, and `+0.0 + -0.0 == +0.0`. A sign-of-zero never changes a
 //! loss, norm, or parameter value.
 //!
 //! # Robustness
 //!
-//! Channels are bounded; every blocking wait checks a shared abort flag
-//! and a watchdog deadline. A panicking stage trips the abort with
-//! [`ExecError::StagePanic`] and every thread unwinds to a join; a wedged
-//! stage (or a coordinator starved of results) trips
-//! [`ExecError::Wedged`]. Neither deadlocks.
+//! Each worker owns one inbox; everything it is ever sent — step commands,
+//! peers' boundary tensors, `Abort`, `Shutdown` — arrives there, so every
+//! wait is one blocking receive that a message ends. The only timeouts are
+//! computed deadlines: the watchdog past the device's last progress (a
+//! worker waiting for pipeline input) or past the newest progress of any
+//! device (the coordinator waiting for the step's reports). A panicking
+//! stage records [`ExecError::StagePanic`] in the first-fault-wins latch,
+//! a wedged one [`ExecError::Wedged`]; recording the run's first fault
+//! sends `Abort` to every inbox, so blocked threads wake at once and
+//! everything unwinds to a join. Neither deadlocks.
 
 use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
 use crate::trainer::{AnyOpt, Engine};
 use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
-use pipefisher_core::{assign, AuxKind, DevicePlan, ExecutablePlan, PipeFisherConfig, PlanOp};
-use pipefisher_core::{AssignError, PipeFisherSchedule};
+use pipefisher_core::{assign, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
+use pipefisher_core::{AssignError, PipeFisherConfig, PipeFisherSchedule};
 use pipefisher_nn::{
     BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert,
 };
@@ -59,8 +64,7 @@ use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
 use serde_json::json;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -73,8 +77,9 @@ const AUX_GRANULARITY: usize = 2;
 pub enum StepFault {
     /// Panic the worker (exercises the abort latch / `StagePanic` path).
     Panic,
-    /// Wedge the worker — spin without progress until the watchdog (or an
-    /// earlier fault) trips the abort latch.
+    /// Wedge the worker — it blocks without progress, and with no deadline
+    /// of its own, until a peer's or the coordinator's watchdog (or an
+    /// earlier fault) trips the abort latch and the `Abort` wakes it.
     Stall,
 }
 
@@ -124,9 +129,14 @@ pub struct PipelineOptions {
     /// paper's "K-FAC on pipeline" baseline.
     pub fill_bubbles: bool,
     /// No worker (or the coordinator) may go this long without progress
-    /// before the run aborts with [`ExecError::Wedged`]. Defaults to 30 s;
-    /// raise it for chaos runs whose injected delays exceed that, lower it
-    /// to see a wedge sooner.
+    /// before the run aborts with [`ExecError::Wedged`]. Progress is a
+    /// finished op or K-FAC unit, a boundary tensor sent or received, a
+    /// step command's arrival, or an injected delay running out. A worker
+    /// trips when it has waited for pipeline input until its own last
+    /// progress is this old; the coordinator when *no* device has
+    /// progressed for this long — so a healthy step may take longer than
+    /// the watchdog. Defaults to 30 s; raise it for chaos runs whose
+    /// injected delays exceed that, lower it to see a wedge sooner.
     pub watchdog: Duration,
     /// Deterministic fault/clock injection (chaos testing); `None` runs
     /// clean.
@@ -319,6 +329,10 @@ pub struct PipelineOutcome {
 
 type ParamSet = Vec<Matrix>;
 type GradSet = Vec<Matrix>;
+/// Names a boundary tensor, `(is_grad, stage, mb)`: micro-batch `mb`'s
+/// activation heading downstream or (`is_grad`) gradient heading upstream,
+/// by the stage that consumes it.
+type TensorKey = (bool, usize, usize);
 
 /// Per-step K-FAC parameters a worker needs to run fold/invert units.
 #[derive(Debug, Clone)]
@@ -331,43 +345,58 @@ struct KfacStep {
     refresh_inv: bool,
 }
 
+/// Everything of one (device, hosted stage) that goes out with a step and
+/// comes back in the device's report — the same object on both sides,
+/// owned by whoever holds it.
+struct StageLoan {
+    stage: usize,
+    /// Canonical parameter values: refreshed by the coordinator before each
+    /// step, loaded into every slot replica by the worker.
+    params: ParamSet,
+    /// One zeroed gradient set per backward the device runs for the stage:
+    /// the k-th backward (in plan order) parks its contribution in set k;
+    /// the coordinator merges the sets and re-zeroes them.
+    grads: Vec<GradSet>,
+    /// The optimizer's layer states, in the stage's `visit_linears` order —
+    /// lent on the stage's capture host in a step that refreshes, else empty.
+    kfac: Vec<LayerKfacState>,
+}
+
 /// One step's marching orders for a device.
 struct StepCmd {
     step: usize,
     batches: Arc<Vec<(PreTrainingBatch, ForwardCtx)>>,
     fill_bubbles: bool,
-    /// Per hosted stage: canonical parameter values to load into every
-    /// slot replica (the shuttle ping-pongs back in `StepDone`).
-    params: Vec<(usize, ParamSet)>,
-    /// Per hosted stage: zeroed gradient sets, one per backward this
-    /// device runs for the stage (returned via `Grads`).
-    grad_pool: Vec<(usize, Vec<GradSet>)>,
+    /// One loan per hosted stage.
+    loans: Vec<StageLoan>,
     kfac: Option<KfacStep>,
-    /// Per capture-hosted stage: the optimizer's loaned layer states, in
-    /// the stage's `visit_linears` order (returned via `StepDone`).
-    kfac_states: Vec<(usize, Vec<LayerKfacState>)>,
 }
 
-enum Cmd {
+/// `stage`'s loan among the one or two a device has.
+fn loan_for(loans: &mut [StageLoan], stage: usize) -> &mut StageLoan {
+    let loan = loans.iter_mut().find(|l| l.stage == stage);
+    loan.expect("a loan for every hosted stage, out or home")
+}
+
+/// Everything a worker is ever sent, through its one inbox.
+enum Inbox {
+    /// From the coordinator: run this step.
     Step(Box<StepCmd>),
+    /// From a peer: a boundary tensor one of this device's ops consumes.
+    Data(TensorKey, Matrix),
+    /// From whoever recorded the run's first fault: stop now.
+    Abort,
+    /// From the coordinator: the run is over.
     Shutdown,
 }
 
+/// Everything a worker tells the coordinator: one message per step.
 enum WorkerMsg {
-    Loss {
-        mb: usize,
-        total_loss: f64,
-    },
-    Grads {
+    Done {
         device: usize,
-        stage: usize,
-        mb: usize,
-        set: GradSet,
-    },
-    StepDone {
-        device: usize,
-        params: Vec<(usize, ParamSet)>,
-        kfac_states: Vec<(usize, Vec<LayerKfacState>)>,
+        loans: Vec<StageLoan>,
+        /// `(mb, total_loss)` of every last-stage forward the device ran.
+        losses: Vec<(usize, f64)>,
         bubble_aux_ms: f64,
         bubble_idle_ms: f64,
         tail_aux_ms: f64,
@@ -377,41 +406,49 @@ enum WorkerMsg {
     },
 }
 
-/// Worker-to-worker payload: a boundary activation heading downstream or a
-/// boundary gradient heading upstream, keyed by the stage that consumes it.
-enum DataMsg {
-    Act { stage: usize, mb: usize, m: Matrix },
-    Grad { stage: usize, mb: usize, m: Matrix },
-}
-
-/// First-fault-wins abort latch shared by the coordinator and all workers.
+/// What the coordinator and all workers share: a sender into every inbox,
+/// the first-fault-wins abort latch, and each device's last progress.
 #[derive(Default)]
-struct Abort {
-    flag: AtomicBool,
+struct Fleet {
+    inboxes: Vec<SyncSender<Inbox>>,
     fault: Mutex<Option<ExecError>>,
+    progress: Vec<Mutex<Instant>>,
 }
 
-impl Abort {
-    /// Records `err` if no earlier fault was recorded, then raises the flag.
+impl Fleet {
+    /// Records `err` if no earlier fault was recorded — and then, being the
+    /// run's first fault, wakes every worker with an `Abort`.
     fn trip(&self, err: ExecError) {
-        let mut slot = self.fault.lock().unwrap();
+        let mut slot = self.fault.lock().expect("fault latch never poisons");
         if slot.is_none() {
             *slot = Some(err);
+            for inbox in &self.inboxes {
+                let _ = inbox.send(Inbox::Abort);
+            }
         }
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    fn is_tripped(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
     }
 
     fn take(&self) -> Option<ExecError> {
-        self.fault.lock().unwrap().take()
+        self.fault.lock().expect("fault latch never poisons").take()
+    }
+
+    fn stamp(&self, device: usize) {
+        *self.progress[device].lock().expect("a stamp never poisons") = Instant::now();
+    }
+
+    fn last_progress(&self, device: usize) -> Instant {
+        *self.progress[device].lock().expect("a stamp never poisons")
+    }
+
+    /// The newest progress any device has stamped.
+    fn newest_progress(&self) -> Instant {
+        let stamps = (0..self.progress.len()).map(|device| self.last_progress(device));
+        stamps.max().expect("a fleet has devices")
     }
 }
 
 /// Worker-internal "stop this step now" marker; the cause (if this worker
-/// is the one that failed) is already in the [`Abort`] latch.
+/// is the one that failed) is already in the [`Fleet`]'s latch.
 struct Halt;
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -463,23 +500,33 @@ pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     ExecutablePlan::lower(&graph, schedule.as_ref(), AUX_GRANULARITY).map_err(ExecError::Plan)
 }
 
-struct WorkerHandle {
-    cmd_tx: SyncSender<Cmd>,
-    join: Option<std::thread::JoinHandle<()>>,
+/// The coordinator's handle on its worker threads. Workers hold senders
+/// into each other's inboxes, so no channel closes when the coordinator
+/// goes away: dropping this handle — at the end of a run, or while the
+/// coordinator unwinds — is what releases them.
+struct Workers {
+    fleet: Arc<Fleet>,
+    reports: Receiver<WorkerMsg>,
+    joins: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Sends shutdown to every worker and joins them all. Safe on both the
-/// success path and the abort path: every worker blocking point checks the
-/// abort flag or notices the dropped/peer-closed channel.
-fn shutdown_workers(workers: &mut Vec<WorkerHandle>) {
-    for w in workers.iter() {
-        let _ = w.cmd_tx.try_send(Cmd::Shutdown);
-    }
-    for mut w in workers.drain(..) {
-        drop(w.cmd_tx);
-        if let Some(join) = w.join.take() {
+impl Workers {
+    /// Sends `Shutdown` to every worker and joins them all. Safe on both
+    /// the success path and the abort path: every worker wait ends on an
+    /// inbox message, and `Shutdown` halts a step like `Abort` does.
+    fn shutdown(&mut self) {
+        for inbox in &self.fleet.inboxes {
+            let _ = inbox.send(Inbox::Shutdown);
+        }
+        for join in self.joins.drain(..) {
             let _ = join.join();
         }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -523,7 +570,7 @@ impl Trainer {
             opts.checkpoint.as_ref(),
             opts.resume.as_ref(),
         );
-        shutdown_workers(&mut engine.workers);
+        engine.workers.shutdown();
         Ok(PipelineOutcome {
             run: run?,
             model: engine.staged.into_model(),
@@ -535,10 +582,10 @@ impl Trainer {
 }
 
 /// The staged-threads engine: the canonical model split into `D` stages
-/// plus one persistent worker thread per device. Each step it dispatches
-/// parameter shuttles and commands, collects losses / gradient sets /
-/// `StepDone` summaries, and merges the gradient contributions into the
-/// canonical stages in serial micro-batch order.
+/// plus one persistent worker thread per device. Each step it lends every
+/// device its stage loans with the step command, collects one report per
+/// device, and merges the gradient contributions into the canonical stages
+/// in serial micro-batch order.
 struct Staged<'a> {
     staged: StagedBert,
     plan: &'a ExecutablePlan,
@@ -546,15 +593,13 @@ struct Staged<'a> {
     /// K-FAC layer names per stage, in `visit_linears` order — the index
     /// contract for loaned state vectors.
     layer_names: Vec<Vec<String>>,
-    abort: Arc<Abort>,
-    /// The fleet and its results channel: none / disconnected until `start`.
-    workers: Vec<WorkerHandle>,
-    res_rx: Receiver<WorkerMsg>,
-    /// Coordinator-held shuttles and pools, keyed by (device, stage).
-    shuttles: HashMap<(usize, usize), ParamSet>,
-    pools: HashMap<(usize, usize), Vec<GradSet>>,
-    /// Layer states the workers returned this step, awaiting `apply`.
-    returned_states: Vec<(usize, Vec<LayerKfacState>)>,
+    /// No threads and a disconnected report channel until `start`.
+    workers: Workers,
+    /// Per device, the loans that are home — all of them between steps.
+    loans: Vec<Vec<StageLoan>>,
+    /// Where `(stage, mb)`'s gradient contribution comes back, at
+    /// `[mb · D + stage]`: `(device, index into that loan's grads)`.
+    grad_home: Vec<(usize, usize)>,
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
@@ -578,12 +623,13 @@ impl<'a> Staged<'a> {
             plan,
             opts,
             layer_names,
-            abort: Arc::new(Abort::default()),
-            workers: Vec::new(),
-            res_rx: mpsc::channel().1,
-            shuttles: HashMap::new(),
-            pools: HashMap::new(),
-            returned_states: Vec::new(),
+            workers: Workers {
+                fleet: Arc::default(),
+                reports: mpsc::channel().1,
+                joins: Vec::new(),
+            },
+            loans: Vec::new(),
+            grad_home: Vec::new(),
             bubble_aux_ms: 0.0,
             bubble_idle_ms: 0.0,
             tail_aux_ms: 0.0,
@@ -594,9 +640,9 @@ impl<'a> Staged<'a> {
     /// worker fleet down, and returns the winning fault stamped with the
     /// steps completed before `step` faulted.
     fn abort_step(&mut self, step: usize, fallback: ExecError) -> ExecError {
-        self.abort.trip(fallback);
-        shutdown_workers(&mut self.workers);
-        let fault = self.abort.take().expect("abort latch tripped");
+        self.workers.fleet.trip(fallback);
+        self.workers.shutdown();
+        let fault = self.workers.fleet.take().expect("abort latch tripped");
         fault.with_completed(step)
     }
 }
@@ -607,38 +653,40 @@ impl Engine for Staged<'_> {
     }
 
     /// Spawns one persistent worker per device, each with slot replicas
-    /// cloned from the (possibly just restored) canonical stages.
+    /// cloned from the (possibly just restored) canonical stages, and
+    /// builds every (device, hosted stage) loan.
     fn start(&mut self) {
-        let Staged {
-            staged,
-            plan,
-            opts,
-            abort,
-            workers,
-            res_rx,
-            shuttles,
-            pools,
-            ..
-        } = self;
-        let (d, n_micro) = (opts.n_stages, opts.n_micro);
-        let n_devices = plan.devices.len();
-        let (res_tx, rx) = mpsc::channel::<WorkerMsg>();
-        *res_rx = rx;
-        let mut data_txs = Vec::with_capacity(n_devices);
-        let mut data_rxs: Vec<Option<Receiver<DataMsg>>> = Vec::with_capacity(n_devices);
-        for dev in 0..n_devices {
-            let hosted = plan.devices[dev].hosted_stages().len().max(1);
-            let (tx, rx) = mpsc::sync_channel::<DataMsg>(2 * n_micro * hosted + 4);
-            data_txs.push(tx);
-            data_rxs.push(Some(rx));
-        }
-        for (dev, data_rx_slot) in data_rxs.iter_mut().enumerate() {
-            let dplan = plan.devices[dev].clone();
+        let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
+        let (report_tx, reports) = mpsc::channel::<WorkerMsg>();
+        // An inbox never fills, so every send into one is a plain `send`.
+        // Between two of its reports a device is sent at most one `Step`,
+        // one `Abort` (only the run's first fault sends them), one
+        // `Shutdown`, and N activations + N gradients per hosted stage. It
+        // has taken all of a step's tensors out of the channel before it
+        // reports (each is the input of one of its ops), and no peer can
+        // send it the next step's before every device has reported.
+        let inbox_for = |dplan: &DevicePlan| {
+            let hosted = dplan.hosted_stages().len().max(1);
+            mpsc::sync_channel::<Inbox>(2 * n_micro * hosted + 4)
+        };
+        let (inboxes, receivers): (Vec<_>, Vec<_>) =
+            self.plan.devices.iter().map(inbox_for).unzip();
+        let fleet = Arc::new(Fleet {
+            progress: inboxes.iter().map(|_| Mutex::new(Instant::now())).collect(),
+            inboxes,
+            fault: Mutex::new(None),
+        });
+        self.grad_home = vec![(0, 0); d * n_micro];
+        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        let mut joins = Vec::with_capacity(receivers.len());
+        for (dev, inbox) in receivers.into_iter().enumerate() {
+            let dplan = self.plan.devices[dev].clone();
             let mut hosts = HashMap::new();
+            let mut loans = Vec::new();
             for s in dplan.hosted_stages() {
                 let mut replicas = Vec::with_capacity(dplan.n_slots[s]);
                 for _ in 0..dplan.n_slots[s] {
-                    let mut replica = staged.stage(s).clone();
+                    let mut replica = self.staged.stage(s).clone();
                     replica.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.0));
                     replica.visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
                     replicas.push(replica);
@@ -654,50 +702,43 @@ impl Engine for Staged<'_> {
                     StageHost {
                         replicas,
                         capture_slot,
+                        parked: 0,
                     },
                 );
-                let mut pset = Vec::new();
-                staged
+                let mut params = ParamSet::new();
+                self.staged
                     .stage_mut(s)
-                    .visit_params(&mut |p| pset.push(p.value.clone()));
-                shuttles.insert((dev, s), pset);
-                let backwards = dplan
-                    .ops
-                    .iter()
-                    .filter(|op| matches!(op, PlanOp::Backward { stage, .. } if *stage == s))
-                    .count();
-                let mut pool = Vec::with_capacity(backwards);
-                for _ in 0..backwards {
-                    let mut set = Vec::new();
-                    staged.stage_mut(s).visit_params(&mut |p| {
-                        set.push(Matrix::zeros(p.grad.rows(), p.grad.cols()))
-                    });
-                    pool.push(set);
+                    .visit_params(&mut |p| params.push(p.value.clone()));
+                let mut grads = Vec::new();
+                for op in &dplan.ops {
+                    if let PlanOp::Backward { stage, mb, .. } = *op {
+                        if stage == s {
+                            self.grad_home[mb * d + s] = (dev, grads.len());
+                            grads.push(params.iter().map(zeros).collect());
+                        }
+                    }
                 }
-                pools.insert((dev, s), pool);
+                loans.push(StageLoan {
+                    stage: s,
+                    params,
+                    grads,
+                    kfac: Vec::new(),
+                });
             }
-            let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(2);
+            self.loans.push(loans);
             let worker = Worker {
                 device: dev,
                 n_micro,
                 last_stage: d - 1,
                 plan: Arc::new(dplan),
                 hosts,
-                cmd_rx,
-                data_rx: data_rx_slot.take().expect("receiver taken once"),
-                peers: data_txs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, tx)| if i == dev { None } else { Some(tx.clone()) })
-                    .collect(),
-                results: res_tx.clone(),
-                abort: Arc::clone(abort),
-                watchdog: opts.watchdog,
-                chaos: opts.chaos.clone(),
+                inbox,
+                fleet: Arc::clone(&fleet),
+                reports: report_tx.clone(),
+                watchdog: self.opts.watchdog,
+                chaos: self.opts.chaos.clone(),
                 pending: HashMap::new(),
-                shuttles: HashMap::new(),
-                grad_pools: HashMap::new(),
-                loaned: HashMap::new(),
+                losses: Vec::new(),
                 aux_done: Vec::new(),
                 aux_pickups: 0,
                 fwd_cap: vec![false; d],
@@ -705,17 +746,18 @@ impl Engine for Staged<'_> {
                 bubble_aux_ms: 0.0,
                 bubble_idle_ms: 0.0,
                 tail_aux_ms: 0.0,
-                last_progress: Instant::now(),
             };
             let join = std::thread::Builder::new()
                 .name(format!("dev{dev}"))
                 .spawn(move || worker.run())
                 .expect("spawn stage worker");
-            workers.push(WorkerHandle {
-                cmd_tx,
-                join: Some(join),
-            });
+            joins.push(join);
         }
+        self.workers = Workers {
+            fleet,
+            reports,
+            joins,
+        };
     }
 
     fn run_micro_batches(
@@ -728,7 +770,18 @@ impl Engine for Staged<'_> {
         let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let n_devices = self.plan.devices.len();
         let batches = Arc::new(batches);
-        // Dispatch.
+        let panicked = |device: usize, message: &str| ExecError::StagePanic {
+            device,
+            message: message.to_string(),
+            completed_steps: step,
+        };
+        let watchdog = self.opts.watchdog;
+        let wedged = |detail: String| ExecError::Wedged {
+            waited: watchdog,
+            detail,
+            completed_steps: step,
+        };
+        // Dispatch: every device's loans go out with its step command.
         let kfac_step = opt.kfac_mut().map(|k| KfacStep {
             t: k.step_count() + 1,
             ema_decay: k.config().ema_decay,
@@ -737,125 +790,82 @@ impl Engine for Staged<'_> {
             refresh_curv,
             refresh_inv,
         });
-        let loan = kfac_step.is_some() && (refresh_curv || refresh_inv);
+        let lend_states = kfac_step.is_some() && (refresh_curv || refresh_inv);
         for dev in 0..n_devices {
-            let hosted = self.plan.devices[dev].hosted_stages();
-            let mut params = Vec::with_capacity(hosted.len());
-            let mut grad_pool = Vec::with_capacity(hosted.len());
-            let mut kfac_states = Vec::new();
-            for &s in &hosted {
-                let pset = self.shuttles.get_mut(&(dev, s)).expect("shuttle exists");
+            let mut loans = std::mem::take(&mut self.loans[dev]);
+            for loan in &mut loans {
                 let mut i = 0;
-                self.staged.stage_mut(s).visit_params(&mut |p| {
-                    pset[i].clone_from(&p.value);
+                self.staged.stage_mut(loan.stage).visit_params(&mut |p| {
+                    loan.params[i].clone_from(&p.value);
                     i += 1;
                 });
-                params.push((s, self.shuttles.remove(&(dev, s)).expect("shuttle exists")));
-                grad_pool.push((
-                    s,
-                    std::mem::take(self.pools.get_mut(&(dev, s)).expect("pool")),
-                ));
-                if loan && self.plan.capture_host[s] == dev {
-                    let k = opt.kfac_mut().expect("loan implies K-FAC");
-                    let states: Vec<LayerKfacState> = self.layer_names[s]
-                        .iter()
-                        .map(|name| k.take_state(name))
-                        .collect();
-                    kfac_states.push((s, states));
+                if lend_states && self.plan.capture_host[loan.stage] == dev {
+                    let k = opt.kfac_mut().expect("lending implies K-FAC");
+                    let names = self.layer_names[loan.stage].iter();
+                    loan.kfac.extend(names.map(|name| k.take_state(name)));
                 }
             }
             let cmd = StepCmd {
                 step,
                 batches: Arc::clone(&batches),
                 fill_bubbles: self.opts.fill_bubbles,
-                params,
-                grad_pool,
+                loans,
                 kfac: kfac_step.clone(),
-                kfac_states,
             };
-            if self.workers[dev]
-                .cmd_tx
-                .send(Cmd::Step(Box::new(cmd)))
+            // The command's arrival is the device's first progress of the
+            // step: the watchdog clocks start here, not at the last report.
+            self.workers.fleet.stamp(dev);
+            if self.workers.fleet.inboxes[dev]
+                .send(Inbox::Step(Box::new(cmd)))
                 .is_err()
             {
-                let fallback = ExecError::StagePanic {
-                    device: dev,
-                    message: "worker exited before the step was dispatched".to_string(),
-                    completed_steps: step,
-                };
+                let fallback = panicked(dev, "worker exited before the step was dispatched");
                 return Err(self.abort_step(step, fallback));
             }
         }
-        // Collect.
+        // Collect one report per device. The deadline is the watchdog past
+        // the newest progress any device has stamped, re-read only when it
+        // expires: a healthy step may outlast the watchdog, a step in which
+        // nothing anywhere moves for that long may not.
         let mut loss_buf = vec![0.0f64; n_micro];
-        let mut loss_got = vec![false; n_micro];
-        let mut grad_sets: HashMap<(usize, usize), (usize, GradSet)> = HashMap::new();
+        let mut deadline = self.workers.fleet.newest_progress() + watchdog;
         let mut done = 0usize;
-        let mut last_msg = Instant::now();
-        loop {
-            if done == n_devices && grad_sets.len() == d * n_micro && loss_got.iter().all(|&g| g) {
-                break;
-            }
-            match self.res_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(WorkerMsg::Loss { mb, total_loss }) => {
-                    loss_buf[mb] = total_loss;
-                    loss_got[mb] = true;
-                    last_msg = Instant::now();
-                }
-                Ok(WorkerMsg::Grads {
+        while done < n_devices {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.workers.reports.recv_timeout(left) {
+                Ok(WorkerMsg::Done {
                     device,
-                    stage,
-                    mb,
-                    set,
-                }) => {
-                    grad_sets.insert((stage, mb), (device, set));
-                    last_msg = Instant::now();
-                }
-                Ok(WorkerMsg::StepDone {
-                    device,
-                    params,
-                    kfac_states,
+                    loans,
+                    losses,
                     bubble_aux_ms: aux,
                     bubble_idle_ms: idle,
                     tail_aux_ms: tail,
                 }) => {
-                    for (s, pset) in params {
-                        self.shuttles.insert((device, s), pset);
+                    self.loans[device] = loans;
+                    for (mb, total_loss) in losses {
+                        loss_buf[mb] = total_loss;
                     }
-                    self.returned_states.extend(kfac_states);
                     self.bubble_aux_ms += aux;
                     self.bubble_idle_ms += idle;
                     self.tail_aux_ms += tail;
                     done += 1;
-                    last_msg = Instant::now();
                 }
                 Ok(WorkerMsg::Fault { device }) => {
-                    let fallback = ExecError::StagePanic {
-                        device,
-                        message: "worker reported a fault".to_string(),
-                        completed_steps: step,
-                    };
+                    let fallback = panicked(device, "worker reported a fault");
                     return Err(self.abort_step(step, fallback));
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if self.abort.is_tripped() || last_msg.elapsed() > self.opts.watchdog {
-                        let fallback = ExecError::Wedged {
-                            waited: self.opts.watchdog,
-                            detail: format!(
-                                "coordinator starved of step-{step} results \
-                                 ({done}/{n_devices} devices done)"
-                            ),
-                            completed_steps: step,
-                        };
+                    deadline = self.workers.fleet.newest_progress() + watchdog;
+                    if deadline <= Instant::now() {
+                        let fallback = wedged(format!(
+                            "coordinator starved of step-{step} results \
+                             ({done}/{n_devices} devices done)"
+                        ));
                         return Err(self.abort_step(step, fallback));
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    let fallback = ExecError::Wedged {
-                        waited: self.opts.watchdog,
-                        detail: "all workers exited mid-step".to_string(),
-                        completed_steps: step,
-                    };
+                    let fallback = wedged("all workers exited mid-step".to_string());
                     return Err(self.abort_step(step, fallback));
                 }
             }
@@ -863,16 +873,16 @@ impl Engine for Staged<'_> {
         // Merge gradient contributions in serial micro-batch order.
         for mb in 0..n_micro {
             for s in 0..d {
-                let (device, mut set) = grad_sets.remove(&(s, mb)).expect("backward coverage");
+                let (device, index) = self.grad_home[mb * d + s];
+                let set = &mut loan_for(&mut self.loans[device], s).grads[index];
                 let mut i = 0;
                 self.staged.stage_mut(s).visit_params(&mut |p| {
                     p.grad.axpy(1.0, &set[i]);
                     i += 1;
                 });
-                for m in &mut set {
+                for m in set {
                     m.as_mut_slice().fill(0.0);
                 }
-                self.pools.get_mut(&(device, s)).expect("pool").push(set);
             }
         }
         Ok(loss_buf.iter().sum())
@@ -885,8 +895,8 @@ impl Engine for Staged<'_> {
         let Some(k) = opt.kfac_mut() else {
             return opt.apply(&mut self.staged, lr);
         };
-        for (s, states) in self.returned_states.drain(..) {
-            for (name, state) in self.layer_names[s].iter().zip(states) {
+        for loan in self.loans.iter_mut().flatten() {
+            for (name, state) in self.layer_names[loan.stage].iter().zip(loan.kfac.drain(..)) {
                 k.put_state(name, state);
             }
         }
@@ -896,11 +906,20 @@ impl Engine for Staged<'_> {
 
 // ===================== worker side =====================
 
-/// A stage this device hosts: one replica per activation slot, plus which
-/// slot runs the capture micro-batch `N−1` (if this device does).
+/// A stage this device hosts: one replica per activation slot, which slot
+/// runs the capture micro-batch `N−1` (if this device does), and how many
+/// backwards have parked their gradients in the stage's loan this step.
 struct StageHost {
     replicas: Vec<BertStage>,
     capture_slot: Option<usize>,
+    parked: usize,
+}
+
+/// What ended a [`Worker::wait`].
+enum Woke {
+    Step(Box<StepCmd>),
+    Data,
+    Deadline,
 }
 
 /// One device's worker: executes its `DevicePlan` ops in order each step,
@@ -911,20 +930,15 @@ struct Worker {
     last_stage: usize,
     plan: Arc<DevicePlan>,
     hosts: HashMap<usize, StageHost>,
-    cmd_rx: Receiver<Cmd>,
-    data_rx: Receiver<DataMsg>,
-    /// Per-device senders into each peer's `data_rx` (`None` at own index).
-    peers: Vec<Option<SyncSender<DataMsg>>>,
-    results: mpsc::Sender<WorkerMsg>,
-    abort: Arc<Abort>,
+    inbox: Receiver<Inbox>,
+    fleet: Arc<Fleet>,
+    reports: mpsc::Sender<WorkerMsg>,
     watchdog: Duration,
     chaos: Option<Arc<dyn ChaosHook>>,
-    /// Arrived-but-unconsumed boundary tensors, keyed `(is_grad, stage, mb)`.
-    pending: HashMap<(bool, usize, usize), Matrix>,
-    /// Per-step loans from the coordinator, keyed by stage.
-    shuttles: HashMap<usize, ParamSet>,
-    grad_pools: HashMap<usize, Vec<GradSet>>,
-    loaned: HashMap<usize, Vec<LayerKfacState>>,
+    /// Arrived-but-unconsumed boundary tensors.
+    pending: HashMap<TensorKey, Matrix>,
+    /// `(mb, total_loss)` of this step's last-stage forwards so far.
+    losses: Vec<(usize, f64)>,
     /// Per-step aux progress.
     aux_done: Vec<bool>,
     /// Aux units picked up so far this step (the chaos hook's pickup key).
@@ -934,44 +948,78 @@ struct Worker {
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
-    last_progress: Instant,
 }
 
 impl Worker {
     fn run(mut self) {
         loop {
-            let cmd = match self.cmd_rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => break,
+            let mut cmd = match self.wait(None) {
+                Ok(Woke::Step(cmd)) => cmd,
+                // A peer's early boundary tensor for the next step.
+                Ok(_) => continue,
+                Err(Halt) => break,
             };
-            let mut step_cmd = match cmd {
-                Cmd::Shutdown => break,
-                Cmd::Step(c) => c,
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_step(&mut step_cmd)
-            }));
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_step(&mut cmd)));
             match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(Halt)) => {
-                    let _ = self.results.send(WorkerMsg::Fault {
-                        device: self.device,
-                    });
-                    break;
-                }
-                Err(payload) => {
-                    self.abort.trip(ExecError::StagePanic {
-                        device: self.device,
-                        message: panic_message(payload),
-                        completed_steps: 0,
-                    });
-                    let _ = self.results.send(WorkerMsg::Fault {
-                        device: self.device,
-                    });
-                    break;
+                Ok(Ok(())) => continue,
+                Ok(Err(Halt)) => {}
+                Err(payload) => self.fleet.trip(ExecError::StagePanic {
+                    device: self.device,
+                    message: panic_message(payload),
+                    completed_steps: 0,
+                }),
+            }
+            let _ = self.reports.send(WorkerMsg::Fault {
+                device: self.device,
+            });
+            break;
+        }
+    }
+
+    fn touch(&self) {
+        self.fleet.stamp(self.device);
+    }
+
+    /// Files one inbox message: a boundary tensor goes to `pending`, a step
+    /// command is handed back, `Abort` and `Shutdown` halt the worker.
+    fn accept(&mut self, msg: Inbox) -> Result<Woke, Halt> {
+        match msg {
+            Inbox::Step(cmd) => Ok(Woke::Step(cmd)),
+            Inbox::Data(key, m) => {
+                self.pending.insert(key, m);
+                self.touch();
+                Ok(Woke::Data)
+            }
+            Inbox::Abort | Inbox::Shutdown => Err(Halt),
+        }
+    }
+
+    /// The worker's one wait: blocks until the inbox delivers a message or
+    /// `deadline` passes (`None`: until a message, however long).
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<Woke, Halt> {
+        let msg = match deadline {
+            None => self.inbox.recv().map_err(|_| Halt)?,
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                match self.inbox.recv_timeout(left) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => return Ok(Woke::Deadline),
+                    Err(RecvTimeoutError::Disconnected) => return Err(Halt),
                 }
             }
+        };
+        self.accept(msg)
+    }
+
+    /// Files whatever has already arrived, without blocking — so a computing
+    /// worker sees an `Abort` at its next op, and an arrived tensor before
+    /// the next K-FAC unit.
+    fn drain(&mut self) -> Result<(), Halt> {
+        while let Ok(msg) = self.inbox.try_recv() {
+            self.accept(msg)?;
         }
+        Ok(())
     }
 
     fn run_step(&mut self, cmd: &mut StepCmd) -> Result<(), Halt> {
@@ -984,27 +1032,29 @@ impl Worker {
                 "injected fault: device {} at step {}",
                 self.device, cmd.step
             ),
-            Some(StepFault::Stall) => {
-                // Wedge without progress until someone (the watchdog) aborts.
-                while !self.abort.is_tripped() {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return Err(Halt);
-            }
+            // Wedge without progress: no deadline, so only the `Abort` of
+            // someone else's watchdog (or an earlier fault) ends the wait.
+            Some(StepFault::Stall) => loop {
+                self.wait(None)?;
+            },
             None => {}
         }
         self.begin_step(cmd);
         let plan = Arc::clone(&self.plan);
         for (op_index, op) in plan.ops.iter().enumerate() {
-            if self.abort.is_tripped() {
-                return Err(Halt);
-            }
+            self.drain()?;
             if let Some(delay) = self
                 .chaos
                 .as_ref()
                 .and_then(|c| c.op_delay(self.device, cmd.step, op_index))
             {
-                self.chaos_sleep(delay)?;
+                // Wait out the injected delay, whatever else arrives. The
+                // wait is intentional, so the worker's own progress clock
+                // resets afterwards; peers blocked on this device's output
+                // still see the skew and wedge if it exceeds their watchdog.
+                let until = Instant::now() + delay;
+                while !matches!(self.wait(Some(until))?, Woke::Deadline) {}
+                self.touch();
             }
             match *op {
                 PlanOp::Forward {
@@ -1024,27 +1074,20 @@ impl Worker {
         self.finish_step(cmd)
     }
 
-    /// Loads the step's loans into worker state and resets per-step
-    /// progress tracking. Slot replicas re-sync to the canonical
-    /// parameters here, so every micro-batch computes on the exact
-    /// serial-step weights.
-    fn begin_step(&mut self, cmd: &mut StepCmd) {
-        for (stage, pset) in cmd.params.drain(..) {
-            let host = self.hosts.get_mut(&stage).expect("params for hosted stage");
+    /// Re-syncs every slot replica to the loaned canonical parameters, so
+    /// every micro-batch computes on the exact serial-step weights, and
+    /// resets per-step progress tracking.
+    fn begin_step(&mut self, cmd: &StepCmd) {
+        for loan in &cmd.loans {
+            let host = self.hosts.get_mut(&loan.stage).expect("loan for a host");
             for replica in &mut host.replicas {
                 let mut i = 0;
                 replica.visit_params(&mut |p| {
-                    p.value.clone_from(&pset[i]);
+                    p.value.clone_from(&loan.params[i]);
                     i += 1;
                 });
             }
-            self.shuttles.insert(stage, pset);
-        }
-        for (stage, pool) in cmd.grad_pool.drain(..) {
-            self.grad_pools.insert(stage, pool);
-        }
-        for (stage, states) in cmd.kfac_states.drain(..) {
-            self.loaned.insert(stage, states);
+            host.parked = 0;
         }
         self.aux_done.clear();
         self.aux_done.resize(self.plan.aux.len(), false);
@@ -1054,31 +1097,12 @@ impl Worker {
         self.bubble_aux_ms = 0.0;
         self.bubble_idle_ms = 0.0;
         self.tail_aux_ms = 0.0;
-        self.last_progress = Instant::now();
-    }
-
-    /// Sleeps out an injected delay in abort-aware slices. The wait is
-    /// intentional, so the worker's own progress clock resets afterwards;
-    /// peers blocked on this device's output still see the skew and wedge
-    /// if it exceeds their watchdog.
-    fn chaos_sleep(&mut self, delay: Duration) -> Result<(), Halt> {
-        let until = Instant::now() + delay;
-        loop {
-            if self.abort.is_tripped() {
-                return Err(Halt);
-            }
-            let now = Instant::now();
-            if now >= until {
-                self.last_progress = Instant::now();
-                return Ok(());
-            }
-            std::thread::sleep((until - now).min(Duration::from_millis(2)));
-        }
+        self.touch();
     }
 
     fn do_forward(
         &mut self,
-        cmd: &StepCmd,
+        cmd: &mut StepCmd,
         stage: usize,
         mb: usize,
         slot: usize,
@@ -1087,7 +1111,7 @@ impl Worker {
         let input = if stage == 0 {
             None
         } else {
-            Some(self.wait_for(false, stage, mb, cmd)?)
+            Some(self.wait_for((false, stage, mb), cmd)?)
         };
         let (batch, ctx) = &cmd.batches[mb];
         let out = {
@@ -1110,31 +1134,17 @@ impl Worker {
         match out {
             StageOutput::Boundary(m) => {
                 let dest = send_to.expect("interior forward routes downstream");
-                self.send_data(
-                    dest,
-                    DataMsg::Act {
-                        stage: stage + 1,
-                        mb,
-                        m,
-                    },
-                )?;
+                self.send_data(dest, (false, stage + 1, mb), m)?;
             }
-            StageOutput::Losses(out) => {
-                self.results
-                    .send(WorkerMsg::Loss {
-                        mb,
-                        total_loss: out.total_loss,
-                    })
-                    .map_err(|_| Halt)?;
-            }
+            StageOutput::Losses(out) => self.losses.push((mb, out.total_loss)),
         }
-        self.last_progress = Instant::now();
+        self.touch();
         Ok(())
     }
 
     fn do_backward(
         &mut self,
-        cmd: &StepCmd,
+        cmd: &mut StepCmd,
         stage: usize,
         mb: usize,
         slot: usize,
@@ -1143,7 +1153,7 @@ impl Worker {
         let dout = if stage == self.last_stage {
             None
         } else {
-            Some(self.wait_for(true, stage, mb, cmd)?)
+            Some(self.wait_for((true, stage, mb), cmd)?)
         };
         let (batch, _ctx) = &cmd.batches[mb];
         let upstream = {
@@ -1167,52 +1177,30 @@ impl Worker {
             self.bwd_cap[stage] = true;
         }
         if let (Some(m), Some(dest)) = (upstream, send_to) {
-            self.send_data(
-                dest,
-                DataMsg::Grad {
-                    stage: stage - 1,
-                    mb,
-                    m,
-                },
-            )?;
+            self.send_data(dest, (true, stage - 1, mb), m)?;
         }
-        // Hand this micro-batch's contribution to the coordinator: swap the
-        // replica's accumulated grads with a zeroed set from the pool, so
+        // Park this micro-batch's contribution in the loan: swap the
+        // replica's accumulated grads with the loan's next zeroed set, so
         // the replica is clean for its slot's next micro-batch.
-        let mut set = self
-            .grad_pools
-            .get_mut(&stage)
-            .expect("grad pool for hosted stage")
-            .pop()
-            .expect("grad pool sized to backward count");
-        {
-            let host = self.hosts.get_mut(&stage).expect("hosted stage");
-            let mut i = 0;
-            host.replicas[slot].visit_params(&mut |p| {
-                std::mem::swap(&mut p.grad, &mut set[i]);
-                i += 1;
-            });
-        }
-        self.results
-            .send(WorkerMsg::Grads {
-                device: self.device,
-                stage,
-                mb,
-                set,
-            })
-            .map_err(|_| Halt)?;
-        self.last_progress = Instant::now();
+        let host = self.hosts.get_mut(&stage).expect("hosted stage");
+        let set = &mut loan_for(&mut cmd.loans, stage).grads[host.parked];
+        host.parked += 1;
+        let mut i = 0;
+        host.replicas[slot].visit_params(&mut |p| {
+            std::mem::swap(&mut p.grad, &mut set[i]);
+            i += 1;
+        });
+        self.touch();
         Ok(())
     }
 
     /// Runs remaining K-FAC units (tail work that found no bubble), clears
-    /// the capture replicas' statistics, and returns the loans.
-    fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
+    /// the capture replicas' statistics, and sends the step's one report:
+    /// the loans, the losses and the time ledgers.
+    fn finish_step(&mut self, cmd: &mut StepCmd) -> Result<(), Halt> {
         let tail_t = Instant::now();
         while self.try_aux_one(cmd).is_some() {
-            if self.abort.is_tripped() {
-                return Err(Halt);
-            }
+            self.drain()?;
         }
         self.tail_aux_ms = tail_t.elapsed().as_secs_f64() * 1e3;
         if cmd.kfac.as_ref().is_some_and(|k| k.refresh_curv) {
@@ -1222,15 +1210,11 @@ impl Worker {
                 }
             }
         }
-        let mut params: Vec<(usize, ParamSet)> = self.shuttles.drain().collect();
-        params.sort_by_key(|(s, _)| *s);
-        let mut kfac_states: Vec<(usize, Vec<LayerKfacState>)> = self.loaned.drain().collect();
-        kfac_states.sort_by_key(|(s, _)| *s);
-        self.results
-            .send(WorkerMsg::StepDone {
+        self.reports
+            .send(WorkerMsg::Done {
                 device: self.device,
-                params,
-                kfac_states,
+                loans: std::mem::take(&mut cmd.loans),
+                losses: std::mem::take(&mut self.losses),
                 bubble_aux_ms: self.bubble_aux_ms,
                 bubble_idle_ms: self.bubble_idle_ms,
                 tail_aux_ms: self.tail_aux_ms,
@@ -1238,23 +1222,15 @@ impl Worker {
             .map_err(|_| Halt)
     }
 
-    /// Blocks until the boundary tensor keyed `(is_grad, stage, mb)`
-    /// arrives, filling the wait with ready K-FAC units (the bubbles the
-    /// paper targets) and honoring abort/watchdog.
-    fn wait_for(
-        &mut self,
-        is_grad: bool,
-        stage: usize,
-        mb: usize,
-        cmd: &StepCmd,
-    ) -> Result<Matrix, Halt> {
-        let key = (is_grad, stage, mb);
+    /// Blocks until the boundary tensor `key` arrives, filling the wait with
+    /// ready K-FAC units (the bubbles the paper targets). With nothing to
+    /// run it blocks on the inbox until the watchdog past this device's
+    /// last progress, then trips `Wedged`.
+    fn wait_for(&mut self, key: TensorKey, cmd: &mut StepCmd) -> Result<Matrix, Halt> {
         loop {
-            while let Ok(msg) = self.data_rx.try_recv() {
-                self.stash(msg);
-            }
+            self.drain()?;
             if let Some(m) = self.pending.remove(&key) {
-                self.last_progress = Instant::now();
+                self.touch();
                 return Ok(m);
             }
             if cmd.fill_bubbles {
@@ -1264,80 +1240,36 @@ impl Worker {
                 }
             }
             let idle_t = Instant::now();
-            match self.data_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(msg) => {
-                    self.bubble_idle_ms += idle_t.elapsed().as_secs_f64() * 1e3;
-                    self.stash(msg);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.bubble_idle_ms += idle_t.elapsed().as_secs_f64() * 1e3;
-                    if self.abort.is_tripped() {
-                        return Err(Halt);
-                    }
-                    if self.last_progress.elapsed() > self.watchdog {
-                        let what = if is_grad { "gradient" } else { "activation" };
-                        self.abort.trip(ExecError::Wedged {
-                            waited: self.watchdog,
-                            detail: format!(
-                                "device {} stuck waiting for the {what} of stage {stage} \
-                                 micro-batch {mb}",
-                                self.device
-                            ),
-                            completed_steps: 0,
-                        });
-                        return Err(Halt);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(Halt),
+            let woke = self.wait(Some(self.fleet.last_progress(self.device) + self.watchdog));
+            self.bubble_idle_ms += idle_t.elapsed().as_secs_f64() * 1e3;
+            if let Woke::Deadline = woke? {
+                let (is_grad, stage, mb) = key;
+                let what = if is_grad { "gradient" } else { "activation" };
+                self.fleet.trip(ExecError::Wedged {
+                    waited: self.watchdog,
+                    detail: format!(
+                        "device {} stuck waiting for the {what} of stage {stage} \
+                         micro-batch {mb}",
+                        self.device
+                    ),
+                    completed_steps: 0,
+                });
+                return Err(Halt);
             }
         }
-    }
-
-    fn stash(&mut self, msg: DataMsg) {
-        let (key, m) = match msg {
-            DataMsg::Act { stage, mb, m } => ((false, stage, mb), m),
-            DataMsg::Grad { stage, mb, m } => ((true, stage, mb), m),
-        };
-        self.pending.insert(key, m);
-        self.last_progress = Instant::now();
     }
 
     /// Routes a boundary tensor to the device hosting its consumer; a
     /// self-send short-circuits into `pending`.
-    fn send_data(&mut self, dest: usize, msg: DataMsg) -> Result<(), Halt> {
+    fn send_data(&mut self, dest: usize, key: TensorKey, m: Matrix) -> Result<(), Halt> {
+        let msg = Inbox::Data(key, m);
         if dest == self.device {
-            self.stash(msg);
-            return Ok(());
+            self.accept(msg)?;
+        } else {
+            self.fleet.inboxes[dest].send(msg).map_err(|_| Halt)?;
+            self.touch();
         }
-        let mut msg = msg;
-        loop {
-            let tx = self.peers[dest].as_ref().expect("peer sender");
-            match tx.try_send(msg) {
-                Ok(()) => {
-                    self.last_progress = Instant::now();
-                    return Ok(());
-                }
-                Err(TrySendError::Full(back)) => {
-                    msg = back;
-                    if self.abort.is_tripped() {
-                        return Err(Halt);
-                    }
-                    if self.last_progress.elapsed() > self.watchdog {
-                        self.abort.trip(ExecError::Wedged {
-                            waited: self.watchdog,
-                            detail: format!(
-                                "device {} stuck sending to device {dest} (full channel)",
-                                self.device
-                            ),
-                            completed_steps: 0,
-                        });
-                        return Err(Halt);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(Halt),
-            }
-        }
+        Ok(())
     }
 
     /// Runs the first K-FAC unit whose inputs are ready (or, under a chaos
@@ -1351,7 +1283,7 @@ impl Worker {
     /// Reordering among *ready* units is bitwise-safe: ready units touch
     /// disjoint per-layer state, and an inversion only becomes ready once
     /// every fold of its stage is done.
-    fn try_aux_one(&mut self, cmd: &StepCmd) -> Option<f64> {
+    fn try_aux_one(&mut self, cmd: &mut StepCmd) -> Option<f64> {
         let kfac = cmd.kfac.clone()?;
         if !kfac.refresh_curv && !kfac.refresh_inv {
             return None;
@@ -1409,30 +1341,32 @@ impl Worker {
         };
         self.aux_pickups += 1;
         self.aux_done[chosen] = true;
-        let op = plan.aux[chosen];
         let t = Instant::now();
-        self.run_aux(cmd.step, op.stage, op.kind, op.chunk, op.chunks, &kfac);
+        self.run_aux(cmd, plan.aux[chosen], &kfac);
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        self.last_progress = Instant::now();
+        self.touch();
         Some(ms)
     }
 
     /// Executes one fold/invert unit over the chunk's slice of the stage's
     /// K-FAC layers, on the capture replica's statistics, against the
     /// optimizer's loaned layer states.
-    fn run_aux(
-        &mut self,
-        step: usize,
-        stage: usize,
-        kind: AuxKind,
-        chunk: usize,
-        chunks: usize,
-        kfac: &KfacStep,
-    ) {
-        let device = self.device;
-        let Some(states) = self.loaned.get_mut(&stage) else {
-            return; // no loan (e.g. another device's refresh already has it)
-        };
+    fn run_aux(&mut self, cmd: &mut StepCmd, op: AuxOp, kfac: &KfacStep) {
+        let AuxOp {
+            stage,
+            kind,
+            chunk,
+            chunks,
+        } = op;
+        let (device, step) = (self.device, cmd.step);
+        // Lowering puts every unit on its stage's capture host, which is
+        // lent the states in every step that refreshes: a unit marked done
+        // must have run, so a missing loan is a fault, never a skip.
+        let states = &mut loan_for(&mut cmd.loans, stage).kfac;
+        assert!(
+            !states.is_empty(),
+            "K-FAC unit of stage {stage} on device {device} without loaned layer states"
+        );
         let host = self.hosts.get_mut(&stage).expect("aux on hosted stage");
         let slot = host.capture_slot.expect("aux runs on the capture host");
         let replica = &mut host.replicas[slot];
@@ -1476,5 +1410,29 @@ impl Worker {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pipefisher_nn::BertConfig;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// Workers hold senders into each other's inboxes, so nothing
+    /// disconnects when the coordinator goes away: dropping the engine (as
+    /// an unwinding coordinator does) must itself release and join them,
+    /// after which no thread holds the fleet any more.
+    #[test]
+    fn dropping_the_engine_releases_its_workers() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let model = BertForPreTraining::new(BertConfig::tiny(36, 16), 0.0, &mut rng);
+        let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
+        let plan = plan_for(&opts).expect("plan");
+        let mut engine = Staged::new(model, &plan, &opts);
+        engine.start();
+        let fleet = Arc::downgrade(&engine.workers.fleet);
+        drop(engine);
+        assert!(fleet.upgrade().is_none(), "a worker outlived the engine");
     }
 }

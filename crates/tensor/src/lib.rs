@@ -45,5 +45,5 @@ pub use cholesky::{
 pub use error::{ShapeError, TensorError};
 pub use gemm::naive_matmul;
 pub use matrix::Matrix;
-pub use reduce::{argmax_row, col_mean, col_sum, col_sum_into, row_mean, row_sum};
+pub use reduce::col_sum_into;
 pub use softmax::{log_softmax, softmax, softmax_inplace, softmax_scaled_inplace};

@@ -100,16 +100,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m.data[i * n + i] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -196,23 +186,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(
-            c < self.cols,
-            "col index {} out of bounds ({})",
-            c,
-            self.cols
-        );
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -222,24 +195,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Reshapes into `(rows, cols)` without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total element count changes.
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Matrix {
-        assert_eq!(
-            self.data.len(),
-            rows * cols,
-            "reshape: element count mismatch"
-        );
-        Matrix {
-            rows,
-            cols,
-            data: mem::take(&mut self.data),
-        }
     }
 
     /// Re-dimensions `self` to `rows × cols` for reuse as an output buffer.
@@ -700,26 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let r = m.clone().reshape(3, 2);
-        assert_eq!(r[(2, 1)], 6.0);
-        assert_eq!(r.as_slice(), m.as_slice());
-    }
-
-    #[test]
     #[should_panic(expected = "shape mismatch")]
     fn add_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 3);
         let _ = &a + &b;
-    }
-
-    #[test]
-    fn from_diag_builds_diagonal() {
-        let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.trace(), 6.0);
-        assert_eq!(d[(0, 1)], 0.0);
-        assert_eq!(d[(2, 2)], 3.0);
     }
 }

@@ -25,13 +25,13 @@
 //!
 //! # Determinism
 //!
-//! [`par_chunks_mut`]/[`par_chunks_mut_weighted`] partition an output
-//! buffer into disjoint contiguous row chunks, one task per chunk. Because
-//! every output element is written by exactly one task that performs the
-//! same accumulation loop (in the same order) as the serial kernel,
-//! results are **bitwise identical** to serial execution at any thread
-//! count. Inputs smaller than [`par_threshold`] estimated multiply–adds
-//! skip the pool entirely.
+//! [`par_chunks_mut_aligned`]/[`par_chunks_mut_weighted_aligned`] partition
+//! an output buffer into disjoint contiguous row chunks, one task per
+//! chunk. Because every output element is written by exactly one task that
+//! performs the same accumulation loop (in the same order) as the serial
+//! kernel, results are **bitwise identical** to serial execution at any
+//! thread count. Inputs smaller than [`par_threshold`] estimated
+//! multiply–adds skip the pool entirely.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -235,10 +235,13 @@ pub fn run_tasks<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new({
             let latch = std::sync::Arc::clone(&latch);
             move || {
-                let _task_span = pipefisher_trace::span("par_task", "pool");
+                let task_span = pipefisher_trace::span("par_task", "pool");
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                     latch.record_panic(payload);
                 }
+                // Record the span before the count-down releases the
+                // caller, or a drain right after the scope could miss it.
+                drop(task_span);
                 latch.count_down();
             }
         });
@@ -279,22 +282,14 @@ pub fn run_tasks<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
 /// Splits `out` (a `rows × row_width` row-major buffer) into contiguous
 /// per-task row chunks and calls `body(first_row, chunk)` on each, in
 /// parallel when `work` (estimated multiply–adds) clears [`par_threshold`].
+/// Chunk boundaries are rounded down to multiples of `align`, so lanes
+/// split on micro-panel boundaries (the GEMM kernels pass
+/// [`crate::kernel::ROW_ALIGN`] to avoid ragged register tiles at every
+/// lane seam); alignment only moves boundaries.
 ///
 /// Each chunk is written by exactly one task, so any kernel whose per-row
 /// accumulation order does not depend on the partition produces bitwise
 /// identical output at every thread count — see the module docs.
-pub fn par_chunks_mut<F>(out: &mut [f64], rows: usize, row_width: usize, work: usize, body: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    par_chunks_mut_weighted(out, rows, row_width, work, |_| 1, body)
-}
-
-/// [`par_chunks_mut`] with chunk boundaries rounded down to multiples of
-/// `align`, so lanes split on micro-panel boundaries (the GEMM kernels pass
-/// [`crate::kernel::ROW_ALIGN`] to avoid ragged register tiles at every
-/// lane seam). Alignment only moves boundaries; coverage and determinism
-/// are unchanged.
 pub fn par_chunks_mut_aligned<F>(
     out: &mut [f64],
     rows: usize,
@@ -308,26 +303,10 @@ pub fn par_chunks_mut_aligned<F>(
     par_chunks_mut_weighted_aligned(out, rows, row_width, align, work, |_| 1, body)
 }
 
-/// Like [`par_chunks_mut`], but chunk boundaries balance `weight(row)`
-/// (relative cost of a row) instead of row counts — e.g. the Gram kernel's
-/// upper-triangle rows shrink linearly, so equal row counts would leave the
-/// last lane nearly idle.
-pub fn par_chunks_mut_weighted<W, F>(
-    out: &mut [f64],
-    rows: usize,
-    row_width: usize,
-    work: usize,
-    weight: W,
-    body: F,
-) where
-    W: Fn(usize) -> usize,
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    par_chunks_mut_weighted_aligned(out, rows, row_width, 1, work, weight, body)
-}
-
-/// Weighted *and* aligned chunking — see [`par_chunks_mut_weighted`] and
-/// [`par_chunks_mut_aligned`].
+/// Like [`par_chunks_mut_aligned`], but chunk boundaries balance
+/// `weight(row)` (relative cost of a row) instead of row counts — e.g. the
+/// Gram kernel's upper-triangle rows shrink linearly, so equal row counts
+/// would leave the last lane nearly idle.
 pub fn par_chunks_mut_weighted_aligned<W, F>(
     out: &mut [f64],
     rows: usize,
@@ -468,7 +447,7 @@ mod tests {
         let rows = 37;
         let width = 3;
         let mut out = vec![0.0f64; rows * width];
-        par_chunks_mut(&mut out, rows, width, usize::MAX, |start, chunk| {
+        par_chunks_mut_aligned(&mut out, rows, width, 1, usize::MAX, |start, chunk| {
             for (r, row) in chunk.chunks_mut(width).enumerate() {
                 for v in row.iter_mut() {
                     *v += (start + r) as f64;
@@ -546,10 +525,10 @@ mod tests {
         set_max_threads(4);
         set_par_threshold(0);
         let mut outer = vec![0.0f64; 8];
-        par_chunks_mut(&mut outer, 8, 1, usize::MAX, |start, chunk| {
+        par_chunks_mut_aligned(&mut outer, 8, 1, 1, usize::MAX, |start, chunk| {
             // A nested call from a task must not deadlock.
             let mut inner = vec![0.0f64; 4];
-            par_chunks_mut(&mut inner, 4, 1, usize::MAX, |s, c| {
+            par_chunks_mut_aligned(&mut inner, 4, 1, 1, usize::MAX, |s, c| {
                 for (i, v) in c.iter_mut().enumerate() {
                     *v = (s + i) as f64;
                 }

@@ -42,31 +42,8 @@ pub(crate) fn dot_exact(xs: &[f64], ys: &[f64]) -> f64 {
     acc
 }
 
-/// Sums each row, returning a vector of length `rows`.
-pub fn row_sum(m: &Matrix) -> Vec<f64> {
-    (0..m.rows()).map(|r| sum_exact(m.row(r))).collect()
-}
-
-/// Means each row, returning a vector of length `rows`.
-///
-/// # Panics
-///
-/// Panics if the matrix has zero columns.
-pub fn row_mean(m: &Matrix) -> Vec<f64> {
-    assert!(m.cols() > 0, "row_mean: zero columns");
-    let inv = 1.0 / m.cols() as f64;
-    row_sum(m).into_iter().map(|s| s * inv).collect()
-}
-
-/// Sums each column, returning a vector of length `cols`.
-pub fn col_sum(m: &Matrix) -> Vec<f64> {
-    let mut out = vec![0.0; m.cols()];
-    col_sum_into(m, &mut out);
-    out
-}
-
-/// Sums each column into `out` (fully overwritten). Bitwise identical to
-/// [`col_sum`]: rows accumulate in ascending order per column.
+/// Sums each column into `out` (fully overwritten): rows accumulate in
+/// ascending order per column.
 ///
 /// # Panics
 ///
@@ -89,34 +66,6 @@ pub fn col_sum_into(m: &Matrix, out: &mut [f64]) {
     }
 }
 
-/// Means each column, returning a vector of length `cols`.
-///
-/// # Panics
-///
-/// Panics if the matrix has zero rows.
-pub fn col_mean(m: &Matrix) -> Vec<f64> {
-    assert!(m.rows() > 0, "col_mean: zero rows");
-    let inv = 1.0 / m.rows() as f64;
-    col_sum(m).into_iter().map(|s| s * inv).collect()
-}
-
-/// Index of the maximum element of row `r` (first on ties).
-///
-/// # Panics
-///
-/// Panics if the matrix has zero columns or `r` is out of bounds.
-pub fn argmax_row(m: &Matrix, r: usize) -> usize {
-    let row = m.row(r);
-    assert!(!row.is_empty(), "argmax_row: zero columns");
-    let mut best = 0;
-    for (i, &x) in row.iter().enumerate() {
-        if x > row[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,22 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn row_reductions() {
-        let m = sample();
-        assert_eq!(row_sum(&m), vec![6.0, 15.0]);
-        assert_eq!(row_mean(&m), vec![2.0, 5.0]);
-    }
-
-    #[test]
     fn col_reductions() {
-        let m = sample();
-        assert_eq!(col_sum(&m), vec![5.0, 7.0, 9.0]);
-        assert_eq!(col_mean(&m), vec![2.5, 3.5, 4.5]);
-    }
-
-    #[test]
-    fn argmax_picks_first_max() {
-        let m = Matrix::from_rows(&[&[1.0, 3.0, 3.0]]);
-        assert_eq!(argmax_row(&m, 0), 1);
+        let mut out = [f64::NAN; 3];
+        col_sum_into(&sample(), &mut out);
+        assert_eq!(out, [5.0, 7.0, 9.0]);
     }
 }

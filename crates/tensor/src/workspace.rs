@@ -172,8 +172,15 @@ pub fn clear() {
 mod tests {
     use super::*;
 
+    /// Serializes tests that flip the process-wide enable mode.
+    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn round_trip_recycles_capacity() {
+        let _guard = mode_lock();
         set_enabled(true);
         clear();
         let a = take_zeroed(64);
@@ -189,6 +196,7 @@ mod tests {
 
     #[test]
     fn distinct_lengths_do_not_alias() {
+        let _guard = mode_lock();
         set_enabled(true);
         clear();
         put(vec![1.0; 8]);
@@ -201,6 +209,7 @@ mod tests {
 
     #[test]
     fn disabled_pool_never_retains() {
+        let _guard = mode_lock();
         set_enabled(false);
         clear();
         put(vec![1.0; 8]);
@@ -211,6 +220,7 @@ mod tests {
 
     #[test]
     fn class_cap_bounds_retention() {
+        let _guard = mode_lock();
         set_enabled(true);
         clear();
         for _ in 0..CLASS_CAP_COUNT + 10 {

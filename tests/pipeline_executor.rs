@@ -19,7 +19,7 @@ use pipefisher::tensor::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes tests that touch the process-wide thread-count override.
 fn par_lock() -> MutexGuard<'static, ()> {
@@ -444,4 +444,102 @@ fn wedged_stage_trips_the_watchdog() {
         matches!(err, ExecError::Wedged { .. }),
         "expected Wedged, got: {err}"
     );
+}
+
+/// Chaos hook that panics one device at one step and notes when it did.
+struct TimedPanic {
+    at: (usize, usize),
+    fired: Mutex<Option<Instant>>,
+}
+
+impl pipefisher::lm::ChaosHook for TimedPanic {
+    fn step_fault(&self, device: usize, step: usize) -> Option<pipefisher::lm::StepFault> {
+        ((device, step) == self.at).then(|| {
+            *self.fired.lock().unwrap() = Some(Instant::now());
+            pipefisher::lm::StepFault::Panic
+        })
+    }
+}
+
+/// Abort is a wake-up, not a timeout: when one stage of four panics, its
+/// peers — blocked on pipeline input under a 10 s watchdog — must be woken
+/// by the abort itself. Left to their own watchdogs they would take 10 s.
+#[test]
+fn abort_wakes_blocked_peers_without_waiting_for_their_watchdog() {
+    let _gate = par_lock();
+    let config = BertConfig::mini(36, 16);
+    let (mut trainer, model) = setup(&config, 3);
+    let hook = Arc::new(TimedPanic {
+        at: (2, 1),
+        fired: Mutex::new(None),
+    });
+    let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 4, 4);
+    opts.chaos = Some(hook.clone());
+    opts.watchdog = Duration::from_secs(10);
+    let err = trainer
+        .run_pipelined(model, &kfac_choice(), 4, &opts)
+        .expect_err("injected panic must abort the run");
+    let took = hook.fired.lock().unwrap().expect("fault fired").elapsed();
+    assert_eq!(err.completed_steps(), 1);
+    assert!(
+        matches!(err, ExecError::StagePanic { device: 2, .. }),
+        "expected StagePanic on device 2, got: {err}"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "the run outlived the panic by {took:?}: a peer sat out its watchdog"
+    );
+}
+
+/// Only the coordinator can see a lone wedge: with one device there is no
+/// peer whose wait could time out, so the coordinator's own watchdog must
+/// notice that nothing progresses.
+#[test]
+fn coordinator_watchdog_sees_a_lone_wedged_stage() {
+    let _gate = par_lock();
+    let config = BertConfig::tiny(36, 16);
+    let (mut trainer, model) = setup(&config, 4);
+    let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 1, 4);
+    opts.chaos = Some(Arc::new(FaultPlan::stall_at(0, 0)));
+    opts.watchdog = Duration::from_millis(250);
+    let err = trainer
+        .run_pipelined(
+            model,
+            &OptimizerChoice::Lamb { weight_decay: 0.01 },
+            2,
+            &opts,
+        )
+        .expect_err("a wedged lone stage must abort the run");
+    assert!(
+        matches!(err, ExecError::Wedged { .. }),
+        "expected Wedged, got: {err}"
+    );
+}
+
+/// Chaos hook delaying every op of every device by the same amount.
+struct SlowEveryOp(Duration);
+
+impl pipefisher::lm::ChaosHook for SlowEveryOp {
+    fn op_delay(&self, _device: usize, _step: usize, _op_index: usize) -> Option<Duration> {
+        Some(self.0)
+    }
+}
+
+/// Progress, not reports, feeds the coordinator's watchdog: eight ops of
+/// ≥ 60 ms each make the step (and the wait for its one report) at least
+/// 480 ms long under a 150 ms watchdog, yet every op is progress, so the
+/// run must complete — and the delays change nothing bitwise.
+#[test]
+fn healthy_step_longer_than_the_watchdog_does_not_trip() {
+    let _gate = par_lock();
+    let (steps, n_micro) = (1, 4);
+    let config = BertConfig::tiny(36, 16);
+    let choice = OptimizerChoice::Lamb { weight_decay: 0.01 };
+    let reference = serial_reference(&config, &choice, steps, n_micro);
+    let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 1, n_micro);
+    opts.chaos = Some(Arc::new(SlowEveryOp(Duration::from_millis(60))));
+    opts.watchdog = Duration::from_millis(150);
+    let got = pipelined_bits(&config, &choice, steps, &opts, 1);
+    assert_eq!(got.0, reference.0, "delayed losses diverged");
+    assert_eq!(got.1, reference.1, "delayed parameters diverged");
 }
