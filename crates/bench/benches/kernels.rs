@@ -248,6 +248,9 @@ fn bench_alloc(host_cores: usize) {
             "curvature+inversion every step; steady state = steps 5..10, ",
             "1 worker thread\",\n",
             "  \"host_cores\": {},\n",
+            "  \"note\": \"counts from the alloc-count feature's counting global ",
+            "allocator; absolute bytes depend on the allocator and host, the on/off ",
+            "and vs-baseline ratios are the result\",\n",
             "  \"baseline\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}, ",
             "\"note\": \"pre-change tree, identical probe\"}},\n",
             "  \"workspace_on\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}}},\n",

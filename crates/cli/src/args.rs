@@ -51,6 +51,15 @@ pub fn int(args: &[String], idx: usize, name: &str) -> Result<usize, String> {
         .map_err(|_| format!("<{name}> must be a number, got '{raw}'"))
 }
 
+/// Rejects a zero where a count is required; `name` is the argument as the
+/// user wrote it (`--virtual`, `<W>`).
+pub(crate) fn positive(value: usize, name: &str) -> Result<usize, String> {
+    if value == 0 {
+        return Err(format!("{name} must be >= 1"));
+    }
+    Ok(value)
+}
+
 /// Whether a `--flag` is present anywhere in the arguments.
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -72,12 +81,8 @@ pub fn validate_scheme_shape(
     d: usize,
     n_micro: usize,
 ) -> Result<(), String> {
-    if d == 0 {
-        return Err("pipeline stages must be >= 1".into());
-    }
-    if n_micro == 0 {
-        return Err("micro-batches must be >= 1".into());
-    }
+    positive(d, "pipeline stages")?;
+    positive(n_micro, "micro-batches")?;
     if scheme == PipelineScheme::Chimera {
         if !d.is_multiple_of(2) {
             return Err(format!(
@@ -231,28 +236,31 @@ pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, S
 pub fn graph(argv: &[String]) -> Result<TaskGraph, String> {
     let d = int(argv, 1, "D")?;
     let n = int(argv, 2, "N_micro")?;
-    if let Some(name @ ("gpipe" | "1f1b" | "chimera")) = argv.first().map(String::as_str) {
-        validate_scheme_shape(scheme(name)?, d, n)?;
-    }
-    let mut graph = match argv.first().map(String::as_str) {
-        Some("interleaved") => {
+    // Interleaved and async schedules are 1F1B-shaped: same shape rules.
+    let base = match argv.first().map(String::as_str) {
+        Some("interleaved" | "async") => PipelineScheme::OneFOneB,
+        Some(name) => scheme(name)?,
+        None => {
+            return Err("missing <scheme> (gpipe | 1f1b | chimera | interleaved | async)".into())
+        }
+    };
+    validate_scheme_shape(base, d, n)?;
+    let mut graph = match argv[0].as_str() {
+        "interleaved" => {
             let v = flag_value(argv, "--virtual")
                 .map(|s| s.parse().map_err(|_| format!("bad --virtual '{s}'")))
                 .transpose()?
                 .unwrap_or(2);
-            build_interleaved_1f1b(d, n, v)
+            build_interleaved_1f1b(d, n, positive(v, "--virtual")?)
         }
-        Some("async") => {
+        "async" => {
             let steps = flag_value(argv, "--steps")
                 .map(|s| s.parse().map_err(|_| format!("bad --steps '{s}'")))
                 .transpose()?
                 .unwrap_or(4);
-            build_async_1f1b(d, n, steps)
+            build_async_1f1b(d, n, positive(steps, "--steps")?)
         }
-        Some(name) => scheme(name)?.build(d, n),
-        None => {
-            return Err("missing <scheme> (gpipe | 1f1b | chimera | interleaved | async)".into())
-        }
+        _ => base.build(d, n),
     };
     if has_flag(argv, "--recompute") {
         graph = with_recompute(&graph);
@@ -400,6 +408,56 @@ mod tests {
         assert!(graph(&argv(&["chimera", "4", "3"])).is_err());
         assert!(graph(&argv(&["chimera", "4", "4"])).is_ok());
         assert!(graph(&argv(&["gpipe", "3", "5"])).is_ok());
+    }
+
+    #[test]
+    fn graph_rejects_zero_counts_for_every_scheme_word() {
+        for name in ["gpipe", "1f1b", "chimera", "interleaved", "async"] {
+            let err = graph(&argv(&[name, "0", "4"])).unwrap_err();
+            assert!(err.contains("stages"), "{name}: {err}");
+            let err = graph(&argv(&[name, "4", "0"])).unwrap_err();
+            assert!(err.contains("micro-batches"), "{name}: {err}");
+        }
+        // The four `schedule` / `trace` invocations that used to panic.
+        for (bad, names) in [
+            (
+                &["interleaved", "4", "8", "--virtual", "0"][..],
+                "--virtual",
+            ),
+            (
+                &["interleaved", "4", "0", "--virtual", "2"][..],
+                "micro-batches",
+            ),
+            (&["interleaved", "0", "4", "--virtual", "2"][..], "stages"),
+            (&["async", "4", "4", "--steps", "0"][..], "--steps"),
+        ] {
+            let err = graph(&argv(bad)).unwrap_err();
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn assign_and_model_reject_out_of_range_shapes() {
+        // The five `assign` / `model` invocations that used to panic; each
+        // error names the offending argument.
+        for (bad, names) in [
+            (&["chimera", "bert-base", "p100", "3", "32"][..], "chimera"),
+            (&["gpipe", "bert-base", "p100", "0", "32"][..], "stages"),
+            (
+                &["gpipe", "bert-base", "p100", "4", "32", "0"][..],
+                "[blocks]",
+            ),
+            (
+                &["gpipe", "bert-base", "p100", "4", "32", "1", "0"][..],
+                "[W]",
+            ),
+        ] {
+            let err = crate::cmd_assign::run(&argv(bad)).unwrap_err();
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
+        let err = crate::cmd_model::run(&argv(&["bert-base", "p100", "0", "32"])).unwrap_err();
+        assert!(err.contains("<D>"), "{err}");
+        assert!(crate::cmd_model::run(&argv(&["bert-base", "p100", "4", "0"])).is_err());
     }
 
     #[test]

@@ -12,9 +12,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let arch = args::arch(args.get(1).map(String::as_str).unwrap_or(""))?;
     let hw = args::hardware(args.get(2).map(String::as_str).unwrap_or(""))?;
     let d = args::int(args, 3, "D")?;
-    let b_micro = args::int(args, 4, "B_micro")?;
-    let blocks = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let w = args.get(6).and_then(|s| s.parse().ok()).unwrap_or(1);
+    args::validate_scheme_shape(scheme, d, d)?; // N_micro = D
+    let b_micro = args::positive(args::int(args, 4, "B_micro")?, "<B_micro>")?;
+    let optional = |idx: usize| args.get(idx).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let blocks = args::positive(optional(5), "[blocks]")?;
+    let w = args::positive(optional(6), "[W]")?;
     let recompute = args::has_flag(args, "--recompute");
     let json_out = args::has_flag(args, "--json");
 

@@ -8,8 +8,8 @@ use serde_json::json;
 pub fn run(args: &[String]) -> Result<(), String> {
     let arch = args::arch(args.first().map(String::as_str).unwrap_or(""))?;
     let hw = args::hardware(args.get(1).map(String::as_str).unwrap_or(""))?;
-    let d = args::int(args, 2, "D")?;
-    let b_micro = args::int(args, 3, "B_micro")?;
+    let d = args::positive(args::int(args, 2, "D")?, "<D>")?;
+    let b_micro = args::positive(args::int(args, 3, "B_micro")?, "<B_micro>")?;
     let json_out = args::has_flag(args, "--json");
 
     let mut rows = Vec::new();

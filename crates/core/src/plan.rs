@@ -1,17 +1,19 @@
-//! Lowering a task graph (+ optional PipeFisher schedule) into an
-//! executable per-device plan for the wall-clock pipeline executor.
+//! Lowering a task graph into an executable per-device plan for the
+//! wall-clock pipeline executor.
 //!
 //! The simulator-facing types ([`crate::PipeFisherSchedule`]) speak in
 //! continuous time; the executor needs something discrete: for every
 //! device, the exact order of forward/backward micro-batch operations
-//! (with activation-slot and routing annotations) plus an ordered queue of
-//! K-FAC work units to pop whenever the device would otherwise idle in a
-//! bubble. [`ExecutablePlan::lower`] produces that, validating on the way
-//! that the graph actually covers every (stage, micro-batch) pair — a
-//! malformed assignment becomes an [`AssignError::MissingTask`] instead of
-//! a silent skip.
+//! (with activation-slot and routing annotations) plus the K-FAC work units
+//! it hosts, from which it pops a *ready* one whenever it would otherwise
+//! idle in a bubble. [`ExecutablePlan::lower`] produces that, validating on
+//! the way that the graph actually covers every (stage, micro-batch) pair —
+//! a malformed graph becomes an [`AssignError::MissingTask`] instead of a
+//! silent skip. The assignment's placements ([`crate::assign`]) are *not*
+//! an input: the executor's pickup is by readiness, so they could not
+//! change what runs (DESIGN.md §3.13).
 
-use crate::{AssignError, PipeFisherSchedule};
+use crate::AssignError;
 use pipefisher_pipeline::{TaskGraph, WorkKind};
 
 /// One standard-work operation in a device's execution order.
@@ -52,8 +54,8 @@ pub enum AuxKind {
     /// Fold captured error signals into Kronecker factor `B` (curvature).
     FoldB,
     /// Damped Cholesky inversion of both factors (π-coupled, so `A` and
-    /// `B` invert together; the schedule's `Inversion(B)` placements are
-    /// absorbed into this unit).
+    /// `B` invert together: one unit where the simulator's work queue has
+    /// an `Inversion(A)` and an `Inversion(B)`).
     Invert,
 }
 
@@ -76,9 +78,12 @@ pub struct AuxOp {
 pub struct DevicePlan {
     /// Standard work in execution order.
     pub ops: Vec<PlanOp>,
-    /// Bubble-fillable K-FAC units in placement-start order (the greedy
-    /// filler's priority); the executor pops the first *ready* one while
-    /// waiting for pipeline input.
+    /// Bubble-fillable K-FAC units of the stages this device is the capture
+    /// host of: per stage `FoldA`, `FoldB`, `Invert`, each in chunk order.
+    /// The executor pops the first *ready* one while waiting for pipeline
+    /// input; readiness (folds after the capture backward, inversions after
+    /// every fold of the stage) decides what runs when — the list order is
+    /// not behaviour.
     pub aux: Vec<AuxOp>,
     /// Per model stage: how many activation-slot replicas this device
     /// needs (0 = stage not hosted here).
@@ -165,13 +170,10 @@ impl ExecutablePlan {
 
     /// Lowers a task graph into per-device plans.
     ///
-    /// Aux (K-FAC) work comes from `schedule` when given: curvature
-    /// placements of the capture micro-batch and `Inversion(A)` placements
-    /// on the capture host, ordered by their bubble start times. Without a
-    /// schedule (e.g. `D = 1`, where there are no bubbles and
-    /// [`crate::assign`] reports `DoesNotFit`), each stage gets the
-    /// canonical fold-A, fold-B, invert sequence on its capture host,
-    /// split into `granularity` chunks.
+    /// Standard work keeps the graph's per-device order. Aux (K-FAC) work
+    /// is the same for every scheme and depth: each stage gets the
+    /// canonical fold-A, fold-B, invert sequence on its capture host, each
+    /// split into `granularity` chunks (0 is treated as 1).
     ///
     /// # Errors
     ///
@@ -183,11 +185,7 @@ impl ExecutablePlan {
     ///   standard task without a micro-batch, or a micro-batch whose
     ///   forward and backward sit on different devices (activations could
     ///   never reach the backward).
-    pub fn lower(
-        graph: &TaskGraph,
-        schedule: Option<&PipeFisherSchedule>,
-        granularity: usize,
-    ) -> Result<ExecutablePlan, AssignError> {
+    pub fn lower(graph: &TaskGraph, granularity: usize) -> Result<ExecutablePlan, AssignError> {
         let n_stages = graph.n_stages();
         let n_micro = graph.n_micro();
         let n_devices = graph.n_devices();
@@ -314,70 +312,20 @@ impl ExecutablePlan {
             }
         }
 
-        // Aux work. With a schedule: order the capture micro-batch's
-        // curvature placements and the capture host's Inversion(A)
-        // placements by bubble start time (the filler's priority order).
-        // Per-micro-batch curvature placements other than the capture
-        // micro-batch have no runtime counterpart (K-FAC folds the last
-        // micro-batch's statistics once), and Inversion(B) is absorbed
-        // into the π-coupled Invert unit.
+        // Aux work: per stage, on its capture host, the canonical fold-A,
+        // fold-B, invert sequence. (K-FAC folds the capture micro-batch's
+        // statistics once per step, and the π-coupled `Invert` unit covers
+        // both factors.)
         let granularity = granularity.max(1);
-        match schedule {
-            Some(sched) => {
-                let mut picked: Vec<(f64, usize, AuxOp)> = Vec::new(); // (start, device, op)
-                let mut chunk_counter: HashMap<(usize, AuxKind), usize> = HashMap::new();
-                for p in &sched.placements {
-                    let kind = match p.kind {
-                        WorkKind::Curvature(pipefisher_pipeline::Factor::A)
-                            if p.micro_batch == Some(n_micro - 1) =>
-                        {
-                            AuxKind::FoldA
-                        }
-                        WorkKind::Curvature(pipefisher_pipeline::Factor::B)
-                            if p.micro_batch == Some(n_micro - 1) =>
-                        {
-                            AuxKind::FoldB
-                        }
-                        WorkKind::Inversion(pipefisher_pipeline::Factor::A)
-                            if p.device == capture_host[p.stage] =>
-                        {
-                            AuxKind::Invert
-                        }
-                        _ => continue,
-                    };
-                    let chunk = chunk_counter.entry((p.stage, kind)).or_insert(0);
-                    picked.push((
-                        p.start,
-                        capture_host[p.stage],
-                        AuxOp {
-                            stage: p.stage,
-                            kind,
-                            chunk: *chunk,
-                            chunks: 0, // patched below once counts are known
-                        },
-                    ));
-                    *chunk += 1;
-                }
-                for (_, _, op) in &mut picked {
-                    op.chunks = chunk_counter[&(op.stage, op.kind)];
-                }
-                picked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                for (_, dev, op) in picked {
-                    devices[dev].aux.push(op);
-                }
-            }
-            None => {
-                for (stage, &host) in capture_host.iter().enumerate() {
-                    for kind in [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert] {
-                        for chunk in 0..granularity {
-                            devices[host].aux.push(AuxOp {
-                                stage,
-                                kind,
-                                chunk,
-                                chunks: granularity,
-                            });
-                        }
-                    }
+        for (stage, &host) in capture_host.iter().enumerate() {
+            for kind in [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert] {
+                for chunk in 0..granularity {
+                    devices[host].aux.push(AuxOp {
+                        stage,
+                        kind,
+                        chunk,
+                        chunks: granularity,
+                    });
                 }
             }
         }
@@ -395,40 +343,10 @@ impl ExecutablePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{assign, PipeFisherConfig};
     use pipefisher_pipeline::{PipelineScheme, StageAssignment};
-    use pipefisher_sim::KindCost;
-
-    fn kfac_costs() -> KindCost {
-        KindCost {
-            t_f: 1.0,
-            t_b: 2.0,
-            t_recompute: 0.0,
-            t_curv_a: 0.4,
-            t_curv_b: 0.4,
-            t_inv_a: 0.6,
-            t_inv_b: 0.6,
-            t_prec: 0.2,
-            t_sync_grad: 0.1,
-            t_sync_curv: 0.1,
-        }
-    }
 
     fn lower_scheme(scheme: PipelineScheme, d: usize, n: usize) -> ExecutablePlan {
-        let graph = scheme.build(d, n);
-        let sched = assign(&PipeFisherConfig {
-            scheme,
-            d,
-            n_micro: n,
-            w: 1,
-            costs: kfac_costs(),
-            max_steps: 64,
-            chimera_pair_parallelism: false,
-            recompute: false,
-            granularity: 2,
-        })
-        .unwrap();
-        ExecutablePlan::lower(&graph, Some(&sched), 2).unwrap()
+        ExecutablePlan::lower(&scheme.build(d, n), 2).unwrap()
     }
 
     #[test]
@@ -469,6 +387,38 @@ mod tests {
                         })
                         .sum();
                     assert_eq!(n, 2, "{}: stage {stage} {kind:?}", scheme.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_device_hosts_the_canonical_units_of_exactly_one_stage() {
+        // What makes list order unobservable: a device captures one stage,
+        // so its ready set never mixes one stage's inversions with another
+        // stage's folds.
+        for scheme in PipelineScheme::all() {
+            for d in [1usize, 2, 4] {
+                if scheme == PipelineScheme::Chimera && d == 1 {
+                    continue;
+                }
+                let plan = lower_scheme(scheme, d, 4);
+                let mut hosts = plan.capture_host.clone();
+                hosts.sort_unstable();
+                assert_eq!(hosts, (0..d).collect::<Vec<_>>(), "{} d={d}", scheme.name());
+                for (stage, &host) in plan.capture_host.iter().enumerate() {
+                    let expect: Vec<AuxOp> = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert]
+                        .into_iter()
+                        .flat_map(|kind| {
+                            (0..2).map(move |chunk| AuxOp {
+                                stage,
+                                kind,
+                                chunk,
+                                chunks: 2,
+                            })
+                        })
+                        .collect();
+                    assert_eq!(plan.devices[host].aux, expect, "{} d={d}", scheme.name());
                 }
             }
         }
@@ -519,7 +469,7 @@ mod tests {
         assert_eq!(plan.devices[0].n_slots[0], 4);
         let plan8 = {
             let graph = PipelineScheme::OneFOneB.build(4, 8);
-            ExecutablePlan::lower(&graph, None, 1).unwrap()
+            ExecutablePlan::lower(&graph, 1).unwrap()
         };
         // With 8 micro-batches the window stays bounded by the warmup depth.
         assert!(
@@ -582,7 +532,7 @@ mod tests {
             StageAssignment::Single,
             vec![f2],
         );
-        let plan = ExecutablePlan::lower(&g, None, 1).unwrap();
+        let plan = ExecutablePlan::lower(&g, 1).unwrap();
         let slots: Vec<usize> = plan.devices[0]
             .ops
             .iter()
@@ -622,7 +572,7 @@ mod tests {
             vec![f1],
         );
         // Stage 0's backward is missing entirely.
-        match ExecutablePlan::lower(&g, None, 1) {
+        match ExecutablePlan::lower(&g, 1) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Backward,
                 stage: 0,
@@ -660,7 +610,7 @@ mod tests {
             StageAssignment::Single,
             vec![],
         );
-        match ExecutablePlan::lower(&g, None, 1) {
+        match ExecutablePlan::lower(&g, 1) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Forward,
                 stage: 0,
@@ -689,7 +639,7 @@ mod tests {
             StageAssignment::Single,
             vec![f0],
         );
-        match ExecutablePlan::lower(&g, None, 1) {
+        match ExecutablePlan::lower(&g, 1) {
             Err(AssignError::Schedule(msg)) => {
                 assert!(
                     msg.contains("different device") || msg.contains("device"),
@@ -727,7 +677,7 @@ mod tests {
             StageAssignment::Single,
             vec![r],
         );
-        match ExecutablePlan::lower(&g, None, 1) {
+        match ExecutablePlan::lower(&g, 1) {
             Err(AssignError::Schedule(msg)) => assert!(msg.contains("not executable"), "{msg}"),
             other => panic!("expected Schedule error, got {other:?}"),
         }
@@ -747,7 +697,7 @@ mod tests {
     fn routing_points_at_hosting_devices() {
         for scheme in PipelineScheme::all() {
             let graph = scheme.build(4, 4);
-            let plan = ExecutablePlan::lower(&graph, None, 1).unwrap();
+            let plan = ExecutablePlan::lower(&graph, 1).unwrap();
             for (dev, dp) in plan.devices.iter().enumerate() {
                 for op in &dp.ops {
                     match *op {

@@ -5,10 +5,13 @@
 //! contiguous stages, runs one persistent worker thread per simulated
 //! device, and flows micro-batch activations forward / gradients backward
 //! between them in the exact per-device order of a lowered
-//! [`ExecutablePlan`]. While a worker waits for pipeline input (a bubble),
-//! it pops the first *ready* K-FAC work unit — curvature fold or damped
-//! inversion — from its plan's bubble-fill list, which is ordered by the
-//! PipeFisher scheduler's placements.
+//! [`ExecutablePlan`] — the order the scheme's schedule builder produced.
+//! While a worker waits for pipeline input (a bubble), it pops the first
+//! *ready* K-FAC work unit — curvature fold or damped inversion — of the
+//! stage it is the capture host of. Readiness alone decides what fills a
+//! bubble: the simulator-side assignment (`core::assign`) is not consulted
+//! here, and its placements do not reach a device (EXPERIMENTS.md "Known
+//! deviations").
 //!
 //! # Determinism
 //!
@@ -51,8 +54,7 @@ use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
 use crate::trainer::{AnyOpt, Engine};
 use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
-use pipefisher_core::{assign, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
-use pipefisher_core::{AssignError, PipeFisherConfig, PipeFisherSchedule};
+use pipefisher_core::{AssignError, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
 use pipefisher_nn::{
     BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert,
 };
@@ -60,7 +62,6 @@ use pipefisher_optim::{
     fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel, LayerKfacState,
 };
 use pipefisher_pipeline::PipelineScheme;
-use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
 use serde_json::json;
 use std::collections::HashMap;
@@ -68,8 +69,8 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Layer chunks each stage's fold/invert work is split into when no
-/// PipeFisher schedule is available (it then dictates its own granularity).
+/// Layer chunks each stage's fold-A, fold-B and invert work is split into:
+/// the size of the K-FAC units a device can fit into a bubble.
 const AUX_GRANULARITY: usize = 2;
 
 /// A fault a [`ChaosHook`] injects at the start of a device's step.
@@ -461,31 +462,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The canonical relative work-unit costs used to ask the PipeFisher
-/// scheduler for a bubble placement (forward 1, backward 2, per the
-/// paper's profile shape). Falls back to `None` when the scheme/shape has
-/// no bubbles to place into (e.g. `D = 1`).
-fn make_schedule(scheme: PipelineScheme, d: usize, n_micro: usize) -> Option<PipeFisherSchedule> {
-    let mut costs = KindCost::standard(1.0, 2.0);
-    costs.t_curv_a = 0.4;
-    costs.t_curv_b = 0.4;
-    costs.t_inv_a = 0.6;
-    costs.t_inv_b = 0.6;
-    costs.t_prec = 0.2;
-    assign(&PipeFisherConfig {
-        scheme,
-        d,
-        n_micro,
-        w: 1,
-        costs,
-        max_steps: 16,
-        chimera_pair_parallelism: false,
-        recompute: false,
-        granularity: AUX_GRANULARITY,
-    })
-    .ok()
-}
-
 /// The exact [`ExecutablePlan`] [`Trainer::run_pipelined`] executes for
 /// `opts` — exposed so the conformance checker validates a run against the
 /// very plan that drove it, not a reconstruction.
@@ -496,8 +472,7 @@ fn make_schedule(scheme: PipelineScheme, d: usize, n_micro: usize) -> Option<Pip
 /// `n_stages` or `n_micro`), mirroring `run_pipelined`.
 pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     let graph = opts.scheme.build(opts.n_stages, opts.n_micro);
-    let schedule = make_schedule(opts.scheme, opts.n_stages, opts.n_micro);
-    ExecutablePlan::lower(&graph, schedule.as_ref(), AUX_GRANULARITY).map_err(ExecError::Plan)
+    ExecutablePlan::lower(&graph, AUX_GRANULARITY).map_err(ExecError::Plan)
 }
 
 /// The coordinator's handle on its worker threads. Workers hold senders

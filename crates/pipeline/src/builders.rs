@@ -1,4 +1,7 @@
-//! Schedule builders for GPipe, 1F1B, and Chimera.
+//! Schedule builders for GPipe, 1F1B, and Chimera, and the one constructor
+//! every builder in this crate goes through: a builder describes its
+//! schedule as per-device [`Stream`]s and [`merge_streams`] turns them into
+//! a [`TaskGraph`].
 
 use crate::{StageAssignment, TaskGraph, TaskId, WorkKind};
 
@@ -36,24 +39,6 @@ impl PipelineScheme {
         }
     }
 
-    /// Forward passes on the critical path when `n_micro = D` (paper
-    /// Table 1): `2D − 1` for GPipe/1F1B, `D` for Chimera.
-    pub fn critical_forwards(&self, d: usize) -> usize {
-        match self {
-            PipelineScheme::GPipe | PipelineScheme::OneFOneB => 2 * d - 1,
-            PipelineScheme::Chimera => d,
-        }
-    }
-
-    /// Backward passes on the critical path when `n_micro = D` (paper
-    /// Table 1): `2D − 1` for GPipe/1F1B, `2D − 2` for Chimera.
-    pub fn critical_backwards(&self, d: usize) -> usize {
-        match self {
-            PipelineScheme::GPipe | PipelineScheme::OneFOneB => 2 * d - 1,
-            PipelineScheme::Chimera => 2 * d - 2,
-        }
-    }
-
     /// All three schemes, for sweeps.
     pub fn all() -> [PipelineScheme; 3] {
         [
@@ -62,6 +47,146 @@ impl PipelineScheme {
             PipelineScheme::Chimera,
         ]
     }
+}
+
+/// One device's in-order share of one pipeline: the ops it runs for
+/// `stage`, tagged with the pipeline they belong to.
+pub(crate) struct Stream {
+    pub(crate) stage: usize,
+    pub(crate) pipeline: StageAssignment,
+    /// `(Forward | Backward, micro-batch)` in the order the device must
+    /// keep *within this stream*.
+    pub(crate) ops: Vec<(WorkKind, usize)>,
+}
+
+/// The 1F1B (PipeDream-flush) op order of `stage` in a `depth`-stage
+/// pipeline over `micro_batches`: warmup forwards, steady
+/// one-forward-one-backward alternation, cooldown backwards.
+pub(crate) fn one_f_one_b_order(
+    depth: usize,
+    stage: usize,
+    micro_batches: std::ops::Range<usize>,
+) -> Vec<(WorkKind, usize)> {
+    let (first, n) = (micro_batches.start, micro_batches.len());
+    let warmup = (depth - 1 - stage).min(n);
+    let steady = n - warmup;
+    let mut ops = Vec::with_capacity(2 * n);
+    for m in 0..warmup {
+        ops.push((WorkKind::Forward, first + m));
+    }
+    for i in 0..steady {
+        ops.push((WorkKind::Forward, first + warmup + i));
+        ops.push((WorkKind::Backward, first + i));
+    }
+    for m in steady..n {
+        ops.push((WorkKind::Backward, first + m));
+    }
+    ops
+}
+
+/// The one schedule constructor: merges each device's streams into its
+/// execution order and wires the standard pipeline dependencies
+/// `F(s,m) ← F(s−1,m)` and `B(s,m) ← {F(s,m), B(s+1,m)}`.
+///
+/// The merge is an event-driven greedy sweep under the canonical cost model
+/// `T_f = 1`, `T_b = 2`: whenever a device is free it starts, among the
+/// heads of its streams whose dependencies have finished, the op *deepest
+/// in its pipeline* (highest stage). A device with a single stream simply
+/// keeps that stream's order. Tasks are pushed device by device in the
+/// realized order, so ids are device-major.
+///
+/// # Panics
+///
+/// Panics if the streams cannot all be scheduled (an op whose dependency
+/// no stream contains, or stream orders that deadlock).
+pub(crate) fn merge_streams(
+    name: impl Into<String>,
+    n_stages: usize,
+    n_micro: usize,
+    streams: Vec<Vec<Stream>>,
+) -> TaskGraph {
+    let n_devices = streams.len();
+    // Index of (kind, stage, micro-batch) into the per-op tables.
+    let slot = |kind: WorkKind, stage: usize, mb: usize| {
+        ((kind == WorkKind::Backward) as usize * n_stages + stage) * n_micro + mb
+    };
+    let deps_of = |kind: WorkKind, stage: usize, mb: usize| {
+        let (first, second) = match kind {
+            WorkKind::Forward => (
+                stage.checked_sub(1).map(|s| slot(WorkKind::Forward, s, mb)),
+                None,
+            ),
+            _ => (
+                Some(slot(WorkKind::Forward, stage, mb)),
+                (stage + 1 < n_stages).then(|| slot(WorkKind::Backward, stage + 1, mb)),
+            ),
+        };
+        first.into_iter().chain(second)
+    };
+
+    // Completion tick per op; `usize::MAX` = not started yet.
+    let mut end = vec![usize::MAX; 2 * n_stages * n_micro];
+    let mut heads: Vec<Vec<usize>> = streams.iter().map(|s| vec![0; s.len()]).collect();
+    let mut free_at = vec![0usize; n_devices];
+    let mut realized: Vec<Vec<(&Stream, WorkKind, usize)>> = vec![Vec::new(); n_devices];
+    let total_ops: usize = streams.iter().flatten().map(|s| s.ops.len()).sum();
+    let mut started = 0;
+    let mut now = 0usize;
+    while started < total_ops {
+        let mut progressed = false;
+        for dev in 0..n_devices {
+            if free_at[dev] > now {
+                continue;
+            }
+            // The dependency-ready head deepest in its pipeline (a device's
+            // streams have distinct stages).
+            let ready = |&(st, stream): &(usize, &Stream)| {
+                stream.ops.get(heads[dev][st]).is_some_and(|&(kind, mb)| {
+                    deps_of(kind, stream.stage, mb).all(|dep| end[dep] <= now)
+                })
+            };
+            let best = streams[dev].iter().enumerate().filter(ready);
+            let Some((st, stream)) = best.max_by_key(|(_, stream)| stream.stage) else {
+                continue;
+            };
+            let (kind, mb) = stream.ops[heads[dev][st]];
+            heads[dev][st] += 1;
+            free_at[dev] = now + if kind == WorkKind::Forward { 1 } else { 2 };
+            end[slot(kind, stream.stage, mb)] = free_at[dev];
+            realized[dev].push((stream, kind, mb));
+            started += 1;
+            progressed = true;
+        }
+        if !progressed {
+            // Nothing can start now: advance to the next completion. (An op
+            // still running is the last one its device started, so the
+            // busy devices' `free_at` are all the pending completions.)
+            let next = free_at.iter().copied().filter(|&t| t > now).min();
+            now = next.unwrap_or_else(|| {
+                panic!("merge_streams: stalled at t={now} with {started}/{total_ops} ops")
+            });
+        }
+    }
+
+    let mut g = TaskGraph::new(name, n_devices, n_stages, n_micro);
+    let mut id_of = vec![TaskId(0); end.len()];
+    for (dev, ops) in realized.iter().enumerate() {
+        for &(stream, kind, mb) in ops {
+            id_of[slot(kind, stream.stage, mb)] =
+                g.push(dev, stream.stage, Some(mb), kind, stream.pipeline, vec![]);
+        }
+    }
+    let deps = g
+        .tasks()
+        .iter()
+        .map(|t| {
+            let mb = t.micro_batch.expect("streams carry micro-batches");
+            let deps = deps_of(t.kind, t.stage, mb).map(|dep| id_of[dep]).collect();
+            (t.id, deps)
+        })
+        .collect();
+    g.set_deps(deps);
+    g
 }
 
 /// Builds a GPipe schedule: each device runs all its forwards in micro-batch
@@ -73,43 +198,18 @@ impl PipelineScheme {
 /// Panics if `n_stages == 0` or `n_micro == 0`.
 pub fn build_gpipe(n_stages: usize, n_micro: usize) -> TaskGraph {
     assert!(n_stages > 0 && n_micro > 0, "build_gpipe: empty pipeline");
-    let mut g = TaskGraph::new("gpipe", n_stages, n_stages, n_micro);
-    // fwd[s][m], filled stage-major so deps are already pushed.
-    let mut fwd = vec![vec![TaskId(0); n_micro]; n_stages];
-    for s in 0..n_stages {
-        // Indexing keeps the read of `fwd[s - 1]` alongside the write of
-        // `fwd[s]`, which iterator adapters cannot express without splits.
-        #[allow(clippy::needless_range_loop)]
-        for m in 0..n_micro {
-            let deps = if s == 0 { vec![] } else { vec![fwd[s - 1][m]] };
-            fwd[s][m] = g.push(
-                s,
-                s,
-                Some(m),
-                WorkKind::Forward,
-                StageAssignment::Single,
-                deps,
-            );
-        }
-    }
-    let mut bwd = vec![vec![TaskId(0); n_micro]; n_stages];
-    for s in (0..n_stages).rev() {
-        for m in (0..n_micro).rev() {
-            let mut deps = vec![fwd[s][m]];
-            if s + 1 < n_stages {
-                deps.push(bwd[s + 1][m]);
-            }
-            bwd[s][m] = g.push(
-                s,
-                s,
-                Some(m),
-                WorkKind::Backward,
-                StageAssignment::Single,
-                deps,
-            );
-        }
-    }
-    g
+    let streams = (0..n_stages)
+        .map(|stage| {
+            let forwards = (0..n_micro).map(|m| (WorkKind::Forward, m));
+            let backwards = (0..n_micro).rev().map(|m| (WorkKind::Backward, m));
+            vec![Stream {
+                stage,
+                pipeline: StageAssignment::Single,
+                ops: forwards.chain(backwards).collect(),
+            }]
+        })
+        .collect();
+    merge_streams("gpipe", n_stages, n_micro, streams)
 }
 
 /// Builds a 1F1B (PipeDream-flush) schedule: warmup forwards, steady
@@ -120,97 +220,16 @@ pub fn build_gpipe(n_stages: usize, n_micro: usize) -> TaskGraph {
 /// Panics if `n_stages == 0` or `n_micro == 0`.
 pub fn build_1f1b(n_stages: usize, n_micro: usize) -> TaskGraph {
     assert!(n_stages > 0 && n_micro > 0, "build_1f1b: empty pipeline");
-    let mut g = TaskGraph::new("1f1b", n_stages, n_stages, n_micro);
-    // Pre-create ids by picking a global construction order that guarantees
-    // deps exist: stage-major forwards first as placeholders is not possible
-    // with push-once semantics, so we instead push per-device in execution
-    // order and wire dependencies afterwards via a second pass... simpler:
-    // compute the per-device op order, push tasks device-by-device in that
-    // order, and resolve dependencies by (kind, stage, mb) lookup at the end.
-    #[derive(Clone, Copy)]
-    enum Op {
-        F(usize),
-        B(usize),
-    }
-    let mut orders: Vec<Vec<Op>> = Vec::with_capacity(n_stages);
-    for s in 0..n_stages {
-        let warmup = (n_stages - 1 - s).min(n_micro);
-        let steady = n_micro - warmup;
-        let mut ops = Vec::with_capacity(2 * n_micro);
-        for m in 0..warmup {
-            ops.push(Op::F(m));
-        }
-        for i in 0..steady {
-            ops.push(Op::F(warmup + i));
-            ops.push(Op::B(i));
-        }
-        for m in steady..n_micro {
-            ops.push(Op::B(m));
-        }
-        orders.push(ops);
-    }
-    // Push all tasks (ids assigned in device-order), then wire deps.
-    let mut fwd = vec![vec![None; n_micro]; n_stages];
-    let mut bwd = vec![vec![None; n_micro]; n_stages];
-    for (s, ops) in orders.iter().enumerate() {
-        for op in ops {
-            match *op {
-                Op::F(m) => {
-                    let id = g.push(
-                        s,
-                        s,
-                        Some(m),
-                        WorkKind::Forward,
-                        StageAssignment::Single,
-                        vec![],
-                    );
-                    fwd[s][m] = Some(id);
-                }
-                Op::B(m) => {
-                    let id = g.push(
-                        s,
-                        s,
-                        Some(m),
-                        WorkKind::Backward,
-                        StageAssignment::Single,
-                        vec![],
-                    );
-                    bwd[s][m] = Some(id);
-                }
-            }
-        }
-    }
-    wire_pipeline_deps(&mut g, &fwd, &bwd, n_stages, n_micro);
-    g
-}
-
-/// Fills in the standard pipeline dependencies:
-/// `F(s,m) ← F(s−1,m)` and `B(s,m) ← {B(s+1,m), F(s,m)}`.
-fn wire_pipeline_deps(
-    g: &mut TaskGraph,
-    fwd: &[Vec<Option<TaskId>>],
-    bwd: &[Vec<Option<TaskId>>],
-    n_stages: usize,
-    n_micro: usize,
-) {
-    let mut deps_to_set: Vec<(TaskId, Vec<TaskId>)> = Vec::new();
-    for s in 0..n_stages {
-        for m in 0..n_micro {
-            if let Some(f) = fwd[s][m] {
-                if s > 0 {
-                    deps_to_set.push((f, vec![fwd[s - 1][m].expect("missing fwd dep")]));
-                }
-            }
-            if let Some(b) = bwd[s][m] {
-                let mut deps = vec![fwd[s][m].expect("missing same-stage fwd")];
-                if s + 1 < n_stages {
-                    deps.push(bwd[s + 1][m].expect("missing bwd dep"));
-                }
-                deps_to_set.push((b, deps));
-            }
-        }
-    }
-    g.set_deps(deps_to_set);
+    let streams = (0..n_stages)
+        .map(|stage| {
+            vec![Stream {
+                stage,
+                pipeline: StageAssignment::Single,
+                ops: one_f_one_b_order(n_stages, stage, 0..n_micro),
+            }]
+        })
+        .collect();
+    merge_streams("1f1b", n_stages, n_micro, streams)
 }
 
 /// Builds a Chimera schedule with two bidirectional pipelines.
@@ -218,11 +237,9 @@ fn wire_pipeline_deps(
 /// Device `d` hosts stage `d` of the *down* pipeline (micro-batches
 /// `0..n_micro/2`) and stage `D−1−d` of the *up* pipeline (micro-batches
 /// `n_micro/2..n_micro`). Each sub-pipeline contributes a 1F1B-ordered op
-/// stream per device; the two streams are merged by an event-driven greedy
-/// scheduler with the canonical `T_b = 2·T_f` cost model — when both stream
-/// heads are ready the op *deeper in its pipeline* runs first, which
-/// reproduces the published Chimera interleaving (critical path
-/// `D·T_f + (2D−2)·T_b` for `n_micro = D`).
+/// stream per device; merging the two streams deepest-ready-op-first under
+/// `T_b = 2·T_f` reproduces the published Chimera interleaving (critical
+/// path `D·T_f + (2D−2)·T_b` for `n_micro = D`).
 ///
 /// # Panics
 ///
@@ -236,222 +253,25 @@ pub fn build_chimera(n_stages: usize, n_micro: usize) -> TaskGraph {
         n_micro > 0 && n_micro.is_multiple_of(2),
         "build_chimera: n_micro must be even"
     );
-    let d = n_stages;
     let half = n_micro / 2;
-
-    // Per-stage 1F1B op order of a half pipeline (`half` micro-batches).
-    #[derive(Clone, Copy, PartialEq)]
-    struct StreamOp {
-        kind: WorkKind,
-        stage: usize,
-        micro_batch: usize, // global micro-batch index
-        pipeline: StageAssignment,
-    }
-    let stream_for = |stage: usize, pipeline: StageAssignment| -> Vec<StreamOp> {
-        let warmup = (d - 1 - stage).min(half);
-        let steady = half - warmup;
-        let offset = if pipeline == StageAssignment::Up {
-            half
-        } else {
-            0
-        };
-        let mut ops = Vec::with_capacity(2 * half);
-        for m in 0..warmup {
-            ops.push(StreamOp {
-                kind: WorkKind::Forward,
-                stage,
-                micro_batch: offset + m,
-                pipeline,
-            });
-        }
-        for i in 0..steady {
-            ops.push(StreamOp {
-                kind: WorkKind::Forward,
-                stage,
-                micro_batch: offset + warmup + i,
-                pipeline,
-            });
-            ops.push(StreamOp {
-                kind: WorkKind::Backward,
-                stage,
-                micro_batch: offset + i,
-                pipeline,
-            });
-        }
-        for m in steady..half {
-            ops.push(StreamOp {
-                kind: WorkKind::Backward,
-                stage,
-                micro_batch: offset + m,
-                pipeline,
-            });
-        }
-        ops
-    };
-
-    // Event-driven greedy merge of each device's down and up streams.
-    let streams: Vec<[Vec<StreamOp>; 2]> = (0..d)
+    let streams = (0..n_stages)
         .map(|dev| {
-            [
-                stream_for(dev, StageAssignment::Down),
-                stream_for(d - 1 - dev, StageAssignment::Up),
+            let up_stage = n_stages - 1 - dev;
+            vec![
+                Stream {
+                    stage: dev,
+                    pipeline: StageAssignment::Down,
+                    ops: one_f_one_b_order(n_stages, dev, 0..half),
+                },
+                Stream {
+                    stage: up_stage,
+                    pipeline: StageAssignment::Up,
+                    ops: one_f_one_b_order(n_stages, up_stage, half..n_micro),
+                },
             ]
         })
         .collect();
-    let mut heads = vec![[0usize, 0usize]; d];
-    let mut free_at = vec![0.0f64; d];
-    // Completion time per (pipeline, kind, stage, micro-batch), NaN = unscheduled.
-    let key = |op: &StreamOp| -> usize {
-        let p = (op.pipeline == StageAssignment::Up) as usize;
-        let k = (op.kind == WorkKind::Backward) as usize;
-        ((p * 2 + k) * d + op.stage) * n_micro + op.micro_batch
-    };
-    let mut end_time = vec![f64::NAN; 4 * d * n_micro];
-    let dur = |op: &StreamOp| {
-        if op.kind == WorkKind::Forward {
-            1.0
-        } else {
-            2.0
-        }
-    };
-    let dep_end = |op: &StreamOp, end_time: &[f64]| -> Option<f64> {
-        // F(m,s) ← F(m,s−1); B(m,s) ← {B(m,s+1), F(m,s)} within its pipeline.
-        let mut latest = 0.0f64;
-        let mut dep = |k: WorkKind, s: usize| -> bool {
-            let e = end_time[key(&StreamOp {
-                kind: k,
-                stage: s,
-                ..*op
-            })];
-            if e.is_nan() {
-                return false;
-            }
-            latest = latest.max(e);
-            true
-        };
-        let ok = match op.kind {
-            WorkKind::Forward => op.stage == 0 || dep(WorkKind::Forward, op.stage - 1),
-            WorkKind::Backward => {
-                dep(WorkKind::Forward, op.stage)
-                    && (op.stage + 1 == d || dep(WorkKind::Backward, op.stage + 1))
-            }
-            _ => unreachable!(),
-        };
-        ok.then_some(latest)
-    };
-
-    let total_ops = 2 * d * n_micro;
-    let mut realized: Vec<Vec<StreamOp>> = vec![Vec::new(); d];
-    let mut scheduled = 0;
-    // Time-ordered sweep: repeatedly start every op that can start now;
-    // otherwise advance "now" to the next completion/free event.
-    let mut now = 0.0f64;
-    while scheduled < total_ops {
-        let mut progressed = false;
-        for dev in 0..d {
-            if free_at[dev] > now + 1e-9 {
-                continue;
-            }
-            // Candidate heads that are dependency-ready at `now`.
-            let mut best: Option<(usize, f64, usize)> = None; // (stream, start, stage)
-            for st in 0..2 {
-                if heads[dev][st] >= streams[dev][st].len() {
-                    continue;
-                }
-                let op = streams[dev][st][heads[dev][st]];
-                if let Some(de) = dep_end(&op, &end_time) {
-                    if de <= now + 1e-9 {
-                        let better = match best {
-                            None => true,
-                            // Deeper op in its own pipeline first.
-                            Some((_, _, stage)) => op.stage > stage,
-                        };
-                        if better {
-                            best = Some((st, now, op.stage));
-                        }
-                    }
-                }
-            }
-            if let Some((st, start, _)) = best {
-                let op = streams[dev][st][heads[dev][st]];
-                heads[dev][st] += 1;
-                end_time[key(&op)] = start + dur(&op);
-                free_at[dev] = start + dur(&op);
-                realized[dev].push(op);
-                scheduled += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            // Advance to the next event: earliest future free/end time.
-            let mut next = f64::INFINITY;
-            for dev in 0..d {
-                if free_at[dev] > now + 1e-9 {
-                    next = next.min(free_at[dev]);
-                }
-                for st in 0..2 {
-                    if heads[dev][st] < streams[dev][st].len() {
-                        let op = streams[dev][st][heads[dev][st]];
-                        if let Some(de) = dep_end(&op, &end_time) {
-                            if de > now + 1e-9 {
-                                next = next.min(de.max(free_at[dev]));
-                            }
-                        }
-                    }
-                }
-            }
-            assert!(
-                next.is_finite(),
-                "build_chimera: merge stalled at t={now} with {scheduled}/{total_ops} ops"
-            );
-            now = next;
-        }
-    }
-
-    // Push tasks in realized per-device order, then wire deps per pipeline.
-    let mut g = TaskGraph::new("chimera", d, d, n_micro);
-    let mut fwd = vec![vec![None; n_micro]; d];
-    let mut bwd = vec![vec![None; n_micro]; d];
-    for (dev, ops) in realized.iter().enumerate() {
-        for op in ops {
-            let id = g.push(
-                dev,
-                op.stage,
-                Some(op.micro_batch),
-                op.kind,
-                op.pipeline,
-                vec![],
-            );
-            match op.kind {
-                WorkKind::Forward => fwd[op.stage][op.micro_batch] = Some(id),
-                WorkKind::Backward => bwd[op.stage][op.micro_batch] = Some(id),
-                _ => unreachable!("streams contain only forward/backward"),
-            }
-        }
-    }
-    // Dependencies: within the down pipeline stages advance 0→D−1; within the
-    // up pipeline they also advance 0→D−1 in *stage* numbering (device
-    // numbering is mirrored), so the same wiring applies per micro-batch
-    // group.
-    let mut deps_to_set: Vec<(TaskId, Vec<TaskId>)> = Vec::new();
-    for s in 0..d {
-        for m in 0..n_micro {
-            if let Some(f) = fwd[s][m] {
-                if s > 0 {
-                    deps_to_set.push((f, vec![fwd[s - 1][m].expect("chimera fwd dep")]));
-                }
-            }
-            if let Some(b) = bwd[s][m] {
-                let mut deps = vec![fwd[s][m].expect("chimera same-stage fwd")];
-                if s + 1 < d {
-                    deps.push(bwd[s + 1][m].expect("chimera bwd dep"));
-                }
-                deps_to_set.push((b, deps));
-            }
-        }
-    }
-    g.set_deps(deps_to_set);
-    g
+    merge_streams("chimera", n_stages, n_micro, streams)
 }
 
 #[cfg(test)]

@@ -260,9 +260,8 @@ impl TaskGraph {
     /// execution with per-kind durations given by `duration`. Returns
     /// `(start, end)` per task, or the deadlock error.
     ///
-    /// This is a minimal scheduler used by the Chimera builder (to merge its
-    /// two pipelines by nominal time) and by tests; the full-featured
-    /// simulator with timelines lives in `pipefisher-sim`.
+    /// This is the minimal in-order scheduler; `pipefisher-sim` builds its
+    /// timelines on top of it.
     ///
     /// # Errors
     ///

@@ -7,12 +7,14 @@
 //! automatic work assignment applies to *any* pipeline schedule (see
 //! `pipefisher-core`'s `assign_graph`).
 
-use crate::{StageAssignment, TaskGraph, TaskId, WorkKind};
+use crate::builders::{merge_streams, one_f_one_b_order, Stream};
+use crate::{StageAssignment, TaskGraph};
 
 /// Builds an interleaved 1F1B schedule: `n_stages_total = v · n_devices`
-/// virtual stages round-robined over the devices, merged per device by an
-/// event-driven greedy scheduler (ready head with the deepest stage first,
-/// the same construction as the Chimera builder).
+/// virtual stages round-robined over the devices. Each virtual stage
+/// contributes its 1F1B stream over the full `v · n_devices`-deep pipeline;
+/// a device's `v` streams are merged deepest-ready-op-first, the same
+/// construction as the Chimera builder.
 ///
 /// # Panics
 ///
@@ -23,197 +25,27 @@ pub fn build_interleaved_1f1b(n_devices: usize, n_micro: usize, v: usize) -> Tas
         "build_interleaved_1f1b: empty pipeline"
     );
     let total = v * n_devices;
-
-    #[derive(Clone, Copy, PartialEq)]
-    struct StreamOp {
-        kind: WorkKind,
-        stage: usize,
-        micro_batch: usize,
-    }
-    // 1F1B stream per virtual stage over the full `total`-deep pipeline.
-    let stream_for = |stage: usize| -> Vec<StreamOp> {
-        let warmup = (total - 1 - stage).min(n_micro);
-        let steady = n_micro - warmup;
-        let mut ops = Vec::with_capacity(2 * n_micro);
-        for m in 0..warmup {
-            ops.push(StreamOp {
-                kind: WorkKind::Forward,
-                stage,
-                micro_batch: m,
-            });
-        }
-        for i in 0..steady {
-            ops.push(StreamOp {
-                kind: WorkKind::Forward,
-                stage,
-                micro_batch: warmup + i,
-            });
-            ops.push(StreamOp {
-                kind: WorkKind::Backward,
-                stage,
-                micro_batch: i,
-            });
-        }
-        for m in steady..n_micro {
-            ops.push(StreamOp {
-                kind: WorkKind::Backward,
-                stage,
-                micro_batch: m,
-            });
-        }
-        ops
-    };
-
-    let streams: Vec<Vec<Vec<StreamOp>>> = (0..n_devices)
-        .map(|dev| (0..v).map(|k| stream_for(dev + k * n_devices)).collect())
+    let streams = (0..n_devices)
+        .map(|dev| {
+            (0..v)
+                .map(|k| {
+                    let stage = dev + k * n_devices;
+                    Stream {
+                        stage,
+                        pipeline: StageAssignment::Single,
+                        ops: one_f_one_b_order(total, stage, 0..n_micro),
+                    }
+                })
+                .collect()
+        })
         .collect();
-    let mut heads = vec![vec![0usize; v]; n_devices];
-    let mut free_at = vec![0.0f64; n_devices];
-    let key = |op: &StreamOp| -> usize {
-        let k = (op.kind == WorkKind::Backward) as usize;
-        (k * total + op.stage) * n_micro + op.micro_batch
-    };
-    let mut end_time = vec![f64::NAN; 2 * total * n_micro];
-    let dur = |op: &StreamOp| {
-        if op.kind == WorkKind::Forward {
-            1.0
-        } else {
-            2.0
-        }
-    };
-    let dep_end = |op: &StreamOp, end_time: &[f64]| -> Option<f64> {
-        let mut latest = 0.0f64;
-        let mut dep = |k: WorkKind, s: usize| -> bool {
-            let e = end_time[key(&StreamOp {
-                kind: k,
-                stage: s,
-                micro_batch: op.micro_batch,
-            })];
-            if e.is_nan() {
-                return false;
-            }
-            latest = latest.max(e);
-            true
-        };
-        let ok = match op.kind {
-            WorkKind::Forward => op.stage == 0 || dep(WorkKind::Forward, op.stage - 1),
-            WorkKind::Backward => {
-                dep(WorkKind::Forward, op.stage)
-                    && (op.stage + 1 == total || dep(WorkKind::Backward, op.stage + 1))
-            }
-            _ => unreachable!(),
-        };
-        ok.then_some(latest)
-    };
-
-    let total_ops = 2 * total * n_micro;
-    let mut realized: Vec<Vec<StreamOp>> = vec![Vec::new(); n_devices];
-    let mut scheduled = 0;
-    let mut now = 0.0f64;
-    while scheduled < total_ops {
-        let mut progressed = false;
-        for dev in 0..n_devices {
-            if free_at[dev] > now + 1e-9 {
-                continue;
-            }
-            let mut best: Option<(usize, usize)> = None; // (stream, stage)
-            for st in 0..v {
-                if heads[dev][st] >= streams[dev][st].len() {
-                    continue;
-                }
-                let op = streams[dev][st][heads[dev][st]];
-                if let Some(de) = dep_end(&op, &end_time) {
-                    if de <= now + 1e-9 {
-                        let better = match best {
-                            None => true,
-                            Some((_, stage)) => op.stage > stage,
-                        };
-                        if better {
-                            best = Some((st, op.stage));
-                        }
-                    }
-                }
-            }
-            if let Some((st, _)) = best {
-                let op = streams[dev][st][heads[dev][st]];
-                heads[dev][st] += 1;
-                end_time[key(&op)] = now + dur(&op);
-                free_at[dev] = now + dur(&op);
-                realized[dev].push(op);
-                scheduled += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            let mut next = f64::INFINITY;
-            for dev in 0..n_devices {
-                if free_at[dev] > now + 1e-9 {
-                    next = next.min(free_at[dev]);
-                }
-                for st in 0..v {
-                    if heads[dev][st] < streams[dev][st].len() {
-                        let op = streams[dev][st][heads[dev][st]];
-                        if let Some(de) = dep_end(&op, &end_time) {
-                            if de > now + 1e-9 {
-                                next = next.min(de.max(free_at[dev]));
-                            }
-                        }
-                    }
-                }
-            }
-            assert!(
-                next.is_finite(),
-                "build_interleaved_1f1b: merge stalled at t={now} ({scheduled}/{total_ops})"
-            );
-            now = next;
-        }
-    }
-
-    let mut g = TaskGraph::new(format!("1f1b-interleaved-v{v}"), n_devices, total, n_micro);
-    let mut fwd = vec![vec![None; n_micro]; total];
-    let mut bwd = vec![vec![None; n_micro]; total];
-    for (dev, ops) in realized.iter().enumerate() {
-        for op in ops {
-            let id = g.push(
-                dev,
-                op.stage,
-                Some(op.micro_batch),
-                op.kind,
-                StageAssignment::Single,
-                vec![],
-            );
-            match op.kind {
-                WorkKind::Forward => fwd[op.stage][op.micro_batch] = Some(id),
-                WorkKind::Backward => bwd[op.stage][op.micro_batch] = Some(id),
-                _ => unreachable!(),
-            }
-        }
-    }
-    let mut deps_to_set: Vec<(TaskId, Vec<TaskId>)> = Vec::new();
-    for s in 0..total {
-        for m in 0..n_micro {
-            if let Some(f) = fwd[s][m] {
-                if s > 0 {
-                    deps_to_set.push((f, vec![fwd[s - 1][m].expect("fwd dep")]));
-                }
-            }
-            if let Some(b) = bwd[s][m] {
-                let mut deps = vec![fwd[s][m].expect("same-stage fwd")];
-                if s + 1 < total {
-                    deps.push(bwd[s + 1][m].expect("bwd dep"));
-                }
-                deps_to_set.push((b, deps));
-            }
-        }
-    }
-    g.set_deps(deps_to_set);
-    g
+    merge_streams(format!("1f1b-interleaved-v{v}"), total, n_micro, streams)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_1f1b;
+    use crate::{build_1f1b, WorkKind};
 
     fn cost(t: &crate::Task) -> f64 {
         match t.kind {
@@ -244,6 +76,25 @@ mod tests {
             let plain = build_1f1b(d, d).makespan(cost).unwrap();
             let inter = build_interleaved_1f1b(d, d, 1).makespan(cost).unwrap();
             assert!((plain - inter).abs() < 1e-9, "d={d}: {inter} vs {plain}");
+        }
+    }
+
+    #[test]
+    fn v1_is_plain_1f1b_task_for_task() {
+        // One virtual stage per device is one stream per device: the same
+        // graph as `build_1f1b` in everything but the name.
+        for d in [1usize, 2, 4] {
+            for n in [1usize, 4, 8] {
+                let plain = build_1f1b(d, n);
+                let inter = build_interleaved_1f1b(d, n, 1);
+                assert_eq!(inter.tasks(), plain.tasks(), "d={d} n={n}");
+                assert_eq!(inter.device_order(), plain.device_order(), "d={d} n={n}");
+                assert_eq!(
+                    (inter.n_devices(), inter.n_stages(), inter.n_micro()),
+                    (plain.n_devices(), plain.n_stages(), plain.n_micro())
+                );
+                assert_eq!(inter.scheme_name(), "1f1b-interleaved-v1");
+            }
         }
     }
 

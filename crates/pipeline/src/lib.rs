@@ -11,7 +11,10 @@
 //!   starting each task once its dependencies finish — exactly how the
 //!   discrete-event simulator in `pipefisher-sim` plays it).
 //!
-//! Three builders are provided, matching the paper's Figure 1/3/4 setups:
+//! Every builder describes its schedule as per-device *streams* (the in-order
+//! ops of one hosted stage) and goes through one private constructor that
+//! merges them and wires the dependencies. Three builders match the paper's
+//! Figure 1/3/4 setups:
 //!
 //! * [`build_gpipe`] — all forwards, then all backwards (reverse order).
 //! * [`build_1f1b`] — PipeDream-flush: warmup forwards, steady

@@ -543,3 +543,44 @@ fn healthy_step_longer_than_the_watchdog_does_not_trip() {
     assert_eq!(got.0, reference.0, "delayed losses diverged");
     assert_eq!(got.1, reference.1, "delayed parameters diverged");
 }
+
+/// Chaos hook under which every K-FAC pickup takes the *second* ready unit.
+struct AlwaysSecondReady;
+
+impl pipefisher::lm::ChaosHook for AlwaysSecondReady {
+    fn aux_skip_first_ready(&self, _device: usize, _step: usize, _pickup: usize) -> bool {
+        true
+    }
+}
+
+/// The order of a device's K-FAC unit list is not behaviour: readiness
+/// decides what may run, and ready units touch disjoint state. Picking the
+/// second ready unit at every pickup — a different order than the list's on
+/// every step that has a choice — must reproduce the serial run bit for bit,
+/// with bubbles filled and with all K-FAC work as tail.
+#[test]
+fn any_ready_pickup_order_matches_serial_bitwise() {
+    let _gate = par_lock();
+    let (steps, n_micro) = (7, 4);
+    let config = BertConfig::mini(36, 16);
+    let choice = kfac_choice();
+    let reference = serial_reference(&config, &choice, steps, n_micro);
+    let shapes = [
+        (PipelineScheme::GPipe, 2),
+        (PipelineScheme::OneFOneB, 2),
+        (PipelineScheme::Chimera, 2),
+        (PipelineScheme::OneFOneB, 1),
+        (PipelineScheme::OneFOneB, 4),
+    ];
+    for (scheme, d) in shapes {
+        for fill in [true, false] {
+            let mut opts = PipelineOptions::new(scheme, d, n_micro);
+            opts.fill_bubbles = fill;
+            opts.chaos = Some(Arc::new(AlwaysSecondReady));
+            let got = pipelined_bits(&config, &choice, steps, &opts, 1);
+            let what = format!("{} D={d} fill={fill}", scheme.name());
+            assert_eq!(got.0, reference.0, "loss trajectory diverged: {what}");
+            assert_eq!(got.1, reference.1, "final parameters diverged: {what}");
+        }
+    }
+}
