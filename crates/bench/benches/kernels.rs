@@ -87,12 +87,13 @@ fn bench_gram(c: &mut Criterion, par_threads: usize) {
     let dims: &[usize] = if c.measuring() { &[768, 1024] } else { &[64] };
     for &d in dims {
         let u = rand_matrix(512, d, 5);
+        let mut out = Matrix::zeros(d, d);
         let param = format!("512tok_{d}");
         bench_leg(c, "gram", "serial", &param, 1, || {
-            black_box(u.gram());
+            u.gram_into(black_box(&mut out));
         });
         bench_leg(c, "gram", "parallel", &param, par_threads, || {
-            black_box(u.gram());
+            u.gram_into(black_box(&mut out));
         });
     }
 }
@@ -223,7 +224,7 @@ fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
         }
     }
     par::set_max_threads(0);
-    workspace::reset_enabled();
+    workspace::set_enabled(true);
     let n = (steps - warmup) as u64;
     (allocs / n, bytes / n)
 }

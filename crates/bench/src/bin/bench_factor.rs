@@ -15,7 +15,7 @@
 //! blocked column of the engine this one replaced, measured on the same
 //! host, so the speed-up over it has its base in the file.
 
-use pipefisher_tensor::{cholesky_inverse_into, cholesky_inverse_naive_into, kernel, par, Matrix};
+use pipefisher_tensor::{cholesky_inverse_into, kernel, par, reference, Matrix};
 use std::time::Instant;
 
 const REPS: usize = 3;
@@ -89,7 +89,7 @@ fn main() {
         // sensitivity) and keeps the benchmark runnable in CI.
         let (naive_reps, naive_warm) = if n >= 1024 { (1, false) } else { (REPS, true) };
         let t_naive = measure(&a, &mut out, naive_reps, naive_warm, |a, o| {
-            cholesky_inverse_naive_into(a, o).expect("spd")
+            reference::cholesky_inverse_into(a, o).expect("spd")
         });
         let t_blocked = measure(&a, &mut out, REPS, true, |a, o| {
             cholesky_inverse_into(a, o).expect("spd")
@@ -127,7 +127,7 @@ fn main() {
             "  \"reps\": {},\n",
             "  \"note\": \"single-core (pool pinned to 1 lane) cholesky_inverse GFLOP/s at a ",
             "nominal 2n^3 FLOPs for every column (the inversion itself costs n^3); naive is the ",
-            "scalar reference (cholesky_inverse_naive_into), blocked the potrf + trtri + lauum ",
+            "scalar reference (reference::cholesky_inverse_into), blocked the potrf + trtri + lauum ",
             "engine under the runtime-dispatched kernel, bitwise-identical by construction; naive ",
             "at n>=1024 is timed with a single rep; 769/3073 are the BERT-Base K-FAC factor sizes ",
             "(d_model+1, d_ff+1); 'before' is the blocked column of the solve-against-identity ",

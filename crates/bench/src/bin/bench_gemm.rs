@@ -97,23 +97,6 @@ fn cases() -> Vec<Case> {
             run: Box::new(move |o| u.gram_into(o)),
         });
     }
-    // y = A·v (memory-bound; included for dispatch coverage).
-    {
-        let (m, k) = (2048, 2048);
-        let a = rand_matrix(m, k, 8);
-        let v: Vec<f64> = (0..k).map(|i| (i as f64).sin()).collect();
-        out.push(Case {
-            name: "matvec",
-            m,
-            k,
-            n: 1,
-            flops: 2.0 * (m * k) as f64,
-            run: Box::new(move |o| {
-                o.reset_shape(m, 1);
-                a.matvec_into(&v, o.as_mut_slice());
-            }),
-        });
-    }
     out
 }
 

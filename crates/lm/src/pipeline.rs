@@ -516,9 +516,9 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `opts.n_stages == 0`, `opts.n_micro == 0`, the model has
-    /// fewer blocks than stages need, or the scheme's own shape rules are
-    /// violated (Chimera needs even `D` and even `N`).
+    /// Panics if `opts.n_stages == 0`, `opts.n_micro == 0`, or the scheme's
+    /// own shape rules are violated (Chimera needs even `D` and even `N`).
+    /// More stages than blocks is fine: the surplus stages own no block.
     pub fn run_pipelined(
         &mut self,
         model: BertForPreTraining,
@@ -1334,18 +1334,22 @@ impl Worker {
             chunks,
         } = op;
         let (device, step) = (self.device, cmd.step);
-        // Lowering puts every unit on its stage's capture host, which is
-        // lent the states in every step that refreshes: a unit marked done
-        // must have run, so a missing loan is a fault, never a skip.
-        let states = &mut loan_for(&mut cmd.loans, stage).kfac;
-        assert!(
-            !states.is_empty(),
-            "K-FAC unit of stage {stage} on device {device} without loaned layer states"
-        );
         let host = self.hosts.get_mut(&stage).expect("aux on hosted stage");
         let slot = host.capture_slot.expect("aux runs on the capture host");
         let replica = &mut host.replicas[slot];
-        let k_total = states.len();
+        let mut k_total = 0;
+        replica.visit_linears(&mut |_| k_total += 1);
+        // Lowering puts every unit on its stage's capture host, which is
+        // lent one state per K-FAC layer in every step that refreshes: a
+        // unit marked done must have run, so a missing loan is a fault,
+        // never a skip. A stage that owns no such layer (D > L) is lent
+        // none, and its units are no-ops.
+        let states = &mut loan_for(&mut cmd.loans, stage).kfac;
+        assert_eq!(
+            states.len(),
+            k_total,
+            "K-FAC unit of stage {stage} on device {device} without loaned layer states"
+        );
         let lo = chunk * k_total / chunks;
         let hi = (chunk + 1) * k_total / chunks;
         let aux_args = || {

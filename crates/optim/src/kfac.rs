@@ -566,7 +566,7 @@ pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
 /// factor, triangular inverse `Y = L⁻¹`, then `YᵀY` — LAPACK's
 /// `potrf` + `potri` — with the off-block work on the packed GEMM
 /// kernels), which is exactly symmetric and bitwise identical to the scalar
-/// reference ([`pipefisher_tensor::cholesky_inverse_naive_into`]) — so
+/// reference ([`pipefisher_tensor::reference::cholesky_inverse_into`]) — so
 /// bubble-filled pipeline runs stay bit-for-bit reproducible against serial
 /// execution. Both factors are inverted together because the π-split
 /// couples their damping, and the fresh inverses commit only if *both*
@@ -687,7 +687,7 @@ mod tests {
     use super::*;
     use crate::Sgd;
     use pipefisher_nn::{cross_entropy_backward, cross_entropy_loss, ForwardCtx, Layer};
-    use pipefisher_tensor::{cholesky_inverse, init};
+    use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -722,9 +722,16 @@ mod tests {
     fn rand_spd(n: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = init::normal(n, n, 1.0, &mut rng);
-        let mut spd = m.matmul_tn(&m);
+        let mut spd = Matrix::zeros(n, n);
+        m.gram_into(&mut spd);
         spd.add_diag(0.5);
         spd
+    }
+
+    fn inverse(a: &Matrix) -> Matrix {
+        let mut inv = Matrix::zeros(a.rows(), a.rows());
+        cholesky_inverse_into(a, &mut inv).unwrap();
+        inv
     }
 
     #[test]
@@ -734,14 +741,11 @@ mod tests {
         let a = rand_spd(3, 1);
         let b = rand_spd(2, 2);
         let g = init::normal(2, 3, 1.0, &mut StdRng::seed_from_u64(3));
-        let ia = cholesky_inverse(&a).unwrap();
-        let ib = cholesky_inverse(&b).unwrap();
-
-        let lhs = ib.matmul(&g).matmul(&ia);
-        let kron_inv = cholesky_inverse(&kron(&a, &b)).unwrap();
-        let rhs_vec = kron_inv.matvec(&vec_cols(&g));
+        let lhs = inverse(&b).matmul(&g).matmul(&inverse(&a));
+        let vec_g = Matrix::from_vec(6, 1, vec_cols(&g));
+        let rhs_vec = inverse(&kron(&a, &b)).matmul(&vec_g);
         let lhs_vec = vec_cols(&lhs);
-        for (x, y) in lhs_vec.iter().zip(rhs_vec.iter()) {
+        for (x, y) in lhs_vec.iter().zip(rhs_vec.as_slice()) {
             assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }
     }
@@ -774,7 +778,7 @@ mod tests {
             let mut damped = factor.clone();
             damped.add_diag(lam.max(1e-12));
             let mut expect = Matrix::zeros(factor.rows(), factor.rows());
-            pipefisher_tensor::cholesky_inverse_naive_into(&damped, &mut expect).unwrap();
+            pipefisher_tensor::reference::cholesky_inverse_into(&damped, &mut expect).unwrap();
             for (x, y) in inv.as_slice().iter().zip(expect.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }

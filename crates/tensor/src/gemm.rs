@@ -2,25 +2,28 @@
 //!
 //! The reproduction needs four GEMM flavours:
 //!
-//! * `C = A·B` ([`Matrix::matmul`]) — forward passes,
-//! * `C = Aᵀ·B` ([`Matrix::matmul_tn`]) — weight gradients and K-FAC
-//!   Kronecker factors (`A_l = U_A U_Aᵀ` computed as `Uᵀ·U` on row-major
-//!   per-token layouts),
-//! * `C = A·Bᵀ` ([`Matrix::matmul_nt`]) — input-gradient backprop,
-//! * `C = AᵀA` ([`Matrix::gram`]) — K-FAC's curvature kernel.
+//! * `C = A·B` ([`Matrix::matmul_into`], and its `+ bias` / activation /
+//!   residual fused forms) — forward passes,
+//! * `C = Aᵀ·B` ([`Matrix::matmul_tn_into`]) — weight gradients,
+//! * `C = A·Bᵀ` ([`Matrix::matmul_nt_into`]) — input-gradient backprop,
+//! * `C = AᵀA` ([`Matrix::gram_into`]) — K-FAC's curvature kernel
+//!   (`A_l = U_A U_Aᵀ` computed as `Uᵀ·U` on row-major per-token layouts).
 //!
-//! All four (plus [`Matrix::matvec`]) are thin shape-handling wrappers over
-//! the packed, register-tiled, runtime-dispatched engine in
-//! [`crate::kernel`]: the transpose variants differ only in the packing
-//! gather ([`kernel::ASrc`]/[`kernel::BSrc`]), never in the inner loop, so
-//! every flavour runs the same SIMD micro-kernel at the same throughput.
+//! Each is its shape assert plus one call: the first three go through one
+//! private driver, `gemm_into`, which re-dimensions and zeroes the
+//! destination, partitions its rows and hands every chunk to the packed,
+//! register-tiled, runtime-dispatched engine ([`kernel::gemm_chunk`]); the
+//! Gram product differs only in its triangle-weighted partition and mirror
+//! pass. The transpose variants differ only in the packing gather
+//! ([`kernel::ASrc`]/[`kernel::BSrc`]), never in the inner loop, so every
+//! flavour runs the same SIMD micro-kernel at the same throughput.
 //!
-//! Every kernel exists in two forms: an `_into` variant that writes into a
-//! caller-provided output (re-dimensioning it via
-//! [`Matrix::reset_shape`], so a recycled scratch buffer of the right
-//! length incurs zero allocation), and an allocating wrapper that checks
-//! out a fresh matrix from the [`crate::workspace`] arena and delegates.
-//! Both produce bitwise-identical results.
+//! Every kernel writes into a caller-provided output (re-dimensioning it
+//! via [`Matrix::reset_shape`], so a recycled scratch buffer of the right
+//! length incurs zero allocation). [`Matrix::matmul`] and
+//! [`Matrix::matmul_nt`] are the two allocating conveniences the network
+//! code still calls; they check a fresh matrix out of the
+//! [`crate::workspace`] arena and delegate, bitwise identical.
 //!
 //! # Threading
 //!
@@ -34,9 +37,49 @@
 //! count. Inputs below the [`crate::par::par_threshold`] work estimate
 //! stay serial.
 
-use crate::kernel::{self, ASrc, BSrc};
+use crate::kernel::{self, ASrc, BSrc, Epilogue, Mode};
 use crate::par;
 use crate::Matrix;
+
+/// The one GEMM front end: re-dimensions `out` to `m × n`, zeroes it, and
+/// accumulates `Σ_p A(i,p)·B(p,j)` over `k` steps into it, one row chunk
+/// per pool lane. `a_rows(start)` is the A operand as seen from the chunk
+/// whose first output row is `start`; `epilogue`, if any, is fused into the
+/// store phase. When `k == 0` the kernel never stores and thus never
+/// applies an epilogue, so `degenerate` runs instead (separate passes over
+/// the zero product; a no-op for the plain products).
+fn gemm_into<'a>(
+    out: &mut Matrix,
+    (m, n, k): (usize, usize, usize),
+    a_rows: impl Fn(usize) -> ASrc<'a> + Sync,
+    b: BSrc<'a>,
+    epilogue: Option<&Epilogue<'_>>,
+    degenerate: impl FnOnce(&mut Matrix),
+) {
+    out.reset_shape(m, n);
+    out.as_mut_slice().fill(0.0);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        degenerate(out);
+        return;
+    }
+    par::par_chunks_mut_aligned(
+        out.as_mut_slice(),
+        m,
+        n,
+        kernel::ROW_ALIGN,
+        m * k * n,
+        |start, chunk| {
+            let mode = Mode {
+                fused: epilogue.map(|epi| (start, epi)),
+                ..Mode::default()
+            };
+            kernel::gemm_chunk(chunk, chunk.len() / n, n, k, a_rows(start), b, mode);
+        },
+    );
+}
 
 impl Matrix {
     /// Computes `self · rhs`.
@@ -67,46 +110,7 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul: inner dims {}x{} vs {}x{}",
-            self.rows(),
-            self.cols(),
-            rhs.rows(),
-            rhs.cols()
-        );
-        let (m, k) = self.shape();
-        let n = rhs.cols();
-        out.reset_shape(m, n);
-        out.as_mut_slice().fill(0.0);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        par::par_chunks_mut_aligned(
-            out.as_mut_slice(),
-            m,
-            n,
-            kernel::ROW_ALIGN,
-            m * k * n,
-            |start, chunk| {
-                let rows = chunk.len() / n;
-                kernel::gemm_chunk(
-                    chunk,
-                    rows,
-                    n,
-                    k,
-                    ASrc::RowMajor {
-                        data: a,
-                        stride: k,
-                        base: start,
-                    },
-                    BSrc::RowMajor { data: b, stride: n },
-                );
-            },
-        );
+        self.matmul_epilogue_into(rhs, out, None, |_| {});
     }
 
     /// Computes `self · rhs + bias` (bias broadcast over rows) into `out`,
@@ -120,7 +124,8 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()` or `bias.len() != rhs.cols()`.
     pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
-        self.matmul_epilogue_into(rhs, out, &kernel::Epilogue::Bias { bias }, |out| {
+        assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
+        self.matmul_epilogue_into(rhs, out, Some(&Epilogue::Bias { bias }), |out| {
             out.add_row_broadcast(bias);
         });
     }
@@ -142,6 +147,7 @@ impl Matrix {
         pre: &mut Matrix,
         out: &mut Matrix,
     ) {
+        assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
         let (m, n) = (self.rows(), rhs.cols());
         pre.reset_shape(m, n);
         // Every output element is stored by exactly one tile epilogue, so
@@ -151,11 +157,11 @@ impl Matrix {
         self.matmul_epilogue_into(
             rhs,
             out,
-            &kernel::Epilogue::BiasAct {
+            Some(&Epilogue::BiasAct {
                 bias,
                 act,
                 pre: &prep,
-            },
+            }),
             |out| {
                 // Degenerate k = 0: the product is all zeros; run the
                 // separate passes.
@@ -186,6 +192,7 @@ impl Matrix {
         residual: &Matrix,
         out: &mut Matrix,
     ) {
+        assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
         assert_eq!(
             residual.shape(),
             (self.rows(), rhs.cols()),
@@ -195,7 +202,7 @@ impl Matrix {
         self.matmul_epilogue_into(
             rhs,
             out,
-            &kernel::Epilogue::BiasResidual { bias, res },
+            Some(&Epilogue::BiasResidual { bias, res }),
             |out| {
                 out.add_row_broadcast(bias);
                 for (o, &r) in out.as_mut_slice().iter_mut().zip(res) {
@@ -205,16 +212,13 @@ impl Matrix {
         );
     }
 
-    /// Shared shape-handling wrapper for the fused-epilogue products:
-    /// zeroes/re-dimensions `out`, runs the chunked GEMM with `epi` fused
-    /// into the store phase, and falls back to `degenerate` (separate
-    /// passes over the zero product) when `k == 0`, where the kernel never
-    /// stores and thus never applies the epilogue.
+    /// The inner-dimension assert of `self · rhs` and its fused-epilogue
+    /// forms, then the driver with both operands read row-major.
     fn matmul_epilogue_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
-        epi: &kernel::Epilogue<'_>,
+        epilogue: Option<&Epilogue<'_>>,
         degenerate: impl FnOnce(&mut Matrix),
     ) {
         assert_eq!(
@@ -226,65 +230,26 @@ impl Matrix {
             rhs.rows(),
             rhs.cols()
         );
-        let bias_len = match *epi {
-            kernel::Epilogue::Bias { bias }
-            | kernel::Epilogue::BiasAct { bias, .. }
-            | kernel::Epilogue::BiasResidual { bias, .. } => bias.len(),
-        };
-        assert_eq!(bias_len, rhs.cols(), "matmul bias: length mismatch");
         let (m, k) = self.shape();
         let n = rhs.cols();
-        out.reset_shape(m, n);
-        out.as_mut_slice().fill(0.0);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            degenerate(out);
-            return;
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        par::par_chunks_mut_aligned(
-            out.as_mut_slice(),
-            m,
-            n,
-            kernel::ROW_ALIGN,
-            m * k * n,
-            |start, chunk| {
-                let rows = chunk.len() / n;
-                kernel::gemm_chunk_fused(
-                    chunk,
-                    rows,
-                    n,
-                    k,
-                    ASrc::RowMajor {
-                        data: a,
-                        stride: k,
-                        base: start,
-                    },
-                    BSrc::RowMajor { data: b, stride: n },
-                    start,
-                    epi,
-                );
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        gemm_into(
+            out,
+            (m, n, k),
+            |start| ASrc::RowMajor {
+                data: a,
+                stride: k,
+                base: start,
             },
+            BSrc::RowMajor { data: b, stride: n },
+            epilogue,
+            degenerate,
         );
     }
 
-    /// Computes `selfᵀ · rhs` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols(), rhs.cols());
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// Computes `selfᵀ · rhs` into `out`, which is re-dimensioned to
-    /// `self.cols() × rhs.cols()` and fully overwritten. Bitwise identical
-    /// to [`Matrix::matmul_tn`].
+    /// Computes `selfᵀ · rhs` into `out` without materializing the
+    /// transpose; `out` is re-dimensioned to `self.cols() × rhs.cols()` and
+    /// fully overwritten.
     ///
     /// # Panics
     ///
@@ -301,38 +266,22 @@ impl Matrix {
         );
         let (k, m) = self.shape();
         let n = rhs.cols();
-        out.reset_shape(m, n);
-        out.as_mut_slice().fill(0.0);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
         // (AᵀB)[i][j] = Σ_p A[p][i]·B[p][j]: the transpose lives entirely
         // in the column-major packing gather; the micro-kernel is the same
         // one `matmul` runs, and every element still accumulates over p
         // ascending.
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        par::par_chunks_mut_aligned(
-            out.as_mut_slice(),
-            m,
-            n,
-            kernel::ROW_ALIGN,
-            m * k * n,
-            |start, chunk| {
-                let rows = chunk.len() / n;
-                kernel::gemm_chunk(
-                    chunk,
-                    rows,
-                    n,
-                    k,
-                    ASrc::ColMajor {
-                        data: a,
-                        stride: m,
-                        base: start,
-                    },
-                    BSrc::RowMajor { data: b, stride: n },
-                );
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        gemm_into(
+            out,
+            (m, n, k),
+            |start| ASrc::ColMajor {
+                data: a,
+                stride: m,
+                base: start,
             },
+            BSrc::RowMajor { data: b, stride: n },
+            None,
+            |_| {},
         );
     }
 
@@ -366,56 +315,33 @@ impl Matrix {
         );
         let (m, k) = self.shape();
         let n = rhs.rows();
-        out.reset_shape(m, n);
-        out.as_mut_slice().fill(0.0);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
         // (ABᵀ)[i][j] = Σ_p A[i][p]·B[j][p]: B's rows become packed panel
         // columns, turning the old dot-product loop (one element per k
         // sweep) into full register tiles.
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        par::par_chunks_mut_aligned(
-            out.as_mut_slice(),
-            m,
-            n,
-            kernel::ROW_ALIGN,
-            m * k * n,
-            |start, chunk| {
-                let rows = chunk.len() / n;
-                kernel::gemm_chunk(
-                    chunk,
-                    rows,
-                    n,
-                    k,
-                    ASrc::RowMajor {
-                        data: a,
-                        stride: k,
-                        base: start,
-                    },
-                    BSrc::ColMajor { data: b, stride: k },
-                );
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        gemm_into(
+            out,
+            (m, n, k),
+            |start| ASrc::RowMajor {
+                data: a,
+                stride: k,
+                base: start,
             },
+            BSrc::ColMajor { data: b, stride: k },
+            None,
+            |_| {},
         );
     }
 
-    /// Computes the symmetric Gram matrix `selfᵀ · self`.
+    /// Computes the symmetric Gram matrix `selfᵀ · self` into `out`, which
+    /// is re-dimensioned to `self.cols() × self.cols()` and fully
+    /// overwritten.
     ///
     /// This is K-FAC's *curvature* kernel: with `self = U` holding one
-    /// per-example vector per row, `gram` produces `Σ_i u_i u_iᵀ`. Only the
+    /// per-example vector per row, it produces `Σ_i u_i u_iᵀ`. Only the
     /// upper triangle is computed and mirrored. Rows are chunked across
     /// lanes with weights proportional to their upper-triangle length, so
     /// the triangular workload stays balanced.
-    pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols(), self.cols());
-        self.gram_into(&mut out);
-        out
-    }
-
-    /// Computes `selfᵀ · self` into `out`, which is re-dimensioned to
-    /// `self.cols() × self.cols()` and fully overwritten. Bitwise identical
-    /// to [`Matrix::gram`].
     pub fn gram_into(&self, out: &mut Matrix) {
         let (k, m) = self.shape();
         out.reset_shape(m, m);
@@ -433,10 +359,9 @@ impl Matrix {
             k * m * (m + 1) / 2,
             |i| m - i,
             |start, chunk| {
-                let rows = chunk.len() / m;
-                kernel::gram_chunk(
+                kernel::gemm_chunk(
                     chunk,
-                    rows,
+                    chunk.len() / m,
                     m,
                     k,
                     ASrc::ColMajor {
@@ -445,45 +370,14 @@ impl Matrix {
                         base: start,
                     },
                     BSrc::RowMajor { data: a, stride: m },
-                    start,
+                    Mode {
+                        diag: Some(start),
+                        ..Mode::default()
+                    },
                 );
             },
         );
         mirror_lower_from_upper(o, m);
-    }
-
-    /// Matrix–vector product `self · v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows()];
-        self.matvec_into(v, &mut out);
-        out
-    }
-
-    /// Matrix–vector product `self · v` into `out`. Output rows are
-    /// chunked across the worker pool exactly like the GEMM kernels;
-    /// every element is one lane's dot product in ascending-index order,
-    /// so the result is bitwise identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.cols(), "matvec: length mismatch");
-        assert_eq!(out.len(), self.rows(), "matvec: output length mismatch");
-        let (m, k) = self.shape();
-        out.fill(0.0);
-        if m == 0 || k == 0 {
-            return;
-        }
-        let a = self.as_slice();
-        par::par_chunks_mut_aligned(out, m, 1, kernel::ROW_ALIGN, m * k, |start, chunk| {
-            let rows = chunk.len();
-            kernel::matvec_chunk(chunk, &a[start * k..(start + rows) * k], k, v);
-        });
     }
 }
 
@@ -534,26 +428,10 @@ pub(crate) fn mirror_lower_from_upper(o: &mut [f64], m: usize) {
     );
 }
 
-/// Triple-loop reference GEMM used to validate the blocked kernels in tests
-/// and property checks.
-pub fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "naive_matmul: inner dims");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for j in 0..b.cols() {
-            let mut acc = 0.0;
-            for p in 0..a.cols() {
-                acc += a[(i, p)] * b[(p, j)];
-            }
-            out[(i, j)] = acc;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         // Simple xorshift so the kernel tests need no RNG dependency.
@@ -573,12 +451,19 @@ mod tests {
         assert!(d < tol, "matrices differ by {d}");
     }
 
+    /// Runs an `_into` kernel on a destination of the wrong shape.
+    fn run(kernel: impl FnOnce(&mut Matrix)) -> Matrix {
+        let mut out = Matrix::zeros(1, 1);
+        kernel(&mut out);
+        out
+    }
+
     #[test]
     fn matmul_matches_naive() {
         for &(m, k, n) in &[(1, 1, 1), (3, 4, 5), (17, 33, 9), (64, 64, 64)] {
             let a = rand_matrix(m, k, 1);
             let b = rand_matrix(k, n, 2);
-            assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-10);
+            assert_close(&a.matmul(&b), &reference::matmul(&a, &b), 1e-10);
         }
     }
 
@@ -586,7 +471,8 @@ mod tests {
     fn matmul_tn_matches_transpose() {
         let a = rand_matrix(20, 7, 3);
         let b = rand_matrix(20, 11, 4);
-        assert_close(&a.matmul_tn(&b), &a.transpose().matmul(&b), 1e-10);
+        let got = run(|out| a.matmul_tn_into(&b, out));
+        assert_close(&got, &a.transpose().matmul(&b), 1e-10);
     }
 
     #[test]
@@ -599,7 +485,7 @@ mod tests {
     #[test]
     fn gram_is_symmetric_and_correct() {
         let u = rand_matrix(40, 12, 7);
-        let g = u.gram();
+        let g = run(|out| u.gram_into(out));
         assert!(g.is_symmetric(1e-12));
         assert_close(&g, &u.transpose().matmul(&u), 1e-10);
     }
@@ -613,42 +499,26 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = rand_matrix(5, 9, 9);
-        let v: Vec<f64> = (0..9).map(|i| i as f64 * 0.3 - 1.0).collect();
-        let vm = Matrix::from_vec(9, 1, v.clone());
-        let out = a.matvec(&v);
-        let outm = a.matmul(&vm);
-        for (i, &x) in out.iter().enumerate() {
-            assert!((x - outm[(i, 0)]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn degenerate_shapes_all_kernels() {
         // Zero-column outputs used to divide by `n.max(1)` and compute a
         // bogus per-chunk row count; now every kernel early-returns on any
         // degenerate dimension. Cover 0-row, 0-col, and 0-inner for all
-        // four GEMM flavours plus matvec.
+        // four GEMM flavours.
         for &(m, k, n) in &[(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)] {
             let a = Matrix::zeros(m, k);
             let b = Matrix::zeros(k, n);
             assert_eq!(a.matmul(&b).shape(), (m, n));
 
             let at = Matrix::zeros(k, m);
-            assert_eq!(at.matmul_tn(&b).shape(), (m, n));
+            assert_eq!(run(|out| at.matmul_tn_into(&b, out)).shape(), (m, n));
 
             let bt = Matrix::zeros(n, k);
             assert_eq!(a.matmul_nt(&bt).shape(), (m, n));
         }
         let u = Matrix::zeros(0, 5);
-        assert_eq!(u.gram().shape(), (5, 5));
+        assert_eq!(run(|out| u.gram_into(out)), Matrix::zeros(5, 5));
         let u2 = Matrix::zeros(5, 0);
-        assert_eq!(u2.gram().shape(), (0, 0));
-        let a = Matrix::zeros(0, 4);
-        assert_eq!(a.matvec(&[0.0; 4]).len(), 0);
-        let a2 = Matrix::zeros(4, 0);
-        assert_eq!(a2.matvec(&[]), vec![0.0; 4]);
+        assert_eq!(run(|out| u2.gram_into(out)).shape(), (0, 0));
     }
 
     #[test]
@@ -662,18 +532,13 @@ mod tests {
         let c = rand_matrix(7, 5, 23);
         let mut out = Matrix::full(11, 5, 9.9); // right shape, stale contents
         b.matmul_tn_into(&c, &mut out);
-        assert_eq!(out, b.matmul_tn(&c));
+        assert_eq!(out, run(|fresh| b.matmul_tn_into(&c, fresh)));
 
         a.matmul_nt_into(&b.transpose(), &mut out);
         assert_eq!(out, a.matmul_nt(&b.transpose()));
 
         a.gram_into(&mut out);
-        assert_eq!(out, a.gram());
-
-        let v: Vec<f64> = (0..7).map(|i| i as f64 - 3.0).collect();
-        let mut ov = vec![7.0; 11];
-        a.matvec_into(&v, &mut ov);
-        assert_eq!(ov, a.matvec(&v));
+        assert_eq!(out, run(|fresh| a.gram_into(fresh)));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! and add. SIMD variants vectorize across output *columns* `j` (never
 //! across `k`), so each lane holds exactly one element's accumulator and
 //! rounds identically to the scalar kernel — scalar, AVX2, AVX-512, and
-//! NEON all agree bitwise. The `*_fma` variants fuse the multiply–add into
-//! one rounding; they are faster but *not* bitwise-compatible, and are only
-//! reachable through the opt-in `PIPEFISHER_KERNEL=fma`.
+//! NEON all agree bitwise. The fused variants (`*_fma`, `FMA = true`) round
+//! the multiply–add once; they are faster but *not* bitwise-compatible, and
+//! are only reachable through the opt-in `PIPEFISHER_KERNEL=fma`.
 
 /// `fn(kc, ap, bp, c, ldc)` — see the module docs for the layout contract.
 ///
@@ -34,15 +34,6 @@
 /// (for the SIMD variants) that the instruction set the kernel was compiled
 /// for is available on the running CPU.
 pub(crate) type MicroFn = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
-
-/// `fn(kc, ap, v, acc)` — matrix–vector panel kernel: `acc[i] += Σ_p
-/// ap[p*MV_MR + i] * v[p]`, ascending `p`, one accumulator per row lane.
-///
-/// # Safety
-///
-/// `ap` must hold `kc*MV_MR` elements, `v` `kc` elements, `acc` `MV_MR`
-/// elements; SIMD variants additionally require their instruction set.
-pub(crate) type MatvecFn = unsafe fn(usize, *const f64, *const f64, *mut f64);
 
 /// `fn(coef, ldc, x, ldx, rows, width)` — in-block forward substitution,
 /// the one kernel under both the Cholesky panel factorization and the
@@ -81,8 +72,6 @@ pub(crate) const NR8: usize = 8;
 pub(crate) const MR8: usize = 8;
 /// Tile width of the AVX-512 kernels.
 pub(crate) const NR16: usize = 16;
-/// Row-panel height of every matvec kernel.
-pub(crate) const MV_MR: usize = 8;
 
 // ---------------------------------------------------------------- scalar
 
@@ -116,24 +105,6 @@ pub(crate) unsafe fn micro_4x8_scalar(
         for (j, v) in row.iter().enumerate() {
             *c.add(i * ldc + j) = *v;
         }
-    }
-}
-
-/// Portable fallback matvec panel kernel (8 independent row accumulators).
-pub(crate) unsafe fn matvec_8_scalar(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-    let mut lanes = [0.0f64; MV_MR];
-    for (i, l) in lanes.iter_mut().enumerate() {
-        *l = *acc.add(i);
-    }
-    for p in 0..kc {
-        let a = ap.add(p * MV_MR);
-        let vp = *v.add(p);
-        for (i, l) in lanes.iter_mut().enumerate() {
-            *l += *a.add(i) * vp;
-        }
-    }
-    for (i, l) in lanes.iter().enumerate() {
-        *acc.add(i) = *l;
     }
 }
 
@@ -255,12 +226,14 @@ pub(crate) unsafe fn tri_sweep_avx512(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR4, MV_MR, NR8};
+    use super::{MR4, NR8};
     use core::arch::x86_64::*;
 
-    /// 4×8 AVX2 kernel, separate multiply + add (bitwise == scalar).
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn micro_4x8(
+    /// The 4×8 AVX2 tile loop, written once: `FMA` picks the one
+    /// instruction the two kernels differ in. Inlined into the entry points
+    /// below, which carry the `target_feature`s its intrinsics need.
+    #[inline(always)]
+    unsafe fn body<const FMA: bool>(
         kc: usize,
         ap: *const f64,
         bp: *const f64,
@@ -278,14 +251,32 @@ mod avx2 {
             let a = ap.add(p * MR4);
             for (i, row) in acc.iter_mut().enumerate() {
                 let av = _mm256_set1_pd(*a.add(i));
-                row[0] = _mm256_add_pd(row[0], _mm256_mul_pd(av, b0));
-                row[1] = _mm256_add_pd(row[1], _mm256_mul_pd(av, b1));
+                if FMA {
+                    row[0] = _mm256_fmadd_pd(av, b0, row[0]);
+                    row[1] = _mm256_fmadd_pd(av, b1, row[1]);
+                } else {
+                    row[0] = _mm256_add_pd(row[0], _mm256_mul_pd(av, b0));
+                    row[1] = _mm256_add_pd(row[1], _mm256_mul_pd(av, b1));
+                }
             }
         }
         for (i, row) in acc.iter().enumerate() {
             _mm256_storeu_pd(c.add(i * ldc), row[0]);
             _mm256_storeu_pd(c.add(i * ldc + 4), row[1]);
         }
+    }
+
+    /// 4×8 AVX2 kernel, separate multiply + add (bitwise == scalar). Needs
+    /// `avx2` alone, so it runs on AVX2 CPUs without FMA.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn micro_4x8(
+        kc: usize,
+        ap: *const f64,
+        bp: *const f64,
+        c: *mut f64,
+        ldc: usize,
+    ) {
+        body::<false>(kc, ap, bp, c, ldc)
     }
 
     /// 4×8 AVX2+FMA kernel (fused rounding — opt-in fast path).
@@ -297,75 +288,26 @@ mod avx2 {
         c: *mut f64,
         ldc: usize,
     ) {
-        let mut acc = [[_mm256_setzero_pd(); 2]; MR4];
-        for (i, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm256_loadu_pd(c.add(i * ldc));
-            row[1] = _mm256_loadu_pd(c.add(i * ldc + 4));
-        }
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.add(p * NR8));
-            let b1 = _mm256_loadu_pd(bp.add(p * NR8 + 4));
-            let a = ap.add(p * MR4);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(i));
-                row[0] = _mm256_fmadd_pd(av, b0, row[0]);
-                row[1] = _mm256_fmadd_pd(av, b1, row[1]);
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            _mm256_storeu_pd(c.add(i * ldc), row[0]);
-            _mm256_storeu_pd(c.add(i * ldc + 4), row[1]);
-        }
-    }
-
-    /// AVX2 matvec panel kernel (two 4-lane accumulators).
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn matvec_8(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut a0 = _mm256_loadu_pd(acc);
-        let mut a1 = _mm256_loadu_pd(acc.add(4));
-        for p in 0..kc {
-            let vp = _mm256_set1_pd(*v.add(p));
-            let r0 = _mm256_loadu_pd(ap.add(p * MV_MR));
-            let r1 = _mm256_loadu_pd(ap.add(p * MV_MR + 4));
-            a0 = _mm256_add_pd(a0, _mm256_mul_pd(r0, vp));
-            a1 = _mm256_add_pd(a1, _mm256_mul_pd(r1, vp));
-        }
-        _mm256_storeu_pd(acc, a0);
-        _mm256_storeu_pd(acc.add(4), a1);
-    }
-
-    /// AVX2+FMA matvec panel kernel (opt-in fast path).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn matvec_8_fma(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut a0 = _mm256_loadu_pd(acc);
-        let mut a1 = _mm256_loadu_pd(acc.add(4));
-        for p in 0..kc {
-            let vp = _mm256_set1_pd(*v.add(p));
-            a0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(p * MV_MR)), vp, a0);
-            a1 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(p * MV_MR + 4)), vp, a1);
-        }
-        _mm256_storeu_pd(acc, a0);
-        _mm256_storeu_pd(acc.add(4), a1);
+        body::<true>(kc, ap, bp, c, ldc)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{
-    matvec_8 as matvec_8_avx2, matvec_8_fma as matvec_8_avx2_fma, micro_4x8 as micro_4x8_avx2,
-    micro_4x8_fma as micro_4x8_avx2_fma,
-};
+pub(crate) use avx2::{micro_4x8 as micro_4x8_avx2, micro_4x8_fma as micro_4x8_avx2_fma};
 
 // --------------------------------------------------------------- AVX-512
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{MR8, MV_MR, NR16};
+    use super::{MR8, NR16};
     use core::arch::x86_64::*;
 
-    /// 8×16 AVX-512F kernel, separate multiply + add (bitwise == scalar).
-    /// 16 zmm accumulators + 2 B vectors leave broadcasts to the load ports.
+    /// 8×16 AVX-512F kernel. With `FMA = false`, separate multiply + add
+    /// (bitwise == scalar); with `FMA = true`, fused rounding (the opt-in
+    /// fast path) — `avx512f` includes the 512-bit FMA forms. 16 zmm
+    /// accumulators + 2 B vectors leave broadcasts to the load ports.
     #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn micro_8x16(
+    pub(crate) unsafe fn micro_8x16<const FMA: bool>(
         kc: usize,
         ap: *const f64,
         bp: *const f64,
@@ -383,81 +325,30 @@ mod avx512 {
             let a = ap.add(p * MR8);
             for (i, row) in acc.iter_mut().enumerate() {
                 let av = _mm512_set1_pd(*a.add(i));
-                row[0] = _mm512_add_pd(row[0], _mm512_mul_pd(av, b0));
-                row[1] = _mm512_add_pd(row[1], _mm512_mul_pd(av, b1));
+                if FMA {
+                    row[0] = _mm512_fmadd_pd(av, b0, row[0]);
+                    row[1] = _mm512_fmadd_pd(av, b1, row[1]);
+                } else {
+                    row[0] = _mm512_add_pd(row[0], _mm512_mul_pd(av, b0));
+                    row[1] = _mm512_add_pd(row[1], _mm512_mul_pd(av, b1));
+                }
             }
         }
         for (i, row) in acc.iter().enumerate() {
             _mm512_storeu_pd(c.add(i * ldc), row[0]);
             _mm512_storeu_pd(c.add(i * ldc + 8), row[1]);
         }
-    }
-
-    /// 8×16 AVX-512F FMA kernel (fused rounding — opt-in fast path).
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn micro_8x16_fma(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        let mut acc = [[_mm512_setzero_pd(); 2]; MR8];
-        for (i, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm512_loadu_pd(c.add(i * ldc));
-            row[1] = _mm512_loadu_pd(c.add(i * ldc + 8));
-        }
-        for p in 0..kc {
-            let b0 = _mm512_loadu_pd(bp.add(p * NR16));
-            let b1 = _mm512_loadu_pd(bp.add(p * NR16 + 8));
-            let a = ap.add(p * MR8);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_pd(*a.add(i));
-                row[0] = _mm512_fmadd_pd(av, b0, row[0]);
-                row[1] = _mm512_fmadd_pd(av, b1, row[1]);
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            _mm512_storeu_pd(c.add(i * ldc), row[0]);
-            _mm512_storeu_pd(c.add(i * ldc + 8), row[1]);
-        }
-    }
-
-    /// AVX-512F matvec panel kernel (one 8-lane accumulator).
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn matvec_8(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut a0 = _mm512_loadu_pd(acc);
-        for p in 0..kc {
-            let vp = _mm512_set1_pd(*v.add(p));
-            let r0 = _mm512_loadu_pd(ap.add(p * MV_MR));
-            a0 = _mm512_add_pd(a0, _mm512_mul_pd(r0, vp));
-        }
-        _mm512_storeu_pd(acc, a0);
-    }
-
-    /// AVX-512F FMA matvec panel kernel (opt-in fast path).
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn matvec_8_fma(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut a0 = _mm512_loadu_pd(acc);
-        for p in 0..kc {
-            let vp = _mm512_set1_pd(*v.add(p));
-            a0 = _mm512_fmadd_pd(_mm512_loadu_pd(ap.add(p * MV_MR)), vp, a0);
-        }
-        _mm512_storeu_pd(acc, a0);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx512::{
-    matvec_8 as matvec_8_avx512, matvec_8_fma as matvec_8_avx512_fma,
-    micro_8x16 as micro_8x16_avx512, micro_8x16_fma as micro_8x16_avx512_fma,
-};
+pub(crate) use avx512::micro_8x16 as micro_8x16_avx512;
 
 // ------------------------------------------------------------------ NEON
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{MR4, MV_MR, NR8};
+    use super::{MR4, NR8};
     use core::arch::aarch64::*;
 
     /// 4×8 NEON kernel, separate multiply + add (bitwise == scalar).
@@ -529,47 +420,7 @@ mod neon {
             }
         }
     }
-
-    /// NEON matvec panel kernel (four 2-lane accumulators).
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn matvec_8(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut lanes = [vdupq_n_f64(0.0); 4];
-        for (h, l) in lanes.iter_mut().enumerate() {
-            *l = vld1q_f64(acc.add(2 * h));
-        }
-        for p in 0..kc {
-            let vp = vdupq_n_f64(*v.add(p));
-            for (h, l) in lanes.iter_mut().enumerate() {
-                let r = vld1q_f64(ap.add(p * MV_MR + 2 * h));
-                *l = vaddq_f64(*l, vmulq_f64(r, vp));
-            }
-        }
-        for (h, l) in lanes.iter().enumerate() {
-            vst1q_f64(acc.add(2 * h), *l);
-        }
-    }
-
-    /// NEON FMA matvec panel kernel (opt-in fast path).
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn matvec_8_fma(kc: usize, ap: *const f64, v: *const f64, acc: *mut f64) {
-        let mut lanes = [vdupq_n_f64(0.0); 4];
-        for (h, l) in lanes.iter_mut().enumerate() {
-            *l = vld1q_f64(acc.add(2 * h));
-        }
-        for p in 0..kc {
-            let vp = vdupq_n_f64(*v.add(p));
-            for (h, l) in lanes.iter_mut().enumerate() {
-                *l = vfmaq_f64(*l, vld1q_f64(ap.add(p * MV_MR + 2 * h)), vp);
-            }
-        }
-        for (h, l) in lanes.iter().enumerate() {
-            vst1q_f64(acc.add(2 * h), *l);
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
-pub(crate) use neon::{
-    matvec_8 as matvec_8_neon, matvec_8_fma as matvec_8_neon_fma, micro_4x8 as micro_4x8_neon,
-    micro_4x8_fma as micro_4x8_neon_fma,
-};
+pub(crate) use neon::{micro_4x8 as micro_4x8_neon, micro_4x8_fma as micro_4x8_neon_fma};

@@ -1,12 +1,15 @@
 //! Runtime-dispatched, register-tiled GEMM engine.
 //!
 //! Every GEMM flavour in this crate (`matmul`, `matmul_tn`, `matmul_nt`,
-//! `gram`, `matvec`) funnels into one cache-blocked macro-kernel: operand
-//! blocks are packed into contiguous, zero-padded panels
-//! ([`pack`] — drawn from the [`crate::workspace`] arena, so the steady
-//! state allocates nothing), and an MR×NR register-tiled micro-kernel
-//! ([`micro`]) does all the arithmetic. The micro-kernel implementation is
-//! selected **once** per process by runtime CPU detection:
+//! `gram`) and every off-block product of the factorization engine funnels
+//! into one cache-blocked macro-kernel, [`gemm_chunk`]: operand blocks are
+//! packed into contiguous, zero-padded panels ([`pack`] — drawn from the
+//! [`crate::workspace`] arena, so the steady state allocates nothing), and
+//! an MR×NR register-tiled micro-kernel ([`micro`]) does all the
+//! arithmetic. How a call departs from the plain accumulate is one
+//! [`Mode`]; which micro-kernel and in-block triangular sweep run is one
+//! dispatch table, `kernels`, keyed by the requested family and the
+//! instruction set that runtime CPU detection found **once** per process:
 //!
 //! * x86_64 — AVX-512F (8×16 tile) when available, else AVX2 (4×8),
 //! * aarch64 — NEON (4×8),
@@ -225,99 +228,66 @@ pub fn set_kernel(kind: Option<KernelKind>) {
     KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// A selected micro-kernel: tile shape plus the tile function.
+/// What one `(kernel kind, instruction set)` pair selects: the GEMM tile
+/// shape with its micro-kernel, and the in-block triangular sweep.
 #[derive(Clone, Copy)]
-struct Micro {
+struct Kernels {
     mr: usize,
     nr: usize,
-    run: micro::MicroFn,
+    micro: micro::MicroFn,
+    tri_sweep: micro::TriSweepFn,
 }
 
-/// Picks the micro-kernel for the current [`kernel_kind`].
-fn select_micro() -> Micro {
-    let scalar = Micro {
-        mr: micro::MR4,
-        nr: micro::NR8,
-        run: micro::micro_4x8_scalar,
-    };
-    match (kernel_kind(), isa().0) {
-        (KernelKind::Scalar, _) => scalar,
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Simd, Isa::Avx512) => Micro {
-            mr: micro::MR8,
-            nr: micro::NR16,
-            run: micro::micro_8x16_avx512,
-        },
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Fma, Isa::Avx512) => Micro {
-            mr: micro::MR8,
-            nr: micro::NR16,
-            run: micro::micro_8x16_avx512_fma,
-        },
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Simd, Isa::Avx2) => Micro {
-            mr: micro::MR4,
-            nr: micro::NR8,
-            run: micro::micro_4x8_avx2,
-        },
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Fma, Isa::Avx2) => Micro {
-            mr: micro::MR4,
-            nr: micro::NR8,
-            run: micro::micro_4x8_avx2_fma,
-        },
-        #[cfg(target_arch = "aarch64")]
-        (KernelKind::Simd, Isa::Neon) => Micro {
-            mr: micro::MR4,
-            nr: micro::NR8,
-            run: micro::micro_4x8_neon,
-        },
-        #[cfg(target_arch = "aarch64")]
-        (KernelKind::Fma, Isa::Neon) => Micro {
-            mr: micro::MR4,
-            nr: micro::NR8,
-            run: micro::micro_4x8_neon_fma,
-        },
-        // kernel_kind() never returns Simd/Fma when no ISA is detected,
-        // but the match must be exhaustive per target.
-        _ => scalar,
-    }
-}
-
-/// Picks the matvec panel kernel for the current [`kernel_kind`].
-fn select_matvec() -> micro::MatvecFn {
-    match (kernel_kind(), isa().0) {
-        (KernelKind::Scalar, _) => micro::matvec_8_scalar,
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Simd, Isa::Avx512) => micro::matvec_8_avx512,
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Fma, Isa::Avx512) => micro::matvec_8_avx512_fma,
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Simd, Isa::Avx2) => micro::matvec_8_avx2,
-        #[cfg(target_arch = "x86_64")]
-        (KernelKind::Fma, Isa::Avx2) => micro::matvec_8_avx2_fma,
-        #[cfg(target_arch = "aarch64")]
-        (KernelKind::Simd, Isa::Neon) => micro::matvec_8_neon,
-        #[cfg(target_arch = "aarch64")]
-        (KernelKind::Fma, Isa::Neon) => micro::matvec_8_neon_fma,
-        _ => micro::matvec_8_scalar,
-    }
-}
-
-/// Picks the in-block triangular sweep for the current [`kernel_kind`].
+/// The dispatch table: the kernels for the current [`kernel_kind`] on the
+/// detected instruction set.
 ///
 /// The sweep has no fused-rounding variant: `Fma` maps to the same
 /// separately-rounded kernel as `Simd`, so in-block factor work is bitwise
 /// identical to the scalar substitution under every setting. (On aarch64
 /// the portable body already compiles to NEON.)
-fn select_tri_sweep() -> micro::TriSweepFn {
+fn kernels() -> Kernels {
+    let scalar = Kernels {
+        mr: micro::MR4,
+        nr: micro::NR8,
+        micro: micro::micro_4x8_scalar,
+        tri_sweep: micro::tri_sweep_scalar,
+    };
     match (kernel_kind(), isa().0) {
-        (KernelKind::Scalar, _) => micro::tri_sweep_scalar,
+        (KernelKind::Scalar, _) => scalar,
         #[cfg(target_arch = "x86_64")]
-        (_, Isa::Avx512) => micro::tri_sweep_avx512,
+        (kind, Isa::Avx512) => Kernels {
+            mr: micro::MR8,
+            nr: micro::NR16,
+            micro: if kind == KernelKind::Fma {
+                micro::micro_8x16_avx512::<true>
+            } else {
+                micro::micro_8x16_avx512::<false>
+            },
+            tri_sweep: micro::tri_sweep_avx512,
+        },
         #[cfg(target_arch = "x86_64")]
-        (_, Isa::Avx2) => micro::tri_sweep_avx2,
-        _ => micro::tri_sweep_scalar,
+        (kind, Isa::Avx2) => Kernels {
+            micro: if kind == KernelKind::Fma {
+                micro::micro_4x8_avx2_fma
+            } else {
+                micro::micro_4x8_avx2
+            },
+            tri_sweep: micro::tri_sweep_avx2,
+            ..scalar
+        },
+        #[cfg(target_arch = "aarch64")]
+        (KernelKind::Simd, Isa::Neon) => Kernels {
+            micro: micro::micro_4x8_neon,
+            ..scalar
+        },
+        #[cfg(target_arch = "aarch64")]
+        (KernelKind::Fma, Isa::Neon) => Kernels {
+            micro: micro::micro_4x8_neon_fma,
+            ..scalar
+        },
+        // kernel_kind() never returns Simd/Fma when no ISA is detected,
+        // but the match must be exhaustive per target.
+        _ => scalar,
     }
 }
 
@@ -350,8 +320,8 @@ pub(crate) fn tri_sweep(
     );
     // SAFETY: the asserts above bound every access the kernel makes;
     // `coef` and `x` are distinct borrows, so they cannot overlap;
-    // select_tri_sweep only returns ISA kernels the detected CPU supports.
-    unsafe { select_tri_sweep()(coef.as_ptr(), ldc, x.as_mut_ptr(), ldx, rows, width) }
+    // `kernels` only returns ISA kernels the detected CPU supports.
+    unsafe { (kernels().tri_sweep)(coef.as_ptr(), ldc, x.as_mut_ptr(), ldx, rows, width) }
 }
 
 /// Raw shared pointer to a second full-size output the epilogue writes
@@ -446,101 +416,54 @@ fn apply_epilogue(
     }
 }
 
+/// How one [`gemm_chunk`] call departs from the plain accumulate
+/// `c[i][j] += Σ_p A(i,p)·B(p,j)`; `Mode::default()` is that accumulate.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Mode<'a> {
+    /// *Subtracting* accumulation, `c[i][j] -= Σ_p A(i,p)·B(p,j)`, bitwise
+    /// identical to the scalar chain `c = c - a·b` (ascending `p`, separate
+    /// multiply and subtract). Implemented by negating the packed A panel —
+    /// IEEE 754 makes `c + (-a)·b` round exactly like `c - a·b` — so the
+    /// unmodified accumulate micro-kernels do the work. This is the blocked
+    /// Cholesky's trailing-update primitive.
+    pub neg: bool,
+    /// `B` is *lower-triangular* — `B(p, j) = +0.0` for `p < j`, stored:
+    /// each column tile starts its `p` chain at the tile's first column
+    /// instead of 0. The skipped terms add or subtract `a·(+0.0)` with
+    /// finite `a`, which leaves any `c ≠ −0.0` unchanged, so for finite `A`
+    /// and `c` seeded with `+0.0` the result is bitwise that of the dense
+    /// sweep. The triangular inverse and its Gram product are built on this.
+    pub b_lower: bool,
+    /// The Gram kernel: the chunk's first global row. Micro-tiles lying
+    /// entirely strictly below the matrix diagonal are skipped (the mirror
+    /// pass fills them from the upper triangle).
+    pub diag: Option<usize>,
+    /// A store-phase [`Epilogue`] with the chunk's first global output row
+    /// (epilogue operands index global rows). Degenerate `k == 0` inputs
+    /// return without touching `c` — callers must fall back to separate
+    /// passes there.
+    pub fused: Option<(usize, &'a Epilogue<'a>)>,
+}
+
 /// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over one parallel chunk of
 /// `rows × n` output (`c` pre-zeroed or mid-accumulation), with cache
-/// blocking, panel packing, and the dispatched micro-kernel.
-pub(crate) fn gemm_chunk(c: &mut [f64], rows: usize, n: usize, k: usize, a: ASrc<'_>, b: BSrc<'_>) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, false, false, None)
-}
-
-/// [`gemm_chunk`] with a *subtracting* accumulation: `c[i][j] -= Σ_p
-/// A(i,p)·B(p,j)`, bitwise identical to the scalar chain `c = c - a·b`
-/// (ascending `p`, separate multiply and subtract). Implemented by negating
-/// the packed A panel — IEEE 754 makes `c + (-a)·b` round exactly like
-/// `c - a·b` — so the unmodified accumulate micro-kernels do the work.
-/// This is the blocked Cholesky's trailing-update primitive.
-pub(crate) fn gemm_chunk_sub(
+/// blocking, panel packing, and the dispatched micro-kernel, varied as
+/// `mode` says.
+pub(crate) fn gemm_chunk(
     c: &mut [f64],
     rows: usize,
     n: usize,
     k: usize,
     a: ASrc<'_>,
     b: BSrc<'_>,
-) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, true, false, None)
-}
-
-/// [`gemm_chunk`] (or, with `neg`, [`gemm_chunk_sub`]) for a
-/// *lower-triangular* `B` — `B(p, j) = +0.0` for `p < j`, stored: each
-/// column tile starts its `p` chain at the tile's first column instead of
-/// 0. The skipped terms add or subtract `a·(+0.0)` with finite `a`, which
-/// leaves any `c ≠ −0.0` unchanged, so for finite `A` and `c` seeded with
-/// `+0.0` the result is bitwise that of the dense sweep. The triangular
-/// inverse and its Gram product are built on this.
-pub(crate) fn gemm_chunk_lower(
-    c: &mut [f64],
-    rows: usize,
-    n: usize,
-    k: usize,
-    a: ASrc<'_>,
-    b: BSrc<'_>,
-    neg: bool,
-) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, neg, true, None)
-}
-
-/// [`gemm_chunk`] with a fused store-phase [`Epilogue`]. `base` is the
-/// chunk's first global output row (epilogue operands index global rows).
-/// Degenerate `k == 0` inputs return without touching `c` — callers must
-/// fall back to separate passes there.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_chunk_fused(
-    c: &mut [f64],
-    rows: usize,
-    n: usize,
-    k: usize,
-    a: ASrc<'_>,
-    b: BSrc<'_>,
-    base: usize,
-    epi: &Epilogue<'_>,
-) {
-    gemm_chunk_inner(c, rows, n, k, a, b, None, false, false, Some((base, epi)))
-}
-
-/// [`gemm_chunk`] for the Gram kernel: `diag` is the chunk's first global
-/// row; micro-tiles lying entirely strictly below the matrix diagonal are
-/// skipped (the mirror pass fills them from the upper triangle).
-pub(crate) fn gram_chunk(
-    c: &mut [f64],
-    rows: usize,
-    n: usize,
-    k: usize,
-    a: ASrc<'_>,
-    b: BSrc<'_>,
-    diag: usize,
-) {
-    gemm_chunk_inner(c, rows, n, k, a, b, Some(diag), false, false, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_chunk_inner(
-    c: &mut [f64],
-    rows: usize,
-    n: usize,
-    k: usize,
-    a: ASrc<'_>,
-    b: BSrc<'_>,
-    diag: Option<usize>,
-    neg: bool,
-    b_lower: bool,
-    fused: Option<(usize, &Epilogue<'_>)>,
+    mode: Mode<'_>,
 ) {
     debug_assert_eq!(c.len(), rows * n);
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
-    let mk = select_micro();
-    let (mr, nr) = (mk.mr, mk.nr);
+    let (neg, b_lower, diag, fused) = (mode.neg, mode.b_lower, mode.diag, mode.fused);
+    let Kernels { mr, nr, micro, .. } = kernels();
     // Fixed-size panel buffers from the workspace arena: one size class
     // each, so steady-state checkouts always hit the per-thread free list.
     let mut abuf = workspace::take_raw(MC * KC);
@@ -564,10 +487,10 @@ fn gemm_chunk_inner(
                     break;
                 }
                 pack::pack_a(&mut abuf, &a, ib, mc, kb, kc, mr, neg);
-                for i0 in (0..mc).step_by(mr) {
+                for (qa, i0) in (0..mc).step_by(mr).enumerate() {
                     let tm = mr.min(mc - i0);
-                    let apanel = &abuf[(i0 / mr) * kc * mr..];
-                    for j0 in (0..nc).step_by(nr) {
+                    let apanel = &abuf[qa * kc * mr..];
+                    for (qb, j0) in (0..nc).step_by(nr).enumerate() {
                         let tn = nr.min(nc - j0);
                         if diag.is_some_and(|d| jc + j0 + tn <= d + ib + i0) {
                             continue;
@@ -585,14 +508,14 @@ fn gemm_chunk_inner(
                         }
                         let steps = kc - skip;
                         let ap = apanel[skip * mr..].as_ptr();
-                        let bp = bbuf[(j0 / nr) * kc * nr + skip * nr..].as_ptr();
+                        let bp = bbuf[qb * kc * nr + skip * nr..].as_ptr();
                         let coff = (ib + i0) * n + jc + j0;
                         if tm == mr && tn == nr {
                             // SAFETY: full tile — `c[coff..]` spans mr rows of
                             // stride n ≥ nr columns each; panels hold `steps` steps;
-                            // select_micro only returns ISA kernels the
+                            // `kernels` only returns ISA kernels the
                             // detected CPU supports.
-                            unsafe { (mk.run)(steps, ap, bp, c.as_mut_ptr().add(coff), n) };
+                            unsafe { micro(steps, ap, bp, c.as_mut_ptr().add(coff), n) };
                         } else {
                             // Ragged edge: run the full tile against the
                             // zero-padded panels in a local buffer and copy
@@ -605,7 +528,7 @@ fn gemm_chunk_inner(
                             }
                             // SAFETY: `tile` is MAX_MR×MAX_NR ≥ mr×nr at
                             // stride nr; panel bounds as above.
-                            unsafe { (mk.run)(steps, ap, bp, tile.as_mut_ptr(), nr) };
+                            unsafe { micro(steps, ap, bp, tile.as_mut_ptr(), nr) };
                             for i in 0..tm {
                                 c[coff + i * n..coff + i * n + tn]
                                     .copy_from_slice(&tile[i * nr..i * nr + tn]);
@@ -625,37 +548,122 @@ fn gemm_chunk_inner(
     workspace::put(bbuf);
 }
 
-/// Matrix–vector product over one parallel chunk: `out[i] = Σ_p
-/// a[i*k+p]·v[p]` for the `out.len()` rows starting at `a` (row-major,
-/// stride `k`). Rows are packed into [`micro::MV_MR`]-high panels so the
-/// vector kernels run one independent accumulator chain per output row.
-pub(crate) fn matvec_chunk(out: &mut [f64], a: &[f64], k: usize, v: &[f64]) {
-    let rows = out.len();
-    if rows == 0 || k == 0 {
-        return;
+#[cfg(test)]
+mod tests {
+    use super::micro::{self, MicroFn, TriSweepFn, MR4, MR8, NR16, NR8};
+
+    /// `(name, mr, nr, fused rounding, kernel)`.
+    type Tile = (&'static str, usize, usize, bool, MicroFn);
+
+    /// Every tile kernel and every ISA-specific triangular sweep this CPU
+    /// can run — not only the ones [`super::kernels`] picks.
+    #[allow(unused_mut)]
+    fn runnable() -> (Vec<Tile>, Vec<(&'static str, TriSweepFn)>) {
+        let mut tiles: Vec<Tile> = vec![("scalar", MR4, NR8, false, micro::micro_4x8_scalar)];
+        let mut sweeps: Vec<(&'static str, TriSweepFn)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as detected;
+            if detected!("avx2") {
+                tiles.push(("avx2", MR4, NR8, false, micro::micro_4x8_avx2));
+                sweeps.push(("avx2", micro::tri_sweep_avx2));
+            }
+            if detected!("avx2") && detected!("fma") {
+                tiles.push(("avx2+fma", MR4, NR8, true, micro::micro_4x8_avx2_fma));
+            }
+            if detected!("avx512f") {
+                tiles.push((
+                    "avx512f",
+                    MR8,
+                    NR16,
+                    false,
+                    micro::micro_8x16_avx512::<false>,
+                ));
+                tiles.push((
+                    "avx512f+fma",
+                    MR8,
+                    NR16,
+                    true,
+                    micro::micro_8x16_avx512::<true>,
+                ));
+                sweeps.push(("avx512f", micro::tri_sweep_avx512));
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        if std::arch::is_aarch64_feature_detected!("neon") {
+            tiles.push(("neon", MR4, NR8, false, micro::micro_4x8_neon));
+            tiles.push(("neon+fma", MR4, NR8, true, micro::micro_4x8_neon_fma));
+        }
+        (tiles, sweeps)
     }
-    let mv = select_matvec();
-    const MV: usize = micro::MV_MR;
-    let mut abuf = workspace::take_raw(MV * KC);
-    for i0 in (0..rows).step_by(MV) {
-        let tm = MV.min(rows - i0);
-        let mut acc = [0.0f64; MV];
-        for kb in (0..k).step_by(KC) {
-            let kc = KC.min(k - kb);
-            for p in 0..kc {
-                for i in 0..MV {
-                    abuf[p * MV + i] = if i < tm {
-                        a[(i0 + i) * k + kb + p]
+
+    #[test]
+    fn every_runnable_kernel_matches_the_scalar_chain() {
+        // Uniform values in [-1, 1) from a xorshift stream.
+        let mut s = 0x711Eu64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s as f64 / u64::MAX as f64) * 2.0 - 1.0
+        };
+        let (tiles, sweeps) = runnable();
+        for &(name, mr, nr, fused, kernel) in &tiles {
+            let ldc = nr + 3;
+            for kc in [0usize, 1, 7, 64, 257] {
+                let ap: Vec<f64> = (0..kc * mr).map(|_| next()).collect();
+                let bp: Vec<f64> = (0..kc * nr).map(|_| next()).collect();
+                let seed: Vec<f64> = (0..mr * ldc).map(|_| next()).collect();
+                let mut got = seed.clone();
+                // SAFETY: the panels hold kc·mr and kc·nr elements, `got` a
+                // full mr×nr tile at stride ldc ≥ nr, and the kernel's
+                // instruction set was detected by `runnable`.
+                unsafe { kernel(kc, ap.as_ptr(), bp.as_ptr(), got.as_mut_ptr(), ldc) };
+                for (i, j) in (0..mr).flat_map(|i| (0..nr).map(move |j| (i, j))) {
+                    let mut w = seed[i * ldc + j];
+                    for p in 0..kc {
+                        w += ap[p * mr + i] * bp[p * nr + j];
+                    }
+                    let g = got[i * ldc + j];
+                    let same = if fused {
+                        (g - w).abs() <= 1e-12 * (1.0 + w.abs())
                     } else {
-                        0.0
+                        g.to_bits() == w.to_bits()
                     };
+                    assert!(same, "{name}, kc={kc}, ({i},{j}): {g:?} vs {w:?}");
                 }
             }
-            // SAFETY: abuf holds kc*MV packed elements, v[kb..] holds kc,
-            // acc holds MV; select_matvec only returns supported kernels.
-            unsafe { mv(kc, abuf.as_ptr(), v.as_ptr().add(kb), acc.as_mut_ptr()) };
         }
-        out[i0..i0 + tm].copy_from_slice(&acc[..tm]);
+        for &(name, sweep) in &sweeps {
+            // Widths below, at and straddling the 16- and 32-wide tiles.
+            for (rows, width) in [1usize, 5, 64]
+                .into_iter()
+                .flat_map(|r| [1usize, 7, 16, 32, 37, 69].map(|w| (r, w)))
+            {
+                let (ldc, ldx) = (rows + 2, width + 1);
+                let mut coef: Vec<f64> = (0..rows * ldc).map(|_| next()).collect();
+                for i in 0..rows {
+                    coef[i * ldc + i] = 2.0 + next();
+                }
+                let mut want: Vec<f64> = (0..rows * ldx).map(|_| next()).collect();
+                let mut got = want.clone();
+                // SAFETY: rows ≤ TRI_BLOCK; `coef` holds `rows` rows of stride
+                // ldc ≥ rows, `want` and `got` `rows` rows of stride
+                // ldx ≥ width, all distinct buffers; the ISA was detected.
+                unsafe {
+                    let c = coef.as_ptr();
+                    micro::tri_sweep_scalar(c, ldc, want.as_mut_ptr(), ldx, rows, width);
+                    sweep(c, ldc, got.as_mut_ptr(), ldx, rows, width);
+                }
+                let same = want
+                    .iter()
+                    .zip(&got)
+                    .all(|(w, g)| w.to_bits() == g.to_bits());
+                assert!(same, "tri_sweep {name}, rows={rows}, width={width}");
+            }
+        }
+        let tiles: Vec<_> = tiles.iter().map(|t| t.0).collect();
+        let sweeps: Vec<_> = sweeps.iter().map(|t| t.0).collect();
+        println!("tile kernels run: {tiles:?}; tri_sweep kernels run against scalar: {sweeps:?}");
     }
-    workspace::put(abuf);
 }

@@ -6,12 +6,17 @@
 //!
 //! * a row-major, `f64` [`Matrix`] with elementwise and broadcast operations,
 //! * general matrix multiplication in all transpose combinations
-//!   ([`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`]),
+//!   ([`Matrix::matmul_into`], [`Matrix::matmul_tn_into`],
+//!   [`Matrix::matmul_nt_into`]) and the Gram product
+//!   ([`Matrix::gram_into`]) — the kernel of K-FAC's *curvature* work,
 //! * symmetric positive-definite factorization and inversion via Cholesky
-//!   ([`cholesky`], [`cholesky_inverse`]) — the kernel of K-FAC's *inversion*
-//!   work,
+//!   ([`cholesky_into`], [`cholesky_inverse_into`]) — the kernel of K-FAC's
+//!   *inversion* work,
 //! * numerically stable [`softmax`]/[`log_softmax`] rows,
 //! * random initialization ([`init`]) for network parameters.
+//!
+//! The crate root exports what training calls; the scalar oracles the
+//! tests and benches compare those kernels against live in [`reference`].
 //!
 //! Everything is pure Rust with no BLAS dependency so the whole reproduction
 //! runs anywhere `cargo test` runs.
@@ -35,15 +40,12 @@ pub mod kernel;
 mod matrix;
 pub mod par;
 mod reduce;
+pub mod reference;
 mod softmax;
 pub mod workspace;
 
-pub use cholesky::{
-    cholesky, cholesky_into, cholesky_into_naive, cholesky_inverse, cholesky_inverse_into,
-    cholesky_inverse_naive_into, cholesky_solve, cholesky_solve_into, CholeskyError,
-};
+pub use cholesky::{cholesky_into, cholesky_inverse_into, CholeskyError};
 pub use error::{ShapeError, TensorError};
-pub use gemm::naive_matmul;
 pub use matrix::Matrix;
 pub use reduce::col_sum_into;
 pub use softmax::{log_softmax, softmax, softmax_inplace, softmax_scaled_inplace};

@@ -29,7 +29,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// steady-state kernel loops allocate nothing once warmed up. The arena
 /// recycles capacity only — values are always zeroed or fully overwritten
 /// before a buffer is handed out, so behaviour is bitwise identical with
-/// the arena disabled (`PIPEFISHER_WORKSPACE=off`).
+/// the arena disabled ([`crate::workspace::set_enabled`]).
 #[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -222,13 +222,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data,
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

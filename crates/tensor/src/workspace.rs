@@ -20,16 +20,14 @@
 //!
 //! # Disabling
 //!
-//! Set `PIPEFISHER_WORKSPACE=off` (or `0` / `false`) to fall back to plain
-//! `Vec` allocation, or call [`set_enabled`] to override at runtime (the
-//! allocation gate and `bench_alloc` compare the two modes in one process
-//! this way). Disabling is the escape hatch for allocator-level debugging
-//! (e.g. under sanitizers that track buffer provenance).
+//! Recycling is always on in a shipped run; no environment variable or
+//! flag turns it off. [`set_enabled`] is a test and bench setter: the
+//! allocation gate, `bench_alloc` and the on/off equivalence property
+//! compare the arena with plain `Vec` allocation in one process this way.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Per-length cap on pooled bytes: one size class never retains more than
 /// this many bytes of idle buffers (prevents unbounded growth when a
@@ -44,44 +42,21 @@ thread_local! {
     static POOL: RefCell<HashMap<usize, Vec<Vec<f64>>>> = RefCell::new(HashMap::new());
 }
 
-/// Runtime override: 0 = follow `PIPEFISHER_WORKSPACE`, 1 = force on,
-/// 2 = force off.
-static MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Cached result of parsing `PIPEFISHER_WORKSPACE` (true = enabled).
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
+/// Whether buffer recycling is active (see [`set_enabled`]).
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn env_enabled() -> bool {
-    *ENV_ENABLED.get_or_init(|| match std::env::var("PIPEFISHER_WORKSPACE") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    })
-}
-
 /// Whether buffer recycling is currently active.
 pub fn enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_enabled(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Forces the workspace on or off for the whole process, overriding
-/// `PIPEFISHER_WORKSPACE`. Use [`reset_enabled`] to return to env control.
+/// Turns the workspace on or off for the whole process; it starts on.
+/// Intended for tests and benches.
 pub fn set_enabled(on: bool) {
-    MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Returns mode control to the `PIPEFISHER_WORKSPACE` environment variable.
-pub fn reset_enabled() {
-    MODE.store(0, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// `(checkout hits, checkout misses)` since process start, summed over all
@@ -191,7 +166,7 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr, "same-length checkout should recycle");
         assert!(b.iter().all(|&x| x == 0.0));
         clear();
-        reset_enabled();
+        set_enabled(true);
     }
 
     #[test]
@@ -204,7 +179,7 @@ mod tests {
         assert_eq!(b.len(), 9);
         assert!(b.iter().all(|&x| x == 0.0));
         clear();
-        reset_enabled();
+        set_enabled(true);
     }
 
     #[test]
@@ -215,7 +190,7 @@ mod tests {
         put(vec![1.0; 8]);
         assert_eq!(retained_buffers(), 0);
         assert!(checkout(8).is_none());
-        reset_enabled();
+        set_enabled(true);
     }
 
     #[test]
@@ -228,6 +203,6 @@ mod tests {
         }
         assert!(retained_buffers() <= CLASS_CAP_COUNT);
         clear();
-        reset_enabled();
+        set_enabled(true);
     }
 }

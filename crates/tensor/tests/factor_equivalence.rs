@@ -16,8 +16,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, KernelKind};
 use pipefisher_tensor::{
-    cholesky_into, cholesky_into_naive, cholesky_inverse_into, cholesky_inverse_naive_into,
-    cholesky_solve_into, par, workspace, Matrix, TensorError,
+    cholesky_into, cholesky_inverse_into, par, reference, Matrix, TensorError,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -44,7 +43,6 @@ impl Drop for SettingsGuard {
         kernel::set_kernel(None);
         par::set_max_threads(0);
         par::set_par_threshold(250_000);
-        workspace::reset_enabled();
     }
 }
 
@@ -101,9 +99,9 @@ fn check_factor_and_inverse(a: &Matrix) {
     let _guard = SettingsGuard::acquire();
     par::set_par_threshold(0);
     let mut want_l = Matrix::full(3, 7, f64::NAN);
-    let res_naive = cholesky_into_naive(a, &mut want_l);
+    let res_naive = reference::cholesky_into(a, &mut want_l);
     let mut want_inv = Matrix::full(3, 7, f64::NAN);
-    let inv_naive = cholesky_inverse_naive_into(a, &mut want_inv);
+    let inv_naive = reference::cholesky_inverse_into(a, &mut want_inv);
     for kind in [KernelKind::Scalar, KernelKind::Simd] {
         kernel::set_kernel(Some(kind));
         for threads in [1usize, 4] {
@@ -163,66 +161,6 @@ proptest! {
         let a = random_spd(n, &mut rng);
         check_factor_and_inverse(&a);
     }
-
-    #[test]
-    fn blocked_solve_matches_inline_oracle_bitwise(
-        n in prop_oneof![Just(1usize), 2usize..63, Just(64usize), Just(65usize), 66usize..100],
-        m in prop_oneof![Just(1usize), 2usize..20],
-    ) {
-        let mut rng = StdRng::seed_from_u64(n as u64 * 97 + m as u64);
-        let a = random_spd(n, &mut rng);
-        let b = random_matrix(n, m, &mut rng);
-
-        // Independent oracle: naive Cholesky plus forward/backward
-        // substitution written inline, with the same per-element
-        // accumulation chains (ascending p, separate multiply and
-        // subtract) the engine contract guarantees.
-        let mut l = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                for p in 0..j {
-                    s -= l[i * n + p] * l[j * n + p];
-                }
-                l[i * n + j] = if i == j { s.sqrt() } else { s / l[j * n + j] };
-            }
-        }
-        let mut x = vec![0.0f64; n * m];
-        for j in 0..m {
-            for i in 0..n {
-                let mut s = b[(i, j)];
-                for p in 0..i {
-                    s -= l[i * n + p] * x[p * m + j];
-                }
-                x[i * m + j] = s / l[i * n + i];
-            }
-            for i in (0..n).rev() {
-                let mut s = x[i * m + j];
-                for p in i + 1..n {
-                    s -= l[p * n + i] * x[p * m + j];
-                }
-                x[i * m + j] = s / l[i * n + i];
-            }
-        }
-
-        let _guard = SettingsGuard::acquire();
-        par::set_par_threshold(0);
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            kernel::set_kernel(Some(kind));
-            for threads in [1usize, 4] {
-                par::set_max_threads(threads);
-                let mut out = Matrix::full(2, 2, f64::NAN);
-                cholesky_solve_into(&a, &b, &mut out).unwrap();
-                assert_eq!(out.shape(), (n, m));
-                for (i, (g, w)) in out.as_slice().iter().zip(x.iter()).enumerate() {
-                    prop_assert!(
-                        g.to_bits() == w.to_bits(),
-                        "solve element {i} differs @ {kind:?}/{threads}t: {g:?} vs {w:?}"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The sizes the K-FAC refresh actually runs at in this repo's workloads
@@ -240,11 +178,30 @@ fn inverse_matches_reference_bitwise_at_block_edges_and_kfac_sizes() {
 
 /// The inverse the engine computed before it became `potrf` + `potri`:
 /// forward and backward substitution against a dense identity, then an
-/// averaging symmetrization. `cholesky_solve_into` still is that
-/// substitution, so the old arithmetic can be replayed as an accuracy base.
+/// averaging symmetrization — replayed here in plain loops over the
+/// reference factor as an accuracy base.
 fn solve_against_identity_inverse(a: &Matrix) -> Matrix {
-    let mut inv = Matrix::zeros(1, 1);
-    cholesky_solve_into(a, &Matrix::eye(a.rows()), &mut inv).unwrap();
+    let n = a.rows();
+    let mut l = Matrix::zeros(1, 1);
+    reference::cholesky_into(a, &mut l).unwrap();
+    let mut inv = Matrix::eye(n);
+    for c in 0..n {
+        // Forward substitution L·y = e_c, then back substitution Lᵀ·x = y.
+        for i in 0..n {
+            let mut s = inv[(i, c)];
+            for p in 0..i {
+                s -= l[(i, p)] * inv[(p, c)];
+            }
+            inv[(i, c)] = s / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut s = inv[(i, c)];
+            for p in (i + 1)..n {
+                s -= l[(p, i)] * inv[(p, c)];
+            }
+            inv[(i, c)] = s / l[(i, i)];
+        }
+    }
     inv.symmetrize();
     inv
 }
@@ -276,7 +233,8 @@ fn inverse_residual_is_no_worse_than_four_times_the_solve_based_one() {
         // A rank-deficient Gram matrix rescued by damping: condition
         // number ~1e5, the shape K-FAC actually inverts.
         let u = random_matrix(n / 2, n, &mut rng);
-        let mut gram = u.gram();
+        let mut gram = Matrix::zeros(1, 1);
+        u.gram_into(&mut gram);
         gram.add_diag(1e-2);
         for (label, a) in [("dominant", dominant), ("damped gram", gram)] {
             let mut inv = Matrix::zeros(1, 1);
@@ -299,7 +257,7 @@ fn overflowing_inverse_is_reported_as_non_finite() {
     let a = Matrix::from_rows(&[&[1e-320, 0.0], &[0.0, 1.0]]);
     let mut out = Matrix::zeros(1, 1);
     let want = Err(TensorError::NonFinite("cholesky_inverse"));
-    assert_eq!(cholesky_inverse_naive_into(&a, &mut out), want);
+    assert_eq!(reference::cholesky_inverse_into(&a, &mut out), want);
     assert_eq!(cholesky_inverse_into(&a, &mut out), want);
 }
 
@@ -337,8 +295,8 @@ fn failing_pivot_index_is_preserved_across_blocks() {
             (&poisoned, Err(TensorError::NonFinite("cholesky"))),
         ] {
             let mut naive_out = Matrix::zeros(1, 1);
-            assert_eq!(cholesky_into_naive(a, &mut naive_out), want);
-            assert_eq!(cholesky_inverse_naive_into(a, &mut naive_out), want);
+            assert_eq!(reference::cholesky_into(a, &mut naive_out), want);
+            assert_eq!(reference::cholesky_inverse_into(a, &mut naive_out), want);
             for kind in [KernelKind::Scalar, KernelKind::Simd] {
                 kernel::set_kernel(Some(kind));
                 for threads in [1usize, 4] {

@@ -1,8 +1,10 @@
 //! Property tests: every `_into` kernel is **bitwise** identical to its
-//! allocating counterpart, across random shapes, stale output contents, and
-//! thread counts — and the workspace never hands out an aliased buffer.
+//! allocating counterpart — or, where there is none (`matmul_tn_into`,
+//! `gram_into`), to itself on a fresh destination — across random shapes,
+//! stale output contents, and thread counts — and the workspace never hands
+//! out an aliased buffer.
 //!
-//! The allocating kernels are now thin wrappers over the `_into` variants,
+//! The allocating kernels are thin wrappers over the `_into` variants,
 //! but that makes these tests more important, not less: they pin down the
 //! contract that an `_into` call fully overwrites its destination (no
 //! dependence on prior contents) and re-dimensions any shape the caller
@@ -37,7 +39,7 @@ impl Drop for SettingsGuard {
     fn drop(&mut self) {
         par::set_max_threads(0);
         par::set_par_threshold(250_000);
-        workspace::reset_enabled();
+        workspace::set_enabled(true);
     }
 }
 
@@ -89,6 +91,14 @@ fn check_into(label: &str, alloc: impl Fn() -> Matrix, into: impl Fn(&mut Matrix
     }
 }
 
+/// The "allocating" side for a kernel that has only an `_into` form: the
+/// same call on a fresh, empty destination.
+fn fresh(into: impl Fn(&mut Matrix)) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    into(&mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -105,7 +115,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64((m * 7919 + k * 104_729 + n) as u64);
         let a = random_matrix(k, m, &mut rng);
         let b = random_matrix(k, n, &mut rng);
-        check_into("matmul_tn_into", || a.matmul_tn(&b), |out| a.matmul_tn_into(&b, out));
+        let into = |out: &mut Matrix| a.matmul_tn_into(&b, out);
+        check_into("matmul_tn_into", || fresh(into), into);
     }
 
     #[test]
@@ -120,31 +131,8 @@ proptest! {
     fn gram_into_matches_allocating((k, m, _unused) in dims()) {
         let mut rng = StdRng::seed_from_u64((k * 613 + m) as u64);
         let u = random_matrix(k, m, &mut rng);
-        check_into("gram_into", || u.gram(), |out| u.gram_into(out));
-    }
-
-    #[test]
-    fn matvec_into_matches_allocating_across_threads((m, k, _unused) in dims()) {
-        let mut rng = StdRng::seed_from_u64((m * 2749 + k) as u64);
-        let a = random_matrix(m, k, &mut rng);
-        let v: Vec<f64> = random_matrix(1, k, &mut rng).into_vec();
-        let _guard = SettingsGuard::acquire();
-        par::set_par_threshold(0);
-        par::set_max_threads(1);
-        let serial = a.matvec(&v);
-        for threads in [1usize, 2, 4] {
-            par::set_max_threads(threads);
-            let alloc = a.matvec(&v);
-            let mut out = vec![f64::NAN; m];
-            a.matvec_into(&v, &mut out);
-            for i in 0..m {
-                assert!(
-                    serial[i].to_bits() == alloc[i].to_bits()
-                        && serial[i].to_bits() == out[i].to_bits(),
-                    "matvec element {i} differs at {threads} threads"
-                );
-            }
-        }
+        let into = |out: &mut Matrix| u.gram_into(out);
+        check_into("gram_into", || fresh(into), into);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind, KernelRequest};
-use pipefisher_tensor::{par, workspace, Matrix};
+use pipefisher_tensor::{par, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,7 +38,6 @@ impl Drop for SettingsGuard {
         kernel::set_kernel(None);
         par::set_max_threads(0);
         par::set_par_threshold(250_000);
-        workspace::reset_enabled();
     }
 }
 
@@ -137,17 +136,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64((k * 611_953 + m) as u64);
         let u = random_matrix(k, m, &mut rng);
         check_dispatch("gram", |out| u.gram_into(out));
-    }
-
-    #[test]
-    fn matvec_scalar_simd_agree((m, k, _unused) in dims()) {
-        let mut rng = StdRng::seed_from_u64((m * 523 + k * 87_178) as u64);
-        let a = random_matrix(m, k, &mut rng);
-        let v: Vec<f64> = (0..k).map(|i| (i as f64 * 0.7).sin()).collect();
-        check_dispatch("matvec", |out| {
-            out.reset_shape(m, 1);
-            a.matvec_into(&v, out.as_mut_slice());
-        });
     }
 }
 

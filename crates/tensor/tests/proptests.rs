@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use pipefisher_tensor::{cholesky, cholesky_inverse, naive_matmul, softmax, Matrix};
+use pipefisher_tensor::{cholesky_into, cholesky_inverse_into, reference, softmax, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with bounded entries and dims in [1, max_dim].
@@ -26,7 +26,7 @@ proptest! {
     #[test]
     fn blocked_gemm_matches_naive((a, b) in matmul_pair(12)) {
         let fast = a.matmul(&b);
-        let slow = naive_matmul(&a, &b);
+        let slow = reference::matmul(&a, &b);
         prop_assert!((&fast - &slow).max_abs() < 1e-9);
     }
 
@@ -37,7 +37,8 @@ proptest! {
 
     #[test]
     fn gram_is_psd_diag_nonneg(m in matrix_strategy(8)) {
-        let g = m.gram();
+        let mut g = Matrix::zeros(0, 0);
+        m.gram_into(&mut g);
         prop_assert!(g.is_symmetric(1e-9));
         for i in 0..g.rows() {
             prop_assert!(g[(i, i)] >= -1e-12);
@@ -46,12 +47,15 @@ proptest! {
 
     #[test]
     fn damped_gram_cholesky_roundtrip(m in matrix_strategy(8)) {
-        let mut g = m.gram();
+        let mut g = Matrix::zeros(0, 0);
+        m.gram_into(&mut g);
         g.add_diag(1.0);
-        let l = cholesky(&g).expect("damped Gram must be SPD");
+        let mut l = Matrix::zeros(0, 0);
+        cholesky_into(&g, &mut l).expect("damped Gram must be SPD");
         let rebuilt = l.matmul(&l.transpose());
         prop_assert!((&rebuilt - &g).max_abs() < 1e-7);
-        let inv = cholesky_inverse(&g).expect("inverse");
+        let mut inv = Matrix::zeros(0, 0);
+        cholesky_inverse_into(&g, &mut inv).expect("inverse");
         let prod = g.matmul(&inv);
         prop_assert!((&prod - &Matrix::eye(g.rows())).max_abs() < 1e-6);
     }

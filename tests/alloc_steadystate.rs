@@ -30,7 +30,7 @@ use rand::SeedableRng;
 
 /// Serializes the tests in this binary: the allocation counters and the
 /// workspace mode are process-wide, so a concurrently running test would
-/// pollute the deltas. Restores env-controlled workspace mode on drop.
+/// pollute the deltas. Turns the workspace back on when dropped.
 struct Gate(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl Gate {
@@ -46,7 +46,7 @@ impl Gate {
 
 impl Drop for Gate {
     fn drop(&mut self) {
-        workspace::reset_enabled();
+        workspace::set_enabled(true);
     }
 }
 
@@ -57,26 +57,19 @@ fn kernel_pass(
     a: &Matrix,
     b: &Matrix,
     spd: &Matrix,
-    v: &[f64],
     out_mm: &mut Matrix,
     out_tn: &mut Matrix,
     out_nt: &mut Matrix,
     out_gram: &mut Matrix,
     out_inv: &mut Matrix,
     out_chol: &mut Matrix,
-    out_solve: &mut Matrix,
-    out_vec: &mut [f64],
 ) {
     a.matmul_into(b, out_mm);
     a.matmul_tn_into(b, out_tn);
     b.matmul_nt_into(a, out_nt);
     a.gram_into(out_gram);
-    a.matvec_into(v, out_vec);
     pipefisher::tensor::cholesky_into(spd, out_chol).expect("spd");
     cholesky_inverse_into(spd, out_inv).expect("spd");
-    // Multi-RHS solve: its internal factor comes from the warmed
-    // workspace arena.
-    pipefisher::tensor::cholesky_solve_into(spd, b, out_solve).expect("spd");
     // Allocating wrappers: pool hit on checkout, checkin on drop.
     let tmp = a.matmul(b);
     drop(tmp);
@@ -93,11 +86,10 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
     let mut rng = StdRng::seed_from_u64(7);
     let a = init::normal(n, n, 1.0, &mut rng);
     let b = init::normal(n, n, 1.0, &mut rng);
-    let mut spd = a.gram(); // k×k Gram is symmetric PSD...
+    let mut spd = Matrix::default();
+    a.gram_into(&mut spd); // k×k Gram is symmetric PSD...
     spd.add_diag(1.0); // ...and +I makes it positive definite.
-    let v: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-    let (mut mm, mut tn, mut nt, mut gram, mut inv, mut chol, mut solve) = (
-        Matrix::default(),
+    let (mut mm, mut tn, mut nt, mut gram, mut inv, mut chol) = (
         Matrix::default(),
         Matrix::default(),
         Matrix::default(),
@@ -105,42 +97,19 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
         Matrix::default(),
         Matrix::default(),
     );
-    let mut out_vec = vec![0.0; n];
 
     // Warm-up: sizes every buffer, fills the pool for the wrappers'
     // temporaries (including the factorization engine's block scratch).
     for _ in 0..2 {
         kernel_pass(
-            &a,
-            &b,
-            &spd,
-            &v,
-            &mut mm,
-            &mut tn,
-            &mut nt,
-            &mut gram,
-            &mut inv,
-            &mut chol,
-            &mut solve,
-            &mut out_vec,
+            &a, &b, &spd, &mut mm, &mut tn, &mut nt, &mut gram, &mut inv, &mut chol,
         );
     }
 
     let before = alloc_snapshot();
     for _ in 0..5 {
         kernel_pass(
-            &a,
-            &b,
-            &spd,
-            &v,
-            &mut mm,
-            &mut tn,
-            &mut nt,
-            &mut gram,
-            &mut inv,
-            &mut chol,
-            &mut solve,
-            &mut out_vec,
+            &a, &b, &spd, &mut mm, &mut tn, &mut nt, &mut gram, &mut inv, &mut chol,
         );
     }
     let delta = alloc_snapshot().since(&before);

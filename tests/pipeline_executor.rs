@@ -4,9 +4,9 @@
 //! stage worker threads — under any scheme, with bubbles filled by K-FAC
 //! work — produces a **bitwise identical** loss trajectory and final model
 //! to the single-thread `Trainer` loop. These tests check that claim for
-//! D ∈ {1, 2, 4} × {GPipe, 1F1B, Chimera} × {1, 4} compute threads, and
-//! that a panicking or wedged stage aborts the run with a clear error
-//! instead of deadlocking.
+//! D ∈ {1, 2, 3, 4} × {GPipe, 1F1B, Chimera} × {1, 4} compute threads
+//! (stages that own no block included), and that a panicking or wedged
+//! stage aborts the run with a clear error instead of deadlocking.
 
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
@@ -193,34 +193,45 @@ fn pipelined_kfac_matches_serial_trainer_bitwise() {
     let (steps, n_micro) = (7, 4);
     let choice = kfac_choice();
     for (config, stage_counts) in [
-        (BertConfig::tiny(36, 16), vec![1usize, 2]),
+        // D = 3 and 4 exceed the tiny model's two blocks: a stage that owns
+        // no K-FAC layer is lent no state and runs its units as no-ops.
+        (BertConfig::tiny(36, 16), vec![1usize, 2, 3, 4]),
         (BertConfig::mini(36, 16), vec![4]),
     ] {
         let reference = serial_reference(&config, &choice, steps, n_micro);
         for &d in &stage_counts {
+            let empty_stages = d > config.n_layers;
             for scheme in schemes_for(d) {
                 for threads in [1usize, 4] {
-                    // The 4-stage model is the expensive leg: cover both
+                    // The 4-block model is the expensive leg: cover both
                     // thread counts on GPipe and keep one thread count for
                     // the other schemes (whose orders are fully exercised
                     // at D = 2).
-                    if d == 4 && threads == 1 && scheme != PipelineScheme::GPipe {
+                    if config.n_layers == 4 && threads == 1 && scheme != PipelineScheme::GPipe {
                         continue;
                     }
-                    let opts = PipelineOptions::new(scheme, d, n_micro);
-                    let got = pipelined_bits(&config, &choice, steps, &opts, threads);
-                    assert_eq!(
-                        got.0,
-                        reference.0,
-                        "loss trajectory diverged: {} D={d} threads={threads}",
-                        scheme.name()
-                    );
-                    assert_eq!(
-                        got.1,
-                        reference.1,
-                        "final parameters diverged: {} D={d} threads={threads}",
-                        scheme.name()
-                    );
+                    // Filling off is `unfilled_bubbles_produce_identical_results`
+                    // at D = 2; here it matters where a stage's units are empty.
+                    for fill in [true, false] {
+                        if !fill && !empty_stages {
+                            continue;
+                        }
+                        let mut opts = PipelineOptions::new(scheme, d, n_micro);
+                        opts.fill_bubbles = fill;
+                        let got = pipelined_bits(&config, &choice, steps, &opts, threads);
+                        assert_eq!(
+                            got.0,
+                            reference.0,
+                            "loss trajectory diverged: {} D={d} threads={threads} fill={fill}",
+                            scheme.name()
+                        );
+                        assert_eq!(
+                            got.1,
+                            reference.1,
+                            "final parameters diverged: {} D={d} threads={threads} fill={fill}",
+                            scheme.name()
+                        );
+                    }
                 }
             }
         }
