@@ -166,11 +166,6 @@ pub fn fmt_ms(seconds: f64) -> String {
     format!("{:.1} ms", seconds * 1e3)
 }
 
-/// Formats bytes as GiB-style GB with one decimal.
-pub fn fmt_gb(bytes: f64) -> String {
-    format!("{:.1} GB", bytes / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -101,7 +101,7 @@ pub fn validate_scheme_shape(
 }
 
 /// Pipeline-execution options parsed from `train` flags. `Ok(None)` means
-/// no `--pipeline-stages` was given (single-thread training loop); pipeline
+/// no `--pipeline-stages` was given (serial training loop); pipeline
 /// flags without it are rejected instead of silently ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainPipeline {
@@ -210,9 +210,10 @@ pub fn train_checkpoint(
 pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, String), String> {
     let mut cfg = pipefisher_harness::SoakConfig::default();
     if let Some(first) = argv.first().filter(|a| !a.starts_with("--")) {
-        cfg.scenarios = first
+        let n = first
             .parse()
             .map_err(|_| format!("bad scenario count '{first}'"))?;
+        cfg.scenarios = positive(n, "scenario count")?;
     }
     if let Some(s) = flag_value(argv, "--seed") {
         cfg.base_seed = s.parse().map_err(|_| format!("bad --seed '{s}'"))?;
@@ -306,7 +307,7 @@ mod tests {
 
     #[test]
     fn train_pipeline_round_trips_every_flag_combination() {
-        // No pipeline flags at all → single-thread loop.
+        // No pipeline flags at all → serial loop.
         assert_eq!(train_pipeline(&argv(&["kfac", "100"])).unwrap(), None);
         // Defaults: gpipe, 4 micro-batches, bubbles filled.
         assert_eq!(
@@ -376,6 +377,8 @@ mod tests {
             assert!(err.contains("chimera"), "unhelpful error: {err}");
         }
         // Zero counts, junk numbers, unknown scheme.
+        let err = crate::cmd_train::run(&argv(&["kfac", "0"])).unwrap_err();
+        assert_eq!(err, "<steps> must be >= 1");
         assert!(train_pipeline(&argv(&["kfac", "9", "--pipeline-stages", "0"])).is_err());
         assert!(train_pipeline(&argv(&[
             "kfac",
@@ -566,6 +569,8 @@ mod tests {
         assert_eq!(cfg.threads_override, Some(2));
         assert_eq!(out, "X.json");
         // Invalid values.
+        let err = soak_config(&argv(&["0"])).unwrap_err();
+        assert_eq!(err, "scenario count must be >= 1");
         assert!(soak_config(&argv(&["lots"])).is_err());
         assert!(soak_config(&argv(&["--seed", "x"])).is_err());
         assert!(soak_config(&argv(&["--threads", "0"])).is_err());

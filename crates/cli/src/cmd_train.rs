@@ -25,7 +25,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         },
         other => return Err(format!("unknown optimizer {other:?} (lamb | kfac)")),
     };
-    let steps = args::int(args, 1, "steps")?;
+    let steps = args::positive(args::int(args, 1, "steps")?, "<steps>")?;
     let seed: u64 = args::flag_value(args, "--seed")
         .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
         .transpose()?

@@ -59,7 +59,7 @@ USAGE:
         threads (scheme default gpipe, 4 micro-batches), filling pipeline
         bubbles with K-FAC work; --no-fill serializes that work after the
         stage's pipeline work instead.
-        Losses are bitwise identical to the single-thread loop either way.
+        Losses are bitwise identical to the serial loop either way.
         --checkpoint-dir writes crash-safe checkpoints every N steps
         (default: final step only; retain R newest, default 3); --resume
         restores one (latest = newest in --checkpoint-dir) and continues —

@@ -17,8 +17,9 @@
 //! 3. **Scenario runner** ([`Scenario`], [`run_scenario`], [`run_soak`]) —
 //!    seeded generation over (scheme × stages × micro-batches × optimizer
 //!    × fault plan); fault-free runs must additionally match the serial
-//!    single-thread `Trainer` oracle bitwise, injected faults must surface
-//!    as the matching `ExecError`. Failure messages always embed the seed.
+//!    `Trainer` oracle (itself thread-count invariant) bitwise, injected
+//!    faults must surface as the matching `ExecError`. Failure messages
+//!    always embed the seed.
 //!
 //! The checker itself is validated by mutation (`tests/
 //! conformance_mutations.rs`): dropped, duplicated, reordered, and

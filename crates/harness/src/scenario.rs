@@ -9,7 +9,8 @@
 //!   the matching `ExecError` (attributed to the right device for panics);
 //! * otherwise runs the conformance checker against the exact
 //!   `ExecutablePlan` the executor used, and asserts bitwise loss and
-//!   parameter parity with the serial single-thread `Trainer` oracle.
+//!   parameter parity with the serial `Trainer` oracle, itself thread-count
+//!   invariant.
 //!
 //! Every failure message embeds the scenario seed, so any soak failure is
 //! replayable with `Scenario::from_seed(seed)`.
@@ -299,7 +300,6 @@ impl OracleCache {
         if let Some(hit) = self.map.get(&key) {
             return Arc::clone(hit);
         }
-        par::set_max_threads(1);
         let (mut trainer, mut model) = setup(&sc.config(), sc.data_seed);
         let run = trainer.run_with_options(
             &mut model,
@@ -310,7 +310,6 @@ impl OracleCache {
                 grad_delay: 0,
             },
         );
-        par::set_max_threads(0);
         let loss_bits = run.losses.iter().map(|l| l.to_bits()).collect();
         let oracle = Arc::new((loss_bits, param_bits(&mut model)));
         self.map.insert(key, Arc::clone(&oracle));

@@ -18,6 +18,9 @@ pub mod special_tokens {
     pub const COUNT: usize = 4;
 }
 
+/// Share of regular tokens BERT selects as MLM targets.
+const MASK_PROB: f64 = 0.15;
+
 /// Samples fixed-length `[CLS] A… [SEP] B… [SEP]` sequences with BERT's
 /// masking (15 % of tokens: 80 % → `[MASK]`, 10 % → random, 10 % → kept)
 /// and 50 % random next-sentence pairs.
@@ -25,7 +28,6 @@ pub mod special_tokens {
 pub struct BatchSampler {
     language: SyntheticLanguage,
     seq_len: usize,
-    mask_prob: f64,
 }
 
 impl BatchSampler {
@@ -36,18 +38,7 @@ impl BatchSampler {
     /// Panics if `seq_len < 8` (too short to host both sentences + specials).
     pub fn new(language: SyntheticLanguage, seq_len: usize) -> Self {
         assert!(seq_len >= 8, "seq_len must be at least 8, got {seq_len}");
-        BatchSampler {
-            language,
-            seq_len,
-            mask_prob: 0.15,
-        }
-    }
-
-    /// Overrides the masking probability (default 0.15).
-    pub fn with_mask_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "mask prob out of range");
-        self.mask_prob = p;
-        self
+        BatchSampler { language, seq_len }
     }
 
     /// Samples a batch of `batch_size` sequences.
@@ -84,7 +75,7 @@ impl BatchSampler {
             // Masking.
             for (i, tok) in seq.iter_mut().enumerate() {
                 let is_special = *tok < special_tokens::COUNT;
-                if is_special || !rng.gen_bool(self.mask_prob) {
+                if is_special || !rng.gen_bool(MASK_PROB) {
                     mlm_targets.push(IGNORE_INDEX);
                     continue;
                 }

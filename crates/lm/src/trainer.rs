@@ -20,7 +20,7 @@ use pipefisher_nn::{
     export_params_with, import_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch,
 };
 use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, StateSnapshot};
-use pipefisher_tensor::{par, Matrix};
+use pipefisher_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -446,8 +446,9 @@ pub(crate) trait Engine {
     fn apply(&mut self, opt: &mut AnyOpt, lr: f64);
 }
 
-/// The inline engine is the caller's model itself: every micro-batch runs
-/// on the calling thread and its kernel worker pool.
+/// The inline engine is the caller's model itself: the micro-batches run one
+/// after another on the calling thread and its kernel worker pool, so the
+/// gradients sum in micro-batch order at every thread count.
 impl Engine for BertForPreTraining {
     fn model(&mut self) -> &mut dyn KfacModel {
         self
@@ -460,7 +461,10 @@ impl Engine for BertForPreTraining {
         _opt: &mut AnyOpt,
         _kfac_work: (bool, bool),
     ) -> Result<f64, ExecError> {
-        Ok(accumulate_micro_batches(self, &batches).iter().sum())
+        Ok(batches
+            .iter()
+            .map(|(batch, ctx)| self.train_step(batch, ctx).total_loss)
+            .sum())
     }
 
     fn apply(&mut self, opt: &mut AnyOpt, lr: f64) {
@@ -581,90 +585,12 @@ impl AnyOpt {
     }
 }
 
-/// Runs one step's micro-batches, accumulating gradients into `model`, and
-/// returns each micro-batch's total loss in micro-batch index order.
-///
-/// With a single worker lane (`PIPEFISHER_THREADS=1`, one available core, or
-/// a single micro-batch) this is the plain serial loop. With more lanes the
-/// micro-batches split into contiguous blocks, each block runs on a clone of
-/// `model`, and the replica gradients merge back into `model` in block
-/// order via `axpy(1.0, ·)` (a ×1.0 multiply is exact, so the merge adds no
-/// rounding beyond its summation order). Runs are deterministic for
-/// a fixed thread count, but the block-wise gradient association differs
-/// from the serial order, so multi-thread runs are not bitwise equal to
-/// single-thread runs. Dropout must be inactive (p = 0, as the pretraining
-/// reproduction uses) — active dropout would draw from per-replica RNG
-/// streams and diverge from the serial stream.
-fn accumulate_micro_batches(
-    model: &mut BertForPreTraining,
-    batches: &[(PreTrainingBatch, ForwardCtx)],
-) -> Vec<f64> {
-    let n = batches.len();
-    let lanes = par::max_threads().min(n);
-    if lanes <= 1 {
-        return batches
-            .iter()
-            .map(|(batch, ctx)| model.train_step(batch, ctx).total_loss)
-            .collect();
-    }
-    // Lane w runs micro-batches [bounds[w], bounds[w+1]). Lane 0 uses
-    // `model` itself; lanes 1.. use clones taken now, after `zero_grad`, so
-    // every replica's grads start at zero and end holding its block's sum.
-    let bounds: Vec<usize> = (0..=lanes).map(|w| w * n / lanes).collect();
-    let mut replicas: Vec<BertForPreTraining> = (1..lanes).map(|_| model.clone()).collect();
-    let mut losses = vec![0.0; n];
-    {
-        let mut lane_models: Vec<&mut BertForPreTraining> = Vec::with_capacity(lanes);
-        lane_models.push(&mut *model);
-        lane_models.extend(replicas.iter_mut());
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(lanes);
-        let mut loss_rest: &mut [f64] = &mut losses;
-        for (w, m) in lane_models.into_iter().enumerate() {
-            let (start, end) = (bounds[w], bounds[w + 1]);
-            let (block_losses, rest) = loss_rest.split_at_mut(end - start);
-            loss_rest = rest;
-            let block = &batches[start..end];
-            tasks.push(Box::new(move || {
-                for ((batch, ctx), slot) in block.iter().zip(block_losses.iter_mut()) {
-                    *slot = m.train_step(batch, ctx).total_loss;
-                }
-            }));
-        }
-        par::run_tasks(tasks);
-    }
-    // Merge replica gradients into the primary model in block order.
-    for replica in replicas.iter_mut() {
-        let mut grads: Vec<pipefisher_tensor::Matrix> = Vec::new();
-        replica.visit_params(&mut |p| grads.push(std::mem::take(&mut p.grad)));
-        let mut idx = 0;
-        model.visit_params(&mut |p| {
-            p.grad.axpy(1.0, &grads[idx]);
-            idx += 1;
-        });
-    }
-    // K-FAC statistics captured by a replica's block must move to the
-    // primary model (lane 0's captures already live there).
-    for (w, replica) in replicas.iter_mut().enumerate() {
-        let block = &batches[bounds[w + 1]..bounds[w + 2]];
-        if !block.iter().any(|(_, ctx)| ctx.capture_kfac) {
-            continue;
-        }
-        let mut stats = Vec::new();
-        replica.visit_linears(&mut |l| stats.push(std::mem::take(l.kfac_stats_mut())));
-        let mut idx = 0;
-        model.visit_linears(&mut |l| {
-            *l.kfac_stats_mut() = std::mem::take(&mut stats[idx]);
-            idx += 1;
-        });
-    }
-    losses
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SyntheticLanguage;
     use pipefisher_nn::BertConfig;
+    use pipefisher_tensor::par;
 
     fn quick_setup(seed: u64) -> (Trainer, BertForPreTraining) {
         let lang = SyntheticLanguage::new(36, 2, 4, 11);
@@ -825,70 +751,34 @@ mod tests {
         );
     }
 
-    /// Serializes tests that mutate the process-wide worker-pool settings.
-    fn par_settings_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-        match LOCK.get_or_init(|| std::sync::Mutex::new(())).lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     #[test]
-    fn parallel_accumulation_first_step_loss_matches_serial() {
-        let _guard = par_settings_lock();
-        // Within one step no parameters change between micro-batches, so
-        // every lane computes exactly the loss the serial loop would, and
-        // the index-order sum makes step 0's loss bitwise equal across
-        // thread counts. (Later steps may drift in the last bits: the
-        // block-order gradient merge changes the FP association.)
+    fn accumulated_runs_are_bitwise_across_thread_counts() {
+        // The serial step runs its micro-batches in order on the calling
+        // thread, so the pool size may change how kernels split their work
+        // but never a bit of the losses or parameters — K-FAC capture,
+        // folds and inversions included.
         let run_at = |threads: usize| {
             par::set_max_threads(threads);
-            let (mut trainer, mut model) = quick_setup(12);
+            let (mut trainer, mut model) = quick_setup(13);
             let run = trainer.run_with_options(
                 &mut model,
-                &OptimizerChoice::Lamb { weight_decay: 0.01 },
-                1,
+                &kfac_choice(2, 2),
+                6,
                 &crate::TrainOptions {
                     accumulation_steps: 4,
                     grad_delay: 0,
                 },
             );
             par::set_max_threads(0);
-            run.losses[0]
+            let mut bits: Vec<u64> = run.losses.iter().map(|l| l.to_bits()).collect();
+            model
+                .visit_params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+            bits
         };
         let serial = run_at(1);
-        let parallel = run_at(2);
-        assert!(
-            serial.to_bits() == parallel.to_bits(),
-            "step-0 loss differs: {serial:?} vs {parallel:?}"
-        );
-    }
-
-    #[test]
-    fn parallel_accumulated_runs_are_deterministic() {
-        let _guard = par_settings_lock();
-        // Two identical multi-step accumulated runs at a fixed thread count
-        // must agree exactly, K-FAC capture included.
-        let run_once = || {
-            let (mut trainer, mut model) = quick_setup(13);
-            let choice = kfac_choice(2, 2);
-            trainer.run_with_options(
-                &mut model,
-                &choice,
-                6,
-                &crate::TrainOptions {
-                    accumulation_steps: 3,
-                    grad_delay: 0,
-                },
-            )
-        };
-        par::set_max_threads(2);
-        let r1 = run_once();
-        let r2 = run_once();
-        par::set_max_threads(0);
-        assert_eq!(r1.losses, r2.losses);
-        assert!(r1.losses.iter().all(|l| l.is_finite()));
+        for threads in [2, 4] {
+            assert!(run_at(threads) == serial, "{threads} threads differ");
+        }
     }
 
     #[test]

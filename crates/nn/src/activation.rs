@@ -1,4 +1,4 @@
-//! Pointwise activation layers (GELU, ReLU, Tanh).
+//! Pointwise activation layers (GELU, Tanh).
 
 use crate::{ForwardCtx, Layer, ParamVisitor};
 use pipefisher_tensor::Matrix;
@@ -8,8 +8,6 @@ use pipefisher_tensor::Matrix;
 pub enum ActivationKind {
     /// Gaussian Error Linear Unit (tanh approximation, as in BERT).
     Gelu,
-    /// Rectified linear unit.
-    Relu,
     /// Hyperbolic tangent (used by BERT's pooler).
     Tanh,
 }
@@ -22,10 +20,10 @@ pub enum ActivationKind {
 /// use pipefisher_nn::{Activation, ActivationKind, ForwardCtx, Layer};
 /// use pipefisher_tensor::Matrix;
 ///
-/// let mut relu = Activation::new(ActivationKind::Relu);
-/// let y = relu.forward(&Matrix::from_rows(&[&[-1.0, 2.0]]), &ForwardCtx::eval());
+/// let mut tanh = Activation::new(ActivationKind::Tanh);
+/// let y = tanh.forward(&Matrix::from_rows(&[&[0.0, 2.0]]), &ForwardCtx::train());
 /// assert_eq!(y[(0, 0)], 0.0);
-/// assert_eq!(y[(0, 1)], 2.0);
+/// assert_eq!(y[(0, 1)], 2.0_f64.tanh());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Activation {
@@ -57,15 +55,9 @@ impl Activation {
         Activation { kind, input: None }
     }
 
-    /// The nonlinearity this layer applies.
-    pub fn kind(&self) -> ActivationKind {
-        self.kind
-    }
-
     fn apply(&self, x: f64) -> f64 {
         match self.kind {
             ActivationKind::Gelu => gelu(x),
-            ActivationKind::Relu => x.max(0.0),
             ActivationKind::Tanh => x.tanh(),
         }
     }
@@ -88,13 +80,6 @@ impl Activation {
     fn grad(&self, x: f64) -> f64 {
         match self.kind {
             ActivationKind::Gelu => gelu_grad(x),
-            ActivationKind::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             ActivationKind::Tanh => {
                 let t = x.tanh();
                 1.0 - t * t
@@ -140,15 +125,6 @@ mod tests {
             let num = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
             assert!((gelu_grad(x) - num).abs() < 1e-7, "x={x}");
         }
-    }
-
-    #[test]
-    fn relu_backward_masks() {
-        let mut relu = Activation::new(ActivationKind::Relu);
-        let x = Matrix::from_rows(&[&[-1.0, 2.0, 0.0]]);
-        let _ = relu.forward(&x, &ForwardCtx::train());
-        let dx = relu.backward(&Matrix::from_rows(&[&[5.0, 5.0, 5.0]]));
-        assert_eq!(dx.as_slice(), &[0.0, 5.0, 0.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-head scaled-dot-product self-attention.
 
-use crate::{Dropout, ForwardCtx, Layer, Linear, ParamVisitor};
+use crate::{ForwardCtx, Layer, Linear, ParamVisitor};
 use pipefisher_tensor::{softmax_scaled_inplace, Matrix};
 use rand::Rng;
 
@@ -13,7 +13,7 @@ struct AttnCache {
     k_out: Matrix,
     v_out: Matrix,
     /// Attention probabilities, one `seq × seq` matrix per `(batch, head)`,
-    /// indexed `b * n_heads + h` (post-dropout values are what multiply V).
+    /// indexed `b * n_heads + h`.
     probs: Vec<Matrix>,
 }
 
@@ -54,7 +54,6 @@ pub struct MultiHeadAttention {
     n_heads: usize,
     d_model: usize,
     d_head: usize,
-    attn_dropout: Dropout,
     cache: Option<AttnCache>,
     scratch: AttnScratch,
 }
@@ -66,13 +65,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if `d_model` is not divisible by `n_heads`.
-    pub fn new(
-        name: &str,
-        d_model: usize,
-        n_heads: usize,
-        dropout_p: f64,
-        rng: &mut impl Rng,
-    ) -> Self {
+    pub fn new(name: &str, d_model: usize, n_heads: usize, rng: &mut impl Rng) -> Self {
         assert!(
             n_heads > 0 && d_model.is_multiple_of(n_heads),
             "MultiHeadAttention: d_model {d_model} not divisible by n_heads {n_heads}"
@@ -85,20 +78,9 @@ impl MultiHeadAttention {
             n_heads,
             d_model,
             d_head: d_model / n_heads,
-            attn_dropout: Dropout::new(dropout_p, 0xA77E_0001),
             cache: None,
             scratch: AttnScratch::default(),
         }
-    }
-
-    /// Number of attention heads.
-    pub fn n_heads(&self) -> usize {
-        self.n_heads
-    }
-
-    /// Model (feature) dimensionality.
-    pub fn d_model(&self) -> usize {
-        self.d_model
     }
 
     /// Visits the four projection [`Linear`] layers (for K-FAC).
@@ -157,7 +139,6 @@ impl MultiHeadAttention {
                 // The 1/√d_k scale is folded into the softmax's max/exp
                 // pass (one fewer sweep over the seq × seq scores).
                 softmax_scaled_inplace(&mut scores, scale);
-                let scores = self.attn_dropout.forward(&scores, ctx);
                 let ob = scores.matmul(vb);
                 Self::add_head_block(&mut concat, &ob, b, h, seq, dh);
                 probs.push(scores);
@@ -255,15 +236,6 @@ impl Layer for MultiHeadAttention {
                 dob.matmul_nt_into(vb, dp);
                 p.matmul_tn_into(dob, dvb);
                 // Softmax backward row-wise: dS = P ⊙ (dP − rowdot(dP, P)).
-                // Dropout on P is folded in because `probs` stores the
-                // post-dropout values: dropped entries have P=0 so their dS
-                // contribution vanishes, and kept entries carry the 1/keep
-                // scale inside P — matching the forward computation exactly
-                // for the P·V product. The softmax Jacobian itself is applied
-                // to the pre-dropout distribution, which we recover only when
-                // dropout is disabled; training with attention dropout in
-                // this reproduction uses p = 0 on the scores path (BERT's
-                // hidden-state dropout is kept), so backward is exact.
                 ds.reset_shape(seq, seq);
                 for r in 0..seq {
                     let prow = p.row(r);
@@ -313,7 +285,7 @@ mod tests {
 
     fn attn(d_model: usize, heads: usize) -> MultiHeadAttention {
         let mut rng = StdRng::seed_from_u64(11);
-        MultiHeadAttention::new("attn", d_model, heads, 0.0, &mut rng)
+        MultiHeadAttention::new("attn", d_model, heads, &mut rng)
     }
 
     #[test]
@@ -342,7 +314,7 @@ mod tests {
         let mut a = attn(4, 2);
         let seq = init::normal(3, 4, 1.0, &mut StdRng::seed_from_u64(3));
         let x = Matrix::vcat(&[&seq, &seq]);
-        let y = a.forward(&x, &ForwardCtx::eval().with_seq_len(3));
+        let y = a.forward(&x, &ForwardCtx::train().with_seq_len(3));
         let y1 = y.slice_rows(0, 3);
         let y2 = y.slice_rows(3, 6);
         assert!((&y1 - &y2).max_abs() < 1e-12);
@@ -354,7 +326,7 @@ mod tests {
         let mut a2 = attn(8, 2);
         let x = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(7));
         let res = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(8));
-        let ctx = ForwardCtx::eval().with_seq_len(3);
+        let ctx = ForwardCtx::train().with_seq_len(3);
         let yf = a1.forward_residual(&x, &res, &ctx);
         let yref = &res + &a2.forward(&x, &ctx);
         for (a, b) in yf.as_slice().iter().zip(yref.as_slice()) {
@@ -383,6 +355,6 @@ mod tests {
     fn bad_seq_len_panics() {
         let mut a = attn(4, 2);
         let x = Matrix::zeros(5, 4);
-        let _ = a.forward(&x, &ForwardCtx::eval().with_seq_len(3));
+        let _ = a.forward(&x, &ForwardCtx::train().with_seq_len(3));
     }
 }

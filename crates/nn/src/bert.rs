@@ -77,14 +77,6 @@ impl BertConfig {
             n_layers: 4,
         }
     }
-
-    /// Parameters per encoder block (attention q/k/v/o + FFN + 2 LayerNorms).
-    pub fn params_per_block(&self) -> usize {
-        let attn = 4 * (self.d_model * self.d_model + self.d_model);
-        let ffn = self.d_model * self.d_ff + self.d_ff + self.d_ff * self.d_model + self.d_model;
-        let ln = 2 * 2 * self.d_model;
-        attn + ffn + ln
-    }
 }
 
 /// A pretraining mini-batch (token-major flattened sequences).
@@ -146,13 +138,20 @@ impl BertForPreTraining {
     /// blocks in depth order, then the heads as [`PreTrainingHead::new`]
     /// draws them — fixes the initial weights for a seed; checkpoints and
     /// every recorded loss depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dropout_p == 0.0`: dropout is not modelled.
     pub fn new(config: BertConfig, dropout_p: f64, rng: &mut impl Rng) -> Self {
+        assert!(
+            dropout_p == 0.0,
+            "BertForPreTraining: dropout is not modelled, dropout_p must be 0.0, got {dropout_p}"
+        );
         let embedding = Embedding::new(
             "bert.emb",
             config.vocab_size,
             config.max_seq,
             config.d_model,
-            dropout_p,
             rng,
         );
         let blocks = (0..config.n_layers)
@@ -162,7 +161,6 @@ impl BertForPreTraining {
                     config.d_model,
                     config.d_ff,
                     config.n_heads,
-                    dropout_p,
                     rng,
                 )
             })
@@ -197,7 +195,7 @@ impl BertForPreTraining {
 
     /// Evaluates losses without touching gradients.
     pub fn eval_loss(&mut self, batch: &PreTrainingBatch) -> PreTrainingOutput {
-        let out = self.forward(batch, &ForwardCtx::eval());
+        let out = self.forward(batch, &ForwardCtx::train());
         // No backward follows: release the logits the heads cached for it.
         if let Some(head) = &mut self.stage.head {
             head.cache = None;
@@ -219,13 +217,6 @@ impl BertForPreTraining {
     /// Zeroes all gradients.
     pub fn zero_grad(&mut self) {
         self.stage.zero_grad();
-    }
-
-    /// Total trainable scalar parameters.
-    pub fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.len());
-        n
     }
 }
 
@@ -297,6 +288,13 @@ mod tests {
         model.visit_linears(&mut |_l| n += 1);
         // 2 blocks × 6 linears + transform + pooler.
         assert_eq!(n, 14);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropout is not modelled")]
+    fn nonzero_dropout_is_rejected() {
+        let _ =
+            BertForPreTraining::new(BertConfig::tiny(20, 8), 0.1, &mut StdRng::seed_from_u64(0));
     }
 
     #[test]

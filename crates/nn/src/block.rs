@@ -1,16 +1,14 @@
 //! BERT-style transformer encoder block.
 
-use crate::{
-    Dropout, FeedForward, ForwardCtx, Layer, LayerNorm, Linear, MultiHeadAttention, ParamVisitor,
-};
+use crate::{FeedForward, ForwardCtx, Layer, LayerNorm, Linear, MultiHeadAttention, ParamVisitor};
 use pipefisher_tensor::Matrix;
 use rand::Rng;
 
 /// One BERT encoder layer (post-LayerNorm, as in the original BERT):
 ///
 /// ```text
-/// h = LayerNorm(x + Dropout(Attention(x)))
-/// y = LayerNorm(h + Dropout(FeedForward(h)))
+/// h = LayerNorm(x + Attention(x))
+/// y = LayerNorm(h + FeedForward(h))
 /// ```
 ///
 /// In the paper's pipeline experiments, each pipeline *stage* holds one or
@@ -22,27 +20,22 @@ pub struct TransformerBlock {
     ff: FeedForward,
     ln1: LayerNorm,
     ln2: LayerNorm,
-    drop1: Dropout,
-    drop2: Dropout,
 }
 
 impl TransformerBlock {
-    /// Creates a block with the given dims and hidden-dropout probability.
+    /// Creates a block with the given dims.
     pub fn new(
         name: &str,
         d_model: usize,
         d_ff: usize,
         n_heads: usize,
-        dropout_p: f64,
         rng: &mut impl Rng,
     ) -> Self {
         TransformerBlock {
-            attn: MultiHeadAttention::new(&format!("{name}.attn"), d_model, n_heads, 0.0, rng),
+            attn: MultiHeadAttention::new(&format!("{name}.attn"), d_model, n_heads, rng),
             ff: FeedForward::new(&format!("{name}.ff"), d_model, d_ff, rng),
             ln1: LayerNorm::new(&format!("{name}.ln1"), d_model),
             ln2: LayerNorm::new(&format!("{name}.ln2"), d_model),
-            drop1: Dropout::new(dropout_p, 0xB10C_0001),
-            drop2: Dropout::new(dropout_p, 0xB10C_0002),
         }
     }
 
@@ -55,39 +48,21 @@ impl TransformerBlock {
 
 impl Layer for TransformerBlock {
     fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        // When a dropout is a no-op (p = 0 ⇒ identity, and it records no
-        // mask), the residual add fuses into the preceding projection's
-        // GEMM store epilogue. Bitwise identical to the unfused path:
-        // x + a equals (a + x) bit for bit (IEEE addition is commutative).
-        // With p > 0 the sub-layer output must pass through the mask
-        // before the add, so the separate-pass path is kept.
-        let sum1 = if self.drop1.p() == 0.0 {
-            self.attn.forward_residual(x, x, ctx)
-        } else {
-            let a = self.attn.forward(x, ctx);
-            let a = self.drop1.forward(&a, ctx);
-            x + &a
-        };
+        // Each residual add is fused into the sub-layer's last GEMM store
+        // epilogue (bitwise `x + sublayer(x)`, see `forward_residual`).
+        let sum1 = self.attn.forward_residual(x, x, ctx);
         let h = self.ln1.forward(&sum1, ctx);
-        let sum2 = if self.drop2.p() == 0.0 {
-            self.ff.forward_residual(&h, &h, ctx)
-        } else {
-            let f = self.ff.forward(&h, ctx);
-            let f = self.drop2.forward(&f, ctx);
-            &h + &f
-        };
+        let sum2 = self.ff.forward_residual(&h, &h, ctx);
         self.ln2.forward(&sum2, ctx)
     }
 
     fn backward(&mut self, dout: &Matrix) -> Matrix {
         let dsum2 = self.ln2.backward(dout);
         // dsum2 splits into the residual path (into h) and the FF path.
-        let df = self.drop2.backward(&dsum2);
-        let dh_ff = self.ff.backward(&df);
+        let dh_ff = self.ff.backward(&dsum2);
         let dh = &dsum2 + &dh_ff;
         let dsum1 = self.ln1.backward(&dh);
-        let da = self.drop1.backward(&dsum1);
-        let dx_attn = self.attn.backward(&da);
+        let dx_attn = self.attn.backward(&dsum1);
         &dsum1 + &dx_attn
     }
 
@@ -108,7 +83,7 @@ mod tests {
 
     fn block() -> TransformerBlock {
         let mut rng = StdRng::seed_from_u64(21);
-        TransformerBlock::new("b0", 8, 16, 2, 0.0, &mut rng)
+        TransformerBlock::new("b0", 8, 16, 2, &mut rng)
     }
 
     #[test]
@@ -143,36 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_residual_path_matches_unfused_bitwise() {
-        // dropout_p = 0 routes through the fused residual epilogues; any
-        // p > 0 keeps the separate-pass path. In eval mode both compute the
-        // same function, and the fusion contract says bit-for-bit the same.
-        // Construction draws the same RNG stream either way, so the two
-        // blocks share weights.
-        let mut fused = TransformerBlock::new("b", 8, 16, 2, 0.0, &mut StdRng::seed_from_u64(33));
-        let mut plain = TransformerBlock::new("b", 8, 16, 2, 0.5, &mut StdRng::seed_from_u64(33));
-        let x = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(34));
-        let ctx = ForwardCtx::eval().with_seq_len(3);
-        let yf = fused.forward(&x, &ctx);
-        let yp = plain.forward(&x, &ctx);
-        for (a, b) in yf.as_slice().iter().zip(yp.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Backward through the fused forward must match too (the fused
-        // epilogues change nothing the backward pass reads).
-        let dout = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(35));
-        let dxf = fused.backward(&dout);
-        let dxp = plain.backward(&dout);
-        for (a, b) in dxf.as_slice().iter().zip(dxp.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn output_is_layernormed() {
         let mut b = block();
         let x = init::normal(4, 8, 3.0, &mut StdRng::seed_from_u64(3));
-        let y = b.forward(&x, &ForwardCtx::eval().with_seq_len(4));
+        let y = b.forward(&x, &ForwardCtx::train().with_seq_len(4));
         for r in 0..4 {
             let mean: f64 = y.row(r).iter().sum::<f64>() / 8.0;
             assert!(mean.abs() < 1e-9);

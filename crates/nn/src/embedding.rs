@@ -1,11 +1,11 @@
 //! BERT input embeddings (word + position + segment).
 
-use crate::{Dropout, ForwardCtx, Layer, LayerNorm, ParamVisitor, Parameter};
+use crate::{ForwardCtx, Layer, LayerNorm, ParamVisitor, Parameter};
 use pipefisher_tensor::{init, Matrix};
 use rand::Rng;
 
 /// BERT's input embedding stack: the sum of word, position, and segment
-/// lookups followed by LayerNorm and dropout.
+/// lookups followed by LayerNorm.
 ///
 /// Unlike the other layers this is not a [`Layer`]: its input is token ids,
 /// not a matrix. The paper *excludes* embedding tables from K-FAC (they are
@@ -17,7 +17,6 @@ pub struct Embedding {
     position: Parameter,
     segment: Parameter,
     ln: LayerNorm,
-    dropout: Dropout,
     cache: Option<(Vec<usize>, Vec<usize>)>,
     cached_seq: usize,
     /// Per-table scatter scratch (word, position, segment): the backward
@@ -35,7 +34,6 @@ impl Embedding {
         vocab_size: usize,
         max_seq: usize,
         d_model: usize,
-        dropout_p: f64,
         rng: &mut impl Rng,
     ) -> Self {
         Embedding {
@@ -52,7 +50,6 @@ impl Embedding {
                 init::bert_normal(2, d_model, rng),
             ),
             ln: LayerNorm::new(&format!("{name}.ln"), d_model),
-            dropout: Dropout::new(dropout_p, 0xE4B_0001),
             cache: None,
             cached_seq: 0,
             grad_scratch: [Matrix::default(), Matrix::default(), Matrix::default()],
@@ -72,11 +69,6 @@ impl Embedding {
     /// Maximum sequence length supported by the position table.
     pub fn max_seq(&self) -> usize {
         self.position.value.rows()
-    }
-
-    /// Borrows the word-embedding table (the MLM head ties to it).
-    pub fn word_table(&self) -> &Parameter {
-        &self.word
     }
 
     /// Embeds `token_ids` with `segment_ids`, both of length `batch·seq`.
@@ -123,8 +115,7 @@ impl Embedding {
         }
         self.cache = Some((token_ids.to_vec(), segment_ids.to_vec()));
         self.cached_seq = seq;
-        let x = self.ln.forward(&x, ctx);
-        self.dropout.forward(&x, ctx)
+        self.ln.forward(&x, ctx)
     }
 
     /// Backpropagates into the three tables.
@@ -138,8 +129,7 @@ impl Embedding {
     ///
     /// Panics if called before [`Embedding::forward`].
     pub fn backward(&mut self, dout: &Matrix) {
-        let dout = self.dropout.backward(dout);
-        let dsum = self.ln.backward(&dout);
+        let dsum = self.ln.backward(dout);
         let (token_ids, segment_ids) = self
             .cache
             .take()
@@ -193,7 +183,7 @@ mod tests {
 
     fn emb() -> Embedding {
         let mut rng = StdRng::seed_from_u64(31);
-        Embedding::new("emb", 10, 4, 6, 0.0, &mut rng)
+        Embedding::new("emb", 10, 4, 6, &mut rng)
     }
 
     #[test]
@@ -201,7 +191,7 @@ mod tests {
         let mut e = emb();
         let ids = [1usize, 2, 3, 4, 5, 6, 7, 8];
         let segs = [0usize, 0, 1, 1, 0, 0, 1, 1];
-        let x = e.forward(&ids, &segs, 4, &ForwardCtx::eval());
+        let x = e.forward(&ids, &segs, 4, &ForwardCtx::train());
         assert_eq!(x.shape(), (8, 6));
         assert!(x.all_finite());
     }
@@ -211,7 +201,7 @@ mod tests {
         let mut e = emb();
         let ids = [3usize, 3, 3, 3];
         let segs = [0usize; 4];
-        let x = e.forward(&ids, &segs, 2, &ForwardCtx::eval());
+        let x = e.forward(&ids, &segs, 2, &ForwardCtx::train());
         // Rows 0 and 2 are both (token 3, position 0, segment 0).
         for c in 0..6 {
             assert!((x[(0, c)] - x[(2, c)]).abs() < 1e-12);
@@ -236,6 +226,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn oob_token_panics() {
         let mut e = emb();
-        let _ = e.forward(&[99], &[0], 1, &ForwardCtx::eval());
+        let _ = e.forward(&[99], &[0], 1, &ForwardCtx::train());
     }
 }

@@ -26,11 +26,6 @@ impl FeedForward {
         }
     }
 
-    /// Intermediate (expanded) dimensionality.
-    pub fn d_ff(&self) -> usize {
-        self.fc1.d_out()
-    }
-
     /// Visits the two [`Linear`] layers (for K-FAC).
     pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         f(&mut self.fc1);
@@ -42,17 +37,12 @@ impl FeedForward {
     /// cached-input buffer (recycled across steps), so its backward pass is
     /// unchanged. Bitwise identical to `act.forward(&fc1.forward(x))`.
     fn forward_hidden(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        if self.act.kind() == ActivationKind::Gelu {
-            let mut pre = self.act.take_cached_input();
-            let h = self
-                .fc1
-                .forward_bias_act(x, crate::activation::gelu, &mut pre, ctx);
-            self.act.set_cached_input(pre);
-            h
-        } else {
-            let h = self.fc1.forward(x, ctx);
-            self.act.forward(&h, ctx)
-        }
+        let mut pre = self.act.take_cached_input();
+        let h = self
+            .fc1
+            .forward_bias_act(x, crate::activation::gelu, &mut pre, ctx);
+        self.act.set_cached_input(pre);
+        h
     }
 
     /// Forward pass returning `fc2(act(fc1(x))) + residual`, with the
@@ -95,7 +85,6 @@ mod tests {
     fn shapes_roundtrip() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut ff = FeedForward::new("ff", 6, 24, &mut rng);
-        assert_eq!(ff.d_ff(), 24);
         let x = init::normal(4, 6, 1.0, &mut rng);
         let y = ff.forward(&x, &ForwardCtx::train());
         assert_eq!(y.shape(), (4, 6));
@@ -124,6 +113,12 @@ mod tests {
         let dx = ff.backward(&Matrix::full(5, 6, 1.0));
         assert_eq!(dx.shape(), (5, 6));
         assert!(dx.all_finite());
+        // The residual epilogue on fc2 equals the forward plus a separate add.
+        let res = init::normal(5, 6, 1.0, &mut rng);
+        let yres = ff.forward_residual(&x, &res, &ForwardCtx::train());
+        for (a, b) in yres.as_slice().iter().zip((&res + &y).as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

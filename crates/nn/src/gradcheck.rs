@@ -127,7 +127,7 @@ mod tests {
                 cross_entropy_loss(&logits, &targets).loss
             },
             move |l| {
-                let logits = l.forward(&x2, &ForwardCtx::eval());
+                let logits = l.forward(&x2, &ForwardCtx::train());
                 cross_entropy_loss(&logits, &t2).loss
             },
             1e-5,

@@ -125,7 +125,7 @@ mod tests {
     fn output_rows_are_normalized() {
         let mut ln = LayerNorm::new("ln", 4);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[-5.0, 0.0, 5.0, 10.0]]);
-        let y = ln.forward(&x, &ForwardCtx::eval());
+        let y = ln.forward(&x, &ForwardCtx::train());
         for r in 0..2 {
             let mean: f64 = y.row(r).iter().sum::<f64>() / 4.0;
             let var: f64 = y
@@ -145,7 +145,7 @@ mod tests {
         ln.gain.value = Matrix::from_rows(&[&[2.0, 2.0]]);
         ln.bias.value = Matrix::from_rows(&[&[1.0, 1.0]]);
         let x = Matrix::from_rows(&[&[-1.0, 1.0]]);
-        let y = ln.forward(&x, &ForwardCtx::eval());
+        let y = ln.forward(&x, &ForwardCtx::train());
         // normalized row is (-1, 1) (σ = 1), so y = 2·(-1,1)+1 = (-1, 3).
         assert!((y[(0, 0)] + 1.0).abs() < 1e-6);
         assert!((y[(0, 1)] - 3.0).abs() < 1e-6);

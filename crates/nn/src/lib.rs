@@ -27,7 +27,7 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut layer = Linear::new("proj", 4, 2, &mut rng);
 //! let x = Matrix::zeros(3, 4);
-//! let y = layer.forward(&x, &ForwardCtx::eval());
+//! let y = layer.forward(&x, &ForwardCtx::train());
 //! assert_eq!(y.shape(), (3, 2));
 //! ```
 
@@ -35,7 +35,6 @@ mod activation;
 mod attention;
 mod bert;
 mod block;
-mod dropout;
 mod embedding;
 mod feedforward;
 pub mod gradcheck;
@@ -50,7 +49,6 @@ pub use activation::{gelu, Activation, ActivationKind};
 pub use attention::MultiHeadAttention;
 pub use bert::{BertConfig, BertForPreTraining, PreTrainingBatch, PreTrainingOutput};
 pub use block::TransformerBlock;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feedforward::FeedForward;
 pub use layernorm::LayerNorm;
@@ -65,8 +63,6 @@ use pipefisher_tensor::Matrix;
 /// Per-forward-pass context shared by all layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForwardCtx {
-    /// Whether dropout and other train-only behaviour is active.
-    pub training: bool,
     /// Whether linear layers should capture K-FAC statistics this pass.
     pub capture_kfac: bool,
     /// Sequence length of the token-major input. `0` means "all rows form a
@@ -76,29 +72,18 @@ pub struct ForwardCtx {
 }
 
 impl ForwardCtx {
-    /// Training context without K-FAC capture.
+    /// A forward without K-FAC capture.
     pub fn train() -> Self {
         ForwardCtx {
-            training: true,
             capture_kfac: false,
             seq_len: 0,
         }
     }
 
-    /// Training context with K-FAC capture enabled.
+    /// A forward with K-FAC capture enabled.
     pub fn train_with_capture() -> Self {
         ForwardCtx {
-            training: true,
             capture_kfac: true,
-            seq_len: 0,
-        }
-    }
-
-    /// Inference context (no dropout, no capture).
-    pub fn eval() -> Self {
-        ForwardCtx {
-            training: false,
-            capture_kfac: false,
             seq_len: 0,
         }
     }

@@ -295,7 +295,7 @@ mod tests {
         lin.weight_mut().value = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         lin.bias_mut().value = Matrix::from_rows(&[&[0.5, -0.5]]);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let y = lin.forward(&x, &ForwardCtx::eval());
+        let y = lin.forward(&x, &ForwardCtx::train());
         assert_eq!(y[(0, 0)], 1.0 + 3.0 + 0.5);
         assert_eq!(y[(0, 1)], 2.0 + 3.0 - 0.5);
     }

@@ -162,21 +162,6 @@ pub struct BertStage {
 }
 
 impl BertStage {
-    /// Whether this stage hosts the input embeddings (stage 0).
-    pub fn has_embedding(&self) -> bool {
-        self.embedding.is_some()
-    }
-
-    /// Whether this stage hosts the pretraining heads (last stage).
-    pub fn has_head(&self) -> bool {
-        self.head.is_some()
-    }
-
-    /// Number of encoder blocks in this stage.
-    pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Runs the stage forward. Stage 0 takes `None` and reads the batch's
     /// token ids; later stages take the previous stage's boundary
     /// activations.
@@ -364,7 +349,7 @@ impl StagedBert {
     }
 
     /// Runs one forward + backward over all stages in dependency order,
-    /// accumulating gradients — the single-thread reference the pipeline
+    /// accumulating gradients — the serial reference the pipeline
     /// executor must match bitwise.
     pub fn train_step(&mut self, batch: &PreTrainingBatch, ctx: &ForwardCtx) -> PreTrainingOutput {
         let mut boundary = None;
@@ -496,11 +481,11 @@ mod tests {
         let mono = model(8, BertConfig::mini(20, 8));
         let staged = StagedBert::from_model(mono, 4);
         assert_eq!(staged.n_stages(), 4);
-        let total: usize = (0..4).map(|s| staged.stage(s).n_blocks()).sum();
+        let total: usize = (0..4).map(|s| staged.stage(s).blocks.len()).sum();
         assert_eq!(total, 4);
-        assert!(staged.stage(0).has_embedding());
-        assert!(staged.stage(3).has_head());
-        assert!(!staged.stage(1).has_embedding() && !staged.stage(1).has_head());
+        assert!(staged.stage(0).embedding.is_some());
+        assert!(staged.stage(3).head.is_some());
+        assert!(staged.stage(1).embedding.is_none() && staged.stage(1).head.is_none());
     }
 
     #[test]

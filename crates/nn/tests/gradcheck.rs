@@ -106,7 +106,7 @@ fn gelu_input_grads_via_linear_sandwich() {
 #[test]
 fn attention_grads() {
     let mut rng = StdRng::seed_from_u64(4);
-    let mut a = MultiHeadAttention::new("attn", 6, 2, 0.0, &mut rng);
+    let mut a = MultiHeadAttention::new("attn", 6, 2, &mut rng);
     let x = init::normal(6, 6, 1.0, &mut rng);
     gradcheck_layer(&mut a, x, 3, 3, 1e-4);
 }
@@ -122,12 +122,12 @@ fn feedforward_grads() {
 #[test]
 fn transformer_block_grads() {
     let mut rng = StdRng::seed_from_u64(6);
-    let mut b = TransformerBlock::new("b", 6, 12, 2, 0.0, &mut rng);
+    let mut b = TransformerBlock::new("b", 6, 12, 2, &mut rng);
     let x = init::normal(6, 6, 1.0, &mut rng);
     gradcheck_layer(&mut b, x, 3, 3, 1e-3);
 }
 
-/// A dropout-free tiny model and a two-sequence batch for it.
+/// A tiny model and a two-sequence batch for it.
 fn tiny_model_and_batch() -> (BertForPreTraining, PreTrainingBatch) {
     let mut rng = StdRng::seed_from_u64(7);
     let model = BertForPreTraining::new(BertConfig::tiny(12, 4), 0.0, &mut rng);
@@ -160,9 +160,9 @@ fn grad_bits(model: &mut BertForPreTraining) -> Vec<u64> {
 
 #[test]
 fn eval_loss_is_train_step_forward_and_leaves_no_trace() {
-    // `eval_loss` and `train_step` share one forward: without dropout they
-    // agree to the bit, and an evaluation in between changes neither the
-    // accumulated gradients nor the next training step's.
+    // `eval_loss` and `train_step` share one forward: they agree to the bit,
+    // and an evaluation in between changes neither the accumulated gradients
+    // nor the next training step's.
     let (mut model, batch) = tiny_model_and_batch();
     let mut fresh = model.clone();
     model.zero_grad();

@@ -22,7 +22,7 @@ proptest! {
         // f(2x) − f(x) == f(x) − f(0) for an affine map, row-wise.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut lin = Linear::new("fc", 6, 3, &mut rng);
-        let ctx = ForwardCtx::eval();
+        let ctx = ForwardCtx::train();
         let f0 = lin.forward(&Matrix::zeros(4, 6), &ctx);
         let f1 = lin.forward(&x, &ctx);
         let f2 = lin.forward(&x.scale(2.0), &ctx);
@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn layernorm_is_shift_invariant(x in input_strategy(3, 8), shift in -5.0..5.0f64) {
         let mut ln = LayerNorm::new("ln", 8);
-        let ctx = ForwardCtx::eval();
+        let ctx = ForwardCtx::train();
         let base = ln.forward(&x, &ctx);
         let shifted = ln.forward(&x.map(|v| v + shift), &ctx);
         prop_assert!((&base - &shifted).max_abs() < 1e-6);
@@ -44,7 +44,7 @@ proptest! {
     fn layernorm_is_scale_invariant(x in input_strategy(3, 8), scale in 0.5..4.0f64) {
         // Scaling an input row scales its deviation and std equally.
         let mut ln = LayerNorm::new("ln", 8);
-        let ctx = ForwardCtx::eval();
+        let ctx = ForwardCtx::train();
         let base = ln.forward(&x, &ctx);
         let scaled = ln.forward(&x.scale(scale), &ctx);
         prop_assert!((&base - &scaled).max_abs() < 1e-5);
@@ -57,8 +57,8 @@ proptest! {
     ) {
         // Swapping two *sequences* in the batch swaps the outputs.
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut attn = MultiHeadAttention::new("a", 4, 2, 0.0, &mut rng);
-        let ctx = ForwardCtx::eval().with_seq_len(2);
+        let mut attn = MultiHeadAttention::new("a", 4, 2, &mut rng);
+        let ctx = ForwardCtx::train().with_seq_len(2);
         let seq_a = x.slice_rows(0, 2);
         let seq_b = x.slice_rows(2, 4);
         let ab = attn.forward(&Matrix::vcat(&[&seq_a, &seq_b]), &ctx);
@@ -73,7 +73,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut block = TransformerBlock::new("b", 8, 16, 2, 0.0, &mut rng);
+        let mut block = TransformerBlock::new("b", 8, 16, 2, &mut rng);
         let ctx = ForwardCtx::train().with_seq_len(3);
         let y = block.forward(&x, &ctx);
         prop_assert_eq!(y.shape(), (6, 8));

@@ -39,12 +39,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matr
     uniform(fan_in, fan_out, limit, rng)
 }
 
-/// He/Kaiming normal initialization for a `fan_in × fan_out` weight.
-pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / fan_in as f64).sqrt();
-    normal(fan_in, fan_out, std, rng)
-}
-
 /// BERT-style truncated-ish normal init (std 0.02), as in Devlin et al.
 pub fn bert_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     normal(rows, cols, 0.02, rng)

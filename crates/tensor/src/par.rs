@@ -1,9 +1,8 @@
 //! Shared worker pool and deterministic data-parallel helpers.
 //!
 //! This is the workspace's single compute substrate for multi-threading:
-//! the GEMM/Gram kernels in this crate, the per-layer K-FAC work in
-//! `pipefisher-optim`, and the micro-batch replicas in `pipefisher-lm` all
-//! run their tasks through the same persistent pool.
+//! the GEMM/Gram kernels in this crate and the per-layer K-FAC work in
+//! `pipefisher-optim` run their tasks through the same persistent pool.
 //!
 //! # Threading model
 //!

@@ -288,11 +288,11 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
         .expect("pipelined run");
     let pipelined_steady = steady_allocs(&outcome.run.metrics, warmup);
 
-    // Fixed per-step budget for the plumbing. Measured at one compute
-    // thread for D = 2, N = 4: 43 allocations per step over the serial loop
-    // (62 when every micro-batch's gradient set and loss were mailed to the
-    // coordinator separately); a matrix buffer slipping out of the recycling
-    // paths would add thousands per step and trip this immediately.
+    // Fixed per-step budget for the plumbing. Measured for D = 2, N = 4:
+    // 43 allocations per step over the serial loop at one compute thread
+    // (651 vs 780 over 3 steps) and 28–40 at four (2,628–2,663 vs 2,748). A
+    // matrix buffer slipping out of the recycling paths would add thousands
+    // per step and trip this at once.
     let per_step_overhead = 200;
     let steady_steps = (steps - warmup) as u64;
     assert!(

@@ -16,19 +16,9 @@ use pipefisher::lm::{
 use pipefisher::nn::{BertConfig, BertForPreTraining};
 use pipefisher::optim::{KfacConfig, LrSchedule};
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::tensor::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serializes tests that touch the process-wide thread-count override.
-fn par_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn setup(config: &BertConfig, seed: u64) -> (Trainer, BertForPreTraining) {
     let lang = SyntheticLanguage::new(config.vocab_size, 2, 4, 11);
@@ -140,8 +130,6 @@ fn serial_reference(
 
 #[test]
 fn serial_resume_is_bitwise_identical_for_lamb_and_kfac() {
-    let _gate = par_lock();
-    par::set_max_threads(1);
     let config = BertConfig::tiny(36, 16);
     let (steps, kill) = (6usize, 3usize);
     for (tag, choice) in [("lamb", lamb_choice()), ("kfac", kfac_choice())] {
@@ -183,13 +171,10 @@ fn serial_resume_is_bitwise_identical_for_lamb_and_kfac() {
             "{tag}: resumed final parameters diverged"
         );
     }
-    par::set_max_threads(0);
 }
 
 #[test]
 fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
-    let _gate = par_lock();
-    par::set_max_threads(1);
     let (steps, kill) = (6usize, 3usize);
     for (tag, choice) in [("lamb", lamb_choice()), ("kfac", kfac_choice())] {
         for d in [2usize, 4] {
@@ -232,7 +217,6 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
             );
         }
     }
-    par::set_max_threads(0);
 }
 
 /// A checkpoint at or past the requested step count leaves nothing to run:
@@ -240,8 +224,6 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
 /// the restored model, untouched.
 #[test]
 fn resume_past_the_end_is_an_empty_run_on_both_engines() {
-    let _gate = par_lock();
-    par::set_max_threads(1);
     let config = BertConfig::tiny(36, 16);
     let choice = kfac_choice();
     let dir = TempCkptDir::new("past-the-end");
@@ -285,13 +267,10 @@ fn resume_past_the_end_is_an_empty_run_on_both_engines() {
             "pipelined, {steps} steps"
         );
     }
-    par::set_max_threads(0);
 }
 
 #[test]
 fn serial_and_pipelined_checkpoints_are_byte_identical() {
-    let _gate = par_lock();
-    par::set_max_threads(1);
     let config = BertConfig::tiny(36, 16);
     let choice = kfac_choice();
     let steps = 3usize;
@@ -325,13 +304,10 @@ fn serial_and_pipelined_checkpoints_are_byte_identical() {
         serial_bytes.len(),
         pipe_bytes.len()
     );
-    par::set_max_threads(0);
 }
 
 #[test]
 fn corrupted_and_mismatched_checkpoints_are_rejected() {
-    let _gate = par_lock();
-    par::set_max_threads(1);
     let config = BertConfig::tiny(36, 16);
     let dir = TempCkptDir::new("reject");
     let (mut trainer, mut model) = setup(&config, 7);
@@ -422,7 +398,6 @@ fn corrupted_and_mismatched_checkpoints_are_rejected() {
         matches!(err, CkptError::Malformed { .. }),
         "wrong error for unknown optimizer tag: {err}"
     );
-    par::set_max_threads(0);
 }
 
 /// The optimizer the rejection test trains with (K-FAC, so the mismatch

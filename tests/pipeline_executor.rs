@@ -3,10 +3,11 @@
 //! The executor's core claim (DESIGN.md §3.13): running the step on `D`
 //! stage worker threads — under any scheme, with bubbles filled by K-FAC
 //! work — produces a **bitwise identical** loss trajectory and final model
-//! to the single-thread `Trainer` loop. These tests check that claim for
-//! D ∈ {1, 2, 3, 4} × {GPipe, 1F1B, Chimera} × {1, 4} compute threads
-//! (stages that own no block included), and that a panicking or wedged
-//! stage aborts the run with a clear error instead of deadlocking.
+//! to the serial `Trainer` loop, itself thread-count invariant. These tests
+//! check that claim for D ∈ {1, 2, 3, 4} × {GPipe, 1F1B, Chimera} × {1, 4}
+//! compute threads (stages that own no block included), and that a
+//! panicking or wedged stage aborts the run with a clear error instead of
+//! deadlocking.
 
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
@@ -58,15 +59,14 @@ fn param_bits(model: &mut BertForPreTraining) -> Vec<u64> {
     bits
 }
 
-/// Serial baseline at one compute thread: the reference trajectory every
-/// pipelined configuration must reproduce bit for bit.
+/// Serial baseline, thread-count invariant itself: the reference trajectory
+/// every pipelined configuration must reproduce bit for bit.
 fn serial_reference(
     config: &BertConfig,
     choice: &OptimizerChoice,
     steps: usize,
     n_micro: usize,
 ) -> (Vec<u64>, Vec<u64>) {
-    par::set_max_threads(1);
     let (mut trainer, mut model) = setup(config, 7);
     let run = trainer.run_with_options(
         &mut model,
@@ -77,7 +77,6 @@ fn serial_reference(
             grad_delay: 0,
         },
     );
-    par::set_max_threads(0);
     let loss_bits = run.losses.iter().map(|l| l.to_bits()).collect();
     (loss_bits, param_bits(&mut model))
 }
