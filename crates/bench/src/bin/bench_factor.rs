@@ -15,8 +15,8 @@
 //! blocked column of the engine this one replaced, measured on the same
 //! host, so the speed-up over it has its base in the file.
 
+use pipefisher_bench::{best_of, host_cores, rand_matrix};
 use pipefisher_tensor::{cholesky_inverse_into, kernel, par, reference, Matrix};
-use std::time::Instant;
 
 const REPS: usize = 3;
 
@@ -29,14 +29,7 @@ const REPS: usize = 3;
 const SIZES: [(usize, f64); 4] = [(256, 9.064), (769, 11.121), (1024, 5.883), (3073, 5.005)];
 
 fn rand_spd(n: usize, seed: u64) -> Matrix {
-    let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-    };
-    let mut m = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
+    let mut m = rand_matrix(n, n, seed);
     // Symmetrize, shrink off-diagonals, and dominate the diagonal — SPD
     // without an O(n³) Gram product at n = 3073.
     let shrink = 1.0 / n as f64;
@@ -53,30 +46,7 @@ fn rand_spd(n: usize, seed: u64) -> Matrix {
     m
 }
 
-/// Best-of-`reps` seconds for one inversion path on `a`.
-fn measure(
-    a: &Matrix,
-    out: &mut Matrix,
-    reps: usize,
-    warmup: bool,
-    f: impl Fn(&Matrix, &mut Matrix),
-) -> f64 {
-    if warmup {
-        f(a, out); // primes the workspace arena
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f(a, out);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     par::set_max_threads(1);
     let simd = kernel::simd_name();
     let mut rows = Vec::new();
@@ -88,11 +58,11 @@ fn main() {
         // is representative (it is pure scalar loops with no arena warmup
         // sensitivity) and keeps the benchmark runnable in CI.
         let (naive_reps, naive_warm) = if n >= 1024 { (1, false) } else { (REPS, true) };
-        let t_naive = measure(&a, &mut out, naive_reps, naive_warm, |a, o| {
-            reference::cholesky_inverse_into(a, o).expect("spd")
+        let t_naive = best_of(naive_reps, naive_warm, || {
+            reference::cholesky_inverse_into(&a, &mut out).expect("spd")
         });
-        let t_blocked = measure(&a, &mut out, REPS, true, |a, o| {
-            cholesky_inverse_into(a, o).expect("spd")
+        let t_blocked = best_of(REPS, true, || {
+            cholesky_inverse_into(&a, &mut out).expect("spd")
         });
         let naive_gflops = flops / t_naive / 1e9;
         let blocked_gflops = flops / t_blocked / 1e9;
@@ -137,7 +107,7 @@ fn main() {
             "  \"before\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        host_cores,
+        host_cores(),
         simd,
         REPS,
         rows.join(",\n"),

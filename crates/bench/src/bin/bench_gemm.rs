@@ -9,22 +9,11 @@
 //! across output columns with separate mul+add; see
 //! `crates/tensor/src/kernel/`).
 
+use pipefisher_bench::{best_of, host_cores, rand_matrix};
 use pipefisher_tensor::kernel::{self, KernelKind};
 use pipefisher_tensor::{par, Matrix};
-use std::time::Instant;
 
 const REPS: usize = 3;
-
-fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-    };
-    Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect())
-}
 
 /// One benchmark case: a flavour at a shape, with its FLOP count.
 struct Case {
@@ -100,31 +89,19 @@ fn cases() -> Vec<Case> {
     out
 }
 
-/// Best-of-`REPS` GFLOP/s for one case under the current kernel setting.
-fn measure(case: &Case) -> f64 {
-    let mut out = Matrix::zeros(case.m, case.n);
-    (case.run)(&mut out); // warmup (also primes the workspace arena)
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        (case.run)(&mut out);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    case.flops / best / 1e9
-}
-
 fn main() {
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     par::set_max_threads(1);
     let simd = kernel::simd_name();
     let mut rows = Vec::new();
     for case in cases() {
-        kernel::set_kernel(Some(KernelKind::Scalar));
-        let scalar = measure(&case);
-        kernel::set_kernel(Some(KernelKind::Simd));
-        let dispatched = measure(&case);
+        // Best-of-`REPS` GFLOP/s under `kind`, after one warm-up call.
+        let gflops = |kind| {
+            kernel::set_kernel(Some(kind));
+            let mut out = Matrix::zeros(case.m, case.n);
+            case.flops / best_of(REPS, true, || (case.run)(&mut out)) / 1e9
+        };
+        let scalar = gflops(KernelKind::Scalar);
+        let dispatched = gflops(KernelKind::Simd);
         kernel::set_kernel(None);
         let speedup = dispatched / scalar.max(1e-12);
         println!(
@@ -154,7 +131,7 @@ fn main() {
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        host_cores,
+        host_cores(),
         simd,
         REPS,
         REPS,

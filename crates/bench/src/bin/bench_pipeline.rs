@@ -14,6 +14,7 @@
 //! meaningful regardless: they measure how much otherwise-idle wait time
 //! the scheduler's placements actually absorbed.
 
+use pipefisher_bench::host_cores;
 use pipefisher_lm::{BatchSampler, OptimizerChoice, PipelineOptions, SyntheticLanguage, Trainer};
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::{KfacConfig, LrSchedule};
@@ -86,9 +87,6 @@ fn run_leg(d: usize, scheme: PipelineScheme, fill: bool) -> Leg {
 }
 
 fn main() {
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let scheme = PipelineScheme::OneFOneB;
     let mut rows = Vec::new();
     for d in [1usize, 2, 4] {
@@ -139,7 +137,7 @@ fn main() {
         STEPS,
         N_MICRO,
         REPS,
-        host_cores,
+        host_cores(),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");

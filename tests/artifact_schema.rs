@@ -101,6 +101,33 @@ fn every_artifact_has_the_caveat_fields_and_finite_numbers() {
 }
 
 #[test]
+fn every_bench_artifact_has_its_producer_bin() {
+    let bins = repo_root().join("crates/bench/src/bin");
+    for path in artifacts() {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let Some(name) = file
+            .strip_prefix("BENCH_")
+            .and_then(|s| s.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        assert_eq!(
+            load(&path).get("bench").and_then(Value::as_str),
+            Some(name),
+            "{file}: 'bench' must name the file"
+        );
+        let bin = bins.join(format!("bench_{name}.rs"));
+        let source = std::fs::read_to_string(&bin)
+            .unwrap_or_else(|e| panic!("{file} has no producer {}: {e}", bin.display()));
+        assert!(
+            source.contains(&file),
+            "{} does not write {file}",
+            bin.display()
+        );
+    }
+}
+
+#[test]
 fn pipeline_bench_rows_have_required_keys() {
     let v = load(&repo_root().join("BENCH_pipeline.json"));
     let rows = v
