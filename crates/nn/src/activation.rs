@@ -14,6 +14,10 @@ pub enum ActivationKind {
 
 /// A stateless-parameter pointwise activation layer.
 ///
+/// Forward evaluates the activation and its derivative together (one
+/// `tanh` per element) and caches the derivative, so backward is one
+/// multiply per element.
+///
 /// # Example
 ///
 /// ```
@@ -28,87 +32,167 @@ pub enum ActivationKind {
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
-    input: Option<Matrix>,
+    /// `act′` at the last forward's input, read by backward.
+    derivative: Option<Matrix>,
 }
 
 const SQRT_2_OVER_PI: f64 = 0.797_884_560_802_865_4;
 const GELU_COEFF: f64 = 0.044715;
 
-/// Tanh-approximate GELU (the BERT variant), exposed as a plain `fn` so it
-/// can be fused into a GEMM store epilogue
-/// ([`Matrix::matmul_bias_act_into`](pipefisher_tensor::Matrix::matmul_bias_act_into)).
-/// Identical to what [`Activation`] applies for [`ActivationKind::Gelu`].
-pub fn gelu(x: f64) -> f64 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh())
+/// Tanh-approximate GELU (the BERT variant) and its derivative, both from
+/// one `tanh`, as a plain `fn` so it can be fused into a GEMM store
+/// epilogue ([`Matrix::matmul_bias_act_into`]). Identical to what
+/// [`Activation`] applies for [`ActivationKind::Gelu`].
+pub(crate) fn gelu_and_grad(x: f64) -> (f64, f64) {
+    let t = (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh();
+    let grad = 0.5 * (1.0 + t)
+        + 0.5 * x * (1.0 - t * t) * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x);
+    (0.5 * x * (1.0 + t), grad)
 }
 
-fn gelu_grad(x: f64) -> f64 {
-    let inner = SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x)
+fn tanh_and_grad(x: f64) -> (f64, f64) {
+    let t = x.tanh();
+    (t, 1.0 - t * t)
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Activation { kind, input: None }
-    }
-
-    fn apply(&self, x: f64) -> f64 {
-        match self.kind {
-            ActivationKind::Gelu => gelu(x),
-            ActivationKind::Tanh => x.tanh(),
+        Activation {
+            kind,
+            derivative: None,
         }
     }
 
-    /// Takes the cached pre-activation input buffer (empty if this layer
-    /// has not run yet), for reuse as fused-GEMM scratch. Callers that
-    /// compute the activation inside a GEMM epilogue hand the filled
-    /// buffer back via [`Activation::set_cached_input`] so
-    /// [`Layer::backward`] still finds the input it differentiates at.
-    pub fn take_cached_input(&mut self) -> Matrix {
-        self.input.take().unwrap_or_default()
+    /// Takes the cached derivative buffer (empty if this layer has not run
+    /// yet), for reuse as the second output of a fused GEMM epilogue.
+    /// Callers that compute the activation inside the epilogue hand the
+    /// filled buffer back via [`Activation::set_cached_derivative`].
+    pub(crate) fn take_cached_derivative(&mut self) -> Matrix {
+        self.derivative.take().unwrap_or_default()
     }
 
-    /// Stores `pre` as this layer's cached forward input, as if
-    /// [`Layer::forward`] had just run on it.
-    pub fn set_cached_input(&mut self, pre: Matrix) {
-        self.input = Some(pre);
-    }
-
-    fn grad(&self, x: f64) -> f64 {
-        match self.kind {
-            ActivationKind::Gelu => gelu_grad(x),
-            ActivationKind::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-        }
+    /// Stores `grad` as the derivative [`Layer::backward`] multiplies by,
+    /// as if [`Layer::forward`] had just produced it.
+    pub(crate) fn set_cached_derivative(&mut self, grad: Matrix) {
+        self.derivative = Some(grad);
     }
 }
 
 impl Layer for Activation {
     fn forward(&mut self, x: &Matrix, _ctx: &ForwardCtx) -> Matrix {
-        self.input = Some(x.clone());
-        x.map(|v| self.apply(v))
+        let act = match self.kind {
+            ActivationKind::Gelu => gelu_and_grad,
+            ActivationKind::Tanh => tanh_and_grad,
+        };
+        let mut y = x.clone();
+        let grad = self.derivative.get_or_insert_with(Matrix::default);
+        grad.reset_shape(x.rows(), x.cols());
+        for (v, d) in y.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
+            (*v, *d) = act(*v);
+        }
+        y
     }
 
     fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let x = self
-            .input
+        let grad = self
+            .derivative
             .as_ref()
             .expect("Activation::backward before forward");
-        assert_eq!(x.shape(), dout.shape(), "Activation: dout shape");
-        x.zip_with(dout, |xv, dv| self.grad(xv) * dv)
+        assert_eq!(grad.shape(), dout.shape(), "Activation: dout shape");
+        grad.zip_with(dout, |g, dv| g * dv)
     }
 
     fn visit_params(&mut self, _f: ParamVisitor<'_>) {}
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The tanh-approximate GELU on its own: the bitwise oracle of
+    /// [`gelu_and_grad`]'s first half.
+    pub(crate) fn gelu(x: f64) -> f64 {
+        0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh())
+    }
+
+    /// GELU's derivative on its own, from its own `tanh` of the input: the
+    /// bitwise oracle of [`gelu_and_grad`]'s second half.
+    pub(crate) fn gelu_grad(x: f64) -> f64 {
+        let inner = SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x);
+        let t = inner.tanh();
+        let sech2 = 1.0 - t * t;
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x)
+    }
+
+    /// `1 − tanh²` on its own: the bitwise oracle of [`tanh_and_grad`]'s
+    /// second half.
+    fn tanh_grad(x: f64) -> f64 {
+        let t = x.tanh();
+        1.0 - t * t
+    }
+
+    /// Dense grid on [−12, 12] plus the IEEE edge cases.
+    fn edge_grid() -> Vec<f64> {
+        let mut xs: Vec<f64> = (-12_000..=12_000).map(|i| i as f64 * 1e-3).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ]);
+        xs
+    }
+
+    #[test]
+    fn pairs_equal_the_separate_oracles_bitwise() {
+        for x in edge_grid() {
+            let (y, g) = gelu_and_grad(x);
+            assert_eq!(y.to_bits(), gelu(x).to_bits(), "gelu({x:e})");
+            assert_eq!(g.to_bits(), gelu_grad(x).to_bits(), "gelu'({x:e})");
+            let (t, d) = tanh_and_grad(x);
+            assert_eq!(t.to_bits(), x.tanh().to_bits(), "tanh({x:e})");
+            assert_eq!(d.to_bits(), tanh_grad(x).to_bits(), "tanh'({x:e})");
+        }
+    }
+
+    #[test]
+    fn layer_caches_the_derivative_bitwise() {
+        let xs = edge_grid();
+        let dout: Vec<f64> = (0..xs.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let x = Matrix::from_vec(1, xs.len(), xs);
+        let dout = Matrix::from_vec(1, dout.len(), dout);
+        type Oracle = fn(f64) -> f64;
+        let oracles: [(ActivationKind, Oracle, Oracle); 2] = [
+            (ActivationKind::Gelu, gelu, gelu_grad),
+            (ActivationKind::Tanh, f64::tanh, tanh_grad),
+        ];
+        for (kind, f, df) in oracles {
+            let mut layer = Activation::new(kind);
+            // Twice, so the second forward reuses the cached buffer.
+            for _ in 0..2 {
+                let y = layer.forward(&x, &ForwardCtx::train());
+                let dx = layer.backward(&dout);
+                for ((&xv, &dv), (&yv, &gv)) in x
+                    .as_slice()
+                    .iter()
+                    .zip(dout.as_slice())
+                    .zip(y.as_slice().iter().zip(dx.as_slice()))
+                {
+                    assert_eq!(yv.to_bits(), f(xv).to_bits(), "{kind:?}({xv:e})");
+                    assert_eq!(gv.to_bits(), (df(xv) * dv).to_bits(), "{kind:?}'({xv:e})");
+                }
+            }
+        }
+    }
 
     #[test]
     fn gelu_reference_values() {
@@ -123,7 +207,7 @@ mod tests {
         for &x in &[-3.0, -1.0, -0.1, 0.0, 0.5, 2.0, 4.0] {
             let eps = 1e-6;
             let num = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
-            assert!((gelu_grad(x) - num).abs() < 1e-7, "x={x}");
+            assert!((gelu_and_grad(x).1 - num).abs() < 1e-7, "x={x}");
         }
     }
 

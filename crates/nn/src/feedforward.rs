@@ -1,5 +1,6 @@
 //! Position-wise feed-forward network (the transformer MLP).
 
+use crate::activation::gelu_and_grad;
 use crate::{Activation, ActivationKind, ForwardCtx, Layer, Linear, ParamVisitor};
 use pipefisher_tensor::Matrix;
 use rand::Rng;
@@ -33,15 +34,13 @@ impl FeedForward {
     }
 
     /// Runs `act(fc1(x))` with the GELU fused into fc1's GEMM store
-    /// epilogue. The pre-activation lands in the [`Activation`] layer's
-    /// cached-input buffer (recycled across steps), so its backward pass is
-    /// unchanged. Bitwise identical to `act.forward(&fc1.forward(x))`.
+    /// epilogue. GELU's derivative lands in the [`Activation`] layer's
+    /// cached-derivative buffer (recycled across steps), where its backward
+    /// pass reads it. Bitwise identical to `act.forward(&fc1.forward(x))`.
     fn forward_hidden(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let mut pre = self.act.take_cached_input();
-        let h = self
-            .fc1
-            .forward_bias_act(x, crate::activation::gelu, &mut pre, ctx);
-        self.act.set_cached_input(pre);
+        let mut grad = self.act.take_cached_derivative();
+        let h = self.fc1.forward_bias_act(x, gelu_and_grad, &mut grad, ctx);
+        self.act.set_cached_derivative(grad);
         h
     }
 
@@ -77,7 +76,7 @@ impl Layer for FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefisher_tensor::init;
+    use pipefisher_tensor::{col_sum_into, init};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -92,33 +91,56 @@ mod tests {
         assert_eq!(dx.shape(), (4, 6));
     }
 
+    fn assert_bits(what: &str, got: &Matrix, want: &Matrix) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]");
+        }
+    }
+
+    /// `0 + 1·g`: a gradient accumulated once into a zeroed parameter.
+    fn accumulated(g: &Matrix) -> Matrix {
+        let mut acc = Matrix::zeros(g.rows(), g.cols());
+        acc.axpy(1.0, g);
+        acc
+    }
+
     #[test]
     fn fused_gelu_matches_separate_passes_bitwise() {
+        use crate::activation::tests::{gelu, gelu_grad};
         let mut rng = StdRng::seed_from_u64(42);
-        let mut ff = FeedForward::new("ff", 6, 24, &mut rng);
+        // d_ff > 256: fc2's inner dimension crosses a KC cache block.
+        let mut ff = FeedForward::new("ff", 6, 300, &mut rng);
+        // Non-zero biases, so the activation is evaluated after the bias add.
+        ff.fc1.bias_mut().value = init::normal(1, 300, 1.0, &mut rng);
+        ff.fc2.bias_mut().value = init::normal(1, 6, 1.0, &mut rng);
         let x = init::normal(5, 6, 1.0, &mut rng);
+        let dout = init::normal(5, 6, 1.0, &mut rng);
         let y = ff.forward(&x, &ForwardCtx::train());
-        // Separate-pass reference on the same weights.
-        let mut h = x.matmul(&ff.fc1.weight().value);
+        let dx = ff.backward(&dout);
+        // Separate-pass reference on the same weights, with GELU and its
+        // derivative evaluated apart, at fc1's pre-activation.
+        let (w1, w2) = (&ff.fc1.weight().value, &ff.fc2.weight().value);
+        let mut h = x.matmul(w1);
         h.add_row_broadcast(ff.fc1.bias().value.row(0));
-        let ha = h.map(crate::activation::gelu);
-        let mut yref = ha.matmul(&ff.fc2.weight().value);
+        let ha = h.map(gelu);
+        let mut yref = ha.matmul(w2);
         yref.add_row_broadcast(ff.fc2.bias().value.row(0));
-        for (a, b) in y.as_slice().iter().zip(yref.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_bits("y", &y, &yref);
+        let dh = h.zip_with(&dout.matmul_nt(w2), |hv, dv| gelu_grad(hv) * dv);
+        assert_bits("dx", &dx, &dh.matmul_nt(w1));
+        for (lin, input, d) in [(&ff.fc1, &x, &dh), (&ff.fc2, &ha, &dout)] {
+            let mut dw = Matrix::default();
+            input.matmul_tn_into(d, &mut dw);
+            assert_bits(&lin.weight().name, &lin.weight().grad, &accumulated(&dw));
+            let mut db = Matrix::zeros(1, d.cols());
+            col_sum_into(d, db.as_mut_slice());
+            assert_bits(&lin.bias().name, &lin.bias().grad, &accumulated(&db));
         }
-        // Backward still sees the correct pre-activation via the cached
-        // input handoff: the activation gradient is evaluated at fc1's
-        // pre-activation, not at the GELU output.
-        let dx = ff.backward(&Matrix::full(5, 6, 1.0));
-        assert_eq!(dx.shape(), (5, 6));
-        assert!(dx.all_finite());
         // The residual epilogue on fc2 equals the forward plus a separate add.
         let res = init::normal(5, 6, 1.0, &mut rng);
         let yres = ff.forward_residual(&x, &res, &ForwardCtx::train());
-        for (a, b) in yres.as_slice().iter().zip((&res + &y).as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bits("residual", &yres, &(&res + &y));
     }
 
     #[test]

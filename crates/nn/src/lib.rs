@@ -45,7 +45,7 @@ mod param;
 mod snapshot;
 mod stage;
 
-pub use activation::{gelu, Activation, ActivationKind};
+pub use activation::{Activation, ActivationKind};
 pub use attention::MultiHeadAttention;
 pub use bert::{BertConfig, BertForPreTraining, PreTrainingBatch, PreTrainingOutput};
 pub use block::TransformerBlock;

@@ -190,21 +190,22 @@ impl Linear {
 
     /// Forward pass with the elementwise activation `act` fused into the
     /// GEMM store epilogue: returns `act(x·W + b)` and writes the
-    /// pre-activation `x·W + b` into `pre`. Bitwise identical to
-    /// [`Layer::forward`] followed by a separate `act` pass, but the output
-    /// matrix is traversed once instead of three times. `pre` is handed to
-    /// the downstream [`crate::Activation`] layer as its cached input so
-    /// its backward pass is unchanged.
+    /// activation's derivative at `x·W + b` into `grad` (`act` returns
+    /// both). Bitwise identical to [`Layer::forward`] followed by a
+    /// separate `act` pass, but the output matrix is traversed once instead
+    /// of three times. `grad` is handed to the downstream
+    /// [`crate::Activation`] layer as its cached derivative.
     pub fn forward_bias_act(
         &mut self,
         x: &Matrix,
-        act: fn(f64) -> f64,
-        pre: &mut Matrix,
+        act: fn(f64) -> (f64, f64),
+        grad: &mut Matrix,
         ctx: &ForwardCtx,
     ) -> Matrix {
         self.forward_prologue(x, ctx);
         let mut y = Matrix::zeros(x.rows(), self.d_out());
-        x.matmul_bias_act_into(&self.weight.value, self.bias.value.row(0), act, pre, &mut y);
+        let (w, b) = (&self.weight.value, self.bias.value.row(0));
+        x.matmul_bias_act_into(w, b, act, grad, &mut y);
         y
     }
 

@@ -130,11 +130,11 @@ impl Matrix {
         });
     }
 
-    /// Computes `act(self · rhs + bias)` into `out` and the pre-activation
-    /// `self · rhs + bias` into `pre`, with bias and activation fused into
-    /// the GEMM store phase. Bitwise identical to [`Matrix::matmul_bias_into`]
-    /// followed by an elementwise `act` pass (the activation is applied to
-    /// each element's fully accumulated, bias-added value).
+    /// Computes `act(self · rhs + bias)` into `out` and the derivative there
+    /// into `grad` (`act` returns both), fused into the GEMM store phase.
+    /// Bitwise identical to [`Matrix::matmul_bias_into`] followed by an
+    /// elementwise `act` pass (the activation is applied to each element's
+    /// fully accumulated, bias-added value).
     ///
     /// # Panics
     ///
@@ -143,33 +143,31 @@ impl Matrix {
         &self,
         rhs: &Matrix,
         bias: &[f64],
-        act: fn(f64) -> f64,
-        pre: &mut Matrix,
+        act: fn(f64) -> (f64, f64),
+        grad: &mut Matrix,
         out: &mut Matrix,
     ) {
         assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
         let (m, n) = (self.rows(), rhs.cols());
-        pre.reset_shape(m, n);
+        grad.reset_shape(m, n);
         // Every output element is stored by exactly one tile epilogue, so
-        // `pre` is fully overwritten; lanes write the same disjoint row
+        // `grad` is fully overwritten; lanes write the same disjoint row
         // ranges they own in `out`.
-        let prep = kernel::SharedOut(pre.as_mut_slice().as_mut_ptr());
+        let gradp = kernel::SharedOut(grad.as_mut_slice().as_mut_ptr());
         self.matmul_epilogue_into(
             rhs,
             out,
             Some(&Epilogue::BiasAct {
                 bias,
                 act,
-                pre: &prep,
+                grad: &gradp,
             }),
             |out| {
                 // Degenerate k = 0: the product is all zeros; run the
                 // separate passes.
                 out.add_row_broadcast(bias);
-                for (p, o) in out.as_mut_slice().iter_mut().enumerate() {
-                    // SAFETY: serial fallback path; `pre` is m·n elements.
-                    unsafe { *prep.0.add(p) = *o };
-                    *o = act(*o);
+                for (o, d) in out.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
+                    (*o, *d) = act(*o);
                 }
             },
         );

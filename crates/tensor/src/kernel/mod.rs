@@ -325,7 +325,7 @@ pub(crate) fn tri_sweep(
 }
 
 /// Raw shared pointer to a second full-size output the epilogue writes
-/// (the pre-activation stream of the fused bias+activation path). Parallel
+/// (the derivative stream of the fused bias+activation path). Parallel
 /// lanes write disjoint row ranges of it — the same partition as the main
 /// output — so sharing the pointer is race-free.
 pub(crate) struct SharedOut(pub *mut f64);
@@ -344,7 +344,7 @@ unsafe impl Sync for SharedOut {}
 /// transform into the last store changes no intermediate rounding: fused
 /// and separate-pass results are bitwise identical for finite inputs.
 ///
-/// Row indices (`res`, the `pre` stream) are *global* matrix rows: parallel
+/// Row indices (`res`, the `grad` stream) are *global* matrix rows: parallel
 /// chunk callers pass their chunk's first global row as `base`.
 pub(crate) enum Epilogue<'a> {
     /// `c[g][j] += bias[j]` — a fused row-broadcast bias add.
@@ -352,16 +352,16 @@ pub(crate) enum Epilogue<'a> {
         /// Per-column bias, indexed by global output column.
         bias: &'a [f64],
     },
-    /// `pre[g][j] = c[g][j] + bias[j]; c[g][j] = act(pre[g][j])` — bias add
-    /// plus activation, streaming the pre-activation out for backward.
+    /// `(c[g][j], grad[g][j]) = act(c[g][j] + bias[j])` — bias add plus
+    /// activation, streaming the activation's derivative out for backward.
     BiasAct {
         /// Per-column bias, indexed by global output column.
         bias: &'a [f64],
-        /// The activation, applied after the bias add.
-        act: fn(f64) -> f64,
-        /// Full-size pre-activation output (row-major, same shape as `c`'s
+        /// The activation and its derivative, applied after the bias add.
+        act: fn(f64) -> (f64, f64),
+        /// Full-size derivative output (row-major, same shape as `c`'s
         /// full matrix).
-        pre: &'a SharedOut,
+        grad: &'a SharedOut,
     },
     /// `c[g][j] = (c[g][j] + bias[j]) + res[g][j]` — bias add plus residual
     /// connection (IEEE addition commutes, so this matches `res + (c+bias)`
@@ -398,13 +398,13 @@ fn apply_epilogue(
                     *v += bias[col0 + j];
                 }
             }
-            Epilogue::BiasAct { bias, act, pre } => {
+            Epilogue::BiasAct { bias, act, grad } => {
                 for (j, v) in row.iter_mut().enumerate() {
-                    let p = *v + bias[col0 + j];
-                    // SAFETY: `pre` spans the full matrix; (g, col0+j) is
+                    let (y, d) = act(*v + bias[col0 + j]);
+                    // SAFETY: `grad` spans the full matrix; (g, col0+j) is
                     // inside this lane's disjoint row range.
-                    unsafe { *pre.0.add(g * n + col0 + j) = p };
-                    *v = act(p);
+                    unsafe { *grad.0.add(g * n + col0 + j) = d };
+                    *v = y;
                 }
             }
             Epilogue::BiasResidual { bias, res } => {

@@ -318,15 +318,22 @@ fn failing_pivot_index_is_preserved_across_blocks() {
     }
 }
 
-/// GELU-shaped activation for the epilogue test, written locally so the
-/// tensor crate needs no dev-dependency on the nn crate.
-fn gelu_like(x: f64) -> f64 {
-    0.5 * x * (1.0 + (0.797_884_560_802_865_4 * (x + 0.044715 * x * x * x)).tanh())
+/// GELU-shaped activation and its derivative for the epilogue tests,
+/// written locally so the tensor crate needs no dev-dependency on the nn
+/// crate.
+fn gelu_like(x: f64) -> (f64, f64) {
+    const S: f64 = 0.797_884_560_802_865_4;
+    const C: f64 = 0.044715;
+    let t = (S * (x + C * x * x * x)).tanh();
+    let d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * S * (1.0 + 3.0 * C * x * x);
+    (0.5 * x * (1.0 + t), d)
 }
 
 /// Fused store epilogues (bias / bias+activation / bias+residual) must be
 /// bitwise identical to the separate-pass computations, for every kernel
 /// and thread count, including ragged tile edges and cache-block crossings.
+/// The bias+activation path's second stream is the derivative at each
+/// fully accumulated, bias-added element.
 #[test]
 fn fused_epilogues_match_separate_passes_bitwise() {
     let mut rng = StdRng::seed_from_u64(0xE91);
@@ -354,7 +361,8 @@ fn fused_epilogues_match_separate_passes_bitwise() {
                 a.matmul_into(&b, &mut base);
                 let mut want_bias = base.clone();
                 want_bias.add_row_broadcast(&bias);
-                let want_act = want_bias.map(gelu_like);
+                let want_act = want_bias.map(|x| gelu_like(x).0);
+                let want_grad = want_bias.map(|x| gelu_like(x).1);
                 let mut want_res = want_bias.clone();
                 for (o, &r) in want_res.as_mut_slice().iter_mut().zip(res.as_slice()) {
                     *o += r;
@@ -364,10 +372,10 @@ fn fused_epilogues_match_separate_passes_bitwise() {
                 a.matmul_bias_into(&b, &bias, &mut got);
                 assert_bitwise("bias", kind, threads, &want_bias, &got);
 
-                let mut pre = Matrix::full(3, 3, f64::NAN);
-                a.matmul_bias_act_into(&b, &bias, gelu_like, &mut pre, &mut got);
+                let mut grad = Matrix::full(3, 3, f64::NAN);
+                a.matmul_bias_act_into(&b, &bias, gelu_like, &mut grad, &mut got);
                 assert_bitwise("bias+act out", kind, threads, &want_act, &got);
-                assert_bitwise("bias+act pre", kind, threads, &want_bias, &pre);
+                assert_bitwise("bias+act grad", kind, threads, &want_grad, &grad);
 
                 a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
                 assert_bitwise("bias+residual", kind, threads, &want_res, &got);
@@ -376,8 +384,9 @@ fn fused_epilogues_match_separate_passes_bitwise() {
     }
 }
 
-/// k = 0 degenerate products still apply the full epilogue (bias, act,
-/// residual over an all-zero product) via the serial fallback.
+/// k = 0 degenerate products still apply the full epilogue (bias, act and
+/// its derivative, residual over an all-zero product) via the serial
+/// fallback, under every kernel and thread count.
 #[test]
 fn degenerate_k0_epilogues() {
     let (m, n) = (4usize, 6usize);
@@ -387,27 +396,39 @@ fn degenerate_k0_epilogues() {
     let mut rng = StdRng::seed_from_u64(9);
     let res = random_matrix(m, n, &mut rng);
 
-    let mut got = Matrix::full(1, 1, f64::NAN);
-    a.matmul_bias_into(&b, &bias, &mut got);
-    for r in 0..m {
-        for c in 0..n {
-            assert_eq!(got[(r, c)].to_bits(), bias[c].to_bits());
-        }
-    }
+    let _guard = SettingsGuard::acquire();
+    par::set_par_threshold(0);
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
+        kernel::set_kernel(Some(kind));
+        for threads in [1usize, 4] {
+            par::set_max_threads(threads);
+            let at = format!("{kind:?}/{threads}t");
 
-    let mut pre = Matrix::full(1, 1, f64::NAN);
-    a.matmul_bias_act_into(&b, &bias, gelu_like, &mut pre, &mut got);
-    for r in 0..m {
-        for c in 0..n {
-            assert_eq!(pre[(r, c)].to_bits(), bias[c].to_bits());
-            assert_eq!(got[(r, c)].to_bits(), gelu_like(bias[c]).to_bits());
-        }
-    }
+            let mut got = Matrix::full(1, 1, f64::NAN);
+            a.matmul_bias_into(&b, &bias, &mut got);
+            for r in 0..m {
+                for c in 0..n {
+                    assert_eq!(got[(r, c)].to_bits(), bias[c].to_bits(), "bias @ {at}");
+                }
+            }
 
-    a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
-    for r in 0..m {
-        for c in 0..n {
-            assert_eq!(got[(r, c)].to_bits(), (bias[c] + res[(r, c)]).to_bits());
+            let mut grad = Matrix::full(1, 1, f64::NAN);
+            a.matmul_bias_act_into(&b, &bias, gelu_like, &mut grad, &mut got);
+            for r in 0..m {
+                for c in 0..n {
+                    let (y, d) = gelu_like(bias[c]);
+                    assert_eq!(got[(r, c)].to_bits(), y.to_bits(), "act @ {at}");
+                    assert_eq!(grad[(r, c)].to_bits(), d.to_bits(), "grad @ {at}");
+                }
+            }
+
+            a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
+            for r in 0..m {
+                for c in 0..n {
+                    let want = bias[c] + res[(r, c)];
+                    assert_eq!(got[(r, c)].to_bits(), want.to_bits(), "residual @ {at}");
+                }
+            }
         }
     }
 }

@@ -67,6 +67,7 @@ fn artifacts_exist() {
         "BENCH_alloc.json",
         "BENCH_factor.json",
         "BENCH_gemm.json",
+        "BENCH_nn.json",
         "BENCH_pipeline.json",
         "SOAK.json",
     ] {
@@ -221,6 +222,40 @@ fn factor_bench_rows_have_required_keys() {
             speedup >= 2.0,
             "blocked speedup at n={want_n} is {speedup:.2}x, below the 2x bar"
         );
+    }
+}
+
+#[test]
+fn nn_bench_has_every_ledger_row_at_both_scales() {
+    let v = load(&repo_root().join("BENCH_nn.json"));
+    let rows = v
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("'results' array");
+    for (i, row) in rows.iter().enumerate() {
+        for key in ["fwd_ms", "fwd_spread", "bwd_ms", "bwd_spread"] {
+            let x = row.get(key).and_then(Value::as_f64).unwrap_or(-1.0);
+            assert!(x >= 0.0, "results[{i}]: missing or negative '{key}'");
+        }
+        assert!(row.get("shape").and_then(Value::as_str).is_some());
+    }
+    for scale in ["small", "mid"] {
+        let layers: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.get("scale").and_then(Value::as_str) == Some(scale))
+            .filter_map(|r| r.get("layer").and_then(Value::as_str))
+            .collect();
+        for want in [
+            "Linear",
+            "Activation(Gelu)",
+            "LayerNorm",
+            "MultiHeadAttention",
+            "FeedForward",
+            "TransformerBlock",
+            "train_step",
+        ] {
+            assert!(layers.contains(&want), "{scale}: no '{want}' row");
+        }
     }
 }
 
