@@ -1,21 +1,14 @@
 //! Pointwise activation layers (GELU, Tanh).
 
 use crate::{ForwardCtx, Layer, ParamVisitor};
+pub use pipefisher_tensor::ActivationKind;
 use pipefisher_tensor::Matrix;
-
-/// Which nonlinearity an [`Activation`] layer applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActivationKind {
-    /// Gaussian Error Linear Unit (tanh approximation, as in BERT).
-    Gelu,
-    /// Hyperbolic tangent (used by BERT's pooler).
-    Tanh,
-}
 
 /// A stateless-parameter pointwise activation layer.
 ///
 /// Forward evaluates the activation and its derivative together (one
-/// `tanh` per element) and caches the derivative, so backward is one
+/// `tanh` per element, on the tensor crate's row kernel,
+/// [`ActivationKind::apply`]) and caches the derivative, so backward is one
 /// multiply per element.
 ///
 /// # Example
@@ -27,32 +20,13 @@ pub enum ActivationKind {
 /// let mut tanh = Activation::new(ActivationKind::Tanh);
 /// let y = tanh.forward(&Matrix::from_rows(&[&[0.0, 2.0]]), &ForwardCtx::train());
 /// assert_eq!(y[(0, 0)], 0.0);
-/// assert_eq!(y[(0, 1)], 2.0_f64.tanh());
+/// assert_eq!(y[(0, 1)], pipefisher_tensor::tanh(2.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
     /// `act′` at the last forward's input, read by backward.
     derivative: Option<Matrix>,
-}
-
-const SQRT_2_OVER_PI: f64 = 0.797_884_560_802_865_4;
-const GELU_COEFF: f64 = 0.044715;
-
-/// Tanh-approximate GELU (the BERT variant) and its derivative, both from
-/// one `tanh`, as a plain `fn` so it can be fused into a GEMM store
-/// epilogue ([`Matrix::matmul_bias_act_into`]). Identical to what
-/// [`Activation`] applies for [`ActivationKind::Gelu`].
-pub(crate) fn gelu_and_grad(x: f64) -> (f64, f64) {
-    let t = (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh();
-    let grad = 0.5 * (1.0 + t)
-        + 0.5 * x * (1.0 - t * t) * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x);
-    (0.5 * x * (1.0 + t), grad)
-}
-
-fn tanh_and_grad(x: f64) -> (f64, f64) {
-    let t = x.tanh();
-    (t, 1.0 - t * t)
 }
 
 impl Activation {
@@ -64,33 +38,23 @@ impl Activation {
         }
     }
 
-    /// Takes the cached derivative buffer (empty if this layer has not run
-    /// yet), for reuse as the second output of a fused GEMM epilogue.
-    /// Callers that compute the activation inside the epilogue hand the
-    /// filled buffer back via [`Activation::set_cached_derivative`].
-    pub(crate) fn take_cached_derivative(&mut self) -> Matrix {
-        self.derivative.take().unwrap_or_default()
-    }
-
-    /// Stores `grad` as the derivative [`Layer::backward`] multiplies by,
-    /// as if [`Layer::forward`] had just produced it.
-    pub(crate) fn set_cached_derivative(&mut self, grad: Matrix) {
-        self.derivative = Some(grad);
+    /// The kind, and the derivative buffer [`Layer::backward`] multiplies
+    /// by (recycled across steps) for a forward pass to fill — this
+    /// layer's own, or a GEMM epilogue's ([`crate::Linear::forward_bias_act`]).
+    pub(crate) fn parts_mut(&mut self) -> (ActivationKind, &mut Matrix) {
+        (
+            self.kind,
+            self.derivative.get_or_insert_with(Matrix::default),
+        )
     }
 }
 
 impl Layer for Activation {
     fn forward(&mut self, x: &Matrix, _ctx: &ForwardCtx) -> Matrix {
-        let act = match self.kind {
-            ActivationKind::Gelu => gelu_and_grad,
-            ActivationKind::Tanh => tanh_and_grad,
-        };
         let mut y = x.clone();
-        let grad = self.derivative.get_or_insert_with(Matrix::default);
+        let (kind, grad) = self.parts_mut();
         grad.reset_shape(x.rows(), x.cols());
-        for (v, d) in y.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
-            (*v, *d) = act(*v);
-        }
+        kind.apply(y.as_mut_slice(), grad.as_mut_slice());
         y
     }
 
@@ -110,14 +74,18 @@ impl Layer for Activation {
 pub(crate) mod tests {
     use super::*;
 
-    /// The tanh-approximate GELU on its own: the bitwise oracle of
-    /// [`gelu_and_grad`]'s first half.
+    const SQRT_2_OVER_PI: f64 = 0.797_884_560_802_865_4;
+    const GELU_COEFF: f64 = 0.044715;
+
+    /// The tanh-approximate GELU on libm's `tanh`, as computed before the
+    /// tensor crate owned one: the bitwise oracle of the GELU row kernel's
+    /// value.
     pub(crate) fn gelu(x: f64) -> f64 {
         0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh())
     }
 
-    /// GELU's derivative on its own, from its own `tanh` of the input: the
-    /// bitwise oracle of [`gelu_and_grad`]'s second half.
+    /// GELU's derivative on its own, from its own libm `tanh` of the input:
+    /// the bitwise oracle of the GELU row kernel's derivative.
     pub(crate) fn gelu_grad(x: f64) -> f64 {
         let inner = SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x);
         let t = inner.tanh();
@@ -125,8 +93,8 @@ pub(crate) mod tests {
         0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x)
     }
 
-    /// `1 − tanh²` on its own: the bitwise oracle of [`tanh_and_grad`]'s
-    /// second half.
+    /// `1 − tanh²` on libm's `tanh`: the bitwise oracle of the tanh row
+    /// kernel's derivative.
     fn tanh_grad(x: f64) -> f64 {
         let t = x.tanh();
         1.0 - t * t
@@ -150,18 +118,6 @@ pub(crate) mod tests {
             f64::NAN,
         ]);
         xs
-    }
-
-    #[test]
-    fn pairs_equal_the_separate_oracles_bitwise() {
-        for x in edge_grid() {
-            let (y, g) = gelu_and_grad(x);
-            assert_eq!(y.to_bits(), gelu(x).to_bits(), "gelu({x:e})");
-            assert_eq!(g.to_bits(), gelu_grad(x).to_bits(), "gelu'({x:e})");
-            let (t, d) = tanh_and_grad(x);
-            assert_eq!(t.to_bits(), x.tanh().to_bits(), "tanh({x:e})");
-            assert_eq!(d.to_bits(), tanh_grad(x).to_bits(), "tanh'({x:e})");
-        }
     }
 
     #[test]
@@ -207,7 +163,7 @@ pub(crate) mod tests {
         for &x in &[-3.0, -1.0, -0.1, 0.0, 0.5, 2.0, 4.0] {
             let eps = 1e-6;
             let num = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
-            assert!((gelu_and_grad(x).1 - num).abs() < 1e-7, "x={x}");
+            assert!((gelu_grad(x) - num).abs() < 1e-7, "x={x}");
         }
     }
 

@@ -30,30 +30,6 @@ pub struct BertConfig {
 }
 
 impl BertConfig {
-    /// BERT-Base: L=12, d_model=768, d_ff=3072, h=12 (Table 3).
-    pub fn base() -> Self {
-        BertConfig {
-            vocab_size: 30_522,
-            max_seq: 512,
-            d_model: 768,
-            d_ff: 3072,
-            n_heads: 12,
-            n_layers: 12,
-        }
-    }
-
-    /// BERT-Large: L=24, d_model=1024, d_ff=4096, h=16 (Table 3).
-    pub fn large() -> Self {
-        BertConfig {
-            vocab_size: 30_522,
-            max_seq: 512,
-            d_model: 1024,
-            d_ff: 4096,
-            n_heads: 16,
-            n_layers: 24,
-        }
-    }
-
     /// A CPU-trainable model for convergence experiments.
     pub fn tiny(vocab_size: usize, max_seq: usize) -> Self {
         BertConfig {

@@ -1,11 +1,12 @@
 //! Position-wise feed-forward network (the transformer MLP).
 
-use crate::activation::gelu_and_grad;
 use crate::{Activation, ActivationKind, ForwardCtx, Layer, Linear, ParamVisitor};
 use pipefisher_tensor::Matrix;
 use rand::Rng;
 
-/// The transformer MLP: `Linear(d_model → d_ff) → GELU → Linear(d_ff → d_model)`.
+/// The transformer MLP: `Linear(d_model → d_ff) → GELU → Linear(d_ff → d_model)`,
+/// with the GELU fused into fc1's GEMM store epilogue
+/// ([`Linear::forward_bias_act`]).
 ///
 /// Both linears participate in K-FAC capture; the intermediate `d_ff`
 /// expansion is where most of a transformer block's FLOPs (and K-FAC
@@ -33,31 +34,20 @@ impl FeedForward {
         f(&mut self.fc2);
     }
 
-    /// Runs `act(fc1(x))` with the GELU fused into fc1's GEMM store
-    /// epilogue. GELU's derivative lands in the [`Activation`] layer's
-    /// cached-derivative buffer (recycled across steps), where its backward
-    /// pass reads it. Bitwise identical to `act.forward(&fc1.forward(x))`.
-    fn forward_hidden(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let mut grad = self.act.take_cached_derivative();
-        let h = self.fc1.forward_bias_act(x, gelu_and_grad, &mut grad, ctx);
-        self.act.set_cached_derivative(grad);
-        h
-    }
-
     /// Forward pass returning `fc2(act(fc1(x))) + residual`, with the
     /// residual add fused into fc2's GEMM store epilogue (bitwise identical
     /// to [`Layer::forward`] plus a separate elementwise add). The caller
     /// routes `dout` both into [`Layer::backward`] and down the residual
     /// branch, exactly as for the unfused sum.
     pub fn forward_residual(&mut self, x: &Matrix, residual: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let h = self.forward_hidden(x, ctx);
+        let h = self.fc1.forward_bias_act(x, &mut self.act, ctx);
         self.fc2.forward_residual(&h, residual, ctx)
     }
 }
 
 impl Layer for FeedForward {
     fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let h = self.forward_hidden(x, ctx);
+        let h = self.fc1.forward_bias_act(x, &mut self.act, ctx);
         self.fc2.forward(&h, ctx)
     }
 

@@ -1,6 +1,6 @@
 //! Fully-connected layer with K-FAC statistics capture.
 
-use crate::{ForwardCtx, Layer, ParamVisitor, Parameter};
+use crate::{Activation, ForwardCtx, Layer, ParamVisitor, Parameter};
 use pipefisher_tensor::{col_sum_into, init, Matrix};
 use rand::Rng;
 
@@ -188,24 +188,23 @@ impl Linear {
         }
     }
 
-    /// Forward pass with the elementwise activation `act` fused into the
-    /// GEMM store epilogue: returns `act(x·W + b)` and writes the
-    /// activation's derivative at `x·W + b` into `grad` (`act` returns
-    /// both). Bitwise identical to [`Layer::forward`] followed by a
-    /// separate `act` pass, but the output matrix is traversed once instead
-    /// of three times. `grad` is handed to the downstream
-    /// [`crate::Activation`] layer as its cached derivative.
+    /// Forward pass with the activation layer `act` fused into the GEMM
+    /// store epilogue: returns `act(x·W + b)` and leaves the derivative
+    /// there in `act`'s cache, so `act`'s [`Layer::backward`] runs as if
+    /// its own forward had. Bitwise identical to [`Layer::forward`]
+    /// followed by `act`'s, but the output matrix is traversed once
+    /// instead of three times.
     pub fn forward_bias_act(
         &mut self,
         x: &Matrix,
-        act: fn(f64) -> (f64, f64),
-        grad: &mut Matrix,
+        act: &mut Activation,
         ctx: &ForwardCtx,
     ) -> Matrix {
         self.forward_prologue(x, ctx);
         let mut y = Matrix::zeros(x.rows(), self.d_out());
         let (w, b) = (&self.weight.value, self.bias.value.row(0));
-        x.matmul_bias_act_into(w, b, act, grad, &mut y);
+        let (kind, grad) = act.parts_mut();
+        x.matmul_bias_act_into(w, b, kind, grad, &mut y);
         y
     }
 

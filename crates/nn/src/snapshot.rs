@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use pipefisher_ckpt::{CkptError, SectionReader, SectionWriter};
 use pipefisher_tensor::Matrix;
 
-use crate::{BertForPreTraining, ParamVisitor, Parameter, StagedBert};
+use crate::{ParamVisitor, Parameter};
 
 /// Encodes every parameter reachable through `visit` as a checkpoint
 /// section: `count u32 | per entry: name | matrix`, sorted by name.
@@ -105,36 +105,10 @@ pub fn import_params_with(
     Ok(())
 }
 
-impl BertForPreTraining {
-    /// Encodes all parameters as a checkpoint section (sorted by name).
-    pub fn export_params(&mut self) -> Vec<u8> {
-        export_params_with(|f| self.visit_params(f))
-    }
-
-    /// Restores all parameters from a section written by `export_params`
-    /// (of this model or of an equivalently configured [`StagedBert`]).
-    pub fn import_params(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
-        import_params_with(bytes, |f| self.visit_params(f))
-    }
-}
-
-impl StagedBert {
-    /// Encodes all parameters as a checkpoint section (sorted by name);
-    /// byte-identical to the monolithic model's `export_params`.
-    pub fn export_params(&mut self) -> Vec<u8> {
-        export_params_with(|f| self.visit_params(f))
-    }
-
-    /// Restores all parameters from a section written by `export_params`.
-    pub fn import_params(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
-        import_params_with(bytes, |f| self.visit_params(f))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BertConfig;
+    use crate::{BertConfig, BertForPreTraining, StagedBert};
     use rand::SeedableRng;
 
     fn model(seed: u64) -> BertForPreTraining {
@@ -152,23 +126,23 @@ mod tests {
     fn export_import_round_trips_bitwise() {
         let mut src = model(1);
         let want = param_bits(&mut src);
-        let section = src.export_params();
+        let section = export_params_with(|f| src.visit_params(f));
         let mut dst = model(2);
         assert_ne!(param_bits(&mut dst), want);
-        dst.import_params(&section).unwrap();
+        import_params_with(&section, |f| dst.visit_params(f)).unwrap();
         assert_eq!(param_bits(&mut dst), want);
         // Re-export of the restored model is byte-identical.
-        assert_eq!(dst.export_params(), section);
+        assert_eq!(export_params_with(|f| dst.visit_params(f)), section);
     }
 
     #[test]
     fn staged_and_monolithic_exports_are_byte_identical() {
         let mut mono = model(3);
-        let mono_section = mono.export_params();
+        let mono_section = export_params_with(|f| mono.visit_params(f));
         for stages in [1usize, 2, 4] {
             let mut staged = StagedBert::from_model(mono.clone(), stages);
             assert_eq!(
-                staged.export_params(),
+                export_params_with(|f| staged.visit_params(f)),
                 mono_section,
                 "{stages}-stage export differs from monolithic"
             );
@@ -178,20 +152,20 @@ mod tests {
     #[test]
     fn import_into_staged_matches_monolithic() {
         let mut src = model(4);
-        let section = src.export_params();
+        let section = export_params_with(|f| src.visit_params(f));
         let mut staged = StagedBert::from_model(model(5), 2);
-        staged.import_params(&section).unwrap();
-        assert_eq!(staged.export_params(), section);
+        import_params_with(&section, |f| staged.visit_params(f)).unwrap();
+        assert_eq!(export_params_with(|f| staged.visit_params(f)), section);
     }
 
     #[test]
     fn shape_mismatch_is_rejected() {
         let mut small = model(1);
-        let section = small.export_params();
+        let section = export_params_with(|f| small.visit_params(f));
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut big = BertForPreTraining::new(BertConfig::tiny(20, 16), 0.0, &mut rng);
         assert!(matches!(
-            big.import_params(&section),
+            import_params_with(&section, |f| big.visit_params(f)),
             Err(CkptError::ShapeMismatch { .. })
         ));
     }
@@ -199,7 +173,7 @@ mod tests {
     #[test]
     fn unknown_and_missing_entries_are_rejected() {
         let mut m = model(1);
-        let section = m.export_params();
+        let section = export_params_with(|f| m.visit_params(f));
 
         // Append a bogus extra entry (checkpoint has more than the model).
         let mut r = SectionReader::new("model", &section);
@@ -213,7 +187,7 @@ mod tests {
         extra.matrix(&Matrix::zeros(1, 1));
         rebuilt.extend_from_slice(&extra.into_bytes());
         assert!(matches!(
-            m.import_params(&rebuilt),
+            import_params_with(&rebuilt, |f| m.visit_params(f)),
             Err(CkptError::UnknownEntry { .. })
         ));
 
@@ -222,7 +196,7 @@ mod tests {
         let mut empty = SectionWriter::new();
         empty.u32(0);
         assert!(matches!(
-            m.import_params(&empty.into_bytes()),
+            import_params_with(&empty.into_bytes(), |f| m.visit_params(f)),
             Err(CkptError::Malformed { .. })
         ));
     }

@@ -70,8 +70,9 @@ impl PreTrainingHead {
         ctx: &ForwardCtx,
     ) -> PreTrainingOutput {
         let batch_size = batch.batch_size();
-        let t = self.mlm_transform.forward(hidden, ctx);
-        let t = self.mlm_act.forward(&t, ctx);
+        let t = self
+            .mlm_transform
+            .forward_bias_act(hidden, &mut self.mlm_act, ctx);
         let t = self.mlm_ln.forward(&t, ctx);
         let mlm_logits = self.mlm_decoder.forward(&t, ctx);
         let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
@@ -82,8 +83,9 @@ impl PreTrainingHead {
                 .row_mut(b)
                 .copy_from_slice(hidden.row(b * batch.seq));
         }
-        let p = self.nsp_pooler.forward(&first_tokens, ctx);
-        let p = self.nsp_act.forward(&p, ctx);
+        let p = self
+            .nsp_pooler
+            .forward_bias_act(&first_tokens, &mut self.nsp_act, ctx);
         let nsp_logits = self.nsp_classifier.forward(&p, ctx);
         let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets);
 
@@ -376,6 +378,7 @@ impl StagedBert {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -418,6 +421,63 @@ mod tests {
             }
         });
         assert_eq!(captured, 14);
+    }
+
+    /// The head's fused transform + GELU and pooler + tanh forwards
+    /// (`Linear::forward_bias_act`) equal the separate passes they
+    /// replaced, bitwise: logits, losses, the hidden-state gradient and
+    /// every head parameter's gradient.
+    #[test]
+    fn fused_head_matches_separate_passes_bitwise() {
+        let (seq, d, vocab) = (8, 16, 20);
+        let batch = toy_batch(seq, 3, vocab);
+        let mut rng = StdRng::seed_from_u64(81);
+        let mut fused = PreTrainingHead::new(d, vocab, &mut rng);
+        // Non-zero biases, so each activation runs after its bias add.
+        for lin in [&mut fused.mlm_transform, &mut fused.nsp_pooler] {
+            lin.bias_mut().value = init::normal(1, d, 1.0, &mut rng);
+        }
+        let mut split = fused.clone();
+        let hidden = init::normal(3 * seq, d, 1.0, &mut rng);
+        let ctx = ForwardCtx::train_with_capture();
+        let out = fused.forward(&hidden, &batch, &ctx);
+
+        let h = &mut split;
+        let t = h.mlm_transform.forward(&hidden, &ctx);
+        let t = h.mlm_act.forward(&t, &ctx);
+        let t = h.mlm_ln.forward(&t, &ctx);
+        let mlm_logits = h.mlm_decoder.forward(&t, &ctx);
+        let first = Matrix::from_vec(
+            3,
+            d,
+            (0..3).flat_map(|b| hidden.row(b * seq).to_vec()).collect(),
+        );
+        let p = h.nsp_pooler.forward(&first, &ctx);
+        let p = h.nsp_act.forward(&p, &ctx);
+        let nsp_logits = h.nsp_classifier.forward(&p, &ctx);
+        let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets).loss;
+        let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets).loss;
+        let losses = [out.mlm_loss, out.nsp_loss, out.total_loss].map(f64::to_bits);
+        assert_eq!(losses, [mlm, nsp, mlm + nsp].map(f64::to_bits));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (fused_mlm, fused_nsp) = fused.cache.as_ref().unwrap();
+        assert_eq!(bits(fused_mlm), bits(&mlm_logits), "mlm logits");
+        assert_eq!(bits(fused_nsp), bits(&nsp_logits), "nsp logits");
+        h.cache = Some((mlm_logits, nsp_logits));
+
+        assert_eq!(
+            bits(&fused.backward(&batch)),
+            bits(&split.backward(&batch)),
+            "dhidden"
+        );
+        let mut grads = Vec::new();
+        split.visit_params(&mut |p| grads.push(bits(&p.grad)));
+        let mut i = 0;
+        fused.visit_params(&mut |p| {
+            assert_eq!(bits(&p.grad), grads[i], "{}", p.name);
+            i += 1;
+        });
+        assert_eq!(i, 10);
     }
 
     #[test]

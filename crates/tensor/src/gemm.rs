@@ -39,6 +39,7 @@
 
 use crate::kernel::{self, ASrc, BSrc, Epilogue, Mode};
 use crate::par;
+use crate::ActivationKind;
 use crate::Matrix;
 
 /// The one GEMM front end: re-dimensions `out` to `m × n`, zeroes it, and
@@ -131,10 +132,10 @@ impl Matrix {
     }
 
     /// Computes `act(self · rhs + bias)` into `out` and the derivative there
-    /// into `grad` (`act` returns both), fused into the GEMM store phase.
-    /// Bitwise identical to [`Matrix::matmul_bias_into`] followed by an
-    /// elementwise `act` pass (the activation is applied to each element's
-    /// fully accumulated, bias-added value).
+    /// into `grad`, with `act`'s row kernel fused into the GEMM store phase.
+    /// Bitwise identical to [`Matrix::matmul_bias_into`] followed by
+    /// [`ActivationKind::apply`] (the activation is applied to each
+    /// element's fully accumulated, bias-added value).
     ///
     /// # Panics
     ///
@@ -143,7 +144,7 @@ impl Matrix {
         &self,
         rhs: &Matrix,
         bias: &[f64],
-        act: fn(f64) -> (f64, f64),
+        act: ActivationKind,
         grad: &mut Matrix,
         out: &mut Matrix,
     ) {
@@ -159,16 +160,14 @@ impl Matrix {
             out,
             Some(&Epilogue::BiasAct {
                 bias,
-                act,
+                act: act.row_kernel(),
                 grad: &gradp,
             }),
             |out| {
                 // Degenerate k = 0: the product is all zeros; run the
                 // separate passes.
                 out.add_row_broadcast(bias);
-                for (o, d) in out.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
-                    (*o, *d) = act(*o);
-                }
+                act.apply(out.as_mut_slice(), grad.as_mut_slice());
             },
         );
     }

@@ -229,11 +229,11 @@ mod avx2 {
     use super::{MR4, NR8};
     use core::arch::x86_64::*;
 
-    /// The 4×8 AVX2 tile loop, written once: `FMA` picks the one
-    /// instruction the two kernels differ in. Inlined into the entry points
-    /// below, which carry the `target_feature`s its intrinsics need.
-    #[inline(always)]
-    unsafe fn body<const FMA: bool>(
+    /// 4×8 AVX2 kernel. With `FMA = false`, separate multiply + add
+    /// (bitwise == scalar); with `FMA = true`, fused rounding (the opt-in
+    /// fast path). The AVX2 tier requires the `fma` extension either way.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn micro_4x8<const FMA: bool>(
         kc: usize,
         ap: *const f64,
         bp: *const f64,
@@ -265,35 +265,10 @@ mod avx2 {
             _mm256_storeu_pd(c.add(i * ldc + 4), row[1]);
         }
     }
-
-    /// 4×8 AVX2 kernel, separate multiply + add (bitwise == scalar). Needs
-    /// `avx2` alone, so it runs on AVX2 CPUs without FMA.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn micro_4x8(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        body::<false>(kc, ap, bp, c, ldc)
-    }
-
-    /// 4×8 AVX2+FMA kernel (fused rounding — opt-in fast path).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn micro_4x8_fma(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        body::<true>(kc, ap, bp, c, ldc)
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{micro_4x8 as micro_4x8_avx2, micro_4x8_fma as micro_4x8_avx2_fma};
+pub(crate) use avx2::micro_4x8 as micro_4x8_avx2;
 
 // --------------------------------------------------------------- AVX-512
 

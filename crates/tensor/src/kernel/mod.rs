@@ -15,6 +15,10 @@
 //! * aarch64 — NEON (4×8),
 //! * anywhere else, or on request — a portable scalar 4×8 kernel.
 //!
+//! The same table picks the activation row kernels ([`ActivationKind`],
+//! in `act`): one branch-free body built for AVX-512F, for AVX2 + FMA, or
+//! for the baseline ISA.
+//!
 //! # Dispatch and the `PIPEFISHER_KERNEL` knob
 //!
 //! `PIPEFISHER_KERNEL=scalar` forces the portable kernel, `simd` the best
@@ -34,6 +38,7 @@
 //! per-kernel argument and `crates/tensor/tests/kernel_dispatch.rs` for the
 //! property tests enforcing all of this.
 
+mod act;
 mod micro;
 mod pack;
 
@@ -41,6 +46,7 @@ use crate::workspace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+pub use act::{tanh, ActivationKind};
 pub(crate) use micro::TRI_BLOCK;
 pub(crate) use pack::{ASrc, BSrc};
 
@@ -118,40 +124,35 @@ enum Isa {
     Neon,
 }
 
-/// `(best vector ISA, fused multiply-add available)` — detected once.
-fn isa() -> (Isa, bool) {
-    static DETECTED: OnceLock<(Isa, bool)> = OnceLock::new();
+/// The best vector ISA, detected once. Each one carries fused
+/// multiply-add: avx512f has 512-bit FMA forms, the AVX2 tier requires the
+/// `fma` extension (every AVX2 CPU since Haswell and Excavator has it), and
+/// NEON on aarch64 always has `vfmaq_f64`.
+fn isa() -> Isa {
+    static DETECTED: OnceLock<Isa> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // avx512f includes 512-bit FMA forms.
-                return (Isa::Avx512, true);
+            use std::arch::is_x86_feature_detected as detected;
+            if detected!("avx512f") {
+                return Isa::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return (Isa::Avx2, std::arch::is_x86_feature_detected!("fma"));
+            if detected!("avx2") && detected!("fma") {
+                return Isa::Avx2;
             }
-            (Isa::None, false)
         }
         #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                // NEON on aarch64 always carries vfmaq_f64.
-                return (Isa::Neon, true);
-            }
-            (Isa::None, false)
+        if std::arch::is_aarch64_feature_detected!("neon") {
+            return Isa::Neon;
         }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            (Isa::None, false)
-        }
+        Isa::None
     })
 }
 
 /// Name of the detected vector ISA, for logs and bench artifacts:
 /// `"avx512f"`, `"avx2"`, `"neon"`, or `"none"`.
 pub fn simd_name() -> &'static str {
-    match isa().0 {
+    match isa() {
         Isa::None => "none",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => "avx2",
@@ -164,19 +165,16 @@ pub fn simd_name() -> &'static str {
 
 /// Whether any SIMD micro-kernel is available on this CPU.
 pub fn simd_available() -> bool {
-    isa().0 != Isa::None
+    isa() != Isa::None
 }
 
 /// Clamps a requested kind to what the CPU supports: `Simd`/`Fma` without a
-/// vector ISA fall back to `Scalar`; `Fma` without fused ops runs `Simd`.
+/// vector ISA fall back to `Scalar`.
 fn clamp(kind: KernelKind) -> KernelKind {
-    let (best, fma) = isa();
-    match kind {
-        KernelKind::Scalar => KernelKind::Scalar,
-        _ if best == Isa::None => KernelKind::Scalar,
-        KernelKind::Fma if fma => KernelKind::Fma,
-        KernelKind::Fma => KernelKind::Simd,
-        _ => KernelKind::Simd,
+    if isa() == Isa::None {
+        KernelKind::Scalar
+    } else {
+        kind
     }
 }
 
@@ -228,31 +226,42 @@ pub fn set_kernel(kind: Option<KernelKind>) {
     KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
+/// An activation row kernel: `(v[i], d[i]) ← (act(v[i]), act′(v[i]))`
+/// for equal-length `v` and `d`. Unsafe only because it may carry a
+/// `target_feature` the caller must have detected.
+pub(crate) type ActRowFn = unsafe fn(&mut [f64], &mut [f64]);
+
 /// What one `(kernel kind, instruction set)` pair selects: the GEMM tile
-/// shape with its micro-kernel, and the in-block triangular sweep.
+/// shape with its micro-kernel, the in-block triangular sweep, and the
+/// activation row kernels.
 #[derive(Clone, Copy)]
 struct Kernels {
     mr: usize,
     nr: usize,
     micro: micro::MicroFn,
     tri_sweep: micro::TriSweepFn,
+    gelu: ActRowFn,
+    tanh: ActRowFn,
 }
 
 /// The dispatch table: the kernels for the current [`kernel_kind`] on the
 /// detected instruction set.
 ///
-/// The sweep has no fused-rounding variant: `Fma` maps to the same
-/// separately-rounded kernel as `Simd`, so in-block factor work is bitwise
-/// identical to the scalar substitution under every setting. (On aarch64
-/// the portable body already compiles to NEON.)
+/// The sweep and the activations have no fused-rounding variant: `Fma`
+/// maps to the same kernels as `Simd`, so in-block factor work is bitwise
+/// identical to the scalar substitution, and activations to the portable
+/// body, under every setting. (On aarch64 the portable bodies already
+/// compile to NEON.)
 fn kernels() -> Kernels {
     let scalar = Kernels {
         mr: micro::MR4,
         nr: micro::NR8,
         micro: micro::micro_4x8_scalar,
         tri_sweep: micro::tri_sweep_scalar,
+        gelu: act::rows_portable::<true>,
+        tanh: act::rows_portable::<false>,
     };
-    match (kernel_kind(), isa().0) {
+    match (kernel_kind(), isa()) {
         (KernelKind::Scalar, _) => scalar,
         #[cfg(target_arch = "x86_64")]
         (kind, Isa::Avx512) => Kernels {
@@ -264,15 +273,19 @@ fn kernels() -> Kernels {
                 micro::micro_8x16_avx512::<false>
             },
             tri_sweep: micro::tri_sweep_avx512,
+            gelu: act::rows_avx512::<true>,
+            tanh: act::rows_avx512::<false>,
         },
         #[cfg(target_arch = "x86_64")]
         (kind, Isa::Avx2) => Kernels {
             micro: if kind == KernelKind::Fma {
-                micro::micro_4x8_avx2_fma
+                micro::micro_4x8_avx2::<true>
             } else {
-                micro::micro_4x8_avx2
+                micro::micro_4x8_avx2::<false>
             },
             tri_sweep: micro::tri_sweep_avx2,
+            gelu: act::rows_avx2::<true>,
+            tanh: act::rows_avx2::<false>,
             ..scalar
         },
         #[cfg(target_arch = "aarch64")]
@@ -357,8 +370,9 @@ pub(crate) enum Epilogue<'a> {
     BiasAct {
         /// Per-column bias, indexed by global output column.
         bias: &'a [f64],
-        /// The activation and its derivative, applied after the bias add.
-        act: fn(f64) -> (f64, f64),
+        /// The activation's row kernel, run on each tile row after the
+        /// bias add.
+        act: ActRowFn,
         /// Full-size derivative output (row-major, same shape as `c`'s
         /// full matrix).
         grad: &'a SharedOut,
@@ -399,12 +413,18 @@ fn apply_epilogue(
                 }
             }
             Epilogue::BiasAct { bias, act, grad } => {
-                for (j, v) in row.iter_mut().enumerate() {
-                    let (y, d) = act(*v + bias[col0 + j]);
-                    // SAFETY: `grad` spans the full matrix; (g, col0+j) is
-                    // inside this lane's disjoint row range.
-                    unsafe { *grad.0.add(g * n + col0 + j) = d };
-                    *v = y;
+                for (v, b) in row.iter_mut().zip(&bias[col0..]) {
+                    *v += b;
+                }
+                // SAFETY: `grad` spans the full matrix and row g's columns
+                // col0..col0+tn lie in this lane's disjoint row range, so
+                // nothing else aliases them; `act` comes from `kernels`,
+                // which only returns kernels the detected CPU supports.
+                unsafe {
+                    act(
+                        row,
+                        std::slice::from_raw_parts_mut(grad.0.add(g * n + col0), tn),
+                    )
                 }
             }
             Epilogue::BiasResidual { bias, res } => {
@@ -564,12 +584,10 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as detected;
-            if detected!("avx2") {
-                tiles.push(("avx2", MR4, NR8, false, micro::micro_4x8_avx2));
-                sweeps.push(("avx2", micro::tri_sweep_avx2));
-            }
             if detected!("avx2") && detected!("fma") {
-                tiles.push(("avx2+fma", MR4, NR8, true, micro::micro_4x8_avx2_fma));
+                tiles.push(("avx2", MR4, NR8, false, micro::micro_4x8_avx2::<false>));
+                tiles.push(("avx2+fma", MR4, NR8, true, micro::micro_4x8_avx2::<true>));
+                sweeps.push(("avx2", micro::tri_sweep_avx2));
             }
             if detected!("avx512f") {
                 tiles.push((

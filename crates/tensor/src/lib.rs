@@ -46,6 +46,7 @@ pub mod workspace;
 
 pub use cholesky::{cholesky_into, cholesky_inverse_into, CholeskyError};
 pub use error::{ShapeError, TensorError};
+pub use kernel::{tanh, ActivationKind};
 pub use matrix::Matrix;
 pub use reduce::col_sum_into;
 pub use softmax::{log_softmax, softmax, softmax_inplace, softmax_scaled_inplace};

@@ -225,15 +225,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Combines two same-shaped matrices elementwise with `f`.
     ///
     /// # Panics
@@ -592,7 +583,7 @@ mod tests {
         let b = Matrix::full(2, 2, 2.0);
         assert_eq!((&a + &b)[(1, 1)], 6.0);
         assert_eq!((&a - &b)[(0, 0)], -1.0);
-        assert_eq!(a.hadamard(&b)[(1, 0)], 6.0);
+        assert_eq!(a.zip_with(&b, |x, y| x * y)[(1, 0)], 6.0);
         assert_eq!(a.scale(0.5)[(1, 1)], 2.0);
         assert_eq!((-&a)[(0, 1)], -2.0);
     }

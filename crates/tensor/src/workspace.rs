@@ -27,7 +27,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-length cap on pooled bytes: one size class never retains more than
 /// this many bytes of idle buffers (prevents unbounded growth when a
@@ -45,9 +45,6 @@ thread_local! {
 /// Whether buffer recycling is active (see [`set_enabled`]).
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
 /// Whether buffer recycling is currently active.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -57,12 +54,6 @@ pub fn enabled() -> bool {
 /// Intended for tests and benches.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// `(checkout hits, checkout misses)` since process start, summed over all
-/// threads. A warmed-up steady state shows hits growing and misses flat.
-pub fn stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }
 
 /// Max idle buffers retained per size class of `len` elements.
@@ -81,18 +72,9 @@ fn checkout(len: usize) -> Option<Vec<f64>> {
     if !enabled() || len == 0 {
         return None;
     }
-    let got = POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            pool.get_mut(&len).and_then(Vec::pop)
-        })
+    POOL.try_with(|pool| pool.borrow_mut().get_mut(&len).and_then(Vec::pop))
         .ok()
-        .flatten();
-    match &got {
-        Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
-        None => MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    got
+        .flatten()
 }
 
 /// Fetches a zero-filled buffer of `len` elements (recycled or fresh).

@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, KernelKind};
 use pipefisher_tensor::{
-    cholesky_into, cholesky_inverse_into, par, reference, Matrix, TensorError,
+    cholesky_into, cholesky_inverse_into, par, reference, ActivationKind, Matrix, TensorError,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -318,9 +318,10 @@ fn failing_pivot_index_is_preserved_across_blocks() {
     }
 }
 
-/// GELU-shaped activation and its derivative for the epilogue tests,
-/// written locally so the tensor crate needs no dev-dependency on the nn
-/// crate.
+/// GELU and its derivative on libm's `tanh`, as the nn crate computed
+/// them before this crate owned a `tanh`: the oracle of the GELU row
+/// kernel the epilogue runs (bit-identical on glibc x86_64 with FMA; see
+/// `tanh_matches_host_libm`).
 fn gelu_like(x: f64) -> (f64, f64) {
     const S: f64 = 0.797_884_560_802_865_4;
     const C: f64 = 0.044715;
@@ -373,7 +374,7 @@ fn fused_epilogues_match_separate_passes_bitwise() {
                 assert_bitwise("bias", kind, threads, &want_bias, &got);
 
                 let mut grad = Matrix::full(3, 3, f64::NAN);
-                a.matmul_bias_act_into(&b, &bias, gelu_like, &mut grad, &mut got);
+                a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
                 assert_bitwise("bias+act out", kind, threads, &want_act, &got);
                 assert_bitwise("bias+act grad", kind, threads, &want_grad, &grad);
 
@@ -413,7 +414,7 @@ fn degenerate_k0_epilogues() {
             }
 
             let mut grad = Matrix::full(1, 1, f64::NAN);
-            a.matmul_bias_act_into(&b, &bias, gelu_like, &mut grad, &mut got);
+            a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
             for r in 0..m {
                 for c in 0..n {
                     let (y, d) = gelu_like(bias[c]);

@@ -12,7 +12,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind, KernelRequest};
-use pipefisher_tensor::{par, Matrix};
+use pipefisher_tensor::{par, ActivationKind, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -225,4 +225,28 @@ fn fma_path_is_close_but_need_not_be_bitwise() {
     assert!(got.all_finite());
     let diff = (&want - &got).max_abs();
     assert!(diff < 1e-9, "fma drifted too far: {diff}");
+}
+
+/// The activation row kernels: the forced-scalar (portable) body and the
+/// dispatched SIMD one agree bitwise on every slice length through two
+/// 16-wide chunks and a tail, with the derivative buffer poisoned.
+#[test]
+fn activation_row_kernels_scalar_simd_agree() {
+    let _guard = SettingsGuard::acquire();
+    let mut rng = StdRng::seed_from_u64(0xAC7);
+    let xs: Vec<f64> = collection::vec(-25.0f64..25.0, 4096).generate(&mut rng);
+    for act in [ActivationKind::Gelu, ActivationKind::Tanh] {
+        for len in (0..=40).chain([4096]) {
+            // Row 0 is the activation, row 1 its derivative.
+            let run = |kind| {
+                kernel::set_kernel(Some(kind));
+                let mut out = Matrix::from_vec(2, len, [&xs[..len], &vec![f64::NAN; len]].concat());
+                let (v, d) = out.as_mut_slice().split_at_mut(len);
+                act.apply(v, d);
+                out
+            };
+            let (want, got) = (run(KernelKind::Scalar), run(KernelKind::Simd));
+            assert_bitwise_eq(&format!("{act:?} over {len}"), 1, &want, &got);
+        }
+    }
 }
