@@ -23,7 +23,7 @@ const BASELINE_BYTES_PER_STEP: u64 = 2_564_839;
 struct Stack(Vec<Linear>);
 
 impl KfacModel for Stack {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         for l in self.0.iter_mut() {
             f(l);
         }

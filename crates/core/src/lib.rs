@@ -57,4 +57,4 @@ pub use assign::{
     assign, assign_graph, AssignError, FitStrategy, GraphAssignOptions, PipeFisherConfig,
     PipeFisherSchedule, PlacedWork,
 };
-pub use plan::{AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
+pub use plan::{capture_micro_batch, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};

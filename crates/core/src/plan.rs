@@ -46,8 +46,15 @@ pub enum PlanOp {
     },
 }
 
+/// The micro-batch (of `n_micro ≥ 1`) whose statistics a curvature-refresh
+/// step captures: the step's last. The trainer attaches the capture context
+/// to it; [`ExecutablePlan::lower`] releases the folds by its ops.
+pub fn capture_micro_batch(n_micro: usize) -> usize {
+    n_micro - 1
+}
+
 /// Kind of a bubble-fillable K-FAC work unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AuxKind {
     /// Fold captured activations into Kronecker factor `A` (curvature).
     FoldA,
@@ -59,8 +66,20 @@ pub enum AuxKind {
     Invert,
 }
 
+impl AuxKind {
+    /// Whether units of this kind run in a step with these refresh phases
+    /// (folds on curvature steps, inversions on inversion steps).
+    pub fn applies(self, refresh_curv: bool, refresh_inv: bool) -> bool {
+        match self {
+            AuxKind::FoldA | AuxKind::FoldB => refresh_curv,
+            AuxKind::Invert => refresh_inv,
+        }
+    }
+}
+
 /// One K-FAC work unit: chunk `chunk` of `chunks` covers the K-FAC layers
 /// `[chunk·K/chunks, (chunk+1)·K/chunks)` of the stage (K = layer count).
+/// It is *ready* once its `release` op and its `after` units have finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuxOp {
     /// Model stage whose layers this unit touches.
@@ -71,6 +90,14 @@ pub struct AuxOp {
     pub chunk: usize,
     /// Total chunks the stage's work is split into (≥ 1).
     pub chunks: usize,
+    /// Index in the device's `ops` of the op releasing the unit: the capture
+    /// forward for `FoldA`, the capture backward for `FoldB`, none for `Invert`.
+    pub release: Option<usize>,
+    /// Indices `after.0..after.1` in the device's `aux` of the units to
+    /// finish first (skipped ones count): `Invert`'s stage folds, else none.
+    pub after: (usize, usize),
+    /// Activation slot of the capture micro-batch: the replica folded from.
+    pub slot: usize,
 }
 
 /// Everything one device needs to run its share of a step.
@@ -81,9 +108,8 @@ pub struct DevicePlan {
     /// Bubble-fillable K-FAC units of the stages this device is the capture
     /// host of: per stage `FoldA`, `FoldB`, `Invert`, each in chunk order.
     /// The executor pops the first *ready* one while waiting for pipeline
-    /// input; readiness (folds after the capture backward, inversions after
-    /// every fold of the stage) decides what runs when — the list order is
-    /// not behaviour.
+    /// input; readiness ([`AuxOp::release`], [`AuxOp::after`]) decides what
+    /// runs when — the list order is not behaviour.
     pub aux: Vec<AuxOp>,
     /// Per model stage: how many activation-slot replicas this device
     /// needs (0 = stage not hosted here).
@@ -110,9 +136,9 @@ pub struct ExecutablePlan {
     pub n_micro: usize,
     /// Per-device plans, indexed by device.
     pub devices: Vec<DevicePlan>,
-    /// Per stage: the device that runs `Forward(stage, N−1)` — the
-    /// micro-batch whose statistics K-FAC captures — and therefore hosts
-    /// that stage's fold and inversion work.
+    /// Per stage: the device that runs the stage's forward of the
+    /// [`capture_micro_batch`] and therefore hosts its fold and inversion
+    /// work.
     pub capture_host: Vec<usize>,
 }
 
@@ -132,37 +158,19 @@ pub struct ExpectedStep {
     pub aux: Vec<Vec<AuxOp>>,
 }
 
-impl ExpectedStep {
-    /// Total expected events across all devices.
-    pub fn total_events(&self) -> usize {
-        self.ops.iter().map(Vec::len).sum::<usize>() + self.aux.iter().map(Vec::len).sum::<usize>()
-    }
-}
-
 impl ExecutablePlan {
     /// Expands this plan into the per-step event oracle for a step with the
     /// given K-FAC cadence: `kfac` false (first-order step) expects no aux
-    /// work at all; otherwise fold units apply iff the step refreshes
-    /// curvature and invert units iff it refreshes the inverses (units for
-    /// phases a step does not refresh are skipped by the executor without
-    /// running — there is nothing to compute).
+    /// work at all; otherwise the units whose kind [`AuxKind::applies`] to
+    /// the step's refresh phases.
     pub fn expected_step(&self, kfac: bool, refresh_curv: bool, refresh_inv: bool) -> ExpectedStep {
         let ops = self.devices.iter().map(|d| d.ops.clone()).collect();
         let aux = self
             .devices
             .iter()
             .map(|d| {
-                if !kfac {
-                    return Vec::new();
-                }
-                d.aux
-                    .iter()
-                    .filter(|op| match op.kind {
-                        AuxKind::FoldA | AuxKind::FoldB => refresh_curv,
-                        AuxKind::Invert => refresh_inv,
-                    })
-                    .copied()
-                    .collect()
+                let applies = |op: &&AuxOp| kfac && op.kind.applies(refresh_curv, refresh_inv);
+                d.aux.iter().filter(applies).copied().collect()
             })
             .collect();
         ExpectedStep { ops, aux }
@@ -173,7 +181,8 @@ impl ExecutablePlan {
     /// Standard work keeps the graph's per-device order. Aux (K-FAC) work
     /// is the same for every scheme and depth: each stage gets the
     /// canonical fold-A, fold-B, invert sequence on its capture host, each
-    /// split into `granularity` chunks (0 is treated as 1).
+    /// split into `granularity` chunks (0 is treated as 1), with their
+    /// [`AuxOp`] prerequisites.
     ///
     /// # Errors
     ///
@@ -192,8 +201,7 @@ impl ExecutablePlan {
 
         // Coverage + same-device validation via `find`, so a graph whose
         // task ids miss a (stage, micro-batch) is rejected up front.
-        let mut capture_host = vec![0usize; n_stages];
-        for (stage, host) in capture_host.iter_mut().enumerate() {
+        for stage in 0..n_stages {
             for mb in 0..n_micro {
                 let fwd =
                     graph
@@ -218,9 +226,6 @@ impl ExecutablePlan {
                          backward on device {bd}; the executor keeps activations local"
                     )));
                 }
-                if mb == n_micro - 1 {
-                    *host = fd;
-                }
             }
         }
 
@@ -240,6 +245,9 @@ impl ExecutablePlan {
         use std::collections::HashMap;
         let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new(); // (stage, mb) → slot
         let mut free_slots: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n_stages]; n_devices];
+        // Per stage: the capture micro-batch's device, op indices and slot.
+        let mut capture_host = vec![0usize; n_stages];
+        let mut capture_ops = vec![(0usize, 0usize, 0usize); n_stages];
         for (dev, order) in graph.device_order().iter().enumerate() {
             for &id in order {
                 let task = graph.task(id);
@@ -250,6 +258,8 @@ impl ExecutablePlan {
                         task.kind
                     ))
                 })?;
+                let capture = mb == capture_micro_batch(n_micro);
+                let at = devices[dev].ops.len();
                 match task.kind {
                     WorkKind::Forward => {
                         let slot = match free_slots[dev][stage].pop() {
@@ -271,6 +281,10 @@ impl ExecutablePlan {
                         } else {
                             None
                         };
+                        if capture {
+                            capture_host[stage] = dev;
+                            capture_ops[stage] = (at, 0, slot);
+                        }
                         devices[dev].ops.push(PlanOp::Forward {
                             stage,
                             mb,
@@ -296,6 +310,9 @@ impl ExecutablePlan {
                         } else {
                             None
                         };
+                        if capture {
+                            capture_ops[stage].1 = at;
+                        }
                         devices[dev].ops.push(PlanOp::Backward {
                             stage,
                             mb,
@@ -318,13 +335,23 @@ impl ExecutablePlan {
         // both factors.)
         let granularity = granularity.max(1);
         for (stage, &host) in capture_host.iter().enumerate() {
-            for kind in [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert] {
+            let (fwd, bwd, slot) = capture_ops[stage];
+            let aux = &mut devices[host].aux;
+            let folds = (aux.len(), aux.len() + 2 * granularity);
+            for (kind, release, after) in [
+                (AuxKind::FoldA, Some(fwd), (0, 0)),
+                (AuxKind::FoldB, Some(bwd), (0, 0)),
+                (AuxKind::Invert, None, folds),
+            ] {
                 for chunk in 0..granularity {
-                    devices[host].aux.push(AuxOp {
+                    aux.push(AuxOp {
                         stage,
                         kind,
                         chunk,
                         chunks: granularity,
+                        release,
+                        after,
+                        slot,
                     });
                 }
             }
@@ -407,18 +434,16 @@ mod tests {
                 hosts.sort_unstable();
                 assert_eq!(hosts, (0..d).collect::<Vec<_>>(), "{} d={d}", scheme.name());
                 for (stage, &host) in plan.capture_host.iter().enumerate() {
-                    let expect: Vec<AuxOp> = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert]
+                    let expect: Vec<_> = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert]
                         .into_iter()
-                        .flat_map(|kind| {
-                            (0..2).map(move |chunk| AuxOp {
-                                stage,
-                                kind,
-                                chunk,
-                                chunks: 2,
-                            })
-                        })
+                        .flat_map(|kind| (0..2).map(move |chunk| (stage, kind, chunk, 2)))
                         .collect();
-                    assert_eq!(plan.devices[host].aux, expect, "{} d={d}", scheme.name());
+                    let got: Vec<_> = plan.devices[host]
+                        .aux
+                        .iter()
+                        .map(|a| (a.stage, a.kind, a.chunk, a.chunks))
+                        .collect();
+                    assert_eq!(got, expect, "{} d={d}", scheme.name());
                 }
             }
         }
@@ -455,10 +480,60 @@ mod tests {
 
         let first_order = plan.expected_step(false, true, true);
         assert_eq!(first_order.aux.iter().map(Vec::len).sum::<usize>(), 0);
-        assert_eq!(
-            first_order.total_events(),
-            first_order.ops.iter().map(Vec::len).sum::<usize>()
-        );
+        assert_eq!(first_order.ops, full.ops);
+    }
+
+    #[test]
+    fn aux_prerequisites_are_the_capture_ops_and_the_stage_folds() {
+        for scheme in PipelineScheme::all() {
+            for d in [1usize, 2, 4] {
+                for n in [2usize, 4, 8] {
+                    if scheme == PipelineScheme::Chimera && d % 2 == 1 {
+                        continue;
+                    }
+                    let cap = capture_micro_batch(n);
+                    assert_eq!(cap, n - 1);
+                    let plan = lower_scheme(scheme, d, n);
+                    let what = format!("{} d={d} n={n}", scheme.name());
+                    for (stage, &host) in plan.capture_host.iter().enumerate() {
+                        let dp = &plan.devices[host];
+                        let units = || dp.aux.iter().enumerate().filter(|(_, a)| a.stage == stage);
+                        let folds: Vec<usize> = units()
+                            .filter(|(_, a)| a.kind != AuxKind::Invert)
+                            .map(|(i, _)| i)
+                            .collect();
+                        assert_eq!(folds.len(), 4, "{what}: 2 chunks x FoldA, FoldB");
+                        for (_, a) in units() {
+                            let released_by = a.release.map(|r| dp.ops[r]);
+                            let released = match (a.kind, released_by) {
+                                (
+                                    AuxKind::FoldA,
+                                    Some(PlanOp::Forward {
+                                        stage: s, mb, slot, ..
+                                    }),
+                                )
+                                | (
+                                    AuxKind::FoldB,
+                                    Some(PlanOp::Backward {
+                                        stage: s, mb, slot, ..
+                                    }),
+                                ) => (s, mb, slot) == (stage, cap, a.slot),
+                                (AuxKind::Invert, None) => true,
+                                _ => false,
+                            };
+                            assert!(released, "{what}: {a:?} released by {released_by:?}");
+                            let after: Vec<usize> = (a.after.0..a.after.1).collect();
+                            let want = if a.kind == AuxKind::Invert {
+                                &folds[..]
+                            } else {
+                                &[]
+                            };
+                            assert_eq!(after, want, "{what}: {a:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

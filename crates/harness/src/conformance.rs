@@ -11,14 +11,15 @@
 //!    [`ExecutablePlan::expected_step`] requires for the step's refresh
 //!    phase, as a multiset: pickup *order* is free (that freedom is what
 //!    bubble filling exploits), execution *count* is not.
-//! 3. **Aux ordering** — a FoldA starts only after the stage's capture
-//!    forward ended, a FoldB only after the capture backward, and (on
-//!    curvature-refresh steps) an Invert only after every fold of its
-//!    stage.
+//! 3. **Aux ordering** — a unit starts only after the op that releases it
+//!    ([`pipefisher_core::AuxOp::release`]: the stage's capture forward for
+//!    a FoldA, its capture backward for a FoldB) and every unit it comes
+//!    after that ran in the step ([`pipefisher_core::AuxOp::after`]: an
+//!    Invert's folds) ended.
 //! 4. **Track exclusivity** — no two slices on one device overlap in time;
 //!    a device is one simulated accelerator and runs one thing at a time.
 
-use pipefisher_core::{AuxKind, ExecutablePlan, PlanOp};
+use pipefisher_core::{AuxKind, AuxOp, ExecutablePlan, PlanOp};
 use pipefisher_trace::{Phase, TraceEvent};
 
 /// Time tolerance (µs) for cross-event ordering comparisons. Events on one
@@ -257,18 +258,25 @@ pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
     out
 }
 
-fn aux_sort_key(
-    kind: AuxKind,
-    stage: usize,
-    chunk: usize,
-    chunks: usize,
-) -> (usize, u8, usize, usize) {
-    let k = match kind {
-        AuxKind::FoldA => 0u8,
-        AuxKind::FoldB => 1,
-        AuxKind::Invert => 2,
-    };
-    (stage, k, chunk, chunks)
+/// `(stage, kind, chunk, chunks)`: what names a K-FAC unit in a plan and
+/// in a trace.
+type AuxKey = (usize, AuxKind, usize, usize);
+
+fn op_key(a: &AuxOp) -> AuxKey {
+    (a.stage, a.kind, a.chunk, a.chunks)
+}
+
+/// The unit an aux event ran; `None` for a pipeline event.
+fn unit_key(kind: &EventKind) -> Option<AuxKey> {
+    match *kind {
+        EventKind::Aux {
+            kind,
+            stage,
+            chunk,
+            chunks,
+        } => Some((stage, kind, chunk, chunks)),
+        _ => None,
+    }
 }
 
 fn describe(kind: &EventKind) -> String {
@@ -334,12 +342,18 @@ pub fn check_conformance(
                 .collect();
             track.sort_by(|a, b| a.ts_us.partial_cmp(&b.ts_us).expect("finite timestamps"));
 
-            // 1. Program order: pipeline events == the device's op list.
-            let got: Vec<EventKind> = track
+            let pipe: Vec<&ExecEvent> = track
                 .iter()
-                .filter(|e| !matches!(e.kind, EventKind::Aux { .. }))
-                .map(|e| e.kind)
+                .copied()
+                .filter(|e| unit_key(&e.kind).is_none())
                 .collect();
+            let ran: Vec<(AuxKey, &ExecEvent)> = track
+                .iter()
+                .filter_map(|e| Some((unit_key(&e.kind)?, *e)))
+                .collect();
+
+            // 1. Program order: pipeline events == the device's op list.
+            let got: Vec<EventKind> = pipe.iter().map(|e| e.kind).collect();
             let want: Vec<EventKind> = expected.ops[device].iter().map(plan_op_kind).collect();
             if got != want {
                 let pos = got
@@ -363,22 +377,8 @@ pub fn check_conformance(
             }
 
             // 2. Aux coverage as a multiset.
-            let mut got_aux: Vec<(usize, u8, usize, usize)> = track
-                .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::Aux {
-                        kind,
-                        stage,
-                        chunk,
-                        chunks,
-                    } => Some(aux_sort_key(kind, stage, chunk, chunks)),
-                    _ => None,
-                })
-                .collect();
-            let mut want_aux: Vec<(usize, u8, usize, usize)> = expected.aux[device]
-                .iter()
-                .map(|a| aux_sort_key(a.kind, a.stage, a.chunk, a.chunks))
-                .collect();
+            let mut got_aux: Vec<AuxKey> = ran.iter().map(|&(key, _)| key).collect();
+            let mut want_aux: Vec<AuxKey> = expected.aux[device].iter().map(op_key).collect();
             got_aux.sort_unstable();
             want_aux.sort_unstable();
             if got_aux != want_aux {
@@ -395,66 +395,23 @@ pub fn check_conformance(
                 });
             }
 
-            // 3. Aux ordering against the capture events. The capture
-            //    micro-batch is N-1, and since aux units live on the
-            //    capture host, its forward/backward are on this very track
-            //    (guaranteed by the program-order check above).
-            let capture_end = |want_fwd: bool, stage: usize| -> Option<f64> {
-                track
-                    .iter()
-                    .find(|e| match e.kind {
-                        EventKind::Forward { stage: s, mb, .. } => {
-                            want_fwd && s == stage && mb + 1 == plan.n_micro
-                        }
-                        EventKind::Backward { stage: s, mb, .. } => {
-                            !want_fwd && s == stage && mb + 1 == plan.n_micro
-                        }
-                        _ => false,
-                    })
-                    .map(|e| e.ts_us + e.dur_us)
+            // 3. Aux ordering: each unit starts after the op that released
+            //    it (program order matched `pipe` to the plan's `ops` one to
+            //    one) and the units it comes after that ran in this step.
+            let units = &plan.devices[device].aux;
+            let end = |e: &ExecEvent| e.ts_us + e.dur_us;
+            let unit_end = |j: usize| {
+                ran.iter()
+                    .find(|r| r.0 == op_key(&units[j]))
+                    .map(|r| end(r.1))
             };
-            for ev in &track {
-                let EventKind::Aux {
-                    kind,
-                    stage,
-                    chunk,
-                    chunks,
-                } = ev.kind
+            for &(key, ev) in &ran {
+                let unit = units.iter().find(|&a| op_key(a) == key);
+                let unit = unit.expect("coverage matched every unit to the plan");
+                let release_end = unit.release.map(|r| end(pipe[r]));
+                let after_ends = (unit.after.0..unit.after.1).filter_map(unit_end);
+                let Some(prereq_end) = release_end.into_iter().chain(after_ends).reduce(f64::max)
                 else {
-                    continue;
-                };
-                let prereq_end = match kind {
-                    AuxKind::FoldA => capture_end(true, stage),
-                    AuxKind::FoldB => capture_end(false, stage),
-                    AuxKind::Invert if spec.refresh_curv => track
-                        .iter()
-                        .filter(|e| {
-                            matches!(
-                                e.kind,
-                                EventKind::Aux {
-                                    kind: AuxKind::FoldA | AuxKind::FoldB,
-                                    stage: s,
-                                    ..
-                                } if s == stage
-                            )
-                        })
-                        .map(|e| e.ts_us + e.dur_us)
-                        .fold(None, |acc: Option<f64>, end| {
-                            Some(acc.map_or(end, |a| a.max(end)))
-                        }),
-                    AuxKind::Invert => None, // factors already current
-                };
-                let Some(prereq_end) = prereq_end else {
-                    if matches!(kind, AuxKind::FoldA | AuxKind::FoldB) {
-                        return Err(ConformanceError::AuxOrdering {
-                            step,
-                            device,
-                            detail: format!(
-                                "{kind:?}(s{stage},{chunk}/{chunks}) ran but the capture \
-                                 micro-batch event is missing from the track"
-                            ),
-                        });
-                    }
                     continue;
                 };
                 if ev.ts_us + TS_EPS < prereq_end {
@@ -462,8 +419,9 @@ pub fn check_conformance(
                         step,
                         device,
                         detail: format!(
-                            "{kind:?}(s{stage},{chunk}/{chunks}) started at {:.3}us, before \
-                             its prerequisite finished at {prereq_end:.3}us",
+                            "{} started at {:.3}us, before its prerequisite finished at \
+                             {prereq_end:.3}us",
+                            describe(&ev.kind),
                             ev.ts_us
                         ),
                     });

@@ -8,9 +8,12 @@
 //! [`ExecutablePlan`] — the order the scheme's schedule builder produced.
 //! While a worker waits for pipeline input (a bubble), it pops the first
 //! *ready* K-FAC work unit — curvature fold or damped inversion — of the
-//! stage it is the capture host of. Readiness alone decides what fills a
-//! bubble: the simulator-side assignment (`core::assign`) is not consulted
-//! here, and its placements do not reach a device (EXPERIMENTS.md "Known
+//! stage it is the capture host of. Readiness is plan data: a unit is ready
+//! once the op that releases it ([`pipefisher_core::AuxOp::release`]) and
+//! the units it comes after ([`pipefisher_core::AuxOp::after`]) have
+//! finished. Readiness alone decides what fills a bubble: the
+//! simulator-side assignment (`core::assign`) is not consulted here, and
+//! its placements do not reach a device (EXPERIMENTS.md "Known
 //! deviations").
 //!
 //! # Determinism
@@ -565,9 +568,6 @@ struct Staged<'a> {
     staged: StagedBert,
     plan: &'a ExecutablePlan,
     opts: &'a PipelineOptions,
-    /// K-FAC layer names per stage, in `visit_linears` order — the index
-    /// contract for loaned state vectors.
-    layer_names: Vec<Vec<String>>,
     /// No threads and a disconnected report channel until `start`.
     workers: Workers,
     /// Per device, the loans that are home — all of them between steps.
@@ -583,21 +583,10 @@ struct Staged<'a> {
 impl<'a> Staged<'a> {
     /// Partitions `model`; the worker fleet comes later, in `start`.
     fn new(model: BertForPreTraining, plan: &'a ExecutablePlan, opts: &'a PipelineOptions) -> Self {
-        let mut staged = StagedBert::from_model(model, opts.n_stages);
-        let layer_names: Vec<Vec<String>> = (0..opts.n_stages)
-            .map(|s| {
-                let mut names = Vec::new();
-                staged
-                    .stage_mut(s)
-                    .visit_linears(&mut |lin| names.push(lin.name().to_string()));
-                names
-            })
-            .collect();
         Staged {
-            staged,
+            staged: StagedBert::from_model(model, opts.n_stages),
             plan,
             opts,
-            layer_names,
             workers: Workers {
                 fleet: Arc::default(),
                 reports: mpsc::channel().1,
@@ -666,17 +655,10 @@ impl Engine for Staged<'_> {
                     replica.visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
                     replicas.push(replica);
                 }
-                let capture_slot = dplan.ops.iter().find_map(|op| match *op {
-                    PlanOp::Forward {
-                        stage, mb, slot, ..
-                    } if stage == s && mb + 1 == n_micro => Some(slot),
-                    _ => None,
-                });
                 hosts.insert(
                     s,
                     StageHost {
                         replicas,
-                        capture_slot,
                         parked: 0,
                     },
                 );
@@ -703,7 +685,6 @@ impl Engine for Staged<'_> {
             self.loans.push(loans);
             let worker = Worker {
                 device: dev,
-                n_micro,
                 last_stage: d - 1,
                 plan: Arc::new(dplan),
                 hosts,
@@ -714,10 +695,9 @@ impl Engine for Staged<'_> {
                 chaos: self.opts.chaos.clone(),
                 pending: HashMap::new(),
                 losses: Vec::new(),
+                ops_done: 0,
                 aux_done: Vec::new(),
                 aux_pickups: 0,
-                fwd_cap: vec![false; d],
-                bwd_cap: vec![false; d],
                 bubble_aux_ms: 0.0,
                 bubble_idle_ms: 0.0,
                 tail_aux_ms: 0.0,
@@ -776,8 +756,8 @@ impl Engine for Staged<'_> {
                 });
                 if lend_states && self.plan.capture_host[loan.stage] == dev {
                     let k = opt.kfac_mut().expect("lending implies K-FAC");
-                    let names = self.layer_names[loan.stage].iter();
-                    loan.kfac.extend(names.map(|name| k.take_state(name)));
+                    let stage = self.staged.stage_mut(loan.stage);
+                    stage.visit_linears(&mut |lin| loan.kfac.push(k.take_state(lin.name())));
                 }
             }
             let cmd = StepCmd {
@@ -871,9 +851,12 @@ impl Engine for Staged<'_> {
             return opt.apply(&mut self.staged, lr);
         };
         for loan in self.loans.iter_mut().flatten() {
-            for (name, state) in self.layer_names[loan.stage].iter().zip(loan.kfac.drain(..)) {
-                k.put_state(name, state);
-            }
+            let mut states = loan.kfac.drain(..);
+            self.staged.stage_mut(loan.stage).visit_linears(&mut |lin| {
+                if let Some(state) = states.next() {
+                    k.put_state(lin.name(), state);
+                }
+            });
         }
         k.step_preconditioned(&mut self.staged, lr);
     }
@@ -881,12 +864,10 @@ impl Engine for Staged<'_> {
 
 // ===================== worker side =====================
 
-/// A stage this device hosts: one replica per activation slot, which slot
-/// runs the capture micro-batch `N−1` (if this device does), and how many
-/// backwards have parked their gradients in the stage's loan this step.
+/// A stage this device hosts: one replica per activation slot, and how
+/// many backwards have parked their gradients in the stage's loan this step.
 struct StageHost {
     replicas: Vec<BertStage>,
-    capture_slot: Option<usize>,
     parked: usize,
 }
 
@@ -901,7 +882,6 @@ enum Woke {
 /// popping ready K-FAC units while blocked on pipeline input.
 struct Worker {
     device: usize,
-    n_micro: usize,
     last_stage: usize,
     plan: Arc<DevicePlan>,
     hosts: HashMap<usize, StageHost>,
@@ -914,12 +894,13 @@ struct Worker {
     pending: HashMap<TensorKey, Matrix>,
     /// `(mb, total_loss)` of this step's last-stage forwards so far.
     losses: Vec<(usize, f64)>,
+    /// Plan ops finished this step: op `r` has released its units once
+    /// `r < ops_done`.
+    ops_done: usize,
     /// Per-step aux progress.
     aux_done: Vec<bool>,
     /// Aux units picked up so far this step (the chaos hook's pickup key).
     aux_pickups: usize,
-    fwd_cap: Vec<bool>,
-    bwd_cap: Vec<bool>,
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
@@ -1045,6 +1026,7 @@ impl Worker {
                     send_to,
                 } => self.do_backward(cmd, stage, mb, slot, send_to)?,
             }
+            self.ops_done += 1;
         }
         self.finish_step(cmd)
     }
@@ -1064,11 +1046,10 @@ impl Worker {
             }
             host.parked = 0;
         }
+        self.ops_done = 0;
         self.aux_done.clear();
         self.aux_done.resize(self.plan.aux.len(), false);
         self.aux_pickups = 0;
-        self.fwd_cap.iter_mut().for_each(|f| *f = false);
-        self.bwd_cap.iter_mut().for_each(|f| *f = false);
         self.bubble_aux_ms = 0.0;
         self.bubble_idle_ms = 0.0;
         self.tail_aux_ms = 0.0;
@@ -1103,9 +1084,6 @@ impl Worker {
             let host = self.hosts.get_mut(&stage).expect("forward on hosted stage");
             host.replicas[slot].forward(input, batch, ctx)
         };
-        if mb + 1 == self.n_micro {
-            self.fwd_cap[stage] = true;
-        }
         match out {
             StageOutput::Boundary(m) => {
                 let dest = send_to.expect("interior forward routes downstream");
@@ -1148,9 +1126,6 @@ impl Worker {
                 .expect("backward on hosted stage");
             host.replicas[slot].backward(dout, batch)
         };
-        if mb + 1 == self.n_micro {
-            self.bwd_cap[stage] = true;
-        }
         if let (Some(m), Some(dest)) = (upstream, send_to) {
             self.send_data(dest, (true, stage - 1, mb), m)?;
         }
@@ -1179,10 +1154,9 @@ impl Worker {
         }
         self.tail_aux_ms = tail_t.elapsed().as_secs_f64() * 1e3;
         if cmd.kfac.as_ref().is_some_and(|k| k.refresh_curv) {
-            for host in self.hosts.values_mut() {
-                if let Some(slot) = host.capture_slot {
-                    host.replicas[slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
-                }
+            for op in &self.plan.aux {
+                let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
+                host.replicas[op.slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
             }
         }
         self.reports
@@ -1257,7 +1231,7 @@ impl Worker {
     ///
     /// Reordering among *ready* units is bitwise-safe: ready units touch
     /// disjoint per-layer state, and an inversion only becomes ready once
-    /// every fold of its stage is done.
+    /// every fold of its stage (its [`AuxOp::after`] units) is done.
     fn try_aux_one(&mut self, cmd: &mut StepCmd) -> Option<f64> {
         let kfac = cmd.kfac.clone()?;
         if !kfac.refresh_curv && !kfac.refresh_inv {
@@ -1270,31 +1244,14 @@ impl Worker {
             if self.aux_done[i] {
                 continue;
             }
-            let applicable = match op.kind {
-                AuxKind::FoldA | AuxKind::FoldB => kfac.refresh_curv,
-                AuxKind::Invert => kfac.refresh_inv,
-            };
-            if !applicable {
+            if !op.kind.applies(kfac.refresh_curv, kfac.refresh_inv) {
                 self.aux_done[i] = true;
                 continue;
             }
-            let ready = match op.kind {
-                AuxKind::FoldA => self.fwd_cap[op.stage],
-                AuxKind::FoldB => self.bwd_cap[op.stage],
-                // Inversion consumes the stage's folded factors: on a
-                // curvature-refresh step it waits for every fold of the
-                // stage; on a pure inversion step the factors are already
-                // current.
-                AuxKind::Invert => {
-                    !kfac.refresh_curv
-                        || plan.aux.iter().enumerate().all(|(j, other)| {
-                            other.stage != op.stage
-                                || !matches!(other.kind, AuxKind::FoldA | AuxKind::FoldB)
-                                || self.aux_done[j]
-                        })
-                }
-            };
-            if !ready {
+            // `after` units sit earlier in the list, so one this step skips
+            // is already marked done.
+            let released = op.release.is_none_or(|r| r < self.ops_done);
+            if !released || !self.aux_done[op.after.0..op.after.1].iter().all(|&d| d) {
                 continue;
             }
             if first_ready.is_none() {
@@ -1327,68 +1284,47 @@ impl Worker {
     /// K-FAC layers, on the capture replica's statistics, against the
     /// optimizer's loaned layer states.
     fn run_aux(&mut self, cmd: &mut StepCmd, op: AuxOp, kfac: &KfacStep) {
-        let AuxOp {
-            stage,
-            kind,
-            chunk,
-            chunks,
-        } = op;
         let (device, step) = (self.device, cmd.step);
-        let host = self.hosts.get_mut(&stage).expect("aux on hosted stage");
-        let slot = host.capture_slot.expect("aux runs on the capture host");
-        let replica = &mut host.replicas[slot];
-        let mut k_total = 0;
-        replica.visit_linears(&mut |_| k_total += 1);
+        let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
         // Lowering puts every unit on its stage's capture host, which is
         // lent one state per K-FAC layer in every step that refreshes: a
         // unit marked done must have run, so a missing loan is a fault,
         // never a skip. A stage that owns no such layer (D > L) is lent
         // none, and its units are no-ops.
-        let states = &mut loan_for(&mut cmd.loans, stage).kfac;
-        assert_eq!(
-            states.len(),
-            k_total,
-            "K-FAC unit of stage {stage} on device {device} without loaned layer states"
-        );
-        let lo = chunk * k_total / chunks;
-        let hi = (chunk + 1) * k_total / chunks;
-        let aux_args = || {
+        let states = &mut loan_for(&mut cmd.loans, op.stage).kfac;
+        let k_total = states.len();
+        let chunk = op.chunk * k_total / op.chunks..(op.chunk + 1) * k_total / op.chunks;
+        let name = match op.kind {
+            AuxKind::FoldA => "curvature_a",
+            AuxKind::FoldB => "curvature_b",
+            AuxKind::Invert => "inversion",
+        };
+        let _span = pipefisher_trace::span_with(name, "kfac", || {
             vec![
                 ("step".to_string(), json!(step)),
                 ("device".to_string(), json!(device)),
-                ("stage".to_string(), json!(stage)),
-                ("chunk".to_string(), json!(chunk)),
-                ("chunks".to_string(), json!(chunks)),
+                ("stage".to_string(), json!(op.stage)),
+                ("chunk".to_string(), json!(op.chunk)),
+                ("chunks".to_string(), json!(op.chunks)),
             ]
-        };
-        match kind {
-            AuxKind::FoldA => {
-                let _span = pipefisher_trace::span_with("curvature_a", "kfac", aux_args);
-                let mut i = 0;
-                replica.visit_linears(&mut |lin| {
-                    if i >= lo && i < hi {
-                        fold_curvature_a(&mut states[i], lin, kfac.ema_decay, kfac.t);
-                    }
-                    i += 1;
-                });
+        });
+        let mut states = states.iter_mut().enumerate();
+        host.replicas[op.slot].visit_linears(&mut |lin| {
+            let Some((i, state)) = states.next() else {
+                panic!(
+                    "K-FAC unit of stage {} on device {device} without loaned layer states",
+                    op.stage
+                );
+            };
+            if !chunk.contains(&i) {
+                return;
             }
-            AuxKind::FoldB => {
-                let _span = pipefisher_trace::span_with("curvature_b", "kfac", aux_args);
-                let mut i = 0;
-                replica.visit_linears(&mut |lin| {
-                    if i >= lo && i < hi {
-                        fold_curvature_b(&mut states[i], lin, kfac.ema_decay, kfac.t);
-                    }
-                    i += 1;
-                });
+            match op.kind {
+                AuxKind::FoldA => fold_curvature_a(state, lin, kfac.ema_decay, kfac.t),
+                AuxKind::FoldB => fold_curvature_b(state, lin, kfac.ema_decay, kfac.t),
+                AuxKind::Invert => refresh_inverses(state, kfac.damping, kfac.block_size, kfac.t),
             }
-            AuxKind::Invert => {
-                let _span = pipefisher_trace::span_with("inversion", "kfac", aux_args);
-                for state in &mut states[lo..hi] {
-                    refresh_inverses(state, kfac.damping, kfac.block_size, kfac.t);
-                }
-            }
-        }
+        });
     }
 }
 

@@ -16,6 +16,7 @@ use crate::metrics::MetricsRecorder;
 use crate::pipeline::ExecError;
 use crate::{BatchSampler, StepMetrics};
 use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
+use pipefisher_core::capture_micro_batch;
 use pipefisher_nn::{
     export_params_with, import_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch,
 };
@@ -294,13 +295,12 @@ impl Trainer {
             let (refresh_curv, refresh_inv) = opt.next_step_refreshes();
             let t0 = Instant::now();
             // Sampled up front, serially, preserving the data RNG stream.
-            // A refresh step captures curvature statistics on its last
-            // micro-batch (a fresh sample of the same distribution, as
-            // PipeFisher's per-step curvature uses one step's micro-batches).
+            // A refresh step captures curvature statistics on the capture
+            // micro-batch, the one whose ops release the plan's folds.
             let batches: Vec<_> = {
                 let _span = pipefisher_trace::span("sample", "train");
                 let sample = |mb| {
-                    let ctx = if refresh_curv && mb + 1 == n_micro {
+                    let ctx = if refresh_curv && mb == capture_micro_batch(n_micro) {
                         ForwardCtx::train_with_capture()
                     } else {
                         ForwardCtx::train()

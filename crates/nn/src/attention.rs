@@ -84,7 +84,7 @@ impl MultiHeadAttention {
     }
 
     /// Visits the four projection [`Linear`] layers (for K-FAC).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         f(&mut self.q);
         f(&mut self.k);
         f(&mut self.v);

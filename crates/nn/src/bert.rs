@@ -186,7 +186,7 @@ impl BertForPreTraining {
 
     /// Visits every K-FAC-eligible [`Linear`] layer (encoder + MLM transform
     /// + NSP pooler; the vocab decoder and NSP classifier are excluded).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         self.stage.visit_linears(f);
     }
 

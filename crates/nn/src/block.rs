@@ -40,7 +40,7 @@ impl TransformerBlock {
     }
 
     /// Visits the six K-FAC-eligible [`Linear`] layers (q, k, v, o, fc1, fc2).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         self.attn.visit_linears(f);
         self.ff.visit_linears(f);
     }

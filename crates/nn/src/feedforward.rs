@@ -29,7 +29,7 @@ impl FeedForward {
     }
 
     /// Visits the two [`Linear`] layers (for K-FAC).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         f(&mut self.fc1);
         f(&mut self.fc2);
     }

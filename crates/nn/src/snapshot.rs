@@ -1,10 +1,10 @@
 //! Checkpoint export/import of model parameters (DESIGN.md §3.15).
 //!
 //! Parameters are stored as a flat list of `(name, matrix)` entries sorted
-//! by name. The sort is load-bearing: [`crate::BertForPreTraining`] and
-//! [`crate::StagedBert`] visit the same parameters in different orders, and
-//! sorting makes both produce byte-identical sections — which is what lets
-//! the resume tests compare pipelined checkpoints against serial ones.
+//! by name. The sort is the section format, not a reconciliation of visit
+//! orders: [`crate::BertForPreTraining`] and [`crate::StagedBert`] visit
+//! their parameters in the same order, and a section's bytes depend only on
+//! the names and values, never on the order a model's visitor walks them.
 
 use std::collections::BTreeMap;
 

@@ -139,7 +139,7 @@ impl PreTrainingHead {
     }
 
     /// Visits the head's K-FAC-eligible linears (transform + pooler).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         f(&mut self.mlm_transform);
         f(&mut self.nsp_pooler);
     }
@@ -237,7 +237,7 @@ impl BertStage {
 
     /// Visits this stage's K-FAC-eligible linears in depth order (blocks,
     /// then the heads' transform and pooler).
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         for block in &mut self.blocks {
             block.visit_linears(f);
         }
@@ -339,7 +339,7 @@ impl StagedBert {
     }
 
     /// Visits every K-FAC-eligible linear in the monolithic model's order.
-    pub fn visit_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         for stage in &mut self.stages {
             stage.visit_linears(f);
         }

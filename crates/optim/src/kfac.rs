@@ -22,7 +22,6 @@ use crate::Optimizer;
 use pipefisher_nn::{Linear, ParamVisitor, Parameter};
 use pipefisher_tensor::{cholesky_inverse_into, par, Matrix};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// Hyperparameters for [`Kfac`].
 #[derive(Debug, Clone, PartialEq)]
@@ -143,15 +142,17 @@ impl LayerKfacState {
 /// A model trainable by [`Kfac`]: exposes its K-FAC-eligible linear layers
 /// and all of its parameters.
 pub trait KfacModel {
-    /// Visits every K-FAC-eligible [`Linear`] layer.
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear));
+    /// Visits every K-FAC-eligible [`Linear`] layer, each once. The layers
+    /// stay borrowed for as long as the model is, so a caller can keep them
+    /// paired with their states and hand each pair to its own pool task.
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear));
 
     /// Visits every trainable parameter (including non-K-FAC ones).
     fn visit_all_params(&mut self, f: ParamVisitor<'_>);
 }
 
 impl KfacModel for pipefisher_nn::BertForPreTraining {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         self.visit_linears(f);
     }
 
@@ -161,7 +162,7 @@ impl KfacModel for pipefisher_nn::BertForPreTraining {
 }
 
 impl KfacModel for Linear {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         f(self);
     }
 
@@ -172,7 +173,7 @@ impl KfacModel for Linear {
 }
 
 impl KfacModel for pipefisher_nn::StagedBert {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         self.visit_linears(f);
     }
 
@@ -215,7 +216,18 @@ pub struct Kfac<O: Optimizer> {
 
 impl<O: Optimizer> Kfac<O> {
     /// Creates a K-FAC optimizer over the given fallback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.curvature_interval` or `config.inversion_interval`
+    /// is 0: a refresh cadence needs a period of at least one step.
     pub fn new(config: KfacConfig, fallback: O) -> Self {
+        assert!(
+            config.curvature_interval > 0 && config.inversion_interval > 0,
+            "Kfac::new: refresh intervals must be at least 1 (got curvature {}, inversion {})",
+            config.curvature_interval,
+            config.inversion_interval
+        );
         Kfac {
             config,
             fallback,
@@ -284,40 +296,25 @@ impl<O: Optimizer> Kfac<O> {
         })
     }
 
-    /// Borrows the fallback optimizer.
-    pub fn fallback(&self) -> &O {
-        &self.fallback
-    }
-
     /// Pairs each K-FAC layer with its state, taken out of the optimizer,
-    /// in visitation order. The raw pointers let the borrow of `model` be
-    /// split across per-layer tasks (the slots keep it borrowed); the
-    /// visitor contract guarantees each layer is visited once, so the
-    /// pointers are disjoint. Pair with [`Kfac::return_slots`].
+    /// in visitation order. Pair with [`Kfac::return_slots`].
     fn loan_slots<'m>(&mut self, model: &'m mut (dyn KfacModel + '_)) -> Vec<LayerSlot<'m>> {
-        let mut slots: Vec<LayerSlot> = Vec::new();
-        model.visit_kfac_linears(&mut |lin: &mut Linear| {
+        let mut slots = Vec::new();
+        model.visit_kfac_linears(&mut |lin| {
             let state = self.take_state(lin.name());
             slots.push(LayerSlot {
-                lin: LinPtr(lin as *mut Linear, PhantomData),
+                lin,
                 state,
                 vdot: 0.0,
             });
         });
-        debug_assert!(
-            (1..slots.len()).all(|i| slots[..i].iter().all(|s| s.lin.0 != slots[i].lin.0)),
-            "visit_kfac_linears visited a layer twice"
-        );
         slots
     }
 
     /// Hands the states of [`Kfac::loan_slots`] back.
     fn return_slots(&mut self, slots: Vec<LayerSlot<'_>>) {
         for slot in slots {
-            // SAFETY: the per-layer tasks have joined; this is the only
-            // live alias of the layer.
-            let lin = unsafe { &*slot.lin.0 };
-            self.put_state(lin.name(), slot.state);
+            self.put_state(slot.lin.name(), slot.state);
         }
     }
 
@@ -339,10 +336,10 @@ impl<O: Optimizer> Kfac<O> {
 
         // Captured statistics are spent: the refresh work that wanted them
         // has run.
-        for_each_layer(&mut slots, |slot, lin| {
-            lin.kfac_stats_mut().clear();
+        for_each_layer(&mut slots, |slot| {
+            slot.lin.kfac_stats_mut().clear();
             if slot.state.ready() {
-                slot.vdot = precondition(&mut slot.state, lin);
+                slot.vdot = precondition(&mut slot.state, slot.lin);
             }
         });
 
@@ -353,9 +350,9 @@ impl<O: Optimizer> Kfac<O> {
             let denom = lr * lr * vsum;
             if denom > kappa {
                 let scale = (kappa / denom).sqrt();
-                for_each_layer(&mut slots, |slot, lin| {
+                for_each_layer(&mut slots, |slot| {
                     if slot.state.ready() {
-                        let (w, b, _) = lin.kfac_parts_mut();
+                        let (w, b, _) = slot.lin.kfac_parts_mut();
                         w.grad.scale_inplace(scale);
                         b.grad.scale_inplace(scale);
                     }
@@ -382,10 +379,10 @@ impl<O: Optimizer> Kfac<O> {
             let t = self.t + 1;
             let mut slots = self.loan_slots(model);
             let config = &self.config;
-            for_each_layer(&mut slots, |slot, lin| {
+            for_each_layer(&mut slots, |slot| {
                 if refresh_curv {
-                    fold_curvature_a(&mut slot.state, lin, config.ema_decay, t);
-                    fold_curvature_b(&mut slot.state, lin, config.ema_decay, t);
+                    fold_curvature_a(&mut slot.state, slot.lin, config.ema_decay, t);
+                    fold_curvature_b(&mut slot.state, slot.lin, config.ema_decay, t);
                 }
                 if refresh_inv {
                     refresh_inverses(&mut slot.state, config.damping, config.factor_block_size, t);
@@ -457,41 +454,20 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
     }
 }
 
-/// Raw layer pointer that may cross thread boundaries: every task owns a
-/// distinct layer, so concurrent access is disjoint. `'m` is the mutable
-/// borrow of the model the layer was visited in, so nothing else can reach
-/// the layer while the pointer is live.
-struct LinPtr<'m>(*mut Linear, PhantomData<&'m mut Linear>);
-
-// SAFETY: see [`LinPtr`] — pointees are disjoint per task and `Linear` has
-// no thread affinity.
-unsafe impl Send for LinPtr<'_> {}
-
 /// One layer's share of a step: the layer, its owned state, and the KL-clip
 /// contribution it produced.
 struct LayerSlot<'m> {
-    lin: LinPtr<'m>,
+    lin: &'m mut Linear,
     state: LayerKfacState,
     vdot: f64,
 }
 
-/// Runs `work` on every slot and its layer, one pool task per layer.
-fn for_each_layer(
-    slots: &mut [LayerSlot<'_>],
-    work: impl Fn(&mut LayerSlot<'_>, &mut Linear) + Sync,
-) {
+/// Runs `work` on every slot, one pool task per layer.
+fn for_each_layer(slots: &mut [LayerSlot<'_>], work: impl Fn(&mut LayerSlot<'_>) + Sync) {
     let work = &work;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
         .iter_mut()
-        .map(|slot| {
-            Box::new(move || {
-                // SAFETY: each slot points at a distinct layer (checked in
-                // `loan_slots`) of a model that stays mutably borrowed while
-                // the slots live.
-                let lin = unsafe { &mut *slot.lin.0 };
-                work(slot, lin);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
+        .map(|slot| Box::new(move || work(slot)) as Box<dyn FnOnce() + Send + '_>)
         .collect();
     par::run_tasks(tasks);
 }
@@ -997,6 +973,18 @@ mod tests {
             assert_eq!(st.last_inversion_step, expected, "step {step}");
             assert!(st.ready());
         }
+    }
+
+    /// `t.is_multiple_of(0)` holds only at `t == 0`, so a zero interval
+    /// would refresh once and then never again: it is rejected up front.
+    #[test]
+    #[should_panic(expected = "refresh intervals must be at least 1")]
+    fn zero_refresh_interval_is_rejected() {
+        let config = KfacConfig {
+            inversion_interval: 0,
+            ..Default::default()
+        };
+        let _ = Kfac::new(config, Sgd::new(0.0, 0.0));
     }
 
     #[test]

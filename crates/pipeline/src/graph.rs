@@ -211,35 +211,7 @@ impl TaskGraph {
             }
         }
         // Deadlock check: in-order execution with dependency waits.
-        let mut done = vec![false; n];
-        let mut cursor = vec![0usize; self.n_devices()];
-        let mut scheduled = 0;
-        loop {
-            let mut progressed = false;
-            for (dev, cur) in cursor.iter_mut().enumerate() {
-                while *cur < self.device_order[dev].len() {
-                    let id = self.device_order[dev][*cur];
-                    let ready = self.tasks[id.0].deps.iter().all(|d| done[d.0]);
-                    if ready {
-                        done[id.0] = true;
-                        *cur += 1;
-                        scheduled += 1;
-                        progressed = true;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            if scheduled == n {
-                break;
-            }
-            if !progressed {
-                return Err(ScheduleError::Deadlock {
-                    scheduled,
-                    total: n,
-                });
-            }
-        }
+        self.nominal_times(|_| 0.0)?;
         // Coverage: each (stage, micro-batch) has one forward and one backward.
         for stage in 0..self.n_stages {
             for mb in 0..self.n_micro {
