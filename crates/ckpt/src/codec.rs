@@ -95,7 +95,8 @@ impl<'a> SectionReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+    /// Borrows the next `n` bytes, or reports the section truncated.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         let end = self
             .pos
             .checked_add(n)
@@ -116,18 +117,18 @@ impl<'a> SectionReader<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CkptError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CkptError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
@@ -149,7 +150,7 @@ impl<'a> SectionReader<'a> {
                 ),
             });
         }
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         std::str::from_utf8(bytes)
             .map(|s| s.to_string())
             .map_err(|_| CkptError::Malformed {
@@ -161,31 +162,22 @@ impl<'a> SectionReader<'a> {
     pub fn matrix(&mut self) -> Result<Matrix, CkptError> {
         let rows = self.u64()? as usize;
         let cols = self.u64()? as usize;
-        let len = rows.checked_mul(cols).ok_or_else(|| CkptError::Malformed {
-            detail: format!(
-                "section '{}': matrix dims {rows}x{cols} overflow",
-                self.section
-            ),
-        })?;
-        // Bounds-check against the remaining bytes before allocating, so a
-        // corrupted dim field can't drive a huge allocation.
-        let need = len.checked_mul(8).ok_or_else(|| CkptError::Malformed {
-            detail: format!(
-                "section '{}': matrix dims {rows}x{cols} overflow",
-                self.section
-            ),
-        })?;
-        if self.pos + need > self.bytes.len() {
-            return Err(CkptError::Truncated {
-                context: format!("section '{}' matrix payload", self.section),
-                needed: (self.pos + need) as u64,
-                have: self.bytes.len() as u64,
-            });
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(self.f64_bits()?);
-        }
+        let need = rows
+            .checked_mul(cols)
+            .and_then(|len| len.checked_mul(8))
+            .ok_or_else(|| CkptError::Malformed {
+                detail: format!(
+                    "section '{}': matrix dims {rows}x{cols} overflow",
+                    self.section
+                ),
+            })?;
+        // The whole payload is bounds-checked before anything is allocated,
+        // so a corrupted dim field can't drive a huge allocation.
+        let payload = self.bytes(need)?;
+        let data = payload
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect();
         Ok(Matrix::from_vec(rows, cols, data))
     }
 
@@ -320,6 +312,18 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SectionReader::new("m", &bytes);
         assert!(matches!(r.matrix(), Err(CkptError::Truncated { .. })));
+    }
+
+    #[test]
+    fn bytes_borrow_the_payload_and_report_truncation() {
+        let payload = [1u8, 2, 3, 4, 5];
+        let mut r = SectionReader::new("b", &payload);
+        let head = r.bytes(3).unwrap();
+        assert_eq!(head, &[1, 2, 3]);
+        assert_eq!(head.as_ptr(), payload.as_ptr(), "borrowed, not copied");
+        assert!(matches!(r.bytes(3), Err(CkptError::Truncated { .. })));
+        assert_eq!(r.bytes(2).unwrap(), &[4, 5]);
+        r.finish().unwrap();
     }
 
     #[test]

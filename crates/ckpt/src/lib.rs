@@ -25,7 +25,9 @@
 //! the destination directory, syncs it, then renames it over the final
 //! path, so a crash mid-write leaves either the old checkpoint or the new
 //! one — never a torn file. [`CheckpointDir`] layers step-numbered
-//! generations and retained-count pruning on top.
+//! generations and retained-count pruning on top; [`list_generations`] and
+//! [`latest_generation`] look a directory's generations up without creating
+//! it.
 
 mod codec;
 mod error;
@@ -35,4 +37,4 @@ mod store;
 pub use codec::{SectionReader, SectionWriter};
 pub use error::CkptError;
 pub use format::{crc32, SectionInfo, Snapshot, FORMAT_VERSION, MAGIC};
-pub use store::{read_snapshot, write_atomic, CheckpointDir};
+pub use store::{latest_generation, list_generations, read_snapshot, write_atomic, CheckpointDir};

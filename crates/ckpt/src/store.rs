@@ -84,8 +84,7 @@ impl CheckpointDir {
 
     /// The file path a given step's checkpoint saves to.
     pub fn path_for_step(&self, step: u64) -> PathBuf {
-        self.dir
-            .join(format!("{CKPT_PREFIX}{step:08}{CKPT_SUFFIX}"))
+        generation_path(&self.dir, step)
     }
 
     /// Atomically writes `snapshot` as the generation for `step`, then
@@ -99,34 +98,12 @@ impl CheckpointDir {
 
     /// Step numbers of every generation present, ascending.
     pub fn generations(&self) -> Result<Vec<u64>, CkptError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| {
-            CkptError::io(format!("listing checkpoint dir {}", self.dir.display()), e)
-        })?;
-        let mut steps = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| {
-                CkptError::io(format!("listing checkpoint dir {}", self.dir.display()), e)
-            })?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(step) = name
-                .strip_prefix(CKPT_PREFIX)
-                .and_then(|s| s.strip_suffix(CKPT_SUFFIX))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                steps.push(step);
-            }
-        }
-        steps.sort_unstable();
-        Ok(steps)
+        list_generations(&self.dir)
     }
 
     /// Path of the newest generation, if any exist.
     pub fn latest(&self) -> Result<Option<PathBuf>, CkptError> {
-        Ok(self
-            .generations()?
-            .last()
-            .map(|&step| self.path_for_step(step)))
+        latest_generation(&self.dir)
     }
 
     /// Loads and validates the newest generation, if any.
@@ -152,6 +129,39 @@ impl CheckpointDir {
         }
         Ok(())
     }
+}
+
+fn generation_path(dir: &Path, step: u64) -> PathBuf {
+    dir.join(format!("{CKPT_PREFIX}{step:08}{CKPT_SUFFIX}"))
+}
+
+/// Step numbers of every generation in the checkpoint directory `dir`,
+/// ascending. A read-only lookup: unlike [`CheckpointDir::create`] it never
+/// creates `dir`, and a missing directory is an error.
+pub fn list_generations(dir: &Path) -> Result<Vec<u64>, CkptError> {
+    let listing_err = |e| CkptError::io(format!("listing checkpoint dir {}", dir.display()), e);
+    let mut steps = Vec::new();
+    for entry in fs::read_dir(dir).map_err(listing_err)? {
+        let name = entry.map_err(listing_err)?.file_name();
+        if let Some(step) = name
+            .to_string_lossy()
+            .strip_prefix(CKPT_PREFIX)
+            .and_then(|s| s.strip_suffix(CKPT_SUFFIX))
+            .and_then(|s| s.parse::<u64>().ok())
+        {
+            steps.push(step);
+        }
+    }
+    steps.sort_unstable();
+    Ok(steps)
+}
+
+/// Path of the newest generation in `dir`, if any; read-only like
+/// [`list_generations`].
+pub fn latest_generation(dir: &Path) -> Result<Option<PathBuf>, CkptError> {
+    Ok(list_generations(dir)?
+        .last()
+        .map(|&step| generation_path(dir, step)))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! metadata. `PATH` may be a `.pfck` file or a checkpoint directory, in
 //! which case the newest generation is inspected.
 
-use pipefisher_ckpt::{read_snapshot, CheckpointDir};
+use pipefisher_ckpt::{latest_generation, list_generations, read_snapshot};
 use pipefisher_lm::TrainCheckpoint;
 use std::path::PathBuf;
 
@@ -19,16 +19,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
 fn inspect(raw: &str) -> Result<(), String> {
     let mut path = PathBuf::from(raw);
     if path.is_dir() {
-        let dir = CheckpointDir::create(&path, usize::MAX).map_err(|e| e.to_string())?;
-        let gens = dir.generations().map_err(|e| e.to_string())?;
+        let gens = list_generations(&path).map_err(|e| e.to_string())?;
         println!(
             "directory {} — {} generation(s): {:?}",
             path.display(),
             gens.len(),
             gens
         );
-        path = dir
-            .latest()
+        path = latest_generation(&path)
             .map_err(|e| e.to_string())?
             .ok_or_else(|| format!("no checkpoints in {}", path.display()))?;
     }

@@ -17,7 +17,8 @@
 //! training loop, which is what makes resume bitwise-invisible.
 
 use pipefisher_ckpt::{
-    read_snapshot, CheckpointDir, CkptError, SectionReader, SectionWriter, Snapshot,
+    latest_generation, read_snapshot, CheckpointDir, CkptError, SectionReader, SectionWriter,
+    Snapshot,
 };
 use std::path::{Path, PathBuf};
 
@@ -69,11 +70,9 @@ pub enum ResumeFrom {
 pub fn resolve_resume(resume: &ResumeFrom) -> Result<PathBuf, CkptError> {
     match resume {
         ResumeFrom::Path(p) => Ok(p.clone()),
-        ResumeFrom::Latest(dir) => CheckpointDir::create(dir, usize::MAX)?
-            .latest()?
-            .ok_or_else(|| CkptError::Malformed {
-                detail: format!("no checkpoints found in {}", dir.display()),
-            }),
+        ResumeFrom::Latest(dir) => latest_generation(dir)?.ok_or_else(|| CkptError::Malformed {
+            detail: format!("no checkpoints found in {}", dir.display()),
+        }),
     }
 }
 
@@ -162,6 +161,23 @@ mod tests {
     }
 
     #[test]
+    fn resume_from_missing_dir_errors_without_creating_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "pipefisher_missing_ckpt_dir_{}/nested",
+            std::process::id()
+        ));
+        assert!(!dir.exists());
+        let err = resolve_resume(&ResumeFrom::Latest(dir.clone())).unwrap_err();
+        assert!(matches!(err, CkptError::Io { .. }), "{err}");
+        assert!(
+            !dir.exists(),
+            "looking up a checkpoint created {}",
+            dir.display()
+        );
+        assert!(!dir.parent().unwrap().exists());
+    }
+
+    #[test]
     fn snapshot_round_trip() {
         let tc = sample();
         let snap = tc.to_snapshot();
@@ -198,6 +214,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("pipefisher-resume-empty-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let err = resolve_resume(&ResumeFrom::Latest(dir.clone())).unwrap_err();
         assert!(matches!(err, CkptError::Malformed { .. }));
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,25 +17,6 @@ struct AttnCache {
     probs: Vec<Matrix>,
 }
 
-/// Per-layer scratch reused across forward/backward passes so the
-/// per-`(batch, head)` loops allocate nothing once warmed up. Every buffer
-/// is fully overwritten before use.
-#[derive(Debug, Clone, Default)]
-struct AttnScratch {
-    qb: Matrix,
-    kb: Matrix,
-    vb: Matrix,
-    dob: Matrix,
-    dp: Matrix,
-    dvb: Matrix,
-    ds: Matrix,
-    dqb: Matrix,
-    dkb: Matrix,
-    /// Recycled storage for the cache's `probs` vector (backward returns
-    /// the emptied vector here; forward withdraws it).
-    probs_pool: Vec<Matrix>,
-}
-
 /// Multi-head self-attention as in BERT (bidirectional, no causal mask).
 ///
 /// The four projections (`q`, `k`, `v`, `o`) are [`Linear`] layers and
@@ -55,7 +36,6 @@ pub struct MultiHeadAttention {
     d_model: usize,
     d_head: usize,
     cache: Option<AttnCache>,
-    scratch: AttnScratch,
 }
 
 impl MultiHeadAttention {
@@ -79,7 +59,6 @@ impl MultiHeadAttention {
             d_model,
             d_head: d_model / n_heads,
             cache: None,
-            scratch: AttnScratch::default(),
         }
     }
 
@@ -123,28 +102,24 @@ impl MultiHeadAttention {
         let k_out = self.k.forward(x, ctx);
         let v_out = self.v.forward(x, ctx);
 
-        let mut scr = std::mem::take(&mut self.scratch);
         let mut concat = Matrix::zeros(x.rows(), self.d_model);
-        // Reuse the probs vector backward handed back last step.
-        let mut probs = std::mem::take(&mut scr.probs_pool);
-        probs.clear();
-        probs.reserve(batch * nh);
+        let mut probs = Vec::with_capacity(batch * nh);
+        // Head blocks, reused across the (batch, head) loop.
+        let (mut qb, mut kb, mut vb) = (Matrix::default(), Matrix::default(), Matrix::default());
         for b in 0..batch {
             for h in 0..nh {
-                Self::head_block_into(&q_out, b, h, seq, dh, &mut scr.qb);
-                Self::head_block_into(&k_out, b, h, seq, dh, &mut scr.kb);
-                Self::head_block_into(&v_out, b, h, seq, dh, &mut scr.vb);
-                let (qb, kb, vb) = (&scr.qb, &scr.kb, &scr.vb);
-                let mut scores = qb.matmul_nt(kb);
+                Self::head_block_into(&q_out, b, h, seq, dh, &mut qb);
+                Self::head_block_into(&k_out, b, h, seq, dh, &mut kb);
+                Self::head_block_into(&v_out, b, h, seq, dh, &mut vb);
+                let mut scores = qb.matmul_nt(&kb);
                 // The 1/√d_k scale is folded into the softmax's max/exp
                 // pass (one fewer sweep over the seq × seq scores).
                 softmax_scaled_inplace(&mut scores, scale);
-                let ob = scores.matmul(vb);
+                let ob = scores.matmul(&vb);
                 Self::add_head_block(&mut concat, &ob, b, h, seq, dh);
                 probs.push(scores);
             }
         }
-        self.scratch = scr;
         self.cache = Some(AttnCache {
             batch,
             seq,
@@ -201,40 +176,31 @@ impl Layer for MultiHeadAttention {
             q_out,
             k_out,
             v_out,
-            mut probs,
+            probs,
         } = cache;
         let (dh, nh) = (self.d_head, self.n_heads);
         let scale = 1.0 / (dh as f64).sqrt();
 
         let dconcat = self.o.backward(dout);
-        let mut scr = std::mem::take(&mut self.scratch);
         let mut dq_full = Matrix::zeros(dconcat.rows(), self.d_model);
         let mut dk_full = Matrix::zeros(dconcat.rows(), self.d_model);
         let mut dv_full = Matrix::zeros(dconcat.rows(), self.d_model);
 
+        // Head blocks and their gradients, reused across the (batch, head)
+        // loop; every one is fully overwritten before it is read.
+        let [mut qb, mut kb, mut vb, mut dob, mut dp, mut dvb, mut ds, mut dqb, mut dkb] =
+            std::array::from_fn(|_| Matrix::default());
         for b in 0..batch {
             for h in 0..nh {
                 let p = &probs[b * nh + h];
-                Self::head_block_into(&dconcat, b, h, seq, dh, &mut scr.dob);
-                Self::head_block_into(&q_out, b, h, seq, dh, &mut scr.qb);
-                Self::head_block_into(&k_out, b, h, seq, dh, &mut scr.kb);
-                Self::head_block_into(&v_out, b, h, seq, dh, &mut scr.vb);
-                let AttnScratch {
-                    qb,
-                    kb,
-                    vb,
-                    dob,
-                    dp,
-                    dvb,
-                    ds,
-                    dqb,
-                    dkb,
-                    ..
-                } = &mut scr;
+                Self::head_block_into(&dconcat, b, h, seq, dh, &mut dob);
+                Self::head_block_into(&q_out, b, h, seq, dh, &mut qb);
+                Self::head_block_into(&k_out, b, h, seq, dh, &mut kb);
+                Self::head_block_into(&v_out, b, h, seq, dh, &mut vb);
 
                 // O = P·V  ⇒  dP = dO·Vᵀ, dV = Pᵀ·dO.
-                dob.matmul_nt_into(vb, dp);
-                p.matmul_tn_into(dob, dvb);
+                dob.matmul_nt_into(&vb, &mut dp);
+                p.matmul_tn_into(&dob, &mut dvb);
                 // Softmax backward row-wise: dS = P ⊙ (dP − rowdot(dP, P)).
                 ds.reset_shape(seq, seq);
                 for r in 0..seq {
@@ -248,19 +214,14 @@ impl Layer for MultiHeadAttention {
                 }
                 ds.scale_inplace(scale);
                 // S = scale·Q·Kᵀ ⇒ dQ = dS·K, dK = dSᵀ·Q.
-                ds.matmul_into(kb, dqb);
-                ds.matmul_tn_into(qb, dkb);
+                ds.matmul_into(&kb, &mut dqb);
+                ds.matmul_tn_into(&qb, &mut dkb);
 
-                Self::add_head_block(&mut dq_full, dqb, b, h, seq, dh);
-                Self::add_head_block(&mut dk_full, dkb, b, h, seq, dh);
-                Self::add_head_block(&mut dv_full, dvb, b, h, seq, dh);
+                Self::add_head_block(&mut dq_full, &dqb, b, h, seq, dh);
+                Self::add_head_block(&mut dk_full, &dkb, b, h, seq, dh);
+                Self::add_head_block(&mut dv_full, &dvb, b, h, seq, dh);
             }
         }
-        // Hand the emptied probs vector back to the scratch so the next
-        // forward reuses its storage.
-        probs.clear();
-        scr.probs_pool = probs;
-        self.scratch = scr;
 
         let mut dx = self.q.backward(&dq_full);
         dx += &self.k.backward(&dk_full);

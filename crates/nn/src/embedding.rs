@@ -19,11 +19,6 @@ pub struct Embedding {
     ln: LayerNorm,
     cache: Option<(Vec<usize>, Vec<usize>)>,
     cached_seq: usize,
-    /// Per-table scatter scratch (word, position, segment): the backward
-    /// pass scatters into these zeroed buffers and lands in each table's
-    /// gradient through a single `accumulate_grad`, so micro-batch
-    /// contributions associate the same way as every other layer's.
-    grad_scratch: [Matrix; 3],
 }
 
 impl Embedding {
@@ -52,7 +47,6 @@ impl Embedding {
             ln: LayerNorm::new(&format!("{name}.ln"), d_model),
             cache: None,
             cached_seq: 0,
-            grad_scratch: [Matrix::default(), Matrix::default(), Matrix::default()],
         }
     }
 
@@ -120,10 +114,11 @@ impl Embedding {
 
     /// Backpropagates into the three tables.
     ///
-    /// Each call scatters into zeroed per-table scratch buffers and then
-    /// adds every table's contribution through one `accumulate_grad`, so a
-    /// batch contributes to `grad` with a single addition — the invariant
-    /// the pipeline executor's micro-batch merge relies on.
+    /// Each call scatters into one zeroed local per table and then adds
+    /// every table's contribution through one `accumulate_grad`, so a batch
+    /// contributes to `grad` with a single addition — the invariant the
+    /// pipeline executor's micro-batch merge relies on, and the way every
+    /// other layer's micro-batch contributions associate.
     ///
     /// # Panics
     ///
@@ -136,15 +131,8 @@ impl Embedding {
             .expect("Embedding::backward before forward");
         let seq = self.cached_seq;
         let d = self.d_model();
-        let [word_s, pos_s, seg_s] = &mut self.grad_scratch;
-        for (scratch, table) in [
-            (&mut *word_s, &self.word),
-            (&mut *pos_s, &self.position),
-            (&mut *seg_s, &self.segment),
-        ] {
-            scratch.reset_shape(table.value.rows(), table.value.cols());
-            scratch.as_mut_slice().fill(0.0);
-        }
+        let [mut word_s, mut pos_s, mut seg_s] = [&self.word, &self.position, &self.segment]
+            .map(|table| Matrix::zeros(table.value.rows(), table.value.cols()));
         for (i, (&tok, &segid)) in token_ids.iter().zip(segment_ids.iter()).enumerate() {
             let pos = i % seq;
             let g = dsum.row(i);
@@ -161,9 +149,9 @@ impl Embedding {
                 srow[c] += g[c];
             }
         }
-        self.word.accumulate_grad(word_s);
-        self.position.accumulate_grad(pos_s);
-        self.segment.accumulate_grad(seg_s);
+        self.word.accumulate_grad(&word_s);
+        self.position.accumulate_grad(&pos_s);
+        self.segment.accumulate_grad(&seg_s);
     }
 
     /// Visits the embedding tables and LayerNorm parameters.

@@ -15,8 +15,6 @@ pub struct LayerNorm {
     eps: f64,
     /// Cached normalized input `x̂` and per-row inverse std for backward.
     cache: Option<(Matrix, Vec<f64>)>,
-    /// Scratch rows (`dγ`, `dβ`, `dx̂`) reused across backward passes.
-    grad_scratch: (Matrix, Matrix, Matrix),
 }
 
 impl LayerNorm {
@@ -28,7 +26,6 @@ impl LayerNorm {
             bias: Parameter::new(format!("{name}.bias"), Matrix::zeros(1, dim)),
             eps: 1e-12,
             cache: None,
-            grad_scratch: Default::default(),
         }
     }
 
@@ -76,18 +73,13 @@ impl Layer for LayerNorm {
         let (n, d) = xhat.shape();
         assert_eq!(dout.shape(), (n, d), "LayerNorm: dout shape");
         let gamma = self.gain.value.row(0);
-        // Per-layer scratch rows: dγ/dβ accumulate across rows, dx̂ is
-        // fully rewritten per row (hoisted out of the row loop so the hot
-        // path allocates nothing).
-        let (dgamma_m, dbeta_m, dxhat_m) = &mut self.grad_scratch;
-        dgamma_m.reset_shape(1, d);
-        dbeta_m.reset_shape(1, d);
-        dxhat_m.reset_shape(1, d);
+        // dγ/dβ accumulate across rows; dx̂ is fully rewritten per row.
+        let mut dgamma_m = Matrix::zeros(1, d);
+        let mut dbeta_m = Matrix::zeros(1, d);
+        let mut dxhat_m = Matrix::zeros(1, d);
         let dgamma = dgamma_m.as_mut_slice();
         let dbeta = dbeta_m.as_mut_slice();
         let dxhat = dxhat_m.as_mut_slice();
-        dgamma.fill(0.0);
-        dbeta.fill(0.0);
         let mut dx = Matrix::zeros(n, d);
         for (r, &istd) in inv_std.iter().enumerate() {
             let xh = xhat.row(r);
@@ -106,8 +98,8 @@ impl Layer for LayerNorm {
                     istd / d as f64 * (d as f64 * dxhat[c] - sum_dxhat - xh[c] * sum_dxhat_xhat);
             }
         }
-        self.gain.accumulate_grad(&self.grad_scratch.0);
-        self.bias.accumulate_grad(&self.grad_scratch.1);
+        self.gain.accumulate_grad(&dgamma_m);
+        self.bias.accumulate_grad(&dbeta_m);
         dx
     }
 

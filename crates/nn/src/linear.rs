@@ -59,10 +59,6 @@ pub struct Linear {
     /// Layers excluded from K-FAC (e.g. the vocab-sized LM head, paper §4)
     /// never capture statistics even when the context asks for it.
     kfac_enabled: bool,
-    /// Scratch for `dW = xᵀ·dout`, reused across backward passes.
-    dw_scratch: Matrix,
-    /// Scratch for `db` column sums, reused across backward passes.
-    db_scratch: Matrix,
 }
 
 impl Linear {
@@ -79,8 +75,6 @@ impl Linear {
             input: None,
             stats: KfacBatchStats::default(),
             kfac_enabled: true,
-            dw_scratch: Matrix::default(),
-            db_scratch: Matrix::default(),
         }
     }
 
@@ -97,8 +91,6 @@ impl Linear {
             input: None,
             stats: KfacBatchStats::default(),
             kfac_enabled: true,
-            dw_scratch: Matrix::default(),
-            db_scratch: Matrix::default(),
         }
     }
 
@@ -262,13 +254,13 @@ impl Layer for Linear {
                 None => self.stats.errors = Some(dout.clone()),
             }
         }
-        // dW = xᵀ·dout, db = column sums, dx = dout·Wᵀ — the dW/db
-        // products land in per-layer scratch reused across micro-batches.
-        x.matmul_tn_into(dout, &mut self.dw_scratch);
-        self.weight.accumulate_grad(&self.dw_scratch);
-        self.db_scratch.reset_shape(1, self.d_out());
-        col_sum_into(dout, self.db_scratch.as_mut_slice());
-        self.bias.accumulate_grad(&self.db_scratch);
+        // dW = xᵀ·dout, db = column sums, dx = dout·Wᵀ.
+        let mut dw = Matrix::default();
+        x.matmul_tn_into(dout, &mut dw);
+        self.weight.accumulate_grad(&dw);
+        let mut db = Matrix::zeros(1, self.d_out());
+        col_sum_into(dout, db.as_mut_slice());
+        self.bias.accumulate_grad(&db);
         dout.matmul_nt(&self.weight.value)
     }
 

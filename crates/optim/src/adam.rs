@@ -19,8 +19,6 @@ pub struct Adam {
     weight_decay: f64,
     t: u64,
     moments: HashMap<String, (Matrix, Matrix)>,
-    /// Scratch for the step direction, reused across parameters.
-    dir: Matrix,
 }
 
 impl Adam {
@@ -33,7 +31,6 @@ impl Adam {
             weight_decay,
             t: 0,
             moments: HashMap::new(),
-            dir: Matrix::default(),
         }
     }
 
@@ -42,12 +39,12 @@ impl Adam {
         self.t
     }
 
-    /// Computes the bias-corrected Adam direction for one parameter into
-    /// `out` without applying it (shared with [`crate::Lamb`]). The moment
-    /// matrices update in place; one fused loop performs the same
-    /// per-element operation sequence as the original scale/axpy/hadamard
-    /// passes, so results are bitwise identical.
-    pub(crate) fn direction_into(&mut self, p: &Parameter, out: &mut Matrix) {
+    /// Computes the bias-corrected Adam direction for one parameter without
+    /// applying it (shared with [`crate::Lamb`]). The moment matrices update
+    /// in place; one fused loop performs the same per-element operation
+    /// sequence as the original scale/axpy/hadamard passes, so results are
+    /// bitwise identical.
+    pub(crate) fn direction(&mut self, p: &Parameter) -> Matrix {
         if !self.moments.contains_key(&p.name) {
             // First visit only: steady-state steps never clone the name.
             self.moments.insert(
@@ -67,7 +64,7 @@ impl Adam {
         let s1 = 1.0 / (1.0 - b1.powi(self.t as i32));
         let s2 = 1.0 / (1.0 - b2.powi(self.t as i32));
         let eps = self.eps;
-        out.reset_shape(p.value.rows(), p.value.cols());
+        let mut out = Matrix::zeros(p.value.rows(), p.value.cols());
         let g = p.grad.as_slice();
         let ms = m.as_mut_slice();
         let vs = v.as_mut_slice();
@@ -80,6 +77,7 @@ impl Adam {
             let vhat = vs[i] * s2;
             os[i] = mhat / (vhat.sqrt() + eps);
         }
+        out
     }
 }
 
@@ -100,8 +98,6 @@ impl crate::StateSnapshot for Adam {
             w.matrix(m);
             w.matrix(v);
         }
-        // `dir` is scratch: fully overwritten by `direction_into` before any
-        // read, so it carries no cross-step state and is not captured.
         w.into_bytes()
     }
 
@@ -133,13 +129,11 @@ impl Optimizer for Adam {
             self.t > 0,
             "Adam: begin_step must be called before step_param"
         );
-        let mut dir = std::mem::take(&mut self.dir);
-        self.direction_into(p, &mut dir);
+        let mut dir = self.direction(p);
         if self.weight_decay > 0.0 {
             dir.axpy(self.weight_decay, &p.value);
         }
         p.value.axpy(-lr, &dir);
-        self.dir = dir;
     }
 }
 

@@ -79,32 +79,6 @@ fn block_diagonal_mask(m: &mut Matrix, block_size: usize) {
     }
 }
 
-/// Reusable per-layer working buffers for [`Kfac::step`]. Each buffer is
-/// re-dimensioned and fully overwritten before use; keeping them in the
-/// per-layer state means curvature refreshes, inversions, and the
-/// per-step preconditioning products all run without heap allocation once
-/// the first step has sized them.
-#[derive(Debug, Clone, Default)]
-pub struct KfacScratch {
-    /// Batch Gram matrix (`A` then `B`) during a curvature refresh.
-    batch: Matrix,
-    /// Damped copy of `factor_a` fed to the Cholesky inversion.
-    damped_a: Matrix,
-    /// Damped copy of `factor_b` fed to the Cholesky inversion.
-    damped_b: Matrix,
-    /// Staging buffer for the freshly computed `A⁻¹` (swapped into
-    /// `inv_a` only if *both* inversions succeed).
-    ia: Matrix,
-    /// Staging buffer for the freshly computed `B⁻¹`.
-    ib: Matrix,
-    /// Combined `d_out × (d_in+1)` weight/bias gradient `Ḡ`.
-    gbar: Matrix,
-    /// Intermediate `B⁻¹·Ḡ` product.
-    tmp: Matrix,
-    /// Preconditioned gradient `B⁻¹·Ḡ·A⁻¹`.
-    pre: Matrix,
-}
-
 /// Per-layer K-FAC state: factors, inverses, and staleness bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct LayerKfacState {
@@ -128,8 +102,6 @@ pub struct LayerKfacState {
     /// How many refreshes of this layer failed even after escalation and
     /// kept the stale inverses. Runtime-only, like `damping_escalations`.
     pub inversion_failures: u64,
-    /// Reusable working buffers (see [`KfacScratch`]).
-    pub scratch: KfacScratch,
 }
 
 impl LayerKfacState {
@@ -339,7 +311,7 @@ impl<O: Optimizer> Kfac<O> {
         for_each_layer(&mut slots, |slot| {
             slot.lin.kfac_stats_mut().clear();
             if slot.state.ready() {
-                slot.vdot = precondition(&mut slot.state, slot.lin);
+                slot.vdot = precondition(&slot.state, slot.lin);
             }
         });
 
@@ -415,7 +387,6 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
             w.opt_matrix(st.inv_b.as_ref());
             w.u64(st.last_curvature_step);
             w.u64(st.last_inversion_step);
-            // `st.scratch` is working memory, fully rebuilt on next use.
         }
         bytes.extend_from_slice(&w.into_bytes());
         bytes
@@ -425,10 +396,7 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
         let mut r = pipefisher_ckpt::SectionReader::new("optim.kfac", bytes);
         let t = r.u64()?;
         let fallback_len = r.u64()? as usize;
-        let mut fallback_bytes = Vec::with_capacity(fallback_len.min(1 << 20));
-        for _ in 0..fallback_len {
-            fallback_bytes.push(r.u8()?);
-        }
+        let fallback_bytes = r.bytes(fallback_len)?;
         let count = r.u32()?;
         let mut states: HashMap<String, LayerKfacState> = HashMap::new();
         for _ in 0..count {
@@ -447,7 +415,7 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
         r.finish()?;
         // Restore the fallback first so a malformed inner blob leaves this
         // optimizer untouched.
-        crate::StateSnapshot::import_state(&mut self.fallback, &fallback_bytes)?;
+        crate::StateSnapshot::import_state(&mut self.fallback, fallback_bytes)?;
         self.t = t;
         self.states = states;
         Ok(())
@@ -473,15 +441,15 @@ fn for_each_layer(slots: &mut [LayerSlot<'_>], work: impl Fn(&mut LayerSlot<'_>)
 }
 
 /// Folds a fresh batch Gram matrix into a (possibly absent) factor: EMA
-/// when `ema_decay > 0`, replacement otherwise.
-fn fold_factor(old: &mut Option<Matrix>, batch: &Matrix, ema_decay: f64) {
+/// when `ema_decay > 0`, replacement otherwise. A replaced factor's storage
+/// drops back into the workspace arena.
+fn fold_factor(old: &mut Option<Matrix>, batch: Matrix, ema_decay: f64) {
     match old {
         Some(prev) if ema_decay > 0.0 => {
             prev.scale_inplace(ema_decay);
-            prev.axpy(1.0 - ema_decay, batch);
+            prev.axpy(1.0 - ema_decay, &batch);
         }
-        Some(prev) => prev.clone_from(batch),
-        None => *old = Some(batch.clone()),
+        _ => *old = Some(batch),
     }
 }
 
@@ -497,16 +465,15 @@ fn fold_factor(old: &mut Option<Matrix>, batch: &Matrix, ema_decay: f64) {
 /// (Any fixed rescaling is absorbed into damping/lr; we pick the
 /// convention used by KAISA and kfac-pytorch.)
 ///
-/// The Gram product lands in the shared `batch` scratch and is folded
-/// into the factor by copy, so a refresh allocates nothing once the
-/// buffers exist.
+/// The Gram product lands in a workspace-arena local that becomes the
+/// factor (or is folded into it and returned to the arena).
 pub fn fold_curvature_a(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64, t: u64) {
     let Some(acts) = &lin.kfac_stats().activations else {
         return; // nothing captured this step
     };
     let n = acts.rows().max(1) as f64;
-    let batch = &mut state.scratch.batch;
-    acts.gram_into(batch);
+    let mut batch = Matrix::default();
+    acts.gram_into(&mut batch);
     batch.scale_inplace(1.0 / n);
     fold_factor(&mut state.factor_a, batch, ema_decay);
     state.last_curvature_step = t;
@@ -526,8 +493,8 @@ pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
         .as_ref()
         .map_or_else(|| errs.rows(), |a| a.rows())
         .max(1) as f64;
-    let batch = &mut state.scratch.batch;
-    errs.gram_into(batch);
+    let mut batch = Matrix::default();
+    errs.gram_into(&mut batch);
     batch.scale_inplace(n);
     fold_factor(&mut state.factor_b, batch, ema_decay);
     state.last_curvature_step = t;
@@ -573,22 +540,13 @@ pub fn refresh_inverses(
     let lam_a = damping * pi;
     let lam_b = damping / pi;
 
-    // Damped copies and inverse staging live in the per-layer scratch; the
-    // fresh inverses are swapped into place only if *both* factorizations
-    // succeed, preserving the partial-failure semantics of the allocating
-    // version.
-    let KfacScratch {
-        damped_a: da,
-        damped_b: db,
-        ia,
-        ib,
-        ..
-    } = &mut state.scratch;
-    da.clone_from(fa);
-    db.clone_from(fb);
+    // The damped copies and the fresh inverses are arena locals; the fresh
+    // inverses move into place only if *both* factorizations succeed, and
+    // the stale pair drops back into the arena.
+    let (mut da, mut db) = (fa.clone(), fb.clone());
     if let Some(bs) = block_size {
-        block_diagonal_mask(da, bs);
-        block_diagonal_mask(db, bs);
+        block_diagonal_mask(&mut da, bs);
+        block_diagonal_mask(&mut db, bs);
     }
     da.add_diag(lam_a.max(1e-12));
     db.add_diag(lam_b.max(1e-12));
@@ -602,17 +560,12 @@ pub fn refresh_inverses(
             cholesky_inverse_into(damped, inv)
         })
     };
-    let inv_a = invert(da, ia);
-    let inv_b = invert(db, ib);
+    let (mut ia, mut ib) = (Matrix::default(), Matrix::default());
+    let inv_a = invert(&mut da, &mut ia);
+    let inv_b = invert(&mut db, &mut ib);
     if let (Ok(()), Ok(())) = (inv_a, inv_b) {
-        match &mut state.inv_a {
-            Some(m) => std::mem::swap(m, ia),
-            None => state.inv_a = Some(std::mem::take(ia)),
-        }
-        match &mut state.inv_b {
-            Some(m) => std::mem::swap(m, ib),
-            None => state.inv_b = Some(std::mem::take(ib)),
-        }
+        state.inv_a = Some(ia);
+        state.inv_b = Some(ib);
         state.last_inversion_step = t;
     } else {
         state.inversion_failures += 1;
@@ -624,16 +577,12 @@ pub fn refresh_inverses(
 /// `Ḡ` is the `d_out × (d_in+1)` combined weight/bias gradient in the
 /// paper's orientation (outputs × augmented inputs); our storage keeps the
 /// weight `d_in × d_out`, so we transpose on the way in and out.
-fn precondition(state: &mut LayerKfacState, lin: &mut Linear) -> f64 {
+fn precondition(state: &LayerKfacState, lin: &mut Linear) -> f64 {
     let d_in = lin.d_in();
     let d_out = lin.d_out();
     let (w, b, _) = lin.kfac_parts_mut();
 
-    // Ḡ assembly and both GEMMs reuse the per-layer scratch (every entry
-    // is overwritten), so the every-step precondition path allocates
-    // nothing once warmed up.
-    let KfacScratch { gbar, tmp, pre, .. } = &mut state.scratch;
-    gbar.reset_shape(d_out, d_in + 1);
+    let mut gbar = Matrix::zeros(d_out, d_in + 1);
     for o in 0..d_out {
         let row = gbar.row_mut(o);
         for (i, slot) in row[..d_in].iter_mut().enumerate() {
@@ -644,9 +593,8 @@ fn precondition(state: &mut LayerKfacState, lin: &mut Linear) -> f64 {
 
     let inv_a = state.inv_a.as_ref().expect("precondition: inv_a");
     let inv_b = state.inv_b.as_ref().expect("precondition: inv_b");
-    inv_b.matmul_into(gbar, tmp);
-    tmp.matmul_into(inv_a, pre);
-    let dot = gbar.dot(pre);
+    let pre = inv_b.matmul(&gbar).matmul(inv_a);
+    let dot = gbar.dot(&pre);
 
     for o in 0..d_out {
         let row = pre.row(o);
@@ -824,12 +772,12 @@ mod tests {
         let orig_w = lin.weight().grad.clone();
         let orig_b = lin.bias().grad.clone();
 
-        let mut state = LayerKfacState {
+        let state = LayerKfacState {
             inv_a: Some(Matrix::eye(4)),
             inv_b: Some(Matrix::eye(2)),
             ..Default::default()
         };
-        let _ = precondition(&mut state, &mut lin);
+        let _ = precondition(&state, &mut lin);
         assert!((&lin.weight().grad - &orig_w).max_abs() < 1e-12);
         assert!((&lin.bias().grad - &orig_b).max_abs() < 1e-12);
     }
@@ -840,12 +788,12 @@ mod tests {
         let mut lin = Linear::new("fc", 3, 2, &mut rng);
         lin.weight_mut().grad = Matrix::full(3, 2, 4.0);
         lin.bias_mut().grad = Matrix::full(1, 2, 4.0);
-        let mut state = LayerKfacState {
+        let state = LayerKfacState {
             inv_a: Some(Matrix::eye(4).scale(0.5)),
             inv_b: Some(Matrix::eye(2).scale(0.5)),
             ..Default::default()
         };
-        let _ = precondition(&mut state, &mut lin);
+        let _ = precondition(&state, &mut lin);
         assert!((lin.weight().grad[(0, 0)] - 1.0).abs() < 1e-12);
         assert!((lin.bias().grad[(0, 1)] - 1.0).abs() < 1e-12);
     }

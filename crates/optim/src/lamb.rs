@@ -16,8 +16,6 @@ pub struct Lamb {
     inner: Adam,
     weight_decay: f64,
     max_trust_ratio: f64,
-    /// Scratch for the per-parameter update, reused across parameters.
-    update: pipefisher_tensor::Matrix,
 }
 
 impl Lamb {
@@ -27,7 +25,6 @@ impl Lamb {
             inner: Adam::new(0.9, 0.999, 1e-6, 0.0),
             weight_decay,
             max_trust_ratio: 10.0,
-            update: pipefisher_tensor::Matrix::default(),
         }
     }
 
@@ -55,8 +52,7 @@ impl Default for Lamb {
 
 impl crate::StateSnapshot for Lamb {
     fn export_state(&self) -> Vec<u8> {
-        // All of LAMB's mutable state lives in the inner Adam (`update` is
-        // scratch, fully overwritten by `direction_into` before any read).
+        // All of LAMB's mutable state lives in the inner Adam.
         crate::StateSnapshot::export_state(&self.inner)
     }
 
@@ -75,14 +71,12 @@ impl Optimizer for Lamb {
             self.inner.step_count() > 0,
             "Lamb: begin_step must be called before step_param"
         );
-        let mut update = std::mem::take(&mut self.update);
-        self.inner.direction_into(p, &mut update);
+        let mut update = self.inner.direction(p);
         if self.weight_decay > 0.0 {
             update.axpy(self.weight_decay, &p.value);
         }
         let ratio = self.trust_ratio(p.value.frobenius_norm(), update.frobenius_norm());
         p.value.axpy(-lr * ratio, &update);
-        self.update = update;
     }
 }
 

@@ -42,7 +42,7 @@ mod snapshot;
 
 pub use adam::Adam;
 pub use kfac::{
-    fold_curvature_a, fold_curvature_b, refresh_inverses, Kfac, KfacConfig, KfacModel, KfacScratch,
+    fold_curvature_a, fold_curvature_b, refresh_inverses, Kfac, KfacConfig, KfacModel,
     LayerKfacState,
 };
 pub use lamb::Lamb;

@@ -4,9 +4,8 @@
 //! curvature EMAs, cached inverses, per-layer staleness steps — but not its
 //! hyperparameters, which the caller reconstructs from configuration.
 //! Per-parameter maps are written sorted by name so the encoding is
-//! deterministic; scratch buffers that are fully overwritten before use
-//! (Adam's direction buffer, K-FAC's working set) are deliberately excluded,
-//! which is safe precisely because they never carry state across steps.
+//! deterministic. Optimizers keep no working memory between calls (their
+//! temporaries come from the workspace arena), so the state is all there is.
 //!
 //! Refresh cadence is a pure function of the step counter (`t % interval
 //! == 0` before the step), so restoring `t` restores the K-FAC cadence

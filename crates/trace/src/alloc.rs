@@ -4,7 +4,9 @@
 //! [`std::alloc::GlobalAlloc`] wrapper around the system allocator that
 //! counts every allocation (calls and bytes) with relaxed atomics. The
 //! counters are process-wide and monotonically increasing; callers snapshot
-//! them before and after a region of interest and subtract.
+//! them before and after a region of interest and subtract. A third
+//! counter, [`alloc_live_bytes`], tracks the bytes currently allocated, so
+//! a region's difference is what it left behind.
 //!
 //! Without the feature (the default) nothing is installed, the snapshot
 //! helpers return zeros, and the cost is exactly nothing — the feature
@@ -41,6 +43,7 @@ mod counting {
 
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
     pub static BYTES: AtomicU64 = AtomicU64::new(0);
+    pub static LIVE: AtomicU64 = AtomicU64::new(0);
 
     /// System allocator wrapper that tallies calls and bytes.
     pub struct CountingAllocator;
@@ -50,22 +53,31 @@ mod counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
             System.alloc_zeroed(layout)
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             System.dealloc(ptr, layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            // Adds the difference; wrapping arithmetic makes a shrink a
+            // subtraction.
+            LIVE.fetch_add(
+                (new_size as u64).wrapping_sub(layout.size() as u64),
+                Ordering::Relaxed,
+            );
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -99,6 +111,21 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     }
 }
 
+/// Bytes currently allocated through the process-wide allocator: every
+/// allocation adds its size, every deallocation subtracts it, a
+/// reallocation adds the difference. The difference of two readings is
+/// what the code in between left live. Always 0 when counting is off.
+pub fn alloc_live_bytes() -> u64 {
+    #[cfg(feature = "alloc-count")]
+    {
+        counting::LIVE.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(feature = "alloc-count"))]
+    {
+        0
+    }
+}
+
 impl AllocSnapshot {
     /// The traffic between `earlier` and `self` (saturating, so mixing up
     /// the order yields zeros rather than wrap-around garbage).
@@ -129,5 +156,28 @@ mod tests {
         } else {
             assert_eq!(b, AllocSnapshot::default());
         }
+    }
+
+    #[test]
+    fn live_bytes_follow_alloc_realloc_and_dealloc() {
+        if !alloc_counting_enabled() {
+            assert_eq!(alloc_live_bytes(), 0);
+            return;
+        }
+        // Other test threads allocate concurrently, so hold each region
+        // large enough to dominate their traffic and compare loosely.
+        let base = alloc_live_bytes() as i64;
+        let mut v: Vec<u8> = Vec::with_capacity(1 << 24);
+        let grown = alloc_live_bytes() as i64 - base;
+        assert!((grown - (1 << 24)).abs() < 1 << 20, "alloc added {grown}");
+        v.reserve_exact(2 << 24);
+        let regrown = alloc_live_bytes() as i64 - base;
+        assert!(
+            (regrown - (2 << 24)).abs() < 1 << 20,
+            "realloc left {regrown}"
+        );
+        drop(v);
+        let left = alloc_live_bytes() as i64 - base;
+        assert!(left.abs() < 1 << 20, "dealloc left {left}");
     }
 }

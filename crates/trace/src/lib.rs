@@ -24,6 +24,6 @@ mod alloc;
 mod chrome;
 mod sink;
 
-pub use alloc::{alloc_counting_enabled, alloc_snapshot, AllocSnapshot};
+pub use alloc::{alloc_counting_enabled, alloc_live_bytes, alloc_snapshot, AllocSnapshot};
 pub use chrome::{chrome_trace_json, Phase, TraceEvent};
 pub use sink::{counter, drain, enabled, set_enabled, span, span_with, Span};

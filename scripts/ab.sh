@@ -13,16 +13,18 @@
 # `correct: false` or `failed > 0`, or that prints no result line, is
 # rejected, with its pair.
 #
-# Per workload it prints one table row: each side's median and quartiles of
-# `step_ms_p50`; the median of the paired ratios this / other with a
-# bootstrap 95 % interval (below 1 = this checkout is faster); the pairs
-# this checkout won and the one-sided sign-test p of that count; and each
-# side's median user+sys CPU seconds of the run's child processes, a
-# steadier second reading on a host whose wall clock drifts.
+# It prints one markdown table per end-to-end metric BENCHMARK.json
+# declares, in its order, with one row per workload: each side's median and
+# quartiles; the median of the paired ratios this / other with a bootstrap
+# 95 % interval; the pairs this checkout won, by the metric's declared
+# `better` direction, and the one-sided sign-test p of that count. A last
+# table gives each side's median user+sys CPU seconds of the run's child
+# processes, a steadier second reading on a host whose wall clock drifts.
 #
 # Defaults: K = 10, S = BENCHMARK.json's run_seconds, every workload
-# BENCHMARK.json declares. Exits non-zero if any run was rejected. Python 3
-# standard library only. Run it on an otherwise idle machine: both sides
+# BENCHMARK.json declares. Exits non-zero if any run was rejected or any
+# declared metric has no table (no valid pair's result lines carry it).
+# Python 3 standard library only. Run it on an otherwise idle machine: both sides
 # share whatever else the host is doing, but only in expectation.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -51,6 +53,7 @@ parser.add_argument("--seconds", type=float, default=declared["run_seconds"],
 parser.add_argument("workloads", nargs="*", help="default: every declared workload")
 args = parser.parse_intermixed_args(sys.argv[2:])
 workloads = args.workloads or [w["name"] for w in declared["workloads"]]
+metrics = declared["end_to_end"]
 if args.pairs < 1:
     sys.exit("--pairs must be at least 1")
 trees = {"other": os.path.abspath(args.other), "this": this_tree}
@@ -71,7 +74,8 @@ def build(side):
 
 
 def run(side, workload, seed):
-    """One timed run: (step_ms_p50, child CPU seconds), or (None, why)."""
+    """One timed run: ({metric: value}, child CPU seconds), or (None, why).
+    A declared metric the result line lacks is left out of the dict."""
     argv = ["bash", os.path.join(trees[side], "benchmark", "run.sh"), "--workload", workload,
             "--seed", str(seed), "--seconds", f"{args.seconds:g}", "--trace", "0"]
     env = dict(os.environ, CARGO_TARGET_DIR=targets[side])
@@ -87,7 +91,9 @@ def run(side, workload, seed):
         return None, f"exit {done.returncode}, no result line: {done.stderr.strip()[-300:]}"
     if result.get("correct") is not True or result.get("failed", 1) > 0:
         return None, f"correct: {result.get('correct')}, failed: {result.get('failed')}"
-    return (result["metrics"]["step_ms_p50"]["value"], cpu), None
+    values = {m["name"]: result["metrics"][m["name"]]["value"]
+              for m in metrics if m["name"] in result["metrics"]}
+    return (values, cpu), None
 
 
 def median_quartiles(xs):
@@ -102,6 +108,10 @@ def bootstrap_interval(ratios):
     meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
                   for _ in range(BOOTSTRAP))
     return meds[int(0.025 * BOOTSTRAP)], meds[int(0.975 * BOOTSTRAP) - 1]
+
+
+def fmt(v):
+    return f"{v:.0f}" if abs(v) >= 1e4 else f"{v:.4g}"
 
 
 def sign_test(wins, losses):
@@ -123,7 +133,8 @@ for i in range(args.pairs):
         got = {}
         for side in order:
             got[side], why = run(side, w, seed)
-            shown = f"{got[side][0]:.3f} ms" if got[side] else f"REJECTED ({why})"
+            shown = (" ".join(f"{k} {v:g}" for k, v in got[side][0].items())
+                     if got[side] else f"REJECTED ({why})")
             print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: {shown}",
                   file=sys.stderr, flush=True)
             rejected += got[side] is None
@@ -132,26 +143,46 @@ for i in range(args.pairs):
 
 print(f"\nother = {trees['other']} ({commit(trees['other'])}), "
       f"this = {trees['this']} ({commit(trees['this'])}); "
-      f"{args.pairs} ABBA pairs x {args.seconds:g} s, step_ms_p50 in ms\n")
-print("| workload | other median [Q1, Q3] | this median [Q1, Q3] | this / other [95 % CI] "
-      "| this won | sign p | CPU s other / this |")
-print("|---|---|---|---|---|---|---|")
-for w, ps in pairs.items():
-    if not ps:
-        print(f"| `{w}` | no valid pair | | | | | |")
+      f"{args.pairs} ABBA pairs x {args.seconds:g} s")
+untabled = []
+for m in metrics:
+    name, lower = m["name"], m["better"] == "lower"
+    rows = []
+    for w, ps in pairs.items():
+        vals = [(o[0][name], t[0][name]) for o, t in ps if name in o[0] and name in t[0]]
+        if not vals:
+            continue
+        cols = []
+        for k in (0, 1):
+            med, q1, q3 = median_quartiles([v[k] for v in vals])
+            cols.append(f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]")
+        ratios = [t / o for o, t in vals]
+        lo, hi = bootstrap_interval(ratios)
+        wins = sum(t < o if lower else t > o for o, t in vals)
+        losses = sum(t > o if lower else t < o for o, t in vals)
+        rows.append(f"| `{w}` | {cols[0]} | {cols[1]} | {statistics.median(ratios):.3f} "
+                    f"[{lo:.3f}, {hi:.3f}] | {wins}/{len(vals)} | {sign_test(wins, losses):.4f} |")
+    if not rows:
+        untabled.append(name)
         continue
-    cols = []
-    for k in (0, 1):
-        m, q1, q3 = median_quartiles([p[k][0] for p in ps])
-        cols.append(f"{m:.2f} [{q1:.2f}, {q3:.2f}]")
-    ratios = [t[0] / o[0] for o, t in ps]
-    lo, hi = bootstrap_interval(ratios)
-    wins = sum(t[0] < o[0] for o, t in ps)
-    losses = sum(t[0] > o[0] for o, t in ps)
-    cpu = [statistics.median(p[k][1] for p in ps) for k in (0, 1)]
-    print(f"| `{w}` | {cols[0]} | {cols[1]} | {statistics.median(ratios):.3f} "
-          f"[{lo:.3f}, {hi:.3f}] | {wins}/{len(ps)} | {sign_test(wins, losses):.4f} "
-          f"| {cpu[0]:.1f} / {cpu[1]:.1f} |")
+    print(f"\n`{name}` in {m['unit']}, {m['better']} is better\n")
+    print("| workload | other median [Q1, Q3] | this median [Q1, Q3] | this / other [95 % CI] "
+          "| this won | sign p |")
+    print("|---|---|---|---|---|---|")
+    print("\n".join(rows))
+
+print("\nchild CPU seconds per run, median\n")
+print("| workload | other | this |")
+print("|---|---|---|")
+for w, ps in pairs.items():
+    if ps:
+        cpu = [statistics.median(p[k][1] for p in ps) for k in (0, 1)]
+        print(f"| `{w}` | {cpu[0]:.1f} | {cpu[1]:.1f} |")
+failures = []
 if rejected:
-    sys.exit(f"{rejected} run(s) rejected; their pairs are left out above")
+    failures.append(f"{rejected} run(s) rejected; their pairs are left out above")
+if untabled:
+    failures.append(f"no table for declared metric(s): {', '.join(untabled)}")
+if failures:
+    sys.exit("; ".join(failures))
 PY

@@ -19,12 +19,12 @@ use pipefisher::lm::{
     Trainer,
 };
 use pipefisher::nn::{
-    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear,
+    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear, ParamVisitor,
 };
-use pipefisher::optim::{Kfac, KfacConfig, Sgd};
+use pipefisher::optim::{Kfac, KfacConfig, KfacModel, Sgd};
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::tensor::{cholesky_inverse_into, init, workspace, Matrix};
-use pipefisher::trace::alloc_snapshot;
+use pipefisher::tensor::{cholesky_inverse_into, init, par, workspace, Matrix};
+use pipefisher::trace::{alloc_live_bytes, alloc_snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,6 +47,7 @@ impl Gate {
 impl Drop for Gate {
     fn drop(&mut self) {
         workspace::set_enabled(true);
+        par::set_max_threads(0);
     }
 }
 
@@ -219,6 +220,95 @@ fn kfac_state_loan_round_trip_is_allocation_free() {
     let delta = alloc_snapshot().since(&before);
     assert_eq!(delta.allocs, 0, "state loan round trip allocated");
     assert!(kfac.state("fc").is_some_and(|st| st.ready()));
+}
+
+/// A plain stack of linear layers driven as one K-FAC model.
+struct Stack(Vec<Linear>);
+
+impl KfacModel for Stack {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
+        for l in self.0.iter_mut() {
+            f(l);
+        }
+    }
+    fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
+        for l in self.0.iter_mut() {
+            l.visit_params(&mut *f);
+        }
+    }
+}
+
+/// Bytes the first `Kfac::step` over `layers` captured 32→32 linears
+/// leaves live, not counting the captured statistics the step frees.
+fn kfac_first_step_retained_bytes(layers: usize) -> i64 {
+    let (d, tokens) = (32, 24);
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut model = Stack(
+        (0..layers)
+            .map(|i| Linear::new(&format!("fc{i}"), d, d, &mut rng))
+            .collect(),
+    );
+    let x = init::normal(tokens, d, 1.0, &mut rng);
+    let targets: Vec<i64> = (0..tokens).map(|i| (i % d) as i64).collect();
+    let mut h = x;
+    for lin in model.0.iter_mut() {
+        h = lin.forward(&h, &ForwardCtx::train_with_capture());
+    }
+    let mut g = cross_entropy_backward(&h, &targets);
+    for lin in model.0.iter_mut().rev() {
+        g = lin.backward(&g);
+    }
+    // Momentum-free SGD keeps no per-parameter state, so whatever the step
+    // leaves behind is K-FAC's.
+    let mut kfac = Kfac::new(KfacConfig::default(), Sgd::new(0.0, 0.0));
+    let stats_bytes: usize = model
+        .0
+        .iter()
+        .map(|l| {
+            let s = l.kfac_stats();
+            let a = s.activations.as_ref().map_or(0, Matrix::len);
+            let e = s.errors.as_ref().map_or(0, Matrix::len);
+            (a + e) * std::mem::size_of::<f64>()
+        })
+        .sum();
+    let before = alloc_live_bytes() as i64;
+    kfac.step(&mut model, 0.01);
+    let after = alloc_live_bytes() as i64;
+    assert!(model.0.iter().all(|l| !l.kfac_stats().is_complete()));
+    after - before + stats_bytes as i64
+}
+
+/// Between steps K-FAC holds its state and nothing else: each added layer
+/// grows what the first step leaves live by that layer's two factors and
+/// two inverses, plus a fixed allowance for its map entry and name — no
+/// per-layer working buffers. Runs with the arena off, so every temporary
+/// is a real allocation that must be freed by the step's end, and on one
+/// lane, so no worker thread's lazily built state lands in the window.
+#[test]
+fn kfac_retained_memory_is_its_state() {
+    let _gate = Gate::acquire();
+    workspace::set_enabled(false);
+    par::set_max_threads(1);
+    let _warm = kfac_first_step_retained_bytes(4);
+    let (small, large) = (4, 8);
+    let r_small = kfac_first_step_retained_bytes(small);
+    let r_large = kfac_first_step_retained_bytes(large);
+    let per_layer = (r_large - r_small) / (large - small) as i64;
+
+    // A is (d+1)², B is d², each with its inverse.
+    let state_bytes = (2 * 33 * 33 + 2 * 32 * 32) * std::mem::size_of::<f64>() as i64;
+    let entry_allowance = 1024;
+    assert!(
+        per_layer <= state_bytes + entry_allowance,
+        "each added K-FAC layer leaves {per_layer} bytes live after the first step; \
+         its factors and inverses are {state_bytes} (allowance {entry_allowance} for its \
+         map entry and name); {small} layers: {r_small}, {large} layers: {r_large}"
+    );
+    assert!(
+        per_layer >= state_bytes,
+        "each added K-FAC layer leaves only {per_layer} bytes live, less than its \
+         factors and inverses ({state_bytes}): the measurement lost them"
+    );
 }
 
 fn tiny_trainer(seed: u64) -> (Trainer, BertForPreTraining) {
