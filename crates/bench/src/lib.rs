@@ -8,10 +8,10 @@
 
 use pipefisher_core::PipeFisherConfig;
 use pipefisher_perfmodel::{
-    stage_costs, stage_memory, HardwareProfile, StageMemory, StepModelInput, TransformerConfig,
+    setting_costs, stage_memory, HardwareProfile, StageMemory, StepModelInput, TransformerConfig,
 };
 use pipefisher_pipeline::PipelineScheme;
-use pipefisher_sim::{ring_allreduce_time, KindCost};
+use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
 use std::time::Instant;
 
@@ -42,35 +42,15 @@ impl Setting {
     /// Per-stage durations including collective costs derived from the
     /// hardware profile.
     pub fn costs(&self) -> KindCost {
-        let mut c = stage_costs(
+        setting_costs(
             &self.arch,
             &self.hw,
+            self.scheme,
             self.blocks_per_stage,
             self.b_micro,
+            self.w,
             self.recompute,
-        );
-        let mem = self.memory();
-        // Replica count for the collectives: explicit W, times Chimera's
-        // built-in stage pairing.
-        let replicas = self.w
-            * if self.scheme == PipelineScheme::Chimera {
-                2
-            } else {
-                1
-            };
-        c.t_sync_grad = ring_allreduce_time(
-            mem.m_theta,
-            replicas,
-            self.hw.link_bandwidth,
-            self.hw.link_latency,
-        );
-        c.t_sync_curv = ring_allreduce_time(
-            2.0 * mem.m_curv,
-            replicas,
-            self.hw.link_bandwidth,
-            self.hw.link_latency,
-        );
-        c
+        )
     }
 
     /// Per-stage memory terms.

@@ -96,29 +96,8 @@ impl CheckpointDir {
         Ok(path)
     }
 
-    /// Step numbers of every generation present, ascending.
-    pub fn generations(&self) -> Result<Vec<u64>, CkptError> {
-        list_generations(&self.dir)
-    }
-
-    /// Path of the newest generation, if any exist.
-    pub fn latest(&self) -> Result<Option<PathBuf>, CkptError> {
-        latest_generation(&self.dir)
-    }
-
-    /// Loads and validates the newest generation, if any.
-    pub fn load_latest(&self) -> Result<Option<(PathBuf, Snapshot)>, CkptError> {
-        match self.latest()? {
-            Some(path) => {
-                let snap = read_snapshot(&path)?;
-                Ok(Some((path, snap)))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn prune(&self) -> Result<(), CkptError> {
-        let steps = self.generations()?;
+        let steps = list_generations(&self.dir)?;
         if steps.len() <= self.retain {
             return Ok(());
         }
@@ -216,15 +195,14 @@ mod tests {
     fn dir_saves_latest_and_prunes() {
         let dir = temp_dir("prune");
         let store = CheckpointDir::create(&dir, 2).unwrap();
-        assert!(store.latest().unwrap().is_none());
-        assert!(store.load_latest().unwrap().is_none());
+        assert!(latest_generation(&dir).unwrap().is_none());
         for step in [1u64, 2, 3, 4, 10] {
             store.save(step, &sample_snapshot(step as u8)).unwrap();
         }
-        assert_eq!(store.generations().unwrap(), vec![4, 10]);
-        let (path, snap) = store.load_latest().unwrap().unwrap();
+        assert_eq!(list_generations(&dir).unwrap(), vec![4, 10]);
+        let path = latest_generation(&dir).unwrap().unwrap();
         assert_eq!(path, store.path_for_step(10));
-        assert_eq!(snap, sample_snapshot(10));
+        assert_eq!(read_snapshot(&path).unwrap(), sample_snapshot(10));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -234,7 +212,7 @@ mod tests {
         let store = CheckpointDir::create(&dir, 0).unwrap();
         store.save(1, &sample_snapshot(1)).unwrap();
         store.save(2, &sample_snapshot(2)).unwrap();
-        assert_eq!(store.generations().unwrap(), vec![2]);
+        assert_eq!(list_generations(&dir).unwrap(), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -245,7 +223,7 @@ mod tests {
         fs::write(dir.join("notes.txt"), b"keep me").unwrap();
         store.save(5, &sample_snapshot(5)).unwrap();
         store.save(6, &sample_snapshot(6)).unwrap();
-        assert_eq!(store.generations().unwrap(), vec![6]);
+        assert_eq!(list_generations(&dir).unwrap(), vec![6]);
         assert_eq!(fs::read(dir.join("notes.txt")).unwrap(), b"keep me");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -233,7 +233,7 @@ pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, S
 
 /// Builds the validated task graph a `<scheme> <D> <N_micro>` argument
 /// prefix describes, honoring `--recompute`, `--virtual V` (interleaved),
-/// and `--steps K` (async). Shared by `schedule` and `trace`.
+/// and `--steps K` (async).
 pub fn graph(argv: &[String]) -> Result<TaskGraph, String> {
     let d = int(argv, 1, "D")?;
     let n = int(argv, 2, "N_micro")?;
@@ -421,7 +421,7 @@ mod tests {
             let err = graph(&argv(&[name, "4", "0"])).unwrap_err();
             assert!(err.contains("micro-batches"), "{name}: {err}");
         }
-        // The four `schedule` / `trace` invocations that used to panic.
+        // The four `schedule` invocations that used to panic.
         for (bad, names) in [
             (
                 &["interleaved", "4", "8", "--virtual", "0"][..],
@@ -461,6 +461,33 @@ mod tests {
         let err = crate::cmd_model::run(&argv(&["bert-base", "p100", "0", "32"])).unwrap_err();
         assert!(err.contains("<D>"), "{err}");
         assert!(crate::cmd_model::run(&argv(&["bert-base", "p100", "4", "0"])).is_err());
+    }
+
+    #[test]
+    fn assign_rejects_malformed_optionals() {
+        // A positional after <B_micro> that is not a flag or a flag's value
+        // is `[blocks]` then `[W]`, and must parse; none is read as 1.
+        for (bad, names) in [
+            (
+                &["4", "32", "3x"][..],
+                "[blocks] must be a number, got '3x'",
+            ),
+            (
+                &["4", "32", "3", "zz"][..],
+                "[W] must be a number, got 'zz'",
+            ),
+            (&["4", "32", "--json", "zz"][..], "[blocks]"),
+            (&["4", "32", "--trace-out", "t.json", "1", "x"][..], "[W]"),
+            (&["4", "32", "3", "1", "7"][..], "unexpected argument '7'"),
+        ] {
+            let full: Vec<&str> = ["gpipe", "bert-base", "p100"]
+                .iter()
+                .chain(bad)
+                .copied()
+                .collect();
+            let err = crate::cmd_assign::run(&argv(&full)).unwrap_err();
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use crate::args;
 use pipefisher_core::{assign, PipeFisherConfig};
-use pipefisher_perfmodel::{stage_costs, stage_memory};
+use pipefisher_perfmodel::setting_costs;
 use pipefisher_pipeline::PipelineScheme;
-use pipefisher_sim::ring_allreduce_time;
 use serde_json::json;
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -14,34 +13,34 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let d = args::int(args, 3, "D")?;
     args::validate_scheme_shape(scheme, d, d)?; // N_micro = D
     let b_micro = args::positive(args::int(args, 4, "B_micro")?, "<B_micro>")?;
-    let optional = |idx: usize| args.get(idx).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let blocks = args::positive(optional(5), "[blocks]")?;
-    let w = args::positive(optional(6), "[W]")?;
+    // `[blocks] [W]`: the arguments after `<B_micro>` that are neither a
+    // flag nor the `--trace-out` value, in order; each must parse.
+    let mut counts = [1usize; 2];
+    let mut slots = ["[blocks]", "[W]"].into_iter().zip(&mut counts);
+    let mut rest = args.iter().skip(5);
+    while let Some(arg) = rest.next() {
+        if arg == "--trace-out" {
+            rest.next();
+        } else if !arg.starts_with("--") {
+            let (name, count) = slots
+                .next()
+                .ok_or_else(|| format!("unexpected argument '{arg}'"))?;
+            let n = arg
+                .parse()
+                .map_err(|_| format!("{name} must be a number, got '{arg}'"))?;
+            *count = args::positive(n, name)?;
+        }
+    }
+    let [blocks, w] = counts;
     let recompute = args::has_flag(args, "--recompute");
     let json_out = args::has_flag(args, "--json");
-
-    let mut costs = stage_costs(&arch, &hw, blocks, b_micro, recompute);
-    let mem = stage_memory(&arch, blocks, b_micro, recompute);
-    let replicas = w * if scheme == PipelineScheme::Chimera {
-        2
-    } else {
-        1
-    };
-    costs.t_sync_grad =
-        ring_allreduce_time(mem.m_theta, replicas, hw.link_bandwidth, hw.link_latency);
-    costs.t_sync_curv = ring_allreduce_time(
-        2.0 * mem.m_curv,
-        replicas,
-        hw.link_bandwidth,
-        hw.link_latency,
-    );
 
     let schedule = assign(&PipeFisherConfig {
         scheme,
         d,
         n_micro: d,
         w,
-        costs,
+        costs: setting_costs(&arch, &hw, scheme, blocks, b_micro, w, recompute),
         max_steps: 128,
         chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
         recompute,

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! pipefisher schedule <scheme> <D> <N_micro> [--recompute] [--csv] [--trace-out FILE]
-//! pipefisher trace    <scheme> <D> <N_micro> [--t-f T] [--t-b T] [--out FILE]
 //! pipefisher assign   <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W] [--json]
 //! pipefisher model    <arch> <hw> <D> <B_micro> [--json]
 //! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE]
@@ -18,7 +17,6 @@ mod cmd_model;
 mod cmd_schedule;
 mod cmd_soak;
 mod cmd_sweep;
-mod cmd_trace;
 mod cmd_train;
 
 use std::process::ExitCode;
@@ -32,12 +30,6 @@ USAGE:
                         [--trace-out FILE]
         Render a pipeline schedule as an ASCII timeline (or CSV); with
         --trace-out also write a Chrome/Perfetto trace of the timeline.
-
-    pipefisher trace <gpipe|1f1b|chimera|interleaved|async> <D> <N_micro>
-                     [--t-f T] [--t-b T] [--unit-us U] [--out FILE]
-                     [--recompute] [--virtual V] [--steps K]
-        Simulate a pipeline step and export it as Chrome trace JSON
-        (openable in ui.perfetto.dev or chrome://tracing).
 
     pipefisher assign <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W]
                       [--json] [--trace-out FILE]
@@ -87,7 +79,6 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match argv.first().map(String::as_str) {
         Some("schedule") => cmd_schedule::run(&argv[1..]),
-        Some("trace") => cmd_trace::run(&argv[1..]),
         Some("assign") => cmd_assign::run(&argv[1..]),
         Some("model") => cmd_model::run(&argv[1..]),
         Some("train") => cmd_train::run(&argv[1..]),

@@ -181,8 +181,8 @@ impl ExecutablePlan {
     /// Standard work keeps the graph's per-device order. Aux (K-FAC) work
     /// is the same for every scheme and depth: each stage gets the
     /// canonical fold-A, fold-B, invert sequence on its capture host, each
-    /// split into `granularity` chunks (0 is treated as 1), with their
-    /// [`AuxOp`] prerequisites.
+    /// split into the same fixed number of chunks, with their [`AuxOp`]
+    /// prerequisites.
     ///
     /// # Errors
     ///
@@ -194,7 +194,7 @@ impl ExecutablePlan {
     ///   standard task without a micro-batch, or a micro-batch whose
     ///   forward and backward sit on different devices (activations could
     ///   never reach the backward).
-    pub fn lower(graph: &TaskGraph, granularity: usize) -> Result<ExecutablePlan, AssignError> {
+    pub fn lower(graph: &TaskGraph) -> Result<ExecutablePlan, AssignError> {
         let n_stages = graph.n_stages();
         let n_micro = graph.n_micro();
         let n_devices = graph.n_devices();
@@ -330,25 +330,25 @@ impl ExecutablePlan {
         }
 
         // Aux work: per stage, on its capture host, the canonical fold-A,
-        // fold-B, invert sequence. (K-FAC folds the capture micro-batch's
-        // statistics once per step, and the π-coupled `Invert` unit covers
-        // both factors.)
-        let granularity = granularity.max(1);
+        // fold-B, invert sequence, each in `UNITS` chunks: the size of work
+        // a bubble fits. (K-FAC folds the capture micro-batch's statistics
+        // once per step; the π-coupled `Invert` unit covers both factors.)
+        const UNITS: usize = 2;
         for (stage, &host) in capture_host.iter().enumerate() {
             let (fwd, bwd, slot) = capture_ops[stage];
             let aux = &mut devices[host].aux;
-            let folds = (aux.len(), aux.len() + 2 * granularity);
+            let folds = (aux.len(), aux.len() + 2 * UNITS);
             for (kind, release, after) in [
                 (AuxKind::FoldA, Some(fwd), (0, 0)),
                 (AuxKind::FoldB, Some(bwd), (0, 0)),
                 (AuxKind::Invert, None, folds),
             ] {
-                for chunk in 0..granularity {
+                for chunk in 0..UNITS {
                     aux.push(AuxOp {
                         stage,
                         kind,
                         chunk,
-                        chunks: granularity,
+                        chunks: UNITS,
                         release,
                         after,
                         slot,
@@ -373,7 +373,7 @@ mod tests {
     use pipefisher_pipeline::{PipelineScheme, StageAssignment};
 
     fn lower_scheme(scheme: PipelineScheme, d: usize, n: usize) -> ExecutablePlan {
-        ExecutablePlan::lower(&scheme.build(d, n), 2).unwrap()
+        ExecutablePlan::lower(&scheme.build(d, n)).unwrap()
     }
 
     #[test]
@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(plan.devices[0].n_slots[0], 4);
         let plan8 = {
             let graph = PipelineScheme::OneFOneB.build(4, 8);
-            ExecutablePlan::lower(&graph, 1).unwrap()
+            ExecutablePlan::lower(&graph).unwrap()
         };
         // With 8 micro-batches the window stays bounded by the warmup depth.
         assert!(
@@ -607,7 +607,7 @@ mod tests {
             StageAssignment::Single,
             vec![f2],
         );
-        let plan = ExecutablePlan::lower(&g, 1).unwrap();
+        let plan = ExecutablePlan::lower(&g).unwrap();
         let slots: Vec<usize> = plan.devices[0]
             .ops
             .iter()
@@ -647,7 +647,7 @@ mod tests {
             vec![f1],
         );
         // Stage 0's backward is missing entirely.
-        match ExecutablePlan::lower(&g, 1) {
+        match ExecutablePlan::lower(&g) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Backward,
                 stage: 0,
@@ -685,7 +685,7 @@ mod tests {
             StageAssignment::Single,
             vec![],
         );
-        match ExecutablePlan::lower(&g, 1) {
+        match ExecutablePlan::lower(&g) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Forward,
                 stage: 0,
@@ -714,7 +714,7 @@ mod tests {
             StageAssignment::Single,
             vec![f0],
         );
-        match ExecutablePlan::lower(&g, 1) {
+        match ExecutablePlan::lower(&g) {
             Err(AssignError::Schedule(msg)) => {
                 assert!(
                     msg.contains("different device") || msg.contains("device"),
@@ -752,7 +752,7 @@ mod tests {
             StageAssignment::Single,
             vec![r],
         );
-        match ExecutablePlan::lower(&g, 1) {
+        match ExecutablePlan::lower(&g) {
             Err(AssignError::Schedule(msg)) => assert!(msg.contains("not executable"), "{msg}"),
             other => panic!("expected Schedule error, got {other:?}"),
         }
@@ -772,7 +772,7 @@ mod tests {
     fn routing_points_at_hosting_devices() {
         for scheme in PipelineScheme::all() {
             let graph = scheme.build(4, 4);
-            let plan = ExecutablePlan::lower(&graph, 1).unwrap();
+            let plan = ExecutablePlan::lower(&graph).unwrap();
             for (dev, dp) in plan.devices.iter().enumerate() {
                 for op in &dp.ops {
                     match *op {

@@ -19,8 +19,8 @@ use crate::conformance::{check_conformance, extract_events, ExecEvent, StepSpec}
 use crate::fault::{splitmix64, CheckpointFault, FaultPlan};
 use pipefisher_core::ExecutablePlan;
 use pipefisher_lm::{
-    plan_for, BatchSampler, CheckpointPolicy, ExecError, OptimizerChoice, PipelineOptions,
-    ResumeFrom, SyntheticLanguage, TrainOptions, Trainer,
+    plan_for, BatchSampler, CheckpointPolicy, ExecError, ExecFault, OptimizerChoice,
+    PipelineOptions, ResumeFrom, SyntheticLanguage, TrainOptions, Trainer,
 };
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::{KfacConfig, LrSchedule};
@@ -410,14 +410,13 @@ fn execute_resume_inner(
             Err(e) => e,
             Ok(_) => return Err("injected kill never fired".to_string()),
         };
-        if !matches!(err, ExecError::StagePanic { .. }) {
+        if !matches!(err.fault, ExecFault::StagePanic { .. }) {
             return Err(format!("kill surfaced as the wrong error: {err}"));
         }
-        if err.completed_steps() != cf.kill_after {
+        if err.completed_steps != cf.kill_after {
             return Err(format!(
                 "kill at step {} reported {} completed steps",
-                cf.kill_after,
-                err.completed_steps()
+                cf.kill_after, err.completed_steps
             ));
         }
 
@@ -485,25 +484,25 @@ pub fn run_scenario(
     }
     let ex = execute_inner(sc);
     match (sc.fault.fault, ex.result) {
-        (Some((StepFault::Panic, device, _)), Err(ExecError::StagePanic { device: got, .. })) => {
-            if got != device {
-                return Err(fail(format!(
-                    "injected panic on device {device} was attributed to device {got}"
-                )));
+        (Some((kind, device, step)), Err(e)) => match (kind, &e.fault) {
+            (StepFault::Panic, &ExecFault::StagePanic { device: got, .. }) => {
+                if got != device {
+                    return Err(fail(format!(
+                        "injected panic on device {device} was attributed to device {got}"
+                    )));
+                }
+                Ok(ScenarioOutcome::Faulted {
+                    error: format!("StagePanic on device {got}"),
+                })
             }
-            Ok(ScenarioOutcome::Faulted {
-                error: format!("StagePanic on device {got}"),
-            })
-        }
-        (Some((StepFault::Stall, _, _)), Err(e @ ExecError::Wedged { .. })) => {
-            Ok(ScenarioOutcome::Faulted {
+            (StepFault::Stall, ExecFault::Wedged { .. }) => Ok(ScenarioOutcome::Faulted {
                 error: e.to_string(),
-            })
-        }
-        (Some((kind, device, step)), Err(e)) => Err(fail(format!(
-            "injected {kind:?} on device {device} at step {step} surfaced as the wrong \
-             error: {e}"
-        ))),
+            }),
+            _ => Err(fail(format!(
+                "injected {kind:?} on device {device} at step {step} surfaced as the wrong \
+                 error: {e}"
+            ))),
+        },
         (Some((kind, device, step)), Ok(_)) => Err(fail(format!(
             "injected {kind:?} on device {device} at step {step} never fired"
         ))),

@@ -33,5 +33,7 @@ pub use checkpoint::{
 pub use corpus::SyntheticLanguage;
 pub use data::{special_tokens, BatchSampler};
 pub use metrics::{to_jsonl, StepMetrics};
-pub use pipeline::{plan_for, ChaosHook, ExecError, PipelineOptions, PipelineOutcome, StepFault};
+pub use pipeline::{
+    plan_for, ChaosHook, ExecError, ExecFault, PipelineOptions, PipelineOutcome, StepFault,
+};
 pub use trainer::{OptimizerChoice, TrainOptions, TrainRun, Trainer};

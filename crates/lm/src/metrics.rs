@@ -29,9 +29,10 @@ pub struct StepMetrics {
     pub optimizer_ms: f64,
     /// Whether this step refreshed K-FAC curvature statistics.
     pub curvature_refreshed: bool,
-    /// Cumulative K-FAC curvature refreshes up to and including this step.
+    /// K-FAC curvature refreshes from this run's first step up to and
+    /// including this one (a resumed run counts from where it resumed).
     pub curvature_refreshes: u64,
-    /// Cumulative K-FAC factor inversions up to and including this step.
+    /// K-FAC factor inversions over the same span as `curvature_refreshes`.
     pub inversions: u64,
     /// Cumulative factor inversions that failed at the configured damping
     /// and were retried with the escalated one, over all layers (counted
@@ -87,32 +88,6 @@ pub fn to_jsonl(rows: &[StepMetrics]) -> String {
     out
 }
 
-/// Accumulates [`StepMetrics`] rows over a run, tracking the cumulative
-/// K-FAC refresh counters (the inversion-health pair is already cumulative
-/// where it is counted, in the optimizer's layer states).
-#[derive(Debug, Default)]
-pub(crate) struct MetricsRecorder {
-    rows: Vec<StepMetrics>,
-    curvature_refreshes: u64,
-    inversions: u64,
-}
-
-impl MetricsRecorder {
-    /// Appends `row`, filling in its two cumulative refresh counters
-    /// (`inverted`: whether this step refreshed the factor inverses).
-    pub fn record(&mut self, mut row: StepMetrics, inverted: bool) {
-        self.curvature_refreshes += u64::from(row.curvature_refreshed);
-        self.inversions += u64::from(inverted);
-        row.curvature_refreshes = self.curvature_refreshes;
-        row.inversions = self.inversions;
-        self.rows.push(row);
-    }
-
-    pub fn into_rows(self) -> Vec<StepMetrics> {
-        self.rows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,27 +124,5 @@ mod tests {
             assert_eq!(v.get("loss").unwrap().as_f64(), Some(2.5));
         }
         assert!(to_jsonl(&[]).is_empty());
-    }
-
-    #[test]
-    fn recorder_accumulates_refresh_counters() {
-        let mut rec = MetricsRecorder::default();
-        let step =
-            |step, curvature_refreshed, (damping_escalations, inversion_failures)| StepMetrics {
-                curvature_refreshed,
-                damping_escalations,
-                inversion_failures,
-                ..row(step)
-            };
-        rec.record(step(0, true, (0, 0)), true);
-        rec.record(step(1, false, (1, 0)), false);
-        rec.record(step(2, true, (1, 1)), false);
-        let rows = rec.into_rows();
-        assert_eq!(rows[2].curvature_refreshes, 2);
-        assert_eq!(rows[2].inversions, 1);
-        assert!(!rows[1].curvature_refreshed);
-        // The health counters arrive cumulative from the optimizer.
-        assert_eq!(rows[1].damping_escalations, 1);
-        assert_eq!(rows[2].inversion_failures, 1);
     }
 }

@@ -48,8 +48,8 @@
 //! computed deadlines: the watchdog past the device's last progress (a
 //! worker waiting for pipeline input) or past the newest progress of any
 //! device (the coordinator waiting for the step's reports). A panicking
-//! stage records [`ExecError::StagePanic`] in the first-fault-wins latch,
-//! a wedged one [`ExecError::Wedged`]; recording the run's first fault
+//! stage records [`ExecFault::StagePanic`] in the first-fault-wins latch,
+//! a wedged one [`ExecFault::Wedged`]; recording the run's first fault
 //! sends `Abort` to every inbox, so blocked threads wake at once and
 //! everything unwinds to a join. Neither deadlocks.
 
@@ -66,15 +66,12 @@ use pipefisher_optim::{
 };
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::Matrix;
+use pipefisher_trace::Span;
 use serde_json::json;
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Layer chunks each stage's fold-A, fold-B and invert work is split into:
-/// the size of the K-FAC units a device can fit into a bubble.
-const AUX_GRANULARITY: usize = 2;
 
 /// A fault a [`ChaosHook`] injects at the start of a device's step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +93,7 @@ pub enum StepFault {
 /// (delays, skewed aux pickup order) or *liveness* (panics, stalls), but
 /// have no access to data values: any run a hook does not abort must still
 /// be bitwise-identical to the serial trainer.
-pub trait ChaosHook: Send + Sync {
+pub trait ChaosHook: std::fmt::Debug + Send + Sync {
     /// Consulted once when `device` begins `step`; returning a fault panics
     /// or wedges the worker before any of the step's work runs.
     fn step_fault(&self, _device: usize, _step: usize) -> Option<StepFault> {
@@ -119,7 +116,7 @@ pub trait ChaosHook: Send + Sync {
 }
 
 /// How a pipelined run is laid out and supervised.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PipelineOptions {
     /// Pipeline schedule shape (GPipe / 1F1B / Chimera; Chimera needs an
     /// even stage count and an even micro-batch count).
@@ -133,7 +130,7 @@ pub struct PipelineOptions {
     /// paper's "K-FAC on pipeline" baseline.
     pub fill_bubbles: bool,
     /// No worker (or the coordinator) may go this long without progress
-    /// before the run aborts with [`ExecError::Wedged`]. Progress is a
+    /// before the run aborts with [`ExecFault::Wedged`]. Progress is a
     /// finished op or K-FAC unit, a boundary tensor sent or received, a
     /// step command's arrival, or an injected delay running out. A worker
     /// trips when it has waited for pipeline input until its own last
@@ -154,21 +151,6 @@ pub struct PipelineOptions {
     pub resume: Option<ResumeFrom>,
 }
 
-impl std::fmt::Debug for PipelineOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineOptions")
-            .field("scheme", &self.scheme)
-            .field("n_stages", &self.n_stages)
-            .field("n_micro", &self.n_micro)
-            .field("fill_bubbles", &self.fill_bubbles)
-            .field("watchdog", &self.watchdog)
-            .field("chaos", &self.chaos.as_ref().map(|_| "<hook>"))
-            .field("checkpoint", &self.checkpoint)
-            .field("resume", &self.resume)
-            .finish()
-    }
-}
-
 impl PipelineOptions {
     /// Bubble-filling defaults with a 30 s watchdog.
     pub fn new(scheme: PipelineScheme, n_stages: usize, n_micro: usize) -> Self {
@@ -186,13 +168,20 @@ impl PipelineOptions {
 }
 
 /// Why a pipelined run stopped without finishing.
-///
-/// Every fault variant carries the number of optimizer steps that fully
-/// completed (gradient merged, optimizer applied) before the abort — the
-/// last checkpointable step. With checkpointing enabled, a supervisor can
-/// resume from the newest generation at or below that step.
 #[derive(Debug)]
-pub enum ExecError {
+pub struct ExecError {
+    /// Optimizer steps that fully completed (gradient merged, optimizer
+    /// applied) before the run stopped — the last step a checkpoint could
+    /// describe, `0` for a plan error. With checkpointing enabled, a
+    /// supervisor can resume from the newest generation at or below it.
+    pub completed_steps: usize,
+    /// What stopped the run.
+    pub fault: ExecFault,
+}
+
+/// What stopped a pipelined run.
+#[derive(Debug)]
+pub enum ExecFault {
     /// The schedule could not be lowered into an executable plan.
     Plan(AssignError),
     /// A stage worker panicked; the run aborted and every thread joined.
@@ -201,8 +190,6 @@ pub enum ExecError {
         device: usize,
         /// The panic payload, if it was a string.
         message: String,
-        /// Optimizer steps fully completed before the abort.
-        completed_steps: usize,
     },
     /// A worker (or the coordinator) made no progress for the watchdog
     /// duration; the run aborted rather than deadlocking.
@@ -211,101 +198,31 @@ pub enum ExecError {
         waited: Duration,
         /// Who was stuck waiting for what.
         detail: String,
-        /// Optimizer steps fully completed before the abort.
-        completed_steps: usize,
     },
     /// Reading or writing a checkpoint failed.
-    Checkpoint {
-        /// The underlying checkpoint error.
-        source: CkptError,
-        /// Optimizer steps fully completed before the abort.
-        completed_steps: usize,
-    },
-}
-
-impl ExecError {
-    /// Optimizer steps that fully completed before the run stopped — the
-    /// last step a checkpoint could describe (`0` for plan errors, which
-    /// fail before any step runs).
-    pub fn completed_steps(&self) -> usize {
-        match self {
-            ExecError::Plan(_) => 0,
-            ExecError::StagePanic {
-                completed_steps, ..
-            }
-            | ExecError::Wedged {
-                completed_steps, ..
-            }
-            | ExecError::Checkpoint {
-                completed_steps, ..
-            } => *completed_steps,
-        }
-    }
-
-    /// Stamps the coordinator's completed-step count onto a fault. Workers
-    /// record faults with `completed_steps: 0` (they cannot know how far
-    /// the coordinator got); the coordinator patches the winning fault on
-    /// the way out.
-    fn with_completed(mut self, n: usize) -> Self {
-        match &mut self {
-            ExecError::Plan(_) => {}
-            ExecError::StagePanic {
-                completed_steps, ..
-            }
-            | ExecError::Wedged {
-                completed_steps, ..
-            }
-            | ExecError::Checkpoint {
-                completed_steps, ..
-            } => *completed_steps = n,
-        }
-        self
-    }
+    Checkpoint(CkptError),
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Plan(e) => write!(f, "pipeline plan error: {e}"),
-            ExecError::StagePanic {
-                device,
-                message,
-                completed_steps,
-            } => {
-                write!(
-                    f,
-                    "stage worker {device} panicked: {message} \
-                     ({completed_steps} steps completed)"
-                )
+        match &self.fault {
+            ExecFault::Plan(e) => return write!(f, "pipeline plan error: {e}"),
+            ExecFault::StagePanic { device, message } => {
+                write!(f, "stage worker {device} panicked: {message}")?
             }
-            ExecError::Wedged {
-                waited,
-                detail,
-                completed_steps,
-            } => {
-                write!(
-                    f,
-                    "pipeline wedged (no progress for {waited:?}): {detail} \
-                     ({completed_steps} steps completed)"
-                )
+            ExecFault::Wedged { waited, detail } => {
+                write!(f, "pipeline wedged (no progress for {waited:?}): {detail}")?
             }
-            ExecError::Checkpoint {
-                source,
-                completed_steps,
-            } => {
-                write!(
-                    f,
-                    "checkpoint error: {source} ({completed_steps} steps completed)"
-                )
-            }
+            ExecFault::Checkpoint(source) => write!(f, "checkpoint error: {source}")?,
         }
+        write!(f, " ({} steps completed)", self.completed_steps)
     }
 }
 
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Checkpoint { source, .. } => Some(source),
+        match &self.fault {
+            ExecFault::Checkpoint(source) => Some(source),
             _ => None,
         }
     }
@@ -415,24 +332,24 @@ enum WorkerMsg {
 #[derive(Default)]
 struct Fleet {
     inboxes: Vec<SyncSender<Inbox>>,
-    fault: Mutex<Option<ExecError>>,
+    fault: Mutex<Option<ExecFault>>,
     progress: Vec<Mutex<Instant>>,
 }
 
 impl Fleet {
-    /// Records `err` if no earlier fault was recorded — and then, being the
-    /// run's first fault, wakes every worker with an `Abort`.
-    fn trip(&self, err: ExecError) {
+    /// Records `fault` if no earlier fault was recorded — and then, being
+    /// the run's first fault, wakes every worker with an `Abort`.
+    fn trip(&self, fault: ExecFault) {
         let mut slot = self.fault.lock().expect("fault latch never poisons");
         if slot.is_none() {
-            *slot = Some(err);
+            *slot = Some(fault);
             for inbox in &self.inboxes {
                 let _ = inbox.send(Inbox::Abort);
             }
         }
     }
 
-    fn take(&self) -> Option<ExecError> {
+    fn take(&self) -> Option<ExecFault> {
         self.fault.lock().expect("fault latch never poisons").take()
     }
 
@@ -455,6 +372,26 @@ impl Fleet {
 /// is the one that failed) is already in the [`Fleet`]'s latch.
 struct Halt;
 
+/// The span of a forward or backward op, its plan coordinates as args.
+fn op_span(
+    name: &'static str,
+    step: usize,
+    device: usize,
+    stage: usize,
+    mb: usize,
+    slot: usize,
+) -> Option<Span> {
+    pipefisher_trace::span_with(name, "pipeline", || {
+        vec![
+            ("step".to_string(), json!(step)),
+            ("device".to_string(), json!(device)),
+            ("stage".to_string(), json!(stage)),
+            ("mb".to_string(), json!(mb)),
+            ("slot".to_string(), json!(slot)),
+        ]
+    })
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -475,7 +412,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `n_stages` or `n_micro`), mirroring `run_pipelined`.
 pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     let graph = opts.scheme.build(opts.n_stages, opts.n_micro);
-    ExecutablePlan::lower(&graph, AUX_GRANULARITY).map_err(ExecError::Plan)
+    ExecutablePlan::lower(&graph).map_err(|e| ExecError {
+        completed_steps: 0,
+        fault: ExecFault::Plan(e),
+    })
 }
 
 /// The coordinator's handle on its worker threads. Workers hold senders
@@ -601,13 +541,15 @@ impl<'a> Staged<'a> {
     }
 
     /// Trips the abort latch with `fallback` (first fault wins), tears the
-    /// worker fleet down, and returns the winning fault stamped with the
-    /// steps completed before `step` faulted.
-    fn abort_step(&mut self, step: usize, fallback: ExecError) -> ExecError {
+    /// worker fleet down, and returns the winning fault with the steps
+    /// completed before `step` faulted — the one place that count is known.
+    fn abort_step(&mut self, step: usize, fallback: ExecFault) -> ExecError {
         self.workers.fleet.trip(fallback);
         self.workers.shutdown();
-        let fault = self.workers.fleet.take().expect("abort latch tripped");
-        fault.with_completed(step)
+        ExecError {
+            completed_steps: step,
+            fault: self.workers.fleet.take().expect("abort latch tripped"),
+        }
     }
 }
 
@@ -720,22 +662,20 @@ impl Engine for Staged<'_> {
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         opt: &mut AnyOpt,
-        (refresh_curv, refresh_inv): (bool, bool),
     ) -> Result<f64, ExecError> {
         let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let n_devices = self.plan.devices.len();
         let batches = Arc::new(batches);
-        let panicked = |device: usize, message: &str| ExecError::StagePanic {
+        let panicked = |device: usize, message: &str| ExecFault::StagePanic {
             device,
             message: message.to_string(),
-            completed_steps: step,
         };
         let watchdog = self.opts.watchdog;
-        let wedged = |detail: String| ExecError::Wedged {
+        let wedged = |detail: String| ExecFault::Wedged {
             waited: watchdog,
             detail,
-            completed_steps: step,
         };
+        let (refresh_curv, refresh_inv) = opt.next_step_refreshes();
         // Dispatch: every device's loans go out with its step command.
         let kfac_step = opt.kfac_mut().map(|k| KfacStep {
             t: k.step_count() + 1,
@@ -920,10 +860,9 @@ impl Worker {
             match outcome {
                 Ok(Ok(())) => continue,
                 Ok(Err(Halt)) => {}
-                Err(payload) => self.fleet.trip(ExecError::StagePanic {
+                Err(payload) => self.fleet.trip(ExecFault::StagePanic {
                     device: self.device,
                     message: panic_message(payload),
-                    completed_steps: 0,
                 }),
             }
             let _ = self.reports.send(WorkerMsg::Fault {
@@ -1071,16 +1010,7 @@ impl Worker {
         };
         let (batch, ctx) = &cmd.batches[mb];
         let out = {
-            let device = self.device;
-            let _span = pipefisher_trace::span_with("forward", "pipeline", || {
-                vec![
-                    ("step".to_string(), json!(cmd.step)),
-                    ("device".to_string(), json!(device)),
-                    ("stage".to_string(), json!(stage)),
-                    ("mb".to_string(), json!(mb)),
-                    ("slot".to_string(), json!(slot)),
-                ]
-            });
+            let _span = op_span("forward", cmd.step, self.device, stage, mb, slot);
             let host = self.hosts.get_mut(&stage).expect("forward on hosted stage");
             host.replicas[slot].forward(input, batch, ctx)
         };
@@ -1110,16 +1040,7 @@ impl Worker {
         };
         let (batch, _ctx) = &cmd.batches[mb];
         let upstream = {
-            let device = self.device;
-            let _span = pipefisher_trace::span_with("backward", "pipeline", || {
-                vec![
-                    ("step".to_string(), json!(cmd.step)),
-                    ("device".to_string(), json!(device)),
-                    ("stage".to_string(), json!(stage)),
-                    ("mb".to_string(), json!(mb)),
-                    ("slot".to_string(), json!(slot)),
-                ]
-            });
+            let _span = op_span("backward", cmd.step, self.device, stage, mb, slot);
             let host = self
                 .hosts
                 .get_mut(&stage)
@@ -1194,14 +1115,13 @@ impl Worker {
             if let Woke::Deadline = woke? {
                 let (is_grad, stage, mb) = key;
                 let what = if is_grad { "gradient" } else { "activation" };
-                self.fleet.trip(ExecError::Wedged {
+                self.fleet.trip(ExecFault::Wedged {
                     waited: self.watchdog,
                     detail: format!(
                         "device {} stuck waiting for the {what} of stage {stage} \
                          micro-batch {mb}",
                         self.device
                     ),
-                    completed_steps: 0,
                 });
                 return Err(Halt);
             }
@@ -1349,5 +1269,42 @@ mod tests {
         let fleet = Arc::downgrade(&engine.workers.fleet);
         drop(engine);
         assert!(fleet.upgrade().is_none(), "a worker outlived the engine");
+    }
+
+    /// Each fault's message, with the completed-step count after every
+    /// fault but a plan error (which fails before any step runs).
+    #[test]
+    fn exec_error_display_pins_every_fault() {
+        let shown = |fault| {
+            let err = ExecError {
+                completed_steps: 3,
+                fault,
+            };
+            err.to_string()
+        };
+        assert_eq!(
+            shown(ExecFault::Plan(AssignError::Schedule("bad".into()))),
+            "pipeline plan error: schedule error: bad"
+        );
+        assert_eq!(
+            shown(ExecFault::StagePanic {
+                device: 1,
+                message: "boom".into(),
+            }),
+            "stage worker 1 panicked: boom (3 steps completed)"
+        );
+        assert_eq!(
+            shown(ExecFault::Wedged {
+                waited: Duration::from_secs(30),
+                detail: "device 0 stuck".into(),
+            }),
+            "pipeline wedged (no progress for 30s): device 0 stuck (3 steps completed)"
+        );
+        assert_eq!(
+            shown(ExecFault::Checkpoint(CkptError::Malformed {
+                detail: "short".into(),
+            })),
+            "checkpoint error: malformed checkpoint: short (3 steps completed)"
+        );
     }
 }

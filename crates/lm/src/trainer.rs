@@ -12,8 +12,7 @@
 use crate::checkpoint::{
     resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
 };
-use crate::metrics::MetricsRecorder;
-use crate::pipeline::ExecError;
+use crate::pipeline::{ExecError, ExecFault};
 use crate::{BatchSampler, StepMetrics};
 use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
 use pipefisher_core::capture_micro_batch;
@@ -158,10 +157,6 @@ impl Trainer {
         steps: usize,
         opts: &TrainOptions,
     ) -> TrainRun {
-        assert!(
-            opts.grad_delay == 0 || matches!(choice, OptimizerChoice::Lamb { .. }),
-            "grad_delay models asynchronous first-order pipelines; use Lamb"
-        );
         self.run_checkpointed(model, choice, steps, opts, &CheckpointOptions::default())
             .expect("no checkpointing requested, so no checkpoint errors")
     }
@@ -186,9 +181,10 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `opts.accumulation_steps == 0`, or if `opts.grad_delay > 0`
-    /// while saving or resuming (stale-gradient emulation keeps an in-flight
-    /// gradient queue that is deliberately not checkpointable).
+    /// Panics as [`Trainer::run_with_options`] does, and if
+    /// `opts.grad_delay > 0` while saving or resuming (stale-gradient
+    /// emulation keeps an in-flight gradient queue that is deliberately not
+    /// checkpointable).
     pub fn run_checkpointed(
         &mut self,
         model: &mut BertForPreTraining,
@@ -197,14 +193,6 @@ impl Trainer {
         opts: &TrainOptions,
         ckpt: &CheckpointOptions,
     ) -> Result<TrainRun, CkptError> {
-        assert!(
-            opts.accumulation_steps > 0,
-            "accumulation_steps must be positive"
-        );
-        assert!(
-            opts.grad_delay == 0 || (ckpt.save.is_none() && ckpt.resume.is_none()),
-            "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
-        );
         // The inline engine raises no executor faults.
         self.drive(
             model,
@@ -215,7 +203,10 @@ impl Trainer {
             ckpt.resume.as_ref(),
         )
         .map_err(|e| match e {
-            ExecError::Checkpoint { source, .. } => source,
+            ExecError {
+                fault: ExecFault::Checkpoint(source),
+                ..
+            } => source,
             other => unreachable!("inline engine fault: {other}"),
         })
     }
@@ -259,6 +250,12 @@ impl Trainer {
     /// Whether a step captures curvature statistics, and what its row
     /// reports as refreshed, is read from the optimizer's own cadence clock
     /// before the update advances it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.accumulation_steps == 0`, or if `opts.grad_delay > 0`
+    /// with an optimizer other than LAMB or with checkpoints saved or
+    /// resumed.
     pub(crate) fn drive(
         &mut self,
         engine: &mut dyn Engine,
@@ -268,10 +265,22 @@ impl Trainer {
         save: Option<&CheckpointPolicy>,
         resume: Option<&ResumeFrom>,
     ) -> Result<TrainRun, ExecError> {
+        assert!(
+            opts.accumulation_steps > 0,
+            "accumulation_steps must be positive"
+        );
+        assert!(
+            opts.grad_delay == 0 || matches!(choice, OptimizerChoice::Lamb { .. }),
+            "grad_delay models asynchronous first-order pipelines; use Lamb"
+        );
+        assert!(
+            opts.grad_delay == 0 || (save.is_none() && resume.is_none()),
+            "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
+        );
         let ckpt_err = |completed_steps| {
-            move |source| ExecError::Checkpoint {
-                source,
+            move |source| ExecError {
                 completed_steps,
+                fault: ExecFault::Checkpoint(source),
             }
         };
         let (mut opt, store, start_step) = self
@@ -284,7 +293,9 @@ impl Trainer {
         let scale = 1.0 / n_micro as f64;
         let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
         let mut losses = Vec::with_capacity(steps.saturating_sub(start_step));
-        let mut recorder = MetricsRecorder::default();
+        let mut metrics = Vec::new();
+        // Refreshes since this run's first step, for the cumulative columns.
+        let (mut curvature_refreshes, mut inversions) = (0, 0);
         // Mean gradients computed but not yet applied, oldest first.
         let mut in_flight: VecDeque<Vec<Matrix>> = VecDeque::new();
         for step in start_step..steps {
@@ -315,8 +326,7 @@ impl Trainer {
             let t1 = Instant::now();
             let loss = {
                 let _span = pipefisher_trace::span("forward_backward", "train");
-                let kfac_work = (refresh_curv, refresh_inv);
-                engine.run_micro_batches(step, batches, &mut opt, kfac_work)? * scale
+                engine.run_micro_batches(step, batches, &mut opt)? * scale
             };
             let model = engine.model();
             model.visit_all_params(&mut |p| p.grad.scale_inplace(scale));
@@ -373,27 +383,25 @@ impl Trainer {
             }
             let (damping_escalations, inversion_failures) = opt.inversion_health();
             let alloc = pipefisher_trace::alloc_snapshot().since(&alloc_before);
-            recorder.record(
-                StepMetrics {
-                    step,
-                    loss,
-                    grad_norm,
-                    lr,
-                    data_ms: ms(t0, t1),
-                    forward_backward_ms: ms(t1, t2),
-                    optimizer_ms: ms(t3, t4),
-                    curvature_refreshed: refresh_curv,
-                    // The two cumulative counters are the recorder's to set.
-                    curvature_refreshes: 0,
-                    inversions: 0,
-                    damping_escalations,
-                    inversion_failures,
-                    allocs: alloc.allocs,
-                    alloc_bytes: alloc.bytes,
-                    ckpt_write_ms,
-                },
-                refresh_inv,
-            );
+            curvature_refreshes += u64::from(refresh_curv);
+            inversions += u64::from(refresh_inv);
+            metrics.push(StepMetrics {
+                step,
+                loss,
+                grad_norm,
+                lr,
+                data_ms: ms(t0, t1),
+                forward_backward_ms: ms(t1, t2),
+                optimizer_ms: ms(t3, t4),
+                curvature_refreshed: refresh_curv,
+                curvature_refreshes,
+                inversions,
+                damping_escalations,
+                inversion_failures,
+                allocs: alloc.allocs,
+                alloc_bytes: alloc.bytes,
+                ckpt_write_ms,
+            });
         }
         let label = match grad_delay {
             0 => opt.label().to_string(),
@@ -402,7 +410,7 @@ impl Trainer {
         Ok(TrainRun {
             losses,
             label,
-            metrics: recorder.into_rows(),
+            metrics,
         })
     }
 
@@ -431,15 +439,13 @@ pub(crate) trait Engine {
 
     /// Runs the step's micro-batches against the zeroed canonical gradients,
     /// leaving their micro-batch-order sum there, and returns the
-    /// micro-batch-order sum of the total losses. `kfac_work` is the
-    /// optimizer's `(curvature, inversion)` cadence for this step, for an
-    /// engine that runs that work itself.
+    /// micro-batch-order sum of the total losses. An engine that runs the
+    /// step's K-FAC work itself asks `opt` for its cadence.
     fn run_micro_batches(
         &mut self,
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         opt: &mut AnyOpt,
-        kfac_work: (bool, bool),
     ) -> Result<f64, ExecError>;
 
     /// Applies one optimizer update to the canonical model's gradients.
@@ -459,7 +465,6 @@ impl Engine for BertForPreTraining {
         _step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         _opt: &mut AnyOpt,
-        _kfac_work: (bool, bool),
     ) -> Result<f64, ExecError> {
         Ok(batches
             .iter()

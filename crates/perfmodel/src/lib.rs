@@ -14,7 +14,8 @@
 //!   transformer block,
 //! * [`stage_costs`] / [`stage_memory`] — per-pipeline-stage durations
 //!   ([`pipefisher_sim::KindCost`]) and memory terms (`M_θ`, `M_act`,
-//!   `M_err^peak`, `M_err^save`, `M_curv = M_inv`),
+//!   `M_err^peak`, `M_err^save`, `M_curv = M_inv`); [`setting_costs`] adds
+//!   a paper setting's sync-grad / sync-curv collectives,
 //! * [`StepModel`] — the closed-form step model:
 //!   `T_pipe = C_f·T_f + C_b·T_b`,
 //!   `T_bubble = T_pipe − N_micro·(T_f + T_b)`,
@@ -33,6 +34,6 @@ mod stepmodel;
 pub use arch::TransformerConfig;
 pub use hardware::HardwareProfile;
 pub use stepmodel::{
-    model_step, shampoo_stage_costs, stage_costs, stage_memory, StageMemory, StepModel,
-    StepModelInput,
+    model_step, setting_costs, shampoo_stage_costs, stage_costs, stage_memory, StageMemory,
+    StepModel, StepModelInput,
 };

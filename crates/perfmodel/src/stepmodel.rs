@@ -123,6 +123,39 @@ pub fn stage_memory(
     }
 }
 
+/// Per-stage durations of a paper setting: [`stage_costs`] plus the
+/// collectives of `w` data-parallel replicas per stage (twice that for
+/// Chimera, whose paired pipelines hold every stage twice) — a ring
+/// allreduce of the gradients (`M_θ`) for sync-grad and of both Kronecker
+/// factors (`2·M_curv`) for sync-curv. [`model_step`] prices its own sync
+/// terms from per-device bytes over `w` replicas instead.
+pub fn setting_costs(
+    arch: &TransformerConfig,
+    hw: &HardwareProfile,
+    scheme: PipelineScheme,
+    blocks_per_stage: usize,
+    b_micro: usize,
+    w: usize,
+    recompute: bool,
+) -> KindCost {
+    let mut costs = stage_costs(arch, hw, blocks_per_stage, b_micro, recompute);
+    let mem = stage_memory(arch, blocks_per_stage, b_micro, recompute);
+    let replicas = w * if scheme == PipelineScheme::Chimera {
+        2
+    } else {
+        1
+    };
+    costs.t_sync_grad =
+        ring_allreduce_time(mem.m_theta, replicas, hw.link_bandwidth, hw.link_latency);
+    costs.t_sync_curv = ring_allreduce_time(
+        2.0 * mem.m_curv,
+        replicas,
+        hw.link_bandwidth,
+        hw.link_latency,
+    );
+    costs
+}
+
 /// Inputs to [`model_step`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepModelInput {
@@ -417,6 +450,23 @@ mod tests {
         });
         let overhead = m.t_step_pipefisher / m.t_step_baseline - 1.0;
         assert!((0.01..0.15).contains(&overhead), "overhead {overhead}");
+    }
+
+    #[test]
+    fn setting_costs_sync_over_replicas_and_chimera_pairs() {
+        let (arch, hw) = (TransformerConfig::bert_base(), HardwareProfile::p100());
+        let costs = |scheme, w| setting_costs(&arch, &hw, scheme, 3, 32, w, false);
+        let gpipe = costs(PipelineScheme::GPipe, 1);
+        assert_eq!((gpipe.t_sync_grad, gpipe.t_sync_curv), (0.0, 0.0));
+        // Chimera pairs every stage even at W = 1, where `model_step` has
+        // no sync term.
+        let chimera = costs(PipelineScheme::Chimera, 1);
+        assert_eq!(
+            chimera.t_sync_grad,
+            costs(PipelineScheme::GPipe, 2).t_sync_grad
+        );
+        assert!(chimera.t_sync_curv > chimera.t_sync_grad);
+        assert_eq!(chimera.t_f, gpipe.t_f);
     }
 
     #[test]

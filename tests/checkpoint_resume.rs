@@ -10,8 +10,8 @@
 
 use pipefisher::ckpt::CkptError;
 use pipefisher::lm::{
-    BatchSampler, CheckpointOptions, CheckpointPolicy, ExecError, OptimizerChoice, PipelineOptions,
-    ResumeFrom, SyntheticLanguage, TrainCheckpoint, TrainOptions, Trainer,
+    BatchSampler, CheckpointOptions, CheckpointPolicy, ExecError, ExecFault, OptimizerChoice,
+    PipelineOptions, ResumeFrom, SyntheticLanguage, TrainCheckpoint, TrainOptions, Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining};
 use pipefisher::optim::{KfacConfig, LrSchedule};
@@ -354,8 +354,9 @@ fn corrupted_and_mismatched_checkpoints_are_rejected() {
         .run_pipelined(model, &config_choice(), 4, &opts)
         .expect_err("corrupted checkpoint accepted by executor");
     match err {
-        ExecError::Checkpoint {
-            completed_steps, ..
+        ExecError {
+            completed_steps,
+            fault: ExecFault::Checkpoint(_),
         } => assert_eq!(completed_steps, 0),
         other => panic!("wrong executor error for corruption: {other}"),
     }

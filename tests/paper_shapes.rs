@@ -5,10 +5,10 @@
 
 use pipefisher::core::{assign, PipeFisherConfig};
 use pipefisher::perfmodel::{
-    model_step, stage_costs, stage_memory, HardwareProfile, StepModelInput, TransformerConfig,
+    model_step, setting_costs, stage_costs, stage_memory, HardwareProfile, StepModelInput,
+    TransformerConfig,
 };
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::sim::ring_allreduce_time;
 
 /// Builds the assignment config for a paper setting.
 fn setting(
@@ -21,27 +21,12 @@ fn setting(
     w: usize,
 ) -> PipeFisherConfig {
     let hw = HardwareProfile::p100();
-    let mut costs = stage_costs(arch, &hw, blocks, b_micro, false);
-    let mem = stage_memory(arch, blocks, b_micro, false);
-    let replicas = w * if scheme == PipelineScheme::Chimera {
-        2
-    } else {
-        1
-    };
-    costs.t_sync_grad =
-        ring_allreduce_time(mem.m_theta, replicas, hw.link_bandwidth, hw.link_latency);
-    costs.t_sync_curv = ring_allreduce_time(
-        2.0 * mem.m_curv,
-        replicas,
-        hw.link_bandwidth,
-        hw.link_latency,
-    );
     PipeFisherConfig {
         scheme,
         d,
         n_micro,
         w,
-        costs,
+        costs: setting_costs(arch, &hw, scheme, blocks, b_micro, w, false),
         max_steps: 64,
         chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
         recompute: false,

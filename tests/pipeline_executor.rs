@@ -11,7 +11,8 @@
 
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
-    BatchSampler, ExecError, OptimizerChoice, PipelineOptions, SyntheticLanguage, Trainer,
+    BatchSampler, ExecError, ExecFault, OptimizerChoice, PipelineOptions, SyntheticLanguage,
+    Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb, LrSchedule, Optimizer};
@@ -365,13 +366,13 @@ fn injected_panic_aborts_with_stage_panic_error() {
         .run_pipelined(model, &kfac_choice(), 4, &opts)
         .expect_err("injected panic must abort the run");
     assert_eq!(
-        err.completed_steps(),
-        1,
+        err.completed_steps, 1,
         "fault at step 1 means exactly one step completed"
     );
     match err {
-        ExecError::StagePanic {
-            device, message, ..
+        ExecError {
+            fault: ExecFault::StagePanic { device, message },
+            ..
         } => {
             assert_eq!(device, 1, "fault attributed to the wrong device");
             assert!(
@@ -385,6 +386,7 @@ fn injected_panic_aborts_with_stage_panic_error() {
 
 /// Chaos hook injecting one long delay into device 1's first op of step 0:
 /// slow-stage skew without any schedule change.
+#[derive(Debug)]
 struct SlowFirstOp(Duration);
 
 impl pipefisher::lm::ChaosHook for SlowFirstOp {
@@ -429,7 +431,7 @@ fn lowered_watchdog_trips_on_slow_stage_skew() {
         )
         .expect_err("skew beyond the watchdog must abort");
     assert!(
-        matches!(err, ExecError::Wedged { .. }),
+        matches!(err.fault, ExecFault::Wedged { .. }),
         "expected Wedged, got: {err}"
     );
 }
@@ -451,12 +453,13 @@ fn wedged_stage_trips_the_watchdog() {
         )
         .expect_err("a wedged stage must abort the run");
     assert!(
-        matches!(err, ExecError::Wedged { .. }),
+        matches!(err.fault, ExecFault::Wedged { .. }),
         "expected Wedged, got: {err}"
     );
 }
 
 /// Chaos hook that panics one device at one step and notes when it did.
+#[derive(Debug)]
 struct TimedPanic {
     at: (usize, usize),
     fired: Mutex<Option<Instant>>,
@@ -490,9 +493,9 @@ fn abort_wakes_blocked_peers_without_waiting_for_their_watchdog() {
         .run_pipelined(model, &kfac_choice(), 4, &opts)
         .expect_err("injected panic must abort the run");
     let took = hook.fired.lock().unwrap().expect("fault fired").elapsed();
-    assert_eq!(err.completed_steps(), 1);
+    assert_eq!(err.completed_steps, 1);
     assert!(
-        matches!(err, ExecError::StagePanic { device: 2, .. }),
+        matches!(err.fault, ExecFault::StagePanic { device: 2, .. }),
         "expected StagePanic on device 2, got: {err}"
     );
     assert!(
@@ -521,12 +524,13 @@ fn coordinator_watchdog_sees_a_lone_wedged_stage() {
         )
         .expect_err("a wedged lone stage must abort the run");
     assert!(
-        matches!(err, ExecError::Wedged { .. }),
+        matches!(err.fault, ExecFault::Wedged { .. }),
         "expected Wedged, got: {err}"
     );
 }
 
 /// Chaos hook delaying every op of every device by the same amount.
+#[derive(Debug)]
 struct SlowEveryOp(Duration);
 
 impl pipefisher::lm::ChaosHook for SlowEveryOp {
@@ -555,6 +559,7 @@ fn healthy_step_longer_than_the_watchdog_does_not_trip() {
 }
 
 /// Chaos hook under which every K-FAC pickup takes the *second* ready unit.
+#[derive(Debug)]
 struct AlwaysSecondReady;
 
 impl pipefisher::lm::ChaosHook for AlwaysSecondReady {
