@@ -10,7 +10,7 @@
 use pipefisher_bench::host_cores;
 use pipefisher_nn::{cross_entropy_backward, ForwardCtx, Layer, Linear, ParamVisitor};
 use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Sgd};
-use pipefisher_tensor::{par, workspace};
+use pipefisher_tensor::workspace;
 
 /// Pre-change steady-state allocation baseline for the workload in
 /// [`measure_kfac_allocs`], measured at the commit preceding the workspace
@@ -41,7 +41,6 @@ impl KfacModel for Stack {
 /// bytes/step).
 fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
     workspace::set_enabled(workspace_on);
-    par::set_max_threads(1); // deterministic: no boxed task dispatch
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
     let mut model = Stack(
         (0..4)
@@ -78,7 +77,6 @@ fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
             bytes += delta.bytes;
         }
     }
-    par::set_max_threads(0);
     workspace::set_enabled(true);
     let n = (steps - warmup) as u64;
     (allocs / n, bytes / n)
@@ -98,7 +96,7 @@ fn main() {
             "  \"bench\": \"alloc\",\n",
             "  \"workload\": \"4-stage K-FAC train: 4x Linear 64->64, batch 48, ",
             "curvature+inversion every step; steady state = steps 5..10, ",
-            "1 worker thread\",\n",
+            "one thread\",\n",
             "  \"host_cores\": {},\n",
             "  \"note\": \"counts from the alloc-count feature's counting global ",
             "allocator; absolute bytes depend on the allocator and host, the on/off ",

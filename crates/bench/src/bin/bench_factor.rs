@@ -4,9 +4,8 @@
 //! BERT-Base pair 769 (`d_model + 1`) and 3073 (`d_ff + 1`). Writes
 //! `BENCH_factor.json` at the repo root.
 //!
-//! The pool is pinned to one lane (`set_max_threads(1)`) so the speedup
-//! column isolates the blocking/SIMD win from thread scaling; both paths
-//! produce bitwise-identical inverses (enforced by
+//! Both paths run on one core, so the speedup column is the blocking/SIMD
+//! win alone; both produce bitwise-identical inverses (enforced by
 //! `crates/tensor/tests/factor_equivalence.rs`).
 //!
 //! The nominal FLOP count is `2n³` for every column — the count this file
@@ -16,7 +15,7 @@
 //! host, so the speed-up over it has its base in the file.
 
 use pipefisher_bench::{best_of, host_cores, rand_matrix};
-use pipefisher_tensor::{cholesky_inverse_into, kernel, par, reference, Matrix};
+use pipefisher_tensor::{cholesky_inverse_into, kernel, reference, Matrix};
 
 const REPS: usize = 3;
 
@@ -47,7 +46,6 @@ fn rand_spd(n: usize, seed: u64) -> Matrix {
 }
 
 fn main() {
-    par::set_max_threads(1);
     let simd = kernel::simd_name();
     let mut rows = Vec::new();
     for &(n, before) in &SIZES {
@@ -95,7 +93,7 @@ fn main() {
             "  \"host_cores\": {},\n",
             "  \"simd\": \"{}\",\n",
             "  \"reps\": {},\n",
-            "  \"note\": \"single-core (pool pinned to 1 lane) cholesky_inverse GFLOP/s at a ",
+            "  \"note\": \"single-core cholesky_inverse GFLOP/s at a ",
             "nominal 2n^3 FLOPs for every column (the inversion itself costs n^3); naive is the ",
             "scalar reference (reference::cholesky_inverse_into), blocked the potrf + trtri + lauum ",
             "engine under the runtime-dispatched kernel, bitwise-identical by construction; naive ",

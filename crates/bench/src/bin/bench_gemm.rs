@@ -2,16 +2,14 @@
 //! flavour, scalar fallback vs the dispatched SIMD kernel, on square and
 //! BERT-shaped sizes. Writes `BENCH_gemm.json` at the repo root.
 //!
-//! The pool is pinned to one lane (`set_max_threads(1)`) so the numbers
-//! isolate micro-kernel throughput from thread scaling — on multi-core
-//! hosts the kernels additionally scale through the worker pool, and both
-//! paths produce bitwise-identical outputs (the SIMD default vectorizes
-//! across output columns with separate mul+add; see
+//! Every kernel runs on the calling thread, so the numbers are micro-kernel
+//! throughput; both paths produce bitwise-identical outputs (the SIMD
+//! default vectorizes across output columns with separate mul+add; see
 //! `crates/tensor/src/kernel/`).
 
 use pipefisher_bench::{best_of, host_cores, rand_matrix};
 use pipefisher_tensor::kernel::{self, KernelKind};
-use pipefisher_tensor::{par, Matrix};
+use pipefisher_tensor::Matrix;
 
 const REPS: usize = 3;
 
@@ -90,7 +88,6 @@ fn cases() -> Vec<Case> {
 }
 
 fn main() {
-    par::set_max_threads(1);
     let simd = kernel::simd_name();
     let mut rows = Vec::new();
     for case in cases() {
@@ -123,7 +120,7 @@ fn main() {
             "  \"host_cores\": {},\n",
             "  \"simd\": \"{}\",\n",
             "  \"reps\": {},\n",
-            "  \"note\": \"single-core (pool pinned to 1 lane) best-of-{} GFLOP/s per kernel; ",
+            "  \"note\": \"single-core best-of-{} GFLOP/s per kernel; ",
             "scalar is the portable micro-kernel (PIPEFISHER_KERNEL=scalar), simd the ",
             "runtime-dispatched default, bitwise-identical by construction; on hosts without ",
             "AVX2/AVX-512/NEON both columns run the scalar kernel and speedup ~1x is expected; ",

@@ -4,10 +4,10 @@
 //! small: d_model 64, d_ff 128; mid: d_model 96, d_ff 384), and of the
 //! whole pretraining step. Writes `BENCH_nn.json` at the repo root.
 //!
-//! The pool is pinned to one lane (`set_max_threads(1)`), as in the
-//! benchmark. Only the crate's public API is called, so the same file
-//! builds against an older checkout and gives the "before" column of a
-//! comparison.
+//! Every layer runs on the calling thread, as in the benchmark. Only the
+//! crate's public API is called, so the same file builds against an older
+//! checkout and gives the "before" column of a comparison (checkouts that
+//! still had an intra-op worker pool must pin it to one lane to match).
 
 use pipefisher_bench::{host_cores, rand_matrix};
 use pipefisher_nn::{
@@ -15,7 +15,7 @@ use pipefisher_nn::{
     LayerNorm, Linear, MultiHeadAttention, PreTrainingBatch, StagedBert, TransformerBlock,
     IGNORE_INDEX,
 };
-use pipefisher_tensor::{kernel, par};
+use pipefisher_tensor::kernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -134,7 +134,6 @@ fn row(scale: &str, layer: &str, shape: &str, (f, b): (Phase, Phase)) -> String 
 }
 
 fn main() {
-    par::set_max_threads(1);
     let mut rows = Vec::new();
     for (scale, d, ff) in [("small", 64usize, 128usize), ("mid", 96, 384)] {
         let mut rng = StdRng::seed_from_u64(11);
@@ -175,7 +174,7 @@ fn main() {
             "  \"host_cores\": {},\n",
             "  \"simd\": \"{}\",\n",
             "  \"reps\": {},\n",
-            "  \"note\": \"single-core (pool pinned to 1 lane) forward and backward ms per layer, ",
+            "  \"note\": \"single-core forward and backward ms per layer, ",
             "best of {} reps after {} warm-up reps; spread = (median - best) / best; ",
             "256 tokens (8 x 32), 4 heads, small = d_model 64 / d_ff 128, mid = 96 / 384, the ",
             "end-to-end benchmark's two scales; capture off; train_step = the single stage's ",

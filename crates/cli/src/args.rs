@@ -205,9 +205,16 @@ pub fn train_checkpoint(
     Ok(Some(CheckpointOptions { save, resume }))
 }
 
-/// Parses `soak [N] [--seed S] [--threads T] [--out FILE]` into a
-/// harness config plus the report path (default `results/SOAK.json`).
+/// Parses `soak [N] [--seed S] [--out FILE]` into a harness config plus the
+/// report path (default `results/SOAK.json`); any other `--flag` is an
+/// error rather than silently ignored.
 pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, String), String> {
+    if let Some(flag) = argv
+        .iter()
+        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--seed" | "--out"))
+    {
+        return Err(format!("unknown soak flag '{flag}' (--seed | --out)"));
+    }
     let mut cfg = pipefisher_harness::SoakConfig::default();
     if let Some(first) = argv.first().filter(|a| !a.starts_with("--")) {
         let n = first
@@ -217,13 +224,6 @@ pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, S
     }
     if let Some(s) = flag_value(argv, "--seed") {
         cfg.base_seed = s.parse().map_err(|_| format!("bad --seed '{s}'"))?;
-    }
-    if let Some(t) = flag_value(argv, "--threads") {
-        let n: usize = t.parse().map_err(|_| format!("bad --threads '{t}'"))?;
-        if n == 0 {
-            return Err("--threads must be >= 1".into());
-        }
-        cfg.threads_override = Some(n);
     }
     let out = flag_value(argv, "--out")
         .unwrap_or("results/SOAK.json")
@@ -581,26 +581,27 @@ mod tests {
         assert_eq!(cfg.base_seed, 0);
         assert_eq!(out, "results/SOAK.json");
         // Positional count plus every flag.
-        let (cfg, out) = soak_config(&argv(&[
-            "64",
-            "--seed",
-            "17",
-            "--threads",
-            "2",
-            "--out",
-            "X.json",
-        ]))
-        .unwrap();
+        let (cfg, out) = soak_config(&argv(&["64", "--seed", "17", "--out", "X.json"])).unwrap();
         assert_eq!(cfg.scenarios, 64);
         assert_eq!(cfg.base_seed, 17);
-        assert_eq!(cfg.threads_override, Some(2));
         assert_eq!(out, "X.json");
         // Invalid values.
         let err = soak_config(&argv(&["0"])).unwrap_err();
         assert_eq!(err, "scenario count must be >= 1");
         assert!(soak_config(&argv(&["lots"])).is_err());
         assert!(soak_config(&argv(&["--seed", "x"])).is_err());
-        assert!(soak_config(&argv(&["--threads", "0"])).is_err());
-        assert!(soak_config(&argv(&["--threads", "x"])).is_err());
+    }
+
+    #[test]
+    fn soak_rejects_flags_it_does_not_read() {
+        // A flag soak does not read must fail, not run a default block.
+        for bad in [
+            &["--threads", "2"][..],
+            &["64", "--seeds", "3"],
+            &["--seed", "3", "--out", "X.json", "--verbose"],
+        ] {
+            let err = soak_config(&argv(bad)).unwrap_err();
+            assert!(err.starts_with("unknown soak flag"), "{bad:?}: {err}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! pipefisher model    <arch> <hw> <D> <B_micro> [--json]
 //! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE]
 //!                     [--pipeline-stages D] [--scheme S] [--micro-batches N] [--no-fill]
-//! pipefisher soak     [N] [--seed S] [--threads T] [--out FILE]
+//! pipefisher soak     [N] [--seed S] [--out FILE]
 //! pipefisher sweep    <arch> [--json]
 //! ```
 
@@ -62,7 +62,7 @@ USAGE:
         section table and training metadata; PATH may be a checkpoint
         directory (inspects the newest generation).
 
-    pipefisher soak [N] [--seed S] [--threads T] [--out FILE]
+    pipefisher soak [N] [--seed S] [--out FILE]
         Run N seeded chaos scenarios (default 32, seeds S..S+N) against the
         pipeline executor: fault-free runs are checked for plan conformance
         and bitwise parity with the serial trainer, injected faults must

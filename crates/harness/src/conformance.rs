@@ -199,7 +199,7 @@ fn arg_usize(ev: &TraceEvent, key: &str) -> Option<usize> {
 
 /// Reconstructs executor events from drained trace events, using the
 /// structured span args the executor attaches (`step`, `device`, `stage`,
-/// …). Spans from other subsystems (trainer phases, kernel pools) and
+/// …). Spans from other subsystems (trainer phases) and
 /// events without executor args are ignored.
 pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
     let mut out = Vec::new();

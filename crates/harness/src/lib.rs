@@ -17,7 +17,7 @@
 //! 3. **Scenario runner** ([`Scenario`], [`run_scenario`], [`run_soak`]) —
 //!    seeded generation over (scheme × stages × micro-batches × optimizer
 //!    × fault plan); fault-free runs must additionally match the serial
-//!    `Trainer` oracle (itself thread-count invariant) bitwise, injected
+//!    `Trainer` oracle bitwise, injected
 //!    faults must surface as the matching `ExecError`. Failure messages
 //!    always embed the seed.
 //!

@@ -12,9 +12,6 @@ pub struct SoakConfig {
     pub scenarios: usize,
     /// First seed of the block.
     pub base_seed: u64,
-    /// Forced compute-thread cap (from `PIPEFISHER_THREADS`); `None` lets
-    /// each scenario draw its own.
-    pub threads_override: Option<usize>,
 }
 
 impl Default for SoakConfig {
@@ -22,10 +19,6 @@ impl Default for SoakConfig {
         SoakConfig {
             scenarios: 32,
             base_seed: 0,
-            threads_override: std::env::var("PIPEFISHER_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1),
         }
     }
 }
@@ -65,10 +58,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakSummary {
     let mut summary = SoakSummary::default();
     for i in 0..cfg.scenarios {
         let seed = cfg.base_seed.wrapping_add(i as u64);
-        let mut sc = Scenario::from_seed(seed);
-        if let Some(threads) = cfg.threads_override {
-            sc.threads = threads;
-        }
+        let sc = Scenario::from_seed(seed);
         summary.total += 1;
         match run_scenario(&sc, &mut cache) {
             Ok(ScenarioOutcome::Clean { events_checked }) => {
@@ -115,9 +105,8 @@ pub fn soak_report_json(cfg: &SoakConfig, summary: &SoakSummary) -> Value {
         ),
         "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "note": "any failure message embeds the reproducing u64 seed; replay with \
-                 Scenario::from_seed(seed). threads_override reflects PIPEFISHER_THREADS.",
+                 Scenario::from_seed(seed).",
         "base_seed": cfg.base_seed,
-        "threads_override": cfg.threads_override,
         "scenarios": summary.total,
         "clean": summary.clean,
         "faulted": summary.faulted,
@@ -138,7 +127,6 @@ mod tests {
         let cfg = SoakConfig {
             scenarios: 2,
             base_seed: 9,
-            threads_override: Some(1),
         };
         let summary = SoakSummary {
             total: 2,

@@ -1,7 +1,7 @@
 //! Seeded scenario generation and execution.
 //!
 //! A [`Scenario`] is one fully-determined pipelined training run — scheme,
-//! stage count, micro-batches, optimizer, thread count, and a [`FaultPlan`]
+//! stage count, micro-batches, optimizer, bubble filling, and a [`FaultPlan`]
 //! — derived from a single `u64` seed. [`run_scenario`] executes it under
 //! tracing, then:
 //!
@@ -9,8 +9,7 @@
 //!   the matching `ExecError` (attributed to the right device for panics);
 //! * otherwise runs the conformance checker against the exact
 //!   `ExecutablePlan` the executor used, and asserts bitwise loss and
-//!   parameter parity with the serial `Trainer` oracle, itself thread-count
-//!   invariant.
+//!   parameter parity with the serial `Trainer` oracle.
 //!
 //! Every failure message embeds the scenario seed, so any soak failure is
 //! replayable with `Scenario::from_seed(seed)`.
@@ -25,7 +24,6 @@ use pipefisher_lm::{
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::{KfacConfig, LrSchedule};
 use pipefisher_pipeline::PipelineScheme;
-use pipefisher_tensor::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -34,8 +32,8 @@ use std::time::Duration;
 
 use pipefisher_lm::StepFault;
 
-/// Serializes scenario executions: tracing, the thread-count override, and
-/// the trace sink are all process-global.
+/// Serializes scenario executions: tracing and the trace sink are
+/// process-global.
 fn harness_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -125,8 +123,6 @@ pub struct Scenario {
     pub steps: usize,
     /// Optimizer under test.
     pub optimizer: OptimizerKind,
-    /// Compute-thread cap for the run.
-    pub threads: usize,
     /// Whether K-FAC work fills bubbles (vs running as tail work).
     pub fill_bubbles: bool,
     /// Trainer/model seed (shared with the oracle).
@@ -164,7 +160,6 @@ impl Scenario {
                 inversion_interval: 3,
             },
         };
-        let threads = [1usize, 4][(splitmix64(&mut s) % 2) as usize];
         let fill_bubbles = !splitmix64(&mut s).is_multiple_of(4);
         Scenario {
             seed,
@@ -173,7 +168,6 @@ impl Scenario {
             n_micro,
             steps,
             optimizer,
-            threads,
             fill_bubbles,
             data_seed: 7,
             fault: FaultPlan::from_seed(seed, n_stages, steps),
@@ -193,13 +187,12 @@ impl Scenario {
     /// One-line human description for reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} D={} N={} steps={} opt={} threads={} fill={} fault={:?}",
+            "{} D={} N={} steps={} opt={} fill={} fault={:?}",
             self.scheme.name(),
             self.n_stages,
             self.n_micro,
             self.steps,
             self.optimizer.key(),
-            self.threads,
             self.fill_bubbles,
             self.fault.fault,
         )
@@ -246,7 +239,6 @@ fn execute_inner(sc: &Scenario) -> Execution {
     let plan = plan_for(&opts).expect("generated scenarios lower cleanly");
     let specs: Vec<StepSpec> = (0..sc.steps).map(|s| sc.optimizer.spec_at(s)).collect();
 
-    par::set_max_threads(sc.threads);
     pipefisher_trace::set_enabled(false);
     let _ = pipefisher_trace::drain(); // discard any prior run's leftovers
     pipefisher_trace::set_enabled(true);
@@ -254,7 +246,6 @@ fn execute_inner(sc: &Scenario) -> Execution {
     let run = trainer.run_pipelined(model, &sc.optimizer.choice(), sc.steps, &opts);
     pipefisher_trace::set_enabled(false);
     let events = extract_events(&pipefisher_trace::drain());
-    par::set_max_threads(0);
 
     let result = run.map(|outcome| {
         let loss_bits = outcome.run.losses.iter().map(|l| l.to_bits()).collect();
@@ -392,7 +383,6 @@ fn execute_resume_inner(
         sc.seed
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    par::set_max_threads(sc.threads);
     let result = (|| {
         // Phase 1: checkpoint every step, die at the start of `kill_after`.
         let mut opts = PipelineOptions::new(sc.scheme, sc.n_stages, sc.n_micro);
@@ -442,7 +432,6 @@ fn execute_resume_inner(
         let mut model = outcome.model;
         Ok((loss_bits, param_bits(&mut model)))
     })();
-    par::set_max_threads(0);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }

@@ -24,7 +24,6 @@ fn base_scenario() -> Scenario {
             curvature_interval: 1,
             inversion_interval: 2,
         },
-        threads: 1,
         fill_bubbles: true,
         data_seed: 7,
         fault: FaultPlan::quiet(0xC0FFEE),

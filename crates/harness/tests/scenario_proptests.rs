@@ -55,7 +55,6 @@ fn timing_chaos_preserves_bitwise_parity() {
                 curvature_interval: 1,
                 inversion_interval: 2,
             },
-            threads: 2,
             fill_bubbles: true,
             data_seed: 7,
             fault: FaultPlan::timing_only(seed),

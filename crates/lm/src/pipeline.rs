@@ -19,8 +19,7 @@
 //! # Determinism
 //!
 //! The engine is bitwise-identical to the inline one for every stage
-//! count, scheme and `PIPEFISHER_THREADS`, because floating-point work is
-//! never re-associated:
+//! count and scheme, because floating-point work is never re-associated:
 //!
 //! - Each worker computes a micro-batch's gradient contribution on a
 //!   zero-initialised slot replica, so each contribution is exactly the
@@ -452,8 +451,8 @@ impl Trainer {
     /// Trains `model` for `steps` optimizer steps on a `D`-stage pipeline
     /// of worker threads, filling bubbles with K-FAC work per
     /// `opts.fill_bubbles`. Losses, metrics, and the returned model are
-    /// bitwise-identical to the serial trainer's, itself thread-count
-    /// invariant (see module docs); on error the model is consumed. Resuming a checkpoint that
+    /// bitwise-identical to the serial trainer's (see module docs); on
+    /// error the model is consumed. Resuming a checkpoint that
     /// had already reached `steps` returns an empty run and the restored
     /// model without spawning a worker.
     ///

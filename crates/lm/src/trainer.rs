@@ -453,8 +453,8 @@ pub(crate) trait Engine {
 }
 
 /// The inline engine is the caller's model itself: the micro-batches run one
-/// after another on the calling thread and its kernel worker pool, so the
-/// gradients sum in micro-batch order at every thread count.
+/// after another on the calling thread, so the gradients sum in
+/// micro-batch order.
 impl Engine for BertForPreTraining {
     fn model(&mut self) -> &mut dyn KfacModel {
         self
@@ -595,7 +595,6 @@ mod tests {
     use super::*;
     use crate::SyntheticLanguage;
     use pipefisher_nn::BertConfig;
-    use pipefisher_tensor::par;
 
     fn quick_setup(seed: u64) -> (Trainer, BertForPreTraining) {
         let lang = SyntheticLanguage::new(36, 2, 4, 11);
@@ -754,36 +753,6 @@ mod tests {
                 grad_delay: 2,
             },
         );
-    }
-
-    #[test]
-    fn accumulated_runs_are_bitwise_across_thread_counts() {
-        // The serial step runs its micro-batches in order on the calling
-        // thread, so the pool size may change how kernels split their work
-        // but never a bit of the losses or parameters — K-FAC capture,
-        // folds and inversions included.
-        let run_at = |threads: usize| {
-            par::set_max_threads(threads);
-            let (mut trainer, mut model) = quick_setup(13);
-            let run = trainer.run_with_options(
-                &mut model,
-                &kfac_choice(2, 2),
-                6,
-                &crate::TrainOptions {
-                    accumulation_steps: 4,
-                    grad_delay: 0,
-                },
-            );
-            par::set_max_threads(0);
-            let mut bits: Vec<u64> = run.losses.iter().map(|l| l.to_bits()).collect();
-            model
-                .visit_params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
-            bits
-        };
-        let serial = run_at(1);
-        for threads in [2, 4] {
-            assert!(run_at(threads) == serial, "{threads} threads differ");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::Optimizer;
 use pipefisher_nn::{Linear, ParamVisitor, Parameter};
-use pipefisher_tensor::{cholesky_inverse_into, par, Matrix};
+use pipefisher_tensor::{cholesky_inverse_into, Matrix};
 use std::collections::HashMap;
 
 /// Hyperparameters for [`Kfac`].
@@ -116,7 +116,7 @@ impl LayerKfacState {
 pub trait KfacModel {
     /// Visits every K-FAC-eligible [`Linear`] layer, each once. The layers
     /// stay borrowed for as long as the model is, so a caller can keep them
-    /// paired with their states and hand each pair to its own pool task.
+    /// paired with their states in one list.
     fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear));
 
     /// Visits every trainable parameter (including non-K-FAC ones).
@@ -274,11 +274,7 @@ impl<O: Optimizer> Kfac<O> {
         let mut slots = Vec::new();
         model.visit_kfac_linears(&mut |lin| {
             let state = self.take_state(lin.name());
-            slots.push(LayerSlot {
-                lin,
-                state,
-                vdot: 0.0,
-            });
+            slots.push(LayerSlot { lin, state });
         });
         slots
     }
@@ -296,39 +292,28 @@ impl<O: Optimizer> Kfac<O> {
     /// ends with it; a caller that ran [`fold_curvature_a`],
     /// [`fold_curvature_b`] and [`refresh_inverses`] itself on states loaned
     /// out with [`Kfac::take_state`] calls it directly.
-    ///
-    /// Preconditioning touches only one layer's inverses and gradients, so
-    /// it runs as one task per layer on the shared worker pool
-    /// ([`pipefisher_tensor::par`]). The KL-clip statistic is reduced in
-    /// layer-visitation order afterwards, so results are bitwise identical
-    /// to the serial schedule at any thread count.
     pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
         self.t += 1;
         let mut slots = self.loan_slots(model);
 
         // Captured statistics are spent: the refresh work that wanted them
-        // has run.
-        for_each_layer(&mut slots, |slot| {
+        // has run. KL clipping needs Σ ⟨g, g̃⟩, summed in visitation order.
+        let mut vsum = 0.0;
+        for slot in &mut slots {
             slot.lin.kfac_stats_mut().clear();
             if slot.state.ready() {
-                slot.vdot = precondition(&slot.state, slot.lin);
+                vsum += precondition(&slot.state, slot.lin);
             }
-        });
-
-        // KL clipping: Σ ⟨g, g̃⟩ reduced in visitation order (bitwise equal
-        // to the serial accumulation), then one rescale pass per layer.
-        let vsum: f64 = slots.iter().map(|s| s.vdot).fold(0.0, |acc, v| acc + v);
+        }
         if let Some(kappa) = self.config.kl_clip {
             let denom = lr * lr * vsum;
             if denom > kappa {
                 let scale = (kappa / denom).sqrt();
-                for_each_layer(&mut slots, |slot| {
-                    if slot.state.ready() {
-                        let (w, b, _) = slot.lin.kfac_parts_mut();
-                        w.grad.scale_inplace(scale);
-                        b.grad.scale_inplace(scale);
-                    }
-                });
+                for slot in slots.iter_mut().filter(|s| s.state.ready()) {
+                    let (w, b, _) = slot.lin.kfac_parts_mut();
+                    w.grad.scale_inplace(scale);
+                    b.grad.scale_inplace(scale);
+                }
             }
         }
 
@@ -342,8 +327,8 @@ impl<O: Optimizer> Kfac<O> {
 
     /// Runs one optimization step, refresh work included: asks the cadence
     /// clock what is due, runs the due work units on every layer — fold `A`,
-    /// fold `B`, refresh the inverses, in that order, one pool task per
-    /// layer — and finishes with [`Kfac::step_preconditioned`].
+    /// fold `B`, refresh the inverses, in that order — and finishes with
+    /// [`Kfac::step_preconditioned`].
     pub fn step(&mut self, model: &mut dyn KfacModel, lr: f64) {
         let refresh_curv = self.next_step_refreshes_curvature();
         let refresh_inv = self.next_step_refreshes_inversion();
@@ -351,7 +336,7 @@ impl<O: Optimizer> Kfac<O> {
             let t = self.t + 1;
             let mut slots = self.loan_slots(model);
             let config = &self.config;
-            for_each_layer(&mut slots, |slot| {
+            for slot in &mut slots {
                 if refresh_curv {
                     fold_curvature_a(&mut slot.state, slot.lin, config.ema_decay, t);
                     fold_curvature_b(&mut slot.state, slot.lin, config.ema_decay, t);
@@ -359,7 +344,7 @@ impl<O: Optimizer> Kfac<O> {
                 if refresh_inv {
                     refresh_inverses(&mut slot.state, config.damping, config.factor_block_size, t);
                 }
-            });
+            }
             self.return_slots(slots);
         }
         self.step_preconditioned(model, lr);
@@ -422,22 +407,10 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
     }
 }
 
-/// One layer's share of a step: the layer, its owned state, and the KL-clip
-/// contribution it produced.
+/// One layer's share of a step: the layer and its owned state.
 struct LayerSlot<'m> {
     lin: &'m mut Linear,
     state: LayerKfacState,
-    vdot: f64,
-}
-
-/// Runs `work` on every slot, one pool task per layer.
-fn for_each_layer(slots: &mut [LayerSlot<'_>], work: impl Fn(&mut LayerSlot<'_>) + Sync) {
-    let work = &work;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .map(|slot| Box::new(move || work(slot)) as Box<dyn FnOnce() + Send + '_>)
-        .collect();
-    par::run_tasks(tasks);
 }
 
 /// Folds a fresh batch Gram matrix into a (possibly absent) factor: EMA

@@ -35,22 +35,22 @@
 //! through memory (exact for `f64`), and only ever skips terms that are
 //! exact zeros. So the blocked engine is **bitwise identical** to the
 //! scalar loops spelled out in [`crate::reference::cholesky_into`] and
-//! [`crate::reference::cholesky_inverse_into`] — at `Scalar`/`Simd` kernels, any thread
-//! count — and error indices (`NotPositiveDefinite(pivot)`) are preserved
+//! [`crate::reference::cholesky_inverse_into`] at `Scalar`/`Simd` kernels,
+//! and error indices (`NotPositiveDefinite(pivot)`) are preserved
 //! across block boundaries. Under the opt-in `Fma` kernel the GEMM parts
 //! fuse their rounding like every other GEMM; the in-block kernels never
 //! do. The equivalence is enforced in
 //! `crates/tensor/tests/factor_equivalence.rs`.
 
 use crate::kernel::{self, ASrc, BSrc, Mode};
-use crate::{par, workspace, Matrix, TensorError};
+use crate::{workspace, Matrix, TensorError};
 
 /// Error alias for Cholesky routines (always a [`TensorError`]).
 pub type CholeskyError = TensorError;
 
-/// Block width of the factorization engine — a multiple of
-/// [`kernel::ROW_ALIGN`] small enough that a block's rows stay cache-warm
-/// during the in-block sweep, large enough that the GEMMs dominate.
+/// Block width of the factorization engine — a multiple of every kernel
+/// MR, small enough that a block's rows stay cache-warm during the
+/// in-block sweep, large enough that the GEMMs dominate.
 const NB: usize = kernel::TRI_BLOCK;
 
 /// Computes the lower-triangular Cholesky factor `L` with `L·Lᵀ = a` into
@@ -126,33 +126,23 @@ fn factor_blocked(
         if jb > 0 {
             // For panel element (c, r), subtract Σ_{p<jb} l[jb+c][p] ·
             // l[jb+r][p]; both operands are read in place from `l`.
-            let lread: &[f64] = l;
-            par::par_chunks_mut_aligned(
+            kernel::gemm_chunk(
                 pt,
                 bw,
                 prows,
-                kernel::ROW_ALIGN,
-                bw * jb * prows,
-                |start, chunk| {
-                    kernel::gemm_chunk(
-                        chunk,
-                        chunk.len() / prows,
-                        prows,
-                        jb,
-                        ASrc::RowMajor {
-                            data: lread,
-                            stride: n,
-                            base: jb + start,
-                        },
-                        BSrc::ColMajor {
-                            data: &lread[jb * n..],
-                            stride: n,
-                        },
-                        Mode {
-                            neg: true,
-                            ..Mode::default()
-                        },
-                    );
+                jb,
+                ASrc::RowMajor {
+                    data: l,
+                    stride: n,
+                    base: jb,
+                },
+                BSrc::ColMajor {
+                    data: &l[jb * n..],
+                    stride: n,
+                },
+                Mode {
+                    neg: true,
+                    ..Mode::default()
                 },
             );
         }
@@ -293,34 +283,21 @@ fn invert_lower_in_place(l: &mut [f64], n: usize, scratch: &mut [f64]) {
         let (off, diag) = scratch[..bw * (ib + bw)].split_at_mut(bw * ib);
         if ib > 0 {
             off.fill(0.0);
-            let lread: &[f64] = l;
-            par::par_chunks_mut_aligned(
+            kernel::gemm_chunk(
                 off,
                 bw,
                 ib,
-                kernel::ROW_ALIGN,
-                bw * ib * ib / 2,
-                |start, chunk| {
-                    kernel::gemm_chunk(
-                        chunk,
-                        chunk.len() / ib,
-                        ib,
-                        ib,
-                        ASrc::RowMajor {
-                            data: lread,
-                            stride: n,
-                            base: ib + start,
-                        },
-                        BSrc::RowMajor {
-                            data: lread,
-                            stride: n,
-                        },
-                        Mode {
-                            neg: true,
-                            b_lower: true,
-                            ..Mode::default()
-                        },
-                    );
+                ib,
+                ASrc::RowMajor {
+                    data: l,
+                    stride: n,
+                    base: ib,
+                },
+                BSrc::RowMajor { data: l, stride: n },
+                Mode {
+                    neg: true,
+                    b_lower: true,
+                    ..Mode::default()
                 },
             );
             kernel::tri_sweep(&l[ib * n + ib..], n, off, ib, bw, ib);
@@ -362,34 +339,25 @@ fn gram_in_place(y: &mut [f64], n: usize, scratch: &mut [f64]) {
         let w = n - ib;
         let panel = &mut scratch[..bw * w];
         panel.fill(0.0);
-        let yread: &[f64] = &y[ib * n + ib..];
-        par::par_chunks_mut_aligned(
+        let yread = &y[ib * n + ib..];
+        kernel::gemm_chunk(
             panel,
             bw,
             w,
-            kernel::ROW_ALIGN,
-            bw * w * w / 2,
-            |start, chunk| {
-                kernel::gemm_chunk(
-                    chunk,
-                    chunk.len() / w,
-                    w,
-                    w,
-                    // A(i, k) = Y[ib + k][ib + start + i], read in place.
-                    ASrc::ColMajor {
-                        data: yread,
-                        stride: n,
-                        base: start,
-                    },
-                    BSrc::RowMajor {
-                        data: yread,
-                        stride: n,
-                    },
-                    Mode {
-                        b_lower: true,
-                        ..Mode::default()
-                    },
-                );
+            w,
+            // A(i, k) = Y[ib + k][ib + i], read in place.
+            ASrc::ColMajor {
+                data: yread,
+                stride: n,
+                base: 0,
+            },
+            BSrc::RowMajor {
+                data: yread,
+                stride: n,
+            },
+            Mode {
+                b_lower: true,
+                ..Mode::default()
             },
         );
         for i in 0..bw {

@@ -11,10 +11,10 @@
 //!
 //! Each is its shape assert plus one call: the first three go through one
 //! private driver, `gemm_into`, which re-dimensions and zeroes the
-//! destination, partitions its rows and hands every chunk to the packed,
-//! register-tiled, runtime-dispatched engine ([`kernel::gemm_chunk`]); the
-//! Gram product differs only in its triangle-weighted partition and mirror
-//! pass. The transpose variants differ only in the packing gather
+//! destination and hands it to the packed, register-tiled,
+//! runtime-dispatched engine ([`kernel::gemm_chunk`]); the Gram product
+//! differs only in its upper-triangle mode and mirror pass. The transpose
+//! variants differ only in the packing gather
 //! ([`kernel::ASrc`]/[`kernel::BSrc`]), never in the inner loop, so every
 //! flavour runs the same SIMD micro-kernel at the same throughput.
 //!
@@ -25,61 +25,30 @@
 //! code still calls; they check a fresh matrix out of the
 //! [`crate::workspace`] arena and delegate, bitwise identical.
 //!
-//! # Threading
-//!
-//! Each kernel partitions its **output rows** into disjoint contiguous
-//! chunks and runs one chunk per lane of the shared worker pool
-//! ([`crate::par`]), with chunk seams aligned to [`kernel::ROW_ALIGN`] so
-//! lanes split on micro-panel boundaries. Every output element is produced
-//! by exactly one lane running the identical per-element accumulation
-//! chain the serial kernel uses (summation over `p` in ascending order),
-//! so results are bitwise identical to serial execution at any thread
-//! count. Inputs below the [`crate::par::par_threshold`] work estimate
-//! stay serial.
+//! Every output element is one accumulation chain over `p` in ascending
+//! order, computed on the calling thread.
 
 use crate::kernel::{self, ASrc, BSrc, Epilogue, Mode};
-use crate::par;
 use crate::ActivationKind;
 use crate::Matrix;
 
 /// The one GEMM front end: re-dimensions `out` to `m × n`, zeroes it, and
-/// accumulates `Σ_p A(i,p)·B(p,j)` over `k` steps into it, one row chunk
-/// per pool lane. `a_rows(start)` is the A operand as seen from the chunk
-/// whose first output row is `start`; `epilogue`, if any, is fused into the
-/// store phase. When `k == 0` the kernel never stores and thus never
-/// applies an epilogue, so `degenerate` runs instead (separate passes over
-/// the zero product; a no-op for the plain products).
-fn gemm_into<'a>(
+/// accumulates `Σ_p A(i,p)·B(p,j)` over `k` steps into it, with
+/// `epilogue`, if any, fused into the store phase.
+fn gemm_into(
     out: &mut Matrix,
     (m, n, k): (usize, usize, usize),
-    a_rows: impl Fn(usize) -> ASrc<'a> + Sync,
-    b: BSrc<'a>,
-    epilogue: Option<&Epilogue<'_>>,
-    degenerate: impl FnOnce(&mut Matrix),
+    a: ASrc<'_>,
+    b: BSrc<'_>,
+    epilogue: Option<Epilogue<'_>>,
 ) {
     out.reset_shape(m, n);
     out.as_mut_slice().fill(0.0);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        degenerate(out);
-        return;
-    }
-    par::par_chunks_mut_aligned(
-        out.as_mut_slice(),
-        m,
-        n,
-        kernel::ROW_ALIGN,
-        m * k * n,
-        |start, chunk| {
-            let mode = Mode {
-                fused: epilogue.map(|epi| (start, epi)),
-                ..Mode::default()
-            };
-            kernel::gemm_chunk(chunk, chunk.len() / n, n, k, a_rows(start), b, mode);
-        },
-    );
+    let mode = Mode {
+        fused: epilogue,
+        ..Mode::default()
+    };
+    kernel::gemm_chunk(out.as_mut_slice(), m, n, k, a, b, mode);
 }
 
 impl Matrix {
@@ -111,7 +80,7 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_epilogue_into(rhs, out, None, |_| {});
+        self.matmul_epilogue_into(rhs, out, None);
     }
 
     /// Computes `self · rhs + bias` (bias broadcast over rows) into `out`,
@@ -126,9 +95,7 @@ impl Matrix {
     /// Panics if `self.cols() != rhs.rows()` or `bias.len() != rhs.cols()`.
     pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
         assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
-        self.matmul_epilogue_into(rhs, out, Some(&Epilogue::Bias { bias }), |out| {
-            out.add_row_broadcast(bias);
-        });
+        self.matmul_epilogue_into(rhs, out, Some(Epilogue::Bias { bias }));
     }
 
     /// Computes `act(self · rhs + bias)` into `out` and the derivative there
@@ -149,26 +116,17 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
-        let (m, n) = (self.rows(), rhs.cols());
-        grad.reset_shape(m, n);
         // Every output element is stored by exactly one tile epilogue, so
-        // `grad` is fully overwritten; lanes write the same disjoint row
-        // ranges they own in `out`.
-        let gradp = kernel::SharedOut(grad.as_mut_slice().as_mut_ptr());
+        // `grad` is fully overwritten.
+        grad.reset_shape(self.rows(), rhs.cols());
         self.matmul_epilogue_into(
             rhs,
             out,
-            Some(&Epilogue::BiasAct {
+            Some(Epilogue::BiasAct {
                 bias,
                 act: act.row_kernel(),
-                grad: &gradp,
+                grad: grad.as_mut_slice(),
             }),
-            |out| {
-                // Degenerate k = 0: the product is all zeros; run the
-                // separate passes.
-                out.add_row_broadcast(bias);
-                act.apply(out.as_mut_slice(), grad.as_mut_slice());
-            },
         );
     }
 
@@ -196,28 +154,12 @@ impl Matrix {
             "matmul_bias_residual: residual shape"
         );
         let res = residual.as_slice();
-        self.matmul_epilogue_into(
-            rhs,
-            out,
-            Some(&Epilogue::BiasResidual { bias, res }),
-            |out| {
-                out.add_row_broadcast(bias);
-                for (o, &r) in out.as_mut_slice().iter_mut().zip(res) {
-                    *o += r;
-                }
-            },
-        );
+        self.matmul_epilogue_into(rhs, out, Some(Epilogue::BiasResidual { bias, res }));
     }
 
     /// The inner-dimension assert of `self · rhs` and its fused-epilogue
     /// forms, then the driver with both operands read row-major.
-    fn matmul_epilogue_into(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        epilogue: Option<&Epilogue<'_>>,
-        degenerate: impl FnOnce(&mut Matrix),
-    ) {
+    fn matmul_epilogue_into(&self, rhs: &Matrix, out: &mut Matrix, epilogue: Option<Epilogue<'_>>) {
         assert_eq!(
             self.cols(),
             rhs.rows(),
@@ -233,14 +175,13 @@ impl Matrix {
         gemm_into(
             out,
             (m, n, k),
-            |start| ASrc::RowMajor {
+            ASrc::RowMajor {
                 data: a,
                 stride: k,
-                base: start,
+                base: 0,
             },
             BSrc::RowMajor { data: b, stride: n },
             epilogue,
-            degenerate,
         );
     }
 
@@ -271,14 +212,13 @@ impl Matrix {
         gemm_into(
             out,
             (m, n, k),
-            |start| ASrc::ColMajor {
+            ASrc::ColMajor {
                 data: a,
                 stride: m,
-                base: start,
+                base: 0,
             },
             BSrc::RowMajor { data: b, stride: n },
             None,
-            |_| {},
         );
     }
 
@@ -319,14 +259,13 @@ impl Matrix {
         gemm_into(
             out,
             (m, n, k),
-            |start| ASrc::RowMajor {
+            ASrc::RowMajor {
                 data: a,
                 stride: k,
-                base: start,
+                base: 0,
             },
             BSrc::ColMajor { data: b, stride: k },
             None,
-            |_| {},
         );
     }
 
@@ -336,55 +275,31 @@ impl Matrix {
     ///
     /// This is K-FAC's *curvature* kernel: with `self = U` holding one
     /// per-example vector per row, it produces `Σ_i u_i u_iᵀ`. Only the
-    /// upper triangle is computed and mirrored. Rows are chunked across
-    /// lanes with weights proportional to their upper-triangle length, so
-    /// the triangular workload stays balanced.
+    /// upper triangle is computed, then mirrored.
     pub fn gram_into(&self, out: &mut Matrix) {
         let (k, m) = self.shape();
         out.reset_shape(m, m);
         out.as_mut_slice().fill(0.0);
-        if m == 0 || k == 0 {
-            return;
-        }
         let a = self.as_slice();
-        let o = out.as_mut_slice();
-        par::par_chunks_mut_weighted_aligned(
-            o,
+        kernel::gemm_chunk(
+            out.as_mut_slice(),
             m,
             m,
-            kernel::ROW_ALIGN,
-            k * m * (m + 1) / 2,
-            |i| m - i,
-            |start, chunk| {
-                kernel::gemm_chunk(
-                    chunk,
-                    chunk.len() / m,
-                    m,
-                    k,
-                    ASrc::ColMajor {
-                        data: a,
-                        stride: m,
-                        base: start,
-                    },
-                    BSrc::RowMajor { data: a, stride: m },
-                    Mode {
-                        diag: Some(start),
-                        ..Mode::default()
-                    },
-                );
+            k,
+            ASrc::ColMajor {
+                data: a,
+                stride: m,
+                base: 0,
+            },
+            BSrc::RowMajor { data: a, stride: m },
+            Mode {
+                upper: true,
+                ..Mode::default()
             },
         );
-        mirror_lower_from_upper(o, m);
+        mirror_lower_from_upper(out.as_mut_slice(), m);
     }
 }
-
-/// Shared-pointer handle for the Gram mirror: lanes write disjoint
-/// strictly-lower row ranges and read only the strictly-upper triangle,
-/// which no lane writes, so the shared mutable pointer is race-free.
-struct MirrorPtr(*mut f64);
-// SAFETY: see the disjointness argument on the struct.
-unsafe impl Send for MirrorPtr {}
-unsafe impl Sync for MirrorPtr {}
 
 /// Mirror tile edge: a 64×64 f64 tile pair (source + destination) is
 /// 64 KiB, comfortably inside L2, so the column-major reads of the naive
@@ -393,36 +308,23 @@ const MIRROR_BLOCK: usize = 64;
 
 /// Fills the strictly-lower triangle of the `m × m` row-major buffer `o`
 /// from its upper triangle (`o[j*m+i] = o[i*m+j]` for `j > i`), tiled so
-/// both sides of the swap stream through cache, and parallelized over
-/// destination row blocks (row `j` carries `j` elements, so lanes are
-/// weighted like the forward Gram pass, mirrored).
+/// both sides of the swap stream through cache.
 pub(crate) fn mirror_lower_from_upper(o: &mut [f64], m: usize) {
     debug_assert_eq!(o.len(), m * m);
-    let ptr = MirrorPtr(o.as_mut_ptr());
-    // ~2 ops per mirrored element (load + store), m(m-1)/2 elements.
-    par::par_row_ranges(
-        m,
-        m * m / 2,
-        |j| j,
-        |start, end| {
-            let ptr = &ptr;
-            for jb in (start..end).step_by(MIRROR_BLOCK) {
-                let jmax = (jb + MIRROR_BLOCK).min(end);
-                for ib in (0..jmax).step_by(MIRROR_BLOCK) {
-                    let imax = (ib + MIRROR_BLOCK).min(m);
-                    for j in jb..jmax {
-                        for i in ib..imax.min(j) {
-                            // SAFETY: j > i, so the write hits the strictly-lower
-                            // triangle inside this lane's rows [start, end) and
-                            // the read the strictly-upper triangle; both indices
-                            // are < m*m.
-                            unsafe { *ptr.0.add(j * m + i) = *ptr.0.add(i * m + j) };
-                        }
-                    }
+    for jb in (0..m).step_by(MIRROR_BLOCK) {
+        let jmax = (jb + MIRROR_BLOCK).min(m);
+        for ib in (0..jmax).step_by(MIRROR_BLOCK) {
+            let imax = (ib + MIRROR_BLOCK).min(m);
+            for j in jb..jmax {
+                // Row j's strictly-lower part reads column j of the rows
+                // above it, all of which lie before row j.
+                let (above, row) = o.split_at_mut(j * m);
+                for (i, dst) in (ib..).zip(&mut row[ib..imax.min(j)]) {
+                    *dst = above[i * m + j];
                 }
             }
-        },
-    );
+        }
+    }
 }
 
 #[cfg(test)]

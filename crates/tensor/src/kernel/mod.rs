@@ -29,8 +29,8 @@
 //! # Determinism
 //!
 //! The default (`scalar`/`simd`) kernels are **bitwise identical** to each
-//! other, to the pre-tiling serial loops, and across thread counts: SIMD
-//! lanes run across output *columns*, so each output element keeps its own
+//! other and to the pre-tiling serial loops: SIMD lanes run across output
+//! *columns*, so each output element keeps its own
 //! single accumulator chain over `k` in ascending order, and multiply and
 //! add round separately (never fused). Cache blocking round-trips partial
 //! sums through memory, which is exact for `f64`. Only `fma` reassociates
@@ -60,10 +60,6 @@ const NC: usize = 512;
 const MAX_MR: usize = micro::MR8;
 /// Largest NR of any micro-kernel (the AVX-512 tile width).
 const MAX_NR: usize = micro::NR16;
-
-/// Parallel row chunks should split on multiples of this so lanes never
-/// share a micro-panel (the least common multiple of all kernel MRs).
-pub const ROW_ALIGN: usize = 8;
 
 /// Which micro-kernel family executes the GEMM hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,16 +333,6 @@ pub(crate) fn tri_sweep(
     unsafe { (kernels().tri_sweep)(coef.as_ptr(), ldc, x.as_mut_ptr(), ldx, rows, width) }
 }
 
-/// Raw shared pointer to a second full-size output the epilogue writes
-/// (the derivative stream of the fused bias+activation path). Parallel
-/// lanes write disjoint row ranges of it — the same partition as the main
-/// output — so sharing the pointer is race-free.
-pub(crate) struct SharedOut(pub *mut f64);
-// SAFETY: lanes write disjoint regions; see the struct docs.
-unsafe impl Send for SharedOut {}
-// SAFETY: as above — no two lanes touch the same element.
-unsafe impl Sync for SharedOut {}
-
 /// An elementwise transform fused into the GEMM store phase.
 ///
 /// The epilogue runs on each output tile exactly once — after the tile's
@@ -356,9 +342,8 @@ unsafe impl Sync for SharedOut {}
 /// through memory between KC blocks anyway (exact for `f64`), fusing the
 /// transform into the last store changes no intermediate rounding: fused
 /// and separate-pass results are bitwise identical for finite inputs.
-///
-/// Row indices (`res`, the `grad` stream) are *global* matrix rows: parallel
-/// chunk callers pass their chunk's first global row as `base`.
+/// When `k == 0` there is no accumulation to finish, and the epilogue runs
+/// once over the whole zero product instead.
 pub(crate) enum Epilogue<'a> {
     /// `c[g][j] += bias[j]` — a fused row-broadcast bias add.
     Bias {
@@ -373,9 +358,8 @@ pub(crate) enum Epilogue<'a> {
         /// The activation's row kernel, run on each tile row after the
         /// bias add.
         act: ActRowFn,
-        /// Full-size derivative output (row-major, same shape as `c`'s
-        /// full matrix).
-        grad: &'a SharedOut,
+        /// Full-size derivative output (row-major, same shape as `c`).
+        grad: &'a mut [f64],
     },
     /// `c[g][j] = (c[g][j] + bias[j]) + res[g][j]` — bias add plus residual
     /// connection (IEEE addition commutes, so this matches `res + (c+bias)`
@@ -383,30 +367,23 @@ pub(crate) enum Epilogue<'a> {
     BiasResidual {
         /// Per-column bias, indexed by global output column.
         bias: &'a [f64],
-        /// Full-size residual input (row-major, same shape as `c`'s full
-        /// matrix).
+        /// Full-size residual input (row-major, same shape as `c`).
         res: &'a [f64],
     },
 }
 
-/// Applies `epi` to the `tm × tn` output tile at chunk rows
-/// `row0..row0+tm`, global columns `col0..col0+tn` (`base` = the chunk's
-/// first global row).
-#[allow(clippy::too_many_arguments)]
+/// Applies `epi` to the `tm × tn` output tile at rows `row0..row0+tm`,
+/// columns `col0..col0+tn`.
 fn apply_epilogue(
     c: &mut [f64],
     n: usize,
-    row0: usize,
-    col0: usize,
-    tm: usize,
-    tn: usize,
-    base: usize,
-    epi: &Epilogue<'_>,
+    (row0, col0): (usize, usize),
+    (tm, tn): (usize, usize),
+    epi: &mut Epilogue<'_>,
 ) {
-    for i in 0..tm {
-        let row = &mut c[(row0 + i) * n + col0..][..tn];
-        let g = base + row0 + i;
-        match *epi {
+    for g in row0..row0 + tm {
+        let row = &mut c[g * n + col0..][..tn];
+        match epi {
             Epilogue::Bias { bias } => {
                 for (j, v) in row.iter_mut().enumerate() {
                     *v += bias[col0 + j];
@@ -416,16 +393,9 @@ fn apply_epilogue(
                 for (v, b) in row.iter_mut().zip(&bias[col0..]) {
                     *v += b;
                 }
-                // SAFETY: `grad` spans the full matrix and row g's columns
-                // col0..col0+tn lie in this lane's disjoint row range, so
-                // nothing else aliases them; `act` comes from `kernels`,
-                // which only returns kernels the detected CPU supports.
-                unsafe {
-                    act(
-                        row,
-                        std::slice::from_raw_parts_mut(grad.0.add(g * n + col0), tn),
-                    )
-                }
+                // SAFETY: `act` comes from `kernels`, which only returns
+                // kernels the detected CPU supports.
+                unsafe { (*act)(row, &mut grad[g * n + col0..][..tn]) }
             }
             Epilogue::BiasResidual { bias, res } => {
                 for (j, v) in row.iter_mut().enumerate() {
@@ -438,7 +408,7 @@ fn apply_epilogue(
 
 /// How one [`gemm_chunk`] call departs from the plain accumulate
 /// `c[i][j] += Σ_p A(i,p)·B(p,j)`; `Mode::default()` is that accumulate.
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 pub(crate) struct Mode<'a> {
     /// *Subtracting* accumulation, `c[i][j] -= Σ_p A(i,p)·B(p,j)`, bitwise
     /// identical to the scalar chain `c = c - a·b` (ascending `p`, separate
@@ -454,21 +424,17 @@ pub(crate) struct Mode<'a> {
     /// and `c` seeded with `+0.0` the result is bitwise that of the dense
     /// sweep. The triangular inverse and its Gram product are built on this.
     pub b_lower: bool,
-    /// The Gram kernel: the chunk's first global row. Micro-tiles lying
-    /// entirely strictly below the matrix diagonal are skipped (the mirror
-    /// pass fills them from the upper triangle).
-    pub diag: Option<usize>,
-    /// A store-phase [`Epilogue`] with the chunk's first global output row
-    /// (epilogue operands index global rows). Degenerate `k == 0` inputs
-    /// return without touching `c` — callers must fall back to separate
-    /// passes there.
-    pub fused: Option<(usize, &'a Epilogue<'a>)>,
+    /// The Gram kernel's upper triangle: micro-tiles lying entirely
+    /// strictly below the diagonal of `c` are skipped (the mirror pass
+    /// fills them from the upper triangle).
+    pub upper: bool,
+    /// A store-phase [`Epilogue`].
+    pub fused: Option<Epilogue<'a>>,
 }
 
-/// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over one parallel chunk of
-/// `rows × n` output (`c` pre-zeroed or mid-accumulation), with cache
-/// blocking, panel packing, and the dispatched micro-kernel, varied as
-/// `mode` says.
+/// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over a `rows × n` output (`c`
+/// pre-zeroed or mid-accumulation), with cache blocking, panel packing, and
+/// the dispatched micro-kernel, varied as `mode` says.
 pub(crate) fn gemm_chunk(
     c: &mut [f64],
     rows: usize,
@@ -479,10 +445,21 @@ pub(crate) fn gemm_chunk(
     mode: Mode<'_>,
 ) {
     debug_assert_eq!(c.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
+    let Mode {
+        neg,
+        b_lower,
+        upper,
+        mut fused,
+    } = mode;
+    if rows == 0 || n == 0 {
         return;
     }
-    let (neg, b_lower, diag, fused) = (mode.neg, mode.b_lower, mode.diag, mode.fused);
+    if k == 0 {
+        if let Some(epi) = &mut fused {
+            apply_epilogue(c, n, (0, 0), (rows, n), epi);
+        }
+        return;
+    }
     let Kernels { mr, nr, micro, .. } = kernels();
     // Fixed-size panel buffers from the workspace arena: one size class
     // each, so steady-state checkouts always hit the per-thread free list.
@@ -490,10 +467,6 @@ pub(crate) fn gemm_chunk(
     let mut bbuf = workspace::take_raw(KC * NC);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        // Whole column block strictly below the diagonal: nothing to do.
-        if diag.is_some_and(|d| jc + nc <= d) {
-            continue;
-        }
         for kb in (0..k).step_by(KC) {
             let kc = KC.min(k - kb);
             // A tile's accumulation completes on the last KC block of its
@@ -503,7 +476,7 @@ pub(crate) fn gemm_chunk(
             for ib in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ib);
                 // Row blocks only sink further below the diagonal.
-                if diag.is_some_and(|d| jc + nc <= d + ib) {
+                if upper && jc + nc <= ib {
                     break;
                 }
                 pack::pack_a(&mut abuf, &a, ib, mc, kb, kc, mr, neg);
@@ -512,7 +485,7 @@ pub(crate) fn gemm_chunk(
                     let apanel = &abuf[qa * kc * mr..];
                     for (qb, j0) in (0..nc).step_by(nr).enumerate() {
                         let tn = nr.min(nc - j0);
-                        if diag.is_some_and(|d| jc + j0 + tn <= d + ib + i0) {
+                        if upper && jc + j0 + tn <= ib + i0 {
                             continue;
                         }
                         // Lower-triangular B: the steps before this tile's
@@ -555,8 +528,8 @@ pub(crate) fn gemm_chunk(
                             }
                         }
                         if last_kb {
-                            if let Some((base, epi)) = fused {
-                                apply_epilogue(c, n, ib + i0, jc + j0, tm, tn, base, epi);
+                            if let Some(epi) = &mut fused {
+                                apply_epilogue(c, n, (ib + i0, jc + j0), (tm, tn), epi);
                             }
                         }
                     }

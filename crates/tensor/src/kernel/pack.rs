@@ -10,7 +10,7 @@
 //! micro-kernel but never stored back, so the padding cannot perturb any
 //! real output element (not even a `-0.0 + 0.0` sign flip).
 
-/// How to read `A(i, p)` for the rows of one parallel chunk.
+/// How to read `A(i, p)`.
 #[derive(Clone, Copy)]
 pub(crate) enum ASrc<'a> {
     /// `A(i, p) = data[(base + i) * stride + p]` — a row-major operand.

@@ -11,9 +11,9 @@
 //! # Thread safety
 //!
 //! The pool is `thread_local!`, so no locks or cross-thread traffic are
-//! involved: each lane of the [`crate::par`] worker pool owns an
-//! independent arena, and a buffer checked out on one lane and dropped on
-//! another simply migrates pools. Results are unaffected — the arena
+//! involved: each thread (a pipeline stage worker, the coordinator) owns
+//! an independent arena, and a buffer checked out on one thread and
+//! dropped on another simply migrates pools. Results are unaffected — the arena
 //! recycles *capacity*, never values ([`take_zeroed`] clears before
 //! handing out), so every kernel remains bitwise identical to a freshly
 //! allocating run.

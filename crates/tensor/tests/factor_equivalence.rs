@@ -3,7 +3,7 @@
 //! off-block work on the packed GEMM micro-kernels and their in-block work
 //! on the triangular sweep) are **bitwise** identical to the scalar
 //! reference loops — across sizes that straddle the 64-wide block edge,
-//! thread counts, forced kernels, and poisoned outputs — and the inverse is
+//! forced kernels, and poisoned outputs — and the inverse is
 //! exactly symmetric. Failing inputs must report the same error, with the
 //! same pivot index, the reference reports, across block boundaries. The
 //! fused GEMM epilogues (bias, bias+activation, bias+residual) must match
@@ -16,15 +16,15 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, KernelKind};
 use pipefisher_tensor::{
-    cholesky_into, cholesky_inverse_into, par, reference, ActivationKind, Matrix, TensorError,
+    cholesky_into, cholesky_inverse_into, reference, ActivationKind, Matrix, TensorError,
 };
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Serializes tests that mutate process-wide kernel/pool settings and
-/// restores the defaults when dropped.
+/// Serializes tests that mutate the process-wide kernel setting and
+/// restores the default when dropped.
 struct SettingsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl SettingsGuard {
@@ -41,8 +41,6 @@ impl SettingsGuard {
 impl Drop for SettingsGuard {
     fn drop(&mut self) {
         kernel::set_kernel(None);
-        par::set_max_threads(0);
-        par::set_par_threshold(250_000);
     }
 }
 
@@ -72,12 +70,8 @@ fn random_spd(n: usize, rng: &mut StdRng) -> Matrix {
     m
 }
 
-fn assert_bitwise(label: &str, kind: KernelKind, threads: usize, want: &Matrix, got: &Matrix) {
-    assert_eq!(
-        want.shape(),
-        got.shape(),
-        "{label}: shape @ {kind:?}/{threads}t"
-    );
+fn assert_bitwise(label: &str, kind: KernelKind, want: &Matrix, got: &Matrix) {
+    assert_eq!(want.shape(), got.shape(), "{label}: shape @ {kind:?}");
     for (i, (w, g)) in want
         .as_slice()
         .iter()
@@ -86,39 +80,35 @@ fn assert_bitwise(label: &str, kind: KernelKind, threads: usize, want: &Matrix, 
     {
         assert!(
             w.to_bits() == g.to_bits(),
-            "{label}: element {i} differs @ {kind:?}/{threads}t: {w:?} vs {g:?}"
+            "{label}: element {i} differs @ {kind:?}: {w:?} vs {g:?}"
         );
     }
 }
 
-/// Factors and inverts `a` with the blocked engine under every
-/// kernel × thread setting and asserts bitwise identity with the naive
+/// Factors and inverts `a` with the blocked engine under every kernel
+/// setting and asserts bitwise identity with the naive
 /// reference (computed once: the naive loops are pure scalar code and
 /// cannot depend on the settings). Outputs are poisoned before every call.
 fn check_factor_and_inverse(a: &Matrix) {
     let _guard = SettingsGuard::acquire();
-    par::set_par_threshold(0);
     let mut want_l = Matrix::full(3, 7, f64::NAN);
     let res_naive = reference::cholesky_into(a, &mut want_l);
     let mut want_inv = Matrix::full(3, 7, f64::NAN);
     let inv_naive = reference::cholesky_inverse_into(a, &mut want_inv);
     for kind in [KernelKind::Scalar, KernelKind::Simd] {
         kernel::set_kernel(Some(kind));
-        for threads in [1usize, 4] {
-            par::set_max_threads(threads);
-            let mut got_l = Matrix::full(3, 7, f64::NAN);
-            let res = cholesky_into(a, &mut got_l);
-            assert_eq!(res, res_naive, "factor result @ {kind:?}/{threads}t");
-            if res.is_ok() {
-                assert_bitwise("cholesky", kind, threads, &want_l, &got_l);
-            }
-            let mut got_inv = Matrix::full(3, 7, f64::NAN);
-            let inv = cholesky_inverse_into(a, &mut got_inv);
-            assert_eq!(inv, inv_naive, "inverse result @ {kind:?}/{threads}t");
-            if inv.is_ok() {
-                assert_bitwise("inverse", kind, threads, &want_inv, &got_inv);
-                assert_exactly_symmetric(&got_inv);
-            }
+        let mut got_l = Matrix::full(3, 7, f64::NAN);
+        let res = cholesky_into(a, &mut got_l);
+        assert_eq!(res, res_naive, "factor result @ {kind:?}");
+        if res.is_ok() {
+            assert_bitwise("cholesky", kind, &want_l, &got_l);
+        }
+        let mut got_inv = Matrix::full(3, 7, f64::NAN);
+        let inv = cholesky_inverse_into(a, &mut got_inv);
+        assert_eq!(inv, inv_naive, "inverse result @ {kind:?}");
+        if inv.is_ok() {
+            assert_bitwise("inverse", kind, &want_inv, &got_inv);
+            assert_exactly_symmetric(&got_inv);
         }
     }
 }
@@ -165,8 +155,7 @@ proptest! {
 
 /// The sizes the K-FAC refresh actually runs at in this repo's workloads
 /// (`d + 1` bias-augmented factors: 65, 97, 129, 385) plus the block-edge
-/// cases, each against the scalar reference under every kernel × thread
-/// setting.
+/// cases, each against the scalar reference under every kernel setting.
 #[test]
 fn inverse_matches_reference_bitwise_at_block_edges_and_kfac_sizes() {
     for n in [1usize, 2, 63, 64, 65, 97, 129, 192, 385] {
@@ -285,7 +274,6 @@ fn failing_pivot_index_is_preserved_across_blocks() {
         // at most the (negative) diagonal entry.
         a[(p, p)] = -1.0;
         let _guard = SettingsGuard::acquire();
-        par::set_par_threshold(0);
         // A NaN below the diagonal of row `p` poisons pivot `p` and no
         // earlier one: the error is `NonFinite`, from factor and inverse.
         let mut poisoned = random_spd(n, &mut rng);
@@ -299,20 +287,13 @@ fn failing_pivot_index_is_preserved_across_blocks() {
             assert_eq!(reference::cholesky_inverse_into(a, &mut naive_out), want);
             for kind in [KernelKind::Scalar, KernelKind::Simd] {
                 kernel::set_kernel(Some(kind));
-                for threads in [1usize, 4] {
-                    par::set_max_threads(threads);
-                    let mut out = Matrix::zeros(1, 1);
-                    assert_eq!(
-                        cholesky_into(a, &mut out),
-                        want,
-                        "pivot {p} @ {kind:?}/{threads}t"
-                    );
-                    assert_eq!(
-                        cholesky_inverse_into(a, &mut out),
-                        want,
-                        "inverse, pivot {p} @ {kind:?}/{threads}t"
-                    );
-                }
+                let mut out = Matrix::zeros(1, 1);
+                assert_eq!(cholesky_into(a, &mut out), want, "pivot {p} @ {kind:?}");
+                assert_eq!(
+                    cholesky_inverse_into(a, &mut out),
+                    want,
+                    "inverse, pivot {p} @ {kind:?}"
+                );
             }
         }
     }
@@ -331,8 +312,8 @@ fn gelu_like(x: f64) -> (f64, f64) {
 }
 
 /// Fused store epilogues (bias / bias+activation / bias+residual) must be
-/// bitwise identical to the separate-pass computations, for every kernel
-/// and thread count, including ragged tile edges and cache-block crossings.
+/// bitwise identical to the separate-pass computations, for every kernel,
+/// including ragged tile edges and cache-block crossings.
 /// The bias+activation path's second stream is the derivative at each
 /// fully accumulated, bias-added element.
 #[test]
@@ -351,43 +332,38 @@ fn fused_epilogues_match_separate_passes_bitwise() {
         let res = random_matrix(m, n, &mut rng);
 
         let _guard = SettingsGuard::acquire();
-        par::set_par_threshold(0);
         for kind in [KernelKind::Scalar, KernelKind::Simd] {
             kernel::set_kernel(Some(kind));
-            for threads in [1usize, 4] {
-                par::set_max_threads(threads);
 
-                // Separate-pass references under the same settings.
-                let mut base = Matrix::full(2, 2, f64::NAN);
-                a.matmul_into(&b, &mut base);
-                let mut want_bias = base.clone();
-                want_bias.add_row_broadcast(&bias);
-                let want_act = want_bias.map(|x| gelu_like(x).0);
-                let want_grad = want_bias.map(|x| gelu_like(x).1);
-                let mut want_res = want_bias.clone();
-                for (o, &r) in want_res.as_mut_slice().iter_mut().zip(res.as_slice()) {
-                    *o += r;
-                }
-
-                let mut got = Matrix::full(2, 2, f64::NAN);
-                a.matmul_bias_into(&b, &bias, &mut got);
-                assert_bitwise("bias", kind, threads, &want_bias, &got);
-
-                let mut grad = Matrix::full(3, 3, f64::NAN);
-                a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
-                assert_bitwise("bias+act out", kind, threads, &want_act, &got);
-                assert_bitwise("bias+act grad", kind, threads, &want_grad, &grad);
-
-                a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
-                assert_bitwise("bias+residual", kind, threads, &want_res, &got);
+            // Separate-pass references under the same settings.
+            let mut base = Matrix::full(2, 2, f64::NAN);
+            a.matmul_into(&b, &mut base);
+            let mut want_bias = base.clone();
+            want_bias.add_row_broadcast(&bias);
+            let want_act = want_bias.map(|x| gelu_like(x).0);
+            let want_grad = want_bias.map(|x| gelu_like(x).1);
+            let mut want_res = want_bias.clone();
+            for (o, &r) in want_res.as_mut_slice().iter_mut().zip(res.as_slice()) {
+                *o += r;
             }
+
+            let mut got = Matrix::full(2, 2, f64::NAN);
+            a.matmul_bias_into(&b, &bias, &mut got);
+            assert_bitwise("bias", kind, &want_bias, &got);
+
+            let mut grad = Matrix::full(3, 3, f64::NAN);
+            a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
+            assert_bitwise("bias+act out", kind, &want_act, &got);
+            assert_bitwise("bias+act grad", kind, &want_grad, &grad);
+
+            a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
+            assert_bitwise("bias+residual", kind, &want_res, &got);
         }
     }
 }
 
 /// k = 0 degenerate products still apply the full epilogue (bias, act and
-/// its derivative, residual over an all-zero product) via the serial
-/// fallback, under every kernel and thread count.
+/// its derivative, residual over an all-zero product), under every kernel.
 #[test]
 fn degenerate_k0_epilogues() {
     let (m, n) = (4usize, 6usize);
@@ -398,37 +374,33 @@ fn degenerate_k0_epilogues() {
     let res = random_matrix(m, n, &mut rng);
 
     let _guard = SettingsGuard::acquire();
-    par::set_par_threshold(0);
     for kind in [KernelKind::Scalar, KernelKind::Simd] {
         kernel::set_kernel(Some(kind));
-        for threads in [1usize, 4] {
-            par::set_max_threads(threads);
-            let at = format!("{kind:?}/{threads}t");
+        let at = format!("{kind:?}");
 
-            let mut got = Matrix::full(1, 1, f64::NAN);
-            a.matmul_bias_into(&b, &bias, &mut got);
-            for r in 0..m {
-                for c in 0..n {
-                    assert_eq!(got[(r, c)].to_bits(), bias[c].to_bits(), "bias @ {at}");
-                }
+        let mut got = Matrix::full(1, 1, f64::NAN);
+        a.matmul_bias_into(&b, &bias, &mut got);
+        for r in 0..m {
+            for c in 0..n {
+                assert_eq!(got[(r, c)].to_bits(), bias[c].to_bits(), "bias @ {at}");
             }
+        }
 
-            let mut grad = Matrix::full(1, 1, f64::NAN);
-            a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
-            for r in 0..m {
-                for c in 0..n {
-                    let (y, d) = gelu_like(bias[c]);
-                    assert_eq!(got[(r, c)].to_bits(), y.to_bits(), "act @ {at}");
-                    assert_eq!(grad[(r, c)].to_bits(), d.to_bits(), "grad @ {at}");
-                }
+        let mut grad = Matrix::full(1, 1, f64::NAN);
+        a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
+        for r in 0..m {
+            for c in 0..n {
+                let (y, d) = gelu_like(bias[c]);
+                assert_eq!(got[(r, c)].to_bits(), y.to_bits(), "act @ {at}");
+                assert_eq!(grad[(r, c)].to_bits(), d.to_bits(), "grad @ {at}");
             }
+        }
 
-            a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
-            for r in 0..m {
-                for c in 0..n {
-                    let want = bias[c] + res[(r, c)];
-                    assert_eq!(got[(r, c)].to_bits(), want.to_bits(), "residual @ {at}");
-                }
+        a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
+        for r in 0..m {
+            for c in 0..n {
+                let want = bias[c] + res[(r, c)];
+                assert_eq!(got[(r, c)].to_bits(), want.to_bits(), "residual @ {at}");
             }
         }
     }

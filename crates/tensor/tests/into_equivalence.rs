@@ -1,27 +1,26 @@
 //! Property tests: every `_into` kernel is **bitwise** identical to its
 //! allocating counterpart — or, where there is none (`matmul_tn_into`,
-//! `gram_into`), to itself on a fresh destination — across random shapes,
-//! stale output contents, and thread counts — and the workspace never hands
-//! out an aliased buffer.
+//! `gram_into`), to itself on a fresh destination — across random shapes
+//! and stale output contents — and the workspace never hands out an aliased
+//! buffer.
 //!
 //! The allocating kernels are thin wrappers over the `_into` variants,
 //! but that makes these tests more important, not less: they pin down the
 //! contract that an `_into` call fully overwrites its destination (no
 //! dependence on prior contents) and re-dimensions any shape the caller
-//! hands it. Pool settings are process-wide, so tests that touch them hold a
-//! shared lock and restore defaults on exit (same idiom as
-//! `parallel_equivalence.rs`).
+//! hands it. The workspace switch is process-wide, so tests that touch it
+//! hold a shared lock and restore the default on exit.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use pipefisher_tensor::{par, workspace, Matrix};
+use pipefisher_tensor::{reference, workspace, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Serializes tests that mutate process-wide pool settings and restores the
-/// defaults when dropped.
+/// Serializes tests that mutate the process-wide workspace switch and
+/// restores the default when dropped.
 struct SettingsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl SettingsGuard {
@@ -37,8 +36,6 @@ impl SettingsGuard {
 
 impl Drop for SettingsGuard {
     fn drop(&mut self) {
-        par::set_max_threads(0);
-        par::set_par_threshold(250_000);
         workspace::set_enabled(true);
     }
 }
@@ -53,12 +50,8 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..24, 1usize..24, 1usize..24)
 }
 
-fn assert_bitwise_eq(label: &str, threads: usize, want: &Matrix, got: &Matrix) {
-    assert_eq!(
-        want.shape(),
-        got.shape(),
-        "{label}: shape @ {threads} threads"
-    );
+fn assert_bitwise_eq(label: &str, want: &Matrix, got: &Matrix) {
+    assert_eq!(want.shape(), got.shape(), "{label}: shape");
     for (i, (w, g)) in want
         .as_slice()
         .iter()
@@ -67,28 +60,23 @@ fn assert_bitwise_eq(label: &str, threads: usize, want: &Matrix, got: &Matrix) {
     {
         assert!(
             w.to_bits() == g.to_bits(),
-            "{label}: element {i} differs at {threads} threads: {w:?} vs {g:?}"
+            "{label}: element {i} differs: {w:?} vs {g:?}"
         );
     }
 }
 
-/// Checks `alloc()` against `into(out)` at 1, 2, and 4 threads, with the
-/// parallel cutover forced to zero. The destination is pre-filled with a
-/// wrong shape *and* garbage contents each round so any dependence on prior
+/// Checks `alloc()` against `into(out)`. The destination is pre-filled
+/// with a wrong shape *and* garbage contents so any dependence on prior
 /// state shows up as a mismatch.
 fn check_into(label: &str, alloc: impl Fn() -> Matrix, into: impl Fn(&mut Matrix)) {
     let _guard = SettingsGuard::acquire();
-    par::set_par_threshold(0);
-    for threads in [1usize, 2, 4] {
-        par::set_max_threads(threads);
-        let want = alloc();
-        let mut out = Matrix::full(3, 7, f64::NAN); // wrong shape, poisoned
-        into(&mut out);
-        assert_bitwise_eq(label, threads, &want, &out);
-        // Second call reuses the now-correctly-shaped buffer in place.
-        into(&mut out);
-        assert_bitwise_eq(label, threads, &want, &out);
-    }
+    let want = alloc();
+    let mut out = Matrix::full(3, 7, f64::NAN); // wrong shape, poisoned
+    into(&mut out);
+    assert_bitwise_eq(label, &want, &out);
+    // Second call reuses the now-correctly-shaped buffer in place.
+    into(&mut out);
+    assert_bitwise_eq(label, &want, &out);
 }
 
 /// The "allocating" side for a kernel that has only an `_into` form: the
@@ -145,8 +133,18 @@ proptest! {
         let with_pool = a.matmul(&b);
         workspace::set_enabled(false);
         let without_pool = a.matmul(&b);
-        assert_bitwise_eq("workspace on/off", 0, &with_pool, &without_pool);
+        assert_bitwise_eq("workspace on/off", &with_pool, &without_pool);
     }
+}
+
+/// The kernels must stay numerically correct, not just self-consistent:
+/// spot-check `matmul` against the naive reference.
+#[test]
+fn matmul_matches_naive_reference() {
+    let a = Matrix::from_vec(5, 7, (0..35).map(|i| (i as f64).sin()).collect());
+    let b = Matrix::from_vec(7, 3, (0..21).map(|i| (i as f64).cos()).collect());
+    let diff = (&a.matmul(&b) - &reference::matmul(&a, &b)).max_abs();
+    assert!(diff < 1e-12, "diff {diff}");
 }
 
 /// The workspace must never hand out a buffer that aliases a live checkout

@@ -1,8 +1,8 @@
 //! Dispatch contract for the register-tiled GEMM engine: the runtime-
 //! selected SIMD micro-kernel is **bitwise** identical to the portable
 //! scalar fallback for every GEMM flavour, across random shapes (including
-//! degenerate 0-dims, sub-tile sizes, and non-multiples of MR/NR), thread
-//! counts, and poisoned `_into` destinations — plus unit coverage for
+//! degenerate 0-dims, sub-tile sizes, and non-multiples of MR/NR) and
+//! poisoned `_into` destinations — plus unit coverage for
 //! `PIPEFISHER_KERNEL` parsing and the `set_kernel` clamp.
 //!
 //! The kernel override is process-wide, so tests that touch it hold the
@@ -12,14 +12,14 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind, KernelRequest};
-use pipefisher_tensor::{par, ActivationKind, Matrix};
+use pipefisher_tensor::{ActivationKind, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Serializes tests that mutate process-wide kernel/pool settings and
-/// restores the defaults when dropped.
+/// Serializes tests that mutate the process-wide kernel setting and
+/// restores the default when dropped.
 struct SettingsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl SettingsGuard {
@@ -36,8 +36,6 @@ impl SettingsGuard {
 impl Drop for SettingsGuard {
     fn drop(&mut self) {
         kernel::set_kernel(None);
-        par::set_max_threads(0);
-        par::set_par_threshold(250_000);
     }
 }
 
@@ -63,12 +61,8 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (dim(), dim(), dim())
 }
 
-fn assert_bitwise_eq(label: &str, threads: usize, want: &Matrix, got: &Matrix) {
-    assert_eq!(
-        want.shape(),
-        got.shape(),
-        "{label}: shape @ {threads} threads"
-    );
+fn assert_bitwise_eq(label: &str, want: &Matrix, got: &Matrix) {
+    assert_eq!(want.shape(), got.shape(), "{label}: shape");
     for (i, (w, g)) in want
         .as_slice()
         .iter()
@@ -77,31 +71,24 @@ fn assert_bitwise_eq(label: &str, threads: usize, want: &Matrix, got: &Matrix) {
     {
         assert!(
             w.to_bits() == g.to_bits(),
-            "{label}: element {i} differs at {threads} threads: {w:?} vs {g:?}"
+            "{label}: element {i} differs: {w:?} vs {g:?}"
         );
     }
 }
 
 /// Runs `compute` under the forced scalar kernel, then under the
-/// dispatched SIMD default, at 1 and 4 threads with the parallel cutover
-/// forced to zero, and asserts all four results are bitwise identical.
-/// The destination is poisoned (wrong shape, NaN-filled) before each call.
+/// dispatched SIMD default, and asserts both results are bitwise
+/// identical. The destination is poisoned (wrong shape, NaN-filled) before
+/// each call.
 fn check_dispatch(label: &str, compute: impl Fn(&mut Matrix)) {
     let _guard = SettingsGuard::acquire();
-    par::set_par_threshold(0);
-    let mut want: Option<Matrix> = None;
-    for kind in [KernelKind::Scalar, KernelKind::Simd] {
+    let [want, got] = [KernelKind::Scalar, KernelKind::Simd].map(|kind| {
         kernel::set_kernel(Some(kind));
-        for threads in [1usize, 4] {
-            par::set_max_threads(threads);
-            let mut out = Matrix::full(3, 7, f64::NAN);
-            compute(&mut out);
-            match &want {
-                None => want = Some(out),
-                Some(w) => assert_bitwise_eq(label, threads, w, &out),
-            }
-        }
-    }
+        let mut out = Matrix::full(3, 7, f64::NAN);
+        compute(&mut out);
+        out
+    });
+    assert_bitwise_eq(label, &want, &got);
 }
 
 proptest! {
@@ -173,7 +160,7 @@ fn kernel_request_parsing() {
     );
     assert_eq!(parse_kernel_request("auto"), Ok(KernelRequest::Auto));
     assert_eq!(parse_kernel_request(""), Ok(KernelRequest::Auto));
-    // Case-insensitive and whitespace-tolerant, like PIPEFISHER_THREADS.
+    // Case-insensitive and whitespace-tolerant.
     assert_eq!(
         parse_kernel_request(" SIMD \n"),
         Ok(KernelRequest::Force(KernelKind::Simd))
@@ -213,7 +200,6 @@ fn set_kernel_clamps_to_availability() {
 #[test]
 fn fma_path_is_close_but_need_not_be_bitwise() {
     let _guard = SettingsGuard::acquire();
-    par::set_par_threshold(0);
     let mut rng = StdRng::seed_from_u64(0xF3A);
     let a = random_matrix(33, 47, &mut rng);
     let b = random_matrix(47, 21, &mut rng);
@@ -246,7 +232,7 @@ fn activation_row_kernels_scalar_simd_agree() {
                 out
             };
             let (want, got) = (run(KernelKind::Scalar), run(KernelKind::Simd));
-            assert_bitwise_eq(&format!("{act:?} over {len}"), 1, &want, &got);
+            assert_bitwise_eq(&format!("{act:?} over {len}"), &want, &got);
         }
     }
 }

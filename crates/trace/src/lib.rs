@@ -12,8 +12,8 @@
 //! * the Chrome/Perfetto `trace_event` JSON model ([`TraceEvent`],
 //!   [`chrome_trace_json`]) that both *simulated* timelines
 //!   (`pipefisher_sim::Timeline::chrome_trace_events`) and *measured*
-//!   wall-clock spans (the `pipefisher-lm` trainer, the `pipefisher-tensor`
-//!   worker pool) export to, so the two can be loaded side by side in
+//!   wall-clock spans (the `pipefisher-lm` trainer and pipeline executor)
+//!   export to, so the two can be loaded side by side in
 //!   `ui.perfetto.dev` or `chrome://tracing`.
 //!
 //! The exported JSON is the "JSON Object Format": a top-level object with a

@@ -1,14 +1,12 @@
 //! Allocation-regression gate: after warm-up, the kernel hot path performs
 //! **zero** heap allocations, and a steady-state K-FAC training step is
-//! down to task-dispatch bookkeeping (no buffer allocations; the ≥10×
+//! down to the list pairing layers with states (no buffer allocations; the ≥10×
 //! comparison against the pre-arena tree lives in `BENCH_alloc.json`).
 //!
 //! Requires the `alloc-count` feature (which installs the counting global
 //! allocator from `pipefisher-trace`); the whole file compiles away without
-//! it so plain `cargo test` is unaffected. CI runs this gate at
-//! `PIPEFISHER_THREADS=1` and `=4` — the sizes below sit under the parallel
-//! cutover, so the kernels stay on the calling thread and the strict-zero
-//! assertion holds at any configured thread count.
+//! it so plain `cargo test` is unaffected. Every kernel runs on the
+//! calling thread.
 
 #![cfg(feature = "alloc-count")]
 
@@ -23,7 +21,7 @@ use pipefisher::nn::{
 };
 use pipefisher::optim::{Kfac, KfacConfig, KfacModel, Sgd};
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::tensor::{cholesky_inverse_into, init, par, workspace, Matrix};
+use pipefisher::tensor::{cholesky_inverse_into, init, workspace, Matrix};
 use pipefisher::trace::{alloc_live_bytes, alloc_snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +45,6 @@ impl Gate {
 impl Drop for Gate {
     fn drop(&mut self) {
         workspace::set_enabled(true);
-        par::set_max_threads(0);
     }
 }
 
@@ -81,8 +78,6 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
     let _gate = Gate::acquire();
     workspace::set_enabled(true);
 
-    // 40×40: 40³ = 64k mul-adds, far below the 250k parallel cutover, so
-    // every kernel runs on this thread and no boxed tasks are spawned.
     let n = 40;
     let mut rng = StdRng::seed_from_u64(7);
     let a = init::normal(n, n, 1.0, &mut rng);
@@ -174,15 +169,14 @@ fn kfac_steady_state_is_near_allocation_free() {
     let without_pool = kfac_run_allocs(6, 3);
 
     // With the arena on, a steady-state step allocates no f64 buffers at
-    // all — what remains is the K-FAC task-dispatch bookkeeping: a refresh
-    // step call is two fork/join scopes (the refresh pass, then
-    // preconditioning), each one boxed closure per layer plus two small
-    // Vecs — 6 per call, 4 calls per step here. Bound it tightly so any
+    // all — what remains is the list pairing layers with their states: a
+    // refresh step call builds it twice (the refresh pass, then
+    // preconditioning), 4 calls per step here. Bound it exactly so any
     // buffer allocation sneaking back into the hot path (every matrix here
     // is ≥ 16×16) trips the gate.
     let steady_steps = 3;
     assert!(
-        with_pool <= 24 * steady_steps,
+        with_pool <= 8 * steady_steps,
         "steady-state K-FAC step allocates too much with the workspace on: \
          {with_pool} allocs over {steady_steps} steps"
     );
@@ -282,13 +276,11 @@ fn kfac_first_step_retained_bytes(layers: usize) -> i64 {
 /// grows what the first step leaves live by that layer's two factors and
 /// two inverses, plus a fixed allowance for its map entry and name — no
 /// per-layer working buffers. Runs with the arena off, so every temporary
-/// is a real allocation that must be freed by the step's end, and on one
-/// lane, so no worker thread's lazily built state lands in the window.
+/// is a real allocation that must be freed by the step's end.
 #[test]
 fn kfac_retained_memory_is_its_state() {
     let _gate = Gate::acquire();
     workspace::set_enabled(false);
-    par::set_max_threads(1);
     let _warm = kfac_first_step_retained_bytes(4);
     let (small, large) = (4, 8);
     let r_small = kfac_first_step_retained_bytes(small);
@@ -379,10 +371,9 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let pipelined_steady = steady_allocs(&outcome.run.metrics, warmup);
 
     // Fixed per-step budget for the plumbing. Measured for D = 2, N = 4:
-    // 43 allocations per step over the serial loop at one compute thread
-    // (651 vs 780 over 3 steps) and 28–40 at four (2,628–2,663 vs 2,748). A
-    // matrix buffer slipping out of the recycling paths would add thousands
-    // per step and trip this at once.
+    // 48 allocations per step over the serial loop (756–757 vs 612 over 3
+    // steps). A matrix buffer slipping out of the recycling paths would add
+    // thousands per step and trip this at once.
     let per_step_overhead = 200;
     let steady_steps = (steps - warmup) as u64;
     assert!(

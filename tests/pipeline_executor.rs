@@ -3,9 +3,9 @@
 //! The executor's core claim (DESIGN.md §3.13): running the step on `D`
 //! stage worker threads — under any scheme, with bubbles filled by K-FAC
 //! work — produces a **bitwise identical** loss trajectory and final model
-//! to the serial `Trainer` loop, itself thread-count invariant. These tests
-//! check that claim for D ∈ {1, 2, 3, 4} × {GPipe, 1F1B, Chimera} × {1, 4}
-//! compute threads (stages that own no block included), and that a
+//! to the serial `Trainer` loop. These tests check that claim for
+//! D ∈ {1, 2, 3, 4} × {GPipe, 1F1B, Chimera} (stages that own no block
+//! included), and that a
 //! panicking or wedged stage aborts the run with a clear error instead of
 //! deadlocking.
 
@@ -17,14 +17,14 @@ use pipefisher::lm::{
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb, LrSchedule, Optimizer};
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::tensor::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Serializes tests that touch the process-wide thread-count override.
-fn par_lock() -> MutexGuard<'static, ()> {
+/// Runs the tests one at a time: each spawns its own stage threads, and the
+/// watchdog tests time stage skew that another test's run would distort.
+fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
@@ -60,8 +60,8 @@ fn param_bits(model: &mut BertForPreTraining) -> Vec<u64> {
     bits
 }
 
-/// Serial baseline, thread-count invariant itself: the reference trajectory
-/// every pipelined configuration must reproduce bit for bit.
+/// Serial baseline: the reference trajectory every pipelined configuration
+/// must reproduce bit for bit.
 fn serial_reference(
     config: &BertConfig,
     choice: &OptimizerChoice,
@@ -87,14 +87,11 @@ fn pipelined_bits(
     choice: &OptimizerChoice,
     steps: usize,
     opts: &PipelineOptions,
-    threads: usize,
 ) -> (Vec<u64>, Vec<u64>) {
-    par::set_max_threads(threads);
     let (mut trainer, model) = setup(config, 7);
     let outcome = trainer
         .run_pipelined(model, choice, steps, opts)
         .unwrap_or_else(|e| panic!("pipelined run failed ({} stages): {e}", opts.n_stages));
-    par::set_max_threads(0);
     let loss_bits = outcome.run.losses.iter().map(|l| l.to_bits()).collect();
     let mut model = outcome.model;
     (loss_bits, param_bits(&mut model))
@@ -164,7 +161,7 @@ fn schemes_for(d: usize) -> Vec<PipelineScheme> {
 /// curvature (every 2) and inversion (every 3) boundaries.
 #[test]
 fn both_engines_match_the_naive_reference_loop_bitwise() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (7, 4);
     let config = BertConfig::tiny(36, 16);
     for choice in [OptimizerChoice::Lamb { weight_decay: 0.01 }, kfac_choice()] {
@@ -177,7 +174,7 @@ fn both_engines_match_the_naive_reference_loop_bitwise() {
         );
         for d in [1usize, 2] {
             let opts = PipelineOptions::new(PipelineScheme::OneFOneB, d, n_micro);
-            let staged = pipelined_bits(&config, &choice, steps, &opts, 1);
+            let staged = pipelined_bits(&config, &choice, steps, &opts);
             assert_eq!(staged.0, oracle.0, "run_pipelined D={d} losses: {choice:?}");
             assert_eq!(
                 staged.1, oracle.1,
@@ -189,7 +186,7 @@ fn both_engines_match_the_naive_reference_loop_bitwise() {
 
 #[test]
 fn pipelined_kfac_matches_serial_trainer_bitwise() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (7, 4);
     let choice = kfac_choice();
     for (config, stage_counts) in [
@@ -202,36 +199,27 @@ fn pipelined_kfac_matches_serial_trainer_bitwise() {
         for &d in &stage_counts {
             let empty_stages = d > config.n_layers;
             for scheme in schemes_for(d) {
-                for threads in [1usize, 4] {
-                    // The 4-block model is the expensive leg: cover both
-                    // thread counts on GPipe and keep one thread count for
-                    // the other schemes (whose orders are fully exercised
-                    // at D = 2).
-                    if config.n_layers == 4 && threads == 1 && scheme != PipelineScheme::GPipe {
+                // Filling off is `unfilled_bubbles_produce_identical_results`
+                // at D = 2; here it matters where a stage's units are empty.
+                for fill in [true, false] {
+                    if !fill && !empty_stages {
                         continue;
                     }
-                    // Filling off is `unfilled_bubbles_produce_identical_results`
-                    // at D = 2; here it matters where a stage's units are empty.
-                    for fill in [true, false] {
-                        if !fill && !empty_stages {
-                            continue;
-                        }
-                        let mut opts = PipelineOptions::new(scheme, d, n_micro);
-                        opts.fill_bubbles = fill;
-                        let got = pipelined_bits(&config, &choice, steps, &opts, threads);
-                        assert_eq!(
-                            got.0,
-                            reference.0,
-                            "loss trajectory diverged: {} D={d} threads={threads} fill={fill}",
-                            scheme.name()
-                        );
-                        assert_eq!(
-                            got.1,
-                            reference.1,
-                            "final parameters diverged: {} D={d} threads={threads} fill={fill}",
-                            scheme.name()
-                        );
-                    }
+                    let mut opts = PipelineOptions::new(scheme, d, n_micro);
+                    opts.fill_bubbles = fill;
+                    let got = pipelined_bits(&config, &choice, steps, &opts);
+                    assert_eq!(
+                        got.0,
+                        reference.0,
+                        "loss trajectory diverged: {} D={d} fill={fill}",
+                        scheme.name()
+                    );
+                    assert_eq!(
+                        got.1,
+                        reference.1,
+                        "final parameters diverged: {} D={d} fill={fill}",
+                        scheme.name()
+                    );
                 }
             }
         }
@@ -240,29 +228,27 @@ fn pipelined_kfac_matches_serial_trainer_bitwise() {
 
 #[test]
 fn pipelined_lamb_matches_serial_trainer_bitwise() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (5, 4);
     let config = BertConfig::tiny(36, 16);
     let choice = OptimizerChoice::Lamb { weight_decay: 0.01 };
     let reference = serial_reference(&config, &choice, steps, n_micro);
     for d in [1usize, 2] {
         for scheme in schemes_for(d) {
-            for threads in [1usize, 4] {
-                let opts = PipelineOptions::new(scheme, d, n_micro);
-                let got = pipelined_bits(&config, &choice, steps, &opts, threads);
-                assert_eq!(
-                    got.0,
-                    reference.0,
-                    "loss trajectory diverged: {} D={d} threads={threads}",
-                    scheme.name()
-                );
-                assert_eq!(
-                    got.1,
-                    reference.1,
-                    "final parameters diverged: {} D={d} threads={threads}",
-                    scheme.name()
-                );
-            }
+            let opts = PipelineOptions::new(scheme, d, n_micro);
+            let got = pipelined_bits(&config, &choice, steps, &opts);
+            assert_eq!(
+                got.0,
+                reference.0,
+                "loss trajectory diverged: {} D={d}",
+                scheme.name()
+            );
+            assert_eq!(
+                got.1,
+                reference.1,
+                "final parameters diverged: {} D={d}",
+                scheme.name()
+            );
         }
     }
 }
@@ -271,7 +257,7 @@ fn pipelined_lamb_matches_serial_trainer_bitwise() {
 /// runs within the step.
 #[test]
 fn unfilled_bubbles_produce_identical_results() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (7, 4);
     let config = BertConfig::tiny(36, 16);
     let choice = kfac_choice();
@@ -279,8 +265,8 @@ fn unfilled_bubbles_produce_identical_results() {
     filled.fill_bubbles = true;
     let mut unfilled = filled.clone();
     unfilled.fill_bubbles = false;
-    let a = pipelined_bits(&config, &choice, steps, &filled, 2);
-    let b = pipelined_bits(&config, &choice, steps, &unfilled, 2);
+    let a = pipelined_bits(&config, &choice, steps, &filled);
+    let b = pipelined_bits(&config, &choice, steps, &unfilled);
     assert_eq!(a.0, b.0, "losses depend on bubble filling");
     assert_eq!(a.1, b.1, "parameters depend on bubble filling");
 }
@@ -291,17 +277,15 @@ fn unfilled_bubbles_produce_identical_results() {
 /// read exactly zero (it used to count the tail drain a second time).
 #[test]
 fn unfilled_run_books_all_kfac_work_as_tail() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (4, 4);
     let config = BertConfig::tiny(36, 16);
     let mut opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, n_micro);
     opts.fill_bubbles = false;
-    par::set_max_threads(1);
     let (mut trainer, model) = setup(&config, 7);
     let outcome = trainer
         .run_pipelined(model, &kfac_choice(), steps, &opts)
         .expect("pipelined run");
-    par::set_max_threads(0);
     assert_eq!(outcome.bubble_aux_ms, 0.0);
     assert!(outcome.tail_aux_ms > 0.0);
 }
@@ -313,7 +297,7 @@ fn unfilled_run_books_all_kfac_work_as_tail() {
 /// must stay bitwise-identical to the serial loop.
 #[test]
 fn blocked_inversion_in_bubbles_matches_serial_bitwise() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (4, 4);
     let config = BertConfig {
         vocab_size: 36,
@@ -338,7 +322,7 @@ fn blocked_inversion_in_bubbles_matches_serial_bitwise() {
     for scheme in schemes_for(2) {
         let mut opts = PipelineOptions::new(scheme, 2, n_micro);
         opts.fill_bubbles = true;
-        let got = pipelined_bits(&config, &choice, steps, &opts, 4);
+        let got = pipelined_bits(&config, &choice, steps, &opts);
         assert_eq!(
             got.0,
             reference.0,
@@ -356,7 +340,7 @@ fn blocked_inversion_in_bubbles_matches_serial_bitwise() {
 
 #[test]
 fn injected_panic_aborts_with_stage_panic_error() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let config = BertConfig::tiny(36, 16);
     let (mut trainer, model) = setup(&config, 3);
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, 4);
@@ -399,7 +383,7 @@ impl pipefisher::lm::ChaosHook for SlowFirstOp {
 /// complete, and the skew changes nothing bitwise.
 #[test]
 fn raised_watchdog_tolerates_slow_stage_skew() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (2, 2);
     let config = BertConfig::tiny(36, 16);
     let choice = OptimizerChoice::Lamb { weight_decay: 0.01 };
@@ -407,7 +391,7 @@ fn raised_watchdog_tolerates_slow_stage_skew() {
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, n_micro);
     opts.chaos = Some(Arc::new(SlowFirstOp(Duration::from_millis(400))));
     opts.watchdog = Duration::from_secs(10);
-    let got = pipelined_bits(&config, &choice, steps, &opts, 1);
+    let got = pipelined_bits(&config, &choice, steps, &opts);
     assert_eq!(got.0, reference.0, "skewed losses diverged");
     assert_eq!(got.1, reference.1, "skewed parameters diverged");
 }
@@ -416,7 +400,7 @@ fn raised_watchdog_tolerates_slow_stage_skew() {
 /// instead of hanging.
 #[test]
 fn lowered_watchdog_trips_on_slow_stage_skew() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let config = BertConfig::tiny(36, 16);
     let (mut trainer, model) = setup(&config, 5);
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, 2);
@@ -438,7 +422,7 @@ fn lowered_watchdog_trips_on_slow_stage_skew() {
 
 #[test]
 fn wedged_stage_trips_the_watchdog() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let config = BertConfig::tiny(36, 16);
     let (mut trainer, model) = setup(&config, 4);
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, 4);
@@ -479,7 +463,7 @@ impl pipefisher::lm::ChaosHook for TimedPanic {
 /// by the abort itself. Left to their own watchdogs they would take 10 s.
 #[test]
 fn abort_wakes_blocked_peers_without_waiting_for_their_watchdog() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let config = BertConfig::mini(36, 16);
     let (mut trainer, model) = setup(&config, 3);
     let hook = Arc::new(TimedPanic {
@@ -509,7 +493,7 @@ fn abort_wakes_blocked_peers_without_waiting_for_their_watchdog() {
 /// notice that nothing progresses.
 #[test]
 fn coordinator_watchdog_sees_a_lone_wedged_stage() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let config = BertConfig::tiny(36, 16);
     let (mut trainer, model) = setup(&config, 4);
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 1, 4);
@@ -545,7 +529,7 @@ impl pipefisher::lm::ChaosHook for SlowEveryOp {
 /// run must complete — and the delays change nothing bitwise.
 #[test]
 fn healthy_step_longer_than_the_watchdog_does_not_trip() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (1, 4);
     let config = BertConfig::tiny(36, 16);
     let choice = OptimizerChoice::Lamb { weight_decay: 0.01 };
@@ -553,7 +537,7 @@ fn healthy_step_longer_than_the_watchdog_does_not_trip() {
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 1, n_micro);
     opts.chaos = Some(Arc::new(SlowEveryOp(Duration::from_millis(60))));
     opts.watchdog = Duration::from_millis(150);
-    let got = pipelined_bits(&config, &choice, steps, &opts, 1);
+    let got = pipelined_bits(&config, &choice, steps, &opts);
     assert_eq!(got.0, reference.0, "delayed losses diverged");
     assert_eq!(got.1, reference.1, "delayed parameters diverged");
 }
@@ -575,7 +559,7 @@ impl pipefisher::lm::ChaosHook for AlwaysSecondReady {
 /// with bubbles filled and with all K-FAC work as tail.
 #[test]
 fn any_ready_pickup_order_matches_serial_bitwise() {
-    let _gate = par_lock();
+    let _gate = test_lock();
     let (steps, n_micro) = (7, 4);
     let config = BertConfig::mini(36, 16);
     let choice = kfac_choice();
@@ -592,7 +576,7 @@ fn any_ready_pickup_order_matches_serial_bitwise() {
             let mut opts = PipelineOptions::new(scheme, d, n_micro);
             opts.fill_bubbles = fill;
             opts.chaos = Some(Arc::new(AlwaysSecondReady));
-            let got = pipelined_bits(&config, &choice, steps, &opts, 1);
+            let got = pipelined_bits(&config, &choice, steps, &opts);
             let what = format!("{} D={d} fill={fill}", scheme.name());
             assert_eq!(got.0, reference.0, "loss trajectory diverged: {what}");
             assert_eq!(got.1, reference.1, "final parameters diverged: {what}");
