@@ -3,20 +3,20 @@
 //!
 //! The simulator-facing types ([`crate::PipeFisherSchedule`]) speak in
 //! continuous time; the executor needs something discrete: for every
-//! device, the exact order of forward/backward micro-batch operations
-//! (with activation-slot and routing annotations) plus the K-FAC work units
-//! it hosts, from which it pops a *ready* one whenever it would otherwise
-//! idle in a bubble. [`ExecutablePlan::lower`] produces that, validating on
+//! device, one list of operations it replays in order each step — the
+//! forward/backward micro-batch operations (with activation-slot and
+//! routing annotations) and, at fixed positions among them, the K-FAC work
+//! units it hosts. [`ExecutablePlan::lower`] produces that, validating on
 //! the way that the graph actually covers every (stage, micro-batch) pair —
 //! a malformed graph becomes an [`AssignError::MissingTask`] instead of a
-//! silent skip. The assignment's placements ([`crate::assign`]) are *not*
-//! an input: the executor's pickup is by readiness, so they could not
-//! change what runs (DESIGN.md §3.13).
+//! silent skip. A unit's position follows one structural rule (see
+//! [`ExecutablePlan::lower`]); the assignment's placements
+//! ([`crate::assign`]) are *not* an input (DESIGN.md §3.13).
 
 use crate::AssignError;
 use pipefisher_pipeline::{TaskGraph, WorkKind};
 
-/// One standard-work operation in a device's execution order.
+/// One entry of a device's execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Run a stage's forward pass for one micro-batch.
@@ -44,11 +44,16 @@ pub enum PlanOp {
         /// micro-batch (`None` for stage 0).
         send_to: Option<usize>,
     },
+    /// Run a K-FAC work unit, if its kind [`AuxKind::applies`] to the step.
+    Aux {
+        /// Index of the unit in the device's [`DevicePlan::aux`].
+        unit: usize,
+    },
 }
 
 /// The micro-batch (of `n_micro ≥ 1`) whose statistics a curvature-refresh
 /// step captures: the step's last. The trainer attaches the capture context
-/// to it; [`ExecutablePlan::lower`] releases the folds by its ops.
+/// to it; [`ExecutablePlan::lower`] places the folds after its ops.
 pub fn capture_micro_batch(n_micro: usize) -> usize {
     n_micro - 1
 }
@@ -79,7 +84,6 @@ impl AuxKind {
 
 /// One K-FAC work unit: chunk `chunk` of `chunks` covers the K-FAC layers
 /// `[chunk·K/chunks, (chunk+1)·K/chunks)` of the stage (K = layer count).
-/// It is *ready* once its `release` op and its `after` units have finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuxOp {
     /// Model stage whose layers this unit touches.
@@ -90,12 +94,6 @@ pub struct AuxOp {
     pub chunk: usize,
     /// Total chunks the stage's work is split into (≥ 1).
     pub chunks: usize,
-    /// Index in the device's `ops` of the op releasing the unit: the capture
-    /// forward for `FoldA`, the capture backward for `FoldB`, none for `Invert`.
-    pub release: Option<usize>,
-    /// Indices `after.0..after.1` in the device's `aux` of the units to
-    /// finish first (skipped ones count): `Invert`'s stage folds, else none.
-    pub after: (usize, usize),
     /// Activation slot of the capture micro-batch: the replica folded from.
     pub slot: usize,
 }
@@ -103,13 +101,12 @@ pub struct AuxOp {
 /// Everything one device needs to run its share of a step.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DevicePlan {
-    /// Standard work in execution order.
+    /// Everything the device runs in a step, in execution order: its
+    /// forwards and backwards, and a [`PlanOp::Aux`] entry per unit.
     pub ops: Vec<PlanOp>,
-    /// Bubble-fillable K-FAC units of the stages this device is the capture
-    /// host of: per stage `FoldA`, `FoldB`, `Invert`, each in chunk order.
-    /// The executor pops the first *ready* one while waiting for pipeline
-    /// input; readiness ([`AuxOp::release`], [`AuxOp::after`]) decides what
-    /// runs when — the list order is not behaviour.
+    /// K-FAC units of the stages this device is the capture host of: per
+    /// stage `FoldA`, `FoldB`, `Invert`, each in chunk order. Where each
+    /// runs is its [`PlanOp::Aux`] entry's position in `ops`.
     pub aux: Vec<AuxOp>,
     /// Per model stage: how many activation-slot replicas this device
     /// needs (0 = stage not hosted here).
@@ -142,38 +139,23 @@ pub struct ExecutablePlan {
     pub capture_host: Vec<usize>,
 }
 
-/// The events one training step of an [`ExecutablePlan`] must produce — the
-/// conformance oracle a real execution is checked against.
-///
-/// Pipeline ops are *ordered* per device (the executor runs its `DevicePlan`
-/// in program order); K-FAC aux units are a per-device *set*: the executor
-/// may pop them in any readiness-respecting order (that freedom is exactly
-/// what bubble filling exploits), but each applicable unit must run exactly
-/// once, on its capture-host device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpectedStep {
-    /// Per device: pipeline ops in required execution order.
-    pub ops: Vec<Vec<PlanOp>>,
-    /// Per device: the K-FAC units this step must execute (unordered).
-    pub aux: Vec<Vec<AuxOp>>,
-}
-
 impl ExecutablePlan {
-    /// Expands this plan into the per-step event oracle for a step with the
-    /// given K-FAC cadence: `kfac` false (first-order step) expects no aux
-    /// work at all; otherwise the units whose kind [`AuxKind::applies`] to
-    /// the step's refresh phases.
-    pub fn expected_step(&self, kfac: bool, refresh_curv: bool, refresh_inv: bool) -> ExpectedStep {
-        let ops = self.devices.iter().map(|d| d.ops.clone()).collect();
-        let aux = self
-            .devices
-            .iter()
-            .map(|d| {
-                let applies = |op: &&AuxOp| kfac && op.kind.applies(refresh_curv, refresh_inv);
-                d.aux.iter().filter(applies).copied().collect()
-            })
-            .collect();
-        ExpectedStep { ops, aux }
+    /// Per device, the entries a step with the given K-FAC cadence runs, in
+    /// order — the conformance oracle a real execution is checked against:
+    /// the op list minus the [`PlanOp::Aux`] entries whose kind does not
+    /// [`AuxKind::applies`] to the step (all of them when `kfac` is false).
+    pub fn expected_step(
+        &self,
+        kfac: bool,
+        refresh_curv: bool,
+        refresh_inv: bool,
+    ) -> Vec<Vec<PlanOp>> {
+        let runs = |d: &DevicePlan, op: &PlanOp| match *op {
+            PlanOp::Aux { unit } => kfac && d.aux[unit].kind.applies(refresh_curv, refresh_inv),
+            _ => true,
+        };
+        let device_ops = |d: &DevicePlan| d.ops.iter().filter(|op| runs(d, op)).copied().collect();
+        self.devices.iter().map(device_ops).collect()
     }
 
     /// Lowers a task graph into per-device plans.
@@ -181,8 +163,15 @@ impl ExecutablePlan {
     /// Standard work keeps the graph's per-device order. Aux (K-FAC) work
     /// is the same for every scheme and depth: each stage gets the
     /// canonical fold-A, fold-B, invert sequence on its capture host, each
-    /// split into the same fixed number of chunks, with their [`AuxOp`]
-    /// prerequisites.
+    /// split into the same fixed number of chunks. With `fill_bubbles`, a
+    /// unit's entry goes immediately before the first op that comes after
+    /// everything the unit depends on (the capture forward for `FoldA`, the
+    /// capture backward for `FoldB`, both folds for `Invert`) and waits for
+    /// another device's tensor (a forward whose previous-stage forward, or
+    /// a backward whose next-stage backward, ran elsewhere) — where the
+    /// device would otherwise idle. With no such op, and always without
+    /// `fill_bubbles`, it goes after the device's last pipeline op (the
+    /// tail). Entries at one position keep the units' list order.
     ///
     /// # Errors
     ///
@@ -194,7 +183,7 @@ impl ExecutablePlan {
     ///   standard task without a micro-batch, or a micro-batch whose
     ///   forward and backward sit on different devices (activations could
     ///   never reach the backward).
-    pub fn lower(graph: &TaskGraph) -> Result<ExecutablePlan, AssignError> {
+    pub fn lower(graph: &TaskGraph, fill_bubbles: bool) -> Result<ExecutablePlan, AssignError> {
         let n_stages = graph.n_stages();
         let n_micro = graph.n_micro();
         let n_devices = graph.n_devices();
@@ -245,6 +234,12 @@ impl ExecutablePlan {
         use std::collections::HashMap;
         let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new(); // (stage, mb) → slot
         let mut free_slots: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n_stages]; n_devices];
+        // Per device, per op: whether it waits for another device's tensor.
+        let mut waits: Vec<Vec<bool>> = vec![Vec::new(); n_devices];
+        let device_of = |kind, stage, mb| {
+            let id = graph.find(kind, stage, mb).expect("coverage validated");
+            graph.task(id).device
+        };
         // Per stage: the capture micro-batch's device, op indices and slot.
         let mut capture_host = vec![0usize; n_stages];
         let mut capture_ops = vec![(0usize, 0usize, 0usize); n_stages];
@@ -271,16 +266,10 @@ impl ExecutablePlan {
                             }
                         };
                         slot_of.insert((stage, mb), slot);
-                        let send_to = if stage + 1 < n_stages {
-                            // Coverage was validated above, so this find
-                            // cannot fail.
-                            let next = graph
-                                .find(WorkKind::Forward, stage + 1, mb)
-                                .expect("coverage validated");
-                            Some(graph.task(next).device)
-                        } else {
-                            None
-                        };
+                        let send_to = (stage + 1 < n_stages)
+                            .then(|| device_of(WorkKind::Forward, stage + 1, mb));
+                        waits[dev]
+                            .push(stage > 0 && device_of(WorkKind::Forward, stage - 1, mb) != dev);
                         if capture {
                             capture_host[stage] = dev;
                             capture_ops[stage] = (at, 0, slot);
@@ -302,14 +291,12 @@ impl ExecutablePlan {
                         let fl = &mut free_slots[dev][stage];
                         fl.push(slot);
                         fl.sort_unstable_by(|a, b| b.cmp(a));
-                        let send_to = if stage > 0 {
-                            let prev = graph
-                                .find(WorkKind::Backward, stage - 1, mb)
-                                .expect("coverage validated");
-                            Some(graph.task(prev).device)
-                        } else {
-                            None
-                        };
+                        let send_to =
+                            (stage > 0).then(|| device_of(WorkKind::Backward, stage - 1, mb));
+                        waits[dev].push(
+                            stage + 1 < n_stages
+                                && device_of(WorkKind::Backward, stage + 1, mb) != dev,
+                        );
                         if capture {
                             capture_ops[stage].1 = at;
                         }
@@ -333,27 +320,44 @@ impl ExecutablePlan {
         // fold-B, invert sequence, each in `UNITS` chunks: the size of work
         // a bubble fits. (K-FAC folds the capture micro-batch's statistics
         // once per step; the π-coupled `Invert` unit covers both factors.)
+        // `precedes[dev][unit]`: the index of the pipeline op the unit's
+        // entry goes before (`ops.len()`: the tail).
         const UNITS: usize = 2;
+        let mut precedes: Vec<Vec<usize>> = vec![Vec::new(); n_devices];
         for (stage, &host) in capture_host.iter().enumerate() {
             let (fwd, bwd, slot) = capture_ops[stage];
-            let aux = &mut devices[host].aux;
-            let folds = (aux.len(), aux.len() + 2 * UNITS);
-            for (kind, release, after) in [
-                (AuxKind::FoldA, Some(fwd), (0, 0)),
-                (AuxKind::FoldB, Some(bwd), (0, 0)),
-                (AuxKind::Invert, None, folds),
+            let tail = devices[host].ops.len();
+            let waits = &waits[host];
+            let first_wait_from = |from: usize| {
+                let found = (from..tail).find(|&i| waits[i] && fill_bubbles);
+                found.unwrap_or(tail)
+            };
+            // The first waiting op after both folds is the one FoldB's
+            // entries precede (FoldA's come no later).
+            let fold_b = first_wait_from(bwd + 1);
+            for (kind, before) in [
+                (AuxKind::FoldA, first_wait_from(fwd + 1)),
+                (AuxKind::FoldB, fold_b),
+                (AuxKind::Invert, fold_b),
             ] {
                 for chunk in 0..UNITS {
-                    aux.push(AuxOp {
+                    devices[host].aux.push(AuxOp {
                         stage,
                         kind,
                         chunk,
                         chunks: UNITS,
-                        release,
-                        after,
                         slot,
                     });
+                    precedes[host].push(before);
                 }
+            }
+        }
+        for (dp, precedes) in devices.iter_mut().zip(&precedes) {
+            let pipe = std::mem::take(&mut dp.ops);
+            for i in 0..=pipe.len() {
+                let here = (0..precedes.len()).filter(|&unit| precedes[unit] == i);
+                dp.ops.extend(here.map(|unit| PlanOp::Aux { unit }));
+                dp.ops.extend(pipe.get(i));
             }
         }
 
@@ -373,7 +377,7 @@ mod tests {
     use pipefisher_pipeline::{PipelineScheme, StageAssignment};
 
     fn lower_scheme(scheme: PipelineScheme, d: usize, n: usize) -> ExecutablePlan {
-        ExecutablePlan::lower(&scheme.build(d, n)).unwrap()
+        ExecutablePlan::lower(&scheme.build(d, n), true).unwrap()
     }
 
     #[test]
@@ -387,6 +391,7 @@ mod tests {
                     match op {
                         PlanOp::Forward { .. } => fwd += 1,
                         PlanOp::Backward { .. } => bwd += 1,
+                        PlanOp::Aux { .. } => {}
                     }
                 }
             }
@@ -421,9 +426,8 @@ mod tests {
 
     #[test]
     fn each_device_hosts_the_canonical_units_of_exactly_one_stage() {
-        // What makes list order unobservable: a device captures one stage,
-        // so its ready set never mixes one stage's inversions with another
-        // stage's folds.
+        // Each capture host carries one stage's six units, in FoldA, FoldB,
+        // Invert and chunk order.
         for scheme in PipelineScheme::all() {
             for d in [1usize, 2, 4] {
                 if scheme == PipelineScheme::Chimera && d == 1 {
@@ -452,88 +456,192 @@ mod tests {
     #[test]
     fn expected_step_filters_aux_by_refresh_phase() {
         let plan = lower_scheme(PipelineScheme::OneFOneB, 4, 4);
+        let unit_kinds = |step: &[Vec<PlanOp>]| -> Vec<AuxKind> {
+            let device_units = step.iter().zip(&plan.devices).flat_map(|(ops, dp)| {
+                ops.iter().filter_map(|op| match *op {
+                    PlanOp::Aux { unit } => Some(dp.aux[unit].kind),
+                    _ => None,
+                })
+            });
+            device_units.collect()
+        };
+        // A step that refreshes everything runs the op lists verbatim.
         let full = plan.expected_step(true, true, true);
-        // Pipeline ops are the per-device programs verbatim, every step.
         for (dev, dp) in plan.devices.iter().enumerate() {
-            assert_eq!(full.ops[dev], dp.ops);
+            assert_eq!(full[dev], dp.ops);
         }
-        let total_aux: usize = full.aux.iter().map(Vec::len).sum();
-        assert_eq!(total_aux, 4 * 3 * 2, "2 chunks x 3 kinds x 4 stages");
-
-        let curv_only = plan.expected_step(true, true, false);
-        assert!(curv_only
-            .aux
-            .iter()
-            .flatten()
-            .all(|op| matches!(op.kind, AuxKind::FoldA | AuxKind::FoldB)));
-        let inv_only = plan.expected_step(true, false, true);
-        assert!(inv_only
-            .aux
-            .iter()
-            .flatten()
-            .all(|op| op.kind == AuxKind::Invert));
         assert_eq!(
-            curv_only.aux.iter().map(Vec::len).sum::<usize>()
-                + inv_only.aux.iter().map(Vec::len).sum::<usize>(),
-            total_aux
+            unit_kinds(&full).len(),
+            4 * 3 * 2,
+            "2 chunks x 3 kinds x 4 stages"
         );
 
+        let curv_only = unit_kinds(&plan.expected_step(true, true, false));
+        assert!(curv_only.iter().all(|&k| k != AuxKind::Invert));
+        let inv_only = unit_kinds(&plan.expected_step(true, false, true));
+        assert!(inv_only.iter().all(|&k| k == AuxKind::Invert));
+        assert_eq!(curv_only.len() + inv_only.len(), 4 * 3 * 2);
+
+        // Without K-FAC a step is its pipeline ops alone, in plan order.
         let first_order = plan.expected_step(false, true, true);
-        assert_eq!(first_order.aux.iter().map(Vec::len).sum::<usize>(), 0);
-        assert_eq!(first_order.ops, full.ops);
+        for (ops, dp) in first_order.iter().zip(&plan.devices) {
+            let pipe: Vec<PlanOp> = dp
+                .ops
+                .iter()
+                .copied()
+                .filter(|op| !matches!(op, PlanOp::Aux { .. }))
+                .collect();
+            assert_eq!(*ops, pipe);
+        }
     }
 
+    /// The lowering rule, checked against the graph on every shape: each
+    /// entry follows its prerequisites; a filled plan puts each run of
+    /// entries before the first op after them that waits for another
+    /// device's tensor, or in the tail when there is none; an unfilled plan
+    /// puts them all in the tail.
     #[test]
-    fn aux_prerequisites_are_the_capture_ops_and_the_stage_folds() {
+    fn aux_entries_sit_before_the_first_wait_after_their_prerequisites() {
         for scheme in PipelineScheme::all() {
-            for d in [1usize, 2, 4] {
-                for n in [2usize, 4, 8] {
-                    if scheme == PipelineScheme::Chimera && d % 2 == 1 {
+            for d in [1usize, 2, 3, 4] {
+                for n in [1usize, 2, 4, 8] {
+                    if scheme == PipelineScheme::Chimera && (d % 2 == 1 || n % 2 == 1) {
                         continue;
                     }
-                    let cap = capture_micro_batch(n);
-                    assert_eq!(cap, n - 1);
-                    let plan = lower_scheme(scheme, d, n);
-                    let what = format!("{} d={d} n={n}", scheme.name());
-                    for (stage, &host) in plan.capture_host.iter().enumerate() {
-                        let dp = &plan.devices[host];
-                        let units = || dp.aux.iter().enumerate().filter(|(_, a)| a.stage == stage);
-                        let folds: Vec<usize> = units()
-                            .filter(|(_, a)| a.kind != AuxKind::Invert)
-                            .map(|(i, _)| i)
-                            .collect();
-                        assert_eq!(folds.len(), 4, "{what}: 2 chunks x FoldA, FoldB");
-                        for (_, a) in units() {
-                            let released_by = a.release.map(|r| dp.ops[r]);
-                            let released = match (a.kind, released_by) {
-                                (
-                                    AuxKind::FoldA,
-                                    Some(PlanOp::Forward {
-                                        stage: s, mb, slot, ..
-                                    }),
-                                )
-                                | (
-                                    AuxKind::FoldB,
-                                    Some(PlanOp::Backward {
-                                        stage: s, mb, slot, ..
-                                    }),
-                                ) => (s, mb, slot) == (stage, cap, a.slot),
-                                (AuxKind::Invert, None) => true,
-                                _ => false,
-                            };
-                            assert!(released, "{what}: {a:?} released by {released_by:?}");
-                            let after: Vec<usize> = (a.after.0..a.after.1).collect();
-                            let want = if a.kind == AuxKind::Invert {
-                                &folds[..]
-                            } else {
-                                &[]
-                            };
-                            assert_eq!(after, want, "{what}: {a:?}");
-                        }
+                    for fill in [true, false] {
+                        check_lowering_rule(scheme, d, n, fill);
                     }
                 }
             }
         }
+    }
+
+    fn check_lowering_rule(scheme: PipelineScheme, d: usize, n: usize, fill: bool) {
+        let graph = scheme.build(d, n);
+        let plan = ExecutablePlan::lower(&graph, fill).unwrap();
+        let what = format!("{} d={d} n={n} fill={fill}", scheme.name());
+        let cap = capture_micro_batch(n);
+        let device_of = |kind, stage, mb| graph.task(graph.find(kind, stage, mb).unwrap()).device;
+        for (dev, dp) in plan.devices.iter().enumerate() {
+            let waits = |op: &PlanOp| match *op {
+                PlanOp::Forward { stage, mb, .. } => {
+                    stage > 0 && device_of(WorkKind::Forward, stage - 1, mb) != dev
+                }
+                PlanOp::Backward { stage, mb, .. } => {
+                    stage + 1 < d && device_of(WorkKind::Backward, stage + 1, mb) != dev
+                }
+                PlanOp::Aux { .. } => false,
+            };
+            let is_aux = |op: &PlanOp| matches!(op, PlanOp::Aux { .. });
+            let tail = dp
+                .ops
+                .iter()
+                .rposition(|op| !is_aux(op))
+                .map_or(0, |i| i + 1);
+            let mut units_seen = vec![false; dp.aux.len()];
+            for (i, op) in dp.ops.iter().enumerate() {
+                let PlanOp::Aux { unit } = *op else { continue };
+                let a = dp.aux[unit];
+                assert_eq!(
+                    plan.capture_host[a.stage], dev,
+                    "{what}: {a:?} off its host"
+                );
+                assert!(!units_seen[unit], "{what}: {a:?} listed twice");
+                units_seen[unit] = true;
+                // After its prerequisites: the last of them sits at `ready`.
+                let pos = |want: &dyn Fn(&PlanOp) -> bool| dp.ops.iter().position(want);
+                let capture = |is_fwd: bool| {
+                    move |op: &PlanOp| match *op {
+                        PlanOp::Forward {
+                            stage, mb, slot, ..
+                        } => is_fwd && (stage, mb, slot) == (a.stage, cap, a.slot),
+                        PlanOp::Backward {
+                            stage, mb, slot, ..
+                        } => !is_fwd && (stage, mb, slot) == (a.stage, cap, a.slot),
+                        PlanOp::Aux { .. } => false,
+                    }
+                };
+                let ready = match a.kind {
+                    AuxKind::FoldA => pos(&capture(true)),
+                    AuxKind::FoldB => pos(&capture(false)),
+                    AuxKind::Invert => dp.ops.iter().rposition(|op| match *op {
+                        PlanOp::Aux { unit } => {
+                            let f = dp.aux[unit];
+                            f.stage == a.stage && f.kind != AuxKind::Invert
+                        }
+                        _ => false,
+                    }),
+                };
+                let ready = ready.unwrap_or_else(|| panic!("{what}: {a:?} lacks a prerequisite"));
+                assert!(
+                    ready < i,
+                    "{what}: {a:?} at {i} before its prerequisite at {ready}"
+                );
+                // Where the run of entries containing it ends.
+                let end = (i..dp.ops.len()).find(|&j| !is_aux(&dp.ops[j]));
+                match end {
+                    None => {}
+                    Some(j) => {
+                        assert!(fill, "{what}: {a:?} before op {j} of an unfilled plan");
+                        assert!(waits(&dp.ops[j]), "{what}: {a:?} before a non-waiting op");
+                        let skipped = (ready + 1..i).find(|&k| waits(&dp.ops[k]));
+                        assert_eq!(skipped, None, "{what}: {a:?} passed a wait");
+                    }
+                }
+                if i >= tail && fill {
+                    let skipped = (ready + 1..tail).find(|&k| waits(&dp.ops[k]));
+                    assert_eq!(skipped, None, "{what}: {a:?} in the tail past a wait");
+                }
+            }
+            assert!(
+                units_seen.iter().all(|&s| s),
+                "{what}: dev {dev} has an unlisted unit"
+            );
+        }
+        for (stage, &host) in plan.capture_host.iter().enumerate() {
+            let units = plan.devices[host].aux.iter().filter(|a| a.stage == stage);
+            assert_eq!(units.count(), 6, "{what}: stage {stage}");
+        }
+    }
+
+    /// The benchmark's plan (1F1B, D = 2, N = 4, filled): stage 0's FoldA
+    /// chunks fill dev0's wait for dev1's gradient of micro-batch 2; every
+    /// other unit follows its device's last pipeline op.
+    #[test]
+    fn benchmark_plan_places_stage0_fold_a_before_the_gradient_wait() {
+        let plan = lower_scheme(PipelineScheme::OneFOneB, 2, 4);
+        let names = |dp: &DevicePlan| -> Vec<String> {
+            let name = |op: &PlanOp| match *op {
+                PlanOp::Forward { mb, .. } => format!("F{mb}"),
+                PlanOp::Backward { mb, .. } => format!("B{mb}"),
+                PlanOp::Aux { unit } => {
+                    let a = dp.aux[unit];
+                    let kind = match a.kind {
+                        AuxKind::FoldA => "FoldA",
+                        AuxKind::FoldB => "FoldB",
+                        AuxKind::Invert => "Inv",
+                    };
+                    format!("{kind}{}", a.chunk)
+                }
+            };
+            dp.ops.iter().map(name).collect()
+        };
+        let units = "FoldA0 FoldA1 FoldB0 FoldB1 Inv0 Inv1";
+        assert_eq!(
+            names(&plan.devices[0]).join(" "),
+            "F0 F1 B0 F2 B1 F3 FoldA0 FoldA1 B2 B3 FoldB0 FoldB1 Inv0 Inv1"
+        );
+        assert_eq!(
+            names(&plan.devices[1]).join(" "),
+            format!("F0 B0 F1 B1 F2 B2 F3 B3 {units}")
+        );
+        assert!(plan.devices[0].aux.iter().all(|a| a.stage == 0));
+        assert!(plan.devices[1].aux.iter().all(|a| a.stage == 1));
+        let unfilled = ExecutablePlan::lower(&PipelineScheme::OneFOneB.build(2, 4), false).unwrap();
+        assert_eq!(
+            names(&unfilled.devices[0]).join(" "),
+            format!("F0 F1 B0 F2 B1 F3 B2 B3 {units}")
+        );
     }
 
     #[test]
@@ -544,7 +652,7 @@ mod tests {
         assert_eq!(plan.devices[0].n_slots[0], 4);
         let plan8 = {
             let graph = PipelineScheme::OneFOneB.build(4, 8);
-            ExecutablePlan::lower(&graph).unwrap()
+            ExecutablePlan::lower(&graph, true).unwrap()
         };
         // With 8 micro-batches the window stays bounded by the warmup depth.
         assert!(
@@ -607,12 +715,13 @@ mod tests {
             StageAssignment::Single,
             vec![f2],
         );
-        let plan = ExecutablePlan::lower(&g).unwrap();
+        let plan = ExecutablePlan::lower(&g, true).unwrap();
         let slots: Vec<usize> = plan.devices[0]
             .ops
             .iter()
-            .map(|op| match op {
-                PlanOp::Forward { slot, .. } | PlanOp::Backward { slot, .. } => *slot,
+            .filter_map(|op| match op {
+                PlanOp::Forward { slot, .. } | PlanOp::Backward { slot, .. } => Some(*slot),
+                PlanOp::Aux { .. } => None,
             })
             .collect();
         assert_eq!(slots, vec![0, 1, 1, 1, 0, 1]);
@@ -647,7 +756,7 @@ mod tests {
             vec![f1],
         );
         // Stage 0's backward is missing entirely.
-        match ExecutablePlan::lower(&g) {
+        match ExecutablePlan::lower(&g, true) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Backward,
                 stage: 0,
@@ -685,7 +794,7 @@ mod tests {
             StageAssignment::Single,
             vec![],
         );
-        match ExecutablePlan::lower(&g) {
+        match ExecutablePlan::lower(&g, true) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Forward,
                 stage: 0,
@@ -714,7 +823,7 @@ mod tests {
             StageAssignment::Single,
             vec![f0],
         );
-        match ExecutablePlan::lower(&g) {
+        match ExecutablePlan::lower(&g, true) {
             Err(AssignError::Schedule(msg)) => {
                 assert!(
                     msg.contains("different device") || msg.contains("device"),
@@ -752,7 +861,7 @@ mod tests {
             StageAssignment::Single,
             vec![r],
         );
-        match ExecutablePlan::lower(&g) {
+        match ExecutablePlan::lower(&g, true) {
             Err(AssignError::Schedule(msg)) => assert!(msg.contains("not executable"), "{msg}"),
             other => panic!("expected Schedule error, got {other:?}"),
         }
@@ -772,7 +881,7 @@ mod tests {
     fn routing_points_at_hosting_devices() {
         for scheme in PipelineScheme::all() {
             let graph = scheme.build(4, 4);
-            let plan = ExecutablePlan::lower(&graph).unwrap();
+            let plan = ExecutablePlan::lower(&graph, true).unwrap();
             for (dev, dp) in plan.devices.iter().enumerate() {
                 for op in &dp.ops {
                     match *op {
@@ -808,6 +917,7 @@ mod tests {
                         } => {
                             assert_eq!(stage, 0, "{}", scheme.name());
                         }
+                        PlanOp::Aux { .. } => {}
                     }
                 }
             }

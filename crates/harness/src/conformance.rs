@@ -3,23 +3,17 @@
 //!
 //! Invariants checked, per training step:
 //!
-//! 1. **Program order** — each device's forward/backward events, in
-//!    timestamp order, are exactly its `DevicePlan::ops` sequence (same
-//!    stage / micro-batch / slot, same order, nothing missing, nothing
-//!    extra, nothing on the wrong device).
-//! 2. **Aux coverage** — each device executed exactly the K-FAC units
-//!    [`ExecutablePlan::expected_step`] requires for the step's refresh
-//!    phase, as a multiset: pickup *order* is free (that freedom is what
-//!    bubble filling exploits), execution *count* is not.
-//! 3. **Aux ordering** — a unit starts only after the op that releases it
-//!    ([`pipefisher_core::AuxOp::release`]: the stage's capture forward for
-//!    a FoldA, its capture backward for a FoldB) and every unit it comes
-//!    after that ran in the step ([`pipefisher_core::AuxOp::after`]: an
-//!    Invert's folds) ended.
-//! 4. **Track exclusivity** — no two slices on one device overlap in time;
+//! 1. **Program order** — each device's events, in timestamp order, are
+//!    exactly the op list [`ExecutablePlan::expected_step`] gives for the
+//!    step's K-FAC cadence: the forwards, backwards and K-FAC units the
+//!    executor replays (same stage / micro-batch / slot or unit, same
+//!    order, nothing missing, nothing extra, nothing on the wrong device).
+//!    Lowering placed every unit after its prerequisites, so this also
+//!    binds when folds and inversions run.
+//! 2. **Track exclusivity** — no two slices on one device overlap in time;
 //!    a device is one simulated accelerator and runs one thing at a time.
 
-use pipefisher_core::{AuxKind, AuxOp, ExecutablePlan, PlanOp};
+use pipefisher_core::{AuxKind, DevicePlan, ExecutablePlan, PlanOp};
 use pipefisher_trace::{Phase, TraceEvent};
 
 /// Time tolerance (µs) for cross-event ordering comparisons. Events on one
@@ -92,31 +86,13 @@ pub struct StepSpec {
 /// a failure can be traced back into the plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConformanceError {
-    /// A device's pipeline events diverged from its planned op sequence.
+    /// A device's events diverged from its planned op list.
     ProgramOrder {
         /// Step the violation occurred in.
         step: usize,
         /// Device whose track diverged.
         device: usize,
         /// What diverged, with the first mismatch position.
-        detail: String,
-    },
-    /// A device ran the wrong multiset of K-FAC units.
-    AuxCoverage {
-        /// Step the violation occurred in.
-        step: usize,
-        /// Device whose aux work is wrong.
-        device: usize,
-        /// Missing/extra units.
-        detail: String,
-    },
-    /// An aux unit ran before its inputs existed.
-    AuxOrdering {
-        /// Step the violation occurred in.
-        step: usize,
-        /// Device that ran the premature unit.
-        device: usize,
-        /// Which unit ran before which prerequisite.
         detail: String,
     },
     /// Two slices on one device track overlap in time.
@@ -149,22 +125,6 @@ impl std::fmt::Display for ConformanceError {
             } => write!(
                 f,
                 "program order violated (step {step}, device {device}): {detail}"
-            ),
-            ConformanceError::AuxCoverage {
-                step,
-                device,
-                detail,
-            } => write!(
-                f,
-                "aux coverage wrong (step {step}, device {device}): {detail}"
-            ),
-            ConformanceError::AuxOrdering {
-                step,
-                device,
-                detail,
-            } => write!(
-                f,
-                "aux ran before its inputs (step {step}, device {device}): {detail}"
             ),
             ConformanceError::TrackOverlap {
                 step,
@@ -258,27 +218,6 @@ pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
     out
 }
 
-/// `(stage, kind, chunk, chunks)`: what names a K-FAC unit in a plan and
-/// in a trace.
-type AuxKey = (usize, AuxKind, usize, usize);
-
-fn op_key(a: &AuxOp) -> AuxKey {
-    (a.stage, a.kind, a.chunk, a.chunks)
-}
-
-/// The unit an aux event ran; `None` for a pipeline event.
-fn unit_key(kind: &EventKind) -> Option<AuxKey> {
-    match *kind {
-        EventKind::Aux {
-            kind,
-            stage,
-            chunk,
-            chunks,
-        } => Some((stage, kind, chunk, chunks)),
-        _ => None,
-    }
-}
-
 fn describe(kind: &EventKind) -> String {
     match kind {
         EventKind::Forward { stage, mb, slot } => format!("F(s{stage},mb{mb},slot{slot})"),
@@ -292,7 +231,7 @@ fn describe(kind: &EventKind) -> String {
     }
 }
 
-fn plan_op_kind(op: &PlanOp) -> EventKind {
+fn plan_op_kind(device: &DevicePlan, op: &PlanOp) -> EventKind {
     match *op {
         PlanOp::Forward {
             stage, mb, slot, ..
@@ -300,6 +239,15 @@ fn plan_op_kind(op: &PlanOp) -> EventKind {
         PlanOp::Backward {
             stage, mb, slot, ..
         } => EventKind::Backward { stage, mb, slot },
+        PlanOp::Aux { unit } => {
+            let a = device.aux[unit];
+            EventKind::Aux {
+                kind: a.kind,
+                stage: a.stage,
+                chunk: a.chunk,
+                chunks: a.chunks,
+            }
+        }
     }
 }
 
@@ -310,8 +258,8 @@ fn plan_op_kind(op: &PlanOp) -> EventKind {
 /// # Errors
 ///
 /// The first violated invariant, as a [`ConformanceError`]. Steps are
-/// checked in order, and within a step, program order before aux coverage
-/// before aux ordering before track overlap.
+/// checked in order, and within a step, program order before track
+/// overlap.
 pub fn check_conformance(
     plan: &ExecutablePlan,
     specs: &[StepSpec],
@@ -335,26 +283,16 @@ pub fn check_conformance(
     let mut checked = 0usize;
     for (step, spec) in specs.iter().enumerate() {
         let expected = plan.expected_step(spec.kfac, spec.refresh_curv, spec.refresh_inv);
-        for device in 0..n_devices {
+        for (device, (dp, expected)) in plan.devices.iter().zip(&expected).enumerate() {
             let mut track: Vec<&ExecEvent> = events
                 .iter()
                 .filter(|e| e.step == step && e.device == device)
                 .collect();
             track.sort_by(|a, b| a.ts_us.partial_cmp(&b.ts_us).expect("finite timestamps"));
 
-            let pipe: Vec<&ExecEvent> = track
-                .iter()
-                .copied()
-                .filter(|e| unit_key(&e.kind).is_none())
-                .collect();
-            let ran: Vec<(AuxKey, &ExecEvent)> = track
-                .iter()
-                .filter_map(|e| Some((unit_key(&e.kind)?, *e)))
-                .collect();
-
-            // 1. Program order: pipeline events == the device's op list.
-            let got: Vec<EventKind> = pipe.iter().map(|e| e.kind).collect();
-            let want: Vec<EventKind> = expected.ops[device].iter().map(plan_op_kind).collect();
+            // 1. Program order: the events are the device's op list.
+            let got: Vec<EventKind> = track.iter().map(|e| e.kind).collect();
+            let want: Vec<EventKind> = expected.iter().map(|op| plan_op_kind(dp, op)).collect();
             if got != want {
                 let pos = got
                     .iter()
@@ -376,59 +314,7 @@ pub fn check_conformance(
                 });
             }
 
-            // 2. Aux coverage as a multiset.
-            let mut got_aux: Vec<AuxKey> = ran.iter().map(|&(key, _)| key).collect();
-            let mut want_aux: Vec<AuxKey> = expected.aux[device].iter().map(op_key).collect();
-            got_aux.sort_unstable();
-            want_aux.sort_unstable();
-            if got_aux != want_aux {
-                return Err(ConformanceError::AuxCoverage {
-                    step,
-                    device,
-                    detail: format!(
-                        "expected {} K-FAC units, observed {} (want {:?}, got {:?})",
-                        want_aux.len(),
-                        got_aux.len(),
-                        want_aux,
-                        got_aux
-                    ),
-                });
-            }
-
-            // 3. Aux ordering: each unit starts after the op that released
-            //    it (program order matched `pipe` to the plan's `ops` one to
-            //    one) and the units it comes after that ran in this step.
-            let units = &plan.devices[device].aux;
-            let end = |e: &ExecEvent| e.ts_us + e.dur_us;
-            let unit_end = |j: usize| {
-                ran.iter()
-                    .find(|r| r.0 == op_key(&units[j]))
-                    .map(|r| end(r.1))
-            };
-            for &(key, ev) in &ran {
-                let unit = units.iter().find(|&a| op_key(a) == key);
-                let unit = unit.expect("coverage matched every unit to the plan");
-                let release_end = unit.release.map(|r| end(pipe[r]));
-                let after_ends = (unit.after.0..unit.after.1).filter_map(unit_end);
-                let Some(prereq_end) = release_end.into_iter().chain(after_ends).reduce(f64::max)
-                else {
-                    continue;
-                };
-                if ev.ts_us + TS_EPS < prereq_end {
-                    return Err(ConformanceError::AuxOrdering {
-                        step,
-                        device,
-                        detail: format!(
-                            "{} started at {:.3}us, before its prerequisite finished at \
-                             {prereq_end:.3}us",
-                            describe(&ev.kind),
-                            ev.ts_us
-                        ),
-                    });
-                }
-            }
-
-            // 4. Track exclusivity: a device runs one slice at a time.
+            // 2. Track exclusivity: a device runs one slice at a time.
             for pair in track.windows(2) {
                 let prev_end = pair[0].ts_us + pair[0].dur_us;
                 if pair[1].ts_us + TS_EPS < prev_end {

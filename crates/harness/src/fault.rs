@@ -1,7 +1,6 @@
 //! Seeded chaos fabric: a [`FaultPlan`] derives every injection decision —
-//! stalls, panics, slow-stage skew, out-of-order aux pickup — from a single
-//! `u64` seed, keyed on *logical* coordinates (device, step, op index,
-//! pickup ordinal). Replaying the same seed replays byte-for-byte the same
+//! stalls, panics, slow-stage skew — from a single `u64` seed, keyed on
+//! *logical* coordinates (device, step, op index). Replaying the same seed replays byte-for-byte the same
 //! fault schedule, so any failure a soak run finds is reproducible from the
 //! seed alone.
 
@@ -54,10 +53,10 @@ pub struct CheckpointFault {
 /// * **Liveness faults** (`fault`): at most one injected panic or stall at a
 ///   fixed `(device, step)`. These abort the run — a panic must surface as
 ///   `ExecError::StagePanic` on that device, a stall as `ExecError::Wedged`.
-/// * **Timing perturbations** (per-op delays, aux pickup skew): keyed-hash
-///   decisions that stretch the schedule and reorder K-FAC pickup among
-///   *ready* units without changing any computed value. A run perturbed only
-///   by these must still be bitwise-identical to the serial trainer.
+/// * **Timing perturbations** (per-op delays): keyed-hash decisions that
+///   stretch the schedule without changing any computed value. A run
+///   perturbed only by these must still be bitwise-identical to the serial
+///   trainer.
 /// * **Kill-and-resume** (`checkpoint`, mutually exclusive with `fault`):
 ///   a mid-run kill followed by a checkpoint restore; the resumed
 ///   trajectory must match the serial oracle bitwise.
@@ -71,8 +70,6 @@ pub struct FaultPlan {
     pub delay_num: u32,
     /// Injected delays are drawn from `[100, delay_cap_us]` microseconds.
     pub delay_cap_us: u64,
-    /// Aux skip-first-ready probability, numerator out of 256 (0 disables).
-    pub skew_num: u32,
     /// The kill-and-resume exercise, if any. Never set together with
     /// `fault`; the harness drives the kill itself (see
     /// `run_scenario`), so the [`ChaosHook`] impl ignores this field.
@@ -87,21 +84,19 @@ impl FaultPlan {
             fault: None,
             delay_num: 0,
             delay_cap_us: 0,
-            skew_num: 0,
             checkpoint: None,
         }
     }
 
-    /// Timing perturbations only (delays + aux skew), no liveness fault:
-    /// the configuration for parity-checked chaos runs.
+    /// Timing perturbations only (never without delays), no liveness
+    /// fault: the configuration for parity-checked chaos runs.
     pub fn timing_only(seed: u64) -> FaultPlan {
         let mut p = FaultPlan::from_seed(seed, usize::MAX, usize::MAX);
         p.fault = None;
         p.checkpoint = None;
-        if p.delay_num == 0 && p.skew_num == 0 {
+        if p.delay_num == 0 {
             p.delay_num = 16;
             p.delay_cap_us = 400;
-            p.skew_num = 64;
         }
         p
     }
@@ -125,9 +120,8 @@ impl FaultPlan {
     /// Derives a full fault schedule from `seed` for a run of `steps` steps
     /// on `n_devices` devices. Roughly one run in four gets a liveness
     /// fault; of the rest, roughly one in four gets a kill-and-resume
-    /// checkpoint exercise instead; delay and skew intensity are drawn
-    /// independently (and may both be zero — clean runs are part of the
-    /// space).
+    /// checkpoint exercise instead; delay intensity is drawn independently
+    /// (and may be zero — clean runs are part of the space).
     pub fn from_seed(seed: u64, n_devices: usize, steps: usize) -> FaultPlan {
         let mut s = seed ^ 0xFA17_FA17_FA17_FA17;
         let roll = splitmix64(&mut s);
@@ -140,7 +134,6 @@ impl FaultPlan {
         };
         let delay_num = [0u32, 8, 32][(splitmix64(&mut s) % 3) as usize];
         let delay_cap_us = 100 + splitmix64(&mut s) % 700;
-        let skew_num = [0u32, 64, 128][(splitmix64(&mut s) % 3) as usize];
         let ck_roll = splitmix64(&mut s);
         let ck_device = (splitmix64(&mut s) % n_devices.max(1) as u64) as usize;
         let ck_step = 1 + (splitmix64(&mut s) % steps.saturating_sub(1).max(1) as u64) as usize;
@@ -157,7 +150,6 @@ impl FaultPlan {
             fault,
             delay_num,
             delay_cap_us,
-            skew_num,
             checkpoint,
         }
     }
@@ -193,14 +185,6 @@ impl ChaosHook for FaultPlan {
         let span = self.delay_cap_us.saturating_sub(100).max(1);
         Some(Duration::from_micros(100 + (h >> 8) % span))
     }
-
-    fn aux_skip_first_ready(&self, device: usize, step: usize, pickup: usize) -> bool {
-        if self.skew_num == 0 {
-            return false;
-        }
-        let h = keyed(self.seed, 0x5CE1, device as u64, step as u64, pickup as u64);
-        ((h & 0xFF) as u32) < self.skew_num
-    }
 }
 
 #[cfg(test)]
@@ -218,12 +202,6 @@ mod tests {
                     assert_eq!(a.step_fault(dev, step), b.step_fault(dev, step));
                     for op in 0..32 {
                         assert_eq!(a.op_delay(dev, step, op), b.op_delay(dev, step, op));
-                    }
-                    for pickup in 0..16 {
-                        assert_eq!(
-                            a.aux_skip_first_ready(dev, step, pickup),
-                            b.aux_skip_first_ready(dev, step, pickup)
-                        );
                     }
                 }
             }
@@ -262,7 +240,6 @@ mod tests {
             fault: None,
             delay_num: 256, // always fire
             delay_cap_us: 350,
-            skew_num: 0,
             checkpoint: None,
         };
         for op in 0..64 {
@@ -292,6 +269,10 @@ mod tests {
         }
         assert!(drawn, "512 seeds never drew a checkpoint fault");
         assert_eq!(FaultPlan::timing_only(3).checkpoint, None);
+        for seed in 0..64u64 {
+            let p = FaultPlan::timing_only(seed);
+            assert!(p.delay_num > 0 && !p.is_fatal(), "seed {seed}: {p:?}");
+        }
         assert_eq!(FaultPlan::quiet(3).checkpoint, None);
     }
 

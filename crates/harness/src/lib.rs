@@ -5,15 +5,15 @@
 //! pipeline bubbles is *exactly* the serial work, just reordered. This
 //! crate proves that mechanically, three layers deep:
 //!
-//! 1. **Chaos fabric** ([`FaultPlan`]) — every injected stall, panic,
-//!    slow-stage delay, and out-of-order aux pickup derives from one `u64`
-//!    seed via keyed hashing on logical coordinates, so a fault schedule
-//!    replays byte-for-byte from the seed.
+//! 1. **Chaos fabric** ([`FaultPlan`]) — every injected stall, panic, and
+//!    slow-stage delay derives from one `u64` seed via keyed hashing on
+//!    logical coordinates, so a fault schedule replays byte-for-byte from
+//!    the seed.
 //! 2. **Conformance checker** ([`check_conformance`]) — drains the run's
 //!    trace spans and validates them against the lowered `ExecutablePlan`:
-//!    per-device program order, exactly-once coverage of every
-//!    forward/backward and K-FAC unit, fold/invert dependency order, and
-//!    no overlapping slices on a device track.
+//!    each device ran exactly its op list — every forward/backward and
+//!    K-FAC unit once, in plan order — with no overlapping slices on a
+//!    device track.
 //! 3. **Scenario runner** ([`Scenario`], [`run_scenario`], [`run_soak`]) —
 //!    seeded generation over (scheme × stages × micro-batches × optimizer
 //!    × fault plan); fault-free runs must additionally match the serial

@@ -1,6 +1,6 @@
 //! Mutation validation of the conformance checker: a checker that accepts
 //! everything proves nothing, so every class of corruption — dropped,
-//! duplicated, reordered, device-moved, premature, overlapping, and
+//! duplicated, reordered, device-moved, premature, late, overlapping, and
 //! out-of-range events — must make it fail on an otherwise-genuine trace.
 
 use pipefisher_core::AuxKind;
@@ -128,7 +128,7 @@ fn dropped_aux_unit_fails() {
     events.remove(find(&events, |e| matches!(e.kind, EventKind::Aux { .. })));
     let err = check(&events).expect_err("dropped K-FAC unit must fail");
     assert!(
-        matches!(err, ConformanceError::AuxCoverage { .. }),
+        matches!(err, ConformanceError::ProgramOrder { .. }),
         "got: {err}"
     );
 }
@@ -143,7 +143,7 @@ fn duplicated_aux_unit_fails() {
     events.push(dup);
     let err = check(&events).expect_err("double-executed K-FAC unit must fail");
     assert!(
-        matches!(err, ConformanceError::AuxCoverage { .. }),
+        matches!(err, ConformanceError::ProgramOrder { .. }),
         "got: {err}"
     );
 }
@@ -166,7 +166,7 @@ fn premature_fold_fails() {
     events[i].dur_us = 0.0;
     let err = check(&events).expect_err("fold before capture must fail");
     assert!(
-        matches!(err, ConformanceError::AuxOrdering { .. }),
+        matches!(err, ConformanceError::ProgramOrder { .. }),
         "got: {err}"
     );
 }
@@ -207,10 +207,44 @@ fn invert_before_folds_fails() {
     events[i].dur_us = 0.0;
     let err = check(&events).expect_err("inversion before its folds must fail");
     assert!(
-        matches!(
-            err,
-            ConformanceError::AuxOrdering { .. } | ConformanceError::TrackOverlap { .. }
-        ),
+        matches!(err, ConformanceError::ProgramOrder { .. }),
+        "got: {err}"
+    );
+}
+
+/// A unit moved past the next pipeline op on its device — still after its
+/// prerequisites and overlapping nothing — ran at a position the plan did
+/// not give it.
+#[test]
+fn aux_moved_past_the_next_pipeline_op_fails() {
+    let mut events = genuine().events.clone();
+    let on_track = |i: usize, events: &[ExecEvent]| {
+        let mut track: Vec<usize> = (0..events.len())
+            .filter(|&j| events[j].step == events[i].step && events[j].device == events[i].device)
+            .collect();
+        track.sort_by(|&a, &b| events[a].ts_us.total_cmp(&events[b].ts_us));
+        track
+    };
+    // An aux event whose successor on its track is a pipeline op.
+    let (i, track, at) = (0..events.len())
+        .filter(|&i| !is_pipeline(&events[i]))
+        .find_map(|i| {
+            let track = on_track(i, &events);
+            let at = track.iter().position(|&j| j == i)?;
+            let next = *track.get(at + 1)?;
+            is_pipeline(&events[next]).then_some((i, track, at))
+        })
+        .expect("a K-FAC unit fills a bubble before a pipeline op");
+    let op = &events[track[at + 1]];
+    let op_end = op.ts_us + op.dur_us;
+    // Halfway into the gap after that op, with no duration.
+    let after = track.get(at + 2).map_or(op_end + 1.0, |&k| events[k].ts_us);
+    assert!(after > op_end, "the op is followed by a gap");
+    events[i].ts_us = (op_end + after) / 2.0;
+    events[i].dur_us = 0.0;
+    let err = check(&events).expect_err("aux entry run past its position must fail");
+    assert!(
+        matches!(err, ConformanceError::ProgramOrder { .. }),
         "got: {err}"
     );
 }

@@ -38,9 +38,9 @@ proptest! {
     }
 }
 
-/// Pure timing chaos — heavy delays and aux-pickup skew, no liveness fault
-/// — must preserve bitwise parity: the paper's "same work, reordered"
-/// claim under adversarial timing.
+/// Pure timing chaos — injected delays, no liveness fault — must preserve
+/// bitwise parity and the plan's op order: the paper's "same work,
+/// reordered" claim under adversarial timing.
 #[test]
 fn timing_chaos_preserves_bitwise_parity() {
     let mut cache = cache().lock().unwrap_or_else(|e| e.into_inner());

@@ -5,16 +5,14 @@
 //! contiguous stages, runs one persistent worker thread per simulated
 //! device, and flows micro-batch activations forward / gradients backward
 //! between them in the exact per-device order of a lowered
-//! [`ExecutablePlan`] — the order the scheme's schedule builder produced.
-//! While a worker waits for pipeline input (a bubble), it pops the first
-//! *ready* K-FAC work unit — curvature fold or damped inversion — of the
-//! stage it is the capture host of. Readiness is plan data: a unit is ready
-//! once the op that releases it ([`pipefisher_core::AuxOp::release`]) and
-//! the units it comes after ([`pipefisher_core::AuxOp::after`]) have
-//! finished. Readiness alone decides what fills a bubble: the
-//! simulator-side assignment (`core::assign`) is not consulted here, and
-//! its placements do not reach a device (EXPERIMENTS.md "Known
-//! deviations").
+//! [`ExecutablePlan`]. Each worker replays its device's one op list every
+//! step: the forwards and backwards in the order the scheme's schedule
+//! builder produced, and the K-FAC work units — curvature folds and damped
+//! inversions of the stage it is the capture host of — at the positions
+//! lowering fixed for them ([`PlanOp::Aux`]): before an op that waits for a
+//! peer's tensor (a bubble) when bubbles are filled, else in the tail. The
+//! worker makes no scheduling choice, and the simulator-side assignment
+//! (`core::assign`) is not consulted (EXPERIMENTS.md "Known deviations").
 //!
 //! # Determinism
 //!
@@ -86,12 +84,12 @@ pub enum StepFault {
 /// Pluggable fault/clock injection for the pipeline executor.
 ///
 /// Every callback is keyed on *logical* coordinates — `(device, step)`,
-/// plan-op index, aux-pickup ordinal — never wall-clock time, so a hook
-/// driven by a seeded plan (`pipefisher-harness`'s `FaultPlan`) injects the
-/// same faults on every replay of the same seed. Hooks may perturb *timing*
-/// (delays, skewed aux pickup order) or *liveness* (panics, stalls), but
-/// have no access to data values: any run a hook does not abort must still
-/// be bitwise-identical to the serial trainer.
+/// plan-op index — never wall-clock time, so a hook driven by a seeded plan
+/// (`pipefisher-harness`'s `FaultPlan`) injects the same faults on every
+/// replay of the same seed. Hooks may perturb *timing* (delays) or
+/// *liveness* (panics, stalls), but have no access to data values: any run
+/// a hook does not abort must still be bitwise-identical to the serial
+/// trainer.
 pub trait ChaosHook: std::fmt::Debug + Send + Sync {
     /// Consulted once when `device` begins `step`; returning a fault panics
     /// or wedges the worker before any of the step's work runs.
@@ -99,18 +97,10 @@ pub trait ChaosHook: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Extra latency injected before `device` executes the `op_index`-th op
-    /// of its plan in `step` (slow-stage skew).
+    /// Extra latency injected before `device` executes entry `op_index` of
+    /// its plan's op list in `step` (slow-stage skew).
     fn op_delay(&self, _device: usize, _step: usize, _op_index: usize) -> Option<Duration> {
         None
-    }
-
-    /// When true, the `pickup`-th K-FAC aux pickup of `device` in `step`
-    /// skips the first *ready* unit and takes the next ready one instead
-    /// (out-of-order aux pickup; readiness rules still hold, so the math is
-    /// unchanged).
-    fn aux_skip_first_ready(&self, _device: usize, _step: usize, _pickup: usize) -> bool {
-        false
     }
 }
 
@@ -124,9 +114,10 @@ pub struct PipelineOptions {
     pub n_stages: usize,
     /// Micro-batches per optimizer step.
     pub n_micro: usize,
-    /// Fill pipeline bubbles with K-FAC work (PipeFisher). When off, the
-    /// same work runs serialized after the stage's pipeline work — the
-    /// paper's "K-FAC on pipeline" baseline.
+    /// Lower the plan with K-FAC work placed in pipeline bubbles
+    /// (PipeFisher; [`ExecutablePlan::lower`]). When off, lowering puts the
+    /// same work after each device's pipeline work — the paper's "K-FAC on
+    /// pipeline" baseline.
     pub fill_bubbles: bool,
     /// No worker (or the coordinator) may go this long without progress
     /// before the run aborts with [`ExecFault::Wedged`]. Progress is a
@@ -236,14 +227,14 @@ pub struct PipelineOutcome {
     pub run: TrainRun,
     /// The trained model, reassembled from its stages.
     pub model: BertForPreTraining,
-    /// Worker-thread milliseconds spent on K-FAC work *inside* bubbles
-    /// (while waiting for pipeline input).
+    /// Worker-thread milliseconds spent on K-FAC units placed before the
+    /// device's last forward or backward (in bubbles).
     pub bubble_aux_ms: f64,
-    /// Worker-thread milliseconds spent blocked waiting for pipeline input
-    /// with no runnable K-FAC work.
+    /// Worker-thread milliseconds spent blocked waiting for a peer's
+    /// boundary tensor.
     pub bubble_idle_ms: f64,
-    /// Worker-thread milliseconds spent on K-FAC work *after* the device's
-    /// pipeline work finished (tail work that found no bubble).
+    /// Worker-thread milliseconds spent on K-FAC units placed after the
+    /// device's last forward or backward (tail work that found no bubble).
     pub tail_aux_ms: f64,
 }
 
@@ -286,7 +277,6 @@ struct StageLoan {
 struct StepCmd {
     step: usize,
     batches: Arc<Vec<(PreTrainingBatch, ForwardCtx)>>,
-    fill_bubbles: bool,
     /// One loan per hosted stage.
     loans: Vec<StageLoan>,
     kfac: Option<KfacStep>,
@@ -411,7 +401,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `n_stages` or `n_micro`), mirroring `run_pipelined`.
 pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     let graph = opts.scheme.build(opts.n_stages, opts.n_micro);
-    ExecutablePlan::lower(&graph).map_err(|e| ExecError {
+    ExecutablePlan::lower(&graph, opts.fill_bubbles).map_err(|e| ExecError {
         completed_steps: 0,
         fault: ExecFault::Plan(e),
     })
@@ -636,9 +626,6 @@ impl Engine for Staged<'_> {
                 chaos: self.opts.chaos.clone(),
                 pending: HashMap::new(),
                 losses: Vec::new(),
-                ops_done: 0,
-                aux_done: Vec::new(),
-                aux_pickups: 0,
                 bubble_aux_ms: 0.0,
                 bubble_idle_ms: 0.0,
                 tail_aux_ms: 0.0,
@@ -702,7 +689,6 @@ impl Engine for Staged<'_> {
             let cmd = StepCmd {
                 step,
                 batches: Arc::clone(&batches),
-                fill_bubbles: self.opts.fill_bubbles,
                 loans,
                 kfac: kfac_step.clone(),
             };
@@ -817,8 +803,7 @@ enum Woke {
     Deadline,
 }
 
-/// One device's worker: executes its `DevicePlan` ops in order each step,
-/// popping ready K-FAC units while blocked on pipeline input.
+/// One device's worker: replays its `DevicePlan` op list each step.
 struct Worker {
     device: usize,
     last_stage: usize,
@@ -833,13 +818,6 @@ struct Worker {
     pending: HashMap<TensorKey, Matrix>,
     /// `(mb, total_loss)` of this step's last-stage forwards so far.
     losses: Vec<(usize, f64)>,
-    /// Plan ops finished this step: op `r` has released its units once
-    /// `r < ops_done`.
-    ops_done: usize,
-    /// Per-step aux progress.
-    aux_done: Vec<bool>,
-    /// Aux units picked up so far this step (the chaos hook's pickup key).
-    aux_pickups: usize,
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
@@ -935,6 +913,9 @@ impl Worker {
         }
         self.begin_step(cmd);
         let plan = Arc::clone(&self.plan);
+        // Units before the last forward/backward fill bubbles; after it, tail.
+        let is_pipe = |op: &PlanOp| !matches!(op, PlanOp::Aux { .. });
+        let tail = plan.ops.iter().rposition(is_pipe).map_or(0, |i| i + 1);
         for (op_index, op) in plan.ops.iter().enumerate() {
             self.drain()?;
             if let Some(delay) = self
@@ -963,15 +944,24 @@ impl Worker {
                     slot,
                     send_to,
                 } => self.do_backward(cmd, stage, mb, slot, send_to)?,
+                PlanOp::Aux { unit } => {
+                    if let Some(ms) = self.do_aux(cmd, plan.aux[unit]) {
+                        let ledger = if op_index < tail {
+                            &mut self.bubble_aux_ms
+                        } else {
+                            &mut self.tail_aux_ms
+                        };
+                        *ledger += ms;
+                    }
+                }
             }
-            self.ops_done += 1;
         }
         self.finish_step(cmd)
     }
 
     /// Re-syncs every slot replica to the loaned canonical parameters, so
     /// every micro-batch computes on the exact serial-step weights, and
-    /// resets per-step progress tracking.
+    /// resets the step's time ledgers.
     fn begin_step(&mut self, cmd: &StepCmd) {
         for loan in &cmd.loans {
             let host = self.hosts.get_mut(&loan.stage).expect("loan for a host");
@@ -984,10 +974,6 @@ impl Worker {
             }
             host.parked = 0;
         }
-        self.ops_done = 0;
-        self.aux_done.clear();
-        self.aux_done.resize(self.plan.aux.len(), false);
-        self.aux_pickups = 0;
         self.bubble_aux_ms = 0.0;
         self.bubble_idle_ms = 0.0;
         self.tail_aux_ms = 0.0;
@@ -1005,7 +991,7 @@ impl Worker {
         let input = if stage == 0 {
             None
         } else {
-            Some(self.wait_for((false, stage, mb), cmd)?)
+            Some(self.wait_for((false, stage, mb))?)
         };
         let (batch, ctx) = &cmd.batches[mb];
         let out = {
@@ -1035,7 +1021,7 @@ impl Worker {
         let dout = if stage == self.last_stage {
             None
         } else {
-            Some(self.wait_for((true, stage, mb), cmd)?)
+            Some(self.wait_for((true, stage, mb))?)
         };
         let (batch, _ctx) = &cmd.batches[mb];
         let upstream = {
@@ -1064,15 +1050,9 @@ impl Worker {
         Ok(())
     }
 
-    /// Runs remaining K-FAC units (tail work that found no bubble), clears
-    /// the capture replicas' statistics, and sends the step's one report:
-    /// the loans, the losses and the time ledgers.
+    /// Clears the capture replicas' statistics and sends the step's one
+    /// report: the loans, the losses and the time ledgers.
     fn finish_step(&mut self, cmd: &mut StepCmd) -> Result<(), Halt> {
-        let tail_t = Instant::now();
-        while self.try_aux_one(cmd).is_some() {
-            self.drain()?;
-        }
-        self.tail_aux_ms = tail_t.elapsed().as_secs_f64() * 1e3;
         if cmd.kfac.as_ref().is_some_and(|k| k.refresh_curv) {
             for op in &self.plan.aux {
                 let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
@@ -1091,22 +1071,15 @@ impl Worker {
             .map_err(|_| Halt)
     }
 
-    /// Blocks until the boundary tensor `key` arrives, filling the wait with
-    /// ready K-FAC units (the bubbles the paper targets). With nothing to
-    /// run it blocks on the inbox until the watchdog past this device's
-    /// last progress, then trips `Wedged`.
-    fn wait_for(&mut self, key: TensorKey, cmd: &mut StepCmd) -> Result<Matrix, Halt> {
+    /// Blocks on the inbox until the boundary tensor `key` arrives; trips
+    /// `Wedged` if the watchdog past this device's last progress runs out
+    /// first.
+    fn wait_for(&mut self, key: TensorKey) -> Result<Matrix, Halt> {
         loop {
             self.drain()?;
             if let Some(m) = self.pending.remove(&key) {
                 self.touch();
                 return Ok(m);
-            }
-            if cmd.fill_bubbles {
-                if let Some(ms) = self.try_aux_one(cmd) {
-                    self.bubble_aux_ms += ms;
-                    continue;
-                }
             }
             let idle_t = Instant::now();
             let woke = self.wait(Some(self.fleet.last_progress(self.device) + self.watchdog));
@@ -1140,60 +1113,17 @@ impl Worker {
         Ok(())
     }
 
-    /// Runs the first K-FAC unit whose inputs are ready (or, under a chaos
-    /// hook's out-of-order pickup, the second ready one); returns the
-    /// milliseconds it took, `None` when nothing was runnable — the caller
-    /// books the time as bubble work ([`Worker::wait_for`]) or lets its tail
-    /// timer cover it ([`Worker::finish_step`]). Units for phases the step
-    /// does not refresh are marked done without running (there is nothing
-    /// to compute).
-    ///
-    /// Reordering among *ready* units is bitwise-safe: ready units touch
-    /// disjoint per-layer state, and an inversion only becomes ready once
-    /// every fold of its stage (its [`AuxOp::after`] units) is done.
-    fn try_aux_one(&mut self, cmd: &mut StepCmd) -> Option<f64> {
+    /// Runs one K-FAC unit if the step refreshes its kind; returns the
+    /// milliseconds it took, `None` when the step skips it. Units touch
+    /// disjoint per-layer state, and lowering places every `Invert` after
+    /// its stage's folds, so the serial `Kfac::step` values come out.
+    fn do_aux(&mut self, cmd: &mut StepCmd, op: AuxOp) -> Option<f64> {
         let kfac = cmd.kfac.clone()?;
-        if !kfac.refresh_curv && !kfac.refresh_inv {
+        if !op.kind.applies(kfac.refresh_curv, kfac.refresh_inv) {
             return None;
         }
-        let plan = Arc::clone(&self.plan);
-        let mut first_ready = None;
-        let mut second_ready = None;
-        for (i, op) in plan.aux.iter().enumerate() {
-            if self.aux_done[i] {
-                continue;
-            }
-            if !op.kind.applies(kfac.refresh_curv, kfac.refresh_inv) {
-                self.aux_done[i] = true;
-                continue;
-            }
-            // `after` units sit earlier in the list, so one this step skips
-            // is already marked done.
-            let released = op.release.is_none_or(|r| r < self.ops_done);
-            if !released || !self.aux_done[op.after.0..op.after.1].iter().all(|&d| d) {
-                continue;
-            }
-            if first_ready.is_none() {
-                first_ready = Some(i);
-            } else {
-                second_ready = Some(i);
-                break;
-            }
-        }
-        let first = first_ready?;
-        let skip = self
-            .chaos
-            .as_ref()
-            .is_some_and(|c| c.aux_skip_first_ready(self.device, cmd.step, self.aux_pickups));
-        let chosen = if skip {
-            second_ready.unwrap_or(first)
-        } else {
-            first
-        };
-        self.aux_pickups += 1;
-        self.aux_done[chosen] = true;
         let t = Instant::now();
-        self.run_aux(cmd, plan.aux[chosen], &kfac);
+        self.run_aux(cmd, op, &kfac);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         self.touch();
         Some(ms)
@@ -1207,7 +1137,7 @@ impl Worker {
         let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
         // Lowering puts every unit on its stage's capture host, which is
         // lent one state per K-FAC layer in every step that refreshes: a
-        // unit marked done must have run, so a missing loan is a fault,
+        // unit the step applies must run, so a missing loan is a fault,
         // never a skip. A stage that owns no such layer (D > L) is lent
         // none, and its units are no-ops.
         let states = &mut loan_for(&mut cmd.loans, op.stage).kfac;

@@ -271,10 +271,9 @@ fn unfilled_bubbles_produce_identical_results() {
     assert_eq!(a.1, b.1, "parameters depend on bubble filling");
 }
 
-/// `bubble_aux_ms` is K-FAC work done *while waiting for pipeline input*;
-/// work drained after the device's last pipeline op is `tail_aux_ms` only.
-/// With filling off every unit is tail work, so the bubble counter must
-/// read exactly zero (it used to count the tail drain a second time).
+/// `bubble_aux_ms` is K-FAC work placed before a device's last pipeline op;
+/// work placed after it is `tail_aux_ms` only. With filling off every unit
+/// is tail work, so the bubble counter must read exactly zero.
 #[test]
 fn unfilled_run_books_all_kfac_work_as_tail() {
     let _gate = test_lock();
@@ -523,10 +522,11 @@ impl pipefisher::lm::ChaosHook for SlowEveryOp {
     }
 }
 
-/// Progress, not reports, feeds the coordinator's watchdog: eight ops of
-/// ≥ 60 ms each make the step (and the wait for its one report) at least
-/// 480 ms long under a 150 ms watchdog, yet every op is progress, so the
-/// run must complete — and the delays change nothing bitwise.
+/// Progress, not reports, feeds the coordinator's watchdog: eight
+/// forwards and backwards delayed ≥ 60 ms each make the step (and the wait
+/// for its one report) at least 480 ms long under a 150 ms watchdog, yet
+/// every op is progress, so the run must complete — and the delays change
+/// nothing bitwise.
 #[test]
 fn healthy_step_longer_than_the_watchdog_does_not_trip() {
     let _gate = test_lock();
@@ -540,46 +540,4 @@ fn healthy_step_longer_than_the_watchdog_does_not_trip() {
     let got = pipelined_bits(&config, &choice, steps, &opts);
     assert_eq!(got.0, reference.0, "delayed losses diverged");
     assert_eq!(got.1, reference.1, "delayed parameters diverged");
-}
-
-/// Chaos hook under which every K-FAC pickup takes the *second* ready unit.
-#[derive(Debug)]
-struct AlwaysSecondReady;
-
-impl pipefisher::lm::ChaosHook for AlwaysSecondReady {
-    fn aux_skip_first_ready(&self, _device: usize, _step: usize, _pickup: usize) -> bool {
-        true
-    }
-}
-
-/// The order of a device's K-FAC unit list is not behaviour: readiness
-/// decides what may run, and ready units touch disjoint state. Picking the
-/// second ready unit at every pickup — a different order than the list's on
-/// every step that has a choice — must reproduce the serial run bit for bit,
-/// with bubbles filled and with all K-FAC work as tail.
-#[test]
-fn any_ready_pickup_order_matches_serial_bitwise() {
-    let _gate = test_lock();
-    let (steps, n_micro) = (7, 4);
-    let config = BertConfig::mini(36, 16);
-    let choice = kfac_choice();
-    let reference = serial_reference(&config, &choice, steps, n_micro);
-    let shapes = [
-        (PipelineScheme::GPipe, 2),
-        (PipelineScheme::OneFOneB, 2),
-        (PipelineScheme::Chimera, 2),
-        (PipelineScheme::OneFOneB, 1),
-        (PipelineScheme::OneFOneB, 4),
-    ];
-    for (scheme, d) in shapes {
-        for fill in [true, false] {
-            let mut opts = PipelineOptions::new(scheme, d, n_micro);
-            opts.fill_bubbles = fill;
-            opts.chaos = Some(Arc::new(AlwaysSecondReady));
-            let got = pipelined_bits(&config, &choice, steps, &opts);
-            let what = format!("{} D={d} fill={fill}", scheme.name());
-            assert_eq!(got.0, reference.0, "loss trajectory diverged: {what}");
-            assert_eq!(got.1, reference.1, "final parameters diverged: {what}");
-        }
-    }
 }
