@@ -153,14 +153,43 @@ proptest! {
 /// JSON diff. Regenerate intentionally with `PIPEFISHER_BLESS=1 cargo test`.
 mod golden {
     use super::*;
+    use pipefisher::core::PipeFisherSchedule;
+    use pipefisher::perfmodel::{setting_costs, HardwareProfile, TransformerConfig};
     use std::path::PathBuf;
 
-    fn fixture_path(scheme: PipelineScheme, d: usize) -> PathBuf {
+    fn golden_path(file: &str) -> PathBuf {
         let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         p.push("tests");
         p.push("golden");
-        p.push(format!("{}_d{d}.trace.json", scheme.name()));
+        p.push(file);
         p
+    }
+
+    fn fixture_path(scheme: PipelineScheme, d: usize) -> PathBuf {
+        golden_path(&format!("{}_d{d}.trace.json", scheme.name()))
+    }
+
+    /// Writes `rendered` to `path` under `PIPEFISHER_BLESS` (returning
+    /// `None`); otherwise asserts it equals the fixture and returns it.
+    fn compare(path: &PathBuf, rendered: &str) -> Option<String> {
+        if std::env::var("PIPEFISHER_BLESS").is_ok() {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, rendered).unwrap();
+            return None;
+        }
+        let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); run with PIPEFISHER_BLESS=1 to regenerate",
+                path.display()
+            )
+        });
+        assert_eq!(
+            rendered,
+            golden,
+            "drifted from {} (PIPEFISHER_BLESS=1 to re-bless)",
+            path.display()
+        );
+        Some(golden)
     }
 
     fn check(scheme: PipelineScheme, d: usize) {
@@ -171,25 +200,9 @@ mod golden {
         let json = tl.chrome_trace_json(1000.0);
         let rendered = format!("{}\n", serde_json::to_string_pretty(&json).unwrap());
 
-        let path = fixture_path(scheme, d);
-        if std::env::var("PIPEFISHER_BLESS").is_ok() {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &rendered).unwrap();
+        let Some(golden) = compare(&fixture_path(scheme, d), &rendered) else {
             return;
-        }
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); run with PIPEFISHER_BLESS=1 to regenerate",
-                path.display()
-            )
-        });
-        assert_eq!(
-            rendered,
-            golden,
-            "{} {d}-stage trace drifted from {} (PIPEFISHER_BLESS=1 to re-bless)",
-            scheme.name(),
-            path.display()
-        );
+        };
 
         // The fixture must itself be valid Chrome trace JSON: it round-trips
         // through the parser and covers every simulated interval with a
@@ -242,5 +255,97 @@ mod golden {
     #[test]
     fn chimera_d8_matches_golden() {
         check(PipelineScheme::Chimera, 8);
+    }
+
+    /// The assignment of one paper setting (P100, `B_micro` = 32, 3 blocks
+    /// per stage at granularity 3, `N_micro` = `D`), costed by
+    /// `setting_costs`.
+    fn assignment(
+        arch: TransformerConfig,
+        scheme: PipelineScheme,
+        d: usize,
+        w: usize,
+        recompute: bool,
+    ) -> PipeFisherSchedule {
+        let costs = setting_costs(&arch, &HardwareProfile::p100(), scheme, 3, 32, w, recompute);
+        assign(&PipeFisherConfig {
+            scheme,
+            d,
+            n_micro: d,
+            w,
+            costs,
+            max_steps: 64,
+            chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
+            recompute,
+            granularity: 3,
+        })
+        .unwrap()
+    }
+
+    /// Pins every placement bit for bit (floats in `{:?}`) and the
+    /// schedule's step and utilization figures against
+    /// `tests/golden/assign_<name>.txt`.
+    fn check_assignment(name: &str, s: &PipeFisherSchedule) {
+        let mut rendered = String::new();
+        for p in &s.placements {
+            rendered += &format!(
+                "dev {} stage {} mb {:?} {} {:?}..{:?}\n",
+                p.device, p.stage, p.micro_batch, p.kind, p.start, p.end
+            );
+        }
+        rendered += &format!(
+            "t_step {:?}\nrefresh_steps {}\nsteady_refresh_steps {:?}\n\
+             utilization {:?}\nsteady_utilization {:?}\n",
+            s.t_step, s.refresh_steps, s.steady_refresh_steps, s.utilization, s.steady_utilization
+        );
+        compare(&golden_path(&format!("assign_{name}.txt")), &rendered);
+    }
+
+    #[test]
+    fn bert_base_assignments_match_golden() {
+        for (scheme, name) in [
+            (PipelineScheme::GPipe, "gpipe"),
+            (PipelineScheme::OneFOneB, "1f1b"),
+            (PipelineScheme::Chimera, "chimera"),
+        ] {
+            let s = assignment(TransformerConfig::bert_base(), scheme, 4, 1, false);
+            check_assignment(&format!("{name}_bert_base_d4"), &s);
+        }
+    }
+
+    #[test]
+    fn recompute_assignment_matches_golden() {
+        let s = assignment(
+            TransformerConfig::bert_base(),
+            PipelineScheme::GPipe,
+            4,
+            1,
+            true,
+        );
+        check_assignment("gpipe_recompute_bert_base_d4", &s);
+    }
+
+    #[test]
+    fn data_parallel_assignment_matches_golden() {
+        let s = assignment(
+            TransformerConfig::bert_base(),
+            PipelineScheme::OneFOneB,
+            4,
+            2,
+            false,
+        );
+        check_assignment("1f1b_w2_bert_base_d4", &s);
+    }
+
+    #[test]
+    fn fig4_assignment_matches_golden() {
+        let s = assignment(
+            TransformerConfig::bert_large(),
+            PipelineScheme::Chimera,
+            8,
+            1,
+            false,
+        );
+        check_assignment("chimera_bert_large_d8", &s);
     }
 }
