@@ -15,7 +15,6 @@
 //! convergence of fresh vs delayed gradients on the synthetic LM task.
 
 use pipefisher_bench::{pct, Setting};
-use pipefisher_core::assign;
 use pipefisher_lm::{BatchSampler, OptimizerChoice, SyntheticLanguage, TrainOptions, Trainer};
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::LrSchedule;
@@ -44,7 +43,7 @@ fn main() {
             pct(tl.utilization())
         );
     }
-    let pf = assign(&setting.assign_config()).unwrap();
+    let pf = setting.schedule().unwrap();
     println!(
         "  sync 1F1B + PipeFisher:              {} (and curvature refreshed every {:.1} steps)",
         pct(pf.steady_utilization),

@@ -13,7 +13,7 @@
 //!   a full SAM pass needs, i.e. whether bubbles could hide it.
 
 use pipefisher_bench::{pct, Setting};
-use pipefisher_core::{assign, AssignError};
+use pipefisher_core::{assign, AssignError, AssignOptions, FitStrategy};
 use pipefisher_perfmodel::shampoo_stage_costs;
 use pipefisher_pipeline::PipelineScheme;
 
@@ -22,7 +22,7 @@ fn main() {
 
     // --- K-FAC reference (Figure 3 setting). ---
     let kfac_setting = Setting::fig3(PipelineScheme::GPipe, 1);
-    let kfac = assign(&kfac_setting.assign_config()).expect("kfac fits");
+    let kfac = kfac_setting.schedule().expect("kfac fits");
     println!(
         "K-FAC   (BERT-Base, GPipe D=4): refresh {:.1} steps steady, utilization {}",
         kfac.steady_refresh_steps,
@@ -30,20 +30,15 @@ fn main() {
     );
 
     // --- Shampoo with the same pipeline. ---
-    let mut shampoo_cfg = kfac_setting.assign_config();
-    shampoo_cfg.costs = {
-        let mut c = shampoo_stage_costs(
-            &kfac_setting.arch,
-            &kfac_setting.hw,
-            kfac_setting.blocks_per_stage,
-            kfac_setting.b_micro,
-            false,
-        );
-        c.t_sync_grad = kfac_setting.costs().t_sync_grad;
-        c.t_sync_curv = kfac_setting.costs().t_sync_curv;
-        c
-    };
-    shampoo_cfg.max_steps = 512;
+    let mut shampoo_costs = shampoo_stage_costs(
+        &kfac_setting.arch,
+        &kfac_setting.hw,
+        kfac_setting.blocks_per_stage,
+        kfac_setting.b_micro,
+        false,
+    );
+    shampoo_costs.t_sync_grad = kfac_setting.costs().t_sync_grad;
+    shampoo_costs.t_sync_curv = kfac_setting.costs().t_sync_curv;
 
     println!("\nShampoo root work (eigendecompositions) vs granularity:");
     println!(
@@ -56,9 +51,12 @@ fn main() {
         ("per layer (18)", 18),
         ("per layer split 4x (72)", 72),
     ] {
-        let mut cfg = shampoo_cfg.clone();
-        cfg.granularity = granularity;
-        match assign(&cfg) {
+        let opts = AssignOptions {
+            fit: FitStrategy::FirstFit,
+            w: kfac_setting.w,
+            granularity,
+        };
+        match assign(&kfac_setting.graph(), &shampoo_costs, &opts) {
             Ok(s) => println!(
                 "{:>24} | {:>12} | {:>22.1}",
                 label, "yes", s.steady_refresh_steps

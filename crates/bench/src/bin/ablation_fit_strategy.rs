@@ -8,7 +8,7 @@
 //! bubbles are the most fragmented).
 
 use pipefisher_bench::Setting;
-use pipefisher_core::{assign_graph, FitStrategy, GraphAssignOptions};
+use pipefisher_core::{assign, AssignOptions, FitStrategy};
 use pipefisher_pipeline::{build_interleaved_1f1b, PipelineScheme};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         let setting = Setting::fig3(scheme, 1);
         rows.push((
             format!("{} (BERT-Base, D=4)", scheme.name()),
-            scheme.build(4, 4),
+            setting.graph(),
             setting.costs(),
             setting.blocks_per_stage * 6,
         ));
@@ -45,19 +45,12 @@ fn main() {
 
     for (label, graph, costs, granularity) in rows {
         let run = |fit: FitStrategy| {
-            assign_graph(
-                &graph,
-                &costs,
-                &GraphAssignOptions {
-                    fit,
-                    w: 1,
-                    max_steps: 128,
-                    granularity,
-                    recompute_releases_a: false,
-                    device_pairing: None,
-                    always_sync_grad: false,
-                },
-            )
+            let opts = AssignOptions {
+                fit,
+                w: 1,
+                granularity,
+            };
+            assign(&graph, &costs, &opts)
         };
         let first = run(FitStrategy::FirstFit);
         let best = run(FitStrategy::BestFit);

@@ -6,7 +6,6 @@
 //! curvature `C` and inversion `I` work, precondition `P` at step ends).
 
 use pipefisher_bench::{pct, Setting};
-use pipefisher_core::assign;
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_sim::{simulate, Timeline};
 
@@ -36,7 +35,7 @@ fn main() {
     println!("    GPU utilization: {}\n", pct(two_steps.utilization()));
 
     // (b) PipeFisher on the same pipeline.
-    let schedule = assign(&setting.assign_config()).expect("assignment fits");
+    let schedule = setting.schedule().expect("assignment fits");
     println!(
         "(b) PipeFisher (C=curvature, I=inversion, P=precondition), refresh every {} step(s):",
         schedule.refresh_steps

@@ -7,10 +7,10 @@
 //! K-FAC adds factor synchronization (S); pipeline-parallel K-FAC —
 //! PipeFisher — moves C and I into the bubbles.
 
-use pipefisher_core::{assign, PipeFisherConfig};
+use pipefisher_core::{assign, AssignOptions, FitStrategy};
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_pipeline::WorkKind;
-use pipefisher_sim::{simulate, Interval, KindCost, Timeline, UniformCost};
+use pipefisher_sim::{simulate, Interval, KindCost, Timeline};
 
 fn costs() -> KindCost {
     KindCost {
@@ -95,7 +95,7 @@ fn main() {
 
     println!("\n(iii,a) pipeline parallelism (2 stages, 2 micro-batches), SGD:");
     let g = PipelineScheme::GPipe.build(2, 2);
-    let base = simulate(&g, &UniformCost::new(1.0, 2.0)).unwrap();
+    let base = simulate(&g, &KindCost::standard(1.0, 2.0)).unwrap();
     print!("{}", base.render_ascii(80));
     println!(
         "    bubbles: {:.0}% of the step",
@@ -103,18 +103,12 @@ fn main() {
     );
 
     println!("\n(iii,b) pipeline-parallel K-FAC — PipeFisher fills the bubbles:");
-    let s = assign(&PipeFisherConfig {
-        scheme: PipelineScheme::GPipe,
-        d: 2,
-        n_micro: 2,
+    let opts = AssignOptions {
+        fit: FitStrategy::FirstFit,
         w: 1,
-        costs: costs(),
-        max_steps: 16,
-        chimera_pair_parallelism: false,
-        recompute: false,
         granularity: 1,
-    })
-    .unwrap();
+    };
+    let s = assign(&g, &costs(), &opts).unwrap();
     print!("{}", s.augmented_timeline.render_ascii(80));
     println!(
         "    utilization {:.0}% -> {:.0}%, curvature+inversion in bubbles, P at step end",

@@ -16,7 +16,6 @@
 //! reproduction's stand-in for the paper's Nsight Systems screenshots.
 
 use pipefisher_bench::{fmt_ms, pct, Setting};
-use pipefisher_core::assign;
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
             ("PipeFisher + data/inv parallel (8 GPUs, W=2)", 2),
         ] {
             let setting = Setting::fig3(scheme, w);
-            let schedule = assign(&setting.assign_config()).expect("assignment fits");
+            let schedule = setting.schedule().expect("assignment fits");
             if w == 1 {
                 println!(
                     "  baseline (Adam):    utilization {:>6}   step {:>9}",

@@ -10,7 +10,6 @@
 //! the outermost stages and 2 for the rest; per-step overhead ≈ 6.5 %.
 
 use pipefisher_bench::{fmt_ms, pct, Setting};
-use pipefisher_core::assign;
 use pipefisher_pipeline::WorkKind;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
         "=== Figure 4: BERT-Large, Chimera D=8 (3 blocks/stage), 8 GPUs, B_micro=32, P100 ===\n"
     );
     let setting = Setting::fig4();
-    let schedule = assign(&setting.assign_config()).expect("assignment fits");
+    let schedule = setting.schedule().expect("assignment fits");
 
     println!(
         "baseline (Adam):  utilization {:>6}   step {:>9}",

@@ -6,11 +6,11 @@
 //! the code they share: construction of paper-setting configurations,
 //! result formatting, and the bench bins' inputs and timer.
 
-use pipefisher_core::PipeFisherConfig;
+use pipefisher_core::{assign, AssignError, AssignOptions, FitStrategy, PipeFisherSchedule};
 use pipefisher_perfmodel::{
     setting_costs, stage_memory, HardwareProfile, StageMemory, StepModelInput, TransformerConfig,
 };
-use pipefisher_pipeline::PipelineScheme;
+use pipefisher_pipeline::{with_recompute, PipelineScheme, TaskGraph};
 use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
 use std::time::Instant;
@@ -63,19 +63,26 @@ impl Setting {
         )
     }
 
-    /// The PipeFisher assignment configuration for this setting.
-    pub fn assign_config(&self) -> PipeFisherConfig {
-        PipeFisherConfig {
-            scheme: self.scheme,
-            d: self.d,
-            n_micro: self.n_micro,
-            w: self.w,
-            costs: self.costs(),
-            max_steps: 64,
-            chimera_pair_parallelism: self.scheme == PipelineScheme::Chimera,
-            recompute: self.recompute,
-            granularity: self.blocks_per_stage,
+    /// The pipeline schedule of this setting, with a recompute before
+    /// every backward when `recompute` is set.
+    pub fn graph(&self) -> TaskGraph {
+        let graph = self.scheme.build(self.d, self.n_micro);
+        if self.recompute {
+            with_recompute(&graph)
+        } else {
+            graph
         }
+    }
+
+    /// The paper's first-fit assignment of this setting, one chunk per
+    /// block.
+    pub fn schedule(&self) -> Result<PipeFisherSchedule, AssignError> {
+        let opts = AssignOptions {
+            fit: FitStrategy::FirstFit,
+            w: self.w,
+            granularity: self.blocks_per_stage,
+        };
+        assign(&self.graph(), &self.costs(), &opts)
     }
 
     /// The §3.3 closed-form model input for this setting.
@@ -203,14 +210,14 @@ mod tests {
     #[test]
     fn fig3_setting_is_assignable() {
         let s = Setting::fig3(PipelineScheme::GPipe, 1);
-        let sched = pipefisher_core::assign(&s.assign_config()).unwrap();
+        let sched = s.schedule().unwrap();
         assert!(sched.utilization > sched.utilization_baseline);
     }
 
     #[test]
     fn fig4_setting_is_assignable() {
         let s = Setting::fig4();
-        let sched = pipefisher_core::assign(&s.assign_config()).unwrap();
+        let sched = s.schedule().unwrap();
         assert!(
             sched.steady_utilization > 0.9,
             "util {}",

@@ -1,9 +1,9 @@
 //! `pipefisher assign` — run the bubble assignment for a paper-style setting.
 
 use crate::args;
-use pipefisher_core::{assign, PipeFisherConfig};
+use pipefisher_core::{assign, AssignOptions, FitStrategy};
 use pipefisher_perfmodel::setting_costs;
-use pipefisher_pipeline::PipelineScheme;
+use pipefisher_pipeline::with_recompute;
 use serde_json::json;
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -35,18 +35,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let recompute = args::has_flag(args, "--recompute");
     let json_out = args::has_flag(args, "--json");
 
-    let schedule = assign(&PipeFisherConfig {
-        scheme,
-        d,
-        n_micro: d,
+    let mut graph = scheme.build(d, d);
+    if recompute {
+        graph = with_recompute(&graph);
+    }
+    let costs = setting_costs(&arch, &hw, scheme, blocks, b_micro, w, recompute);
+    let opts = AssignOptions {
+        fit: FitStrategy::FirstFit,
         w,
-        costs: setting_costs(&arch, &hw, scheme, blocks, b_micro, w, recompute),
-        max_steps: 128,
-        chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
-        recompute,
         granularity: blocks * 6, // per-layer chunks
-    })
-    .map_err(|e| e.to_string())?;
+    };
+    let schedule = assign(&graph, &costs, &opts).map_err(|e| e.to_string())?;
 
     if let Some(path) = args::flag_value(args, "--trace-out") {
         // Assignment timelines are in seconds; trace timestamps are µs.

@@ -1,7 +1,7 @@
 //! `pipefisher schedule` — render a pipeline schedule.
 
 use crate::args;
-use pipefisher_sim::{simulate, UniformCost};
+use pipefisher_sim::{simulate, KindCost};
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let d = args::int(argv, 1, "D")?;
@@ -10,7 +10,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let csv = args::has_flag(argv, "--csv");
 
     let graph = args::graph(argv)?;
-    let tl = simulate(&graph, &UniformCost::new(1.0, 2.0)).map_err(|e| e.to_string())?;
+    let tl = simulate(&graph, &KindCost::standard(1.0, 2.0)).map_err(|e| e.to_string())?;
     if let Some(path) = args::flag_value(argv, "--trace-out") {
         // Simulated units are abstract; render one unit as 1 ms.
         let json = serde_json::to_string_pretty(&tl.chrome_trace_json(1000.0)).expect("json");

@@ -22,10 +22,14 @@
 //! subsequent steps are used (the paper's multi-step refresh — e.g. 2 steps
 //! in Figure 3, 2–4 steps in Figure 4).
 //!
+//! The schedule is read off the task graph: which pass releases `A`
+//! curvature (a `Recompute` task, if the graph has any) and which devices
+//! host each stage (Chimera's two hosts split inversion).
+//!
 //! # Example
 //!
 //! ```
-//! use pipefisher_core::{assign, PipeFisherConfig};
+//! use pipefisher_core::{assign, AssignOptions, FitStrategy};
 //! use pipefisher_pipeline::PipelineScheme;
 //! use pipefisher_sim::KindCost;
 //!
@@ -35,17 +39,8 @@
 //! costs.t_inv_a = 0.5;
 //! costs.t_inv_b = 0.5;
 //! costs.t_prec = 0.2;
-//! let schedule = assign(&PipeFisherConfig {
-//!     scheme: PipelineScheme::GPipe,
-//!     d: 4,
-//!     n_micro: 4,
-//!     w: 1,
-//!     costs,
-//!     max_steps: 16,
-//!     chimera_pair_parallelism: false,
-//!     recompute: false,
-//!     granularity: 1,
-//! }).unwrap();
+//! let opts = AssignOptions { fit: FitStrategy::FirstFit, w: 1, granularity: 1 };
+//! let schedule = assign(&PipelineScheme::GPipe.build(4, 4), &costs, &opts).unwrap();
 //! assert!(schedule.utilization > schedule.utilization_baseline);
 //! assert!(schedule.refresh_steps >= 1);
 //! ```
@@ -53,8 +48,5 @@
 mod assign;
 mod plan;
 
-pub use assign::{
-    assign, assign_graph, AssignError, FitStrategy, GraphAssignOptions, PipeFisherConfig,
-    PipeFisherSchedule, PlacedWork,
-};
+pub use assign::{assign, AssignError, AssignOptions, FitStrategy, PipeFisherSchedule, PlacedWork};
 pub use plan::{capture_micro_batch, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};

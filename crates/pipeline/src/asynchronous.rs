@@ -29,7 +29,7 @@ pub fn build_async_1f1b(n_stages: usize, n_micro: usize, horizon_steps: usize) -
     // A continuous stream IS 1F1B over the total micro-batch count: the
     // flush is precisely the per-step drain that the stream omits.
     let mut g = build_1f1b(n_stages, n_micro * horizon_steps);
-    g.set_scheme_name("async-1f1b");
+    g.rename("async-1f1b");
     g
 }
 
@@ -44,19 +44,6 @@ pub fn build_async_1f1b(n_stages: usize, n_micro: usize, horizon_steps: usize) -
 pub fn async_staleness(n_stages: usize, stage: usize) -> usize {
     assert!(stage < n_stages, "async_staleness: stage out of range");
     n_stages - stage
-}
-
-impl TaskGraph {
-    /// Overrides the scheme name (used by the asynchronous builder, which
-    /// reuses the 1F1B construction).
-    pub fn set_scheme_name(&mut self, name: &str) {
-        self.rename(name);
-    }
-
-    /// Total forward work units in the graph (for throughput accounting).
-    pub fn count_kind(&self, kind: WorkKind) -> usize {
-        self.tasks().iter().filter(|t| t.kind == kind).count()
-    }
 }
 
 /// Verifies the stream has no cross-step flush: within one device's queue,
@@ -95,7 +82,8 @@ mod tests {
             let g = build_async_1f1b(d, d, 4);
             g.validate().unwrap();
             assert_eq!(g.scheme_name(), "async-1f1b");
-            assert_eq!(g.count_kind(WorkKind::Forward), d * d * 4);
+            let forwards = g.tasks().iter().filter(|t| t.kind == WorkKind::Forward);
+            assert_eq!(forwards.count(), d * d * 4);
         }
     }
 

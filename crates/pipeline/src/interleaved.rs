@@ -5,7 +5,7 @@
 //! the cost of more P2P communication. This scheme is **not** in the
 //! PipeFisher paper — it is included to exercise the paper's claim that the
 //! automatic work assignment applies to *any* pipeline schedule (see
-//! `pipefisher-core`'s `assign_graph`).
+//! `pipefisher-core`'s `assign`, which takes any task graph).
 
 use crate::builders::{merge_streams, one_f_one_b_order, Stream};
 use crate::{StageAssignment, TaskGraph};

@@ -49,25 +49,6 @@ pub enum WorkKind {
 }
 
 impl WorkKind {
-    /// Whether this is standard pipeline work (present without K-FAC).
-    pub fn is_standard(&self) -> bool {
-        matches!(
-            self,
-            WorkKind::Forward | WorkKind::Backward | WorkKind::Recompute
-        )
-    }
-
-    /// Whether this is K-FAC extra work.
-    pub fn is_kfac(&self) -> bool {
-        matches!(
-            self,
-            WorkKind::Curvature(_)
-                | WorkKind::Inversion(_)
-                | WorkKind::Precondition
-                | WorkKind::SyncCurvature
-        )
-    }
-
     /// Short label used in rendered timelines.
     pub fn label(&self) -> &'static str {
         match self {
@@ -139,19 +120,6 @@ impl Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_vs_kfac_partition() {
-        assert!(WorkKind::Forward.is_standard());
-        assert!(WorkKind::Recompute.is_standard());
-        assert!(!WorkKind::Forward.is_kfac());
-        assert!(WorkKind::Curvature(Factor::A).is_kfac());
-        assert!(WorkKind::Precondition.is_kfac());
-        // SyncGrad is neither standard pipeline work nor K-FAC work: it is
-        // pure data-parallel overhead shared by both baselines.
-        assert!(!WorkKind::SyncGrad.is_standard());
-        assert!(!WorkKind::SyncGrad.is_kfac());
-    }
 
     #[test]
     fn labels_are_unique() {

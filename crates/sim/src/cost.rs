@@ -15,35 +15,6 @@ impl<F: Fn(&Task) -> f64> CostModel for F {
     }
 }
 
-/// Uniform forward/backward durations; all other work free.
-///
-/// Useful for schedule-shape tests where only the standard work matters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformCost {
-    /// Forward duration per micro-batch per stage.
-    pub t_f: f64,
-    /// Backward duration per micro-batch per stage.
-    pub t_b: f64,
-}
-
-impl UniformCost {
-    /// Creates a uniform cost model.
-    pub fn new(t_f: f64, t_b: f64) -> Self {
-        UniformCost { t_f, t_b }
-    }
-}
-
-impl CostModel for UniformCost {
-    fn duration(&self, task: &Task) -> f64 {
-        match task.kind {
-            WorkKind::Forward => self.t_f,
-            WorkKind::Backward => self.t_b,
-            WorkKind::Recompute => self.t_f,
-            _ => 0.0,
-        }
-    }
-}
-
 /// Per-kind durations for every work type (per stage, per micro-batch where
 /// applicable). This is the shape the §3.3 performance model produces.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +42,10 @@ pub struct KindCost {
 }
 
 impl KindCost {
-    /// A cost table with only forward/backward set (others zero).
-    pub fn standard(t_f: f64, t_b: f64) -> Self {
+    /// A cost table with only forward/backward set (recompute = forward,
+    /// all K-FAC work and collectives free): for schedule-shape studies
+    /// where only the standard work matters.
+    pub const fn standard(t_f: f64, t_b: f64) -> Self {
         KindCost {
             t_f,
             t_b,
@@ -130,14 +103,6 @@ mod tests {
             pipeline: StageAssignment::Single,
             deps: vec![],
         }
-    }
-
-    #[test]
-    fn uniform_cost_maps_kinds() {
-        let c = UniformCost::new(1.0, 2.0);
-        assert_eq!(c.duration(&task(WorkKind::Forward)), 1.0);
-        assert_eq!(c.duration(&task(WorkKind::Backward)), 2.0);
-        assert_eq!(c.duration(&task(WorkKind::Precondition)), 0.0);
     }
 
     #[test]

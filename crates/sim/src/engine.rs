@@ -16,9 +16,9 @@ use pipefisher_pipeline::{ScheduleError, TaskGraph};
 ///
 /// ```
 /// use pipefisher_pipeline::build_1f1b;
-/// use pipefisher_sim::{simulate, UniformCost};
+/// use pipefisher_sim::{simulate, KindCost};
 ///
-/// let tl = simulate(&build_1f1b(2, 4), &UniformCost::new(1.0, 2.0)).unwrap();
+/// let tl = simulate(&build_1f1b(2, 4), &KindCost::standard(1.0, 2.0)).unwrap();
 /// assert!(tl.is_overlap_free(1e-9));
 /// assert_eq!(tl.makespan(), 15.0); // (N + D − 1)·(T_f + T_b)
 /// ```
@@ -44,10 +44,10 @@ pub fn simulate(graph: &TaskGraph, cost: &dyn CostModel) -> Result<Timeline, Sch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UniformCost;
+    use crate::KindCost;
     use pipefisher_pipeline::{build_1f1b, build_chimera, build_gpipe, PipelineScheme};
 
-    const COST: UniformCost = UniformCost { t_f: 1.0, t_b: 2.0 };
+    const COST: KindCost = KindCost::standard(1.0, 2.0);
 
     #[test]
     fn gpipe_bubble_ratio_matches_formula() {

@@ -6,8 +6,7 @@
 //! once its dependencies complete) and produces a [`Timeline`] — per-device
 //! busy intervals tagged by work kind — from which we compute the paper's
 //! headline metric, **GPU utilization** (the fraction of time some kernel is
-//! executing, Appendix B.4), plus bubble intervals and per-kind breakdowns,
-//! and render ASCII timelines analogous to Figures 1, 3, and 4.
+//! executing, Appendix B.4), plus bubble intervals, and render ASCII timelines analogous to Figures 1, 3, and 4.
 //!
 //! Durations come from a [`CostModel`]; the calibrated analytic models live
 //! in `pipefisher-perfmodel`.
@@ -16,10 +15,10 @@
 //!
 //! ```
 //! use pipefisher_pipeline::build_gpipe;
-//! use pipefisher_sim::{simulate, UniformCost};
+//! use pipefisher_sim::{simulate, KindCost};
 //!
 //! let graph = build_gpipe(4, 4);
-//! let timeline = simulate(&graph, &UniformCost::new(1.0, 2.0)).unwrap();
+//! let timeline = simulate(&graph, &KindCost::standard(1.0, 2.0)).unwrap();
 //! // GPipe with D = N = 4 and T_b = 2·T_f: utilization = N/(N+D−1).
 //! assert!((timeline.utilization() - 4.0 / 7.0).abs() < 1e-9);
 //! ```
@@ -32,6 +31,6 @@ mod timeline;
 
 pub use chrome::SIM_PID;
 pub use collective::ring_allreduce_time;
-pub use cost::{CostModel, KindCost, UniformCost};
+pub use cost::{CostModel, KindCost};
 pub use engine::simulate;
 pub use timeline::{Interval, Timeline};

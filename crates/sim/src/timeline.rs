@@ -2,7 +2,6 @@
 
 use pipefisher_pipeline::WorkKind;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One busy interval on one device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,15 +172,6 @@ impl Timeline {
             .sum()
     }
 
-    /// Busy time per work-kind label, summed over devices.
-    pub fn kind_breakdown(&self) -> BTreeMap<&'static str, f64> {
-        let mut map = BTreeMap::new();
-        for i in &self.intervals {
-            *map.entry(i.kind.label()).or_insert(0.0) += i.len();
-        }
-        map
-    }
-
     /// Merges another timeline (same device count) into this one.
     ///
     /// # Panics
@@ -329,14 +319,6 @@ mod tests {
             let bub: f64 = t.bubbles(d, span).iter().map(|(s, e)| e - s).sum();
             assert!((busy + bub - span).abs() < 1e-12, "device {d}");
         }
-    }
-
-    #[test]
-    fn breakdown_sums_by_kind() {
-        let t = sample();
-        let b = t.kind_breakdown();
-        assert_eq!(b["F"], 2.0);
-        assert_eq!(b["B"], 2.0);
     }
 
     #[test]

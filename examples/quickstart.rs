@@ -9,13 +9,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pipefisher::core::{assign, PipeFisherConfig};
+use pipefisher::core::{assign, AssignOptions, FitStrategy};
 use pipefisher::lm::{BatchSampler, SyntheticLanguage};
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb};
-use pipefisher::perfmodel::{model_step, HardwareProfile, TransformerConfig};
+use pipefisher::perfmodel::{
+    model_step, setting_costs, stage_costs, stage_memory, HardwareProfile, TransformerConfig,
+};
 use pipefisher::pipeline::PipelineScheme;
-use pipefisher::sim::ring_allreduce_time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,23 +51,14 @@ fn main() {
     println!("\n== 2. PipeFisher bubble assignment (BERT-Base, Chimera D=4) ==");
     let arch = TransformerConfig::bert_base();
     let hw = HardwareProfile::p100();
-    let mut costs = pipefisher::perfmodel::stage_costs(&arch, &hw, 3, 32, false);
-    let mem = pipefisher::perfmodel::stage_memory(&arch, 3, 32, false);
-    costs.t_sync_grad = ring_allreduce_time(mem.m_theta, 2, hw.link_bandwidth, hw.link_latency);
-    costs.t_sync_curv =
-        ring_allreduce_time(2.0 * mem.m_curv, 2, hw.link_bandwidth, hw.link_latency);
-    let schedule = assign(&PipeFisherConfig {
-        scheme: PipelineScheme::Chimera,
-        d: 4,
-        n_micro: 4,
+    let scheme = PipelineScheme::Chimera;
+    let costs = setting_costs(&arch, &hw, scheme, 3, 32, 1, false);
+    let opts = AssignOptions {
+        fit: FitStrategy::FirstFit,
         w: 1,
-        costs,
-        max_steps: 32,
-        chimera_pair_parallelism: true,
-        recompute: false,
         granularity: 3,
-    })
-    .expect("assignment fits the bubbles");
+    };
+    let schedule = assign(&scheme.build(4, 4), &costs, &opts).expect("assignment fits the bubbles");
     println!(
         "  utilization {:.1}% -> {:.1}%, curvature refreshed every {:.1} steps",
         schedule.utilization_baseline * 100.0,
@@ -78,13 +70,13 @@ fn main() {
     // --- 3. Modeling layer: the closed-form §3.3 step model. ---
     println!("\n== 3. Performance model (same setting) ==");
     let m = model_step(&pipefisher::perfmodel::StepModelInput {
-        scheme: PipelineScheme::Chimera,
+        scheme,
         d: 4,
         n_micro: 4,
         b_micro: 32,
         w: 1,
-        costs: schedule_costs(),
-        memory: mem,
+        costs: stage_costs(&arch, &hw, 3, 32, false),
+        memory: stage_memory(&arch, 3, 32, false),
         hw,
     });
     println!(
@@ -94,11 +86,4 @@ fn main() {
         m.ratio,
         (m.m_pipe + m.m_kfac_extra) / 1e9
     );
-}
-
-/// The same stage costs as step 2 (recomputed for the model call).
-fn schedule_costs() -> pipefisher::sim::KindCost {
-    let arch = TransformerConfig::bert_base();
-    let hw = HardwareProfile::p100();
-    pipefisher::perfmodel::stage_costs(&arch, &hw, 3, 32, false)
 }

@@ -5,7 +5,7 @@
 //! where `scheme` is `gpipe`, `1f1b`, or `chimera` (default: all three with
 //! D = N = 4).
 
-use pipefisher::core::{assign, PipeFisherConfig};
+use pipefisher::core::{assign, AssignOptions, FitStrategy};
 use pipefisher::pipeline::PipelineScheme;
 use pipefisher::sim::{simulate, KindCost};
 use std::env;
@@ -34,17 +34,12 @@ fn explore(scheme: PipelineScheme, d: usize, n_micro: usize) {
     );
     print!("{}", base.render_ascii(96));
 
-    match assign(&PipeFisherConfig {
-        scheme,
-        d,
-        n_micro,
+    let opts = AssignOptions {
+        fit: FitStrategy::FirstFit,
         w: 1,
-        costs,
-        max_steps: 64,
-        chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
-        recompute: false,
         granularity: 2,
-    }) {
+    };
+    match assign(&graph, &costs, &opts) {
         Ok(s) => {
             println!(
                 "with PipeFisher: utilization {:.1}% steady ({:.1}% cold), refresh {:.1} steps, step +{:.1}%:",

@@ -34,3 +34,8 @@ pub use pipefisher_pipeline as pipeline;
 pub use pipefisher_sim as sim;
 pub use pipefisher_tensor as tensor;
 pub use pipefisher_trace as trace;
+
+/// Compiles and runs the Rust snippets of `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -1,8 +1,8 @@
 //! PipeFisher on schedules *beyond* the paper's three — exercising the
-//! "works with any pipeline scheme" claim through the `assign_graph` API.
+//! "works with any pipeline scheme" claim: `assign` takes any task graph.
 
-use pipefisher::core::{assign_graph, FitStrategy, GraphAssignOptions};
-use pipefisher::pipeline::{build_interleaved_1f1b, with_recompute, PipelineScheme};
+use pipefisher::core::{assign, AssignOptions, FitStrategy};
+use pipefisher::pipeline::{build_interleaved_1f1b, PipelineScheme};
 use pipefisher::sim::KindCost;
 
 fn kfac_costs() -> KindCost {
@@ -20,15 +20,11 @@ fn kfac_costs() -> KindCost {
     }
 }
 
-fn options() -> GraphAssignOptions {
-    GraphAssignOptions {
+fn options() -> AssignOptions {
+    AssignOptions {
         fit: FitStrategy::FirstFit,
         w: 1,
-        max_steps: 64,
         granularity: 4,
-        recompute_releases_a: false,
-        device_pairing: None,
-        always_sync_grad: false,
     }
 }
 
@@ -36,14 +32,13 @@ fn options() -> GraphAssignOptions {
 fn interleaved_1f1b_gets_filled() {
     for v in [2usize, 4] {
         let g = build_interleaved_1f1b(4, 4, v);
-        let s =
-            assign_graph(&g, &kfac_costs(), &options()).unwrap_or_else(|e| panic!("v={v}: {e}"));
+        let s = assign(&g, &kfac_costs(), &options()).unwrap_or_else(|e| panic!("v={v}: {e}"));
         let problems = s.check_invariants();
         assert!(problems.is_empty(), "v={v}: {problems:?}");
         assert!(s.steady_utilization > s.utilization_baseline, "v={v}");
         // Interleaving shrinks bubbles, so the refresh takes at least as
         // long as plain 1F1B's (the Chimera trade-off, generalized).
-        let plain = assign_graph(
+        let plain = assign(
             &PipelineScheme::OneFOneB.build(4, 4),
             &kfac_costs(),
             &options(),
@@ -63,60 +58,10 @@ fn interleaved_per_device_work_scales_with_v() {
     // Each device hosts v virtual stages → v× the curvature/inversion work
     // and v× the precondition tail.
     let opts = options();
-    let s1 = assign_graph(&build_interleaved_1f1b(4, 4, 1), &kfac_costs(), &opts).unwrap();
-    let s2 = assign_graph(&build_interleaved_1f1b(4, 4, 2), &kfac_costs(), &opts).unwrap();
+    let s1 = assign(&build_interleaved_1f1b(4, 4, 1), &kfac_costs(), &opts).unwrap();
+    let s2 = assign(&build_interleaved_1f1b(4, 4, 2), &kfac_costs(), &opts).unwrap();
     let placed = |s: &pipefisher::core::PipeFisherSchedule| -> f64 {
         s.placements.iter().map(|p| p.end - p.start).sum()
     };
     assert!((placed(&s2) - 2.0 * placed(&s1)).abs() < 1e-9);
-}
-
-#[test]
-fn recompute_graph_via_assign_graph() {
-    // Feeding an externally recomputed graph through assign_graph with the
-    // matching release flag must equal the built-in recompute path.
-    let g = with_recompute(&PipelineScheme::GPipe.build(4, 4));
-    let mut opts = options();
-    opts.recompute_releases_a = true;
-    let s = assign_graph(&g, &kfac_costs(), &opts).unwrap();
-    assert!(s.check_invariants().is_empty());
-
-    let builtin = pipefisher::core::assign(&pipefisher::core::PipeFisherConfig {
-        scheme: PipelineScheme::GPipe,
-        d: 4,
-        n_micro: 4,
-        w: 1,
-        costs: kfac_costs(),
-        max_steps: 64,
-        chimera_pair_parallelism: false,
-        recompute: true,
-        granularity: 4,
-    })
-    .unwrap();
-    assert_eq!(s.placements, builtin.placements);
-    assert!((s.t_step - builtin.t_step).abs() < 1e-12);
-}
-
-#[test]
-fn custom_pairing_splits_inversion() {
-    // Pair devices (0,1) and (2,3) on a plain 1F1B schedule — not a real
-    // topology, but assign_graph must honor it: inversion halves and
-    // sync-curvature appears.
-    let g = PipelineScheme::OneFOneB.build(4, 4);
-    let mut opts = options();
-    let unpaired = assign_graph(&g, &kfac_costs(), &opts).unwrap();
-    opts.device_pairing = Some(vec![1, 0, 3, 2]);
-    let paired = assign_graph(&g, &kfac_costs(), &opts).unwrap();
-    let inv = |s: &pipefisher::core::PipeFisherSchedule| -> f64 {
-        s.placements
-            .iter()
-            .filter(|p| matches!(p.kind, pipefisher::pipeline::WorkKind::Inversion(_)))
-            .map(|p| p.end - p.start)
-            .sum()
-    };
-    assert!((inv(&paired) - inv(&unpaired) / 2.0).abs() < 1e-9);
-    assert!(paired
-        .placements
-        .iter()
-        .any(|p| p.kind == pipefisher::pipeline::WorkKind::SyncCurvature));
 }

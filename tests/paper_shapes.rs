@@ -3,15 +3,16 @@
 //! (Absolute numbers differ — our substrate is an analytic simulator, not
 //! the authors' P100 cluster — but these bands must hold.)
 
-use pipefisher::core::{assign, PipeFisherConfig};
+use pipefisher::core::{assign, AssignError, AssignOptions, FitStrategy, PipeFisherSchedule};
 use pipefisher::perfmodel::{
     model_step, setting_costs, stage_costs, stage_memory, HardwareProfile, StepModelInput,
     TransformerConfig,
 };
 use pipefisher::pipeline::PipelineScheme;
 
-/// Builds the assignment config for a paper setting.
-fn setting(
+/// Runs the first-fit assignment of a paper setting on P100, one chunk per
+/// block.
+fn assign_setting(
     arch: &TransformerConfig,
     scheme: PipelineScheme,
     d: usize,
@@ -19,19 +20,22 @@ fn setting(
     b_micro: usize,
     blocks: usize,
     w: usize,
-) -> PipeFisherConfig {
-    let hw = HardwareProfile::p100();
-    PipeFisherConfig {
+) -> Result<PipeFisherSchedule, AssignError> {
+    let costs = setting_costs(
+        arch,
+        &HardwareProfile::p100(),
         scheme,
-        d,
-        n_micro,
+        blocks,
+        b_micro,
         w,
-        costs: setting_costs(arch, &hw, scheme, blocks, b_micro, w, false),
-        max_steps: 64,
-        chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
-        recompute: false,
+        false,
+    );
+    let opts = AssignOptions {
+        fit: FitStrategy::FirstFit,
+        w,
         granularity: blocks,
-    }
+    };
+    assign(&scheme.build(d, n_micro), &costs, &opts)
 }
 
 #[test]
@@ -39,16 +43,7 @@ fn fig3_bert_base_gpipe_refresh_within_two_steps() {
     // Paper §3.1: "the curvature and inverse matrices are refreshed within a
     // maximum of 2 steps" for BERT-Base, D=4, 3 blocks/stage, B_micro=32.
     for scheme in [PipelineScheme::GPipe, PipelineScheme::OneFOneB] {
-        let s = assign(&setting(
-            &TransformerConfig::bert_base(),
-            scheme,
-            4,
-            4,
-            32,
-            3,
-            1,
-        ))
-        .unwrap();
+        let s = assign_setting(&TransformerConfig::bert_base(), scheme, 4, 4, 32, 3, 1).unwrap();
         // Steady state ≤ 2 steps; cold start may take one extra on 1F1B,
         // whose early bubbles are more fragmented.
         assert!(
@@ -73,7 +68,7 @@ fn fig3_bert_base_gpipe_refresh_within_two_steps() {
 fn fig4_bert_large_chimera_shapes() {
     // Paper Fig. 4: utilization 59.8% -> 97.6%; refresh 2-4 steps;
     // per-step overhead ≈ 6.5%.
-    let s = assign(&setting(
+    let s = assign_setting(
         &TransformerConfig::bert_large(),
         PipelineScheme::Chimera,
         8,
@@ -81,7 +76,7 @@ fn fig4_bert_large_chimera_shapes() {
         32,
         3,
         1,
-    ))
+    )
     .unwrap();
     assert!(
         (0.55..0.75).contains(&s.utilization_baseline),
@@ -102,7 +97,7 @@ fn fig4_bert_large_chimera_shapes() {
 fn table2_simulated_training_time_ratio() {
     // Paper Table 2: K-FAC(5000 steps) / NVLAMB(7038 steps) = 75.7% of the
     // wall-clock. Our band: 70-82%.
-    let s = assign(&setting(
+    let s = assign_setting(
         &TransformerConfig::bert_large(),
         PipelineScheme::Chimera,
         8,
@@ -110,7 +105,7 @@ fn table2_simulated_training_time_ratio() {
         32,
         3,
         1,
-    ))
+    )
     .unwrap();
     let ratio = (s.t_step * 5_000.0) / (s.t_step_baseline * 7_038.0);
     assert!((0.70..0.82).contains(&ratio), "time ratio {ratio}");
@@ -120,7 +115,7 @@ fn table2_simulated_training_time_ratio() {
 fn fig6_256_gpu_time_ratio() {
     // Paper Fig. 6 (right): K-FAC reaches NVLAMB's final loss in 48.7% of
     // the wall-clock on 256 GPUs (2961 vs 7038 steps). Band: 40-55%.
-    let s = assign(&setting(
+    let s = assign_setting(
         &TransformerConfig::bert_base(),
         PipelineScheme::Chimera,
         4,
@@ -128,7 +123,7 @@ fn fig6_256_gpu_time_ratio() {
         32,
         3,
         64,
-    ))
+    )
     .unwrap();
     assert!(
         (0.70..0.80).contains(&s.utilization_baseline),
@@ -212,10 +207,14 @@ fn every_scheme_gets_filled_for_every_table3_arch() {
         for scheme in PipelineScheme::all() {
             // Per-layer granularity (6 linears per block), as in the paper's
             // work queue — needed for the small-bubble (B_micro = 8) cases.
-            let mut cfg = setting(&arch, scheme, 4, 4, 8, 2, 1);
-            cfg.granularity = 2 * 6;
-            let s =
-                assign(&cfg).unwrap_or_else(|e| panic!("{} / {}: {e}", arch.name, scheme.name()));
+            let costs = setting_costs(&arch, &HardwareProfile::p100(), scheme, 2, 8, 1, false);
+            let opts = AssignOptions {
+                fit: FitStrategy::FirstFit,
+                w: 1,
+                granularity: 2 * 6,
+            };
+            let s = assign(&scheme.build(4, 4), &costs, &opts)
+                .unwrap_or_else(|e| panic!("{} / {}: {e}", arch.name, scheme.name()));
             assert!(
                 s.steady_utilization > s.utilization_baseline,
                 "{} / {}",

@@ -1,8 +1,8 @@
 //! Property-based tests over schedules, simulation, and bubble assignment.
 
-use pipefisher::core::{assign, PipeFisherConfig};
+use pipefisher::core::{assign, AssignOptions, FitStrategy};
 use pipefisher::pipeline::{PipelineScheme, WorkKind};
-use pipefisher::sim::{simulate, KindCost, UniformCost};
+use pipefisher::sim::{simulate, KindCost};
 use proptest::prelude::*;
 
 fn scheme_strategy() -> impl Strategy<Value = PipelineScheme> {
@@ -38,7 +38,7 @@ proptest! {
     ) {
         let d = 2 * d_half;
         let g = scheme.build(d, d);
-        let tl = simulate(&g, &UniformCost::new(t_f, t_f * b_ratio)).unwrap();
+        let tl = simulate(&g, &KindCost::standard(t_f, t_f * b_ratio)).unwrap();
         let span = tl.makespan();
         prop_assert!(tl.is_overlap_free(1e-9));
         // Busy + bubbles == span per device.
@@ -75,18 +75,12 @@ proptest! {
             t_sync_grad: 0.05,
             t_sync_curv: 0.05,
         };
-        let config = PipeFisherConfig {
-            scheme,
-            d,
-            n_micro: d,
+        let opts = AssignOptions {
+            fit: FitStrategy::FirstFit,
             w: 1,
-            costs,
-            max_steps: 256,
-            chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
-            recompute: false,
             granularity: 4,
         };
-        let Ok(s) = assign(&config) else {
+        let Ok(s) = assign(&scheme.build(d, d), &costs, &opts) else {
             // Oversized chunks are a legitimate outcome for extreme draws.
             return Ok(());
         };
@@ -141,8 +135,8 @@ proptest! {
     ) {
         // GPipe bubble fraction (D−1)/(N+D−1) grows with D at N = D.
         let d = 2 * d_half;
-        let small = simulate(&PipelineScheme::GPipe.build(d - 2, d - 2), &UniformCost::new(1.0, 2.0)).unwrap();
-        let large = simulate(&PipelineScheme::GPipe.build(d, d), &UniformCost::new(1.0, 2.0)).unwrap();
+        let small = simulate(&PipelineScheme::GPipe.build(d - 2, d - 2), &KindCost::standard(1.0, 2.0)).unwrap();
+        let large = simulate(&PipelineScheme::GPipe.build(d, d), &KindCost::standard(1.0, 2.0)).unwrap();
         prop_assert!(large.utilization() < small.utilization() + 1e-9);
     }
 }
@@ -155,6 +149,7 @@ mod golden {
     use super::*;
     use pipefisher::core::PipeFisherSchedule;
     use pipefisher::perfmodel::{setting_costs, HardwareProfile, TransformerConfig};
+    use pipefisher::pipeline::with_recompute;
     use std::path::PathBuf;
 
     fn golden_path(file: &str) -> PathBuf {
@@ -196,7 +191,7 @@ mod golden {
         // N_micro = D with the canonical T_f=1, T_b=2 costs used throughout
         // the repo's schedule renderings.
         let graph = scheme.build(d, d);
-        let tl = simulate(&graph, &UniformCost::new(1.0, 2.0)).unwrap();
+        let tl = simulate(&graph, &KindCost::standard(1.0, 2.0)).unwrap();
         let json = tl.chrome_trace_json(1000.0);
         let rendered = format!("{}\n", serde_json::to_string_pretty(&json).unwrap());
 
@@ -268,18 +263,16 @@ mod golden {
         recompute: bool,
     ) -> PipeFisherSchedule {
         let costs = setting_costs(&arch, &HardwareProfile::p100(), scheme, 3, 32, w, recompute);
-        assign(&PipeFisherConfig {
-            scheme,
-            d,
-            n_micro: d,
+        let mut graph = scheme.build(d, d);
+        if recompute {
+            graph = with_recompute(&graph);
+        }
+        let opts = AssignOptions {
+            fit: FitStrategy::FirstFit,
             w,
-            costs,
-            max_steps: 64,
-            chimera_pair_parallelism: scheme == PipelineScheme::Chimera,
-            recompute,
             granularity: 3,
-        })
-        .unwrap()
+        };
+        assign(&graph, &costs, &opts).unwrap()
     }
 
     /// Pins every placement bit for bit (floats in `{:?}`) and the
