@@ -14,10 +14,12 @@
 //! async 1F1B as the horizon grows — and (b) the optimization side —
 //! convergence of fresh vs delayed gradients on the synthetic LM task.
 
-use pipefisher_bench::{pct, Setting};
+use pipefisher_bench::pct;
+use pipefisher_core::{assign, AssignOptions};
 use pipefisher_lm::{BatchSampler, OptimizerChoice, SyntheticLanguage, TrainOptions, Trainer};
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::LrSchedule;
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::{async_staleness, build_async_1f1b, PipelineScheme};
 use pipefisher_sim::simulate;
 use rand::rngs::StdRng;
@@ -43,7 +45,8 @@ fn main() {
             pct(tl.utilization())
         );
     }
-    let pf = setting.schedule().unwrap();
+    let opts = AssignOptions::for_setting(&setting);
+    let pf = assign(&setting.graph(), &costs, &opts).unwrap();
     println!(
         "  sync 1F1B + PipeFisher:              {} (and curvature refreshed every {:.1} steps)",
         pct(pf.steady_utilization),

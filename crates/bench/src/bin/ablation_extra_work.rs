@@ -12,17 +12,19 @@
 //!   ("twice the work of regular SGD"): we report how many steps of bubbles
 //!   a full SAM pass needs, i.e. whether bubbles could hide it.
 
-use pipefisher_bench::{pct, Setting};
-use pipefisher_core::{assign, AssignError, AssignOptions, FitStrategy};
-use pipefisher_perfmodel::shampoo_stage_costs;
+use pipefisher_bench::pct;
+use pipefisher_core::{assign, AssignError, AssignOptions};
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
     println!("=== Ablation: filling bubbles with Shampoo and SAM work (paper §5) ===\n");
 
     // --- K-FAC reference (Figure 3 setting). ---
-    let kfac_setting = Setting::fig3(PipelineScheme::GPipe, 1);
-    let kfac = kfac_setting.schedule().expect("kfac fits");
+    let setting = Setting::fig3(PipelineScheme::GPipe, 1);
+    let graph = setting.graph();
+    let opts = AssignOptions::for_setting(&setting);
+    let kfac = assign(&graph, &setting.costs(), &opts).expect("kfac fits");
     println!(
         "K-FAC   (BERT-Base, GPipe D=4): refresh {:.1} steps steady, utilization {}",
         kfac.steady_refresh_steps,
@@ -30,15 +32,7 @@ fn main() {
     );
 
     // --- Shampoo with the same pipeline. ---
-    let mut shampoo_costs = shampoo_stage_costs(
-        &kfac_setting.arch,
-        &kfac_setting.hw,
-        kfac_setting.blocks_per_stage,
-        kfac_setting.b_micro,
-        false,
-    );
-    shampoo_costs.t_sync_grad = kfac_setting.costs().t_sync_grad;
-    shampoo_costs.t_sync_curv = kfac_setting.costs().t_sync_curv;
+    let shampoo_costs = setting.shampoo_costs();
 
     println!("\nShampoo root work (eigendecompositions) vs granularity:");
     println!(
@@ -52,11 +46,10 @@ fn main() {
         ("per layer split 4x (72)", 72),
     ] {
         let opts = AssignOptions {
-            fit: FitStrategy::FirstFit,
-            w: kfac_setting.w,
             granularity,
+            ..AssignOptions::for_setting(&setting)
         };
-        match assign(&kfac_setting.graph(), &shampoo_costs, &opts) {
+        match assign(&graph, &shampoo_costs, &opts) {
             Ok(s) => println!(
                 "{:>24} | {:>12} | {:>22.1}",
                 label, "yes", s.steady_refresh_steps
@@ -81,8 +74,7 @@ fn main() {
     for scheme in PipelineScheme::all() {
         let setting = Setting::fig3(scheme, 1);
         let costs = setting.costs();
-        let graph = scheme.build(setting.d, setting.n_micro);
-        let base = pipefisher_sim::simulate(&graph, &costs).expect("simulates");
+        let base = pipefisher_sim::simulate(&setting.graph(), &costs).expect("simulates");
         let t_step = base.makespan();
         let bubble_per_device = t_step - base.device_busy(0);
         let sam_work = setting.n_micro as f64 * (costs.t_f + costs.t_b);

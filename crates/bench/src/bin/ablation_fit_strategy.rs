@@ -7,9 +7,9 @@
 //! the two on the paper's settings and on the interleaved schedule (whose
 //! bubbles are the most fragmented).
 
-use pipefisher_bench::Setting;
 use pipefisher_core::{assign, AssignOptions, FitStrategy};
-use pipefisher_pipeline::{build_interleaved_1f1b, PipelineScheme};
+use pipefisher_perfmodel::Setting;
+use pipefisher_pipeline::{build_interleaved_1f1b, PipelineScheme, TaskGraph};
 
 fn main() {
     println!("=== Ablation: bubble fit strategy (first-fit vs best-fit) ===\n");
@@ -18,39 +18,34 @@ fn main() {
         "schedule", "first-fit refresh", "best-fit refresh"
     );
 
-    let mut rows: Vec<(
-        String,
-        pipefisher_pipeline::TaskGraph,
-        pipefisher_sim::KindCost,
-        usize,
-    )> = Vec::new();
+    // Each row runs one Figure 3 setting's costs on a schedule, in
+    // per-layer chunks (6 linears per block).
+    let mut rows: Vec<(String, Setting, TaskGraph)> = Vec::new();
     for scheme in PipelineScheme::all() {
         let setting = Setting::fig3(scheme, 1);
+        let graph = setting.graph();
         rows.push((
             format!("{} (BERT-Base, D=4)", scheme.name()),
-            setting.graph(),
-            setting.costs(),
-            setting.blocks_per_stage * 6,
+            setting,
+            graph,
         ));
     }
     for v in [2usize, 4] {
-        let setting = Setting::fig3(PipelineScheme::OneFOneB, 1);
         rows.push((
             format!("interleaved-1f1b v={v}"),
+            Setting::fig3(PipelineScheme::OneFOneB, 1),
             build_interleaved_1f1b(4, 4, v),
-            setting.costs(),
-            setting.blocks_per_stage * 6,
         ));
     }
 
-    for (label, graph, costs, granularity) in rows {
+    for (label, setting, graph) in rows {
         let run = |fit: FitStrategy| {
             let opts = AssignOptions {
                 fit,
-                w: 1,
-                granularity,
+                granularity: setting.blocks_per_stage * 6,
+                ..AssignOptions::for_setting(&setting)
             };
-            assign(&graph, &costs, &opts)
+            assign(&graph, &setting.costs(), &opts)
         };
         let first = run(FitStrategy::FirstFit);
         let best = run(FitStrategy::BestFit);

@@ -9,10 +9,7 @@
 //! scaled model with `K`-block-diagonal factors stays in the same band as
 //! the unscaled model, while full factors blow up both memory and ratio.
 
-use pipefisher_perfmodel::{
-    flops, model_step, stage_costs, stage_memory, HardwareProfile, StepModelInput,
-    TransformerConfig,
-};
+use pipefisher_perfmodel::{flops, model_step, HardwareProfile, Setting, TransformerConfig};
 use pipefisher_pipeline::PipelineScheme;
 
 fn scaled(base: &TransformerConfig, k: usize) -> TransformerConfig {
@@ -43,8 +40,19 @@ fn main() {
     );
     for k in [1usize, 2, 4, 8] {
         let arch = scaled(&base, k);
+        let setting = Setting {
+            arch: arch.clone(),
+            hw: hw.clone(),
+            scheme: PipelineScheme::Chimera,
+            d: 8,
+            n_micro: 8,
+            b_micro: 8,
+            blocks_per_stage: 1,
+            w: 1,
+            recompute: false,
+        };
         let mk = |blockdiag: bool| {
-            let mut costs = stage_costs(&arch, &hw, 1, 8, false);
+            let mut costs = setting.costs();
             if blockdiag {
                 costs.t_curv_a = hw.gemm_time(flops::curvature_flops_per_token_blockdiag(&arch, k))
                     * (8 * arch.seq_len) as f64
@@ -54,16 +62,7 @@ fn main() {
                 costs.t_inv_a = inv / 2.0;
                 costs.t_inv_b = inv / 2.0;
             }
-            model_step(&StepModelInput {
-                scheme: PipelineScheme::Chimera,
-                d: 8,
-                n_micro: 8,
-                b_micro: 8,
-                w: 1,
-                costs,
-                memory: stage_memory(&arch, 1, 8, false),
-                hw: hw.clone(),
-            })
+            model_step(&setting, &costs)
         };
         let full = mk(false);
         let bd = mk(true);

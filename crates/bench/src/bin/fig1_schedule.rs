@@ -5,7 +5,9 @@
 //! PipeFisher-augmented static schedule (bottom, bubbles filled with
 //! curvature `C` and inversion `I` work, precondition `P` at step ends).
 
-use pipefisher_bench::{pct, Setting};
+use pipefisher_bench::pct;
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_sim::{simulate, Timeline};
 
@@ -18,7 +20,7 @@ fn main() {
     println!("=== Figure 1: GPipe w/ 4 stages, 4 micro-batches, 4 devices ===\n");
 
     // (a) Baseline GPipe, two steps back to back.
-    let graph = PipelineScheme::GPipe.build(4, 4);
+    let graph = setting.graph();
     let one_step = simulate(&graph, &costs).expect("gpipe simulates");
     let t_step = one_step.makespan();
     let mut two_steps = Timeline::new(4);
@@ -35,7 +37,8 @@ fn main() {
     println!("    GPU utilization: {}\n", pct(two_steps.utilization()));
 
     // (b) PipeFisher on the same pipeline.
-    let schedule = setting.schedule().expect("assignment fits");
+    let schedule =
+        assign(&graph, &costs, &AssignOptions::for_setting(&setting)).expect("assignment fits");
     println!(
         "(b) PipeFisher (C=curvature, I=inversion, P=precondition), refresh every {} step(s):",
         schedule.refresh_steps

@@ -15,7 +15,9 @@
 //! Chrome/Perfetto trace to `results/fig3_<scheme>.trace.json` — the
 //! reproduction's stand-in for the paper's Nsight Systems screenshots.
 
-use pipefisher_bench::{fmt_ms, pct, Setting};
+use pipefisher_bench::{fmt_ms, pct};
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -28,7 +30,9 @@ fn main() {
             ("PipeFisher + data/inv parallel (8 GPUs, W=2)", 2),
         ] {
             let setting = Setting::fig3(scheme, w);
-            let schedule = setting.schedule().expect("assignment fits");
+            let opts = AssignOptions::for_setting(&setting);
+            let schedule =
+                assign(&setting.graph(), &setting.costs(), &opts).expect("assignment fits");
             if w == 1 {
                 println!(
                     "  baseline (Adam):    utilization {:>6}   step {:>9}",

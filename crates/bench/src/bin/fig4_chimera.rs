@@ -9,7 +9,9 @@
 //! Paper shape targets: utilization 59.8 % → 97.6 %; refresh in 4 steps for
 //! the outermost stages and 2 for the rest; per-step overhead ≈ 6.5 %.
 
-use pipefisher_bench::{fmt_ms, pct, Setting};
+use pipefisher_bench::{fmt_ms, pct};
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::WorkKind;
 
 fn main() {
@@ -17,7 +19,8 @@ fn main() {
         "=== Figure 4: BERT-Large, Chimera D=8 (3 blocks/stage), 8 GPUs, B_micro=32, P100 ===\n"
     );
     let setting = Setting::fig4();
-    let schedule = setting.schedule().expect("assignment fits");
+    let opts = AssignOptions::for_setting(&setting);
+    let schedule = assign(&setting.graph(), &setting.costs(), &opts).expect("assignment fits");
 
     println!(
         "baseline (Adam):  utilization {:>6}   step {:>9}",

@@ -11,8 +11,7 @@
 //!   PipeFisher (nearly identical — precondition is small);
 //! * (b) bottom: the (curvature+inversion)-bubble ratio.
 
-use pipefisher_bench::Setting;
-use pipefisher_perfmodel::{model_step, HardwareProfile, TransformerConfig};
+use pipefisher_perfmodel::{model_step, HardwareProfile, Setting, TransformerConfig};
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -47,7 +46,7 @@ fn main() {
                     w: 1,
                     recompute,
                 };
-                model_step(&s.step_model_input())
+                model_step(&s, &s.costs())
             };
             let m = mk(false);
             let mr = mk(true);

@@ -12,10 +12,12 @@
 //! loss in well under 100 % of the baseline's steps. Wall-clock mapping to
 //! the 256-GPU cluster is done by `fig6_time_mapping`.
 
-use pipefisher_bench::{fmt_minutes, pct, Setting};
+use pipefisher_bench::{fmt_minutes, pct};
+use pipefisher_core::{assign, AssignOptions};
 use pipefisher_lm::{BatchSampler, OptimizerChoice, SyntheticLanguage, Trainer};
 use pipefisher_nn::{BertConfig, BertForPreTraining};
 use pipefisher_optim::{KfacConfig, LrSchedule};
+use pipefisher_perfmodel::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,7 +67,8 @@ fn main() {
 
     // K-FAC with the PipeFisher-achievable refresh interval.
     let fig6 = Setting::fig6();
-    let schedule = fig6.schedule().expect("fig6 assignment fits");
+    let opts = AssignOptions::for_setting(&fig6);
+    let schedule = assign(&fig6.graph(), &fig6.costs(), &opts).expect("fig6 assignment fits");
     let refresh = schedule.steady_refresh_steps.ceil().max(1.0) as usize;
     let (mut trainer, mut model, _, _) = make(42);
     let mut trainer2 = Trainer::new(trainer_sampler_clone(&mut trainer), BATCH, kfac_sched, 42);

@@ -7,7 +7,9 @@
 //! K-FAC reaches NVLAMB's final loss (3.41) at 2,961 steps = 48.4 min
 //! (48.7 %), while utilization improves from 75.9 % to 93.2 %.
 
-use pipefisher_bench::{fmt_minutes, fmt_ms, pct, Setting};
+use pipefisher_bench::{fmt_minutes, fmt_ms, pct};
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 
 const NVLAMB_STEPS: usize = 7_038;
 /// Steps for K-FAC to reach NVLAMB's final loss, from the paper's Fig. 6
@@ -18,7 +20,8 @@ const KFAC_STEPS_TO_TARGET: usize = 2_961;
 fn main() {
     println!("=== Figure 6 (right): BERT-Base Phase 1 on 256 P100s (Chimera, D=4, W=64) ===\n");
     let setting = Setting::fig6();
-    let schedule = setting.schedule().expect("assignment fits");
+    let opts = AssignOptions::for_setting(&setting);
+    let schedule = assign(&setting.graph(), &setting.costs(), &opts).expect("assignment fits");
 
     println!(
         "utilization: {} (NVLAMB/Chimera) -> {} (K-FAC/PipeFisher)   [paper: 75.9% -> 93.2%]",

@@ -8,7 +8,9 @@
 //!
 //! This binary reproduces the table with our simulated per-step times.
 
-use pipefisher_bench::{fmt_minutes, fmt_ms, pct, Setting};
+use pipefisher_bench::{fmt_minutes, fmt_ms, pct};
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 
 /// Step counts from Pauloski et al. (2022), as used by the paper.
 const NVLAMB_STEPS: usize = 7_038;
@@ -18,7 +20,8 @@ const PHASE2_STEPS: usize = 1_563;
 fn main() {
     println!("=== Table 2: BERT-Large Phase 1 (mini-batch 64K), simulated wall-clock ===\n");
     let setting = Setting::fig4();
-    let schedule = setting.schedule().expect("assignment fits");
+    let opts = AssignOptions::for_setting(&setting);
+    let schedule = assign(&setting.graph(), &setting.costs(), &opts).expect("assignment fits");
 
     let t_nvlamb = schedule.t_step_baseline;
     let t_kfac = schedule.t_step;

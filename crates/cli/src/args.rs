@@ -60,6 +60,35 @@ pub(crate) fn positive(value: usize, name: &str) -> Result<usize, String> {
     Ok(value)
 }
 
+/// The one flag rule of every subcommand: `flags` names the flags
+/// `command` reads, spelled as in its usage line — `--json` is a switch,
+/// `--trace-out FILE` takes a value. Any other `--flag` is an error, and so
+/// is a value flag whose value is missing (it ends `argv`, or another
+/// `--flag` follows it).
+pub fn check_flags(command: &str, argv: &[String], flags: &[&str]) -> Result<(), String> {
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(spec) = flags
+            .iter()
+            .find(|f| f.split(' ').next() == Some(arg.as_str()))
+        else {
+            let known = if flags.is_empty() {
+                "none".to_string()
+            } else {
+                flags.join(" | ")
+            };
+            return Err(format!("unknown {command} flag '{arg}' ({known})"));
+        };
+        if spec.contains(' ') && rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{arg} needs a value ({spec})"));
+        }
+    }
+    Ok(())
+}
+
 /// Whether a `--flag` is present anywhere in the arguments.
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -206,15 +235,9 @@ pub fn train_checkpoint(
 }
 
 /// Parses `soak [N] [--seed S] [--out FILE]` into a harness config plus the
-/// report path (default `results/SOAK.json`); any other `--flag` is an
-/// error rather than silently ignored.
+/// report path (default `results/SOAK.json`).
 pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, String), String> {
-    if let Some(flag) = argv
-        .iter()
-        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--seed" | "--out"))
-    {
-        return Err(format!("unknown soak flag '{flag}' (--seed | --out)"));
-    }
+    check_flags("soak", argv, &["--seed S", "--out FILE"])?;
     let mut cfg = pipefisher_harness::SoakConfig::default();
     if let Some(first) = argv.first().filter(|a| !a.starts_with("--")) {
         let n = first
@@ -590,6 +613,71 @@ mod tests {
         assert_eq!(err, "scenario count must be >= 1");
         assert!(soak_config(&argv(&["lots"])).is_err());
         assert!(soak_config(&argv(&["--seed", "x"])).is_err());
+    }
+
+    /// `run`'s error for `argv`, which must be one.
+    fn rejected(run: fn(&[String]) -> Result<(), String>, parts: &[&str]) -> String {
+        run(&argv(parts)).expect_err("accepted")
+    }
+
+    #[test]
+    fn schedule_rejects_unread_and_valueless_flags() {
+        let run = crate::cmd_schedule::run;
+        let err = rejected(run, &["gpipe", "2", "2", "--trace-out"]);
+        assert_eq!(err, "--trace-out needs a value (--trace-out FILE)");
+        let err = rejected(run, &["gpipe", "2", "2", "--json"]);
+        assert!(err.starts_with("unknown schedule flag '--json'"), "{err}");
+        // A flag where the value should be is no value either.
+        let err = rejected(run, &["interleaved", "4", "8", "--virtual", "--csv"]);
+        assert!(err.starts_with("--virtual needs a value"), "{err}");
+    }
+
+    #[test]
+    fn assign_rejects_unread_and_valueless_flags() {
+        let run = crate::cmd_assign::run;
+        let setting = ["gpipe", "bert-base", "p100", "4", "32", "3", "1"];
+        let err = rejected(run, &[&setting[..], &["--trace-out"]].concat());
+        assert!(err.starts_with("--trace-out needs a value"), "{err}");
+        let err = rejected(run, &[&setting[..], &["--csv"]].concat());
+        assert!(err.starts_with("unknown assign flag '--csv'"), "{err}");
+    }
+
+    #[test]
+    fn model_rejects_unread_flags() {
+        let err = rejected(
+            crate::cmd_model::run,
+            &["bert-base", "p100", "4", "16", "--bogus"],
+        );
+        assert!(err.starts_with("unknown model flag '--bogus'"), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_unread_flags() {
+        let err = rejected(crate::cmd_sweep::run, &["bert-base", "--csv"]);
+        assert!(err.starts_with("unknown sweep flag '--csv'"), "{err}");
+    }
+
+    #[test]
+    fn train_rejects_unread_and_valueless_flags() {
+        // Rejected before a single step trains.
+        let run = crate::cmd_train::run;
+        let err = rejected(run, &["kfac", "1", "--threads", "2"]);
+        assert!(err.starts_with("unknown train flag '--threads'"), "{err}");
+        let err = rejected(run, &["kfac", "1", "--metrics-out"]);
+        assert!(err.starts_with("--metrics-out needs a value"), "{err}");
+    }
+
+    #[test]
+    fn ckpt_rejects_every_flag() {
+        let err = rejected(crate::cmd_ckpt::run, &["inspect", "ck", "--json"]);
+        assert_eq!(err, "unknown ckpt flag '--json' (none)");
+    }
+
+    #[test]
+    fn soak_rejects_a_valueless_out() {
+        // Not a default report path in place of the missing one.
+        let err = soak_config(&argv(&["4", "--out"])).unwrap_err();
+        assert_eq!(err, "--out needs a value (--out FILE)");
     }
 
     #[test]

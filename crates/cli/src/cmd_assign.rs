@@ -1,12 +1,16 @@
 //! `pipefisher assign` — run the bubble assignment for a paper-style setting.
 
 use crate::args;
-use pipefisher_core::{assign, AssignOptions, FitStrategy};
-use pipefisher_perfmodel::setting_costs;
-use pipefisher_pipeline::with_recompute;
+use pipefisher_core::{assign, AssignOptions};
+use pipefisher_perfmodel::Setting;
 use serde_json::json;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    args::check_flags(
+        "assign",
+        args,
+        &["--recompute", "--json", "--trace-out FILE"],
+    )?;
     let scheme = args::scheme(args.first().map(String::as_str).unwrap_or(""))?;
     let arch = args::arch(args.get(1).map(String::as_str).unwrap_or(""))?;
     let hw = args::hardware(args.get(2).map(String::as_str).unwrap_or(""))?;
@@ -35,17 +39,22 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let recompute = args::has_flag(args, "--recompute");
     let json_out = args::has_flag(args, "--json");
 
-    let mut graph = scheme.build(d, d);
-    if recompute {
-        graph = with_recompute(&graph);
-    }
-    let costs = setting_costs(&arch, &hw, scheme, blocks, b_micro, w, recompute);
-    let opts = AssignOptions {
-        fit: FitStrategy::FirstFit,
+    let setting = Setting {
+        arch,
+        hw,
+        scheme,
+        d,
+        n_micro: d,
+        b_micro,
+        blocks_per_stage: blocks,
         w,
-        granularity: blocks * 6, // per-layer chunks
+        recompute,
     };
-    let schedule = assign(&graph, &costs, &opts).map_err(|e| e.to_string())?;
+    let opts = AssignOptions {
+        granularity: blocks * 6, // per-layer chunks
+        ..AssignOptions::for_setting(&setting)
+    };
+    let schedule = assign(&setting.graph(), &setting.costs(), &opts).map_err(|e| e.to_string())?;
 
     if let Some(path) = args::flag_value(args, "--trace-out") {
         // Assignment timelines are in seconds; trace timestamps are µs.
@@ -59,8 +68,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if json_out {
         let out = json!({
             "scheme": scheme.name(),
-            "arch": arch.name,
-            "hw": hw.name,
+            "arch": setting.arch.name,
+            "hw": setting.hw.name,
             "d": d,
             "b_micro": b_micro,
             "blocks_per_stage": blocks,
@@ -80,8 +89,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!(
         "{} / {} on {} — D={d}, B_micro={b_micro}, {blocks} block(s)/stage, W={w}",
         scheme.name(),
-        arch.name,
-        hw.name
+        setting.arch.name,
+        setting.hw.name
     );
     println!(
         "baseline:   step {:.1} ms, utilization {:.1}%",

@@ -10,6 +10,7 @@ use pipefisher_lm::TrainCheckpoint;
 use std::path::PathBuf;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    crate::args::check_flags("ckpt", args, &[])?;
     match args.first().map(String::as_str) {
         Some("inspect") => inspect(args.get(1).ok_or("missing <PATH> to inspect")?),
         other => Err(format!("unknown ckpt subcommand {other:?} (inspect)")),

@@ -1,31 +1,35 @@
 //! `pipefisher model` — evaluate the §3.3 closed-form step model.
 
 use crate::args;
-use pipefisher_perfmodel::{model_step, stage_costs, stage_memory, StepModelInput};
+use pipefisher_perfmodel::{model_step, Setting};
 use pipefisher_pipeline::PipelineScheme;
 use serde_json::json;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    args::check_flags("model", args, &["--json"])?;
     let arch = args::arch(args.first().map(String::as_str).unwrap_or(""))?;
     let hw = args::hardware(args.get(1).map(String::as_str).unwrap_or(""))?;
     let d = args::positive(args::int(args, 2, "D")?, "<D>")?;
     let b_micro = args::positive(args::int(args, 3, "B_micro")?, "<B_micro>")?;
     let json_out = args::has_flag(args, "--json");
 
-    let mut rows = Vec::new();
-    for scheme in PipelineScheme::all() {
-        let m = model_step(&StepModelInput {
-            scheme,
-            d,
-            n_micro: d,
-            b_micro,
-            w: 1,
-            costs: stage_costs(&arch, &hw, 1, b_micro, false),
-            memory: stage_memory(&arch, 1, b_micro, false),
-            hw: hw.clone(),
-        });
-        rows.push((scheme, m));
-    }
+    let rows: Vec<_> = PipelineScheme::all()
+        .into_iter()
+        .map(|scheme| {
+            let setting = Setting {
+                arch: arch.clone(),
+                hw: hw.clone(),
+                scheme,
+                d,
+                n_micro: d,
+                b_micro,
+                blocks_per_stage: 1,
+                w: 1,
+                recompute: false,
+            };
+            (scheme, model_step(&setting, &setting.costs()))
+        })
+        .collect();
 
     if json_out {
         let out: Vec<_> = rows

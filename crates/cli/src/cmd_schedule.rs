@@ -4,6 +4,17 @@ use crate::args;
 use pipefisher_sim::{simulate, KindCost};
 
 pub fn run(argv: &[String]) -> Result<(), String> {
+    args::check_flags(
+        "schedule",
+        argv,
+        &[
+            "--recompute",
+            "--csv",
+            "--virtual V",
+            "--steps K",
+            "--trace-out FILE",
+        ],
+    )?;
     let d = args::int(argv, 1, "D")?;
     let n = args::int(argv, 2, "N_micro")?;
     let recompute = args::has_flag(argv, "--recompute");

@@ -1,13 +1,12 @@
 //! `pipefisher sweep` — refresh-ratio sweep across D, B_micro, hardware.
 
 use crate::args;
-use pipefisher_perfmodel::{
-    model_step, stage_costs, stage_memory, HardwareProfile, StepModelInput,
-};
+use pipefisher_perfmodel::{model_step, HardwareProfile, Setting};
 use pipefisher_pipeline::PipelineScheme;
 use serde_json::json;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    args::check_flags("sweep", args, &["--json"])?;
     let arch = args::arch(args.first().map(String::as_str).unwrap_or(""))?;
     let json_out = args::has_flag(args, "--json");
 
@@ -15,16 +14,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for hw in HardwareProfile::all() {
         for d in [4usize, 8, 16, 32] {
             for b_micro in [1usize, 4, 16, 32] {
-                let m = model_step(&StepModelInput {
+                let setting = Setting {
+                    arch: arch.clone(),
+                    hw: hw.clone(),
                     scheme: PipelineScheme::Chimera,
                     d,
                     n_micro: d,
                     b_micro,
+                    blocks_per_stage: 1,
                     w: 1,
-                    costs: stage_costs(&arch, &hw, 1, b_micro, false),
-                    memory: stage_memory(&arch, 1, b_micro, false),
-                    hw: hw.clone(),
-                });
+                    recompute: false,
+                };
+                let m = model_step(&setting, &setting.costs());
                 records.push((hw.name.clone(), d, b_micro, m.throughput, m.ratio));
             }
         }

@@ -10,6 +10,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    args::check_flags(
+        "train",
+        args,
+        &[
+            "--seed N",
+            "--trace-out FILE",
+            "--metrics-out FILE",
+            "--pipeline-stages D",
+            "--scheme S",
+            "--micro-batches N",
+            "--no-fill",
+            "--checkpoint-dir DIR",
+            "--checkpoint-every N",
+            "--checkpoint-retain R",
+            "--resume latest|PATH",
+        ],
+    )?;
     let choice = match args.first().map(String::as_str) {
         Some("lamb") => OptimizerChoice::Lamb { weight_decay: 0.01 },
         Some("kfac") => OptimizerChoice::Kfac {

@@ -2,13 +2,18 @@
 //!
 //! ```text
 //! pipefisher schedule <scheme> <D> <N_micro> [--recompute] [--csv] [--trace-out FILE]
-//! pipefisher assign   <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W] [--json]
+//! pipefisher assign   <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W]
+//!                     [--recompute] [--json] [--trace-out FILE]
 //! pipefisher model    <arch> <hw> <D> <B_micro> [--json]
 //! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE]
 //!                     [--pipeline-stages D] [--scheme S] [--micro-batches N] [--no-fill]
 //! pipefisher soak     [N] [--seed S] [--out FILE]
 //! pipefisher sweep    <arch> [--json]
+//! pipefisher ckpt     inspect <PATH>
 //! ```
+//!
+//! Each subcommand names the flags it reads (`args::check_flags`): any
+//! other `--flag`, or a value flag without its value, is an error.
 
 mod args;
 mod cmd_assign;
@@ -32,7 +37,7 @@ USAGE:
         --trace-out also write a Chrome/Perfetto trace of the timeline.
 
     pipefisher assign <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W]
-                      [--json] [--trace-out FILE]
+                      [--recompute] [--json] [--trace-out FILE]
         Run PipeFisher's bubble assignment for a paper-style setting and
         report utilization, refresh interval, and the filled timeline.
 

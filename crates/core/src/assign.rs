@@ -1,5 +1,6 @@
 //! The greedy bubble-filling assignment algorithm.
 
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::{Factor, TaskGraph, WorkKind};
 use pipefisher_sim::{simulate, Interval, KindCost, Timeline};
 use std::error::Error;
@@ -290,6 +291,20 @@ pub struct AssignOptions {
     /// built and inverted layer by layer). Set this to the number of blocks
     /// per stage (or finer); `1` keeps whole-stage chunks.
     pub granularity: usize,
+}
+
+impl AssignOptions {
+    /// The paper's first-fit assignment of `setting`: its `W`, one chunk
+    /// per transformer block (`granularity = blocks_per_stage`). Run it on
+    /// `setting.graph()` with `setting.costs()`; change a field with struct
+    /// update syntax for the ablations (per-layer chunks, best fit).
+    pub fn for_setting(setting: &Setting) -> Self {
+        AssignOptions {
+            fit: FitStrategy::FirstFit,
+            w: setting.w,
+            granularity: setting.blocks_per_stage,
+        }
+    }
 }
 
 /// Runs the automatic work assignment (paper §3.1–3.2) on **any** pipeline
@@ -637,7 +652,7 @@ pub fn assign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefisher_pipeline::{with_recompute, PipelineScheme, StageAssignment};
+    use pipefisher_pipeline::{with_recompute, PipelineScheme};
 
     fn kfac_costs(scale: f64) -> KindCost {
         KindCost {
@@ -864,22 +879,8 @@ mod tests {
     fn a_stage_on_three_hosts_is_rejected() {
         let mut g = TaskGraph::new("replicated", 3, 1, 3);
         for dev in 0..3 {
-            let f = g.push(
-                dev,
-                0,
-                Some(dev),
-                WorkKind::Forward,
-                StageAssignment::Single,
-                vec![],
-            );
-            g.push(
-                dev,
-                0,
-                Some(dev),
-                WorkKind::Backward,
-                StageAssignment::Single,
-                vec![f],
-            );
+            let f = g.push(dev, 0, Some(dev), WorkKind::Forward, vec![]);
+            g.push(dev, 0, Some(dev), WorkKind::Backward, vec![f]);
         }
         match assign(&g, &kfac_costs(1.0), &opts(1)) {
             Err(AssignError::Schedule(msg)) => assert!(msg.contains("3 hosts"), "{msg}"),
@@ -922,5 +923,20 @@ mod tests {
         // steps (the paper reports 2 for its Fig. 3 profile).
         let s = run(PipelineScheme::GPipe, 4, 1, &kfac_costs(1.0)).unwrap();
         assert!(s.refresh_steps <= 3, "refresh {}", s.refresh_steps);
+    }
+
+    #[test]
+    fn paper_settings_are_assignable_at_their_own_w() {
+        let fig3 = Setting::fig3(PipelineScheme::GPipe, 2);
+        let opts = AssignOptions::for_setting(&fig3);
+        assert_eq!((opts.w, opts.granularity), (2, 3));
+        let sched = assign(&fig3.graph(), &fig3.costs(), &opts).unwrap();
+        assert!(sched.utilization > sched.utilization_baseline);
+
+        let fig4 = Setting::fig4();
+        let opts = AssignOptions::for_setting(&fig4);
+        let sched = assign(&fig4.graph(), &fig4.costs(), &opts).unwrap();
+        let util = sched.steady_utilization;
+        assert!(util > 0.9, "util {util}");
     }
 }

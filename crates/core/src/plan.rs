@@ -374,7 +374,7 @@ impl ExecutablePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefisher_pipeline::{PipelineScheme, StageAssignment};
+    use pipefisher_pipeline::PipelineScheme;
 
     fn lower_scheme(scheme: PipelineScheme, d: usize, n: usize) -> ExecutablePlan {
         ExecutablePlan::lower(&scheme.build(d, n), true).unwrap()
@@ -667,54 +667,12 @@ mod tests {
         // F0 F1 B1 F2 B0 B2: F2 must land in slot 1 (freed by B1), while
         // mb 0 still holds slot 0.
         let mut g = TaskGraph::new("test", 1, 1, 3);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let f1 = g.push(
-            0,
-            0,
-            Some(1),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let _b1 = g.push(
-            0,
-            0,
-            Some(1),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f1],
-        );
-        let f2 = g.push(
-            0,
-            0,
-            Some(2),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let _b0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f0],
-        );
-        let _b2 = g.push(
-            0,
-            0,
-            Some(2),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f2],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let f1 = g.push(0, 0, Some(1), WorkKind::Forward, vec![]);
+        let _b1 = g.push(0, 0, Some(1), WorkKind::Backward, vec![f1]);
+        let f2 = g.push(0, 0, Some(2), WorkKind::Forward, vec![]);
+        let _b0 = g.push(0, 0, Some(0), WorkKind::Backward, vec![f0]);
+        let _b2 = g.push(0, 0, Some(2), WorkKind::Backward, vec![f2]);
         let plan = ExecutablePlan::lower(&g, true).unwrap();
         let slots: Vec<usize> = plan.devices[0]
             .ops
@@ -731,30 +689,9 @@ mod tests {
     #[test]
     fn missing_backward_is_an_error_not_a_skip() {
         let mut g = TaskGraph::new("bad", 2, 2, 1);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let f1 = g.push(
-            1,
-            1,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![f0],
-        );
-        let _b1 = g.push(
-            1,
-            1,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f1],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let f1 = g.push(1, 1, Some(0), WorkKind::Forward, vec![f0]);
+        let _b1 = g.push(1, 1, Some(0), WorkKind::Backward, vec![f1]);
         // Stage 0's backward is missing entirely.
         match ExecutablePlan::lower(&g, true) {
             Err(AssignError::MissingTask {
@@ -769,31 +706,10 @@ mod tests {
     #[test]
     fn missing_forward_is_an_error() {
         let mut g = TaskGraph::new("bad", 1, 1, 2);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let _b0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f0],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let _b0 = g.push(0, 0, Some(0), WorkKind::Backward, vec![f0]);
         // Micro-batch 1 has a backward but no forward.
-        let _b1 = g.push(
-            0,
-            0,
-            Some(1),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![],
-        );
+        let _b1 = g.push(0, 0, Some(1), WorkKind::Backward, vec![]);
         match ExecutablePlan::lower(&g, true) {
             Err(AssignError::MissingTask {
                 kind: WorkKind::Forward,
@@ -807,22 +723,8 @@ mod tests {
     #[test]
     fn split_forward_backward_devices_are_rejected() {
         let mut g = TaskGraph::new("bad", 2, 1, 1);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let _b0 = g.push(
-            1,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f0],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let _b0 = g.push(1, 0, Some(0), WorkKind::Backward, vec![f0]);
         match ExecutablePlan::lower(&g, true) {
             Err(AssignError::Schedule(msg)) => {
                 assert!(
@@ -837,30 +739,9 @@ mod tests {
     #[test]
     fn unsupported_task_kinds_are_rejected() {
         let mut g = TaskGraph::new("bad", 1, 1, 1);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let r = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Recompute,
-            StageAssignment::Single,
-            vec![f0],
-        );
-        let _b0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![r],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let r = g.push(0, 0, Some(0), WorkKind::Recompute, vec![f0]);
+        let _b0 = g.push(0, 0, Some(0), WorkKind::Backward, vec![r]);
         match ExecutablePlan::lower(&g, true) {
             Err(AssignError::Schedule(msg)) => assert!(msg.contains("not executable"), "{msg}"),
             other => panic!("expected Schedule error, got {other:?}"),

@@ -1,10 +1,8 @@
 //! Transformer architecture configurations (Table 3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Dimensions of one transformer block plus the sequence length it is
 /// evaluated at — exactly the columns of the paper's Table 3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransformerConfig {
     /// Architecture name, e.g. `"BERT-Base"`.
     pub name: String,

@@ -1,7 +1,5 @@
 //! Hardware roofline profiles for the paper's three GPUs.
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU's roofline parameters plus empirical efficiency factors.
 ///
 /// `gemm_efficiency` is the fraction of peak fp32 FLOP/s reached by the
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// limited parallelism leaves most SMs idle. The values are calibrated so
 /// the derived schedules reproduce the paper's measured utilizations and
 /// refresh intervals (see `tests/paper_shapes.rs` at the workspace root).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareProfile {
     /// Marketing name, e.g. `"P100"`.
     pub name: String,

@@ -12,11 +12,14 @@
 //! * [`flops`] — exact FLOP and byte counts for every work type (forward,
 //!   backward, recompute, curvature, inversion, precondition) of a
 //!   transformer block,
-//! * [`stage_costs`] / [`stage_memory`] — per-pipeline-stage durations
-//!   ([`pipefisher_sim::KindCost`]) and memory terms (`M_θ`, `M_act`,
-//!   `M_err^peak`, `M_err^save`, `M_curv = M_inv`); [`setting_costs`] adds
-//!   a paper setting's sync-grad / sync-curv collectives,
-//! * [`StepModel`] — the closed-form step model:
+//! * [`Setting`] — one paper setting (architecture × GPU × scheme × `D` ×
+//!   `N_micro` × `B_micro` × blocks per stage × `W` × recompute) and what
+//!   it derives: per-stage durations ([`pipefisher_sim::KindCost`], with
+//!   the setting's sync-grad / sync-curv collectives), memory terms
+//!   ([`StageMemory`]: `M_θ`, `M_act`, `M_err^peak`, `M_err^save`,
+//!   `M_curv = M_inv`) and the pipeline schedule; the paper's Figure 3/4/6
+//!   settings are presets,
+//! * [`model_step`] → [`StepModel`] — the closed-form step model:
 //!   `T_pipe = C_f·T_f + C_b·T_b`,
 //!   `T_bubble = T_pipe − N_micro·(T_f + T_b)`,
 //!   `T_kfac⁺ = N_micro·T_curv + T_inv + T_prec`, and the
@@ -25,15 +28,28 @@
 //! The substitution preserves the paper's conclusions because every claim in
 //! those figures is about *relative* durations (what fits into a bubble),
 //! which the FLOP-level model reproduces; see DESIGN.md §2.
+//!
+//! # Example
+//!
+//! ```
+//! use pipefisher_perfmodel::{model_step, Setting};
+//! use pipefisher_pipeline::PipelineScheme;
+//!
+//! // Figure 3: BERT-Base, GPipe, D = 4, 3 blocks/stage, B_micro = 32, P100.
+//! let setting = Setting::fig3(PipelineScheme::GPipe, 1);
+//! let m = model_step(&setting, &setting.costs());
+//! assert!(m.t_bubble > 0.0 && m.t_step_pipefisher > m.t_step_baseline);
+//! // One curvature refresh fits in the bubbles of about two steps.
+//! assert!((1.0..3.0).contains(&m.ratio));
+//! ```
 
 mod arch;
 pub mod flops;
 mod hardware;
+mod setting;
 mod stepmodel;
 
 pub use arch::TransformerConfig;
 pub use hardware::HardwareProfile;
-pub use stepmodel::{
-    model_step, setting_costs, shampoo_stage_costs, stage_costs, stage_memory, StageMemory,
-    StepModel, StepModelInput,
-};
+pub use setting::Setting;
+pub use stepmodel::{model_step, StageMemory, StepModel};

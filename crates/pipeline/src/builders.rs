@@ -3,7 +3,7 @@
 //! schedule as per-device [`Stream`]s and [`merge_streams`] turns them into
 //! a [`TaskGraph`].
 
-use crate::{StageAssignment, TaskGraph, TaskId, WorkKind};
+use crate::{TaskGraph, TaskId, WorkKind};
 
 /// The synchronous pipeline schemes evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,10 +50,9 @@ impl PipelineScheme {
 }
 
 /// One device's in-order share of one pipeline: the ops it runs for
-/// `stage`, tagged with the pipeline they belong to.
+/// `stage`.
 pub(crate) struct Stream {
     pub(crate) stage: usize,
-    pub(crate) pipeline: StageAssignment,
     /// `(Forward | Backward, micro-batch)` in the order the device must
     /// keep *within this stream*.
     pub(crate) ops: Vec<(WorkKind, usize)>,
@@ -172,8 +171,7 @@ pub(crate) fn merge_streams(
     let mut id_of = vec![TaskId(0); end.len()];
     for (dev, ops) in realized.iter().enumerate() {
         for &(stream, kind, mb) in ops {
-            id_of[slot(kind, stream.stage, mb)] =
-                g.push(dev, stream.stage, Some(mb), kind, stream.pipeline, vec![]);
+            id_of[slot(kind, stream.stage, mb)] = g.push(dev, stream.stage, Some(mb), kind, vec![]);
         }
     }
     let deps = g
@@ -204,7 +202,6 @@ pub fn build_gpipe(n_stages: usize, n_micro: usize) -> TaskGraph {
             let backwards = (0..n_micro).rev().map(|m| (WorkKind::Backward, m));
             vec![Stream {
                 stage,
-                pipeline: StageAssignment::Single,
                 ops: forwards.chain(backwards).collect(),
             }]
         })
@@ -224,7 +221,6 @@ pub fn build_1f1b(n_stages: usize, n_micro: usize) -> TaskGraph {
         .map(|stage| {
             vec![Stream {
                 stage,
-                pipeline: StageAssignment::Single,
                 ops: one_f_one_b_order(n_stages, stage, 0..n_micro),
             }]
         })
@@ -260,12 +256,10 @@ pub fn build_chimera(n_stages: usize, n_micro: usize) -> TaskGraph {
             vec![
                 Stream {
                     stage: dev,
-                    pipeline: StageAssignment::Down,
                     ops: one_f_one_b_order(n_stages, dev, 0..half),
                 },
                 Stream {
                     stage: up_stage,
-                    pipeline: StageAssignment::Up,
                     ops: one_f_one_b_order(n_stages, up_stage, half..n_micro),
                 },
             ]

@@ -1,7 +1,6 @@
 //! The task graph: tasks + dependencies + per-device execution order.
 
-use crate::{StageAssignment, Task, TaskId, WorkKind};
-use serde::{Deserialize, Serialize};
+use crate::{Task, TaskId, WorkKind};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -49,7 +48,7 @@ impl Error for ScheduleError {}
 
 /// A pipeline step's work: tasks with dependencies plus ordered per-device
 /// queues. Built by the schedule builders; consumed by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     device_order: Vec<Vec<TaskId>>,
@@ -87,7 +86,6 @@ impl TaskGraph {
         stage: usize,
         micro_batch: Option<usize>,
         kind: WorkKind,
-        pipeline: StageAssignment,
         deps: Vec<TaskId>,
     ) -> TaskId {
         assert!(
@@ -101,7 +99,6 @@ impl TaskGraph {
             stage,
             micro_batch,
             kind,
-            pipeline,
             deps,
         });
         self.device_order[device].push(id);
@@ -304,38 +301,10 @@ mod tests {
 
     fn two_device_chain() -> TaskGraph {
         let mut g = TaskGraph::new("test", 2, 2, 1);
-        let f0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
-        let f1 = g.push(
-            1,
-            1,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![f0],
-        );
-        let b1 = g.push(
-            1,
-            1,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![f1],
-        );
-        let _b0 = g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![b1, f0],
-        );
+        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
+        let f1 = g.push(1, 1, Some(0), WorkKind::Forward, vec![f0]);
+        let b1 = g.push(1, 1, Some(0), WorkKind::Backward, vec![f1]);
+        let _b0 = g.push(0, 0, Some(0), WorkKind::Backward, vec![b1, f0]);
         g
     }
 
@@ -374,22 +343,8 @@ mod tests {
         // Two tasks on one device, first depends on second → stalls.
         let mut g = TaskGraph::new("bad", 1, 1, 1);
         let placeholder = TaskId(1);
-        g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![placeholder],
-        );
-        g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Backward,
-            StageAssignment::Single,
-            vec![],
-        );
+        g.push(0, 0, Some(0), WorkKind::Forward, vec![placeholder]);
+        g.push(0, 0, Some(0), WorkKind::Backward, vec![]);
         match g.validate() {
             Err(ScheduleError::Deadlock { .. }) => {}
             other => panic!("expected deadlock, got {other:?}"),
@@ -399,14 +354,7 @@ mod tests {
     #[test]
     fn dangling_dep_is_detected() {
         let mut g = TaskGraph::new("bad", 1, 1, 1);
-        g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![TaskId(99)],
-        );
+        g.push(0, 0, Some(0), WorkKind::Forward, vec![TaskId(99)]);
         match g.validate() {
             Err(ScheduleError::DanglingDependency { .. }) => {}
             other => panic!("expected dangling dep, got {other:?}"),
@@ -416,14 +364,7 @@ mod tests {
     #[test]
     fn missing_backward_is_detected() {
         let mut g = TaskGraph::new("bad", 1, 1, 1);
-        g.push(
-            0,
-            0,
-            Some(0),
-            WorkKind::Forward,
-            StageAssignment::Single,
-            vec![],
-        );
+        g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
         match g.validate() {
             Err(ScheduleError::IncompleteCoverage { .. }) => {}
             other => panic!("expected coverage error, got {other:?}"),

@@ -8,7 +8,7 @@
 //! `pipefisher-core`'s `assign`, which takes any task graph).
 
 use crate::builders::{merge_streams, one_f_one_b_order, Stream};
-use crate::{StageAssignment, TaskGraph};
+use crate::TaskGraph;
 
 /// Builds an interleaved 1F1B schedule: `n_stages_total = v · n_devices`
 /// virtual stages round-robined over the devices. Each virtual stage
@@ -32,7 +32,6 @@ pub fn build_interleaved_1f1b(n_devices: usize, n_micro: usize, v: usize) -> Tas
                     let stage = dev + k * n_devices;
                     Stream {
                         stage,
-                        pipeline: StageAssignment::Single,
                         ops: one_f_one_b_order(total, stage, 0..n_micro),
                     }
                 })

@@ -48,4 +48,4 @@ pub use builders::{build_1f1b, build_chimera, build_gpipe, PipelineScheme};
 pub use graph::{ScheduleError, TaskGraph};
 pub use interleaved::build_interleaved_1f1b;
 pub use recompute::with_recompute;
-pub use work::{Factor, StageAssignment, Task, TaskId, WorkKind};
+pub use work::{Factor, Task, TaskId, WorkKind};

@@ -37,17 +37,10 @@ pub fn with_recompute(graph: &TaskGraph) -> TaskGraph {
         for &old in order {
             let t = graph.task(old);
             if t.kind == WorkKind::Backward {
-                let r = out.push(
-                    dev,
-                    t.stage,
-                    t.micro_batch,
-                    WorkKind::Recompute,
-                    t.pipeline,
-                    vec![],
-                );
+                let r = out.push(dev, t.stage, t.micro_batch, WorkKind::Recompute, vec![]);
                 recompute_of[old.0] = Some(r);
             }
-            let id = out.push(dev, t.stage, t.micro_batch, t.kind, t.pipeline, vec![]);
+            let id = out.push(dev, t.stage, t.micro_batch, t.kind, vec![]);
             new_id_of[old.0] = Some(id);
         }
     }

@@ -1,11 +1,10 @@
 //! Work units of a pipeline step.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which Kronecker factor a K-FAC work unit concerns (paper §2.3.1):
 /// `A` is built from input activations, `B` from output-gradient errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Factor {
     /// Input-activation factor `A_l` (available after a forward pass).
     A,
@@ -27,7 +26,7 @@ impl fmt::Display for Factor {
 /// `Forward`/`Backward`/`Recompute` are the *standard* work of any pipeline
 /// scheme; the rest is the *extra* work PipeFisher assigns to bubbles
 /// (plus the collectives used by data parallelism).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkKind {
     /// Forward pass of one micro-batch through one stage.
     Forward,
@@ -73,22 +72,11 @@ impl fmt::Display for WorkKind {
 }
 
 /// Index of a task within its [`crate::TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
-/// Which pipeline a stage belongs to in bidirectional schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StageAssignment {
-    /// The only pipeline of a unidirectional scheme (GPipe, 1F1B).
-    Single,
-    /// Chimera's down pipeline (stage `s` on device `s`).
-    Down,
-    /// Chimera's up pipeline (stage `s` on device `D−1−s`).
-    Up,
-}
-
 /// One schedulable unit of work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Identifier (index into the owning graph).
     pub id: TaskId,
@@ -100,8 +88,6 @@ pub struct Task {
     pub micro_batch: Option<usize>,
     /// What the task does.
     pub kind: WorkKind,
-    /// Which pipeline the stage belongs to (for Chimera).
-    pub pipeline: StageAssignment,
     /// Tasks that must complete before this one starts (besides the
     /// device-order constraint).
     pub deps: Vec<TaskId>,
@@ -148,7 +134,6 @@ mod tests {
             stage: 2,
             micro_batch: Some(3),
             kind: WorkKind::Backward,
-            pipeline: StageAssignment::Single,
             deps: vec![],
         };
         assert_eq!(t.describe(), "B[mb3,s2]");

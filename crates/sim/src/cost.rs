@@ -91,7 +91,7 @@ impl CostModel for KindCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefisher_pipeline::{StageAssignment, TaskId};
+    use pipefisher_pipeline::TaskId;
 
     fn task(kind: WorkKind) -> Task {
         Task {
@@ -100,7 +100,6 @@ mod tests {
             stage: 0,
             micro_batch: Some(0),
             kind,
-            pipeline: StageAssignment::Single,
             deps: vec![],
         }
     }

@@ -1,10 +1,9 @@
 //! Execution timelines: the simulator's Nsight-profile equivalent.
 
 use pipefisher_pipeline::WorkKind;
-use serde::{Deserialize, Serialize};
 
 /// One busy interval on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interval {
     /// Executing device.
     pub device: usize,
@@ -37,7 +36,7 @@ impl Interval {
 /// The paper's "GPU utilization" (Appendix B.4: fraction of the window in
 /// which some kernel executes) is [`Timeline::utilization`]; its bubbles
 /// (idle gaps) drive PipeFisher's work assignment.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     intervals: Vec<Interval>,
     n_devices: usize,

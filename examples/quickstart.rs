@@ -9,13 +9,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pipefisher::core::{assign, AssignOptions, FitStrategy};
+use pipefisher::core::{assign, AssignOptions};
 use pipefisher::lm::{BatchSampler, SyntheticLanguage};
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb};
-use pipefisher::perfmodel::{
-    model_step, setting_costs, stage_costs, stage_memory, HardwareProfile, TransformerConfig,
-};
+use pipefisher::perfmodel::{model_step, Setting};
 use pipefisher::pipeline::PipelineScheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,16 +47,12 @@ fn main() {
 
     // --- 2. Scheduling layer: fill Chimera bubbles with the K-FAC work. ---
     println!("\n== 2. PipeFisher bubble assignment (BERT-Base, Chimera D=4) ==");
-    let arch = TransformerConfig::bert_base();
-    let hw = HardwareProfile::p100();
-    let scheme = PipelineScheme::Chimera;
-    let costs = setting_costs(&arch, &hw, scheme, 3, 32, 1, false);
-    let opts = AssignOptions {
-        fit: FitStrategy::FirstFit,
-        w: 1,
-        granularity: 3,
-    };
-    let schedule = assign(&scheme.build(4, 4), &costs, &opts).expect("assignment fits the bubbles");
+    // The paper's Figure 3 shape (3 blocks/stage, N_micro = 4, B_micro = 32,
+    // P100) on Chimera.
+    let setting = Setting::fig3(PipelineScheme::Chimera, 1);
+    let opts = AssignOptions::for_setting(&setting);
+    let schedule =
+        assign(&setting.graph(), &setting.costs(), &opts).expect("assignment fits the bubbles");
     println!(
         "  utilization {:.1}% -> {:.1}%, curvature refreshed every {:.1} steps",
         schedule.utilization_baseline * 100.0,
@@ -69,16 +63,7 @@ fn main() {
 
     // --- 3. Modeling layer: the closed-form §3.3 step model. ---
     println!("\n== 3. Performance model (same setting) ==");
-    let m = model_step(&pipefisher::perfmodel::StepModelInput {
-        scheme,
-        d: 4,
-        n_micro: 4,
-        b_micro: 32,
-        w: 1,
-        costs: stage_costs(&arch, &hw, 3, 32, false),
-        memory: stage_memory(&arch, 3, 32, false),
-        hw,
-    });
+    let m = model_step(&setting, &setting.costs());
     println!(
         "  T_pipe {:.1} ms, T_bubble {:.1} ms, (curv+inv)/bubble ratio {:.2}, memory {:.1} GB",
         m.t_pipe * 1e3,

@@ -3,39 +3,14 @@
 //! (Absolute numbers differ — our substrate is an analytic simulator, not
 //! the authors' P100 cluster — but these bands must hold.)
 
-use pipefisher::core::{assign, AssignError, AssignOptions, FitStrategy, PipeFisherSchedule};
-use pipefisher::perfmodel::{
-    model_step, setting_costs, stage_costs, stage_memory, HardwareProfile, StepModelInput,
-    TransformerConfig,
-};
+use pipefisher::core::{assign, AssignOptions, PipeFisherSchedule};
+use pipefisher::perfmodel::{model_step, Setting, TransformerConfig};
 use pipefisher::pipeline::PipelineScheme;
 
-/// Runs the first-fit assignment of a paper setting on P100, one chunk per
-/// block.
-fn assign_setting(
-    arch: &TransformerConfig,
-    scheme: PipelineScheme,
-    d: usize,
-    n_micro: usize,
-    b_micro: usize,
-    blocks: usize,
-    w: usize,
-) -> Result<PipeFisherSchedule, AssignError> {
-    let costs = setting_costs(
-        arch,
-        &HardwareProfile::p100(),
-        scheme,
-        blocks,
-        b_micro,
-        w,
-        false,
-    );
-    let opts = AssignOptions {
-        fit: FitStrategy::FirstFit,
-        w,
-        granularity: blocks,
-    };
-    assign(&scheme.build(d, n_micro), &costs, &opts)
+/// The paper's first-fit assignment of `setting`, one chunk per block.
+fn schedule(setting: &Setting) -> PipeFisherSchedule {
+    let opts = AssignOptions::for_setting(setting);
+    assign(&setting.graph(), &setting.costs(), &opts).unwrap()
 }
 
 #[test]
@@ -43,7 +18,7 @@ fn fig3_bert_base_gpipe_refresh_within_two_steps() {
     // Paper §3.1: "the curvature and inverse matrices are refreshed within a
     // maximum of 2 steps" for BERT-Base, D=4, 3 blocks/stage, B_micro=32.
     for scheme in [PipelineScheme::GPipe, PipelineScheme::OneFOneB] {
-        let s = assign_setting(&TransformerConfig::bert_base(), scheme, 4, 4, 32, 3, 1).unwrap();
+        let s = schedule(&Setting::fig3(scheme, 1));
         // Steady state ≤ 2 steps; cold start may take one extra on 1F1B,
         // whose early bubbles are more fragmented.
         assert!(
@@ -68,16 +43,7 @@ fn fig3_bert_base_gpipe_refresh_within_two_steps() {
 fn fig4_bert_large_chimera_shapes() {
     // Paper Fig. 4: utilization 59.8% -> 97.6%; refresh 2-4 steps;
     // per-step overhead ≈ 6.5%.
-    let s = assign_setting(
-        &TransformerConfig::bert_large(),
-        PipelineScheme::Chimera,
-        8,
-        8,
-        32,
-        3,
-        1,
-    )
-    .unwrap();
+    let s = schedule(&Setting::fig4());
     assert!(
         (0.55..0.75).contains(&s.utilization_baseline),
         "{}",
@@ -97,16 +63,7 @@ fn fig4_bert_large_chimera_shapes() {
 fn table2_simulated_training_time_ratio() {
     // Paper Table 2: K-FAC(5000 steps) / NVLAMB(7038 steps) = 75.7% of the
     // wall-clock. Our band: 70-82%.
-    let s = assign_setting(
-        &TransformerConfig::bert_large(),
-        PipelineScheme::Chimera,
-        8,
-        8,
-        32,
-        3,
-        1,
-    )
-    .unwrap();
+    let s = schedule(&Setting::fig4());
     let ratio = (s.t_step * 5_000.0) / (s.t_step_baseline * 7_038.0);
     assert!((0.70..0.82).contains(&ratio), "time ratio {ratio}");
 }
@@ -115,16 +72,7 @@ fn table2_simulated_training_time_ratio() {
 fn fig6_256_gpu_time_ratio() {
     // Paper Fig. 6 (right): K-FAC reaches NVLAMB's final loss in 48.7% of
     // the wall-clock on 256 GPUs (2961 vs 7038 steps). Band: 40-55%.
-    let s = assign_setting(
-        &TransformerConfig::bert_base(),
-        PipelineScheme::Chimera,
-        4,
-        4,
-        32,
-        3,
-        64,
-    )
-    .unwrap();
+    let s = schedule(&Setting::fig6());
     assert!(
         (0.70..0.80).contains(&s.utilization_baseline),
         "{}",
@@ -146,19 +94,16 @@ fn fig6_256_gpu_time_ratio() {
 fn chimera_tradeoff_throughput_vs_freshness() {
     // Paper appendix A: Chimera achieves higher throughput than GPipe/1F1B
     // but refreshes curvature less frequently (smaller bubbles).
-    let arch = TransformerConfig::bert_base();
-    let hw = HardwareProfile::p100();
+    // The Figure 3 model at D = N_micro = 8, one block/stage, B_micro = 16.
     let mk = |scheme| {
-        model_step(&StepModelInput {
-            scheme,
+        let s = Setting {
             d: 8,
             n_micro: 8,
             b_micro: 16,
-            w: 1,
-            costs: stage_costs(&arch, &hw, 1, 16, false),
-            memory: stage_memory(&arch, 1, 16, false),
-            hw: hw.clone(),
-        })
+            blocks_per_stage: 1,
+            ..Setting::fig3(scheme, 1)
+        };
+        model_step(&s, &s.costs())
     };
     let gpipe = mk(PipelineScheme::GPipe);
     let chimera = mk(PipelineScheme::Chimera);
@@ -170,22 +115,21 @@ fn chimera_tradeoff_throughput_vs_freshness() {
 fn ratio_bands_match_paper_summary() {
     // Paper: "In most cases the ratio is in the range of 2-10, except when
     // the micro-batch size is particularly small and N_micro is large."
-    let hw = HardwareProfile::p100();
     let mut in_band = 0;
     let mut total = 0;
     for arch in TransformerConfig::all() {
         for d in [8usize, 16, 32] {
             for b_micro in [4usize, 8, 16] {
-                let m = model_step(&StepModelInput {
-                    scheme: PipelineScheme::Chimera,
+                // Figure 5/8–15: one block/stage, N_micro = D, P100.
+                let s = Setting {
+                    arch: arch.clone(),
                     d,
                     n_micro: d,
                     b_micro,
-                    w: 1,
-                    costs: stage_costs(&arch, &hw, 1, b_micro, false),
-                    memory: stage_memory(&arch, 1, b_micro, false),
-                    hw: hw.clone(),
-                });
+                    blocks_per_stage: 1,
+                    ..Setting::fig3(PipelineScheme::Chimera, 1)
+                };
+                let m = model_step(&s, &s.costs());
                 total += 1;
                 if (0.5..=10.0).contains(&m.ratio) {
                     in_band += 1;
@@ -205,15 +149,19 @@ fn every_scheme_gets_filled_for_every_table3_arch() {
     // architectures and all three schemes at a moderate setting.
     for arch in TransformerConfig::all() {
         for scheme in PipelineScheme::all() {
+            let setting = Setting {
+                arch: arch.clone(),
+                b_micro: 8,
+                blocks_per_stage: 2,
+                ..Setting::fig3(scheme, 1)
+            };
             // Per-layer granularity (6 linears per block), as in the paper's
             // work queue — needed for the small-bubble (B_micro = 8) cases.
-            let costs = setting_costs(&arch, &HardwareProfile::p100(), scheme, 2, 8, 1, false);
             let opts = AssignOptions {
-                fit: FitStrategy::FirstFit,
-                w: 1,
-                granularity: 2 * 6,
+                granularity: setting.blocks_per_stage * 6,
+                ..AssignOptions::for_setting(&setting)
             };
-            let s = assign(&scheme.build(4, 4), &costs, &opts)
+            let s = assign(&setting.graph(), &setting.costs(), &opts)
                 .unwrap_or_else(|e| panic!("{} / {}: {e}", arch.name, scheme.name()));
             assert!(
                 s.steady_utilization > s.utilization_baseline,

@@ -148,8 +148,7 @@ proptest! {
 mod golden {
     use super::*;
     use pipefisher::core::PipeFisherSchedule;
-    use pipefisher::perfmodel::{setting_costs, HardwareProfile, TransformerConfig};
-    use pipefisher::pipeline::with_recompute;
+    use pipefisher::perfmodel::Setting;
     use std::path::PathBuf;
 
     fn golden_path(file: &str) -> PathBuf {
@@ -252,27 +251,11 @@ mod golden {
         check(PipelineScheme::Chimera, 8);
     }
 
-    /// The assignment of one paper setting (P100, `B_micro` = 32, 3 blocks
-    /// per stage at granularity 3, `N_micro` = `D`), costed by
-    /// `setting_costs`.
-    fn assignment(
-        arch: TransformerConfig,
-        scheme: PipelineScheme,
-        d: usize,
-        w: usize,
-        recompute: bool,
-    ) -> PipeFisherSchedule {
-        let costs = setting_costs(&arch, &HardwareProfile::p100(), scheme, 3, 32, w, recompute);
-        let mut graph = scheme.build(d, d);
-        if recompute {
-            graph = with_recompute(&graph);
-        }
-        let opts = AssignOptions {
-            fit: FitStrategy::FirstFit,
-            w,
-            granularity: 3,
-        };
-        assign(&graph, &costs, &opts).unwrap()
+    /// The paper's first-fit assignment of `setting` (one chunk per block),
+    /// costed by `Setting::costs`.
+    fn assignment(setting: &Setting) -> PipeFisherSchedule {
+        let opts = AssignOptions::for_setting(setting);
+        assign(&setting.graph(), &setting.costs(), &opts).unwrap()
     }
 
     /// Pins every placement bit for bit (floats in `{:?}`) and the
@@ -301,44 +284,29 @@ mod golden {
             (PipelineScheme::OneFOneB, "1f1b"),
             (PipelineScheme::Chimera, "chimera"),
         ] {
-            let s = assignment(TransformerConfig::bert_base(), scheme, 4, 1, false);
+            let s = assignment(&Setting::fig3(scheme, 1));
             check_assignment(&format!("{name}_bert_base_d4"), &s);
         }
     }
 
     #[test]
     fn recompute_assignment_matches_golden() {
-        let s = assignment(
-            TransformerConfig::bert_base(),
-            PipelineScheme::GPipe,
-            4,
-            1,
-            true,
-        );
+        let s = assignment(&Setting {
+            recompute: true,
+            ..Setting::fig3(PipelineScheme::GPipe, 1)
+        });
         check_assignment("gpipe_recompute_bert_base_d4", &s);
     }
 
     #[test]
     fn data_parallel_assignment_matches_golden() {
-        let s = assignment(
-            TransformerConfig::bert_base(),
-            PipelineScheme::OneFOneB,
-            4,
-            2,
-            false,
-        );
+        let s = assignment(&Setting::fig3(PipelineScheme::OneFOneB, 2));
         check_assignment("1f1b_w2_bert_base_d4", &s);
     }
 
     #[test]
     fn fig4_assignment_matches_golden() {
-        let s = assignment(
-            TransformerConfig::bert_large(),
-            PipelineScheme::Chimera,
-            8,
-            1,
-            false,
-        );
+        let s = assignment(&Setting::fig4());
         check_assignment("chimera_bert_large_d8", &s);
     }
 }
