@@ -61,6 +61,10 @@ fn main() {
                 let inv = hw.factorization_time(flops::inversion_flops_blockdiag(&arch, k));
                 costs.t_inv_a = inv / 2.0;
                 costs.t_inv_b = inv / 2.0;
+                // Only the diagonal blocks, 1/K of the factors' bytes, are
+                // allreduced; dividing the whole time divides the ring's
+                // 10 µs latency term too.
+                costs.t_sync_curv /= k as f64;
             }
             model_step(&setting, &costs)
         };

@@ -13,8 +13,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let b_micro = args::positive(args::int(args, 3, "B_micro")?, "<B_micro>")?;
     let json_out = args::has_flag(args, "--json");
 
+    // Chimera's row needs an even D, like its schedule.
     let rows: Vec<_> = PipelineScheme::all()
         .into_iter()
+        .filter(|&scheme| args::validate_scheme_shape(scheme, d, d).is_ok())
         .map(|scheme| {
             let setting = Setting {
                 arch: arch.clone(),

@@ -2,7 +2,7 @@
 
 use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::{Factor, TaskGraph, WorkKind};
-use pipefisher_sim::{simulate, Interval, KindCost, Timeline};
+use pipefisher_sim::{simulate, Interval, KfacShare, KindCost, Timeline};
 use std::error::Error;
 use std::fmt;
 
@@ -317,10 +317,11 @@ impl AssignOptions {
 /// * if it holds `Recompute` tasks, `A`-factor curvature is released by the
 ///   recompute (the forward's activations were not stored), else by the
 ///   forward;
-/// * a stage's hosts are the devices that run its forwards. A stage with
-///   two hosts (Chimera's bidirectional pipelines, Figure 4) pays
-///   `sync-grad` at any `W`, splits its inversion with its other host, and
-///   its `sync-curvature` waits for both hosts' curvature.
+/// * a stage's hosts are the devices that run its forwards, and each
+///   device places the work [`KfacShare`] charges it. A stage with two
+///   hosts (Chimera's bidirectional pipelines, Figure 4) pays `sync-grad`
+///   at any `W`, splits its inversion with its other host, and its
+///   `sync-curvature` waits for both hosts' curvature.
 ///
 /// # Errors
 ///
@@ -342,48 +343,23 @@ pub fn assign(
     let d = graph.n_devices();
     let t_pipe = base.makespan();
 
-    // Stages hosted per device, the hosts of each stage, and whether `A`
-    // curvature waits for a recompute — all from the schedule.
-    let mut stages_of: Vec<Vec<usize>> = vec![Vec::new(); d];
-    let mut hosts_of: Vec<Vec<usize>> = Vec::new();
-    let mut a_releaser = WorkKind::Forward;
-    for t in graph.tasks() {
-        if t.kind == WorkKind::Recompute {
-            a_releaser = WorkKind::Recompute;
-        }
-        if t.kind == WorkKind::Forward && !stages_of[t.device].contains(&t.stage) {
-            stages_of[t.device].push(t.stage);
-            if hosts_of.len() <= t.stage {
-                hosts_of.resize(t.stage + 1, Vec::new());
-            }
-            hosts_of[t.stage].push(t.device);
-        }
-    }
-    for s in &mut stages_of {
-        s.sort_unstable();
-    }
-    if let Some(stage) = hosts_of.iter().position(|h| h.len() > 2) {
+    // What each device pays for K-FAC, and whether `A` curvature waits for
+    // a recompute — both from the schedule.
+    let share = KfacShare::new(graph, opts.w, costs);
+    if let Some(stage) = share.hosts.iter().position(|h| h.len() > 2) {
         return Err(AssignError::Schedule(format!(
             "stage {stage} has {} hosts; at most two can share its K-FAC work",
-            hosts_of[stage].len()
+            share.hosts[stage].len()
         )));
     }
-    // The other host of `stage` as seen from `dev`, if it has one.
-    let partner = |dev: usize, stage: usize| hosts_of[stage].iter().copied().find(|&h| h != dev);
-    // Replicated stages — across data-parallel replicas, or on a second
-    // host — pay the gradient allreduce, and every device's step waits
-    // for it.
-    let sync_grad = if opts.w > 1 || hosts_of.iter().any(|h| h.len() == 2) {
-        costs.t_sync_grad
-    } else {
-        0.0
-    };
+    let recomputed = graph.tasks().iter().any(|t| t.kind == WorkKind::Recompute);
+    let sync_grad = share.sync_grad;
 
     // Tail pattern: sync-grad then precondition after each device's last
     // standard work; the step period stretches to cover the slowest device.
     let mut tail: Vec<Vec<Interval>> = vec![Vec::new(); d];
     let mut t_step = 0.0f64;
-    for dev in 0..d {
+    for (dev, dev_tail) in tail.iter_mut().enumerate() {
         let last_end = base
             .intervals()
             .iter()
@@ -391,28 +367,21 @@ pub fn assign(
             .map(|i| i.end)
             .fold(0.0, f64::max);
         let mut cursor = last_end;
-        if sync_grad > 0.0 {
-            tail[dev].push(Interval {
-                device: dev,
-                start: cursor,
-                end: cursor + sync_grad,
-                kind: WorkKind::SyncGrad,
-                stage: stages_of[dev].first().copied().unwrap_or(0),
-                micro_batch: None,
-            });
-            cursor += sync_grad;
-        }
-        let prec = costs.t_prec * stages_of[dev].len() as f64;
-        if prec > 0.0 {
-            tail[dev].push(Interval {
-                device: dev,
-                start: cursor,
-                end: cursor + prec,
-                kind: WorkKind::Precondition,
-                stage: stages_of[dev].first().copied().unwrap_or(0),
-                micro_batch: None,
-            });
-            cursor += prec;
+        for (kind, dur) in [
+            (WorkKind::SyncGrad, sync_grad),
+            (WorkKind::Precondition, share.prec[dev]),
+        ] {
+            if dur > 0.0 {
+                dev_tail.push(Interval {
+                    device: dev,
+                    start: cursor,
+                    end: cursor + dur,
+                    kind,
+                    stage: share.stages_of[dev].first().copied().unwrap_or(0),
+                    micro_batch: None,
+                });
+                cursor += dur;
+            }
         }
         t_step = t_step.max(cursor);
     }
@@ -432,7 +401,6 @@ pub fn assign(
 
     // Work queue. Chunks are per (stage, factor, micro-batch) for curvature
     // and per (stage, factor) for inversion — the paper's granularity.
-    // Inversion is divided among the stage's replicas and hosts.
     struct Chunk {
         device: usize,
         stage: usize,
@@ -447,7 +415,8 @@ pub fn assign(
         // Rule 1 (§3.1): A-factor curvature after the pass that produced
         // the activations — the forward normally, the recompute under R.
         let (factor, t_curv) = match iv.kind {
-            k if k == a_releaser => (Factor::A, costs.t_curv_a),
+            WorkKind::Forward if !recomputed => (Factor::A, costs.t_curv_a),
+            WorkKind::Recompute => (Factor::A, costs.t_curv_a),
             WorkKind::Backward => (Factor::B, costs.t_curv_b),
             _ => continue,
         };
@@ -511,11 +480,11 @@ pub fn assign(
     // §3.2: sync-curvature across replicas, then split inversion.
     // Replicas run the identical schedule, so placement is replica-symmetric
     // and computed once on the D local devices.
-    for (dev, stages) in stages_of.iter().enumerate() {
+    for (dev, stages) in share.stages_of.iter().enumerate() {
         for &stage in stages {
             // With a second host, that host's curvature must also finish
             // before sync/inversion.
-            let pair_dev = partner(dev, stage);
+            let pair_dev = share.hosts[stage].iter().copied().find(|&h| h != dev);
             let curv_end = |factor: Factor| -> f64 {
                 let done = |dev| curv_done.get(&(dev, stage, factor)).copied().unwrap_or(0.0);
                 pair_dev.map_or(done(dev), |p| done(dev).max(done(p)))
@@ -523,11 +492,7 @@ pub fn assign(
             let rel_a = curv_end(Factor::A);
             let rel_b = curv_end(Factor::B);
             let (mut inv_rel_a, mut inv_rel_b) = (rel_a, rel_b);
-            let sync_curv = if opts.w > 1 || pair_dev.is_some() {
-                costs.t_sync_curv
-            } else {
-                0.0
-            };
+            let sync_curv = share.sync_curv[stage];
             if sync_curv > 0.0 {
                 // The factor allreduce is chunked per layer like the rest of
                 // the K-FAC work (collectives pipeline naturally).
@@ -550,7 +515,7 @@ pub fn assign(
                 inv_rel_a = end;
                 inv_rel_b = end;
             }
-            let inv_split = opts.w * hosts_of[stage].len();
+            let inv_split = share.copies[stage];
             for (factor, t_inv, rel) in [
                 (Factor::A, costs.t_inv_a, inv_rel_a),
                 (Factor::B, costs.t_inv_b, inv_rel_b),
@@ -652,6 +617,7 @@ pub fn assign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipefisher_perfmodel::{model_step, HardwareProfile, TransformerConfig};
     use pipefisher_pipeline::{with_recompute, PipelineScheme};
 
     fn kfac_costs(scale: f64) -> KindCost {
@@ -938,5 +904,56 @@ mod tests {
         let sched = assign(&fig4.graph(), &fig4.costs(), &opts).unwrap();
         let util = sched.steady_utilization;
         assert!(util > 0.9, "util {util}");
+    }
+
+    #[test]
+    fn model_step_charges_each_device_what_assign_places() {
+        let grid = PipelineScheme::all().into_iter().flat_map(|scheme| {
+            [1usize, 2].into_iter().flat_map(move |w| {
+                [(4usize, 4usize), (4, 32), (8, 8), (8, 32)]
+                    .into_iter()
+                    .map(move |(d, b_micro)| Setting {
+                        arch: TransformerConfig::bert_base(),
+                        hw: HardwareProfile::p100(),
+                        scheme,
+                        d,
+                        n_micro: d,
+                        b_micro,
+                        blocks_per_stage: 1,
+                        w,
+                        recompute: false,
+                    })
+            })
+        });
+        let presets = PipelineScheme::all()
+            .map(|scheme| Setting::fig3(scheme, 1))
+            .into_iter()
+            .chain([Setting::fig4(), Setting::fig6()]);
+        let mut checked = Vec::new();
+        for s in grid.chain(presets) {
+            let costs = s.costs();
+            let Ok(sched) = assign(&s.graph(), &costs, &AssignOptions::for_setting(&s)) else {
+                continue;
+            };
+            let m = model_step(&s, &costs);
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+            assert!(
+                close(m.ratio.max(1.0), sched.steady_refresh_steps),
+                "{s:?}: ratio {} vs {}",
+                m.ratio,
+                sched.steady_refresh_steps
+            );
+            assert!(
+                close(m.t_step_pipefisher, sched.t_step),
+                "{s:?}: step {} vs {}",
+                m.t_step_pipefisher,
+                sched.t_step
+            );
+            checked.push(s.scheme);
+        }
+        for scheme in PipelineScheme::all() {
+            let n = checked.iter().filter(|&&c| c == scheme).count();
+            assert!(n >= 4, "{}: only {n} settings assignable", scheme.name());
+        }
     }
 }

@@ -15,15 +15,16 @@
 //! * [`Setting`] — one paper setting (architecture × GPU × scheme × `D` ×
 //!   `N_micro` × `B_micro` × blocks per stage × `W` × recompute) and what
 //!   it derives: per-stage durations ([`pipefisher_sim::KindCost`], with
-//!   the setting's sync-grad / sync-curv collectives), memory terms
-//!   ([`StageMemory`]: `M_θ`, `M_act`, `M_err^peak`, `M_err^save`,
-//!   `M_curv = M_inv`) and the pipeline schedule; the paper's Figure 3/4/6
-//!   settings are presets,
+//!   the setting's sync-grad / sync-curv collectives) and the pipeline
+//!   schedule; the paper's Figure 3/4/6 settings are presets,
 //! * [`model_step`] → [`StepModel`] — the closed-form step model:
 //!   `T_pipe = C_f·T_f + C_b·T_b`,
 //!   `T_bubble = T_pipe − N_micro·(T_f + T_b)`,
-//!   `T_kfac⁺ = N_micro·T_curv + T_inv + T_prec`, and the
-//!   (curvature+inversion)/bubble ratio that Figures 5 and 8–15 plot.
+//!   `T_kfac⁺ = N_micro·T_curv + T_inv + T_prec`, the
+//!   (curvature+inversion)/bubble ratio that Figures 5 and 8–15 plot, with
+//!   each device charged the K-FAC work the bubble assignment places on it
+//!   ([`pipefisher_sim::KfacShare`]), and device memory from Table 1's
+//!   terms (`M_θ`, `M_act`, `M_err^peak`, `M_err^save`, `M_curv = M_inv`).
 //!
 //! The substitution preserves the paper's conclusions because every claim in
 //! those figures is about *relative* durations (what fits into a bubble),
@@ -52,4 +53,4 @@ mod stepmodel;
 pub use arch::TransformerConfig;
 pub use hardware::HardwareProfile;
 pub use setting::Setting;
-pub use stepmodel::{model_step, StageMemory, StepModel};
+pub use stepmodel::{model_step, StepModel};

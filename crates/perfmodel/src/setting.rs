@@ -1,6 +1,6 @@
 //! A paper setting: the one configuration both modelled results read.
 
-use crate::{flops, HardwareProfile, StageMemory, TransformerConfig};
+use crate::{flops, HardwareProfile, TransformerConfig};
 use pipefisher_pipeline::{with_recompute, PipelineScheme, TaskGraph};
 use pipefisher_sim::{ring_allreduce_time, KindCost};
 
@@ -33,14 +33,12 @@ pub struct Setting {
 }
 
 impl Setting {
-    /// Per-stage work durations from the analytic FLOP model, plus the
-    /// collectives of `w` data-parallel replicas per stage (twice that for
-    /// Chimera, whose paired pipelines hold every stage twice) — a ring
-    /// allreduce of the gradients (`M_θ`) for sync-grad and of both
-    /// Kronecker factors (`2·M_curv`) for sync-curv. With `recompute`, the
-    /// recomputation forward is `t_recompute`. [`model_step`](crate::model_step)
-    /// prices its own sync terms from per-device bytes over `w` replicas
-    /// instead.
+    /// Per-stage work durations from the analytic FLOP model, plus a ring
+    /// allreduce among a stage's copies — `w` replicas on each of its hosts
+    /// in [`graph`](Setting::graph), whose panics it shares — of the
+    /// gradients (`M_θ`) for sync-grad and of both Kronecker factors
+    /// (`2·M_curv`) for sync-curv. With `recompute`, the recomputation
+    /// forward is `t_recompute`.
     pub fn costs(&self) -> KindCost {
         let (arch, hw) = (&self.arch, &self.hw);
         let tokens = (self.b_micro * arch.seq_len) as f64;
@@ -52,14 +50,9 @@ impl Setting {
         let curv = hw.gemm_time(flops::curvature_flops_per_token(arch) * tokens * blocks);
         let inv = hw.factorization_time(flops::inversion_flops(arch) * blocks);
         let prec = hw.gemm_time(flops::precondition_flops(arch) * blocks);
-        let mem = self.memory();
-        let copies = if self.scheme == PipelineScheme::Chimera {
-            2
-        } else {
-            1
-        };
-        let sync =
-            |bytes| ring_allreduce_time(bytes, self.w * copies, hw.link_bandwidth, hw.link_latency);
+        let hosts = self.graph().stage_hosts().iter().map(Vec::len).max();
+        let copies = self.w * hosts.unwrap_or(1);
+        let sync = |bytes| ring_allreduce_time(bytes, copies, hw.link_bandwidth, hw.link_latency);
         KindCost {
             t_f: fwd,
             t_b: bwd,
@@ -69,8 +62,8 @@ impl Setting {
             t_inv_a: inv / 2.0,
             t_inv_b: inv / 2.0,
             t_prec: prec,
-            t_sync_grad: sync(mem.m_theta),
-            t_sync_curv: sync(2.0 * mem.m_curv),
+            t_sync_grad: sync(flops::param_bytes(arch) * blocks),
+            t_sync_curv: sync(2.0 * (flops::curvature_bytes(arch) * blocks)),
         }
     }
 
@@ -90,27 +83,6 @@ impl Setting {
             t_inv_a: root / 2.0,
             t_inv_b: root / 2.0,
             ..self.costs()
-        }
-    }
-
-    /// Per-stage memory terms.
-    pub fn memory(&self) -> StageMemory {
-        let arch = &self.arch;
-        let tokens = (self.b_micro * arch.seq_len) as f64;
-        let blocks = self.blocks_per_stage as f64;
-        let act_per_token = if self.recompute {
-            flops::activation_bytes_per_token_recompute(arch)
-        } else {
-            flops::activation_bytes_per_token(arch)
-        };
-        StageMemory {
-            m_theta: flops::param_bytes(arch) * blocks,
-            m_act: act_per_token * tokens * blocks,
-            // Peak transient errors ≈ one micro-batch of full activations
-            // being re-materialized during backward.
-            m_err_peak: flops::activation_bytes_per_token(arch) * tokens,
-            m_err_save: flops::error_save_bytes_per_token(arch) * tokens * blocks,
-            m_curv: flops::curvature_bytes(arch) * blocks,
         }
     }
 
@@ -187,8 +159,7 @@ mod tests {
         let costs = |scheme, w| Setting::fig3(scheme, w).costs();
         let gpipe = costs(PipelineScheme::GPipe, 1);
         assert_eq!((gpipe.t_sync_grad, gpipe.t_sync_curv), (0.0, 0.0));
-        // Chimera pairs every stage even at W = 1, where `model_step` has
-        // no sync term.
+        // Chimera's two hosts of every stage sync even at W = 1.
         let chimera = costs(PipelineScheme::Chimera, 1);
         assert_eq!(
             chimera.t_sync_grad,

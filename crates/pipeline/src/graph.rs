@@ -144,6 +144,18 @@ impl TaskGraph {
         &self.scheme_name
     }
 
+    /// Per stage, its hosts: the devices that run its forwards, in task
+    /// order (Chimera's two pipelines give every stage two).
+    pub fn stage_hosts(&self) -> Vec<Vec<usize>> {
+        let mut hosts = vec![Vec::new(); self.n_stages];
+        for t in self.tasks.iter().filter(|t| t.kind == WorkKind::Forward) {
+            if !hosts[t.stage].contains(&t.device) {
+                hosts[t.stage].push(t.device);
+            }
+        }
+        hosts
+    }
+
     /// Renames the scheme (crate-internal; used by derived builders).
     pub(crate) fn rename(&mut self, name: &str) {
         self.scheme_name = name.to_string();

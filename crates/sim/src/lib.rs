@@ -27,10 +27,12 @@ mod chrome;
 mod collective;
 mod cost;
 mod engine;
+mod share;
 mod timeline;
 
 pub use chrome::SIM_PID;
 pub use collective::ring_allreduce_time;
 pub use cost::{CostModel, KindCost};
 pub use engine::simulate;
+pub use share::KfacShare;
 pub use timeline::{Interval, Timeline};
