@@ -9,7 +9,7 @@
 //! with `D`, rises with `N_micro`, and is smaller for longer sequence
 //! lengths; in most settings it lands in the 2–10 range.
 
-use pipefisher_perfmodel::{model_step, HardwareProfile, Setting, TransformerConfig};
+use pipefisher_perfmodel::{HardwareProfile, Setting, TransformerConfig};
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
                             w: 1,
                             recompute: false,
                         };
-                        let m = model_step(&s, &s.costs());
+                        let m = s.step_model();
                         row.push_str(&format!(" {:>10.1} {:>6.2} |", m.throughput, m.ratio));
                     }
                     println!("{row}");

@@ -11,7 +11,7 @@
 //!   PipeFisher (nearly identical — precondition is small);
 //! * (b) bottom: the (curvature+inversion)-bubble ratio.
 
-use pipefisher_perfmodel::{model_step, HardwareProfile, Setting, TransformerConfig};
+use pipefisher_perfmodel::{HardwareProfile, Setting, TransformerConfig};
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
                     w: 1,
                     recompute,
                 };
-                model_step(&s, &s.costs())
+                s.step_model()
             };
             let m = mk(false);
             let mr = mk(true);

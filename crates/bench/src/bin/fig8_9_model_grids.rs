@@ -6,7 +6,7 @@
 //! time per step, memory, throughput, and the (curvature+inversion)/bubble
 //! ratio, all on a P100.
 
-use pipefisher_perfmodel::{model_step, HardwareProfile, Setting, TransformerConfig};
+use pipefisher_perfmodel::{HardwareProfile, Setting, TransformerConfig};
 use pipefisher_pipeline::PipelineScheme;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
                             w: 1,
                             recompute,
                         };
-                        let m = model_step(&s, &s.costs());
+                        let m = s.step_model();
                         println!(
                             "{:>7} {:>3} {:>2} | {:>11.1} {:>10.2} {:>10.1} | {:>9.1} {:>6.2}",
                             b_micro,

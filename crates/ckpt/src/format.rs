@@ -19,8 +19,11 @@ const MAX_SECTIONS: u32 = 4096;
 
 const CRC_POLY: u32 = 0xEDB8_8320; // reflected IEEE 802.3 polynomial
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` advances `CRC_TABLES[k - 1][b]` over one more zero
+/// byte, so eight lookups fold eight input bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -33,19 +36,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = t[k - 1][i];
+            t[k][i] = t[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE, as used by zip/gzip/PNG) of `bytes`.
+/// CRC-32 (IEEE, as used by zip/gzip/PNG) of `bytes`, eight bytes per
+/// step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        c = t[7][x0 as usize]
+            ^ t[6][x1 as usize]
+            ^ t[5][x2 as usize]
+            ^ t[4][x3 as usize]
+            ^ t[3][b4 as usize]
+            ^ t[2][b5 as usize]
+            ^ t[1][b6 as usize]
+            ^ t[0][b7 as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -291,6 +318,30 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crc32_matches_the_byte_at_a_time_loop() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = !0u32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            !c
+        };
+        let mut s = 0x0C7C_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let data: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for _ in 0..2000 {
+            let (start, len) = (next() as usize % 8, next() as usize % 4096);
+            let bytes = &data[start..start + len];
+            assert_eq!(crc32(bytes), bytewise(bytes), "start {start}, len {len}");
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

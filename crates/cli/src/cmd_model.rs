@@ -1,7 +1,7 @@
 //! `pipefisher model` — evaluate the §3.3 closed-form step model.
 
 use crate::args;
-use pipefisher_perfmodel::{model_step, Setting};
+use pipefisher_perfmodel::Setting;
 use pipefisher_pipeline::PipelineScheme;
 use serde_json::json;
 
@@ -29,7 +29,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 w: 1,
                 recompute: false,
             };
-            (scheme, model_step(&setting, &setting.costs()))
+            (scheme, setting.step_model())
         })
         .collect();
 

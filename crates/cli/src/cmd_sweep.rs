@@ -1,7 +1,7 @@
 //! `pipefisher sweep` — refresh-ratio sweep across D, B_micro, hardware.
 
 use crate::args;
-use pipefisher_perfmodel::{model_step, HardwareProfile, Setting};
+use pipefisher_perfmodel::{HardwareProfile, Setting};
 use pipefisher_pipeline::PipelineScheme;
 use serde_json::json;
 
@@ -25,7 +25,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                     w: 1,
                     recompute: false,
                 };
-                let m = model_step(&setting, &setting.costs());
+                let m = setting.step_model();
                 records.push((hw.name.clone(), d, b_micro, m.throughput, m.ratio));
             }
         }

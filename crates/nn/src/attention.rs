@@ -1,20 +1,19 @@
 //! Multi-head scaled-dot-product self-attention.
 
 use crate::{ForwardCtx, Layer, Linear, ParamVisitor};
-use pipefisher_tensor::{softmax_scaled_inplace, Matrix};
+use pipefisher_tensor::{gemm_batched, softmax_scaled_inplace, Matrix, Strided};
 use rand::Rng;
 
 /// Cached forward state for the attention backward pass.
 #[derive(Debug, Clone)]
 struct AttnCache {
-    batch: usize,
     seq: usize,
     q_out: Matrix,
     k_out: Matrix,
     v_out: Matrix,
-    /// Attention probabilities, one `seq × seq` matrix per `(batch, head)`,
-    /// indexed `b * n_heads + h`.
-    probs: Vec<Matrix>,
+    /// Attention probabilities, one `seq × seq` block per `(batch, head)`,
+    /// stacked: block `b * n_heads + h` is rows `(b * n_heads + h) * seq..`.
+    probs: Matrix,
 }
 
 /// Multi-head self-attention as in BERT (bidirectional, no causal mask).
@@ -26,6 +25,11 @@ struct AttnCache {
 /// Padding masks are not modeled: the synthetic workloads in this
 /// reproduction use fixed-length sequences (matching the paper's fixed
 /// `S = 128` Phase-1 setting), so every position attends to every position.
+///
+/// The six per-head products of the core run as two kinds of batched GEMM
+/// over all `(batch, head)` pairs ([`gemm_batched`]): each head is read in
+/// place from its `(batch·seq) × d_model` matrix, and each product lands in
+/// place in its head's columns or its pair's block — no head is copied.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     q: Linear,
@@ -70,22 +74,54 @@ impl MultiHeadAttention {
         f(&mut self.o);
     }
 
-    /// Copies the `(rows b·seq.., cols h·d_head..)` sub-block for one
-    /// `(batch, head)` pair out of a `(batch·seq) × d_model` matrix into a
-    /// caller-provided (re-dimensioned, fully overwritten) output matrix.
-    fn head_block_into(
-        m: &Matrix,
-        b: usize,
-        h: usize,
-        seq: usize,
-        d_head: usize,
-        out: &mut Matrix,
-    ) {
-        out.reset_shape(seq, d_head);
-        for s in 0..seq {
-            let src = &m.row(b * seq + s)[h * d_head..(h + 1) * d_head];
-            out.row_mut(s).copy_from_slice(src);
+    /// Every head of a `(batch·seq) × d_model` matrix, in place.
+    fn heads<'a>(&self, m: &'a Matrix, seq: usize, trans: bool) -> Strided<'a> {
+        let (data, ld) = (m.as_slice(), self.d_model);
+        let step = (seq * ld, self.d_head);
+        Strided {
+            data,
+            ld,
+            trans,
+            step,
         }
+    }
+
+    /// `X_bh · Y_bhᵀ` for every `(batch, head)`, stacked as in
+    /// [`AttnCache::probs`].
+    fn pair_products(&self, seq: usize, x: &Matrix, y: &Matrix) -> Matrix {
+        let (nh, dh) = (self.n_heads, self.d_head);
+        let mut out = Matrix::zeros(x.rows() * nh, seq);
+        let (a, b) = (self.heads(x, seq, false), self.heads(y, seq, true));
+        let (count, step) = ((x.rows() / seq, nh), (nh * seq * seq, seq * seq));
+        gemm_batched(count, (seq, seq, dh), a, b, out.as_mut_slice(), seq, step);
+        out
+    }
+
+    /// `P_bh · Y_bh` (`P_bhᵀ · Y_bh` with `trans`) for every `(batch,
+    /// head)`, each into its head's columns of a `(batch·seq) × d_model`
+    /// matrix of zeros.
+    fn head_products(&self, seq: usize, p: &Matrix, trans: bool, y: &Matrix) -> Matrix {
+        let (nh, d) = (self.n_heads, self.d_model);
+        let mut out = Matrix::zeros(y.rows(), d);
+        let (data, step) = (p.as_slice(), (nh * seq * seq, seq * seq));
+        let a = Strided {
+            data,
+            ld: seq,
+            trans,
+            step,
+        };
+        let count = (y.rows() / seq, nh);
+        let b = self.heads(y, seq, false);
+        gemm_batched(
+            count,
+            (seq, self.d_head, seq),
+            a,
+            b,
+            out.as_mut_slice(),
+            d,
+            b.step,
+        );
+        out
     }
 
     /// Shared forward body: projections, per-head scaled-dot-product
@@ -94,34 +130,18 @@ impl MultiHeadAttention {
     fn forward_concat(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim");
         let seq = ctx.effective_seq_len(x.rows());
-        let batch = x.rows() / seq;
-        let (dh, nh) = (self.d_head, self.n_heads);
-        let scale = 1.0 / (dh as f64).sqrt();
+        let scale = 1.0 / (self.d_head as f64).sqrt();
 
         let q_out = self.q.forward(x, ctx);
         let k_out = self.k.forward(x, ctx);
         let v_out = self.v.forward(x, ctx);
 
-        let mut concat = Matrix::zeros(x.rows(), self.d_model);
-        let mut probs = Vec::with_capacity(batch * nh);
-        // Head blocks, reused across the (batch, head) loop.
-        let (mut qb, mut kb, mut vb) = (Matrix::default(), Matrix::default(), Matrix::default());
-        for b in 0..batch {
-            for h in 0..nh {
-                Self::head_block_into(&q_out, b, h, seq, dh, &mut qb);
-                Self::head_block_into(&k_out, b, h, seq, dh, &mut kb);
-                Self::head_block_into(&v_out, b, h, seq, dh, &mut vb);
-                let mut scores = qb.matmul_nt(&kb);
-                // The 1/√d_k scale is folded into the softmax's max/exp
-                // pass (one fewer sweep over the seq × seq scores).
-                softmax_scaled_inplace(&mut scores, scale);
-                let ob = scores.matmul(&vb);
-                Self::add_head_block(&mut concat, &ob, b, h, seq, dh);
-                probs.push(scores);
-            }
-        }
+        let mut probs = self.pair_products(seq, &q_out, &k_out);
+        // The 1/√d_k scale is folded into the softmax's max/exp pass (one
+        // fewer sweep over the scores).
+        softmax_scaled_inplace(&mut probs, scale);
+        let concat = self.head_products(seq, &probs, false, &v_out);
         self.cache = Some(AttnCache {
-            batch,
             seq,
             q_out,
             k_out,
@@ -140,23 +160,6 @@ impl MultiHeadAttention {
         let concat = self.forward_concat(x, ctx);
         self.o.forward_residual(&concat, residual, ctx)
     }
-
-    /// Adds `block` into the `(b, h)` sub-block of `m`.
-    fn add_head_block(
-        m: &mut Matrix,
-        block: &Matrix,
-        b: usize,
-        h: usize,
-        seq: usize,
-        d_head: usize,
-    ) {
-        for s in 0..seq {
-            let dst = &mut m.row_mut(b * seq + s)[h * d_head..(h + 1) * d_head];
-            for (d, &x) in dst.iter_mut().zip(block.row(s).iter()) {
-                *d += x;
-            }
-        }
-    }
 }
 
 impl Layer for MultiHeadAttention {
@@ -171,61 +174,50 @@ impl Layer for MultiHeadAttention {
             .take()
             .expect("MultiHeadAttention::backward before forward");
         let AttnCache {
-            batch,
             seq,
             q_out,
             k_out,
             v_out,
             probs,
         } = cache;
-        let (dh, nh) = (self.d_head, self.n_heads);
-        let scale = 1.0 / (dh as f64).sqrt();
+        let scale = 1.0 / (self.d_head as f64).sqrt();
 
         let dconcat = self.o.backward(dout);
-        let mut dq_full = Matrix::zeros(dconcat.rows(), self.d_model);
-        let mut dk_full = Matrix::zeros(dconcat.rows(), self.d_model);
-        let mut dv_full = Matrix::zeros(dconcat.rows(), self.d_model);
-
-        // Head blocks and their gradients, reused across the (batch, head)
-        // loop; every one is fully overwritten before it is read.
-        let [mut qb, mut kb, mut vb, mut dob, mut dp, mut dvb, mut ds, mut dqb, mut dkb] =
-            std::array::from_fn(|_| Matrix::default());
-        for b in 0..batch {
-            for h in 0..nh {
-                let p = &probs[b * nh + h];
-                Self::head_block_into(&dconcat, b, h, seq, dh, &mut dob);
-                Self::head_block_into(&q_out, b, h, seq, dh, &mut qb);
-                Self::head_block_into(&k_out, b, h, seq, dh, &mut kb);
-                Self::head_block_into(&v_out, b, h, seq, dh, &mut vb);
-
-                // O = P·V  ⇒  dP = dO·Vᵀ, dV = Pᵀ·dO.
-                dob.matmul_nt_into(&vb, &mut dp);
-                p.matmul_tn_into(&dob, &mut dvb);
-                // Softmax backward row-wise: dS = P ⊙ (dP − rowdot(dP, P)).
-                ds.reset_shape(seq, seq);
-                for r in 0..seq {
-                    let prow = p.row(r);
-                    let dprow = dp.row(r);
-                    let dot: f64 = prow.iter().zip(dprow.iter()).map(|(&a, &b)| a * b).sum();
-                    let dsrow = ds.row_mut(r);
-                    for c in 0..seq {
-                        dsrow[c] = prow[c] * (dprow[c] - dot);
-                    }
+        // O = P·V  ⇒  dP = dO·Vᵀ, dV = Pᵀ·dO.
+        let mut ds = self.pair_products(seq, &dconcat, &v_out);
+        let dv = self.head_products(seq, &probs, true, &dconcat);
+        // Each input goes back to the arena once read for the last time, so
+        // the stacked dS costs no more peak memory than per-head scratch.
+        drop((dconcat, v_out));
+        // Softmax backward row-wise, then the scale: dS = P ⊙ (dP −
+        // rowdot(dP, P)) · scale. Eight rows' dots run interleaved, each
+        // its own ascending chain from −0.0 (as `Iterator::sum` folds), so
+        // their adds overlap instead of each waiting on the one before.
+        let group = 8 * seq;
+        let p_groups = probs.as_slice().chunks(group);
+        for (dsg, pg) in ds.as_mut_slice().chunks_mut(group).zip(p_groups) {
+            let mut dots = [-0.0f64; 8];
+            for c in 0..seq {
+                for (j, dot) in dots[..pg.len() / seq].iter_mut().enumerate() {
+                    *dot += pg[j * seq + c] * dsg[j * seq + c];
                 }
-                ds.scale_inplace(scale);
-                // S = scale·Q·Kᵀ ⇒ dQ = dS·K, dK = dSᵀ·Q.
-                ds.matmul_into(&kb, &mut dqb);
-                ds.matmul_tn_into(&qb, &mut dkb);
-
-                Self::add_head_block(&mut dq_full, &dqb, b, h, seq, dh);
-                Self::add_head_block(&mut dk_full, &dkb, b, h, seq, dh);
-                Self::add_head_block(&mut dv_full, &dvb, b, h, seq, dh);
+            }
+            let rows = dsg.chunks_exact_mut(seq).zip(pg.chunks_exact(seq));
+            for ((drow, prow), dot) in rows.zip(dots) {
+                for (d, &p) in drow.iter_mut().zip(prow) {
+                    *d = p * (*d - dot) * scale;
+                }
             }
         }
+        drop(probs);
+        // S = scale·Q·Kᵀ ⇒ dQ = dS·K, dK = dSᵀ·Q.
+        let dq = self.head_products(seq, &ds, false, &k_out);
+        let dk = self.head_products(seq, &ds, true, &q_out);
+        drop((ds, q_out, k_out));
 
-        let mut dx = self.q.backward(&dq_full);
-        dx += &self.k.backward(&dk_full);
-        dx += &self.v.backward(&dv_full);
+        let mut dx = self.q.backward(&dq);
+        dx += &self.k.backward(&dk);
+        dx += &self.v.backward(&dv);
         dx
     }
 
@@ -240,6 +232,7 @@ impl Layer for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Parameter;
     use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -309,6 +302,145 @@ mod tests {
             }
         });
         assert_eq!(complete, 4); // q, k, v, o all captured
+    }
+
+    /// The per-head loop the batched core replaced, kept as its oracle: each
+    /// head copied out, multiplied on its own, and added onto zeros.
+    impl MultiHeadAttention {
+        fn head_block(m: &Matrix, b: usize, h: usize, seq: usize, dh: usize) -> Matrix {
+            let rows: Vec<&[f64]> = (0..seq)
+                .map(|s| &m.row(b * seq + s)[h * dh..(h + 1) * dh])
+                .collect();
+            Matrix::from_rows(&rows)
+        }
+
+        fn add_head_block(m: &mut Matrix, block: &Matrix, b: usize, h: usize, seq: usize) {
+            let dh = block.cols();
+            for s in 0..seq {
+                let dst = &mut m.row_mut(b * seq + s)[h * dh..(h + 1) * dh];
+                for (d, &x) in dst.iter_mut().zip(block.row(s)) {
+                    *d += x;
+                }
+            }
+        }
+
+        fn oracle_forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
+            let seq = ctx.effective_seq_len(x.rows());
+            let (dh, nh) = (self.d_head, self.n_heads);
+            let scale = 1.0 / (dh as f64).sqrt();
+            let q_out = self.q.forward(x, ctx);
+            let k_out = self.k.forward(x, ctx);
+            let v_out = self.v.forward(x, ctx);
+            let mut concat = Matrix::zeros(x.rows(), self.d_model);
+            let mut probs = Vec::new();
+            for b in 0..x.rows() / seq {
+                for h in 0..nh {
+                    let qb = Self::head_block(&q_out, b, h, seq, dh);
+                    let kb = Self::head_block(&k_out, b, h, seq, dh);
+                    let vb = Self::head_block(&v_out, b, h, seq, dh);
+                    let mut scores = qb.matmul_nt(&kb);
+                    softmax_scaled_inplace(&mut scores, scale);
+                    Self::add_head_block(&mut concat, &scores.matmul(&vb), b, h, seq);
+                    probs.push(scores);
+                }
+            }
+            let probs = Matrix::vcat(&probs.iter().collect::<Vec<_>>());
+            self.cache = Some(AttnCache {
+                seq,
+                q_out,
+                k_out,
+                v_out,
+                probs,
+            });
+            self.o.forward(&concat, ctx)
+        }
+
+        fn oracle_backward(&mut self, dout: &Matrix) -> Matrix {
+            let c = self.cache.take().unwrap();
+            let (dh, nh, seq) = (self.d_head, self.n_heads, c.seq);
+            let scale = 1.0 / (dh as f64).sqrt();
+            let dconcat = self.o.backward(dout);
+            let [mut dq, mut dk, mut dv] =
+                std::array::from_fn(|_| Matrix::zeros(dconcat.rows(), self.d_model));
+            for b in 0..dconcat.rows() / seq {
+                for h in 0..nh {
+                    let i = (b * nh + h) * seq;
+                    let p = c.probs.slice_rows(i, i + seq);
+                    let dob = Self::head_block(&dconcat, b, h, seq, dh);
+                    let qb = Self::head_block(&c.q_out, b, h, seq, dh);
+                    let kb = Self::head_block(&c.k_out, b, h, seq, dh);
+                    let vb = Self::head_block(&c.v_out, b, h, seq, dh);
+                    let dp = dob.matmul_nt(&vb);
+                    let mut dvb = Matrix::default();
+                    p.matmul_tn_into(&dob, &mut dvb);
+                    let mut ds = Matrix::zeros(seq, seq);
+                    for r in 0..seq {
+                        let (prow, dprow) = (p.row(r), dp.row(r));
+                        let dot: f64 = prow.iter().zip(dprow).map(|(&a, &b)| a * b).sum();
+                        for (c, d) in ds.row_mut(r).iter_mut().enumerate() {
+                            *d = prow[c] * (dprow[c] - dot);
+                        }
+                    }
+                    ds.scale_inplace(scale);
+                    let mut dkb = Matrix::default();
+                    ds.matmul_tn_into(&qb, &mut dkb);
+                    Self::add_head_block(&mut dq, &ds.matmul(&kb), b, h, seq);
+                    Self::add_head_block(&mut dk, &dkb, b, h, seq);
+                    Self::add_head_block(&mut dv, &dvb, b, h, seq);
+                }
+            }
+            let mut dx = self.q.backward(&dq);
+            dx += &self.k.backward(&dk);
+            dx += &self.v.backward(&dv);
+            dx
+        }
+    }
+
+    fn assert_bits(what: &str, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x:e} vs {y:e}");
+        }
+    }
+
+    #[test]
+    fn core_matches_the_per_head_loop_bitwise() {
+        let heads = 3;
+        for (dh, seq, batch) in [16, 24, 5]
+            .into_iter()
+            .flat_map(|dh| [(32, 1), (32, 8), (7, 1), (7, 8)].map(|(s, b)| (dh, s, b)))
+        {
+            let (d, rows) = (dh * heads, batch * seq);
+            let what = format!("d_head {dh}, seq {seq}, batch {batch}");
+            let mut rng = StdRng::seed_from_u64(dh as u64 * 100 + seq as u64 + batch as u64);
+            let x = init::normal(rows, d, 1.0, &mut rng);
+            let dout = init::normal(rows, d, 1.0, &mut rng);
+            let ctx = ForwardCtx::train_with_capture().with_seq_len(seq);
+            let (mut fast, mut slow) = (attn(d, heads), attn(d, heads));
+            let y = fast.forward(&x, &ctx);
+            assert_bits(&what, &y, &slow.oracle_forward(&x, &ctx));
+            let dx = fast.backward(&dout);
+            assert_bits(&what, &dx, &slow.oracle_backward(&dout));
+            let mut params = Vec::new();
+            fast.visit_params(&mut |p: &mut Parameter| params.push(p.clone()));
+            let mut i = 0;
+            slow.visit_params(&mut |p: &mut Parameter| {
+                assert_bits(&format!("{what}: {}", p.name), &p.grad, &params[i].grad);
+                i += 1;
+            });
+            let mut stats = Vec::new();
+            fast.visit_linears(&mut |l: &mut Linear| stats.push(l.kfac_stats().clone()));
+            let mut i = 0;
+            slow.visit_linears(&mut |l: &mut Linear| {
+                let (got, want) = (&stats[i], l.kfac_stats());
+                assert!(got.is_complete(), "{what}: capture");
+                let a = (got.activations.as_ref(), want.activations.as_ref());
+                let e = (got.errors.as_ref(), want.errors.as_ref());
+                assert_bits(&format!("{what}: A {i}"), a.0.unwrap(), a.1.unwrap());
+                assert_bits(&format!("{what}: G {i}"), e.0.unwrap(), e.1.unwrap());
+                i += 1;
+            });
+        }
     }
 
     #[test]

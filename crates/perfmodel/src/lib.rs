@@ -17,7 +17,8 @@
 //!   it derives: per-stage durations ([`pipefisher_sim::KindCost`], with
 //!   the setting's sync-grad / sync-curv collectives) and the pipeline
 //!   schedule; the paper's Figure 3/4/6 settings are presets,
-//! * [`model_step`] → [`StepModel`] — the closed-form step model:
+//! * [`model_step`] → [`StepModel`] — the closed-form step model (of a
+//!   setting with its own costs: [`Setting::step_model`]):
 //!   `T_pipe = C_f·T_f + C_b·T_b`,
 //!   `T_bubble = T_pipe − N_micro·(T_f + T_b)`,
 //!   `T_kfac⁺ = N_micro·T_curv + T_inv + T_prec`, the
@@ -33,12 +34,12 @@
 //! # Example
 //!
 //! ```
-//! use pipefisher_perfmodel::{model_step, Setting};
+//! use pipefisher_perfmodel::Setting;
 //! use pipefisher_pipeline::PipelineScheme;
 //!
 //! // Figure 3: BERT-Base, GPipe, D = 4, 3 blocks/stage, B_micro = 32, P100.
 //! let setting = Setting::fig3(PipelineScheme::GPipe, 1);
-//! let m = model_step(&setting, &setting.costs());
+//! let m = setting.step_model();
 //! assert!(m.t_bubble > 0.0 && m.t_step_pipefisher > m.t_step_baseline);
 //! // One curvature refresh fits in the bubbles of about two steps.
 //! assert!((1.0..3.0).contains(&m.ratio));

@@ -1,6 +1,7 @@
 //! A paper setting: the one configuration both modelled results read.
 
-use crate::{flops, HardwareProfile, TransformerConfig};
+use crate::stepmodel::step_model_on;
+use crate::{flops, HardwareProfile, StepModel, TransformerConfig};
 use pipefisher_pipeline::{with_recompute, PipelineScheme, TaskGraph};
 use pipefisher_sim::{ring_allreduce_time, KindCost};
 
@@ -8,7 +9,7 @@ use pipefisher_sim::{ring_allreduce_time, KindCost};
 /// scheme × shape × data parallelism × recomputation. The §3.1–3.2 bubble
 /// assignment runs on its [`graph`](Setting::graph) and
 /// [`costs`](Setting::costs); the §3.3 step model is
-/// [`model_step`](crate::model_step) of it.
+/// [`step_model`](Setting::step_model).
 #[derive(Debug, Clone)]
 pub struct Setting {
     /// Transformer architecture (Table 3 presets).
@@ -40,6 +41,12 @@ impl Setting {
     /// (`2·M_curv`) for sync-curv. With `recompute`, the recomputation
     /// forward is `t_recompute`.
     pub fn costs(&self) -> KindCost {
+        self.costs_on(&self.graph())
+    }
+
+    /// [`costs`](Setting::costs) with `graph`, this setting's
+    /// [`graph`](Setting::graph), already built.
+    fn costs_on(&self, graph: &TaskGraph) -> KindCost {
         let (arch, hw) = (&self.arch, &self.hw);
         let tokens = (self.b_micro * arch.seq_len) as f64;
         let blocks = self.blocks_per_stage as f64;
@@ -50,7 +57,7 @@ impl Setting {
         let curv = hw.gemm_time(flops::curvature_flops_per_token(arch) * tokens * blocks);
         let inv = hw.factorization_time(flops::inversion_flops(arch) * blocks);
         let prec = hw.gemm_time(flops::precondition_flops(arch) * blocks);
-        let hosts = self.graph().stage_hosts().iter().map(Vec::len).max();
+        let hosts = graph.stage_hosts().iter().map(Vec::len).max();
         let copies = self.w * hosts.unwrap_or(1);
         let sync = |bytes| ring_allreduce_time(bytes, copies, hw.link_bandwidth, hw.link_latency);
         KindCost {
@@ -65,6 +72,18 @@ impl Setting {
             t_sync_grad: sync(flops::param_bytes(arch) * blocks),
             t_sync_curv: sync(2.0 * (flops::curvature_bytes(arch) * blocks)),
         }
+    }
+
+    /// The §3.3 step model with this setting's own costs:
+    /// [`model_step`](crate::model_step)`(self, &self.costs())`, building
+    /// the schedule once.
+    ///
+    /// # Panics
+    ///
+    /// Where [`model_step`](crate::model_step) does.
+    pub fn step_model(&self) -> StepModel {
+        let graph = self.graph();
+        step_model_on(self, &graph, &self.costs_on(&graph))
     }
 
     /// [`costs`](Setting::costs) with **Shampoo** as the extra work (paper

@@ -1,7 +1,7 @@
 //! The closed-form pipeline-step model of paper §3.3.
 
 use crate::{flops, Setting};
-use pipefisher_pipeline::PipelineScheme;
+use pipefisher_pipeline::{PipelineScheme, TaskGraph};
 use pipefisher_sim::{KfacShare, KindCost};
 
 /// The closed-form step model outputs (paper §3.3 quantities).
@@ -40,7 +40,8 @@ pub struct StepModel {
 }
 
 /// Evaluates the §3.3 closed-form model of `setting` with per-stage work
-/// durations `costs` — normally `setting.costs()`; the Appendix A.2
+/// durations `costs` — normally `setting.costs()`, which
+/// [`Setting::step_model`] passes on one built schedule; the Appendix A.2
 /// block-diagonal study swaps in its own curvature, inversion and
 /// sync-curvature terms.
 ///
@@ -66,6 +67,11 @@ pub struct StepModel {
 /// Panics if `d`, `n_micro`, or `w` is zero, or where `setting.graph()`
 /// does.
 pub fn model_step(setting: &Setting, costs: &KindCost) -> StepModel {
+    step_model_on(setting, &setting.graph(), costs)
+}
+
+/// [`model_step`] with `graph`, `setting.graph()`, already built.
+pub(crate) fn step_model_on(setting: &Setting, graph: &TaskGraph, costs: &KindCost) -> StepModel {
     let Setting {
         scheme,
         d,
@@ -92,7 +98,7 @@ pub fn model_step(setting: &Setting, costs: &KindCost) -> StepModel {
     let t_pipe = cf * c.t_f + cb * t_b_eff;
     let t_bubble = (t_pipe - n * (c.t_f + t_b_eff)).max(0.0);
 
-    let share = KfacShare::new(&setting.graph(), w, c);
+    let share = KfacShare::new(graph, w, c);
     let t_curv_total = n * c.t_curv();
     let (mut t_inv_total, mut t_sync_curv, mut hosted) = (0.0f64, 0.0f64, 0.0f64);
     for stages in &share.stages_of {

@@ -301,6 +301,84 @@ impl Matrix {
     }
 }
 
+/// One operand of [`gemm_batched`]: row-major matrices in `data` at row
+/// stride `ld`, read as stored or, with `trans`, transposed; item `(i, j)`
+/// of the batch starts at `data[i * step.0 + j * step.1]`. The head
+/// `(b, h)` of a `(batch·seq) × d_model` projection, for one, is `ld =
+/// d_model`, `step = (seq·d_model, d_head)`: read in place, never copied.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a> {
+    /// The backing storage.
+    pub data: &'a [f64],
+    /// Row stride of each stored matrix.
+    pub ld: usize,
+    /// Read each item transposed.
+    pub trans: bool,
+    /// Offsets between neighbouring items along the two batch axes.
+    pub step: (usize, usize),
+}
+
+impl<'a> Strided<'a> {
+    /// The storage from item `(i, j)` on.
+    fn item(&self, i: usize, j: usize) -> &'a [f64] {
+        let data: &'a [f64] = self.data;
+        &data[i * self.step.0 + j * self.step.1..]
+    }
+}
+
+/// `C_ij += A_ij · B_ij` for every item `(i, j)` of a `count.0 × count.1`
+/// batch of `m × n` products over `k` steps, on the packed engine with its
+/// set-up paid once. `C_ij` is the `m × n` block of `c` at offset `i ·
+/// cstep.0 + j · cstep.1` and row stride `ldc`. Each element is the
+/// engine's chain — its current value, then `p` ascending, multiply and
+/// add rounded apart at the default kernel kinds — so a block of zeros
+/// comes out bitwise as a fresh [`Matrix::matmul`] of the two items.
+///
+/// # Panics
+///
+/// Panics if an operand or `c` is too short for the shapes, strides and
+/// steps given, or if `n > ldc`.
+pub fn gemm_batched(
+    count: (usize, usize),
+    (m, n, k): (usize, usize, usize),
+    a: Strided<'_>,
+    b: Strided<'_>,
+    c: &mut [f64],
+    ldc: usize,
+    cstep: (usize, usize),
+) {
+    let mut gemm = kernel::Gemm::new();
+    for (i, j) in (0..count.0).flat_map(|i| (0..count.1).map(move |j| (i, j))) {
+        let (ad, bd) = (a.item(i, j), b.item(i, j));
+        let asrc = if a.trans {
+            ASrc::ColMajor {
+                data: ad,
+                stride: a.ld,
+                base: 0,
+            }
+        } else {
+            ASrc::RowMajor {
+                data: ad,
+                stride: a.ld,
+                base: 0,
+            }
+        };
+        let bsrc = if b.trans {
+            BSrc::ColMajor {
+                data: bd,
+                stride: b.ld,
+            }
+        } else {
+            BSrc::RowMajor {
+                data: bd,
+                stride: b.ld,
+            }
+        };
+        let cd = &mut c[i * cstep.0 + j * cstep.1..];
+        gemm.run(cd, ldc, (m, n, k), asrc, bsrc, Mode::default());
+    }
+}
+
 /// Mirror tile edge: a 64×64 f64 tile pair (source + destination) is
 /// 64 KiB, comfortably inside L2, so the column-major reads of the naive
 /// mirror become cache-resident.
@@ -438,6 +516,53 @@ mod tests {
 
         a.gram_into(&mut out);
         assert_eq!(out, run(|fresh| a.gram_into(fresh)));
+    }
+
+    #[test]
+    fn batched_items_match_fresh_matmuls_bitwise() {
+        // A 2 × 3 grid of 5 × 7 products over 9 steps (ragged on every
+        // tile), each operand a block of a wider matrix, read as stored or
+        // transposed, each result written in place into a block of `c`.
+        let (m, n, k) = (5, 7, 9);
+        let block = |x: &Matrix, (i, j): (usize, usize), (r, c): (usize, usize)| {
+            let rows: Vec<&[f64]> = (i * r..(i + 1) * r)
+                .map(|row| &x.row(row)[j * c..(j + 1) * c])
+                .collect();
+            Matrix::from_rows(&rows)
+        };
+        fn operand(x: &Matrix, trans: bool, (r, c): (usize, usize)) -> Strided<'_> {
+            Strided {
+                data: x.as_slice(),
+                ld: x.cols(),
+                trans,
+                step: (r * x.cols(), c),
+            }
+        }
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let sa = if ta { (k, m) } else { (m, k) };
+            let sb = if tb { (n, k) } else { (k, n) };
+            let a = rand_matrix(2 * sa.0, 3 * sa.1, 31);
+            let b = rand_matrix(2 * sb.0, 3 * sb.1, 32);
+            let mut c = Matrix::zeros(2 * m, 3 * n);
+            let (pa, pb) = (operand(&a, ta, sa), operand(&b, tb, sb));
+            gemm_batched(
+                (2, 3),
+                (m, n, k),
+                pa,
+                pb,
+                c.as_mut_slice(),
+                3 * n,
+                (m * 3 * n, n),
+            );
+            for ij in (0..2).flat_map(|i| (0..3).map(move |j| (i, j))) {
+                let (ab, bb) = (block(&a, ij, sa), block(&b, ij, sb));
+                let oa = if ta { ab.transpose() } else { ab };
+                let ob = if tb { bb.transpose() } else { bb };
+                let (got, want) = (block(&c, ij, (m, n)), oa.matmul(&ob));
+                let same = got.as_slice().iter().zip(want.as_slice());
+                assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub(crate) fn rows_avx512<const GELU: bool>(v: &mut [f64], d: &mut [f64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::reference;
 
@@ -215,7 +215,7 @@ mod tests {
     }
 
     /// Uniform bits in `[0, 1)` from a xorshift stream.
-    fn stream(mut s: u64) -> impl FnMut() -> f64 {
+    pub(in crate::kernel) fn stream(mut s: u64) -> impl FnMut() -> f64 {
         move || {
             s ^= s << 13;
             s ^= s >> 7;
@@ -307,16 +307,17 @@ mod tests {
         }
     }
 
-    /// Why this host's `f64::tanh` is not the function [`tanh`]
-    /// transcribes, if it is not: that is fdlibm's over glibc's
-    /// `__expm1_fma`, which x86_64 glibc selects on FMA CPUs.
-    fn host_libm_differs() -> Option<&'static str> {
+    /// Why this host's `f64::tanh` (or `f64::exp`) is not the function
+    /// [`tanh`] (or `exp::exp`) transcribes, if it is not: those are built on
+    /// glibc's `__expm1_fma` (`__exp_fma`), which x86_64 glibc selects on FMA
+    /// CPUs.
+    pub(crate) fn host_libm_differs() -> Option<&'static str> {
         if !cfg!(all(target_env = "gnu", target_arch = "x86_64")) {
             return Some("not x86_64 glibc");
         }
         #[cfg(target_arch = "x86_64")]
         if !std::arch::is_x86_feature_detected!("fma") {
-            return Some("no FMA, so glibc runs its non-FMA expm1");
+            return Some("no FMA, so glibc runs its non-FMA build");
         }
         None
     }

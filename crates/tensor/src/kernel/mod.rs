@@ -16,8 +16,9 @@
 //! * anywhere else, or on request — a portable scalar 4×8 kernel.
 //!
 //! The same table picks the activation row kernels ([`ActivationKind`],
-//! in `act`): one branch-free body built for AVX-512F, for AVX2 + FMA, or
-//! for the baseline ISA.
+//! in `act`) and the softmax's exp row kernel (in `exp`): each one
+//! branch-free body built for AVX-512F, for AVX2 + FMA, or for the
+//! baseline ISA.
 //!
 //! # Dispatch and the `PIPEFISHER_KERNEL` knob
 //!
@@ -39,6 +40,7 @@
 //! property tests enforcing all of this.
 
 mod act;
+mod exp;
 mod micro;
 mod pack;
 
@@ -47,6 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub use act::{tanh, ActivationKind};
+pub(crate) use exp::exp_rows;
 pub(crate) use micro::TRI_BLOCK;
 pub(crate) use pack::{ASrc, BSrc};
 
@@ -229,7 +232,7 @@ pub(crate) type ActRowFn = unsafe fn(&mut [f64], &mut [f64]);
 
 /// What one `(kernel kind, instruction set)` pair selects: the GEMM tile
 /// shape with its micro-kernel, the in-block triangular sweep, and the
-/// activation row kernels.
+/// activation and exp row kernels.
 #[derive(Clone, Copy)]
 struct Kernels {
     mr: usize,
@@ -238,15 +241,16 @@ struct Kernels {
     tri_sweep: micro::TriSweepFn,
     gelu: ActRowFn,
     tanh: ActRowFn,
+    exp: exp::ExpRowFn,
 }
 
 /// The dispatch table: the kernels for the current [`kernel_kind`] on the
 /// detected instruction set.
 ///
-/// The sweep and the activations have no fused-rounding variant: `Fma`
-/// maps to the same kernels as `Simd`, so in-block factor work is bitwise
-/// identical to the scalar substitution, and activations to the portable
-/// body, under every setting. (On aarch64 the portable bodies already
+/// The sweep and the activation and exp rows have no fused-rounding
+/// variant: `Fma` maps to the same kernels as `Simd`, so in-block factor
+/// work is bitwise identical to the scalar substitution, and the rows to
+/// the portable body, under every setting. (On aarch64 the portable bodies already
 /// compile to NEON.)
 fn kernels() -> Kernels {
     let scalar = Kernels {
@@ -256,6 +260,7 @@ fn kernels() -> Kernels {
         tri_sweep: micro::tri_sweep_scalar,
         gelu: act::rows_portable::<true>,
         tanh: act::rows_portable::<false>,
+        exp: exp::rows_portable,
     };
     match (kernel_kind(), isa()) {
         (KernelKind::Scalar, _) => scalar,
@@ -271,6 +276,7 @@ fn kernels() -> Kernels {
             tri_sweep: micro::tri_sweep_avx512,
             gelu: act::rows_avx512::<true>,
             tanh: act::rows_avx512::<false>,
+            exp: exp::rows_avx512,
         },
         #[cfg(target_arch = "x86_64")]
         (kind, Isa::Avx2) => Kernels {
@@ -282,6 +288,7 @@ fn kernels() -> Kernels {
             tri_sweep: micro::tri_sweep_avx2,
             gelu: act::rows_avx2::<true>,
             tanh: act::rows_avx2::<false>,
+            exp: exp::rows_avx2,
             ..scalar
         },
         #[cfg(target_arch = "aarch64")]
@@ -373,16 +380,16 @@ pub(crate) enum Epilogue<'a> {
 }
 
 /// Applies `epi` to the `tm × tn` output tile at rows `row0..row0+tm`,
-/// columns `col0..col0+tn`.
+/// columns `col0..col0+tn`, of the row-stride-`ldc` `c`.
 fn apply_epilogue(
     c: &mut [f64],
-    n: usize,
+    ldc: usize,
     (row0, col0): (usize, usize),
     (tm, tn): (usize, usize),
     epi: &mut Epilogue<'_>,
 ) {
     for g in row0..row0 + tm {
-        let row = &mut c[g * n + col0..][..tn];
+        let row = &mut c[g * ldc + col0..][..tn];
         match epi {
             Epilogue::Bias { bias } => {
                 for (j, v) in row.iter_mut().enumerate() {
@@ -395,18 +402,18 @@ fn apply_epilogue(
                 }
                 // SAFETY: `act` comes from `kernels`, which only returns
                 // kernels the detected CPU supports.
-                unsafe { (*act)(row, &mut grad[g * n + col0..][..tn]) }
+                unsafe { (*act)(row, &mut grad[g * ldc + col0..][..tn]) }
             }
             Epilogue::BiasResidual { bias, res } => {
                 for (j, v) in row.iter_mut().enumerate() {
-                    *v = (*v + bias[col0 + j]) + res[g * n + col0 + j];
+                    *v = (*v + bias[col0 + j]) + res[g * ldc + col0 + j];
                 }
             }
         }
     }
 }
 
-/// How one [`gemm_chunk`] call departs from the plain accumulate
+/// How one [`Gemm::run`] call departs from the plain accumulate
 /// `c[i][j] += Σ_p A(i,p)·B(p,j)`; `Mode::default()` is that accumulate.
 #[derive(Default)]
 pub(crate) struct Mode<'a> {
@@ -432,9 +439,156 @@ pub(crate) struct Mode<'a> {
     pub fused: Option<Epilogue<'a>>,
 }
 
-/// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over a `rows × n` output (`c`
-/// pre-zeroed or mid-accumulation), with cache blocking, panel packing, and
-/// the dispatched micro-kernel, varied as `mode` says.
+/// The GEMM engine: the dispatched kernels and the two packing buffers,
+/// checked out once for any number of [`Gemm::run`] calls (a batch of
+/// small products pays the set-up once) and returned on drop.
+pub(crate) struct Gemm {
+    kernels: Kernels,
+    abuf: Vec<f64>,
+    bbuf: Vec<f64>,
+}
+
+impl Gemm {
+    pub(crate) fn new() -> Self {
+        // Fixed-size panel buffers from the workspace arena: one size class
+        // each, so steady-state checkouts always hit the per-thread free
+        // list.
+        Gemm {
+            kernels: kernels(),
+            abuf: workspace::take_raw(MC * KC),
+            bbuf: workspace::take_raw(KC * NC),
+        }
+    }
+
+    /// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over a `rows × n` output at
+    /// row stride `ldc` (`c` pre-zeroed or mid-accumulation), with cache
+    /// blocking, panel packing, and the dispatched micro-kernel, varied as
+    /// `mode` says. A fused epilogue reads `grad` and `res` at `c`'s layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` cannot hold `rows` rows of `n ≤ ldc` columns, or an
+    /// operand is too short for its reads.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &mut self,
+        c: &mut [f64],
+        ldc: usize,
+        (rows, n, k): (usize, usize, usize),
+        a: ASrc<'_>,
+        b: BSrc<'_>,
+        mode: Mode<'_>,
+    ) {
+        let Mode {
+            neg,
+            b_lower,
+            upper,
+            mut fused,
+        } = mode;
+        if rows == 0 || n == 0 {
+            return;
+        }
+        // The micro-kernels store through raw pointers: this bounds them.
+        assert!(
+            n <= ldc && c.len() >= (rows - 1) * ldc + n,
+            "gemm: output {rows}x{n} at stride {ldc} overruns {}",
+            c.len()
+        );
+        if k == 0 {
+            if let Some(epi) = &mut fused {
+                apply_epilogue(c, ldc, (0, 0), (rows, n), epi);
+            }
+            return;
+        }
+        let Kernels { mr, nr, micro, .. } = self.kernels;
+        let (abuf, bbuf) = (&mut self.abuf, &mut self.bbuf);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for kb in (0..k).step_by(KC) {
+                let kc = KC.min(k - kb);
+                // A tile's accumulation completes on the last KC block of
+                // its column sweep; that is the store the epilogue fuses
+                // into.
+                let last_kb = kb + kc == k;
+                pack::pack_b(bbuf, &b, kb, kc, jc, nc, nr, b_lower);
+                for ib in (0..rows).step_by(MC) {
+                    let mc = MC.min(rows - ib);
+                    // Row blocks only sink further below the diagonal.
+                    if upper && jc + nc <= ib {
+                        break;
+                    }
+                    pack::pack_a(abuf, &a, ib, mc, kb, kc, mr, neg);
+                    for (qa, i0) in (0..mc).step_by(mr).enumerate() {
+                        let tm = mr.min(mc - i0);
+                        let apanel = &abuf[qa * kc * mr..];
+                        for (qb, j0) in (0..nc).step_by(nr).enumerate() {
+                            let tn = nr.min(nc - j0);
+                            if upper && jc + j0 + tn <= ib + i0 {
+                                continue;
+                            }
+                            // Lower-triangular B: the steps before this
+                            // tile's first column multiply stored zeros —
+                            // start past them (both panels are step-major).
+                            let skip = if b_lower {
+                                pack::lower_skip(jc + j0, kb, kc)
+                            } else {
+                                0
+                            };
+                            if skip == kc {
+                                continue;
+                            }
+                            let steps = kc - skip;
+                            let ap = apanel[skip * mr..].as_ptr();
+                            let bp = bbuf[qb * kc * nr + skip * nr..].as_ptr();
+                            let coff = (ib + i0) * ldc + jc + j0;
+                            if tm == mr && tn == nr {
+                                // SAFETY: full tile — `c[coff..]` spans mr
+                                // rows of stride ldc ≥ nr columns each (the
+                                // assert above); panels hold `steps` steps;
+                                // `kernels` only returns ISA kernels the
+                                // detected CPU supports.
+                                unsafe { micro(steps, ap, bp, c.as_mut_ptr().add(coff), ldc) };
+                            } else {
+                                // Ragged edge: run the full tile against the
+                                // zero-padded panels in a local buffer and
+                                // copy only the real elements back. Padded
+                                // lanes are discarded, so they cannot affect
+                                // results.
+                                let mut tile = [0.0f64; MAX_MR * MAX_NR];
+                                for i in 0..tm {
+                                    tile[i * nr..i * nr + tn]
+                                        .copy_from_slice(&c[coff + i * ldc..][..tn]);
+                                }
+                                // SAFETY: `tile` is MAX_MR×MAX_NR ≥ mr×nr
+                                // at stride nr; panel bounds as above.
+                                unsafe { micro(steps, ap, bp, tile.as_mut_ptr(), nr) };
+                                for i in 0..tm {
+                                    c[coff + i * ldc..][..tn]
+                                        .copy_from_slice(&tile[i * nr..i * nr + tn]);
+                                }
+                            }
+                            if last_kb {
+                                if let Some(epi) = &mut fused {
+                                    apply_epilogue(c, ldc, (ib + i0, jc + j0), (tm, tn), epi);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Gemm {
+    fn drop(&mut self) {
+        workspace::put(std::mem::take(&mut self.abuf));
+        workspace::put(std::mem::take(&mut self.bbuf));
+    }
+}
+
+/// One product on a fresh [`Gemm`]: `c[i][j] += Σ_p A(i,p)·B(p,j)` over a
+/// `rows × n` output at row stride `n`.
 pub(crate) fn gemm_chunk(
     c: &mut [f64],
     rows: usize,
@@ -444,102 +598,11 @@ pub(crate) fn gemm_chunk(
     b: BSrc<'_>,
     mode: Mode<'_>,
 ) {
-    debug_assert_eq!(c.len(), rows * n);
-    let Mode {
-        neg,
-        b_lower,
-        upper,
-        mut fused,
-    } = mode;
-    if rows == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if let Some(epi) = &mut fused {
-            apply_epilogue(c, n, (0, 0), (rows, n), epi);
-        }
-        return;
-    }
-    let Kernels { mr, nr, micro, .. } = kernels();
-    // Fixed-size panel buffers from the workspace arena: one size class
-    // each, so steady-state checkouts always hit the per-thread free list.
-    let mut abuf = workspace::take_raw(MC * KC);
-    let mut bbuf = workspace::take_raw(KC * NC);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for kb in (0..k).step_by(KC) {
-            let kc = KC.min(k - kb);
-            // A tile's accumulation completes on the last KC block of its
-            // column sweep; that is the store the epilogue fuses into.
-            let last_kb = kb + kc == k;
-            pack::pack_b(&mut bbuf, &b, kb, kc, jc, nc, nr, b_lower);
-            for ib in (0..rows).step_by(MC) {
-                let mc = MC.min(rows - ib);
-                // Row blocks only sink further below the diagonal.
-                if upper && jc + nc <= ib {
-                    break;
-                }
-                pack::pack_a(&mut abuf, &a, ib, mc, kb, kc, mr, neg);
-                for (qa, i0) in (0..mc).step_by(mr).enumerate() {
-                    let tm = mr.min(mc - i0);
-                    let apanel = &abuf[qa * kc * mr..];
-                    for (qb, j0) in (0..nc).step_by(nr).enumerate() {
-                        let tn = nr.min(nc - j0);
-                        if upper && jc + j0 + tn <= ib + i0 {
-                            continue;
-                        }
-                        // Lower-triangular B: the steps before this tile's
-                        // first column multiply stored zeros — start past
-                        // them (both panels are step-major).
-                        let skip = if b_lower {
-                            pack::lower_skip(jc + j0, kb, kc)
-                        } else {
-                            0
-                        };
-                        if skip == kc {
-                            continue;
-                        }
-                        let steps = kc - skip;
-                        let ap = apanel[skip * mr..].as_ptr();
-                        let bp = bbuf[qb * kc * nr + skip * nr..].as_ptr();
-                        let coff = (ib + i0) * n + jc + j0;
-                        if tm == mr && tn == nr {
-                            // SAFETY: full tile — `c[coff..]` spans mr rows of
-                            // stride n ≥ nr columns each; panels hold `steps` steps;
-                            // `kernels` only returns ISA kernels the
-                            // detected CPU supports.
-                            unsafe { micro(steps, ap, bp, c.as_mut_ptr().add(coff), n) };
-                        } else {
-                            // Ragged edge: run the full tile against the
-                            // zero-padded panels in a local buffer and copy
-                            // only the real elements back. Padded lanes are
-                            // discarded, so they cannot affect results.
-                            let mut tile = [0.0f64; MAX_MR * MAX_NR];
-                            for i in 0..tm {
-                                tile[i * nr..i * nr + tn]
-                                    .copy_from_slice(&c[coff + i * n..coff + i * n + tn]);
-                            }
-                            // SAFETY: `tile` is MAX_MR×MAX_NR ≥ mr×nr at
-                            // stride nr; panel bounds as above.
-                            unsafe { micro(steps, ap, bp, tile.as_mut_ptr(), nr) };
-                            for i in 0..tm {
-                                c[coff + i * n..coff + i * n + tn]
-                                    .copy_from_slice(&tile[i * nr..i * nr + tn]);
-                            }
-                        }
-                        if last_kb {
-                            if let Some(epi) = &mut fused {
-                                apply_epilogue(c, n, (ib + i0, jc + j0), (tm, tn), epi);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    workspace::put(abuf);
-    workspace::put(bbuf);
+    Gemm::new().run(c, n, (rows, n, k), a, b, mode);
 }
+
+#[cfg(test)]
+pub(crate) use act::tests::host_libm_differs;
 
 #[cfg(test)]
 mod tests {

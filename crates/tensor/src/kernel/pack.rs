@@ -10,6 +10,8 @@
 //! micro-kernel but never stored back, so the padding cannot perturb any
 //! real output element (not even a `-0.0 + 0.0` sign flip).
 
+use super::KC;
+
 /// How to read `A(i, p)`.
 #[derive(Clone, Copy)]
 pub(crate) enum ASrc<'a> {
@@ -66,21 +68,8 @@ pub(crate) fn pack_a(
         let panel = &mut buf[q * kc * mr..(q + 1) * kc * mr];
         match *a {
             ASrc::RowMajor { data, stride, base } => {
-                if tm < mr {
-                    panel.fill(0.0);
-                }
-                for i in 0..tm {
-                    let row = &data[(base + ib + i0 + i) * stride + kb..][..kc];
-                    if neg {
-                        for (p, &x) in row.iter().enumerate() {
-                            panel[p * mr + i] = -x;
-                        }
-                    } else {
-                        for (p, &x) in row.iter().enumerate() {
-                            panel[p * mr + i] = x;
-                        }
-                    }
-                }
+                let row = |i| (base + ib + i0 + i) * stride + kb;
+                gather(panel, mr, (tm, data, &row), (0, kc), neg);
             }
             ASrc::ColMajor { data, stride, base } => {
                 let col0 = base + ib + i0;
@@ -91,10 +80,10 @@ pub(crate) fn pack_a(
                         for (d, &s) in dst[..tm].iter_mut().zip(src) {
                             *d = -s;
                         }
+                        dst[tm..].fill(0.0);
                     } else {
-                        dst[..tm].copy_from_slice(src);
+                        copy_step(dst, src);
                     }
-                    dst[tm..].fill(0.0);
                 }
             }
         }
@@ -134,22 +123,88 @@ pub(crate) fn pack_b(
                 let col0 = jc + j0;
                 for p in p0..kc {
                     let src = &data[(kb + p) * stride + col0..][..tn];
-                    let dst = &mut panel[p * nr..p * nr + nr];
-                    dst[..tn].copy_from_slice(src);
-                    dst[tn..].fill(0.0);
+                    copy_step(&mut panel[p * nr..p * nr + nr], src);
                 }
             }
             BSrc::ColMajor { data, stride } => {
-                if tn < nr {
-                    panel[p0 * nr..].fill(0.0);
-                }
-                for j in 0..tn {
-                    let col = &data[(jc + j0 + j) * stride + kb..][..kc];
-                    for (p, &x) in col.iter().enumerate().skip(p0) {
-                        panel[p * nr + j] = x;
-                    }
-                }
+                let col = |j| (jc + j0 + j) * stride + kb;
+                gather(panel, nr, (tn, data, &col), (p0, kc), false);
             }
+        }
+    }
+}
+
+/// One panel step: `dst ← src`, zero-padded to the panel width
+/// `dst.len()`. A full step at a tile width is a fixed-size copy, a few
+/// vector moves; a runtime-length copy is a `memcpy` call per step, which
+/// for 4–16 elements costs more than the copy.
+#[inline(always)]
+fn copy_step(dst: &mut [f64], src: &[f64]) {
+    fn fixed<const W: usize>(dst: &mut [f64], src: &[f64]) {
+        let (dst, src): (&mut [f64; W], &[f64; W]) =
+            (dst.try_into().unwrap(), src.try_into().unwrap());
+        *dst = *src;
+    }
+    match (dst.len(), src.len()) {
+        (4, 4) => fixed::<4>(dst, src),
+        (8, 8) => fixed::<8>(dst, src),
+        (16, 16) => fixed::<16>(dst, src),
+        (_, n) => {
+            dst[..n].copy_from_slice(src);
+            dst[n..].fill(0.0);
+        }
+    }
+}
+
+/// Reads of padded lanes: `KC` zeros.
+static ZEROS: [f64; KC] = [0.0; KC];
+
+/// The transposing gather of one panel of width `w`: `panel[p·w + i] =
+/// ±data[at(i) + p]` for the `lines` real lanes `i` and `+0.0` for the
+/// padding, over steps `p0 ≤ p < kc`, negated with `neg`.
+fn gather(
+    panel: &mut [f64],
+    w: usize,
+    (lines, data, at): (usize, &[f64], &dyn Fn(usize) -> usize),
+    steps: (usize, usize),
+    neg: bool,
+) {
+    match w {
+        4 => gather_w::<4>(panel, (lines, data, at), steps, neg),
+        8 => gather_w::<8>(panel, (lines, data, at), steps, neg),
+        16 => gather_w::<16>(panel, (lines, data, at), steps, neg),
+        _ => unreachable!("no tile is {w} wide"),
+    }
+}
+
+/// [`gather`] at a fixed width: each lane reads a slice of exactly `kc`
+/// steps and each step is one `W`-wide store, so no element pays a bounds
+/// check and the step vectorizes.
+#[inline(always)]
+fn gather_w<const W: usize>(
+    panel: &mut [f64],
+    (lines, data, at): (usize, &[f64], &dyn Fn(usize) -> usize),
+    (p0, kc): (usize, usize),
+    neg: bool,
+) {
+    let src: [&[f64]; W] = std::array::from_fn(|i| {
+        if i < lines {
+            &data[at(i)..][..kc]
+        } else {
+            &ZEROS[..kc]
+        }
+    });
+    for p in p0..kc {
+        let dst: &mut [f64; W] = (&mut panel[p * W..][..W]).try_into().unwrap();
+        for (i, (d, s)) in dst.iter_mut().zip(&src).enumerate() {
+            let x = s[p];
+            *d = if i >= lines {
+                0.0
+            } else if neg {
+                -x
+            } else {
+                x
+            };
         }
     }
 }

@@ -46,6 +46,7 @@ pub mod workspace;
 
 pub use cholesky::{cholesky_into, cholesky_inverse_into, CholeskyError};
 pub use error::{ShapeError, TensorError};
+pub use gemm::{gemm_batched, Strided};
 pub use kernel::{tanh, ActivationKind};
 pub use matrix::Matrix;
 pub use reduce::col_sum_into;

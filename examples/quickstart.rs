@@ -13,7 +13,7 @@ use pipefisher::core::{assign, AssignOptions};
 use pipefisher::lm::{BatchSampler, SyntheticLanguage};
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb};
-use pipefisher::perfmodel::{model_step, Setting};
+use pipefisher::perfmodel::Setting;
 use pipefisher::pipeline::PipelineScheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ fn main() {
 
     // --- 3. Modeling layer: the closed-form §3.3 step model. ---
     println!("\n== 3. Performance model (same setting) ==");
-    let m = model_step(&setting, &setting.costs());
+    let m = setting.step_model();
     println!(
         "  T_pipe {:.1} ms, T_bubble {:.1} ms, (curv+inv)/bubble ratio {:.2}, memory {:.1} GB",
         m.t_pipe * 1e3,

@@ -4,7 +4,7 @@
 //! the authors' P100 cluster — but these bands must hold.)
 
 use pipefisher::core::{assign, AssignOptions, PipeFisherSchedule};
-use pipefisher::perfmodel::{model_step, Setting, TransformerConfig};
+use pipefisher::perfmodel::{Setting, TransformerConfig};
 use pipefisher::pipeline::PipelineScheme;
 
 /// The paper's first-fit assignment of `setting`, one chunk per block.
@@ -103,7 +103,7 @@ fn chimera_tradeoff_throughput_vs_freshness() {
             blocks_per_stage: 1,
             ..Setting::fig3(scheme, 1)
         };
-        model_step(&s, &s.costs())
+        s.step_model()
     };
     let gpipe = mk(PipelineScheme::GPipe);
     let chimera = mk(PipelineScheme::Chimera);
@@ -129,7 +129,7 @@ fn ratio_bands_match_paper_summary() {
                     blocks_per_stage: 1,
                     ..Setting::fig3(PipelineScheme::Chimera, 1)
                 };
-                let m = model_step(&s, &s.costs());
+                let m = s.step_model();
                 total += 1;
                 if (0.5..=10.0).contains(&m.ratio) {
                     in_band += 1;
