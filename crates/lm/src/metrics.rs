@@ -25,7 +25,11 @@ pub struct StepMetrics {
     pub data_ms: f64,
     /// Wall-clock milliseconds spent in forward + backward passes.
     pub forward_backward_ms: f64,
-    /// Wall-clock milliseconds spent in the optimizer update.
+    /// Wall-clock milliseconds the training loop spends applying the
+    /// update. On the pipeline executor that is only the coordinator's
+    /// part — summing the owners' products and sending the update — while
+    /// each owner's precondition counts in `forward_backward_ms` and its
+    /// update overlaps the next step's sampling.
     pub optimizer_ms: f64,
     /// Whether this step refreshed K-FAC curvature statistics.
     pub curvature_refreshed: bool,

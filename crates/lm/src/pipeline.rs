@@ -14,6 +14,15 @@
 //! worker makes no scheduling choice, and the simulator-side assignment
 //! (`core::assign`) is not consulted (EXPERIMENTS.md "Known deviations").
 //!
+//! Each stage's capture host is its *owner* for the whole run: it keeps the
+//! stage's parameters, the one gradient accumulator and the optimizer state
+//! of those parameters, and merges, preconditions and updates the stage
+//! itself. The coordinator keeps only scalars: it folds the owners'
+//! per-parameter squared sums and per-layer `⟨g, g̃⟩` into the gradient
+//! norm and the KL-clip sum and answers each step with one update message.
+//! Parameters and optimizer state come back to it only for a checkpoint
+//! and at the end of the run.
+//!
 //! # Determinism
 //!
 //! The engine is bitwise-identical to the inline one for every stage
@@ -22,20 +31,25 @@
 //! - Each worker computes a micro-batch's gradient contribution on a
 //!   zero-initialised slot replica, so each contribution is exactly the
 //!   serial per-micro-batch gradient.
-//! - The coordinator merges contributions via `axpy(1.0, ·)` in strict
-//!   micro-batch order 0..N−1 — the serial accumulation order — and ×1.0
-//!   is exact.
+//! - The owner adds the contributions onto its zeroed accumulator via
+//!   `axpy(1.0, ·)` in strict micro-batch order 0..N−1 — the serial
+//!   accumulation order — and ×1.0 is exact. A contribution from the
+//!   stage's other host (Chimera) that arrives before its turn waits.
+//! - The owner scales to the mean and squares each parameter as the loop
+//!   does; the coordinator sums the squares in `visit_all_params` order and
+//!   the `⟨g, g̃⟩` in `visit_kfac_linears` order, stage after stage — the
+//!   serial chains.
 //! - K-FAC folds and inversions are the work-unit functions `Kfac::step`
 //!   itself runs (`fold_curvature_a`, `fold_curvature_b`,
 //!   `refresh_inverses`), here on the capture replica's statistics against
-//!   loaned layer states, in the same per-layer order; the optimizer then
-//!   applies `Kfac::step_preconditioned`, which is also how `step` ends.
+//!   the owner's layer states, in the same per-layer order; the owner then
+//!   runs `Kfac::precondition` and, with the coordinator's sum,
+//!   `Kfac::update` — the two halves `step_preconditioned` is made of.
 //!
 //! The only representational difference is the sign of zeros: the serial
-//! loop accumulates onto `-0.0` slots left by `zero_grad`'s
-//! `scale_inplace(0.0)`, while replicas accumulate onto `+0.0` loan
-//! buffers, and `+0.0 + -0.0 == +0.0`. A sign-of-zero never changes a
-//! loss, norm, or parameter value.
+//! loop accumulates onto the model's gradients, while each contribution
+//! starts from `+0.0` replica buffers, and `+0.0 + -0.0 == +0.0`. A
+//! sign-of-zero never changes a loss, norm, or parameter value.
 //!
 //! # Robustness
 //!
@@ -51,16 +65,15 @@
 //! everything unwinds to a join. Neither deadlocks.
 
 use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
-use crate::trainer::{AnyOpt, Engine};
+use crate::trainer::{grad_square, AnyOpt, Engine};
 use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
 use pipefisher_core::{AssignError, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
 use pipefisher_nn::{
-    BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert,
+    BertForPreTraining, BertStage, ForwardCtx, Linear, ParamVisitor, PreTrainingBatch, StageOutput,
+    StagedBert,
 };
-use pipefisher_optim::{
-    fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel, LayerKfacState,
-};
+use pipefisher_optim::{fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel};
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::Matrix;
 use pipefisher_trace::Span;
@@ -133,9 +146,9 @@ pub struct PipelineOptions {
     /// clean.
     pub chaos: Option<Arc<dyn ChaosHook>>,
     /// Write checkpoints per this policy. The coordinator saves at step
-    /// boundaries — after the gradient merge and optimizer update — so a
-    /// pipelined checkpoint is byte-identical to the serial trainer's at
-    /// the same step.
+    /// boundaries — after the optimizer update, with the owners' parameters
+    /// and optimizer state handed back — so a pipelined checkpoint is
+    /// byte-identical to the serial trainer's at the same step.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Restore state from here before the first step.
     pub resume: Option<ResumeFrom>,
@@ -160,8 +173,8 @@ impl PipelineOptions {
 /// Why a pipelined run stopped without finishing.
 #[derive(Debug)]
 pub struct ExecError {
-    /// Optimizer steps that fully completed (gradient merged, optimizer
-    /// applied) before the run stopped — the last step a checkpoint could
+    /// Optimizer steps that fully completed (gradient merged, update
+    /// issued) before the run stopped — the last step a checkpoint could
     /// describe, `0` for a plan error. With checkpointing enabled, a
     /// supervisor can resume from the newest generation at or below it.
     pub completed_steps: usize,
@@ -245,71 +258,69 @@ type GradSet = Vec<Matrix>;
 /// by the stage that consumes it.
 type TensorKey = (bool, usize, usize);
 
-/// Per-step K-FAC parameters a worker needs to run fold/invert units.
-#[derive(Debug, Clone)]
-struct KfacStep {
-    t: u64,
-    ema_decay: f64,
-    damping: f64,
-    block_size: Option<usize>,
-    refresh_curv: bool,
-    refresh_inv: bool,
-}
-
-/// Everything of one (device, hosted stage) that goes out with a step and
-/// comes back in the device's report — the same object on both sides,
-/// owned by whoever holds it.
-struct StageLoan {
-    stage: usize,
-    /// Canonical parameter values: refreshed by the coordinator before each
-    /// step, loaded into every slot replica by the worker.
-    params: ParamSet,
-    /// One zeroed gradient set per backward the device runs for the stage:
-    /// the k-th backward (in plan order) parks its contribution in set k;
-    /// the coordinator merges the sets and re-zeroes them.
-    grads: Vec<GradSet>,
-    /// The optimizer's layer states, in the stage's `visit_linears` order —
-    /// lent on the stage's capture host in a step that refreshes, else empty.
-    kfac: Vec<LayerKfacState>,
-}
-
 /// One step's marching orders for a device.
 struct StepCmd {
     step: usize,
     batches: Arc<Vec<(PreTrainingBatch, ForwardCtx)>>,
-    /// One loan per hosted stage.
-    loans: Vec<StageLoan>,
-    kfac: Option<KfacStep>,
-}
-
-/// `stage`'s loan among the one or two a device has.
-fn loan_for(loans: &mut [StageLoan], stage: usize) -> &mut StageLoan {
-    let loan = loans.iter_mut().find(|l| l.stage == stage);
-    loan.expect("a loan for every hosted stage, out or home")
+    /// The mean's factor, `1/N`.
+    scale: f64,
+    /// `(curvature, inversion)` refreshes due, per the coordinator's clock.
+    refresh: (bool, bool),
 }
 
 /// Everything a worker is ever sent, through its one inbox.
 enum Inbox {
     /// From the coordinator: run this step.
     Step(Box<StepCmd>),
+    /// From the coordinator once every device has reported: update the
+    /// owned stage at `lr`, K-FAC clipping by `vsum`, the sum of every
+    /// stage's `⟨g, g̃⟩` (`None` without K-FAC).
+    Update { lr: f64, vsum: Option<f64> },
+    /// From the coordinator: send copies of the owned stage and its
+    /// optimizer back — or, `last`, the things themselves, and exit.
+    HandBack { last: bool },
     /// From a peer: a boundary tensor one of this device's ops consumes.
     Data(TensorKey, Matrix),
+    /// From the owned stage's other host (Chimera): micro-batch `mb`'s
+    /// gradient contribution, `(mb, grads)`.
+    Grads(usize, GradSet),
+    /// From a hosted stage's owner (Chimera): its parameters after an
+    /// update, `(stage, values)`.
+    Params(usize, ParamSet),
     /// From whoever recorded the run's first fault: stop now.
     Abort,
     /// From the coordinator: the run is over.
     Shutdown,
 }
 
-/// Everything a worker tells the coordinator: one message per step.
+/// The scalars an owner reports of its stage with each step.
+#[derive(Default)]
+struct StageSums {
+    /// Per parameter, the squared sum of its mean gradient.
+    grad_sq: Vec<f64>,
+    /// Per K-FAC layer with inverses, `⟨g, g̃⟩`.
+    dots: Vec<f64>,
+    /// `(damping_escalations, inversion_failures)`.
+    health: (u64, u64),
+}
+
+/// Everything a worker tells the coordinator.
 enum WorkerMsg {
+    /// The step's one report.
     Done {
-        device: usize,
-        loans: Vec<StageLoan>,
         /// `(mb, total_loss)` of every last-stage forward the device ran.
         losses: Vec<(usize, f64)>,
+        stage: usize,
+        sums: StageSums,
         bubble_aux_ms: f64,
         bubble_idle_ms: f64,
         tail_aux_ms: f64,
+    },
+    /// The answer to a `HandBack`: the owned stage and its optimizer.
+    State {
+        stage: usize,
+        model: Box<BertStage>,
+        opt: AnyOpt,
     },
     Fault {
         device: usize,
@@ -464,7 +475,7 @@ impl Trainer {
         );
         assert!(opts.n_micro > 0, "run_pipelined: n_micro must be positive");
         let plan = plan_for(opts)?;
-        let mut engine = Staged::new(model, &plan, opts);
+        let mut engine = Staged::new(model, &plan, opts, choice);
         let train_opts = TrainOptions {
             accumulation_steps: opts.n_micro,
             grad_delay: 0,
@@ -488,22 +499,32 @@ impl Trainer {
     }
 }
 
+/// No parameters: stepping the coordinator's optimizer on it moves only its
+/// counters, in step with the owners'.
+struct NoParams;
+
+impl KfacModel for NoParams {
+    fn visit_kfac_linears<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Linear)) {}
+
+    fn visit_all_params(&mut self, _f: ParamVisitor<'_>) {}
+}
+
 /// The staged-threads engine: the canonical model split into `D` stages
-/// plus one persistent worker thread per device. Each step it lends every
-/// device its stage loans with the step command, collects one report per
-/// device, and merges the gradient contributions into the canonical stages
-/// in serial micro-batch order.
+/// plus one persistent worker thread per device, each the owner of one
+/// stage. Per step it sends every device its step command, collects one
+/// report per device and sends every owner the update; only
+/// [`Engine::sync`] refreshes the canonical stages.
 struct Staged<'a> {
     staged: StagedBert,
     plan: &'a ExecutablePlan,
     opts: &'a PipelineOptions,
+    choice: &'a OptimizerChoice,
     /// No threads and a disconnected report channel until `start`.
     workers: Workers,
-    /// Per device, the loans that are home — all of them between steps.
-    loans: Vec<Vec<StageLoan>>,
-    /// Where `(stage, mb)`'s gradient contribution comes back, at
-    /// `[mb · D + stage]`: `(device, index into that loan's grads)`.
-    grad_home: Vec<(usize, usize)>,
+    /// Per stage, what its owner reported with the step.
+    sums: Vec<StageSums>,
+    /// Whether the owners hold an update the canonical model lacks.
+    dirty: bool,
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
@@ -511,18 +532,24 @@ struct Staged<'a> {
 
 impl<'a> Staged<'a> {
     /// Partitions `model`; the worker fleet comes later, in `start`.
-    fn new(model: BertForPreTraining, plan: &'a ExecutablePlan, opts: &'a PipelineOptions) -> Self {
+    fn new(
+        model: BertForPreTraining,
+        plan: &'a ExecutablePlan,
+        opts: &'a PipelineOptions,
+        choice: &'a OptimizerChoice,
+    ) -> Self {
         Staged {
             staged: StagedBert::from_model(model, opts.n_stages),
             plan,
             opts,
+            choice,
             workers: Workers {
                 fleet: Arc::default(),
                 reports: mpsc::channel().1,
                 joins: Vec::new(),
             },
-            loans: Vec::new(),
-            grad_home: Vec::new(),
+            sums: (0..opts.n_stages).map(|_| StageSums::default()).collect(),
+            dirty: false,
             bubble_aux_ms: 0.0,
             bubble_idle_ms: 0.0,
             tail_aux_ms: 0.0,
@@ -540,6 +567,61 @@ impl<'a> Staged<'a> {
             fault: self.workers.fleet.take().expect("abort latch tripped"),
         }
     }
+
+    /// Sends `msg` to `device`, stamping its arrival as the device's
+    /// progress; a worker that has exited aborts the run.
+    fn send(&mut self, step: usize, device: usize, msg: Inbox) -> Result<(), ExecError> {
+        self.workers.fleet.stamp(device);
+        if self.workers.fleet.inboxes[device].send(msg).is_ok() {
+            return Ok(());
+        }
+        let fallback = ExecFault::StagePanic {
+            device,
+            message: "worker exited before the coordinator's message".to_string(),
+        };
+        Err(self.abort_step(step, fallback))
+    }
+
+    /// The next report of step `step`, `got` of `want` in so far. The
+    /// deadline is the watchdog past the newest progress any device has
+    /// stamped, re-read only when it expires: a healthy step may outlast
+    /// the watchdog, a step in which nothing anywhere moves for that long
+    /// may not.
+    fn report(&mut self, step: usize, got: usize, want: usize) -> Result<WorkerMsg, ExecError> {
+        let watchdog = self.opts.watchdog;
+        let mut deadline = self.workers.fleet.newest_progress() + watchdog;
+        let fallback = loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.workers.reports.recv_timeout(left) {
+                Ok(WorkerMsg::Fault { device }) => {
+                    break ExecFault::StagePanic {
+                        device,
+                        message: "worker reported a fault".to_string(),
+                    }
+                }
+                Ok(msg) => return Ok(msg),
+                Err(RecvTimeoutError::Timeout) => {
+                    deadline = self.workers.fleet.newest_progress() + watchdog;
+                    if deadline <= Instant::now() {
+                        break ExecFault::Wedged {
+                            waited: watchdog,
+                            detail: format!(
+                                "coordinator starved of step-{step} reports \
+                                 ({got}/{want} in)"
+                            ),
+                        };
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    break ExecFault::Wedged {
+                        waited: watchdog,
+                        detail: "all workers exited mid-step".to_string(),
+                    }
+                }
+            }
+        };
+        Err(self.abort_step(step, fallback))
+    }
 }
 
 impl Engine for Staged<'_> {
@@ -548,21 +630,24 @@ impl Engine for Staged<'_> {
     }
 
     /// Spawns one persistent worker per device, each with slot replicas
-    /// cloned from the (possibly just restored) canonical stages, and
-    /// builds every (device, hosted stage) loan.
-    fn start(&mut self) {
+    /// cloned from the (possibly just restored) canonical stages, and hands
+    /// every owner its stage and that stage's share of `opt`'s state: from
+    /// here on `opt` is the cadence clock only.
+    fn start(&mut self, opt: &mut AnyOpt) {
         let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let (report_tx, reports) = mpsc::channel::<WorkerMsg>();
         // An inbox never fills, so every send into one is a plain `send`.
-        // Between two of its reports a device is sent at most one `Step`,
-        // one `Abort` (only the run's first fault sends them), one
-        // `Shutdown`, and N activations + N gradients per hosted stage. It
-        // has taken all of a step's tensors out of the channel before it
-        // reports (each is the input of one of its ops), and no peer can
-        // send it the next step's before every device has reported.
+        // Between two of a device's step reports it is sent at most, per
+        // hosted stage, N activations, N gradients and one parameter set;
+        // as an owner, N contributions; and one each of `Step`, `Update`,
+        // `HandBack`, `Abort` (only the run's first fault sends them) and
+        // `Shutdown`. It has taken all of a step's tensors and contributions
+        // out of the channel before it reports (each is an input of its
+        // step), a stage's parameters arrive only after its report, and no
+        // peer can send the next step's before every device has reported.
         let inbox_for = |dplan: &DevicePlan| {
             let hosted = dplan.hosted_stages().len().max(1);
-            mpsc::sync_channel::<Inbox>(2 * n_micro * hosted + 4)
+            mpsc::sync_channel::<Inbox>((2 * n_micro + 1) * hosted + n_micro + 5)
         };
         let (inboxes, receivers): (Vec<_>, Vec<_>) =
             self.plan.devices.iter().map(inbox_for).unzip();
@@ -571,13 +656,13 @@ impl Engine for Staged<'_> {
             inboxes,
             fault: Mutex::new(None),
         });
-        self.grad_home = vec![(0, 0); d * n_micro];
-        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        let owner = &self.plan.capture_host;
+        let mut restored = AnyOpt::new(self.choice);
+        opt.hand_over(&mut restored, &mut self.staged);
         let mut joins = Vec::with_capacity(receivers.len());
         for (dev, inbox) in receivers.into_iter().enumerate() {
             let dplan = self.plan.devices[dev].clone();
             let mut hosts = HashMap::new();
-            let mut loans = Vec::new();
             for s in dplan.hosted_stages() {
                 let mut replicas = Vec::with_capacity(dplan.n_slots[s]);
                 for _ in 0..dplan.n_slots[s] {
@@ -586,39 +671,35 @@ impl Engine for Staged<'_> {
                     replica.visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
                     replicas.push(replica);
                 }
-                hosts.insert(
-                    s,
-                    StageHost {
-                        replicas,
-                        parked: 0,
-                    },
-                );
-                let mut params = ParamSet::new();
-                self.staged
-                    .stage_mut(s)
-                    .visit_params(&mut |p| params.push(p.value.clone()));
-                let mut grads = Vec::new();
-                for op in &dplan.ops {
-                    if let PlanOp::Backward { stage, mb, .. } = *op {
-                        if stage == s {
-                            self.grad_home[mb * d + s] = (dev, grads.len());
-                            grads.push(params.iter().map(zeros).collect());
-                        }
-                    }
-                }
-                loans.push(StageLoan {
-                    stage: s,
-                    params,
-                    grads,
-                    kfac: Vec::new(),
-                });
+                let host = StageHost {
+                    replicas,
+                    owner: owner[s],
+                    stale: false,
+                };
+                hosts.insert(s, host);
             }
-            self.loans.push(loans);
+            // Lowering makes every device the capture host of one stage.
+            let stage = owner.iter().position(|&o| o == dev).expect("an owner");
+            let mut model = self.staged.stage(stage).clone();
+            model.zero_grad();
+            let mut own_opt = opt.clone();
+            restored.hand_over(&mut own_opt, &mut model);
+            let owned = Owned {
+                stage,
+                model,
+                opt: own_opt,
+                early: (0..n_micro).map(|_| None).collect(),
+                merged: 0,
+                peers: (0..owner.len())
+                    .filter(|&o| o != dev && self.plan.devices[o].n_slots[stage] > 0)
+                    .collect(),
+            };
             let worker = Worker {
                 device: dev,
                 last_stage: d - 1,
                 plan: Arc::new(dplan),
                 hosts,
+                owned,
                 inbox,
                 fleet: Arc::clone(&fleet),
                 reports: report_tx.clone(),
@@ -647,160 +728,150 @@ impl Engine for Staged<'_> {
         &mut self,
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
-        opt: &mut AnyOpt,
+        scale: f64,
+        opt: &AnyOpt,
     ) -> Result<f64, ExecError> {
-        let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let n_devices = self.plan.devices.len();
         let batches = Arc::new(batches);
-        let panicked = |device: usize, message: &str| ExecFault::StagePanic {
-            device,
-            message: message.to_string(),
-        };
-        let watchdog = self.opts.watchdog;
-        let wedged = |detail: String| ExecFault::Wedged {
-            waited: watchdog,
-            detail,
-        };
-        let (refresh_curv, refresh_inv) = opt.next_step_refreshes();
-        // Dispatch: every device's loans go out with its step command.
-        let kfac_step = opt.kfac_mut().map(|k| KfacStep {
-            t: k.step_count() + 1,
-            ema_decay: k.config().ema_decay,
-            damping: k.config().damping,
-            block_size: k.config().factor_block_size,
-            refresh_curv,
-            refresh_inv,
-        });
-        let lend_states = kfac_step.is_some() && (refresh_curv || refresh_inv);
         for dev in 0..n_devices {
-            let mut loans = std::mem::take(&mut self.loans[dev]);
-            for loan in &mut loans {
-                let mut i = 0;
-                self.staged.stage_mut(loan.stage).visit_params(&mut |p| {
-                    loan.params[i].clone_from(&p.value);
-                    i += 1;
-                });
-                if lend_states && self.plan.capture_host[loan.stage] == dev {
-                    let k = opt.kfac_mut().expect("lending implies K-FAC");
-                    let stage = self.staged.stage_mut(loan.stage);
-                    stage.visit_linears(&mut |lin| loan.kfac.push(k.take_state(lin.name())));
-                }
-            }
             let cmd = StepCmd {
                 step,
                 batches: Arc::clone(&batches),
-                loans,
-                kfac: kfac_step.clone(),
+                scale,
+                refresh: opt.next_step_refreshes(),
             };
             // The command's arrival is the device's first progress of the
             // step: the watchdog clocks start here, not at the last report.
-            self.workers.fleet.stamp(dev);
-            if self.workers.fleet.inboxes[dev]
-                .send(Inbox::Step(Box::new(cmd)))
-                .is_err()
-            {
-                let fallback = panicked(dev, "worker exited before the step was dispatched");
-                return Err(self.abort_step(step, fallback));
-            }
+            self.send(step, dev, Inbox::Step(Box::new(cmd)))?;
         }
-        // Collect one report per device. The deadline is the watchdog past
-        // the newest progress any device has stamped, re-read only when it
-        // expires: a healthy step may outlast the watchdog, a step in which
-        // nothing anywhere moves for that long may not.
-        let mut loss_buf = vec![0.0f64; n_micro];
-        let mut deadline = self.workers.fleet.newest_progress() + watchdog;
-        let mut done = 0usize;
-        while done < n_devices {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.workers.reports.recv_timeout(left) {
-                Ok(WorkerMsg::Done {
-                    device,
-                    loans,
-                    losses,
-                    bubble_aux_ms: aux,
-                    bubble_idle_ms: idle,
-                    tail_aux_ms: tail,
-                }) => {
-                    self.loans[device] = loans;
-                    for (mb, total_loss) in losses {
-                        loss_buf[mb] = total_loss;
-                    }
-                    self.bubble_aux_ms += aux;
-                    self.bubble_idle_ms += idle;
-                    self.tail_aux_ms += tail;
-                    done += 1;
-                }
-                Ok(WorkerMsg::Fault { device }) => {
-                    let fallback = panicked(device, "worker reported a fault");
-                    return Err(self.abort_step(step, fallback));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    deadline = self.workers.fleet.newest_progress() + watchdog;
-                    if deadline <= Instant::now() {
-                        let fallback = wedged(format!(
-                            "coordinator starved of step-{step} results \
-                             ({done}/{n_devices} devices done)"
-                        ));
-                        return Err(self.abort_step(step, fallback));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let fallback = wedged("all workers exited mid-step".to_string());
-                    return Err(self.abort_step(step, fallback));
-                }
+        let mut loss_buf = vec![0.0f64; self.opts.n_micro];
+        for done in 0..n_devices {
+            let WorkerMsg::Done {
+                losses,
+                stage,
+                sums,
+                bubble_aux_ms: aux,
+                bubble_idle_ms: idle,
+                tail_aux_ms: tail,
+            } = self.report(step, done, n_devices)?
+            else {
+                unreachable!("a step is answered by step reports");
+            };
+            for (mb, total_loss) in losses {
+                loss_buf[mb] = total_loss;
             }
-        }
-        // Merge gradient contributions in serial micro-batch order.
-        for mb in 0..n_micro {
-            for s in 0..d {
-                let (device, index) = self.grad_home[mb * d + s];
-                let set = &mut loan_for(&mut self.loans[device], s).grads[index];
-                let mut i = 0;
-                self.staged.stage_mut(s).visit_params(&mut |p| {
-                    p.grad.axpy(1.0, &set[i]);
-                    i += 1;
-                });
-                for m in set {
-                    m.as_mut_slice().fill(0.0);
-                }
-            }
+            self.sums[stage] = sums;
+            self.bubble_aux_ms += aux;
+            self.bubble_idle_ms += idle;
+            self.tail_aux_ms += tail;
         }
         Ok(loss_buf.iter().sum())
     }
 
-    /// With K-FAC, the step's curvature folds and inverse refreshes already
-    /// ran on the workers against loaned layer states: hand those back, then
-    /// precondition and update only.
-    fn apply(&mut self, opt: &mut AnyOpt, lr: f64) {
-        let Some(k) = opt.kfac_mut() else {
-            return opt.apply(&mut self.staged, lr);
-        };
-        for loan in self.loans.iter_mut().flatten() {
-            let mut states = loan.kfac.drain(..);
-            self.staged.stage_mut(loan.stage).visit_linears(&mut |lin| {
-                if let Some(state) = states.next() {
-                    k.put_state(lin.name(), state);
-                }
-            });
+    fn visit_grad_squares(&mut self, f: &mut dyn FnMut(f64)) {
+        self.sums
+            .iter()
+            .flat_map(|s| &s.grad_sq)
+            .for_each(|&x| f(x));
+    }
+
+    /// Sends every owner the update — with K-FAC, the clip sum of all
+    /// stages' products in layer order — and moves the coordinator's
+    /// cadence clock on.
+    fn apply(&mut self, step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError> {
+        let vsum = matches!(opt, AnyOpt::Kfac(_)).then(|| {
+            let dots = self.sums.iter().flat_map(|s| &s.dots);
+            dots.fold(0.0, |sum, d| sum + d)
+        });
+        for dev in 0..self.plan.devices.len() {
+            self.send(step, dev, Inbox::Update { lr, vsum })?;
         }
-        k.step_preconditioned(&mut self.staged, lr);
+        opt.apply(&mut NoParams, lr);
+        self.dirty = true;
+        Ok(())
+    }
+
+    fn inversion_health(&self, _opt: &AnyOpt) -> (u64, u64) {
+        let health = self.sums.iter().map(|s| s.health);
+        health.fold((0, 0), |(e, f), (de, df)| (e + de, f + df))
+    }
+
+    /// Has every owner hand back its stage's parameters and optimizer
+    /// state into the canonical stages and `opt`.
+    fn sync(
+        &mut self,
+        completed_steps: usize,
+        last: bool,
+        opt: &mut AnyOpt,
+    ) -> Result<(), ExecError> {
+        if !self.dirty {
+            return Ok(());
+        }
+        let d = self.plan.devices.len();
+        for dev in 0..d {
+            self.send(completed_steps, dev, Inbox::HandBack { last })?;
+        }
+        for got in 0..d {
+            let WorkerMsg::State {
+                stage,
+                model,
+                opt: mut from,
+            } = self.report(completed_steps, got, d)?
+            else {
+                unreachable!("a hand-back is answered by state");
+            };
+            *self.staged.stage_mut(stage) = *model;
+            from.hand_over(opt, self.staged.stage_mut(stage));
+        }
+        self.dirty = false;
+        Ok(())
     }
 }
 
 // ===================== worker side =====================
 
-/// A stage this device hosts: one replica per activation slot, and how
-/// many backwards have parked their gradients in the stage's loan this step.
+/// A stage this device hosts: one replica per activation slot.
 struct StageHost {
     replicas: Vec<BertStage>,
-    parked: usize,
+    /// The device that owns the stage.
+    owner: usize,
+    /// Owned elsewhere and updated since the replicas were loaded.
+    stale: bool,
+}
+
+/// The stage a device owns for the whole run: its parameters, the one
+/// gradient accumulator, and the optimizer state of those parameters.
+struct Owned {
+    stage: usize,
+    /// Parameter values, and the accumulator in the gradients.
+    model: BertStage,
+    opt: AnyOpt,
+    /// Contributions that arrived before their turn, by micro-batch.
+    early: Vec<Option<GradSet>>,
+    /// How many micro-batches the accumulator holds.
+    merged: usize,
+    /// The stage's other hosts, which get its parameters after each update.
+    peers: Vec<usize>,
 }
 
 /// What ended a [`Worker::wait`].
 enum Woke {
     Step(Box<StepCmd>),
-    Data,
+    /// The last hand-back: the run is over.
+    Last,
+    Filed,
     Deadline,
+}
+
+/// Copies `values` into every replica's parameters.
+fn load(replicas: &mut [BertStage], values: &[Matrix]) {
+    for replica in replicas {
+        let mut i = 0;
+        replica.visit_params(&mut |p| {
+            p.value.clone_from(&values[i]);
+            i += 1;
+        });
+    }
 }
 
 /// One device's worker: replays its `DevicePlan` op list each step.
@@ -809,6 +880,7 @@ struct Worker {
     last_stage: usize,
     plan: Arc<DevicePlan>,
     hosts: HashMap<usize, StageHost>,
+    owned: Owned,
     inbox: Receiver<Inbox>,
     fleet: Arc<Fleet>,
     reports: mpsc::Sender<WorkerMsg>,
@@ -826,16 +898,24 @@ struct Worker {
 impl Worker {
     fn run(mut self) {
         loop {
-            let mut cmd = match self.wait(None) {
-                Ok(Woke::Step(cmd)) => cmd,
-                // A peer's early boundary tensor for the next step.
-                Ok(_) => continue,
-                Err(Halt) => break,
-            };
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_step(&mut cmd)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                match self.wait(None)? {
+                    Woke::Step(cmd) => self.run_step(&cmd).map(|()| true),
+                    Woke::Last => Ok(false),
+                    _ => Ok(true),
+                }
+            }));
             match outcome {
-                Ok(Ok(())) => continue,
+                Ok(Ok(true)) => continue,
+                Ok(Ok(false)) => {
+                    let state = WorkerMsg::State {
+                        stage: self.owned.stage,
+                        model: Box::new(self.owned.model),
+                        opt: self.owned.opt,
+                    };
+                    let _ = self.reports.send(state);
+                    return;
+                }
                 Ok(Err(Halt)) => {}
                 Err(payload) => self.fleet.trip(ExecFault::StagePanic {
                     device: self.device,
@@ -853,18 +933,37 @@ impl Worker {
         self.fleet.stamp(self.device);
     }
 
-    /// Files one inbox message: a boundary tensor goes to `pending`, a step
-    /// command is handed back, `Abort` and `Shutdown` halt the worker.
+    /// Acts on one inbox message: a step command is handed back, the
+    /// coordinator's update and hand-back run (they arrive only between
+    /// steps), a peer's tensor, contribution or parameters is filed, and
+    /// `Abort` and `Shutdown` halt the worker.
     fn accept(&mut self, msg: Inbox) -> Result<Woke, Halt> {
         match msg {
-            Inbox::Step(cmd) => Ok(Woke::Step(cmd)),
-            Inbox::Data(key, m) => {
-                self.pending.insert(key, m);
-                self.touch();
-                Ok(Woke::Data)
+            Inbox::Step(cmd) => return Ok(Woke::Step(cmd)),
+            Inbox::Update { lr, vsum } => self.apply_update(lr, vsum),
+            Inbox::HandBack { last: true } => return Ok(Woke::Last),
+            Inbox::HandBack { last: false } => {
+                let state = WorkerMsg::State {
+                    stage: self.owned.stage,
+                    model: Box::new(self.owned.model.clone()),
+                    opt: self.owned.opt.clone(),
+                };
+                self.reports.send(state).map_err(|_| Halt)?;
             }
-            Inbox::Abort | Inbox::Shutdown => Err(Halt),
+            Inbox::Data(key, m) => drop(self.pending.insert(key, m)),
+            Inbox::Grads(mb, grads) => self.merge(mb, grads),
+            Inbox::Params(stage, values) => {
+                let host = self
+                    .hosts
+                    .get_mut(&stage)
+                    .expect("parameters of a hosted stage");
+                load(&mut host.replicas, &values);
+                host.stale = false;
+            }
+            Inbox::Abort | Inbox::Shutdown => return Err(Halt),
         }
+        self.touch();
+        Ok(Woke::Filed)
     }
 
     /// The worker's one wait: blocks until the inbox delivers a message or
@@ -894,7 +993,34 @@ impl Worker {
         Ok(())
     }
 
-    fn run_step(&mut self, cmd: &mut StepCmd) -> Result<(), Halt> {
+    /// Blocks on the inbox until `ready` holds; trips `Wedged`, waiting for
+    /// `what`, if the watchdog past this device's last progress runs out
+    /// first.
+    fn wait_until(
+        &mut self,
+        ready: impl Fn(&Self) -> bool,
+        what: impl Fn() -> String,
+    ) -> Result<(), Halt> {
+        loop {
+            self.drain()?;
+            if ready(self) {
+                self.touch();
+                return Ok(());
+            }
+            let idle_t = Instant::now();
+            let woke = self.wait(Some(self.fleet.last_progress(self.device) + self.watchdog));
+            self.bubble_idle_ms += idle_t.elapsed().as_secs_f64() * 1e3;
+            if let Woke::Deadline = woke? {
+                self.fleet.trip(ExecFault::Wedged {
+                    waited: self.watchdog,
+                    detail: format!("device {} stuck waiting for {}", self.device, what()),
+                });
+                return Err(Halt);
+            }
+        }
+    }
+
+    fn run_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
         match self
             .chaos
             .as_ref()
@@ -911,7 +1037,7 @@ impl Worker {
             },
             None => {}
         }
-        self.begin_step(cmd);
+        self.begin_step()?;
         let plan = Arc::clone(&self.plan);
         // Units before the last forward/backward fill bubbles; after it, tail.
         let is_pipe = |op: &PlanOp| !matches!(op, PlanOp::Aux { .. });
@@ -959,30 +1085,23 @@ impl Worker {
         self.finish_step(cmd)
     }
 
-    /// Re-syncs every slot replica to the loaned canonical parameters, so
-    /// every micro-batch computes on the exact serial-step weights, and
-    /// resets the step's time ledgers.
-    fn begin_step(&mut self, cmd: &StepCmd) {
-        for loan in &cmd.loans {
-            let host = self.hosts.get_mut(&loan.stage).expect("loan for a host");
-            for replica in &mut host.replicas {
-                let mut i = 0;
-                replica.visit_params(&mut |p| {
-                    p.value.clone_from(&loan.params[i]);
-                    i += 1;
-                });
-            }
-            host.parked = 0;
-        }
+    /// Resets the step's time ledgers and waits until every hosted stage
+    /// has its owner's parameters from the last update, so every
+    /// micro-batch computes on the exact serial-step weights.
+    fn begin_step(&mut self) -> Result<(), Halt> {
         self.bubble_aux_ms = 0.0;
         self.bubble_idle_ms = 0.0;
         self.tail_aux_ms = 0.0;
         self.touch();
+        self.wait_until(
+            |w| w.hosts.values().all(|h| !h.stale),
+            || "the parameters of a stage it hosts".to_string(),
+        )
     }
 
     fn do_forward(
         &mut self,
-        cmd: &mut StepCmd,
+        cmd: &StepCmd,
         stage: usize,
         mb: usize,
         slot: usize,
@@ -1012,7 +1131,7 @@ impl Worker {
 
     fn do_backward(
         &mut self,
-        cmd: &mut StepCmd,
+        cmd: &StepCmd,
         stage: usize,
         mb: usize,
         slot: usize,
@@ -1035,35 +1154,76 @@ impl Worker {
         if let (Some(m), Some(dest)) = (upstream, send_to) {
             self.send_data(dest, (true, stage - 1, mb), m)?;
         }
-        // Park this micro-batch's contribution in the loan: swap the
-        // replica's accumulated grads with the loan's next zeroed set, so
-        // the replica is clean for its slot's next micro-batch.
+        // Take the contribution out of the replica, leaving it zeroed for
+        // its slot's next micro-batch, and hand it to the stage's owner.
         let host = self.hosts.get_mut(&stage).expect("hosted stage");
-        let set = &mut loan_for(&mut cmd.loans, stage).grads[host.parked];
-        host.parked += 1;
-        let mut i = 0;
+        let mut grads = GradSet::new();
         host.replicas[slot].visit_params(&mut |p| {
-            std::mem::swap(&mut p.grad, &mut set[i]);
-            i += 1;
+            let zeroed = Matrix::zeros(p.grad.rows(), p.grad.cols());
+            grads.push(std::mem::replace(&mut p.grad, zeroed));
         });
+        match host.owner {
+            owner if owner == self.device => self.merge(mb, grads),
+            owner => {
+                let msg = Inbox::Grads(mb, grads);
+                self.fleet.inboxes[owner].send(msg).map_err(|_| Halt)?;
+            }
+        }
         self.touch();
         Ok(())
     }
 
-    /// Clears the capture replicas' statistics and sends the step's one
-    /// report: the loans, the losses and the time ledgers.
-    fn finish_step(&mut self, cmd: &mut StepCmd) -> Result<(), Halt> {
-        if cmd.kfac.as_ref().is_some_and(|k| k.refresh_curv) {
+    /// Files micro-batch `mb`'s contribution to the owned stage, then adds
+    /// every contribution whose turn has come onto the accumulator, in
+    /// micro-batch order.
+    fn merge(&mut self, mb: usize, grads: GradSet) {
+        let owned = &mut self.owned;
+        owned.early[mb] = Some(grads);
+        while let Some(set) = owned.early.get_mut(owned.merged).and_then(Option::take) {
+            let mut i = 0;
+            owned.model.visit_params(&mut |p| {
+                p.grad.axpy(1.0, &set[i]);
+                i += 1;
+            });
+            owned.merged += 1;
+        }
+    }
+
+    /// Clears the capture replicas' statistics, waits for the owned stage's
+    /// last contribution, scales to the mean and preconditions; then sends
+    /// the step's one report.
+    fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
+        if cmd.refresh.0 {
             for op in &self.plan.aux {
                 let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
                 host.replicas[op.slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
             }
         }
+        let device = self.device;
+        for host in self.hosts.values_mut() {
+            host.stale = host.owner != device;
+        }
+        let stage = self.owned.stage;
+        self.wait_until(
+            |w| w.owned.merged == w.owned.early.len(),
+            || format!("the gradient contributions to stage {stage}"),
+        )?;
+        let owned = &mut self.owned;
+        let mut grad_sq = Vec::new();
+        owned.model.visit_params(&mut |p| {
+            p.grad.scale_inplace(cmd.scale);
+            grad_sq.push(grad_square(p));
+        });
+        let sums = StageSums {
+            grad_sq,
+            dots: owned.opt.precondition(&mut owned.model),
+            health: owned.opt.inversion_health(),
+        };
         self.reports
             .send(WorkerMsg::Done {
-                device: self.device,
-                loans: std::mem::take(&mut cmd.loans),
                 losses: std::mem::take(&mut self.losses),
+                stage,
+                sums,
                 bubble_aux_ms: self.bubble_aux_ms,
                 bubble_idle_ms: self.bubble_idle_ms,
                 tail_aux_ms: self.tail_aux_ms,
@@ -1071,45 +1231,50 @@ impl Worker {
             .map_err(|_| Halt)
     }
 
-    /// Blocks on the inbox until the boundary tensor `key` arrives; trips
-    /// `Wedged` if the watchdog past this device's last progress runs out
-    /// first.
-    fn wait_for(&mut self, key: TensorKey) -> Result<Matrix, Halt> {
-        loop {
-            self.drain()?;
-            if let Some(m) = self.pending.remove(&key) {
-                self.touch();
-                return Ok(m);
-            }
-            let idle_t = Instant::now();
-            let woke = self.wait(Some(self.fleet.last_progress(self.device) + self.watchdog));
-            self.bubble_idle_ms += idle_t.elapsed().as_secs_f64() * 1e3;
-            if let Woke::Deadline = woke? {
-                let (is_grad, stage, mb) = key;
-                let what = if is_grad { "gradient" } else { "activation" };
-                self.fleet.trip(ExecFault::Wedged {
-                    waited: self.watchdog,
-                    detail: format!(
-                        "device {} stuck waiting for the {what} of stage {stage} \
-                         micro-batch {mb}",
-                        self.device
-                    ),
-                });
-                return Err(Halt);
-            }
+    /// Applies the step's update to the owned stage, loads the new values
+    /// into its replicas here and on its other hosts, and zeroes the
+    /// accumulator for the next step.
+    fn apply_update(&mut self, lr: f64, vsum: Option<f64>) {
+        let owned = &mut self.owned;
+        owned.opt.update(&mut owned.model, lr, vsum);
+        let mut values = ParamSet::new();
+        owned.model.visit_params(&mut |p| {
+            values.push(p.value.clone());
+            p.grad.scale_inplace(0.0);
+        });
+        owned.merged = 0;
+        let host = self.hosts.get_mut(&owned.stage).expect("an owner hosts");
+        load(&mut host.replicas, &values);
+        // A peer that has exited either took its last hand-back or has
+        // already latched its fault: it needs no parameters.
+        for &peer in &owned.peers {
+            let _ = self.fleet.inboxes[peer].send(Inbox::Params(owned.stage, values.clone()));
         }
+    }
+
+    /// Blocks until the boundary tensor `key` arrives; trips `Wedged` if
+    /// the watchdog past this device's last progress runs out first.
+    fn wait_for(&mut self, key: TensorKey) -> Result<Matrix, Halt> {
+        let (is_grad, stage, mb) = key;
+        let what = if is_grad { "gradient" } else { "activation" };
+        self.wait_until(
+            |w| w.pending.contains_key(&key),
+            || format!("the {what} of stage {stage} micro-batch {mb}"),
+        )?;
+        Ok(self.pending.remove(&key).expect("tensor just arrived"))
     }
 
     /// Routes a boundary tensor to the device hosting its consumer; a
     /// self-send short-circuits into `pending`.
     fn send_data(&mut self, dest: usize, key: TensorKey, m: Matrix) -> Result<(), Halt> {
-        let msg = Inbox::Data(key, m);
         if dest == self.device {
-            self.accept(msg)?;
+            self.pending.insert(key, m);
         } else {
-            self.fleet.inboxes[dest].send(msg).map_err(|_| Halt)?;
-            self.touch();
+            self.fleet.inboxes[dest]
+                .send(Inbox::Data(key, m))
+                .map_err(|_| Halt)?;
         }
+        self.touch();
         Ok(())
     }
 
@@ -1117,13 +1282,13 @@ impl Worker {
     /// milliseconds it took, `None` when the step skips it. Units touch
     /// disjoint per-layer state, and lowering places every `Invert` after
     /// its stage's folds, so the serial `Kfac::step` values come out.
-    fn do_aux(&mut self, cmd: &mut StepCmd, op: AuxOp) -> Option<f64> {
-        let kfac = cmd.kfac.clone()?;
-        if !op.kind.applies(kfac.refresh_curv, kfac.refresh_inv) {
+    fn do_aux(&mut self, cmd: &StepCmd, op: AuxOp) -> Option<f64> {
+        let (refresh_curv, refresh_inv) = cmd.refresh;
+        if !op.kind.applies(refresh_curv, refresh_inv) {
             return None;
         }
         let t = Instant::now();
-        self.run_aux(cmd, op, &kfac);
+        self.run_aux(cmd.step, op)?;
         let ms = t.elapsed().as_secs_f64() * 1e3;
         self.touch();
         Some(ms)
@@ -1131,17 +1296,16 @@ impl Worker {
 
     /// Executes one fold/invert unit over the chunk's slice of the stage's
     /// K-FAC layers, on the capture replica's statistics, against the
-    /// optimizer's loaned layer states.
-    fn run_aux(&mut self, cmd: &mut StepCmd, op: AuxOp, kfac: &KfacStep) {
-        let (device, step) = (self.device, cmd.step);
+    /// owner's layer states; `None` without K-FAC. Lowering puts every unit
+    /// on its stage's capture host, which owns the stage; a stage with no
+    /// K-FAC layer (D > L) makes its units no-ops.
+    fn run_aux(&mut self, step: usize, op: AuxOp) -> Option<()> {
+        let device = self.device;
+        let kfac = self.owned.opt.kfac_mut()?;
         let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
-        // Lowering puts every unit on its stage's capture host, which is
-        // lent one state per K-FAC layer in every step that refreshes: a
-        // unit the step applies must run, so a missing loan is a fault,
-        // never a skip. A stage that owns no such layer (D > L) is lent
-        // none, and its units are no-ops.
-        let states = &mut loan_for(&mut cmd.loans, op.stage).kfac;
-        let k_total = states.len();
+        let replica = &mut host.replicas[op.slot];
+        let mut k_total = 0;
+        replica.visit_linears(&mut |_| k_total += 1);
         let chunk = op.chunk * k_total / op.chunks..(op.chunk + 1) * k_total / op.chunks;
         let name = match op.kind {
             AuxKind::FoldA => "curvature_a",
@@ -1157,23 +1321,21 @@ impl Worker {
                 ("chunks".to_string(), json!(op.chunks)),
             ]
         });
-        let mut states = states.iter_mut().enumerate();
-        host.replicas[op.slot].visit_linears(&mut |lin| {
-            let Some((i, state)) = states.next() else {
-                panic!(
-                    "K-FAC unit of stage {} on device {device} without loaned layer states",
-                    op.stage
-                );
-            };
-            if !chunk.contains(&i) {
-                return;
+        let (t, config) = (kfac.step_count() + 1, kfac.config().clone());
+        let mut i = 0;
+        kfac.visit_states(replica, &mut |state, lin| {
+            if chunk.contains(&i) {
+                match op.kind {
+                    AuxKind::FoldA => fold_curvature_a(state, lin, config.ema_decay, t),
+                    AuxKind::FoldB => fold_curvature_b(state, lin, config.ema_decay, t),
+                    AuxKind::Invert => {
+                        refresh_inverses(state, config.damping, config.factor_block_size, t)
+                    }
+                }
             }
-            match op.kind {
-                AuxKind::FoldA => fold_curvature_a(state, lin, kfac.ema_decay, kfac.t),
-                AuxKind::FoldB => fold_curvature_b(state, lin, kfac.ema_decay, kfac.t),
-                AuxKind::Invert => refresh_inverses(state, kfac.damping, kfac.block_size, kfac.t),
-            }
+            i += 1;
         });
+        Some(())
     }
 }
 
@@ -1193,8 +1355,9 @@ mod tests {
         let model = BertForPreTraining::new(BertConfig::tiny(36, 16), 0.0, &mut rng);
         let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
         let plan = plan_for(&opts).expect("plan");
-        let mut engine = Staged::new(model, &plan, &opts);
-        engine.start();
+        let choice = OptimizerChoice::Lamb { weight_decay: 0.0 };
+        let mut engine = Staged::new(model, &plan, &opts, &choice);
+        engine.start(&mut AnyOpt::new(&choice));
         let fleet = Arc::downgrade(&engine.workers.fleet);
         drop(engine);
         assert!(fleet.upgrade().is_none(), "a worker outlived the engine");

@@ -3,11 +3,11 @@
 //! per-step metrics/trace instrumentation.
 //!
 //! The driver owns what every execution shares: checkpoint resume/save,
-//! sampling, spans and phase timing, mean-scaling, gradient norm, learning
+//! sampling, spans and phase timing, the gradient norm's sum, learning
 //! rate, the optional stale-gradient queue, and the metrics row. An
-//! [`Engine`] supplies what differs: how a step's micro-batches run (inline
-//! here; on stage worker threads in [`crate::pipeline`]) and how the update
-//! is applied to the gradients they leave.
+//! [`Engine`] supplies what differs: where a step's micro-batches run and
+//! their mean gradient lands (inline here; on the stage owners' worker
+//! threads in [`crate::pipeline`]) and how the update is applied to it.
 
 use crate::checkpoint::{
     resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
@@ -17,7 +17,8 @@ use crate::{BatchSampler, StepMetrics};
 use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
 use pipefisher_core::capture_micro_batch;
 use pipefisher_nn::{
-    export_params_with, import_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch,
+    export_params_with, import_params_with, BertForPreTraining, ForwardCtx, Parameter,
+    PreTrainingBatch,
 };
 use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, StateSnapshot};
 use pipefisher_tensor::Matrix;
@@ -287,7 +288,7 @@ impl Trainer {
             .open_run(engine.model(), choice, save, resume)
             .map_err(ckpt_err(0))?;
         if start_step < steps {
-            engine.start();
+            engine.start(&mut opt);
         }
         let (n_micro, grad_delay) = (opts.accumulation_steps, opts.grad_delay);
         let scale = 1.0 / n_micro as f64;
@@ -301,8 +302,6 @@ impl Trainer {
         for step in start_step..steps {
             let _step_span = pipefisher_trace::span("step", "train");
             let alloc_before = pipefisher_trace::alloc_snapshot();
-            let model = engine.model();
-            model.visit_all_params(&mut |p| p.grad.scale_inplace(0.0));
             let (refresh_curv, refresh_inv) = opt.next_step_refreshes();
             let t0 = Instant::now();
             // Sampled up front, serially, preserving the data RNG stream.
@@ -326,10 +325,8 @@ impl Trainer {
             let t1 = Instant::now();
             let loss = {
                 let _span = pipefisher_trace::span("forward_backward", "train");
-                engine.run_micro_batches(step, batches, &mut opt)? * scale
+                engine.run_micro_batches(step, batches, scale, &opt)? * scale
             };
-            let model = engine.model();
-            model.visit_all_params(&mut |p| p.grad.scale_inplace(scale));
             let t2 = Instant::now();
             losses.push(loss);
             pipefisher_trace::counter("loss", loss);
@@ -338,6 +335,7 @@ impl Trainer {
             // steps ago; no update while the queue fills.
             let mut update = true;
             if grad_delay > 0 {
+                let model = engine.model();
                 let mut fresh = Vec::new();
                 model.visit_all_params(&mut |p| fresh.push(p.grad.clone()));
                 in_flight.push_back(fresh);
@@ -347,11 +345,10 @@ impl Trainer {
                     model.visit_all_params(&mut |p| p.grad = stale.next().expect("same params"));
                 }
             }
-            // Global L2 norm of the gradient the optimizer consumes.
+            // Global L2 norm of the gradient the optimizer consumes, summed
+            // parameter by parameter in `visit_all_params` order.
             let mut sq = 0.0;
-            model.visit_all_params(&mut |p| {
-                sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
-            });
+            engine.visit_grad_squares(&mut |x| sq += x);
             let grad_norm = sq.sqrt();
             let lr = if update {
                 self.schedule.lr_at(step)
@@ -361,14 +358,16 @@ impl Trainer {
             let t3 = Instant::now();
             if update {
                 let _span = pipefisher_trace::span("optimizer_step", "train");
-                engine.apply(&mut opt, lr);
+                engine.apply(step, &mut opt, lr)?;
             }
             let t4 = Instant::now();
-            // Checkpoint at the step boundary: gradients are merged and the
-            // optimizer applied, so every engine captures the same state.
+            // Checkpoint at the step boundary: the optimizer is applied, and
+            // `sync` brings the model and `opt` up to date, so every engine
+            // captures the same state.
             let mut ckpt_write_ms = 0.0;
             if let (Some(policy), Some(dir)) = (save, &store) {
                 if policy.due(step + 1, steps) {
+                    engine.sync(step + 1, step + 1 == steps, &mut opt)?;
                     let tc = TrainCheckpoint {
                         next_step: (step + 1) as u64,
                         optimizer_label: opt.label().to_string(),
@@ -381,7 +380,7 @@ impl Trainer {
                     ckpt_write_ms = ms(t4, Instant::now());
                 }
             }
-            let (damping_escalations, inversion_failures) = opt.inversion_health();
+            let (damping_escalations, inversion_failures) = engine.inversion_health(&opt);
             let alloc = pipefisher_trace::alloc_snapshot().since(&alloc_before);
             curvature_refreshes += u64::from(refresh_curv);
             inversions += u64::from(refresh_inv);
@@ -402,6 +401,9 @@ impl Trainer {
                 alloc_bytes: alloc.bytes,
                 ckpt_write_ms,
             });
+        }
+        if start_step < steps {
+            engine.sync(steps, true, &mut opt)?;
         }
         let label = match grad_delay {
             0 => opt.label().to_string(),
@@ -429,27 +431,57 @@ impl Trainer {
 /// How a training step executes — the part of the loop [`Trainer::drive`]
 /// does not own.
 pub(crate) trait Engine {
-    /// The canonical model: gradients accumulate into it, updates apply to
-    /// it, checkpoints read it.
+    /// The canonical model: resume restores into it before [`Engine::start`],
+    /// and checkpoints and the caller read it after [`Engine::sync`].
     fn model(&mut self) -> &mut dyn KfacModel;
 
-    /// Called once, after any resume has restored [`Engine::model`] and only
-    /// if there are steps to run.
-    fn start(&mut self) {}
+    /// Called once, after any resume has restored [`Engine::model`] and
+    /// `opt`, and only if there are steps to run.
+    fn start(&mut self, _opt: &mut AnyOpt) {}
 
-    /// Runs the step's micro-batches against the zeroed canonical gradients,
-    /// leaving their micro-batch-order sum there, and returns the
-    /// micro-batch-order sum of the total losses. An engine that runs the
-    /// step's K-FAC work itself asks `opt` for its cadence.
+    /// Runs the step's micro-batches on zeroed gradients and scales their
+    /// micro-batch-order sum by `scale`, leaving the mean gradient where
+    /// [`Engine::apply`] consumes it; returns the micro-batch-order sum of
+    /// the total losses. An engine that runs the step's K-FAC work itself
+    /// asks `opt` for its cadence.
     fn run_micro_batches(
         &mut self,
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
-        opt: &mut AnyOpt,
+        scale: f64,
+        opt: &AnyOpt,
     ) -> Result<f64, ExecError>;
 
-    /// Applies one optimizer update to the canonical model's gradients.
-    fn apply(&mut self, opt: &mut AnyOpt, lr: f64);
+    /// Calls `f` with each parameter's sum of squared gradient entries, in
+    /// `visit_all_params` order.
+    fn visit_grad_squares(&mut self, f: &mut dyn FnMut(f64)) {
+        self.model().visit_all_params(&mut |p| f(grad_square(p)));
+    }
+
+    /// Applies step `step`'s optimizer update to the mean gradient.
+    fn apply(&mut self, step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError>;
+
+    /// `(damping_escalations, inversion_failures)` so far.
+    fn inversion_health(&self, opt: &AnyOpt) -> (u64, u64) {
+        opt.inversion_health()
+    }
+
+    /// Brings [`Engine::model`] and `opt` up to date after `completed_steps`
+    /// steps, the `last` time if no step follows; a no-op where they
+    /// already are.
+    fn sync(
+        &mut self,
+        _completed_steps: usize,
+        _last: bool,
+        _opt: &mut AnyOpt,
+    ) -> Result<(), ExecError> {
+        Ok(())
+    }
+}
+
+/// One parameter's share of the squared gradient norm.
+pub(crate) fn grad_square(p: &Parameter) -> f64 {
+    p.grad.as_slice().iter().map(|v| v * v).sum::<f64>()
 }
 
 /// The inline engine is the caller's model itself: the micro-batches run one
@@ -464,29 +496,35 @@ impl Engine for BertForPreTraining {
         &mut self,
         _step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
-        _opt: &mut AnyOpt,
+        scale: f64,
+        _opt: &AnyOpt,
     ) -> Result<f64, ExecError> {
-        Ok(batches
+        self.visit_params(&mut |p| p.grad.scale_inplace(0.0));
+        let loss = batches
             .iter()
             .map(|(batch, ctx)| self.train_step(batch, ctx).total_loss)
-            .sum())
+            .sum();
+        self.visit_params(&mut |p| p.grad.scale_inplace(scale));
+        Ok(loss)
     }
 
-    fn apply(&mut self, opt: &mut AnyOpt, lr: f64) {
+    fn apply(&mut self, _step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError> {
         opt.apply(self, lr);
+        Ok(())
     }
 }
 
 /// The driver's optimizer dispatch, carrying what the metrics recorder
 /// needs (labels, the K-FAC refresh cadence and health counters).
-/// Crate-visible so the staged engine loans K-FAC layer states out of it.
+/// Crate-visible so the staged engine's stage owners each keep one.
+#[derive(Clone)]
 pub(crate) enum AnyOpt {
     Lamb(Lamb),
     Kfac(Kfac<Lamb>),
 }
 
 impl AnyOpt {
-    fn new(choice: &OptimizerChoice) -> AnyOpt {
+    pub(crate) fn new(choice: &OptimizerChoice) -> AnyOpt {
         match choice {
             OptimizerChoice::Lamb { weight_decay } => AnyOpt::Lamb(Lamb::new(*weight_decay)),
             OptimizerChoice::Kfac { weight_decay, kfac } => {
@@ -519,7 +557,7 @@ impl AnyOpt {
 
     /// `(damping_escalations, inversion_failures)` so far — see
     /// [`Kfac::inversion_health`]; `(0, 0)` for the first-order optimizers.
-    fn inversion_health(&self) -> (u64, u64) {
+    pub(crate) fn inversion_health(&self) -> (u64, u64) {
         match self {
             AnyOpt::Kfac(opt) => opt.inversion_health(),
             _ => (0, 0),
@@ -530,17 +568,45 @@ impl AnyOpt {
     /// curvature folds and inverse refreshes included.
     pub(crate) fn apply(&mut self, model: &mut dyn KfacModel, lr: f64) {
         match self {
-            AnyOpt::Lamb(opt) => {
-                opt.begin_step();
-                model.visit_all_params(&mut |p| opt.step_param(p, lr));
-            }
+            AnyOpt::Lamb(_) => self.update(model, lr, None),
             AnyOpt::Kfac(opt) => opt.step(model, lr),
         }
     }
 
-    /// The wrapped K-FAC optimizer, when this is the K-FAC arm — the
-    /// executor loans layer states out of it and returns them each refresh
-    /// step.
+    /// The first half of a preconditioned update: [`Kfac::precondition`]'s
+    /// `⟨g, g̃⟩` per ready layer; nothing without K-FAC.
+    pub(crate) fn precondition(&mut self, model: &mut dyn KfacModel) -> Vec<f64> {
+        match self {
+            AnyOpt::Kfac(opt) => opt.precondition(model),
+            AnyOpt::Lamb(_) => Vec::new(),
+        }
+    }
+
+    /// The second half: [`Kfac::update`] clipping by `vsum` (`None` without
+    /// K-FAC), or the plain LAMB update.
+    pub(crate) fn update(&mut self, model: &mut dyn KfacModel, lr: f64, vsum: Option<f64>) {
+        match (self, vsum) {
+            (AnyOpt::Kfac(opt), Some(vsum)) => opt.update(model, lr, vsum),
+            (AnyOpt::Lamb(opt), None) => {
+                opt.begin_step();
+                model.visit_all_params(&mut |p| opt.step_param(p, lr));
+            }
+            _ => unreachable!("a clip sum exactly when the optimizer is K-FAC"),
+        }
+    }
+
+    /// Moves what this optimizer keeps for `model` into `into` (see
+    /// [`StateSnapshot::hand_over`]).
+    pub(crate) fn hand_over(&mut self, into: &mut AnyOpt, model: &mut dyn KfacModel) {
+        match (self, into) {
+            (AnyOpt::Lamb(from), AnyOpt::Lamb(into)) => from.hand_over(into, model),
+            (AnyOpt::Kfac(from), AnyOpt::Kfac(into)) => from.hand_over(into, model),
+            _ => unreachable!("state moves between optimizers of one kind"),
+        }
+    }
+
+    /// The wrapped K-FAC optimizer, when this is the K-FAC arm — a stage
+    /// owner runs its refresh units on it.
     pub(crate) fn kfac_mut(&mut self) -> Option<&mut Kfac<Lamb>> {
         match self {
             AnyOpt::Kfac(opt) => Some(opt),

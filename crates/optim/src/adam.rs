@@ -117,6 +117,12 @@ impl crate::StateSnapshot for Adam {
         self.moments = moments;
         Ok(())
     }
+
+    fn hand_over(&mut self, into: &mut Self, model: &mut dyn crate::KfacModel) {
+        model.visit_all_params(&mut |p| {
+            crate::snapshot::move_entry(&mut self.moments, &mut into.moments, &p.name);
+        });
+    }
 }
 
 impl Optimizer for Adam {

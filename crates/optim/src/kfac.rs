@@ -144,6 +144,16 @@ impl KfacModel for Linear {
     }
 }
 
+impl KfacModel for pipefisher_nn::BertStage {
+    fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
+        self.visit_linears(f);
+    }
+
+    fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
+        self.visit_params(f);
+    }
+}
+
 impl KfacModel for pipefisher_nn::StagedBert {
     fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         self.visit_linears(f);
@@ -174,10 +184,12 @@ impl KfacModel for pipefisher_nn::StagedBert {
 ///    vocab head) sees raw gradients, matching the paper's "K-FAC for all
 ///    fully-connected layers, NVLAMB for the rest" setup.
 ///
-/// [`Kfac::step`] runs the units in place and then part two; a caller that
-/// places the units itself (the pipeline executor, in bubbles) loans the
-/// layer states out with [`Kfac::take_state`] / [`Kfac::put_state`] and calls
-/// part two directly. Either way the same functions run on the same inputs.
+/// [`Kfac::step`] runs the units in place and then part two. A caller that
+/// places the units itself runs them through [`Kfac::visit_states`] and
+/// part two as its halves: the pipeline executor's stage owner runs the
+/// units in bubbles and [`Kfac::precondition`] on its own layers, and
+/// [`Kfac::update`] once the coordinator has summed every stage's products.
+/// Either way the same functions run on the same inputs.
 #[derive(Debug, Clone)]
 pub struct Kfac<O: Optimizer> {
     config: KfacConfig,
@@ -240,9 +252,10 @@ impl<O: Optimizer> Kfac<O> {
 
     /// Takes a layer's state out of the optimizer (a default one if the
     /// layer has none yet), leaving an empty placeholder, so refresh work
-    /// can run on it elsewhere — the pipeline executor loans it to a stage
-    /// worker for bubble-filled fold/inversion work. Pair with
-    /// [`Kfac::put_state`].
+    /// can run on it elsewhere. Pair with [`Kfac::put_state`]. The
+    /// benchmark's replica step is the only caller left (the executor runs
+    /// its units through [`Kfac::visit_states`]); the pair goes when that
+    /// replica can change.
     pub fn take_state(&mut self, layer_name: &str) -> LayerKfacState {
         self.states
             .get_mut(layer_name)
@@ -251,7 +264,8 @@ impl<O: Optimizer> Kfac<O> {
     }
 
     /// Returns a loaned layer state after external fold/inversion work.
-    /// Only a layer's first return allocates (its name key).
+    /// Only a layer's first return allocates (its name key). Like
+    /// [`Kfac::take_state`], only the benchmark's replica step calls it.
     pub fn put_state(&mut self, layer_name: &str, state: LayerKfacState) {
         match self.states.get_mut(layer_name) {
             Some(entry) => *entry = state,
@@ -268,61 +282,80 @@ impl<O: Optimizer> Kfac<O> {
         })
     }
 
-    /// Pairs each K-FAC layer with its state, taken out of the optimizer,
-    /// in visitation order. Pair with [`Kfac::return_slots`].
-    fn loan_slots<'m>(&mut self, model: &'m mut (dyn KfacModel + '_)) -> Vec<LayerSlot<'m>> {
-        let mut slots = Vec::new();
+    /// Hands `f` each K-FAC layer of `model` with this optimizer's state for
+    /// it, in visitation order — a default state for a layer it has none of
+    /// yet (only that first visit allocates, the name key). The refresh work
+    /// units run this way: in [`Kfac::step`], and on the pipeline stage that
+    /// owns the layers.
+    pub fn visit_states(
+        &mut self,
+        model: &mut dyn KfacModel,
+        f: &mut dyn FnMut(&mut LayerKfacState, &mut Linear),
+    ) {
         model.visit_kfac_linears(&mut |lin| {
-            let state = self.take_state(lin.name());
-            slots.push(LayerSlot { lin, state });
-        });
-        slots
-    }
-
-    /// Hands the states of [`Kfac::loan_slots`] back.
-    fn return_slots(&mut self, slots: Vec<LayerSlot<'_>>) {
-        for slot in slots {
-            self.put_state(slot.lin.name(), slot.state);
-        }
-    }
-
-    /// Runs one optimization step *after* any curvature and inversion
-    /// refresh due this step — parts 3–4 of the type-level docs:
-    /// preconditioning, KL clipping, and the fallback update. [`Kfac::step`]
-    /// ends with it; a caller that ran [`fold_curvature_a`],
-    /// [`fold_curvature_b`] and [`refresh_inverses`] itself on states loaned
-    /// out with [`Kfac::take_state`] calls it directly.
-    pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        self.t += 1;
-        let mut slots = self.loan_slots(model);
-
-        // Captured statistics are spent: the refresh work that wanted them
-        // has run. KL clipping needs Σ ⟨g, g̃⟩, summed in visitation order.
-        let mut vsum = 0.0;
-        for slot in &mut slots {
-            slot.lin.kfac_stats_mut().clear();
-            if slot.state.ready() {
-                vsum += precondition(&slot.state, slot.lin);
+            if !self.states.contains_key(lin.name()) {
+                self.states
+                    .insert(lin.name().to_string(), LayerKfacState::default());
             }
-        }
+            f(
+                self.states.get_mut(lin.name()).expect("state just ensured"),
+                lin,
+            );
+        });
+    }
+
+    /// Part 3 of the type-level docs, the first half of
+    /// [`Kfac::step_preconditioned`]: counts the step, spends the captured
+    /// statistics, and rewrites the gradient of every K-FAC layer whose
+    /// inverses exist to `B_l⁻¹ Ḡ_l A_l⁻¹`. Returns `⟨g, g̃⟩` of each such
+    /// layer in visitation order; their sum, in that order, is what
+    /// [`Kfac::update`] clips by.
+    pub fn precondition(&mut self, model: &mut dyn KfacModel) -> Vec<f64> {
+        self.t += 1;
+        let mut dots = Vec::new();
+        self.visit_states(model, &mut |state, lin| {
+            lin.kfac_stats_mut().clear();
+            if state.ready() {
+                dots.push(precondition(state, lin));
+            }
+        });
+        dots
+    }
+
+    /// Part 4, the second half of [`Kfac::step_preconditioned`]: rescales
+    /// the preconditioned gradients by the KL-clip scale that `vsum` — the
+    /// visitation-order sum of [`Kfac::precondition`]'s products over the
+    /// whole model — gives at `lr`, then runs the fallback optimizer over
+    /// all of `model`'s parameters.
+    pub fn update(&mut self, model: &mut dyn KfacModel, lr: f64, vsum: f64) {
         if let Some(kappa) = self.config.kl_clip {
             let denom = lr * lr * vsum;
             if denom > kappa {
                 let scale = (kappa / denom).sqrt();
-                for slot in slots.iter_mut().filter(|s| s.state.ready()) {
-                    let (w, b, _) = slot.lin.kfac_parts_mut();
-                    w.grad.scale_inplace(scale);
-                    b.grad.scale_inplace(scale);
-                }
+                self.visit_states(model, &mut |state, lin| {
+                    if state.ready() {
+                        let (w, b, _) = lin.kfac_parts_mut();
+                        w.grad.scale_inplace(scale);
+                        b.grad.scale_inplace(scale);
+                    }
+                });
             }
         }
-
-        // Hand the states back before touching `model` again.
-        self.return_slots(slots);
-
         self.fallback.begin_step();
         let fallback = &mut self.fallback;
         model.visit_all_params(&mut |p: &mut Parameter| fallback.step_param(p, lr));
+    }
+
+    /// Runs one optimization step *after* any curvature and inversion
+    /// refresh due this step — parts 3–4 of the type-level docs:
+    /// [`Kfac::precondition`], then [`Kfac::update`] with the sum of its
+    /// products. [`Kfac::step`] ends with it; a caller that ran
+    /// [`fold_curvature_a`], [`fold_curvature_b`] and [`refresh_inverses`]
+    /// itself on states loaned out with [`Kfac::take_state`] calls it
+    /// directly.
+    pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
+        let vsum = self.precondition(model).iter().fold(0.0, |s, d| s + d);
+        self.update(model, lr, vsum);
     }
 
     /// Runs one optimization step, refresh work included: asks the cadence
@@ -333,19 +366,16 @@ impl<O: Optimizer> Kfac<O> {
         let refresh_curv = self.next_step_refreshes_curvature();
         let refresh_inv = self.next_step_refreshes_inversion();
         if refresh_curv || refresh_inv {
-            let t = self.t + 1;
-            let mut slots = self.loan_slots(model);
-            let config = &self.config;
-            for slot in &mut slots {
+            let (t, config) = (self.t + 1, self.config.clone());
+            self.visit_states(model, &mut |state, lin| {
                 if refresh_curv {
-                    fold_curvature_a(&mut slot.state, slot.lin, config.ema_decay, t);
-                    fold_curvature_b(&mut slot.state, slot.lin, config.ema_decay, t);
+                    fold_curvature_a(state, lin, config.ema_decay, t);
+                    fold_curvature_b(state, lin, config.ema_decay, t);
                 }
                 if refresh_inv {
-                    refresh_inverses(&mut slot.state, config.damping, config.factor_block_size, t);
+                    refresh_inverses(state, config.damping, config.factor_block_size, t);
                 }
-            }
-            self.return_slots(slots);
+            });
         }
         self.step_preconditioned(model, lr);
     }
@@ -405,12 +435,13 @@ impl<O: Optimizer + crate::StateSnapshot> crate::StateSnapshot for Kfac<O> {
         self.states = states;
         Ok(())
     }
-}
 
-/// One layer's share of a step: the layer and its owned state.
-struct LayerSlot<'m> {
-    lin: &'m mut Linear,
-    state: LayerKfacState,
+    fn hand_over(&mut self, into: &mut Self, model: &mut dyn KfacModel) {
+        model.visit_kfac_linears(&mut |lin| {
+            crate::snapshot::move_entry(&mut self.states, &mut into.states, lin.name());
+        });
+        self.fallback.hand_over(&mut into.fallback, model);
+    }
 }
 
 /// Folds a fresh batch Gram matrix into a (possibly absent) factor: EMA

@@ -59,6 +59,10 @@ impl crate::StateSnapshot for Lamb {
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), pipefisher_ckpt::CkptError> {
         crate::StateSnapshot::import_state(&mut self.inner, bytes)
     }
+
+    fn hand_over(&mut self, into: &mut Self, model: &mut dyn crate::KfacModel) {
+        self.inner.hand_over(&mut into.inner, model);
+    }
 }
 
 impl Optimizer for Lamb {

@@ -89,6 +89,12 @@ impl crate::StateSnapshot for Sgd {
         self.velocity = velocity;
         Ok(())
     }
+
+    fn hand_over(&mut self, into: &mut Self, model: &mut dyn crate::KfacModel) {
+        model.visit_all_params(&mut |p| {
+            crate::snapshot::move_entry(&mut self.velocity, &mut into.velocity, &p.name);
+        });
+    }
 }
 
 /// `θ ← θ − lr·(base + wd·θ)` elementwise, without materializing the step.

@@ -16,6 +16,8 @@ use std::collections::HashMap;
 
 use pipefisher_ckpt::CkptError;
 
+use crate::KfacModel;
+
 /// Serialization of an optimizer's mutable state for checkpointing.
 ///
 /// The contract backing bitwise resume: for any optimizer `o`,
@@ -29,6 +31,16 @@ pub trait StateSnapshot {
     /// Replaces the mutable state with one captured by
     /// [`StateSnapshot::export_state`]. On error, state is unchanged.
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CkptError>;
+
+    /// Moves what this optimizer keeps for `model`'s parameters (and K-FAC
+    /// layers) into `into`, replacing what `into` kept for them; an entry
+    /// this one lacks is dropped from `into` too. Step counters and
+    /// hyperparameters stay where they are. The pipeline executor hands a
+    /// stage's state to the stage's owner this way and back for a
+    /// checkpoint, so the exported bytes are the serial optimizer's.
+    fn hand_over(&mut self, into: &mut Self, model: &mut dyn KfacModel)
+    where
+        Self: Sized;
 }
 
 /// A `HashMap`'s entries sorted by key, for deterministic encoding.
@@ -52,4 +64,17 @@ pub(crate) fn insert_unique<V>(
         });
     }
     Ok(())
+}
+
+/// Moves `name`'s entry from `from` into `into`, or drops `into`'s if
+/// `from` has none — one key of [`StateSnapshot::hand_over`].
+pub(crate) fn move_entry<V>(
+    from: &mut HashMap<String, V>,
+    into: &mut HashMap<String, V>,
+    name: &str,
+) {
+    match from.remove(name) {
+        Some(v) => drop(into.insert(name.to_string(), v)),
+        None => drop(into.remove(name)),
+    }
 }

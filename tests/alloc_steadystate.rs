@@ -335,14 +335,16 @@ fn steady_allocs(rows: &[StepMetrics], warmup: usize) -> u64 {
 
 /// The pipeline executor's steady-state allocation cost over the serial
 /// trainer is message plumbing only: per device and step one boxed step
-/// command out and one report back (carrying the step's losses), plus the
-/// coordinator's per-step loss buffer and K-FAC step parameters. Boundary
-/// tensors travel through preallocated bounded inboxes, and all matrices
-/// are recycled — each (device, stage) loan of parameters, gradient sets and
-/// K-FAC layer states goes out with the command and comes back in the
-/// report, and the workers' kernel temporaries come from their thread-local
-/// workspace arenas. So per-step allocations must stay within a fixed
-/// constant of the serial loop's, independent of how many steps run.
+/// command and one update out, and one report back (carrying the step's
+/// losses, the owned stage's squared sums and `⟨g, g̃⟩` vectors), plus the
+/// coordinator's per-step loss buffer and each backward's list of
+/// contribution matrices. Boundary tensors travel through preallocated
+/// bounded inboxes; each stage's owner keeps its parameters, gradient
+/// accumulator and optimizer state for the whole run, so no matrix crosses
+/// a thread under GPipe, and the contributions' and the workers' kernel
+/// temporaries come from their thread-local workspace arenas. So per-step
+/// allocations must stay within a fixed constant of the serial loop's,
+/// independent of how many steps run.
 #[test]
 fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let _gate = Gate::acquire();
@@ -371,9 +373,13 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let pipelined_steady = steady_allocs(&outcome.run.metrics, warmup);
 
     // Fixed per-step budget for the plumbing. Measured for D = 2, N = 4:
-    // 48 allocations per step over the serial loop (756–757 vs 612 over 3
-    // steps). A matrix buffer slipping out of the recycling paths would add
-    // thousands per step and trip this at once.
+    // 86 allocations per step over the serial loop (726–727 vs 468 over 3
+    // steps): GPipe runs a device's backwards out of micro-batch order, so
+    // an owner parks contributions until their turn, and their fresh
+    // matrices overflow the arena's per-length cap on this model's many
+    // same-length parameters. A matrix buffer slipping out of the
+    // recycling paths altogether would add thousands per step and trip
+    // this at once.
     let per_step_overhead = 200;
     let steady_steps = (steps - warmup) as u64;
     assert!(

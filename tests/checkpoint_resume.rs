@@ -173,20 +173,32 @@ fn serial_resume_is_bitwise_identical_for_lamb_and_kfac() {
     }
 }
 
+/// Every scheme: a stage's owner hands its parameters and optimizer state
+/// back for each checkpoint and takes them again on resume — under
+/// Chimera from one of the stage's two hosts.
 #[test]
 fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
     let (steps, kill) = (6usize, 3usize);
+    let schemes = [
+        PipelineScheme::GPipe,
+        PipelineScheme::OneFOneB,
+        PipelineScheme::Chimera,
+    ];
     for (tag, choice) in [("lamb", lamb_choice()), ("kfac", kfac_choice())] {
-        for d in [2usize, 4] {
+        for (d, scheme) in [2usize, 4]
+            .into_iter()
+            .flat_map(|d| schemes.map(|s| (d, s)))
+        {
             let config = if d <= 2 {
                 BertConfig::tiny(36, 16)
             } else {
                 BertConfig::mini(36, 16)
             };
             let (ref_losses, ref_params) = serial_reference(&config, &choice, steps);
+            let tag = format!("{tag} {} D={d}", scheme.name());
 
-            let dir = TempCkptDir::new(&format!("pipe-{tag}-d{d}"));
-            let mut opts = PipelineOptions::new(PipelineScheme::GPipe, d, ACCUM);
+            let dir = TempCkptDir::new(&format!("pipe-{}", tag.replace(' ', "-")));
+            let mut opts = PipelineOptions::new(scheme, d, ACCUM);
             opts.checkpoint = Some(dir.save_policy(0));
             let (mut trainer, model) = setup(&config, 7);
             let head = trainer
@@ -195,10 +207,10 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
             assert_eq!(
                 loss_bits(&head.run.losses),
                 ref_losses[..kill],
-                "{tag} D={d}: head"
+                "{tag}: head"
             );
 
-            let mut opts = PipelineOptions::new(PipelineScheme::GPipe, d, ACCUM);
+            let mut opts = PipelineOptions::new(scheme, d, ACCUM);
             opts.resume = Some(ResumeFrom::Latest(dir.0.clone()));
             let (mut trainer, model) = setup(&config, 7);
             let outcome = trainer
@@ -207,13 +219,13 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
             assert_eq!(
                 loss_bits(&outcome.run.losses),
                 ref_losses[kill..],
-                "{tag} D={d}: resumed losses diverged"
+                "{tag}: resumed losses diverged"
             );
             let mut model = outcome.model;
             assert_eq!(
                 param_bits(&mut model),
                 ref_params,
-                "{tag} D={d}: resumed final parameters diverged"
+                "{tag}: resumed final parameters diverged"
             );
         }
     }
@@ -269,6 +281,8 @@ fn resume_past_the_end_is_an_empty_run_on_both_engines() {
     }
 }
 
+/// The checkpoint after step 3 of every scheme, whose owners hand back
+/// their stages for it, is the serial trainer's byte for byte.
 #[test]
 fn serial_and_pipelined_checkpoints_are_byte_identical() {
     let config = BertConfig::tiny(36, 16);
@@ -287,23 +301,30 @@ fn serial_and_pipelined_checkpoints_are_byte_identical() {
         )
         .expect("serial run");
 
-    let pipe_dir = TempCkptDir::new("bytes-pipe");
-    let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, ACCUM);
-    opts.checkpoint = Some(pipe_dir.save_policy(0));
-    let (mut trainer, model) = setup(&config, 7);
-    trainer
-        .run_pipelined(model, &choice, steps, &opts)
-        .expect("pipelined run");
-
     let serial_bytes = std::fs::read(serial_dir.only_file()).unwrap();
-    let pipe_bytes = std::fs::read(pipe_dir.only_file()).unwrap();
-    assert!(
-        serial_bytes == pipe_bytes,
-        "serial and pipelined checkpoints of the same step differ \
-         ({} vs {} bytes)",
-        serial_bytes.len(),
-        pipe_bytes.len()
-    );
+    for scheme in [
+        PipelineScheme::GPipe,
+        PipelineScheme::OneFOneB,
+        PipelineScheme::Chimera,
+    ] {
+        let pipe_dir = TempCkptDir::new(&format!("bytes-pipe-{}", scheme.name()));
+        let mut opts = PipelineOptions::new(scheme, 2, ACCUM);
+        opts.checkpoint = Some(pipe_dir.save_policy(0));
+        let (mut trainer, model) = setup(&config, 7);
+        trainer
+            .run_pipelined(model, &choice, steps, &opts)
+            .expect("pipelined run");
+
+        let pipe_bytes = std::fs::read(pipe_dir.only_file()).unwrap();
+        assert!(
+            serial_bytes == pipe_bytes,
+            "serial and {} checkpoints of the same step differ \
+             ({} vs {} bytes)",
+            scheme.name(),
+            serial_bytes.len(),
+            pipe_bytes.len()
+        );
+    }
 }
 
 #[test]

@@ -9,10 +9,11 @@
 //! panicking or wedged stage aborts the run with a clear error instead of
 //! deadlocking.
 
+use pipefisher::core::PlanOp;
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
-    BatchSampler, ExecError, ExecFault, OptimizerChoice, PipelineOptions, SyntheticLanguage,
-    Trainer,
+    plan_for, BatchSampler, ExecError, ExecFault, OptimizerChoice, PipelineOptions, StepMetrics,
+    SyntheticLanguage, Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining, ForwardCtx};
 use pipefisher::optim::{Kfac, KfacConfig, Lamb, LrSchedule, Optimizer};
@@ -60,6 +61,25 @@ fn param_bits(model: &mut BertForPreTraining) -> Vec<u64> {
     bits
 }
 
+/// One step's metric columns that every engine must reproduce bit for bit:
+/// all but the timings and the allocation counts.
+fn metric_bits(m: &StepMetrics) -> [u64; 9] {
+    [
+        m.step as u64,
+        m.loss.to_bits(),
+        m.grad_norm.to_bits(),
+        m.lr.to_bits(),
+        u64::from(m.curvature_refreshed),
+        m.curvature_refreshes,
+        m.inversions,
+        m.damping_escalations,
+        m.inversion_failures,
+    ]
+}
+
+/// Loss bits, final parameter bits and per-step metric columns of a run.
+type RunBits = (Vec<u64>, Vec<u64>, Vec<[u64; 9]>);
+
 /// Serial baseline: the reference trajectory every pipelined configuration
 /// must reproduce bit for bit.
 fn serial_reference(
@@ -67,7 +87,7 @@ fn serial_reference(
     choice: &OptimizerChoice,
     steps: usize,
     n_micro: usize,
-) -> (Vec<u64>, Vec<u64>) {
+) -> RunBits {
     let (mut trainer, mut model) = setup(config, 7);
     let run = trainer.run_with_options(
         &mut model,
@@ -79,7 +99,8 @@ fn serial_reference(
         },
     );
     let loss_bits = run.losses.iter().map(|l| l.to_bits()).collect();
-    (loss_bits, param_bits(&mut model))
+    let metrics = run.metrics.iter().map(metric_bits).collect();
+    (loss_bits, param_bits(&mut model), metrics)
 }
 
 fn pipelined_bits(
@@ -87,14 +108,15 @@ fn pipelined_bits(
     choice: &OptimizerChoice,
     steps: usize,
     opts: &PipelineOptions,
-) -> (Vec<u64>, Vec<u64>) {
+) -> RunBits {
     let (mut trainer, model) = setup(config, 7);
     let outcome = trainer
         .run_pipelined(model, choice, steps, opts)
         .unwrap_or_else(|e| panic!("pipelined run failed ({} stages): {e}", opts.n_stages));
     let loss_bits = outcome.run.losses.iter().map(|l| l.to_bits()).collect();
+    let metrics = outcome.run.metrics.iter().map(metric_bits).collect();
     let mut model = outcome.model;
-    (loss_bits, param_bits(&mut model))
+    (loss_bits, param_bits(&mut model), metrics)
 }
 
 /// The oracle both engines share a driver against: a deliberately naive
@@ -180,6 +202,10 @@ fn both_engines_match_the_naive_reference_loop_bitwise() {
                 staged.1, oracle.1,
                 "run_pipelined D={d} parameters: {choice:?}"
             );
+            assert_eq!(
+                staged.2, inline.2,
+                "run_pipelined D={d} metrics: {choice:?}"
+            );
         }
     }
 }
@@ -220,6 +246,12 @@ fn pipelined_kfac_matches_serial_trainer_bitwise() {
                         "final parameters diverged: {} D={d} fill={fill}",
                         scheme.name()
                     );
+                    assert_eq!(
+                        got.2,
+                        reference.2,
+                        "metric columns diverged: {} D={d} fill={fill}",
+                        scheme.name()
+                    );
                 }
             }
         }
@@ -233,7 +265,7 @@ fn pipelined_lamb_matches_serial_trainer_bitwise() {
     let config = BertConfig::tiny(36, 16);
     let choice = OptimizerChoice::Lamb { weight_decay: 0.01 };
     let reference = serial_reference(&config, &choice, steps, n_micro);
-    for d in [1usize, 2] {
+    for d in [1usize, 2, 4] {
         for scheme in schemes_for(d) {
             let opts = PipelineOptions::new(scheme, d, n_micro);
             let got = pipelined_bits(&config, &choice, steps, &opts);
@@ -247,6 +279,12 @@ fn pipelined_lamb_matches_serial_trainer_bitwise() {
                 got.1,
                 reference.1,
                 "final parameters diverged: {} D={d}",
+                scheme.name()
+            );
+            assert_eq!(
+                got.2,
+                reference.2,
+                "metric columns diverged: {} D={d}",
                 scheme.name()
             );
         }
@@ -334,7 +372,59 @@ fn blocked_inversion_in_bubbles_matches_serial_bitwise() {
             "final parameters diverged: {}",
             scheme.name()
         );
+        assert_eq!(
+            got.2,
+            reference.2,
+            "metric columns diverged: {}",
+            scheme.name()
+        );
     }
+}
+
+/// Chaos hook delaying chosen `(device, op index)` entries of step 0.
+#[derive(Debug)]
+struct SlowOps(Vec<(usize, usize)>, Duration);
+
+impl pipefisher::lm::ChaosHook for SlowOps {
+    fn op_delay(&self, device: usize, step: usize, op_index: usize) -> Option<Duration> {
+        (step == 0 && self.0.contains(&(device, op_index))).then_some(self.1)
+    }
+}
+
+/// Under Chimera each stage has two hosts, and the one that is not the
+/// stage's owner (its capture host) ships every gradient contribution to
+/// it. Holding each owner at its first backward of its own stage lets the
+/// other host's contributions pile up in the owner's inbox and arrive out
+/// of their micro-batch order; the owner must still add them in order
+/// 0..N−1 — bitwise the serial result — without tripping the watchdog.
+#[test]
+fn chimera_contributions_that_arrive_early_wait_their_turn() {
+    let _gate = test_lock();
+    let (steps, n_micro) = (3, 8);
+    let config = BertConfig::mini(36, 16);
+    let choice = kfac_choice();
+    let reference = serial_reference(&config, &choice, steps, n_micro);
+    let mut opts = PipelineOptions::new(PipelineScheme::Chimera, 4, n_micro);
+    let plan = plan_for(&opts).expect("plan");
+    let first_own_backward = |dev: usize| {
+        plan.devices[dev].ops.iter().position(
+            |op| matches!(*op, PlanOp::Backward { stage, .. } if plan.capture_host[stage] == dev),
+        )
+    };
+    let held = (0..4)
+        .map(|dev| {
+            (
+                dev,
+                first_own_backward(dev).expect("an owner runs backwards"),
+            )
+        })
+        .collect();
+    opts.chaos = Some(Arc::new(SlowOps(held, Duration::from_millis(150))));
+    opts.watchdog = Duration::from_secs(5);
+    let got = pipelined_bits(&config, &choice, steps, &opts);
+    assert_eq!(got.0, reference.0, "losses diverged");
+    assert_eq!(got.1, reference.1, "parameters diverged");
+    assert_eq!(got.2, reference.2, "metric columns diverged");
 }
 
 #[test]
