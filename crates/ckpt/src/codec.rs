@@ -53,11 +53,17 @@ impl SectionWriter {
     }
 
     /// Writes a matrix: `rows u64 | cols u64 | rows*cols f64 bit patterns`.
+    /// The buffer grows once for all of it, then the values fill it in one
+    /// pass.
     pub fn matrix(&mut self, m: &Matrix) {
+        let data = m.as_slice();
+        self.buf.reserve(16 + 8 * data.len());
         self.u64(m.rows() as u64);
         self.u64(m.cols() as u64);
-        for &v in m.as_slice() {
-            self.f64_bits(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * data.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(8).zip(data) {
+            out.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 
@@ -80,7 +86,9 @@ impl SectionWriter {
 /// as [`CkptError::Malformed`] instead of being silently ignored.
 #[derive(Debug)]
 pub struct SectionReader<'a> {
-    section: &'a str,
+    /// Names the part being read in errors; `Snapshot::decode` renames it
+    /// as it moves from the header to the table to the payloads.
+    pub(crate) section: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }

@@ -1,5 +1,6 @@
 //! The snapshot container: magic, version, CRC-validated section table.
 
+use crate::codec::SectionReader;
 use crate::error::CkptError;
 
 /// File magic: the first four bytes of every checkpoint.
@@ -184,12 +185,8 @@ impl Snapshot {
     /// payload CRC mismatch, duplicate names, trailing bytes — returns the
     /// matching [`CkptError`]; no input can make this panic.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
-        let mut cur = Cursor {
-            bytes,
-            pos: 0,
-            context: "header",
-        };
-        let magic = cur.take(4)?;
+        let mut cur = SectionReader::new("header", bytes);
+        let magic = cur.bytes(4)?;
         if magic != MAGIC {
             let mut found = [0u8; 4];
             found[..magic.len()].copy_from_slice(magic);
@@ -202,7 +199,7 @@ impl Snapshot {
                 supported: FORMAT_VERSION,
             });
         }
-        cur.context = "section table";
+        cur.section = "table";
         let count = cur.u32()?;
         if count > MAX_SECTIONS {
             return Err(CkptError::Malformed {
@@ -217,7 +214,7 @@ impl Snapshot {
                     detail: format!("section {i} name length {name_len} exceeds the 4096 cap"),
                 });
             }
-            let name_bytes = cur.take(name_len)?;
+            let name_bytes = cur.bytes(name_len)?;
             let name = std::str::from_utf8(name_bytes)
                 .map_err(|_| CkptError::Malformed {
                     detail: format!("section {i} name is not UTF-8"),
@@ -240,7 +237,7 @@ impl Snapshot {
             }
             table.push((name, payload_len, payload_crc));
         }
-        let table_end = cur.pos;
+        let table_end = bytes.len() - cur.remaining();
         let stored_table_crc = cur.u32()?;
         let computed_table_crc = crc32(&bytes[..table_end]);
         if stored_table_crc != computed_table_crc {
@@ -249,10 +246,10 @@ impl Snapshot {
                 computed: computed_table_crc,
             });
         }
+        cur.section = "payloads";
         let mut sections = Vec::with_capacity(table.len());
         for (name, payload_len, payload_crc) in table {
-            cur.context = "section payload";
-            let payload = cur.take(payload_len as usize)?.to_vec();
+            let payload = cur.bytes(payload_len as usize)?.to_vec();
             let computed = crc32(&payload);
             if computed != payload_crc {
                 return Err(CkptError::BadSectionChecksum {
@@ -263,55 +260,8 @@ impl Snapshot {
             }
             sections.push((name, payload));
         }
-        if cur.pos != bytes.len() {
-            return Err(CkptError::Malformed {
-                detail: format!(
-                    "{} trailing bytes after the last section payload",
-                    bytes.len() - cur.pos
-                ),
-            });
-        }
+        cur.finish()?;
         Ok(Snapshot { sections })
-    }
-}
-
-/// Bounds-checked reader over raw snapshot bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    context: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| CkptError::Malformed {
-                detail: format!("{}: length overflow", self.context),
-            })?;
-        if end > self.bytes.len() {
-            return Err(CkptError::Truncated {
-                context: self.context.to_string(),
-                needed: end as u64,
-                have: self.bytes.len() as u64,
-            });
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
     }
 }
 

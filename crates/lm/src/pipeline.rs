@@ -30,7 +30,9 @@
 //!
 //! - Each worker computes a micro-batch's gradient contribution on a
 //!   zero-initialised slot replica, so each contribution is exactly the
-//!   serial per-micro-batch gradient.
+//!   serial per-micro-batch gradient. The zeros are `Matrix::zeros` or a
+//!   spare set the owner refilled with `+0.0` after adding it: the same
+//!   bits.
 //! - The owner adds the contributions onto its zeroed accumulator via
 //!   `axpy(1.0, ·)` in strict micro-batch order 0..N−1 — the serial
 //!   accumulation order — and ×1.0 is exact. A contribution from the
@@ -53,9 +55,12 @@
 //!
 //! # Robustness
 //!
-//! Each worker owns one inbox; everything it is ever sent — step commands,
-//! peers' boundary tensors, `Abort`, `Shutdown` — arrives there, so every
-//! wait is one blocking receive that a message ends. The only timeouts are
+//! Each worker owns one unbounded inbox; everything it is ever sent — step
+//! commands, boundary tensors, contributions, parameters, `Abort`,
+//! `Shutdown` — arrives there, so every wait is one blocking receive that a
+//! message ends, and no send ever blocks. Workers hand each other tensors
+//! through one call, `Worker::post`, which delivers a message to its own
+//! device without the channel. The only timeouts are
 //! computed deadlines: the watchdog past the device's last progress (a
 //! worker waiting for pipeline input) or past the newest progress of any
 //! device (the coordinator waiting for the step's reports). A panicking
@@ -79,7 +84,7 @@ use pipefisher_tensor::Matrix;
 use pipefisher_trace::Span;
 use serde_json::json;
 use std::collections::HashMap;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -273,19 +278,24 @@ enum Inbox {
     /// From the coordinator: run this step.
     Step(Box<StepCmd>),
     /// From the coordinator once every device has reported: update the
-    /// owned stage at `lr`, K-FAC clipping by `vsum`, the sum of every
-    /// stage's `⟨g, g̃⟩` (`None` without K-FAC).
-    Update { lr: f64, vsum: Option<f64> },
+    /// owned stage at `lr` to end `step`, K-FAC clipping by `vsum`, the sum
+    /// of every stage's `⟨g, g̃⟩` (`None` without K-FAC).
+    Update {
+        step: usize,
+        lr: f64,
+        vsum: Option<f64>,
+    },
     /// From the coordinator: send copies of the owned stage and its
     /// optimizer back — or, `last`, the things themselves, and exit.
     HandBack { last: bool },
-    /// From a peer: a boundary tensor one of this device's ops consumes.
+    /// From the device that ran its producing op, this one included: a
+    /// boundary tensor one of this device's ops consumes.
     Data(TensorKey, Matrix),
-    /// From the owned stage's other host (Chimera): micro-batch `mb`'s
-    /// gradient contribution, `(mb, grads)`.
+    /// From a host of the owned stage: micro-batch `mb`'s gradient
+    /// contribution, `(mb, grads)`.
     Grads(usize, GradSet),
-    /// From a hosted stage's owner (Chimera): its parameters after an
-    /// update, `(stage, values)`.
+    /// From a hosted stage's owner: its parameters after an update,
+    /// `(stage, values)`.
     Params(usize, ParamSet),
     /// From whoever recorded the run's first fault: stop now.
     Abort,
@@ -331,7 +341,7 @@ enum WorkerMsg {
 /// the first-fault-wins abort latch, and each device's last progress.
 #[derive(Default)]
 struct Fleet {
-    inboxes: Vec<SyncSender<Inbox>>,
+    inboxes: Vec<Sender<Inbox>>,
     fault: Mutex<Option<ExecFault>>,
     progress: Vec<Mutex<Instant>>,
 }
@@ -372,23 +382,20 @@ impl Fleet {
 /// is the one that failed) is already in the [`Fleet`]'s latch.
 struct Halt;
 
-/// The span of a forward or backward op, its plan coordinates as args.
-fn op_span(
+/// The span of a worker's op, K-FAC unit or owner work: its `step`,
+/// `device` and `stage`, then `extra`, as args.
+fn span(
     name: &'static str,
+    cat: &'static str,
     step: usize,
     device: usize,
     stage: usize,
-    mb: usize,
-    slot: usize,
+    extra: &[(&str, usize)],
 ) -> Option<Span> {
-    pipefisher_trace::span_with(name, "pipeline", || {
-        vec![
-            ("step".to_string(), json!(step)),
-            ("device".to_string(), json!(device)),
-            ("stage".to_string(), json!(stage)),
-            ("mb".to_string(), json!(mb)),
-            ("slot".to_string(), json!(slot)),
-        ]
+    pipefisher_trace::span_with(name, cat, || {
+        let coords = [("step", step), ("device", device), ("stage", stage)];
+        let args = coords.iter().chain(extra);
+        args.map(|&(k, v)| (k.to_string(), json!(v))).collect()
     })
 }
 
@@ -636,21 +643,8 @@ impl Engine for Staged<'_> {
     fn start(&mut self, opt: &mut AnyOpt) {
         let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let (report_tx, reports) = mpsc::channel::<WorkerMsg>();
-        // An inbox never fills, so every send into one is a plain `send`.
-        // Between two of a device's step reports it is sent at most, per
-        // hosted stage, N activations, N gradients and one parameter set;
-        // as an owner, N contributions; and one each of `Step`, `Update`,
-        // `HandBack`, `Abort` (only the run's first fault sends them) and
-        // `Shutdown`. It has taken all of a step's tensors and contributions
-        // out of the channel before it reports (each is an input of its
-        // step), a stage's parameters arrive only after its report, and no
-        // peer can send the next step's before every device has reported.
-        let inbox_for = |dplan: &DevicePlan| {
-            let hosted = dplan.hosted_stages().len().max(1);
-            mpsc::sync_channel::<Inbox>((2 * n_micro + 1) * hosted + n_micro + 5)
-        };
         let (inboxes, receivers): (Vec<_>, Vec<_>) =
-            self.plan.devices.iter().map(inbox_for).unzip();
+            self.plan.devices.iter().map(|_| mpsc::channel()).unzip();
         let fleet = Arc::new(Fleet {
             progress: inboxes.iter().map(|_| Mutex::new(Instant::now())).collect(),
             inboxes,
@@ -673,6 +667,7 @@ impl Engine for Staged<'_> {
                 }
                 let host = StageHost {
                     replicas,
+                    spares: Vec::new(),
                     owner: owner[s],
                     stale: false,
                 };
@@ -690,8 +685,8 @@ impl Engine for Staged<'_> {
                 opt: own_opt,
                 early: (0..n_micro).map(|_| None).collect(),
                 merged: 0,
-                peers: (0..owner.len())
-                    .filter(|&o| o != dev && self.plan.devices[o].n_slots[stage] > 0)
+                hosted_on: (0..owner.len())
+                    .filter(|&o| self.plan.devices[o].n_slots[stage] > 0)
                     .collect(),
             };
             let worker = Worker {
@@ -784,7 +779,7 @@ impl Engine for Staged<'_> {
             dots.fold(0.0, |sum, d| sum + d)
         });
         for dev in 0..self.plan.devices.len() {
-            self.send(step, dev, Inbox::Update { lr, vsum })?;
+            self.send(step, dev, Inbox::Update { step, lr, vsum })?;
         }
         opt.apply(&mut NoParams, lr);
         self.dirty = true;
@@ -833,9 +828,12 @@ impl Engine for Staged<'_> {
 /// A stage this device hosts: one replica per activation slot.
 struct StageHost {
     replicas: Vec<BertStage>,
+    /// Zeroed gradient sets a backward swaps into its replica, at most one
+    /// per replica: the owner returns each contribution it has added here.
+    spares: Vec<GradSet>,
     /// The device that owns the stage.
     owner: usize,
-    /// Owned elsewhere and updated since the replicas were loaded.
+    /// Updated since the replicas were loaded.
     stale: bool,
 }
 
@@ -850,8 +848,9 @@ struct Owned {
     early: Vec<Option<GradSet>>,
     /// How many micro-batches the accumulator holds.
     merged: usize,
-    /// The stage's other hosts, which get its parameters after each update.
-    peers: Vec<usize>,
+    /// Every device hosting the stage, this one included: each gets its
+    /// parameters after an update.
+    hosted_on: Vec<usize>,
 }
 
 /// What ended a [`Worker::wait`].
@@ -861,17 +860,6 @@ enum Woke {
     Last,
     Filed,
     Deadline,
-}
-
-/// Copies `values` into every replica's parameters.
-fn load(replicas: &mut [BertStage], values: &[Matrix]) {
-    for replica in replicas {
-        let mut i = 0;
-        replica.visit_params(&mut |p| {
-            p.value.clone_from(&values[i]);
-            i += 1;
-        });
-    }
 }
 
 /// One device's worker: replays its `DevicePlan` op list each step.
@@ -935,12 +923,12 @@ impl Worker {
 
     /// Acts on one inbox message: a step command is handed back, the
     /// coordinator's update and hand-back run (they arrive only between
-    /// steps), a peer's tensor, contribution or parameters is filed, and
-    /// `Abort` and `Shutdown` halt the worker.
+    /// steps), a tensor, contribution or parameters is filed, and `Abort`
+    /// and `Shutdown` halt the worker.
     fn accept(&mut self, msg: Inbox) -> Result<Woke, Halt> {
         match msg {
             Inbox::Step(cmd) => return Ok(Woke::Step(cmd)),
-            Inbox::Update { lr, vsum } => self.apply_update(lr, vsum),
+            Inbox::Update { step, lr, vsum } => self.apply_update(step, lr, vsum),
             Inbox::HandBack { last: true } => return Ok(Woke::Last),
             Inbox::HandBack { last: false } => {
                 let state = WorkerMsg::State {
@@ -953,11 +941,14 @@ impl Worker {
             Inbox::Data(key, m) => drop(self.pending.insert(key, m)),
             Inbox::Grads(mb, grads) => self.merge(mb, grads),
             Inbox::Params(stage, values) => {
-                let host = self
-                    .hosts
-                    .get_mut(&stage)
-                    .expect("parameters of a hosted stage");
-                load(&mut host.replicas, &values);
+                let host = self.hosts.get_mut(&stage).expect("a hosted stage");
+                for replica in &mut host.replicas {
+                    let mut i = 0;
+                    replica.visit_params(&mut |p| {
+                        p.value.clone_from(&values[i]);
+                        i += 1;
+                    });
+                }
                 host.stale = false;
             }
             Inbox::Abort | Inbox::Shutdown => return Err(Halt),
@@ -981,6 +972,19 @@ impl Worker {
             }
         };
         self.accept(msg)
+    }
+
+    /// Hands `msg` to `dest` — the only way a worker hands any device a
+    /// tensor, a contribution or parameters. A message to this device goes
+    /// straight to [`Worker::accept`].
+    fn post(&mut self, dest: usize, msg: Inbox) -> Result<(), Halt> {
+        if dest == self.device {
+            self.accept(msg)?;
+        } else {
+            self.fleet.inboxes[dest].send(msg).map_err(|_| Halt)?;
+        }
+        self.touch();
+        Ok(())
     }
 
     /// Files whatever has already arrived, without blocking — so a computing
@@ -1114,14 +1118,15 @@ impl Worker {
         };
         let (batch, ctx) = &cmd.batches[mb];
         let out = {
-            let _span = op_span("forward", cmd.step, self.device, stage, mb, slot);
+            let at = [("mb", mb), ("slot", slot)];
+            let _span = span("forward", "pipeline", cmd.step, self.device, stage, &at);
             let host = self.hosts.get_mut(&stage).expect("forward on hosted stage");
             host.replicas[slot].forward(input, batch, ctx)
         };
         match out {
             StageOutput::Boundary(m) => {
                 let dest = send_to.expect("interior forward routes downstream");
-                self.send_data(dest, (false, stage + 1, mb), m)?;
+                self.post(dest, Inbox::Data((false, stage + 1, mb), m))?;
             }
             StageOutput::Losses(out) => self.losses.push((mb, out.total_loss)),
         }
@@ -1144,48 +1149,50 @@ impl Worker {
         };
         let (batch, _ctx) = &cmd.batches[mb];
         let upstream = {
-            let _span = op_span("backward", cmd.step, self.device, stage, mb, slot);
-            let host = self
-                .hosts
-                .get_mut(&stage)
-                .expect("backward on hosted stage");
+            let at = [("mb", mb), ("slot", slot)];
+            let _span = span("backward", "pipeline", cmd.step, self.device, stage, &at);
+            let host = self.hosts.get_mut(&stage).expect("a hosted stage");
             host.replicas[slot].backward(dout, batch)
         };
         if let (Some(m), Some(dest)) = (upstream, send_to) {
-            self.send_data(dest, (true, stage - 1, mb), m)?;
+            self.post(dest, Inbox::Data((true, stage - 1, mb), m))?;
         }
-        // Take the contribution out of the replica, leaving it zeroed for
-        // its slot's next micro-batch, and hand it to the stage's owner.
+        // Take the contribution out of the replica by swapping in a zeroed
+        // spare set, so the replica starts its slot's next micro-batch from
+        // zero, and hand it to the stage's owner.
         let host = self.hosts.get_mut(&stage).expect("hosted stage");
-        let mut grads = GradSet::new();
+        let mut grads = host.spares.pop().unwrap_or_default();
+        let mut i = 0;
         host.replicas[slot].visit_params(&mut |p| {
-            let zeroed = Matrix::zeros(p.grad.rows(), p.grad.cols());
-            grads.push(std::mem::replace(&mut p.grad, zeroed));
-        });
-        match host.owner {
-            owner if owner == self.device => self.merge(mb, grads),
-            owner => {
-                let msg = Inbox::Grads(mb, grads);
-                self.fleet.inboxes[owner].send(msg).map_err(|_| Halt)?;
+            if i == grads.len() {
+                grads.push(Matrix::zeros(p.grad.rows(), p.grad.cols()));
             }
-        }
-        self.touch();
-        Ok(())
+            std::mem::swap(&mut p.grad, &mut grads[i]);
+            i += 1;
+        });
+        let owner = host.owner;
+        self.post(owner, Inbox::Grads(mb, grads))
     }
 
     /// Files micro-batch `mb`'s contribution to the owned stage, then adds
     /// every contribution whose turn has come onto the accumulator, in
-    /// micro-batch order.
+    /// micro-batch order, zeroing each added set as a spare for the
+    /// stage's backwards here.
     fn merge(&mut self, mb: usize, grads: GradSet) {
         let owned = &mut self.owned;
+        let host = self.hosts.get_mut(&owned.stage).expect("an owner hosts");
         owned.early[mb] = Some(grads);
-        while let Some(set) = owned.early.get_mut(owned.merged).and_then(Option::take) {
+        while let Some(mut set) = owned.early.get_mut(owned.merged).and_then(Option::take) {
             let mut i = 0;
             owned.model.visit_params(&mut |p| {
                 p.grad.axpy(1.0, &set[i]);
                 i += 1;
             });
             owned.merged += 1;
+            if host.spares.len() < host.replicas.len() {
+                set.iter_mut().for_each(|m| m.as_mut_slice().fill(0.0));
+                host.spares.push(set);
+            }
         }
     }
 
@@ -1199,9 +1206,8 @@ impl Worker {
                 host.replicas[op.slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
             }
         }
-        let device = self.device;
         for host in self.hosts.values_mut() {
-            host.stale = host.owner != device;
+            host.stale = true;
         }
         let stage = self.owned.stage;
         self.wait_until(
@@ -1214,9 +1220,13 @@ impl Worker {
             p.grad.scale_inplace(cmd.scale);
             grad_sq.push(grad_square(p));
         });
+        let dots = {
+            let _span = span("precondition", "optim", cmd.step, self.device, stage, &[]);
+            owned.opt.precondition(&mut owned.model)
+        };
         let sums = StageSums {
             grad_sq,
-            dots: owned.opt.precondition(&mut owned.model),
+            dots,
             health: owned.opt.inversion_health(),
         };
         self.reports
@@ -1231,24 +1241,31 @@ impl Worker {
             .map_err(|_| Halt)
     }
 
-    /// Applies the step's update to the owned stage, loads the new values
-    /// into its replicas here and on its other hosts, and zeroes the
-    /// accumulator for the next step.
-    fn apply_update(&mut self, lr: f64, vsum: Option<f64>) {
+    /// Applies step `step`'s update to the owned stage, posts the new
+    /// values to every host of the stage, and zeroes the accumulator for
+    /// the next step.
+    fn apply_update(&mut self, step: usize, lr: f64, vsum: Option<f64>) {
         let owned = &mut self.owned;
-        owned.opt.update(&mut owned.model, lr, vsum);
+        {
+            let _span = span("update", "optim", step, self.device, owned.stage, &[]);
+            owned.opt.update(&mut owned.model, lr, vsum);
+        }
         let mut values = ParamSet::new();
         owned.model.visit_params(&mut |p| {
             values.push(p.value.clone());
             p.grad.scale_inplace(0.0);
         });
         owned.merged = 0;
-        let host = self.hosts.get_mut(&owned.stage).expect("an owner hosts");
-        load(&mut host.replicas, &values);
-        // A peer that has exited either took its last hand-back or has
-        // already latched its fault: it needs no parameters.
-        for &peer in &owned.peers {
-            let _ = self.fleet.inboxes[peer].send(Inbox::Params(owned.stage, values.clone()));
+        let (stage, hosts) = (owned.stage, owned.hosted_on.len());
+        for k in 0..hosts {
+            let set = if k + 1 < hosts {
+                values.clone()
+            } else {
+                std::mem::take(&mut values)
+            };
+            // A host that has exited either took its last hand-back or has
+            // already latched its fault: it needs no parameters.
+            let _ = self.post(self.owned.hosted_on[k], Inbox::Params(stage, set));
         }
     }
 
@@ -1262,20 +1279,6 @@ impl Worker {
             || format!("the {what} of stage {stage} micro-batch {mb}"),
         )?;
         Ok(self.pending.remove(&key).expect("tensor just arrived"))
-    }
-
-    /// Routes a boundary tensor to the device hosting its consumer; a
-    /// self-send short-circuits into `pending`.
-    fn send_data(&mut self, dest: usize, key: TensorKey, m: Matrix) -> Result<(), Halt> {
-        if dest == self.device {
-            self.pending.insert(key, m);
-        } else {
-            self.fleet.inboxes[dest]
-                .send(Inbox::Data(key, m))
-                .map_err(|_| Halt)?;
-        }
-        self.touch();
-        Ok(())
     }
 
     /// Runs one K-FAC unit if the step refreshes its kind; returns the
@@ -1312,15 +1315,8 @@ impl Worker {
             AuxKind::FoldB => "curvature_b",
             AuxKind::Invert => "inversion",
         };
-        let _span = pipefisher_trace::span_with(name, "kfac", || {
-            vec![
-                ("step".to_string(), json!(step)),
-                ("device".to_string(), json!(device)),
-                ("stage".to_string(), json!(op.stage)),
-                ("chunk".to_string(), json!(op.chunk)),
-                ("chunks".to_string(), json!(op.chunks)),
-            ]
-        });
+        let at = [("chunk", op.chunk), ("chunks", op.chunks)];
+        let _span = span(name, "kfac", step, device, op.stage, &at);
         let (t, config) = (kfac.step_count() + 1, kfac.config().clone());
         let mut i = 0;
         kfac.visit_states(replica, &mut |state, lin| {

@@ -327,6 +327,46 @@ fn unfilled_run_books_all_kfac_work_as_tail() {
     assert!(outcome.tail_aux_ms > 0.0);
 }
 
+/// Each stage's owner preconditions and updates it itself, and the trace
+/// shows it: exactly one `precondition` and one `update` span per owner
+/// and step, carrying its step, device and stage. The trace sink is
+/// process-wide; the test lock keeps every other run here out of it.
+#[test]
+fn traced_run_shows_each_owners_precondition_and_update() {
+    let _gate = test_lock();
+    let steps = 3;
+    let config = BertConfig::tiny(36, 16);
+    let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
+    let owners = plan_for(&opts).expect("plan").capture_host;
+    let (mut trainer, model) = setup(&config, 7);
+    pipefisher::trace::drain();
+    pipefisher::trace::set_enabled(true);
+    let outcome = trainer.run_pipelined(model, &kfac_choice(), steps, &opts);
+    pipefisher::trace::set_enabled(false);
+    let events = pipefisher::trace::drain();
+    outcome.expect("pipelined run");
+    let mut want: Vec<[i64; 3]> = (0..steps as i64)
+        .flat_map(|step| (0..owners.len()).map(move |stage| (step, stage)))
+        .map(|(step, stage)| [step, owners[stage] as i64, stage as i64])
+        .collect();
+    want.sort_unstable();
+    for name in ["precondition", "update"] {
+        let mut seen: Vec<[i64; 3]> = events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| {
+                ["step", "device", "stage"].map(|key| {
+                    let arg = e.args.iter().find(|(k, _)| k == key);
+                    arg.and_then(|(_, v)| v.as_i64())
+                        .expect("a span coordinate")
+                })
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, want, "one {name} span per owner and step");
+    }
+}
+
 /// Every-step inversion at factor sizes that straddle the blocked
 /// factorization engine's 64-wide panels (d_model = 64 ⇒ bias-augmented
 /// A-factor 65; d_ff = 128 ⇒ A-factor 129): the blocked potrf + potri
