@@ -72,6 +72,16 @@ pub enum AuxKind {
 }
 
 impl AuxKind {
+    /// The unit's span name in an executor trace, which the conformance
+    /// checker reads back.
+    pub fn name(self) -> &'static str {
+        match self {
+            AuxKind::FoldA => "curvature_a",
+            AuxKind::FoldB => "curvature_b",
+            AuxKind::Invert => "inversion",
+        }
+    }
+
     /// Whether units of this kind run in a step with these refresh phases
     /// (folds on curvature steps, inversions on inversion steps).
     pub fn applies(self, refresh_curv: bool, refresh_inv: bool) -> bool {
@@ -82,18 +92,13 @@ impl AuxKind {
     }
 }
 
-/// One K-FAC work unit: chunk `chunk` of `chunks` covers the K-FAC layers
-/// `[chunk·K/chunks, (chunk+1)·K/chunks)` of the stage (K = layer count).
+/// One K-FAC work unit: one kind of work over every K-FAC layer of a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuxOp {
     /// Model stage whose layers this unit touches.
     pub stage: usize,
     /// What to do.
     pub kind: AuxKind,
-    /// Chunk index within the stage's layer list.
-    pub chunk: usize,
-    /// Total chunks the stage's work is split into (≥ 1).
-    pub chunks: usize,
     /// Activation slot of the capture micro-batch: the replica folded from.
     pub slot: usize,
 }
@@ -105,8 +110,8 @@ pub struct DevicePlan {
     /// forwards and backwards, and a [`PlanOp::Aux`] entry per unit.
     pub ops: Vec<PlanOp>,
     /// K-FAC units of the stages this device is the capture host of: per
-    /// stage `FoldA`, `FoldB`, `Invert`, each in chunk order. Where each
-    /// runs is its [`PlanOp::Aux`] entry's position in `ops`.
+    /// stage one `FoldA`, one `FoldB` and one `Invert`. Where each runs is
+    /// its [`PlanOp::Aux`] entry's position in `ops`.
     pub aux: Vec<AuxOp>,
     /// Per model stage: how many activation-slot replicas this device
     /// needs (0 = stage not hosted here).
@@ -162,8 +167,8 @@ impl ExecutablePlan {
     ///
     /// Standard work keeps the graph's per-device order. Aux (K-FAC) work
     /// is the same for every scheme and depth: each stage gets the
-    /// canonical fold-A, fold-B, invert sequence on its capture host, each
-    /// split into the same fixed number of chunks. With `fill_bubbles`, a
+    /// canonical fold-A, fold-B, invert sequence on its capture host, one
+    /// unit of each kind. With `fill_bubbles`, a
     /// unit's entry goes immediately before the first op that comes after
     /// everything the unit depends on (the capture forward for `FoldA`, the
     /// capture backward for `FoldB`, both folds for `Invert`) and waits for
@@ -317,12 +322,10 @@ impl ExecutablePlan {
         }
 
         // Aux work: per stage, on its capture host, the canonical fold-A,
-        // fold-B, invert sequence, each in `UNITS` chunks: the size of work
-        // a bubble fits. (K-FAC folds the capture micro-batch's statistics
-        // once per step; the π-coupled `Invert` unit covers both factors.)
-        // `precedes[dev][unit]`: the index of the pipeline op the unit's
-        // entry goes before (`ops.len()`: the tail).
-        const UNITS: usize = 2;
+        // fold-B, invert sequence. (K-FAC folds the capture micro-batch's
+        // statistics once per step; the π-coupled `Invert` unit covers both
+        // factors.) `precedes[dev][unit]`: the index of the pipeline op the
+        // unit's entry goes before (`ops.len()`: the tail).
         let mut precedes: Vec<Vec<usize>> = vec![Vec::new(); n_devices];
         for (stage, &host) in capture_host.iter().enumerate() {
             let (fwd, bwd, slot) = capture_ops[stage];
@@ -340,16 +343,8 @@ impl ExecutablePlan {
                 (AuxKind::FoldB, fold_b),
                 (AuxKind::Invert, fold_b),
             ] {
-                for chunk in 0..UNITS {
-                    devices[host].aux.push(AuxOp {
-                        stage,
-                        kind,
-                        chunk,
-                        chunks: UNITS,
-                        slot,
-                    });
-                    precedes[host].push(before);
-                }
+                devices[host].aux.push(AuxOp { stage, kind, slot });
+                precedes[host].push(before);
             }
         }
         for (dp, precedes) in devices.iter_mut().zip(&precedes) {
@@ -398,7 +393,7 @@ mod tests {
             assert_eq!(fwd, 16, "{}", scheme.name());
             assert_eq!(bwd, 16, "{}", scheme.name());
             // Every stage has exactly one capture host, and all aux work
-            // lives there, 2 chunks per kind per stage.
+            // lives there, one unit per kind per stage.
             for stage in 0..4 {
                 let host = plan.capture_host[stage];
                 for kind in [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert] {
@@ -418,7 +413,7 @@ mod tests {
                             c
                         })
                         .sum();
-                    assert_eq!(n, 2, "{}: stage {stage} {kind:?}", scheme.name());
+                    assert_eq!(n, 1, "{}: stage {stage} {kind:?}", scheme.name());
                 }
             }
         }
@@ -426,8 +421,8 @@ mod tests {
 
     #[test]
     fn each_device_hosts_the_canonical_units_of_exactly_one_stage() {
-        // Each capture host carries one stage's six units, in FoldA, FoldB,
-        // Invert and chunk order.
+        // Each capture host carries one stage's three units, in FoldA,
+        // FoldB, Invert order.
         for scheme in PipelineScheme::all() {
             for d in [1usize, 2, 4] {
                 if scheme == PipelineScheme::Chimera && d == 1 {
@@ -439,13 +434,12 @@ mod tests {
                 assert_eq!(hosts, (0..d).collect::<Vec<_>>(), "{} d={d}", scheme.name());
                 for (stage, &host) in plan.capture_host.iter().enumerate() {
                     let expect: Vec<_> = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert]
-                        .into_iter()
-                        .flat_map(|kind| (0..2).map(move |chunk| (stage, kind, chunk, 2)))
-                        .collect();
+                        .map(|kind| (stage, kind))
+                        .to_vec();
                     let got: Vec<_> = plan.devices[host]
                         .aux
                         .iter()
-                        .map(|a| (a.stage, a.kind, a.chunk, a.chunks))
+                        .map(|a| (a.stage, a.kind))
                         .collect();
                     assert_eq!(got, expect, "{} d={d}", scheme.name());
                 }
@@ -470,17 +464,13 @@ mod tests {
         for (dev, dp) in plan.devices.iter().enumerate() {
             assert_eq!(full[dev], dp.ops);
         }
-        assert_eq!(
-            unit_kinds(&full).len(),
-            4 * 3 * 2,
-            "2 chunks x 3 kinds x 4 stages"
-        );
+        assert_eq!(unit_kinds(&full).len(), 4 * 3, "3 kinds x 4 stages");
 
         let curv_only = unit_kinds(&plan.expected_step(true, true, false));
         assert!(curv_only.iter().all(|&k| k != AuxKind::Invert));
         let inv_only = unit_kinds(&plan.expected_step(true, false, true));
         assert!(inv_only.iter().all(|&k| k == AuxKind::Invert));
-        assert_eq!(curv_only.len() + inv_only.len(), 4 * 3 * 2);
+        assert_eq!(curv_only.len() + inv_only.len(), 4 * 3);
 
         // Without K-FAC a step is its pipeline ops alone, in plan order.
         let first_order = plan.expected_step(false, true, true);
@@ -600,12 +590,12 @@ mod tests {
         }
         for (stage, &host) in plan.capture_host.iter().enumerate() {
             let units = plan.devices[host].aux.iter().filter(|a| a.stage == stage);
-            assert_eq!(units.count(), 6, "{what}: stage {stage}");
+            assert_eq!(units.count(), 3, "{what}: stage {stage}");
         }
     }
 
     /// The benchmark's plan (1F1B, D = 2, N = 4, filled): stage 0's FoldA
-    /// chunks fill dev0's wait for dev1's gradient of micro-batch 2; every
+    /// unit fills dev0's wait for dev1's gradient of micro-batch 2; every
     /// other unit follows its device's last pipeline op.
     #[test]
     fn benchmark_plan_places_stage0_fold_a_before_the_gradient_wait() {
@@ -614,22 +604,14 @@ mod tests {
             let name = |op: &PlanOp| match *op {
                 PlanOp::Forward { mb, .. } => format!("F{mb}"),
                 PlanOp::Backward { mb, .. } => format!("B{mb}"),
-                PlanOp::Aux { unit } => {
-                    let a = dp.aux[unit];
-                    let kind = match a.kind {
-                        AuxKind::FoldA => "FoldA",
-                        AuxKind::FoldB => "FoldB",
-                        AuxKind::Invert => "Inv",
-                    };
-                    format!("{kind}{}", a.chunk)
-                }
+                PlanOp::Aux { unit } => format!("{:?}", dp.aux[unit].kind),
             };
             dp.ops.iter().map(name).collect()
         };
-        let units = "FoldA0 FoldA1 FoldB0 FoldB1 Inv0 Inv1";
+        let units = "FoldA FoldB Invert";
         assert_eq!(
             names(&plan.devices[0]).join(" "),
-            "F0 F1 B0 F2 B1 F3 FoldA0 FoldA1 B2 B3 FoldB0 FoldB1 Inv0 Inv1"
+            "F0 F1 B0 F2 B1 F3 FoldA B2 B3 FoldB Invert"
         );
         assert_eq!(
             names(&plan.devices[1]).join(" "),

@@ -42,16 +42,12 @@ pub enum EventKind {
         /// Activation slot the executor reported.
         slot: usize,
     },
-    /// A K-FAC work unit (fold or inversion chunk).
+    /// A K-FAC work unit (a fold or an inversion of one stage).
     Aux {
         /// Unit kind.
         kind: AuxKind,
         /// Model stage the unit touches.
         stage: usize,
-        /// Chunk index within the stage.
-        chunk: usize,
-        /// Total chunks of this (stage, kind).
-        chunks: usize,
     },
 }
 
@@ -182,25 +178,13 @@ pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
                     EventKind::Backward { stage, mb, slot }
                 }
             }
-            ("kfac", name @ ("curvature_a" | "curvature_b" | "inversion")) => {
-                let (Some(stage), Some(chunk), Some(chunks)) = (
-                    arg_usize(ev, "stage"),
-                    arg_usize(ev, "chunk"),
-                    arg_usize(ev, "chunks"),
-                ) else {
+            ("kfac", name) => {
+                let kinds = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert];
+                let kind = kinds.into_iter().find(|k| k.name() == name);
+                let (Some(kind), Some(stage)) = (kind, arg_usize(ev, "stage")) else {
                     continue;
                 };
-                let kind = match name {
-                    "curvature_a" => AuxKind::FoldA,
-                    "curvature_b" => AuxKind::FoldB,
-                    _ => AuxKind::Invert,
-                };
-                EventKind::Aux {
-                    kind,
-                    stage,
-                    chunk,
-                    chunks,
-                }
+                EventKind::Aux { kind, stage }
             }
             _ => continue,
         };
@@ -222,12 +206,7 @@ fn describe(kind: &EventKind) -> String {
     match kind {
         EventKind::Forward { stage, mb, slot } => format!("F(s{stage},mb{mb},slot{slot})"),
         EventKind::Backward { stage, mb, slot } => format!("B(s{stage},mb{mb},slot{slot})"),
-        EventKind::Aux {
-            kind,
-            stage,
-            chunk,
-            chunks,
-        } => format!("{kind:?}(s{stage},{chunk}/{chunks})"),
+        EventKind::Aux { kind, stage } => format!("{kind:?}(s{stage})"),
     }
 }
 
@@ -244,8 +223,6 @@ fn plan_op_kind(device: &DevicePlan, op: &PlanOp) -> EventKind {
             EventKind::Aux {
                 kind: a.kind,
                 stage: a.stage,
-                chunk: a.chunk,
-                chunks: a.chunks,
             }
         }
     }
@@ -336,4 +313,33 @@ pub fn check_conformance(
         }
     }
     Ok(checked)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    /// Each unit kind's span name reads back as that kind; a `kfac` span of
+    /// any other name, or without executor coordinates, is not an event.
+    #[test]
+    fn unit_spans_read_back_through_their_kind_names() {
+        let unit = |name: &str, coords: &[(&str, usize)]| {
+            let ev = TraceEvent::slice(name, "kfac", 1.0, 2.0, 0, 0);
+            coords
+                .iter()
+                .fold(ev, |ev, &(k, v)| ev.with_arg(k, json!(v)))
+        };
+        let at = [("step", 3), ("device", 1), ("stage", 2)];
+        let kinds = [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert];
+        let mut trace: Vec<TraceEvent> = kinds.iter().map(|k| unit(k.name(), &at)).collect();
+        trace.push(unit("precondition", &at));
+        trace.push(unit(AuxKind::Invert.name(), &at[..2]));
+        let got: Vec<EventKind> = extract_events(&trace).iter().map(|e| e.kind).collect();
+        let want: Vec<EventKind> = kinds
+            .iter()
+            .map(|&kind| EventKind::Aux { kind, stage: 2 })
+            .collect();
+        assert_eq!(got, want);
+    }
 }

@@ -7,8 +7,9 @@
 //! between them in the exact per-device order of a lowered
 //! [`ExecutablePlan`]. Each worker replays its device's one op list every
 //! step: the forwards and backwards in the order the scheme's schedule
-//! builder produced, and the K-FAC work units — curvature folds and damped
-//! inversions of the stage it is the capture host of — at the positions
+//! builder produced, and the K-FAC work units — the fold-A, fold-B and
+//! inversion unit of the stage it is the capture host of, each over all of
+//! the stage's K-FAC layers — at the positions
 //! lowering fixed for them ([`PlanOp::Aux`]): before an op that waits for a
 //! peer's tensor (a bubble) when bubbles are filled, else in the tail. The
 //! worker makes no scheduling choice, and the simulator-side assignment
@@ -41,12 +42,13 @@
 //!   does; the coordinator sums the squares in `visit_all_params` order and
 //!   the `⟨g, g̃⟩` in `visit_kfac_linears` order, stage after stage — the
 //!   serial chains.
-//! - K-FAC folds and inversions are the work-unit functions `Kfac::step`
-//!   itself runs (`fold_curvature_a`, `fold_curvature_b`,
-//!   `refresh_inverses`), here on the capture replica's statistics against
-//!   the owner's layer states, in the same per-layer order; the owner then
-//!   runs `Kfac::precondition` and, with the coordinator's sum,
-//!   `Kfac::update` — the two halves `step_preconditioned` is made of.
+//! - K-FAC folds and inversions are the unit methods `Kfac::step` itself
+//!   calls (`Kfac::fold_a`, `Kfac::fold_b`, `Kfac::invert`, one call per
+//!   unit over the stage's K-FAC layers), here on the capture replica's
+//!   statistics against the owner's layer states, each kind after its
+//!   prerequisites; the owner then runs `Kfac::precondition` and, with the
+//!   coordinator's sum, `Kfac::update` — the two halves
+//!   `step_preconditioned` is made of.
 //!
 //! The only representational difference is the sign of zeros: the serial
 //! loop accumulates onto the model's gradients, while each contribution
@@ -78,7 +80,7 @@ use pipefisher_nn::{
     BertForPreTraining, BertStage, ForwardCtx, Linear, ParamVisitor, PreTrainingBatch, StageOutput,
     StagedBert,
 };
-use pipefisher_optim::{fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel};
+use pipefisher_optim::KfacModel;
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::Matrix;
 use pipefisher_trace::Span;
@@ -1201,7 +1203,8 @@ impl Worker {
     /// the step's one report.
     fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
         if cmd.refresh.0 {
-            for op in &self.plan.aux {
+            // One `FoldA` unit per capture this device hosts.
+            for op in self.plan.aux.iter().filter(|op| op.kind == AuxKind::FoldA) {
                 let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
                 host.replicas[op.slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
             }
@@ -1281,57 +1284,33 @@ impl Worker {
         Ok(self.pending.remove(&key).expect("tensor just arrived"))
     }
 
-    /// Runs one K-FAC unit if the step refreshes its kind; returns the
-    /// milliseconds it took, `None` when the step skips it. Units touch
-    /// disjoint per-layer state, and lowering places every `Invert` after
-    /// its stage's folds, so the serial `Kfac::step` values come out.
+    /// Runs one K-FAC unit if the step refreshes its kind: the `Kfac`
+    /// method of that kind, on the capture replica's statistics against the
+    /// owner's layer states. Returns the milliseconds it took; `None` when
+    /// the step skips the unit or the run has no K-FAC. Lowering puts every
+    /// unit on its stage's capture host, which owns the stage, and every
+    /// `Invert` after its stage's folds, so the serial `Kfac::step` values
+    /// come out; a stage with no K-FAC layer (D > L) makes its units no-ops.
     fn do_aux(&mut self, cmd: &StepCmd, op: AuxOp) -> Option<f64> {
         let (refresh_curv, refresh_inv) = cmd.refresh;
         if !op.kind.applies(refresh_curv, refresh_inv) {
             return None;
         }
         let t = Instant::now();
-        self.run_aux(cmd.step, op)?;
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        self.touch();
-        Some(ms)
-    }
-
-    /// Executes one fold/invert unit over the chunk's slice of the stage's
-    /// K-FAC layers, on the capture replica's statistics, against the
-    /// owner's layer states; `None` without K-FAC. Lowering puts every unit
-    /// on its stage's capture host, which owns the stage; a stage with no
-    /// K-FAC layer (D > L) makes its units no-ops.
-    fn run_aux(&mut self, step: usize, op: AuxOp) -> Option<()> {
-        let device = self.device;
         let kfac = self.owned.opt.kfac_mut()?;
         let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
         let replica = &mut host.replicas[op.slot];
-        let mut k_total = 0;
-        replica.visit_linears(&mut |_| k_total += 1);
-        let chunk = op.chunk * k_total / op.chunks..(op.chunk + 1) * k_total / op.chunks;
-        let name = match op.kind {
-            AuxKind::FoldA => "curvature_a",
-            AuxKind::FoldB => "curvature_b",
-            AuxKind::Invert => "inversion",
-        };
-        let at = [("chunk", op.chunk), ("chunks", op.chunks)];
-        let _span = span(name, "kfac", step, device, op.stage, &at);
-        let (t, config) = (kfac.step_count() + 1, kfac.config().clone());
-        let mut i = 0;
-        kfac.visit_states(replica, &mut |state, lin| {
-            if chunk.contains(&i) {
-                match op.kind {
-                    AuxKind::FoldA => fold_curvature_a(state, lin, config.ema_decay, t),
-                    AuxKind::FoldB => fold_curvature_b(state, lin, config.ema_decay, t),
-                    AuxKind::Invert => {
-                        refresh_inverses(state, config.damping, config.factor_block_size, t)
-                    }
-                }
+        {
+            let _span = span(op.kind.name(), "kfac", cmd.step, self.device, op.stage, &[]);
+            match op.kind {
+                AuxKind::FoldA => kfac.fold_a(replica),
+                AuxKind::FoldB => kfac.fold_b(replica),
+                AuxKind::Invert => kfac.invert(replica),
             }
-            i += 1;
-        });
-        Some(())
+        }
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        self.touch();
+        Some(ms)
     }
 }
 

@@ -184,12 +184,14 @@ impl KfacModel for pipefisher_nn::StagedBert {
 ///    vocab head) sees raw gradients, matching the paper's "K-FAC for all
 ///    fully-connected layers, NVLAMB for the rest" setup.
 ///
-/// [`Kfac::step`] runs the units in place and then part two. A caller that
-/// places the units itself runs them through [`Kfac::visit_states`] and
-/// part two as its halves: the pipeline executor's stage owner runs the
-/// units in bubbles and [`Kfac::precondition`] on its own layers, and
-/// [`Kfac::update`] once the coordinator has summed every stage's products.
-/// Either way the same functions run on the same inputs.
+/// Each unit kind runs over every K-FAC layer of a model as one call:
+/// [`Kfac::fold_a`], [`Kfac::fold_b`], [`Kfac::invert`]. [`Kfac::step`]
+/// calls the due ones in that order and then part two. A caller that places
+/// the units itself calls the same three methods, and part two as its
+/// halves: the pipeline executor's stage owner runs the units in bubbles
+/// and [`Kfac::precondition`] on its own layers, and [`Kfac::update`] once
+/// the coordinator has summed every stage's products. Either way the same
+/// functions run on the same inputs.
 #[derive(Debug, Clone)]
 pub struct Kfac<O: Optimizer> {
     config: KfacConfig,
@@ -254,8 +256,8 @@ impl<O: Optimizer> Kfac<O> {
     /// layer has none yet), leaving an empty placeholder, so refresh work
     /// can run on it elsewhere. Pair with [`Kfac::put_state`]. The
     /// benchmark's replica step is the only caller left (the executor runs
-    /// its units through [`Kfac::visit_states`]); the pair goes when that
-    /// replica can change.
+    /// its units through [`Kfac::fold_a`], [`Kfac::fold_b`] and
+    /// [`Kfac::invert`]); the pair goes when that replica can change.
     pub fn take_state(&mut self, layer_name: &str) -> LayerKfacState {
         self.states
             .get_mut(layer_name)
@@ -284,10 +286,8 @@ impl<O: Optimizer> Kfac<O> {
 
     /// Hands `f` each K-FAC layer of `model` with this optimizer's state for
     /// it, in visitation order — a default state for a layer it has none of
-    /// yet (only that first visit allocates, the name key). The refresh work
-    /// units run this way: in [`Kfac::step`], and on the pipeline stage that
-    /// owns the layers.
-    pub fn visit_states(
+    /// yet (only that first visit allocates, the name key).
+    fn visit_states(
         &mut self,
         model: &mut dyn KfacModel,
         f: &mut dyn FnMut(&mut LayerKfacState, &mut Linear),
@@ -301,6 +301,42 @@ impl<O: Optimizer> Kfac<O> {
                 self.states.get_mut(lin.name()).expect("state just ensured"),
                 lin,
             );
+        });
+    }
+
+    /// Runs one refresh work unit over every K-FAC layer of `model` against
+    /// this optimizer's states, stamped with the step it belongs to: the
+    /// next one.
+    fn run_unit(
+        &mut self,
+        model: &mut dyn KfacModel,
+        unit: fn(&mut LayerKfacState, &Linear, &KfacConfig, u64),
+    ) {
+        let (config, t) = (self.config.clone(), self.t + 1);
+        self.visit_states(model, &mut |state, lin| unit(state, lin, &config, t));
+    }
+
+    /// The `FoldA` work unit: [`fold_curvature_a`] on every K-FAC layer of
+    /// `model`.
+    pub fn fold_a(&mut self, model: &mut dyn KfacModel) {
+        self.run_unit(model, |st, lin, c, t| {
+            fold_curvature_a(st, lin, c.ema_decay, t)
+        });
+    }
+
+    /// The `FoldB` work unit: [`fold_curvature_b`] on every K-FAC layer of
+    /// `model`.
+    pub fn fold_b(&mut self, model: &mut dyn KfacModel) {
+        self.run_unit(model, |st, lin, c, t| {
+            fold_curvature_b(st, lin, c.ema_decay, t)
+        });
+    }
+
+    /// The `Invert` work unit: [`refresh_inverses`] on every K-FAC layer of
+    /// `model`. Run it after the step's folds.
+    pub fn invert(&mut self, model: &mut dyn KfacModel) {
+        self.run_unit(model, |st, _, c, t| {
+            refresh_inverses(st, c.damping, c.factor_block_size, t)
         });
     }
 
@@ -349,33 +385,24 @@ impl<O: Optimizer> Kfac<O> {
     /// Runs one optimization step *after* any curvature and inversion
     /// refresh due this step — parts 3–4 of the type-level docs:
     /// [`Kfac::precondition`], then [`Kfac::update`] with the sum of its
-    /// products. [`Kfac::step`] ends with it; a caller that ran
-    /// [`fold_curvature_a`], [`fold_curvature_b`] and [`refresh_inverses`]
-    /// itself on states loaned out with [`Kfac::take_state`] calls it
-    /// directly.
+    /// products. [`Kfac::step`] ends with it; a caller that ran the due
+    /// work units itself calls it directly.
     pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
         let vsum = self.precondition(model).iter().fold(0.0, |s, d| s + d);
         self.update(model, lr, vsum);
     }
 
     /// Runs one optimization step, refresh work included: asks the cadence
-    /// clock what is due, runs the due work units on every layer — fold `A`,
-    /// fold `B`, refresh the inverses, in that order — and finishes with
-    /// [`Kfac::step_preconditioned`].
+    /// clock what is due, runs the due work units — [`Kfac::fold_a`],
+    /// [`Kfac::fold_b`], [`Kfac::invert`], in that order — and finishes
+    /// with [`Kfac::step_preconditioned`].
     pub fn step(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        let refresh_curv = self.next_step_refreshes_curvature();
-        let refresh_inv = self.next_step_refreshes_inversion();
-        if refresh_curv || refresh_inv {
-            let (t, config) = (self.t + 1, self.config.clone());
-            self.visit_states(model, &mut |state, lin| {
-                if refresh_curv {
-                    fold_curvature_a(state, lin, config.ema_decay, t);
-                    fold_curvature_b(state, lin, config.ema_decay, t);
-                }
-                if refresh_inv {
-                    refresh_inverses(state, config.damping, config.factor_block_size, t);
-                }
-            });
+        if self.next_step_refreshes_curvature() {
+            self.fold_a(model);
+            self.fold_b(model);
+        }
+        if self.next_step_refreshes_inversion() {
+            self.invert(model);
         }
         self.step_preconditioned(model, lr);
     }
@@ -458,8 +485,9 @@ fn fold_factor(old: &mut Option<Matrix>, batch: Matrix, ema_decay: f64) {
 }
 
 /// Folds a layer's captured *activation* statistics into Kronecker factor
-/// `A` — the schedulable `Curvature(A)` work unit the pipeline executor
-/// runs inside a bubble. A no-op when nothing was captured. Only the
+/// `A` — one layer's share of the `Curvature(A)` work unit
+/// ([`Kfac::fold_a`]), which the pipeline executor runs inside a bubble. A
+/// no-op when nothing was captured. Only the
 /// forward-captured activations are needed, matching the paper's release
 /// rule (`A_l` work is released by the forward pass, §3.1).
 ///
@@ -484,8 +512,8 @@ pub fn fold_curvature_a(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
 }
 
 /// Folds a layer's captured *error-signal* statistics into Kronecker factor
-/// `B` — the schedulable `Curvature(B)` work unit, released by the backward
-/// pass. See [`fold_curvature_a`] for the scaling convention; a no-op when
+/// `B` — one layer's share of the `Curvature(B)` work unit
+/// ([`Kfac::fold_b`]), released by the backward pass. See [`fold_curvature_a`] for the scaling convention; a no-op when
 /// nothing was captured.
 pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64, t: u64) {
     let stats = lin.kfac_stats();
@@ -507,9 +535,9 @@ pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
 /// Recomputes the damped inverses of both factors (π-split damping),
 /// optionally after the Appendix A.2 block-diagonal masking.
 ///
-/// The schedulable *inversion* work unit: [`Kfac::step`] runs it per layer
-/// in place, the pipeline executor inside bubbles. The inversion itself runs on the
-/// blocked factorization engine ([`cholesky_inverse_into`]: Cholesky
+/// One layer's share of the *inversion* work unit ([`Kfac::invert`]), which
+/// [`Kfac::step`] runs in place and the pipeline executor inside bubbles.
+/// The inversion itself runs on the blocked factorization engine ([`cholesky_inverse_into`]: Cholesky
 /// factor, triangular inverse `Y = L⁻¹`, then `YᵀY` — LAPACK's
 /// `potrf` + `potri` — with the off-block work on the packed GEMM
 /// kernels), which is exactly symmetric and bitwise identical to the scalar
@@ -1004,85 +1032,125 @@ mod tests {
         assert!((&full - &covered).max_abs() < 1e-12);
     }
 
+    /// Two stacked linears: the smallest model whose work units span more
+    /// than one layer.
+    struct TwoLayers(Linear, Linear);
+
+    impl KfacModel for TwoLayers {
+        fn visit_kfac_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
+            f(&mut self.0);
+            f(&mut self.1);
+        }
+
+        fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
+            self.0.visit_params(f);
+            self.1.visit_params(f);
+        }
+    }
+
+    /// The three spellings of a K-FAC step give the same bits: `step`; the
+    /// unit methods the pipeline executor calls, then `step_preconditioned`;
+    /// and the per-layer loan of the benchmark's replica step. The unit
+    /// methods run one kind over all layers before the next kind starts,
+    /// where the loan runs all kinds per layer; the per-layer states are
+    /// disjoint, so the order across layers must not matter. Checked at
+    /// every step, including steps that reuse stale factors or inverses.
     #[test]
-    fn external_work_units_match_inline_step_bitwise() {
-        // Drive the fold/invert work units externally (the way the pipeline
-        // executor does on stage workers) and finish with
-        // `step_preconditioned`; the parameters must be bitwise identical to
-        // the all-in-one `step` path at every step, including non-refresh
-        // steps that reuse stale inverses.
+    fn unit_methods_match_step_and_the_per_layer_loan_bitwise() {
+        #[derive(Clone, Copy, Debug)]
+        enum Spelling {
+            Step,
+            Units,
+            Loan,
+        }
         let config = KfacConfig {
             curvature_interval: 2,
             inversion_interval: 3,
             ema_decay: 0.5,
             ..Default::default()
         };
-        let run = |external: bool| -> (Matrix, Matrix) {
+        let run = |spelling: Spelling| -> Vec<Vec<u64>> {
             let mut rng = StdRng::seed_from_u64(33);
-            let mut lin = Linear::new("fc", 5, 3, &mut rng);
+            let mut model = TwoLayers(
+                Linear::new("fc1", 5, 4, &mut rng),
+                Linear::new("fc2", 4, 3, &mut rng),
+            );
             let x = init::normal(12, 5, 1.0, &mut rng);
             let targets: Vec<i64> = (0..12).map(|i| (i % 3) as i64).collect();
             let mut kfac = Kfac::new(config.clone(), Sgd::new(0.0, 0.0));
+            let mut bits = Vec::new();
             for step in 0..7u64 {
-                use pipefisher_nn::Layer as _;
-                lin.zero_grad();
+                model.visit_all_params(&mut |p| p.grad.scale_inplace(0.0));
                 let refresh_curv = kfac.next_step_refreshes_curvature();
                 let refresh_inv = kfac.next_step_refreshes_inversion();
                 assert_eq!(refresh_curv, step.is_multiple_of(2));
                 assert_eq!(refresh_inv, step.is_multiple_of(3));
-                let ctx = if !external || refresh_curv {
+                // The executor captures on curvature steps only; `step`
+                // must ignore statistics captured on any other step.
+                let ctx = if matches!(spelling, Spelling::Step) || refresh_curv {
                     ForwardCtx::train_with_capture()
                 } else {
                     ForwardCtx::train()
                 };
-                let logits = lin.forward(&x, &ctx);
+                let h = model.0.forward(&x, &ctx);
+                let logits = model.1.forward(&h, &ctx);
                 let d = cross_entropy_backward(&logits, &targets);
-                let _ = lin.backward(&d);
-                if external {
-                    let t = kfac.step_count() + 1;
-                    let mut state = kfac.take_state("fc");
-                    if refresh_curv {
-                        fold_curvature_a(&mut state, &lin, config.ema_decay, t);
-                        fold_curvature_b(&mut state, &lin, config.ema_decay, t);
-                        lin.kfac_stats_mut().clear();
+                let dh = model.1.backward(&d);
+                let _ = model.0.backward(&dh);
+                match spelling {
+                    Spelling::Step => kfac.step(&mut model, 0.1),
+                    Spelling::Units => {
+                        if refresh_curv {
+                            kfac.fold_a(&mut model);
+                            kfac.fold_b(&mut model);
+                        }
+                        if refresh_inv {
+                            kfac.invert(&mut model);
+                        }
+                        kfac.step_preconditioned(&mut model, 0.1);
                     }
-                    if refresh_inv && state.factor_a.is_some() {
-                        refresh_inverses(&mut state, config.damping, config.factor_block_size, t);
+                    Spelling::Loan => {
+                        let t = kfac.step_count() + 1;
+                        model.visit_kfac_linears(&mut |lin| {
+                            let mut state = kfac.take_state(lin.name());
+                            if refresh_curv {
+                                fold_curvature_a(&mut state, lin, config.ema_decay, t);
+                                fold_curvature_b(&mut state, lin, config.ema_decay, t);
+                            }
+                            if refresh_inv {
+                                let block = config.factor_block_size;
+                                refresh_inverses(&mut state, config.damping, block, t);
+                            }
+                            kfac.put_state(lin.name(), state);
+                        });
+                        kfac.step_preconditioned(&mut model, 0.1);
                     }
-                    kfac.put_state("fc", state);
-                    kfac.step_preconditioned(&mut lin, 0.1);
-                } else {
-                    kfac.step(&mut lin, 0.1);
                 }
+                let bits_of =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut step_bits: Vec<u64> = Vec::new();
+                model.visit_all_params(&mut |p| step_bits.extend(bits_of(&p.value)));
+                for name in ["fc1", "fc2"] {
+                    let st = kfac.state(name).expect("a state per layer");
+                    for m in [&st.factor_a, &st.factor_b, &st.inv_a, &st.inv_b] {
+                        step_bits.extend(bits_of(m.as_ref().expect("refreshed at step 0")));
+                    }
+                    step_bits.extend([st.last_curvature_step, st.last_inversion_step]);
+                }
+                bits.push(step_bits);
             }
-            (lin.weight().value.clone(), lin.bias().value.clone())
+            bits
         };
-        let (w_inline, b_inline) = run(false);
-        let (w_ext, b_ext) = run(true);
-        assert_eq!(
-            w_inline
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            w_ext
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            b_inline
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            b_ext
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-        );
+        let reference = run(Spelling::Step);
+        for spelling in [Spelling::Units, Spelling::Loan] {
+            let got = run(spelling);
+            for (step, (want, got)) in reference.iter().zip(&got).enumerate() {
+                assert!(
+                    want == got,
+                    "{spelling:?} differs from `step` at step {step}"
+                );
+            }
+        }
     }
 
     #[test]

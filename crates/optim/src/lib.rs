@@ -10,10 +10,10 @@
 //!   Kronecker factors `A_l` (from input activations) and `B_l` (from
 //!   output-gradient errors), damped Cholesky inversion, and the
 //!   preconditioned gradient `B_l⁻¹ G_l A_l⁻¹`. The curvature and inversion
-//!   work units ([`fold_curvature_a`], [`fold_curvature_b`],
-//!   [`refresh_inverses`]) are defined once: [`Kfac::step`] runs them in
-//!   place, the pipeline executor runs the same functions in bubbles, and
-//!   both finish with [`Kfac::step_preconditioned`].
+//!   work units ([`Kfac::fold_a`], [`Kfac::fold_b`], [`Kfac::invert`]) are
+//!   defined once: [`Kfac::step`] runs them in place, the pipeline executor
+//!   calls the same methods in bubbles, and both finish with
+//!   [`Kfac::step_preconditioned`].
 //!
 //! Learning-rate schedules (linear warmup + polynomial decay, Appendix B.2 /
 //! Figure 7) live in [`schedule`].

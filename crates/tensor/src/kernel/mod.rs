@@ -78,15 +78,6 @@ pub enum KernelKind {
     Fma,
 }
 
-/// A parsed `PIPEFISHER_KERNEL` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelRequest {
-    /// Pick the best bitwise-default kernel for this machine.
-    Auto,
-    /// Force a specific family (clamped to what the CPU supports).
-    Force(KernelKind),
-}
-
 /// Error for unrecognized `PIPEFISHER_KERNEL` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidKernelRequest;
@@ -99,14 +90,14 @@ impl std::fmt::Display for InvalidKernelRequest {
 
 impl std::error::Error for InvalidKernelRequest {}
 
-/// Parses a `PIPEFISHER_KERNEL` value (case-insensitive, trimmed).
-/// The empty string and `auto` mean [`KernelRequest::Auto`].
-pub fn parse_kernel_request(s: &str) -> Result<KernelRequest, InvalidKernelRequest> {
+/// Parses a `PIPEFISHER_KERNEL` value (case-insensitive, trimmed) into the
+/// kind it asks for, before clamping to the CPU. The empty string and
+/// `auto` ask for the default, [`KernelKind::Simd`].
+pub fn parse_kernel_request(s: &str) -> Result<KernelKind, InvalidKernelRequest> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => Ok(KernelRequest::Auto),
-        "scalar" => Ok(KernelRequest::Force(KernelKind::Scalar)),
-        "simd" => Ok(KernelRequest::Force(KernelKind::Simd)),
-        "fma" => Ok(KernelRequest::Force(KernelKind::Fma)),
+        "" | "auto" | "simd" => Ok(KernelKind::Simd),
+        "scalar" => Ok(KernelKind::Scalar),
+        "fma" => Ok(KernelKind::Fma),
         _ => Err(InvalidKernelRequest),
     }
 }
@@ -162,11 +153,6 @@ pub fn simd_name() -> &'static str {
     }
 }
 
-/// Whether any SIMD micro-kernel is available on this CPU.
-pub fn simd_available() -> bool {
-    isa() != Isa::None
-}
-
 /// Clamps a requested kind to what the CPU supports: `Simd`/`Fma` without a
 /// vector ISA fall back to `Scalar`.
 fn clamp(kind: KernelKind) -> KernelKind {
@@ -187,14 +173,11 @@ fn env_kind() -> KernelKind {
         let requested = match std::env::var("PIPEFISHER_KERNEL") {
             Ok(v) => parse_kernel_request(&v).unwrap_or_else(|e| {
                 eprintln!("warning: ignoring PIPEFISHER_KERNEL={v:?} ({e})");
-                KernelRequest::Auto
+                KernelKind::Simd
             }),
-            Err(_) => KernelRequest::Auto,
+            Err(_) => KernelKind::Simd,
         };
-        match requested {
-            KernelRequest::Auto => clamp(KernelKind::Simd),
-            KernelRequest::Force(kind) => clamp(kind),
-        }
+        clamp(requested)
     })
 }
 

@@ -11,7 +11,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind, KernelRequest};
+use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind};
 use pipefisher_tensor::{ActivationKind, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
@@ -146,29 +146,14 @@ fn cache_block_edges_scalar_simd_agree() {
 
 #[test]
 fn kernel_request_parsing() {
-    assert_eq!(
-        parse_kernel_request("scalar"),
-        Ok(KernelRequest::Force(KernelKind::Scalar))
-    );
-    assert_eq!(
-        parse_kernel_request("simd"),
-        Ok(KernelRequest::Force(KernelKind::Simd))
-    );
-    assert_eq!(
-        parse_kernel_request("fma"),
-        Ok(KernelRequest::Force(KernelKind::Fma))
-    );
-    assert_eq!(parse_kernel_request("auto"), Ok(KernelRequest::Auto));
-    assert_eq!(parse_kernel_request(""), Ok(KernelRequest::Auto));
+    assert_eq!(parse_kernel_request("scalar"), Ok(KernelKind::Scalar));
+    assert_eq!(parse_kernel_request("simd"), Ok(KernelKind::Simd));
+    assert_eq!(parse_kernel_request("fma"), Ok(KernelKind::Fma));
+    assert_eq!(parse_kernel_request("auto"), Ok(KernelKind::Simd));
+    assert_eq!(parse_kernel_request(""), Ok(KernelKind::Simd));
     // Case-insensitive and whitespace-tolerant.
-    assert_eq!(
-        parse_kernel_request(" SIMD \n"),
-        Ok(KernelRequest::Force(KernelKind::Simd))
-    );
-    assert_eq!(
-        parse_kernel_request("FmA"),
-        Ok(KernelRequest::Force(KernelKind::Fma))
-    );
+    assert_eq!(parse_kernel_request(" SIMD \n"), Ok(KernelKind::Simd));
+    assert_eq!(parse_kernel_request("FmA"), Ok(KernelKind::Fma));
     // Garbage is an error (the env path warns and falls back to auto).
     assert!(parse_kernel_request("avx2").is_err());
     assert!(parse_kernel_request("fast").is_err());
@@ -181,7 +166,7 @@ fn set_kernel_clamps_to_availability() {
     kernel::set_kernel(Some(KernelKind::Scalar));
     assert_eq!(kernel::kernel_kind(), KernelKind::Scalar);
     kernel::set_kernel(Some(KernelKind::Simd));
-    if kernel::simd_available() {
+    if kernel::simd_name() != "none" {
         assert_eq!(kernel::kernel_kind(), KernelKind::Simd);
     } else {
         assert_eq!(kernel::kernel_kind(), KernelKind::Scalar);
@@ -189,7 +174,7 @@ fn set_kernel_clamps_to_availability() {
     // Fma may legally resolve to any tier depending on CPU support, but
     // never to an unachievable one.
     kernel::set_kernel(Some(KernelKind::Fma));
-    if !kernel::simd_available() {
+    if kernel::simd_name() == "none" {
         assert_eq!(kernel::kernel_kind(), KernelKind::Scalar);
     }
 }

@@ -53,26 +53,27 @@ impl Drop for Gate {
     }
 }
 
+/// The caller-owned outputs every [`kernel_pass`] reuses.
+#[derive(Default)]
+struct KernelOutputs {
+    mm: Matrix,
+    tn: Matrix,
+    nt: Matrix,
+    gram: Matrix,
+    inv: Matrix,
+    chol: Matrix,
+}
+
 /// One pass over every hot-path kernel, reusing caller-owned outputs. The
 /// allocating wrappers are included deliberately: with a warmed pool their
 /// `Matrix::zeros` outputs are checkout hits and their drops are checkins.
-fn kernel_pass(
-    a: &Matrix,
-    b: &Matrix,
-    spd: &Matrix,
-    out_mm: &mut Matrix,
-    out_tn: &mut Matrix,
-    out_nt: &mut Matrix,
-    out_gram: &mut Matrix,
-    out_inv: &mut Matrix,
-    out_chol: &mut Matrix,
-) {
-    a.matmul_into(b, out_mm);
-    a.matmul_tn_into(b, out_tn);
-    b.matmul_nt_into(a, out_nt);
-    a.gram_into(out_gram);
-    pipefisher::tensor::cholesky_into(spd, out_chol).expect("spd");
-    cholesky_inverse_into(spd, out_inv).expect("spd");
+fn kernel_pass(a: &Matrix, b: &Matrix, spd: &Matrix, out: &mut KernelOutputs) {
+    a.matmul_into(b, &mut out.mm);
+    a.matmul_tn_into(b, &mut out.tn);
+    b.matmul_nt_into(a, &mut out.nt);
+    a.gram_into(&mut out.gram);
+    pipefisher::tensor::cholesky_into(spd, &mut out.chol).expect("spd");
+    cholesky_inverse_into(spd, &mut out.inv).expect("spd");
     // Allocating wrappers: pool hit on checkout, checkin on drop.
     let tmp = a.matmul(b);
     drop(tmp);
@@ -90,28 +91,17 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
     let mut spd = Matrix::default();
     a.gram_into(&mut spd); // k×k Gram is symmetric PSD...
     spd.add_diag(1.0); // ...and +I makes it positive definite.
-    let (mut mm, mut tn, mut nt, mut gram, mut inv, mut chol) = (
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-    );
+    let mut out = KernelOutputs::default();
 
     // Warm-up: sizes every buffer, fills the pool for the wrappers'
     // temporaries (including the factorization engine's block scratch).
     for _ in 0..2 {
-        kernel_pass(
-            &a, &b, &spd, &mut mm, &mut tn, &mut nt, &mut gram, &mut inv, &mut chol,
-        );
+        kernel_pass(&a, &b, &spd, &mut out);
     }
 
     let before = alloc_snapshot();
     for _ in 0..5 {
-        kernel_pass(
-            &a, &b, &spd, &mut mm, &mut tn, &mut nt, &mut gram, &mut inv, &mut chol,
-        );
+        kernel_pass(&a, &b, &spd, &mut out);
     }
     let delta = alloc_snapshot().since(&before);
     assert_eq!(
@@ -195,8 +185,8 @@ fn kfac_steady_state_is_near_allocation_free() {
     );
 }
 
-/// The executor loans every layer state out and back each refresh step, on
-/// the coordinator, inside the timed phase: once a layer has an entry the
+/// The benchmark's replica step loans every layer state out and back each
+/// refresh step, inside its timed ledger: once a layer has an entry the
 /// round trip moves the state in place and must not touch the heap.
 #[test]
 fn kfac_state_loan_round_trip_is_allocation_free() {
