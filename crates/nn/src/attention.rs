@@ -1,7 +1,7 @@
 //! Multi-head scaled-dot-product self-attention.
 
 use crate::{ForwardCtx, Layer, Linear, ParamVisitor};
-use pipefisher_tensor::{gemm_batched, softmax_scaled_inplace, Matrix, Strided};
+use pipefisher_tensor::{gemm_batched, softmax_scaled_inplace, workspace, Matrix, Strided};
 use rand::Rng;
 
 /// Cached forward state for the attention backward pass.
@@ -90,7 +90,7 @@ impl MultiHeadAttention {
     /// [`AttnCache::probs`].
     fn pair_products(&self, seq: usize, x: &Matrix, y: &Matrix) -> Matrix {
         let (nh, dh) = (self.n_heads, self.d_head);
-        let mut out = Matrix::zeros(x.rows() * nh, seq);
+        let mut out = unfilled(x.rows() * nh, seq);
         let (a, b) = (self.heads(x, seq, false), self.heads(y, seq, true));
         let (count, step) = ((x.rows() / seq, nh), (nh * seq * seq, seq * seq));
         gemm_batched(count, (seq, seq, dh), a, b, out.as_mut_slice(), seq, step);
@@ -99,10 +99,10 @@ impl MultiHeadAttention {
 
     /// `P_bh · Y_bh` (`P_bhᵀ · Y_bh` with `trans`) for every `(batch,
     /// head)`, each into its head's columns of a `(batch·seq) × d_model`
-    /// matrix of zeros.
+    /// matrix.
     fn head_products(&self, seq: usize, p: &Matrix, trans: bool, y: &Matrix) -> Matrix {
         let (nh, d) = (self.n_heads, self.d_model);
-        let mut out = Matrix::zeros(y.rows(), d);
+        let mut out = unfilled(y.rows(), d);
         let (data, step) = (p.as_slice(), (nh * seq * seq, seq * seq));
         let a = Strided {
             data,
@@ -160,6 +160,13 @@ impl MultiHeadAttention {
         let concat = self.forward_concat(x, ctx);
         self.o.forward_residual(&concat, residual, ctx)
     }
+}
+
+/// A `rows × cols` matrix whose contents are unspecified: the batched
+/// products overwrite every element of theirs, so zeroing it first would
+/// be a wasted pass.
+fn unfilled(rows: usize, cols: usize) -> Matrix {
+    Matrix::from_vec(rows, cols, workspace::take_raw(rows * cols))
 }
 
 impl Layer for MultiHeadAttention {

@@ -30,16 +30,15 @@
 //! # Determinism
 //!
 //! Every output element keeps one accumulation chain in ascending index
-//! order with separately rounded multiply and add/subtract; blocking only
-//! splits a chain at block boundaries, round-tripping the partial sum
+//! order with one fused multiply-add (or multiply-subtract) per step — in
+//! the GEMMs, the in-block sweep and the diagonal blocks alike; blocking
+//! only splits a chain at block boundaries, round-tripping the partial sum
 //! through memory (exact for `f64`), and only ever skips terms that are
 //! exact zeros. So the blocked engine is **bitwise identical** to the
 //! scalar loops spelled out in [`crate::reference::cholesky_into`] and
-//! [`crate::reference::cholesky_inverse_into`] at `Scalar`/`Simd` kernels,
-//! and error indices (`NotPositiveDefinite(pivot)`) are preserved
-//! across block boundaries. Under the opt-in `Fma` kernel the GEMM parts
-//! fuse their rounding like every other GEMM; the in-block kernels never
-//! do. The equivalence is enforced in
+//! [`crate::reference::cholesky_inverse_into`] at every kernel kind, and
+//! error indices (`NotPositiveDefinite(pivot)`) are preserved across block
+//! boundaries. The equivalence is enforced in
 //! `crates/tensor/tests/factor_equivalence.rs`.
 
 use crate::kernel::{self, ASrc, BSrc, Mode};
@@ -146,7 +145,7 @@ fn factor_blocked(
                 },
             );
         }
-        factor_diag_block(pt, prows, bw, jb)?;
+        kernel::with_fma(|| factor_diag_block(pt, prows, bw, jb))?;
         // The diagonal block goes back first: it is the sweep's coefficient
         // matrix. Only the lower triangle is copied (the upper stays 0).
         let copy_back = |l: &mut [f64], pt: &[f64], rows: std::ops::Range<usize>| {
@@ -168,7 +167,9 @@ fn factor_blocked(
 /// panel (`pt[c * ld + r]`, `c, r < bw`) in place: column `c` finishes the
 /// naive chains of global column `jb + c` — each element subtracts its
 /// `q < c` terms in ascending order, then divides by the pivot — with the
-/// rows of a column contiguous, so the update loops vectorize.
+/// rows of a column contiguous, so the update loops vectorize. Each step
+/// is one `mul_add`, the chain of the GEMM and sweep before it.
+#[inline(always)]
 fn factor_diag_block(pt: &mut [f64], ld: usize, bw: usize, jb: usize) -> Result<(), CholeskyError> {
     for c in 0..bw {
         let (done, rest) = pt.split_at_mut(c * ld);
@@ -176,7 +177,7 @@ fn factor_diag_block(pt: &mut [f64], ld: usize, bw: usize, jb: usize) -> Result<
         let mut d = col[c];
         for q in 0..c {
             let v = done[q * ld + c];
-            d -= v * v;
+            d = (-v).mul_add(v, d);
         }
         if !d.is_finite() {
             return Err(TensorError::NonFinite("cholesky"));
@@ -190,7 +191,7 @@ fn factor_diag_block(pt: &mut [f64], ld: usize, bw: usize, jb: usize) -> Result<
         for q in 0..c {
             let m = done[q * ld + c];
             for (s, &v) in below.iter_mut().zip(&done[q * ld + c + 1..][..bw - c - 1]) {
-                *s -= v * m;
+                *s = (-v).mul_add(m, *s);
             }
         }
         for s in below.iter_mut() {
@@ -273,9 +274,9 @@ pub(crate) fn check_inverse_diagonal(x: &[f64], n: usize) -> Result<(), Cholesky
 /// against `L[I, I]`; the diagonal block is the same sweep on an identity
 /// seed. The GEMM starts each column tile's chain at the tile's first
 /// column rather than at `j`, and the seeded sweep at `ib`: the extra terms
-/// are `s − L·(+0.0)` with finite `L` and `s ≠ −0.0` (a chain that starts at
-/// `+0.0` or `1.0` and only subtracts can never produce `−0.0`), i.e.
-/// exact no-ops. The block is staged in `scratch` and copied over its rows
+/// are `fma(−L, +0.0, s)` with finite `L` and `s ≠ −0.0` (a chain that
+/// starts at `+0.0` or `1.0` and only subtracts can never produce `−0.0`),
+/// i.e. exact no-ops. The block is staged in `scratch` and copied over its rows
 /// of `L` once nothing reads them any more.
 fn invert_lower_in_place(l: &mut [f64], n: usize, scratch: &mut [f64]) {
     for ib in (0..n).step_by(NB) {

@@ -10,8 +10,8 @@
 //!   (`A_l = U_A U_Aᵀ` computed as `Uᵀ·U` on row-major per-token layouts).
 //!
 //! Each is its shape assert plus one call: the first three go through one
-//! private driver, `gemm_into`, which re-dimensions and zeroes the
-//! destination and hands it to the packed, register-tiled,
+//! private driver, `gemm_into`, which re-dimensions the destination and
+//! hands it, unzeroed, to the packed, register-tiled,
 //! runtime-dispatched engine ([`kernel::gemm_chunk`]); the Gram product
 //! differs only in its upper-triangle mode and mirror pass. The transpose
 //! variants differ only in the packing gather
@@ -26,15 +26,16 @@
 //! [`crate::workspace`] arena and delegate, bitwise identical.
 //!
 //! Every output element is one accumulation chain over `p` in ascending
-//! order, computed on the calling thread.
+//! order from `+0.0`, one fused multiply-add per step, computed on the
+//! calling thread.
 
 use crate::kernel::{self, ASrc, BSrc, Epilogue, Mode};
 use crate::ActivationKind;
 use crate::Matrix;
 
-/// The one GEMM front end: re-dimensions `out` to `m × n`, zeroes it, and
-/// accumulates `Σ_p A(i,p)·B(p,j)` over `k` steps into it, with
-/// `epilogue`, if any, fused into the store phase.
+/// The one GEMM front end: re-dimensions `out` to `m × n` and overwrites it
+/// with `Σ_p A(i,p)·B(p,j)` over `k` steps, with `epilogue`, if any, fused
+/// into the store phase.
 fn gemm_into(
     out: &mut Matrix,
     (m, n, k): (usize, usize, usize),
@@ -43,8 +44,8 @@ fn gemm_into(
     epilogue: Option<Epilogue<'_>>,
 ) {
     out.reset_shape(m, n);
-    out.as_mut_slice().fill(0.0);
     let mode = Mode {
+        overwrite: true,
         fused: epilogue,
         ..Mode::default()
     };
@@ -279,7 +280,6 @@ impl Matrix {
     pub fn gram_into(&self, out: &mut Matrix) {
         let (k, m) = self.shape();
         out.reset_shape(m, m);
-        out.as_mut_slice().fill(0.0);
         let a = self.as_slice();
         kernel::gemm_chunk(
             out.as_mut_slice(),
@@ -294,6 +294,7 @@ impl Matrix {
             BSrc::RowMajor { data: a, stride: m },
             Mode {
                 upper: true,
+                overwrite: true,
                 ..Mode::default()
             },
         );
@@ -326,13 +327,13 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// `C_ij += A_ij · B_ij` for every item `(i, j)` of a `count.0 × count.1`
+/// `C_ij = A_ij · B_ij` for every item `(i, j)` of a `count.0 × count.1`
 /// batch of `m × n` products over `k` steps, on the packed engine with its
 /// set-up paid once. `C_ij` is the `m × n` block of `c` at offset `i ·
-/// cstep.0 + j · cstep.1` and row stride `ldc`. Each element is the
-/// engine's chain — its current value, then `p` ascending, multiply and
-/// add rounded apart at the default kernel kinds — so a block of zeros
-/// comes out bitwise as a fresh [`Matrix::matmul`] of the two items.
+/// cstep.0 + j · cstep.1` and row stride `ldc`; its prior contents are
+/// never read. Each element is the engine's chain — `+0.0`, then `p`
+/// ascending, one fused multiply-add per step — so each block comes out
+/// bitwise as a fresh [`Matrix::matmul`] of the two items.
 ///
 /// # Panics
 ///
@@ -375,7 +376,11 @@ pub fn gemm_batched(
             }
         };
         let cd = &mut c[i * cstep.0 + j * cstep.1..];
-        gemm.run(cd, ldc, (m, n, k), asrc, bsrc, Mode::default());
+        let mode = Mode {
+            overwrite: true,
+            ..Mode::default()
+        };
+        gemm.run(cd, ldc, (m, n, k), asrc, bsrc, mode);
     }
 }
 
@@ -499,6 +504,38 @@ mod tests {
     }
 
     #[test]
+    fn empty_products_overwrite_poisoned_outputs_with_positive_zero() {
+        // k = 0 runs no KC block, so the overwrite stores the +0.0 itself.
+        let plus_zero = |m: &Matrix| m.as_slice().iter().all(|v| v.to_bits() == 0);
+        let mut out = Matrix::full(3, 4, f64::NAN);
+        Matrix::zeros(3, 0).matmul_into(&Matrix::zeros(0, 4), &mut out);
+        assert!(plus_zero(&out), "matmul: {out:?}");
+        out = Matrix::full(4, 4, f64::NAN);
+        Matrix::zeros(0, 4).gram_into(&mut out);
+        assert!(plus_zero(&out), "gram: {out:?}");
+        let (a, b) = (Matrix::zeros(3, 0), Matrix::zeros(0, 4));
+        fn item(m: &Matrix) -> Strided<'_> {
+            Strided {
+                data: m.as_slice(),
+                ld: m.cols(),
+                trans: false,
+                step: (0, 0),
+            }
+        }
+        out = Matrix::full(3, 8, f64::NAN);
+        gemm_batched(
+            (1, 2),
+            (3, 4, 0),
+            item(&a),
+            item(&b),
+            out.as_mut_slice(),
+            8,
+            (0, 4),
+        );
+        assert!(plus_zero(&out), "gemm_batched: {out:?}");
+    }
+
+    #[test]
     fn into_variants_match_allocating() {
         let a = rand_matrix(11, 7, 21);
         let b = rand_matrix(7, 5, 22);
@@ -543,7 +580,7 @@ mod tests {
             let sb = if tb { (n, k) } else { (k, n) };
             let a = rand_matrix(2 * sa.0, 3 * sa.1, 31);
             let b = rand_matrix(2 * sb.0, 3 * sb.1, 32);
-            let mut c = Matrix::zeros(2 * m, 3 * n);
+            let mut c = Matrix::full(2 * m, 3 * n, f64::NAN);
             let (pa, pb) = (operand(&a, ta, sa), operand(&b, tb, sb));
             gemm_batched(
                 (2, 3),

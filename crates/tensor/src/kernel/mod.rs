@@ -13,7 +13,7 @@
 //!
 //! * x86_64 — AVX-512F (8×16 tile) when available, else AVX2 (4×8),
 //! * aarch64 — NEON (4×8),
-//! * anywhere else, or on request — a portable scalar 4×8 kernel.
+//! * anywhere else, or on request — a portable 4×8 kernel.
 //!
 //! The same table picks the activation row kernels ([`ActivationKind`],
 //! in `act`) and the softmax's exp row kernel (in `exp`): each one
@@ -22,22 +22,22 @@
 //!
 //! # Dispatch and the `PIPEFISHER_KERNEL` knob
 //!
-//! `PIPEFISHER_KERNEL=scalar` forces the portable kernel, `simd` the best
-//! detected vector kernel (the default when unset), and `fma` an opt-in
-//! fused-multiply-add variant. Anything else warns and falls back to auto.
-//! [`set_kernel`] overrides the environment at runtime (tests, benches).
+//! `PIPEFISHER_KERNEL=scalar` forces the portable kernel and `simd` the
+//! best detected vector kernel (the default when unset). Anything else
+//! warns and falls back to auto. [`set_kernel`] overrides the environment
+//! at runtime (tests, benches).
 //!
 //! # Determinism
 //!
-//! The default (`scalar`/`simd`) kernels are **bitwise identical** to each
-//! other and to the pre-tiling serial loops: SIMD lanes run across output
-//! *columns*, so each output element keeps its own
-//! single accumulator chain over `k` in ascending order, and multiply and
-//! add round separately (never fused). Cache blocking round-trips partial
-//! sums through memory, which is exact for `f64`. Only `fma` reassociates
-//! rounding — it is never selected implicitly. See `micro` for the
-//! per-kernel argument and `crates/tensor/tests/kernel_dispatch.rs` for the
-//! property tests enforcing all of this.
+//! Every kernel is **bitwise identical** to every other and to the scalar
+//! loops of [`crate::reference`]: SIMD lanes run across output *columns*,
+//! so each output element keeps its own single accumulator chain over `k`
+//! in ascending order, and each step is one fused multiply-add — one
+//! rounding, `f64::mul_add` in the portable bodies, the ISA's FMA in the
+//! vector ones. Cache blocking round-trips partial sums through memory,
+//! which is exact for `f64`. See `micro` for the per-kernel argument and
+//! `crates/tensor/tests/kernel_dispatch.rs` for the property tests
+//! enforcing all of this.
 
 mod act;
 mod exp;
@@ -67,15 +67,11 @@ const MAX_NR: usize = micro::NR16;
 /// Which micro-kernel family executes the GEMM hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Portable scalar tile kernel (the fallback, and the reference the
-    /// SIMD kernels must match bitwise).
+    /// Portable tile kernel (the fallback, and the reference the SIMD
+    /// kernels must match bitwise).
     Scalar,
-    /// Best detected vector ISA with separate multiply + add — bitwise
-    /// identical to `Scalar`.
+    /// Best detected vector ISA — bitwise identical to `Scalar`.
     Simd,
-    /// Best detected vector ISA with fused multiply-add. Faster, but each
-    /// update rounds once instead of twice: **not** bitwise-compatible.
-    Fma,
 }
 
 /// Error for unrecognized `PIPEFISHER_KERNEL` values.
@@ -84,7 +80,7 @@ pub struct InvalidKernelRequest;
 
 impl std::fmt::Display for InvalidKernelRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected one of: auto, scalar, simd, fma")
+        write!(f, "expected one of: auto, scalar, simd")
     }
 }
 
@@ -97,7 +93,6 @@ pub fn parse_kernel_request(s: &str) -> Result<KernelKind, InvalidKernelRequest>
     match s.trim().to_ascii_lowercase().as_str() {
         "" | "auto" | "simd" => Ok(KernelKind::Simd),
         "scalar" => Ok(KernelKind::Scalar),
-        "fma" => Ok(KernelKind::Fma),
         _ => Err(InvalidKernelRequest),
     }
 }
@@ -115,19 +110,19 @@ enum Isa {
 }
 
 /// The best vector ISA, detected once. Each one carries fused
-/// multiply-add: avx512f has 512-bit FMA forms, the AVX2 tier requires the
-/// `fma` extension (every AVX2 CPU since Haswell and Excavator has it), and
-/// NEON on aarch64 always has `vfmaq_f64`.
+/// multiply-add: both x86 tiers require the `fma` extension (every AVX2
+/// CPU since Haswell and Excavator has it), and NEON on aarch64 always has
+/// `vfmaq_f64`.
 fn isa() -> Isa {
     static DETECTED: OnceLock<Isa> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
+        if has_fma() {
             use std::arch::is_x86_feature_detected as detected;
             if detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if detected!("avx2") && detected!("fma") {
+            if detected!("avx2") {
                 return Isa::Avx2;
             }
         }
@@ -153,8 +148,32 @@ pub fn simd_name() -> &'static str {
     }
 }
 
-/// Clamps a requested kind to what the CPU supports: `Simd`/`Fma` without a
-/// vector ISA fall back to `Scalar`.
+/// Whether the x86-64 CPU has the FMA extension (cached by the detection
+/// macro). Without it, `f64::mul_add` on the baseline ISA is a libm call.
+#[cfg(target_arch = "x86_64")]
+fn has_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Runs `f` compiled with FMA instructions where the CPU has them: a
+/// portable `mul_add` chain inlines into this wrapper's FMA instantiation
+/// instead of calling libm per step. The bits are the same either way.
+#[inline(always)]
+pub(crate) fn with_fma<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if has_fma() {
+        #[target_feature(enable = "fma")]
+        fn fused<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: the CPU has the one feature `fused` is compiled for.
+        return unsafe { fused(f) };
+    }
+    f()
+}
+
+/// Clamps a requested kind to what the CPU supports: `Simd` without a
+/// vector ISA falls back to `Scalar`.
 fn clamp(kind: KernelKind) -> KernelKind {
     if isa() == Isa::None {
         KernelKind::Scalar
@@ -191,7 +210,6 @@ pub fn kernel_kind() -> KernelKind {
     match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
         1 => clamp(KernelKind::Scalar),
         2 => clamp(KernelKind::Simd),
-        3 => clamp(KernelKind::Fma),
         _ => env_kind(),
     }
 }
@@ -203,7 +221,6 @@ pub fn set_kernel(kind: Option<KernelKind>) {
         None => 0,
         Some(KernelKind::Scalar) => 1,
         Some(KernelKind::Simd) => 2,
-        Some(KernelKind::Fma) => 3,
     };
     KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -228,65 +245,47 @@ struct Kernels {
 }
 
 /// The dispatch table: the kernels for the current [`kernel_kind`] on the
-/// detected instruction set.
-///
-/// The sweep and the activation and exp rows have no fused-rounding
-/// variant: `Fma` maps to the same kernels as `Simd`, so in-block factor
-/// work is bitwise identical to the scalar substitution, and the rows to
-/// the portable body, under every setting. (On aarch64 the portable bodies already
-/// compile to NEON.)
+/// detected instruction set. The `Scalar` kind gets the portable bodies
+/// (on aarch64 those already compile to NEON).
 fn kernels() -> Kernels {
-    let scalar = Kernels {
+    let portable = Kernels {
         mr: micro::MR4,
         nr: micro::NR8,
-        micro: micro::micro_4x8_scalar,
-        tri_sweep: micro::tri_sweep_scalar,
+        micro: micro::micro_4x8_portable,
+        tri_sweep: micro::tri_sweep_portable,
         gelu: act::rows_portable::<true>,
         tanh: act::rows_portable::<false>,
         exp: exp::rows_portable,
     };
     match (kernel_kind(), isa()) {
-        (KernelKind::Scalar, _) => scalar,
+        (KernelKind::Scalar, _) => portable,
         #[cfg(target_arch = "x86_64")]
-        (kind, Isa::Avx512) => Kernels {
+        (_, Isa::Avx512) => Kernels {
             mr: micro::MR8,
             nr: micro::NR16,
-            micro: if kind == KernelKind::Fma {
-                micro::micro_8x16_avx512::<true>
-            } else {
-                micro::micro_8x16_avx512::<false>
-            },
+            micro: micro::micro_8x16_avx512,
             tri_sweep: micro::tri_sweep_avx512,
             gelu: act::rows_avx512::<true>,
             tanh: act::rows_avx512::<false>,
             exp: exp::rows_avx512,
         },
         #[cfg(target_arch = "x86_64")]
-        (kind, Isa::Avx2) => Kernels {
-            micro: if kind == KernelKind::Fma {
-                micro::micro_4x8_avx2::<true>
-            } else {
-                micro::micro_4x8_avx2::<false>
-            },
+        (_, Isa::Avx2) => Kernels {
+            micro: micro::micro_4x8_avx2,
             tri_sweep: micro::tri_sweep_avx2,
             gelu: act::rows_avx2::<true>,
             tanh: act::rows_avx2::<false>,
             exp: exp::rows_avx2,
-            ..scalar
+            ..portable
         },
         #[cfg(target_arch = "aarch64")]
-        (KernelKind::Simd, Isa::Neon) => Kernels {
+        (_, Isa::Neon) => Kernels {
             micro: micro::micro_4x8_neon,
-            ..scalar
+            ..portable
         },
-        #[cfg(target_arch = "aarch64")]
-        (KernelKind::Fma, Isa::Neon) => Kernels {
-            micro: micro::micro_4x8_neon_fma,
-            ..scalar
-        },
-        // kernel_kind() never returns Simd/Fma when no ISA is detected,
-        // but the match must be exhaustive per target.
-        _ => scalar,
+        // kernel_kind() never returns Simd when no ISA is detected, but
+        // the match must be exhaustive per target.
+        _ => portable,
     }
 }
 
@@ -294,8 +293,8 @@ fn kernels() -> Kernels {
 /// each row `i < rows` ascending, `x[i][j] = (x[i][j] − Σ_{p<i}
 /// coef[i][p]·x[p][j]) / coef[i][i]` (`coef`, `x` row-major with strides
 /// `ldc`, `ldx`). Every element keeps the scalar chain — ascending `p`,
-/// separately rounded multiply and subtract, one divide — at any kernel
-/// kind; see [`micro::TriSweepFn`].
+/// one fused multiply-subtract per step, one divide — at any kernel kind;
+/// see [`micro::TriSweepFn`].
 ///
 /// # Panics
 ///
@@ -401,19 +400,26 @@ fn apply_epilogue(
 #[derive(Default)]
 pub(crate) struct Mode<'a> {
     /// *Subtracting* accumulation, `c[i][j] -= Σ_p A(i,p)·B(p,j)`, bitwise
-    /// identical to the scalar chain `c = c - a·b` (ascending `p`, separate
-    /// multiply and subtract). Implemented by negating the packed A panel —
-    /// IEEE 754 makes `c + (-a)·b` round exactly like `c - a·b` — so the
-    /// unmodified accumulate micro-kernels do the work. This is the blocked
-    /// Cholesky's trailing-update primitive.
+    /// identical to the scalar chain `c = fma(−a, b, c)` (ascending `p`):
+    /// the fused `c − a·b`, rounded once. Implemented by negating the
+    /// packed A panel — negation is exact, so `fma(−a, b, c)` is that very
+    /// chain — and the unmodified accumulate micro-kernels do the work.
+    /// This is the blocked Cholesky's trailing-update primitive.
     pub neg: bool,
     /// `B` is *lower-triangular* — `B(p, j) = +0.0` for `p < j`, stored:
     /// each column tile starts its `p` chain at the tile's first column
-    /// instead of 0. The skipped terms add or subtract `a·(+0.0)` with
-    /// finite `a`, which leaves any `c ≠ −0.0` unchanged, so for finite `A`
-    /// and `c` seeded with `+0.0` the result is bitwise that of the dense
-    /// sweep. The triangular inverse and its Gram product are built on this.
+    /// instead of 0. A skipped step is `fma(±a, +0.0, c)` with finite `a`:
+    /// the exact sum `c ± 0` rounds to `c` for any `c ≠ −0.0`, so for
+    /// finite `A` and `c` seeded with `+0.0` the result is bitwise that of
+    /// the dense sweep. The triangular inverse and its Gram product are
+    /// built on this.
     pub b_lower: bool,
+    /// `c[i][j] = Σ_p A(i,p)·B(p,j)`: the first KC block starts each
+    /// tile's accumulators at `+0.0` in registers instead of loading `c`,
+    /// so `c` need not be zeroed first (`k = 0` stores `+0.0`). Bitwise
+    /// the accumulate into a zeroed `c`. Not combined with `b_lower`,
+    /// whose tiles may skip the whole first block.
+    pub overwrite: bool,
     /// The Gram kernel's upper triangle: micro-tiles lying entirely
     /// strictly below the diagonal of `c` are skipped (the mirror pass
     /// fills them from the upper triangle).
@@ -444,7 +450,8 @@ impl Gemm {
     }
 
     /// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over a `rows × n` output at
-    /// row stride `ldc` (`c` pre-zeroed or mid-accumulation), with cache
+    /// row stride `ldc` (`c` zeroed, mid-accumulation, or anything under
+    /// [`Mode::overwrite`]), with cache
     /// blocking, panel packing, and the dispatched micro-kernel, varied as
     /// `mode` says. A fused epilogue reads `grad` and `res` at `c`'s layout.
     ///
@@ -466,8 +473,10 @@ impl Gemm {
             neg,
             b_lower,
             upper,
+            overwrite,
             mut fused,
         } = mode;
+        debug_assert!(!(overwrite && b_lower), "gemm: overwrite with b_lower");
         if rows == 0 || n == 0 {
             return;
         }
@@ -478,6 +487,9 @@ impl Gemm {
             c.len()
         );
         if k == 0 {
+            if overwrite {
+                c.chunks_mut(ldc).take(rows).for_each(|r| r[..n].fill(0.0));
+            }
             if let Some(epi) = &mut fused {
                 apply_epilogue(c, ldc, (0, 0), (rows, n), epi);
             }
@@ -493,6 +505,7 @@ impl Gemm {
                 // its column sweep; that is the store the epilogue fuses
                 // into.
                 let last_kb = kb + kc == k;
+                let seed = overwrite && kb == 0;
                 pack::pack_b(bbuf, &b, kb, kc, jc, nc, nr, b_lower);
                 for ib in (0..rows).step_by(MC) {
                     let mc = MC.min(rows - ib);
@@ -525,12 +538,13 @@ impl Gemm {
                             let bp = bbuf[qb * kc * nr + skip * nr..].as_ptr();
                             let coff = (ib + i0) * ldc + jc + j0;
                             if tm == mr && tn == nr {
+                                let dst = c[coff..].as_mut_ptr();
                                 // SAFETY: full tile — `c[coff..]` spans mr
                                 // rows of stride ldc ≥ nr columns each (the
                                 // assert above); panels hold `steps` steps;
                                 // `kernels` only returns ISA kernels the
                                 // detected CPU supports.
-                                unsafe { micro(steps, ap, bp, c.as_mut_ptr().add(coff), ldc) };
+                                unsafe { micro(steps, ap, bp, dst, ldc, seed) };
                             } else {
                                 // Ragged edge: run the full tile against the
                                 // zero-padded panels in a local buffer and
@@ -538,13 +552,15 @@ impl Gemm {
                                 // lanes are discarded, so they cannot affect
                                 // results.
                                 let mut tile = [0.0f64; MAX_MR * MAX_NR];
-                                for i in 0..tm {
-                                    tile[i * nr..i * nr + tn]
-                                        .copy_from_slice(&c[coff + i * ldc..][..tn]);
+                                if !seed {
+                                    for i in 0..tm {
+                                        tile[i * nr..i * nr + tn]
+                                            .copy_from_slice(&c[coff + i * ldc..][..tn]);
+                                    }
                                 }
                                 // SAFETY: `tile` is MAX_MR×MAX_NR ≥ mr×nr
                                 // at stride nr; panel bounds as above.
-                                unsafe { micro(steps, ap, bp, tile.as_mut_ptr(), nr) };
+                                unsafe { micro(steps, ap, bp, tile.as_mut_ptr(), nr, seed) };
                                 for i in 0..tm {
                                     c[coff + i * ldc..][..tn]
                                         .copy_from_slice(&tile[i * nr..i * nr + tn]);
@@ -591,51 +607,51 @@ pub(crate) use act::tests::host_libm_differs;
 mod tests {
     use super::micro::{self, MicroFn, TriSweepFn, MR4, MR8, NR16, NR8};
 
-    /// `(name, mr, nr, fused rounding, kernel)`.
-    type Tile = (&'static str, usize, usize, bool, MicroFn);
+    /// `(name, mr, nr, kernel)`.
+    type Tile = (&'static str, usize, usize, MicroFn);
 
-    /// Every tile kernel and every ISA-specific triangular sweep this CPU
-    /// can run — not only the ones [`super::kernels`] picks.
+    /// Every tile kernel and every triangular sweep this CPU can run — not
+    /// only the ones [`super::kernels`] picks.
     #[allow(unused_mut)]
     fn runnable() -> (Vec<Tile>, Vec<(&'static str, TriSweepFn)>) {
-        let mut tiles: Vec<Tile> = vec![("scalar", MR4, NR8, false, micro::micro_4x8_scalar)];
-        let mut sweeps: Vec<(&'static str, TriSweepFn)> = Vec::new();
+        let mut tiles: Vec<Tile> = vec![("portable", MR4, NR8, micro::micro_4x8_portable)];
+        let mut sweeps: Vec<(&'static str, TriSweepFn)> =
+            vec![("portable", micro::tri_sweep_portable)];
         #[cfg(target_arch = "x86_64")]
-        {
+        if super::has_fma() {
             use std::arch::is_x86_feature_detected as detected;
-            if detected!("avx2") && detected!("fma") {
-                tiles.push(("avx2", MR4, NR8, false, micro::micro_4x8_avx2::<false>));
-                tiles.push(("avx2+fma", MR4, NR8, true, micro::micro_4x8_avx2::<true>));
+            if detected!("avx2") {
+                tiles.push(("avx2", MR4, NR8, micro::micro_4x8_avx2));
                 sweeps.push(("avx2", micro::tri_sweep_avx2));
             }
             if detected!("avx512f") {
-                tiles.push((
-                    "avx512f",
-                    MR8,
-                    NR16,
-                    false,
-                    micro::micro_8x16_avx512::<false>,
-                ));
-                tiles.push((
-                    "avx512f+fma",
-                    MR8,
-                    NR16,
-                    true,
-                    micro::micro_8x16_avx512::<true>,
-                ));
+                tiles.push(("avx512f", MR8, NR16, micro::micro_8x16_avx512));
                 sweeps.push(("avx512f", micro::tri_sweep_avx512));
             }
         }
         #[cfg(target_arch = "aarch64")]
         if std::arch::is_aarch64_feature_detected!("neon") {
-            tiles.push(("neon", MR4, NR8, false, micro::micro_4x8_neon));
-            tiles.push(("neon+fma", MR4, NR8, true, micro::micro_4x8_neon_fma));
+            tiles.push(("neon", MR4, NR8, micro::micro_4x8_neon));
         }
         (tiles, sweeps)
     }
 
+    /// The sweep's chain spelled out: row `i` ascending, `p < i` ascending,
+    /// one `mul_add` per step, one divide.
+    fn sweep_by_hand(coef: &[f64], ldc: usize, x: &mut [f64], ldx: usize, rows: usize, w: usize) {
+        for i in 0..rows {
+            for j in 0..w {
+                let mut s = x[i * ldx + j];
+                for p in 0..i {
+                    s = (-coef[i * ldc + p]).mul_add(x[p * ldx + j], s);
+                }
+                x[i * ldx + j] = s / coef[i * ldc + i];
+            }
+        }
+    }
+
     #[test]
-    fn every_runnable_kernel_matches_the_scalar_chain() {
+    fn every_runnable_kernel_matches_the_fused_chain() {
         // Uniform values in [-1, 1) from a xorshift stream.
         let mut s = 0x711Eu64;
         let mut next = move || {
@@ -645,34 +661,38 @@ mod tests {
             (s as f64 / u64::MAX as f64) * 2.0 - 1.0
         };
         let (tiles, sweeps) = runnable();
-        for &(name, mr, nr, fused, kernel) in &tiles {
+        for &(name, mr, nr, kernel) in &tiles {
             let ldc = nr + 3;
-            for kc in [0usize, 1, 7, 64, 257] {
+            for (kc, overwrite) in [0usize, 1, 7, 64, 257]
+                .into_iter()
+                .flat_map(|kc| [(kc, false), (kc, true)])
+            {
                 let ap: Vec<f64> = (0..kc * mr).map(|_| next()).collect();
                 let bp: Vec<f64> = (0..kc * nr).map(|_| next()).collect();
-                let seed: Vec<f64> = (0..mr * ldc).map(|_| next()).collect();
+                let seed: Vec<f64> = (0..mr * ldc)
+                    .map(|_| if overwrite { f64::NAN } else { next() })
+                    .collect();
                 let mut got = seed.clone();
+                let (a, b, g) = (ap.as_ptr(), bp.as_ptr(), got.as_mut_ptr());
                 // SAFETY: the panels hold kc·mr and kc·nr elements, `got` a
                 // full mr×nr tile at stride ldc ≥ nr, and the kernel's
                 // instruction set was detected by `runnable`.
-                unsafe { kernel(kc, ap.as_ptr(), bp.as_ptr(), got.as_mut_ptr(), ldc) };
+                unsafe { kernel(kc, a, b, g, ldc, overwrite) };
                 for (i, j) in (0..mr).flat_map(|i| (0..nr).map(move |j| (i, j))) {
-                    let mut w = seed[i * ldc + j];
+                    let mut w = if overwrite { 0.0 } else { seed[i * ldc + j] };
                     for p in 0..kc {
-                        w += ap[p * mr + i] * bp[p * nr + j];
+                        w = ap[p * mr + i].mul_add(bp[p * nr + j], w);
                     }
                     let g = got[i * ldc + j];
-                    let same = if fused {
-                        (g - w).abs() <= 1e-12 * (1.0 + w.abs())
-                    } else {
-                        g.to_bits() == w.to_bits()
-                    };
-                    assert!(same, "{name}, kc={kc}, ({i},{j}): {g:?} vs {w:?}");
+                    assert!(
+                        g.to_bits() == w.to_bits(),
+                        "{name}, kc={kc}, overwrite={overwrite}, ({i},{j}): {g:?} vs {w:?}"
+                    );
                 }
             }
         }
         for &(name, sweep) in &sweeps {
-            // Widths below, at and straddling the 16- and 32-wide tiles.
+            // Widths below, at and straddling the 8-, 16- and 32-wide tiles.
             for (rows, width) in [1usize, 5, 64]
                 .into_iter()
                 .flat_map(|r| [1usize, 7, 16, 32, 37, 69].map(|w| (r, w)))
@@ -684,14 +704,11 @@ mod tests {
                 }
                 let mut want: Vec<f64> = (0..rows * ldx).map(|_| next()).collect();
                 let mut got = want.clone();
+                sweep_by_hand(&coef, ldc, &mut want, ldx, rows, width);
                 // SAFETY: rows ≤ TRI_BLOCK; `coef` holds `rows` rows of stride
-                // ldc ≥ rows, `want` and `got` `rows` rows of stride
-                // ldx ≥ width, all distinct buffers; the ISA was detected.
-                unsafe {
-                    let c = coef.as_ptr();
-                    micro::tri_sweep_scalar(c, ldc, want.as_mut_ptr(), ldx, rows, width);
-                    sweep(c, ldc, got.as_mut_ptr(), ldx, rows, width);
-                }
+                // ldc ≥ rows, `got` `rows` rows of stride ldx ≥ width, in
+                // distinct buffers; the ISA was detected.
+                unsafe { sweep(coef.as_ptr(), ldc, got.as_mut_ptr(), ldx, rows, width) };
                 let same = want
                     .iter()
                     .zip(&got)
@@ -701,6 +718,40 @@ mod tests {
         }
         let tiles: Vec<_> = tiles.iter().map(|t| t.0).collect();
         let sweeps: Vec<_> = sweeps.iter().map(|t| t.0).collect();
-        println!("tile kernels run: {tiles:?}; tri_sweep kernels run against scalar: {sweeps:?}");
+        println!("tile kernels run: {tiles:?}; tri_sweep kernels run: {sweeps:?}");
+    }
+
+    /// `a·b = 1 − 2⁻⁶⁰` exactly, which rounds to `1.0` on its own: the
+    /// fused `fma(a, b, −1)` is `−2⁻⁶⁰`, the unfused `(a·b) − 1` is `0`.
+    const A: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
+    const B: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+
+    /// Every tier fuses: a tile or sweep that silently rounded its multiply
+    /// apart from its add would return `0` here.
+    #[test]
+    fn every_runnable_kernel_rounds_once_per_step() {
+        let fused = -1.0 / (1u64 << 60) as f64;
+        assert_eq!(A * B - 1.0, 0.0, "the unfused chain must differ");
+        let (tiles, sweeps) = runnable();
+        for &(name, mr, nr, kernel) in &tiles {
+            // Two steps per element: fma(−1, 1, +0.0) = −1, then fma(A, B, −1).
+            let ap: Vec<f64> = [-1.0, A].iter().flat_map(|&v| vec![v; mr]).collect();
+            let bp: Vec<f64> = [1.0, B].iter().flat_map(|&v| vec![v; nr]).collect();
+            let mut c = vec![0.0; mr * nr];
+            // SAFETY: two-step panels, a full tile at stride nr, and the
+            // ISA was detected by `runnable`.
+            unsafe { kernel(2, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), nr, false) };
+            assert!(c.iter().all(|&v| v == fused), "{name} tile: {c:?}");
+        }
+        for &(name, sweep) in &sweeps {
+            // Row 1 of every column: fma(−A, B, 1) / 1 = 2⁻⁶⁰.
+            let coef = [1.0, 0.0, A, 1.0];
+            let width = 37;
+            let mut x: Vec<f64> = [B, 1.0].iter().flat_map(|&v| vec![v; width]).collect();
+            // SAFETY: 2 ≤ TRI_BLOCK rows of stride 2 and of width, distinct
+            // buffers, detected ISA.
+            unsafe { sweep(coef.as_ptr(), 2, x.as_mut_ptr(), width, 2, width) };
+            assert!(x[width..].iter().all(|&v| v == -fused), "{name} sweep");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! Scalar reference implementations — the oracles the tests, property
 //! checks and `bench_factor`'s baseline column compare the packed engine
 //! against. Plain element-at-a-time loops with the per-element accumulation
-//! chains the engine's determinism contract promises; nothing in the
-//! training path calls them.
+//! chains the engine's determinism contract promises — one `mul_add` per
+//! step — compiled with FMA where the CPU has it; nothing in the training
+//! path calls them.
 
 use crate::cholesky::check_inverse_diagonal;
+use crate::kernel;
 use crate::{CholeskyError, Matrix, TensorError};
 
 /// Triple-loop reference GEMM used to validate the blocked kernels in tests
@@ -12,15 +14,17 @@ use crate::{CholeskyError, Matrix, TensorError};
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "reference::matmul: inner dims");
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for j in 0..b.cols() {
-            let mut acc = 0.0;
-            for p in 0..a.cols() {
-                acc += a[(i, p)] * b[(p, j)];
+    kernel::with_fma(|| {
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0;
+                for p in 0..a.cols() {
+                    acc = a[(i, p)].mul_add(b[(p, j)], acc);
+                }
+                out[(i, j)] = acc;
             }
-            out[(i, j)] = acc;
         }
-    }
+    });
     out
 }
 
@@ -42,30 +46,32 @@ pub fn cholesky_into(a: &Matrix, out: &mut Matrix) -> Result<(), CholeskyError> 
     out.reset_shape(n, n);
     let l = out.as_mut_slice();
     l.fill(0.0);
-    for j in 0..n {
-        // Diagonal entry.
-        let mut d = src[j * n + j];
-        for p in 0..j {
-            d -= l[j * n + p] * l[j * n + p];
-        }
-        if !d.is_finite() {
-            return Err(TensorError::NonFinite("cholesky"));
-        }
-        if d <= 0.0 {
-            return Err(TensorError::NotPositiveDefinite(j));
-        }
-        let dj = d.sqrt();
-        l[j * n + j] = dj;
-        // Column below the diagonal.
-        for i in (j + 1)..n {
-            let mut s = src[i * n + j];
+    kernel::with_fma(|| {
+        for j in 0..n {
+            // Diagonal entry.
+            let mut d = src[j * n + j];
             for p in 0..j {
-                s -= l[i * n + p] * l[j * n + p];
+                d = (-l[j * n + p]).mul_add(l[j * n + p], d);
             }
-            l[i * n + j] = s / dj;
+            if !d.is_finite() {
+                return Err(TensorError::NonFinite("cholesky"));
+            }
+            if d <= 0.0 {
+                return Err(TensorError::NotPositiveDefinite(j));
+            }
+            let dj = d.sqrt();
+            l[j * n + j] = dj;
+            // Column below the diagonal.
+            for i in (j + 1)..n {
+                let mut s = src[i * n + j];
+                for p in 0..j {
+                    s = (-l[i * n + p]).mul_add(l[j * n + p], s);
+                }
+                l[i * n + j] = s / dj;
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The scalar reference implementation of [`crate::cholesky_inverse_into`]:
@@ -88,27 +94,29 @@ pub fn cholesky_inverse_into(a: &Matrix, out: &mut Matrix) -> Result<(), Cholesk
     let l = l.as_slice();
     let mut y = Matrix::zeros(n, n);
     let y = y.as_mut_slice();
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = if i == j { 1.0 } else { 0.0 };
-            for p in j..i {
-                s -= l[i * n + p] * y[p * n + j];
-            }
-            y[i * n + j] = s / l[i * n + i];
-        }
-    }
     out.reset_shape(n, n);
     let x = out.as_mut_slice();
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = 0.0;
-            for k in i..n {
-                s += y[k * n + i] * y[k * n + j];
+    kernel::with_fma(|| {
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = if i == j { 1.0 } else { 0.0 };
+                for p in j..i {
+                    s = (-l[i * n + p]).mul_add(y[p * n + j], s);
+                }
+                y[i * n + j] = s / l[i * n + i];
             }
-            x[i * n + j] = s;
-            x[j * n + i] = s;
         }
-    }
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = 0.0;
+                for k in i..n {
+                    s = y[k * n + i].mul_add(y[k * n + j], s);
+                }
+                x[i * n + j] = s;
+                x[j * n + i] = s;
+            }
+        }
+    });
     check_inverse_diagonal(x, n)
 }
 

@@ -2,8 +2,9 @@
 //! selected SIMD micro-kernel is **bitwise** identical to the portable
 //! scalar fallback for every GEMM flavour, across random shapes (including
 //! degenerate 0-dims, sub-tile sizes, and non-multiples of MR/NR) and
-//! poisoned `_into` destinations — plus unit coverage for
-//! `PIPEFISHER_KERNEL` parsing and the `set_kernel` clamp.
+//! poisoned `_into` destinations; both kinds and the scalar oracles round
+//! each multiply-add once — plus unit coverage for `PIPEFISHER_KERNEL`
+//! parsing and the `set_kernel` clamp.
 //!
 //! The kernel override is process-wide, so tests that touch it hold the
 //! shared settings lock and restore the auto default on drop (same idiom
@@ -12,7 +13,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, parse_kernel_request, KernelKind};
-use pipefisher_tensor::{ActivationKind, Matrix};
+use pipefisher_tensor::{cholesky_into, reference, ActivationKind, Matrix};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -148,14 +149,13 @@ fn cache_block_edges_scalar_simd_agree() {
 fn kernel_request_parsing() {
     assert_eq!(parse_kernel_request("scalar"), Ok(KernelKind::Scalar));
     assert_eq!(parse_kernel_request("simd"), Ok(KernelKind::Simd));
-    assert_eq!(parse_kernel_request("fma"), Ok(KernelKind::Fma));
     assert_eq!(parse_kernel_request("auto"), Ok(KernelKind::Simd));
     assert_eq!(parse_kernel_request(""), Ok(KernelKind::Simd));
     // Case-insensitive and whitespace-tolerant.
     assert_eq!(parse_kernel_request(" SIMD \n"), Ok(KernelKind::Simd));
-    assert_eq!(parse_kernel_request("FmA"), Ok(KernelKind::Fma));
     // Garbage is an error (the env path warns and falls back to auto).
     assert!(parse_kernel_request("avx2").is_err());
+    assert!(parse_kernel_request("fma").is_err());
     assert!(parse_kernel_request("fast").is_err());
     assert!(parse_kernel_request("scalar simd").is_err());
 }
@@ -171,31 +171,42 @@ fn set_kernel_clamps_to_availability() {
     } else {
         assert_eq!(kernel::kernel_kind(), KernelKind::Scalar);
     }
-    // Fma may legally resolve to any tier depending on CPU support, but
-    // never to an unachievable one.
-    kernel::set_kernel(Some(KernelKind::Fma));
-    if kernel::simd_name() == "none" {
-        assert_eq!(kernel::kernel_kind(), KernelKind::Scalar);
-    }
 }
 
-/// The opt-in FMA path reassociates rounding, so it is only required to be
-/// *close* to the default — and must produce the same shapes and finite
-/// values on the same inputs.
+/// `α·β = 1 − 2⁻⁶⁰` exactly, which rounds to `1.0` on its own, so a chain
+/// that rounds its multiply apart from its add loses what the fused one
+/// keeps: `fma(α, β, −1) = −2⁻⁶⁰`, but `(α·β) − 1 = 0`.
+const ALPHA: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
+const BETA: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+
+/// Every kind's GEMM and Cholesky, and the scalar oracles, return the fused
+/// value on inputs where the unfused chain differs: a tier that stopped
+/// fusing would fail here even though it would still agree with itself.
 #[test]
-fn fma_path_is_close_but_need_not_be_bitwise() {
+fn every_kind_and_the_reference_round_once() {
     let _guard = SettingsGuard::acquire();
-    let mut rng = StdRng::seed_from_u64(0xF3A);
-    let a = random_matrix(33, 47, &mut rng);
-    let b = random_matrix(47, 21, &mut rng);
-    kernel::set_kernel(Some(KernelKind::Scalar));
-    let want = a.matmul(&b);
-    kernel::set_kernel(Some(KernelKind::Fma));
-    let got = a.matmul(&b);
-    assert_eq!(want.shape(), got.shape());
-    assert!(got.all_finite());
-    let diff = (&want - &got).max_abs();
-    assert!(diff < 1e-9, "fma drifted too far: {diff}");
+    let tiny = 1.0 / (1u64 << 60) as f64;
+    assert_eq!(ALPHA * BETA - 1.0, 0.0, "the unfused chain must differ");
+    // (−1)·1 + α·β from +0.0: −2⁻⁶⁰ fused, 0 unfused.
+    let a = Matrix::from_rows(&[&[-1.0, ALPHA]]);
+    let b = Matrix::from_rows(&[&[1.0], &[BETA]]);
+    // L₁₀ = α, so d = (1 + 2⁻²⁹ + 2⁻⁴⁰) − α² is 2⁻⁴⁰ − 2⁻⁶⁰ fused and
+    // 2⁻⁴⁰ unfused, and L₁₁ = √d tells them apart.
+    let a11 = 1.0 + 1.0 / (1u64 << 29) as f64 + 1.0 / (1u64 << 40) as f64;
+    let spd = Matrix::from_rows(&[&[1.0, ALPHA], &[ALPHA, a11]]);
+    let l11 = (-ALPHA).mul_add(ALPHA, a11).sqrt();
+    assert_ne!(l11, (a11 - ALPHA * ALPHA).sqrt());
+    let mut l = Matrix::zeros(1, 1);
+    reference::cholesky_into(&spd, &mut l).unwrap();
+    let product = reference::matmul(&a, &b)[(0, 0)];
+    assert_eq!(product, -tiny, "reference::matmul");
+    assert_eq!(l[(1, 1)], l11, "reference::cholesky_into");
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
+        kernel::set_kernel(Some(kind));
+        assert_eq!(a.matmul(&b)[(0, 0)], -tiny, "{kind:?} matmul");
+        cholesky_into(&spd, &mut l).unwrap();
+        assert_eq!(l[(1, 1)], l11, "{kind:?} cholesky_into");
+    }
 }
 
 /// The activation row kernels: the forced-scalar (portable) body and the

@@ -1,12 +1,12 @@
 //! Allocation-regression gate: after warm-up, the kernel hot path performs
 //! **zero** heap allocations, and a steady-state K-FAC training step is
-//! down to the list pairing layers with states (no buffer allocations; the ≥10×
-//! comparison against the pre-arena tree lives in `BENCH_alloc.json`).
-//! The pipeline executor adds only its messages to that: under GPipe,
-//! 1F1B and Chimera a steady-state step stays within a fixed per-step
-//! budget over the serial loop's (≤ +40 for GPipe and 1F1B, whose owners
-//! reuse every gradient contribution set; ≤ +91 for Chimera, whose
-//! shipping hosts allocate theirs).
+//! down to the vector of `⟨g, g̃⟩` products each step returns (no buffer
+//! allocations; the ≥10× comparison against the pre-arena tree lives in
+//! `BENCH_alloc.json`). The pipeline executor adds only its messages to
+//! that: under GPipe, 1F1B and Chimera a steady-state step stays within a
+//! fixed per-step budget over the serial loop's (≤ +40 for GPipe and 1F1B;
+//! ≤ +50 for Chimera, whose owners also send each other host's parameter
+//! copies), every gradient contribution set being reused.
 //!
 //! Requires the `alloc-count` feature (which installs the counting global
 //! allocator from `pipefisher-trace`); the whole file compiles away without
@@ -164,14 +164,14 @@ fn kfac_steady_state_is_near_allocation_free() {
     let without_pool = kfac_run_allocs(6, 3);
 
     // With the arena on, a steady-state step allocates no f64 buffers at
-    // all — what remains is the list pairing layers with their states: a
-    // refresh step call builds it twice (the refresh pass, then
-    // preconditioning), 4 calls per step here. Bound it exactly so any
-    // buffer allocation sneaking back into the hot path (every matrix here
-    // is ≥ 16×16) trips the gate.
+    // all — what remains is the `⟨g, g̃⟩` vector `Kfac::precondition`
+    // returns, one per `Kfac::step` call, 4 calls per step here (the folds,
+    // the inversion and the update allocate nothing). Bound it exactly so
+    // any buffer allocation sneaking back into the hot path (every matrix
+    // here is ≥ 16×16) trips the gate.
     let steady_steps = 3;
     assert!(
-        with_pool <= 8 * steady_steps,
+        with_pool <= 4 * steady_steps,
         "steady-state K-FAC step allocates too much with the workspace on: \
          {with_pool} allocs over {steady_steps} steps"
     );
@@ -337,10 +337,10 @@ fn steady_allocs(rows: &[StepMetrics], warmup: usize) -> u64 {
 /// parameters, gradient accumulator and optimizer state for the whole run,
 /// and returns every contribution it has added to its stage's spare sets,
 /// so a backward swaps a zeroed spare into its replica instead of
-/// allocating one. Chimera's down pipeline ships its contributions to the
-/// stage's other host, which keeps at most one spare per activation slot,
-/// so the shipping host allocates a fresh set per backward. Kernel
-/// temporaries come from the workers' thread-local workspace arenas. So
+/// allocating one. Under Chimera a stage's other host ships its
+/// contributions to the owner, which sends the zeroed sets back with the
+/// next update's parameters. Kernel temporaries come from the workers'
+/// thread-local workspace arenas. So
 /// per-step allocations must stay within a fixed constant of the serial
 /// loop's, independent of how many steps run.
 #[test]
@@ -365,17 +365,18 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let serial_steady = steady_allocs(&serial.metrics, warmup);
 
     // Per-step budgets over the serial loop, for D = 2, N = 4. Measured
-    // over the 3 steady steps: 536 vs 468 for GPipe and 1F1B (+23/step),
-    // 667 for Chimera (+66/step). What is left is the step command, the
-    // update and its parameter copies, the report vectors and the inboxes'
-    // channel blocks, plus Chimera's shipped contribution sets. A backward
-    // that allocated its contribution again would read +86 (GPipe) and
-    // +54 (1F1B); a matrix buffer slipping out of the recycling paths
-    // altogether would add thousands per step.
+    // over the 3 steady steps: 528–544 vs 468 for GPipe and 1F1B (+20 to
+    // +25/step), 557–590 for Chimera (+30 to +41/step). What is left is
+    // the step command, the update and its parameter copies — under
+    // Chimera one more per stage, for its other host — the report vectors
+    // and the inboxes' channel blocks. A backward that allocated its
+    // contribution again would read +86 (GPipe) and +54 (1F1B); a matrix
+    // buffer slipping out of the recycling paths altogether would add
+    // thousands per step.
     for (scheme, per_step_overhead) in [
         (PipelineScheme::GPipe, 40),
         (PipelineScheme::OneFOneB, 40),
-        (PipelineScheme::Chimera, 91),
+        (PipelineScheme::Chimera, 50),
     ] {
         let (mut trainer, model) = tiny_trainer(7);
         let opts = PipelineOptions::new(scheme, 2, n_micro);
