@@ -296,10 +296,9 @@ enum Inbox {
     /// From a host of the owned stage: micro-batch `mb`'s gradient
     /// contribution, `(mb, grads)`.
     Grads(usize, GradSet),
-    /// From a hosted stage's owner: its parameters after an update, and
-    /// zeroed contribution sets for this host's spares, `(stage, values,
-    /// spares)`.
-    Params(usize, ParamSet, Vec<GradSet>),
+    /// From a hosted stage's owner: its parameters after an update,
+    /// `(stage, values)`.
+    Params(usize, ParamSet),
     /// From whoever recorded the run's first fault: stop now.
     Abort,
     /// From the coordinator: the run is over.
@@ -943,9 +942,8 @@ impl Worker {
             }
             Inbox::Data(key, m) => drop(self.pending.insert(key, m)),
             Inbox::Grads(mb, grads) => self.merge(mb, grads),
-            Inbox::Params(stage, values, spares) => {
+            Inbox::Params(stage, values) => {
                 let host = self.hosts.get_mut(&stage).expect("a hosted stage");
-                host.spares.extend(spares);
                 for replica in &mut host.replicas {
                     let mut i = 0;
                     replica.visit_params(&mut |p| {
@@ -1181,11 +1179,9 @@ impl Worker {
     /// Files micro-batch `mb`'s contribution to the owned stage, then adds
     /// every contribution whose turn has come onto the accumulator, in
     /// micro-batch order, zeroing each added set as a spare for the
-    /// stage's backwards — here, or, past one per replica, on the stage's
-    /// other hosts (the next update ships them there).
+    /// stage's backwards here.
     fn merge(&mut self, mb: usize, grads: GradSet) {
         let owned = &mut self.owned;
-        let shared = owned.hosted_on.len() > 1;
         let host = self.hosts.get_mut(&owned.stage).expect("an owner hosts");
         owned.early[mb] = Some(grads);
         while let Some(mut set) = owned.early.get_mut(owned.merged).and_then(Option::take) {
@@ -1195,7 +1191,7 @@ impl Worker {
                 i += 1;
             });
             owned.merged += 1;
-            if shared || host.spares.len() < host.replicas.len() {
+            if host.spares.len() < host.replicas.len() {
                 set.iter_mut().for_each(|m| m.as_mut_slice().fill(0.0));
                 host.spares.push(set);
             }
@@ -1249,9 +1245,8 @@ impl Worker {
     }
 
     /// Applies step `step`'s update to the owned stage, posts the new
-    /// values to every host of the stage — the first other host with the
-    /// spare sets past this host's one per replica — and zeroes the
-    /// accumulator for the next step.
+    /// values to every host of the stage, and zeroes the accumulator for
+    /// the next step.
     fn apply_update(&mut self, step: usize, lr: f64, vsum: Option<f64>) {
         let owned = &mut self.owned;
         {
@@ -1265,29 +1260,15 @@ impl Worker {
         });
         owned.merged = 0;
         let (stage, hosts) = (owned.stage, owned.hosted_on.len());
-        let own = self.hosts.get_mut(&stage).expect("an owner hosts");
-        let keep = own.replicas.len();
-        let mut surplus: Vec<GradSet> = if own.spares.len() > keep {
-            own.spares.drain(keep..).collect()
-        } else {
-            Vec::new()
-        };
         for k in 0..hosts {
             let set = if k + 1 < hosts {
                 values.clone()
             } else {
                 std::mem::take(&mut values)
             };
-            let dest = self.owned.hosted_on[k];
-            // Under Chimera the one other host gets them all.
-            let spares = if dest == self.device {
-                Vec::new()
-            } else {
-                std::mem::take(&mut surplus)
-            };
             // A host that has exited either took its last hand-back or has
             // already latched its fault: it needs no parameters.
-            let _ = self.post(dest, Inbox::Params(stage, set, spares));
+            let _ = self.post(self.owned.hosted_on[k], Inbox::Params(stage, set));
         }
     }
 

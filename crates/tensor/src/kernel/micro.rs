@@ -230,138 +230,117 @@ pub(crate) unsafe fn tri_sweep_avx512(
 
 // ----------------------------------------------------------------- AVX2
 
+/// 4×8 AVX2 + FMA kernel.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{MR4, NR8};
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn micro_4x8_avx2(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    overwrite: bool,
+) {
     use core::arch::x86_64::*;
-
-    /// 4×8 AVX2 + FMA kernel.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn micro_4x8(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-        overwrite: bool,
-    ) {
-        let mut acc = [[_mm256_setzero_pd(); 2]; MR4];
-        if !overwrite {
-            for (i, row) in acc.iter_mut().enumerate() {
-                row[0] = _mm256_loadu_pd(c.add(i * ldc));
-                row[1] = _mm256_loadu_pd(c.add(i * ldc + 4));
-            }
-        }
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.add(p * NR8));
-            let b1 = _mm256_loadu_pd(bp.add(p * NR8 + 4));
-            let a = ap.add(p * MR4);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(i));
-                row[0] = _mm256_fmadd_pd(av, b0, row[0]);
-                row[1] = _mm256_fmadd_pd(av, b1, row[1]);
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            _mm256_storeu_pd(c.add(i * ldc), row[0]);
-            _mm256_storeu_pd(c.add(i * ldc + 4), row[1]);
+    let mut acc = [[_mm256_setzero_pd(); 2]; MR4];
+    if !overwrite {
+        for (i, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm256_loadu_pd(c.add(i * ldc));
+            row[1] = _mm256_loadu_pd(c.add(i * ldc + 4));
         }
     }
+    for p in 0..kc {
+        let b0 = _mm256_loadu_pd(bp.add(p * NR8));
+        let b1 = _mm256_loadu_pd(bp.add(p * NR8 + 4));
+        let a = ap.add(p * MR4);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_pd(*a.add(i));
+            row[0] = _mm256_fmadd_pd(av, b0, row[0]);
+            row[1] = _mm256_fmadd_pd(av, b1, row[1]);
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        _mm256_storeu_pd(c.add(i * ldc), row[0]);
+        _mm256_storeu_pd(c.add(i * ldc + 4), row[1]);
+    }
 }
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::micro_4x8 as micro_4x8_avx2;
 
 // --------------------------------------------------------------- AVX-512
 
+/// 8×16 AVX-512F kernel. 16 zmm accumulators + 2 B vectors leave
+/// broadcasts to the load ports.
 #[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{MR8, NR16};
+#[target_feature(enable = "avx512f,fma")]
+pub(crate) unsafe fn micro_8x16_avx512(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    overwrite: bool,
+) {
     use core::arch::x86_64::*;
-
-    /// 8×16 AVX-512F kernel. 16 zmm accumulators + 2 B vectors leave
-    /// broadcasts to the load ports.
-    #[target_feature(enable = "avx512f,fma")]
-    pub(crate) unsafe fn micro_8x16(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-        overwrite: bool,
-    ) {
-        let mut acc = [[_mm512_setzero_pd(); 2]; MR8];
-        if !overwrite {
-            for (i, row) in acc.iter_mut().enumerate() {
-                row[0] = _mm512_loadu_pd(c.add(i * ldc));
-                row[1] = _mm512_loadu_pd(c.add(i * ldc + 8));
-            }
-        }
-        for p in 0..kc {
-            let b0 = _mm512_loadu_pd(bp.add(p * NR16));
-            let b1 = _mm512_loadu_pd(bp.add(p * NR16 + 8));
-            let a = ap.add(p * MR8);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_pd(*a.add(i));
-                row[0] = _mm512_fmadd_pd(av, b0, row[0]);
-                row[1] = _mm512_fmadd_pd(av, b1, row[1]);
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            _mm512_storeu_pd(c.add(i * ldc), row[0]);
-            _mm512_storeu_pd(c.add(i * ldc + 8), row[1]);
+    let mut acc = [[_mm512_setzero_pd(); 2]; MR8];
+    if !overwrite {
+        for (i, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm512_loadu_pd(c.add(i * ldc));
+            row[1] = _mm512_loadu_pd(c.add(i * ldc + 8));
         }
     }
+    for p in 0..kc {
+        let b0 = _mm512_loadu_pd(bp.add(p * NR16));
+        let b1 = _mm512_loadu_pd(bp.add(p * NR16 + 8));
+        let a = ap.add(p * MR8);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*a.add(i));
+            row[0] = _mm512_fmadd_pd(av, b0, row[0]);
+            row[1] = _mm512_fmadd_pd(av, b1, row[1]);
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        _mm512_storeu_pd(c.add(i * ldc), row[0]);
+        _mm512_storeu_pd(c.add(i * ldc + 8), row[1]);
+    }
 }
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) use avx512::micro_8x16 as micro_8x16_avx512;
 
 // ------------------------------------------------------------------ NEON
 
+/// 4×8 NEON kernel (`vfmaq_f64`).
 #[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{MR4, NR8};
+#[target_feature(enable = "neon")]
+pub(crate) unsafe fn micro_4x8_neon(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    overwrite: bool,
+) {
     use core::arch::aarch64::*;
-
-    /// 4×8 NEON kernel (`vfmaq_f64`).
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn micro_4x8(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-        overwrite: bool,
-    ) {
-        let mut acc = [[vdupq_n_f64(0.0); 4]; MR4];
-        if !overwrite {
-            for (i, row) in acc.iter_mut().enumerate() {
-                for (h, v) in row.iter_mut().enumerate() {
-                    *v = vld1q_f64(c.add(i * ldc + 2 * h));
-                }
-            }
-        }
-        for p in 0..kc {
-            let mut b = [vdupq_n_f64(0.0); 4];
-            for (h, v) in b.iter_mut().enumerate() {
-                *v = vld1q_f64(bp.add(p * NR8 + 2 * h));
-            }
-            let a = ap.add(p * MR4);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f64(*a.add(i));
-                for (h, v) in row.iter_mut().enumerate() {
-                    *v = vfmaq_f64(*v, av, b[h]);
-                }
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            for (h, v) in row.iter().enumerate() {
-                vst1q_f64(c.add(i * ldc + 2 * h), *v);
+    let mut acc = [[vdupq_n_f64(0.0); 4]; MR4];
+    if !overwrite {
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (h, v) in row.iter_mut().enumerate() {
+                *v = vld1q_f64(c.add(i * ldc + 2 * h));
             }
         }
     }
+    for p in 0..kc {
+        let mut b = [vdupq_n_f64(0.0); 4];
+        for (h, v) in b.iter_mut().enumerate() {
+            *v = vld1q_f64(bp.add(p * NR8 + 2 * h));
+        }
+        let a = ap.add(p * MR4);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = vdupq_n_f64(*a.add(i));
+            for (h, v) in row.iter_mut().enumerate() {
+                *v = vfmaq_f64(*v, av, b[h]);
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (h, v) in row.iter().enumerate() {
+            vst1q_f64(c.add(i * ldc + 2 * h), *v);
+        }
+    }
 }
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) use neon::micro_4x8 as micro_4x8_neon;

@@ -160,6 +160,10 @@ fn has_fma() -> bool {
 /// instead of calling libm per step. The bits are the same either way.
 #[inline(always)]
 pub(crate) fn with_fma<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(test)]
+    if tests::BASELINE.with(std::cell::Cell::get) {
+        return f();
+    }
     #[cfg(target_arch = "x86_64")]
     if has_fma() {
         #[target_feature(enable = "fma")]
@@ -451,9 +455,9 @@ impl Gemm {
 
     /// Computes `c[i][j] += Σ_p A(i,p)·B(p,j)` over a `rows × n` output at
     /// row stride `ldc` (`c` zeroed, mid-accumulation, or anything under
-    /// [`Mode::overwrite`]), with cache
-    /// blocking, panel packing, and the dispatched micro-kernel, varied as
-    /// `mode` says. A fused epilogue reads `grad` and `res` at `c`'s layout.
+    /// [`Mode::overwrite`]), with cache blocking, panel packing, and the
+    /// dispatched micro-kernel, varied as `mode` says. A fused epilogue
+    /// reads `grad` and `res` at `c`'s layout.
     ///
     /// # Panics
     ///
@@ -606,6 +610,7 @@ pub(crate) use act::tests::host_libm_differs;
 #[cfg(test)]
 mod tests {
     use super::micro::{self, MicroFn, TriSweepFn, MR4, MR8, NR16, NR8};
+    use std::cell::Cell;
 
     /// `(name, mr, nr, kernel)`.
     type Tile = (&'static str, usize, usize, MicroFn);
@@ -636,6 +641,21 @@ mod tests {
         (tiles, sweeps)
     }
 
+    thread_local! {
+        /// Makes [`super::with_fma`] on this thread run its closure as
+        /// built for the baseline ISA, the path of CPUs without FMA.
+        pub(super) static BASELINE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` once per build of the portable bodies: FMA-compiled where
+    /// the CPU has FMA, then the baseline build that CPUs without it run.
+    fn each_build(mut f: impl FnMut(&str)) {
+        f("fma build");
+        BASELINE.with(|b| b.set(true));
+        f("baseline build");
+        BASELINE.with(|b| b.set(false));
+    }
+
     /// The sweep's chain spelled out: row `i` ascending, `p < i` ascending,
     /// one `mul_add` per step, one divide.
     fn sweep_by_hand(coef: &[f64], ldc: usize, x: &mut [f64], ldx: usize, rows: usize, w: usize) {
@@ -661,61 +681,67 @@ mod tests {
             (s as f64 / u64::MAX as f64) * 2.0 - 1.0
         };
         let (tiles, sweeps) = runnable();
-        for &(name, mr, nr, kernel) in &tiles {
-            let ldc = nr + 3;
-            for (kc, overwrite) in [0usize, 1, 7, 64, 257]
-                .into_iter()
-                .flat_map(|kc| [(kc, false), (kc, true)])
-            {
-                let ap: Vec<f64> = (0..kc * mr).map(|_| next()).collect();
-                let bp: Vec<f64> = (0..kc * nr).map(|_| next()).collect();
-                let seed: Vec<f64> = (0..mr * ldc)
-                    .map(|_| if overwrite { f64::NAN } else { next() })
-                    .collect();
-                let mut got = seed.clone();
-                let (a, b, g) = (ap.as_ptr(), bp.as_ptr(), got.as_mut_ptr());
-                // SAFETY: the panels hold kc·mr and kc·nr elements, `got` a
-                // full mr×nr tile at stride ldc ≥ nr, and the kernel's
-                // instruction set was detected by `runnable`.
-                unsafe { kernel(kc, a, b, g, ldc, overwrite) };
-                for (i, j) in (0..mr).flat_map(|i| (0..nr).map(move |j| (i, j))) {
-                    let mut w = if overwrite { 0.0 } else { seed[i * ldc + j] };
-                    for p in 0..kc {
-                        w = ap[p * mr + i].mul_add(bp[p * nr + j], w);
+        each_build(|build| {
+            for &(name, mr, nr, kernel) in &tiles {
+                let ldc = nr + 3;
+                for (kc, overwrite) in [0usize, 1, 7, 64, 257]
+                    .into_iter()
+                    .flat_map(|kc| [(kc, false), (kc, true)])
+                {
+                    let ap: Vec<f64> = (0..kc * mr).map(|_| next()).collect();
+                    let bp: Vec<f64> = (0..kc * nr).map(|_| next()).collect();
+                    let seed: Vec<f64> = (0..mr * ldc)
+                        .map(|_| if overwrite { f64::NAN } else { next() })
+                        .collect();
+                    let mut got = seed.clone();
+                    let (a, b, g) = (ap.as_ptr(), bp.as_ptr(), got.as_mut_ptr());
+                    // SAFETY: the panels hold kc·mr and kc·nr elements, `got`
+                    // a full mr×nr tile at stride ldc ≥ nr, and the kernel's
+                    // instruction set was detected by `runnable`.
+                    unsafe { kernel(kc, a, b, g, ldc, overwrite) };
+                    for (i, j) in (0..mr).flat_map(|i| (0..nr).map(move |j| (i, j))) {
+                        let mut w = if overwrite { 0.0 } else { seed[i * ldc + j] };
+                        for p in 0..kc {
+                            w = ap[p * mr + i].mul_add(bp[p * nr + j], w);
+                        }
+                        let g = got[i * ldc + j];
+                        assert!(
+                            g.to_bits() == w.to_bits(),
+                            "{name} ({build}), kc={kc}, overwrite={overwrite}, ({i},{j}): \
+                             {g:?} vs {w:?}"
+                        );
                     }
-                    let g = got[i * ldc + j];
+                }
+            }
+            for &(name, sweep) in &sweeps {
+                // Widths below, at and straddling the 8-, 16- and 32-wide tiles.
+                for (rows, width) in [1usize, 5, 64]
+                    .into_iter()
+                    .flat_map(|r| [1usize, 7, 16, 32, 37, 69].map(|w| (r, w)))
+                {
+                    let (ldc, ldx) = (rows + 2, width + 1);
+                    let mut coef: Vec<f64> = (0..rows * ldc).map(|_| next()).collect();
+                    for i in 0..rows {
+                        coef[i * ldc + i] = 2.0 + next();
+                    }
+                    let mut want: Vec<f64> = (0..rows * ldx).map(|_| next()).collect();
+                    let mut got = want.clone();
+                    sweep_by_hand(&coef, ldc, &mut want, ldx, rows, width);
+                    // SAFETY: rows ≤ TRI_BLOCK; `coef` holds `rows` rows of
+                    // stride ldc ≥ rows, `got` `rows` rows of stride ldx ≥
+                    // width, in distinct buffers; the ISA was detected.
+                    unsafe { sweep(coef.as_ptr(), ldc, got.as_mut_ptr(), ldx, rows, width) };
+                    let same = want
+                        .iter()
+                        .zip(&got)
+                        .all(|(w, g)| w.to_bits() == g.to_bits());
                     assert!(
-                        g.to_bits() == w.to_bits(),
-                        "{name}, kc={kc}, overwrite={overwrite}, ({i},{j}): {g:?} vs {w:?}"
+                        same,
+                        "tri_sweep {name} ({build}), rows={rows}, width={width}"
                     );
                 }
             }
-        }
-        for &(name, sweep) in &sweeps {
-            // Widths below, at and straddling the 8-, 16- and 32-wide tiles.
-            for (rows, width) in [1usize, 5, 64]
-                .into_iter()
-                .flat_map(|r| [1usize, 7, 16, 32, 37, 69].map(|w| (r, w)))
-            {
-                let (ldc, ldx) = (rows + 2, width + 1);
-                let mut coef: Vec<f64> = (0..rows * ldc).map(|_| next()).collect();
-                for i in 0..rows {
-                    coef[i * ldc + i] = 2.0 + next();
-                }
-                let mut want: Vec<f64> = (0..rows * ldx).map(|_| next()).collect();
-                let mut got = want.clone();
-                sweep_by_hand(&coef, ldc, &mut want, ldx, rows, width);
-                // SAFETY: rows ≤ TRI_BLOCK; `coef` holds `rows` rows of stride
-                // ldc ≥ rows, `got` `rows` rows of stride ldx ≥ width, in
-                // distinct buffers; the ISA was detected.
-                unsafe { sweep(coef.as_ptr(), ldc, got.as_mut_ptr(), ldx, rows, width) };
-                let same = want
-                    .iter()
-                    .zip(&got)
-                    .all(|(w, g)| w.to_bits() == g.to_bits());
-                assert!(same, "tri_sweep {name}, rows={rows}, width={width}");
-            }
-        }
+        });
         let tiles: Vec<_> = tiles.iter().map(|t| t.0).collect();
         let sweeps: Vec<_> = sweeps.iter().map(|t| t.0).collect();
         println!("tile kernels run: {tiles:?}; tri_sweep kernels run: {sweeps:?}");
@@ -726,32 +752,77 @@ mod tests {
     const A: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
     const B: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
 
-    /// Every tier fuses: a tile or sweep that silently rounded its multiply
-    /// apart from its add would return `0` here.
+    /// Every tier fuses, in both builds of the portable bodies: a tile or
+    /// sweep that silently rounded its multiply apart from its add would
+    /// return `0` here.
     #[test]
     fn every_runnable_kernel_rounds_once_per_step() {
         let fused = -1.0 / (1u64 << 60) as f64;
         assert_eq!(A * B - 1.0, 0.0, "the unfused chain must differ");
         let (tiles, sweeps) = runnable();
-        for &(name, mr, nr, kernel) in &tiles {
-            // Two steps per element: fma(−1, 1, +0.0) = −1, then fma(A, B, −1).
-            let ap: Vec<f64> = [-1.0, A].iter().flat_map(|&v| vec![v; mr]).collect();
-            let bp: Vec<f64> = [1.0, B].iter().flat_map(|&v| vec![v; nr]).collect();
-            let mut c = vec![0.0; mr * nr];
-            // SAFETY: two-step panels, a full tile at stride nr, and the
-            // ISA was detected by `runnable`.
-            unsafe { kernel(2, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), nr, false) };
-            assert!(c.iter().all(|&v| v == fused), "{name} tile: {c:?}");
-        }
-        for &(name, sweep) in &sweeps {
-            // Row 1 of every column: fma(−A, B, 1) / 1 = 2⁻⁶⁰.
-            let coef = [1.0, 0.0, A, 1.0];
-            let width = 37;
-            let mut x: Vec<f64> = [B, 1.0].iter().flat_map(|&v| vec![v; width]).collect();
-            // SAFETY: 2 ≤ TRI_BLOCK rows of stride 2 and of width, distinct
-            // buffers, detected ISA.
-            unsafe { sweep(coef.as_ptr(), 2, x.as_mut_ptr(), width, 2, width) };
-            assert!(x[width..].iter().all(|&v| v == -fused), "{name} sweep");
+        each_build(|build| {
+            for &(name, mr, nr, kernel) in &tiles {
+                // Two steps per element: fma(−1, 1, +0.0) = −1, then
+                // fma(A, B, −1).
+                let ap: Vec<f64> = [-1.0, A].iter().flat_map(|&v| vec![v; mr]).collect();
+                let bp: Vec<f64> = [1.0, B].iter().flat_map(|&v| vec![v; nr]).collect();
+                let mut c = vec![0.0; mr * nr];
+                // SAFETY: two-step panels, a full tile at stride nr, and the
+                // ISA was detected by `runnable`.
+                unsafe { kernel(2, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), nr, false) };
+                assert!(
+                    c.iter().all(|&v| v == fused),
+                    "{name} tile ({build}): {c:?}"
+                );
+            }
+            for &(name, sweep) in &sweeps {
+                // Row 1 of every column: fma(−A, B, 1) / 1 = 2⁻⁶⁰.
+                let coef = [1.0, 0.0, A, 1.0];
+                let width = 37;
+                let mut x: Vec<f64> = [B, 1.0].iter().flat_map(|&v| vec![v; width]).collect();
+                // SAFETY: 2 ≤ TRI_BLOCK rows of stride 2 and of width,
+                // distinct buffers, detected ISA.
+                unsafe { sweep(coef.as_ptr(), 2, x.as_mut_ptr(), width, 2, width) };
+                assert!(
+                    x[width..].iter().all(|&v| v == -fused),
+                    "{name} sweep ({build})"
+                );
+            }
+        });
+    }
+
+    /// The chains outside the dispatch table that run through
+    /// [`super::with_fma`] — the factorization's diagonal blocks and the
+    /// reference oracles — give the same bits in both builds.
+    #[test]
+    fn factorization_and_reference_match_across_builds() {
+        use crate::{init, reference};
+        use rand::SeedableRng;
+        // n > TRI_BLOCK, so the factorization runs more than one block.
+        let n = 70;
+        let g = init::normal(n, n, 1.0, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let mut spd = g.matmul_nt(&g);
+        (0..n).for_each(|i| spd[(i, i)] += n as f64);
+        let run = || {
+            let mut outs = vec![reference::matmul(&g, &spd); 5];
+            crate::cholesky_into(&spd, &mut outs[1]).expect("spd");
+            crate::cholesky_inverse_into(&spd, &mut outs[2]).expect("spd");
+            reference::cholesky_into(&spd, &mut outs[3]).expect("spd");
+            reference::cholesky_inverse_into(&spd, &mut outs[4]).expect("spd");
+            outs
+        };
+        let mut builds = Vec::new();
+        each_build(|_| builds.push(run()));
+        for (k, (f, b)) in builds[0].iter().zip(&builds[1]).enumerate() {
+            let same = f
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(
+                same,
+                "output {k} differs between the fma and baseline builds"
+            );
         }
     }
 }

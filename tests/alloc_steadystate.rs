@@ -4,9 +4,10 @@
 //! allocations; the ≥10× comparison against the pre-arena tree lives in
 //! `BENCH_alloc.json`). The pipeline executor adds only its messages to
 //! that: under GPipe, 1F1B and Chimera a steady-state step stays within a
-//! fixed per-step budget over the serial loop's (≤ +40 for GPipe and 1F1B;
-//! ≤ +50 for Chimera, whose owners also send each other host's parameter
-//! copies), every gradient contribution set being reused.
+//! fixed per-step budget over the serial loop's (≤ +40 for GPipe and 1F1B,
+//! whose owners reuse every gradient contribution set; ≤ +85 for Chimera,
+//! whose shipping hosts allocate theirs), and under Chimera a slow host
+//! does not make the live heap grow.
 //!
 //! Requires the `alloc-count` feature (which installs the counting global
 //! allocator from `pipefisher-trace`); the whole file compiles away without
@@ -15,11 +16,12 @@
 
 #![cfg(feature = "alloc-count")]
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use pipefisher::lm::{
-    BatchSampler, OptimizerChoice, PipelineOptions, StepMetrics, SyntheticLanguage, TrainOptions,
-    Trainer,
+    BatchSampler, ChaosHook, OptimizerChoice, PipelineOptions, StepFault, StepMetrics,
+    SyntheticLanguage, TrainOptions, Trainer,
 };
 use pipefisher::nn::{
     cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear, ParamVisitor,
@@ -337,10 +339,10 @@ fn steady_allocs(rows: &[StepMetrics], warmup: usize) -> u64 {
 /// parameters, gradient accumulator and optimizer state for the whole run,
 /// and returns every contribution it has added to its stage's spare sets,
 /// so a backward swaps a zeroed spare into its replica instead of
-/// allocating one. Under Chimera a stage's other host ships its
-/// contributions to the owner, which sends the zeroed sets back with the
-/// next update's parameters. Kernel temporaries come from the workers'
-/// thread-local workspace arenas. So
+/// allocating one. Chimera's down pipeline ships its contributions to the
+/// stage's other host, which keeps at most one spare per activation slot,
+/// so the shipping host allocates a fresh set per backward. Kernel
+/// temporaries come from the workers' thread-local workspace arenas. So
 /// per-step allocations must stay within a fixed constant of the serial
 /// loop's, independent of how many steps run.
 #[test]
@@ -348,7 +350,7 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let _gate = Gate::acquire();
     workspace::set_enabled(true);
 
-    let (steps, n_micro, warmup) = (6usize, 4usize, 3usize);
+    let (steps, n_micro, warmup) = (9usize, 4usize, 3usize);
     let steady_steps = (steps - warmup) as u64;
     let choice = refresh_every_step_kfac();
 
@@ -365,18 +367,18 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let serial_steady = steady_allocs(&serial.metrics, warmup);
 
     // Per-step budgets over the serial loop, for D = 2, N = 4. Measured
-    // over the 3 steady steps: 528–544 vs 468 for GPipe and 1F1B (+20 to
-    // +25/step), 557–590 for Chimera (+30 to +41/step). What is left is
-    // the step command, the update and its parameter copies — under
-    // Chimera one more per stage, for its other host — the report vectors
-    // and the inboxes' channel blocks. A backward that allocated its
+    // over the 6 steady steps in 15 runs: 1062–1078 vs 936 for GPipe and
+    // 1F1B (+21 to +24/step), 1310–1359 for Chimera (+62 to +71/step).
+    // What is left is the step command, the update and its parameter
+    // copies, the report vectors and the inboxes' channel blocks, plus
+    // Chimera's shipped contribution sets. A backward that allocated its
     // contribution again would read +86 (GPipe) and +54 (1F1B); a matrix
     // buffer slipping out of the recycling paths altogether would add
     // thousands per step.
     for (scheme, per_step_overhead) in [
         (PipelineScheme::GPipe, 40),
         (PipelineScheme::OneFOneB, 40),
-        (PipelineScheme::Chimera, 50),
+        (PipelineScheme::Chimera, 85),
     ] {
         let (mut trainer, model) = tiny_trainer(7);
         let opts = PipelineOptions::new(scheme, 2, n_micro);
@@ -391,4 +393,75 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
              steps (budget +{per_step_overhead}/step)"
         );
     }
+}
+
+/// Delays every plan op of device `slow` by `delay`, and samples the
+/// process's live heap bytes as device 0 begins each step.
+#[derive(Debug)]
+struct SlowHostLiveBytes {
+    slow: usize,
+    delay: Duration,
+    live: Mutex<Vec<u64>>,
+}
+
+impl ChaosHook for SlowHostLiveBytes {
+    fn step_fault(&self, device: usize, _step: usize) -> Option<StepFault> {
+        if device == 0 {
+            let live = alloc_live_bytes();
+            self.live.lock().expect("sampler lock").push(live);
+        }
+        None
+    }
+
+    fn op_delay(&self, device: usize, _step: usize, _op_index: usize) -> Option<Duration> {
+        (device == self.slow).then_some(self.delay)
+    }
+}
+
+/// Under Chimera a stage's other host ships every contribution to the
+/// owner, where one that arrives before its turn waits in a buffer, and
+/// the owner keeps at most one spare set per activation slot. A slow host
+/// holds up the owners' ordered merges while their own backwards go on:
+/// whatever the timing, no set, contribution or boundary tensor may
+/// outlive its step, or a long run would gain a stage gradient per step.
+/// With the workspace arena off, so that its growth cannot show in the
+/// reading, the floor of the live heap must not rise between the early and
+/// the late steps of a long run.
+#[test]
+fn chimera_live_heap_stays_flat_under_a_slow_host() {
+    let _gate = Gate::acquire();
+    workspace::set_enabled(false);
+    let (steps, n_stages, n_micro) = (60usize, 4usize, 8usize);
+    let (mut trainer, model) = tiny_trainer(7);
+    let gradient_bytes = {
+        let mut n = 0;
+        model
+            .clone()
+            .visit_params(&mut |p| n += p.grad.as_slice().len());
+        (n * std::mem::size_of::<f64>()) as u64
+    };
+    let hook = Arc::new(SlowHostLiveBytes {
+        slow: 1,
+        delay: Duration::from_micros(300),
+        live: Mutex::new(Vec::with_capacity(2 * steps)),
+    });
+    let mut opts = PipelineOptions::new(PipelineScheme::Chimera, n_stages, n_micro);
+    opts.chaos = Some(hook.clone());
+    trainer
+        .run_pipelined(model, &refresh_every_step_kfac(), steps, &opts)
+        .expect("pipelined run");
+    let live = hook.live.lock().expect("sampler lock");
+    assert_eq!(live.len(), steps);
+    // The least live heap over a window of steps: the floor under each
+    // step's transient buffers and messages.
+    let floor = |steps: std::ops::Range<usize>| live[steps].iter().copied().min().unwrap();
+    let (early, late) = (floor(5..15), floor(steps - 10..steps));
+    let growth = late.saturating_sub(early);
+    println!("live-heap floor: {early} B early, {late} B late; gradients {gradient_bytes} B");
+    assert!(
+        growth < gradient_bytes,
+        "Chimera's live heap grew by {growth} B from steps 5..15 ({early} B) to \
+         the last 10 ({late} B): more than the model's whole gradient \
+         ({gradient_bytes} B), so something a step creates outlives it"
+    );
 }
