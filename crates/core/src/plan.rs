@@ -148,15 +148,11 @@ impl ExecutablePlan {
     /// Per device, the entries a step with the given K-FAC cadence runs, in
     /// order — the conformance oracle a real execution is checked against:
     /// the op list minus the [`PlanOp::Aux`] entries whose kind does not
-    /// [`AuxKind::applies`] to the step (all of them when `kfac` is false).
-    pub fn expected_step(
-        &self,
-        kfac: bool,
-        refresh_curv: bool,
-        refresh_inv: bool,
-    ) -> Vec<Vec<PlanOp>> {
+    /// [`AuxKind::applies`] to the step. A first-order step refreshes
+    /// nothing, `(false, false)`, so it runs the pipeline ops alone.
+    pub fn expected_step(&self, refresh_curv: bool, refresh_inv: bool) -> Vec<Vec<PlanOp>> {
         let runs = |d: &DevicePlan, op: &PlanOp| match *op {
-            PlanOp::Aux { unit } => kfac && d.aux[unit].kind.applies(refresh_curv, refresh_inv),
+            PlanOp::Aux { unit } => d.aux[unit].kind.applies(refresh_curv, refresh_inv),
             _ => true,
         };
         let device_ops = |d: &DevicePlan| d.ops.iter().filter(|op| runs(d, op)).copied().collect();
@@ -460,20 +456,21 @@ mod tests {
             device_units.collect()
         };
         // A step that refreshes everything runs the op lists verbatim.
-        let full = plan.expected_step(true, true, true);
+        let full = plan.expected_step(true, true);
         for (dev, dp) in plan.devices.iter().enumerate() {
             assert_eq!(full[dev], dp.ops);
         }
         assert_eq!(unit_kinds(&full).len(), 4 * 3, "3 kinds x 4 stages");
 
-        let curv_only = unit_kinds(&plan.expected_step(true, true, false));
+        let curv_only = unit_kinds(&plan.expected_step(true, false));
         assert!(curv_only.iter().all(|&k| k != AuxKind::Invert));
-        let inv_only = unit_kinds(&plan.expected_step(true, false, true));
+        let inv_only = unit_kinds(&plan.expected_step(false, true));
         assert!(inv_only.iter().all(|&k| k == AuxKind::Invert));
         assert_eq!(curv_only.len() + inv_only.len(), 4 * 3);
 
-        // Without K-FAC a step is its pipeline ops alone, in plan order.
-        let first_order = plan.expected_step(false, true, true);
+        // A step that refreshes nothing — every first-order step — is its
+        // pipeline ops alone, in plan order.
+        let first_order = plan.expected_step(false, false);
         for (ops, dp) in first_order.iter().zip(&plan.devices) {
             let pipe: Vec<PlanOp> = dp
                 .ops

@@ -67,11 +67,9 @@ pub struct ExecEvent {
 }
 
 /// The K-FAC cadence of one training step, which determines the step's
-/// expected aux events.
+/// expected aux events. A first-order step refreshes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepSpec {
-    /// Whether the optimizer is K-FAC at all.
-    pub kfac: bool,
     /// Whether the step folds fresh curvature (FoldA/FoldB units apply).
     pub refresh_curv: bool,
     /// Whether the step recomputes inverses (Invert units apply).
@@ -259,7 +257,7 @@ pub fn check_conformance(
     }
     let mut checked = 0usize;
     for (step, spec) in specs.iter().enumerate() {
-        let expected = plan.expected_step(spec.kfac, spec.refresh_curv, spec.refresh_inv);
+        let expected = plan.expected_step(spec.refresh_curv, spec.refresh_inv);
         for (device, (dp, expected)) in plan.devices.iter().zip(&expected).enumerate() {
             let mut track: Vec<&ExecEvent> = events
                 .iter()

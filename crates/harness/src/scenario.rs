@@ -82,7 +82,6 @@ impl OptimizerKind {
     pub fn spec_at(&self, step: usize) -> StepSpec {
         match *self {
             OptimizerKind::Lamb => StepSpec {
-                kfac: false,
                 refresh_curv: false,
                 refresh_inv: false,
             },
@@ -90,7 +89,6 @@ impl OptimizerKind {
                 curvature_interval,
                 inversion_interval,
             } => StepSpec {
-                kfac: true,
                 refresh_curv: step.is_multiple_of(curvature_interval),
                 refresh_inv: step.is_multiple_of(inversion_interval),
             },

@@ -44,10 +44,11 @@
 //!   serial chains.
 //! - K-FAC folds and inversions are the unit methods `Kfac::step` itself
 //!   calls (`Kfac::fold_a`, `Kfac::fold_b`, `Kfac::invert`, one call per
-//!   unit over the stage's K-FAC layers), here on the capture replica's
-//!   statistics against the owner's layer states, each kind after its
-//!   prerequisites; the owner then runs `Kfac::precondition` and, with the
-//!   coordinator's sum, `Kfac::update` — the two halves
+//!   unit over the stage's K-FAC layers), here taking the capture
+//!   replica's statistics into the owner's layer states, each kind after
+//!   its prerequisites and on the steps the owner's `Kfac` clock (a clone
+//!   of the coordinator's) says; the owner then runs `Kfac::precondition`
+//!   and, with the coordinator's sum, `Kfac::update` — the two halves
 //!   `step_preconditioned` is made of.
 //!
 //! The only representational difference is the sign of zeros: the serial
@@ -271,8 +272,6 @@ struct StepCmd {
     batches: Arc<Vec<(PreTrainingBatch, ForwardCtx)>>,
     /// The mean's factor, `1/N`.
     scale: f64,
-    /// `(curvature, inversion)` refreshes due, per the coordinator's clock.
-    refresh: (bool, bool),
 }
 
 /// Everything a worker is ever sent, through its one inbox.
@@ -664,7 +663,6 @@ impl Engine for Staged<'_> {
                 for _ in 0..dplan.n_slots[s] {
                     let mut replica = self.staged.stage(s).clone();
                     replica.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.0));
-                    replica.visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
                     replicas.push(replica);
                 }
                 let host = StageHost {
@@ -726,7 +724,6 @@ impl Engine for Staged<'_> {
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         scale: f64,
-        opt: &AnyOpt,
     ) -> Result<f64, ExecError> {
         let n_devices = self.plan.devices.len();
         let batches = Arc::new(batches);
@@ -735,7 +732,6 @@ impl Engine for Staged<'_> {
                 step,
                 batches: Arc::clone(&batches),
                 scale,
-                refresh: opt.next_step_refreshes(),
             };
             // The command's arrival is the device's first progress of the
             // step: the watchdog clocks start here, not at the last report.
@@ -1198,17 +1194,9 @@ impl Worker {
         }
     }
 
-    /// Clears the capture replicas' statistics, waits for the owned stage's
-    /// last contribution, scales to the mean and preconditions; then sends
-    /// the step's one report.
+    /// Waits for the owned stage's last contribution, scales to the mean
+    /// and preconditions; then sends the step's one report.
     fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
-        if cmd.refresh.0 {
-            // One `FoldA` unit per capture this device hosts.
-            for op in self.plan.aux.iter().filter(|op| op.kind == AuxKind::FoldA) {
-                let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
-                host.replicas[op.slot].visit_linears(&mut |lin| lin.kfac_stats_mut().clear());
-            }
-        }
         for host in self.hosts.values_mut() {
             host.stale = true;
         }
@@ -1223,10 +1211,13 @@ impl Worker {
             p.grad.scale_inplace(cmd.scale);
             grad_sq.push(grad_square(p));
         });
-        let dots = {
+        let mut dots = Vec::new();
+        {
             let _span = span("precondition", "optim", cmd.step, self.device, stage, &[]);
-            owned.opt.precondition(&mut owned.model)
-        };
+            owned
+                .opt
+                .precondition(&mut owned.model, &mut |d| dots.push(d));
+        }
         let sums = StageSums {
             grad_sq,
             dots,
@@ -1285,14 +1276,17 @@ impl Worker {
     }
 
     /// Runs one K-FAC unit if the step refreshes its kind: the `Kfac`
-    /// method of that kind, on the capture replica's statistics against the
-    /// owner's layer states. Returns the milliseconds it took; `None` when
-    /// the step skips the unit or the run has no K-FAC. Lowering puts every
-    /// unit on its stage's capture host, which owns the stage, and every
-    /// `Invert` after its stage's folds, so the serial `Kfac::step` values
-    /// come out; a stage with no K-FAC layer (D > L) makes its units no-ops.
+    /// method of that kind, folding the capture replica's statistics (or
+    /// inverting) against the owner's layer states. The owner's `Kfac`
+    /// says whether the step refreshes: it was cloned from the
+    /// coordinator's, step count included, and both count every step.
+    /// Returns the milliseconds it took; `None` when the step skips the
+    /// unit or the run has no K-FAC. Lowering puts every unit on its
+    /// stage's capture host, which owns the stage, and every `Invert` after
+    /// its stage's folds, so the serial `Kfac::step` values come out; a
+    /// stage with no K-FAC layer (D > L) makes its units no-ops.
     fn do_aux(&mut self, cmd: &StepCmd, op: AuxOp) -> Option<f64> {
-        let (refresh_curv, refresh_inv) = cmd.refresh;
+        let (refresh_curv, refresh_inv) = self.owned.opt.next_step_refreshes();
         if !op.kind.applies(refresh_curv, refresh_inv) {
             return None;
         }

@@ -325,7 +325,7 @@ impl Trainer {
             let t1 = Instant::now();
             let loss = {
                 let _span = pipefisher_trace::span("forward_backward", "train");
-                engine.run_micro_batches(step, batches, scale, &opt)? * scale
+                engine.run_micro_batches(step, batches, scale)? * scale
             };
             let t2 = Instant::now();
             losses.push(loss);
@@ -442,14 +442,12 @@ pub(crate) trait Engine {
     /// Runs the step's micro-batches on zeroed gradients and scales their
     /// micro-batch-order sum by `scale`, leaving the mean gradient where
     /// [`Engine::apply`] consumes it; returns the micro-batch-order sum of
-    /// the total losses. An engine that runs the step's K-FAC work itself
-    /// asks `opt` for its cadence.
+    /// the total losses.
     fn run_micro_batches(
         &mut self,
         step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         scale: f64,
-        opt: &AnyOpt,
     ) -> Result<f64, ExecError>;
 
     /// Calls `f` with each parameter's sum of squared gradient entries, in
@@ -497,7 +495,6 @@ impl Engine for BertForPreTraining {
         _step: usize,
         batches: Vec<(PreTrainingBatch, ForwardCtx)>,
         scale: f64,
-        _opt: &AnyOpt,
     ) -> Result<f64, ExecError> {
         self.visit_params(&mut |p| p.grad.scale_inplace(0.0));
         let loss = batches
@@ -573,12 +570,12 @@ impl AnyOpt {
         }
     }
 
-    /// The first half of a preconditioned update: [`Kfac::precondition`]'s
-    /// `⟨g, g̃⟩` per ready layer; nothing without K-FAC.
-    pub(crate) fn precondition(&mut self, model: &mut dyn KfacModel) -> Vec<f64> {
-        match self {
-            AnyOpt::Kfac(opt) => opt.precondition(model),
-            AnyOpt::Lamb(_) => Vec::new(),
+    /// The first half of a preconditioned update: [`Kfac::precondition`],
+    /// handing `dot` the `⟨g, g̃⟩` of each ready layer; nothing without
+    /// K-FAC.
+    pub(crate) fn precondition(&mut self, model: &mut dyn KfacModel, dot: &mut dyn FnMut(f64)) {
+        if let AnyOpt::Kfac(opt) = self {
+            opt.precondition(model, dot);
         }
     }
 

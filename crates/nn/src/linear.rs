@@ -11,6 +11,10 @@ use rand::Rng;
 /// factor `A_l = U_Aᵀ U_A / n` covers the bias as well, matching common
 /// K-FAC implementations. `errors` holds one row per token: the gradient of
 /// the *sum* loss with respect to the layer's pre-activation output `e_l`.
+///
+/// A capturing forward fills `activations` and its backward `errors`; the
+/// K-FAC fold of each factor takes its matrix out (`fold_curvature_a` and
+/// `fold_curvature_b` in `pipefisher-optim`), so nothing else clears them.
 #[derive(Debug, Clone, Default)]
 pub struct KfacBatchStats {
     /// `n_tokens × (d_in + 1)` bias-augmented input activations.
@@ -24,18 +28,17 @@ impl KfacBatchStats {
     pub fn is_complete(&self) -> bool {
         self.activations.is_some() && self.errors.is_some()
     }
-
-    /// Clears both captures.
-    pub fn clear(&mut self) {
-        self.activations = None;
-        self.errors = None;
-    }
 }
 
-/// A fully-connected layer `y = x·W + b` with optional K-FAC capture.
+/// A fully-connected layer `y = x·W + b` with K-FAC capture.
 ///
 /// Weight is stored `d_in × d_out` so the forward pass is a plain row-major
-/// GEMM over token-major inputs.
+/// GEMM over token-major inputs. A forward whose [`ForwardCtx`] asks for
+/// capture records the layer's input statistics, and the backward that
+/// follows it records its output errors. Which layers take part in K-FAC is
+/// the model's decision: its `visit_linears` hands out its K-FAC layers,
+/// and it runs a layer left out (the vocabulary decoder, paper §4) with a
+/// non-capturing context.
 ///
 /// # Example
 ///
@@ -56,56 +59,30 @@ pub struct Linear {
     bias: Parameter,
     input: Option<Matrix>,
     stats: KfacBatchStats,
-    /// Layers excluded from K-FAC (e.g. the vocab-sized LM head, paper §4)
-    /// never capture statistics even when the context asks for it.
-    kfac_enabled: bool,
+    /// Whether the last forward captured, so its backward captures too.
+    capturing: bool,
 }
 
 impl Linear {
     /// Creates a layer with Xavier-uniform weights and zero bias.
     pub fn new(name: &str, d_in: usize, d_out: usize, rng: &mut impl Rng) -> Self {
-        let weight = Parameter::new(
-            format!("{name}.weight"),
-            init::xavier_uniform(d_in, d_out, rng),
-        );
-        let bias = Parameter::new(format!("{name}.bias"), Matrix::zeros(1, d_out));
-        Linear {
-            weight,
-            bias,
-            input: None,
-            stats: KfacBatchStats::default(),
-            kfac_enabled: true,
-        }
+        Self::with_weight(name, init::xavier_uniform(d_in, d_out, rng))
     }
 
     /// Creates a layer with BERT-style `N(0, 0.02²)` weights and zero bias.
     pub fn new_bert(name: &str, d_in: usize, d_out: usize, rng: &mut impl Rng) -> Self {
-        let weight = Parameter::new(
-            format!("{name}.weight"),
-            init::bert_normal(d_in, d_out, rng),
-        );
-        let bias = Parameter::new(format!("{name}.bias"), Matrix::zeros(1, d_out));
+        Self::with_weight(name, init::bert_normal(d_in, d_out, rng))
+    }
+
+    fn with_weight(name: &str, weight: Matrix) -> Self {
+        let bias = Matrix::zeros(1, weight.cols());
         Linear {
-            weight,
-            bias,
+            weight: Parameter::new(format!("{name}.weight"), weight),
+            bias: Parameter::new(format!("{name}.bias"), bias),
             input: None,
             stats: KfacBatchStats::default(),
-            kfac_enabled: true,
+            capturing: false,
         }
-    }
-
-    /// Disables K-FAC capture for this layer (used for the final
-    /// classification head whose `B_L` factor would be vocabulary-sized).
-    pub fn set_kfac_enabled(&mut self, enabled: bool) {
-        self.kfac_enabled = enabled;
-        if !enabled {
-            self.stats.clear();
-        }
-    }
-
-    /// Whether this layer participates in K-FAC.
-    pub fn kfac_enabled(&self) -> bool {
-        self.kfac_enabled
     }
 
     /// Unique name of this layer (the weight parameter's name without the
@@ -152,17 +129,16 @@ impl Linear {
         &self.stats
     }
 
-    /// Mutably borrows the captured K-FAC statistics (the optimizer clears
-    /// them after consuming).
+    /// Mutably borrows the captured K-FAC statistics (the optimizer's folds
+    /// take them out).
     pub fn kfac_stats_mut(&mut self) -> &mut KfacBatchStats {
         &mut self.stats
     }
 
-    /// Simultaneous mutable access to weight, bias, and captured stats —
-    /// needed by the K-FAC optimizer, which reads stats while rewriting the
-    /// parameter gradients.
-    pub fn kfac_parts_mut(&mut self) -> (&mut Parameter, &mut Parameter, &mut KfacBatchStats) {
-        (&mut self.weight, &mut self.bias, &mut self.stats)
+    /// Simultaneous mutable access to weight and bias — the K-FAC optimizer
+    /// rewrites both gradients as one combined matrix.
+    pub fn kfac_parts_mut(&mut self) -> (&mut Parameter, &mut Parameter) {
+        (&mut self.weight, &mut self.bias)
     }
 
     /// Shared forward prologue: K-FAC statistics capture plus the input
@@ -171,7 +147,8 @@ impl Linear {
     /// interchangeable as far as backprop and K-FAC are concerned.
     fn forward_prologue(&mut self, x: &Matrix, ctx: &ForwardCtx) {
         assert_eq!(x.cols(), self.d_in(), "Linear {}: input dim", self.name());
-        if ctx.capture_kfac && self.kfac_enabled {
+        self.capturing = ctx.capture_kfac;
+        if self.capturing {
             self.capture_activations(x);
         }
         match &mut self.input {
@@ -215,7 +192,9 @@ impl Linear {
 
     fn capture_activations(&mut self, x: &Matrix) {
         let (n, d) = x.shape();
-        // Reuse last step's capture buffer; every element is overwritten.
+        // A capture no fold took is overwritten in place; otherwise the
+        // buffer comes from the workspace arena, where the last fold's
+        // matrix went back.
         let mut aug = self.stats.activations.take().unwrap_or_default();
         aug.reset_shape(n, d + 1);
         for r in 0..n {
@@ -248,7 +227,7 @@ impl Layer for Linear {
             "Linear {}: dout shape",
             self.name()
         );
-        if self.kfac_enabled && self.stats.activations.is_some() {
+        if self.capturing {
             match &mut self.stats.errors {
                 Some(buf) => buf.clone_from(dout),
                 None => self.stats.errors = Some(dout.clone()),
@@ -323,19 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_layer_never_captures() {
-        let mut lin = layer();
-        lin.set_kfac_enabled(false);
-        let x = Matrix::zeros(2, 3);
-        let _ = lin.forward(&x, &ForwardCtx::train_with_capture());
-        assert!(lin.kfac_stats().activations.is_none());
-    }
-
-    #[test]
     fn no_capture_without_flag() {
         let mut lin = layer();
         let _ = lin.forward(&Matrix::zeros(2, 3), &ForwardCtx::train());
         assert!(lin.kfac_stats().activations.is_none());
+        let _ = lin.backward(&Matrix::zeros(2, 2));
+        assert!(lin.kfac_stats().errors.is_none());
     }
 
     #[test]

@@ -44,10 +44,8 @@ impl PreTrainingHead {
     /// is part of the seed → initial-weights contract: reordering it changes
     /// every model built from a given seed.
     pub(crate) fn new(d_model: usize, vocab_size: usize, rng: &mut impl Rng) -> Self {
-        let mut mlm_decoder = Linear::new_bert("head.mlm.decoder", d_model, vocab_size, rng);
-        mlm_decoder.set_kfac_enabled(false);
-        let mut nsp_classifier = Linear::new_bert("head.nsp.classifier", d_model, 2, rng);
-        nsp_classifier.set_kfac_enabled(false);
+        let mlm_decoder = Linear::new_bert("head.mlm.decoder", d_model, vocab_size, rng);
+        let nsp_classifier = Linear::new_bert("head.nsp.classifier", d_model, 2, rng);
         PreTrainingHead {
             mlm_transform: Linear::new_bert("head.mlm.transform", d_model, d_model, rng),
             mlm_act: Activation::new(ActivationKind::Gelu),
@@ -62,7 +60,9 @@ impl PreTrainingHead {
 
     /// Runs both heads over the encoder output — the MLM head over all
     /// tokens, the NSP head over the first token of each sequence —
-    /// caching logits for the deferred backward.
+    /// caching logits for the deferred backward. The MLM decoder and the
+    /// NSP classifier never capture K-FAC statistics, whatever `ctx` asks:
+    /// they are the layers [`PreTrainingHead::visit_linears`] leaves out.
     pub fn forward(
         &mut self,
         hidden: &Matrix,
@@ -74,7 +74,7 @@ impl PreTrainingHead {
             .mlm_transform
             .forward_bias_act(hidden, &mut self.mlm_act, ctx);
         let t = self.mlm_ln.forward(&t, ctx);
-        let mlm_logits = self.mlm_decoder.forward(&t, ctx);
+        let mlm_logits = self.mlm_decoder.forward(&t, &ForwardCtx::train());
         let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
 
         let mut first_tokens = Matrix::zeros(batch_size, hidden.cols());
@@ -86,7 +86,7 @@ impl PreTrainingHead {
         let p = self
             .nsp_pooler
             .forward_bias_act(&first_tokens, &mut self.nsp_act, ctx);
-        let nsp_logits = self.nsp_classifier.forward(&p, ctx);
+        let nsp_logits = self.nsp_classifier.forward(&p, &ForwardCtx::train());
         let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets);
 
         self.cache = Some((mlm_logits, nsp_logits));
@@ -138,7 +138,8 @@ impl PreTrainingHead {
         self.nsp_classifier.visit_params(f);
     }
 
-    /// Visits the head's K-FAC-eligible linears (transform + pooler).
+    /// Visits the head's K-FAC-eligible linears (transform + pooler): not
+    /// the vocabulary-sized decoder (paper §4), nor the NSP classifier.
     pub fn visit_linears<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Linear)) {
         f(&mut self.mlm_transform);
         f(&mut self.nsp_pooler);
@@ -411,8 +412,8 @@ mod tests {
         let mut mono = model(80, BertConfig::tiny(20, 8));
         let _ = mono.train_step(&toy_batch(8, 2, 20), &ForwardCtx::train_with_capture());
         let decoder = &mono.stage.head.as_ref().unwrap().mlm_decoder;
-        assert!(!decoder.kfac_enabled());
         assert!(decoder.kfac_stats().activations.is_none());
+        assert!(decoder.kfac_stats().errors.is_none());
         // But eligible layers did capture.
         let mut captured = 0;
         mono.visit_linears(&mut |l| {

@@ -170,7 +170,8 @@ impl KfacModel for pipefisher_nn::StagedBert {
 /// layer when the cadence says so:
 ///
 /// 1. **Curvature** ([`fold_curvature_a`], [`fold_curvature_b`]): fold the
-///    layer's captured `(â_l, e_l)` batch statistics into `A_l`, `B_l`.
+///    layer's captured `(â_l, e_l)` batch statistics into `A_l`, `B_l`,
+///    taking them out of the layer.
 /// 2. **Inversion** ([`refresh_inverses`]): damped Cholesky inverses of both
 ///    factors.
 ///
@@ -239,10 +240,10 @@ impl<O: Optimizer> Kfac<O> {
 
     /// Whether the *next* [`Kfac::step`] (or [`Kfac::step_preconditioned`])
     /// will be a curvature-refresh step. This is the only cadence clock:
-    /// `step` asks it for its own refresh pass, and the training loop asks
-    /// it once before each step to decide whether the step captures
-    /// statistics and, on the pipeline executor, whether fold work units go
-    /// into bubbles.
+    /// `step` asks it for its own refresh pass, the training loop asks it
+    /// once before each step to decide whether the step captures
+    /// statistics, and on the pipeline executor each stage owner asks its
+    /// own clone, which counts the same steps, whether its fold units run.
     pub fn next_step_refreshes_curvature(&self) -> bool {
         self.t.is_multiple_of(self.config.curvature_interval as u64)
     }
@@ -310,7 +311,7 @@ impl<O: Optimizer> Kfac<O> {
     fn run_unit(
         &mut self,
         model: &mut dyn KfacModel,
-        unit: fn(&mut LayerKfacState, &Linear, &KfacConfig, u64),
+        unit: fn(&mut LayerKfacState, &mut Linear, &KfacConfig, u64),
     ) {
         let (config, t) = (self.config.clone(), self.t + 1);
         self.visit_states(model, &mut |state, lin| unit(state, lin, &config, t));
@@ -341,21 +342,18 @@ impl<O: Optimizer> Kfac<O> {
     }
 
     /// Part 3 of the type-level docs, the first half of
-    /// [`Kfac::step_preconditioned`]: counts the step, spends the captured
-    /// statistics, and rewrites the gradient of every K-FAC layer whose
-    /// inverses exist to `B_l⁻¹ Ḡ_l A_l⁻¹`. Returns `⟨g, g̃⟩` of each such
-    /// layer in visitation order; their sum, in that order, is what
-    /// [`Kfac::update`] clips by.
-    pub fn precondition(&mut self, model: &mut dyn KfacModel) -> Vec<f64> {
+    /// [`Kfac::step_preconditioned`]: counts the step and rewrites the
+    /// gradient of every K-FAC layer whose inverses exist to
+    /// `B_l⁻¹ Ḡ_l A_l⁻¹`, handing `⟨g, g̃⟩` of each such layer to `dot` in
+    /// visitation order; their sum, in that order, is what [`Kfac::update`]
+    /// clips by.
+    pub fn precondition(&mut self, model: &mut dyn KfacModel, dot: &mut dyn FnMut(f64)) {
         self.t += 1;
-        let mut dots = Vec::new();
         self.visit_states(model, &mut |state, lin| {
-            lin.kfac_stats_mut().clear();
             if state.ready() {
-                dots.push(precondition(state, lin));
+                dot(precondition(state, lin));
             }
         });
-        dots
     }
 
     /// Part 4, the second half of [`Kfac::step_preconditioned`]: rescales
@@ -370,7 +368,7 @@ impl<O: Optimizer> Kfac<O> {
                 let scale = (kappa / denom).sqrt();
                 self.visit_states(model, &mut |state, lin| {
                     if state.ready() {
-                        let (w, b, _) = lin.kfac_parts_mut();
+                        let (w, b) = lin.kfac_parts_mut();
                         w.grad.scale_inplace(scale);
                         b.grad.scale_inplace(scale);
                     }
@@ -388,7 +386,8 @@ impl<O: Optimizer> Kfac<O> {
     /// products. [`Kfac::step`] ends with it; a caller that ran the due
     /// work units itself calls it directly.
     pub fn step_preconditioned(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        let vsum = self.precondition(model).iter().fold(0.0, |s, d| s + d);
+        let mut vsum = 0.0;
+        self.precondition(model, &mut |d| vsum += d);
         self.update(model, lr, vsum);
     }
 
@@ -485,9 +484,9 @@ fn fold_factor(old: &mut Option<Matrix>, batch: Matrix, ema_decay: f64) {
 }
 
 /// Folds a layer's captured *activation* statistics into Kronecker factor
-/// `A` — one layer's share of the `Curvature(A)` work unit
-/// ([`Kfac::fold_a`]), which the pipeline executor runs inside a bubble. A
-/// no-op when nothing was captured. Only the
+/// `A`, taking them out of the layer — one layer's share of the
+/// `Curvature(A)` work unit ([`Kfac::fold_a`]), which the pipeline executor
+/// runs inside a bubble. A no-op when nothing was captured. Only the
 /// forward-captured activations are needed, matching the paper's release
 /// rule (`A_l` work is released by the forward pass, §3.1).
 ///
@@ -498,9 +497,10 @@ fn fold_factor(old: &mut Option<Matrix>, batch: Matrix, ema_decay: f64) {
 /// convention used by KAISA and kfac-pytorch.)
 ///
 /// The Gram product lands in a workspace-arena local that becomes the
-/// factor (or is folded into it and returned to the arena).
-pub fn fold_curvature_a(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64, t: u64) {
-    let Some(acts) = &lin.kfac_stats().activations else {
+/// factor (or is folded into it and returned to the arena); the consumed
+/// activations return to the arena too.
+pub fn fold_curvature_a(state: &mut LayerKfacState, lin: &mut Linear, ema_decay: f64, t: u64) {
+    let Some(acts) = lin.kfac_stats_mut().activations.take() else {
         return; // nothing captured this step
     };
     let n = acts.rows().max(1) as f64;
@@ -512,19 +512,16 @@ pub fn fold_curvature_a(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64
 }
 
 /// Folds a layer's captured *error-signal* statistics into Kronecker factor
-/// `B` — one layer's share of the `Curvature(B)` work unit
-/// ([`Kfac::fold_b`]), released by the backward pass. See [`fold_curvature_a`] for the scaling convention; a no-op when
-/// nothing was captured.
-pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &Linear, ema_decay: f64, t: u64) {
-    let stats = lin.kfac_stats();
-    let Some(errs) = &stats.errors else {
+/// `B`, taking them out of the layer — one layer's share of the
+/// `Curvature(B)` work unit ([`Kfac::fold_b`]), released by the backward
+/// pass. See [`fold_curvature_a`] for the scaling convention: `n` is the
+/// errors' own row count, which a linear layer keeps equal to the
+/// activations'. A no-op when nothing was captured.
+pub fn fold_curvature_b(state: &mut LayerKfacState, lin: &mut Linear, ema_decay: f64, t: u64) {
+    let Some(errs) = lin.kfac_stats_mut().errors.take() else {
         return; // nothing captured this step
     };
-    let n = stats
-        .activations
-        .as_ref()
-        .map_or_else(|| errs.rows(), |a| a.rows())
-        .max(1) as f64;
+    let n = errs.rows().max(1) as f64;
     let mut batch = Matrix::default();
     errs.gram_into(&mut batch);
     batch.scale_inplace(n);
@@ -612,7 +609,7 @@ pub fn refresh_inverses(
 fn precondition(state: &LayerKfacState, lin: &mut Linear) -> f64 {
     let d_in = lin.d_in();
     let d_out = lin.d_out();
-    let (w, b, _) = lin.kfac_parts_mut();
+    let (w, b) = lin.kfac_parts_mut();
 
     let mut gbar = Matrix::zeros(d_out, d_in + 1);
     for o in 0..d_out {
@@ -843,8 +840,8 @@ mod tests {
         let _ = lin.backward(&dlogits);
 
         let mut state = LayerKfacState::default();
-        fold_curvature_a(&mut state, &lin, 0.0, 1);
-        fold_curvature_b(&mut state, &lin, 0.0, 1);
+        fold_curvature_a(&mut state, &mut lin, 0.0, 1);
+        fold_curvature_b(&mut state, &mut lin, 0.0, 1);
         let a = state.factor_a.unwrap();
         let b = state.factor_b.unwrap();
         // A[i][j] == â_i · â_j with â = [x, 1]
@@ -1048,19 +1045,22 @@ mod tests {
         }
     }
 
-    /// The three spellings of a K-FAC step give the same bits: `step`; the
-    /// unit methods the pipeline executor calls, then `step_preconditioned`;
-    /// and the per-layer loan of the benchmark's replica step. The unit
-    /// methods run one kind over all layers before the next kind starts,
-    /// where the loan runs all kinds per layer; the per-layer states are
-    /// disjoint, so the order across layers must not matter. Checked at
-    /// every step, including steps that reuse stale factors or inverses.
+    /// The four spellings of a K-FAC step give the same bits: `step`; the
+    /// unit methods after the backward, then `step_preconditioned`; the
+    /// same units in the pipeline executor's order, where `fold_a` runs
+    /// between the capture forward and the capture backward; and the
+    /// per-layer loan of the benchmark's replica step. The unit methods run
+    /// one kind over all layers before the next kind starts, where the loan
+    /// runs all kinds per layer; the per-layer states are disjoint, so the
+    /// order across layers must not matter. Checked at every step,
+    /// including steps that reuse stale factors or inverses.
     #[test]
     fn unit_methods_match_step_and_the_per_layer_loan_bitwise() {
         #[derive(Clone, Copy, Debug)]
         enum Spelling {
             Step,
             Units,
+            Executor,
             Loan,
         }
         let config = KfacConfig {
@@ -1094,11 +1094,24 @@ mod tests {
                 };
                 let h = model.0.forward(&x, &ctx);
                 let logits = model.1.forward(&h, &ctx);
+                let executor = matches!(spelling, Spelling::Executor);
+                if executor && refresh_curv {
+                    kfac.fold_a(&mut model);
+                }
                 let d = cross_entropy_backward(&logits, &targets);
                 let dh = model.1.backward(&d);
                 let _ = model.0.backward(&dh);
                 match spelling {
                     Spelling::Step => kfac.step(&mut model, 0.1),
+                    Spelling::Executor => {
+                        if refresh_curv {
+                            kfac.fold_b(&mut model);
+                        }
+                        if refresh_inv {
+                            kfac.invert(&mut model);
+                        }
+                        kfac.step_preconditioned(&mut model, 0.1);
+                    }
                     Spelling::Units => {
                         if refresh_curv {
                             kfac.fold_a(&mut model);
@@ -1142,7 +1155,7 @@ mod tests {
             bits
         };
         let reference = run(Spelling::Step);
-        for spelling in [Spelling::Units, Spelling::Loan] {
+        for spelling in [Spelling::Units, Spelling::Executor, Spelling::Loan] {
             let got = run(spelling);
             for (step, (want, got)) in reference.iter().zip(&got).enumerate() {
                 assert!(
