@@ -1,6 +1,8 @@
 //! Steady-state allocation benchmark: heap allocations and bytes per step
 //! of a small K-FAC train with the workspace arena on and off, against the
-//! recorded pre-arena baseline. Writes `BENCH_alloc.json` at the repo root.
+//! recorded pre-arena baseline, and the live heap after each of several
+//! back-to-back pipelined runs (what the arenas retain between runs).
+//! Writes `BENCH_alloc.json` at the repo root.
 //!
 //! Counting needs the counting global allocator, so run it as
 //! `cargo run --release -p pipefisher-bench --features alloc-count --bin
@@ -8,8 +10,12 @@
 //! nothing.
 
 use pipefisher_bench::host_cores;
-use pipefisher_nn::{cross_entropy_backward, ForwardCtx, Layer, Linear, ParamVisitor};
-use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Sgd};
+use pipefisher_lm::{BatchSampler, OptimizerChoice, PipelineOptions, SyntheticLanguage, Trainer};
+use pipefisher_nn::{
+    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear, ParamVisitor,
+};
+use pipefisher_optim::{Kfac, KfacConfig, KfacModel, LrSchedule, Sgd};
+use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::workspace;
 
 /// Pre-change steady-state allocation baseline for the workload in
@@ -82,6 +88,37 @@ fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
     (allocs / n, bytes / n)
 }
 
+/// Pipelined runs [`measure_back_to_back_live_bytes`] makes in one process.
+const BACK_TO_BACK_RUNS: usize = 4;
+
+/// Live heap bytes after each of [`BACK_TO_BACK_RUNS`] K-FAC 1F1B runs in
+/// this process (D = 2, N = 4, 3 steps, tiny BERT, curvature + inversion
+/// every step), arena on, each run's outcome dropped before reading.
+fn measure_back_to_back_live_bytes() -> Vec<u64> {
+    let choice = OptimizerChoice::Kfac {
+        weight_decay: 0.01,
+        kfac: KfacConfig {
+            curvature_interval: 1,
+            inversion_interval: 1,
+            ..Default::default()
+        },
+    };
+    let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
+    (0..BACK_TO_BACK_RUNS)
+        .map(|_| {
+            let config = BertConfig::tiny(36, 16);
+            let lang = SyntheticLanguage::new(config.vocab_size, 2, 4, 11);
+            let sampler = BatchSampler::new(lang, config.max_seq);
+            let mut trainer = Trainer::new(sampler, 8, LrSchedule::Constant(5e-3), 7);
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+            let model = BertForPreTraining::new(config, 0.0, &mut rng);
+            let outcome = trainer.run_pipelined(model, &choice, 3, &opts);
+            drop(outcome.expect("pipelined run"));
+            pipefisher_trace::alloc_live_bytes()
+        })
+        .collect()
+}
+
 fn main() {
     if !pipefisher_trace::alloc_counting_enabled() {
         eprintln!("alloc bench skipped: rebuild with --features alloc-count");
@@ -89,7 +126,14 @@ fn main() {
     }
     let (on_allocs, on_bytes) = measure_kfac_allocs(true);
     let (off_allocs, off_bytes) = measure_kfac_allocs(false);
-    let ratio = BASELINE_ALLOCS_PER_STEP as f64 / on_allocs.max(1) as f64;
+    let live = measure_back_to_back_live_bytes();
+    let live_list = live.iter().map(u64::to_string).collect::<Vec<_>>();
+    let growth = live[BACK_TO_BACK_RUNS - 1] as i64 - live[0] as i64;
+    // A ratio against zero steady allocations is no measurement.
+    let ratio_json = match on_allocs {
+        0 => "null".to_string(),
+        n => format!("{:.1}", BASELINE_ALLOCS_PER_STEP as f64 / n as f64),
+    };
     let json = format!(
         concat!(
             "{{\n",
@@ -105,7 +149,12 @@ fn main() {
             "\"note\": \"pre-change tree, identical probe\"}},\n",
             "  \"workspace_on\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}}},\n",
             "  \"workspace_off\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}}},\n",
-            "  \"alloc_reduction_vs_baseline\": {:.1}\n",
+            "  \"alloc_reduction_vs_baseline\": {},\n",
+            "  \"alloc_reduction_note\": \"baseline / workspace_on allocs per step; null when ",
+            "the arena path allocates nothing in steady state\",\n",
+            "  \"back_to_back_runs\": {{\"workload\": \"{} K-FAC 1F1B runs in one process: ",
+            "D = 2, N = 4, 3 steps, tiny BERT, curvature+inversion every step, arena on\", ",
+            "\"live_bytes_after_run\": [{}], \"growth_bytes\": {}}}\n",
             "}}\n"
         ),
         host_cores(),
@@ -115,9 +164,14 @@ fn main() {
         on_bytes,
         off_allocs,
         off_bytes,
-        ratio
+        ratio_json,
+        BACK_TO_BACK_RUNS,
+        live_list.join(", "),
+        growth
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alloc.json");
     std::fs::write(path, &json).expect("write BENCH_alloc.json");
-    println!("wrote {path} (reduction vs baseline: {ratio:.1}x)");
+    println!(
+        "wrote {path} (reduction vs baseline: {ratio_json}, live bytes after each run: {live:?})"
+    );
 }

@@ -280,11 +280,13 @@ enum Inbox {
     Step(Box<StepCmd>),
     /// From the coordinator once every device has reported: update the
     /// owned stage at `lr` to end `step`, K-FAC clipping by `vsum`, the sum
-    /// of every stage's `⟨g, g̃⟩` (`None` without K-FAC).
+    /// of every stage's `⟨g, g̃⟩` (`None` without K-FAC). `spent` is the
+    /// owner's report of `step`, back for its next report to refill.
     Update {
         step: usize,
         lr: f64,
         vsum: Option<f64>,
+        spent: StageSums,
     },
     /// From the coordinator: send copies of the owned stage and its
     /// optimizer back — or, `last`, the things themselves, and exit.
@@ -688,6 +690,7 @@ impl Engine for Staged<'_> {
                 hosted_on: (0..owner.len())
                     .filter(|&o| self.plan.devices[o].n_slots[stage] > 0)
                     .collect(),
+                spent: StageSums::default(),
             };
             let worker = Worker {
                 device: dev,
@@ -776,8 +779,20 @@ impl Engine for Staged<'_> {
             let dots = self.sums.iter().flat_map(|s| &s.dots);
             dots.fold(0.0, |sum, d| sum + d)
         });
-        for dev in 0..self.plan.devices.len() {
-            self.send(step, dev, Inbox::Update { step, lr, vsum })?;
+        for (stage, &dev) in self.plan.capture_host.iter().enumerate() {
+            let sums = &mut self.sums[stage];
+            let spent = StageSums {
+                grad_sq: std::mem::take(&mut sums.grad_sq),
+                dots: std::mem::take(&mut sums.dots),
+                health: sums.health,
+            };
+            let update = Inbox::Update {
+                step,
+                lr,
+                vsum,
+                spent,
+            };
+            self.send(step, dev, update)?;
         }
         opt.apply(&mut NoParams, lr);
         self.dirty = true;
@@ -849,6 +864,9 @@ struct Owned {
     /// Every device hosting the stage, this one included: each gets its
     /// parameters after an update.
     hosted_on: Vec<usize>,
+    /// The last report, back with the update: the next one refills its
+    /// vectors.
+    spent: StageSums,
 }
 
 /// What ended a [`Worker::wait`].
@@ -926,7 +944,15 @@ impl Worker {
     fn accept(&mut self, msg: Inbox) -> Result<Woke, Halt> {
         match msg {
             Inbox::Step(cmd) => return Ok(Woke::Step(cmd)),
-            Inbox::Update { step, lr, vsum } => self.apply_update(step, lr, vsum),
+            Inbox::Update {
+                step,
+                lr,
+                vsum,
+                spent,
+            } => {
+                self.owned.spent = spent;
+                self.apply_update(step, lr, vsum);
+            }
             Inbox::HandBack { last: true } => return Ok(Woke::Last),
             Inbox::HandBack { last: false } => {
                 let state = WorkerMsg::State {
@@ -1206,23 +1232,20 @@ impl Worker {
             || format!("the gradient contributions to stage {stage}"),
         )?;
         let owned = &mut self.owned;
-        let mut grad_sq = Vec::new();
+        let mut sums = std::mem::take(&mut owned.spent);
+        sums.grad_sq.clear();
+        sums.dots.clear();
         owned.model.visit_params(&mut |p| {
             p.grad.scale_inplace(cmd.scale);
-            grad_sq.push(grad_square(p));
+            sums.grad_sq.push(grad_square(p));
         });
-        let mut dots = Vec::new();
         {
             let _span = span("precondition", "optim", cmd.step, self.device, stage, &[]);
             owned
                 .opt
-                .precondition(&mut owned.model, &mut |d| dots.push(d));
+                .precondition(&mut owned.model, &mut |d| sums.dots.push(d));
         }
-        let sums = StageSums {
-            grad_sq,
-            dots,
-            health: owned.opt.inversion_health(),
-        };
+        sums.health = owned.opt.inversion_health();
         self.reports
             .send(WorkerMsg::Done {
                 losses: std::mem::take(&mut self.losses),

@@ -12,11 +12,14 @@
 //!
 //! The pool is `thread_local!`, so no locks or cross-thread traffic are
 //! involved: each thread (a pipeline stage worker, the coordinator) owns
-//! an independent arena, and a buffer checked out on one thread and
-//! dropped on another simply migrates pools. Results are unaffected — the arena
-//! recycles *capacity*, never values ([`take_zeroed`] clears before
-//! handing out), so every kernel remains bitwise identical to a freshly
-//! allocating run.
+//! an independent arena. A dropped buffer joins the dropping thread's pool
+//! only while that pool holds fewer idle buffers of its length than the
+//! thread has itself allocated fresh, so a thread handed a length it never
+//! asks for frees it: the coordinator drops the K-FAC state the owners
+//! hand back after a pipelined run, ~19 MB at the benchmark's mid shape.
+//! Results are unaffected — the arena recycles *capacity*, never
+//! values ([`take_zeroed`] clears before handing out), so every kernel
+//! remains bitwise identical to a freshly allocating run.
 //!
 //! # Disabling
 //!
@@ -30,16 +33,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-length cap on pooled bytes: one size class never retains more than
-/// this many bytes of idle buffers (prevents unbounded growth when a
-/// workload churns through many same-sized temporaries at once).
+/// this many bytes of idle buffers. With the count cap it bounds a thread
+/// whose buffers leave it: each one it sends away and allocates again
+/// raises its demand for the length.
 const CLASS_CAP_BYTES: usize = 64 << 20;
 
 /// Hard per-class cap on idle buffer *count*, independent of size.
 const CLASS_CAP_COUNT: usize = 32;
 
+/// One length's idle buffers on this thread, and how many buffers of that
+/// length this thread has allocated fresh: the most idle ones it keeps.
+#[derive(Default)]
+struct Class {
+    idle: Vec<Vec<f64>>,
+    fresh: usize,
+}
+
 thread_local! {
     /// Length-keyed free lists of recycled buffers for this thread.
-    static POOL: RefCell<HashMap<usize, Vec<Vec<f64>>>> = RefCell::new(HashMap::new());
+    static POOL: RefCell<HashMap<usize, Class>> = RefCell::new(HashMap::new());
 }
 
 /// Whether buffer recycling is active (see [`set_enabled`]).
@@ -67,14 +79,21 @@ fn class_cap(len: usize) -> usize {
 
 /// Pops a recycled buffer of exactly `len` elements, if one is pooled.
 /// Contents are unspecified. Returns `None` when disabled, when the pool
-/// is empty for this class, or during thread teardown.
+/// is empty for this class (counting the fresh buffer the caller then
+/// allocates), or during thread teardown.
 fn checkout(len: usize) -> Option<Vec<f64>> {
     if !enabled() || len == 0 {
         return None;
     }
-    POOL.try_with(|pool| pool.borrow_mut().get_mut(&len).and_then(Vec::pop))
-        .ok()
-        .flatten()
+    POOL.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let class = pool.entry(len).or_default();
+        let buf = class.idle.pop();
+        class.fresh += usize::from(buf.is_none());
+        buf
+    })
+    .ok()
+    .flatten()
 }
 
 /// Fetches a zero-filled buffer of `len` elements (recycled or fresh).
@@ -98,29 +117,31 @@ pub fn take_raw(len: usize) -> Vec<f64> {
     }
 }
 
-/// Returns a buffer to the dropping thread's pool (no-op when disabled,
-/// when the buffer is empty, or during thread teardown).
+/// Returns a buffer to the dropping thread's pool while that pool holds
+/// fewer idle buffers of its length than the thread's demand and the class
+/// caps, else frees it (no-op when disabled, empty, or in thread teardown).
 pub fn put(buf: Vec<f64>) {
     let len = buf.len();
     if !enabled() || len == 0 {
         return;
     }
     let _ = POOL.try_with(|pool| {
-        let mut pool = pool.borrow_mut();
-        let class = pool.entry(len).or_default();
-        if class.len() < class_cap(len) {
-            class.push(buf);
+        if let Some(class) = pool.borrow_mut().get_mut(&len) {
+            if class.idle.len() < class.fresh.min(class_cap(len)) {
+                class.idle.push(buf);
+            }
         }
     });
 }
 
 /// Number of idle buffers currently retained by *this thread's* pool.
 pub fn retained_buffers() -> usize {
-    POOL.try_with(|pool| pool.borrow().values().map(Vec::len).sum())
+    POOL.try_with(|pool| pool.borrow().values().map(|c| c.idle.len()).sum())
         .unwrap_or(0)
 }
 
-/// Drops every idle buffer retained by *this thread's* pool.
+/// Drops every idle buffer retained by *this thread's* pool, and forgets
+/// the thread's demand with them.
 pub fn clear() {
     let _ = POOL.try_with(|pool| pool.borrow_mut().clear());
 }
@@ -180,10 +201,31 @@ mod tests {
         let _guard = mode_lock();
         set_enabled(true);
         clear();
-        for _ in 0..CLASS_CAP_COUNT + 10 {
-            put(vec![0.0; 4]);
-        }
-        assert!(retained_buffers() <= CLASS_CAP_COUNT);
+        // This thread's demand for the length exceeds the count cap.
+        let bufs: Vec<_> = (0..CLASS_CAP_COUNT + 10).map(|_| take_raw(4)).collect();
+        bufs.into_iter().for_each(put);
+        assert_eq!(retained_buffers(), CLASS_CAP_COUNT);
+        clear();
+        set_enabled(true);
+    }
+
+    #[test]
+    fn a_thread_keeps_only_the_lengths_it_allocates() {
+        let _guard = mode_lock();
+        set_enabled(true);
+        clear();
+        let foreign = std::thread::spawn(|| crate::Matrix::zeros(6, 8));
+        drop(foreign.join().unwrap());
+        assert_eq!(retained_buffers(), 0, "kept a length it never allocated");
+        put(vec![0.0; 48]);
+        assert_eq!(retained_buffers(), 0, "kept a buffer it never allocated");
+
+        // Demand is a count: two fresh buffers let two idle ones stay.
+        let (a, b) = (take_zeroed(48), take_zeroed(48));
+        put(a);
+        put(b);
+        put(vec![0.0; 48]);
+        assert_eq!(retained_buffers(), 2);
         clear();
         set_enabled(true);
     }

@@ -3,10 +3,11 @@
 //! stack of linear layers, captures included (the comparison against the
 //! pre-arena tree lives in `BENCH_alloc.json`). The pipeline executor adds only its messages to
 //! that: under GPipe, 1F1B and Chimera a steady-state step stays within a
-//! fixed per-step budget over the serial loop's (≤ +40 for GPipe and 1F1B,
+//! fixed per-step budget over the serial loop's (≤ +27 for GPipe and 1F1B,
 //! whose owners reuse every gradient contribution set; ≤ +85 for Chimera,
-//! whose shipping hosts allocate theirs), and under Chimera a slow host
-//! does not make the live heap grow.
+//! whose shipping hosts allocate theirs), under Chimera a slow host does
+//! not make the live heap grow, and back-to-back pipelined runs in one
+//! process leave it where the first left it.
 //!
 //! Requires the `alloc-count` feature (which installs the counting global
 //! allocator from `pipefisher-trace`); the whole file compiles away without
@@ -336,7 +337,8 @@ fn steady_allocs(rows: &[StepMetrics], warmup: usize) -> u64 {
 /// The pipeline executor's steady-state allocation cost over the serial
 /// trainer is message plumbing only: per device and step one boxed step
 /// command and one update out, and one report back (carrying the step's
-/// losses, the owned stage's squared sums and `⟨g, g̃⟩` vectors), the
+/// losses, the owned stage's squared sums and `⟨g, g̃⟩`, in vectors the
+/// coordinator hands back with the update for the next report), the
 /// coordinator's per-step loss buffer, each update's parameter copies, and
 /// the blocks the unbounded inboxes grow into. Each stage's owner keeps its
 /// parameters, gradient accumulator and optimizer state for the whole run,
@@ -370,17 +372,19 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let serial_steady = steady_allocs(&serial.metrics, warmup);
 
     // Per-step budgets over the serial loop, for D = 2, N = 4. Measured
-    // over the 6 steady steps in 5 runs: 1070–1078 vs 918 for GPipe and
-    // 1F1B (+25 to +27/step), 1323–1339 for Chimera (+68 to +71/step).
-    // What is left is the step command, the update and its parameter
-    // copies, the report vectors and the inboxes' channel blocks, plus
-    // Chimera's shipped contribution sets. A backward that allocated its
-    // contribution again would read +86 (GPipe) and +54 (1F1B); a matrix
-    // buffer slipping out of the recycling paths altogether would add
-    // thousands per step.
+    // over the 6 steady steps in 5 runs: 998–1001 vs 918 for GPipe and
+    // 1F1B (+14/step), 1208–1259 for Chimera (+48 to +57/step). What is
+    // left is the step command, the update and its parameter copies, the
+    // last stage's loss list and the inboxes' channel blocks, plus
+    // Chimera's shipped contribution sets; the owners refill the report
+    // vectors the coordinator sends back with the update (building them
+    // afresh read +25 to +27 for GPipe and 1F1B). A backward that
+    // allocated its contribution again would read +86 (GPipe) and +54
+    // (1F1B); a matrix buffer slipping out of the recycling paths
+    // altogether would add thousands per step.
     for (scheme, per_step_overhead) in [
-        (PipelineScheme::GPipe, 40),
-        (PipelineScheme::OneFOneB, 40),
+        (PipelineScheme::GPipe, 27),
+        (PipelineScheme::OneFOneB, 27),
         (PipelineScheme::Chimera, 85),
     ] {
         let (mut trainer, model) = tiny_trainer(7);
@@ -466,5 +470,53 @@ fn chimera_live_heap_stays_flat_under_a_slow_host() {
         "Chimera's live heap grew by {growth} B from steps 5..15 ({early} B) to \
          the last 10 ({late} B): more than the model's whole gradient \
          ({gradient_bytes} B), so something a step creates outlives it"
+    );
+}
+
+/// Live heap bytes after each of `runs` back-to-back K-FAC 1F1B runs
+/// (D = 2, N = 4, 3 steps) on this thread, each run's outcome dropped.
+fn live_bytes_after_back_to_back_runs(runs: usize) -> Vec<u64> {
+    let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
+    (0..runs)
+        .map(|_| {
+            let (mut trainer, model) = tiny_trainer(7);
+            let outcome = trainer
+                .run_pipelined(model, &refresh_every_step_kfac(), 3, &opts)
+                .expect("pipelined run");
+            drop(outcome);
+            alloc_live_bytes()
+        })
+        .collect()
+}
+
+/// A thread's arena keeps only buffers of the lengths it allocates itself.
+/// At the end of a pipelined run the stage owners hand their K-FAC factors
+/// and inverses back and the coordinator drops them; its pool must not
+/// keep them, or every run in one process leaves another set behind (up to
+/// the class caps). So with the arena on, repeating the same run leaves the
+/// live heap where the first run left it.
+#[test]
+fn back_to_back_pipelined_runs_leave_the_live_heap_flat() {
+    let _gate = Gate::acquire();
+    workspace::set_enabled(true);
+    let live = live_bytes_after_back_to_back_runs(4);
+    println!("live bytes after each run: {live:?}");
+    // The tiny model's K-FAC state: per block, A and B factors and their
+    // inverses of its four 32→32 and one each of its 32→64 and 64→32
+    // linears. A coordinator that keeps the handed-back set after every
+    // run grows by about this much per run.
+    let (a32, b32, a64, b64) = (33 * 33, 32 * 32, 65 * 65, 64 * 64);
+    let state_bytes = 2 * 2 * (4 * (a32 + b32) + (a32 + b64) + (a64 + b32)) * 8;
+    // The slack covers bookkeeping a later run may still size (hash-map
+    // and channel capacities): a sixteenth of one run's K-FAC state.
+    let slack = state_bytes as u64 / 16;
+    let growth = live[3].saturating_sub(live[0]);
+    assert!(
+        growth <= slack,
+        "the live heap grew by {growth} B from run 1 ({} B) to run 4 ({} B), more \
+         than the {slack} B slack: a thread's pool keeps buffers it never allocated \
+         (one run's K-FAC state is {state_bytes} B)",
+        live[0],
+        live[3]
     );
 }

@@ -246,6 +246,21 @@ fn alloc_bench_has_required_sections() {
             );
         }
     }
+    let runs = v
+        .get("back_to_back_runs")
+        .expect("missing 'back_to_back_runs'");
+    let live = runs
+        .get("live_bytes_after_run")
+        .and_then(Value::as_array)
+        .expect("'back_to_back_runs.live_bytes_after_run' must be an array");
+    assert!(
+        live.len() >= 2 && live.iter().all(|b| b.as_i64().is_some_and(|b| b > 0)),
+        "'back_to_back_runs.live_bytes_after_run' must hold a positive byte count per run"
+    );
+    assert!(
+        runs.get("growth_bytes").and_then(Value::as_i64).is_some(),
+        "'back_to_back_runs.growth_bytes' must be an integer"
+    );
 }
 
 #[test]
