@@ -1,15 +1,17 @@
 //! Single-core GEMM micro-kernel benchmark: GFLOP/s for every GEMM
 //! flavour, scalar fallback vs the dispatched SIMD kernel, on square and
-//! BERT-shaped sizes. Writes `BENCH_gemm.json` at the repo root.
+//! BERT-shaped sizes and on the end-to-end benchmark's own layer shapes
+//! (256 tokens, widths 64…384, and the attention core's per-head
+//! products). Writes `BENCH_gemm.json` at the repo root.
 //!
 //! Every kernel runs on the calling thread, so the numbers are micro-kernel
 //! throughput; both paths produce bitwise-identical outputs (the SIMD
-//! default vectorizes across output columns with separate mul+add; see
-//! `crates/tensor/src/kernel/`).
+//! default vectorizes across output columns, one fused multiply-add per
+//! step; see `crates/tensor/src/kernel/`).
 
 use pipefisher_bench::{best_of, host_cores, rand_matrix};
 use pipefisher_tensor::kernel::{self, KernelKind};
-use pipefisher_tensor::Matrix;
+use pipefisher_tensor::{gemm_batched, Matrix, Strided};
 
 const REPS: usize = 3;
 
@@ -25,14 +27,19 @@ struct Case {
 
 fn cases() -> Vec<Case> {
     let mut out = Vec::new();
-    // C = A·B on square sizes plus the BERT-base MLP shapes
-    // (seq 128 x d_model 768 x d_ff 3072 and its reverse).
+    // C = A·B on square sizes, the BERT-base MLP shapes (seq 128 x
+    // d_model 768 x d_ff 3072 and its reverse), and the end-to-end
+    // benchmark's forward linears (256 tokens: the small model's 64 → 64,
+    // the mid model's 96 → 384 and 384 → 96).
     for (m, k, n) in [
         (256, 256, 256),
         (512, 512, 512),
         (1024, 1024, 1024),
         (128, 768, 3072),
         (128, 3072, 768),
+        (256, 64, 64),
+        (256, 96, 384),
+        (256, 384, 96),
     ] {
         let a = rand_matrix(m, k, 1);
         let b = rand_matrix(k, n, 2);
@@ -45,8 +52,14 @@ fn cases() -> Vec<Case> {
             run: Box::new(move |o| a.matmul_into(&b, o)),
         });
     }
-    // C = Aᵀ·B: the weight-gradient shape (tokens 128 contracting).
-    for (m, k, n) in [(512, 512, 512), (768, 128, 3072)] {
+    // C = Aᵀ·B: the weight-gradient shape (tokens 128 or 256 contracting).
+    for (m, k, n) in [
+        (512, 512, 512),
+        (768, 128, 3072),
+        (64, 256, 64),
+        (96, 256, 384),
+        (384, 256, 96),
+    ] {
         let a = rand_matrix(k, m, 3);
         let b = rand_matrix(k, n, 4);
         out.push(Case {
@@ -59,7 +72,13 @@ fn cases() -> Vec<Case> {
         });
     }
     // C = A·Bᵀ: the input-gradient backprop shape.
-    for (m, k, n) in [(512, 512, 512), (128, 3072, 768)] {
+    for (m, k, n) in [
+        (512, 512, 512),
+        (128, 3072, 768),
+        (256, 64, 64),
+        (256, 384, 96),
+        (256, 96, 384),
+    ] {
         let a = rand_matrix(m, k, 5);
         let b = rand_matrix(n, k, 6);
         out.push(Case {
@@ -82,6 +101,41 @@ fn cases() -> Vec<Case> {
             n: m,
             flops: (k * m * (m + 1)) as f64,
             run: Box::new(move |o| u.gram_into(o)),
+        });
+    }
+    // The attention scores Q_bh·K_bhᵀ of 8 sequences of 32 tokens and 4
+    // heads of width 16 (small) or 24 (mid), each item read in place from
+    // its head's columns of the 256-token projections; m, k, n are one
+    // item's.
+    for dh in [16, 24] {
+        let (seq, batch, heads) = (32, 8, 4);
+        let d = heads * dh;
+        let (q, kt) = (
+            rand_matrix(batch * seq, d, 8),
+            rand_matrix(batch * seq, d, 9),
+        );
+        out.push(Case {
+            name: "gemm_batched",
+            m: seq,
+            k: dh,
+            n: seq,
+            flops: 2.0 * (batch * heads * seq * seq * dh) as f64,
+            run: Box::new(move |o| {
+                o.reset_shape(batch * heads * seq, seq);
+                let (count, step) = ((batch, heads), (heads * seq * seq, seq * seq));
+                let a = Strided {
+                    data: q.as_slice(),
+                    ld: d,
+                    trans: false,
+                    step: (seq * d, dh),
+                };
+                let b = Strided {
+                    data: kt.as_slice(),
+                    trans: true,
+                    ..a
+                };
+                gemm_batched(count, (seq, seq, dh), a, b, o.as_mut_slice(), seq, step);
+            }),
         });
     }
     out
@@ -124,7 +178,8 @@ fn main() {
             "scalar is the portable micro-kernel (PIPEFISHER_KERNEL=scalar), simd the ",
             "runtime-dispatched default, bitwise-identical by construction; on hosts without ",
             "AVX2/AVX-512/NEON both columns run the scalar kernel and speedup ~1x is expected; ",
-            "gram FLOPs count the computed upper triangle only.\",\n",
+            "gram FLOPs count the computed upper triangle only; gemm_batched rows give one ",
+            "item's m, k, n of an 8 x 4 batch, and their FLOPs count the whole batch.\",\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),

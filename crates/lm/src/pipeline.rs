@@ -257,6 +257,9 @@ pub struct PipelineOutcome {
     /// Worker-thread milliseconds spent on K-FAC units placed after the
     /// device's last forward or backward (tail work that found no bubble).
     pub tail_aux_ms: f64,
+    /// Worker-thread milliseconds the stage owners spent preconditioning
+    /// and updating their stages, which no term above counts.
+    pub owner_ms: f64,
 }
 
 type ParamSet = Vec<Matrix>;
@@ -328,12 +331,16 @@ enum WorkerMsg {
         bubble_aux_ms: f64,
         bubble_idle_ms: f64,
         tail_aux_ms: f64,
+        /// Owner milliseconds since the last report.
+        owner_ms: f64,
     },
-    /// The answer to a `HandBack`: the owned stage and its optimizer.
+    /// The answer to a `HandBack`: the owned stage and its optimizer, and
+    /// the owner milliseconds since the last report.
     State {
         stage: usize,
         model: Box<BertStage>,
         opt: AnyOpt,
+        owner_ms: f64,
     },
     Fault {
         device: usize,
@@ -505,6 +512,7 @@ impl Trainer {
             bubble_aux_ms: engine.bubble_aux_ms,
             bubble_idle_ms: engine.bubble_idle_ms,
             tail_aux_ms: engine.tail_aux_ms,
+            owner_ms: engine.owner_ms,
         })
     }
 }
@@ -538,6 +546,7 @@ struct Staged<'a> {
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
+    owner_ms: f64,
 }
 
 impl<'a> Staged<'a> {
@@ -563,6 +572,7 @@ impl<'a> Staged<'a> {
             bubble_aux_ms: 0.0,
             bubble_idle_ms: 0.0,
             tail_aux_ms: 0.0,
+            owner_ms: 0.0,
         }
     }
 
@@ -708,6 +718,7 @@ impl Engine for Staged<'_> {
                 bubble_aux_ms: 0.0,
                 bubble_idle_ms: 0.0,
                 tail_aux_ms: 0.0,
+                owner_ms: 0.0,
             };
             let join = std::thread::Builder::new()
                 .name(format!("dev{dev}"))
@@ -749,6 +760,7 @@ impl Engine for Staged<'_> {
                 bubble_aux_ms: aux,
                 bubble_idle_ms: idle,
                 tail_aux_ms: tail,
+                owner_ms,
             } = self.report(step, done, n_devices)?
             else {
                 unreachable!("a step is answered by step reports");
@@ -760,6 +772,7 @@ impl Engine for Staged<'_> {
             self.bubble_aux_ms += aux;
             self.bubble_idle_ms += idle;
             self.tail_aux_ms += tail;
+            self.owner_ms += owner_ms;
         }
         Ok(loss_buf.iter().sum())
     }
@@ -824,10 +837,12 @@ impl Engine for Staged<'_> {
                 stage,
                 model,
                 opt: mut from,
+                owner_ms,
             } = self.report(completed_steps, got, d)?
             else {
                 unreachable!("a hand-back is answered by state");
             };
+            self.owner_ms += owner_ms;
             *self.staged.stage_mut(stage) = *model;
             from.hand_over(opt, self.staged.stage_mut(stage));
         }
@@ -897,6 +912,8 @@ struct Worker {
     bubble_aux_ms: f64,
     bubble_idle_ms: f64,
     tail_aux_ms: f64,
+    /// Milliseconds of precondition and update since the last report.
+    owner_ms: f64,
 }
 
 impl Worker {
@@ -916,6 +933,7 @@ impl Worker {
                         stage: self.owned.stage,
                         model: Box::new(self.owned.model),
                         opt: self.owned.opt,
+                        owner_ms: self.owner_ms,
                     };
                     let _ = self.reports.send(state);
                     return;
@@ -959,6 +977,7 @@ impl Worker {
                     stage: self.owned.stage,
                     model: Box::new(self.owned.model.clone()),
                     opt: self.owned.opt.clone(),
+                    owner_ms: std::mem::take(&mut self.owner_ms),
                 };
                 self.reports.send(state).map_err(|_| Halt)?;
             }
@@ -1239,12 +1258,14 @@ impl Worker {
             p.grad.scale_inplace(cmd.scale);
             sums.grad_sq.push(grad_square(p));
         });
+        let t = Instant::now();
         {
             let _span = span("precondition", "optim", cmd.step, self.device, stage, &[]);
             owned
                 .opt
                 .precondition(&mut owned.model, &mut |d| sums.dots.push(d));
         }
+        self.owner_ms += t.elapsed().as_secs_f64() * 1e3;
         sums.health = owned.opt.inversion_health();
         self.reports
             .send(WorkerMsg::Done {
@@ -1254,6 +1275,7 @@ impl Worker {
                 bubble_aux_ms: self.bubble_aux_ms,
                 bubble_idle_ms: self.bubble_idle_ms,
                 tail_aux_ms: self.tail_aux_ms,
+                owner_ms: std::mem::take(&mut self.owner_ms),
             })
             .map_err(|_| Halt)
     }
@@ -1263,10 +1285,12 @@ impl Worker {
     /// the next step.
     fn apply_update(&mut self, step: usize, lr: f64, vsum: Option<f64>) {
         let owned = &mut self.owned;
+        let t = Instant::now();
         {
             let _span = span("update", "optim", step, self.device, owned.stage, &[]);
             owned.opt.update(&mut owned.model, lr, vsum);
         }
+        self.owner_ms += t.elapsed().as_secs_f64() * 1e3;
         let mut values = ParamSet::new();
         owned.model.visit_params(&mut |p| {
             values.push(p.value.clone());

@@ -38,23 +38,20 @@ impl Activation {
         }
     }
 
-    /// The kind, and the derivative buffer [`Layer::backward`] multiplies
-    /// by (recycled across steps) for a forward pass to fill — this
-    /// layer's own, or a GEMM epilogue's ([`crate::Linear::forward_bias_act`]).
-    pub(crate) fn parts_mut(&mut self) -> (ActivationKind, &mut Matrix) {
-        (
-            self.kind,
-            self.derivative.get_or_insert_with(Matrix::default),
-        )
+    /// Applies the activation to `y` in place and caches its derivative
+    /// there (in a buffer recycled across steps) for [`Layer::backward`]:
+    /// this layer's own forward, or [`crate::Linear::forward_bias_act`]'s.
+    pub(crate) fn apply_in_place(&mut self, y: &mut Matrix) {
+        let grad = self.derivative.get_or_insert_with(Matrix::default);
+        grad.reset_shape(y.rows(), y.cols());
+        self.kind.apply(y.as_mut_slice(), grad.as_mut_slice());
     }
 }
 
 impl Layer for Activation {
     fn forward(&mut self, x: &Matrix, _ctx: &ForwardCtx) -> Matrix {
         let mut y = x.clone();
-        let (kind, grad) = self.parts_mut();
-        grad.reset_shape(x.rows(), x.cols());
-        kind.apply(y.as_mut_slice(), grad.as_mut_slice());
+        self.apply_in_place(&mut y);
         y
     }
 

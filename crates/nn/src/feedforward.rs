@@ -5,7 +5,7 @@ use pipefisher_tensor::Matrix;
 use rand::Rng;
 
 /// The transformer MLP: `Linear(d_model → d_ff) → GELU → Linear(d_ff → d_model)`,
-/// with the GELU fused into fc1's GEMM store epilogue
+/// with the GELU applied to fc1's output in place
 /// ([`Linear::forward_bias_act`]).
 ///
 /// Both linears participate in K-FAC capture; the intermediate `d_ff`

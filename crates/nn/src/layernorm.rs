@@ -46,7 +46,7 @@ impl Layer for LayerNorm {
         inv_std.reserve(n);
         let gamma = self.gain.value.row(0);
         let beta = self.bias.value.row(0);
-        let mut out = Matrix::zeros(n, d);
+        let mut out = Matrix::unfilled(n, d);
         for r in 0..n {
             let row = x.row(r);
             let mean = row.iter().sum::<f64>() / d as f64;
@@ -80,7 +80,7 @@ impl Layer for LayerNorm {
         let dgamma = dgamma_m.as_mut_slice();
         let dbeta = dbeta_m.as_mut_slice();
         let dxhat = dxhat_m.as_mut_slice();
-        let mut dx = Matrix::zeros(n, d);
+        let mut dx = Matrix::unfilled(n, d);
         for (r, &istd) in inv_std.iter().enumerate() {
             let xh = xhat.row(r);
             let dy = dout.row(r);

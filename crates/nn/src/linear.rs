@@ -143,8 +143,8 @@ impl Linear {
 
     /// Shared forward prologue: K-FAC statistics capture plus the input
     /// cache `backward` differentiates at. Every forward flavour (plain,
-    /// fused-activation, fused-residual) runs this, so they are
-    /// interchangeable as far as backprop and K-FAC are concerned.
+    /// activated, fused-residual) runs this, so they are interchangeable
+    /// as far as backprop and K-FAC are concerned.
     fn forward_prologue(&mut self, x: &Matrix, ctx: &ForwardCtx) {
         assert_eq!(x.cols(), self.d_in(), "Linear {}: input dim", self.name());
         self.capturing = ctx.capture_kfac;
@@ -157,23 +157,19 @@ impl Linear {
         }
     }
 
-    /// Forward pass with the activation layer `act` fused into the GEMM
-    /// store epilogue: returns `act(x·W + b)` and leaves the derivative
-    /// there in `act`'s cache, so `act`'s [`Layer::backward`] runs as if
-    /// its own forward had. Bitwise identical to [`Layer::forward`]
-    /// followed by `act`'s, but the output matrix is traversed once
-    /// instead of three times.
+    /// Forward pass followed by the activation layer `act`: returns
+    /// `act(x·W + b)` and leaves the derivative there in `act`'s cache, so
+    /// `act`'s [`Layer::backward`] runs as if its own forward had. Bitwise
+    /// identical to [`Layer::forward`] followed by `act`'s, without the
+    /// copy between them.
     pub fn forward_bias_act(
         &mut self,
         x: &Matrix,
         act: &mut Activation,
         ctx: &ForwardCtx,
     ) -> Matrix {
-        self.forward_prologue(x, ctx);
-        let mut y = Matrix::zeros(x.rows(), self.d_out());
-        let (w, b) = (&self.weight.value, self.bias.value.row(0));
-        let (kind, grad) = act.parts_mut();
-        x.matmul_bias_act_into(w, b, kind, grad, &mut y);
+        let mut y = self.forward(x, ctx);
+        act.apply_in_place(&mut y);
         y
     }
 
@@ -185,7 +181,7 @@ impl Linear {
     /// same `dout` down the residual branch.
     pub fn forward_residual(&mut self, x: &Matrix, residual: &Matrix, ctx: &ForwardCtx) -> Matrix {
         self.forward_prologue(x, ctx);
-        let mut y = Matrix::zeros(x.rows(), self.d_out());
+        let mut y = Matrix::unfilled(x.rows(), self.d_out());
         x.matmul_bias_residual_into(&self.weight.value, self.bias.value.row(0), residual, &mut y);
         y
     }
@@ -211,7 +207,7 @@ impl Layer for Linear {
         self.forward_prologue(x, ctx);
         // Bias add fused into the GEMM store phase; bitwise identical to
         // matmul + add_row_broadcast.
-        let mut y = Matrix::zeros(x.rows(), self.d_out());
+        let mut y = Matrix::unfilled(x.rows(), self.d_out());
         x.matmul_bias_into(&self.weight.value, self.bias.value.row(0), &mut y);
         y
     }

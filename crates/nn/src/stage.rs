@@ -424,9 +424,9 @@ mod tests {
         assert_eq!(captured, 14);
     }
 
-    /// The head's fused transform + GELU and pooler + tanh forwards
-    /// (`Linear::forward_bias_act`) equal the separate passes they
-    /// replaced, bitwise: logits, losses, the hidden-state gradient and
+    /// The head's transform + GELU and pooler + tanh forwards
+    /// (`Linear::forward_bias_act`) equal the separate layer passes,
+    /// bitwise: logits, losses, the hidden-state gradient and
     /// every head parameter's gradient.
     #[test]
     fn fused_head_matches_separate_passes_bitwise() {

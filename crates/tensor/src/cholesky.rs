@@ -19,7 +19,7 @@
 //!
 //! All three steps walk [`NB`]-wide blocks and do their off-block work as
 //! one GEMM per block on the packed SIMD micro-kernels
-//! ([`crate::kernel::gemm_chunk`] in its subtracting and lower-triangular-`B`
+//! ([`crate::kernel::Gemm`] in its subtracting and lower-triangular-`B`
 //! [`crate::kernel::Mode`]s): the Cholesky trailing update `P −= L₁₀·L₁₀ᵀ`, the inversion's
 //! `Y₁₀ = −L₁₁⁻¹·(L₁₀·Y₀₀)`, and the Gram rows `X₁: = Y:₁ᵀ·Y`, the last
 //! two never touching the zero triangle of `Y`. What stays inside a block —
@@ -41,7 +41,7 @@
 //! boundaries. The equivalence is enforced in
 //! `crates/tensor/tests/factor_equivalence.rs`.
 
-use crate::kernel::{self, ASrc, BSrc, Mode};
+use crate::kernel::{self, Gemm, Mode, Operand};
 use crate::{workspace, Matrix, TensorError};
 
 /// Error alias for Cholesky routines (always a [`TensorError`]).
@@ -124,26 +124,16 @@ fn factor_blocked(
         }
         if jb > 0 {
             // For panel element (c, r), subtract Σ_{p<jb} l[jb+c][p] ·
-            // l[jb+r][p]; both operands are read in place from `l`.
-            kernel::gemm_chunk(
-                pt,
-                bw,
-                prows,
-                jb,
-                ASrc::RowMajor {
-                    data: l,
-                    stride: n,
-                    base: jb,
-                },
-                BSrc::ColMajor {
-                    data: &l[jb * n..],
-                    stride: n,
-                },
-                Mode {
-                    neg: true,
-                    ..Mode::default()
-                },
+            // l[jb+r][p]: A is read in place from `l`, B is its transpose.
+            let ab = (
+                Operand::rows(&l[jb * n..], n),
+                Operand::cols(&l[jb * n..], n),
             );
+            let mode = Mode {
+                neg: true,
+                ..Mode::default()
+            };
+            Gemm::new().run(pt, prows, (bw, prows, jb), ab, mode);
         }
         kernel::with_fma(|| factor_diag_block(pt, prows, bw, jb))?;
         // The diagonal block goes back first: it is the sweep's coefficient
@@ -284,23 +274,13 @@ fn invert_lower_in_place(l: &mut [f64], n: usize, scratch: &mut [f64]) {
         let (off, diag) = scratch[..bw * (ib + bw)].split_at_mut(bw * ib);
         if ib > 0 {
             off.fill(0.0);
-            kernel::gemm_chunk(
-                off,
-                bw,
-                ib,
-                ib,
-                ASrc::RowMajor {
-                    data: l,
-                    stride: n,
-                    base: ib,
-                },
-                BSrc::RowMajor { data: l, stride: n },
-                Mode {
-                    neg: true,
-                    b_lower: true,
-                    ..Mode::default()
-                },
-            );
+            let mode = Mode {
+                neg: true,
+                b_lower: true,
+                ..Mode::default()
+            };
+            let ab = (Operand::rows(&l[ib * n..], n), Operand::rows(l, n));
+            Gemm::new().run(off, ib, (bw, ib, ib), ab, mode);
             kernel::tri_sweep(&l[ib * n + ib..], n, off, ib, bw, ib);
         }
         diag.fill(0.0);
@@ -341,26 +321,13 @@ fn gram_in_place(y: &mut [f64], n: usize, scratch: &mut [f64]) {
         let panel = &mut scratch[..bw * w];
         panel.fill(0.0);
         let yread = &y[ib * n + ib..];
-        kernel::gemm_chunk(
-            panel,
-            bw,
-            w,
-            w,
-            // A(i, k) = Y[ib + k][ib + i], read in place.
-            ASrc::ColMajor {
-                data: yread,
-                stride: n,
-                base: 0,
-            },
-            BSrc::RowMajor {
-                data: yread,
-                stride: n,
-            },
-            Mode {
-                b_lower: true,
-                ..Mode::default()
-            },
-        );
+        let mode = Mode {
+            b_lower: true,
+            ..Mode::default()
+        };
+        // A(i, k) = Y[ib + k][ib + i], read in place.
+        let ab = (Operand::cols(yread, n), Operand::rows(yread, n));
+        Gemm::new().run(panel, w, (bw, w, w), ab, mode);
         for i in 0..bw {
             y[(ib + i) * n + ib + i..][..w - i].copy_from_slice(&panel[i * w + i..][..w - i]);
         }

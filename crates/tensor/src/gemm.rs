@@ -2,8 +2,8 @@
 //!
 //! The reproduction needs four GEMM flavours:
 //!
-//! * `C = A·B` ([`Matrix::matmul_into`], and its `+ bias` / activation /
-//!   residual fused forms) — forward passes,
+//! * `C = A·B` ([`Matrix::matmul_into`], and its `+ bias` / residual
+//!   fused forms) — forward passes,
 //! * `C = Aᵀ·B` ([`Matrix::matmul_tn_into`]) — weight gradients,
 //! * `C = A·Bᵀ` ([`Matrix::matmul_nt_into`]) — input-gradient backprop,
 //! * `C = AᵀA` ([`Matrix::gram_into`]) — K-FAC's curvature kernel
@@ -11,12 +11,13 @@
 //!
 //! Each is its shape assert plus one call: the first three go through one
 //! private driver, `gemm_into`, which re-dimensions the destination and
-//! hands it, unzeroed, to the packed, register-tiled,
-//! runtime-dispatched engine ([`kernel::gemm_chunk`]); the Gram product
-//! differs only in its upper-triangle mode and mirror pass. The transpose
-//! variants differ only in the packing gather
-//! ([`kernel::ASrc`]/[`kernel::BSrc`]), never in the inner loop, so every
-//! flavour runs the same SIMD micro-kernel at the same throughput.
+//! hands it, unzeroed, to the register-tiled, runtime-dispatched engine
+//! ([`Gemm::run`]); the Gram product differs only in its upper-triangle
+//! mode and mirror pass. The transpose variants differ only in the strides
+//! of their [`Operand`]s, never in the inner loop: the micro-kernel reads
+//! A in either layout and a row-major B in place, and packs only a
+//! transposed B (`matmul_nt`'s `Wᵀ`), blocks too wide for L2 and ragged
+//! edges, so every flavour runs the same SIMD micro-kernel.
 //!
 //! Every kernel writes into a caller-provided output (re-dimensioning it
 //! via [`Matrix::reset_shape`], so a recycled scratch buffer of the right
@@ -29,8 +30,7 @@
 //! order from `+0.0`, one fused multiply-add per step, computed on the
 //! calling thread.
 
-use crate::kernel::{self, ASrc, BSrc, Epilogue, Mode};
-use crate::ActivationKind;
+use crate::kernel::{Epilogue, Gemm, Mode, Operand};
 use crate::Matrix;
 
 /// The one GEMM front end: re-dimensions `out` to `m × n` and overwrites it
@@ -39,8 +39,7 @@ use crate::Matrix;
 fn gemm_into(
     out: &mut Matrix,
     (m, n, k): (usize, usize, usize),
-    a: ASrc<'_>,
-    b: BSrc<'_>,
+    ab: (Operand<'_>, Operand<'_>),
     epilogue: Option<Epilogue<'_>>,
 ) {
     out.reset_shape(m, n);
@@ -49,7 +48,7 @@ fn gemm_into(
         fused: epilogue,
         ..Mode::default()
     };
-    kernel::gemm_chunk(out.as_mut_slice(), m, n, k, a, b, mode);
+    Gemm::new().run(out.as_mut_slice(), n, (m, n, k), ab, mode);
 }
 
 impl Matrix {
@@ -68,7 +67,7 @@ impl Matrix {
     /// assert_eq!(a.matmul(&b)[(0, 0)], 11.0);
     /// ```
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), rhs.cols());
+        let mut out = Matrix::unfilled(self.rows(), rhs.cols());
         self.matmul_into(rhs, &mut out);
         out
     }
@@ -97,38 +96,6 @@ impl Matrix {
     pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
         assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
         self.matmul_epilogue_into(rhs, out, Some(Epilogue::Bias { bias }));
-    }
-
-    /// Computes `act(self · rhs + bias)` into `out` and the derivative there
-    /// into `grad`, with `act`'s row kernel fused into the GEMM store phase.
-    /// Bitwise identical to [`Matrix::matmul_bias_into`] followed by
-    /// [`ActivationKind::apply`] (the activation is applied to each
-    /// element's fully accumulated, bias-added value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()` or `bias.len() != rhs.cols()`.
-    pub fn matmul_bias_act_into(
-        &self,
-        rhs: &Matrix,
-        bias: &[f64],
-        act: ActivationKind,
-        grad: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(bias.len(), rhs.cols(), "matmul bias: length mismatch");
-        // Every output element is stored by exactly one tile epilogue, so
-        // `grad` is fully overwritten.
-        grad.reset_shape(self.rows(), rhs.cols());
-        self.matmul_epilogue_into(
-            rhs,
-            out,
-            Some(Epilogue::BiasAct {
-                bias,
-                act: act.row_kernel(),
-                grad: grad.as_mut_slice(),
-            }),
-        );
     }
 
     /// Computes `(self · rhs + bias) + residual` into `out`, with bias and
@@ -172,18 +139,11 @@ impl Matrix {
         );
         let (m, k) = self.shape();
         let n = rhs.cols();
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        gemm_into(
-            out,
-            (m, n, k),
-            ASrc::RowMajor {
-                data: a,
-                stride: k,
-                base: 0,
-            },
-            BSrc::RowMajor { data: b, stride: n },
-            epilogue,
+        let ab = (
+            Operand::rows(self.as_slice(), k),
+            Operand::rows(rhs.as_slice(), n),
         );
+        gemm_into(out, (m, n, k), ab, epilogue);
     }
 
     /// Computes `selfᵀ · rhs` into `out` without materializing the
@@ -205,22 +165,14 @@ impl Matrix {
         );
         let (k, m) = self.shape();
         let n = rhs.cols();
-        // (AᵀB)[i][j] = Σ_p A[p][i]·B[p][j]: the transpose lives entirely
-        // in the column-major packing gather; the micro-kernel is the same
-        // one `matmul` runs, and every element still accumulates over p
-        // ascending.
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        gemm_into(
-            out,
-            (m, n, k),
-            ASrc::ColMajor {
-                data: a,
-                stride: m,
-                base: 0,
-            },
-            BSrc::RowMajor { data: b, stride: n },
-            None,
+        // (AᵀB)[i][j] = Σ_p A[p][i]·B[p][j]: the micro-kernel reads A
+        // column-major in place, and every element still accumulates over
+        // p ascending.
+        let ab = (
+            Operand::cols(self.as_slice(), m),
+            Operand::rows(rhs.as_slice(), n),
         );
+        gemm_into(out, (m, n, k), ab, None);
     }
 
     /// Computes `self · rhsᵀ` without materializing the transpose.
@@ -229,7 +181,7 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), rhs.rows());
+        let mut out = Matrix::unfilled(self.rows(), rhs.rows());
         self.matmul_nt_into(rhs, &mut out);
         out
     }
@@ -254,20 +206,13 @@ impl Matrix {
         let (m, k) = self.shape();
         let n = rhs.rows();
         // (ABᵀ)[i][j] = Σ_p A[i][p]·B[j][p]: B's rows become packed panel
-        // columns, turning the old dot-product loop (one element per k
-        // sweep) into full register tiles.
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        gemm_into(
-            out,
-            (m, n, k),
-            ASrc::RowMajor {
-                data: a,
-                stride: k,
-                base: 0,
-            },
-            BSrc::ColMajor { data: b, stride: k },
-            None,
+        // columns — the one operand layout the engine copies — so the
+        // product runs on full register tiles.
+        let ab = (
+            Operand::rows(self.as_slice(), k),
+            Operand::cols(rhs.as_slice(), k),
         );
+        gemm_into(out, (m, n, k), ab, None);
     }
 
     /// Computes the symmetric Gram matrix `selfᵀ · self` into `out`, which
@@ -280,24 +225,14 @@ impl Matrix {
     pub fn gram_into(&self, out: &mut Matrix) {
         let (k, m) = self.shape();
         out.reset_shape(m, m);
-        let a = self.as_slice();
-        kernel::gemm_chunk(
-            out.as_mut_slice(),
-            m,
-            m,
-            k,
-            ASrc::ColMajor {
-                data: a,
-                stride: m,
-                base: 0,
-            },
-            BSrc::RowMajor { data: a, stride: m },
-            Mode {
-                upper: true,
-                overwrite: true,
-                ..Mode::default()
-            },
-        );
+        let u = self.as_slice();
+        let mode = Mode {
+            upper: true,
+            overwrite: true,
+            ..Mode::default()
+        };
+        let ab = (Operand::cols(u, m), Operand::rows(u, m));
+        Gemm::new().run(out.as_mut_slice(), m, (m, m, k), ab, mode);
         mirror_lower_from_upper(out.as_mut_slice(), m);
     }
 }
@@ -320,15 +255,20 @@ pub struct Strided<'a> {
 }
 
 impl<'a> Strided<'a> {
-    /// The storage from item `(i, j)` on.
-    fn item(&self, i: usize, j: usize) -> &'a [f64] {
+    /// Item `(i, j)`, read as stored or transposed.
+    fn item(&self, i: usize, j: usize) -> Operand<'a> {
         let data: &'a [f64] = self.data;
-        &data[i * self.step.0 + j * self.step.1..]
+        let item = Operand::rows(&data[i * self.step.0 + j * self.step.1..], self.ld);
+        if self.trans {
+            item.t()
+        } else {
+            item
+        }
     }
 }
 
 /// `C_ij = A_ij · B_ij` for every item `(i, j)` of a `count.0 × count.1`
-/// batch of `m × n` products over `k` steps, on the packed engine with its
+/// batch of `m × n` products over `k` steps, on the GEMM engine with its
 /// set-up paid once. `C_ij` is the `m × n` block of `c` at offset `i ·
 /// cstep.0 + j · cstep.1` and row stride `ldc`; its prior contents are
 /// never read. Each element is the engine's chain — `+0.0`, then `p`
@@ -348,39 +288,15 @@ pub fn gemm_batched(
     ldc: usize,
     cstep: (usize, usize),
 ) {
-    let mut gemm = kernel::Gemm::new();
+    let mut gemm = Gemm::new();
     for (i, j) in (0..count.0).flat_map(|i| (0..count.1).map(move |j| (i, j))) {
-        let (ad, bd) = (a.item(i, j), b.item(i, j));
-        let asrc = if a.trans {
-            ASrc::ColMajor {
-                data: ad,
-                stride: a.ld,
-                base: 0,
-            }
-        } else {
-            ASrc::RowMajor {
-                data: ad,
-                stride: a.ld,
-                base: 0,
-            }
-        };
-        let bsrc = if b.trans {
-            BSrc::ColMajor {
-                data: bd,
-                stride: b.ld,
-            }
-        } else {
-            BSrc::RowMajor {
-                data: bd,
-                stride: b.ld,
-            }
-        };
+        let ab = (a.item(i, j), b.item(i, j));
         let cd = &mut c[i * cstep.0 + j * cstep.1..];
         let mode = Mode {
             overwrite: true,
             ..Mode::default()
         };
-        gemm.run(cd, ldc, (m, n, k), asrc, bsrc, mode);
+        gemm.run(cd, ldc, (m, n, k), ab, mode);
     }
 }
 
@@ -553,53 +469,6 @@ mod tests {
 
         a.gram_into(&mut out);
         assert_eq!(out, run(|fresh| a.gram_into(fresh)));
-    }
-
-    #[test]
-    fn batched_items_match_fresh_matmuls_bitwise() {
-        // A 2 × 3 grid of 5 × 7 products over 9 steps (ragged on every
-        // tile), each operand a block of a wider matrix, read as stored or
-        // transposed, each result written in place into a block of `c`.
-        let (m, n, k) = (5, 7, 9);
-        let block = |x: &Matrix, (i, j): (usize, usize), (r, c): (usize, usize)| {
-            let rows: Vec<&[f64]> = (i * r..(i + 1) * r)
-                .map(|row| &x.row(row)[j * c..(j + 1) * c])
-                .collect();
-            Matrix::from_rows(&rows)
-        };
-        fn operand(x: &Matrix, trans: bool, (r, c): (usize, usize)) -> Strided<'_> {
-            Strided {
-                data: x.as_slice(),
-                ld: x.cols(),
-                trans,
-                step: (r * x.cols(), c),
-            }
-        }
-        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
-            let sa = if ta { (k, m) } else { (m, k) };
-            let sb = if tb { (n, k) } else { (k, n) };
-            let a = rand_matrix(2 * sa.0, 3 * sa.1, 31);
-            let b = rand_matrix(2 * sb.0, 3 * sb.1, 32);
-            let mut c = Matrix::full(2 * m, 3 * n, f64::NAN);
-            let (pa, pb) = (operand(&a, ta, sa), operand(&b, tb, sb));
-            gemm_batched(
-                (2, 3),
-                (m, n, k),
-                pa,
-                pb,
-                c.as_mut_slice(),
-                3 * n,
-                (m * 3 * n, n),
-            );
-            for ij in (0..2).flat_map(|i| (0..3).map(move |j| (i, j))) {
-                let (ab, bb) = (block(&a, ij, sa), block(&b, ij, sb));
-                let oa = if ta { ab.transpose() } else { ab };
-                let ob = if tb { bb.transpose() } else { bb };
-                let (got, want) = (block(&c, ij, (m, n)), oa.matmul(&ob));
-                let same = got.as_slice().iter().zip(want.as_slice());
-                assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()));
-            }
-        }
     }
 
     #[test]

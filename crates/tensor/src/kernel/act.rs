@@ -39,15 +39,12 @@ impl ActivationKind {
     /// Panics if `v.len() != d.len()`.
     pub fn apply(self, v: &mut [f64], d: &mut [f64]) {
         assert_eq!(v.len(), d.len(), "activation: derivative length");
-        // SAFETY: `kernels` only returns kernels the detected CPU runs.
-        unsafe { self.row_kernel()(v, d) }
-    }
-
-    pub(crate) fn row_kernel(self) -> ActRowFn {
-        match self {
+        let row: ActRowFn = match self {
             ActivationKind::Gelu => kernels().gelu,
             ActivationKind::Tanh => kernels().tanh,
-        }
+        };
+        // SAFETY: `kernels` only returns kernels the detected CPU runs.
+        unsafe { row(v, d) }
     }
 }
 

@@ -1,11 +1,13 @@
-//! Register-tiled micro-kernels: the innermost `C += A·B` on packed panels.
+//! Register-tiled micro-kernels: the innermost `C ± A·B` on one MR×NR
+//! output tile.
 //!
-//! # Layout contract (shared by every variant)
+//! # Operand contract (shared by every variant)
 //!
-//! * `ap` is a packed A panel of `kc` steps, MR elements each:
-//!   `ap[p*MR + i] = A(i, p)`.
-//! * `bp` is a packed B panel of `kc` steps, NR elements each:
-//!   `bp[p*NR + j] = B(p, j)`.
+//! * `a` reads `A(i, p) = a.ptr[i·a.row + p·a.step]`: a row-major operand
+//!   in place is `(lda, 1)`, a column-major one `(1, lda)`, and a packed
+//!   panel `(1, MR)`.
+//! * `b` reads `B(p, j) = b.ptr[p·b.step + j]`: a row-major operand in
+//!   place is `ldb`, a packed panel `NR`.
 //! * `c` points at an MR×NR output tile with row stride `ldc` elements.
 //!
 //! # Determinism
@@ -14,29 +16,47 @@
 //! update chain
 //!
 //! ```text
-//! c[i][j] = fma(a_{kc−1}, b_{kc−1}, … fma(a₁, b₁, fma(a₀, b₀, c[i][j])))
+//! c[i][j] = fma(±a_{kc−1}, b_{kc−1}, … fma(±a₁, b₁, fma(±a₀, b₀, c[i][j])))
 //! ```
 //!
 //! for `p = 0..kc` ascending, with one accumulator per element and one
-//! **fused** multiply-add (a single rounding) per step. SIMD variants
-//! vectorize across output *columns* `j` (never across `k`), so each lane
-//! holds exactly one element's accumulator and rounds identically to the
+//! **fused** multiply-add (a single rounding) per step; the `NEG`
+//! instances negate `a`, which is exact, so each step is the fused
+//! multiply-subtract `c − a·b` rounded once. SIMD variants vectorize
+//! across output *columns* `j` (never across `k`), so each lane holds
+//! exactly one element's accumulator and rounds identically to the
 //! portable kernel's `f64::mul_add` — portable, AVX2, AVX-512 and NEON all
-//! agree bitwise.
+//! agree bitwise, and where an operand lies (in place or packed) is only
+//! an address.
 
-/// `fn(kc, ap, bp, c, ldc, overwrite)` — see the module docs for the
-/// layout contract. With `overwrite`, the accumulators start at `+0.0`
-/// instead of loading `c` (which may then hold anything): the chain is
-/// the same, since `fma(a, b, +0.0)` does not care where the `+0.0` came
-/// from.
+/// Where a micro-kernel reads A: `A(i, p) = ptr[i·row + p·step]`.
+#[derive(Clone, Copy)]
+pub(crate) struct AView {
+    pub ptr: *const f64,
+    pub row: usize,
+    pub step: usize,
+}
+
+/// Where a micro-kernel reads B: `B(p, j) = ptr[p·step + j]`.
+#[derive(Clone, Copy)]
+pub(crate) struct BView {
+    pub ptr: *const f64,
+    pub step: usize,
+}
+
+/// `fn(kc, a, b, c, ldc, overwrite)` — see the module docs for the
+/// operand contract; a kernel's `NEG` instance subtracts. With
+/// `overwrite`, the accumulators start at `+0.0` instead of loading `c`
+/// (which may then hold anything): the chain is the same, since
+/// `fma(a, b, +0.0)` does not care where the `+0.0` came from.
 ///
 /// # Safety
 ///
-/// Callers must guarantee `ap` holds `kc*MR` elements, `bp` holds `kc*NR`
-/// elements, `c` addresses a full MR×NR tile at row stride `ldc >= NR`, and
-/// that the instruction set the kernel was compiled for is available on
-/// the running CPU.
-pub(crate) type MicroFn = unsafe fn(usize, *const f64, *const f64, *mut f64, usize, bool);
+/// Callers must guarantee `a` and `b` address `A(i, p)`, `B(p, j)` for
+/// every `i < MR`, `j < NR`, `p < kc`, `c` a full MR×NR tile at row stride
+/// `ldc >= NR` that overlaps neither, and that the instruction set the
+/// kernel was compiled for is available on the running CPU.
+pub(crate) type MicroFn = unsafe fn(usize, AView, BView, *mut f64, usize, bool);
 
 /// `fn(coef, ldc, x, ldx, rows, width)` — in-block forward substitution,
 /// the one kernel under both the Cholesky panel factorization and the
@@ -80,15 +100,15 @@ pub(crate) const NR16: usize = 16;
 /// ([`super::with_fma`]; on the x86-64 baseline each `mul_add` would be a
 /// libm call). The fixed-bound inner loops carry no reduction across
 /// lanes, so LLVM vectorizes them without changing any element's chain.
-pub(crate) unsafe fn micro_4x8_portable(
+pub(crate) unsafe fn micro_4x8_portable<const NEG: bool>(
     kc: usize,
-    ap: *const f64,
-    bp: *const f64,
+    a: AView,
+    b: BView,
     c: *mut f64,
     ldc: usize,
     overwrite: bool,
 ) {
-    super::with_fma(|| {
+    super::with_fma(move || {
         let mut acc = [[0.0f64; NR8]; MR4];
         if !overwrite {
             for (i, row) in acc.iter_mut().enumerate() {
@@ -98,12 +118,16 @@ pub(crate) unsafe fn micro_4x8_portable(
             }
         }
         for p in 0..kc {
-            let a = ap.add(p * MR4);
-            let b = bp.add(p * NR8);
+            let ap = a.ptr.add(p * a.step);
+            // B's step as one array load: element loads through the
+            // runtime stride kept LLVM from vectorizing the tile (~4
+            // against ~20 GFLOP/s).
+            let bv = b.ptr.add(p * b.step).cast::<[f64; NR8]>().read_unaligned();
             for (i, row) in acc.iter_mut().enumerate() {
-                let av = *a.add(i);
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = av.mul_add(*b.add(j), *v);
+                let av = *ap.add(i * a.row);
+                let av = if NEG { -av } else { av };
+                for (v, bj) in row.iter_mut().zip(bv) {
+                    *v = av.mul_add(bj, *v);
                 }
             }
         }
@@ -233,10 +257,10 @@ pub(crate) unsafe fn tri_sweep_avx512(
 /// 4×8 AVX2 + FMA kernel.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn micro_4x8_avx2(
+pub(crate) unsafe fn micro_4x8_avx2<const NEG: bool>(
     kc: usize,
-    ap: *const f64,
-    bp: *const f64,
+    a: AView,
+    b: BView,
     c: *mut f64,
     ldc: usize,
     overwrite: bool,
@@ -250,13 +274,18 @@ pub(crate) unsafe fn micro_4x8_avx2(
         }
     }
     for p in 0..kc {
-        let b0 = _mm256_loadu_pd(bp.add(p * NR8));
-        let b1 = _mm256_loadu_pd(bp.add(p * NR8 + 4));
-        let a = ap.add(p * MR4);
+        let bp = b.ptr.add(p * b.step);
+        let (b0, b1) = (_mm256_loadu_pd(bp), _mm256_loadu_pd(bp.add(4)));
+        let ap = a.ptr.add(p * a.step);
         for (i, row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_pd(*a.add(i));
-            row[0] = _mm256_fmadd_pd(av, b0, row[0]);
-            row[1] = _mm256_fmadd_pd(av, b1, row[1]);
+            let av = _mm256_set1_pd(*ap.add(i * a.row));
+            if NEG {
+                row[0] = _mm256_fnmadd_pd(av, b0, row[0]);
+                row[1] = _mm256_fnmadd_pd(av, b1, row[1]);
+            } else {
+                row[0] = _mm256_fmadd_pd(av, b0, row[0]);
+                row[1] = _mm256_fmadd_pd(av, b1, row[1]);
+            }
         }
     }
     for (i, row) in acc.iter().enumerate() {
@@ -271,10 +300,10 @@ pub(crate) unsafe fn micro_4x8_avx2(
 /// broadcasts to the load ports.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-pub(crate) unsafe fn micro_8x16_avx512(
+pub(crate) unsafe fn micro_8x16_avx512<const NEG: bool>(
     kc: usize,
-    ap: *const f64,
-    bp: *const f64,
+    a: AView,
+    b: BView,
     c: *mut f64,
     ldc: usize,
     overwrite: bool,
@@ -288,13 +317,18 @@ pub(crate) unsafe fn micro_8x16_avx512(
         }
     }
     for p in 0..kc {
-        let b0 = _mm512_loadu_pd(bp.add(p * NR16));
-        let b1 = _mm512_loadu_pd(bp.add(p * NR16 + 8));
-        let a = ap.add(p * MR8);
+        let bp = b.ptr.add(p * b.step);
+        let (b0, b1) = (_mm512_loadu_pd(bp), _mm512_loadu_pd(bp.add(8)));
+        let ap = a.ptr.add(p * a.step);
         for (i, row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*a.add(i));
-            row[0] = _mm512_fmadd_pd(av, b0, row[0]);
-            row[1] = _mm512_fmadd_pd(av, b1, row[1]);
+            let av = _mm512_set1_pd(*ap.add(i * a.row));
+            if NEG {
+                row[0] = _mm512_fnmadd_pd(av, b0, row[0]);
+                row[1] = _mm512_fnmadd_pd(av, b1, row[1]);
+            } else {
+                row[0] = _mm512_fmadd_pd(av, b0, row[0]);
+                row[1] = _mm512_fmadd_pd(av, b1, row[1]);
+            }
         }
     }
     for (i, row) in acc.iter().enumerate() {
@@ -305,13 +339,13 @@ pub(crate) unsafe fn micro_8x16_avx512(
 
 // ------------------------------------------------------------------ NEON
 
-/// 4×8 NEON kernel (`vfmaq_f64`).
+/// 4×8 NEON kernel (`vfmaq_f64`, `vfmsq_f64`).
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn micro_4x8_neon(
+pub(crate) unsafe fn micro_4x8_neon<const NEG: bool>(
     kc: usize,
-    ap: *const f64,
-    bp: *const f64,
+    a: AView,
+    b: BView,
     c: *mut f64,
     ldc: usize,
     overwrite: bool,
@@ -326,15 +360,20 @@ pub(crate) unsafe fn micro_4x8_neon(
         }
     }
     for p in 0..kc {
-        let mut b = [vdupq_n_f64(0.0); 4];
-        for (h, v) in b.iter_mut().enumerate() {
-            *v = vld1q_f64(bp.add(p * NR8 + 2 * h));
+        let bp = b.ptr.add(p * b.step);
+        let mut bv = [vdupq_n_f64(0.0); 4];
+        for (h, v) in bv.iter_mut().enumerate() {
+            *v = vld1q_f64(bp.add(2 * h));
         }
-        let a = ap.add(p * MR4);
+        let ap = a.ptr.add(p * a.step);
         for (i, row) in acc.iter_mut().enumerate() {
-            let av = vdupq_n_f64(*a.add(i));
+            let av = vdupq_n_f64(*ap.add(i * a.row));
             for (h, v) in row.iter_mut().enumerate() {
-                *v = vfmaq_f64(*v, av, b[h]);
+                *v = if NEG {
+                    vfmsq_f64(*v, av, bv[h])
+                } else {
+                    vfmaq_f64(*v, av, bv[h])
+                };
             }
         }
     }

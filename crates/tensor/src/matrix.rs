@@ -47,6 +47,13 @@ impl Matrix {
         }
     }
 
+    /// Creates a `rows × cols` matrix whose contents are unspecified (a
+    /// recycled buffer's stale values, or zeros), for an output the caller
+    /// fully overwrites: zeroing it first would be a wasted pass.
+    pub fn unfilled(rows: usize, cols: usize) -> Self {
+        Matrix::from_vec(rows, cols, workspace::take_raw(rows * cols))
+    }
+
     /// Creates a `rows × cols` matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f64) -> Self {
         let mut data = workspace::take_raw(rows * cols);

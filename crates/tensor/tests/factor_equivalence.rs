@@ -15,9 +15,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pipefisher_tensor::kernel::{self, KernelKind};
-use pipefisher_tensor::{
-    cholesky_into, cholesky_inverse_into, reference, ActivationKind, Matrix, TensorError,
-};
+use pipefisher_tensor::{cholesky_into, cholesky_inverse_into, reference, Matrix, TensorError};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -299,23 +297,9 @@ fn failing_pivot_index_is_preserved_across_blocks() {
     }
 }
 
-/// GELU and its derivative on libm's `tanh`, as the nn crate computed
-/// them before this crate owned a `tanh`: the oracle of the GELU row
-/// kernel the epilogue runs (bit-identical on glibc x86_64 with FMA; see
-/// `tanh_matches_host_libm`).
-fn gelu_like(x: f64) -> (f64, f64) {
-    const S: f64 = 0.797_884_560_802_865_4;
-    const C: f64 = 0.044715;
-    let t = (S * (x + C * x * x * x)).tanh();
-    let d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * S * (1.0 + 3.0 * C * x * x);
-    (0.5 * x * (1.0 + t), d)
-}
-
-/// Fused store epilogues (bias / bias+activation / bias+residual) must be
-/// bitwise identical to the separate-pass computations, for every kernel,
-/// including ragged tile edges and cache-block crossings.
-/// The bias+activation path's second stream is the derivative at each
-/// fully accumulated, bias-added element.
+/// Fused store epilogues (bias / bias+residual) must be bitwise identical
+/// to the separate-pass computations, for every kernel, including ragged
+/// tile edges and cache-block crossings.
 #[test]
 fn fused_epilogues_match_separate_passes_bitwise() {
     let mut rng = StdRng::seed_from_u64(0xE91);
@@ -340,8 +324,6 @@ fn fused_epilogues_match_separate_passes_bitwise() {
             a.matmul_into(&b, &mut base);
             let mut want_bias = base.clone();
             want_bias.add_row_broadcast(&bias);
-            let want_act = want_bias.map(|x| gelu_like(x).0);
-            let want_grad = want_bias.map(|x| gelu_like(x).1);
             let mut want_res = want_bias.clone();
             for (o, &r) in want_res.as_mut_slice().iter_mut().zip(res.as_slice()) {
                 *o += r;
@@ -351,19 +333,14 @@ fn fused_epilogues_match_separate_passes_bitwise() {
             a.matmul_bias_into(&b, &bias, &mut got);
             assert_bitwise("bias", kind, &want_bias, &got);
 
-            let mut grad = Matrix::full(3, 3, f64::NAN);
-            a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
-            assert_bitwise("bias+act out", kind, &want_act, &got);
-            assert_bitwise("bias+act grad", kind, &want_grad, &grad);
-
             a.matmul_bias_residual_into(&b, &bias, &res, &mut got);
             assert_bitwise("bias+residual", kind, &want_res, &got);
         }
     }
 }
 
-/// k = 0 degenerate products still apply the full epilogue (bias, act and
-/// its derivative, residual over an all-zero product), under every kernel.
+/// k = 0 degenerate products still apply the full epilogue (bias,
+/// residual over an all-zero product), under every kernel.
 #[test]
 fn degenerate_k0_epilogues() {
     let (m, n) = (4usize, 6usize);
@@ -383,16 +360,6 @@ fn degenerate_k0_epilogues() {
         for r in 0..m {
             for c in 0..n {
                 assert_eq!(got[(r, c)].to_bits(), bias[c].to_bits(), "bias @ {at}");
-            }
-        }
-
-        let mut grad = Matrix::full(1, 1, f64::NAN);
-        a.matmul_bias_act_into(&b, &bias, ActivationKind::Gelu, &mut grad, &mut got);
-        for r in 0..m {
-            for c in 0..n {
-                let (y, d) = gelu_like(bias[c]);
-                assert_eq!(got[(r, c)].to_bits(), y.to_bits(), "act @ {at}");
-                assert_eq!(grad[(r, c)].to_bits(), d.to_bits(), "grad @ {at}");
             }
         }
 

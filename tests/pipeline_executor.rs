@@ -327,6 +327,21 @@ fn unfilled_run_books_all_kfac_work_as_tail() {
     assert!(outcome.tail_aux_ms > 0.0);
 }
 
+/// The owners' precondition and update time is booked: no bubble, idle
+/// or tail term counts it, and the coordinator's own optimizer step only
+/// moves counters.
+#[test]
+fn pipelined_kfac_books_the_owners_time() {
+    let _gate = test_lock();
+    let config = BertConfig::tiny(36, 16);
+    let opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 4);
+    let (mut trainer, model) = setup(&config, 7);
+    let outcome = trainer
+        .run_pipelined(model, &kfac_choice(), 3, &opts)
+        .expect("pipelined run");
+    assert!(outcome.owner_ms > 0.0, "owner_ms {}", outcome.owner_ms);
+}
+
 /// Each stage's owner preconditions and updates it itself, and the trace
 /// shows it: exactly one `precondition` and one `update` span per owner
 /// and step, carrying its step, device and stage. The trace sink is
