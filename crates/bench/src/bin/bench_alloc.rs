@@ -12,7 +12,8 @@
 use pipefisher_bench::host_cores;
 use pipefisher_lm::{BatchSampler, OptimizerChoice, PipelineOptions, SyntheticLanguage, Trainer};
 use pipefisher_nn::{
-    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear, ParamVisitor,
+    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear,
+    ParamVisitor, Tape,
 };
 use pipefisher_optim::{Kfac, KfacConfig, KfacModel, LrSchedule, Sgd};
 use pipefisher_pipeline::PipelineScheme;
@@ -65,16 +66,17 @@ fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
     );
     let (steps, warmup) = (10usize, 5usize);
     let (mut allocs, mut bytes) = (0u64, 0u64);
+    let mut tape = Tape::new(ForwardCtx::train_with_capture());
     for step in 0..steps {
         let before = pipefisher_trace::alloc_snapshot();
         let mut h = x.clone();
         for lin in model.0.iter_mut() {
             lin.zero_grad();
-            h = lin.forward(&h, &ForwardCtx::train_with_capture());
+            h = lin.forward(h, &mut tape);
         }
         let mut d = cross_entropy_backward(&h, &targets);
         for lin in model.0.iter_mut().rev() {
-            d = lin.backward(&d);
+            d = lin.backward(&d, &mut tape);
         }
         kfac.step(&mut model, 0.01);
         if step >= warmup {

@@ -6,13 +6,13 @@
 //!
 //! Every layer runs on the calling thread, as in the benchmark. Only the
 //! crate's public API is called, so the same file builds against an older
-//! checkout and gives the "before" column of a comparison (checkouts that
-//! still had an intra-op worker pool must pin it to one lane to match).
+//! checkout with the same `Layer` signature (forward state on a `Tape`)
+//! and gives the "before" column of a comparison.
 
 use pipefisher_bench::{host_cores, rand_matrix};
 use pipefisher_nn::{
     Activation, ActivationKind, BertConfig, BertForPreTraining, FeedForward, ForwardCtx, Layer,
-    LayerNorm, Linear, MultiHeadAttention, PreTrainingBatch, StagedBert, TransformerBlock,
+    LayerNorm, Linear, MultiHeadAttention, PreTrainingBatch, StagedBert, Tape, TransformerBlock,
     IGNORE_INDEX,
 };
 use pipefisher_tensor::kernel;
@@ -48,20 +48,23 @@ impl Phase {
 }
 
 /// Times `WARMUP` untimed then `REPS` timed calls of `fwd` followed by
-/// `bwd` on the same state; outputs are dropped outside the timed spans.
-fn time_pair<S: ?Sized, T, U>(
+/// `bwd` on the same state; `fwd`'s input is made, and outputs are
+/// dropped, outside the timed spans.
+fn time_pair<S: ?Sized, I, T, U>(
     state: &mut S,
-    fwd: impl Fn(&mut S) -> T,
+    input: impl Fn() -> I,
+    fwd: impl Fn(&mut S, I) -> T,
     bwd: impl Fn(&mut S) -> U,
 ) -> (Phase, Phase) {
     for _ in 0..WARMUP {
-        black_box(fwd(state));
+        black_box(fwd(state, input()));
         black_box(bwd(state));
     }
     let (mut f, mut b) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
     for _ in 0..REPS {
+        let x = input();
         let t0 = Instant::now();
-        let y = black_box(fwd(state));
+        let y = black_box(fwd(state, x));
         let t1 = Instant::now();
         let dx = black_box(bwd(state));
         let t2 = Instant::now();
@@ -77,8 +80,13 @@ fn time_pair<S: ?Sized, T, U>(
 fn time_layer(layer: &mut dyn Layer, d_in: usize, d_out: usize) -> (Phase, Phase) {
     let x = rand_matrix(TOKENS, d_in, 1);
     let dout = rand_matrix(TOKENS, d_out, 2);
-    let ctx = ForwardCtx::train().with_seq_len(SEQ);
-    time_pair(layer, |l| l.forward(&x, &ctx), |l| l.backward(&dout))
+    let tape = &mut Tape::new(ForwardCtx::train().with_seq_len(SEQ));
+    time_pair(
+        &mut (layer, tape),
+        || x.clone(),
+        |(l, tape), x| l.forward(x, tape),
+        |(l, tape)| l.backward(&dout, tape),
+    )
 }
 
 /// A fixed pretraining batch: every seventh token masked, alternating
@@ -109,7 +117,8 @@ fn time_train_step(cfg: BertConfig) -> (Phase, Phase) {
     let ctx = ForwardCtx::train();
     time_pair(
         staged.stage_mut(0),
-        |s| s.forward(None, &batch, &ctx),
+        || (),
+        |s, ()| s.forward(None, &batch, &ctx),
         |s| s.backward(None, &batch),
     )
 }

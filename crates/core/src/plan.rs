@@ -4,9 +4,8 @@
 //! The simulator-facing types ([`crate::PipeFisherSchedule`]) speak in
 //! continuous time; the executor needs something discrete: for every
 //! device, one list of operations it replays in order each step — the
-//! forward/backward micro-batch operations (with activation-slot and
-//! routing annotations) and, at fixed positions among them, the K-FAC work
-//! units it hosts. [`ExecutablePlan::lower`] produces that, validating on
+//! forward/backward micro-batch operations (with routing annotations) and,
+//! at fixed positions among them, the K-FAC work units it hosts. [`ExecutablePlan::lower`] produces that, validating on
 //! the way that the graph actually covers every (stage, micro-batch) pair —
 //! a malformed graph becomes an [`AssignError::MissingTask`] instead of a
 //! silent skip. A unit's position follows one structural rule (see
@@ -25,9 +24,6 @@ pub enum PlanOp {
         stage: usize,
         /// Micro-batch index.
         mb: usize,
-        /// Activation-slot replica of (device, stage) this micro-batch
-        /// occupies between its forward and backward.
-        slot: usize,
         /// Device hosting the next stage's forward of this micro-batch
         /// (`None` for the last stage, whose forward ends in losses).
         send_to: Option<usize>,
@@ -38,8 +34,6 @@ pub enum PlanOp {
         stage: usize,
         /// Micro-batch index.
         mb: usize,
-        /// Slot assigned by the matching forward (freed afterwards).
-        slot: usize,
         /// Device hosting the previous stage's backward of this
         /// micro-batch (`None` for stage 0).
         send_to: Option<usize>,
@@ -99,8 +93,6 @@ pub struct AuxOp {
     pub stage: usize,
     /// What to do.
     pub kind: AuxKind,
-    /// Activation slot of the capture micro-batch: the replica folded from.
-    pub slot: usize,
 }
 
 /// Everything one device needs to run its share of a step.
@@ -113,17 +105,20 @@ pub struct DevicePlan {
     /// stage one `FoldA`, one `FoldB` and one `Invert`. Where each runs is
     /// its [`PlanOp::Aux`] entry's position in `ops`.
     pub aux: Vec<AuxOp>,
-    /// Per model stage: how many activation-slot replicas this device
-    /// needs (0 = stage not hosted here).
-    pub n_slots: Vec<usize>,
 }
 
 impl DevicePlan {
     /// Stages this device hosts (runs forwards of), ascending.
     pub fn hosted_stages(&self) -> Vec<usize> {
-        (0..self.n_slots.len())
-            .filter(|&s| self.n_slots[s] > 0)
-            .collect()
+        let mut stages: Vec<usize> = (self.ops.iter())
+            .filter_map(|op| match *op {
+                PlanOp::Forward { stage, .. } => Some(stage),
+                _ => None,
+            })
+            .collect();
+        stages.sort_unstable();
+        stages.dedup();
+        stages
     }
 }
 
@@ -219,31 +214,17 @@ impl ExecutablePlan {
             }
         }
 
-        // Per-device op list with free-list slot assignment: a forward
-        // claims the lowest free slot of its (device, stage); the matching
-        // backward releases it. (Round-robin would be wrong: in
-        // `F0 F1 B1 F2` the slot freed by B1 must be reused by F2 while
-        // mb 0 still occupies slot 0.)
-        let mut devices: Vec<DevicePlan> = vec![
-            DevicePlan {
-                ops: Vec::new(),
-                aux: Vec::new(),
-                n_slots: vec![0; n_stages],
-            };
-            n_devices
-        ];
-        use std::collections::HashMap;
-        let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new(); // (stage, mb) → slot
-        let mut free_slots: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n_stages]; n_devices];
+        // Per-device op list in the graph's order.
+        let mut devices = vec![DevicePlan::default(); n_devices];
         // Per device, per op: whether it waits for another device's tensor.
         let mut waits: Vec<Vec<bool>> = vec![Vec::new(); n_devices];
         let device_of = |kind, stage, mb| {
             let id = graph.find(kind, stage, mb).expect("coverage validated");
             graph.task(id).device
         };
-        // Per stage: the capture micro-batch's device, op indices and slot.
+        // Per stage: the capture micro-batch's device and op indices.
         let mut capture_host = vec![0usize; n_stages];
-        let mut capture_ops = vec![(0usize, 0usize, 0usize); n_stages];
+        let mut capture_ops = vec![(0usize, 0usize); n_stages];
         for (dev, order) in graph.device_order().iter().enumerate() {
             for &id in order {
                 let task = graph.task(id);
@@ -258,40 +239,19 @@ impl ExecutablePlan {
                 let at = devices[dev].ops.len();
                 match task.kind {
                     WorkKind::Forward => {
-                        let slot = match free_slots[dev][stage].pop() {
-                            Some(s) => s,
-                            None => {
-                                let s = devices[dev].n_slots[stage];
-                                devices[dev].n_slots[stage] += 1;
-                                s
-                            }
-                        };
-                        slot_of.insert((stage, mb), slot);
                         let send_to = (stage + 1 < n_stages)
                             .then(|| device_of(WorkKind::Forward, stage + 1, mb));
                         waits[dev]
                             .push(stage > 0 && device_of(WorkKind::Forward, stage - 1, mb) != dev);
                         if capture {
                             capture_host[stage] = dev;
-                            capture_ops[stage] = (at, 0, slot);
+                            capture_ops[stage].0 = at;
                         }
-                        devices[dev].ops.push(PlanOp::Forward {
-                            stage,
-                            mb,
-                            slot,
-                            send_to,
-                        });
+                        devices[dev]
+                            .ops
+                            .push(PlanOp::Forward { stage, mb, send_to });
                     }
                     WorkKind::Backward => {
-                        let slot = *slot_of.get(&(stage, mb)).expect(
-                            "backward after forward on the same device (validated above; \
-                             device order is dependency-consistent)",
-                        );
-                        // Keep the free list sorted so `pop` yields the
-                        // lowest slot.
-                        let fl = &mut free_slots[dev][stage];
-                        fl.push(slot);
-                        fl.sort_unstable_by(|a, b| b.cmp(a));
                         let send_to =
                             (stage > 0).then(|| device_of(WorkKind::Backward, stage - 1, mb));
                         waits[dev].push(
@@ -301,12 +261,9 @@ impl ExecutablePlan {
                         if capture {
                             capture_ops[stage].1 = at;
                         }
-                        devices[dev].ops.push(PlanOp::Backward {
-                            stage,
-                            mb,
-                            slot,
-                            send_to,
-                        });
+                        devices[dev]
+                            .ops
+                            .push(PlanOp::Backward { stage, mb, send_to });
                     }
                     other => {
                         return Err(AssignError::Schedule(format!(
@@ -324,7 +281,7 @@ impl ExecutablePlan {
         // unit's entry goes before (`ops.len()`: the tail).
         let mut precedes: Vec<Vec<usize>> = vec![Vec::new(); n_devices];
         for (stage, &host) in capture_host.iter().enumerate() {
-            let (fwd, bwd, slot) = capture_ops[stage];
+            let (fwd, bwd) = capture_ops[stage];
             let tail = devices[host].ops.len();
             let waits = &waits[host];
             let first_wait_from = |from: usize| {
@@ -339,7 +296,7 @@ impl ExecutablePlan {
                 (AuxKind::FoldB, fold_b),
                 (AuxKind::Invert, fold_b),
             ] {
-                devices[host].aux.push(AuxOp { stage, kind, slot });
+                devices[host].aux.push(AuxOp { stage, kind });
                 precedes[host].push(before);
             }
         }
@@ -539,12 +496,12 @@ mod tests {
                 let pos = |want: &dyn Fn(&PlanOp) -> bool| dp.ops.iter().position(want);
                 let capture = |is_fwd: bool| {
                     move |op: &PlanOp| match *op {
-                        PlanOp::Forward {
-                            stage, mb, slot, ..
-                        } => is_fwd && (stage, mb, slot) == (a.stage, cap, a.slot),
-                        PlanOp::Backward {
-                            stage, mb, slot, ..
-                        } => !is_fwd && (stage, mb, slot) == (a.stage, cap, a.slot),
+                        PlanOp::Forward { stage, mb, .. } => {
+                            is_fwd && (stage, mb) == (a.stage, cap)
+                        }
+                        PlanOp::Backward { stage, mb, .. } => {
+                            !is_fwd && (stage, mb) == (a.stage, cap)
+                        }
                         PlanOp::Aux { .. } => false,
                     }
                 };
@@ -623,46 +580,41 @@ mod tests {
         );
     }
 
-    #[test]
-    fn slots_are_reused_via_free_list() {
-        // 1F1B steady state interleaves F and B, so a 4-deep pipeline's
-        // first stage needs exactly min(D, N) slots, not N.
-        let plan = lower_scheme(PipelineScheme::OneFOneB, 4, 4);
-        assert_eq!(plan.devices[0].n_slots[0], 4);
-        let plan8 = {
-            let graph = PipelineScheme::OneFOneB.build(4, 8);
-            ExecutablePlan::lower(&graph, true).unwrap()
-        };
-        // With 8 micro-batches the window stays bounded by the warmup depth.
-        assert!(
-            plan8.devices[0].n_slots[0] <= 5,
-            "slots {}",
-            plan8.devices[0].n_slots[0]
-        );
+    /// The most `(stage, mb)` activation tapes `dp` holds at once: a
+    /// forward opens its micro-batch's tape, the matching backward closes it.
+    fn most_live_tapes(dp: &DevicePlan) -> usize {
+        let mut live = 0usize;
+        let mut most = 0;
+        for op in &dp.ops {
+            match op {
+                PlanOp::Forward { .. } => live += 1,
+                PlanOp::Backward { .. } => live -= 1,
+                PlanOp::Aux { .. } => {}
+            }
+            most = most.max(live);
+        }
+        most
     }
 
+    /// What bounds a device's activation memory: 1F1B's first device
+    /// holds `min(D, N)` micro-batches in flight, GPipe's holds all `N`.
     #[test]
-    fn out_of_order_backward_reuses_lowest_slot() {
-        // F0 F1 B1 F2 B0 B2: F2 must land in slot 1 (freed by B1), while
-        // mb 0 still holds slot 0.
-        let mut g = TaskGraph::new("test", 1, 1, 3);
-        let f0 = g.push(0, 0, Some(0), WorkKind::Forward, vec![]);
-        let f1 = g.push(0, 0, Some(1), WorkKind::Forward, vec![]);
-        let _b1 = g.push(0, 0, Some(1), WorkKind::Backward, vec![f1]);
-        let f2 = g.push(0, 0, Some(2), WorkKind::Forward, vec![]);
-        let _b0 = g.push(0, 0, Some(0), WorkKind::Backward, vec![f0]);
-        let _b2 = g.push(0, 0, Some(2), WorkKind::Backward, vec![f2]);
-        let plan = ExecutablePlan::lower(&g, true).unwrap();
-        let slots: Vec<usize> = plan.devices[0]
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                PlanOp::Forward { slot, .. } | PlanOp::Backward { slot, .. } => Some(*slot),
-                PlanOp::Aux { .. } => None,
-            })
-            .collect();
-        assert_eq!(slots, vec![0, 1, 1, 1, 0, 1]);
-        assert_eq!(plan.devices[0].n_slots[0], 2);
+    fn live_tapes_stay_within_the_schedules_bound() {
+        for (d, n) in [(2, 4), (4, 4), (4, 8), (4, 2), (8, 16)] {
+            let one_f_one_b = lower_scheme(PipelineScheme::OneFOneB, d, n);
+            let gpipe = lower_scheme(PipelineScheme::GPipe, d, n);
+            for dp in &one_f_one_b.devices {
+                assert!(most_live_tapes(dp) <= d.min(n), "1F1B d={d} n={n}");
+            }
+            assert_eq!(
+                most_live_tapes(&one_f_one_b.devices[0]),
+                d.min(n),
+                "1F1B d={d} n={n}"
+            );
+            for dp in &gpipe.devices {
+                assert_eq!(most_live_tapes(dp), n, "GPipe d={d} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 1. **Program order** — each device's events, in timestamp order, are
 //!    exactly the op list [`ExecutablePlan::expected_step`] gives for the
 //!    step's K-FAC cadence: the forwards, backwards and K-FAC units the
-//!    executor replays (same stage / micro-batch / slot or unit, same
+//!    executor replays (same stage and micro-batch or unit, same
 //!    order, nothing missing, nothing extra, nothing on the wrong device).
 //!    Lowering placed every unit after its prerequisites, so this also
 //!    binds when folds and inversions run.
@@ -30,8 +30,6 @@ pub enum EventKind {
         stage: usize,
         /// Micro-batch index.
         mb: usize,
-        /// Activation slot the executor reported.
-        slot: usize,
     },
     /// A stage backward for one micro-batch.
     Backward {
@@ -39,8 +37,6 @@ pub enum EventKind {
         stage: usize,
         /// Micro-batch index.
         mb: usize,
-        /// Activation slot the executor reported.
-        slot: usize,
     },
     /// A K-FAC work unit (a fold or an inversion of one stage).
     Aux {
@@ -163,17 +159,13 @@ pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
         }
         let kind = match (ev.cat.as_str(), ev.name.as_str()) {
             ("pipeline", "forward") | ("pipeline", "backward") => {
-                let (Some(stage), Some(mb), Some(slot)) = (
-                    arg_usize(ev, "stage"),
-                    arg_usize(ev, "mb"),
-                    arg_usize(ev, "slot"),
-                ) else {
+                let (Some(stage), Some(mb)) = (arg_usize(ev, "stage"), arg_usize(ev, "mb")) else {
                     continue;
                 };
                 if ev.name == "forward" {
-                    EventKind::Forward { stage, mb, slot }
+                    EventKind::Forward { stage, mb }
                 } else {
-                    EventKind::Backward { stage, mb, slot }
+                    EventKind::Backward { stage, mb }
                 }
             }
             ("kfac", name) => {
@@ -202,20 +194,16 @@ pub fn extract_events(trace: &[TraceEvent]) -> Vec<ExecEvent> {
 
 fn describe(kind: &EventKind) -> String {
     match kind {
-        EventKind::Forward { stage, mb, slot } => format!("F(s{stage},mb{mb},slot{slot})"),
-        EventKind::Backward { stage, mb, slot } => format!("B(s{stage},mb{mb},slot{slot})"),
+        EventKind::Forward { stage, mb } => format!("F(s{stage},mb{mb})"),
+        EventKind::Backward { stage, mb } => format!("B(s{stage},mb{mb})"),
         EventKind::Aux { kind, stage } => format!("{kind:?}(s{stage})"),
     }
 }
 
 fn plan_op_kind(device: &DevicePlan, op: &PlanOp) -> EventKind {
     match *op {
-        PlanOp::Forward {
-            stage, mb, slot, ..
-        } => EventKind::Forward { stage, mb, slot },
-        PlanOp::Backward {
-            stage, mb, slot, ..
-        } => EventKind::Backward { stage, mb, slot },
+        PlanOp::Forward { stage, mb, .. } => EventKind::Forward { stage, mb },
+        PlanOp::Backward { stage, mb, .. } => EventKind::Backward { stage, mb },
         PlanOp::Aux { unit } => {
             let a = device.aux[unit];
             EventKind::Aux {

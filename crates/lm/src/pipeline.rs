@@ -15,37 +15,43 @@
 //! worker makes no scheduling choice, and the simulator-side assignment
 //! (`core::assign`) is not consulted (EXPERIMENTS.md "Known deviations").
 //!
-//! Each stage's capture host is its *owner* for the whole run: it keeps the
-//! stage's parameters, the one gradient accumulator and the optimizer state
-//! of those parameters, and merges, preconditions and updates the stage
-//! itself. The coordinator keeps only scalars: it folds the owners'
-//! per-parameter squared sums and per-layer `⟨g, g̃⟩` into the gradient
-//! norm and the KL-clip sum and answers each step with one update message.
-//! Parameters and optimizer state come back to it only for a checkpoint
-//! and at the end of the run.
+//! A device keeps one model of each stage it hosts and, per micro-batch in
+//! flight, the activation tape its forward left for its backward, keyed by
+//! `(stage, mb)`. Each stage's capture host is its *owner* for the whole
+//! run: the model it runs the stage on is the stage's model, with the one
+//! gradient accumulator beside it and the optimizer state of its
+//! parameters, and it merges, preconditions and updates the stage in
+//! place. Only a device that hosts a stage it does not own (Chimera's other
+//! pipeline) is sent the new parameters. The coordinator keeps only
+//! scalars: it folds the owners' per-parameter squared sums and per-layer
+//! `⟨g, g̃⟩` into the gradient norm and the KL-clip sum and answers each
+//! step with one update message. Parameters and optimizer state come back
+//! to it only for a checkpoint and at the end of the run.
 //!
 //! # Determinism
 //!
 //! The engine is bitwise-identical to the inline one for every stage
 //! count and scheme, because floating-point work is never re-associated:
 //!
-//! - Each worker computes a micro-batch's gradient contribution on a
-//!   zero-initialised slot replica, so each contribution is exactly the
-//!   serial per-micro-batch gradient. The zeros are `Matrix::zeros` or a
-//!   spare set the owner refilled with `+0.0` after adding it: the same
-//!   bits.
+//! - Each backward runs on a zeroed gradient set swapped into its host's
+//!   model and is swapped out after it, so each contribution is exactly the
+//!   serial per-micro-batch gradient, whatever other micro-batch is in
+//!   flight. The zeros are `Matrix::zeros` or a spare set the owner
+//!   refilled with `+0.0` after adding it: the same bits.
 //! - The owner adds the contributions onto its zeroed accumulator via
 //!   `axpy(1.0, ·)` in strict micro-batch order 0..N−1 — the serial
-//!   accumulation order — and ×1.0 is exact. A contribution from the
-//!   stage's other host (Chimera) that arrives before its turn waits.
+//!   accumulation order — and ×1.0 is exact. A contribution that arrives
+//!   before its turn (GPipe's backwards run last to first; Chimera's other
+//!   host ships its own) waits.
 //! - The owner scales to the mean and squares each parameter as the loop
 //!   does; the coordinator sums the squares in `visit_all_params` order and
 //!   the `⟨g, g̃⟩` in `visit_kfac_linears` order, stage after stage — the
 //!   serial chains.
 //! - K-FAC folds and inversions are the unit methods `Kfac::step` itself
 //!   calls (`Kfac::fold_a`, `Kfac::fold_b`, `Kfac::invert`, one call per
-//!   unit over the stage's K-FAC layers), here taking the capture
-//!   replica's statistics into the owner's layer states, each kind after
+//!   unit over the stage's K-FAC layers), here taking the statistics the
+//!   capture micro-batch left in the owner's model into its layer states
+//!   (the capture flag rides on that micro-batch's tape), each kind after
 //!   its prerequisites and on the steps the owner's `Kfac` clock (a clone
 //!   of the coordinator's) says; the owner then runs `Kfac::precondition`
 //!   and, with the coordinator's sum, `Kfac::update` — the two halves
@@ -53,8 +59,8 @@
 //!
 //! The only representational difference is the sign of zeros: the serial
 //! loop accumulates onto the model's gradients, while each contribution
-//! starts from `+0.0` replica buffers, and `+0.0 + -0.0 == +0.0`. A
-//! sign-of-zero never changes a loss, norm, or parameter value.
+//! starts from `+0.0` buffers, and `+0.0 + -0.0 == +0.0`. A sign-of-zero
+//! never changes a loss, norm, or parameter value.
 //!
 //! # Robustness
 //!
@@ -73,19 +79,16 @@
 //! everything unwinds to a join. Neither deadlocks.
 
 use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
-use crate::trainer::{grad_square, AnyOpt, Engine};
+use crate::trainer::{grad_square, span, AnyOpt, Engine};
 use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
-use pipefisher_core::{AssignError, AuxKind, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
+use pipefisher_core::{AssignError, AuxOp, DevicePlan, ExecutablePlan, PlanOp};
 use pipefisher_nn::{
-    BertForPreTraining, BertStage, ForwardCtx, Linear, ParamVisitor, PreTrainingBatch, StageOutput,
-    StagedBert,
+    BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert, Tape,
 };
 use pipefisher_optim::KfacModel;
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::Matrix;
-use pipefisher_trace::Span;
-use serde_json::json;
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -300,8 +303,8 @@ enum Inbox {
     /// From a host of the owned stage: micro-batch `mb`'s gradient
     /// contribution, `(mb, grads)`.
     Grads(usize, GradSet),
-    /// From a hosted stage's owner: its parameters after an update,
-    /// `(stage, values)`.
+    /// From the owner of a stage this device also hosts: its parameters
+    /// after an update, `(stage, values)`.
     Params(usize, ParamSet),
     /// From whoever recorded the run's first fault: stop now.
     Abort,
@@ -360,9 +363,9 @@ impl Fleet {
     /// Records `fault` if no earlier fault was recorded — and then, being
     /// the run's first fault, wakes every worker with an `Abort`.
     fn trip(&self, fault: ExecFault) {
-        let mut slot = self.fault.lock().expect("fault latch never poisons");
-        if slot.is_none() {
-            *slot = Some(fault);
+        let mut latch = self.fault.lock().expect("fault latch never poisons");
+        if latch.is_none() {
+            *latch = Some(fault);
             for inbox in &self.inboxes {
                 let _ = inbox.send(Inbox::Abort);
             }
@@ -391,23 +394,6 @@ impl Fleet {
 /// Worker-internal "stop this step now" marker; the cause (if this worker
 /// is the one that failed) is already in the [`Fleet`]'s latch.
 struct Halt;
-
-/// The span of a worker's op, K-FAC unit or owner work: its `step`,
-/// `device` and `stage`, then `extra`, as args.
-fn span(
-    name: &'static str,
-    cat: &'static str,
-    step: usize,
-    device: usize,
-    stage: usize,
-    extra: &[(&str, usize)],
-) -> Option<Span> {
-    pipefisher_trace::span_with(name, cat, || {
-        let coords = [("step", step), ("device", device), ("stage", stage)];
-        let args = coords.iter().chain(extra);
-        args.map(|&(k, v)| (k.to_string(), json!(v))).collect()
-    })
-}
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -517,21 +503,12 @@ impl Trainer {
     }
 }
 
-/// No parameters: stepping the coordinator's optimizer on it moves only its
-/// counters, in step with the owners'.
-struct NoParams;
-
-impl KfacModel for NoParams {
-    fn visit_kfac_linears<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Linear)) {}
-
-    fn visit_all_params(&mut self, _f: ParamVisitor<'_>) {}
-}
-
 /// The staged-threads engine: the canonical model split into `D` stages
 /// plus one persistent worker thread per device, each the owner of one
 /// stage. Per step it sends every device its step command, collects one
-/// report per device and sends every owner the update; only
-/// [`Engine::sync`] refreshes the canonical stages.
+/// report per device and sends every owner the update. The owners take
+/// their stages at [`Engine::start`]; only [`Engine::sync`] puts them, or
+/// copies of them, back.
 struct Staged<'a> {
     staged: StagedBert,
     plan: &'a ExecutablePlan,
@@ -649,10 +626,11 @@ impl Engine for Staged<'_> {
         &mut self.staged
     }
 
-    /// Spawns one persistent worker per device, each with slot replicas
-    /// cloned from the (possibly just restored) canonical stages, and hands
-    /// every owner its stage and that stage's share of `opt`'s state: from
-    /// here on `opt` is the cadence clock only.
+    /// Spawns one persistent worker per device. Each owner takes its stage
+    /// out of the (possibly just restored) canonical model, with that
+    /// stage's share of `opt`'s state: from here on `opt` is the cadence
+    /// clock only. A device that also hosts a stage it does not own
+    /// (Chimera) gets a copy of it.
     fn start(&mut self, opt: &mut AnyOpt) {
         let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
         let (report_tx, reports) = mpsc::channel::<WorkerMsg>();
@@ -664,49 +642,50 @@ impl Engine for Staged<'_> {
             fault: Mutex::new(None),
         });
         let owner = &self.plan.capture_host;
+        let hosted: Vec<_> = (self.plan.devices.iter())
+            .map(DevicePlan::hosted_stages)
+            .collect();
         let mut restored = AnyOpt::new(self.choice);
         opt.hand_over(&mut restored, &mut self.staged);
+        // Copies of the stages a device hosts but does not own (Chimera)
+        // first: each owner then moves its stage out.
+        let mut models: Vec<HashMap<usize, BertStage>> = (hosted.iter().enumerate())
+            .map(|(dev, stages)| {
+                let copies = stages.iter().filter(|&&s| owner[s] != dev);
+                copies.map(|&s| (s, self.staged.stage(s).clone())).collect()
+            })
+            .collect();
         let mut joins = Vec::with_capacity(receivers.len());
         for (dev, inbox) in receivers.into_iter().enumerate() {
             let dplan = self.plan.devices[dev].clone();
-            let mut hosts = HashMap::new();
-            for s in dplan.hosted_stages() {
-                let mut replicas = Vec::with_capacity(dplan.n_slots[s]);
-                for _ in 0..dplan.n_slots[s] {
-                    let mut replica = self.staged.stage(s).clone();
-                    replica.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.0));
-                    replicas.push(replica);
-                }
-                let host = StageHost {
-                    replicas,
-                    spares: Vec::new(),
-                    owner: owner[s],
-                    stale: false,
-                };
-                hosts.insert(s, host);
-            }
             // Lowering makes every device the capture host of one stage.
             let stage = owner.iter().position(|&o| o == dev).expect("an owner");
-            let mut model = self.staged.stage(stage).clone();
-            model.zero_grad();
+            let mut model = std::mem::take(self.staged.stage_mut(stage));
+            let mut acc = GradSet::new();
+            swap_grads(&mut model, &mut acc);
+            acc.iter_mut().for_each(|g| g.scale_inplace(0.0));
             let mut own_opt = opt.clone();
             restored.hand_over(&mut own_opt, &mut model);
+            models[dev].insert(stage, model);
             let owned = Owned {
                 stage,
-                model,
+                acc,
+                spares: Vec::new(),
                 opt: own_opt,
                 early: (0..n_micro).map(|_| None).collect(),
                 merged: 0,
-                hosted_on: (0..owner.len())
-                    .filter(|&o| self.plan.devices[o].n_slots[stage] > 0)
+                peers: (0..d)
+                    .filter(|&o| o != dev && hosted[o].contains(&stage))
                     .collect(),
                 spent: StageSums::default(),
             };
             let worker = Worker {
                 device: dev,
-                last_stage: d - 1,
                 plan: Arc::new(dplan),
-                hosts,
+                models: std::mem::take(&mut models[dev]),
+                tapes: HashMap::new(),
+                owners: owner.clone(),
+                params_due: 0,
                 owned,
                 inbox,
                 fleet: Arc::clone(&fleet),
@@ -786,7 +765,7 @@ impl Engine for Staged<'_> {
 
     /// Sends every owner the update — with K-FAC, the clip sum of all
     /// stages' products in layer order — and moves the coordinator's
-    /// cadence clock on.
+    /// cadence clock on: the update's two halves on an empty stage.
     fn apply(&mut self, step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError> {
         let vsum = matches!(opt, AnyOpt::Kfac(_)).then(|| {
             let dots = self.sums.iter().flat_map(|s| &s.dots);
@@ -807,7 +786,9 @@ impl Engine for Staged<'_> {
             };
             self.send(step, dev, update)?;
         }
-        opt.apply(&mut NoParams, lr);
+        let no_params = &mut BertStage::default();
+        opt.precondition(no_params, &mut |_| {});
+        opt.update(no_params, lr, vsum);
         self.dirty = true;
         Ok(())
     }
@@ -853,32 +834,37 @@ impl Engine for Staged<'_> {
 
 // ===================== worker side =====================
 
-/// A stage this device hosts: one replica per activation slot.
-struct StageHost {
-    replicas: Vec<BertStage>,
-    /// Zeroed gradient sets a backward swaps into its replica, at most one
-    /// per replica: the owner returns each contribution it has added here.
-    spares: Vec<GradSet>,
-    /// The device that owns the stage.
-    owner: usize,
-    /// Updated since the replicas were loaded.
-    stale: bool,
+/// Swaps `model`'s gradients with `set`, parameter by parameter; a
+/// parameter past the end of `set` swaps with zeros.
+fn swap_grads(model: &mut BertStage, set: &mut GradSet) {
+    let mut i = 0;
+    model.visit_params(&mut |p| {
+        if i == set.len() {
+            set.push(Matrix::zeros(p.grad.rows(), p.grad.cols()));
+        }
+        std::mem::swap(&mut p.grad, &mut set[i]);
+        i += 1;
+    });
 }
 
-/// The stage a device owns for the whole run: its parameters, the one
-/// gradient accumulator, and the optimizer state of those parameters.
+/// The stage a device owns for the whole run: the gradient accumulator and
+/// the optimizer state of the stage whose model this device hosts.
 struct Owned {
     stage: usize,
-    /// Parameter values, and the accumulator in the gradients.
-    model: BertStage,
+    /// Per parameter, the sum of the contributions added so far.
+    acc: GradSet,
+    /// Zeroed gradient sets the stage's backwards here swap into its
+    /// model, at most one per micro-batch: each contribution, once added,
+    /// comes back here.
+    spares: Vec<GradSet>,
     opt: AnyOpt,
     /// Contributions that arrived before their turn, by micro-batch.
     early: Vec<Option<GradSet>>,
     /// How many micro-batches the accumulator holds.
     merged: usize,
-    /// Every device hosting the stage, this one included: each gets its
-    /// parameters after an update.
-    hosted_on: Vec<usize>,
+    /// The other devices hosting the stage: each gets its parameters after
+    /// an update.
+    peers: Vec<usize>,
     /// The last report, back with the update: the next one refills its
     /// vectors.
     spent: StageSums,
@@ -896,9 +882,16 @@ enum Woke {
 /// One device's worker: replays its `DevicePlan` op list each step.
 struct Worker {
     device: usize,
-    last_stage: usize,
     plan: Arc<DevicePlan>,
-    hosts: HashMap<usize, StageHost>,
+    /// The one model of each stage this device hosts.
+    models: HashMap<usize, BertStage>,
+    /// The tape each `(stage, mb)` forward leaves for its backward.
+    tapes: HashMap<(usize, usize), Tape>,
+    /// Per stage, the device that owns it.
+    owners: Vec<usize>,
+    /// Parameter sets still due, before the next step, from the owners of
+    /// the stages this device hosts but does not own.
+    params_due: usize,
     owned: Owned,
     inbox: Receiver<Inbox>,
     fleet: Arc<Fleet>,
@@ -929,9 +922,11 @@ impl Worker {
             match outcome {
                 Ok(Ok(true)) => continue,
                 Ok(Ok(false)) => {
+                    let stage = self.owned.stage;
+                    let model = self.models.remove(&stage).expect("an owner hosts");
                     let state = WorkerMsg::State {
-                        stage: self.owned.stage,
-                        model: Box::new(self.owned.model),
+                        stage,
+                        model: Box::new(model),
                         opt: self.owned.opt,
                         owner_ms: self.owner_ms,
                     };
@@ -955,6 +950,12 @@ impl Worker {
         self.fleet.stamp(self.device);
     }
 
+    /// The model of the owned stage.
+    fn owned_model(&mut self) -> &mut BertStage {
+        let stage = self.owned.stage;
+        self.models.get_mut(&stage).expect("an owner hosts")
+    }
+
     /// Acts on one inbox message: a step command is handed back, the
     /// coordinator's update and hand-back run (they arrive only between
     /// steps), a tensor, contribution or parameters is filed, and `Abort`
@@ -975,7 +976,7 @@ impl Worker {
             Inbox::HandBack { last: false } => {
                 let state = WorkerMsg::State {
                     stage: self.owned.stage,
-                    model: Box::new(self.owned.model.clone()),
+                    model: Box::new(self.owned_model().clone()),
                     opt: self.owned.opt.clone(),
                     owner_ms: std::mem::take(&mut self.owner_ms),
                 };
@@ -984,15 +985,12 @@ impl Worker {
             Inbox::Data(key, m) => drop(self.pending.insert(key, m)),
             Inbox::Grads(mb, grads) => self.merge(mb, grads),
             Inbox::Params(stage, values) => {
-                let host = self.hosts.get_mut(&stage).expect("a hosted stage");
-                for replica in &mut host.replicas {
-                    let mut i = 0;
-                    replica.visit_params(&mut |p| {
-                        p.value.clone_from(&values[i]);
-                        i += 1;
-                    });
-                }
-                host.stale = false;
+                let model = self.models.get_mut(&stage).expect("a hosted stage");
+                let mut values = values.into_iter();
+                model.visit_params(&mut |p| {
+                    p.value = values.next().expect("one value per parameter");
+                });
+                self.params_due -= 1;
             }
             Inbox::Abort | Inbox::Shutdown => return Err(Halt),
         }
@@ -1105,18 +1103,12 @@ impl Worker {
                 self.touch();
             }
             match *op {
-                PlanOp::Forward {
-                    stage,
-                    mb,
-                    slot,
-                    send_to,
-                } => self.do_forward(cmd, stage, mb, slot, send_to)?,
-                PlanOp::Backward {
-                    stage,
-                    mb,
-                    slot,
-                    send_to,
-                } => self.do_backward(cmd, stage, mb, slot, send_to)?,
+                PlanOp::Forward { stage, mb, send_to } => {
+                    self.do_forward(cmd, stage, mb, send_to)?
+                }
+                PlanOp::Backward { stage, mb, send_to } => {
+                    self.do_backward(cmd, stage, mb, send_to)?
+                }
                 PlanOp::Aux { unit } => {
                     if let Some(ms) = self.do_aux(cmd, plan.aux[unit]) {
                         let ledger = if op_index < tail {
@@ -1141,7 +1133,7 @@ impl Worker {
         self.tail_aux_ms = 0.0;
         self.touch();
         self.wait_until(
-            |w| w.hosts.values().all(|h| !h.stale),
+            |w| w.params_due == 0,
             || "the parameters of a stage it hosts".to_string(),
         )
     }
@@ -1151,7 +1143,6 @@ impl Worker {
         cmd: &StepCmd,
         stage: usize,
         mb: usize,
-        slot: usize,
         send_to: Option<usize>,
     ) -> Result<(), Halt> {
         let input = if stage == 0 {
@@ -1161,10 +1152,11 @@ impl Worker {
         };
         let (batch, ctx) = &cmd.batches[mb];
         let out = {
-            let at = [("mb", mb), ("slot", slot)];
+            let at = [("mb", mb)];
             let _span = span("forward", "pipeline", cmd.step, self.device, stage, &at);
-            let host = self.hosts.get_mut(&stage).expect("forward on hosted stage");
-            host.replicas[slot].forward(input, batch, ctx)
+            let model = self.models.get_mut(&stage).expect("a hosted stage");
+            let tape = self.tapes.entry((stage, mb)).or_default();
+            model.forward_with(tape, input, batch, ctx)
         };
         match out {
             StageOutput::Boundary(m) => {
@@ -1182,39 +1174,32 @@ impl Worker {
         cmd: &StepCmd,
         stage: usize,
         mb: usize,
-        slot: usize,
         send_to: Option<usize>,
     ) -> Result<(), Halt> {
-        let dout = if stage == self.last_stage {
+        let dout = if stage + 1 == self.owners.len() {
             None
         } else {
             Some(self.wait_for((true, stage, mb))?)
         };
         let (batch, _ctx) = &cmd.batches[mb];
         let upstream = {
-            let at = [("mb", mb), ("slot", slot)];
+            let at = [("mb", mb)];
             let _span = span("backward", "pipeline", cmd.step, self.device, stage, &at);
-            let host = self.hosts.get_mut(&stage).expect("a hosted stage");
-            host.replicas[slot].backward(dout, batch)
+            let model = self.models.get_mut(&stage).expect("a hosted stage");
+            let tape = self.tapes.get_mut(&(stage, mb)).expect("its tape");
+            model.backward_with(tape, dout, batch)
         };
         if let (Some(m), Some(dest)) = (upstream, send_to) {
             self.post(dest, Inbox::Data((true, stage - 1, mb), m))?;
         }
-        // Take the contribution out of the replica by swapping in a zeroed
-        // spare set, so the replica starts its slot's next micro-batch from
-        // zero, and hand it to the stage's owner.
-        let host = self.hosts.get_mut(&stage).expect("hosted stage");
-        let mut grads = host.spares.pop().unwrap_or_default();
-        let mut i = 0;
-        host.replicas[slot].visit_params(&mut |p| {
-            if i == grads.len() {
-                grads.push(Matrix::zeros(p.grad.rows(), p.grad.cols()));
-            }
-            std::mem::swap(&mut p.grad, &mut grads[i]);
-            i += 1;
-        });
-        let owner = host.owner;
-        self.post(owner, Inbox::Grads(mb, grads))
+        // Take the contribution out of the model by swapping in a zeroed
+        // spare set, so the next backward starts from zero, and hand it to
+        // the stage's owner.
+        let owned = &mut self.owned;
+        let spare = (stage == owned.stage).then(|| owned.spares.pop());
+        let mut grads = spare.flatten().unwrap_or_default();
+        swap_grads(self.models.get_mut(&stage).expect("hosted"), &mut grads);
+        self.post(self.owners[stage], Inbox::Grads(mb, grads))
     }
 
     /// Files micro-batch `mb`'s contribution to the owned stage, then adds
@@ -1223,47 +1208,43 @@ impl Worker {
     /// stage's backwards here.
     fn merge(&mut self, mb: usize, grads: GradSet) {
         let owned = &mut self.owned;
-        let host = self.hosts.get_mut(&owned.stage).expect("an owner hosts");
         owned.early[mb] = Some(grads);
         while let Some(mut set) = owned.early.get_mut(owned.merged).and_then(Option::take) {
-            let mut i = 0;
-            owned.model.visit_params(&mut |p| {
-                p.grad.axpy(1.0, &set[i]);
-                i += 1;
-            });
+            for (acc, g) in owned.acc.iter_mut().zip(&set) {
+                acc.axpy(1.0, g);
+            }
             owned.merged += 1;
-            if host.spares.len() < host.replicas.len() {
+            if owned.spares.len() < owned.early.len() {
                 set.iter_mut().for_each(|m| m.as_mut_slice().fill(0.0));
-                host.spares.push(set);
+                owned.spares.push(set);
             }
         }
     }
 
-    /// Waits for the owned stage's last contribution, scales to the mean
-    /// and preconditions; then sends the step's one report.
+    /// Waits for the owned stage's last contribution, moves the
+    /// accumulator into the model's gradients, scales to the mean and
+    /// preconditions; then sends the step's one report.
     fn finish_step(&mut self, cmd: &StepCmd) -> Result<(), Halt> {
-        for host in self.hosts.values_mut() {
-            host.stale = true;
-        }
+        self.params_due = self.models.len() - 1;
         let stage = self.owned.stage;
         self.wait_until(
             |w| w.owned.merged == w.owned.early.len(),
             || format!("the gradient contributions to stage {stage}"),
         )?;
         let owned = &mut self.owned;
+        let model = self.models.get_mut(&stage).expect("an owner hosts");
+        swap_grads(model, &mut owned.acc);
         let mut sums = std::mem::take(&mut owned.spent);
         sums.grad_sq.clear();
         sums.dots.clear();
-        owned.model.visit_params(&mut |p| {
+        model.visit_params(&mut |p| {
             p.grad.scale_inplace(cmd.scale);
             sums.grad_sq.push(grad_square(p));
         });
         let t = Instant::now();
         {
             let _span = span("precondition", "optim", cmd.step, self.device, stage, &[]);
-            owned
-                .opt
-                .precondition(&mut owned.model, &mut |d| sums.dots.push(d));
+            owned.opt.precondition(model, &mut |d| sums.dots.push(d));
         }
         self.owner_ms += t.elapsed().as_secs_f64() * 1e3;
         sums.health = owned.opt.inversion_health();
@@ -1280,33 +1261,28 @@ impl Worker {
             .map_err(|_| Halt)
     }
 
-    /// Applies step `step`'s update to the owned stage, posts the new
-    /// values to every host of the stage, and zeroes the accumulator for
-    /// the next step.
+    /// Applies step `step`'s update to the owned stage in place, returns
+    /// its gradients to the accumulator zeroed for the next step, and posts
+    /// the new values to the stage's other hosts.
     fn apply_update(&mut self, step: usize, lr: f64, vsum: Option<f64>) {
         let owned = &mut self.owned;
+        let model = self.models.get_mut(&owned.stage).expect("an owner hosts");
         let t = Instant::now();
         {
             let _span = span("update", "optim", step, self.device, owned.stage, &[]);
-            owned.opt.update(&mut owned.model, lr, vsum);
+            owned.opt.update(model, lr, vsum);
         }
         self.owner_ms += t.elapsed().as_secs_f64() * 1e3;
-        let mut values = ParamSet::new();
-        owned.model.visit_params(&mut |p| {
-            values.push(p.value.clone());
-            p.grad.scale_inplace(0.0);
-        });
+        swap_grads(model, &mut owned.acc);
+        owned.acc.iter_mut().for_each(|g| g.scale_inplace(0.0));
         owned.merged = 0;
-        let (stage, hosts) = (owned.stage, owned.hosted_on.len());
-        for k in 0..hosts {
-            let set = if k + 1 < hosts {
-                values.clone()
-            } else {
-                std::mem::take(&mut values)
-            };
+        for k in 0..self.owned.peers.len() {
+            let mut values = ParamSet::new();
+            self.owned_model()
+                .visit_params(&mut |p| values.push(p.value.clone()));
             // A host that has exited either took its last hand-back or has
             // already latched its fault: it needs no parameters.
-            let _ = self.post(self.owned.hosted_on[k], Inbox::Params(stage, set));
+            let _ = self.post(self.owned.peers[k], Inbox::Params(self.owned.stage, values));
         }
     }
 
@@ -1322,8 +1298,8 @@ impl Worker {
         Ok(self.pending.remove(&key).expect("tensor just arrived"))
     }
 
-    /// Runs one K-FAC unit if the step refreshes its kind: the `Kfac`
-    /// method of that kind, folding the capture replica's statistics (or
+    /// Runs one K-FAC unit if the step refreshes its kind, folding the
+    /// statistics the capture micro-batch left in the owned model (or
     /// inverting) against the owner's layer states. The owner's `Kfac`
     /// says whether the step refreshes: it was cloned from the
     /// coordinator's, step count included, and both count every step.
@@ -1333,21 +1309,11 @@ impl Worker {
     /// its stage's folds, so the serial `Kfac::step` values come out; a
     /// stage with no K-FAC layer (D > L) makes its units no-ops.
     fn do_aux(&mut self, cmd: &StepCmd, op: AuxOp) -> Option<f64> {
-        let (refresh_curv, refresh_inv) = self.owned.opt.next_step_refreshes();
-        if !op.kind.applies(refresh_curv, refresh_inv) {
-            return None;
-        }
         let t = Instant::now();
-        let kfac = self.owned.opt.kfac_mut()?;
-        let host = self.hosts.get_mut(&op.stage).expect("aux on hosted stage");
-        let replica = &mut host.replicas[op.slot];
-        {
-            let _span = span(op.kind.name(), "kfac", cmd.step, self.device, op.stage, &[]);
-            match op.kind {
-                AuxKind::FoldA => kfac.fold_a(replica),
-                AuxKind::FoldB => kfac.fold_b(replica),
-                AuxKind::Invert => kfac.invert(replica),
-            }
+        let model = self.models.get_mut(&op.stage).expect("aux on hosted stage");
+        let at = (cmd.step, self.device, op.stage);
+        if !self.owned.opt.run_unit(op.kind, model, at) {
+            return None;
         }
         let ms = t.elapsed().as_secs_f64() * 1e3;
         self.touch();

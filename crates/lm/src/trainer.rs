@@ -15,15 +15,17 @@ use crate::checkpoint::{
 use crate::pipeline::{ExecError, ExecFault};
 use crate::{BatchSampler, StepMetrics};
 use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
-use pipefisher_core::capture_micro_batch;
+use pipefisher_core::{capture_micro_batch, AuxKind};
 use pipefisher_nn::{
     export_params_with, import_params_with, BertForPreTraining, ForwardCtx, Parameter,
     PreTrainingBatch,
 };
 use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, StateSnapshot};
 use pipefisher_tensor::Matrix;
+use pipefisher_trace::Span;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde_json::json;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -505,10 +507,28 @@ impl Engine for BertForPreTraining {
         Ok(loss)
     }
 
-    fn apply(&mut self, _step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError> {
-        opt.apply(self, lr);
+    fn apply(&mut self, step: usize, opt: &mut AnyOpt, lr: f64) -> Result<(), ExecError> {
+        opt.apply(self, step, lr);
         Ok(())
     }
+}
+
+/// The span of a training step's op, K-FAC unit or owner work: its `step`,
+/// `device` and `stage`, then `extra`, as args. The pipeline executor's
+/// workers and the inline engine (device 0, stage 0) share it.
+pub(crate) fn span(
+    name: &'static str,
+    cat: &'static str,
+    step: usize,
+    device: usize,
+    stage: usize,
+    extra: &[(&str, usize)],
+) -> Option<Span> {
+    pipefisher_trace::span_with(name, cat, || {
+        let coords = [("step", step), ("device", device), ("stage", stage)];
+        let args = coords.iter().chain(extra);
+        args.map(|&(k, v)| (k.to_string(), json!(v))).collect()
+    })
 }
 
 /// The driver's optimizer dispatch, carrying what the metrics recorder
@@ -561,13 +581,45 @@ impl AnyOpt {
         }
     }
 
-    /// Applies one optimizer update to the accumulated gradients, K-FAC
-    /// curvature folds and inverse refreshes included.
-    pub(crate) fn apply(&mut self, model: &mut dyn KfacModel, lr: f64) {
-        match self {
-            AnyOpt::Lamb(_) => self.update(model, lr, None),
-            AnyOpt::Kfac(opt) => opt.step(model, lr),
+    /// Applies step `step`'s optimizer update to the accumulated
+    /// gradients as a stage owner does, calls and spans alike (device 0,
+    /// stage 0): the due K-FAC units, then [`AnyOpt::precondition`] and
+    /// [`AnyOpt::update`] with the sum of its products — `Kfac::step`'s
+    /// sequence, so its bits.
+    pub(crate) fn apply(&mut self, model: &mut dyn KfacModel, step: usize, lr: f64) {
+        for kind in [AuxKind::FoldA, AuxKind::FoldB, AuxKind::Invert] {
+            self.run_unit(kind, model, (step, 0, 0));
         }
+        let mut vsum = 0.0;
+        {
+            let _span = span("precondition", "optim", step, 0, 0, &[]);
+            self.precondition(model, &mut |d| vsum += d);
+        }
+        let vsum = matches!(self, AnyOpt::Kfac(_)).then_some(vsum);
+        let _span = span("update", "optim", step, 0, 0, &[]);
+        self.update(model, lr, vsum);
+    }
+
+    /// Runs the K-FAC work unit `kind` over `model`'s K-FAC layers if the
+    /// coming step refreshes its kind, under its span, `kind.name()` at
+    /// `(step, device, stage)`; false, and nothing run, otherwise.
+    pub(crate) fn run_unit(
+        &mut self,
+        kind: AuxKind,
+        model: &mut dyn KfacModel,
+        (step, device, stage): (usize, usize, usize),
+    ) -> bool {
+        let (refresh_curv, refresh_inv) = self.next_step_refreshes();
+        let (AnyOpt::Kfac(opt), true) = (self, kind.applies(refresh_curv, refresh_inv)) else {
+            return false;
+        };
+        let _span = span(kind.name(), "kfac", step, device, stage, &[]);
+        match kind {
+            AuxKind::FoldA => opt.fold_a(model),
+            AuxKind::FoldB => opt.fold_b(model),
+            AuxKind::Invert => opt.invert(model),
+        }
+        true
     }
 
     /// The first half of a preconditioned update: [`Kfac::precondition`],
@@ -599,15 +651,6 @@ impl AnyOpt {
             (AnyOpt::Lamb(from), AnyOpt::Lamb(into)) => from.hand_over(into, model),
             (AnyOpt::Kfac(from), AnyOpt::Kfac(into)) => from.hand_over(into, model),
             _ => unreachable!("state moves between optimizers of one kind"),
-        }
-    }
-
-    /// The wrapped K-FAC optimizer, when this is the K-FAC arm — a stage
-    /// owner runs its refresh units on it.
-    pub(crate) fn kfac_mut(&mut self) -> Option<&mut Kfac<Lamb>> {
-        match self {
-            AnyOpt::Kfac(opt) => Some(opt),
-            _ => None,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Pointwise activation layers (GELU, Tanh).
 
-use crate::{ForwardCtx, Layer, ParamVisitor};
+use crate::{Layer, ParamVisitor, Tape};
 pub use pipefisher_tensor::ActivationKind;
 use pipefisher_tensor::Matrix;
 
@@ -8,60 +8,57 @@ use pipefisher_tensor::Matrix;
 ///
 /// Forward evaluates the activation and its derivative together (one
 /// `tanh` per element, on the tensor crate's row kernel,
-/// [`ActivationKind::apply`]) and caches the derivative, so backward is one
+/// [`ActivationKind::apply`]) and tapes the derivative, so backward is one
 /// multiply per element.
 ///
 /// # Example
 ///
 /// ```
-/// use pipefisher_nn::{Activation, ActivationKind, ForwardCtx, Layer};
+/// use pipefisher_nn::{Activation, ActivationKind, ForwardCtx, Layer, Tape};
 /// use pipefisher_tensor::Matrix;
 ///
 /// let mut tanh = Activation::new(ActivationKind::Tanh);
-/// let y = tanh.forward(&Matrix::from_rows(&[&[0.0, 2.0]]), &ForwardCtx::train());
+/// let mut tape = Tape::new(ForwardCtx::train());
+/// let y = tanh.forward(Matrix::from_rows(&[&[0.0, 2.0]]), &mut tape);
 /// assert_eq!(y[(0, 0)], 0.0);
 /// assert_eq!(y[(0, 1)], pipefisher_tensor::tanh(2.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
-    /// `act′` at the last forward's input, read by backward.
-    derivative: Option<Matrix>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Activation {
-            kind,
-            derivative: None,
-        }
+        Activation { kind }
     }
 
-    /// Applies the activation to `y` in place and caches its derivative
-    /// there (in a buffer recycled across steps) for [`Layer::backward`]:
-    /// this layer's own forward, or [`crate::Linear::forward_bias_act`]'s.
-    pub(crate) fn apply_in_place(&mut self, y: &mut Matrix) {
-        let grad = self.derivative.get_or_insert_with(Matrix::default);
-        grad.reset_shape(y.rows(), y.cols());
+    /// Applies the activation to `y` in place and returns its derivative
+    /// there, for [`Activation::chain`].
+    pub(crate) fn apply(&self, y: &mut Matrix) -> Matrix {
+        let mut grad = Matrix::unfilled(y.rows(), y.cols());
         self.kind.apply(y.as_mut_slice(), grad.as_mut_slice());
+        grad
+    }
+
+    /// The backward at the derivative [`Activation::apply`] returned.
+    pub(crate) fn chain(grad: &Matrix, dout: &Matrix) -> Matrix {
+        assert_eq!(grad.shape(), dout.shape(), "Activation: dout shape");
+        grad.zip_with(dout, |g, dv| g * dv)
     }
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Matrix, _ctx: &ForwardCtx) -> Matrix {
-        let mut y = x.clone();
-        self.apply_in_place(&mut y);
-        y
+    fn forward(&mut self, mut x: Matrix, tape: &mut Tape) -> Matrix {
+        let grad = self.apply(&mut x);
+        tape.save([grad]);
+        x
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let grad = self
-            .derivative
-            .as_ref()
-            .expect("Activation::backward before forward");
-        assert_eq!(grad.shape(), dout.shape(), "Activation: dout shape");
-        grad.zip_with(dout, |g, dv| g * dv)
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+        let [grad] = tape.restore();
+        Self::chain(&grad, dout)
     }
 
     fn visit_params(&mut self, _f: ParamVisitor<'_>) {}
@@ -70,6 +67,7 @@ impl Layer for Activation {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::ForwardCtx;
 
     const SQRT_2_OVER_PI: f64 = 0.797_884_560_802_865_4;
     const GELU_COEFF: f64 = 0.044715;
@@ -118,7 +116,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn layer_caches_the_derivative_bitwise() {
+    fn layer_tapes_the_derivative_bitwise() {
         let xs = edge_grid();
         let dout: Vec<f64> = (0..xs.len()).map(|i| (i as f64 * 0.37).sin()).collect();
         let x = Matrix::from_vec(1, xs.len(), xs);
@@ -130,10 +128,11 @@ pub(crate) mod tests {
         ];
         for (kind, f, df) in oracles {
             let mut layer = Activation::new(kind);
-            // Twice, so the second forward reuses the cached buffer.
+            // Twice, so the second forward runs on a recycled buffer.
             for _ in 0..2 {
-                let y = layer.forward(&x, &ForwardCtx::train());
-                let dx = layer.backward(&dout);
+                let mut tape = Tape::new(ForwardCtx::train());
+                let y = layer.forward(x.clone(), &mut tape);
+                let dx = layer.backward(&dout, &mut tape);
                 for ((&xv, &dv), (&yv, &gv)) in x
                     .as_slice()
                     .iter()
@@ -167,9 +166,9 @@ pub(crate) mod tests {
     #[test]
     fn tanh_backward() {
         let mut t = Activation::new(ActivationKind::Tanh);
-        let x = Matrix::from_rows(&[&[0.7]]);
-        let _ = t.forward(&x, &ForwardCtx::train());
-        let dx = t.backward(&Matrix::from_rows(&[&[1.0]]));
+        let mut tape = Tape::new(ForwardCtx::train());
+        let _ = t.forward(Matrix::from_rows(&[&[0.7]]), &mut tape);
+        let dx = t.backward(&Matrix::from_rows(&[&[1.0]]), &mut tape);
         let expected = 1.0 - 0.7_f64.tanh().powi(2);
         assert!((dx[(0, 0)] - expected).abs() < 1e-12);
     }

@@ -1,20 +1,8 @@
 //! Multi-head scaled-dot-product self-attention.
 
-use crate::{ForwardCtx, Layer, Linear, ParamVisitor};
+use crate::{Layer, Linear, ParamVisitor, Tape};
 use pipefisher_tensor::{gemm_batched, softmax_scaled_inplace, Matrix, Strided};
 use rand::Rng;
-
-/// Cached forward state for the attention backward pass.
-#[derive(Debug, Clone)]
-struct AttnCache {
-    seq: usize,
-    q_out: Matrix,
-    k_out: Matrix,
-    v_out: Matrix,
-    /// Attention probabilities, one `seq × seq` block per `(batch, head)`,
-    /// stacked: block `b * n_heads + h` is rows `(b * n_heads + h) * seq..`.
-    probs: Matrix,
-}
 
 /// Multi-head self-attention as in BERT (bidirectional, no causal mask).
 ///
@@ -30,6 +18,12 @@ struct AttnCache {
 /// over all `(batch, head)` pairs ([`gemm_batched`]): each head is read in
 /// place from its `(batch·seq) × d_model` matrix, and each product lands in
 /// place in its head's columns or its pair's block — no head is copied.
+///
+/// The forward tapes its input once — the one `x` the q, k and v
+/// projections all differentiate at — with the three projections, the
+/// attention probabilities (one `seq × seq` block per `(batch, head)`,
+/// block `b * n_heads + h` at rows `(b * n_heads + h) * seq..`) and the
+/// head concatenation the output projection read.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     q: Linear,
@@ -39,7 +33,6 @@ pub struct MultiHeadAttention {
     n_heads: usize,
     d_model: usize,
     d_head: usize,
-    cache: Option<AttnCache>,
 }
 
 impl MultiHeadAttention {
@@ -62,7 +55,6 @@ impl MultiHeadAttention {
             n_heads,
             d_model,
             d_head: d_model / n_heads,
-            cache: None,
         }
     }
 
@@ -86,8 +78,8 @@ impl MultiHeadAttention {
         }
     }
 
-    /// `X_bh · Y_bhᵀ` for every `(batch, head)`, stacked as in
-    /// [`AttnCache::probs`].
+    /// `X_bh · Y_bhᵀ` for every `(batch, head)`, stacked as the taped
+    /// probabilities are.
     fn pair_products(&self, seq: usize, x: &Matrix, y: &Matrix) -> Matrix {
         let (nh, dh) = (self.n_heads, self.d_head);
         let mut out = Matrix::unfilled(x.rows() * nh, seq);
@@ -124,65 +116,56 @@ impl MultiHeadAttention {
         out
     }
 
-    /// Shared forward body: projections, per-head scaled-dot-product
-    /// attention, and the head concatenation — everything up to (but not
-    /// including) the output projection. Caches backward state.
-    fn forward_concat(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
+    /// The forward body: projections, per-head scaled-dot-product
+    /// attention, the head concatenation and the output projection, with
+    /// the input added onto the output when `residual`.
+    fn forward_with(&mut self, x: Matrix, tape: &mut Tape, residual: bool) -> Matrix {
         assert_eq!(x.cols(), self.d_model, "MultiHeadAttention: input dim");
-        let seq = ctx.effective_seq_len(x.rows());
+        let (seq, capture) = (
+            tape.ctx().effective_seq_len(x.rows()),
+            tape.ctx().capture_kfac,
+        );
         let scale = 1.0 / (self.d_head as f64).sqrt();
 
-        let q_out = self.q.forward(x, ctx);
-        let k_out = self.k.forward(x, ctx);
-        let v_out = self.v.forward(x, ctx);
+        let q_out = self.q.project(&x, None, capture);
+        let k_out = self.k.project(&x, None, capture);
+        let v_out = self.v.project(&x, None, capture);
 
         let mut probs = self.pair_products(seq, &q_out, &k_out);
         // The 1/√d_k scale is folded into the softmax's max/exp pass (one
         // fewer sweep over the scores).
         softmax_scaled_inplace(&mut probs, scale);
         let concat = self.head_products(seq, &probs, false, &v_out);
-        self.cache = Some(AttnCache {
-            seq,
-            q_out,
-            k_out,
-            v_out,
-            probs,
-        });
-        concat
+        let y = self.o.project(&concat, residual.then_some(&x), capture);
+        tape.save([x, q_out, k_out, v_out, probs, concat]);
+        y
     }
 
-    /// Forward pass returning `Attention(x) + residual`, with the residual
-    /// add fused into the output projection's GEMM store epilogue. Bitwise
+    /// Forward pass returning `x + Attention(x)`, with the residual add
+    /// fused into the output projection's GEMM store epilogue. Bitwise
     /// identical to [`Layer::forward`] plus a separate elementwise add; the
     /// caller routes `dout` both into [`Layer::backward`] and down the
     /// residual branch, exactly as for the unfused sum.
-    pub fn forward_residual(&mut self, x: &Matrix, residual: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let concat = self.forward_concat(x, ctx);
-        self.o.forward_residual(&concat, residual, ctx)
+    pub fn forward_residual(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+        self.forward_with(x, tape, true)
     }
 }
 
 impl Layer for MultiHeadAttention {
-    fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let concat = self.forward_concat(x, ctx);
-        self.o.forward(&concat, ctx)
+    fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+        self.forward_with(x, tape, false)
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .take()
-            .expect("MultiHeadAttention::backward before forward");
-        let AttnCache {
-            seq,
-            q_out,
-            k_out,
-            v_out,
-            probs,
-        } = cache;
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+        let [x, q_out, k_out, v_out, probs, concat] = tape.restore();
+        let (seq, capture) = (
+            tape.ctx().effective_seq_len(x.rows()),
+            tape.ctx().capture_kfac,
+        );
         let scale = 1.0 / (self.d_head as f64).sqrt();
 
-        let dconcat = self.o.backward(dout);
+        let dconcat = self.o.backprop(&concat, dout, capture);
+        drop(concat);
         // O = P·V  ⇒  dP = dO·Vᵀ, dV = Pᵀ·dO.
         let mut ds = self.pair_products(seq, &dconcat, &v_out);
         let dv = self.head_products(seq, &probs, true, &dconcat);
@@ -215,9 +198,9 @@ impl Layer for MultiHeadAttention {
         let dk = self.head_products(seq, &ds, true, &q_out);
         drop((ds, q_out, k_out));
 
-        let mut dx = self.q.backward(&dq);
-        dx += &self.k.backward(&dk);
-        dx += &self.v.backward(&dv);
+        let mut dx = self.q.backprop(&x, &dq, capture);
+        dx += &self.k.backprop(&x, &dk, capture);
+        dx += &self.v.backprop(&x, &dv, capture);
         dx
     }
 
@@ -232,10 +215,14 @@ impl Layer for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Parameter;
+    use crate::{ForwardCtx, Parameter};
     use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn tape(ctx: ForwardCtx, seq: usize) -> Tape {
+        Tape::new(ctx.with_seq_len(seq))
+    }
 
     fn attn(d_model: usize, heads: usize) -> MultiHeadAttention {
         let mut rng = StdRng::seed_from_u64(11);
@@ -246,7 +233,7 @@ mod tests {
     fn forward_shape() {
         let mut a = attn(8, 2);
         let x = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(1));
-        let y = a.forward(&x, &ForwardCtx::train().with_seq_len(3));
+        let y = a.forward(x, &mut tape(ForwardCtx::train(), 3));
         assert_eq!(y.shape(), (6, 8));
         assert!(y.all_finite());
     }
@@ -255,8 +242,9 @@ mod tests {
     fn backward_shape_and_finiteness() {
         let mut a = attn(8, 4);
         let x = init::normal(4, 8, 1.0, &mut StdRng::seed_from_u64(2));
-        let _ = a.forward(&x, &ForwardCtx::train().with_seq_len(4));
-        let dx = a.backward(&Matrix::full(4, 8, 0.1));
+        let mut tape = tape(ForwardCtx::train(), 4);
+        let _ = a.forward(x, &mut tape);
+        let dx = a.backward(&Matrix::full(4, 8, 0.1), &mut tape);
         assert_eq!(dx.shape(), (4, 8));
         assert!(dx.all_finite());
     }
@@ -268,7 +256,7 @@ mod tests {
         let mut a = attn(4, 2);
         let seq = init::normal(3, 4, 1.0, &mut StdRng::seed_from_u64(3));
         let x = Matrix::vcat(&[&seq, &seq]);
-        let y = a.forward(&x, &ForwardCtx::train().with_seq_len(3));
+        let y = a.forward(x, &mut tape(ForwardCtx::train(), 3));
         let y1 = y.slice_rows(0, 3);
         let y2 = y.slice_rows(3, 6);
         assert!((&y1 - &y2).max_abs() < 1e-12);
@@ -279,10 +267,8 @@ mod tests {
         let mut a1 = attn(8, 2);
         let mut a2 = attn(8, 2);
         let x = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(7));
-        let res = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(8));
-        let ctx = ForwardCtx::train().with_seq_len(3);
-        let yf = a1.forward_residual(&x, &res, &ctx);
-        let yref = &res + &a2.forward(&x, &ctx);
+        let yf = a1.forward_residual(x.clone(), &mut tape(ForwardCtx::train(), 3));
+        let yref = &x + &a2.forward(x.clone(), &mut tape(ForwardCtx::train(), 3));
         for (a, b) in yf.as_slice().iter().zip(yref.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -292,9 +278,10 @@ mod tests {
     fn kfac_capture_reaches_projections() {
         let mut a = attn(4, 2);
         let x = init::normal(2, 4, 1.0, &mut StdRng::seed_from_u64(4));
-        let _ = a.forward(&x, &ForwardCtx::train_with_capture().with_seq_len(2));
+        let mut tape = tape(ForwardCtx::train_with_capture(), 2);
+        let _ = a.forward(x, &mut tape);
         let dx = Matrix::full(2, 4, 1.0);
-        let _ = a.backward(&dx);
+        let _ = a.backward(&dx, &mut tape);
         let mut complete = 0;
         a.visit_linears(&mut |l: &mut Linear| {
             if l.kfac_stats().is_complete() {
@@ -324,13 +311,16 @@ mod tests {
             }
         }
 
-        fn oracle_forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-            let seq = ctx.effective_seq_len(x.rows());
+        fn oracle_forward(&mut self, x: &Matrix, tape: &mut Tape) -> Matrix {
+            let (seq, capture) = (
+                tape.ctx().effective_seq_len(x.rows()),
+                tape.ctx().capture_kfac,
+            );
             let (dh, nh) = (self.d_head, self.n_heads);
             let scale = 1.0 / (dh as f64).sqrt();
-            let q_out = self.q.forward(x, ctx);
-            let k_out = self.k.forward(x, ctx);
-            let v_out = self.v.forward(x, ctx);
+            let q_out = self.q.project(x, None, capture);
+            let k_out = self.k.project(x, None, capture);
+            let v_out = self.v.project(x, None, capture);
             let mut concat = Matrix::zeros(x.rows(), self.d_model);
             let mut probs = Vec::new();
             for b in 0..x.rows() / seq {
@@ -345,31 +335,30 @@ mod tests {
                 }
             }
             let probs = Matrix::vcat(&probs.iter().collect::<Vec<_>>());
-            self.cache = Some(AttnCache {
-                seq,
-                q_out,
-                k_out,
-                v_out,
-                probs,
-            });
-            self.o.forward(&concat, ctx)
+            let y = self.o.project(&concat, None, capture);
+            tape.save([x.clone(), q_out, k_out, v_out, probs, concat]);
+            y
         }
 
-        fn oracle_backward(&mut self, dout: &Matrix) -> Matrix {
-            let c = self.cache.take().unwrap();
-            let (dh, nh, seq) = (self.d_head, self.n_heads, c.seq);
+        fn oracle_backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+            let [x, q_out, k_out, v_out, probs, concat] = tape.restore();
+            let (seq, capture) = (
+                tape.ctx().effective_seq_len(x.rows()),
+                tape.ctx().capture_kfac,
+            );
+            let (dh, nh) = (self.d_head, self.n_heads);
             let scale = 1.0 / (dh as f64).sqrt();
-            let dconcat = self.o.backward(dout);
+            let dconcat = self.o.backprop(&concat, dout, capture);
             let [mut dq, mut dk, mut dv] =
                 std::array::from_fn(|_| Matrix::zeros(dconcat.rows(), self.d_model));
             for b in 0..dconcat.rows() / seq {
                 for h in 0..nh {
                     let i = (b * nh + h) * seq;
-                    let p = c.probs.slice_rows(i, i + seq);
+                    let p = probs.slice_rows(i, i + seq);
                     let dob = Self::head_block(&dconcat, b, h, seq, dh);
-                    let qb = Self::head_block(&c.q_out, b, h, seq, dh);
-                    let kb = Self::head_block(&c.k_out, b, h, seq, dh);
-                    let vb = Self::head_block(&c.v_out, b, h, seq, dh);
+                    let qb = Self::head_block(&q_out, b, h, seq, dh);
+                    let kb = Self::head_block(&k_out, b, h, seq, dh);
+                    let vb = Self::head_block(&v_out, b, h, seq, dh);
                     let dp = dob.matmul_nt(&vb);
                     let mut dvb = Matrix::default();
                     p.matmul_tn_into(&dob, &mut dvb);
@@ -389,9 +378,9 @@ mod tests {
                     Self::add_head_block(&mut dv, &dvb, b, h, seq);
                 }
             }
-            let mut dx = self.q.backward(&dq);
-            dx += &self.k.backward(&dk);
-            dx += &self.v.backward(&dv);
+            let mut dx = self.q.backprop(&x, &dq, capture);
+            dx += &self.k.backprop(&x, &dk, capture);
+            dx += &self.v.backprop(&x, &dv, capture);
             dx
         }
     }
@@ -415,12 +404,13 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(dh as u64 * 100 + seq as u64 + batch as u64);
             let x = init::normal(rows, d, 1.0, &mut rng);
             let dout = init::normal(rows, d, 1.0, &mut rng);
-            let ctx = ForwardCtx::train_with_capture().with_seq_len(seq);
+            let ctx = ForwardCtx::train_with_capture();
             let (mut fast, mut slow) = (attn(d, heads), attn(d, heads));
-            let y = fast.forward(&x, &ctx);
-            assert_bits(&what, &y, &slow.oracle_forward(&x, &ctx));
-            let dx = fast.backward(&dout);
-            assert_bits(&what, &dx, &slow.oracle_backward(&dout));
+            let (mut fast_tape, mut slow_tape) = (tape(ctx, seq), tape(ctx, seq));
+            let y = fast.forward(x.clone(), &mut fast_tape);
+            assert_bits(&what, &y, &slow.oracle_forward(&x, &mut slow_tape));
+            let dx = fast.backward(&dout, &mut fast_tape);
+            assert_bits(&what, &dx, &slow.oracle_backward(&dout, &mut slow_tape));
             let mut params = Vec::new();
             fast.visit_params(&mut |p: &mut Parameter| params.push(p.clone()));
             let mut i = 0;
@@ -447,7 +437,6 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn bad_seq_len_panics() {
         let mut a = attn(4, 2);
-        let x = Matrix::zeros(5, 4);
-        let _ = a.forward(&x, &ForwardCtx::train().with_seq_len(3));
+        let _ = a.forward(Matrix::zeros(5, 4), &mut tape(ForwardCtx::train(), 3));
     }
 }

@@ -147,6 +147,7 @@ impl BertForPreTraining {
                 embedding: Some(embedding),
                 blocks,
                 head: Some(head),
+                tape: Default::default(),
             },
             config,
         }
@@ -172,10 +173,8 @@ impl BertForPreTraining {
     /// Evaluates losses without touching gradients.
     pub fn eval_loss(&mut self, batch: &PreTrainingBatch) -> PreTrainingOutput {
         let out = self.forward(batch, &ForwardCtx::train());
-        // No backward follows: release the logits the heads cached for it.
-        if let Some(head) = &mut self.stage.head {
-            head.cache = None;
-        }
+        // No backward follows: release what the forward taped for it.
+        self.stage.tape = Default::default();
         out
     }
 

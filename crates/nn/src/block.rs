@@ -1,6 +1,6 @@
 //! BERT-style transformer encoder block.
 
-use crate::{FeedForward, ForwardCtx, Layer, LayerNorm, Linear, MultiHeadAttention, ParamVisitor};
+use crate::{FeedForward, Layer, LayerNorm, Linear, MultiHeadAttention, ParamVisitor, Tape};
 use pipefisher_tensor::Matrix;
 use rand::Rng;
 
@@ -47,22 +47,22 @@ impl TransformerBlock {
 }
 
 impl Layer for TransformerBlock {
-    fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
+    fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
         // Each residual add is fused into the sub-layer's last GEMM store
         // epilogue (bitwise `x + sublayer(x)`, see `forward_residual`).
-        let sum1 = self.attn.forward_residual(x, x, ctx);
-        let h = self.ln1.forward(&sum1, ctx);
-        let sum2 = self.ff.forward_residual(&h, &h, ctx);
-        self.ln2.forward(&sum2, ctx)
+        let sum1 = self.attn.forward_residual(x, tape);
+        let h = self.ln1.forward(sum1, tape);
+        let sum2 = self.ff.forward_residual(h, tape);
+        self.ln2.forward(sum2, tape)
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let dsum2 = self.ln2.backward(dout);
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+        let dsum2 = self.ln2.backward(dout, tape);
         // dsum2 splits into the residual path (into h) and the FF path.
-        let dh_ff = self.ff.backward(&dsum2);
+        let dh_ff = self.ff.backward(&dsum2, tape);
         let dh = &dsum2 + &dh_ff;
-        let dsum1 = self.ln1.backward(&dh);
-        let dx_attn = self.attn.backward(&dsum1);
+        let dsum1 = self.ln1.backward(&dh, tape);
+        let dx_attn = self.attn.backward(&dsum1, tape);
         &dsum1 + &dx_attn
     }
 
@@ -77,6 +77,7 @@ impl Layer for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ForwardCtx;
     use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -90,9 +91,10 @@ mod tests {
     fn forward_backward_shapes() {
         let mut b = block();
         let x = init::normal(6, 8, 1.0, &mut StdRng::seed_from_u64(1));
-        let y = b.forward(&x, &ForwardCtx::train().with_seq_len(3));
+        let mut tape = Tape::new(ForwardCtx::train().with_seq_len(3));
+        let y = b.forward(x, &mut tape);
         assert_eq!(y.shape(), (6, 8));
-        let dx = b.backward(&Matrix::full(6, 8, 0.5));
+        let dx = b.backward(&Matrix::full(6, 8, 0.5), &mut tape);
         assert_eq!(dx.shape(), (6, 8));
         assert!(dx.all_finite());
     }
@@ -109,8 +111,9 @@ mod tests {
     fn zero_grad_clears_everything() {
         let mut b = block();
         let x = init::normal(2, 8, 1.0, &mut StdRng::seed_from_u64(2));
-        let _ = b.forward(&x, &ForwardCtx::train().with_seq_len(2));
-        let _ = b.backward(&Matrix::full(2, 8, 1.0));
+        let mut tape = Tape::new(ForwardCtx::train().with_seq_len(2));
+        let _ = b.forward(x, &mut tape);
+        let _ = b.backward(&Matrix::full(2, 8, 1.0), &mut tape);
         b.zero_grad();
         let mut total = 0.0;
         b.visit_params(&mut |p: &mut crate::Parameter| total += p.grad.max_abs());
@@ -121,7 +124,7 @@ mod tests {
     fn output_is_layernormed() {
         let mut b = block();
         let x = init::normal(4, 8, 3.0, &mut StdRng::seed_from_u64(3));
-        let y = b.forward(&x, &ForwardCtx::train().with_seq_len(4));
+        let y = b.forward(x, &mut Tape::new(ForwardCtx::train().with_seq_len(4)));
         for r in 0..4 {
             let mean: f64 = y.row(r).iter().sum::<f64>() / 8.0;
             assert!(mean.abs() < 1e-9);

@@ -1,6 +1,6 @@
 //! BERT input embeddings (word + position + segment).
 
-use crate::{ForwardCtx, Layer, LayerNorm, ParamVisitor, Parameter};
+use crate::{Layer, LayerNorm, ParamVisitor, Parameter, Tape};
 use pipefisher_tensor::{init, Matrix};
 use rand::Rng;
 
@@ -10,15 +10,14 @@ use rand::Rng;
 /// Unlike the other layers this is not a [`Layer`]: its input is token ids,
 /// not a matrix. The paper *excludes* embedding tables from K-FAC (they are
 /// not fully-connected layers), so no capture hooks exist here; the fallback
-/// optimizer (NVLAMB) trains these parameters.
+/// optimizer (NVLAMB) trains these parameters. The backward reads the ids
+/// from its caller, who keeps the batch anyway; only the LayerNorm tapes.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     word: Parameter,
     position: Parameter,
     segment: Parameter,
     ln: LayerNorm,
-    cache: Option<(Vec<usize>, Vec<usize>)>,
-    cached_seq: usize,
 }
 
 impl Embedding {
@@ -45,8 +44,6 @@ impl Embedding {
                 init::bert_normal(2, d_model, rng),
             ),
             ln: LayerNorm::new(&format!("{name}.ln"), d_model),
-            cache: None,
-            cached_seq: 0,
         }
     }
 
@@ -65,7 +62,8 @@ impl Embedding {
         self.position.value.rows()
     }
 
-    /// Embeds `token_ids` with `segment_ids`, both of length `batch·seq`.
+    /// Embeds `token_ids` with `segment_ids`, both of length `batch·seq`,
+    /// `seq` being the tape's sequence length.
     ///
     /// # Panics
     ///
@@ -75,14 +73,10 @@ impl Embedding {
         &mut self,
         token_ids: &[usize],
         segment_ids: &[usize],
-        seq: usize,
-        ctx: &ForwardCtx,
+        tape: &mut Tape,
     ) -> Matrix {
         assert_eq!(token_ids.len(), segment_ids.len(), "Embedding: id lengths");
-        assert!(
-            seq > 0 && token_ids.len().is_multiple_of(seq),
-            "Embedding: rows not multiple of seq"
-        );
+        let seq = tape.ctx().effective_seq_len(token_ids.len());
         assert!(
             seq <= self.max_seq(),
             "Embedding: seq {} > max {}",
@@ -107,12 +101,11 @@ impl Embedding {
                 row[c] = w[c] + p[c] + s[c];
             }
         }
-        self.cache = Some((token_ids.to_vec(), segment_ids.to_vec()));
-        self.cached_seq = seq;
-        self.ln.forward(&x, ctx)
+        self.ln.forward(x, tape)
     }
 
-    /// Backpropagates into the three tables.
+    /// Backpropagates into the three tables, at the ids the matching
+    /// [`Embedding::forward`] embedded.
     ///
     /// Each call scatters into one zeroed local per table and then adds
     /// every table's contribution through one `accumulate_grad`, so a batch
@@ -122,14 +115,16 @@ impl Embedding {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Embedding::forward`].
-    pub fn backward(&mut self, dout: &Matrix) {
-        let dsum = self.ln.backward(dout);
-        let (token_ids, segment_ids) = self
-            .cache
-            .take()
-            .expect("Embedding::backward before forward");
-        let seq = self.cached_seq;
+    /// Panics if `tape` does not end with the forward's.
+    pub fn backward(
+        &mut self,
+        dout: &Matrix,
+        token_ids: &[usize],
+        segment_ids: &[usize],
+        tape: &mut Tape,
+    ) {
+        let dsum = self.ln.backward(dout, tape);
+        let seq = tape.ctx().effective_seq_len(token_ids.len());
         let d = self.d_model();
         let [mut word_s, mut pos_s, mut seg_s] = [&self.word, &self.position, &self.segment]
             .map(|table| Matrix::zeros(table.value.rows(), table.value.cols()));
@@ -166,8 +161,13 @@ impl Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ForwardCtx;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn tape(seq: usize) -> Tape {
+        Tape::new(ForwardCtx::train().with_seq_len(seq))
+    }
 
     fn emb() -> Embedding {
         let mut rng = StdRng::seed_from_u64(31);
@@ -179,7 +179,7 @@ mod tests {
         let mut e = emb();
         let ids = [1usize, 2, 3, 4, 5, 6, 7, 8];
         let segs = [0usize, 0, 1, 1, 0, 0, 1, 1];
-        let x = e.forward(&ids, &segs, 4, &ForwardCtx::train());
+        let x = e.forward(&ids, &segs, &mut tape(4));
         assert_eq!(x.shape(), (8, 6));
         assert!(x.all_finite());
     }
@@ -189,7 +189,7 @@ mod tests {
         let mut e = emb();
         let ids = [3usize, 3, 3, 3];
         let segs = [0usize; 4];
-        let x = e.forward(&ids, &segs, 2, &ForwardCtx::train());
+        let x = e.forward(&ids, &segs, &mut tape(2));
         // Rows 0 and 2 are both (token 3, position 0, segment 0).
         for c in 0..6 {
             assert!((x[(0, c)] - x[(2, c)]).abs() < 1e-12);
@@ -201,8 +201,9 @@ mod tests {
         let mut e = emb();
         let ids = [1usize, 2];
         let segs = [0usize, 1];
-        let _ = e.forward(&ids, &segs, 2, &ForwardCtx::train());
-        e.backward(&Matrix::full(2, 6, 1.0));
+        let mut tape = tape(2);
+        let _ = e.forward(&ids, &segs, &mut tape);
+        e.backward(&Matrix::full(2, 6, 1.0), &ids, &segs, &mut tape);
         assert!(e.word.grad.row(1).iter().any(|&v| v != 0.0));
         assert!(e.word.grad.row(2).iter().any(|&v| v != 0.0));
         assert!(e.word.grad.row(0).iter().all(|&v| v == 0.0)); // untouched token
@@ -214,6 +215,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn oob_token_panics() {
         let mut e = emb();
-        let _ = e.forward(&[99], &[0], 1, &ForwardCtx::train());
+        let _ = e.forward(&[99], &[0], &mut tape(1));
     }
 }

@@ -1,16 +1,16 @@
 //! Position-wise feed-forward network (the transformer MLP).
 
-use crate::{Activation, ActivationKind, ForwardCtx, Layer, Linear, ParamVisitor};
+use crate::{Activation, ActivationKind, Layer, Linear, ParamVisitor, Tape};
 use pipefisher_tensor::Matrix;
 use rand::Rng;
 
 /// The transformer MLP: `Linear(d_model → d_ff) → GELU → Linear(d_ff → d_model)`,
-/// with the GELU applied to fc1's output in place
-/// ([`Linear::forward_bias_act`]).
+/// with the GELU applied to fc1's output in place.
 ///
 /// Both linears participate in K-FAC capture; the intermediate `d_ff`
 /// expansion is where most of a transformer block's FLOPs (and K-FAC
-/// curvature cost) live.
+/// curvature cost) live. The forward tapes its input, the GELU derivative
+/// and fc2's input.
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     fc1: Linear,
@@ -34,27 +34,38 @@ impl FeedForward {
         f(&mut self.fc2);
     }
 
-    /// Forward pass returning `fc2(act(fc1(x))) + residual`, with the
-    /// residual add fused into fc2's GEMM store epilogue (bitwise identical
-    /// to [`Layer::forward`] plus a separate elementwise add). The caller
+    /// The forward body, with the input added onto the output when
+    /// `residual`.
+    fn forward_with(&mut self, x: Matrix, tape: &mut Tape, residual: bool) -> Matrix {
+        let capture = tape.ctx().capture_kfac;
+        let mut h = self.fc1.project(&x, None, capture);
+        let grad = self.act.apply(&mut h);
+        let y = self.fc2.project(&h, residual.then_some(&x), capture);
+        tape.save([x, grad, h]);
+        y
+    }
+
+    /// Forward pass returning `x + fc2(act(fc1(x)))`, with the residual add
+    /// fused into fc2's GEMM store epilogue (bitwise identical to
+    /// [`Layer::forward`] plus a separate elementwise add). The caller
     /// routes `dout` both into [`Layer::backward`] and down the residual
     /// branch, exactly as for the unfused sum.
-    pub fn forward_residual(&mut self, x: &Matrix, residual: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let h = self.fc1.forward_bias_act(x, &mut self.act, ctx);
-        self.fc2.forward_residual(&h, residual, ctx)
+    pub fn forward_residual(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+        self.forward_with(x, tape, true)
     }
 }
 
 impl Layer for FeedForward {
-    fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        let h = self.fc1.forward_bias_act(x, &mut self.act, ctx);
-        self.fc2.forward(&h, ctx)
+    fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+        self.forward_with(x, tape, false)
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let dh = self.fc2.backward(dout);
-        let dh = self.act.backward(&dh);
-        self.fc1.backward(&dh)
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+        let [x, grad, h] = tape.restore();
+        let capture = tape.ctx().capture_kfac;
+        let dh = self.fc2.backprop(&h, dout, capture);
+        let dh = Activation::chain(&grad, &dh);
+        self.fc1.backprop(&x, &dh, capture)
     }
 
     fn visit_params(&mut self, f: ParamVisitor<'_>) {
@@ -66,6 +77,7 @@ impl Layer for FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ForwardCtx;
     use pipefisher_tensor::{col_sum_into, init};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -75,9 +87,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut ff = FeedForward::new("ff", 6, 24, &mut rng);
         let x = init::normal(4, 6, 1.0, &mut rng);
-        let y = ff.forward(&x, &ForwardCtx::train());
+        let mut tape = Tape::new(ForwardCtx::train());
+        let y = ff.forward(x, &mut tape);
         assert_eq!(y.shape(), (4, 6));
-        let dx = ff.backward(&Matrix::full(4, 6, 1.0));
+        let dx = ff.backward(&Matrix::full(4, 6, 1.0), &mut tape);
         assert_eq!(dx.shape(), (4, 6));
     }
 
@@ -96,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_gelu_matches_separate_passes_bitwise() {
+    fn in_place_gelu_matches_separate_passes_bitwise() {
         use crate::activation::tests::{gelu, gelu_grad};
         let mut rng = StdRng::seed_from_u64(42);
         // d_ff > 256: fc2's inner dimension crosses a KC cache block.
@@ -106,8 +119,9 @@ mod tests {
         ff.fc2.bias_mut().value = init::normal(1, 6, 1.0, &mut rng);
         let x = init::normal(5, 6, 1.0, &mut rng);
         let dout = init::normal(5, 6, 1.0, &mut rng);
-        let y = ff.forward(&x, &ForwardCtx::train());
-        let dx = ff.backward(&dout);
+        let mut tape = Tape::new(ForwardCtx::train());
+        let y = ff.forward(x.clone(), &mut tape);
+        let dx = ff.backward(&dout, &mut tape);
         // Separate-pass reference on the same weights, with GELU and its
         // derivative evaluated apart, at fc1's pre-activation.
         let (w1, w2) = (&ff.fc1.weight().value, &ff.fc2.weight().value);
@@ -128,9 +142,8 @@ mod tests {
             assert_bits(&lin.bias().name, &lin.bias().grad, &accumulated(&db));
         }
         // The residual epilogue on fc2 equals the forward plus a separate add.
-        let res = init::normal(5, 6, 1.0, &mut rng);
-        let yres = ff.forward_residual(&x, &res, &ForwardCtx::train());
-        assert_bits("residual", &yres, &(&res + &y));
+        let yres = ff.forward_residual(x.clone(), &mut Tape::new(ForwardCtx::train()));
+        assert_bits("residual", &yres, &(&x + &y));
     }
 
     #[test]

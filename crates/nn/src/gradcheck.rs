@@ -104,7 +104,7 @@ pub fn assert_grads_close(reports: &[GradCheckReport], tol: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cross_entropy_backward, cross_entropy_loss, ForwardCtx, Linear};
+    use crate::{cross_entropy_backward, cross_entropy_loss, ForwardCtx, Linear, Tape};
     use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -121,13 +121,14 @@ mod tests {
         let reports = check_layer_grads(
             &mut lin,
             move |l| {
-                let logits = l.forward(&x, &ForwardCtx::train());
+                let mut tape = Tape::new(ForwardCtx::train());
+                let logits = l.forward(x.clone(), &mut tape);
                 let dlogits = cross_entropy_backward(&logits, &targets);
-                let _ = l.backward(&dlogits);
+                let _ = l.backward(&dlogits, &mut tape);
                 cross_entropy_loss(&logits, &targets).loss
             },
             move |l| {
-                let logits = l.forward(&x2, &ForwardCtx::train());
+                let logits = l.forward(x2.clone(), &mut Tape::new(ForwardCtx::train()));
                 cross_entropy_loss(&logits, &t2).loss
             },
             1e-5,

@@ -12,6 +12,11 @@
 //! consumes to build the Kronecker factors `A_l = ⟨a_l a_lᵀ⟩` and
 //! `B_l = ⟨e_l e_lᵀ⟩` (paper §2.3.1).
 //!
+//! A layer keeps only its parameters, their gradients and those K-FAC
+//! statistics. What a backward needs from its forward goes onto a [`Tape`]
+//! the caller owns, one per micro-batch in flight, so one model can carry
+//! several micro-batches between their forwards and backwards.
+//!
 //! Layout convention: token-major 2-D matrices. A batch of `B` sequences of
 //! length `S` with hidden size `d` is a `(B·S) × d` [`Matrix`]; K-FAC then
 //! treats every token position as an example, which is the standard choice
@@ -20,15 +25,17 @@
 //! # Example
 //!
 //! ```
-//! use pipefisher_nn::{Linear, Layer, ForwardCtx};
+//! use pipefisher_nn::{ForwardCtx, Layer, Linear, Tape};
 //! use pipefisher_tensor::Matrix;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut layer = Linear::new("proj", 4, 2, &mut rng);
-//! let x = Matrix::zeros(3, 4);
-//! let y = layer.forward(&x, &ForwardCtx::train());
+//! let mut tape = Tape::new(ForwardCtx::train());
+//! let y = layer.forward(Matrix::zeros(3, 4), &mut tape);
 //! assert_eq!(y.shape(), (3, 2));
+//! let dx = layer.backward(&Matrix::zeros(3, 2), &mut tape);
+//! assert_eq!(dx.shape(), (3, 4));
 //! ```
 
 mod activation;
@@ -61,7 +68,7 @@ pub use stage::{BertStage, PreTrainingHead, StageOutput, StagedBert};
 use pipefisher_tensor::Matrix;
 
 /// Per-forward-pass context shared by all layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwardCtx {
     /// Whether linear layers should capture K-FAC statistics this pass.
     pub capture_kfac: bool,
@@ -113,15 +120,77 @@ impl ForwardCtx {
     }
 }
 
-/// A differentiable layer with cached state between forward and backward.
+/// What one micro-batch's forward leaves for its backward.
 ///
-/// Layers are stateful: `forward` caches whatever the matching `backward`
-/// needs (inputs, masks, softmax probabilities), and `backward` consumes that
-/// cache, accumulates parameter gradients, and returns the gradient with
-/// respect to the layer input.
+/// Layers keep only parameters, gradients and K-FAC statistics; everything
+/// else a backward needs from its forward (inputs, normalised rows,
+/// activation derivatives, attention probabilities, logits) is pushed here
+/// by the forward and popped, in reverse, by the backward. The caller owns
+/// the tape, so a model can hold one per micro-batch in flight.
+///
+/// The tape also carries its pass's [`ForwardCtx`]. The capture flag is
+/// read from it by the backward, so a capturing micro-batch's backward
+/// records errors and a plain one's does not, whatever ran in between.
+#[derive(Debug, Clone, Default)]
+pub struct Tape {
+    ctx: ForwardCtx,
+    saved: Vec<Matrix>,
+}
+
+impl Tape {
+    /// An empty tape for a pass under `ctx`.
+    pub fn new(ctx: ForwardCtx) -> Self {
+        Tape {
+            ctx,
+            saved: Vec::new(),
+        }
+    }
+
+    /// The pass's context.
+    pub fn ctx(&self) -> &ForwardCtx {
+        &self.ctx
+    }
+
+    /// Starts a new pass under `ctx`, dropping whatever a forward left
+    /// without a backward; the stack keeps its capacity.
+    pub(crate) fn begin(&mut self, ctx: ForwardCtx) {
+        self.saved.clear();
+        self.ctx = ctx;
+    }
+
+    /// Pushes `ms` in order.
+    pub(crate) fn save<const N: usize>(&mut self, ms: [Matrix; N]) {
+        self.saved.extend(ms);
+    }
+
+    /// Pops what one [`Tape::save`] of `N` matrices pushed, in push order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `N` are on the tape: a backward without its
+    /// forward.
+    pub(crate) fn restore<const N: usize>(&mut self) -> [Matrix; N] {
+        let at = self
+            .saved
+            .len()
+            .checked_sub(N)
+            .expect("backward before its forward");
+        let mut ms = self.saved.drain(at..);
+        std::array::from_fn(|_| ms.next().expect("N entries"))
+    }
+}
+
+/// A differentiable layer whose forward state lives on a [`Tape`].
+///
+/// `forward` takes its input by value, so an input the backward needs
+/// moves onto the tape instead of being copied; `backward` pops what its
+/// forward pushed, accumulates parameter gradients, and returns the
+/// gradient with respect to the layer input. Forwards and backwards on one
+/// tape nest: the last layer forwarded is the first backpropagated.
 pub trait Layer {
-    /// Runs the layer on `x` (token-major), caching state for backward.
-    fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix;
+    /// Runs the layer on `x` (token-major), pushing onto `tape` what the
+    /// backward needs.
+    fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix;
 
     /// Backpropagates `dout` (gradient w.r.t. the forward output), returning
     /// the gradient w.r.t. the forward input and accumulating parameter
@@ -129,8 +198,8 @@ pub trait Layer {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, dout: &Matrix) -> Matrix;
+    /// Panics if `tape` does not end with this layer's forward.
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix;
 
     /// Visits every trainable parameter.
     fn visit_params(&mut self, f: ParamVisitor<'_>);

@@ -1,6 +1,6 @@
 //! Fully-connected layer with K-FAC statistics capture.
 
-use crate::{Activation, ForwardCtx, Layer, ParamVisitor, Parameter};
+use crate::{Layer, ParamVisitor, Parameter, Tape};
 use pipefisher_tensor::{col_sum_into, init, Matrix};
 use rand::Rng;
 
@@ -12,7 +12,8 @@ use rand::Rng;
 /// K-FAC implementations. `errors` holds one row per token: the gradient of
 /// the *sum* loss with respect to the layer's pre-activation output `e_l`.
 ///
-/// A capturing forward fills `activations` and its backward `errors`; the
+/// A capturing forward fills `activations` and the backward on its tape
+/// `errors`; the
 /// K-FAC fold of each factor takes its matrix out (`fold_curvature_a` and
 /// `fold_curvature_b` in `pipefisher-optim`), so nothing else clears them.
 #[derive(Debug, Clone, Default)]
@@ -33,23 +34,24 @@ impl KfacBatchStats {
 /// A fully-connected layer `y = x·W + b` with K-FAC capture.
 ///
 /// Weight is stored `d_in × d_out` so the forward pass is a plain row-major
-/// GEMM over token-major inputs. A forward whose [`ForwardCtx`] asks for
-/// capture records the layer's input statistics, and the backward that
-/// follows it records its output errors. Which layers take part in K-FAC is
-/// the model's decision: its `visit_linears` hands out its K-FAC layers,
-/// and it runs a layer left out (the vocabulary decoder, paper §4) with a
-/// non-capturing context.
+/// GEMM over token-major inputs. A capturing forward (its tape's
+/// [`crate::ForwardCtx`] asks for capture) records the layer's input
+/// statistics, and the backward on that tape records its output errors.
+/// Which layers take part in K-FAC is the model's decision: its
+/// `visit_linears` hands out its K-FAC layers, and it never lets a layer
+/// left out (the vocabulary decoder, paper §4) capture.
 ///
 /// # Example
 ///
 /// ```
-/// use pipefisher_nn::{ForwardCtx, Layer, Linear};
+/// use pipefisher_nn::{ForwardCtx, Layer, Linear, Tape};
 /// use pipefisher_tensor::Matrix;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let mut lin = Linear::new("fc", 3, 5, &mut rng);
-/// let y = lin.forward(&Matrix::zeros(2, 3), &ForwardCtx::train_with_capture());
+/// let mut tape = Tape::new(ForwardCtx::train_with_capture());
+/// let y = lin.forward(Matrix::zeros(2, 3), &mut tape);
 /// assert_eq!(y.shape(), (2, 5));
 /// assert!(lin.kfac_stats().activations.is_some());
 /// ```
@@ -57,10 +59,7 @@ impl KfacBatchStats {
 pub struct Linear {
     weight: Parameter,
     bias: Parameter,
-    input: Option<Matrix>,
     stats: KfacBatchStats,
-    /// Whether the last forward captured, so its backward captures too.
-    capturing: bool,
 }
 
 impl Linear {
@@ -79,9 +78,7 @@ impl Linear {
         Linear {
             weight: Parameter::new(format!("{name}.weight"), weight),
             bias: Parameter::new(format!("{name}.bias"), bias),
-            input: None,
             stats: KfacBatchStats::default(),
-            capturing: false,
         }
     }
 
@@ -141,49 +138,56 @@ impl Linear {
         (&mut self.weight, &mut self.bias)
     }
 
-    /// Shared forward prologue: K-FAC statistics capture plus the input
-    /// cache `backward` differentiates at. Every forward flavour (plain,
-    /// activated, fused-residual) runs this, so they are interchangeable
-    /// as far as backprop and K-FAC are concerned.
-    fn forward_prologue(&mut self, x: &Matrix, ctx: &ForwardCtx) {
-        assert_eq!(x.cols(), self.d_in(), "Linear {}: input dim", self.name());
-        self.capturing = ctx.capture_kfac;
-        if self.capturing {
-            self.capture_activations(x);
-        }
-        match &mut self.input {
-            Some(buf) => buf.clone_from(x),
-            None => self.input = Some(x.clone()),
-        }
-    }
-
-    /// Forward pass followed by the activation layer `act`: returns
-    /// `act(x·W + b)` and leaves the derivative there in `act`'s cache, so
-    /// `act`'s [`Layer::backward`] runs as if its own forward had. Bitwise
-    /// identical to [`Layer::forward`] followed by `act`'s, without the
-    /// copy between them.
-    pub fn forward_bias_act(
+    /// The forward body: `x·W + b`, plus `residual` when given, with the
+    /// bias and the residual fused into the GEMM's store (bitwise the
+    /// separate adds). Records `x`'s statistics when `capture`. The caller
+    /// keeps `x` for [`Linear::backprop`]: the [`Layer`] forward moves it
+    /// onto the tape, a layer that feeds one input to several projections
+    /// keeps it once.
+    pub(crate) fn project(
         &mut self,
         x: &Matrix,
-        act: &mut Activation,
-        ctx: &ForwardCtx,
+        residual: Option<&Matrix>,
+        capture: bool,
     ) -> Matrix {
-        let mut y = self.forward(x, ctx);
-        act.apply_in_place(&mut y);
+        assert_eq!(x.cols(), self.d_in(), "Linear {}: input dim", self.name());
+        if capture {
+            self.capture_activations(x);
+        }
+        let mut y = Matrix::unfilled(x.rows(), self.d_out());
+        let (w, b) = (&self.weight.value, self.bias.value.row(0));
+        match residual {
+            Some(r) => x.matmul_bias_residual_into(w, b, r, &mut y),
+            None => x.matmul_bias_into(w, b, &mut y),
+        }
         y
     }
 
-    /// Forward pass with a residual add fused into the GEMM store
-    /// epilogue: returns `(x·W + b) + residual`. Bitwise identical to
-    /// [`Layer::forward`] followed by a separate elementwise add. The
-    /// gradient of the sum with respect to this layer's output is `dout`
-    /// itself, so [`Layer::backward`] is unchanged; the caller routes the
-    /// same `dout` down the residual branch.
-    pub fn forward_residual(&mut self, x: &Matrix, residual: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        self.forward_prologue(x, ctx);
-        let mut y = Matrix::unfilled(x.rows(), self.d_out());
-        x.matmul_bias_residual_into(&self.weight.value, self.bias.value.row(0), residual, &mut y);
-        y
+    /// The backward body at the forward's input `x`: accumulates `dW` and
+    /// `db`, records `dout` as the errors when `capture`, and returns `dx`.
+    /// A residual added in the forward passes `dout` through unchanged, so
+    /// the caller routes the same `dout` down the residual branch.
+    pub(crate) fn backprop(&mut self, x: &Matrix, dout: &Matrix, capture: bool) -> Matrix {
+        assert_eq!(
+            dout.shape(),
+            (x.rows(), self.d_out()),
+            "Linear {}: dout shape",
+            self.name()
+        );
+        if capture {
+            match &mut self.stats.errors {
+                Some(buf) => buf.clone_from(dout),
+                None => self.stats.errors = Some(dout.clone()),
+            }
+        }
+        // dW = xᵀ·dout, db = column sums, dx = dout·Wᵀ.
+        let mut dw = Matrix::default();
+        x.matmul_tn_into(dout, &mut dw);
+        self.weight.accumulate_grad(&dw);
+        let mut db = Matrix::zeros(1, self.d_out());
+        col_sum_into(dout, db.as_mut_slice());
+        self.bias.accumulate_grad(&db);
+        dout.matmul_nt(&self.weight.value)
     }
 
     fn capture_activations(&mut self, x: &Matrix) {
@@ -203,40 +207,15 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-        self.forward_prologue(x, ctx);
-        // Bias add fused into the GEMM store phase; bitwise identical to
-        // matmul + add_row_broadcast.
-        let mut y = Matrix::unfilled(x.rows(), self.d_out());
-        x.matmul_bias_into(&self.weight.value, self.bias.value.row(0), &mut y);
+    fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+        let y = self.project(&x, None, tape.ctx().capture_kfac);
+        tape.save([x]);
         y
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
-        let x = self
-            .input
-            .as_ref()
-            .expect("Linear::backward before forward");
-        assert_eq!(
-            dout.shape(),
-            (x.rows(), self.d_out()),
-            "Linear {}: dout shape",
-            self.name()
-        );
-        if self.capturing {
-            match &mut self.stats.errors {
-                Some(buf) => buf.clone_from(dout),
-                None => self.stats.errors = Some(dout.clone()),
-            }
-        }
-        // dW = xᵀ·dout, db = column sums, dx = dout·Wᵀ.
-        let mut dw = Matrix::default();
-        x.matmul_tn_into(dout, &mut dw);
-        self.weight.accumulate_grad(&dw);
-        let mut db = Matrix::zeros(1, self.d_out());
-        col_sum_into(dout, db.as_mut_slice());
-        self.bias.accumulate_grad(&db);
-        dout.matmul_nt(&self.weight.value)
+    fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+        let [x] = tape.restore();
+        self.backprop(&x, dout, tape.ctx().capture_kfac)
     }
 
     fn visit_params(&mut self, f: ParamVisitor<'_>) {
@@ -248,6 +227,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ForwardCtx;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -262,7 +242,7 @@ mod tests {
         lin.weight_mut().value = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         lin.bias_mut().value = Matrix::from_rows(&[&[0.5, -0.5]]);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let y = lin.forward(&x, &ForwardCtx::train());
+        let y = lin.forward(x, &mut Tape::new(ForwardCtx::train()));
         assert_eq!(y[(0, 0)], 1.0 + 3.0 + 0.5);
         assert_eq!(y[(0, 1)], 2.0 + 3.0 - 0.5);
     }
@@ -271,9 +251,10 @@ mod tests {
     fn backward_accumulates_grads() {
         let mut lin = layer();
         let x = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[2.0, 1.0, 0.0]]);
-        let _ = lin.forward(&x, &ForwardCtx::train());
+        let mut tape = Tape::new(ForwardCtx::train());
+        let _ = lin.forward(x, &mut tape);
         let dout = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let dx = lin.backward(&dout);
+        let dx = lin.backward(&dout, &mut tape);
         assert_eq!(dx.shape(), (2, 3));
         // dW = xᵀ·dout
         assert_eq!(lin.weight().grad[(0, 0)], 1.0);
@@ -287,12 +268,13 @@ mod tests {
     fn capture_is_bias_augmented() {
         let mut lin = layer();
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let _ = lin.forward(&x, &ForwardCtx::train_with_capture());
+        let mut tape = Tape::new(ForwardCtx::train_with_capture());
+        let _ = lin.forward(x, &mut tape);
         let a = lin.kfac_stats().activations.as_ref().unwrap();
         assert_eq!(a.shape(), (1, 4));
         assert_eq!(a[(0, 3)], 1.0);
         let dout = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let _ = lin.backward(&dout);
+        let _ = lin.backward(&dout, &mut tape);
         assert!(lin.kfac_stats().is_complete());
         assert_eq!(lin.kfac_stats().errors.as_ref().unwrap()[(0, 1)], -1.0);
     }
@@ -300,9 +282,10 @@ mod tests {
     #[test]
     fn no_capture_without_flag() {
         let mut lin = layer();
-        let _ = lin.forward(&Matrix::zeros(2, 3), &ForwardCtx::train());
+        let mut tape = Tape::new(ForwardCtx::train());
+        let _ = lin.forward(Matrix::zeros(2, 3), &mut tape);
         assert!(lin.kfac_stats().activations.is_none());
-        let _ = lin.backward(&Matrix::zeros(2, 2));
+        let _ = lin.backward(&Matrix::zeros(2, 2), &mut tape);
         assert!(lin.kfac_stats().errors.is_none());
     }
 

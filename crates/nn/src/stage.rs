@@ -15,14 +15,14 @@
 use crate::{
     cross_entropy_backward, cross_entropy_loss, Activation, ActivationKind, BertConfig,
     BertForPreTraining, Embedding, ForwardCtx, Layer, LayerNorm, Linear, ParamVisitor,
-    PreTrainingBatch, PreTrainingOutput, TransformerBlock,
+    PreTrainingBatch, PreTrainingOutput, Tape, TransformerBlock,
 };
 use pipefisher_tensor::Matrix;
 use rand::Rng;
 
 /// The MLM + NSP pretraining heads as one unit, hosted by the last stage.
 ///
-/// Forward computes both losses and caches the logits; the deferred
+/// Forward computes both losses and tapes the logits; the deferred
 /// [`PreTrainingHead::backward`] returns the gradient flowing into the
 /// encoder's final hidden states.
 #[derive(Debug, Clone)]
@@ -34,8 +34,6 @@ pub struct PreTrainingHead {
     nsp_pooler: Linear,
     nsp_act: Activation,
     nsp_classifier: Linear,
-    /// `(mlm_logits, nsp_logits)` from the pending forward.
-    pub(crate) cache: Option<(Matrix, Matrix)>,
 }
 
 impl PreTrainingHead {
@@ -54,42 +52,37 @@ impl PreTrainingHead {
             nsp_pooler: Linear::new_bert("head.nsp.pooler", d_model, d_model, rng),
             nsp_act: Activation::new(ActivationKind::Tanh),
             nsp_classifier,
-            cache: None,
         }
     }
 
-    /// Runs both heads over the encoder output — the MLM head over all
-    /// tokens, the NSP head over the first token of each sequence —
-    /// caching logits for the deferred backward. The MLM decoder and the
-    /// NSP classifier never capture K-FAC statistics, whatever `ctx` asks:
+    /// Runs both heads over the encoder output — the NSP head over the
+    /// first token of each sequence, the MLM head over all tokens — taping
+    /// what the deferred backward needs. The MLM decoder and the NSP
+    /// classifier never capture K-FAC statistics, whatever the tape asks:
     /// they are the layers [`PreTrainingHead::visit_linears`] leaves out.
     pub fn forward(
         &mut self,
-        hidden: &Matrix,
+        hidden: Matrix,
         batch: &PreTrainingBatch,
-        ctx: &ForwardCtx,
+        tape: &mut Tape,
     ) -> PreTrainingOutput {
-        let batch_size = batch.batch_size();
-        let t = self
-            .mlm_transform
-            .forward_bias_act(hidden, &mut self.mlm_act, ctx);
-        let t = self.mlm_ln.forward(&t, ctx);
-        let mlm_logits = self.mlm_decoder.forward(&t, &ForwardCtx::train());
-        let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
-
-        let mut first_tokens = Matrix::zeros(batch_size, hidden.cols());
-        for b in 0..batch_size {
-            first_tokens
-                .row_mut(b)
-                .copy_from_slice(hidden.row(b * batch.seq));
+        let capture = tape.ctx().capture_kfac;
+        let mut first = Matrix::unfilled(batch.batch_size(), hidden.cols());
+        for b in 0..batch.batch_size() {
+            first.row_mut(b).copy_from_slice(hidden.row(b * batch.seq));
         }
-        let p = self
-            .nsp_pooler
-            .forward_bias_act(&first_tokens, &mut self.nsp_act, ctx);
-        let nsp_logits = self.nsp_classifier.forward(&p, &ForwardCtx::train());
+        let mut p = self.nsp_pooler.project(&first, None, capture);
+        let tanh_grad = self.nsp_act.apply(&mut p);
+        let nsp_logits = self.nsp_classifier.project(&p, None, false);
         let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets);
 
-        self.cache = Some((mlm_logits, nsp_logits));
+        let mut t = self.mlm_transform.project(&hidden, None, capture);
+        let gelu_grad = self.mlm_act.apply(&mut t);
+        tape.save([first, tanh_grad, p, hidden, gelu_grad]);
+        let t = self.mlm_ln.forward(t, tape);
+        let mlm_logits = self.mlm_decoder.project(&t, None, false);
+        let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets);
+        tape.save([t, mlm_logits, nsp_logits]);
         PreTrainingOutput {
             total_loss: mlm.loss + nsp.loss,
             mlm_loss: mlm.loss,
@@ -102,24 +95,22 @@ impl PreTrainingHead {
     ///
     /// # Panics
     ///
-    /// Panics if called without a pending [`PreTrainingHead::forward`].
-    pub fn backward(&mut self, batch: &PreTrainingBatch) -> Matrix {
-        let (mlm_logits, nsp_logits) = self
-            .cache
-            .take()
-            .expect("PreTrainingHead::backward before forward");
-        let batch_size = batch.batch_size();
+    /// Panics if `tape` does not end with a [`PreTrainingHead::forward`].
+    pub fn backward(&mut self, batch: &PreTrainingBatch, tape: &mut Tape) -> Matrix {
+        let capture = tape.ctx().capture_kfac;
+        let [t, mlm_logits, nsp_logits] = tape.restore();
         let dmlm_logits = cross_entropy_backward(&mlm_logits, &batch.mlm_targets);
-        let dt = self.mlm_decoder.backward(&dmlm_logits);
-        let dt = self.mlm_ln.backward(&dt);
-        let dt = self.mlm_act.backward(&dt);
-        let mut dhidden = self.mlm_transform.backward(&dt);
+        let dt = self.mlm_decoder.backprop(&t, &dmlm_logits, false);
+        let dt = self.mlm_ln.backward(&dt, tape);
+        let [first, tanh_grad, p, hidden, gelu_grad] = tape.restore();
+        let dt = Activation::chain(&gelu_grad, &dt);
+        let mut dhidden = self.mlm_transform.backprop(&hidden, &dt, capture);
 
         let dnsp_logits = cross_entropy_backward(&nsp_logits, &batch.nsp_targets);
-        let dp = self.nsp_classifier.backward(&dnsp_logits);
-        let dp = self.nsp_act.backward(&dp);
-        let dfirst = self.nsp_pooler.backward(&dp);
-        for b in 0..batch_size {
+        let dp = self.nsp_classifier.backprop(&p, &dnsp_logits, false);
+        let dp = Activation::chain(&tanh_grad, &dp);
+        let dfirst = self.nsp_pooler.backprop(&first, &dp, capture);
+        for b in 0..batch.batch_size() {
             let dst = dhidden.row_mut(b * batch.seq);
             for (d, &g) in dst.iter_mut().zip(dfirst.row(b).iter()) {
                 *d += g;
@@ -157,65 +148,112 @@ pub enum StageOutput {
 
 /// One contiguous pipeline stage: optionally the embeddings, a run of
 /// encoder blocks, and optionally the pretraining heads.
-#[derive(Debug, Clone)]
+///
+/// A stage keeps parameters, gradients and K-FAC statistics; each
+/// micro-batch's forward state lives on a [`Tape`]. The pipeline executor
+/// holds one tape per micro-batch in flight and runs
+/// [`BertStage::forward_with`] / [`BertStage::backward_with`] on it;
+/// [`BertStage::forward`] / [`BertStage::backward`] run the same body on
+/// the one tape the stage holds.
+#[derive(Debug, Clone, Default)]
 pub struct BertStage {
     pub(crate) embedding: Option<Embedding>,
     pub(crate) blocks: Vec<TransformerBlock>,
     pub(crate) head: Option<PreTrainingHead>,
+    /// The tape of [`BertStage::forward`]'s micro-batch.
+    pub(crate) tape: Tape,
 }
 
 impl BertStage {
-    /// Runs the stage forward. Stage 0 takes `None` and reads the batch's
-    /// token ids; later stages take the previous stage's boundary
-    /// activations.
+    /// Runs the stage forward on its own tape: [`BertStage::forward_with`].
     ///
     /// # Panics
     ///
-    /// Panics if `input` presence does not match the stage's position
-    /// (embedding stages take `None`, others take `Some`).
+    /// As [`BertStage::forward_with`].
     pub fn forward(
         &mut self,
         input: Option<Matrix>,
         batch: &PreTrainingBatch,
         ctx: &ForwardCtx,
     ) -> StageOutput {
-        let ctx = ctx.with_seq_len(batch.seq);
+        let mut tape = std::mem::take(&mut self.tape);
+        let out = self.forward_with(&mut tape, input, batch, ctx);
+        self.tape = tape;
+        out
+    }
+
+    /// Runs the stage backward on its own tape: [`BertStage::backward_with`].
+    ///
+    /// # Panics
+    ///
+    /// As [`BertStage::backward_with`].
+    pub fn backward(&mut self, dout: Option<Matrix>, batch: &PreTrainingBatch) -> Option<Matrix> {
+        let mut tape = std::mem::take(&mut self.tape);
+        let up = self.backward_with(&mut tape, dout, batch);
+        self.tape = tape;
+        up
+    }
+
+    /// Runs the stage forward, opening `tape` for `batch` under `ctx` (what
+    /// a forward left on it without a backward is dropped). Stage 0 takes
+    /// `None` and reads the batch's token ids; later stages take the
+    /// previous stage's boundary activations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` presence does not match the stage's position
+    /// (embedding stages take `None`, others take `Some`).
+    pub fn forward_with(
+        &mut self,
+        tape: &mut Tape,
+        input: Option<Matrix>,
+        batch: &PreTrainingBatch,
+        ctx: &ForwardCtx,
+    ) -> StageOutput {
+        tape.begin(ctx.with_seq_len(batch.seq));
         let mut h = match (&mut self.embedding, input) {
-            (Some(emb), None) => emb.forward(&batch.token_ids, &batch.segment_ids, batch.seq, &ctx),
+            (Some(emb), None) => emb.forward(&batch.token_ids, &batch.segment_ids, tape),
             (None, Some(x)) => x,
             (Some(_), Some(_)) => panic!("BertStage::forward: embedding stage got an input"),
             (None, None) => panic!("BertStage::forward: non-embedding stage needs an input"),
         };
         for block in &mut self.blocks {
-            h = block.forward(&h, &ctx);
+            h = block.forward(h, tape);
         }
         match &mut self.head {
-            Some(head) => StageOutput::Losses(head.forward(&h, batch, &ctx)),
+            Some(head) => StageOutput::Losses(head.forward(h, batch, tape)),
             None => StageOutput::Boundary(h),
         }
     }
 
-    /// Runs the stage backward. The last stage takes `None` (the head
-    /// generates the loss gradient); earlier stages take the downstream
-    /// boundary gradient. Returns the gradient for the upstream stage, or
-    /// `None` from stage 0 (the embeddings absorb it).
+    /// Runs the stage backward on the tape of `batch`'s forward. The last
+    /// stage takes `None` (the head generates the loss gradient); earlier
+    /// stages take the downstream boundary gradient. Returns the gradient
+    /// for the upstream stage, or `None` from stage 0 (the embeddings
+    /// absorb it).
     ///
     /// # Panics
     ///
-    /// Panics if `dout` presence does not match the stage's position.
-    pub fn backward(&mut self, dout: Option<Matrix>, batch: &PreTrainingBatch) -> Option<Matrix> {
+    /// Panics if `dout` presence does not match the stage's position, or
+    /// if `tape` holds no forward of this stage.
+    pub fn backward_with(
+        &mut self,
+        tape: &mut Tape,
+        dout: Option<Matrix>,
+        batch: &PreTrainingBatch,
+    ) -> Option<Matrix> {
         let mut d = match (&mut self.head, dout) {
-            (Some(head), None) => head.backward(batch),
+            (Some(head), None) => head.backward(batch, tape),
             (None, Some(d)) => d,
             (Some(_), Some(_)) => panic!("BertStage::backward: head stage got a gradient"),
             (None, None) => panic!("BertStage::backward: non-head stage needs a gradient"),
         };
         for block in self.blocks.iter_mut().rev() {
-            d = block.backward(&d);
+            d = block.backward(&d, tape);
         }
         match &mut self.embedding {
             Some(emb) => {
-                emb.backward(&d);
+                emb.backward(&d, &batch.token_ids, &batch.segment_ids, tape);
                 None
             }
             None => Some(d),
@@ -277,6 +315,7 @@ impl StagedBert {
             mut embedding,
             blocks,
             mut head,
+            ..
         } = model.stage;
         let l = blocks.len();
         let mut blocks = blocks.into_iter();
@@ -287,6 +326,7 @@ impl StagedBert {
                     embedding: if i == 0 { embedding.take() } else { None },
                     blocks: blocks.by_ref().take(end - start).collect(),
                     head: if i == n_stages - 1 { head.take() } else { None },
+                    tape: Tape::default(),
                 }
             })
             .collect();
@@ -411,7 +451,9 @@ mod tests {
     fn decoder_is_kfac_excluded() {
         let mut mono = model(80, BertConfig::tiny(20, 8));
         let _ = mono.train_step(&toy_batch(8, 2, 20), &ForwardCtx::train_with_capture());
-        let decoder = &mono.stage.head.as_ref().unwrap().mlm_decoder;
+        let head = mono.stage.head.as_ref().unwrap();
+        assert!(head.nsp_classifier.kfac_stats().errors.is_none());
+        let decoder = &head.mlm_decoder;
         assert!(decoder.kfac_stats().activations.is_none());
         assert!(decoder.kfac_stats().errors.is_none());
         // But eligible layers did capture.
@@ -424,61 +466,138 @@ mod tests {
         assert_eq!(captured, 14);
     }
 
-    /// The head's transform + GELU and pooler + tanh forwards
-    /// (`Linear::forward_bias_act`) equal the separate layer passes,
-    /// bitwise: logits, losses, the hidden-state gradient and
-    /// every head parameter's gradient.
+    /// The head's forward and backward equal its layers' own `Layer`
+    /// passes, one tape per branch: losses, the hidden-state gradient and
+    /// every head parameter's gradient, bitwise.
     #[test]
-    fn fused_head_matches_separate_passes_bitwise() {
+    fn head_matches_its_layers_passes_bitwise() {
         let (seq, d, vocab) = (8, 16, 20);
         let batch = toy_batch(seq, 3, vocab);
         let mut rng = StdRng::seed_from_u64(81);
-        let mut fused = PreTrainingHead::new(d, vocab, &mut rng);
+        let mut head = PreTrainingHead::new(d, vocab, &mut rng);
         // Non-zero biases, so each activation runs after its bias add.
-        for lin in [&mut fused.mlm_transform, &mut fused.nsp_pooler] {
+        for lin in [&mut head.mlm_transform, &mut head.nsp_pooler] {
             lin.bias_mut().value = init::normal(1, d, 1.0, &mut rng);
         }
-        let mut split = fused.clone();
+        let mut split = head.clone();
         let hidden = init::normal(3 * seq, d, 1.0, &mut rng);
-        let ctx = ForwardCtx::train_with_capture();
-        let out = fused.forward(&hidden, &batch, &ctx);
+        let mut tape = Tape::new(ForwardCtx::train_with_capture().with_seq_len(seq));
+        let out = head.forward(hidden.clone(), &batch, &mut tape);
+        let dhidden = head.backward(&batch, &mut tape);
 
         let h = &mut split;
-        let t = h.mlm_transform.forward(&hidden, &ctx);
-        let t = h.mlm_act.forward(&t, &ctx);
-        let t = h.mlm_ln.forward(&t, &ctx);
-        let mlm_logits = h.mlm_decoder.forward(&t, &ctx);
+        let (mut mlm_tape, mut nsp_tape) = (Tape::default(), Tape::default());
+        let t = h.mlm_transform.forward(hidden.clone(), &mut mlm_tape);
+        let t = h.mlm_act.forward(t, &mut mlm_tape);
+        let t = h.mlm_ln.forward(t, &mut mlm_tape);
+        let mlm_logits = h.mlm_decoder.forward(t, &mut mlm_tape);
         let first = Matrix::from_vec(
             3,
             d,
             (0..3).flat_map(|b| hidden.row(b * seq).to_vec()).collect(),
         );
-        let p = h.nsp_pooler.forward(&first, &ctx);
-        let p = h.nsp_act.forward(&p, &ctx);
-        let nsp_logits = h.nsp_classifier.forward(&p, &ctx);
+        let p = h.nsp_pooler.forward(first, &mut nsp_tape);
+        let p = h.nsp_act.forward(p, &mut nsp_tape);
+        let nsp_logits = h.nsp_classifier.forward(p, &mut nsp_tape);
         let mlm = cross_entropy_loss(&mlm_logits, &batch.mlm_targets).loss;
         let nsp = cross_entropy_loss(&nsp_logits, &batch.nsp_targets).loss;
         let losses = [out.mlm_loss, out.nsp_loss, out.total_loss].map(f64::to_bits);
         assert_eq!(losses, [mlm, nsp, mlm + nsp].map(f64::to_bits));
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (fused_mlm, fused_nsp) = fused.cache.as_ref().unwrap();
-        assert_eq!(bits(fused_mlm), bits(&mlm_logits), "mlm logits");
-        assert_eq!(bits(fused_nsp), bits(&nsp_logits), "nsp logits");
-        h.cache = Some((mlm_logits, nsp_logits));
 
-        assert_eq!(
-            bits(&fused.backward(&batch)),
-            bits(&split.backward(&batch)),
-            "dhidden"
-        );
+        let dt = cross_entropy_backward(&mlm_logits, &batch.mlm_targets);
+        let dt = h.mlm_decoder.backward(&dt, &mut mlm_tape);
+        let dt = h.mlm_ln.backward(&dt, &mut mlm_tape);
+        let dt = h.mlm_act.backward(&dt, &mut mlm_tape);
+        let mut want = h.mlm_transform.backward(&dt, &mut mlm_tape);
+        let dp = cross_entropy_backward(&nsp_logits, &batch.nsp_targets);
+        let dp = h.nsp_classifier.backward(&dp, &mut nsp_tape);
+        let dp = h.nsp_act.backward(&dp, &mut nsp_tape);
+        let dfirst = h.nsp_pooler.backward(&dp, &mut nsp_tape);
+        for b in 0..3 {
+            let dst = want.row_mut(b * seq);
+            for (d, &g) in dst.iter_mut().zip(dfirst.row(b)) {
+                *d += g;
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dhidden), bits(&want), "dhidden");
         let mut grads = Vec::new();
         split.visit_params(&mut |p| grads.push(bits(&p.grad)));
         let mut i = 0;
-        fused.visit_params(&mut |p| {
+        head.visit_params(&mut |p| {
             assert_eq!(bits(&p.grad), grads[i], "{}", p.name);
             i += 1;
         });
         assert_eq!(i, 10);
+    }
+
+    /// Two micro-batches in flight on one stage, each on its own tape:
+    /// F(a, plain), F(b, capture), B(a), B(b). B(a) records no errors, and
+    /// the gradients, `dx` and K-FAC statistics of each equal a run of that
+    /// micro-batch alone, bit for bit.
+    #[test]
+    fn two_tapes_in_flight_match_one_at_a_time_bitwise() {
+        let config = BertConfig::tiny(20, 8);
+        let staged = StagedBert::from_model(model(82, config), 2);
+        let (a, b) = (toy_batch(8, 2, 20), toy_batch(8, 3, 20));
+        let input = |seed| {
+            Some(init::normal(
+                8 * seed as usize,
+                32,
+                1.0,
+                &mut StdRng::seed_from_u64(seed),
+            ))
+        };
+        let (plain, capture) = (ForwardCtx::train(), ForwardCtx::train_with_capture());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Gradient bits and the K-FAC statistics of every linear.
+        type Stats = Vec<(Option<Vec<u64>>, Option<Vec<u64>>)>;
+        let state = |s: &mut BertStage| -> (Vec<Vec<u64>>, Stats) {
+            let mut grads = Vec::new();
+            s.visit_params(&mut |p| grads.push(bits(&p.grad)));
+            let mut stats = Vec::new();
+            s.visit_linears(&mut |l| {
+                let st = l.kfac_stats();
+                stats.push((
+                    st.activations.as_ref().map(bits),
+                    st.errors.as_ref().map(bits),
+                ));
+            });
+            (grads, stats)
+        };
+        // Stage 1 (with the head) takes boundary activations and returns
+        // dx; each micro-batch's gradient is swapped out after its backward.
+        let mut both = staged.stage(1).clone();
+        let (mut ta, mut tb) = (Tape::default(), Tape::default());
+        both.forward_with(&mut ta, input(2), &a, &plain);
+        both.forward_with(&mut tb, input(3), &b, &capture);
+        let dxa = both.backward_with(&mut ta, None, &a).unwrap();
+        let after_a = state(&mut both);
+        assert!(
+            after_a.1.iter().all(|(_, errors)| errors.is_none()),
+            "the plain backward recorded errors"
+        );
+        both.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.0));
+        let dxb = both.backward_with(&mut tb, None, &b).unwrap();
+        let after_b = state(&mut both);
+
+        let mut alone = staged.stage(1).clone();
+        alone.forward(input(2), &a, &plain);
+        assert_eq!(
+            bits(&alone.backward(None, &a).unwrap()),
+            bits(&dxa),
+            "dx of a"
+        );
+        assert_eq!(state(&mut alone).0, after_a.0, "gradients of a");
+        let mut alone = staged.stage(1).clone();
+        alone.forward(input(3), &b, &capture);
+        assert_eq!(
+            bits(&alone.backward(None, &b).unwrap()),
+            bits(&dxb),
+            "dx of b"
+        );
+        assert_eq!(state(&mut alone), after_b, "gradients and statistics of b");
+        assert!(after_b.1.iter().all(|(a, e)| a.is_some() && e.is_some()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use pipefisher_nn::gradcheck::{assert_grads_close, check_layer_grads};
 use pipefisher_nn::{
     cross_entropy_backward, cross_entropy_loss, Activation, ActivationKind, BertConfig,
     BertForPreTraining, FeedForward, ForwardCtx, Layer, LayerNorm, Linear, MultiHeadAttention,
-    Parameter, PreTrainingBatch, TransformerBlock, IGNORE_INDEX,
+    Parameter, PreTrainingBatch, Tape, TransformerBlock, IGNORE_INDEX,
 };
 use pipefisher_tensor::{init, Matrix};
 use rand::rngs::StdRng;
@@ -39,15 +39,17 @@ fn gradcheck_layer<L: Layer>(layer: &mut L, x: Matrix, seq_len: usize, classes: 
     let reports = check_layer_grads(
         layer,
         move |l| {
-            let y = l.forward(&x1, &ForwardCtx::train().with_seq_len(seq_len));
+            let mut tape = Tape::new(ForwardCtx::train().with_seq_len(seq_len));
+            let y = l.forward(x1.clone(), &mut tape);
             let logits = y.matmul(&proj1);
             let dlogits = cross_entropy_backward(&logits, &t1);
             let dy = dlogits.matmul_nt(&proj1);
-            let _ = l.backward(&dy);
+            let _ = l.backward(&dy, &mut tape);
             cross_entropy_loss(&logits, &t1).loss
         },
         move |l| {
-            let y = l.forward(&x2, &ForwardCtx::train().with_seq_len(seq_len));
+            let tape = &mut Tape::new(ForwardCtx::train().with_seq_len(seq_len));
+            let y = l.forward(x2.clone(), tape);
             let logits = y.matmul(&proj2);
             cross_entropy_loss(&logits, &t2).loss
         },
@@ -82,13 +84,13 @@ fn gelu_input_grads_via_linear_sandwich() {
         act: Activation,
     }
     impl Layer for Sandwich {
-        fn forward(&mut self, x: &Matrix, ctx: &ForwardCtx) -> Matrix {
-            let h = self.lin.forward(x, ctx);
-            self.act.forward(&h, ctx)
+        fn forward(&mut self, x: Matrix, tape: &mut Tape) -> Matrix {
+            let h = self.lin.forward(x, tape);
+            self.act.forward(h, tape)
         }
-        fn backward(&mut self, dout: &Matrix) -> Matrix {
-            let dh = self.act.backward(dout);
-            self.lin.backward(&dh)
+        fn backward(&mut self, dout: &Matrix, tape: &mut Tape) -> Matrix {
+            let dh = self.act.backward(dout, tape);
+            self.lin.backward(&dh, tape)
         }
         fn visit_params(&mut self, f: pipefisher_nn::ParamVisitor<'_>) {
             self.lin.visit_params(f);

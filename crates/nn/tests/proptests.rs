@@ -2,7 +2,7 @@
 
 use pipefisher_nn::{
     cross_entropy_backward, cross_entropy_loss, ForwardCtx, Layer, LayerNorm, Linear,
-    MultiHeadAttention, TransformerBlock,
+    MultiHeadAttention, Tape, TransformerBlock,
 };
 use pipefisher_tensor::Matrix;
 use proptest::prelude::*;
@@ -22,10 +22,10 @@ proptest! {
         // f(2x) − f(x) == f(x) − f(0) for an affine map, row-wise.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut lin = Linear::new("fc", 6, 3, &mut rng);
-        let ctx = ForwardCtx::train();
-        let f0 = lin.forward(&Matrix::zeros(4, 6), &ctx);
-        let f1 = lin.forward(&x, &ctx);
-        let f2 = lin.forward(&x.scale(2.0), &ctx);
+        let tape = &mut Tape::new(ForwardCtx::train());
+        let f0 = lin.forward(Matrix::zeros(4, 6), tape);
+        let f1 = lin.forward(x.clone(), tape);
+        let f2 = lin.forward(x.scale(2.0), tape);
         let lhs = &f2 - &f1;
         let rhs = &f1 - &f0;
         prop_assert!((&lhs - &rhs).max_abs() < 1e-9);
@@ -34,9 +34,9 @@ proptest! {
     #[test]
     fn layernorm_is_shift_invariant(x in input_strategy(3, 8), shift in -5.0..5.0f64) {
         let mut ln = LayerNorm::new("ln", 8);
-        let ctx = ForwardCtx::train();
-        let base = ln.forward(&x, &ctx);
-        let shifted = ln.forward(&x.map(|v| v + shift), &ctx);
+        let tape = &mut Tape::new(ForwardCtx::train());
+        let shifted = ln.forward(x.map(|v| v + shift), tape);
+        let base = ln.forward(x, tape);
         prop_assert!((&base - &shifted).max_abs() < 1e-6);
     }
 
@@ -44,9 +44,9 @@ proptest! {
     fn layernorm_is_scale_invariant(x in input_strategy(3, 8), scale in 0.5..4.0f64) {
         // Scaling an input row scales its deviation and std equally.
         let mut ln = LayerNorm::new("ln", 8);
-        let ctx = ForwardCtx::train();
-        let base = ln.forward(&x, &ctx);
-        let scaled = ln.forward(&x.scale(scale), &ctx);
+        let tape = &mut Tape::new(ForwardCtx::train());
+        let scaled = ln.forward(x.scale(scale), tape);
+        let base = ln.forward(x, tape);
         prop_assert!((&base - &scaled).max_abs() < 1e-5);
     }
 
@@ -58,11 +58,11 @@ proptest! {
         // Swapping two *sequences* in the batch swaps the outputs.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut attn = MultiHeadAttention::new("a", 4, 2, &mut rng);
-        let ctx = ForwardCtx::train().with_seq_len(2);
+        let tape = &mut Tape::new(ForwardCtx::train().with_seq_len(2));
         let seq_a = x.slice_rows(0, 2);
         let seq_b = x.slice_rows(2, 4);
-        let ab = attn.forward(&Matrix::vcat(&[&seq_a, &seq_b]), &ctx);
-        let ba = attn.forward(&Matrix::vcat(&[&seq_b, &seq_a]), &ctx);
+        let ab = attn.forward(Matrix::vcat(&[&seq_a, &seq_b]), tape);
+        let ba = attn.forward(Matrix::vcat(&[&seq_b, &seq_a]), tape);
         prop_assert!((&ab.slice_rows(0, 2) - &ba.slice_rows(2, 4)).max_abs() < 1e-9);
         prop_assert!((&ab.slice_rows(2, 4) - &ba.slice_rows(0, 2)).max_abs() < 1e-9);
     }
@@ -74,11 +74,11 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut block = TransformerBlock::new("b", 8, 16, 2, &mut rng);
-        let ctx = ForwardCtx::train().with_seq_len(3);
-        let y = block.forward(&x, &ctx);
+        let tape = &mut Tape::new(ForwardCtx::train().with_seq_len(3));
+        let y = block.forward(x, tape);
         prop_assert_eq!(y.shape(), (6, 8));
         prop_assert!(y.all_finite());
-        let dx = block.backward(&Matrix::full(6, 8, 1.0));
+        let dx = block.backward(&Matrix::full(6, 8, 1.0), tape);
         prop_assert_eq!(dx.shape(), (6, 8));
         prop_assert!(dx.all_finite());
     }
@@ -108,9 +108,10 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut lin = Linear::new("fc", 4, 2, &mut rng);
-        let y = lin.forward(&x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let y = lin.forward(x.clone(), tape);
         let dout = y.map(|v| v.tanh());
-        let _ = lin.backward(&dout);
+        let _ = lin.backward(&dout, tape);
         let stats = lin.kfac_stats();
         let a = stats.activations.as_ref().unwrap();
         let e = stats.errors.as_ref().unwrap();

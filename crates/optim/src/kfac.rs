@@ -639,7 +639,7 @@ fn precondition(state: &LayerKfacState, lin: &mut Linear) -> f64 {
 mod tests {
     use super::*;
     use crate::Sgd;
-    use pipefisher_nn::{cross_entropy_backward, cross_entropy_loss, ForwardCtx, Layer};
+    use pipefisher_nn::{cross_entropy_backward, cross_entropy_loss, ForwardCtx, Layer, Tape};
     use pipefisher_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -835,9 +835,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut lin = Linear::new("fc", 3, 4, &mut rng);
         let x = init::normal(1, 3, 1.0, &mut rng);
-        let y = lin.forward(&x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let y = lin.forward(x.clone(), tape);
         let dlogits = cross_entropy_backward(&y, &[2]);
-        let _ = lin.backward(&dlogits);
+        let _ = lin.backward(&dlogits, tape);
 
         let mut state = LayerKfacState::default();
         fold_curvature_a(&mut state, &mut lin, 0.0, 1);
@@ -900,10 +901,11 @@ mod tests {
                 } else {
                     ForwardCtx::train()
                 };
-                let logits = lin.forward(&x, &ctx);
+                let tape = &mut Tape::new(ctx);
+                let logits = lin.forward(x.clone(), tape);
                 loss = cross_entropy_loss(&logits, &targets).loss;
                 let d = cross_entropy_backward(&logits, &targets);
-                let _ = lin.backward(&d);
+                let _ = lin.backward(&d, tape);
                 if use_kfac {
                     kfac.step(&mut lin, 0.5);
                 } else {
@@ -940,9 +942,10 @@ mod tests {
         for step in 0..5u64 {
             use pipefisher_nn::Layer as _;
             lin.zero_grad();
-            let logits = lin.forward(&x, &ForwardCtx::train_with_capture());
+            let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+            let logits = lin.forward(x.clone(), tape);
             let d = cross_entropy_backward(&logits, &targets);
-            let _ = lin.backward(&d);
+            let _ = lin.backward(&d, tape);
             kfac.step(&mut lin, 0.1);
             let st = kfac.state("fc").unwrap();
             // Refresh steps are 1 and 4 (t−1 divisible by 3).
@@ -983,9 +986,10 @@ mod tests {
         );
         use pipefisher_nn::Layer as _;
         lin.zero_grad();
-        let logits = lin.forward(&x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let logits = lin.forward(x.clone(), tape);
         let d = cross_entropy_backward(&logits, &targets);
-        let _ = lin.backward(&d);
+        let _ = lin.backward(&d, tape);
         kfac.step(&mut lin, 0.1);
         let st = kfac.state("fc").unwrap();
         let inv_a = st.inv_a.as_ref().unwrap();
@@ -1018,9 +1022,10 @@ mod tests {
             );
             use pipefisher_nn::Layer as _;
             lin.zero_grad();
-            let logits = lin.forward(&x, &ForwardCtx::train_with_capture());
+            let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+            let logits = lin.forward(x.clone(), tape);
             let d = cross_entropy_backward(&logits, &targets);
-            let _ = lin.backward(&d);
+            let _ = lin.backward(&d, tape);
             kfac.step(&mut lin, 0.1);
             lin.weight().value.clone()
         };
@@ -1092,15 +1097,16 @@ mod tests {
                 } else {
                     ForwardCtx::train()
                 };
-                let h = model.0.forward(&x, &ctx);
-                let logits = model.1.forward(&h, &ctx);
+                let tape = &mut Tape::new(ctx);
+                let h = model.0.forward(x.clone(), tape);
+                let logits = model.1.forward(h, tape);
                 let executor = matches!(spelling, Spelling::Executor);
                 if executor && refresh_curv {
                     kfac.fold_a(&mut model);
                 }
                 let d = cross_entropy_backward(&logits, &targets);
-                let dh = model.1.backward(&d);
-                let _ = model.0.backward(&dh);
+                let dh = model.1.backward(&d, tape);
+                let _ = model.0.backward(&dh, tape);
                 match spelling {
                     Spelling::Step => kfac.step(&mut model, 0.1),
                     Spelling::Executor => {
@@ -1183,9 +1189,10 @@ mod tests {
         );
         use pipefisher_nn::Layer as _;
         lin.zero_grad();
-        let logits = lin.forward(&x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let logits = lin.forward(x.clone(), tape);
         let d = cross_entropy_backward(&logits, &targets);
-        let _ = lin.backward(&d);
+        let _ = lin.backward(&d, tape);
 
         // Capture the raw statistic before stepping by replaying phases.
         kfac.step(&mut lin, 1.0);

@@ -8,7 +8,7 @@
 //! captured state.
 
 use pipefisher_nn::{
-    cross_entropy_backward, export_params_with, import_params_with, ForwardCtx, Layer, Linear,
+    cross_entropy_backward, export_params_with, import_params_with, ForwardCtx, Layer, Linear, Tape,
 };
 use pipefisher_optim::{Adam, Kfac, KfacConfig, Lamb, Optimizer, Sgd, StateSnapshot};
 use pipefisher_tensor::{init, Matrix};
@@ -39,9 +39,10 @@ fn first_order_steps<O: Optimizer>(
 ) {
     for _ in 0..steps {
         lin.zero_grad();
-        let logits = lin.forward(x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let logits = lin.forward(x.clone(), tape);
         let d = cross_entropy_backward(&logits, targets);
-        let _ = lin.backward(&d);
+        let _ = lin.backward(&d, tape);
         opt.begin_step();
         lin.visit_params(&mut |p| opt.step_param(p, LR));
     }
@@ -50,9 +51,10 @@ fn first_order_steps<O: Optimizer>(
 fn kfac_steps(lin: &mut Linear, opt: &mut Kfac<Sgd>, x: &Matrix, targets: &[i64], steps: u64) {
     for _ in 0..steps {
         lin.zero_grad();
-        let logits = lin.forward(x, &ForwardCtx::train_with_capture());
+        let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+        let logits = lin.forward(x.clone(), tape);
         let d = cross_entropy_backward(&logits, targets);
-        let _ = lin.backward(&d);
+        let _ = lin.backward(&d, tape);
         opt.step(lin, LR);
     }
 }

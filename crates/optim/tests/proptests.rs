@@ -1,6 +1,6 @@
 //! Property-based tests for optimizer invariants.
 
-use pipefisher_nn::{cross_entropy_backward, ForwardCtx, Layer, Linear, Parameter};
+use pipefisher_nn::{cross_entropy_backward, ForwardCtx, Layer, Linear, Parameter, Tape};
 use pipefisher_optim::{Adam, Kfac, KfacConfig, Lamb, Optimizer, Sgd};
 use pipefisher_tensor::Matrix;
 use proptest::prelude::*;
@@ -87,9 +87,10 @@ proptest! {
             );
             let x = pipefisher_tensor::init::normal(6, 3, 1.0, &mut rng);
             lin.zero_grad();
-            let logits = lin.forward(&x, &ForwardCtx::train_with_capture());
+            let tape = &mut Tape::new(ForwardCtx::train_with_capture());
+            let logits = lin.forward(x, tape);
             let d = cross_entropy_backward(&logits, &[0, 1, 0, 1, 0, 1]);
-            let _ = lin.backward(&d);
+            let _ = lin.backward(&d, tape);
             // Rescale the gradient after capture (factors stay fixed).
             lin.weight_mut().grad.scale_inplace(c);
             lin.bias_mut().grad.scale_inplace(c);

@@ -38,8 +38,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// raises its demand for the length.
 const CLASS_CAP_BYTES: usize = 64 << 20;
 
-/// Hard per-class cap on idle buffer *count*, independent of size.
-const CLASS_CAP_COUNT: usize = 32;
+/// Hard per-class cap on idle buffer *count*, independent of size. It must
+/// cover the buffers of one length a thread holds at once, or they are
+/// freed and allocated again every step: a pipeline device with every
+/// micro-batch in flight holds one activation tape each, ~10 same-shape
+/// matrices per block per tape (GPipe at N = 4 on two one-block stages
+/// already exceeds 32).
+const CLASS_CAP_COUNT: usize = 128;
 
 /// One length's idle buffers on this thread, and how many buffers of that
 /// length this thread has allocated fresh: the most idle ones it keeps.

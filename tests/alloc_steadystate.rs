@@ -3,8 +3,8 @@
 //! stack of linear layers, captures included (the comparison against the
 //! pre-arena tree lives in `BENCH_alloc.json`). The pipeline executor adds only its messages to
 //! that: under GPipe, 1F1B and Chimera a steady-state step stays within a
-//! fixed per-step budget over the serial loop's (≤ +27 for GPipe and 1F1B,
-//! whose owners reuse every gradient contribution set; ≤ +85 for Chimera,
+//! fixed per-step budget over the serial loop's (≤ +12 for GPipe and 1F1B,
+//! whose owners reuse every gradient contribution set; ≤ +60 for Chimera,
 //! whose shipping hosts allocate theirs), under Chimera a slow host does
 //! not make the live heap grow, and back-to-back pipelined runs in one
 //! process leave it where the first left it.
@@ -24,7 +24,8 @@ use pipefisher::lm::{
     SyntheticLanguage, TrainOptions, Trainer,
 };
 use pipefisher::nn::{
-    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear, ParamVisitor,
+    cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear,
+    ParamVisitor, Tape,
 };
 use pipefisher::optim::{Kfac, KfacConfig, KfacModel, Sgd};
 use pipefisher::pipeline::PipelineScheme;
@@ -133,16 +134,17 @@ fn kfac_run_allocs(steps: usize, warmup: usize) -> u64 {
         Sgd::new(0.9, 0.0),
     );
     let mut measured = 0u64;
+    let mut tape = Tape::new(ForwardCtx::train_with_capture());
     for step in 0..steps {
         let before = alloc_snapshot();
         let mut h = x.clone();
         for lin in layers.iter_mut() {
             lin.zero_grad();
-            h = lin.forward(&h, &ForwardCtx::train_with_capture());
+            h = lin.forward(h, &mut tape);
         }
         let mut d = cross_entropy_backward(&h, &targets);
         for lin in layers.iter_mut().rev() {
-            d = lin.backward(&d);
+            d = lin.backward(&d, &mut tape);
         }
         for lin in layers.iter_mut() {
             kfac.step(lin, 0.01);
@@ -198,8 +200,9 @@ fn kfac_state_loan_round_trip_is_allocation_free() {
     let x = init::normal(24, 16, 1.0, &mut rng);
     let targets: Vec<i64> = (0..24).map(|i| (i % 16) as i64).collect();
     let mut kfac = Kfac::new(KfacConfig::default(), Sgd::new(0.9, 0.0));
-    let y = lin.forward(&x, &ForwardCtx::train_with_capture());
-    let _ = lin.backward(&cross_entropy_backward(&y, &targets));
+    let mut tape = Tape::new(ForwardCtx::train_with_capture());
+    let y = lin.forward(x, &mut tape);
+    let _ = lin.backward(&cross_entropy_backward(&y, &targets), &mut tape);
     kfac.step(&mut lin, 0.01);
     assert!(kfac.state("fc").is_some_and(|st| st.ready()));
 
@@ -242,12 +245,13 @@ fn kfac_first_step_retained_bytes(layers: usize) -> i64 {
     let x = init::normal(tokens, d, 1.0, &mut rng);
     let targets: Vec<i64> = (0..tokens).map(|i| (i % d) as i64).collect();
     let mut h = x;
+    let mut tape = Tape::new(ForwardCtx::train_with_capture());
     for lin in model.0.iter_mut() {
-        h = lin.forward(&h, &ForwardCtx::train_with_capture());
+        h = lin.forward(h, &mut tape);
     }
     let mut g = cross_entropy_backward(&h, &targets);
     for lin in model.0.iter_mut().rev() {
-        g = lin.backward(&g);
+        g = lin.backward(&g, &mut tape);
     }
     // Momentum-free SGD keeps no per-parameter state, so whatever the step
     // leaves behind is K-FAC's.
@@ -341,13 +345,14 @@ fn steady_allocs(rows: &[StepMetrics], warmup: usize) -> u64 {
 /// coordinator hands back with the update for the next report), the
 /// coordinator's per-step loss buffer, each update's parameter copies, and
 /// the blocks the unbounded inboxes grow into. Each stage's owner keeps its
-/// parameters, gradient accumulator and optimizer state for the whole run,
-/// and returns every contribution it has added to its stage's spare sets,
-/// so a backward swaps a zeroed spare into its replica instead of
-/// allocating one. Chimera's down pipeline ships its contributions to the
-/// stage's other host, which keeps at most one spare per activation slot,
-/// so the shipping host allocates a fresh set per backward. Kernel
-/// temporaries come from the workers' thread-local workspace arenas. So
+/// model, gradient accumulator and optimizer state for the whole run, and
+/// returns every contribution it has added to its stage's spare sets, so a
+/// backward swaps a zeroed spare into the model instead of allocating one.
+/// Chimera's down pipeline ships its contributions to the stage's owner,
+/// which keeps at most one spare per backward of its own, so the shipping
+/// host allocates a fresh set per backward, and its owner copies the
+/// updated parameters to it. Kernel temporaries and the activation tapes'
+/// matrices come from the workers' thread-local workspace arenas. So
 /// per-step allocations must stay within a fixed constant of the serial
 /// loop's, independent of how many steps run.
 #[test]
@@ -372,20 +377,22 @@ fn pipeline_executor_steady_state_allocs_are_serial_plus_constant() {
     let serial_steady = steady_allocs(&serial.metrics, warmup);
 
     // Per-step budgets over the serial loop, for D = 2, N = 4. Measured
-    // over the 6 steady steps in 5 runs: 998–1001 vs 918 for GPipe and
-    // 1F1B (+14/step), 1208–1259 for Chimera (+48 to +57/step). What is
-    // left is the step command, the update and its parameter copies, the
-    // last stage's loss list and the inboxes' channel blocks, plus
-    // Chimera's shipped contribution sets; the owners refill the report
-    // vectors the coordinator sends back with the update (building them
-    // afresh read +25 to +27 for GPipe and 1F1B). A backward that
-    // allocated its contribution again would read +86 (GPipe) and +54
-    // (1F1B); a matrix buffer slipping out of the recycling paths
-    // altogether would add thousands per step.
+    // over the 6 steady steps in 5 runs: 902–903 vs 870 for GPipe and
+    // 1F1B (+5.5/step), 1087–1100 for Chimera (+36 to +38/step). What is
+    // left is the step command, the update, the last stage's loss list and
+    // the inboxes' channel blocks, plus Chimera's shipped contribution
+    // sets and parameter copies; the owners refill the report vectors the
+    // coordinator sends back with the update. When every stage had a model
+    // replica per activation slot, each refreshed by a parameter copy
+    // after every update, this read +14 (GPipe, 1F1B) and +48 to +57
+    // (Chimera) over a serial loop of 918. A workspace arena that freed
+    // the tapes' matrices past 32 idle buffers a length read +43 (GPipe);
+    // a matrix buffer slipping out of the recycling paths altogether would
+    // add thousands per step.
     for (scheme, per_step_overhead) in [
-        (PipelineScheme::GPipe, 27),
-        (PipelineScheme::OneFOneB, 27),
-        (PipelineScheme::Chimera, 85),
+        (PipelineScheme::GPipe, 12),
+        (PipelineScheme::OneFOneB, 12),
+        (PipelineScheme::Chimera, 60),
     ] {
         let (mut trainer, model) = tiny_trainer(7);
         let opts = PipelineOptions::new(scheme, 2, n_micro);

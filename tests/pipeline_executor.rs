@@ -382,6 +382,56 @@ fn traced_run_shows_each_owners_precondition_and_update() {
     }
 }
 
+/// The inline engine runs a K-FAC step the way a stage owner does and
+/// traces it in the executor's vocabulary: at refresh interval 1, every step
+/// shows one span of each unit kind, one `precondition` and one `update`,
+/// each at device 0, stage 0.
+#[test]
+fn traced_inline_run_shows_each_unit_per_step() {
+    let _gate = test_lock();
+    let steps = 3;
+    let choice = OptimizerChoice::Kfac {
+        weight_decay: 0.01,
+        kfac: KfacConfig {
+            curvature_interval: 1,
+            inversion_interval: 1,
+            ..KfacConfig::default()
+        },
+    };
+    let (mut trainer, mut model) = setup(&BertConfig::tiny(36, 16), 7);
+    pipefisher::trace::drain();
+    pipefisher::trace::set_enabled(true);
+    let opts = pipefisher::lm::TrainOptions {
+        accumulation_steps: 2,
+        grad_delay: 0,
+    };
+    trainer.run_with_options(&mut model, &choice, steps, &opts);
+    pipefisher::trace::set_enabled(false);
+    let events = pipefisher::trace::drain();
+    let want: Vec<[i64; 3]> = (0..steps as i64).map(|step| [step, 0, 0]).collect();
+    for name in [
+        "curvature_a",
+        "curvature_b",
+        "inversion",
+        "precondition",
+        "update",
+    ] {
+        let mut seen: Vec<[i64; 3]> = events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| {
+                ["step", "device", "stage"].map(|key| {
+                    let arg = e.args.iter().find(|(k, _)| k == key);
+                    arg.and_then(|(_, v)| v.as_i64())
+                        .expect("a span coordinate")
+                })
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, want, "one {name} span per step");
+    }
+}
+
 /// Every-step inversion at factor sizes that straddle the blocked
 /// factorization engine's 64-wide panels (d_model = 64 ⇒ bias-augmented
 /// A-factor 65; d_ff = 128 ⇒ A-factor 129): the blocked potrf + potri
