@@ -15,14 +15,15 @@ use pipefisher_nn::{
     cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear,
     ParamVisitor, Tape,
 };
-use pipefisher_optim::{Kfac, KfacConfig, KfacModel, LrSchedule, Sgd};
+use pipefisher_optim::{Kfac, KfacConfig, KfacModel, Lamb, LrSchedule};
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_tensor::workspace;
 
 /// Pre-change steady-state allocation baseline for the workload in
 /// [`measure_kfac_allocs`], measured at the commit preceding the workspace
-/// arena (probe with an identical counting allocator and training loop;
-/// see EXPERIMENTS.md "Allocation benchmark" for the measurement recipe).
+/// arena with the same counting allocator and training loop, but with
+/// K-FAC over SGD momentum where the probe now runs K-FAC over LAMB (see
+/// EXPERIMENTS.md "Allocation benchmark" for the measurement recipe).
 const BASELINE_ALLOCS_PER_STEP: u64 = 111;
 const BASELINE_BYTES_PER_STEP: u64 = 2_564_839;
 
@@ -42,8 +43,9 @@ impl KfacModel for Stack {
     }
 }
 
-/// Steady-state heap traffic of a 4-stage K-FAC train: 4 linear layers
-/// (64→64, batch 48), curvature + inversion refreshed every step, measured
+/// Steady-state heap traffic of a 4-stage K-FAC-over-LAMB train, the
+/// optimizer the trainer runs: 4 linear layers (64→64, batch 48),
+/// curvature + inversion refreshed every step, measured
 /// over the 5 steps after a 5-step warm-up. Returns (allocs/step,
 /// bytes/step).
 fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
@@ -62,7 +64,7 @@ fn measure_kfac_allocs(workspace_on: bool) -> (u64, u64) {
             inversion_interval: 1,
             ..Default::default()
         },
-        Sgd::new(0.9, 0.0),
+        Lamb::new(0.01),
     );
     let (steps, warmup) = (10usize, 5usize);
     let (mut allocs, mut bytes) = (0u64, 0u64);
@@ -140,7 +142,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"alloc\",\n",
-            "  \"workload\": \"4-stage K-FAC train: 4x Linear 64->64, batch 48, ",
+            "  \"workload\": \"4-stage K-FAC over LAMB train: 4x Linear 64->64, batch 48, ",
             "curvature+inversion every step; steady state = steps 5..10, ",
             "one thread\",\n",
             "  \"host_cores\": {},\n",
@@ -148,7 +150,7 @@ fn main() {
             "allocator; absolute bytes depend on the allocator and host, the on/off ",
             "and vs-baseline ratios are the result\",\n",
             "  \"baseline\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}, ",
-            "\"note\": \"pre-change tree, identical probe\"}},\n",
+            "\"note\": \"pre-arena tree, same loop with K-FAC over SGD momentum\"}},\n",
             "  \"workspace_on\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}}},\n",
             "  \"workspace_off\": {{\"allocs_per_step\": {}, \"bytes_per_step\": {}}},\n",
             "  \"alloc_reduction_vs_baseline\": {},\n",

@@ -102,6 +102,16 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The value of an optional `--key value` flag parsed as a `T`, or
+/// `default` when the flag is absent; a value that does not parse is a
+/// `bad --key 'value'` error.
+pub fn flag_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    match flag_value(args, flag) {
+        Some(s) => s.parse().map_err(|_| format!("bad {flag} '{s}'")),
+        None => Ok(default),
+    }
+}
+
 /// Rejects scheme × shape pairs the builders cannot represent (they would
 /// otherwise panic deep in the graph builder): Chimera's two bidirectional
 /// pipelines need an even stage count and an even micro-batch count.
@@ -164,10 +174,7 @@ pub fn train_pipeline(argv: &[String]) -> Result<Option<TrainPipeline>, String> 
         Some(s) => self::scheme(s)?,
         None => PipelineScheme::GPipe,
     };
-    let n_micro: usize = flag_value(argv, "--micro-batches")
-        .map(|s| s.parse().map_err(|_| format!("bad --micro-batches '{s}'")))
-        .transpose()?
-        .unwrap_or(4);
+    let n_micro = flag_or(argv, "--micro-batches", 4)?;
     validate_scheme_shape(scheme, stages, n_micro)?;
     Ok(Some(TrainPipeline {
         scheme,
@@ -182,11 +189,9 @@ pub fn train_pipeline(argv: &[String]) -> Result<Option<TrainPipeline>, String> 
 /// enables saving (`every` defaults to 0 — final step only; the final step
 /// always saves), and `--resume latest|PATH` restores before the first
 /// step (`latest` picks the newest generation in `--checkpoint-dir`).
-/// `Ok(None)` means no checkpoint flag was given; dependent flags without
+/// No checkpoint flag gives the default (neither); dependent flags without
 /// their anchor are rejected instead of silently ignored.
-pub fn train_checkpoint(
-    argv: &[String],
-) -> Result<Option<pipefisher_lm::CheckpointOptions>, String> {
+pub fn train_checkpoint(argv: &[String]) -> Result<pipefisher_lm::CheckpointOptions, String> {
     use pipefisher_lm::{CheckpointOptions, CheckpointPolicy, ResumeFrom};
     let dir = flag_value(argv, "--checkpoint-dir");
     if dir.is_none() {
@@ -198,20 +203,8 @@ pub fn train_checkpoint(
     }
     let save = dir
         .map(|d| -> Result<CheckpointPolicy, String> {
-            let every: usize = flag_value(argv, "--checkpoint-every")
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| format!("bad --checkpoint-every '{s}'"))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let retain: usize = flag_value(argv, "--checkpoint-retain")
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| format!("bad --checkpoint-retain '{s}'"))
-                })
-                .transpose()?
-                .unwrap_or(3);
+            let every = flag_or(argv, "--checkpoint-every", 0)?;
+            let retain = flag_or(argv, "--checkpoint-retain", 3)?;
             if retain == 0 {
                 return Err("--checkpoint-retain must be >= 1".into());
             }
@@ -228,10 +221,7 @@ pub fn train_checkpoint(
         }
         Some(path) => Some(ResumeFrom::Path(path.into())),
     };
-    if save.is_none() && resume.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(CheckpointOptions { save, resume }))
+    Ok(CheckpointOptions { save, resume })
 }
 
 /// Parses `soak [N] [--seed S] [--out FILE]` into a harness config plus the
@@ -245,9 +235,7 @@ pub fn soak_config(argv: &[String]) -> Result<(pipefisher_harness::SoakConfig, S
             .map_err(|_| format!("bad scenario count '{first}'"))?;
         cfg.scenarios = positive(n, "scenario count")?;
     }
-    if let Some(s) = flag_value(argv, "--seed") {
-        cfg.base_seed = s.parse().map_err(|_| format!("bad --seed '{s}'"))?;
-    }
+    cfg.base_seed = flag_or(argv, "--seed", cfg.base_seed)?;
     let out = flag_value(argv, "--out")
         .unwrap_or("results/SOAK.json")
         .to_string();
@@ -271,17 +259,11 @@ pub fn graph(argv: &[String]) -> Result<TaskGraph, String> {
     validate_scheme_shape(base, d, n)?;
     let mut graph = match argv[0].as_str() {
         "interleaved" => {
-            let v = flag_value(argv, "--virtual")
-                .map(|s| s.parse().map_err(|_| format!("bad --virtual '{s}'")))
-                .transpose()?
-                .unwrap_or(2);
+            let v = flag_or(argv, "--virtual", 2)?;
             build_interleaved_1f1b(d, n, positive(v, "--virtual")?)
         }
         "async" => {
-            let steps = flag_value(argv, "--steps")
-                .map(|s| s.parse().map_err(|_| format!("bad --steps '{s}'")))
-                .transpose()?
-                .unwrap_or(4);
+            let steps = flag_or(argv, "--steps", 4)?;
             build_async_1f1b(d, n, positive(steps, "--steps")?)
         }
         _ => base.build(d, n),
@@ -528,11 +510,10 @@ mod tests {
     fn train_checkpoint_round_trips_every_flag() {
         use pipefisher_lm::ResumeFrom;
         // No checkpoint flags → plain run.
-        assert!(train_checkpoint(&argv(&["kfac", "9"])).unwrap().is_none());
+        let opts = train_checkpoint(&argv(&["kfac", "9"])).unwrap();
+        assert!(opts.save.is_none() && opts.resume.is_none());
         // Save-only, defaults: final-step-only saves, retain 3.
-        let opts = train_checkpoint(&argv(&["kfac", "9", "--checkpoint-dir", "ck"]))
-            .unwrap()
-            .unwrap();
+        let opts = train_checkpoint(&argv(&["kfac", "9", "--checkpoint-dir", "ck"])).unwrap();
         let policy = opts.save.unwrap();
         assert_eq!(policy.dir, std::path::PathBuf::from("ck"));
         assert_eq!((policy.every, policy.retain), (0, 3));
@@ -550,7 +531,6 @@ mod tests {
             "--resume",
             "latest",
         ]))
-        .unwrap()
         .unwrap();
         let policy = opts.save.unwrap();
         assert_eq!((policy.every, policy.retain), (2, 5));
@@ -559,9 +539,7 @@ mod tests {
             Some(ResumeFrom::Latest(d)) if d == std::path::Path::new("ck")
         ));
         // Resume from an explicit file needs no save dir.
-        let opts = train_checkpoint(&argv(&["kfac", "9", "--resume", "x.pfck"]))
-            .unwrap()
-            .unwrap();
+        let opts = train_checkpoint(&argv(&["kfac", "9", "--resume", "x.pfck"])).unwrap();
         assert!(opts.save.is_none());
         assert!(matches!(
             opts.resume,

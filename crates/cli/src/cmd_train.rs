@@ -43,10 +43,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown optimizer {other:?} (lamb | kfac)")),
     };
     let steps = args::positive(args::int(args, 1, "steps")?, "<steps>")?;
-    let seed: u64 = args::flag_value(args, "--seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = args::flag_or(args, "--seed", 42)?;
     let trace_out = args::flag_value(args, "--trace-out");
     let metrics_out = args::flag_value(args, "--metrics-out");
     if trace_out.is_some() {
@@ -75,10 +72,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let run = if let Some(p) = pipeline {
         let mut opts = PipelineOptions::new(p.scheme, p.stages, p.n_micro);
         opts.fill_bubbles = p.fill_bubbles;
-        if let Some(c) = &ckpt {
-            opts.checkpoint = c.save.clone();
-            opts.resume = c.resume.clone();
-        }
+        opts.checkpoint = ckpt.clone();
         let outcome = trainer
             .run_pipelined(model, &choice, steps, &opts)
             .map_err(|e| e.to_string())?;
@@ -99,23 +93,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         drop(outcome.model); // trained weights; the CLI only reports losses
         outcome.run
-    } else if let Some(c) = &ckpt {
-        trainer
-            .run_checkpointed(
-                &mut model,
-                &choice,
-                steps,
-                &TrainOptions {
-                    accumulation_steps: 1,
-                    grad_delay: 0,
-                },
-                c,
-            )
-            .map_err(|e| e.to_string())?
     } else {
-        trainer.run(&mut model, &choice, steps)
+        let opts = TrainOptions::default();
+        trainer
+            .run_checkpointed(&mut model, &choice, steps, &opts, &ckpt)
+            .map_err(|e| e.to_string())?
     };
-    if let Some(policy) = ckpt.as_ref().and_then(|c| c.save.as_ref()) {
+    if let Some(policy) = &ckpt.save {
         eprintln!(
             "checkpoints in {} (every {} step(s), retain {})",
             policy.dir.display(),

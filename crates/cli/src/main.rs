@@ -1,16 +1,7 @@
 //! `pipefisher` — command-line interface to the PipeFisher reproduction.
 //!
-//! ```text
-//! pipefisher schedule <scheme> <D> <N_micro> [--recompute] [--csv] [--trace-out FILE]
-//! pipefisher assign   <gpipe|1f1b|chimera> <arch> <hw> <D> <B_micro> [blocks] [W]
-//!                     [--recompute] [--json] [--trace-out FILE]
-//! pipefisher model    <arch> <hw> <D> <B_micro> [--json]
-//! pipefisher train    <lamb|kfac> <steps> [--seed N] [--trace-out FILE] [--metrics-out FILE]
-//!                     [--pipeline-stages D] [--scheme S] [--micro-batches N] [--no-fill]
-//! pipefisher soak     [N] [--seed S] [--out FILE]
-//! pipefisher sweep    <arch> [--json]
-//! pipefisher ckpt     inspect <PATH>
-//! ```
+//! The subcommands, their arguments and flags are listed once, in
+//! [`USAGE`] (what `pipefisher --help` prints).
 //!
 //! Each subcommand names the flags it reads (`args::check_flags`): any
 //! other `--flag`, or a value flag without its value, is an error.

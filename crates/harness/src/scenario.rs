@@ -385,7 +385,7 @@ fn execute_resume_inner(
         // Phase 1: checkpoint every step, die at the start of `kill_after`.
         let mut opts = PipelineOptions::new(sc.scheme, sc.n_stages, sc.n_micro);
         opts.fill_bubbles = sc.fill_bubbles;
-        opts.checkpoint = Some(CheckpointPolicy {
+        opts.checkpoint.save = Some(CheckpointPolicy {
             dir: dir.clone(),
             every: 1,
             retain: 2,
@@ -414,7 +414,7 @@ fn execute_resume_inner(
         let mut quiet = sc.fault.clone();
         quiet.fault = None;
         opts.chaos = Some(Arc::new(quiet));
-        opts.resume = Some(ResumeFrom::Latest(dir.clone()));
+        opts.checkpoint.resume = Some(ResumeFrom::Latest(dir.clone()));
         let (mut trainer, model) = setup(&sc.config(), sc.data_seed);
         let outcome = trainer
             .run_pipelined(model, &sc.optimizer.choice(), sc.steps, &opts)

@@ -78,7 +78,7 @@
 //! sends `Abort` to every inbox, so blocked threads wake at once and
 //! everything unwinds to a join. Neither deadlocks.
 
-use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
+use crate::checkpoint::CheckpointOptions;
 use crate::trainer::{grad_square, span, AnyOpt, Engine};
 use crate::{OptimizerChoice, TrainOptions, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
@@ -156,13 +156,12 @@ pub struct PipelineOptions {
     /// Deterministic fault/clock injection (chaos testing); `None` runs
     /// clean.
     pub chaos: Option<Arc<dyn ChaosHook>>,
-    /// Write checkpoints per this policy. The coordinator saves at step
-    /// boundaries — after the optimizer update, with the owners' parameters
-    /// and optimizer state handed back — so a pipelined checkpoint is
-    /// byte-identical to the serial trainer's at the same step.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Restore state from here before the first step.
-    pub resume: Option<ResumeFrom>,
+    /// Save and resume as [`crate::Trainer::run_checkpointed`] does. The
+    /// coordinator saves at step boundaries — after the optimizer update,
+    /// with the owners' parameters and optimizer state handed back — so a
+    /// pipelined checkpoint is byte-identical to the serial trainer's at
+    /// the same step.
+    pub checkpoint: CheckpointOptions,
 }
 
 impl PipelineOptions {
@@ -175,8 +174,7 @@ impl PipelineOptions {
             fill_bubbles: true,
             watchdog: Duration::from_secs(30),
             chaos: None,
-            checkpoint: None,
-            resume: None,
+            checkpoint: CheckpointOptions::default(),
         }
     }
 }
@@ -483,14 +481,7 @@ impl Trainer {
             accumulation_steps: opts.n_micro,
             grad_delay: 0,
         };
-        let run = self.drive(
-            &mut engine,
-            choice,
-            steps,
-            &train_opts,
-            opts.checkpoint.as_ref(),
-            opts.resume.as_ref(),
-        );
+        let run = self.drive(&mut engine, choice, steps, &train_opts, &opts.checkpoint);
         engine.workers.shutdown();
         Ok(PipelineOutcome {
             run: run?,

@@ -9,9 +9,7 @@
 //! their mean gradient lands (inline here; on the stage owners' worker
 //! threads in [`crate::pipeline`]) and how the update is applied to it.
 
-use crate::checkpoint::{
-    resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
-};
+use crate::checkpoint::{resolve_resume, CheckpointOptions, CheckpointPolicy, TrainCheckpoint};
 use crate::pipeline::{ExecError, ExecFault};
 use crate::{BatchSampler, StepMetrics};
 use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
@@ -197,36 +195,28 @@ impl Trainer {
         ckpt: &CheckpointOptions,
     ) -> Result<TrainRun, CkptError> {
         // The inline engine raises no executor faults.
-        self.drive(
-            model,
-            choice,
-            steps,
-            opts,
-            ckpt.save.as_ref(),
-            ckpt.resume.as_ref(),
-        )
-        .map_err(|e| match e {
-            ExecError {
-                fault: ExecFault::Checkpoint(source),
-                ..
-            } => source,
-            other => unreachable!("inline engine fault: {other}"),
-        })
+        self.drive(model, choice, steps, opts, ckpt)
+            .map_err(|e| match e {
+                ExecError {
+                    fault: ExecFault::Checkpoint(source),
+                    ..
+                } => source,
+                other => unreachable!("inline engine fault: {other}"),
+            })
     }
 
     /// The run prologue: builds the optimizer, opens the checkpoint store,
     /// and restores `model`, the optimizer and the data-RNG stream from
-    /// `resume`. Returns them with the first step to run.
+    /// `ckpt.resume`. Returns them with the first step to run.
     fn open_run(
         &mut self,
         model: &mut dyn KfacModel,
         choice: &OptimizerChoice,
-        save: Option<&CheckpointPolicy>,
-        resume: Option<&ResumeFrom>,
+        ckpt: &CheckpointOptions,
     ) -> Result<(AnyOpt, Option<CheckpointDir>, usize), CkptError> {
         let mut opt = AnyOpt::new(choice);
-        let store = save.map(CheckpointPolicy::open).transpose()?;
-        let Some(resume) = resume else {
+        let store = ckpt.save.as_ref().map(CheckpointPolicy::open).transpose()?;
+        let Some(resume) = &ckpt.resume else {
             return Ok((opt, store, 0));
         };
         let tc = TrainCheckpoint::load(&resolve_resume(resume)?)?;
@@ -265,8 +255,7 @@ impl Trainer {
         choice: &OptimizerChoice,
         steps: usize,
         opts: &TrainOptions,
-        save: Option<&CheckpointPolicy>,
-        resume: Option<&ResumeFrom>,
+        ckpt: &CheckpointOptions,
     ) -> Result<TrainRun, ExecError> {
         assert!(
             opts.accumulation_steps > 0,
@@ -277,7 +266,7 @@ impl Trainer {
             "grad_delay models asynchronous first-order pipelines; use Lamb"
         );
         assert!(
-            opts.grad_delay == 0 || (save.is_none() && resume.is_none()),
+            opts.grad_delay == 0 || (ckpt.save.is_none() && ckpt.resume.is_none()),
             "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
         );
         let ckpt_err = |completed_steps| {
@@ -287,7 +276,7 @@ impl Trainer {
             }
         };
         let (mut opt, store, start_step) = self
-            .open_run(engine.model(), choice, save, resume)
+            .open_run(engine.model(), choice, ckpt)
             .map_err(ckpt_err(0))?;
         if start_step < steps {
             engine.start(&mut opt);
@@ -367,7 +356,7 @@ impl Trainer {
             // `sync` brings the model and `opt` up to date, so every engine
             // captures the same state.
             let mut ckpt_write_ms = 0.0;
-            if let (Some(policy), Some(dir)) = (save, &store) {
+            if let (Some(policy), Some(dir)) = (&ckpt.save, &store) {
                 if policy.due(step + 1, steps) {
                     engine.sync(step + 1, step + 1 == steps, &mut opt)?;
                     let tc = TrainCheckpoint {

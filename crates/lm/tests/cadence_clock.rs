@@ -38,7 +38,7 @@ fn run_to(
     let (mut trainer, mut model) = setup();
     if staged {
         let mut opts = PipelineOptions::new(PipelineScheme::OneFOneB, 2, 2);
-        (opts.checkpoint, opts.resume) = (ckpt.save, ckpt.resume);
+        opts.checkpoint = ckpt;
         let outcome = trainer.run_pipelined(model, choice, steps, &opts);
         outcome.expect("pipelined run").run
     } else {

@@ -85,7 +85,8 @@ impl Embedding {
         );
         let n = token_ids.len();
         let d = self.d_model();
-        let mut x = Matrix::zeros(n, d);
+        // Every element is written below.
+        let mut x = Matrix::unfilled(n, d);
         for (i, (&tok, &segid)) in token_ids.iter().zip(segment_ids.iter()).enumerate() {
             assert!(
                 tok < self.vocab_size(),

@@ -7,7 +7,7 @@ pub type ParamVisitor<'a> = &'a mut dyn FnMut(&mut Parameter);
 
 /// A named trainable parameter: value plus accumulated gradient.
 ///
-/// Optimizers key their per-parameter state (momentum, Adam moments, K-FAC
+/// Optimizers key their per-parameter state (LAMB's moments, K-FAC's
 /// factors) on [`Parameter::name`], so names must be unique within a model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parameter {

@@ -1,9 +1,9 @@
 //! Optimizers for the PipeFisher reproduction.
 //!
-//! Implements the paper's two optimizer families:
+//! Implements the paper's two optimizers:
 //!
-//! * **First-order baselines** — [`Sgd`], [`Adam`], and [`Lamb`] (the
-//!   NVLAMB flavour used as the paper's baseline for BERT pretraining).
+//! * **NVLAMB** ([`Lamb`]) — the first-order baseline of the paper's BERT
+//!   pretraining runs (§4).
 //! * **K-FAC** ([`Kfac`]) — the second-order method whose *curvature*,
 //!   *inversion*, and *precondition* work PipeFisher schedules into pipeline
 //!   bubbles. The implementation follows §2.3 of the paper: per-layer
@@ -13,7 +13,9 @@
 //!   work units ([`Kfac::fold_a`], [`Kfac::fold_b`], [`Kfac::invert`]) are
 //!   defined once: [`Kfac::step`] runs them in place, the pipeline executor
 //!   calls the same methods in bubbles, and both finish with
-//!   [`Kfac::step_preconditioned`].
+//!   [`Kfac::step_preconditioned`]. K-FAC preconditions the gradients of
+//!   the fully-connected layers and hands every parameter to a base
+//!   [`Optimizer`] — NVLAMB in every run, as in the paper.
 //!
 //! Learning-rate schedules (linear warmup + polynomial decay, Appendix B.2 /
 //! Figure 7) live in [`schedule`].
@@ -21,38 +23,37 @@
 //! # Example
 //!
 //! ```
-//! use pipefisher_optim::{Optimizer, Sgd};
+//! use pipefisher_optim::{Lamb, Optimizer};
 //! use pipefisher_nn::Parameter;
 //! use pipefisher_tensor::Matrix;
 //!
-//! let mut opt = Sgd::new(0.0, 0.0);
+//! let mut opt = Lamb::new(0.0);
 //! let mut p = Parameter::new("w", Matrix::full(1, 1, 1.0));
 //! p.grad = Matrix::full(1, 1, 0.5);
 //! opt.begin_step();
 //! opt.step_param(&mut p, 0.1);
-//! assert!((p.value[(0, 0)] - 0.95).abs() < 1e-12);
+//! // The first bias-corrected step is ≈ 1 per coordinate, and the trust
+//! // ratio ‖θ‖ / ‖update‖ is ≈ 1: θ moves by ≈ lr.
+//! assert!((p.value[(0, 0)] - 0.9).abs() < 1e-6);
 //! ```
 
-mod adam;
 mod kfac;
 mod lamb;
 pub mod schedule;
-mod sgd;
 mod snapshot;
 
-pub use adam::Adam;
 pub use kfac::{
     fold_curvature_a, fold_curvature_b, refresh_inverses, Kfac, KfacConfig, KfacModel,
     LayerKfacState,
 };
 pub use lamb::Lamb;
 pub use schedule::LrSchedule;
-pub use sgd::Sgd;
 pub use snapshot::StateSnapshot;
 
 use pipefisher_nn::Parameter;
 
-/// A first-order optimizer applied parameter-by-parameter.
+/// A first-order optimizer applied parameter-by-parameter: [`Lamb`], and
+/// the base optimizer [`Kfac`] runs after preconditioning.
 ///
 /// Call [`Optimizer::begin_step`] once per optimization step (it advances
 /// bias-correction counters), then [`Optimizer::step_param`] for every
@@ -63,14 +64,4 @@ pub trait Optimizer {
 
     /// Updates one parameter in place from its accumulated gradient.
     fn step_param(&mut self, p: &mut Parameter, lr: f64);
-
-    /// Convenience: runs one full step over a parameter visitation.
-    fn step<F>(&mut self, lr: f64, visit: F)
-    where
-        Self: Sized,
-        F: FnOnce(&mut dyn FnMut(&mut Parameter)),
-    {
-        self.begin_step();
-        visit(&mut |p: &mut Parameter| self.step_param(p, lr));
-    }
 }

@@ -1,16 +1,17 @@
 //! Optimizer state checkpointing: save → load mid-run must be invisible.
 //!
-//! For each of the four optimizers, an interrupted run (k steps → export
-//! state → import into a fresh instance → N−k more steps) must produce
-//! bit-identical parameters to an uninterrupted N-step run. k is chosen so
-//! the interruption lands *mid-cadence* for the interval-driven K-FAC
-//! (curvature/inversion), proving the cadence phase is part of the
-//! captured state.
+//! For both optimizers (LAMB, and K-FAC over LAMB), an interrupted run
+//! (k steps → export state → import into a fresh instance → N−k more
+//! steps) must produce bit-identical parameters to an uninterrupted N-step
+//! run. k is chosen so the interruption lands *mid-cadence* for the
+//! interval-driven K-FAC (curvature/inversion), proving the cadence phase
+//! is part of the captured state. The exported state bytes themselves are
+//! pinned by committed fixtures (`tests/golden/`).
 
 use pipefisher_nn::{
     cross_entropy_backward, export_params_with, import_params_with, ForwardCtx, Layer, Linear, Tape,
 };
-use pipefisher_optim::{Adam, Kfac, KfacConfig, Lamb, Optimizer, Sgd, StateSnapshot};
+use pipefisher_optim::{Kfac, KfacConfig, Lamb, Optimizer, StateSnapshot};
 use pipefisher_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,13 +31,7 @@ fn fresh_problem() -> (Linear, Matrix, Vec<i64>) {
     (lin, x, targets)
 }
 
-fn first_order_steps<O: Optimizer>(
-    lin: &mut Linear,
-    opt: &mut O,
-    x: &Matrix,
-    targets: &[i64],
-    steps: u64,
-) {
+fn lamb_steps(lin: &mut Linear, opt: &mut Lamb, x: &Matrix, targets: &[i64], steps: u64) {
     for _ in 0..steps {
         lin.zero_grad();
         let tape = &mut Tape::new(ForwardCtx::train_with_capture());
@@ -48,7 +43,7 @@ fn first_order_steps<O: Optimizer>(
     }
 }
 
-fn kfac_steps(lin: &mut Linear, opt: &mut Kfac<Sgd>, x: &Matrix, targets: &[i64], steps: u64) {
+fn kfac_steps(lin: &mut Linear, opt: &mut Kfac<Lamb>, x: &Matrix, targets: &[i64], steps: u64) {
     for _ in 0..steps {
         lin.zero_grad();
         let tape = &mut Tape::new(ForwardCtx::train_with_capture());
@@ -107,19 +102,59 @@ fn assert_resume_invisible<O: StateSnapshot>(
     assert_eq!(opt_b.export_state(), opt_full.export_state());
 }
 
-#[test]
-fn sgd_resume_is_bitwise_invisible() {
-    assert_resume_invisible(|| Sgd::new(0.9, 0.01), first_order_steps);
+/// Compares `bytes` with the committed fixture `tests/golden/<name>`, or
+/// writes it there under `PIPEFISHER_BLESS=1`.
+fn assert_pinned(name: &str, bytes: &[u8]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join(name);
+    if std::env::var("PIPEFISHER_BLESS").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, bytes).expect("write golden file");
+        return;
+    }
+    let want = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); regenerate with PIPEFISHER_BLESS=1",
+            path.display()
+        )
+    });
+    assert!(
+        bytes == want.as_slice(),
+        "{name}: exported optimizer state drifted from the committed bytes"
+    );
 }
 
+/// The bytes `export_state` writes for LAMB and for K-FAC over LAMB after
+/// three fixed steps on a fixed `Linear`. A checkpoint stores them as they
+/// are, so a change to how either optimizer keeps its state must not move
+/// one; re-bless (`PIPEFISHER_BLESS=1 cargo test -p pipefisher-optim --test
+/// ckpt_roundtrip`) only with a deliberate checkpoint format change.
 #[test]
-fn adam_resume_is_bitwise_invisible() {
-    assert_resume_invisible(|| Adam::new(0.9, 0.999, 1e-8, 0.01), first_order_steps);
+fn lamb_and_kfac_state_bytes_are_pinned() {
+    let (mut lin, x, targets) = fresh_problem();
+    let mut lamb = Lamb::new(0.01);
+    lamb_steps(&mut lin, &mut lamb, &x, &targets, 3);
+    assert_pinned("lamb_state.bin", &lamb.export_state());
+
+    let (mut lin, x, targets) = fresh_problem();
+    let mut kfac = Kfac::new(
+        KfacConfig {
+            damping: 1e-2,
+            curvature_interval: 2,
+            inversion_interval: 2,
+            ..KfacConfig::default()
+        },
+        Lamb::new(0.01),
+    );
+    kfac_steps(&mut lin, &mut kfac, &x, &targets, 3);
+    assert_pinned("kfac_lamb_state.bin", &kfac.export_state());
 }
 
 #[test]
 fn lamb_resume_is_bitwise_invisible() {
-    assert_resume_invisible(|| Lamb::new(0.01), first_order_steps);
+    assert_resume_invisible(|| Lamb::new(0.01), lamb_steps);
 }
 
 #[test]
@@ -133,7 +168,7 @@ fn kfac_resume_is_bitwise_invisible_mid_cadence() {
                     inversion_interval: 3,
                     ..KfacConfig::default()
                 },
-                Sgd::new(0.9, 0.0),
+                Lamb::new(0.01),
             )
         },
         kfac_steps,
@@ -149,7 +184,7 @@ fn kfac_cadence_counters_survive_round_trip() {
             inversion_interval: 3,
             ..KfacConfig::default()
         },
-        Sgd::new(0.0, 0.0),
+        Lamb::new(0.0),
     );
     kfac_steps(&mut lin, &mut opt, &x, &targets, KILL_AT);
     let st = opt.state("fc").expect("layer state exists");
@@ -157,7 +192,7 @@ fn kfac_cadence_counters_survive_round_trip() {
     assert!(curv > 0, "refresh should have happened by step {KILL_AT}");
 
     let bytes = opt.export_state();
-    let mut back = Kfac::new(opt.config().clone(), Sgd::new(0.0, 0.0));
+    let mut back = Kfac::new(opt.config().clone(), Lamb::new(0.0));
     back.import_state(&bytes).unwrap();
     assert_eq!(back.step_count(), KILL_AT);
     let st = back.state("fc").expect("restored layer state");
@@ -176,10 +211,10 @@ fn kfac_cadence_counters_survive_round_trip() {
 #[test]
 fn corrupt_optimizer_state_is_rejected_structurally() {
     let (mut lin, x, targets) = fresh_problem();
-    let mut opt = Adam::new(0.9, 0.999, 1e-8, 0.0);
-    first_order_steps(&mut lin, &mut opt, &x, &targets, 2);
+    let mut opt = Lamb::new(0.0);
+    lamb_steps(&mut lin, &mut opt, &x, &targets, 2);
     let bytes = opt.export_state();
-    let mut fresh = Adam::new(0.9, 0.999, 1e-8, 0.0);
+    let mut fresh = Lamb::new(0.0);
     // Truncation at every prefix length must error, never panic.
     for cut in 0..bytes.len() {
         assert!(fresh.import_state(&bytes[..cut]).is_err(), "cut {cut}");

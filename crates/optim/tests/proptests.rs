@@ -1,7 +1,7 @@
 //! Property-based tests for optimizer invariants.
 
 use pipefisher_nn::{cross_entropy_backward, ForwardCtx, Layer, Linear, Parameter, Tape};
-use pipefisher_optim::{Adam, Kfac, KfacConfig, Lamb, Optimizer, Sgd};
+use pipefisher_optim::{Kfac, KfacConfig, Lamb, Optimizer};
 use pipefisher_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,38 +16,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sgd_update_is_linear_in_gradient(g in grad_strategy(3, 4), c in 0.1..3.0f64) {
-        // Without momentum/decay, Δθ(c·g) == c·Δθ(g).
+    fn lamb_first_step_is_gradient_scale_invariant(g in grad_strategy(2, 3), c in 0.5..10.0f64) {
+        // LAMB's bias-corrected first Adam direction is ±1-ish: m̂/(√v̂ + ε)
+        // is invariant to positive gradient rescaling up to ε/|g|, and zero
+        // weights take the unit trust ratio, so θ moves by ≈ ±lr.
         let step = |grad: &Matrix| -> Matrix {
-            let mut opt = Sgd::new(0.0, 0.0);
-            let mut p = Parameter::new("w", Matrix::zeros(3, 4));
-            p.grad = grad.clone();
-            opt.begin_step();
-            opt.step_param(&mut p, 0.1);
-            p.value
-        };
-        let d1 = step(&g);
-        let d2 = step(&g.scale(c));
-        prop_assert!((&d2 - &d1.scale(c)).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn adam_first_step_is_gradient_scale_invariant(g in grad_strategy(2, 3), c in 0.5..10.0f64) {
-        // Adam's bias-corrected first step is ±lr·sign-ish: m̂/√v̂ is
-        // invariant to positive gradient rescaling.
-        let step = |grad: &Matrix| -> Matrix {
-            let mut opt = Adam::default();
+            let mut opt = Lamb::new(0.0);
             let mut p = Parameter::new("w", Matrix::zeros(2, 3));
             p.grad = grad.clone();
             opt.begin_step();
             opt.step_param(&mut p, 0.1);
             p.value
         };
-        // Avoid exact zeros where sign is undefined.
-        let g = g.map(|x| if x.abs() < 1e-3 { 1e-3 } else { x });
+        // Keep |g| ≥ 1e-2, where ε = 1e-6 moves a coordinate by < 1e-5.
+        let g = g.map(|x| if x.abs() < 1e-2 { 1e-2 } else { x });
         let d1 = step(&g);
         let d2 = step(&g.scale(c));
-        prop_assert!((&d1 - &d2).max_abs() < 1e-6);
+        prop_assert!((&d1 - &d2).max_abs() < 1e-4);
     }
 
     #[test]
@@ -55,10 +40,12 @@ proptest! {
         g in grad_strategy(3, 3),
         wscale in 0.5..5.0f64,
     ) {
-        // With the trust ratio unclamped, ‖Δθ‖ == lr·‖θ‖ for nonzero
-        // gradients (wd = 0): the defining LAMB property.
+        // Below the trust-ratio clamp, ‖Δθ‖ == lr·‖θ‖ for nonzero
+        // gradients (wd = 0): the defining LAMB property. The first update
+        // is ≈ ±1 per coordinate (‖update‖ ≈ 3) and ‖θ‖ = 3·wscale ≤ 15, so
+        // the ratio stays ≤ 5, under NVLAMB's clamp of 10.
         let g = g.map(|x| if x.abs() < 1e-3 { 1e-3 } else { x });
-        let mut opt = Lamb::new(0.0).with_max_trust_ratio(1e9);
+        let mut opt = Lamb::new(0.0);
         let w0 = Matrix::full(3, 3, wscale);
         let mut p = Parameter::new("w", w0.clone());
         p.grad = g;
@@ -75,16 +62,12 @@ proptest! {
         seed in 0u64..500,
     ) {
         // B⁻¹(c·G)A⁻¹ = c·(B⁻¹GA⁻¹): with fixed factors, the preconditioned
-        // update is linear in the gradient. Run two single steps from the
-        // same state with gradients G and c·G and compare updates.
+        // gradient is linear in the gradient. Precondition the gradients G
+        // and c·G against the same factors and compare.
         let run = |c: f64| -> Matrix {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut lin = Linear::new("fc", 3, 2, &mut rng);
-            let w0 = lin.weight().value.clone();
-            let mut kfac = Kfac::new(
-                KfacConfig { kl_clip: None, ..Default::default() },
-                Sgd::new(0.0, 0.0),
-            );
+            let mut kfac = Kfac::new(KfacConfig::default(), Lamb::new(0.0));
             let x = pipefisher_tensor::init::normal(6, 3, 1.0, &mut rng);
             lin.zero_grad();
             let tape = &mut Tape::new(ForwardCtx::train_with_capture());
@@ -94,8 +77,11 @@ proptest! {
             // Rescale the gradient after capture (factors stay fixed).
             lin.weight_mut().grad.scale_inplace(c);
             lin.bias_mut().grad.scale_inplace(c);
-            kfac.step(&mut lin, 1.0);
-            &lin.weight().value - &w0
+            kfac.fold_a(&mut lin);
+            kfac.fold_b(&mut lin);
+            kfac.invert(&mut lin);
+            kfac.precondition(&mut lin, &mut |_| {});
+            lin.weight().grad.clone()
         };
         let base = run(1.0);
         let scaled = run(scale);
@@ -103,31 +89,15 @@ proptest! {
     }
 
     #[test]
-    fn optimizers_never_produce_nonfinite(
+    fn lamb_never_produces_nonfinite(
         g in grad_strategy(2, 2),
         lr in 1e-4..1.0f64,
     ) {
-        for mode in 0..3 {
-            let mut p = Parameter::new("w", Matrix::full(2, 2, 0.5));
-            p.grad = g.clone();
-            match mode {
-                0 => {
-                    let mut o = Sgd::new(0.9, 0.01);
-                    o.begin_step();
-                    o.step_param(&mut p, lr);
-                }
-                1 => {
-                    let mut o = Adam::default();
-                    o.begin_step();
-                    o.step_param(&mut p, lr);
-                }
-                _ => {
-                    let mut o = Lamb::new(0.01);
-                    o.begin_step();
-                    o.step_param(&mut p, lr);
-                }
-            }
-            prop_assert!(p.value.all_finite(), "mode {mode}");
-        }
+        let mut p = Parameter::new("w", Matrix::full(2, 2, 0.5));
+        p.grad = g;
+        let mut o = Lamb::new(0.01);
+        o.begin_step();
+        o.step_param(&mut p, lr);
+        prop_assert!(p.value.all_finite());
     }
 }

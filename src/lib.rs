@@ -7,8 +7,9 @@
 //! * [`tensor`] — dense linear algebra (GEMM, Cholesky, softmax).
 //! * [`nn`] — transformer layers with manual backprop and K-FAC capture;
 //!   one model body (`BertStage`), monolithic or split into pipeline stages.
-//! * [`optim`] — SGD / Adam / LAMB / K-FAC optimizers; K-FAC's curvature and
-//!   inversion work units are functions every execution shares.
+//! * [`optim`] — the paper's two optimizers, NVLAMB and K-FAC over NVLAMB;
+//!   K-FAC's curvature and inversion work units are functions every
+//!   execution shares.
 //! * [`pipeline`] — GPipe, 1F1B, and Chimera schedule builders.
 //! * [`sim`] — discrete-event cluster simulator and timeline profiler.
 //! * [`trace`] — profiling spans and Chrome/Perfetto trace export.

@@ -27,7 +27,7 @@ use pipefisher::nn::{
     cross_entropy_backward, BertConfig, BertForPreTraining, ForwardCtx, Layer, Linear,
     ParamVisitor, Tape,
 };
-use pipefisher::optim::{Kfac, KfacConfig, KfacModel, Sgd};
+use pipefisher::optim::{Kfac, KfacConfig, KfacModel, Lamb, Optimizer};
 use pipefisher::pipeline::PipelineScheme;
 use pipefisher::tensor::{cholesky_inverse_into, init, workspace, Matrix};
 use pipefisher::trace::{alloc_live_bytes, alloc_snapshot};
@@ -131,7 +131,7 @@ fn kfac_run_allocs(steps: usize, warmup: usize) -> u64 {
             inversion_interval: 1,
             ..Default::default()
         },
-        Sgd::new(0.9, 0.0),
+        Lamb::new(0.01),
     );
     let mut measured = 0u64;
     let mut tape = Tape::new(ForwardCtx::train_with_capture());
@@ -199,7 +199,7 @@ fn kfac_state_loan_round_trip_is_allocation_free() {
     let mut lin = Linear::new("fc", 16, 16, &mut rng);
     let x = init::normal(24, 16, 1.0, &mut rng);
     let targets: Vec<i64> = (0..24).map(|i| (i % 16) as i64).collect();
-    let mut kfac = Kfac::new(KfacConfig::default(), Sgd::new(0.9, 0.0));
+    let mut kfac = Kfac::new(KfacConfig::default(), Lamb::new(0.01));
     let mut tape = Tape::new(ForwardCtx::train_with_capture());
     let y = lin.forward(x, &mut tape);
     let _ = lin.backward(&cross_entropy_backward(&y, &targets), &mut tape);
@@ -232,6 +232,18 @@ impl KfacModel for Stack {
     }
 }
 
+/// Plain gradient descent, `θ ← θ − lr·g`: a base optimizer that keeps
+/// no state.
+struct Descent;
+
+impl Optimizer for Descent {
+    fn begin_step(&mut self) {}
+
+    fn step_param(&mut self, p: &mut pipefisher::nn::Parameter, lr: f64) {
+        p.value.axpy(-lr, &p.grad);
+    }
+}
+
 /// Bytes the first `Kfac::step` over `layers` captured 32→32 linears
 /// leaves live, not counting the captured statistics its folds consume.
 fn kfac_first_step_retained_bytes(layers: usize) -> i64 {
@@ -253,9 +265,9 @@ fn kfac_first_step_retained_bytes(layers: usize) -> i64 {
     for lin in model.0.iter_mut().rev() {
         g = lin.backward(&g, &mut tape);
     }
-    // Momentum-free SGD keeps no per-parameter state, so whatever the step
+    // Plain descent keeps no per-parameter state, so whatever the step
     // leaves behind is K-FAC's.
-    let mut kfac = Kfac::new(KfacConfig::default(), Sgd::new(0.0, 0.0));
+    let mut kfac = Kfac::new(KfacConfig::default(), Descent);
     let stats_bytes: usize = model
         .0
         .iter()

@@ -199,7 +199,7 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
 
             let dir = TempCkptDir::new(&format!("pipe-{}", tag.replace(' ', "-")));
             let mut opts = PipelineOptions::new(scheme, d, ACCUM);
-            opts.checkpoint = Some(dir.save_policy(0));
+            opts.checkpoint.save = Some(dir.save_policy(0));
             let (mut trainer, model) = setup(&config, 7);
             let head = trainer
                 .run_pipelined(model, &choice, kill, &opts)
@@ -211,7 +211,7 @@ fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
             );
 
             let mut opts = PipelineOptions::new(scheme, d, ACCUM);
-            opts.resume = Some(ResumeFrom::Latest(dir.0.clone()));
+            opts.checkpoint.resume = Some(ResumeFrom::Latest(dir.0.clone()));
             let (mut trainer, model) = setup(&config, 7);
             let outcome = trainer
                 .run_pipelined(model, &choice, steps, &opts)
@@ -266,7 +266,7 @@ fn resume_past_the_end_is_an_empty_run_on_both_engines() {
         assert_eq!(param_bits(&mut model), trained, "serial, {steps} steps");
 
         let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, ACCUM);
-        opts.resume = Some(ResumeFrom::Latest(dir.0.clone()));
+        opts.checkpoint.resume = Some(ResumeFrom::Latest(dir.0.clone()));
         let (mut trainer, model) = setup(&config, 7);
         let mut outcome = trainer
             .run_pipelined(model, &choice, steps, &opts)
@@ -309,7 +309,7 @@ fn serial_and_pipelined_checkpoints_are_byte_identical() {
     ] {
         let pipe_dir = TempCkptDir::new(&format!("bytes-pipe-{}", scheme.name()));
         let mut opts = PipelineOptions::new(scheme, 2, ACCUM);
-        opts.checkpoint = Some(pipe_dir.save_policy(0));
+        opts.checkpoint.save = Some(pipe_dir.save_policy(0));
         let (mut trainer, model) = setup(&config, 7);
         trainer
             .run_pipelined(model, &choice, steps, &opts)
@@ -369,7 +369,7 @@ fn corrupted_and_mismatched_checkpoints_are_rejected() {
     // …and through the pipelined executor, with the corruption attributed
     // to the checkpoint subsystem before any step ran.
     let mut opts = PipelineOptions::new(PipelineScheme::GPipe, 2, ACCUM);
-    opts.resume = Some(ResumeFrom::Latest(dir.0.clone()));
+    opts.checkpoint.resume = Some(ResumeFrom::Latest(dir.0.clone()));
     let (mut trainer, model) = setup(&config, 7);
     let err = trainer
         .run_pipelined(model, &config_choice(), 4, &opts)
